@@ -40,8 +40,7 @@ conform to the same ``Matcher`` protocol, so they interchange anywhere a
 matcher is expected — including ``Session(backend=...)`` and the benchmark
 harness.  Engine knobs live in one :class:`EngineConfig` dataclass; the
 pre-1.x constructor kwargs (``use_mstree=...``,
-``decomposition_strategy=...``, …) and ``MultiQueryMatcher`` still work but
-are deprecated.
+``decomposition_strategy=...``, …) still work but are deprecated.
 
 Subpackages
 -----------
@@ -87,7 +86,6 @@ from .graph.shared_window import SharedSlidingWindow, SharedWindowView
 from .graph.snapshot import SnapshotGraph
 from .graph.stream import GraphStream
 from .graph.window import SlidingWindow
-from .multi import MultiQueryMatcher
 from .persistence import (
     load_checkpoint, load_session, load_session_meta, save_checkpoint,
     save_session,
@@ -114,7 +112,5 @@ __all__ = [
     # persistence
     "save_checkpoint", "load_checkpoint", "save_session", "load_session",
     "load_session_meta",
-    # deprecated
-    "MultiQueryMatcher",
     "__version__",
 ]

@@ -57,10 +57,9 @@ from typing import (
 )
 
 from .graph.edge import StreamEdge
-from .graph.shared_window import (
-    SharedSlidingWindow, SharedWindowView, window_policy_key,
-)
+from .graph.shared_window import SharedWindowView
 from .graph.window import SlidingWindow
+from .ingest import ALWAYS_ROUTED, Admission, RouteIndex, group_key
 
 if TYPE_CHECKING:  # imported lazily at runtime — repro.core imports us
     from .core.decomposition import SubplanSignature
@@ -94,7 +93,7 @@ INDEXING_MODES = ("hash", "scan")
 #: identical ``(name, match)`` streams, with one documented refinement:
 #: shared routing judges in-window duplicate ids against the stream (the
 #: shared buffer), so a query registered mid-stream does not treat a
-#: replayed id as fresh (see :meth:`Session._push_shared`).
+#: replayed id as fresh (see :class:`repro.ingest.Admission`).
 ROUTING_MODES = ("shared", "fanout")
 
 #: Session sub-plan sharing strategies: ``"shared"`` (default) keeps one
@@ -128,29 +127,6 @@ SHARDING_MODES = ("none", "thread", "process")
 TRANSPORT_MODES = ("shm", "pipe")
 
 MatchCallback = Callable[[str, "Match"], None]
-
-
-def _shared_group_key(window) -> Optional[Tuple]:
-    """The shared-window group a window spec will enroll under, or
-    ``None`` when it cannot share a session buffer.
-
-    One function owns this judgement for both the sub-plan eligibility
-    pre-check (which sees the raw spec: a duration or a policy object)
-    and shared-window enrollment (which sees the engine's coerced policy
-    object) — the two must agree, because shared sub-plan stores rely on
-    their consumers expiring in lock-step within one window group.  A
-    number becomes a fresh time window of that duration; a policy object
-    is shareable only while empty and of an exactly shareable type (see
-    :func:`~repro.graph.shared_window.window_policy_key`).
-    """
-    if isinstance(window, bool):
-        return None             # rejected later by as_window
-    if isinstance(window, (int, float)):
-        return ("time", float(window))
-    key = window_policy_key(window)
-    if key is None or len(window) != 0:
-        return None
-    return key
 
 
 def _resolved_sharding(sharding, config) -> str:
@@ -532,13 +508,6 @@ class EngineConfig:
         """A copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
 
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before a knob existed restore with its
-        # default, so old snapshots keep loading as fields are added.
-        for field in dataclasses.fields(self):
-            state.setdefault(field.name, field.default)
-        self.__dict__.update(state)
-
     def validate(self) -> "EngineConfig":
         """Raise ``ValueError`` on any unknown or inconsistent knob;
         returns ``self`` so it chains."""
@@ -838,88 +807,6 @@ class _SharedMember:
         self.pending: List[StreamEdge] = []
 
 
-class _SharedGroup:
-    """The matchers sharing one window buffer (same window-policy key)."""
-
-    __slots__ = ("key", "window", "member_names", "raise_entries",
-                 "count_entries", "router")
-
-    def __init__(self, key: Tuple, window: SharedSlidingWindow,
-                 router: "_ExpiryRouter") -> None:
-        self.key = key
-        self.window = window
-        self.router = router
-        self.member_names: set = set()
-        # (ordinal, name) of members per duplicate policy, registration
-        # order — consulted on the duplicate path only.
-        self.raise_entries: List[Tuple[int, str]] = []
-        self.count_entries: List[Tuple[int, str]] = []
-
-
-class _ExpiryRouter:
-    """A shared window's expiry subscriber.
-
-    Routes each expired edge through the session's label-triple index
-    (dict probe) and predicate router (trie walk) to the pending queues
-    of exactly the members that ingested it — O(1 + label length) plus
-    the (typically tiny) hit list, instead of visiting all Q matchers.
-    Holds the *same* mutable dict/list/set/router objects the session
-    owns, so registration churn is visible without re-wiring.
-    """
-
-    __slots__ = ("group_key", "routes", "generic_entries", "members",
-                 "dirty", "pred_router")
-
-    def __init__(self, group_key, routes, generic_entries, members,
-                 dirty, pred_router) -> None:
-        self.group_key = group_key
-        self.routes = routes
-        self.generic_entries = generic_entries
-        self.members = members
-        self.dirty = dirty
-        self.pred_router = pred_router
-
-    def _candidate(self, name: str) -> Optional[_SharedMember]:
-        member = self.members.get(name)
-        if member is not None and member.group_key == self.group_key:
-            return member
-        return None
-
-    def __call__(self, edge: StreamEdge) -> None:
-        candidates: List[_SharedMember] = []
-        is_loop = edge.src == edge.dst
-        try:
-            hits = self.routes.get(
-                (edge.src_label, edge.label, edge.dst_label, is_loop), ())
-            names = [name for _, name in hits]
-            if self.pred_router:
-                names.extend(token[1] for token in self.pred_router.match(
-                    edge.src_label, edge.label, edge.dst_label, is_loop))
-        except TypeError:   # unhashable data label: no index probe
-            candidates = [m for m in self.members.values()
-                          if m.group_key == self.group_key]
-        else:
-            names.extend(name for _, name in self.generic_entries)
-            seen: set = set()
-            for name in names:
-                if name in seen:
-                    continue    # exact + predicate edges of one query
-                seen.add(name)
-                member = self._candidate(name)
-                if member is not None:
-                    candidates.append(member)
-        for member in candidates:
-            # Only matchers that ingested *this* bearer hear about its
-            # expiry: timestamp pairing keeps an older coexisting
-            # same-id bearer's expiry away from a matcher holding the
-            # newer one (and vice versa), and a matcher registered
-            # mid-stream never hears about bearers it never saw.
-            if member.matcher._live_edge_ids.get(edge.edge_id) \
-                    == edge.timestamp:
-                member.pending.append(edge)
-                self.dirty.add(member.name)
-
-
 class Session:
     """A registry of named continuous queries sharing one input stream.
 
@@ -945,7 +832,9 @@ class Session:
     produce identical ``(name, match)`` streams (in-window duplicate ids
     are judged against the shared stream buffer, a deliberate refinement
     that only shows for queries registered mid-stream — see
-    :meth:`_push_shared`).
+    :class:`~repro.ingest.Admission`).  Under ``"fanout"`` no matcher
+    enrolls in a shared window or the routing index: every one is a
+    privately-buffering, always-routed target of the same ingest loop.
 
     On top of shared routing, ``subplan_sharing="shared"`` (the default)
     de-duplicates the *partial-match state itself*: Timing engines on the
@@ -1028,41 +917,27 @@ class Session:
             config = config.replace(transport=transport)
         self.config = config.validate()
         self._matchers: Dict[str, Matcher] = {}
+        # One entry per registered query, in registration order.
         self._callbacks: Dict[str, Optional[MatchCallback]] = {}
         self._sinks: List[Tuple[Optional[str], MatchCallback]] = []
-        self._current_time = float("-inf")
-        # --- shared-stream routing state (empty under routing="fanout") --- #
         self._routing = self.config.routing
-        self._groups: Dict[Tuple, _SharedGroup] = {}
+        # The two ingest stages (see repro.ingest).  Route payloads are
+        # (ordinal, name), so a target list reads in registration order.
+        self._admission = Admission(self._on_expired)
+        self._index = RouteIndex()
+        # Matchers enrolled in a shared window group, by name; the rest
+        # buffer privately and are always routed (all of them under
+        # routing="fanout").
         self._members: Dict[str, _SharedMember] = {}
-        # label-triple key -> [(ordinal, name)] in registration order; the
-        # router records hold these same objects, so mutate them in place.
-        self._routes: Dict[Tuple, List[Tuple[int, str]]] = {}
-        self._route_keys: Dict[str, List[Tuple]] = {}
-        # Predicate-routable queries (ANY/Prefix labels) compile into a
-        # per-position trie router: O(label length) candidate resolution
-        # per arrival, flat in Q.  Tokens are (ordinal, name, i); the
-        # per-name token lists drive deregistration pruning.  (Lazy
-        # import: repro.core.engine imports this module at load time.)
-        from .core.labeltrie import PredicateRouter
-        self._pred_router = PredicateRouter()
-        self._pred_keys: Dict[str, List[Tuple]] = {}
-        self._generic_entries: List[Tuple[int, str]] = []
         self._private_entries: List[Tuple[int, str]] = []
         self._dirty: set = set()
-        # Memoised route-target lists keyed by label triple (None keys
-        # the index-miss list).  Invalidated on registration churn.
-        # Exact-only sessions cache only index-hit triples, bounding the
-        # cache by the routing index itself; prefix predicates make the
-        # hitting-triple space unbounded, so the cache self-clears at a
-        # fixed cap instead (see _route_targets).
-        self._route_cache: Dict = {}
+        # name -> the window policy object it registered with: one
+        # mutable policy cannot back two engines.
+        self._policy_windows: Dict[str, object] = {}
         # Refcounted shared sub-plan stores (empty under routing="fanout"
         # or subplan_sharing="private") — see SharedSubplanStore.
         self._subplans = _SubplanRegistry()
         self._next_ordinal = 0
-        #: Arrivals accepted by the session (all routing modes).
-        self.edges_pushed = 0
         #: Engine insertions performed by shared routing.
         self.routed_pushes = 0
         #: Matcher visits shared routing proved unnecessary and skipped.
@@ -1089,36 +964,7 @@ class Session:
         with an empty window — it only sees arrivals from now on, which is
         the only sound semantics for a structure that never saw the past.
         """
-        if name in self._matchers:
-            raise ValueError(f"query already registered: {name!r}")
-        if isinstance(query, str):
-            from .io.dsl import parse_query
-            query, window_hint = parse_query(query)
-            if window is None:
-                window = window_hint
-        if window is None:
-            window = self.default_window
-            if callable(window):
-                window = window()       # fresh policy object per engine
-        if window is None:
-            raise ValueError(
-                f"no window for query {name!r}: pass register(window=...), "
-                "a DSL 'window' line, or a Session default")
-        if not isinstance(window, (int, float)):
-            # Same hazard the constructor rejects for the default window:
-            # one mutable policy object cannot back two engines.
-            for other_name, other in self._matchers.items():
-                if getattr(other, "window", None) is window:
-                    raise ValueError(
-                        "window policy object is already used by query "
-                        f"{other_name!r}; pass a fresh instance — engines "
-                        "cannot share one mutable window")
-            for group in self._groups.values():
-                if group.window.policy is window:
-                    raise ValueError(
-                        "window policy object already backs a shared "
-                        "session window; pass a fresh instance — engines "
-                        "cannot share one mutable window")
+        query, window = self._resolve_registration(name, query, window)
         config = config if config is not None else self.config
         provider = self._subplan_provider(backend, config, window)
         if provider is not None:
@@ -1134,29 +980,48 @@ class Session:
         self._next_ordinal += 1
         if self._routing != "shared" \
                 or not self._enroll_shared(name, ordinal, matcher):
-            if provider is not None and provider.acquired:
-                # Defensive: sharing stores without co-membership in a
-                # shared window group would desynchronise expiry.  The
-                # eligibility pre-check makes this unreachable for the
-                # built-in timing backend; demote to a private build if a
-                # future path ever gets here.  The discarded matcher must
-                # detach its observers and indexes from the shared stores
-                # (they outlive it) before the refcounts roll back.
-                release = getattr(matcher, "release_shared_subplans", None)
-                if release is not None:
-                    release()
-                provider.rollback()
-                engine_options.pop("subplan_provider")
-                matcher = _build_matcher(backend, query, window, config,
-                                         engine_options)
             # Privately-buffering matcher: lock-step fan-out semantics.
             self._private_entries.append((ordinal, name))
-            if self._current_time > float("-inf"):
-                matcher.advance_time(self._current_time)
-        self._route_cache.clear()
+            self._index.add(name, (ordinal, name), ALWAYS_ROUTED)
+            if self.current_time > float("-inf"):
+                matcher.advance_time(self.current_time)
         self._matchers[name] = matcher
         self._callbacks[name] = callback
+        if not isinstance(window, (int, float)):
+            self._policy_windows[name] = window
         return matcher
+
+    def _resolve_registration(self, name: str, query, window):
+        """The ``(query, window)`` a registration will build from: DSL
+        text parsed, the window taken from the argument, the DSL
+        ``window`` line or the session default (a factory is called for a
+        fresh policy object), and validated — shared by both session
+        kinds so they accept and reject the same registrations."""
+        if name in self._callbacks:
+            raise ValueError(f"query already registered: {name!r}")
+        if isinstance(query, str):
+            from .io.dsl import parse_query
+            query, window_hint = parse_query(query)
+            if window is None:
+                window = window_hint
+        if window is None:
+            window = self.default_window
+            if callable(window):
+                window = window()       # fresh policy object per engine
+        if window is None:
+            raise ValueError(
+                f"no window for query {name!r}: pass register(window=...), "
+                "a DSL 'window' line, or a Session default")
+        if as_window(window) is window:
+            # Same hazard the constructor rejects for the default window:
+            # one mutable policy object cannot back two engines.
+            for other_name, other in self._policy_windows.items():
+                if other is window:
+                    raise ValueError(
+                        "window policy object is already used by query "
+                        f"{other_name!r}; pass a fresh instance — engines "
+                        "cannot share one mutable window")
+        return query, window
 
     def _enroll_shared(self, name: str, ordinal: int, matcher) -> bool:
         """Subscribe a matcher to shared routing; ``False`` if it must
@@ -1164,61 +1029,16 @@ class Session:
         pre-filled window policy)."""
         if not isinstance(matcher, MatcherBase):
             return False
-        window = getattr(matcher, "window", None)
-        key = _shared_group_key(window)
+        key = group_key(matcher.window)
         if key is None:
             return False
-        for group in self._groups.values():
-            if group.window.policy is window:
-                # A factory re-used one mutable policy object across
-                # engines — corrupting to share, loud beats silent.
-                raise ValueError(
-                    "window policy object already backs a shared session "
-                    "window; pass a fresh instance — engines cannot "
-                    "share one mutable window")
-        group = self._groups.get(key)
-        if group is None:
-            # Adopt the matcher's fresh policy object as the group buffer.
-            shared = SharedSlidingWindow(window)
-            if self._current_time > float("-inf"):
-                shared.advance(self._current_time)
-            router = _ExpiryRouter(key, self._routes, self._generic_entries,
-                                   self._members, self._dirty,
-                                   self._pred_router)
-            shared.subscribe(router)
-            group = _SharedGroup(key, shared, router)
-            self._groups[key] = group
+        # The first member's fresh policy object becomes the group buffer.
+        group = self._admission.enroll(key, (ordinal, name),
+                                       matcher.duplicate_policy,
+                                       policy=matcher.window)
         matcher.window = SharedWindowView(group.window)
-        member = _SharedMember(name, ordinal, matcher, key)
-        self._members[name] = member
-        group.member_names.add(name)
-        if matcher.duplicate_policy == "raise":
-            group.raise_entries.append((ordinal, name))
-        elif matcher.duplicate_policy == "count":
-            group.count_entries.append((ordinal, name))
-        exact, predicates, generic = matcher.routing_signatures()
-        if generic:
-            # Opaque-labelled queries (tuples with inner wildcards,
-            # unhashable labels) need a per-arrival scan anyway: always
-            # routed, no index entries.
-            self._generic_entries.append((ordinal, name))
-            self._route_keys[name] = []
-        else:
-            keys = []
-            for triple in exact:
-                self._routes.setdefault(triple, []).append((ordinal, name))
-                keys.append(triple)
-            self._route_keys[name] = keys
-            tokens = []
-            for i, (src_atom, edge_atom, dst_atom, is_loop) \
-                    in enumerate(sorted(predicates, key=repr)):
-                token = (ordinal, name, i)
-                self._pred_router.add(token,
-                                      (src_atom, edge_atom, dst_atom),
-                                      is_loop)
-                tokens.append(token)
-            if tokens:
-                self._pred_keys[name] = tokens
+        self._members[name] = _SharedMember(name, ordinal, matcher, key)
+        self._index.add(name, (ordinal, name), matcher.routing_signatures())
         return True
 
     def _subplan_provider(self, backend, config: EngineConfig,
@@ -1230,20 +1050,21 @@ class Session:
         in lock-step, which the exactly-once expiry of a shared store
         relies on): the built-in Timing backend, ``routing="shared"``,
         ``subplan_sharing="shared"``, and a window that will land in a
-        known shared group — as judged by the same :func:`_shared_group_key`
-        enrollment itself uses, so the two can never disagree.
+        known shared group — as judged by the same
+        :func:`~repro.ingest.group_key` enrollment itself uses, so the
+        two can never disagree.
         """
         if self._routing != "shared" or backend != "timing" \
                 or config.subplan_sharing != "shared":
             return None
-        group_key = _shared_group_key(window)
-        if group_key is None:
+        key = group_key(window)
+        if key is None:
             return None         # unshareable or pre-filled: won't enroll
         # Deliver coalesced expiries first: the registry's joinability
         # probe is is_empty(), and a logically drained store must not
         # look occupied merely because its deletions are still pending.
         self._flush_all()
-        return _SubplanProvider(self._subplans, group_key)
+        return _SubplanProvider(self._subplans, key)
 
     def register_file(self, name: str, path: str, **kwargs) -> Matcher:
         """Register a query from a ``.tq`` DSL file."""
@@ -1254,49 +1075,28 @@ class Session:
                      callback: Optional[MatchCallback]) -> None:
         """Attach (or clear) a registered query's callback — e.g. to
         re-wire alerting after :meth:`restore`, which drops callbacks."""
-        if name not in self._matchers:
+        if name not in self._callbacks:
             raise KeyError(f"unknown query: {name!r}")
         self._callbacks[name] = callback
 
     def deregister(self, name: str) -> None:
         """Remove a query: flush its pending expiries, unhook its
-        routing-index entries and shared-window subscription, release its
+        routing-index entries and window-group membership, release its
         shared sub-plan refcounts, and drop its filtered sinks."""
         if name not in self._matchers:
             raise KeyError(f"unknown query: {name!r}")
         member = self._members.pop(name, None)
         if member is not None:
             # Deliver outstanding expiries so the engine leaves in a
-            # consistent state, then unhook every routing-index entry and
-            # shared-window subscription (no leaked callbacks).
+            # consistent state; the last member out frees the group.
             self._flush_member(member)
-            group = self._groups[member.group_key]
-            group.member_names.discard(name)
-            group.raise_entries = [e for e in group.raise_entries
-                                   if e[1] != name]
-            group.count_entries = [e for e in group.count_entries
-                                   if e[1] != name]
-            for triple in self._route_keys.pop(name, ()):
-                entries = self._routes.get(triple)
-                if entries is not None:
-                    entries[:] = [e for e in entries if e[1] != name]
-                    if not entries:
-                        del self._routes[triple]
-            for token in self._pred_keys.pop(name, ()):
-                # Refcounted removal prunes emptied trie nodes, so
-                # register/deregister churn cannot leak router state.
-                self._pred_router.remove(token)
-            self._generic_entries[:] = [e for e in self._generic_entries
-                                        if e[1] != name]
-            if not group.member_names:
-                # Last subscriber gone: unhook the expiry router and
-                # free the buffer.
-                group.window.unsubscribe(group.router)
-                del self._groups[member.group_key]
+            self._admission.withdraw(member.group_key,
+                                     (member.ordinal, name))
         else:
             self._private_entries[:] = [e for e in self._private_entries
                                         if e[1] != name]
-        self._route_cache.clear()
+        self._index.remove(name)
+        self._policy_windows.pop(name, None)
         release = getattr(self._matchers[name],
                           "release_shared_subplans", None)
         if release is not None:
@@ -1313,7 +1113,7 @@ class Session:
 
     def names(self) -> List[str]:
         """Registered query names, in registration order."""
-        return list(self._matchers)
+        return list(self._callbacks)
 
     def matcher(self, name: str) -> Matcher:
         """The query's engine, with pending expiries flushed so direct
@@ -1324,10 +1124,10 @@ class Session:
         return self._matchers[name]
 
     def __len__(self) -> int:
-        return len(self._matchers)
+        return len(self._callbacks)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._matchers
+        return name in self._callbacks
 
     # ------------------------------------------------------------------ #
     # Sinks
@@ -1394,128 +1194,55 @@ class Session:
                 self._flush_member(member)
         self._dirty.clear()
 
-    #: Route-cache entries before a wholesale clear: prefix predicates
-    #: make the set of index-hitting triples unbounded (every distinct
-    #: matching label caches its own target list), so the cache
-    #: self-clears instead of growing with stream label cardinality.
-    _ROUTE_CACHE_CAP = 8192
+    def _on_expired(self, group_key: Tuple, edge: StreamEdge) -> None:
+        """Queue an edge a group's window dropped on the members that
+        ingested it — found through the same route lookup that delivered
+        it, so only its (typically tiny) target list is visited, not all
+        Q matchers."""
+        members = self._members
+        for _, name in self._index.targets(edge):
+            member = members.get(name)
+            # Only matchers that ingested *this* bearer hear about its
+            # expiry: timestamp pairing keeps an older coexisting
+            # same-id bearer's expiry away from a matcher holding the
+            # newer one (and vice versa), and a matcher registered
+            # mid-stream never hears about bearers it never saw.
+            if member is not None and member.group_key == group_key \
+                    and member.matcher._live_edge_ids.get(edge.edge_id) \
+                    == edge.timestamp:
+                member.pending.append(edge)
+                self._dirty.add(name)
 
-    def _route_targets(self, edge: StreamEdge) -> List[Tuple[int, str]]:
-        """Matchers that must see this arrival, in registration order:
-        the routing-index hits for its label triple, the predicate-router
-        hits (prefix-trie walk over its labels), the opaque-labelled
-        (always-routed) members, and every privately-buffering matcher."""
-        cache = self._route_cache
-        is_loop = edge.src == edge.dst
-        try:
-            key = (edge.src_label, edge.label, edge.dst_label, is_loop)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            hits = self._routes.get(key, ())
-            if self._pred_router:
-                pred_hits = {(token[0], token[1]) for token in
-                             self._pred_router.match(edge.src_label,
-                                                     edge.label,
-                                                     edge.dst_label,
-                                                     is_loop)}
-            else:
-                pred_hits = None
-        except TypeError:
-            # Unhashable data label: no index probe possible — visit
-            # everything (mirrors matching_edge_ids' linear fallback).
-            return sorted([(m.ordinal, m.name)
-                           for m in self._members.values()]
-                          + self._private_entries)
-        if not hits and not pred_hits:
-            # One shared list for every index miss: common on selective
-            # query sets, and uncacheable per-triple without letting a
-            # high-cardinality label stream grow the cache unboundedly.
-            targets = cache.get(None)
-            if targets is None:
-                targets = cache[None] = sorted(
-                    self._generic_entries + self._private_entries)
-            return targets
-        if pred_hits:
-            # A query can hit on an exact key and a predicate edge at
-            # once — dedupe by (ordinal, name) before ordering.
-            pred_hits.update(hits)
-            entries = list(pred_hits)
-        else:
-            entries = list(hits)
-        targets = sorted(entries + self._generic_entries
-                         + self._private_entries)
-        if len(cache) >= self._ROUTE_CACHE_CAP:
-            cache.clear()
-        cache[key] = targets
-        return targets
+    def _arrive(self, edge: StreamEdge,
+                forced=None) -> List[Tuple[str, Match]]:
+        """One arrival through admit → route → match → emit.
 
-    def _push_shared(self, edge: StreamEdge,
-                     forced_duplicates=None) -> List[Tuple[str, Match]]:
-        """One arrival through the shared-stream fast path.
-
-        Duplicate-id handling is *stream-level*: an arrival whose id has
-        a live bearer in a group's shared buffer is a duplicate for every
-        member of that group — one O(1) bearer probe per window policy
-        instead of a per-matcher history check.  For any session whose
-        queries were all registered before the bearer arrived this is
-        exactly the fanout semantics (every member's private window would
-        hold the bearer); the one deliberate refinement is a query
-        registered mid-stream, which inherits the stream's duplicate view
-        instead of treating a replayed id as fresh merely because it
-        missed the original (fanout, which buffers the stream per
-        matcher, does the latter).
-
-        ``forced_duplicates`` is the shard-worker entry point: a set of
-        window-group keys a sharded session's facade
-        (:class:`~repro.concurrency.sharding.ShardedSession`) already
-        judged live for this id at the stream level.  A shard's buffer only holds the arrivals routed to
-        it — a strict subset of the stream — so its own probe can miss a
-        bearer the full stream would have seen; the forced keys close
-        exactly that gap (a locally-live bearer is always facade-live
-        too, never the reverse).
+        Admission judges the arrival against the stream and slides the
+        shared windows (see :meth:`repro.ingest.Admission.admit`;
+        ``forced`` is its shard-worker argument); privately-buffering
+        matchers keep their per-matcher duplicate peek, folded into the
+        same all-or-nothing rejection.  The route index then names the
+        matchers that can consume the edge, and only those run.
         """
-        if edge.timestamp <= self._current_time:
-            raise ValueError(
-                "stream timestamps must strictly increase: "
-                f"{edge.timestamp} <= {self._current_time}")
-        # Duplicate pre-check, side-effect-free and all-or-nothing like
-        # the fanout path.  Privately-buffering matchers keep their
-        # per-matcher peek.
-        live_groups = {}
-        offender_entries: List[Tuple[int, str]] = []
-        for key, group in self._groups.items():
-            live = group.window.bearer_live_at(edge.edge_id, edge.timestamp) \
-                or (forced_duplicates is not None
-                    and key in forced_duplicates)
-            live_groups[key] = live
-            if live and group.raise_entries:
-                offender_entries.extend(group.raise_entries)
+        offenders: list = []
         for entry in self._private_entries:
+            # would_reject is optional: a protocol matcher from a factory
+            # that doesn't implement it keeps its own duplicate handling.
             check = getattr(self._matchers[entry[1]], "would_reject", None)
             if check is not None and check(edge):
-                offender_entries.append(entry)
-        if offender_entries:
-            offenders = [name for _, name in sorted(offender_entries)]
-            raise ValueError(
-                f"duplicate in-window edge id: {edge.edge_id!r} "
-                f"(rejected by {offenders}; no query ingested it)")
-        self._current_time = edge.timestamp
-        self.edges_pushed += 1
-        # One window advance per group — not per matcher.  A group whose
-        # bearer is still live drops the duplicate arrival exactly like
-        # the per-matcher skip path: time moves, nothing is buffered.
-        for key, group in self._groups.items():
-            if live_groups[key]:
-                group.window.advance(edge.timestamp)
-                for _, cname in group.count_entries:
-                    self._matchers[cname].stats.edges_skipped += 1
-            else:
-                group.window.push(edge)
+                offenders.append(entry)
+        live = self._admission.admit(edge, forced, offenders)
+        if live is not None:
+            # Dropped like the per-matcher skip path, and counted where
+            # the member's policy asks for it.
+            for key in live:
+                for _, name in self._admission.groups[key].count_entries:
+                    self._matchers[name].stats.edges_skipped += 1
         results: List[Tuple[str, Match]] = []
+        members = self._members
         shared_targets = 0
-        for _, name in self._route_targets(edge):
-            member = self._members.get(name)
+        for _, name in self._index.targets(edge):
+            member = members.get(name)
             if member is None:
                 # Privately-buffering matcher: full lock-step push.  A
                 # sink callback may deregister queries mid-push — the
@@ -1528,7 +1255,7 @@ class Session:
                     self._deliver(name, match)
                 continue
             shared_targets += 1
-            if live_groups[member.group_key]:
+            if live is not None and member.group_key in live:
                 continue    # duplicate: dropped for this whole group
             matcher = member.matcher
             if member.pending:
@@ -1538,8 +1265,19 @@ class Session:
             for match in matcher._insert(edge, matcher.default_guard):
                 results.append((name, match))
                 self._deliver(name, match)
-        self.skipped_matchers += len(self._members) - shared_targets
+        self.skipped_matchers += len(members) - shared_targets
         return results
+
+    def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
+        """The one ingest driver: every arrival's ``(name, match)`` list
+        goes to ``consume``.  Expiry delivery is coalesced — buffered per
+        matcher and flushed before that matcher's next insert and, here,
+        at the batch boundary — instead of interrupting every arrival."""
+        try:
+            for edge in edges:
+                consume(self._arrive(edge))
+        finally:
+            self._flush_all()
 
     def push(self, edge: StreamEdge) -> List[Tuple[str, Match]]:
         """Deliver one arrival to every query that can consume it.
@@ -1551,56 +1289,14 @@ class Session:
         matcher that raises its own errors from ``push`` is outside this
         guarantee unless it implements ``would_reject``.)
         """
-        if self._routing == "shared":
-            try:
-                return self._push_shared(edge)
-            finally:
-                self._flush_all()
-        if edge.timestamp <= self._current_time:
-            raise ValueError(
-                "stream timestamps must strictly increase: "
-                f"{edge.timestamp} <= {self._current_time}")
-        # would_reject is optional: a protocol matcher from a factory that
-        # doesn't implement it keeps its own duplicate handling.
-        offenders = []
-        for name, matcher in self._matchers.items():
-            check = getattr(matcher, "would_reject", None)
-            if check is not None and check(edge):
-                offenders.append(name)
-        if offenders:
-            raise ValueError(
-                f"duplicate in-window edge id: {edge.edge_id!r} "
-                f"(rejected by {offenders}; no query ingested it)")
-        self._current_time = edge.timestamp
-        self.edges_pushed += 1
-        results: List[Tuple[str, Match]] = []
-        for name, matcher in self._matchers.items():
-            for match in matcher.push(edge):
-                results.append((name, match))
-                self._deliver(name, match)
-        return results
+        return self.push_many((edge,))
 
     def push_many(self,
                   edges: Iterable[StreamEdge]) -> List[Tuple[str, Match]]:
         """Batch ingestion from any edge iterable (list, generator,
-        :class:`~repro.graph.stream.GraphStream`, CSV reader…).
-
-        Under shared routing this is a true fast path: the label-triple
-        route of each distinct triple in the batch is computed once, and
-        expiry delivery is coalesced — buffered per matcher and flushed
-        before that matcher's next insert and at the batch boundary —
-        instead of interrupting every arrival.
-        """
+        :class:`~repro.graph.stream.GraphStream`, CSV reader…)."""
         results: List[Tuple[str, Match]] = []
-        if self._routing == "shared":
-            try:
-                for edge in edges:
-                    results.extend(self._push_shared(edge))
-            finally:
-                self._flush_all()
-            return results
-        for edge in edges:
-            results.extend(self.push(edge))
+        self._pump(edges, results.extend)
         return results
 
     def ingest(self, edges: Iterable[StreamEdge]) -> int:
@@ -1609,15 +1305,12 @@ class Session:
         delivered, so an unbounded stream never materialises its whole
         result list."""
         delivered = 0
-        if self._routing == "shared":
-            try:
-                for edge in edges:
-                    delivered += len(self._push_shared(edge))
-            finally:
-                self._flush_all()
-            return delivered
-        for edge in edges:
-            delivered += len(self.push(edge))
+
+        def consume(results: List[Tuple[str, Match]]) -> None:
+            nonlocal delivered
+            delivered += len(results)
+
+        self._pump(edges, consume)
         return delivered
 
     def ingest_csv(self, source, *, collect: bool = True,
@@ -1636,25 +1329,22 @@ class Session:
 
     def advance_time(self, timestamp: float) -> None:
         """Slide all windows forward without an arrival."""
-        if timestamp < self._current_time:
-            raise ValueError("time moves backwards")
-        self._current_time = timestamp
-        if self._routing == "shared":
-            try:
-                for group in self._groups.values():
-                    group.window.advance(timestamp)
-                for _, name in self._private_entries:
-                    self._matchers[name].advance_time(timestamp)
-            finally:
-                self._flush_all()
-            return
-        for matcher in self._matchers.values():
-            matcher.advance_time(timestamp)
+        try:
+            self._admission.advance(timestamp)
+            for _, name in self._private_entries:
+                self._matchers[name].advance_time(timestamp)
+        finally:
+            self._flush_all()
 
     @property
     def current_time(self) -> float:
         """The stream clock: the latest accepted timestamp."""
-        return self._current_time
+        return self._admission.clock
+
+    @property
+    def edges_pushed(self) -> int:
+        """Arrivals accepted by the session (all routing modes)."""
+        return self._admission.edges_pushed
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1695,18 +1385,15 @@ class Session:
         """Edges held across the session's shared window buffers —
         ``O(|W|)`` per distinct window policy, however many queries share
         them (0 under ``routing="fanout"``)."""
-        return sum(len(group.window) for group in self._groups.values())
+        return sum(len(group.window)
+                   for group in self._admission.groups.values())
 
     def window_cells(self) -> int:
         """Total window buffer cells across the session: the shared
         buffers plus every privately-buffering matcher's window.  Under
         fanout this is the ``O(Q·|W|)`` figure shared routing collapses."""
         cells = self.shared_window_cells()
-        if self._routing == "shared":
-            names = [name for _, name in self._private_entries]
-        else:
-            names = list(self._matchers)
-        for name in names:
+        for _, name in self._private_entries:
             window = getattr(self._matchers[name], "window", None)
             try:
                 cells += len(window)
@@ -1721,12 +1408,12 @@ class Session:
         return {
             "routing": self._routing,
             "queries": len(self._matchers),
-            "shared_groups": len(self._groups),
+            "shared_groups": len(self._admission.groups),
             "edges_pushed": self.edges_pushed,
             "routed_pushes": self.routed_pushes,
             "skipped_matchers": self.skipped_matchers,
-            "predicate_entries": len(self._pred_router),
-            "predicate_trie_nodes": self._pred_router.node_count(),
+            "predicate_entries": len(self._index.router),
+            "predicate_trie_nodes": self._index.router.node_count(),
             "shared_window_cells": self.shared_window_cells(),
             "window_cells": self.window_cells(),
             "subplan_sharing": self.config.subplan_sharing,
@@ -1767,7 +1454,7 @@ class Session:
 
     def __repr__(self) -> str:
         return (f"Session({len(self._matchers)} queries, "
-                f"routing={self._routing}, t={self._current_time})")
+                f"routing={self._routing}, t={self.current_time})")
 
 
 class ThreadSafeSession:

@@ -30,20 +30,22 @@ How the work is split
   sharing keeps working *within* a shard and shared stores never cross
   process boundaries.
 * **Routed fan-out.**  ``push``/``push_many``/``ingest`` batches are
-  staged per shard through a facade-level label-triple index (the union
-  of each shard's query signatures) so a shard only receives the
-  arrivals its matchers can consume.  Shards hosting count-based-window
-  members receive every arrival — a count window expires by stream
-  position, so the non-matching arrivals are still capacity ballast.
-* **Stream-level duplicates.**  The facade replicates the shared
-  window's bearer index per window group (a mirror buffer of the full
-  stream), because a shard's buffer only holds the arrivals routed to it
-  — a strict subset that could miss a live bearer.  Duplicate arrivals
-  are judged at the facade exactly as an unsharded session judges them
+  staged per shard through the facade's own
+  :class:`~repro.ingest.RouteIndex` — the same index an unsharded
+  session routes with, its payloads shard indexes instead of matchers —
+  so a shard only receives the arrivals its matchers can consume.
+  Shards hosting count-based-window members are always routed: a count
+  window expires by stream position, so the non-matching arrivals are
+  still capacity ballast.
+* **Stream-level duplicates.**  The facade runs the same
+  :class:`~repro.ingest.Admission` stage over the *full* stream,
+  because a shard's buffer only holds the arrivals routed to it — a
+  strict subset that could miss a live bearer.  Duplicate arrivals are
+  therefore judged exactly as an unsharded session judges them
   (``raise`` rejects side-effect-free before any shard ingests; ``skip``
   / ``count`` drop per group) and the affected group keys ride along
   with the dispatched row as *forced duplicates* (see
-  :meth:`repro.api.Session._push_shared`).
+  :meth:`repro.ingest.Admission.admit`).
 * **Deterministic merge.**  Workers tag every match with the arrival's
   batch index; the facade merges the per-shard result lists by
   ``(arrival, registration ordinal)``, so sinks and return values see
@@ -77,19 +79,14 @@ import zlib
 from collections import deque
 from time import monotonic as time_monotonic
 from time import process_time, thread_time
-from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .. import faults
 from ..api import (
     BACKENDS, DUPLICATE_POLICIES, EngineConfig, MatchCallback, Session,
-    _shared_group_key,
 )
-from ..graph.count_window import CountSlidingWindow
 from ..graph.edge import StreamEdge
-from ..graph.shared_window import SharedSlidingWindow
-from ..graph.window import SlidingWindow
+from ..ingest import ALWAYS_ROUTED, Admission, group_key
 from .transport import (
     RESULT_EMPTY, RESULT_ERROR, RESULT_PICKLED, RESULT_VIA_PIPE,
     FacadeChannel, TransportError, WorkerChannel,
@@ -234,14 +231,14 @@ class _ShardServer:
         results: List[Tuple[int, str, Match]] = []
         try:
             # One coalesced expiry flush per batch (the finally), exactly
-            # like the base push_many; _push_shared itself still flushes
-            # a member right before inserting into it.
+            # like the base push_many; _arrive itself still flushes a
+            # member right before inserting into it.
             try:
                 for idx, payload, forced in rows:
                     edge = payload if isinstance(payload, StreamEdge) \
                         else _edge_from_wire(payload)
                     self.edges_received += 1
-                    for name, match in session._push_shared(edge, forced):
+                    for name, match in session._arrive(edge, forced):
                         results.append((idx, name, match))
             finally:
                 session._flush_all()
@@ -715,74 +712,24 @@ def _shutdown_handles(handles: List) -> None:
 
 
 class _ShardState:
-    """Facade-side record of one shard: its routing summary plus the
-    transient worker endpoint.
+    """Facade-side record of one shard: how many queries it hosts plus
+    the transient worker endpoint.  The handle is runtime wiring and is
+    never pickled; checkpoint restore re-spawns it."""
 
-    ``triples`` refcounts the exact label triples of the shard's queries;
-    ``generic`` counts wildcard-bearing (always-routed) queries;
-    ``ballast`` counts members of count-based window groups (which make
-    the shard receive *every* arrival — capacity expiry depends on stream
-    position, not labels).  The handle is runtime wiring and is never
-    pickled; checkpoint restore re-spawns it.
-    """
-
-    __slots__ = ("index", "triples", "generic", "ballast", "members",
-                 "handle")
+    __slots__ = ("index", "members", "handle")
 
     def __init__(self, index: int, handle) -> None:
         self.index = index
-        self.triples: Dict[tuple, int] = {}
-        self.generic = 0
-        self.ballast = 0
         self.members = 0
         self.handle = handle
 
-    def wants(self, triple_key: tuple) -> bool:
-        """Whether an arrival with this label-triple key must reach the
-        shard (index hit, wildcard member, or count-window ballast)."""
-        return bool(self.members and (
-            self.ballast or self.generic or triple_key in self.triples))
-
     def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["handle"] = None
-        return state
+        return {"index": self.index, "members": self.members,
+                "handle": None}
 
     def __setstate__(self, state) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
-
-
-class _GroupMirror:
-    """The facade's replica of one window group's bearer index.
-
-    A shard's shared window only buffers the arrivals routed to it, so
-    stream-level duplicate judgement needs a full-stream view: the mirror
-    is a private :class:`~repro.graph.shared_window.SharedSlidingWindow`
-    fed with every accepted arrival, giving the facade the same O(1)
-    ``bearer_live_at`` probe an unsharded session has.  ``raise_members``
-    / ``count_members`` name the group's queries per duplicate policy
-    (consulted only on the duplicate path).
-    """
-
-    __slots__ = ("key", "window", "members", "raise_members",
-                 "count_members")
-
-    def __init__(self, key: tuple) -> None:
-        kind, param = key
-        policy = SlidingWindow(param) if kind == "time" \
-            else CountSlidingWindow(int(param))
-        self.key = key
-        self.window = SharedSlidingWindow(policy)
-        self.members: Set[str] = set()
-        self.raise_members: Set[str] = set()
-        self.count_members: Set[str] = set()
-
-    def discard(self, name: str) -> None:
-        """Forget a deregistered member (all policy rosters)."""
-        self.members.discard(name)
-        self.raise_members.discard(name)
-        self.count_members.discard(name)
 
 
 class ShardedSession(Session):
@@ -831,7 +778,7 @@ class ShardedSession(Session):
                              "use Session for sharding='none'")
         self._mode = self.config.sharding
         self._shard_count = self.config.shards
-        self._transport = getattr(self.config, "transport", "shm")
+        self._transport = self.config.transport
         #: Arrivals staged per dispatch round (tunable per instance).
         self.batch_size = DEFAULT_BATCH_SIZE
         #: Dispatch rounds in flight before ``push_many``/``ingest``
@@ -840,18 +787,13 @@ class ShardedSession(Session):
         #: Per-RPC deadline in seconds (``None`` disables the deadline;
         #: worker-death detection stays on either way).
         self.rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT
+        # The facade admits over the full stream but hosts no engine, so
+        # nobody needs to hear about expiries; the inherited route index
+        # carries shard indexes as payloads.
+        self._admission = Admission()
         self._assignments: Dict[str, int] = {}
         self._ordinals: Dict[str, int] = {}
-        # name -> (group key, exact triples, predicate atom triples,
-        # generic?) for deregistration.  Predicate triples also register
-        # in the inherited ``_pred_router`` under (shard-index, name, i)
-        # tokens, so the facade resolves predicate-hit shards with the
-        # same O(label length) trie walk the unsharded session uses —
-        # consistent routing across sharding modes and transports.
-        self._query_routes: Dict[str, Tuple[tuple, tuple, tuple, bool]] = {}
-        self._mirrors: Dict[tuple, _GroupMirror] = {}
-        self._policy_windows: Dict[str, object] = {}
-        self._target_cache: Dict = {}
+        self._group_keys: Dict[str, tuple] = {}
         self._facade_seconds = 0.0
         self._closed = False
         self._shards = [
@@ -939,8 +881,8 @@ class ShardedSession(Session):
     def _sync_shards(self) -> None:
         """Advance every shard to the facade clock so reads observe the
         same expiries an unsharded session would have applied."""
-        if self._current_time > float("-inf"):
-            self._call_all("advance", self._current_time)
+        if self.current_time > float("-inf"):
+            self._call_all("advance", self.current_time)
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -958,8 +900,7 @@ class ShardedSession(Session):
         ``"process"`` (the engine lives in a worker process).
         """
         self._check_open()
-        if name in self._assignments:
-            raise ValueError(f"query already registered: {name!r}")
+        query, window = self._resolve_registration(name, query, window)
         if callable(backend) and backend not in BACKENDS:
             raise ValueError(
                 "factory backends cannot cross a shard boundary; register "
@@ -967,32 +908,12 @@ class ShardedSession(Session):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend: {backend!r} "
                              f"(expected one of {BACKENDS})")
-        if isinstance(query, str):
-            from ..io.dsl import parse_query
-            query, window_hint = parse_query(query)
-            if window is None:
-                window = window_hint
-        if window is None:
-            window = self.default_window
-            if callable(window):
-                window = window()
-        if window is None:
-            raise ValueError(
-                f"no window for query {name!r}: pass register(window=...), "
-                "a DSL 'window' line, or a Session default")
-        group_key = _shared_group_key(window)
-        if group_key is None:
+        key = group_key(window)
+        if key is None:
             raise ValueError(
                 "sharded sessions require a shareable window (a duration, "
                 "or a fresh time-/count-based policy object); register "
                 f"query {name!r} on a sharding='none' session instead")
-        if not isinstance(window, (int, float)):
-            for other_name, other in self._policy_windows.items():
-                if other is window:
-                    raise ValueError(
-                        "window policy object is already used by query "
-                        f"{other_name!r}; pass a fresh instance — engines "
-                        "cannot share one mutable window")
         config = (config if config is not None else self.config).validate()
         config = config.replace(sharding="none", routing="shared",
                                 guard=None)
@@ -1003,7 +924,7 @@ class ShardedSession(Session):
                 f"unknown duplicate policy: {policy!r} "
                 f"(expected one of {DUPLICATE_POLICIES})")
         query.validate()
-        exact, predicates, generic = query.label_signatures()
+        signatures = query.label_signatures()
         shard = self._shards[shard_of(name, self._shard_count)]
         # Worker first: a failed registration must leave the facade
         # untouched (and the worker's own register is transactional).
@@ -1015,38 +936,16 @@ class ShardedSession(Session):
         self._next_ordinal += 1
         self._assignments[name] = shard.index
         self._ordinals[name] = ordinal
-        mirror = self._mirrors.get(group_key)
-        if mirror is None:
-            mirror = _GroupMirror(group_key)
-            if self._current_time > float("-inf"):
-                mirror.window.advance(self._current_time)
-            self._mirrors[group_key] = mirror
-        mirror.members.add(name)
-        if policy == "raise":
-            mirror.raise_members.add(name)
-        elif policy == "count":
-            mirror.count_members.add(name)
-        exact_keys = () if generic else tuple(exact)
-        pred_keys = () if generic else tuple(sorted(predicates, key=repr))
-        self._query_routes[name] = (group_key, exact_keys, pred_keys,
-                                    generic)
+        self._group_keys[name] = key
+        self._admission.enroll(key, (ordinal, name), policy)
+        # A count window expires by stream position, not labels: its
+        # shard needs every arrival as capacity ballast.
+        self._index.add(name, shard.index,
+                        ALWAYS_ROUTED if key[0] == "count" else signatures)
         shard.members += 1
-        if generic:
-            shard.generic += 1
-        else:
-            for triple in exact_keys:
-                shard.triples[triple] = shard.triples.get(triple, 0) + 1
-            for i, (src_atom, edge_atom, dst_atom, is_loop) \
-                    in enumerate(pred_keys):
-                self._pred_router.add((shard.index, name, i),
-                                      (src_atom, edge_atom, dst_atom),
-                                      is_loop)
-        if group_key[0] == "count":
-            shard.ballast += 1
         if not isinstance(window, (int, float)):
             self._policy_windows[name] = window
         self._callbacks[name] = callback
-        self._target_cache.clear()
         return self.matcher(name) if self._mode == "thread" else None
 
     def deregister(self, name: str) -> None:
@@ -1060,50 +959,14 @@ class ShardedSession(Session):
         shard = self._shards[self._assignments[name]]
         self._call(shard, "deregister", name)
         del self._assignments[name]
-        del self._ordinals[name]
-        group_key, exact_keys, pred_keys, generic = \
-            self._query_routes.pop(name)
-        mirror = self._mirrors[group_key]
-        mirror.discard(name)
-        if not mirror.members:
-            del self._mirrors[group_key]
+        self._admission.withdraw(self._group_keys.pop(name),
+                                 (self._ordinals.pop(name), name))
+        self._index.remove(name)
         shard.members -= 1
-        if generic:
-            shard.generic -= 1
-        else:
-            for triple in exact_keys:
-                count = shard.triples[triple] - 1
-                if count:
-                    shard.triples[triple] = count
-                else:
-                    del shard.triples[triple]
-            for i in range(len(pred_keys)):
-                # Refcounted removal prunes emptied trie nodes.
-                self._pred_router.remove((shard.index, name, i))
-        if group_key[0] == "count":
-            shard.ballast -= 1
         self._policy_windows.pop(name, None)
         self._callbacks.pop(name, None)
-        self._target_cache.clear()
         # Sinks filtered to this query die with it, like the base class.
         self._sinks = [(q, s) for q, s in self._sinks if q != name]
-
-    def set_callback(self, name: str,
-                     callback: Optional[MatchCallback]) -> None:
-        """Attach (or clear) a registered query's callback."""
-        if name not in self._assignments:
-            raise KeyError(f"unknown query: {name!r}")
-        self._callbacks[name] = callback
-
-    def names(self) -> List[str]:
-        """Registered query names, in registration order."""
-        return list(self._assignments)
-
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._assignments
 
     def matcher(self, name: str):
         """The query's engine: the live object under ``"thread"``, a
@@ -1113,8 +976,8 @@ class ShardedSession(Session):
         if name not in self._assignments:
             raise KeyError(f"unknown query: {name!r}")
         shard = self._shards[self._assignments[name]]
-        if self._current_time > float("-inf"):
-            self._call(shard, "advance", self._current_time)
+        if self.current_time > float("-inf"):
+            self._call(shard, "advance", self.current_time)
         return self._call(shard, "matcher", name)
 
     def shard_assignments(self) -> Dict[str, int]:
@@ -1124,100 +987,28 @@ class ShardedSession(Session):
     # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
-    #: Same self-clearing policy as the base session's route cache:
-    #: prefix predicates make the hitting-triple space unbounded.
-    _TARGET_CACHE_CAP = 8192
-
-    def _targets_for(self, edge: StreamEdge) -> List[_ShardState]:
-        """The shards that must see this arrival (routing-index hits,
-        predicate-router hits, wildcard members, count-window ballast).
-
-        Only triples with an index hit get their own cache entry; every
-        miss shares one ``None``-keyed list (the always-routed shards),
-        so a high-cardinality label stream cannot grow the cache past
-        the routing index itself — and, once predicate queries make the
-        hitting space itself unbounded, the cache self-clears at a fixed
-        cap, same policy as the base session's route cache.
-        """
-        cache = self._target_cache
-        is_loop = edge.src == edge.dst
-        try:
-            key = (edge.src_label, edge.label, edge.dst_label, is_loop)
-            targets = cache.get(key)
-            if targets is not None:
-                return targets
-            hit = any(key in s.triples for s in self._shards)
-            if self._pred_router:
-                pred_shards = {token[0] for token in
-                               self._pred_router.match(edge.src_label,
-                                                       edge.label,
-                                                       edge.dst_label,
-                                                       is_loop)}
-            else:
-                pred_shards = None
-        except TypeError:
-            # Unhashable data label: no index probe — every shard with
-            # members must judge it (mirrors the unsharded fallback).
-            return [s for s in self._shards if s.members]
-        if not hit and not pred_shards:
-            targets = cache.get(None)
-            if targets is None:
-                targets = cache[None] = [
-                    s for s in self._shards
-                    if s.members and (s.ballast or s.generic)]
-            return targets
-        if len(cache) >= self._TARGET_CACHE_CAP:
-            cache.clear()
-        targets = cache[key] = [
-            s for s in self._shards
-            if s.wants(key) or (pred_shards and s.index in pred_shards)]
-        return targets
-
     def _stage(self, idx: int, edge: StreamEdge,
                per_shard: List[list]) -> None:
-        """Validate one arrival, apply it to the mirrors, and stage it on
-        its target shards (raises side-effect-free like the base class)."""
-        if edge.timestamp <= self._current_time:
-            raise ValueError(
-                "stream timestamps must strictly increase: "
-                f"{edge.timestamp} <= {self._current_time}")
-        live_keys = None
-        offenders: List[str] = []
-        for key, mirror in self._mirrors.items():
-            if mirror.window.bearer_live_at(edge.edge_id, edge.timestamp):
-                if live_keys is None:
-                    live_keys = set()
-                live_keys.add(key)
-                offenders.extend(mirror.raise_members)
-        if offenders:
-            names = sorted(offenders, key=self._ordinals.__getitem__)
-            raise ValueError(
-                f"duplicate in-window edge id: {edge.edge_id!r} "
-                f"(rejected by {names}; no query ingested it)")
-        self._current_time = edge.timestamp
-        self.edges_pushed += 1
-        for key, mirror in self._mirrors.items():
-            if live_keys is not None and key in live_keys:
-                mirror.window.advance(edge.timestamp)
-            else:
-                mirror.window.push(edge)
-        targets = self._targets_for(edge)
-        if live_keys is not None:
+        """Admit one arrival (raises side-effect-free like the base
+        class) and stage it on the shards the route index names."""
+        live = self._admission.admit(edge)
+        targets = self._index.targets(edge)
+        if live is not None:
             # Count-policy members of a duplicate's group keep their
             # skipped-arrival accounting in their own shard, so those
             # shards must hear about the arrival even when no member
             # could consume it.
-            extra = {self._assignments[n] for key in live_keys
-                     for n in self._mirrors[key].count_members}
-            extra.difference_update(s.index for s in targets)
+            groups = self._admission.groups
+            extra = {self._assignments[name] for key in live
+                     for _, name in groups[key].count_entries}
+            extra.difference_update(targets)
             if extra:
-                targets = targets + [self._shards[i] for i in sorted(extra)]
+                targets = targets + sorted(extra)
         wire = edge if self._mode == "thread" else _edge_to_wire(edge)
-        forced = frozenset(live_keys) if live_keys is not None else None
         targeted = 0
-        for shard in targets:
-            per_shard[shard.index].append((idx, wire, forced))
-            targeted += shard.members
+        for index in targets:
+            per_shard[index].append((idx, wire, live))
+            targeted += self._shards[index].members
         self.skipped_matchers += len(self._assignments) - targeted
 
     def _send_round(self, per_shard: List[list], drain=None):
@@ -1300,7 +1091,7 @@ class ShardedSession(Session):
         sinks) before the error propagates — the same partial-progress
         contract as the base class's ``push_many``.
 
-        The facade's CPU across the whole round (staging, mirrors,
+        The facade's CPU across the whole round (admission, staging,
         serialisation, gather, merge, sink delivery) is accumulated as
         its pipeline-stage cost; ``thread_time`` does not tick while
         waiting on workers.
@@ -1399,11 +1190,7 @@ class ShardedSession(Session):
     def advance_time(self, timestamp: float) -> None:
         """Slide every shard's windows forward without an arrival."""
         self._check_open()
-        if timestamp < self._current_time:
-            raise ValueError("time moves backwards")
-        self._current_time = timestamp
-        for mirror in self._mirrors.values():
-            mirror.window.advance(timestamp)
+        self._admission.advance(timestamp)
         self._call_all("advance", timestamp)
 
     # ------------------------------------------------------------------ #
@@ -1483,7 +1270,7 @@ class ShardedSession(Session):
             "shards": self._shard_count,
             "transport": transport,
             "queries": len(self._assignments),
-            "shared_groups": len(self._mirrors),
+            "shared_groups": len(self._admission.groups),
             "edges_pushed": self.edges_pushed,
             "routed_pushes": sum(s["routed_pushes"] for s in inner),
             "skipped_matchers": self.skipped_matchers
@@ -1497,8 +1284,8 @@ class ShardedSession(Session):
             "subplan_store_cells": sum(
                 s["subplan_store_cells"] for s in inner),
             "subplan_reuses": sum(s["subplan_reuses"] for s in inner),
-            "predicate_entries": len(self._pred_router),
-            "predicate_trie_nodes": self._pred_router.node_count(),
+            "predicate_entries": len(self._index.router),
+            "predicate_trie_nodes": self._index.router.node_count(),
             "facade_cpu_seconds": round(self._facade_seconds, 4),
             "per_shard": per_shard,
         }
@@ -1509,35 +1296,22 @@ class ShardedSession(Session):
     def __getstate__(self):
         self._check_open()
         self._sync_shards()
-        state = dict(self.__dict__)
+        state = super().__getstate__()
         state.pop("_handles", None)
         state.pop("_finalizer", None)
-        state["_sinks"] = []
-        state["_callbacks"] = {name: None for name in self._callbacks}
-        if callable(state.get("default_window")):
-            state["default_window"] = None
-        state["_target_cache"] = {}
         # The sub-sessions ride along (single pickle envelope, so edges
-        # and stores shared between a shard and the facade mirrors stay
+        # shared between a shard's windows and the facade's stay
         # single-copy under thread mode); handles are stripped by each
         # _ShardState and re-spawned on restore.
         state["_shard_sessions"] = self._call_all("get_session")
-        config = state.get("config")
-        if config is not None and config.guard is not None:
-            state["config"] = config.replace(guard=None)
         return state
 
     def __setstate__(self, state) -> None:
         sessions = state.pop("_shard_sessions")
         self.__dict__.update(state)
         self._closed = False
-        # Checkpoints written before the transport knob existed restore
-        # with the config's (defaulted) choice; rings are runtime wiring
-        # and are re-created fresh with each re-spawned worker.
-        self._transport = state.get("_transport") \
-            or getattr(self.config, "transport", "shm")
-        if "overlap_depth" not in state:
-            self.overlap_depth = DEFAULT_OVERLAP_DEPTH
+        # Rings are runtime wiring: re-created fresh with each
+        # re-spawned worker.
         for shard, session in zip(self._shards, sessions):
             shard.handle = _spawn_handle(self._mode, self._transport)
             self._call(shard, "adopt", session)
@@ -1547,4 +1321,4 @@ class ShardedSession(Session):
         status = "closed" if self._closed else "open"
         return (f"ShardedSession({len(self._assignments)} queries, "
                 f"{self._mode} x {self._shard_count}, {status}, "
-                f"t={self._current_time})")
+                f"t={self.current_time})")

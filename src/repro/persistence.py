@@ -57,18 +57,26 @@ from .api import MatcherBase, Session
 #: detected *before* unpickling and surfaces as a typed
 #: :class:`CheckpointCorruptError` (path + reason) that the service
 #: layer catches to fall back down its keep-last-K checkpoint chain.
-#: Meta grew WAL bookkeeping (``wal_lsn``, the dedup-window snapshot).)
+#: Meta grew WAL bookkeeping (``wal_lsn``, the dedup-window snapshot).
 #: v9: trie-compiled predicate routing — sessions and sharded facades
 #: carry a :class:`~repro.core.labeltrie.PredicateRouter` (per-position
 #: label tries serialized as flat pattern lists and rebuilt on load),
 #: query label indexes are three-way (exact / predicate atoms / generic),
 #: and the facade's ``_query_routes`` records gained the predicate atom
 #: triples.  Labels may be :class:`~repro.core.query.Prefix` patterns.
-CHECKPOINT_VERSION = 9
+#: v10: one admission stage and one route index — sessions and sharded
+#: facades both carry a :class:`~repro.ingest.Admission` (stream clock,
+#: window groups, accepted-arrival count) and a
+#: :class:`~repro.ingest.RouteIndex` in place of the session's
+#: ``_groups``/``_routes``/``_pred_router`` fields and the facade's group
+#: mirrors and per-shard triple refcounts; shared windows no longer carry
+#: a session expiry subscriber.  Files without the CRC frame are refused
+#: before unpickling.)
+CHECKPOINT_VERSION = 10
 
 _MAGIC = b"timingsubg-checkpoint"
-#: On-disk container prefix for the v8 CRC frame; files without it are
-#: read as pre-v8 bare pickles (and then fail the version gate loudly).
+#: On-disk container prefix of the CRC frame; a file without it is not
+#: a checkpoint and is never handed to ``pickle``.
 _FRAME_MAGIC = b"TSGCKPT\x02"
 _FRAME_HEADER = struct.Struct("<II")    # crc32(payload), len(payload)
 
@@ -111,20 +119,19 @@ def _load(source: _PathOrFile) -> dict:
     else:
         path = getattr(source, "name", "<stream>")
         blob = source.read()
-    if blob.startswith(_FRAME_MAGIC):
-        head = blob[len(_FRAME_MAGIC):len(_FRAME_MAGIC) + _FRAME_HEADER.size]
-        if len(head) < _FRAME_HEADER.size:
-            raise CheckpointCorruptError(path, "truncated container header")
-        crc, length = _FRAME_HEADER.unpack(head)
-        payload = blob[len(_FRAME_MAGIC) + _FRAME_HEADER.size:]
-        if len(payload) != length:
-            raise CheckpointCorruptError(
-                path, f"payload is {len(payload)} bytes, header promised "
-                      f"{length} (truncated or overwritten)")
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise CheckpointCorruptError(path, "payload CRC mismatch")
-    else:
-        payload = blob      # pre-v8 bare pickle
+    if not blob.startswith(_FRAME_MAGIC):
+        raise CheckpointError("not a timingsubg checkpoint file")
+    head = blob[len(_FRAME_MAGIC):len(_FRAME_MAGIC) + _FRAME_HEADER.size]
+    if len(head) < _FRAME_HEADER.size:
+        raise CheckpointCorruptError(path, "truncated container header")
+    crc, length = _FRAME_HEADER.unpack(head)
+    payload = blob[len(_FRAME_MAGIC) + _FRAME_HEADER.size:]
+    if len(payload) != length:
+        raise CheckpointCorruptError(
+            path, f"payload is {len(payload)} bytes, header promised "
+                  f"{length} (truncated or overwritten)")
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise CheckpointCorruptError(path, "payload CRC mismatch")
     try:
         envelope = pickle.loads(payload)
     except Exception as exc:

@@ -41,26 +41,20 @@ wrong types, out-of-range values, duplicate tenant or query names, and
 inconsistent knob combinations (``shards > 1`` with ``sharding = "none"``)
 are all rejected before anything starts.
 
-Parsing uses :mod:`tomllib` on Python >= 3.11 and falls back to a small
-built-in parser covering exactly the subset above (tables, arrays of
-tables, basic strings, multiline strings, numbers, booleans, flat
-arrays) on older interpreters — the service stays stdlib-only.
+Parsing uses the standard library's :mod:`tomllib` — the service stays
+stdlib-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import tomllib
 from typing import Dict, List, Tuple
 
 from .. import faults as _faults
 from ..api import SHARDING_MODES, STORAGE_KINDS, TRANSPORT_MODES
 from .queues import BACKPRESSURE_POLICIES
-
-try:
-    import tomllib
-except ModuleNotFoundError:                         # Python < 3.11
-    tomllib = None
 
 #: Timestamp assignment modes: ``client`` trusts each edge's own
 #: ``timestamp`` field (out-of-order arrivals are counted and shed);
@@ -567,149 +561,8 @@ def load_config(path: str) -> ServerConfig:
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        if tomllib is not None:
-            data = tomllib.loads(raw.decode("utf-8"))
-        else:
-            data = parse_toml_subset(raw.decode("utf-8"))
-    except ConfigError:
-        raise
-    except Exception as exc:
+        data = tomllib.loads(raw.decode("utf-8"))
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parse_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
-
-# --------------------------------------------------------------------- #
-# Fallback TOML-subset parser (Python 3.10, no tomllib)
-# --------------------------------------------------------------------- #
-
-def parse_toml_subset(text: str) -> dict:
-    """Parse the TOML subset the server schema uses.
-
-    Supports ``[table]`` / ``[a.b]`` headers, ``[[array.of.tables]]``,
-    ``key = value`` with basic strings (``"..."`` with ``\\``-escapes),
-    multiline basic/literal strings (``\"\"\"...\"\"\"`` / ``'''...'''``),
-    literal strings (``'...'``), integers, floats, booleans, and flat
-    arrays of those scalars; ``#`` comments and blank lines.  Nested
-    inline tables and dates are *not* supported — by design, the schema
-    never needs them.  Used only when :mod:`tomllib` is unavailable.
-    """
-    root: dict = {}
-    current = root
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigError(f"bad table header: {line!r}")
-            current = _enter(root, line[2:-2].strip(), array=True)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"bad table header: {line!r}")
-            current = _enter(root, line[1:-1].strip(), array=False)
-            continue
-        if "=" not in line:
-            raise ConfigError(f"bad config line: {line!r}")
-        key, _, rest = line.partition("=")
-        key = key.strip().strip('"')
-        rest = rest.strip()
-        if rest[:3] in ('"""', "'''"):
-            quote = rest[:3]
-            body = rest[3:]
-            collected = []
-            if quote in body:
-                collected.append(body[:body.index(quote)])
-            else:
-                if body:
-                    collected.append(body)
-                while i < len(lines):
-                    raw = lines[i]
-                    i += 1
-                    if quote in raw:
-                        collected.append(raw[:raw.index(quote)])
-                        break
-                    collected.append(raw)
-                else:
-                    raise ConfigError(
-                        f"unterminated multiline string for key {key!r}")
-            value = "\n".join(collected)
-            if value.startswith("\n"):
-                value = value[1:]
-            current[key] = value
-            continue
-        current[key] = _parse_scalar(rest, key)
-    return root
-
-
-def _enter(root: dict, dotted: str, *, array: bool) -> dict:
-    if not dotted:
-        raise ConfigError("empty table name")
-    parts = [part.strip().strip('"') for part in dotted.split(".")]
-    node = root
-    for part in parts[:-1]:
-        child = node.setdefault(part, {})
-        if isinstance(child, list):
-            if not child:
-                raise ConfigError(f"array table {part!r} has no entries")
-            child = child[-1]
-        if not isinstance(child, dict):
-            raise ConfigError(f"key {part!r} is not a table")
-        node = child
-    leaf = parts[-1]
-    if array:
-        bucket = node.setdefault(leaf, [])
-        if not isinstance(bucket, list):
-            raise ConfigError(f"key {leaf!r} is not an array of tables")
-        table: dict = {}
-        bucket.append(table)
-        return table
-    table = node.setdefault(leaf, {})
-    if not isinstance(table, dict):
-        raise ConfigError(f"key {leaf!r} is not a table")
-    return table
-
-
-def _parse_scalar(rest: str, key: str):
-    # Strip a trailing comment outside quotes.
-    if rest.startswith('"'):
-        end = 1
-        while end < len(rest):
-            if rest[end] == "\\":
-                end += 2
-                continue
-            if rest[end] == '"':
-                break
-            end += 1
-        else:
-            raise ConfigError(f"unterminated string for key {key!r}")
-        body = rest[1:end]
-        return body.encode("raw_unicode_escape").decode("unicode_escape")
-    if rest.startswith("'"):
-        end = rest.find("'", 1)
-        if end < 0:
-            raise ConfigError(f"unterminated string for key {key!r}")
-        return rest[1:end]
-    if rest.startswith("["):
-        end = rest.rfind("]")
-        if end < 0:
-            raise ConfigError(f"unterminated array for key {key!r}")
-        inner = rest[1:end].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part.strip(), key)
-                for part in inner.split(",") if part.strip()]
-    rest = rest.split("#", 1)[0].strip()
-    if rest in ("true", "false"):
-        return rest == "true"
-    try:
-        return int(rest)
-    except ValueError:
-        pass
-    try:
-        return float(rest)
-    except ValueError:
-        raise ConfigError(f"cannot parse value for key {key!r}: {rest!r}")

@@ -1,4 +1,4 @@
-"""Server config: TOML loading, strict validation, the fallback parser."""
+"""Server config: TOML loading and strict validation."""
 
 import dataclasses
 
@@ -7,7 +7,7 @@ import pytest
 from repro.service import (
     ConfigError, ServerConfig, TailConfig, TenantConfig, load_config,
 )
-from repro.service.config import parse_config, parse_toml_subset
+from repro.service.config import parse_config
 
 from .conftest import CHAIN_DSL
 
@@ -80,6 +80,13 @@ class TestLoadConfig:
         (tail,) = config.tenant("audit").tails
         assert tail.path == str(config_dir / "feed.jsonl")
         assert tail.poll_interval == 0.05
+
+    @pytest.mark.parametrize("text", [
+        "just words\n", "[unclosed\n", 'x = """never closed\n'])
+    def test_malformed_toml_is_one_line_error(self, tmp_path, text):
+        (tmp_path / "server.toml").write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(str(tmp_path / "server.toml"))
 
     def test_missing_query_file_is_one_line_error(self, config_dir):
         (config_dir / "audit.tq").unlink()
@@ -190,46 +197,6 @@ class TestDataclassValidation:
     def test_bad_tail_format(self):
         with pytest.raises(ConfigError, match="tail format"):
             TailConfig(path="f", format="xml").validate()
-
-
-class TestFallbackTomlParser:
-    """The 3.10 fallback must agree with tomllib on the schema subset."""
-
-    def test_agrees_with_tomllib_when_available(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert parse_toml_subset(SERVER_TOML) == tomllib.loads(SERVER_TOML)
-
-    def test_tables_and_arrays_of_tables(self):
-        data = parse_toml_subset(SERVER_TOML)
-        assert data["server"]["port"] == 0
-        assert isinstance(data["tenant"], list) and len(data["tenant"]) == 2
-        assert data["tenant"][1]["tail"][0]["poll_interval"] == 0.05
-
-    def test_multiline_string(self):
-        data = parse_toml_subset(SERVER_TOML)
-        text = data["tenant"][0]["query"][0]["text"]
-        assert text.startswith("vertex a A")
-
-    def test_scalars(self):
-        data = parse_toml_subset(
-            'a = 1\nb = 2.5\nc = true\nd = "x#y"  \n'
-            "e = 'literal'\nf = [1, 2, 3]\ng = 7  # trailing comment\n")
-        assert data == {"a": 1, "b": 2.5, "c": True, "d": "x#y",
-                        "e": "literal", "f": [1, 2, 3], "g": 7}
-
-    def test_bad_lines_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_toml_subset("just words\n")
-        with pytest.raises(ConfigError):
-            parse_toml_subset("[unclosed\n")
-        with pytest.raises(ConfigError):
-            parse_toml_subset('x = """never closed\n')
-
-    def test_fallback_drives_full_config(self, tmp_path):
-        (tmp_path / "audit.tq").write_text(CHAIN_DSL)
-        data = parse_toml_subset(SERVER_TOML)
-        config = parse_config(data, base_dir=str(tmp_path))
-        assert config.tenant("fraud").backpressure == "drop_oldest"
 
 
 class TestOverrides:

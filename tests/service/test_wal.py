@@ -334,9 +334,19 @@ class TestCheckpointCorruption:
         assert "CRC" in info.value.reason
 
     def test_garbage_pickle_raises_typed_error(self, tmp_path):
+        import zlib
+        from repro.persistence import _FRAME_HEADER, _FRAME_MAGIC
         path = str(tmp_path / "checkpoint.pkl")
-        open(path, "wb").write(b"not a pickle at all")
-        with pytest.raises(CheckpointCorruptError):
+        garbage = b"not a pickle at all"
+        open(path, "wb").write(_FRAME_MAGIC + _FRAME_HEADER.pack(
+            zlib.crc32(garbage), len(garbage)) + garbage)
+        with pytest.raises(CheckpointCorruptError) as info:
+            load_session_meta(path)
+        assert "unreadable pickle" in info.value.reason
+        # Without the frame the bytes never reach pickle at all; the
+        # gateway's chain walk catches this base-class error the same way.
+        open(path, "wb").write(garbage)
+        with pytest.raises(CheckpointError, match="not a timingsubg"):
             load_session_meta(path)
 
     def test_typed_error_is_a_checkpoint_error(self):

@@ -89,28 +89,47 @@ class TestRoundTrip:
 
 
 class TestEnvelope:
-    def test_not_a_checkpoint(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
+    """Envelopes are written through the real CRC frame, so each test
+    reaches the check it names."""
+
+    @staticmethod
+    def framed(tmp_path, envelope):
+        from repro.persistence import _dump
+        path = str(tmp_path / "envelope.ckpt")
+        _dump(envelope, path)
+        return path
+
+    def test_unframed_bytes_are_refused_before_unpickling(self, tmp_path):
         import pickle
-        path.write_bytes(pickle.dumps({"something": "else"}))
+
+        class Boom:
+            def __reduce__(self):
+                return (pytest.fail, ("unframed bytes were unpickled",))
+
+        path = tmp_path / "bare.ckpt"
+        path.write_bytes(pickle.dumps(Boom()))
         with pytest.raises(CheckpointError, match="not a timingsubg"):
             load_checkpoint(str(path))
 
-    def test_version_mismatch(self, tmp_path):
-        import pickle
+    def test_not_a_checkpoint(self, tmp_path):
+        path = self.framed(tmp_path, {"something": "else"})
+        with pytest.raises(CheckpointError, match="not a timingsubg"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 9])
+    def test_version_mismatch(self, tmp_path, version):
         from repro.persistence import _MAGIC
-        path = tmp_path / "old.ckpt"
-        path.write_bytes(pickle.dumps(
-            {"magic": _MAGIC, "version": 0, "matcher": None}))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(str(path))
+        path = self.framed(tmp_path, {
+            "magic": _MAGIC, "version": version, "matcher": None})
+        with pytest.raises(
+                CheckpointError,
+                match=f"version {version} incompatible with 10"):
+            load_checkpoint(path)
 
     def test_wrong_payload_type(self, tmp_path):
-        import pickle
         from repro.persistence import _MAGIC, CHECKPOINT_VERSION
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(pickle.dumps(
-            {"magic": _MAGIC, "version": CHECKPOINT_VERSION,
-             "matcher": "nope"}))
+        path = self.framed(tmp_path, {
+            "magic": _MAGIC, "version": CHECKPOINT_VERSION,
+            "matcher": "nope"})
         with pytest.raises(CheckpointError, match="TimingMatcher"):
-            load_checkpoint(str(path))
+            load_checkpoint(path)

@@ -98,6 +98,41 @@ class TestRegistration:
             session.register("b", path_query(1, labels="ab"),
                              window=shared)
 
+    @pytest.mark.parametrize("case, error, message", [
+        ("bool", TypeError, "window must be a duration or a window policy"),
+        ("negative", ValueError, "window duration must be positive"),
+        ("none", ValueError, "no window for query 'q'"),
+        ("reused", ValueError,
+         "window policy object is already used by query 'first'"),
+        ("taken", ValueError, "query already registered: 'first'"),
+    ])
+    def test_both_session_kinds_reject_the_same_registrations(
+            self, case, error, message):
+        """Registration resolution is one function: the unsharded and the
+        sharded session raise the same error for the same mistake."""
+        from repro import CountSlidingWindow
+        raised = []
+        for sharding in ("none", "thread"):
+            session = Session(sharding=sharding, shards=2)
+            try:
+                policy = CountSlidingWindow(10)
+                session.register("first", path_query(1), window=policy)
+                name, window = {
+                    "bool": ("q", True), "negative": ("q", -1),
+                    "none": ("q", None), "reused": ("q", policy),
+                    "taken": ("first", 5.0)}[case]
+                with pytest.raises(error, match=message) as info:
+                    session.register(name, path_query(1), window=window)
+                raised.append((type(info.value), str(info.value)))
+                # The DSL's own window line is honoured by both, too.
+                session.register("chain", TWO_HOP_DSL)
+                assert session.matcher("chain").window.duration == 6.0
+                assert session.names() == ["first", "chain"]
+            finally:
+                if sharding != "none":
+                    session.close()
+        assert raised[0] == raised[1]
+
     def test_window_factory_gives_each_engine_its_own(self):
         from repro import CountSlidingWindow
         session = Session(window=lambda: CountSlidingWindow(10))
@@ -462,14 +497,28 @@ class TestCheckpointRestore:
             load_checkpoint(buffer)
 
 
-class TestDeprecatedMultiQueryMatcher:
-    def test_is_a_session_and_warns(self):
-        from repro.multi import MultiQueryMatcher
-        with pytest.warns(DeprecationWarning, match="Session"):
-            multi = MultiQueryMatcher(window=9.0)
-        assert isinstance(multi, Session)
-        multi.register("fig5", fig5_query(), use_mstree=False)
-        tagged = []
+class TestPaperStream:
+    def test_fig3_stream_tags_matches_like_standalone_engines(self):
+        """Two queries over the paper's Fig. 3 stream: every result is
+        tagged with its query, equals what a standalone engine finds, and
+        per-query stats reflect routing."""
+        ab = path_query(1, labels="ab")
+        session = Session(window=9.0)
+        session.register("fig5", fig5_query(), use_mstree=False)
+        session.register("ab", ab)
+        solo = {"fig5": TimingMatcher(fig5_query(), 9.0),
+                "ab": TimingMatcher(ab, 9.0)}
+        tagged, expected = [], []
         for arrival in fig3_stream():
-            tagged.extend(multi.push(arrival))
-        assert [name for name, _ in tagged] == ["fig5"]
+            tagged.extend(session.push(arrival))
+            for name, engine in solo.items():
+                expected.extend((name, m) for m in engine.push(arrival))
+        assert tagged == expected
+        names = [name for name, _ in tagged]
+        assert names.count("fig5") == 1       # the paper's match at t=8
+        assert names.count("ab") == 2         # a2→b3 (t=6) and a1→b3 (t=8)
+        stats = session.stats()["fig5"]
+        # 9 of the 10 arrivals: σ10 (d5→e7) hits no (src, dst) label pair
+        # of Q, so routing never delivers it to the engine.
+        assert stats["edges_seen"] == 9
+        assert stats["matches_emitted"] == 1

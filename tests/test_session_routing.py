@@ -144,7 +144,7 @@ class TestDifferentialEquivalence:
         assert results["shared"] == results["fanout"]
         assert_sessions_equivalent(shared, sessions["fanout"])
         # Same-policy queries share one buffer; distinct policies don't.
-        assert len(shared._groups) == 3
+        assert len(shared._admission.groups) == 3
 
     def test_baseline_backends_participate(self):
         results = {}
@@ -196,7 +196,7 @@ class TestWindowMemory:
                     2, vstart=i % 3, elabels=(ELABELS[i % 3],)))
             session.push_many(edges)
         shared, fanout = sessions["shared"], sessions["fanout"]
-        in_window = len(shared._groups[("time", 50.0)].window)
+        in_window = len(shared._admission.groups[("time", 50.0)].window)
         assert in_window > 0
         assert shared.shared_window_cells() == in_window
         assert shared.window_cells() == in_window
@@ -216,7 +216,7 @@ class TestWindowMemory:
             2 * len(edges)
         # Routing skips exactly the label-level-discardable arrivals.
         for edge in edges[:40]:
-            routed = {name for _, name in session._route_targets(edge)}
+            routed = {name for _, name in session._index.targets(edge)}
             for name in session.names():
                 if name not in routed:
                     assert session.matcher(name).is_discardable(edge)
@@ -342,21 +342,23 @@ class TestChurn:
         edges = labeled_stream(41, 60)
         session.push_many(edges[:30])
         group_key = ("time", 6.0)
-        group_window = session._groups[group_key].window
+        group_window = session._admission.groups[group_key].window
         session.deregister("a")
         session.deregister("w")
-        assert session._routes == {}
-        assert session._generic_entries == []
+        assert session._index.exact == {}
+        assert len(session._index.router) == 0
+        assert session._index.always == []
         assert session._members == {}
-        assert session._route_keys == {}
-        # Last member out unhooks the expiry router and frees the group.
-        assert group_key not in session._groups
+        assert session._index.entries == {}
+        # Last member out frees the group; nobody stays subscribed to
+        # its buffer.
+        assert group_key not in session._admission.groups
         assert group_window._subscribers == []
         assert session.shared_window_cells() == 0
         # A fresh registration after total churn keeps streaming.
         session.register("b", labeled_path_query(1, elabels=("x",)))
         session.push_many(edges[30:])
-        assert session._groups[group_key].window is not group_window
+        assert session._admission.groups[group_key].window is not group_window
 
     def test_mid_stream_registration_sees_only_future(self):
         results = {}
@@ -400,7 +402,7 @@ class TestCheckpointRestore:
         # Restored views still alias the restored shared buffers.
         member = restored._members["p1x"]
         assert member.matcher.window.shared is \
-            restored._groups[member.group_key].window
+            restored._admission.groups[member.group_key].window
 
     def test_checkpoint_mid_batch_state_is_flushed(self):
         """__getstate__ drains pending expiry deliveries, so a pickle
