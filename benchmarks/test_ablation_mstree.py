@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.metrics import cells_to_kb
 from repro.bench.reporting import format_series_table, write_result
-from repro.core.engine import TimingMatcher
+from repro.core.engine import EngineConfig, TimingMatcher
 
 from .conftest import DEFAULT_SIZE, WINDOW_UNITS, workload
 from ._util import timing_micro_run
@@ -27,8 +27,10 @@ def test_mstree_compression_grows_with_window(benchmark):
     ms_kb, ind_kb, sharing = [], [], []
     for units in WINDOW_UNITS:
         duration = wl.window_duration(units)
-        ms = TimingMatcher(query, duration, use_mstree=True)
-        ind = TimingMatcher(query, duration, use_mstree=False)
+        ms = TimingMatcher(query, duration,
+                           config=EngineConfig(storage="mstree"))
+        ind = TimingMatcher(query, duration,
+                            config=EngineConfig(storage="independent"))
         ms_samples, ind_samples, share_samples = [], [], []
         for index, edge in enumerate(edges):
             ms.push(edge)

@@ -38,9 +38,7 @@ Single-query usage (the :class:`~repro.api.Matcher` protocol)::
 All four engines (Timing and the SJ-tree / IncMat / naive baselines)
 conform to the same ``Matcher`` protocol, so they interchange anywhere a
 matcher is expected — including ``Session(backend=...)`` and the benchmark
-harness.  Engine knobs live in one :class:`EngineConfig` dataclass; the
-pre-1.x constructor kwargs (``use_mstree=...``,
-``decomposition_strategy=...``, …) still work but are deprecated.
+harness.  Engine knobs live in one :class:`EngineConfig` dataclass.
 
 Subpackages
 -----------

@@ -23,9 +23,8 @@ the behaviour they all share out of the individual classes:
 ``EngineConfig``
     One dataclass holding every Timing-engine knob (storage, decomposition
     strategy, join-order strategy, default access guard, RNG seed,
-    duplicate policy), replacing the historical kwarg soup.  The old
-    keyword arguments still work as deprecated shims;
-    ``TimingMatcher.from_config`` is the preferred constructor.
+    duplicate policy); ``TimingMatcher.from_config`` takes one plus
+    per-call field overrides.
 
 ``Session``
     The facade a deployment talks to: register named queries (from
@@ -421,9 +420,7 @@ class MatcherBase:
 class EngineConfig:
     """Every Timing-engine knob in one declarative object.
 
-    Replaces the historical kwarg soup
-    (``use_mstree=... decomposition_strategy=... join_order_strategy=...
-    rng=...``); pass it to :meth:`TimingMatcher.from_config
+    Pass it to :meth:`TimingMatcher.from_config
     <repro.core.engine.TimingMatcher.from_config>` or a :class:`Session`.
 
     Parameters
@@ -958,7 +955,8 @@ class Session:
         explicit ``window`` is given).  ``backend`` picks the engine
         (``"timing"`` default, ``"sjtree"``, ``"incmat"``, ``"naive"``, or
         a ``factory(query, window)`` callable); ``engine_options`` are
-        passed to its constructor.
+        passed to its constructor (the Timing engine takes its knobs as
+        ``config``, which defaults to the session's).
 
         Raises on duplicate names.  A query registered mid-stream starts
         with an empty window — it only sees arrivals from now on, which is

@@ -1,85 +1,20 @@
 """Repeatable perf smokes: pinned workloads, JSON reports, CI gates.
 
-Seven suites, selected with ``--suite``:
+Each suite is one ablation of the system against its reference mode, in
+the style of the paper's Timing vs Timing-IND / -RD / -RJ comparisons
+(§VII): the same pinned stream through both modes, the answers asserted
+identical, and the *ratio* of the two gated.  A suite is an entry of
+:data:`SUITES` — its committed baseline, workload builder, legs,
+cross-leg invariants, gated ratio and extra gates — and one runner
+(:func:`run_suite`), one checker (:func:`check_suite`) and one summary
+(:func:`summarize`) serve all seven.  Why each workload looks the way it
+does is recorded next to its pinned parameters below; what each suite
+runs and gates is the table.
 
-``indexing`` (PR 2, report ``BENCH_pr2.json``)
-    The fig15-style default workload (seeded NetworkFlow stream, one
-    generated 5-edge query, MS-tree storage) through the Timing engine
-    twice — ``indexing="hash"`` vs ``indexing="scan"`` — verifying both
-    emit the same matches and gating the hash-over-scan speedup.
-
-``routing`` (PR 3, report ``BENCH_pr3.json``)
-    A multi-tenant session workload: 16 generated NetworkFlow query
-    variants registered on one :class:`~repro.api.Session`, the same
-    pinned stream pushed through ``routing="shared"`` vs
-    ``routing="fanout"``, verifying identical ``(name, match)`` multisets
-    and gating (a) the shared-over-fanout session throughput and (b) the
-    shared-window memory collapse from ``O(Q·|W|)`` to ``O(|W|)``
-    (asserted exactly via ``window_cells`` / ``shared_window_cells``).
-
-``sharing`` (PR 4, report ``BENCH_pr4.json``)
-    An overlapping pattern library: 16 NetworkFlow variants that all
-    contain the same 4-edge "attack core" TC-subquery plus one
-    per-variant distinguishing edge, pushed through
-    ``subplan_sharing="shared"`` vs ``"private"`` on one shared-routing
-    session.  Verifies identical ``(name, match)`` multisets and
-    per-query logical space, and gates (a) the shared-over-private
-    insert throughput and (b) the sub-linear shared-store cell count
-    (the private/shared partial-match space ratio).
-
-``sharding`` (PR 9, report ``BENCH_pr9.json``)
-    The routing suite's pinned 16-query workload pushed through
-    ``sharding="none"`` vs ``sharding="process"`` at 4 shards
-    (:class:`~repro.concurrency.sharding.ShardedSession`) under both the
-    zero-pickle shared-memory ring transport (``transport="shm"``) and
-    the pickle-over-pipe fallback (``transport="pipe"``), verifying
-    identical ``(name, match)`` multisets across all three and a
-    balanced partition.  Three gates: (a) the modeled pipeline speedup —
-    like the paper's ``Timing-N`` figures (which replay measured lock
-    traces through :mod:`repro.concurrency.simulation` because the GIL
-    hides thread speedup), each pipeline stage's real CPU cost is
-    measured and steady-state throughput modeled as ``stream /
-    max(stage cost)``; (b) the *measured* end-to-end wall-clock speedup
-    of the shm run over ``sharding="none"``, enforced only when the
-    runner has a core per shard (``wall_gate_enforced``) because 4-way
-    parallelism is physically impossible on a single core; and (c) the
-    pipe/shm wall ratio, enforced everywhere — the ring must never lose
-    to pickling.
-
-``predicates`` (PR 10, report ``BENCH_pr10.json``)
-    A predicate-routing workload: single-edge prefix/wildcard queries
-    (a hot handful that match, a scalable cold tail that never can)
-    over a pinned port-labelled stream.  Two legs: trie-routed
-    ``routing="shared"`` vs brute-force ``"fanout"`` at 1,024 queries,
-    gating the trie-over-fanout speedup; and ``"shared"`` at 256 vs
-    2,048 queries, gating the per-edge wall-clock ratio (flat routing
-    cost in the registered-query count) while asserting the match
-    multisets are identical at both scales.
-
-``service`` (PR 6, report ``BENCH_pr6.json``)
-    The routing suite's pinned 16-query workload pushed through the
-    :mod:`repro.service` gateway pipeline in-process — producer thread →
-    :class:`~repro.service.queues.BoundedEdgeQueue` → tenant worker →
-    session — against a direct ``push_many`` on an identically
-    configured session.  Verifies the gateway delivers the identical
-    match-record multiset, that the blocking backpressure policy drops
-    zero edges, and that a kill (checkpoint → simulated crash → restore
-    → replay from the checkpointed stream position) reproduces the
-    uninterrupted run's match log exactly.  Gates the gateway/direct
-    throughput ratio (the queue hop plus delivery overhead must stay
-    within 20%).
-
-``wal`` (PR 8, report ``BENCH_pr8.json``)
-    The service suite's pinned workload through a **WAL-enabled**
-    gateway — every ingest batch CRC-framed, appended, and fsynced
-    before the ack — against the plain gateway.  Verifies identical
-    match-record multisets, then runs the producer-independence proof:
-    checkpoint mid-stream, crash (``abort()``) past it, restore, and
-    assert boot-time WAL replay alone restored exactly ``crash_at -
-    checkpoint_at`` edges with the producer resending **nothing**
-    before the crash point, and that the recovered match log equals the
-    uninterrupted run's.  Gates the WAL/plain throughput ratio (the
-    durability tax must stay within 25%).
+Every leg is timed best-of-:data:`REPETITIONS` with its answer asserted
+identical on every repetition: the gated quantities are ratios of
+sub-second wall-clock runs, and a single sample of each is scheduler
+noise.
 
 Used two ways:
 
@@ -87,10 +22,11 @@ Used two ways:
   (re)generate the committed baseline;
 * in CI: ``python -m repro.bench.perf_smoke --suite routing --check
   BENCH_pr3.json`` re-runs the same workload and **fails** (exit 1) when
-  the measured speedup regresses by more than ``--tolerance`` (default
-  30%) against the committed baseline, or drops below the suite's floor.
-  Only *ratios* are gated — absolute edges/second are machine-dependent
-  and reported for information only.
+  the measured ratio regresses by more than ``--tolerance`` (default
+  30%) against the committed baseline, drops below the suite's floor, or
+  any extra gate of the suite breaks.  Only *ratios* are gated —
+  absolute edges/second are machine-dependent and reported for
+  information only.
 
 Workloads are pinned (generator seeds, stream length, query variants,
 window) so comparisons are between code versions, not between random
@@ -101,7 +37,9 @@ from __future__ import annotations
 
 import argparse
 import glob
+import itertools
 import json
+import operator
 import os
 import platform
 import random
@@ -109,339 +47,153 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..api import EngineConfig, Session
 from ..core.engine import TimingMatcher
-from ..core.query import ANY, QueryGraph
+from ..core.query import ANY, Prefix, QueryGraph
 from ..datasets import (
     generate_netflow_stream, generate_query_set, window_slice,
 )
+from ..graph.edge import StreamEdge
 from ..graph.ops import relabel_stream
 from ..io.dsl import format_query
 from ..service import ServerConfig, ServiceGateway, TenantConfig, WalConfig
 from ..sinks import match_record
 
+#: Repetitions of every timed leg; the fastest one is reported.
+REPETITIONS = 3
+
+
+class Workload(NamedTuple):
+    """What a suite's legs run: named queries (registration order is
+    ordinal order), the window duration, the pinned edge list, and the
+    pinned parameters — which are the report's ``workload`` block."""
+
+    queries: Dict[str, QueryGraph]
+    window: float
+    edges: List[StreamEdge]
+    params: dict
+
+
+def _pick(mapping: dict, *keys: str) -> dict:
+    return {key: mapping[key] for key in keys}
+
+
 # --------------------------------------------------------------------- #
-# Suite: indexing (PR 2)
+# Workloads: pinned parameters (which the report publishes) and builders
 # --------------------------------------------------------------------- #
 
-#: Pinned workload parameters (see module docstring).  ``QUERY_VARIANT``
-#: selects one query from the seeded generator's 5-variant set — variant 4
-#: is a k=4 decomposition whose expansion lists grow into the thousands on
+#: The fig15-style default workload (seeded NetworkFlow stream, one
+#: generated 5-edge query, MS-tree storage).  ``query_variant`` selects
+#: one query from the seeded generator's 5-variant set — variant 4 is a
+#: k=4 decomposition whose expansion lists grow into the thousands on
 #: this stream, making it a sensitive scan-vs-hash probe that still
 #: completes in seconds.
-STREAM_EDGES = 8000
-STREAM_SEED = 42
-NUM_IPS = 120
-QUERY_SIZE = 5
-QUERY_VARIANT = 4
-WINDOW_UNITS = 8000.0
-
-#: Hard floor on the hash-over-scan speedup, independent of the baseline.
-SPEEDUP_FLOOR = 3.0
+INDEXING = {
+    "dataset": "NetworkFlow", "storage": "mstree",
+    "stream_edges": 8000, "stream_seed": 42, "num_ips": 120,
+    "query_size": 5, "query_variant": 4, "window_units": 8000.0,
+}
 
 
-def build_workload():
-    """The pinned (query, window duration, edge list) triple."""
+def build_indexing_workload() -> Workload:
+    p = INDEXING
     stream = generate_netflow_stream(
-        STREAM_EDGES, seed=STREAM_SEED, num_ips=NUM_IPS)
-    population = window_slice(stream, 300)
+        p["stream_edges"], seed=p["stream_seed"], num_ips=p["num_ips"])
     queries = generate_query_set(
-        population, sizes=[QUERY_SIZE], per_size=1, rng=random.Random(0),
+        window_slice(stream, 300), sizes=[p["query_size"]], per_size=1,
+        rng=random.Random(0),
         generalize_label=lambda lbl: (ANY, lbl[1], lbl[2]))
-    query = queries[QUERY_VARIANT]
-    duration = stream.window_units_to_duration(WINDOW_UNITS)
-    return query, duration, list(stream)
+    return Workload(
+        {"q": queries[p["query_variant"]]},
+        stream.window_units_to_duration(p["window_units"]), list(stream), p)
 
 
-def _run_mode(query: QueryGraph, duration: float, edges: List,
-              indexing: str) -> dict:
-    engine = TimingMatcher.from_config(
-        query, duration, config=EngineConfig(indexing=indexing))
-    started = time.perf_counter()
-    matches = 0
-    for edge in edges:
-        matches += len(engine.push(edge))
-    elapsed = time.perf_counter() - started
-    stats = engine.stats
-    return {
-        "indexing": indexing,
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": matches,
-        "index_probes": stats.index_probes,
-        "scan_fallbacks": stats.scan_fallbacks,
-        "join_operations": stats.join_operations,
-    }
-
-
-def run_smoke() -> dict:
-    """Run both indexing modes on the pinned workload; returns the report."""
-    query, duration, edges = build_workload()
-    hash_run = _run_mode(query, duration, edges, "hash")
-    scan_run = _run_mode(query, duration, edges, "scan")
-    if hash_run["matches"] != scan_run["matches"]:
-        raise AssertionError(
-            f"indexing changed the answer: hash={hash_run['matches']} "
-            f"scan={scan_run['matches']} matches")
-    return {
-        "benchmark": "pr2-indexing-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow",
-            "stream_edges": STREAM_EDGES,
-            "stream_seed": STREAM_SEED,
-            "num_ips": NUM_IPS,
-            "query_size": QUERY_SIZE,
-            "query_variant": QUERY_VARIANT,
-            "window_units": WINDOW_UNITS,
-            "storage": "mstree",
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-        },
-        "hash": hash_run,
-        "scan": scan_run,
-        "speedup": round(
-            scan_run["elapsed_seconds"] / hash_run["elapsed_seconds"], 2),
-    }
-
-
-def check_regression(report: dict, baseline: dict,
-                     tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) gating on the speedup ratio."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < SPEEDUP_FLOOR:
-        failures.append(
-            f"hash-over-scan speedup {measured}x is below the "
-            f"{SPEEDUP_FLOOR}x floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            "hash-over-scan speedup regressed >"
-            f"{tolerance:.0%}: measured {measured}x vs committed "
-            f"baseline {recorded}x")
-    if report["hash"]["matches"] != baseline.get(
-            "hash", {}).get("matches", report["hash"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['hash']['matches']} matches vs "
-            f"baseline {baseline['hash']['matches']}")
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Suite: routing (PR 3)
-# --------------------------------------------------------------------- #
-
-#: Pinned multi-query workload.  The NetworkFlow stream is relabelled to
-#: drop the ephemeral source port — ``(dst-port, protocol)`` term labels —
-#: so the generated queries carry *concrete* label triples the session
-#: routing index can discriminate on (the PR 2 workload wildcards the
-#: source port instead, which forces every query onto the always-routed
-#: path and would measure nothing here).  The port universe is widened and
-#: flattened (200 extra ports, alpha 0.8) for the sparse-matching regime
+#: Pinned multi-query workload (the sharding, service and wal suites run
+#: it too).  The NetworkFlow stream is relabelled to drop the ephemeral
+#: source port — ``(dst-port, protocol)`` term labels — so the generated
+#: queries carry *concrete* label triples the session routing index can
+#: discriminate on (the PR 2 workload wildcards the source port instead,
+#: which forces every query onto the always-routed path and would
+#: measure nothing here).  The port universe is widened and flattened
+#: (200 extra ports, alpha 0.8) for the sparse-matching regime
 #: multi-tenant monitoring lives in: most arrivals concern few of the 16
-#: registered patterns, matches are rare events.  Of each generated walk's
-#: five timing-order variants only the full order is registered — the
-#: strongest timing pruning, keeping the (identical-in-both-modes) join
-#: work from drowning out the fan-out overhead being measured.
-ROUTING_STREAM_EDGES = 24000
-ROUTING_STREAM_SEED = 7
-ROUTING_NUM_IPS = 150
-ROUTING_EXTRA_PORTS = 200
-ROUTING_PORT_ALPHA = 0.8
-ROUTING_QUERY_SIZES = [4]
-ROUTING_NUM_QUERIES = 16
-ROUTING_WINDOW_UNITS = 2000.0
-
-#: Hard floor on the shared-over-fanout session speedup at 16 queries.
-ROUTING_SPEEDUP_FLOOR = 3.0
+#: registered patterns, matches are rare events.  Of each generated
+#: walk's five timing-order variants only the full order is registered —
+#: the strongest timing pruning, keeping the (identical-in-both-modes)
+#: join work from drowning out the fan-out overhead being measured.
+ROUTING = {
+    "dataset": "NetworkFlow (dst-port/protocol labels)", "storage": "mstree",
+    "stream_edges": 24000, "stream_seed": 7, "num_ips": 150,
+    "extra_ports": 200, "port_alpha": 0.8,
+    "query_sizes": [4], "num_queries": 16, "window_units": 2000.0,
+}
 
 
-def build_routing_workload():
-    """Pinned (queries, window duration, edge list) for the session suite."""
+def _relabelled_netflow(p: dict):
     raw = generate_netflow_stream(
-        ROUTING_STREAM_EDGES, seed=ROUTING_STREAM_SEED,
-        num_ips=ROUTING_NUM_IPS, extra_ports=ROUTING_EXTRA_PORTS,
-        port_alpha=ROUTING_PORT_ALPHA)
-    stream = relabel_stream(raw, edge_label=lambda lbl: (lbl[1], lbl[2]))
-    population = window_slice(stream, 300)
+        p["stream_edges"], seed=p["stream_seed"], num_ips=p["num_ips"],
+        extra_ports=p["extra_ports"], port_alpha=p["port_alpha"])
+    return relabel_stream(raw, edge_label=lambda lbl: (lbl[1], lbl[2]))
+
+
+def build_routing_workload(**extra_params) -> Workload:
+    """The routing workload; ``extra_params`` are what a suite built on
+    it pins on top (they join the report's ``workload`` block)."""
+    p = ROUTING
+    stream = _relabelled_netflow(p)
     variants = generate_query_set(
-        population, sizes=ROUTING_QUERY_SIZES,
-        per_size=ROUTING_NUM_QUERIES, rng=random.Random(3))
+        window_slice(stream, 300), sizes=p["query_sizes"],
+        per_size=p["num_queries"], rng=random.Random(3))
     # One query per walk: the full-timing-order variant (index 0 of each
     # walk's five-variant group, see generate_query_set).
-    queries = variants[0::5][:ROUTING_NUM_QUERIES]
-    if len(queries) != ROUTING_NUM_QUERIES:
+    queries = variants[0::5][:p["num_queries"]]
+    if len(queries) != p["num_queries"]:
         raise AssertionError(
             f"query generator produced {len(queries)} variants, "
-            f"expected {ROUTING_NUM_QUERIES}")
-    duration = stream.window_units_to_duration(ROUTING_WINDOW_UNITS)
-    return queries, duration, list(stream)
+            f"expected {p['num_queries']}")
+    return Workload(
+        {f"q{i:02d}": query for i, query in enumerate(queries)},
+        stream.window_units_to_duration(p["window_units"]), list(stream),
+        {**p, **extra_params})
 
-
-def _run_routing_mode(queries: List[QueryGraph], duration: float,
-                      edges: List, routing: str):
-    # Sub-plan sharing is pinned off so this suite keeps measuring the
-    # routing ablation alone (and the exact space-equality assertion
-    # below stays meaningful); the sharing suite measures the other knob.
-    session = Session(window=duration, config=EngineConfig(
-        routing=routing, subplan_sharing="private"))
-    for i, query in enumerate(queries):
-        session.register(f"q{i:02d}", query)
-    started = time.perf_counter()
-    tagged = session.push_many(edges)
-    elapsed = time.perf_counter() - started
-    stats = session.session_stats()
-    report = {
-        "routing": routing,
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": len(tagged),
-        "routed_pushes": stats["routed_pushes"],
-        "skipped_matchers": stats["skipped_matchers"],
-        "shared_window_cells": stats["shared_window_cells"],
-        "window_cells": stats["window_cells"],
-        "space_cells": session.space_cells(),
-    }
-    return report, Counter(tagged)
-
-
-def run_routing_smoke() -> dict:
-    """Run both session routing modes; returns the report dict."""
-    queries, duration, edges = build_routing_workload()
-    shared_run, shared_tagged = _run_routing_mode(
-        queries, duration, edges, "shared")
-    fanout_run, fanout_tagged = _run_routing_mode(
-        queries, duration, edges, "fanout")
-    if shared_tagged != fanout_tagged:
-        raise AssertionError(
-            "routing changed the answer: shared and fanout (name, match) "
-            "multisets differ")
-    if shared_run["space_cells"] != fanout_run["space_cells"]:
-        raise AssertionError(
-            "routing changed partial-match space: "
-            f"shared={shared_run['space_cells']} "
-            f"fanout={fanout_run['space_cells']}")
-    # The memory claim, asserted exactly: fanout keeps Q window copies,
-    # shared keeps one.
-    in_window = shared_run["shared_window_cells"]
-    if shared_run["window_cells"] != in_window:
-        raise AssertionError("shared session kept private window copies")
-    if fanout_run["window_cells"] != ROUTING_NUM_QUERIES * in_window:
-        raise AssertionError(
-            f"fanout window cells {fanout_run['window_cells']} != "
-            f"{ROUTING_NUM_QUERIES} x {in_window}")
-    return {
-        "benchmark": "pr3-routing-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow (dst-port/protocol labels)",
-            "stream_edges": ROUTING_STREAM_EDGES,
-            "stream_seed": ROUTING_STREAM_SEED,
-            "num_ips": ROUTING_NUM_IPS,
-            "query_sizes": ROUTING_QUERY_SIZES,
-            "num_queries": ROUTING_NUM_QUERIES,
-            "window_units": ROUTING_WINDOW_UNITS,
-            "storage": "mstree",
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-        },
-        "shared": shared_run,
-        "fanout": fanout_run,
-        "window_cells_ratio": round(
-            fanout_run["window_cells"] / max(1, shared_run["window_cells"]),
-            2),
-        "speedup": round(
-            fanout_run["elapsed_seconds"] / shared_run["elapsed_seconds"],
-            2),
-    }
-
-
-def check_routing_regression(report: dict, baseline: dict,
-                             tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the routing suite."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < ROUTING_SPEEDUP_FLOOR:
-        failures.append(
-            f"shared-over-fanout speedup {measured}x is below the "
-            f"{ROUTING_SPEEDUP_FLOOR}x floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"shared-over-fanout speedup regressed >{tolerance:.0%}: "
-            f"measured {measured}x vs committed baseline {recorded}x")
-    if report["shared"]["matches"] != baseline.get(
-            "shared", {}).get("matches", report["shared"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['shared']['matches']} matches vs "
-            f"baseline {baseline['shared']['matches']}")
-    if report["window_cells_ratio"] < ROUTING_NUM_QUERIES:
-        failures.append(
-            "shared-window memory is not O(|W|): fanout/shared window "
-            f"cell ratio {report['window_cells_ratio']} < "
-            f"{ROUTING_NUM_QUERIES}")
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Suite: sharing (PR 4)
-# --------------------------------------------------------------------- #
 
 #: Pinned overlapping-pattern-library workload.  The same relabelled
 #: NetworkFlow regime as the routing suite, but the registered queries are
 #: built to *overlap*: every variant contains the same 4-edge "attack
-#: core" chain (concrete mid-frequency labels, full timing order) plus one
-#: distinguishing edge with a per-variant rare label, timing-unordered
-#: against the chain.  The greedy decomposition therefore splits each
-#: query into [core chain, distinguishing singleton] — 16 queries, one
-#: canonical core sub-plan.  ``subplan_sharing="shared"`` maintains that
-#: core's expansion lists once per arrival; ``"private"`` pays for them 16
-#: times, which is exactly the Ω(Q·insert)/Ω(Q·store) overhead the
-#: sub-plan cache removes.
-SHARING_STREAM_EDGES = 16000
-SHARING_STREAM_SEED = 11
-SHARING_NUM_IPS = 100
-SHARING_EXTRA_PORTS = 200
-SHARING_PORT_ALPHA = 0.8
-SHARING_NUM_QUERIES = 16
-SHARING_CORE_RANKS = (0, 1, 2, 3)  # frequency ranks of the core labels
-SHARING_WINDOW_UNITS = 4000.0
-
-#: Hard floor on the shared-over-private insert-throughput speedup at 16
-#: overlapping queries.
-SHARING_SPEEDUP_FLOOR = 3.0
-
-#: Hard floor on the private/shared partial-match space ratio — the
-#: "sub-linear shared-store cell count" claim (16 queries, one core
-#: store).
-SHARING_SPACE_RATIO_FLOOR = 2.0
+#: core" chain (concrete mid-frequency labels — ``core_ranks`` are their
+#: frequency ranks — full timing order) plus one distinguishing edge with
+#: a per-variant rare label, timing-unordered against the chain.  The
+#: greedy decomposition therefore splits each query into [core chain,
+#: distinguishing singleton] — 16 queries, one canonical core sub-plan.
+#: ``subplan_sharing="shared"`` maintains that core's expansion lists once
+#: per arrival; ``"private"`` pays for them 16 times, which is exactly the
+#: Ω(Q·insert)/Ω(Q·store) overhead the sub-plan cache removes.
+SHARING = {
+    "dataset": "NetworkFlow (dst-port/protocol labels)", "storage": "mstree",
+    "stream_edges": 16000, "stream_seed": 11, "num_ips": 100,
+    "extra_ports": 200, "port_alpha": 0.8,
+    "num_queries": 16, "core_ranks": [0, 1, 2, 3], "window_units": 4000.0,
+}
 
 
-def build_sharing_workload():
-    """Pinned (queries, window duration, edge list) for the sharing suite."""
-    raw = generate_netflow_stream(
-        SHARING_STREAM_EDGES, seed=SHARING_STREAM_SEED,
-        num_ips=SHARING_NUM_IPS, extra_ports=SHARING_EXTRA_PORTS,
-        port_alpha=SHARING_PORT_ALPHA)
-    stream = relabel_stream(raw, edge_label=lambda lbl: (lbl[1], lbl[2]))
+def build_sharing_workload() -> Workload:
+    p = SHARING
+    stream = _relabelled_netflow(p)
     edges = list(stream)
     frequency = Counter(edge.label for edge in edges)
     ranked = [label for label, _ in frequency.most_common()]
-    core_labels = [ranked[rank] for rank in SHARING_CORE_RANKS]
+    core_labels = [ranked[rank] for rank in p["core_ranks"]]
     # Distinguishing labels: the rarest that still occur a handful of
     # times, so every variant's private machinery does *some* work.
     rare = [label for label in reversed(ranked)
             if frequency[label] >= 4 and label not in core_labels]
-    variant_labels = rare[:SHARING_NUM_QUERIES]
-    if len(variant_labels) != SHARING_NUM_QUERIES:
+    variant_labels = rare[:p["num_queries"]]
+    if len(variant_labels) != p["num_queries"]:
         raise AssertionError(
             f"stream has only {len(variant_labels)} usable rare labels, "
-            f"need {SHARING_NUM_QUERIES}")
+            f"need {p['num_queries']}")
     queries = []
     core_len = len(core_labels)
     for label in variant_labels:
@@ -457,377 +209,218 @@ def build_sharing_workload():
         query.add_edge("x", f"v{core_len}", f"v{core_len + 1}", label=label)
         query.add_timing_chain(*[f"c{i + 1}" for i in range(core_len)])
         queries.append(query)
-    duration = stream.window_units_to_duration(SHARING_WINDOW_UNITS)
-    return queries, duration, edges
+    return Workload(
+        {f"q{i:02d}": query for i, query in enumerate(queries)},
+        stream.window_units_to_duration(p["window_units"]), edges, p)
 
 
-def _run_sharing_mode(queries: List[QueryGraph], duration: float,
-                      edges: List, sharing: str):
-    session = Session(window=duration, config=EngineConfig(
-        subplan_sharing=sharing))
-    for i, query in enumerate(queries):
-        session.register(f"q{i:02d}", query)
+#: Pinned predicate-routing workload: a port-labelled stream (ints in
+#: ``port_range``, so prefixes discriminate on decimal text) and a query
+#: population of single-edge prefix/wildcard queries — a fixed handful of
+#: *hot* prefixes that match ~1% of the port space each, two any-label
+#: queries, and a scalable tail of *cold* prefixes (distinct
+#: ``3…``-prefixed patterns that can never match a ``1…`` port).  Scaling
+#: the cold tail scales the registered-query count without changing the
+#: answer, which is exactly what separates routing cost from match cost:
+#: fanout pays O(Q) per arrival, the trie pays O(label length), and the
+#: 8x query population of the scaling legs may cost at most 1.5x per edge
+#: while producing the *identical* match multiset — the cold tail is
+#: provably routed around, never mis-matched.  ``throughput_leg_edges``
+#: is the fanout leg's stream slice: fanout at 1,024 queries pays the
+#: full O(Q) per arrival, so the slice keeps the leg inside seconds.
+PREDICATES = {
+    "dataset": "synthetic port-labelled stream", "storage": "mstree",
+    "stream_edges": 2500, "stream_seed": 19, "num_hosts": 64,
+    "port_range": [10000, 19999], "window_units": 400.0,
+    "hot_queries": 8, "wildcard_queries": 2,
+    "throughput_queries": 1024, "throughput_leg_edges": 500,
+    "scaling_queries": [256, 2048],
+}
+
+
+def _one_edge_query(label) -> QueryGraph:
+    query = QueryGraph()
+    query.add_vertex("a", ANY)
+    query.add_vertex("b", ANY)
+    query.add_edge("e", "a", "b", label)
+    return query
+
+
+def build_predicates_workload() -> Workload:
+    """The port-labelled stream (one edge per time unit) and the largest
+    query population.  Populations are nested — hot prefixes, wildcards,
+    then the cold tail in order — so the first N of it is the N-query
+    population and answers must agree across scales."""
+    p = PREDICATES
+    rng = random.Random(p["stream_seed"])
+    edges = []
+    for i in range(p["stream_edges"]):
+        u = rng.randrange(p["num_hosts"])
+        v = rng.randrange(p["num_hosts"])
+        while v == u:
+            v = rng.randrange(p["num_hosts"])
+        edges.append(StreamEdge(
+            f"h{u}", f"h{v}", src_label="ip", dst_label="ip",
+            timestamp=float(i), label=rng.randint(*p["port_range"])))
+    queries = {}
+    for i in range(p["hot_queries"]):
+        # "10i" prefixes: each matches ports 10i00-10i99 (~1% of ports).
+        queries[f"hot{i}"] = _one_edge_query(Prefix(f"10{i}"))
+    for i in range(p["wildcard_queries"]):
+        queries[f"wild{i}"] = _one_edge_query(ANY)
+    for i in range(max(p["scaling_queries"]) - len(queries)):
+        # Distinct never-matching prefixes: ports never start with '3'.
+        queries[f"cold{i:05d}"] = _one_edge_query(Prefix(f"3{i:06d}"))
+    return Workload(queries, p["window_units"], edges, p)
+
+
+# --------------------------------------------------------------------- #
+# Legs: a function of the workload returning (run dict, answer)
+# --------------------------------------------------------------------- #
+
+def _timed(work: Callable, edges: List):
+    """``work(edges)`` under the wall and CPU clocks: its result and the
+    timing fields every run dict starts from."""
+    cpu_started = time.process_time()
     started = time.perf_counter()
-    tagged = session.push_many(edges)
+    result = work(edges)
     elapsed = time.perf_counter() - started
-    stats = session.session_stats()
-    report = {
-        "subplan_sharing": sharing,
+    cpu = time.process_time() - cpu_started
+    return result, {
         "elapsed_seconds": round(elapsed, 4),
+        "cpu_seconds": round(cpu, 4),
         "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": len(tagged),
-        "shared_subplans": stats["shared_subplans"],
-        "subplan_consumers": stats["subplan_consumers"],
-        "subplan_reuses": stats["subplan_reuses"],
-        "space_cells": session.space_cells(),
-        "logical_space_cells": sum(
-            session.matcher(name).space_cells() for name in session.names()),
-    }
-    return report, Counter(tagged)
-
-
-def run_sharing_smoke() -> dict:
-    """Run both sub-plan sharing modes; returns the report dict."""
-    queries, duration, edges = build_sharing_workload()
-    shared_run, shared_tagged = _run_sharing_mode(
-        queries, duration, edges, "shared")
-    private_run, private_tagged = _run_sharing_mode(
-        queries, duration, edges, "private")
-    if shared_tagged != private_tagged:
-        raise AssertionError(
-            "sub-plan sharing changed the answer: shared and private "
-            "(name, match) multisets differ")
-    # Logical per-query space is invariant: every engine reads the same
-    # expansion lists whether it owns them or shares them.
-    if shared_run["logical_space_cells"] != private_run["logical_space_cells"]:
-        raise AssertionError(
-            "sharing changed logical partial-match space: "
-            f"shared={shared_run['logical_space_cells']} "
-            f"private={private_run['logical_space_cells']}")
-    # One core record with all queries subscribed, maintained via the memo.
-    consumers_per_record = (shared_run["subplan_consumers"]
-                            / max(1, shared_run["shared_subplans"]))
-    if consumers_per_record <= 1.0:
-        raise AssertionError(
-            "workload generated no overlap: every sub-plan record has a "
-            "single consumer")
-    if shared_run["subplan_reuses"] == 0:
-        raise AssertionError("shared stores were never reused")
-    return {
-        "benchmark": "pr4-subplan-sharing-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow (dst-port/protocol labels)",
-            "stream_edges": SHARING_STREAM_EDGES,
-            "stream_seed": SHARING_STREAM_SEED,
-            "num_ips": SHARING_NUM_IPS,
-            "num_queries": SHARING_NUM_QUERIES,
-            "window_units": SHARING_WINDOW_UNITS,
-            "storage": "mstree",
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-        },
-        "shared": shared_run,
-        "private": private_run,
-        "space_ratio": round(
-            private_run["space_cells"] / max(1, shared_run["space_cells"]),
-            2),
-        "speedup": round(
-            private_run["elapsed_seconds"] / shared_run["elapsed_seconds"],
-            2),
+        "per_edge_us": round(elapsed / len(edges) * 1e6, 2),
     }
 
 
-def check_sharing_regression(report: dict, baseline: dict,
-                             tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the sharing suite."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < SHARING_SPEEDUP_FLOOR:
-        failures.append(
-            f"shared-over-private speedup {measured}x is below the "
-            f"{SHARING_SPEEDUP_FLOOR}x floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"shared-over-private speedup regressed >{tolerance:.0%}: "
-            f"measured {measured}x vs committed baseline {recorded}x")
-    if report["shared"]["matches"] != baseline.get(
-            "shared", {}).get("matches", report["shared"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['shared']['matches']} matches vs "
-            f"baseline {baseline['shared']['matches']}")
-    if report["space_ratio"] < SHARING_SPACE_RATIO_FLOOR:
-        failures.append(
-            "shared-store cell count is not sub-linear: private/shared "
-            f"space ratio {report['space_ratio']} < "
-            f"{SHARING_SPACE_RATIO_FLOOR}")
-    recorded_ratio = baseline.get("space_ratio")
-    if recorded_ratio is not None and \
-            report["space_ratio"] < (1.0 - tolerance) * recorded_ratio:
-        failures.append(
-            f"space de-duplication regressed >{tolerance:.0%}: ratio "
-            f"{report['space_ratio']} vs baseline {recorded_ratio}")
-    return failures
+def _engine_leg(workload: Workload, indexing: str):
+    """The workload's one query on a bare engine, edge by edge."""
+    (query,) = workload.queries.values()
+    engine = TimingMatcher.from_config(
+        query, workload.window, config=EngineConfig(indexing=indexing))
+
+    def push_all(edges):
+        matches = 0
+        for edge in edges:
+            matches += len(engine.push(edge))
+        return matches
+
+    matches, run = _timed(push_all, workload.edges)
+    stats = engine.stats
+    run.update(
+        indexing=indexing, matches=matches, index_probes=stats.index_probes,
+        scan_fallbacks=stats.scan_fallbacks,
+        join_operations=stats.join_operations)
+    return run, matches
 
 
-# --------------------------------------------------------------------- #
-# Suite: sharding (PR 5)
-# --------------------------------------------------------------------- #
+def _session_leg(workload: Workload, config: EngineConfig,
+                 fields: Callable[[Session], dict], *,
+                 queries: Optional[int] = None, edges: Optional[int] = None,
+                 records: bool = False):
+    """Register the workload's (first ``queries``) queries on
+    ``Session(config)`` and time one ``push_many`` of its (first
+    ``edges``) edges.  The answer is the ``(name, match)`` multiset, or
+    with ``records`` the canonical match records a sink saw (what a
+    gateway delivers).  ``fields`` adds the suite's own counters."""
+    stream = workload.edges[:edges]
+    session = Session(window=workload.window, config=config)
+    try:
+        for name, query in itertools.islice(workload.queries.items(),
+                                            queries):
+            session.register(name, query)
+        delivered: Counter = Counter()
+        if records:
+            session.add_sink(lambda name, match: delivered.update(
+                [_canonical_record(match_record(name, match))]))
+        tagged, run = _timed(session.push_many, stream)
+        run["matches"] = len(tagged)
+        run.update(fields(session))
+    finally:
+        if hasattr(session, "close"):   # process shards: workers and rings
+            session.close()
+    return run, delivered if records else Counter(tagged)
 
-#: The sharded run re-uses the routing suite's pinned 16-query workload
-#: (same stream, same queries, same window), partitioned across this many
+
+def _routing_fields(session: Session) -> dict:
+    return {**_pick(session.session_stats(), "routing", "routed_pushes",
+                    "skipped_matchers", "shared_window_cells",
+                    "window_cells"),
+            "space_cells": session.space_cells()}
+
+
+def _sharing_fields(session: Session) -> dict:
+    return {**_pick(session.session_stats(), "subplan_sharing",
+                    "shared_subplans", "subplan_consumers",
+                    "subplan_reuses"),
+            "space_cells": session.space_cells(),
+            "logical_space_cells": sum(session.matcher(name).space_cells()
+                                       for name in session.names())}
+
+
+def _predicates_leg(workload: Workload, routing: str, queries: int,
+                    edges: Optional[int] = None):
+    return _session_leg(
+        workload, EngineConfig(routing=routing),
+        lambda session: _pick(
+            session.session_stats(), "routing", "queries",
+            "predicate_entries", "predicate_trie_nodes"),
+        queries=queries, edges=edges)
+
+
+#: The sharded legs partition the routing workload across this many
 #: process shards — the stable name hash splits q00…q15 into 4 queries
 #: per shard exactly.
 SHARDING_SHARDS = 4
 
-#: Hard floor on the modeled sharded-pipeline insert-throughput speedup
-#: over ``sharding="none"`` at 4 shards (see the module docstring for the
-#: pipeline model).
-SHARDING_SPEEDUP_FLOOR = 2.0
 
-#: Hard floor on the *measured wall-clock* speedup of the shm transport
-#: over ``sharding="none"`` at 4 shards.  Only enforced when the machine
-#: actually has a core per shard (``wall_gate_enforced`` in the report) —
-#: on a 1-core container the processes time-slice a single CPU and no
-#: transport can make sharding win on wall-clock.
-SHARDING_WALL_SPEEDUP_FLOOR = 2.0
-
-#: Hard floor on shm-wall over pipe-wall (pipe elapsed / shm elapsed),
-#: enforced on every machine including single-core ones: the zero-pickle
-#: ring must never make the hot path *slower* than pickling into a pipe.
-#: The slack below 1.0 absorbs scheduler noise on sub-second runs.
-SHARDING_SHM_OVER_PIPE_FLOOR = 0.9
-
-#: Every leg is timed best-of-N (the answer is asserted identical on
-#: every repetition): the gated quantities are ratios of sub-second
-#: wall-clock runs, and a single sample of each is scheduler noise.
-SHARDING_REPETITIONS = 3
+def _sharded_fields(session) -> dict:
+    stats = session.session_stats()
+    per_shard = stats["per_shard"]
+    return {**_pick(stats, "sharding", "shards", "transport",
+                    "facade_cpu_seconds"),
+            "shard_busy_seconds": [p["busy_seconds"] for p in per_shard],
+            "queries_per_shard": [p["queries"] for p in per_shard],
+            "edges_per_shard": [p["edges_received"] for p in per_shard]}
 
 
-def _sharding_cpu_cores() -> int:
-    """Cores actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # pragma: no cover - non-Linux platforms
-        return os.cpu_count() or 1
-
-
-def _run_sharding_none(queries: List[QueryGraph], duration: float,
-                       edges: List):
-    # Sub-plan sharing is pinned off in both modes so the suite measures
-    # the sharding ablation alone (under sharding it would also change
-    # *where* stores live, confounding the stage costs).
-    session = Session(window=duration, config=EngineConfig(
-        subplan_sharing="private"))
-    for i, query in enumerate(queries):
-        session.register(f"q{i:02d}", query)
-    cpu_started = time.process_time()
-    started = time.perf_counter()
-    tagged = session.push_many(edges)
-    elapsed = time.perf_counter() - started
-    cpu = time.process_time() - cpu_started
-    report = {
-        "sharding": "none",
-        "elapsed_seconds": round(elapsed, 4),
-        "cpu_seconds": round(cpu, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": len(tagged),
-    }
-    return report, Counter(tagged)
-
-
-def _run_sharding_sharded(queries: List[QueryGraph], duration: float,
-                          edges: List, transport: str):
-    session = Session(window=duration, config=EngineConfig(
+def _sharded_leg(workload: Workload, transport: str):
+    """The routing workload on process shards.  Like the paper's
+    ``Timing-N`` figures (which replay measured lock traces through
+    :mod:`repro.concurrency.simulation` because the GIL hides thread
+    speedup), each pipeline stage's real CPU cost is measured and
+    steady-state throughput modeled as ``stream / max(stage cost)``;
+    the wall clock of the same run is reported beside it."""
+    run, answer = _session_leg(workload, EngineConfig(
         subplan_sharing="private", sharding="process",
-        shards=SHARDING_SHARDS, transport=transport))
-    try:
-        for i, query in enumerate(queries):
-            session.register(f"q{i:02d}", query)
-        started = time.perf_counter()
-        tagged = session.push_many(edges)
-        elapsed = time.perf_counter() - started
-        stats = session.session_stats()
-    finally:
-        session.close()
-    shard_busy = [p["busy_seconds"] for p in stats["per_shard"]]
-    facade = stats["facade_cpu_seconds"]
-    critical = max(facade, max(shard_busy))
-    report = {
-        "sharding": "process",
-        "shards": SHARDING_SHARDS,
-        "transport": stats["transport"],
-        "elapsed_wall_seconds": round(elapsed, 4),
-        "throughput_wall_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": len(tagged),
-        "facade_cpu_seconds": facade,
-        "shard_busy_seconds": shard_busy,
-        "critical_stage_seconds": round(critical, 4),
-        "modeled_pipeline_edges_per_s": round(len(edges) / critical, 1),
-        "queries_per_shard": [p["queries"] for p in stats["per_shard"]],
-        "edges_per_shard": [p["edges_received"]
-                            for p in stats["per_shard"]],
-    }
-    return report, Counter(tagged)
+        shards=SHARDING_SHARDS, transport=transport), _sharded_fields)
+    run["elapsed_wall_seconds"] = run.pop("elapsed_seconds")
+    run["throughput_wall_edges_per_s"] = run.pop("throughput_edges_per_s")
+    critical = max(run["facade_cpu_seconds"], *run["shard_busy_seconds"])
+    run["critical_stage_seconds"] = round(critical, 4)
+    run["modeled_pipeline_edges_per_s"] = round(
+        len(workload.edges) / critical, 1)
+    return run, answer
 
 
-def _best_of(run, reference: Optional[Counter], label: str,
-             wall_key: str):
-    """Best-of-N repetitions of ``run``; every repetition must reproduce
-    ``reference`` (when given) exactly."""
-    best = None
-    tagged = None
-    for _ in range(SHARDING_REPETITIONS):
-        report, counted = run()
-        if reference is not None and counted != reference:
-            raise AssertionError(
-                f"sharding changed the answer: none and {label} "
-                "(name, match) multisets differ")
-        if best is None or report[wall_key] < best[wall_key]:
-            best = report
-        tagged = counted
-    return best, tagged
-
-
-def run_sharding_smoke() -> dict:
-    """Run the 16-query workload unsharded and at 4 process shards under
-    both the zero-pickle shm ring transport and the pickle-over-pipe
-    fallback; returns the report dict (see the module docstring for the
-    gated pipeline model and wall-clock gates)."""
-    queries, duration, edges = build_routing_workload()
-    none_run, none_tagged = _best_of(
-        lambda: _run_sharding_none(queries, duration, edges),
-        None, "none", "elapsed_seconds")
-    shm_run, _ = _best_of(
-        lambda: _run_sharding_sharded(queries, duration, edges, "shm"),
-        none_tagged, "process/shm", "elapsed_wall_seconds")
-    pipe_run, _ = _best_of(
-        lambda: _run_sharding_sharded(queries, duration, edges, "pipe"),
-        none_tagged, "process/pipe", "elapsed_wall_seconds")
-    per_shard = shm_run["queries_per_shard"]
-    if sorted(per_shard) != [4, 4, 4, 4]:
-        raise AssertionError(
-            f"the pinned name hash no longer balances the partition: "
-            f"{per_shard} queries per shard")
-    cpu_cores = _sharding_cpu_cores()
-    return {
-        "benchmark": "pr9-sharding-transport-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow (dst-port/protocol labels)",
-            "stream_edges": ROUTING_STREAM_EDGES,
-            "stream_seed": ROUTING_STREAM_SEED,
-            "num_ips": ROUTING_NUM_IPS,
-            "query_sizes": ROUTING_QUERY_SIZES,
-            "num_queries": ROUTING_NUM_QUERIES,
-            "window_units": ROUTING_WINDOW_UNITS,
-            "storage": "mstree",
-            "shards": SHARDING_SHARDS,
-            "repetitions": SHARDING_REPETITIONS,
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "cpu_cores": cpu_cores,
-        },
-        "none": none_run,
-        "sharded": shm_run,
-        "sharded_pipe": pipe_run,
-        "model": "pipeline: none cpu_seconds / max(facade_cpu_seconds, "
-                 "max(shard_busy_seconds)); wall_speedup is measured "
-                 "end-to-end wall clock, gated when cpu_cores >= shards",
-        "wall_speedup": round(
-            none_run["elapsed_seconds"]
-            / shm_run["elapsed_wall_seconds"], 2),
-        "wall_speedup_pipe": round(
-            none_run["elapsed_seconds"]
-            / pipe_run["elapsed_wall_seconds"], 2),
-        "shm_over_pipe": round(
-            pipe_run["elapsed_wall_seconds"]
-            / shm_run["elapsed_wall_seconds"], 2),
-        "wall_gate_enforced": cpu_cores >= SHARDING_SHARDS,
-        "speedup": round(
-            none_run["cpu_seconds"]
-            / shm_run["critical_stage_seconds"], 2),
-    }
-
-
-def check_sharding_regression(report: dict, baseline: dict,
-                              tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the sharding suite."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < SHARDING_SPEEDUP_FLOOR:
-        failures.append(
-            f"modeled sharded-pipeline speedup {measured}x is below the "
-            f"{SHARDING_SPEEDUP_FLOOR}x floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"sharded-pipeline speedup regressed >{tolerance:.0%}: "
-            f"measured {measured}x vs committed baseline {recorded}x")
-    if report["sharded"].get("transport") != "shm":
-        failures.append(
-            "the shm leg silently degraded to "
-            f"{report['sharded'].get('transport')!r} — shared memory is "
-            "required on gated platforms")
-    if report.get("wall_gate_enforced"):
-        wall = report["wall_speedup"]
-        if wall < SHARDING_WALL_SPEEDUP_FLOOR:
-            failures.append(
-                f"measured wall-clock speedup {wall}x at "
-                f"{report['workload']['shards']} shards is below the "
-                f"{SHARDING_WALL_SPEEDUP_FLOOR}x floor "
-                f"({report['environment']['cpu_cores']} cores)")
-    ratio = report.get("shm_over_pipe")
-    if ratio is not None and ratio < SHARDING_SHM_OVER_PIPE_FLOOR:
-        failures.append(
-            f"shm transport is slower than the pipe fallback: "
-            f"pipe/shm wall ratio {ratio} is below the "
-            f"{SHARDING_SHM_OVER_PIPE_FLOOR} floor")
-    if report["none"]["matches"] != baseline.get(
-            "none", {}).get("matches", report["none"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['none']['matches']} matches vs "
-            f"baseline {baseline['none']['matches']}")
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Suite: service (PR 6)
-# --------------------------------------------------------------------- #
-
-#: Pinned gateway pipeline parameters over the routing suite's 16-query
-#: workload.  The queue is sized well below the stream so the producer
-#: genuinely exercises the blocking backpressure path, and the crash is
-#: simulated two checkpoints' worth of arrivals past the barrier so the
-#: replay covers both in-flight queue contents and discarded match
-#: segments.
-SERVICE_QUEUE_CAPACITY = 4096
-SERVICE_BATCH_SIZE = 512
+#: Pinned gateway pipeline parameters over the routing workload.  The
+#: queue is sized well below the stream so the producer genuinely
+#: exercises the blocking backpressure path, and the crash is simulated
+#: two checkpoints' worth of arrivals past the barrier so the replay
+#: covers both in-flight queue contents and discarded match segments.
+SERVICE = {"queue_capacity": 4096, "batch_size": 512, "backpressure": "block"}
 SERVICE_CHECKPOINT_AT = 12000
 SERVICE_CRASH_AT = 18000
 
-#: Both modes are timed best-of-N (the answer is asserted identical on
-#: every repetition): the gated quantity is a ratio of two sub-second
-#: wall-clock runs, and a single sample of each is scheduler noise on a
-#: busy CI runner.
-SERVICE_REPETITIONS = 3
 
-#: Hard floor on the gateway/direct throughput ratio: the queue hop,
-#: worker handoff, and match delivery may cost at most 20%.
-SERVICE_RATIO_FLOOR = 0.8
-
-
-def _service_config(state_dir, queries: List[QueryGraph],
-                    duration: float) -> ServerConfig:
-    texts = {f"q{i:02d}": format_query(query)
-             for i, query in enumerate(queries)}
+def _gateway_config(state_dir, workload: Workload,
+                    wal: Optional[WalConfig]) -> ServerConfig:
     tenant = TenantConfig(
-        name="bench", queries=texts, window=duration,
-        queue_capacity=SERVICE_QUEUE_CAPACITY, backpressure="block",
-        batch_size=SERVICE_BATCH_SIZE)
+        name="bench", window=workload.window, wal=wal,
+        queries={name: format_query(query)
+                 for name, query in workload.queries.items()},
+        **SERVICE)
     return ServerConfig(state_dir=str(state_dir), port=0,
                         checkpoint_interval=0.0,
                         tenants=(tenant,)).validate()
@@ -849,770 +442,519 @@ def _read_match_log(state_dir) -> Counter:
     return log
 
 
-def _run_service_direct(queries: List[QueryGraph], duration: float,
-                        edges: List):
-    """Baseline: the same 16 queries on a plain session, push_many."""
-    session = Session(window=duration, config=EngineConfig(
-        storage="mstree", duplicate_policy="skip"))
-    for i, query in enumerate(queries):
-        session.register(f"q{i:02d}", query)
-    delivered: Counter = Counter()
-    session.add_sink(lambda name, match: delivered.update(
-        [_canonical_record(match_record(name, match))]))
-    started = time.perf_counter()
-    session.push_many(edges)
-    elapsed = time.perf_counter() - started
-    report = {
-        "mode": "direct push_many",
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": sum(delivered.values()),
-    }
-    return report, delivered
-
-
-def _ingest_in_batches(tenant, edges: List) -> None:
-    for lo in range(0, len(edges), SERVICE_BATCH_SIZE):
-        tenant.ingest_edges(edges[lo:lo + SERVICE_BATCH_SIZE])
-
-
-def _run_service_gateway(queries: List[QueryGraph], duration: float,
-                         edges: List, state_dir):
-    """The full pipeline: producer → bounded queue → worker → session."""
-    gateway = ServiceGateway(_service_config(state_dir, queries, duration))
+def _feed(gateway: ServiceGateway, edges: List, drain: bool = True) -> None:
+    """Ingest in producer-sized batches, then wait for the drain."""
     tenant = gateway.tenant("bench")
-    delivered: Counter = Counter()
-    tenant.hub.subscribe(
-        lambda record: delivered.update([_canonical_record(record)]))
-    started = time.perf_counter()
-    _ingest_in_batches(tenant, edges)
-    if not gateway.wait_idle(timeout=600.0):
+    for lo in range(0, len(edges), SERVICE["batch_size"]):
+        tenant.ingest_edges(edges[lo:lo + SERVICE["batch_size"]])
+    if drain and not gateway.wait_idle(timeout=600.0):
         raise AssertionError("gateway never drained the pinned stream")
-    elapsed = time.perf_counter() - started
-    queue = tenant.queue
-    report = {
-        "mode": "gateway pipeline (producer -> queue -> worker)",
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": sum(delivered.values()),
-        "queue": {
-            "capacity": SERVICE_QUEUE_CAPACITY,
-            "batch_size": SERVICE_BATCH_SIZE,
-            "enqueued": queue.enqueued,
-            "dequeued": queue.dequeued,
-            "dropped": queue.dropped,
-            "spilled": queue.spilled,
-            "high_water": queue.high_water,
-        },
-    }
-    gateway.shutdown()
-    return report, delivered
 
 
-def _run_service_kill_restore(queries: List[QueryGraph], duration: float,
-                              edges: List, state_dir,
-                              reference_log: Counter) -> dict:
-    """Checkpoint mid-stream, crash past it, restore, replay; the
-    recovered match log must equal the uninterrupted run's."""
-    config = _service_config(state_dir, queries, duration)
-    gateway = ServiceGateway(config)
-    tenant = gateway.tenant("bench")
-    _ingest_in_batches(tenant, edges[:SERVICE_CHECKPOINT_AT])
-    if not gateway.wait_idle(timeout=600.0):
-        raise AssertionError("gateway never drained to the checkpoint")
-    meta = tenant.checkpoint()
-    _ingest_in_batches(tenant, edges[SERVICE_CHECKPOINT_AT:SERVICE_CRASH_AT])
-    gateway.abort()                               # simulated kill -9
-
-    restored = ServiceGateway(config)
-    tenant = restored.tenant("bench")
-    if not tenant.restored or tenant.edges_offered != SERVICE_CHECKPOINT_AT:
-        raise AssertionError(
-            f"restore came back at stream position {tenant.edges_offered}, "
-            f"expected {SERVICE_CHECKPOINT_AT}")
-    replayed = edges[tenant.edges_offered:]
-    _ingest_in_batches(tenant, replayed)
-    if not restored.wait_idle(timeout=600.0):
-        raise AssertionError("restored gateway never drained the replay")
-    restored.shutdown()
-    recovered_log = _read_match_log(state_dir)
-    if recovered_log != reference_log:
-        raise AssertionError(
-            "kill-restore changed the answer: the recovered match log "
-            "differs from the uninterrupted run")
-    return {
-        "checkpoint_at": SERVICE_CHECKPOINT_AT,
-        "crash_at": SERVICE_CRASH_AT,
-        "checkpoint_meta_position": meta["edges_offered"],
-        "replayed_edges": len(replayed),
-        "match_log_records": sum(recovered_log.values()),
-        "match_log_equal": True,
-    }
-
-
-def run_service_smoke() -> dict:
-    """Run direct vs gateway plus the kill-restore equivalence check;
-    returns the report dict."""
-    queries, duration, edges = build_routing_workload()
-    direct_run = direct_log = None
-    for _ in range(SERVICE_REPETITIONS):
-        run, log = _run_service_direct(queries, duration, edges)
-        if direct_log is None:
-            direct_log = log
-        elif log != direct_log:
-            raise AssertionError("direct push_many is nondeterministic")
-        if direct_run is None or run["throughput_edges_per_s"] \
-                > direct_run["throughput_edges_per_s"]:
-            direct_run = run
-    with tempfile.TemporaryDirectory(prefix="repro-service-bench-") as root:
-        gateway_run = reference_log = None
-        for rep in range(SERVICE_REPETITIONS):
-            uninterrupted = os.path.join(root, f"uninterrupted-{rep}")
-            run, delivered = _run_service_gateway(
-                queries, duration, edges, uninterrupted)
-            if delivered != direct_log:
-                raise AssertionError(
-                    "the gateway changed the answer: delivered match "
-                    "records differ from direct push_many")
-            reference_log = _read_match_log(uninterrupted)
-            if reference_log != direct_log:
-                raise AssertionError(
-                    "the gateway match log differs from direct push_many")
-            if gateway_run is None or run["throughput_edges_per_s"] \
-                    > gateway_run["throughput_edges_per_s"]:
-                gateway_run = run
-        kill_restore = _run_service_kill_restore(
-            queries, duration, edges, os.path.join(root, "killed"),
-            reference_log)
-    return {
-        "benchmark": "pr6-service-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow (dst-port/protocol labels)",
-            "stream_edges": ROUTING_STREAM_EDGES,
-            "stream_seed": ROUTING_STREAM_SEED,
-            "num_ips": ROUTING_NUM_IPS,
-            "query_sizes": ROUTING_QUERY_SIZES,
-            "num_queries": ROUTING_NUM_QUERIES,
-            "window_units": ROUTING_WINDOW_UNITS,
-            "storage": "mstree",
-            "queue_capacity": SERVICE_QUEUE_CAPACITY,
-            "batch_size": SERVICE_BATCH_SIZE,
-            "backpressure": "block",
-            "repetitions": SERVICE_REPETITIONS,
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-        },
-        "direct": direct_run,
-        "gateway": gateway_run,
-        "kill_restore": kill_restore,
-        "dropped_edges": gateway_run["queue"]["dropped"],
-        # The gated "speedup" here is the gateway/direct throughput
-        # ratio — 1.0 means the queue hop is free, the floor is 0.8.
-        "speedup": round(
-            gateway_run["throughput_edges_per_s"]
-            / direct_run["throughput_edges_per_s"], 2),
-    }
-
-
-def check_service_regression(report: dict, baseline: dict,
-                             tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the service suite."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < SERVICE_RATIO_FLOOR:
-        failures.append(
-            f"gateway/direct throughput ratio {measured} is below the "
-            f"{SERVICE_RATIO_FLOOR} floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"gateway/direct throughput ratio regressed >{tolerance:.0%}: "
-            f"measured {measured} vs committed baseline {recorded}")
-    if report["dropped_edges"] != 0:
-        failures.append(
-            f"{report['dropped_edges']} edges dropped under the blocking "
-            "backpressure policy (must be zero)")
-    if not report["kill_restore"]["match_log_equal"]:
-        failures.append(
-            "kill-restore no longer reproduces the uninterrupted match log")
-    if report["gateway"]["matches"] != baseline.get(
-            "gateway", {}).get("matches", report["gateway"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['gateway']['matches']} matches vs "
-            f"baseline {baseline['gateway']['matches']}")
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Suite: wal (PR 8)
-# --------------------------------------------------------------------- #
-
-#: The WAL suite reuses the service suite's pinned 16-query workload and
-#: queue shape, but every ingest batch is journaled (CRC-framed append +
-#: fsync) before it is acked.  The gated ratio is WAL-gateway over
-#: plain-gateway throughput: the durability tax of the journal hop.  The
-#: kill-restore leg is the producer-independence proof — after the crash
-#: the producer resends *nothing* before the crash point; boot-time WAL
-#: replay alone must restore exactly the journaled suffix past the
-#: checkpoint, and the final match log must equal the uninterrupted
-#: run's.
-WAL_RATIO_FLOOR = 0.75
-
-
-def _wal_service_config(state_dir, queries: List[QueryGraph],
-                        duration: float) -> ServerConfig:
-    texts = {f"q{i:02d}": format_query(query)
-             for i, query in enumerate(queries)}
-    tenant = TenantConfig(
-        name="bench", queries=texts, window=duration,
-        queue_capacity=SERVICE_QUEUE_CAPACITY, backpressure="block",
-        batch_size=SERVICE_BATCH_SIZE, wal=WalConfig())
-    return ServerConfig(state_dir=str(state_dir), port=0,
-                        checkpoint_interval=0.0,
-                        tenants=(tenant,)).validate()
-
-
-def _run_wal_gateway(queries: List[QueryGraph], duration: float,
-                     edges: List, state_dir):
-    """The durable pipeline: producer → WAL (append + fsync) → queue →
-    worker → session."""
-    gateway = ServiceGateway(_wal_service_config(state_dir, queries,
-                                                 duration))
-    tenant = gateway.tenant("bench")
-    delivered: Counter = Counter()
-    tenant.hub.subscribe(
-        lambda record: delivered.update([_canonical_record(record)]))
-    started = time.perf_counter()
-    _ingest_in_batches(tenant, edges)
-    if not gateway.wait_idle(timeout=600.0):
-        raise AssertionError("WAL gateway never drained the pinned stream")
-    elapsed = time.perf_counter() - started
-    wal_counters = tenant.wal.counters()
-    report = {
-        "mode": "WAL gateway pipeline (producer -> journal -> queue "
-                "-> worker)",
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "matches": sum(delivered.values()),
-        "wal": {
-            "appends": wal_counters["appends"],
-            "fsyncs": wal_counters["fsyncs"],
-            "bytes_written": wal_counters["bytes_written"],
-            "segments_created": wal_counters["segments_created"],
-            "appended_lsn": wal_counters["appended_lsn"],
-        },
-        "queue_dropped": tenant.queue.dropped,
-    }
-    gateway.shutdown()
-    return report, delivered
-
-
-def _run_wal_kill_restore(queries: List[QueryGraph], duration: float,
-                          edges: List, state_dir,
-                          reference_log: Counter) -> dict:
-    """Checkpoint mid-stream, crash past it, restore **without any
-    producer replay** — the journal alone must cover the gap."""
-    config = _wal_service_config(state_dir, queries, duration)
-    gateway = ServiceGateway(config)
-    tenant = gateway.tenant("bench")
-    _ingest_in_batches(tenant, edges[:SERVICE_CHECKPOINT_AT])
-    if not gateway.wait_idle(timeout=600.0):
-        raise AssertionError("WAL gateway never drained to the checkpoint")
-    meta = tenant.checkpoint()
-    _ingest_in_batches(tenant, edges[SERVICE_CHECKPOINT_AT:SERVICE_CRASH_AT])
-    gateway.abort()                               # simulated kill -9
-
-    restored = ServiceGateway(config)
-    tenant = restored.tenant("bench")
-    expected_replay = SERVICE_CRASH_AT - SERVICE_CHECKPOINT_AT
-    if not tenant.restored:
-        raise AssertionError("the crash left no usable checkpoint")
-    if tenant.replayed_edges != expected_replay:
-        raise AssertionError(
-            f"boot replay restored {tenant.replayed_edges} edges, "
-            f"expected exactly {expected_replay} "
-            f"(crash_at - checkpoint_at)")
-    # Producer-independent recovery: the producer continues from the
-    # crash point; everything before it came back from the journal.
-    _ingest_in_batches(tenant, edges[SERVICE_CRASH_AT:])
-    if not restored.wait_idle(timeout=600.0):
-        raise AssertionError("restored WAL gateway never drained")
-    restored.shutdown()
-    recovered_log = _read_match_log(state_dir)
-    if recovered_log != reference_log:
-        raise AssertionError(
-            "WAL kill-restore changed the answer: the recovered match "
-            "log differs from the uninterrupted run")
-    return {
-        "checkpoint_at": SERVICE_CHECKPOINT_AT,
-        "crash_at": SERVICE_CRASH_AT,
-        "checkpoint_wal_lsn": meta["wal_lsn"],
-        "replayed_edges": expected_replay,
-        "producer_replayed_edges": 0,
-        "match_log_records": sum(recovered_log.values()),
-        "match_log_equal": True,
-    }
-
-
-def run_wal_smoke() -> dict:
-    """Run plain-gateway vs WAL-gateway plus the zero-producer-replay
-    kill-restore check; returns the report dict."""
-    queries, duration, edges = build_routing_workload()
-    with tempfile.TemporaryDirectory(prefix="repro-wal-bench-") as root:
-        plain_run = plain_log = None
-        for rep in range(SERVICE_REPETITIONS):
-            run, delivered = _run_service_gateway(
-                queries, duration, edges, os.path.join(root, f"plain-{rep}"))
-            if plain_log is None:
-                plain_log = delivered
-            elif delivered != plain_log:
-                raise AssertionError("plain gateway is nondeterministic")
-            if plain_run is None or run["throughput_edges_per_s"] \
-                    > plain_run["throughput_edges_per_s"]:
-                plain_run = run
-        wal_run = reference_log = None
-        for rep in range(SERVICE_REPETITIONS):
-            durable = os.path.join(root, f"durable-{rep}")
-            run, delivered = _run_wal_gateway(
-                queries, duration, edges, durable)
-            if delivered != plain_log:
-                raise AssertionError(
-                    "the WAL changed the answer: delivered match records "
-                    "differ from the plain gateway")
-            reference_log = _read_match_log(durable)
-            if reference_log != plain_log:
-                raise AssertionError(
-                    "the WAL gateway match log differs from the plain "
-                    "gateway's")
-            if wal_run is None or run["throughput_edges_per_s"] \
-                    > wal_run["throughput_edges_per_s"]:
-                wal_run = run
-        kill_restore = _run_wal_kill_restore(
-            queries, duration, edges, os.path.join(root, "killed"),
-            reference_log)
-    return {
-        "benchmark": "pr8-wal-perf-smoke",
-        "workload": {
-            "dataset": "NetworkFlow (dst-port/protocol labels)",
-            "stream_edges": ROUTING_STREAM_EDGES,
-            "stream_seed": ROUTING_STREAM_SEED,
-            "num_ips": ROUTING_NUM_IPS,
-            "query_sizes": ROUTING_QUERY_SIZES,
-            "num_queries": ROUTING_NUM_QUERIES,
-            "window_units": ROUTING_WINDOW_UNITS,
-            "storage": "mstree",
-            "queue_capacity": SERVICE_QUEUE_CAPACITY,
-            "batch_size": SERVICE_BATCH_SIZE,
-            "backpressure": "block",
-            "repetitions": SERVICE_REPETITIONS,
-        },
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-        },
-        "plain": plain_run,
-        "wal": wal_run,
-        "kill_restore": kill_restore,
-        "dropped_edges": wal_run["queue_dropped"],
-        # The gated "speedup" is the WAL/plain throughput ratio — the
-        # durability tax; 1.0 means journaling is free, the floor 0.75.
-        "speedup": round(
-            wal_run["throughput_edges_per_s"]
-            / plain_run["throughput_edges_per_s"], 2),
-    }
-
-
-def check_wal_regression(report: dict, baseline: dict,
-                         tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the wal suite."""
-    failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < WAL_RATIO_FLOOR:
-        failures.append(
-            f"WAL/plain throughput ratio {measured} is below the "
-            f"{WAL_RATIO_FLOOR} floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"WAL/plain throughput ratio regressed >{tolerance:.0%}: "
-            f"measured {measured} vs committed baseline {recorded}")
-    if report["dropped_edges"] != 0:
-        failures.append(
-            f"{report['dropped_edges']} edges dropped under the blocking "
-            "backpressure policy (must be zero)")
-    if not report["kill_restore"]["match_log_equal"]:
-        failures.append(
-            "WAL kill-restore no longer reproduces the uninterrupted "
-            "match log")
-    if report["kill_restore"]["producer_replayed_edges"] != 0:
-        failures.append(
-            "the kill-restore leg replayed edges from the producer — "
-            "recovery is supposed to be journal-only")
-    if report["wal"]["matches"] != baseline.get(
-            "wal", {}).get("matches", report["wal"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['wal']['matches']} matches vs "
-            f"baseline {baseline['wal']['matches']}")
-    return failures
-
-
-# --------------------------------------------------------------------- #
-# Suite: predicates (PR 10)
-# --------------------------------------------------------------------- #
-
-#: Pinned predicate-routing workload: a port-labelled stream (ints in
-#: ``[PORT_LO, PORT_HI]``, so prefixes discriminate on decimal text) and
-#: a query population of single-edge prefix/wildcard queries — a fixed
-#: handful of *hot* prefixes that match ~1% of the port space each, two
-#: any-label queries, and a scalable tail of *cold* prefixes (distinct
-#: ``3…``-prefixed patterns that can never match a ``1…`` port).  Scaling
-#: the cold tail scales the registered-query count without changing the
-#: answer, which is exactly what separates routing cost from match cost:
-#:
-#: * the throughput leg runs ``shared`` (trie) vs ``fanout`` at 1,024
-#:   queries on the same stream slice and gates the speedup — fanout
-#:   pays O(Q) per arrival, the trie pays O(label length);
-#: * the scaling leg runs ``shared`` at 256 vs 2,048 queries over the
-#:   full stream and gates the per-edge wall-clock ratio (flat routing:
-#:   the 8x query population may cost at most ``FLATNESS_CEILING``), and
-#:   asserts the match multisets are *identical* at both scales — the
-#:   cold tail is provably routed around, never mis-matched.
-#:
-#: Every leg is timed best-of-N with the (name, match) multiset asserted
-#: identical on every repetition.
-PREDICATES_STREAM_EDGES = 2500
-PREDICATES_STREAM_SEED = 19
-PREDICATES_NUM_HOSTS = 64
-PREDICATES_PORT_LO = 10000
-PREDICATES_PORT_HI = 19999
-PREDICATES_WINDOW = 400.0
-PREDICATES_HOT_QUERIES = 8
-PREDICATES_WILDCARD_QUERIES = 2
-PREDICATES_THROUGHPUT_QUERIES = 1024
-#: The throughput leg's stream slice: fanout at 1,024 queries pays the
-#: full O(Q) per arrival, so the slice keeps the leg inside seconds.
-PREDICATES_THROUGHPUT_EDGES = 500
-PREDICATES_SCALING_QUERIES = (256, 2048)
-PREDICATES_REPETITIONS = 3
-
-#: Hard floor on the trie-over-fanout speedup at 1,024 queries.
-PREDICATES_SPEEDUP_FLOOR = 5.0
-
-#: Hard ceiling on the per-edge wall-clock ratio between the 2,048- and
-#: 256-query shared runs — the "flat per-edge routing cost" claim.
-PREDICATES_FLATNESS_CEILING = 1.5
-
-
-def build_predicates_stream() -> List:
-    """The pinned port-labelled stream (one edge per time unit)."""
-    from ..graph.edge import StreamEdge
-    rng = random.Random(PREDICATES_STREAM_SEED)
-    edges = []
-    for i in range(PREDICATES_STREAM_EDGES):
-        u = rng.randrange(PREDICATES_NUM_HOSTS)
-        v = rng.randrange(PREDICATES_NUM_HOSTS)
-        while v == u:
-            v = rng.randrange(PREDICATES_NUM_HOSTS)
-        edges.append(StreamEdge(
-            f"h{u}", f"h{v}", src_label="ip", dst_label="ip",
-            timestamp=float(i),
-            label=rng.randint(PREDICATES_PORT_LO, PREDICATES_PORT_HI)))
-    return edges
-
-
-def _one_edge_predicate_query(label) -> QueryGraph:
-    from ..core.query import Prefix  # noqa: F401  (documents the labels)
-    query = QueryGraph()
-    query.add_vertex("a", ANY)
-    query.add_vertex("b", ANY)
-    query.add_edge("e", "a", "b", label)
-    return query
-
-
-def build_predicate_queries(total: int) -> dict:
-    """``total`` single-edge queries: hot prefixes + wildcards + a cold
-    tail.  Populations are nested — the 2,048-query set contains the
-    256-query set — so answers must agree across scales."""
-    from ..core.query import Prefix
-    queries = {}
-    for i in range(PREDICATES_HOT_QUERIES):
-        # "10i" prefixes: each matches ports 10i00-10i99 (~1% of ports).
-        queries[f"hot{i}"] = _one_edge_predicate_query(Prefix(f"10{i}"))
-    for i in range(PREDICATES_WILDCARD_QUERIES):
-        queries[f"wild{i}"] = _one_edge_predicate_query(ANY)
-    for i in range(total - len(queries)):
-        # Distinct never-matching prefixes: ports never start with '3'.
-        queries[f"cold{i:05d}"] = _one_edge_predicate_query(
-            Prefix(f"3{i:06d}"))
-    return queries
-
-
-def _run_predicates_mode(queries: dict, edges: List, routing: str):
-    session = Session(window=PREDICATES_WINDOW, config=EngineConfig(
-        routing=routing))
-    for name, query in queries.items():
-        session.register(name, query)
-    started = time.perf_counter()
-    tagged = session.push_many(edges)
-    elapsed = time.perf_counter() - started
-    stats = session.session_stats()
-    report = {
-        "routing": routing,
-        "queries": len(queries),
-        "elapsed_seconds": round(elapsed, 4),
-        "throughput_edges_per_s": round(len(edges) / elapsed, 1),
-        "per_edge_us": round(elapsed / len(edges) * 1e6, 2),
-        "matches": len(tagged),
-        "predicate_entries": stats["predicate_entries"],
-        "predicate_trie_nodes": stats["predicate_trie_nodes"],
-    }
-    return report, Counter(tagged)
-
-
-def _best_predicates_run(queries: dict, edges: List, routing: str,
-                         reference: Optional[Counter], label: str):
-    """Best-of-N; every repetition must reproduce ``reference`` (when
-    given, else the first repetition) exactly."""
-    best = None
-    for _ in range(PREDICATES_REPETITIONS):
-        report, counted = _run_predicates_mode(queries, edges, routing)
-        if reference is None:
-            reference = counted
-        elif counted != reference:
+def _gateway_leg(workload: Workload, wal: Optional[WalConfig]):
+    """The full pipeline in-process: producer → (journal: CRC-framed
+    append + fsync before the ack, with ``wal``) → bounded queue → tenant
+    worker → session.  The answer is what the hub delivered, which must
+    also be what the on-disk match log holds."""
+    with tempfile.TemporaryDirectory(prefix="repro-perf-smoke-") as root:
+        gateway = ServiceGateway(_gateway_config(root, workload, wal))
+        try:
+            tenant = gateway.tenant("bench")
+            delivered: Counter = Counter()
+            tenant.hub.subscribe(
+                lambda record: delivered.update([_canonical_record(record)]))
+            _, run = _timed(lambda edges: _feed(gateway, edges),
+                            workload.edges)
+            queue = tenant.queue
+            run.update(
+                mode="gateway pipeline (producer -> queue -> worker)",
+                matches=sum(delivered.values()),
+                queue={"capacity": SERVICE["queue_capacity"],
+                       "batch_size": SERVICE["batch_size"],
+                       **{name: getattr(queue, name) for name in (
+                           "enqueued", "dequeued", "dropped", "spilled",
+                           "high_water")}})
+            if wal is not None:
+                run.update(
+                    mode="WAL gateway pipeline (producer -> journal -> "
+                         "queue -> worker)",
+                    queue_dropped=queue.dropped,
+                    wal=_pick(tenant.wal.counters(), "appends", "fsyncs",
+                              "bytes_written", "segments_created",
+                              "appended_lsn"))
+        finally:
+            gateway.shutdown()
+        if _read_match_log(root) != delivered:
             raise AssertionError(
-                f"predicate routing changed the answer: {label} "
-                "(name, match) multisets differ across runs")
-        if best is None or report["elapsed_seconds"] \
-                < best["elapsed_seconds"]:
-            best = report
-    return best, reference
+                "the gateway's match log differs from what it delivered")
+    return run, delivered
 
 
-def run_predicates_smoke() -> dict:
-    """Run the trie-vs-fanout throughput leg and the 256-vs-2,048 flat-
-    routing leg; returns the report dict."""
-    edges = build_predicates_stream()
-    slice_edges = edges[:PREDICATES_THROUGHPUT_EDGES]
+def _kill_restore_leg(workload: Workload, wal: Optional[WalConfig]):
+    """Checkpoint mid-stream, crash past it, restore, finish the stream;
+    the answer is the recovered match log.  Without a WAL the producer
+    replays from the checkpointed stream position.  With one it resends
+    **nothing** before the crash point — the producer-independence proof:
+    boot-time journal replay alone must restore exactly the ``crash_at -
+    checkpoint_at`` edges past the checkpoint."""
+    edges = workload.edges
+    with tempfile.TemporaryDirectory(prefix="repro-perf-smoke-") as root:
+        config = _gateway_config(root, workload, wal)
+        gateway = ServiceGateway(config)
+        try:
+            _feed(gateway, edges[:SERVICE_CHECKPOINT_AT])
+            meta = gateway.tenant("bench").checkpoint()
+            _feed(gateway, edges[SERVICE_CHECKPOINT_AT:SERVICE_CRASH_AT],
+                  drain=False)
+        finally:
+            gateway.abort()     # simulated kill -9, arrivals still queued
 
-    # Answer gate at 1,024 queries: trie and fanout must agree, every
-    # repetition, on the exact (name, match) multiset.
-    q_mid = build_predicate_queries(PREDICATES_THROUGHPUT_QUERIES)
-    slice_run, slice_reference = _best_predicates_run(
-        q_mid, slice_edges, "shared", None, "shared@1024")
-    fanout_run, _ = _best_predicates_run(
-        q_mid, slice_edges, "fanout", slice_reference, "fanout@1024")
-    # Timing leg for the speedup: the same 1,024 queries over the full
-    # stream — 5x the work of the slice, so the per-edge figure is not
-    # dominated by timer noise the way a 20ms run would be.  The gated
-    # speedup is the per-edge ratio against fanout's slice run (fanout
-    # over the full stream would take minutes for no extra signal).
-    shared_run, reference = _best_predicates_run(
-        q_mid, edges, "shared", None, "shared@1024/full")
+        restored = ServiceGateway(config)
+        try:
+            tenant = restored.tenant("bench")
+            if not tenant.restored:
+                raise AssertionError("the crash left no usable checkpoint")
+            run = {"checkpoint_at": SERVICE_CHECKPOINT_AT,
+                   "crash_at": SERVICE_CRASH_AT}
+            if wal is None:
+                resume_at = tenant.edges_offered
+                if resume_at != SERVICE_CHECKPOINT_AT:
+                    raise AssertionError(
+                        f"restore came back at stream position {resume_at}, "
+                        f"expected {SERVICE_CHECKPOINT_AT}")
+                run.update(
+                    checkpoint_meta_position=meta["edges_offered"],
+                    replayed_edges=len(edges) - resume_at)
+            else:
+                resume_at = SERVICE_CRASH_AT
+                if tenant.replayed_edges != resume_at - SERVICE_CHECKPOINT_AT:
+                    raise AssertionError(
+                        f"boot replay restored {tenant.replayed_edges} "
+                        "edges, expected exactly crash_at - checkpoint_at")
+                run.update(
+                    checkpoint_wal_lsn=meta["wal_lsn"],
+                    replayed_edges=tenant.replayed_edges,
+                    producer_replayed_edges=0)
+            _feed(restored, edges[resume_at:])
+        finally:
+            restored.shutdown()
+        recovered = _read_match_log(root)
+    # The runner raises before the report is written when the recovered
+    # log is not the uninterrupted run's.
+    run.update(match_log_records=sum(recovered.values()),
+               match_log_equal=True)
+    return run, recovered
 
-    small_q, large_q = PREDICATES_SCALING_QUERIES
-    # Nested populations: hot+wildcard identical, cold tails silent —
-    # so all full-stream runs must produce the same multiset.
-    small_run, _ = _best_predicates_run(
-        build_predicate_queries(small_q), edges, "shared", reference,
-        f"shared@{small_q}")
-    large_run, _ = _best_predicates_run(
-        build_predicate_queries(large_q), edges, "shared", reference,
-        f"shared@{large_q}")
 
-    return {
-        "benchmark": "pr10-predicate-routing-perf-smoke",
-        "workload": {
-            "dataset": "synthetic port-labelled stream",
-            "stream_edges": PREDICATES_STREAM_EDGES,
-            "throughput_leg_edges": PREDICATES_THROUGHPUT_EDGES,
-            "stream_seed": PREDICATES_STREAM_SEED,
-            "num_hosts": PREDICATES_NUM_HOSTS,
-            "port_range": [PREDICATES_PORT_LO, PREDICATES_PORT_HI],
-            "window_units": PREDICATES_WINDOW,
-            "hot_queries": PREDICATES_HOT_QUERIES,
-            "wildcard_queries": PREDICATES_WILDCARD_QUERIES,
-            "throughput_queries": PREDICATES_THROUGHPUT_QUERIES,
-            "scaling_queries": list(PREDICATES_SCALING_QUERIES),
-            "repetitions": PREDICATES_REPETITIONS,
-            "storage": "mstree",
+# --------------------------------------------------------------------- #
+# The suite table
+# --------------------------------------------------------------------- #
+
+class Leg(NamedTuple):
+    """One mode of a suite.  ``name`` is its (dotted) key in the report,
+    ``run(workload)`` returns ``(run dict, answer)``; every repetition
+    must reproduce the answer of leg ``same_as`` (or, without one, of
+    its own first repetition).  An untimed leg is a correctness probe:
+    it runs once."""
+
+    name: str
+    run: Callable[[Workload], Tuple[dict, object]]
+    same_as: Optional[str] = None
+    timed: bool = True
+
+
+class Gate(NamedTuple):
+    """A bound on one (dotted) report key: ``kind`` is ``"min"``,
+    ``"max"`` or ``"equals"``.  ``when`` names a report flag that must be
+    true for the gate to apply; a ``tracked`` gate also fails when the
+    value falls more than the tolerance below the baseline's."""
+
+    key: str
+    kind: str
+    bound: object
+    claim: str
+    when: Optional[str] = None
+    tracked: bool = False
+
+
+class Suite(NamedTuple):
+    """One ablation: what to build, run, hold, derive and gate.  Every
+    key below is a dotted path into the report, where each leg's run
+    sits under the leg's name."""
+
+    baseline: str                   #: committed report, also the default --out
+    benchmark: str                  #: the report's ``benchmark`` name
+    build: Callable[[], Workload]
+    legs: Tuple[Leg, ...]
+    #: ``(key, numerator key, denominator key[, digits])`` report fields;
+    #: ``speedup`` — the gated ratio — is one of them.
+    ratios: Tuple[tuple, ...]
+    claim: str                      #: what ``speedup`` measures
+    floor: float                    #: hard floor on it, whatever the baseline
+    pinned: str                     #: leg whose match count pins the workload
+    #: ``(claim, holds(report))`` — exact relations between the legs' runs
+    #: that make the timing comparison meaningful.
+    invariants: Tuple[Tuple[str, Callable[[dict], bool]], ...] = ()
+    #: Report fields that are not ratios of two run fields.
+    extras: Callable[[dict], dict] = lambda report: {}
+    gates: Tuple[Gate, ...] = ()
+
+
+def _cpu_cores() -> int:
+    """Cores actually available to this process (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+
+
+_SERVICE_GATES = (
+    Gate("dropped_edges", "equals", 0,
+         "the blocking backpressure policy drops no edge"),
+    Gate("kill_restore.match_log_equal", "equals", True,
+         "kill-restore reproduces the uninterrupted match log"),
+)
+
+SUITES: Dict[str, Suite] = {
+    "indexing": Suite(
+        "BENCH_pr2.json", "pr2-indexing-perf-smoke", build_indexing_workload,
+        legs=(
+            Leg("hash", lambda w: _engine_leg(w, "hash")),
+            Leg("scan", lambda w: _engine_leg(w, "scan"), same_as="hash"),
+        ),
+        ratios=(("speedup", "scan.elapsed_seconds", "hash.elapsed_seconds"),),
+        claim="hash-over-scan speedup", floor=3.0, pinned="hash",
+    ),
+    "routing": Suite(
+        "BENCH_pr3.json", "pr3-routing-perf-smoke", build_routing_workload,
+        # Sub-plan sharing is pinned off so this suite keeps measuring
+        # the routing ablation alone (and the exact space equality below
+        # stays meaningful); the sharing suite measures the other knob.
+        legs=(
+            Leg("shared", lambda w: _session_leg(w, EngineConfig(
+                routing="shared", subplan_sharing="private"),
+                _routing_fields)),
+            Leg("fanout", lambda w: _session_leg(w, EngineConfig(
+                routing="fanout", subplan_sharing="private"),
+                _routing_fields), same_as="shared"),
+        ),
+        ratios=(
+            ("window_cells_ratio", "fanout.window_cells",
+             "shared.window_cells"),
+            ("speedup", "fanout.elapsed_seconds", "shared.elapsed_seconds"),
+        ),
+        claim="shared-over-fanout speedup", floor=3.0, pinned="shared",
+        invariants=(
+            ("routing leaves partial-match space unchanged", lambda r:
+                r["shared"]["space_cells"] == r["fanout"]["space_cells"]),
+            # The memory claim, asserted exactly: fanout keeps Q window
+            # copies, shared keeps one — O(Q·|W|) collapses to O(|W|).
+            ("a shared session keeps no private window copies", lambda r:
+                r["shared"]["window_cells"]
+                == r["shared"]["shared_window_cells"]),
+            ("fanout keeps one window copy per query", lambda r:
+                r["fanout"]["window_cells"] == ROUTING["num_queries"]
+                * r["shared"]["shared_window_cells"]),
+        ),
+        gates=(Gate("window_cells_ratio", "min", ROUTING["num_queries"],
+                    "shared-window memory is O(|W|), fanout's O(Q·|W|)"),),
+    ),
+    "sharing": Suite(
+        "BENCH_pr4.json", "pr4-subplan-sharing-perf-smoke",
+        build_sharing_workload,
+        legs=(
+            Leg("shared", lambda w: _session_leg(w, EngineConfig(
+                subplan_sharing="shared"), _sharing_fields)),
+            Leg("private", lambda w: _session_leg(w, EngineConfig(
+                subplan_sharing="private"), _sharing_fields),
+                same_as="shared"),
+        ),
+        ratios=(
+            ("space_ratio", "private.space_cells", "shared.space_cells"),
+            ("speedup", "private.elapsed_seconds", "shared.elapsed_seconds"),
+        ),
+        claim="shared-over-private speedup", floor=3.0, pinned="shared",
+        invariants=(
+            # Every engine reads the same expansion lists whether it owns
+            # them or shares them.
+            ("sharing leaves logical per-query space unchanged", lambda r:
+                r["shared"]["logical_space_cells"]
+                == r["private"]["logical_space_cells"]),
+            ("the workload overlaps: some sub-plan record has more than "
+             "one consumer", lambda r:
+                r["shared"]["subplan_consumers"]
+                > max(1, r["shared"]["shared_subplans"])),
+            ("shared stores are reused", lambda r:
+                r["shared"]["subplan_reuses"] > 0),
+        ),
+        # 16 queries, one core store: the shared-store cell count must be
+        # sub-linear in the query count.
+        gates=(Gate("space_ratio", "min", 2.0,
+                    "shared-store cell count is sub-linear: private/shared "
+                    "space ratio", tracked=True),),
+    ),
+    "sharding": Suite(
+        "BENCH_pr9.json", "pr9-sharding-transport-perf-smoke",
+        lambda: build_routing_workload(shards=SHARDING_SHARDS),
+        # Sub-plan sharing is pinned off in every leg so the suite
+        # measures the sharding ablation alone (under sharding it would
+        # also change *where* stores live, confounding the stage costs).
+        legs=(
+            Leg("none", lambda w: _session_leg(w, EngineConfig(
+                subplan_sharing="private"),
+                lambda session: {"sharding": "none"})),
+            Leg("sharded", lambda w: _sharded_leg(w, "shm"), same_as="none"),
+            Leg("sharded_pipe", lambda w: _sharded_leg(w, "pipe"),
+                same_as="none"),
+        ),
+        ratios=(
+            ("wall_speedup", "none.elapsed_seconds",
+             "sharded.elapsed_wall_seconds"),
+            ("wall_speedup_pipe", "none.elapsed_seconds",
+             "sharded_pipe.elapsed_wall_seconds"),
+            ("shm_over_pipe", "sharded_pipe.elapsed_wall_seconds",
+             "sharded.elapsed_wall_seconds"),
+            ("speedup", "none.cpu_seconds", "sharded.critical_stage_seconds"),
+        ),
+        claim="modeled sharded-pipeline speedup", floor=2.0, pinned="none",
+        invariants=(
+            ("the pinned name hash balances the partition", lambda r:
+                sorted(r["sharded"]["queries_per_shard"])
+                == [4] * SHARDING_SHARDS),
+        ),
+        extras=lambda r: {
+            "model": "pipeline: none cpu_seconds / max(facade_cpu_seconds, "
+                     "max(shard_busy_seconds)); wall_speedup is measured "
+                     "end-to-end wall clock, gated when cpu_cores >= shards",
+            "wall_gate_enforced":
+                r["environment"]["cpu_cores"] >= SHARDING_SHARDS,
         },
+        gates=(
+            Gate("sharded.transport", "equals", "shm",
+                 "the shm leg runs on shared memory (required on gated "
+                 "platforms), not a silent fallback"),
+            # Only enforced when the machine has a core per shard: on
+            # fewer the processes time-slice and no transport can make
+            # sharding win on wall-clock.
+            Gate("wall_speedup", "min", 2.0,
+                 "measured wall-clock speedup at a core per shard",
+                 when="wall_gate_enforced"),
+            # Enforced everywhere, single-core included: the zero-pickle
+            # ring must never make the hot path slower than pickling into
+            # a pipe.  The slack below 1.0 absorbs scheduler noise on
+            # sub-second runs.
+            Gate("shm_over_pipe", "min", 0.9,
+                 "the shm transport is no slower than the pipe fallback: "
+                 "pipe/shm wall ratio"),
+        ),
+    ),
+    "service": Suite(
+        "BENCH_pr6.json", "pr6-service-perf-smoke",
+        lambda: build_routing_workload(**SERVICE),
+        legs=(
+            # The same 16 queries on an identically configured session.
+            Leg("direct", lambda w: _session_leg(w, EngineConfig(
+                storage="mstree", duplicate_policy="skip"),
+                lambda session: {"mode": "direct push_many"},
+                records=True)),
+            Leg("gateway", lambda w: _gateway_leg(w, None), same_as="direct"),
+            Leg("kill_restore", lambda w: _kill_restore_leg(w, None),
+                same_as="direct", timed=False),
+        ),
+        # 1.0 means the queue hop, worker handoff and match delivery are
+        # free; they may cost at most 20%.
+        ratios=(("speedup", "gateway.throughput_edges_per_s",
+                 "direct.throughput_edges_per_s"),),
+        claim="gateway/direct throughput ratio", floor=0.8,
+        pinned="gateway",
+        extras=lambda r: {"dropped_edges": r["gateway"]["queue"]["dropped"]},
+        gates=_SERVICE_GATES,
+    ),
+    "wal": Suite(
+        "BENCH_pr8.json", "pr8-wal-perf-smoke",
+        lambda: build_routing_workload(**SERVICE),
+        legs=(
+            Leg("plain", lambda w: _gateway_leg(w, None)),
+            Leg("wal", lambda w: _gateway_leg(w, WalConfig()),
+                same_as="plain"),
+            Leg("kill_restore", lambda w: _kill_restore_leg(w, WalConfig()),
+                same_as="plain", timed=False),
+        ),
+        # The durability tax of the journal hop: 1.0 means journaling is
+        # free; it may cost at most 25%.
+        ratios=(("speedup", "wal.throughput_edges_per_s",
+                 "plain.throughput_edges_per_s"),),
+        claim="WAL/plain throughput ratio", floor=0.75, pinned="wal",
+        extras=lambda r: {"dropped_edges": r["wal"]["queue"]["dropped"]},
+        gates=_SERVICE_GATES + (
+            Gate("kill_restore.producer_replayed_edges", "equals", 0,
+                 "recovery is journal-only: the producer resends nothing "
+                 "before the crash point"),
+        ),
+    ),
+    "predicates": Suite(
+        "BENCH_pr10.json", "pr10-predicate-routing-perf-smoke",
+        build_predicates_workload,
+        legs=(
+            # Answer gate at 1,024 queries: trie and fanout must agree on
+            # the exact (name, match) multiset over the slice.
+            Leg("shared_slice", lambda w: _predicates_leg(
+                w, "shared", PREDICATES["throughput_queries"],
+                PREDICATES["throughput_leg_edges"])),
+            Leg("fanout", lambda w: _predicates_leg(
+                w, "fanout", PREDICATES["throughput_queries"],
+                PREDICATES["throughput_leg_edges"]), same_as="shared_slice"),
+            # Timing leg for the speedup: the same 1,024 queries over the
+            # full stream — 5x the work of the slice, so the per-edge
+            # figure is not dominated by timer noise the way a 20ms run
+            # would be.  The gated speedup is the per-edge ratio against
+            # fanout's slice run (fanout over the full stream would take
+            # minutes for no extra signal).
+            Leg("shared", lambda w: _predicates_leg(
+                w, "shared", PREDICATES["throughput_queries"])),
+            # Nested populations: hot+wildcard identical, cold tails
+            # silent — so all full-stream runs must produce the same
+            # multiset.
+            Leg("scaling.small", lambda w: _predicates_leg(
+                w, "shared", PREDICATES["scaling_queries"][0]),
+                same_as="shared"),
+            Leg("scaling.large", lambda w: _predicates_leg(
+                w, "shared", PREDICATES["scaling_queries"][1]),
+                same_as="shared"),
+        ),
+        ratios=(
+            # Cold queries are silent at both scales, so the multiset
+            # equality makes this a pure routing-cost ratio: match work
+            # is pinned constant by construction.
+            ("scaling.per_edge_ratio", "scaling.large.per_edge_us",
+             "scaling.small.per_edge_us", 3),
+            ("speedup", "fanout.per_edge_us", "shared.per_edge_us"),
+        ),
+        claim="trie-over-fanout speedup at "
+              f"{PREDICATES['throughput_queries']} queries",
+        floor=5.0, pinned="shared",
+        gates=(Gate("scaling.per_edge_ratio", "max", 1.5,
+                    "per-edge routing cost is flat in the query count: "
+                    "{} -> {} queries per-edge ratio".format(
+                        *PREDICATES["scaling_queries"])),),
+    ),
+}
+
+
+# --------------------------------------------------------------------- #
+# The runner, the checker, the summary
+# --------------------------------------------------------------------- #
+
+_HOLDS = {"min": operator.ge, "max": operator.le, "equals": operator.eq}
+
+
+def _wall(run: dict) -> float:
+    return run.get("elapsed_wall_seconds", run.get("elapsed_seconds"))
+
+
+def _get(report: dict, key: str):
+    """The value at a dotted key, ``None`` when any step is missing."""
+    for part in key.split("."):
+        if not isinstance(report, dict) or part not in report:
+            return None
+        report = report[part]
+    return report
+
+
+def _put(report: dict, key: str, value) -> None:
+    *parents, leaf = key.split(".")
+    for part in parents:
+        report = report.setdefault(part, {})
+    report[leaf] = value
+
+
+def run_suite(suite: Suite) -> dict:
+    """Run every leg of ``suite`` on its pinned workload; returns the
+    report.  Raises ``AssertionError`` when a leg changes the answer or
+    an invariant between legs breaks — a wrong answer is never timed."""
+    workload = suite.build()
+    report = {
+        "benchmark": suite.benchmark,
+        "workload": {**workload.params, "repetitions": REPETITIONS},
         "environment": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
+            "cpu_cores": _cpu_cores(),
         },
-        "shared": shared_run,
-        "shared_slice": slice_run,
-        "fanout": fanout_run,
-        "scaling": {
-            "small": small_run,
-            "large": large_run,
-            # Cold queries are silent at both scales, so the multiset
-            # equality asserted above makes this a pure routing-cost
-            # ratio: match work is pinned constant by construction.
-            "per_edge_ratio": round(
-                large_run["per_edge_us"] / small_run["per_edge_us"], 3),
-        },
-        "speedup": round(
-            fanout_run["per_edge_us"] / shared_run["per_edge_us"], 2),
     }
+    answers: Dict[str, object] = {}
+    for leg in suite.legs:
+        reference = answers.get(leg.same_as)
+        best = None
+        for _ in range(REPETITIONS if leg.timed else 1):
+            run, answer = leg.run(workload)
+            if reference is None:
+                reference = answer
+            elif answer != reference:
+                raise AssertionError(
+                    f"{suite.benchmark}: leg {leg.name!r} changed the "
+                    f"answer (reference: {leg.same_as or 'its first run'})")
+            if best is None or _wall(run) < _wall(best):
+                best = run
+        _put(report, leg.name, best)
+        answers[leg.name] = reference
+    for claim, holds in suite.invariants:
+        if not holds(report):
+            raise AssertionError(f"{suite.benchmark}: broken invariant — "
+                                 f"{claim}")
+    for key, over, under, *digits in suite.ratios:
+        _put(report, key, round(_get(report, over) / _get(report, under),
+                                digits[0] if digits else 2))
+    report.update(suite.extras(report))
+    return report
 
 
-def check_predicates_regression(report: dict, baseline: dict,
-                                tolerance: float) -> List[str]:
-    """Failure messages (empty = pass) for the predicates suite."""
+def check_suite(suite: Suite, report: dict, baseline: dict,
+                tolerance: float) -> List[str]:
+    """Failure messages (empty = pass): the gated ratio against its floor
+    and the baseline, the suite's extra gates, and workload drift."""
     failures = []
-    measured = report["speedup"]
-    recorded = baseline.get("speedup")
-    if measured < PREDICATES_SPEEDUP_FLOOR:
-        failures.append(
-            f"trie-over-fanout speedup {measured}x at "
-            f"{report['workload']['throughput_queries']} queries is below "
-            f"the {PREDICATES_SPEEDUP_FLOOR}x floor")
-    if recorded is not None and measured < (1.0 - tolerance) * recorded:
-        failures.append(
-            f"trie-over-fanout speedup regressed >{tolerance:.0%}: "
-            f"measured {measured}x vs committed baseline {recorded}x")
-    ratio = report["scaling"]["per_edge_ratio"]
-    if ratio > PREDICATES_FLATNESS_CEILING:
-        failures.append(
-            "per-edge routing cost is not flat in the query count: "
-            f"{report['workload']['scaling_queries'][0]} -> "
-            f"{report['workload']['scaling_queries'][1]} queries costs "
-            f"{ratio}x per edge, ceiling {PREDICATES_FLATNESS_CEILING}x")
-    if report["shared"]["matches"] != baseline.get(
-            "shared", {}).get("matches", report["shared"]["matches"]):
-        failures.append(
-            f"workload drifted: {report['shared']['matches']} matches vs "
-            f"baseline {baseline['shared']['matches']}")
+    ratio_gate = Gate("speedup", "min", suite.floor, suite.claim,
+                      tracked=True)
+    for gate in (ratio_gate,) + suite.gates:
+        if gate.when is not None and not _get(report, gate.when):
+            continue
+        value = _get(report, gate.key)
+        if not _HOLDS[gate.kind](value, gate.bound):
+            failures.append(f"{gate.claim}: {gate.key} is {value!r}, the "
+                            f"gate is {gate.kind} {gate.bound!r}")
+        recorded = _get(baseline, gate.key)
+        if gate.tracked and recorded is not None \
+                and value < (1.0 - tolerance) * recorded:
+            failures.append(
+                f"{gate.claim} regressed >{tolerance:.0%}: measured "
+                f"{value} vs committed baseline {recorded}")
+    matches = _get(report, f"{suite.pinned}.matches")
+    recorded = _get(baseline, f"{suite.pinned}.matches")
+    if recorded is not None and matches != recorded:
+        failures.append(f"workload drifted: {matches} matches vs baseline "
+                        f"{recorded}")
     return failures
 
 
-# --------------------------------------------------------------------- #
-# CLI
-# --------------------------------------------------------------------- #
-
-SUITES = {
-    "indexing": {
-        "default_out": "BENCH_pr2.json",
-        "run": run_smoke,
-        "check": check_regression,
-        "summary": lambda r: (
-            f"hash: {r['hash']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['hash']['elapsed_seconds']}s), "
-            f"scan: {r['scan']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['scan']['elapsed_seconds']}s) "
-            f"→ speedup {r['speedup']}x"),
-    },
-    "routing": {
-        "default_out": "BENCH_pr3.json",
-        "run": run_routing_smoke,
-        "check": check_routing_regression,
-        "summary": lambda r: (
-            f"shared: {r['shared']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['shared']['elapsed_seconds']}s), "
-            f"fanout: {r['fanout']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['fanout']['elapsed_seconds']}s) "
-            f"→ speedup {r['speedup']}x at "
-            f"{r['workload']['num_queries']} queries, window cells "
-            f"{r['shared']['window_cells']} vs "
-            f"{r['fanout']['window_cells']}"),
-    },
-    "sharing": {
-        "default_out": "BENCH_pr4.json",
-        "run": run_sharing_smoke,
-        "check": check_sharing_regression,
-        "summary": lambda r: (
-            f"shared: {r['shared']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['shared']['elapsed_seconds']}s), "
-            f"private: {r['private']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['private']['elapsed_seconds']}s) "
-            f"→ speedup {r['speedup']}x at "
-            f"{r['workload']['num_queries']} overlapping queries, "
-            f"space cells {r['shared']['space_cells']} vs "
-            f"{r['private']['space_cells']} "
-            f"(ratio {r['space_ratio']}x)"),
-    },
-    "sharding": {
-        "default_out": "BENCH_pr9.json",
-        "run": run_sharding_smoke,
-        "check": check_sharding_regression,
-        "summary": lambda r: (
-            f"none: {r['none']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['none']['cpu_seconds']}s cpu), sharded x"
-            f"{r['workload']['shards']}: shm wall "
-            f"{r['sharded']['elapsed_wall_seconds']}s, pipe wall "
-            f"{r['sharded_pipe']['elapsed_wall_seconds']}s "
-            f"→ wall speedup {r['wall_speedup']}x shm / "
-            f"{r['wall_speedup_pipe']}x pipe (shm/pipe "
-            f"{r['shm_over_pipe']}, gate "
-            f"{'on' if r['wall_gate_enforced'] else 'off'} at "
-            f"{r['environment']['cpu_cores']} cores), modeled pipeline "
-            f"speedup {r['speedup']}x"),
-    },
-    "wal": {
-        "default_out": "BENCH_pr8.json",
-        "run": run_wal_smoke,
-        "check": check_wal_regression,
-        "summary": lambda r: (
-            f"plain: {r['plain']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['plain']['elapsed_seconds']}s), wal: "
-            f"{r['wal']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['wal']['elapsed_seconds']}s, "
-            f"{r['wal']['wal']['fsyncs']} fsyncs) "
-            f"→ durability tax ratio {r['speedup']}, kill-restore "
-            f"replayed {r['kill_restore']['replayed_edges']} edges from "
-            f"the journal (producer resent "
-            f"{r['kill_restore']['producer_replayed_edges']}) "
-            f"→ match log equal: {r['kill_restore']['match_log_equal']}"),
-    },
-    "predicates": {
-        "default_out": "BENCH_pr10.json",
-        "run": run_predicates_smoke,
-        "check": check_predicates_regression,
-        "summary": lambda r: (
-            f"shared: {r['shared']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['shared']['elapsed_seconds']}s), "
-            f"fanout: {r['fanout']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['fanout']['elapsed_seconds']}s) "
-            f"→ speedup {r['speedup']}x at "
-            f"{r['workload']['throughput_queries']} predicate queries; "
-            f"per-edge {r['scaling']['small']['per_edge_us']}us@"
-            f"{r['scaling']['small']['queries']} vs "
-            f"{r['scaling']['large']['per_edge_us']}us@"
-            f"{r['scaling']['large']['queries']} "
-            f"(ratio {r['scaling']['per_edge_ratio']})"),
-    },
-    "service": {
-        "default_out": "BENCH_pr6.json",
-        "run": run_service_smoke,
-        "check": check_service_regression,
-        "summary": lambda r: (
-            f"direct: {r['direct']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['direct']['elapsed_seconds']}s), gateway: "
-            f"{r['gateway']['throughput_edges_per_s']:.0f} edges/s "
-            f"({r['gateway']['elapsed_seconds']}s) "
-            f"→ ratio {r['speedup']} at "
-            f"{r['workload']['num_queries']} queries, "
-            f"{r['dropped_edges']} dropped, kill-restore replayed "
-            f"{r['kill_restore']['replayed_edges']} edges "
-            f"→ match log equal: {r['kill_restore']['match_log_equal']}"),
-    },
-}
+def summarize(suite: Suite, report: dict) -> str:
+    """One line: each timed leg's wall seconds, the gated ratio, and the
+    value under every extra gate."""
+    legs = ", ".join(
+        f"{leg.name} {_wall(_get(report, leg.name))}s"
+        for leg in suite.legs if leg.timed)
+    gated = "".join(f", {gate.key} {_get(report, gate.key)}"
+                    for gate in suite.gates)
+    return (f"{legs} → {suite.claim} {report['speedup']}{gated} "
+            f"(best of {REPETITIONS}, "
+            f"{report['environment']['cpu_cores']} cores)")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.perf_smoke",
-        description="pinned perf smokes: indexing (hash vs scan joins), "
-                    "routing (shared vs fanout sessions), sharing "
-                    "(shared vs private sub-plans), sharding "
-                    "(process shards vs in-process), service "
-                    "(gateway pipeline vs direct push), wal "
-                    "(durable WAL gateway vs plain gateway), and "
-                    "predicates (trie-routed prefix/wildcard queries "
-                    "vs fanout)")
+        description="pinned perf smokes: one ablation per suite, its "
+                    "gated ratio checked against a committed baseline")
     parser.add_argument("--suite", choices=sorted(SUITES),
                         default="indexing",
                         help="which smoke to run (default: indexing)")
@@ -1623,11 +965,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="compare against a committed baseline report "
                              "and exit 1 on regression")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional speedup regression vs the "
-                             "baseline (default 0.30)")
+                        help="allowed fractional regression of the gated "
+                             "ratio vs the baseline (default 0.30)")
     args = parser.parse_args(argv)
     suite = SUITES[args.suite]
-    out = args.out if args.out is not None else suite["default_out"]
+    out = args.out if args.out is not None else suite.baseline
 
     # Read the baseline before writing anything: with the default --out
     # the two paths are the same file, and clobbering the baseline first
@@ -1637,14 +979,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.check, encoding="utf-8") as handle:
             baseline = json.load(handle)
 
-    report = suite["run"]()
+    report = run_suite(suite)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"{suite['summary'](report)}; wrote {out}")
+    print(f"{summarize(suite, report)}; wrote {out}")
 
     if baseline is not None:
-        failures = suite["check"](report, baseline, args.tolerance)
+        failures = check_suite(suite, report, baseline, args.tolerance)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:

@@ -112,7 +112,6 @@ RESULT_VIA_PIPE = 2     #: results exceeded the ring; they ride the pipe
 RESULT_ERROR = 3        #: payload = pickled exception from the worker
 
 _SKIP = 0xFFFFFFFF
-_U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 _DATA_HEAD = struct.Struct("<IBIII")    # seq, kind, rows, interns, overflow
 _RESULT_HEAD = struct.Struct("<IB")     # seq, status
@@ -158,10 +157,13 @@ class SpscRing:
     the counters are published with plain 8-byte stores, which is the
     SPSC seqlock discipline: each counter has a single writer, and a
     frame becomes visible only by the head bump *after* its bytes (and
-    CRC) are in place.
+    CRC) are in place.  The stores go through a ``"Q"``-cast memoryview
+    item, one aligned 8-byte copy; ``struct.pack_into`` zero-fills its
+    destination before storing, so a reader on another core would see
+    the counter as 0 mid-publish.
     """
 
-    __slots__ = ("_buf", "_data", "capacity")
+    __slots__ = ("_buf", "_counters", "_data", "capacity")
 
     def __init__(self, buf) -> None:
         view = memoryview(buf)
@@ -170,6 +172,7 @@ class SpscRing:
                 f"ring buffer of {len(view)} bytes is too small "
                 f"(needs > {RING_HEADER + FRAME_HEADER})")
         self._buf = view
+        self._counters = view[:RING_HEADER].cast("Q")    # [head, tail]
         self._data = view[RING_HEADER:]
         self.capacity = len(view) - RING_HEADER
 
@@ -177,12 +180,12 @@ class SpscRing:
     @property
     def head(self) -> int:
         """Monotonic bytes produced (including skip regions)."""
-        return _U64.unpack_from(self._buf, 0)[0]
+        return self._counters[0]
 
     @property
     def tail(self) -> int:
         """Monotonic bytes consumed (including skip regions)."""
-        return _U64.unpack_from(self._buf, 8)[0]
+        return self._counters[1]
 
     @property
     def used(self) -> int:
@@ -207,8 +210,9 @@ class SpscRing:
         if size > cap:
             raise ValueError(
                 f"frame of {size} bytes exceeds the ring capacity ({cap})")
-        head = _U64.unpack_from(self._buf, 0)[0]
-        tail = _U64.unpack_from(self._buf, 8)[0]
+        counters = self._counters
+        head = counters[0]
+        tail = counters[1]
         pos = head % cap
         room = cap - pos
         data = self._data
@@ -225,7 +229,7 @@ class SpscRing:
             if room >= 4:
                 _U32.pack_into(data, pos, _SKIP)
             head += room
-            _U64.pack_into(self._buf, 0, head)
+            counters[0] = head
             pos = 0
         if cap - (head - tail) < size:
             return False
@@ -234,7 +238,7 @@ class SpscRing:
         data[pos + FRAME_HEADER:pos + size] = payload
         # Publish last: a reader holding the old head never observes a
         # partially written frame.
-        _U64.pack_into(self._buf, 0, head + size)
+        counters[0] = head + size
         return True
 
     # -- consumer side ------------------------------------------------- #
@@ -246,9 +250,10 @@ class SpscRing:
         """
         cap = self.capacity
         data = self._data
+        counters = self._counters
         while True:
-            head = _U64.unpack_from(self._buf, 0)[0]
-            tail = _U64.unpack_from(self._buf, 8)[0]
+            head = counters[0]
+            tail = counters[1]
             avail = head - tail
             if avail == 0:
                 return None
@@ -262,7 +267,7 @@ class SpscRing:
                 if avail < room:
                     raise TornFrameError(
                         "skip region extends past the published head")
-                _U64.pack_into(self._buf, 8, tail + room)
+                counters[1] = tail + room
                 continue
             size = FRAME_HEADER + first
             if size > room or size > avail:
@@ -274,12 +279,13 @@ class SpscRing:
             if zlib.crc32(payload) != crc:
                 raise TornFrameError(
                     "frame checksum mismatch (torn or corrupted write)")
-            _U64.pack_into(self._buf, 8, tail + size)
+            counters[1] = tail + size
             return payload
 
     def release(self) -> None:
         """Drop the memoryviews so the backing buffer can be closed."""
         self._data.release()
+        self._counters.release()
         self._buf.release()
 
 

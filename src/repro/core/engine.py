@@ -50,9 +50,8 @@ class TimingMatcher(MatcherBase):
         the push/advance interface (e.g.
         :class:`repro.graph.count_window.CountSlidingWindow`).
     config:
-        An :class:`~repro.api.EngineConfig` holding every engine knob —
-        the preferred way to configure the engine (see
-        :meth:`from_config`).
+        An :class:`~repro.api.EngineConfig` holding every engine knob
+        (see :meth:`from_config` for one-off field overrides).
     decomposition / join_order:
         Explicit plan overrides (e.g. from :mod:`repro.core.estimate`);
         when given they bypass the config's strategy fields.
@@ -64,15 +63,6 @@ class TimingMatcher(MatcherBase):
         consults the store's per-arrival delta memo so shared stores are
         written once per arrival session-wide.  Standalone engines never
         see one.
-
-    The remaining keyword arguments (``use_mstree``,
-    ``decomposition_strategy``, ``join_order_strategy``, ``rng``,
-    ``duplicate_policy``, ``guard``) are deprecated shims kept for
-    backward compatibility; each overrides the corresponding
-    ``EngineConfig`` field.  New code should pass ``config=`` or use
-    :meth:`from_config`.  They deliberately do not emit
-    ``DeprecationWarning`` yet (the test suite exercises them heavily);
-    removal will be preceded by a warning release.
 
     Usage::
 
@@ -90,38 +80,17 @@ class TimingMatcher(MatcherBase):
         window: float,
         *,
         config: Optional[EngineConfig] = None,
-        use_mstree: Optional[bool] = None,
-        decomposition_strategy: Optional[str] = None,
-        join_order_strategy: Optional[str] = None,
         decomposition: Optional[Decomposition] = None,
         join_order: Optional[Decomposition] = None,
-        rng: Optional[random.Random] = None,
-        duplicate_policy: Optional[str] = None,
-        guard=None,
         subplan_provider=None,
     ) -> None:
-        # Resolve the deprecated kwargs onto the config (explicit kwargs
-        # win, so pre-config call sites behave exactly as before).
         config = config if config is not None else EngineConfig()
-        overrides = {}
-        if use_mstree is not None:
-            overrides["storage"] = "mstree" if use_mstree else "independent"
-        if decomposition_strategy is not None:
-            overrides["decomposition"] = decomposition_strategy
-        if join_order_strategy is not None:
-            overrides["join_order"] = join_order_strategy
-        if duplicate_policy is not None:
-            overrides["duplicate_policy"] = duplicate_policy
-        if guard is not None:
-            overrides["guard"] = guard
-        if overrides:
-            config = config.replace(**overrides)
         self.config = config.validate()
         self.use_mstree = config.storage == "mstree"
         self._init_streaming(query, window,
                              duplicate_policy=config.duplicate_policy,
                              default_guard=config.guard)
-        rng = rng if rng is not None else random.Random(config.seed)
+        rng = random.Random(config.seed)
 
         # --- planning: decomposition + join order ----------------------- #
         # (config.validate() above guarantees the strategy fields.)

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro import TimingMatcher
+from repro import EngineConfig, TimingMatcher
 from repro.concurrency import ConcurrentStreamExecutor
 
 from ..conftest import fig3_stream, fig5_query, random_stream
@@ -66,7 +66,8 @@ class TestStreamingConsistency:
     def test_independent_storage_under_concurrency(self):
         stream = random_stream(9, 150, 8, labels="abcdef")
         expected, final, _ = serial_reference(fig5_factory, 4.0, stream)
-        matcher = TimingMatcher(fig5_query(), 4.0, use_mstree=False)
+        matcher = TimingMatcher(fig5_query(), 4.0,
+                                config=EngineConfig(storage="independent"))
         executor = ConcurrentStreamExecutor(matcher, num_threads=4)
         got = executor.run(stream)
         assert Counter(got) == Counter(expected)

@@ -3,15 +3,18 @@
 The SPSC ring is the part of :mod:`repro.concurrency.transport` where a
 bug corrupts answers silently (a torn frame decodes into wrong edges),
 so it gets the adversarial coverage: wrap-around placement, full-ring
-backpressure, torn-frame rejection and a seeded concurrent soak.  The
-codec is covered differentially — encode/decode must reproduce every
-field of every row exactly, including the irregular shapes that ride
-the pickled overflow lane.
+backpressure, torn-frame rejection, a seeded threaded soak and a
+two-process soak over real shared memory.  The codec is covered
+differentially — encode/decode must reproduce every field of every row
+exactly, including the irregular shapes that ride the pickled overflow
+lane.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
+import time
 import zlib
 
 import pytest
@@ -25,6 +28,7 @@ from repro.concurrency.transport import (
     BatchDecoder,
     BatchEncoder,
     FacadeChannel,
+    ShmRing,
     SpscRing,
     TornFrameError,
     TransportError,
@@ -199,6 +203,57 @@ class TestConcurrentSoak:
         consumer.join(30.0)
         assert not producer.is_alive() and not consumer.is_alive()
         assert out == payloads
+
+    def test_two_process_producer_consumer(self):
+        """The threaded soak holds the GIL across each counter store, so
+        it cannot see a store that is not a single 8-byte write.  Here
+        the producer is another process on (given two cores) another
+        core: a counter published in two steps reads as 0 mid-publish
+        and the reader raises ``TornFrameError`` within a few thousand
+        frames."""
+        ring = ShmRing.create(4096)
+        # The default context, as ShardedSession starts its workers.
+        producer = multiprocessing.get_context().Process(
+            target=_produce_frames, args=(ring.name, SOAK_FRAMES))
+        try:
+            producer.start()
+            deadline = time.monotonic() + 120.0
+            expected = 0
+            while expected < SOAK_FRAMES:
+                frame = ring.ring.try_read()
+                if frame is None:
+                    assert time.monotonic() < deadline, (
+                        f"stalled after {expected} frames")
+                    continue
+                assert frame == _soak_frame(expected)
+                expected += 1
+            producer.join(30.0)
+            assert producer.exitcode == 0
+        finally:
+            if producer.is_alive():
+                producer.kill()
+                producer.join(10.0)
+            ring.close()
+
+
+SOAK_FRAMES = 100_000
+
+
+def _soak_frame(index: int) -> bytes:
+    return index.to_bytes(8, "little") + b"-soak"
+
+
+def _produce_frames(name: str, count: int) -> None:
+    """Producer-process entry point: attach by name, write ``count``
+    sequence-numbered 13-byte frames."""
+    ring = ShmRing.attach(name)
+    try:
+        for index in range(count):
+            frame = _soak_frame(index)
+            while not ring.ring.try_write(frame):
+                pass
+    finally:
+        ring.close()
 
 
 # --------------------------------------------------------------------- #

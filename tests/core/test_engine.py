@@ -3,7 +3,7 @@ plus engine-level unit behaviour (discardability, stats, space, variants)."""
 
 import pytest
 
-from repro import Match, TimingMatcher, verify_match
+from repro import EngineConfig, Match, TimingMatcher, verify_match
 
 from ..conftest import fig3_stream, fig5_query, make_edge, path_query
 
@@ -83,23 +83,23 @@ class TestEngineConfiguration:
 
     def test_unknown_strategies_rejected(self, q):
         with pytest.raises(ValueError):
-            TimingMatcher(q, window=9.0, decomposition_strategy="best")
+            TimingMatcher(q, window=9.0,
+                          config=EngineConfig(decomposition="best"))
         with pytest.raises(ValueError):
-            TimingMatcher(q, window=9.0, join_order_strategy="best")
+            TimingMatcher(q, window=9.0,
+                          config=EngineConfig(join_order="best"))
 
     def test_all_variants_agree_on_results(self, q):
         """MS-tree/IND × greedy/random × jn/random all report the same
         matches (they differ in cost, never in semantics)."""
-        import random
         stream = fig3_stream()
         reference = None
-        for use_ms in (True, False):
+        for storage in ("mstree", "independent"):
             for dstrat in ("greedy", "random"):
                 for jstrat in ("jn", "random"):
-                    m = TimingMatcher(q, window=9.0, use_mstree=use_ms,
-                                      decomposition_strategy=dstrat,
-                                      join_order_strategy=jstrat,
-                                      rng=random.Random(3))
+                    m = TimingMatcher(q, window=9.0, config=EngineConfig(
+                        storage=storage, decomposition=dstrat,
+                        join_order=jstrat, seed=3))
                     got = []
                     for edge in stream:
                         got.extend(m.push(edge))
@@ -110,7 +110,8 @@ class TestEngineConfiguration:
     def test_repr(self, q):
         assert "MS-tree" in repr(TimingMatcher(q, window=9.0))
         assert "independent" in repr(
-            TimingMatcher(q, window=9.0, use_mstree=False))
+            TimingMatcher(q, window=9.0,
+                          config=EngineConfig(storage="independent")))
 
 
 class TestSingleTCQuery:

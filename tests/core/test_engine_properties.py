@@ -14,7 +14,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import QueryGraph, StreamEdge, TimingMatcher
+from repro import EngineConfig, QueryGraph, StreamEdge, TimingMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
 
 
@@ -69,14 +69,15 @@ def build_random_stream(rng: random.Random, n: int, n_vertices: int):
 @given(seed=st.integers(min_value=0, max_value=10_000),
        n_edges=st.integers(min_value=1, max_value=5),
        window=st.floats(min_value=1.5, max_value=10.0),
-       use_mstree=st.booleans())
+       storage=st.sampled_from(["mstree", "independent"]))
 def test_engine_equals_oracle_at_every_time_point(seed, n_edges, window,
-                                                  use_mstree):
+                                                  storage):
     rng = random.Random(seed)
     query = build_random_query(rng, n_edges)
     if not query.is_weakly_connected():
         return
-    engine = TimingMatcher(query, window, use_mstree=use_mstree)
+    engine = TimingMatcher(query, window,
+                           config=EngineConfig(storage=storage))
     oracle = NaiveSnapshotMatcher(query, window)
     for edge in build_random_stream(rng, 50, 6):
         new_engine = engine.push(edge)
@@ -96,8 +97,9 @@ def test_storage_backends_equivalent(seed, n_edges):
     query = build_random_query(rng, n_edges)
     if not query.is_weakly_connected():
         return
-    ms = TimingMatcher(query, 5.0, use_mstree=True)
-    ind = TimingMatcher(query, 5.0, use_mstree=False)
+    ms = TimingMatcher(query, 5.0, config=EngineConfig(storage="mstree"))
+    ind = TimingMatcher(query, 5.0,
+                        config=EngineConfig(storage="independent"))
     for edge in build_random_stream(rng, 60, 5):
         assert set(ms.push(edge)) == set(ind.push(edge))
         assert ms.store_profile() == ind.store_profile()

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro import QueryGraph, StreamEdge, TimingMatcher
+from repro import EngineConfig, QueryGraph, StreamEdge, TimingMatcher
 from repro.baselines.incmat import IncMatMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.baselines.sjtree import SJTreeMatcher
@@ -61,7 +61,8 @@ class TestEndToEnd:
     def test_loop_query_against_mixed_stream_matches_oracle(self, loop_query):
         rng = random.Random(3)
         engines = [TimingMatcher(loop_query, 5.0),
-                   TimingMatcher(loop_query, 5.0, use_mstree=False),
+                   TimingMatcher(loop_query, 5.0,
+                                 config=EngineConfig(storage="independent")),
                    SJTreeMatcher(loop_query, 5.0),
                    IncMatMatcher(loop_query, 5.0)]
         oracle = NaiveSnapshotMatcher(loop_query, 5.0)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro import TimingMatcher
+from repro import EngineConfig, TimingMatcher
 from repro.baselines.incmat import IncMatMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.baselines.sjtree import SJTreeMatcher
@@ -23,7 +23,8 @@ from repro.datasets import (
 def engines_for(query, window):
     return {
         "Timing": TimingMatcher(query, window),
-        "Timing-IND": TimingMatcher(query, window, use_mstree=False),
+        "Timing-IND": TimingMatcher(
+            query, window, config=EngineConfig(storage="independent")),
         "SJ-tree": SJTreeMatcher(query, window),
         "IncMat-QuickSI": IncMatMatcher(query, window, QuickSI()),
     }

@@ -193,21 +193,12 @@ class TestDuplicatePolicy:
 
 
 class TestEngineConfig:
-    def test_from_config_equals_legacy_kwargs(self):
-        query = path_query(2)
-        legacy = TimingMatcher(query, 6.0, use_mstree=False)
-        config = TimingMatcher.from_config(query, 6.0,
-                                           EngineConfig(storage="independent"))
-        for arrival in scenario_stream():
-            assert set(legacy.push(arrival)) == set(config.push(arrival))
-        assert legacy.store_profile() == config.store_profile()
-        assert not config.use_mstree
-
-    def test_legacy_kwargs_override_config(self):
-        matcher = TimingMatcher(path_query(2), 6.0,
-                                config=EngineConfig(storage="independent"),
-                                use_mstree=True)
-        assert matcher.use_mstree
+    @pytest.mark.parametrize("kwarg", [
+        "use_mstree", "decomposition_strategy", "join_order_strategy",
+        "rng", "duplicate_policy", "guard"])
+    def test_removed_constructor_kwargs_raise_type_error(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            TimingMatcher(path_query(2), 6.0, **{kwarg: None})
 
     def test_from_config_field_overrides(self):
         matcher = TimingMatcher.from_config(

@@ -63,3 +63,32 @@ class TestDocsTree:
              DOCS_DIR, str(tmp_path / "out")],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stdout + result.stderr
+
+
+class TestPerfSuitesAgree:
+    """A perf-smoke suite exists in three places — the ``SUITES`` table,
+    the CI ``perf-smoke`` matrix and README's baselines table — and must
+    name the same committed ``BENCH_prN.json`` in each, so one cannot be
+    added (or dropped) in one place only."""
+
+    ROOT = os.path.dirname(DOCS_DIR)
+
+    def read(self, *parts):
+        with open(os.path.join(self.ROOT, *parts), encoding="utf-8") as handle:
+            return handle.read()
+
+    def test_table_matrix_and_readme_name_the_same_suites(self):
+        from repro.bench.perf_smoke import SUITES
+        table = {name: suite.baseline for name, suite in SUITES.items()}
+        matrix = {
+            suite: f"BENCH_pr{pr}.json" for suite, pr in re.findall(
+                r"- suite: (\w+)\n\s+pr: (\d+)",
+                self.read(".github", "workflows", "ci.yml"))}
+        readme = dict(re.findall(
+            r"^\| `(\w+)` \| `(BENCH_pr\d+\.json)` \|",
+            self.read("README.md"), re.MULTILINE))
+        assert len(table) == 7
+        assert matrix == table
+        assert readme == table
+        for baseline in table.values():
+            assert os.path.exists(os.path.join(self.ROOT, baseline)), baseline

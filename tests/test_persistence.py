@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro import TimingMatcher
+from repro import EngineConfig, TimingMatcher
 from repro.persistence import (
     CheckpointError, load_checkpoint, save_checkpoint,
 )
@@ -80,7 +80,8 @@ class TestRoundTrip:
 
     def test_independent_storage_checkpoint(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
-        matcher = TimingMatcher(fig5_query(), 9.0, use_mstree=False)
+        matcher = TimingMatcher(fig5_query(), 9.0,
+                                config=EngineConfig(storage="independent"))
         for edge in fig3_stream()[:8]:
             matcher.push(edge)
         save_checkpoint(matcher, path)

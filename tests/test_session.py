@@ -161,8 +161,12 @@ class TestBackends:
                                          "naive"])
     def test_per_query_duplicate_policy_overrides_session(self, backend):
         session = Session(window=6.0, duplicate_policy="raise")
+        # The Timing engine takes its knobs as a config; the baselines
+        # as constructor options.
+        override = ({"config": EngineConfig(duplicate_policy="skip")}
+                    if backend == "timing" else {"duplicate_policy": "skip"})
         engine = session.register("q", TWO_HOP_DSL, backend=backend,
-                                  duplicate_policy="skip")
+                                  **override)
         assert engine.duplicate_policy == "skip"
 
     def test_pure_protocol_matcher_survives_push(self):
@@ -219,7 +223,7 @@ class TestBackends:
         with pytest.raises(ValueError, match="factory backends"):
             session.register("q", TWO_HOP_DSL,
                              backend=lambda q, w: TimingMatcher(q, w),
-                             use_mstree=False)
+                             duplicate_policy="skip")
 
 
 class TestSinksAndCallbacks:
@@ -504,7 +508,8 @@ class TestPaperStream:
         per-query stats reflect routing."""
         ab = path_query(1, labels="ab")
         session = Session(window=9.0)
-        session.register("fig5", fig5_query(), use_mstree=False)
+        session.register("fig5", fig5_query(),
+                         config=EngineConfig(storage="independent"))
         session.register("ab", ab)
         solo = {"fig5": TimingMatcher(fig5_query(), 9.0),
                 "ab": TimingMatcher(ab, 9.0)}

@@ -243,11 +243,10 @@ class TestChurn:
 
         def drive(session):
             queries = query_set()
-            session.register("p1x", queries["p1x"],
-                             duplicate_policy="count")
+            counting = session.config.replace(duplicate_policy="count")
+            session.register("p1x", queries["p1x"], config=counting)
             tagged = list(session.push_many(edges[:150]))
-            session.register("p2xy", queries["p2xy"],
-                             duplicate_policy="count")
+            session.register("p2xy", queries["p2xy"], config=counting)
             tagged += session.push_many(edges[150:])
             return tagged, session.result_counts(), session.stats()
 
