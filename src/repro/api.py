@@ -262,6 +262,12 @@ class MatcherBase:
     #: Display name used by the benchmark harness and ``Session``.
     name = "matcher"
 
+    #: ``True`` for a matcher that retains no edges — its answers are a
+    #: function of the window alone (the Timing engine's one-edge plan).
+    #: A :class:`Session` then keeps no live-edge entry for it and never
+    #: delivers it an expiry.
+    stateless = False
+
     def _init_streaming(self, query: QueryGraph, window, *,
                         duplicate_policy: str = "raise",
                         default_guard=None) -> None:
@@ -926,6 +932,9 @@ class Session:
         # buffer privately and are always routed (all of them under
         # routing="fanout").
         self._members: Dict[str, _SharedMember] = {}
+        # How many of them retain edges: while none does (a tenant full
+        # of one-edge queries), expired edges have nobody to reach.
+        self._retaining = 0
         self._private_entries: List[Tuple[int, str]] = []
         self._dirty: set = set()
         # name -> the window policy object it registered with: one
@@ -1036,6 +1045,7 @@ class Session:
                                        policy=matcher.window)
         matcher.window = SharedWindowView(group.window)
         self._members[name] = _SharedMember(name, ordinal, matcher, key)
+        self._retaining += not matcher.stateless
         self._index.add(name, (ordinal, name), matcher.routing_signatures())
         return True
 
@@ -1088,6 +1098,7 @@ class Session:
             # Deliver outstanding expiries so the engine leaves in a
             # consistent state; the last member out frees the group.
             self._flush_member(member)
+            self._retaining -= not member.matcher.stateless
             self._admission.withdraw(member.group_key,
                                      (member.ordinal, name))
         else:
@@ -1197,6 +1208,8 @@ class Session:
         ingested it — found through the same route lookup that delivered
         it, so only its (typically tiny) target list is visited, not all
         Q matchers."""
+        if not self._retaining:
+            return
         members = self._members
         for _, name in self._index.targets(edge):
             member = members.get(name)
@@ -1204,7 +1217,8 @@ class Session:
             # expiry: timestamp pairing keeps an older coexisting
             # same-id bearer's expiry away from a matcher holding the
             # newer one (and vice versa), and a matcher registered
-            # mid-stream never hears about bearers it never saw.
+            # mid-stream never hears about bearers it never saw (nor
+            # a stateless member about any: its registry stays empty).
             if member is not None and member.group_key == group_key \
                     and member.matcher._live_edge_ids.get(edge.edge_id) \
                     == edge.timestamp:
@@ -1256,9 +1270,10 @@ class Session:
             if live is not None and member.group_key in live:
                 continue    # duplicate: dropped for this whole group
             matcher = member.matcher
-            if member.pending:
-                self._flush_member(member)
-            matcher._live_edge_ids[edge.edge_id] = edge.timestamp
+            if not matcher.stateless:
+                if member.pending:
+                    self._flush_member(member)
+                matcher._live_edge_ids[edge.edge_id] = edge.timestamp
             self.routed_pushes += 1
             for match in matcher._insert(edge, matcher.default_guard):
                 results.append((name, match))
@@ -1350,27 +1365,72 @@ class Session:
     def result_counts(self) -> Dict[str, int]:
         """Per-query current-window match counts."""
         self._flush_all()
-        return {name: matcher.result_count()
+        held, _ = self._stateless_answers()
+        return {name: len(held[name]) if name in held
+                else matcher.result_count()
                 for name, matcher in self._matchers.items()}
 
     def current_matches(self) -> Dict[str, List[Match]]:
         """Per-query full answer sets over the current window."""
         self._flush_all()
-        return {name: matcher.current_matches()
+        held, _ = self._stateless_answers()
+        return {name: matcher._as_matches(held[name]) if name in held
+                else matcher.current_matches()
                 for name, matcher in self._matchers.items()}
 
+    def _stateless_answers(self) -> Tuple[Dict[str, List[StreamEdge]], int]:
+        """``(answers, pinned)`` for the stateless members of the shared
+        windows: each one's current matches (the in-window edges it
+        ingested that match its query edge, oldest first) and how many
+        distinct buffer cells hold at least one of them.
+
+        One pass per shared buffer: the route index names the few members
+        an edge can reach, so reading a tenant of Q one-edge queries costs
+        ``O(|W|·targets)`` — asking each engine to scan the window for
+        itself (what :meth:`Matcher.result_count` does on its own) would
+        be ``O(Q·|W|)``."""
+        members = self._members
+        answers: Dict[str, List[StreamEdge]] = {
+            name: [] for name, member in members.items()
+            if member.matcher.stateless}
+        pinned = 0
+        if not answers:
+            return answers, pinned
+        targets = self._index.targets
+        for key, group in self._admission.groups.items():
+            for edge in group.window:
+                answered = False
+                for _, name in targets(edge):
+                    held = answers.get(name)
+                    if held is not None:
+                        member = members[name]
+                        if member.group_key == key \
+                                and member.matcher._is_answer(edge):
+                            held.append(edge)
+                            answered = True
+                pinned += answered
+        return answers, pinned
+
     def space_cells(self) -> int:
-        """Physical partial-match cells held by the session: every shared
-        sub-plan store once, plus each engine's exclusive (unshared)
-        stores.  A matcher's own :meth:`~Matcher.space_cells` stays the
-        per-query *logical* footprint (shared stores included), so summing
-        it over consumers of a shared store would double-count."""
+        """Physical cells holding partial-match state, each counted once:
+        every shared sub-plan store, each engine's exclusive (unshared)
+        stores, and — for stateless members, whose one expansion list
+        *is* the window — every window-buffer cell that is a current
+        match of at least one of them (a shared buffer's cell once,
+        however many members match it).  A matcher's own
+        :meth:`~Matcher.space_cells` stays the per-query *logical*
+        footprint of what the engine stores (shared stores included, so
+        summing it over their consumers would double-count; 0 for a
+        stateless plan)."""
         self._flush_all()
-        cells = self._subplans.space_cells()
-        for matcher in self._matchers.values():
+        cells = self._subplans.space_cells() + self._stateless_answers()[1]
+        members = self._members
+        for name, matcher in self._matchers.items():
             exclusive = getattr(matcher, "exclusive_space_cells", None)
             cells += (exclusive() if exclusive is not None
                       else matcher.space_cells())
+            if name not in members and getattr(matcher, "stateless", False):
+                cells += matcher.result_count()     # its private buffer
         return cells
 
     def stats(self) -> Dict[str, Dict[str, int]]:
@@ -1410,6 +1470,9 @@ class Session:
             "edges_pushed": self.edges_pushed,
             "routed_pushes": self.routed_pushes,
             "skipped_matchers": self.skipped_matchers,
+            "stateless_queries": sum(
+                1 for matcher in self._matchers.values()
+                if getattr(matcher, "stateless", False)),
             "predicate_entries": len(self._index.router),
             "predicate_trie_nodes": self._index.router.node_count(),
             "shared_window_cells": self.shared_window_cells(),

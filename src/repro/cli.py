@@ -332,6 +332,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     matcher = TimingMatcher.from_config(query, window)
+    if matcher.stateless:
+        print("nothing to simulate — a one-edge query gets the stateless "
+              "plan, which keeps no expansion-list item to lock")
+        return 0
     traces = collect_trace(matcher, read_stream(args.stream_file))
     if not traces:
         print("no transactions recorded — the stream never matched the query")

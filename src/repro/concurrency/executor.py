@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from ..core.engine import TimingMatcher
 from ..core.matches import Match
@@ -58,6 +58,8 @@ class ConcurrentStreamExecutor:
         self._serial = itertools.count()
         self._results: List[Tuple[float, Match]] = []
         self._results_lock = threading.Lock()
+        # Edge id -> the future of its Ins, until its Del is launched.
+        self._inserts: Dict[Hashable, Future] = {}
 
     # ------------------------------------------------------------------ #
     def run(self, stream: Iterable[StreamEdge]) -> List[Match]:
@@ -100,13 +102,16 @@ class ConcurrentStreamExecutor:
         txn = self._next_txn(edge.timestamp)
         requests = lock_requests_for_insert(self.matcher, edge)
         self._dispatch(txn, requests)
-        return pool.submit(self._run_insert, txn, edge, requests)
+        future = pool.submit(self._run_insert, txn, edge, requests)
+        self._inserts[edge.edge_id] = future
+        return future
 
     def _launch_delete(self, pool: ThreadPoolExecutor, edge: StreamEdge):
         txn = self._next_txn(self.matcher.window.current_time)
         requests = lock_requests_for_delete(self.matcher, edge)
         self._dispatch(txn, requests)
-        return pool.submit(self._run_delete, txn, edge, requests)
+        return pool.submit(self._run_delete, txn, edge, requests,
+                           self._inserts.pop(edge.edge_id))
 
     # ------------------------------------------------------------------ #
     def _run_insert(self, txn: TxnId, edge: StreamEdge,
@@ -121,9 +126,16 @@ class ConcurrentStreamExecutor:
                 self._results.extend((edge.timestamp, m) for m in matches)
 
     def _run_delete(self, txn: TxnId, edge: StreamEdge,
-                    requests: List[Request]) -> None:
-        guard = self._make_guard(txn, requests)
+                    requests: List[Request], inserted: Future) -> None:
         try:
+            # Del(σ) reads what Ins(σ) recorded about σ (the engine matches
+            # labels once, at insertion), so it must not overtake it.  The
+            # locks already keep Del(σ) behind Ins(σ) on every item they
+            # share; this covers the record, which is read before the
+            # first lock.  Ins(σ) was submitted first and never waits on a
+            # later transaction, so the wait cannot deadlock.
+            inserted.result()
+            guard = self._make_guard(txn, requests)
             self.matcher.delete_edge(edge, guard)
         finally:
             self._finish(txn, requests)

@@ -1275,6 +1275,7 @@ class ShardedSession(Session):
             "routed_pushes": sum(s["routed_pushes"] for s in inner),
             "skipped_matchers": self.skipped_matchers
             + sum(s["skipped_matchers"] for s in inner),
+            "stateless_queries": sum(s["stateless_queries"] for s in inner),
             "shared_window_cells": sum(
                 s["shared_window_cells"] for s in inner),
             "window_cells": sum(s["window_cells"] for s in inner),

@@ -35,8 +35,11 @@ def _prefix_read_item(matcher: TimingMatcher, prefix_level: int) -> Item:
 
 def lock_requests_for_insert(matcher: TimingMatcher,
                              edge: StreamEdge) -> List[Request]:
-    """Worst-case lock-request sequence of ``Ins(edge)`` (cf. Fig. 13)."""
+    """Worst-case lock-request sequence of ``Ins(edge)`` (cf. Fig. 13).
+    A stateless (one-edge) plan has no items, hence no requests."""
     requests: List[Request] = []
+    if matcher.stateless:
+        return requests
     k = matcher.k
     for eid in matcher.query.matching_edge_ids(edge):
         si, j = matcher._position[eid]
@@ -64,7 +67,13 @@ def lock_requests_for_insert(matcher: TimingMatcher,
 def lock_requests_for_delete(matcher: TimingMatcher,
                              edge: StreamEdge) -> List[Request]:
     """Lock-request sequence of ``Del(edge)`` — all X, canonical order
-    (matching ``TimingMatcher.delete_edge``)."""
+    (matching ``TimingMatcher.delete_edge``).
+
+    Computed from the labels, not from the engine's match-once record:
+    the main thread predicts ``Del(σ)`` when ``σ`` expires, which may be
+    before the worker running ``Ins(σ)`` has written that record."""
+    if matcher.stateless:
+        return []
     matched = matcher.query.matching_edge_ids(edge)
     if not matched:
         return []

@@ -9,6 +9,20 @@ The engine is storage-agnostic (MS-tree vs independent flat tuples — the
 ``Timing`` vs ``Timing-IND`` comparison) and guard-agnostic (serial vs
 locked vs traced — see :mod:`repro.core.guard`), so the exact same algorithm
 code runs in every experimental configuration.
+
+Two plan kinds, chosen from the query's shape alone:
+
+* **stored** (two or more query edges) — the expansion lists above.  What
+  an arrival matched is decided once, at insertion: the engine remembers
+  the sub-queries that stored it and expiry pops that record instead of
+  matching labels a second time, so an edge that matched nothing expires
+  as one dict miss (Algorithm 3 line 12).
+* **stateless** (exactly one query edge) — the limiting case of the
+  discardable-edge Lemma 1: no later arrival can ever join a one-edge
+  match, so its expansion list would be a filtered copy of the window.
+  The engine keeps no store at all: an arrival that matches the query
+  edge *is* the match, expiry has nothing to delete, and the current
+  answer set is re-derived from the window on request.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from .decomposition import (
     Decomposition, greedy_decomposition, random_decomposition,
     validate_decomposition,
 )
-from .guard import NullGuard
+from .guard import NULL_GUARD
 from .index import (
     LevelIndex, extension_probe_flags, extension_store_refs, key_from_edge,
     key_from_flat, union_side_refs,
@@ -34,6 +48,9 @@ from .mstree import GlobalMSTreeStore, MSTreeTCStore
 from .query import EdgeId, QueryGraph
 from .stores import GlobalIndependentStore, IndependentTCStore
 from .tc import tc_subqueries
+
+#: ``since`` of a window that held nothing before its matcher joined it.
+_NEVER = float("-inf")
 
 __all__ = ["EngineConfig", "EngineStats", "TimingMatcher"]
 
@@ -64,6 +81,9 @@ class TimingMatcher(MatcherBase):
         written once per arrival session-wide.  Standalone engines never
         see one.
 
+    A one-edge query gets the *stateless* plan (:attr:`stateless`): no
+    store, no index, no sub-plan record, ``space_cells() == 0``.
+
     Usage::
 
         matcher = TimingMatcher.from_config(query, window=30.0)
@@ -90,10 +110,78 @@ class TimingMatcher(MatcherBase):
         self._init_streaming(query, window,
                              duplicate_policy=config.duplicate_policy,
                              default_guard=config.guard)
-        rng = random.Random(config.seed)
+        #: ``True`` for a one-edge query: the engine retains no edges, so a
+        #: session neither registers arrivals as live with it nor delivers
+        #: their expiry (see the module docstring's plan kinds).
+        self.stateless = query.is_single_edge
+        #: TC-subqueries in join order; each entry is a timing sequence.
+        self.join_order: Decomposition = self._plan(
+            query, config, decomposition, join_order)
+        ordered = self.join_order
+        self.k = len(ordered)
+        #: Flattened slot order of complete matches (global list level k).
+        self.all_slots: Tuple[EdgeId, ...] = tuple(
+            eid for seq in ordered for eid in seq)
+        # Position of each query edge: edge id -> (subquery index, 0-based
+        # position in that subquery's timing sequence).
+        self._position: Dict[EdgeId, Tuple[int, int]] = {
+            eid: (si, j)
+            for si, seq in enumerate(ordered) for j, eid in enumerate(seq)}
+        #: Match-once registry: id of every live edge some store holds ->
+        #: the sub-query indexes that stored it, written at insertion and
+        #: popped at expiry (edge ids are the stream's identity, exactly
+        #: as in the live-edge registry; labels never key it).  Kept
+        #: beside ``MatcherBase._live_edge_ids`` rather than inside it:
+        #: that registry belongs to whoever *drives* the engine (``push``,
+        #: a session's ``_arrive``) — it holds every ingested id, matched
+        #: or not, and its values are the timestamps bearer pairing
+        #: compares — while ``insert_edge`` / ``delete_edge`` are also
+        #: driven bare (the concurrent executor, the lock-trace
+        #: collectors), where no such registry is maintained at all.
+        self._touched: Dict[object, Tuple[int, ...]] = {}
 
-        # --- planning: decomposition + join order ----------------------- #
-        # (config.validate() above guarantees the strategy fields.)
+        # --- storage ----------------------------------------------------- #
+        self._shared_subplans: Dict[int, object] = {}
+        self._tc_stores: list = []
+        self._global = None
+        #: ``(store, level, refs)`` of every join-key index this engine
+        #: registered on a *shared* sub-plan store — released (refcounted)
+        #: by :meth:`release_shared_subplans` so a departed query's
+        #: shapes stop being maintained on stores that outlive it.
+        self._shared_index_refs: List[Tuple[object, int, tuple]] = []
+        if self.stateless:
+            return      # nothing to store, share or index
+        # With a session sub-plan provider, each subquery first tries to
+        # adopt the shared store of its canonical form; private stores are
+        # the fallback (unhashable labels) and the standalone default.
+        for si, seq in enumerate(ordered):
+            record = None
+            if subplan_provider is not None:
+                record = subplan_provider.acquire(query, seq, config.storage)
+            if record is not None:
+                self._shared_subplans[si] = record
+                self._tc_stores.append(record.store)
+            elif self.use_mstree:
+                self._tc_stores.append(MSTreeTCStore(len(seq)))
+            else:
+                self._tc_stores.append(IndependentTCStore(len(seq)))
+        # The rest of construction attaches expiry observers and indexes
+        # to stores other engines may share — undo those on any failure
+        # so a raising build leaks nothing into the session.
+        try:
+            self._finish_construction(query, config, ordered)
+        except BaseException:
+            self.release_shared_subplans()
+            raise
+
+    def _plan(self, query: QueryGraph, config: EngineConfig,
+              decomposition: Optional[Decomposition],
+              join_order: Optional[Decomposition]) -> Decomposition:
+        """The TC decomposition in join order.  (``config.validate()``
+        guarantees the strategy fields.)"""
+        if self.stateless and decomposition is None and join_order is None:
+            return [tuple(query.edge_ids())]    # the only plan there is
+        rng = random.Random(config.seed)
         if decomposition is None:
             subs = tc_subqueries(query)
             if config.decomposition == "greedy":
@@ -111,47 +199,10 @@ class TimingMatcher(MatcherBase):
                     "join_order must be a permutation of the decomposition")
             if not is_prefix_connected_order(query, join_order):
                 raise ValueError("join_order must be prefix-connected")
-            ordered = list(join_order)
-        elif config.join_order == "jn":
-            ordered = jn_join_order(query, decomposition)
-        else:
-            ordered = random_join_order(query, decomposition, rng)
-        #: TC-subqueries in join order; each entry is a timing sequence.
-        self.join_order: Decomposition = ordered
-        self.k = len(ordered)
-
-        # --- storage ----------------------------------------------------- #
-        # With a session sub-plan provider, each subquery first tries to
-        # adopt the shared store of its canonical form; private stores are
-        # the fallback (unhashable labels) and the standalone default.
-        self._shared_subplans: Dict[int, object] = {}
-        stores = []
-        for si, seq in enumerate(ordered):
-            record = None
-            if subplan_provider is not None:
-                record = subplan_provider.acquire(query, seq, config.storage)
-            if record is not None:
-                self._shared_subplans[si] = record
-                stores.append(record.store)
-            elif self.use_mstree:
-                stores.append(MSTreeTCStore(len(seq)))
-            else:
-                stores.append(IndependentTCStore(len(seq)))
-        self._tc_stores = stores
-        self._global = None
-        #: ``(store, level, refs)`` of every join-key index this engine
-        #: registered on a *shared* sub-plan store — released (refcounted)
-        #: by :meth:`release_shared_subplans` so a departed query's
-        #: shapes stop being maintained on stores that outlive it.
-        self._shared_index_refs: List[Tuple[object, int, tuple]] = []
-        # The rest of construction attaches expiry observers and indexes
-        # to stores other engines may share — undo those on any failure
-        # so a raising build leaks nothing into the session.
-        try:
-            self._finish_construction(query, config, ordered)
-        except BaseException:
-            self.release_shared_subplans()
-            raise
+            return list(join_order)
+        if config.join_order == "jn":
+            return jn_join_order(query, decomposition)
+        return random_join_order(query, decomposition, rng)
 
     def _finish_construction(self, query: QueryGraph, config: EngineConfig,
                              ordered: Decomposition) -> None:
@@ -161,12 +212,6 @@ class TimingMatcher(MatcherBase):
                             else GlobalIndependentStore(stores))
 
         # --- compiled join specs ------------------------------------------
-        # Position of each query edge: edge id -> (subquery index, 0-based
-        # position in that subquery's timing sequence).
-        self._position: Dict[EdgeId, Tuple[int, int]] = {}
-        for si, seq in enumerate(ordered):
-            for j, eid in enumerate(seq):
-                self._position[eid] = (si, j)
         # Extension specs for level-(j+1) insertions in subquery si.
         self._ext_specs: Dict[Tuple[int, int], ExtensionSpec] = {}
         for si, seq in enumerate(ordered):
@@ -180,8 +225,6 @@ class TimingMatcher(MatcherBase):
             self._union_specs[level] = UnionSpec(
                 query, tuple(prefix), ordered[level - 1])
             prefix.extend(ordered[level - 1])
-        #: Flattened slot order of complete matches (global list level k).
-        self.all_slots: Tuple[EdgeId, ...] = tuple(prefix)
 
         # --- join-key indexes (the O(candidates) insert path) ------------- #
         # One index per compiled join shape with at least one equality
@@ -263,15 +306,42 @@ class TimingMatcher(MatcherBase):
 
     def current_matches(self) -> List[Match]:
         """All matches of the query in the current window (``Ω(Q)``)."""
+        if self.stateless:
+            return self._as_matches(self._window_matches())
         store = self._global if self._global is not None else self._tc_stores[0]
         level = self.k if self._global is not None else self._tc_stores[0].length
         return [self._to_match(flat) for _, flat in store.read(level)]
 
     def result_count(self) -> int:
         """Number of current matches (selectivity metric, Fig. 25)."""
+        if self.stateless:
+            return len(self._window_matches())
         store = self._global if self._global is not None else self._tc_stores[0]
         level = self.k if self._global is not None else self._tc_stores[0].length
         return store.count(level)
+
+    def _window_matches(self) -> List[StreamEdge]:
+        """The stateless plan's answer set, re-derived: the in-window
+        edges this engine was offered that match its one query edge.  A
+        private window holds exactly the arrivals the engine ingested; a
+        session's shared buffer also holds arrivals from before the engine
+        joined it, which ``window.since`` excludes (a query registered
+        mid-stream starts empty)."""
+        is_answer = self._is_answer
+        return [edge for edge in self.window if is_answer(edge)]
+
+    def _as_matches(self, edges: List[StreamEdge]) -> List[Match]:
+        """Stateless plan: answer edges as matches of the one query edge."""
+        slot = self.all_slots[0]
+        return [Match({slot: edge}) for edge in edges]
+
+    def _is_answer(self, edge: StreamEdge) -> bool:
+        """Stateless plan: whether in-window ``edge`` is a current match.
+        A :class:`~repro.api.Session` asks this of the few members its
+        route index names per window edge, so a tenant of Q one-edge
+        queries is read in one window pass instead of Q."""
+        return edge.timestamp > getattr(self.window, "since", _NEVER) \
+            and self.query.edge_matches(self.all_slots[0], edge)
 
     def space_cells(self) -> int:
         """Logical cells held in partial-match storage (see bench.metrics).
@@ -327,24 +397,36 @@ class TimingMatcher(MatcherBase):
     # ------------------------------------------------------------------ #
     def insert_edge(self, edge: StreamEdge, guard=None) -> List[Match]:
         """Handle ``Ins(σ)``: extend expansion lists, report new matches."""
-        guard = guard if guard is not None else NullGuard()
-        self.stats.edges_seen += 1
+        stats = self.stats
+        stats.edges_seen += 1
+        if self.stateless:
+            slot = self.all_slots[0]
+            if not self.query.edge_matches(slot, edge):
+                return []
+            stats.edges_matched += 1
+            stats.matches_emitted += 1
+            return [Match({slot: edge})]
+        matched = self.query.matching_edge_ids(edge)
+        if not matched:
+            return []
+        guard = guard if guard is not None else NULL_GUARD
+        # Decided once, here: expiry pops this instead of re-matching.
+        position = self._position
+        self._touched[edge.edge_id] = tuple(sorted(
+            {position[eid][0] for eid in matched}))
         results: List[Match] = []
         produced_anything = False
-        matched_any = False
-        for eid in self.query.matching_edge_ids(edge):
-            matched_any = True
-            si, j = self._position[eid]
+        for eid in matched:
+            si, j = position[eid]
             delta = self._insert_into_subquery(si, j, edge, guard)
             if delta:
                 produced_anything = True
                 if j == len(self.join_order[si]) - 1:
                     results.extend(self._propagate(si, delta, guard))
-        if matched_any:
-            self.stats.edges_matched += 1
-            if not produced_anything:
-                self.stats.edges_discarded += 1
-        self.stats.matches_emitted += len(results)
+        stats.edges_matched += 1
+        if not produced_anything:
+            stats.edges_discarded += 1
+        stats.matches_emitted += len(results)
         return results
 
     def _insert_into_subquery(self, si: int, j: int, edge: StreamEdge,
@@ -552,16 +634,19 @@ class TimingMatcher(MatcherBase):
 
         Returns the number of partial matches removed.  Edges that never
         matched a query edge are skipped without touching any store
-        (Algorithm 3 line 12).
+        (Algorithm 3 line 12) — and without matching labels again: what
+        ``σ`` matched was recorded by :meth:`insert_edge`, so ``Del(σ)``
+        must follow (the start of) ``Ins(σ)``, as it does in every serial
+        driver and in :class:`~repro.concurrency.executor.
+        ConcurrentStreamExecutor`.  The stateless plan stored nothing.
         """
-        guard = guard if guard is not None else NullGuard()
         self.stats.expired_edges += 1
-        matched = self.query.matching_edge_ids(edge)
-        if not matched:
-            return 0
         # Only the subqueries owning a matched query edge can store σ
         # (Algorithm 2 line 1).
-        touched = sorted({self._position[eid][0] for eid in matched})
+        touched = self._touched.pop(edge.edge_id, None)
+        if touched is None:
+            return 0
+        guard = guard if guard is not None else NULL_GUARD
         # Deletion locks every item it may touch up-front, in canonical
         # order.  This is slightly more conservative than the paper's
         # level-by-level scan but deadlock-free by construction (inserts
@@ -591,7 +676,10 @@ class TimingMatcher(MatcherBase):
     # Introspection
     # ------------------------------------------------------------------ #
     def store_profile(self) -> Dict[str, int]:
-        """Per-item entry counts — handy when debugging space behaviour."""
+        """Per-item entry counts — handy when debugging space behaviour.
+        The stateless plan has no items and reports ``{"stateless": 1}``."""
+        if self.stateless:
+            return {"stateless": 1}
         profile: Dict[str, int] = {}
         for si, store in enumerate(self._tc_stores):
             for level in range(1, store.length + 1):
@@ -602,7 +690,8 @@ class TimingMatcher(MatcherBase):
         return profile
 
     def __repr__(self) -> str:
-        kind = "MS-tree" if self.use_mstree else "independent"
+        kind = ("stateless" if self.stateless
+                else "MS-tree" if self.use_mstree else "independent")
         extent = getattr(self.window, "duration",
                          getattr(self.window, "capacity", "?"))
         return (f"TimingMatcher(k={self.k}, storage={kind}, |W|={extent})")

@@ -42,6 +42,10 @@ class NullGuard:
         pass
 
 
+#: The one serial guard: stateless, so every unguarded engine call shares it.
+NULL_GUARD = NullGuard()
+
+
 class TraceGuard:
     """Records the elementary-operation trace of one transaction.
 

@@ -43,9 +43,19 @@ class QueryPlan:
     def is_tc_query(self) -> bool:
         return self.k == 1
 
+    @property
+    def stateless(self) -> bool:
+        """Whether the engine runs this query on its stateless plan (one
+        query edge: no expansion list is kept — see
+        :mod:`repro.core.engine`)."""
+        return self.query.is_single_edge
+
     def expansion_list_items(self) -> List[str]:
-        """Human-readable item layout: one entry per lockable item."""
+        """Human-readable item layout: one entry per lockable item (none
+        for a stateless plan)."""
         items: List[str] = []
+        if self.stateless:
+            return items
         for si, seq in enumerate(self.join_order):
             for level in range(1, len(seq) + 1):
                 prefix = ", ".join(map(str, seq[:level]))
@@ -76,6 +86,10 @@ class QueryPlan:
             f"{len(q.timing.direct_constraints())} timing constraints "
             f"({self.tcsub_count} TC-subqueries discovered)",
             f"class: {'TC-query' if self.is_tc_query else 'non-TC query'}",
+            "plan kind: " + (
+                "stateless (one query edge: matches are emitted on arrival "
+                "and no expansion list is kept)" if self.stateless
+                else "stored (expansion lists below)"),
             f"decomposition (k={self.k}): " + "  ".join(
                 "{" + ",".join(map(str, seq)) + "}"
                 for seq in self.decomposition),
@@ -88,8 +102,10 @@ class QueryPlan:
         lines.append(
             "expected joins per arrival (Theorem 7): "
             f"{self.expected_joins_per_edge:.3f}")
-        lines.append("expansion-list items:")
-        for item in self.expansion_list_items():
+        items = self.expansion_list_items()
+        lines.append("expansion-list items:" if items
+                     else "expansion-list items: none")
+        for item in items:
             lines.append(f"  {item}")
         return "\n".join(lines)
 

@@ -234,6 +234,13 @@ class QueryGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    @property
+    def is_single_edge(self) -> bool:
+        """Exactly one query edge — the one shape the Timing engine runs
+        on its stateless plan (the rule lives here so the engine and
+        :mod:`~repro.core.plan`'s ``explain`` cannot disagree)."""
+        return len(self._edges) == 1
+
     def vertices(self) -> List[QueryVertex]:
         return list(self._vertices.values())
 

@@ -185,10 +185,15 @@ class SharedWindowView:
     matcher.
     """
 
-    __slots__ = ("_shared",)
+    __slots__ = ("_shared", "since")
 
     def __init__(self, shared: SharedSlidingWindow) -> None:
         self._shared = shared
+        #: The buffer's clock when this view was attached.  Buffered
+        #: edges at or before it arrived before the view's matcher joined
+        #: and were never offered to it — a reader re-deriving "what did
+        #: my matcher ingest" from the buffer must skip them.
+        self.since = shared.current_time
 
     @property
     def shared(self) -> SharedSlidingWindow:

@@ -219,7 +219,8 @@ class RouteIndex:
     arrival.  Several names may share a payload (the queries of one
     shard); ``targets`` returns each payload once, sorted.
 
-    Resolved target lists are memoised per label triple.  Only triples
+    Resolved target lists are memoised per label triple (type-exact, as
+    prefix predicates are).  Only triples
     with an index hit get their own entry; every miss shares one
     ``None``-keyed list, so a high-cardinality label stream cannot grow
     the memo past the index itself — and because prefix predicates make
@@ -287,15 +288,24 @@ class RouteIndex:
         callers must not mutate it."""
         cache = self._cache
         is_loop = edge.src == edge.dst
+        src_label, label, dst_label = \
+            edge.src_label, edge.label, edge.dst_label
         try:
-            key = (edge.src_label, edge.label, edge.dst_label, is_loop)
+            # The memo key carries each label's type: prefix predicates
+            # tell ``1`` from ``True`` and ``1.0`` (see
+            # :func:`~repro.core.query.prefix_text`), which compare — and
+            # hash — equal, so a value-only key would hand one's targets
+            # to the other.  (Exact triples match by ``==`` in the
+            # engines too, so their dict keeps the value-only key.)
+            key = (src_label, label, dst_label, is_loop,
+                   type(src_label), type(label), type(dst_label))
             cached = cache.get(key)
             if cached is not None:
                 return cached
-            hits = self.exact.get(key)
+            hits = self.exact.get((src_label, label, dst_label, is_loop))
             router = self.router
             predicate_hits = router.match(
-                edge.src_label, edge.label, edge.dst_label, is_loop) \
+                src_label, label, dst_label, is_loop) \
                 if router else None
         except TypeError:
             # Unhashable data label: no index probe possible — everyone

@@ -71,8 +71,15 @@ from .api import MatcherBase, Session
 #: ``_groups``/``_routes``/``_pred_router`` fields and the facade's group
 #: mirrors and per-shard triple refcounts; shared windows no longer carry
 #: a session expiry subscriber.  Files without the CRC frame are refused
-#: before unpickling.)
-CHECKPOINT_VERSION = 10
+#: before unpickling.
+#: v11: plan kinds — a one-edge query's engine is *stateless* (no
+#: expansion-list store, no sub-plan record, no live-edge registry
+#: entries in a session; its answers are re-derived from the window, so
+#: its shared-window view carries the ``since`` watermark), and every
+#: stored-plan engine carries the match-once registry (live edge id ->
+#: sub-query indexes that stored it) that expiry pops instead of
+#: re-matching labels.  A v10 engine has neither field.)
+CHECKPOINT_VERSION = 11
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not

@@ -47,6 +47,9 @@ _HELP = {
                             "(newest capture corrupt).",
     "dlq_replayed": "Dead-letter records re-ingested via repro dlq "
                     "replay.",
+    "session_stateless_queries": "Registered one-edge queries on the "
+                                 "stateless plan: no partial-match store, "
+                                 "so nothing in subplan_store_cells.",
 }
 
 #: Tenant health states, exported one-hot (the Prometheus state-set
@@ -197,7 +200,9 @@ def render_metrics(status: dict,
                 info[key] = str(value).lower()
             elif isinstance(value, (int, float)):
                 writer.sample(f"session_{key}", label, value,
-                              help_text=f"Session {key.replace('_', ' ')}.",
+                              help_text=_HELP.get(
+                                  f"session_{key}",
+                                  f"Session {key.replace('_', ' ')}."),
                               kind=_counter_like(key))
             elif isinstance(value, str):
                 info[key] = value

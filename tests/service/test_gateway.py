@@ -221,6 +221,18 @@ class TestMetricsRendering:
                 continue
             assert f"repro_session_{key}{{" in text
 
+    def test_stateless_queries_explain_an_empty_store_gauge(self, gateway):
+        """A tenant full of one-edge queries reports 0 sub-plan store
+        cells; the page says why."""
+        tenant = gateway.tenant("t0")
+        tenant.safe.register(
+            "one", "vertex a A\nvertex b B\nedge e a -> b\nwindow 10\n")
+        text = render_metrics(gateway.status(),
+                              {"t0": tenant.safe.session_stats()})
+        assert 'repro_session_stateless_queries{tenant="t0"} 1' in text
+        assert "# HELP repro_session_stateless_queries Registered " \
+            "one-edge queries on the stateless plan" in text
+
 
 class TestMultiTenant:
     def test_two_isolated_tenants(self, tmp_path):

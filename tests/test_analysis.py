@@ -94,17 +94,31 @@ class TestSimulateCLI:
         write_stream(fig3_stream(), stream_path)
         query_path = tmp_path / "q.tq"
         query_path.write_text(
-            "vertex x a\nvertex y b\nedge e x -> y\nwindow 9\n")
+            "vertex x a\nvertex y b\nvertex z c\n"
+            "edge e1 x -> y\nedge e2 y -> z\nwindow 9\n")
         assert main(["simulate", str(query_path), stream_path,
                      "--threads", "1", "2"]) == 0
         out = capsys.readouterr().out
         assert "fine-grained" in out and "all-locks" in out
+
+    def test_simulate_stateless_plan_has_no_transactions(self, tmp_path,
+                                                         capsys):
+        """A one-edge query keeps no expansion list, so there is no item
+        to lock and nothing to simulate — said so, not a crash."""
+        stream_path = str(tmp_path / "s.csv")
+        write_stream(fig3_stream(), stream_path)
+        query_path = tmp_path / "q.tq"
+        query_path.write_text(
+            "vertex x a\nvertex y b\nedge e x -> y\nwindow 9\n")
+        assert main(["simulate", str(query_path), stream_path]) == 0
+        assert "stateless" in capsys.readouterr().out
 
     def test_simulate_empty_traces(self, tmp_path, capsys):
         stream_path = str(tmp_path / "s.csv")
         write_stream(fig3_stream(), stream_path)
         query_path = tmp_path / "q.tq"
         query_path.write_text(
-            "vertex x zz\nvertex y zz\nedge e x -> y\nwindow 9\n")
+            "vertex x zz\nvertex y zz\nvertex z zz\n"
+            "edge e1 x -> y\nedge e2 y -> z\nwindow 9\n")
         assert main(["simulate", str(query_path), stream_path]) == 0
         assert "never matched" in capsys.readouterr().out

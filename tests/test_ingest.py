@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ANY, Prefix, QueryGraph, StreamEdge
+from repro import ANY, Prefix, QueryGraph, Session, StreamEdge
 from repro.ingest import ALWAYS_ROUTED, Admission, RouteIndex
 
 # Small label pools so exact, prefix and wildcard queries collide often.
@@ -115,6 +115,32 @@ class TestRouteIndexProperties:
         assert len(index._cache) <= RouteIndex.CACHE_CAP
 
 
+    @pytest.mark.parametrize("first", [True, 1.0])
+    def test_memo_tells_equal_labels_of_different_type_apart(self, first):
+        """``1 == True == 1.0`` (and they hash alike), but a prefix
+        predicate matches only the int's decimal text: a memo keyed on
+        label values alone served ``1`` the target list resolved for
+        ``True`` — missing the prefix query — and would serve ``True``
+        the list resolved for ``1``."""
+        def session():
+            session = Session(window=100.0)
+            session.register("any", one_edge_query(ANY, ANY, ANY, False))
+            session.register("pre", one_edge_query(
+                ANY, Prefix("1"), ANY, False))
+            return session
+
+        def labelled(label, timestamp):
+            return StreamEdge("x", "y", src_label="s", dst_label="d",
+                              timestamp=timestamp, label=label)
+
+        warm = session()
+        assert [n for n, _ in warm.push(labelled(first, 1.0))] == ["any"]
+        assert [n for n, _ in warm.push(labelled(1, 2.0))] == ["any", "pre"]
+        assert [n for n, _ in warm.push(labelled(first, 3.0))] == ["any"]
+        assert [n for n, _ in session().push(labelled(1, 1.0))] \
+            == ["any", "pre"]
+
+
 def edge(edge_id, timestamp):
     return StreamEdge("x", "y", src_label="A", dst_label="B",
                       timestamp=timestamp, edge_id=edge_id)
@@ -146,6 +172,38 @@ class TestAdmission:
         # ...so the corrected feed carries on from the same position.
         assert admission.admit(edge("third", 3.0)) is None
         assert admission.edges_pushed == 3
+
+    @pytest.mark.parametrize("rejected, message", [
+        (edge("late", 2.0), "strictly increase"),
+        (edge("first", 3.0), "duplicate in-window edge id"),
+    ])
+    def test_rejected_arrival_changes_no_session_with_stateless_members(
+            self, rejected, message):
+        """The same contract one level up, over members that hold no
+        per-edge state for the session to have touched: one-edge queries
+        (stateless plan) beside a stored two-edge one."""
+        session = Session(window=5.0)
+        session.register("one", one_edge_query("A", ANY, "B", False))
+        session.register("any", one_edge_query(ANY, ANY, ANY, False))
+        stored = QueryGraph()
+        for vertex, label in (("u", "A"), ("v", "B"), ("w", ANY)):
+            stored.add_vertex(vertex, label)
+        stored.add_edge("e1", "u", "v")
+        stored.add_edge("e2", "v", "w")
+        session.register("two", stored)
+        assert len(session.push_many(
+            [edge("first", 1.0), edge("second", 2.0)])) == 4
+        before = pickle.dumps(session)
+        with pytest.raises(ValueError, match=message):
+            session.push(rejected)
+        assert pickle.dumps(session) == before
+        # The stored member's cells plus the two window cells the
+        # stateless members' answers pin (each once, though both match).
+        assert session.space_cells() \
+            == session.matcher("two").space_cells() + 2
+        assert [n for n, _ in session.push(edge("third", 3.0))] \
+            == ["one", "any"]
+        assert session.result_counts() == {"one": 3, "any": 3, "two": 0}
 
     def test_rejection_names_every_rejecter_in_registration_order(self):
         admission = admission_with("raise")

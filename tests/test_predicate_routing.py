@@ -288,18 +288,27 @@ class TestWildcardRoutingGap:
             sharded.close()
 
     def test_expiry_reaches_wildcard_members(self):
-        """An ANY-edge query must hear expiries for edges it ingested:
-        regression for the expiry router's predicate path."""
+        """An ANY-edge query's matches leave with their edges: the
+        one-edge member (stateless plan, nothing delivered) and a stored
+        two-edge member (expiry delivered through the router's predicate
+        path) both answer from the window alone."""
         session = Session(window=2.0)
         session.register("allany", all_any_query())
+        session.register("wild2", wildcard_query(2))
         edges = predicate_stream(9, 120, dt=0.3)
         session.push_many(edges)
-        matcher = session.matcher("allany")
-        # Every live edge is within the window — expiry delivery pruned
-        # the rest (an unrouted expiry would leave stale live ids).
         horizon = session.current_time - 2.0
-        assert matcher._live_edge_ids
-        assert all(ts > horizon for ts in matcher._live_edge_ids.values())
+        live = [edge for edge in edges if edge.timestamp > horizon]
+        current = session.current_matches()
+        assert sorted(m.edge_map["e"].timestamp for m in current["allany"]) \
+            == [edge.timestamp for edge in live]
+        assert session.result_counts()["allany"] == len(live) < len(edges)
+        assert all(edge.timestamp > horizon
+                   for m in current["wild2"] for edge in m.edge_map.values())
+        # The stored member's live-edge registry was pruned with them (an
+        # unrouted expiry would leave stale ids).
+        stored = session.matcher("wild2")._live_edge_ids
+        assert stored and all(ts > horizon for ts in stored.values())
 
 
 class TestPredicateCheckpointRoundTrip:
