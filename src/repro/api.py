@@ -639,8 +639,8 @@ class SharedSubplanStore:
         return self.store.space_cells()
 
     def __getstate__(self):
-        # The delta memo is in-flight work scoped to one arrival — like a
-        # session's pending expiry queues, it is never checkpointed.
+        # The delta memo is in-flight work scoped to one arrival; it is
+        # never checkpointed.
         state = {slot: getattr(self, slot) for slot in self.__slots__}
         state["_delta_key"] = None
         state["_deltas"] = {}
@@ -790,16 +790,11 @@ def _build_matcher(backend, query: QueryGraph, window,
 
 
 class _SharedMember:
-    """Session-side record of one matcher subscribed to a shared window.
+    """Session-side record of one matcher enrolled in a shared window
+    group: its registration ordinal, its engine and the group whose
+    buffer its window view reads."""
 
-    ``pending`` buffers expiry deliveries between this matcher's inserts:
-    an expired edge only has to reach the matcher's ``_expire`` hook
-    before its *next* insertion (or before anyone reads the matcher), so
-    batched ingestion coalesces deliveries instead of interrupting every
-    arrival — see :meth:`Session._flush_member`.
-    """
-
-    __slots__ = ("name", "ordinal", "matcher", "group_key", "pending")
+    __slots__ = ("name", "ordinal", "matcher", "group_key")
 
     def __init__(self, name: str, ordinal: int, matcher,
                  group_key: Tuple) -> None:
@@ -807,7 +802,6 @@ class _SharedMember:
         self.ordinal = ordinal
         self.matcher = matcher
         self.group_key = group_key
-        self.pending: List[StreamEdge] = []
 
 
 class Session:
@@ -825,11 +819,14 @@ class Session:
     :meth:`~repro.core.query.QueryGraph.label_signatures`) into one
     routing index at registration, keeps a single
     :class:`~repro.graph.shared_window.SharedSlidingWindow` per window
-    policy instead of ``Q`` per-matcher stream copies, and coalesces
-    expiry delivery to batch boundaries in :meth:`push_many` /
-    :meth:`ingest`.  Arrivals that provably cannot match a query (the
-    label-level case of the paper's discardable-edge Lemma 1, exposed as
-    :meth:`MatcherBase.is_discardable`) never touch that query's engine.
+    policy instead of ``Q`` per-matcher stream copies, and hands every
+    edge that buffer drops straight to the engines that ingested it —
+    before the arrival that displaced it is inserted (the paper's
+    ``Del``-then-``Ins`` order), so an engine is at the stream position
+    whenever anyone looks.  Arrivals that provably cannot match a query
+    (the label-level case of the paper's discardable-edge Lemma 1,
+    exposed as :meth:`MatcherBase.is_discardable`) never touch that
+    query's engine.
     ``routing="fanout"`` restores the historical full fan-out — every
     matcher re-buffers the whole stream — as the ablation baseline; both
     produce identical ``(name, match)`` streams (in-window duplicate ids
@@ -936,7 +933,6 @@ class Session:
         # of one-edge queries), expired edges have nobody to reach.
         self._retaining = 0
         self._private_entries: List[Tuple[int, str]] = []
-        self._dirty: set = set()
         # name -> the window policy object it registered with: one
         # mutable policy cannot back two engines.
         self._policy_windows: Dict[str, object] = {}
@@ -1068,10 +1064,6 @@ class Session:
         key = group_key(window)
         if key is None:
             return None         # unshareable or pre-filled: won't enroll
-        # Deliver coalesced expiries first: the registry's joinability
-        # probe is is_empty(), and a logically drained store must not
-        # look occupied merely because its deletions are still pending.
-        self._flush_all()
         return _SubplanProvider(self._subplans, key)
 
     def register_file(self, name: str, path: str, **kwargs) -> Matcher:
@@ -1088,16 +1080,14 @@ class Session:
         self._callbacks[name] = callback
 
     def deregister(self, name: str) -> None:
-        """Remove a query: flush its pending expiries, unhook its
-        routing-index entries and window-group membership, release its
-        shared sub-plan refcounts, and drop its filtered sinks."""
+        """Remove a query: unhook its routing-index entries and
+        window-group membership, release its shared sub-plan refcounts,
+        and drop its filtered sinks."""
         if name not in self._matchers:
             raise KeyError(f"unknown query: {name!r}")
         member = self._members.pop(name, None)
         if member is not None:
-            # Deliver outstanding expiries so the engine leaves in a
-            # consistent state; the last member out frees the group.
-            self._flush_member(member)
+            # The last member out frees the group.
             self._retaining -= not member.matcher.stateless
             self._admission.withdraw(member.group_key,
                                      (member.ordinal, name))
@@ -1125,11 +1115,8 @@ class Session:
         return list(self._callbacks)
 
     def matcher(self, name: str) -> Matcher:
-        """The query's engine, with pending expiries flushed so direct
-        reads observe exactly the session's stream position."""
-        member = self._members.get(name)
-        if member is not None:
-            self._flush_member(member)  # direct engine reads stay exact
+        """The query's engine; direct reads observe exactly the session's
+        stream position."""
         return self._matchers[name]
 
     def __len__(self) -> int:
@@ -1171,59 +1158,29 @@ class Session:
     # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
-    def _flush_member(self, member: _SharedMember) -> None:
-        """Deliver a member's buffered expiries to its ``_expire`` hook.
-
-        Runs before every insert into the member and before any read of
-        it, so coalescing never reorders expiry relative to the
-        operations that can observe it.
-        """
-        pending = member.pending
-        if pending:
-            matcher = member.matcher
-            guard = matcher.default_guard
-            for old in pending:
-                # Timestamp-paired delivery: expire exactly the bearer
-                # this matcher ingested — never a coexisting same-id
-                # bearer it didn't (StreamEdge equality is by id, so a
-                # mispaired _expire would alias).
-                if matcher._live_edge_ids.get(old.edge_id) \
-                        == old.timestamp:
-                    del matcher._live_edge_ids[old.edge_id]
-                    matcher._expire(old, guard)
-            pending.clear()
-        self._dirty.discard(member.name)
-
-    def _flush_all(self) -> None:
-        if not self._dirty:
-            return
-        for name in list(self._dirty):
-            member = self._members.get(name)
-            if member is not None:
-                self._flush_member(member)
-        self._dirty.clear()
-
     def _on_expired(self, group_key: Tuple, edge: StreamEdge) -> None:
-        """Queue an edge a group's window dropped on the members that
-        ingested it — found through the same route lookup that delivered
-        it, so only its (typically tiny) target list is visited, not all
-        Q matchers."""
+        """Hand an edge a group's window dropped to the ``_expire`` hook
+        of the members that ingested it — found through the same route
+        lookup that delivered it, so only its (typically tiny) target
+        list is visited, not all Q matchers.  Runs as the window slides,
+        before the displacing arrival is inserted."""
         if not self._retaining:
             return
         members = self._members
         for _, name in self._index.targets(edge):
             member = members.get(name)
-            # Only matchers that ingested *this* bearer hear about its
-            # expiry: timestamp pairing keeps an older coexisting
-            # same-id bearer's expiry away from a matcher holding the
-            # newer one (and vice versa), and a matcher registered
-            # mid-stream never hears about bearers it never saw (nor
-            # a stateless member about any: its registry stays empty).
-            if member is not None and member.group_key == group_key \
-                    and member.matcher._live_edge_ids.get(edge.edge_id) \
-                    == edge.timestamp:
-                member.pending.append(edge)
-                self._dirty.add(name)
+            if member is None or member.group_key != group_key:
+                continue
+            # Timestamp-paired delivery: expire exactly the bearer this
+            # matcher ingested — never a coexisting same-id bearer it
+            # didn't (StreamEdge equality is by id, so a mispaired
+            # _expire would alias), nor one a mid-stream registrant
+            # never saw (nor any for a stateless member: its registry
+            # stays empty).
+            matcher = member.matcher
+            if matcher._live_edge_ids.get(edge.edge_id) == edge.timestamp:
+                del matcher._live_edge_ids[edge.edge_id]
+                matcher._expire(edge, matcher.default_guard)
 
     def _arrive(self, edge: StreamEdge,
                 forced=None) -> List[Tuple[str, Match]]:
@@ -1271,8 +1228,6 @@ class Session:
                 continue    # duplicate: dropped for this whole group
             matcher = member.matcher
             if not matcher.stateless:
-                if member.pending:
-                    self._flush_member(member)
                 matcher._live_edge_ids[edge.edge_id] = edge.timestamp
             self.routed_pushes += 1
             for match in matcher._insert(edge, matcher.default_guard):
@@ -1283,14 +1238,9 @@ class Session:
 
     def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
         """The one ingest driver: every arrival's ``(name, match)`` list
-        goes to ``consume``.  Expiry delivery is coalesced — buffered per
-        matcher and flushed before that matcher's next insert and, here,
-        at the batch boundary — instead of interrupting every arrival."""
-        try:
-            for edge in edges:
-                consume(self._arrive(edge))
-        finally:
-            self._flush_all()
+        goes to ``consume``."""
+        for edge in edges:
+            consume(self._arrive(edge))
 
     def push(self, edge: StreamEdge) -> List[Tuple[str, Match]]:
         """Deliver one arrival to every query that can consume it.
@@ -1342,12 +1292,9 @@ class Session:
 
     def advance_time(self, timestamp: float) -> None:
         """Slide all windows forward without an arrival."""
-        try:
-            self._admission.advance(timestamp)
-            for _, name in self._private_entries:
-                self._matchers[name].advance_time(timestamp)
-        finally:
-            self._flush_all()
+        self._admission.advance(timestamp)
+        for _, name in self._private_entries:
+            self._matchers[name].advance_time(timestamp)
 
     @property
     def current_time(self) -> float:
@@ -1364,7 +1311,6 @@ class Session:
     # ------------------------------------------------------------------ #
     def result_counts(self) -> Dict[str, int]:
         """Per-query current-window match counts."""
-        self._flush_all()
         held, _ = self._stateless_answers()
         return {name: len(held[name]) if name in held
                 else matcher.result_count()
@@ -1372,7 +1318,6 @@ class Session:
 
     def current_matches(self) -> Dict[str, List[Match]]:
         """Per-query full answer sets over the current window."""
-        self._flush_all()
         held, _ = self._stateless_answers()
         return {name: matcher._as_matches(held[name]) if name in held
                 else matcher.current_matches()
@@ -1422,7 +1367,6 @@ class Session:
         footprint of what the engine stores (shared stores included, so
         summing it over their consumers would double-count; 0 for a
         stateless plan)."""
-        self._flush_all()
         cells = self._subplans.space_cells() + self._stateless_answers()[1]
         members = self._members
         for name, matcher in self._matchers.items():
@@ -1435,7 +1379,6 @@ class Session:
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-query engine counters (see :class:`EngineStats`)."""
-        self._flush_all()
         return {name: matcher.stats.as_dict()
                 for name, matcher in self._matchers.items()}
 
@@ -1504,8 +1447,6 @@ class Session:
         return load_session(source)
 
     def __getstate__(self):
-        # Buffered expiry deliveries are in-flight work, not state.
-        self._flush_all()
         state = dict(self.__dict__)
         state["_sinks"] = []
         state["_callbacks"] = {name: None for name in self._callbacks}
@@ -1523,14 +1464,17 @@ class ThreadSafeSession:
     several threads.
 
     A :class:`Session` is single-threaded by design — shared windows,
-    routing caches and expiry queues are mutated on every push.  Real
+    routing caches and engine stores are mutated on every push.  Real
     deployments still need concurrent *access* patterns that are
     individually serial: a worker thread ingesting while another thread
-    checkpoints, scrapes stats, or registers a query.  This wrapper
-    serialises every operation behind one reentrant lock, so interleaved
-    callers each observe a consistent session at operation granularity
-    (it does not parallelise matching — that is what
-    ``Session(sharding=...)`` is for).
+    checkpoints, scrapes stats, or registers a query.  This wrapper holds
+    one reentrant lock for the session: streaming and registration run
+    inside :meth:`locked`, and :meth:`checkpoint` plus the reads the
+    service scrapes (:meth:`names`, :attr:`edges_pushed`,
+    :meth:`session_stats`) take it themselves, so interleaved callers
+    each observe a consistent session at operation granularity (it does
+    not parallelise matching — that is what ``Session(sharding=...)`` is
+    for).
 
     :meth:`checkpoint` is the reason this exists: it snapshots the
     session *and* its stream position under the same lock acquisition,
@@ -1550,100 +1494,22 @@ class ThreadSafeSession:
         self._session = session
         self._lock = threading.RLock()
 
-    # -- streaming ----------------------------------------------------- #
-    def push(self, edge: StreamEdge):
-        """Locked :meth:`Session.push`."""
-        with self._lock:
-            return self._session.push(edge)
-
-    def push_many(self, edges: Iterable[StreamEdge]):
-        """Locked :meth:`Session.push_many` (the whole batch is one
-        critical section; chunk long batches to give checkpoints a
-        boundary to land on)."""
-        with self._lock:
-            return self._session.push_many(edges)
-
-    def ingest(self, edges: Iterable[StreamEdge]) -> int:
-        """Locked :meth:`Session.ingest`."""
-        with self._lock:
-            return self._session.ingest(edges)
-
-    def advance_time(self, timestamp: float) -> None:
-        """Locked :meth:`Session.advance_time`."""
-        with self._lock:
-            self._session.advance_time(timestamp)
-
-    # -- registry ------------------------------------------------------ #
-    def register(self, name: str, query, **kwargs):
-        """Locked :meth:`Session.register`."""
-        with self._lock:
-            return self._session.register(name, query, **kwargs)
-
-    def deregister(self, name: str) -> None:
-        """Locked :meth:`Session.deregister`."""
-        with self._lock:
-            self._session.deregister(name)
-
+    # -- introspection ------------------------------------------------- #
     def names(self) -> List[str]:
         """Locked :meth:`Session.names`."""
         with self._lock:
             return self._session.names()
 
-    def add_sink(self, sink, **kwargs):
-        """Locked :meth:`Session.add_sink`."""
-        with self._lock:
-            return self._session.add_sink(sink, **kwargs)
-
-    def remove_sink(self, sink) -> None:
-        """Locked :meth:`Session.remove_sink`."""
-        with self._lock:
-            self._session.remove_sink(sink)
-
-    # -- introspection ------------------------------------------------- #
     def session_stats(self) -> Dict[str, object]:
         """Locked :meth:`Session.session_stats`."""
         with self._lock:
             return self._session.session_stats()
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """Locked :meth:`Session.stats`."""
-        with self._lock:
-            return self._session.stats()
-
-    def result_counts(self) -> Dict[str, int]:
-        """Locked :meth:`Session.result_counts`."""
-        with self._lock:
-            return self._session.result_counts()
-
-    def current_matches(self):
-        """Locked :meth:`Session.current_matches`."""
-        with self._lock:
-            return self._session.current_matches()
-
-    def space_cells(self) -> int:
-        """Locked :meth:`Session.space_cells`."""
-        with self._lock:
-            return self._session.space_cells()
-
-    @property
-    def current_time(self) -> float:
-        """Locked :attr:`Session.current_time`."""
-        with self._lock:
-            return self._session.current_time
 
     @property
     def edges_pushed(self) -> int:
         """Locked read of the session's accepted-arrival count."""
         with self._lock:
             return self._session.edges_pushed
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._session)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._session
 
     # -- checkpointing ------------------------------------------------- #
     def checkpoint(self, target, *, meta: Optional[dict] = None) -> dict:

@@ -7,7 +7,7 @@ identical, and the *ratio* of the two gated.  A suite is an entry of
 :data:`SUITES` — its committed baseline, workload builder, legs,
 cross-leg invariants, gated ratio and extra gates — and one runner
 (:func:`run_suite`), one checker (:func:`check_suite`) and one summary
-(:func:`summarize`) serve all seven.  Why each workload looks the way it
+(:func:`summarize`) serve all five.  Why each workload looks the way it
 does is recorded next to its pinned parameters below; what each suite
 runs and gates is the table.
 
@@ -36,7 +36,6 @@ workloads.
 from __future__ import annotations
 
 import argparse
-import glob
 import itertools
 import json
 import operator
@@ -44,7 +43,6 @@ import os
 import platform
 import random
 import sys
-import tempfile
 import time
 from collections import Counter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -57,9 +55,6 @@ from ..datasets import (
 )
 from ..graph.edge import StreamEdge
 from ..graph.ops import relabel_stream
-from ..io.dsl import format_query
-from ..service import ServerConfig, ServiceGateway, TenantConfig, WalConfig
-from ..sinks import match_record
 
 #: Repetitions of every timed leg; the fastest one is reported.
 REPETITIONS = 3
@@ -110,8 +105,8 @@ def build_indexing_workload() -> Workload:
         stream.window_units_to_duration(p["window_units"]), list(stream), p)
 
 
-#: Pinned multi-query workload (the sharding, service and wal suites run
-#: it too).  The NetworkFlow stream is relabelled to drop the ephemeral
+#: Pinned multi-query workload (the sharding suite runs it too).  The
+#: NetworkFlow stream is relabelled to drop the ephemeral
 #: source port — ``(dst-port, protocol)`` term labels — so the generated
 #: queries carry *concrete* label triples the session routing index can
 #: discriminate on (the PR 2 workload wildcards the source port instead,
@@ -317,30 +312,24 @@ def _engine_leg(workload: Workload, indexing: str):
 
 def _session_leg(workload: Workload, config: EngineConfig,
                  fields: Callable[[Session], dict], *,
-                 queries: Optional[int] = None, edges: Optional[int] = None,
-                 records: bool = False):
+                 queries: Optional[int] = None, edges: Optional[int] = None):
     """Register the workload's (first ``queries``) queries on
     ``Session(config)`` and time one ``push_many`` of its (first
-    ``edges``) edges.  The answer is the ``(name, match)`` multiset, or
-    with ``records`` the canonical match records a sink saw (what a
-    gateway delivers).  ``fields`` adds the suite's own counters."""
+    ``edges``) edges.  The answer is the ``(name, match)`` multiset.
+    ``fields`` adds the suite's own counters."""
     stream = workload.edges[:edges]
     session = Session(window=workload.window, config=config)
     try:
         for name, query in itertools.islice(workload.queries.items(),
                                             queries):
             session.register(name, query)
-        delivered: Counter = Counter()
-        if records:
-            session.add_sink(lambda name, match: delivered.update(
-                [_canonical_record(match_record(name, match))]))
         tagged, run = _timed(session.push_many, stream)
         run["matches"] = len(tagged)
         run.update(fields(session))
     finally:
         if hasattr(session, "close"):   # process shards: workers and rings
             session.close()
-    return run, delivered if records else Counter(tagged)
+    return run, Counter(tagged)
 
 
 def _routing_fields(session: Session) -> dict:
@@ -404,148 +393,6 @@ def _sharded_leg(workload: Workload, transport: str):
     return run, answer
 
 
-#: Pinned gateway pipeline parameters over the routing workload.  The
-#: queue is sized well below the stream so the producer genuinely
-#: exercises the blocking backpressure path, and the crash is simulated
-#: two checkpoints' worth of arrivals past the barrier so the replay
-#: covers both in-flight queue contents and discarded match segments.
-SERVICE = {"queue_capacity": 4096, "batch_size": 512, "backpressure": "block"}
-SERVICE_CHECKPOINT_AT = 12000
-SERVICE_CRASH_AT = 18000
-
-
-def _gateway_config(state_dir, workload: Workload,
-                    wal: Optional[WalConfig]) -> ServerConfig:
-    tenant = TenantConfig(
-        name="bench", window=workload.window, wal=wal,
-        queries={name: format_query(query)
-                 for name, query in workload.queries.items()},
-        **SERVICE)
-    return ServerConfig(state_dir=str(state_dir), port=0,
-                        checkpoint_interval=0.0,
-                        tenants=(tenant,)).validate()
-
-
-def _canonical_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
-
-
-def _read_match_log(state_dir) -> Counter:
-    """The tenant's on-disk match log as a canonical-record multiset."""
-    pattern = os.path.join(str(state_dir), "bench", "matches",
-                           "matches-*.jsonl")
-    log: Counter = Counter()
-    for path in sorted(glob.glob(pattern)):
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                log[_canonical_record(json.loads(line))] += 1
-    return log
-
-
-def _feed(gateway: ServiceGateway, edges: List, drain: bool = True) -> None:
-    """Ingest in producer-sized batches, then wait for the drain."""
-    tenant = gateway.tenant("bench")
-    for lo in range(0, len(edges), SERVICE["batch_size"]):
-        tenant.ingest_edges(edges[lo:lo + SERVICE["batch_size"]])
-    if drain and not gateway.wait_idle(timeout=600.0):
-        raise AssertionError("gateway never drained the pinned stream")
-
-
-def _gateway_leg(workload: Workload, wal: Optional[WalConfig]):
-    """The full pipeline in-process: producer → (journal: CRC-framed
-    append + fsync before the ack, with ``wal``) → bounded queue → tenant
-    worker → session.  The answer is what the hub delivered, which must
-    also be what the on-disk match log holds."""
-    with tempfile.TemporaryDirectory(prefix="repro-perf-smoke-") as root:
-        gateway = ServiceGateway(_gateway_config(root, workload, wal))
-        try:
-            tenant = gateway.tenant("bench")
-            delivered: Counter = Counter()
-            tenant.hub.subscribe(
-                lambda record: delivered.update([_canonical_record(record)]))
-            _, run = _timed(lambda edges: _feed(gateway, edges),
-                            workload.edges)
-            queue = tenant.queue
-            run.update(
-                mode="gateway pipeline (producer -> queue -> worker)",
-                matches=sum(delivered.values()),
-                queue={"capacity": SERVICE["queue_capacity"],
-                       "batch_size": SERVICE["batch_size"],
-                       **{name: getattr(queue, name) for name in (
-                           "enqueued", "dequeued", "dropped", "spilled",
-                           "high_water")}})
-            if wal is not None:
-                run.update(
-                    mode="WAL gateway pipeline (producer -> journal -> "
-                         "queue -> worker)",
-                    queue_dropped=queue.dropped,
-                    wal=_pick(tenant.wal.counters(), "appends", "fsyncs",
-                              "bytes_written", "segments_created",
-                              "appended_lsn"))
-        finally:
-            gateway.shutdown()
-        if _read_match_log(root) != delivered:
-            raise AssertionError(
-                "the gateway's match log differs from what it delivered")
-    return run, delivered
-
-
-def _kill_restore_leg(workload: Workload, wal: Optional[WalConfig]):
-    """Checkpoint mid-stream, crash past it, restore, finish the stream;
-    the answer is the recovered match log.  Without a WAL the producer
-    replays from the checkpointed stream position.  With one it resends
-    **nothing** before the crash point — the producer-independence proof:
-    boot-time journal replay alone must restore exactly the ``crash_at -
-    checkpoint_at`` edges past the checkpoint."""
-    edges = workload.edges
-    with tempfile.TemporaryDirectory(prefix="repro-perf-smoke-") as root:
-        config = _gateway_config(root, workload, wal)
-        gateway = ServiceGateway(config)
-        try:
-            _feed(gateway, edges[:SERVICE_CHECKPOINT_AT])
-            meta = gateway.tenant("bench").checkpoint()
-            _feed(gateway, edges[SERVICE_CHECKPOINT_AT:SERVICE_CRASH_AT],
-                  drain=False)
-        finally:
-            gateway.abort()     # simulated kill -9, arrivals still queued
-
-        restored = ServiceGateway(config)
-        try:
-            tenant = restored.tenant("bench")
-            if not tenant.restored:
-                raise AssertionError("the crash left no usable checkpoint")
-            run = {"checkpoint_at": SERVICE_CHECKPOINT_AT,
-                   "crash_at": SERVICE_CRASH_AT}
-            if wal is None:
-                resume_at = tenant.edges_offered
-                if resume_at != SERVICE_CHECKPOINT_AT:
-                    raise AssertionError(
-                        f"restore came back at stream position {resume_at}, "
-                        f"expected {SERVICE_CHECKPOINT_AT}")
-                run.update(
-                    checkpoint_meta_position=meta["edges_offered"],
-                    replayed_edges=len(edges) - resume_at)
-            else:
-                resume_at = SERVICE_CRASH_AT
-                if tenant.replayed_edges != resume_at - SERVICE_CHECKPOINT_AT:
-                    raise AssertionError(
-                        f"boot replay restored {tenant.replayed_edges} "
-                        "edges, expected exactly crash_at - checkpoint_at")
-                run.update(
-                    checkpoint_wal_lsn=meta["wal_lsn"],
-                    replayed_edges=tenant.replayed_edges,
-                    producer_replayed_edges=0)
-            _feed(restored, edges[resume_at:])
-        finally:
-            restored.shutdown()
-        recovered = _read_match_log(root)
-    # The runner raises before the report is written when the recovered
-    # log is not the uninterrupted run's.
-    run.update(match_log_records=sum(recovered.values()),
-               match_log_equal=True)
-    return run, recovered
-
-
 # --------------------------------------------------------------------- #
 # The suite table
 # --------------------------------------------------------------------- #
@@ -554,13 +401,11 @@ class Leg(NamedTuple):
     """One mode of a suite.  ``name`` is its (dotted) key in the report,
     ``run(workload)`` returns ``(run dict, answer)``; every repetition
     must reproduce the answer of leg ``same_as`` (or, without one, of
-    its own first repetition).  An untimed leg is a correctness probe:
-    it runs once."""
+    its own first repetition)."""
 
     name: str
     run: Callable[[Workload], Tuple[dict, object]]
     same_as: Optional[str] = None
-    timed: bool = True
 
 
 class Gate(NamedTuple):
@@ -607,13 +452,6 @@ def _cpu_cores() -> int:
     except AttributeError:      # pragma: no cover - non-Linux platforms
         return os.cpu_count() or 1
 
-
-_SERVICE_GATES = (
-    Gate("dropped_edges", "equals", 0,
-         "the blocking backpressure policy drops no edge"),
-    Gate("kill_restore.match_log_equal", "equals", True,
-         "kill-restore reproduces the uninterrupted match log"),
-)
 
 SUITES: Dict[str, Suite] = {
     "indexing": Suite(
@@ -748,50 +586,6 @@ SUITES: Dict[str, Suite] = {
                  "pipe/shm wall ratio"),
         ),
     ),
-    "service": Suite(
-        "BENCH_pr6.json", "pr6-service-perf-smoke",
-        lambda: build_routing_workload(**SERVICE),
-        legs=(
-            # The same 16 queries on an identically configured session.
-            Leg("direct", lambda w: _session_leg(w, EngineConfig(
-                storage="mstree", duplicate_policy="skip"),
-                lambda session: {"mode": "direct push_many"},
-                records=True)),
-            Leg("gateway", lambda w: _gateway_leg(w, None), same_as="direct"),
-            Leg("kill_restore", lambda w: _kill_restore_leg(w, None),
-                same_as="direct", timed=False),
-        ),
-        # 1.0 means the queue hop, worker handoff and match delivery are
-        # free; they may cost at most 20%.
-        ratios=(("speedup", "gateway.throughput_edges_per_s",
-                 "direct.throughput_edges_per_s"),),
-        claim="gateway/direct throughput ratio", floor=0.8,
-        pinned="gateway",
-        extras=lambda r: {"dropped_edges": r["gateway"]["queue"]["dropped"]},
-        gates=_SERVICE_GATES,
-    ),
-    "wal": Suite(
-        "BENCH_pr8.json", "pr8-wal-perf-smoke",
-        lambda: build_routing_workload(**SERVICE),
-        legs=(
-            Leg("plain", lambda w: _gateway_leg(w, None)),
-            Leg("wal", lambda w: _gateway_leg(w, WalConfig()),
-                same_as="plain"),
-            Leg("kill_restore", lambda w: _kill_restore_leg(w, WalConfig()),
-                same_as="plain", timed=False),
-        ),
-        # The durability tax of the journal hop: 1.0 means journaling is
-        # free; it may cost at most 25%.
-        ratios=(("speedup", "wal.throughput_edges_per_s",
-                 "plain.throughput_edges_per_s"),),
-        claim="WAL/plain throughput ratio", floor=0.75, pinned="wal",
-        extras=lambda r: {"dropped_edges": r["wal"]["queue"]["dropped"]},
-        gates=_SERVICE_GATES + (
-            Gate("kill_restore.producer_replayed_edges", "equals", 0,
-                 "recovery is journal-only: the producer resends nothing "
-                 "before the crash point"),
-        ),
-    ),
     "predicates": Suite(
         "BENCH_pr10.json", "pr10-predicate-routing-perf-smoke",
         build_predicates_workload,
@@ -886,7 +680,7 @@ def run_suite(suite: Suite) -> dict:
     for leg in suite.legs:
         reference = answers.get(leg.same_as)
         best = None
-        for _ in range(REPETITIONS if leg.timed else 1):
+        for _ in range(REPETITIONS):
             run, answer = leg.run(workload)
             if reference is None:
                 reference = answer
@@ -938,11 +732,11 @@ def check_suite(suite: Suite, report: dict, baseline: dict,
 
 
 def summarize(suite: Suite, report: dict) -> str:
-    """One line: each timed leg's wall seconds, the gated ratio, and the
-    value under every extra gate."""
+    """One line: each leg's wall seconds, the gated ratio, and the value
+    under every extra gate."""
     legs = ", ".join(
         f"{leg.name} {_wall(_get(report, leg.name))}s"
-        for leg in suite.legs if leg.timed)
+        for leg in suite.legs)
     gated = "".join(f", {gate.key} {_get(report, gate.key)}"
                     for gate in suite.gates)
     return (f"{legs} → {suite.claim} {report['speedup']}{gated} "

@@ -100,9 +100,8 @@ if TYPE_CHECKING:   # pragma: no cover - typing only
 #: amortise serialisation; smaller ones tighten sink latency.
 DEFAULT_BATCH_SIZE = 1024
 
-#: Default per-RPC deadline (seconds) for shard workers.  Generous —
-#: it exists to bound *hangs*, not to police slow batches; lower it per
-#: instance via :attr:`ShardedSession.rpc_timeout`.
+#: Per-RPC deadline (seconds) for shard workers.  Generous — it exists
+#: to bound *hangs*, not to police slow batches.
 DEFAULT_RPC_TIMEOUT = 60.0
 
 #: Dispatch rounds in flight per ``push_many``/``ingest`` before the
@@ -230,18 +229,12 @@ class _ShardServer:
         started = self.clock()
         results: List[Tuple[int, str, Match]] = []
         try:
-            # One coalesced expiry flush per batch (the finally), exactly
-            # like the base push_many; _arrive itself still flushes a
-            # member right before inserting into it.
-            try:
-                for idx, payload, forced in rows:
-                    edge = payload if isinstance(payload, StreamEdge) \
-                        else _edge_from_wire(payload)
-                    self.edges_received += 1
-                    for name, match in session._arrive(edge, forced):
-                        results.append((idx, name, match))
-            finally:
-                session._flush_all()
+            for idx, payload, forced in rows:
+                edge = payload if isinstance(payload, StreamEdge) \
+                    else _edge_from_wire(payload)
+                self.edges_received += 1
+                for name, match in session._arrive(edge, forced):
+                    results.append((idx, name, match))
         finally:
             self.last_batch_seconds = self.clock() - started
             self.busy_seconds += self.last_batch_seconds
@@ -779,14 +772,6 @@ class ShardedSession(Session):
         self._mode = self.config.sharding
         self._shard_count = self.config.shards
         self._transport = self.config.transport
-        #: Arrivals staged per dispatch round (tunable per instance).
-        self.batch_size = DEFAULT_BATCH_SIZE
-        #: Dispatch rounds in flight before ``push_many``/``ingest``
-        #: block collecting the oldest (1 = lock-step, no overlap).
-        self.overlap_depth = DEFAULT_OVERLAP_DEPTH
-        #: Per-RPC deadline in seconds (``None`` disables the deadline;
-        #: worker-death detection stays on either way).
-        self.rpc_timeout: Optional[float] = DEFAULT_RPC_TIMEOUT
         # The facade admits over the full stream but hosts no engine, so
         # nobody needs to hear about expiries; the inherited route index
         # carries shard indexes as payloads.
@@ -828,9 +813,10 @@ class ShardedSession(Session):
         if self._closed:
             raise RuntimeError("session is closed")
 
-    def _call(self, shard: _ShardState, cmd: str, payload=None):
+    def _call(self, shard: _ShardState, cmd: str, payload=None, *,
+              timeout: float = DEFAULT_RPC_TIMEOUT):
         shard.handle.send(cmd, payload)
-        return shard.handle.recv(self.rpc_timeout)
+        return shard.handle.recv(timeout)
 
     def _call_all(self, cmd: str, payload=None) -> List:
         """One command to every shard, gathered in shard order.  All
@@ -841,7 +827,7 @@ class ShardedSession(Session):
         results, errors = [], []
         for shard in self._shards:
             try:
-                results.append(shard.handle.recv(self.rpc_timeout))
+                results.append(shard.handle.recv(DEFAULT_RPC_TIMEOUT))
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
         if errors:
@@ -864,19 +850,13 @@ class ShardedSession(Session):
             if handle is not None and handle.is_alive():
                 entry["alive"] = True
                 try:
-                    beat = self._call_with_timeout(
-                        shard, "ping", timeout=ping_timeout)
+                    beat = self._call(shard, "ping", timeout=ping_timeout)
                     entry["responsive"] = bool(beat.get("pong"))
                     entry["edges_received"] = beat.get("edges_received", 0)
                 except Exception:     # wedged or died under the probe
                     entry["alive"] = handle.is_alive()
             out.append(entry)
         return out
-
-    def _call_with_timeout(self, shard: _ShardState, cmd: str,
-                           payload=None, *, timeout: float = 2.0):
-        shard.handle.send(cmd, payload)
-        return shard.handle.recv(timeout)
 
     def _sync_shards(self) -> None:
         """Advance every shard to the facade clock so reads observe the
@@ -1011,7 +991,7 @@ class ShardedSession(Session):
             targeted += self._shards[index].members
         self.skipped_matchers += len(self._assignments) - targeted
 
-    def _send_round(self, per_shard: List[list], drain=None):
+    def _send_round(self, per_shard: List[list], drain):
         """Dispatch one staged round without collecting; returns the
         token :meth:`_collect_round` consumes.
 
@@ -1035,21 +1015,20 @@ class ShardedSession(Session):
                 if frame is None:
                     fallbacks.append(shard)
                     continue
-                handle.ring_send(frame, self.rpc_timeout)
+                handle.ring_send(frame, DEFAULT_RPC_TIMEOUT)
                 pending.append((shard, True))
             else:
                 handle.send("push_batch", rows)
                 pending.append((shard, False))
         inline: List[Tuple[int, str, Match]] = []
         if fallbacks:
-            if drain is not None:
-                drain()
+            drain()
             for shard in fallbacks:
                 shard.handle.send("push_batch", per_shard[shard.index])
             errors: List[BaseException] = []
             for shard in fallbacks:
                 try:
-                    inline.extend(shard.handle.recv(self.rpc_timeout))
+                    inline.extend(shard.handle.recv(DEFAULT_RPC_TIMEOUT))
                 except BaseException as exc:  # noqa: BLE001 - below
                     errors.append(exc)
             if errors:
@@ -1064,9 +1043,10 @@ class ShardedSession(Session):
         for shard, via_ring in pending:
             try:
                 if via_ring:
-                    merged.extend(shard.handle.ring_recv(self.rpc_timeout))
+                    merged.extend(
+                        shard.handle.ring_recv(DEFAULT_RPC_TIMEOUT))
                 else:
-                    merged.extend(shard.handle.recv(self.rpc_timeout))
+                    merged.extend(shard.handle.recv(DEFAULT_RPC_TIMEOUT))
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 errors.append(exc)
         if errors:
@@ -1080,56 +1060,26 @@ class ShardedSession(Session):
             self._deliver(name, match)
         return results
 
-    def _dispatch(self, per_shard: List[list]) -> List[Tuple[str, Match]]:
-        """Send one staged batch and gather it lock-step (the ``push``
-        path — nothing else may be outstanding when this runs)."""
-        return self._collect_round(self._send_round(per_shard))
+    def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
+        """Overlapped batch driver behind the inherited ``push`` /
+        ``push_many`` / ``ingest``: arrivals are staged in
+        :data:`DEFAULT_BATCH_SIZE` rounds and round ``N+1`` is dispatched
+        while the shards are still chewing round ``N``, keeping up to
+        :data:`DEFAULT_OVERLAP_DEPTH` rounds in flight.  ``consume``
+        receives each collected round's deterministically merged
+        ``(name, match)`` list, in round order.
 
-    def _push_batch(self, edges: List[StreamEdge]) -> List[Tuple[str, Match]]:
-        """Stage-and-dispatch one batch.  On a mid-batch rejection the
-        already-staged prefix is still dispatched (and delivered to
-        sinks) before the error propagates — the same partial-progress
-        contract as the base class's ``push_many``.
+        Same partial-progress contract as the base class: a mid-batch
+        rejection still dispatches (and delivers) the staged prefix — and
+        every already-dispatched round — before the error propagates.
 
-        The facade's CPU across the whole round (admission, staging,
+        The facade's CPU across the whole call (admission, staging,
         serialisation, gather, merge, sink delivery) is accumulated as
         its pipeline-stage cost; ``thread_time`` does not tick while
         waiting on workers.
         """
         self._check_open()
-        started = thread_time()
-        per_shard: List[list] = [[] for _ in self._shards]
-        try:
-            try:
-                for idx, edge in enumerate(edges):
-                    self._stage(idx, edge, per_shard)
-            except BaseException:
-                self._dispatch(per_shard)
-                raise
-            return self._dispatch(per_shard)
-        finally:
-            self._facade_seconds += thread_time() - started
-
-    def push(self, edge: StreamEdge) -> List[Tuple[str, Match]]:
-        """Deliver one arrival (a batch of one: sink callbacks fire
-        before the call returns, exactly like an unsharded push)."""
-        return self._push_batch([edge])
-
-    def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
-        """Overlapped batch driver for ``push_many``/``ingest``: stages
-        and dispatches round ``N+1`` while the shards are still chewing
-        round ``N``, keeping up to :attr:`overlap_depth` rounds in
-        flight.  ``consume`` receives each collected round's merged
-        ``(name, match)`` list, in round order.
-
-        The partial-progress contract matches :meth:`_push_batch`: a
-        mid-batch rejection still dispatches (and delivers) the staged
-        prefix — and every already-dispatched round — before the error
-        propagates.
-        """
-        self._check_open()
         outstanding: deque = deque()
-        depth = max(1, self.overlap_depth)
 
         def drain() -> None:
             while outstanding:
@@ -1151,10 +1101,10 @@ class ShardedSession(Session):
                 batch: List[StreamEdge] = []
                 for edge in edges:
                     batch.append(edge)
-                    if len(batch) >= self.batch_size:
+                    if len(batch) >= DEFAULT_BATCH_SIZE:
                         flush(batch)
                         batch = []
-                        while len(outstanding) >= depth:
+                        while len(outstanding) >= DEFAULT_OVERLAP_DEPTH:
                             consume(self._collect_round(
                                 outstanding.popleft()))
                 if batch:
@@ -1165,27 +1115,6 @@ class ShardedSession(Session):
             drain()
         finally:
             self._facade_seconds += thread_time() - started
-
-    def push_many(self,
-                  edges: Iterable[StreamEdge]) -> List[Tuple[str, Match]]:
-        """Batch ingestion: arrivals are staged in :attr:`batch_size`
-        rounds, fanned to the target shards (overlapped — see
-        :attr:`overlap_depth`) and merged deterministically."""
-        results: List[Tuple[str, Match]] = []
-        self._pump(edges, results.extend)
-        return results
-
-    def ingest(self, edges: Iterable[StreamEdge]) -> int:
-        """Sink-driven batch ingestion returning only the match count
-        (an unbounded stream never materialises its result list)."""
-        delivered = 0
-
-        def consume(results: List[Tuple[str, Match]]) -> None:
-            nonlocal delivered
-            delivered += len(results)
-
-        self._pump(edges, consume)
-        return delivered
 
     def advance_time(self, timestamp: float) -> None:
         """Slide every shard's windows forward without an arrival."""

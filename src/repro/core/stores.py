@@ -14,7 +14,7 @@ representation, not the expiry algorithm).  ``delete_edge`` is idempotent
 (the registry entry is popped on first delivery), which is what lets a
 *shared* sub-plan store (see :class:`~repro.api.SharedSubplanStore`) be
 expired exactly once however many engines consume it: the first consumer's
-expiry flush does the work, later flushes are O(1) no-ops.
+``_expire`` does the work, the others' are O(1) no-ops.
 """
 
 from __future__ import annotations

@@ -14,24 +14,20 @@ without arrivals cannot shrink a count-based window.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterator, List
+from typing import Deque, Iterator, List
 
 from .edge import StreamEdge
-from .window import ExpiryCallback, ExpirySubscriptionMixin
 
 
-class CountSlidingWindow(ExpirySubscriptionMixin):
+class CountSlidingWindow:
     """FIFO of at most ``capacity`` most recent edges.
 
-    Supports the same expiry-subscription hook as
-    :class:`~repro.graph.window.SlidingWindow`: ``subscribe(callback)``
-    registers a callable invoked with each evicted edge at eviction time,
-    which is what lets :class:`~repro.graph.shared_window.SharedSlidingWindow`
-    serve many matchers from one buffer.
+    Same expiry contract as :class:`~repro.graph.window.SlidingWindow`:
+    ``push`` returns the edge it evicts (if any), and that returned list is
+    the only way an eviction leaves the window.
     """
 
-    __slots__ = ("capacity", "_edges", "_current_time", "_id_counts",
-                 "_subscribers")
+    __slots__ = ("capacity", "_edges", "_current_time")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -39,10 +35,6 @@ class CountSlidingWindow(ExpirySubscriptionMixin):
         self.capacity = capacity
         self._edges: Deque[StreamEdge] = deque()
         self._current_time: float = float("-inf")
-        # In-window multiset of edge ids — O(1) membership, mirroring
-        # :class:`repro.graph.window.SlidingWindow`.
-        self._id_counts: Dict[Hashable, int] = {}
-        self._subscribers: List[ExpiryCallback] = []
 
     @property
     def current_time(self) -> float:
@@ -55,16 +47,7 @@ class CountSlidingWindow(ExpirySubscriptionMixin):
         return iter(self._edges)
 
     def __contains__(self, edge: StreamEdge) -> bool:
-        if isinstance(edge, StreamEdge):
-            return edge.edge_id in self._id_counts
-        return any(e == edge for e in self._edges)
-
-    def _forget(self, edge: StreamEdge) -> None:
-        count = self._id_counts.get(edge.edge_id, 0)
-        if count <= 1:
-            self._id_counts.pop(edge.edge_id, None)
-        else:
-            self._id_counts[edge.edge_id] = count - 1
+        return edge in self._edges      # by edge_id; a linear scan
 
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
         """Insert one arrival; returns the edge it evicts (if any)."""
@@ -77,13 +60,8 @@ class CountSlidingWindow(ExpirySubscriptionMixin):
         self._current_time = edge.timestamp
         expired: List[StreamEdge] = []
         if len(self._edges) == self.capacity:
-            old = self._edges.popleft()
-            self._forget(old)
-            expired.append(old)
+            expired.append(self._edges.popleft())
         self._edges.append(edge)
-        self._id_counts[edge.edge_id] = \
-            self._id_counts.get(edge.edge_id, 0) + 1
-        self._notify(expired)
         return expired
 
     def advance(self, timestamp: float) -> List[StreamEdge]:

@@ -6,17 +6,16 @@ the *same* arrivals: fanning each edge out to per-matcher
 memory and ``Q`` identical expiry cascades per arrival.  This module
 de-duplicates that: a :class:`SharedSlidingWindow` owns the single deque of
 in-window edges (plus an id → timestamp index for O(1) duplicate probes),
-matchers subscribe for expiry callbacks, and each matcher keeps only a
-read-only :class:`SharedWindowView` onto the shared buffer — cutting window
-memory to ``O(|W|)`` and running one expiry scan per advance regardless of
-how many queries are registered.
+``push``/``advance`` return the edges the slide dropped for the session to
+deliver, and each matcher keeps only a read-only :class:`SharedWindowView`
+onto the shared buffer — cutting window memory to ``O(|W|)`` and running
+one expiry scan per advance regardless of how many queries are registered.
 
 The shared window wraps either time-based window policy
 (:class:`~repro.graph.window.SlidingWindow`) or count-based policy
-(:class:`~repro.graph.count_window.CountSlidingWindow`) and rides on the
-expiry-subscription hooks those classes expose; matchers with the same
-policy parameters (same duration, or same capacity) are *compatible* and
-share one buffer.
+(:class:`~repro.graph.count_window.CountSlidingWindow`); matchers with the
+same policy parameters (same duration, or same capacity) are *compatible*
+and share one buffer.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ from typing import Hashable, Iterator, List, Optional, Tuple
 
 from .count_window import CountSlidingWindow
 from .edge import StreamEdge
-from .window import ExpiryCallback, ExpirySubscriptionMixin, SlidingWindow
+from .window import SlidingWindow
 
 #: Window-policy classes a shared window can wrap.  Exact types only —
 #: a subclass may change expiry semantics, which would silently break
-#: every co-subscribed matcher.
+#: every matcher on the buffer.
 SHAREABLE_WINDOW_TYPES = (SlidingWindow, CountSlidingWindow)
 
 
@@ -47,21 +46,23 @@ def window_policy_key(window) -> Optional[Tuple[str, float]]:
     return None
 
 
-class SharedSlidingWindow(ExpirySubscriptionMixin):
+class SharedSlidingWindow:
     """The single buffer of live edges behind a multi-query session.
 
-    Wraps a fresh window-policy object (time- or count-based), maintains an
-    ``edge_id → timestamp`` index over the live edges, and fans each expiry
-    out to the subscribed callbacks (registered through the policy's
-    ``subscribe`` hook).  Duplicate-id *policy* is the session's business
-    (per-matcher, like the underlying window policies, which are id
-    multisets): the buffer admits coexisting same-id bearers — e.g. a
-    matcher registered mid-stream legitimately ingests a re-used id whose
-    original bearer it never saw — and the bearer index keeps the latest
-    bearer's timestamp, deleting it only when *that* bearer expires.
+    Wraps a fresh window-policy object (time- or count-based) and maintains
+    an ``edge_id → timestamp`` index over the live edges, pruned from the
+    list of dropped edges the policy returns.  Duplicate-id *policy* is the
+    session's business: :meth:`repro.ingest.Admission.admit` probes this
+    index and drops an in-window duplicate for the whole group before it
+    is buffered — a query registered mid-stream *inherits* the stream's
+    duplicate view rather than ingesting a re-used id whose original
+    bearer it never saw.  The buffer itself refuses nothing: driven
+    directly it admits coexisting same-id bearers, and the index then
+    keeps the latest bearer's timestamp, deleting it only when *that*
+    bearer expires.
     """
 
-    __slots__ = ("_policy", "_id_times", "_subscribers")
+    __slots__ = ("_policy", "_id_times")
 
     def __init__(self, policy) -> None:
         if type(policy) not in SHAREABLE_WINDOW_TYPES:
@@ -72,8 +73,6 @@ class SharedSlidingWindow(ExpirySubscriptionMixin):
             raise ValueError("a shared window must start from an empty policy")
         self._policy = policy
         self._id_times: dict = {}
-        self._subscribers: List[ExpiryCallback] = []
-        policy.subscribe(self._on_expired)
 
     # ------------------------------------------------------------------ #
     # Policy passthrough
@@ -122,26 +121,24 @@ class SharedSlidingWindow(ExpirySubscriptionMixin):
         return self._policy.newest()
 
     # ------------------------------------------------------------------ #
-    # Subscription — subscribe/unsubscribe come from the mixin.
-    # ------------------------------------------------------------------ #
-    def _on_expired(self, edge: StreamEdge) -> None:
-        # Timestamp-paired deletion: an older coexisting bearer's expiry
-        # must not clobber the latest bearer's index entry.
-        if self._id_times.get(edge.edge_id) == edge.timestamp:
-            del self._id_times[edge.edge_id]
-        self._notify((edge,))
-
-    # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
+    def _dropped(self, expired: List[StreamEdge]) -> List[StreamEdge]:
+        # Timestamp-paired deletion: an older coexisting bearer's expiry
+        # must not clobber the latest bearer's index entry.
+        id_times = self._id_times
+        for edge in expired:
+            if id_times.get(edge.edge_id) == edge.timestamp:
+                del id_times[edge.edge_id]
+        return expired
+
     def advance(self, timestamp: float) -> List[StreamEdge]:
-        """Slide time forward; expired edges are returned *and* dispatched
-        to the subscribers."""
-        return self._policy.advance(timestamp)
+        """Slide time forward; returns the expired edges, oldest first."""
+        return self._dropped(self._policy.advance(timestamp))
 
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
-        """Buffer one arrival; returns (and dispatches) what it expires."""
-        expired = self._policy.push(edge)
+        """Buffer one arrival; returns what it expires, oldest first."""
+        expired = self._dropped(self._policy.push(edge))
         self._id_times[edge.edge_id] = edge.timestamp   # latest bearer wins
         return expired
 
@@ -169,8 +166,7 @@ class SharedSlidingWindow(ExpirySubscriptionMixin):
 
     def __repr__(self) -> str:
         kind = "time" if type(self._policy) is SlidingWindow else "count"
-        return (f"SharedSlidingWindow({kind}, {len(self)} edges, "
-                f"{len(self._subscribers)} subscribers)")
+        return f"SharedSlidingWindow({kind}, {len(self)} edges)"
 
 
 class SharedWindowView:
@@ -181,8 +177,8 @@ class SharedWindowView:
     ``oldest`` / ``newest``) backed by the shared buffer, so code that
     inspects ``matcher.window`` keeps working.  Mutation is refused: a
     shared-routing :class:`~repro.api.Session` owns the buffer, and a
-    direct ``matcher.push`` would desynchronise every co-subscribed
-    matcher.
+    direct ``matcher.push`` would desynchronise every other matcher on
+    the buffer.
     """
 
     __slots__ = ("_shared", "since")

@@ -5,53 +5,20 @@ duration ``|W|``: at current time ``t`` the window spans ``(t - |W|, t]``.
 Edges whose timestamp falls out of this span have *expired*.
 
 :class:`SlidingWindow` keeps the in-window edges in arrival (i.e. timestamp)
-order and pops expired edges as time advances.  It is the substrate both the
-Timing engine and every baseline build on.
+order and pops expired edges as time advances, returning them to whoever
+drove the slide.  It is the substrate both the Timing engine and every
+baseline build on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, Iterator, List
+from typing import Deque, Iterator, List
 
 from .edge import StreamEdge
 
-#: Signature of an expiry subscriber: called once per expired edge, in
-#: chronological order, at the moment the window drops it.
-ExpiryCallback = Callable[[StreamEdge], None]
 
-
-class ExpirySubscriptionMixin:
-    """Expiry-subscription surface shared by every window class.
-
-    Stateless (slots-friendly): the concrete class provides the
-    ``_subscribers`` list.  Subscribers must be picklable if the window
-    is checkpointed.
-    """
-
-    __slots__ = ()
-
-    def subscribe(self, callback: ExpiryCallback) -> ExpiryCallback:
-        """Register an expiry subscriber; returns it (handy inline)."""
-        self._subscribers.append(callback)
-        return callback
-
-    def unsubscribe(self, callback: ExpiryCallback) -> None:
-        """Remove a subscriber added with :meth:`subscribe`."""
-        for i, existing in enumerate(self._subscribers):
-            if existing is callback:
-                del self._subscribers[i]
-                return
-        raise ValueError("callback is not subscribed")
-
-    def _notify(self, expired: List[StreamEdge]) -> None:
-        if expired and self._subscribers:
-            for edge in expired:
-                for callback in self._subscribers:
-                    callback(edge)
-
-
-class SlidingWindow(ExpirySubscriptionMixin):
+class SlidingWindow:
     """FIFO of in-window edges with timestamp-driven expiry.
 
     Parameters
@@ -60,19 +27,16 @@ class SlidingWindow(ExpirySubscriptionMixin):
         The window length ``|W|``.  At time ``t`` the window covers the
         half-open interval ``(t - duration, t]`` exactly as in the paper.
 
-    Expiry subscription
-    -------------------
-    ``subscribe(callback)`` registers a callable invoked with each edge the
-    moment it expires (after the window has already forgotten it), in
-    chronological order.  This is the hook
-    :class:`~repro.graph.shared_window.SharedSlidingWindow` builds on so
-    many matchers can share one buffer of the stream instead of each
-    re-buffering it.  Subscribers must be picklable if the window is
-    checkpointed.
+    Expiry contract
+    ---------------
+    ``push`` and ``advance`` *return* the edges they drop, oldest first,
+    after the window has already forgotten them.  That list is the only
+    way an expiry leaves the window: whoever drives the window delivers it
+    (an engine to its own ``_expire`` hook, a session to the engines that
+    ingested the edge).
     """
 
-    __slots__ = ("duration", "_edges", "_current_time", "_id_counts",
-                 "_subscribers")
+    __slots__ = ("duration", "_edges", "_current_time")
 
     def __init__(self, duration: float) -> None:
         if duration <= 0:
@@ -80,11 +44,6 @@ class SlidingWindow(ExpirySubscriptionMixin):
         self.duration = duration
         self._edges: Deque[StreamEdge] = deque()
         self._current_time: float = float("-inf")
-        # In-window multiset of edge ids: StreamEdge equality is by
-        # ``edge_id``, so membership is an O(1) dict probe instead of a
-        # linear deque scan.
-        self._id_counts: Dict[Hashable, int] = {}
-        self._subscribers: List[ExpiryCallback] = []
 
     @property
     def current_time(self) -> float:
@@ -98,16 +57,10 @@ class SlidingWindow(ExpirySubscriptionMixin):
         return iter(self._edges)
 
     def __contains__(self, edge: StreamEdge) -> bool:
-        if isinstance(edge, StreamEdge):
-            return edge.edge_id in self._id_counts
-        return any(e == edge for e in self._edges)
-
-    def _forget(self, edge: StreamEdge) -> None:
-        count = self._id_counts.get(edge.edge_id, 0)
-        if count <= 1:
-            self._id_counts.pop(edge.edge_id, None)
-        else:
-            self._id_counts[edge.edge_id] = count - 1
+        # StreamEdge equality is by ``edge_id``; a linear scan, because
+        # nothing on a hot path asks (duplicate probes go through the
+        # engines' live-id registries and the shared bearer index).
+        return edge in self._edges
 
     def advance(self, timestamp: float) -> List[StreamEdge]:
         """Move the window head to ``timestamp`` and pop expired edges.
@@ -122,10 +75,7 @@ class SlidingWindow(ExpirySubscriptionMixin):
         cutoff = timestamp - self.duration
         expired: List[StreamEdge] = []
         while self._edges and self._edges[0].timestamp <= cutoff:
-            old = self._edges.popleft()
-            self._forget(old)
-            expired.append(old)
-        self._notify(expired)
+            expired.append(self._edges.popleft())
         return expired
 
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
@@ -141,8 +91,6 @@ class SlidingWindow(ExpirySubscriptionMixin):
                 f"{edge.timestamp} <= {self._edges[-1].timestamp}")
         expired = self.advance(edge.timestamp)
         self._edges.append(edge)
-        self._id_counts[edge.edge_id] = \
-            self._id_counts.get(edge.edge_id, 0) + 1
         return expired
 
     def edges(self) -> List[StreamEdge]:

@@ -78,8 +78,13 @@ from .api import MatcherBase, Session
 #: its shared-window view carries the ``since`` watermark), and every
 #: stored-plan engine carries the match-once registry (live edge id ->
 #: sub-query indexes that stored it) that expiry pops instead of
-#: re-matching labels.  A v10 engine has neither field.)
-CHECKPOINT_VERSION = 11
+#: re-matching labels.  A v10 engine has neither field.
+#: v12: one expiry path — windows carry only their deque and clock (the
+#: id multiset and the expiry-subscriber lists are gone; a shared window
+#: prunes its bearer index from what its policy returns), session members
+#: carry no pending-expiry buffer and sessions no dirty set, and a
+#: sharded facade no per-instance batch/overlap/deadline attributes.)
+CHECKPOINT_VERSION = 12
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not

@@ -81,11 +81,6 @@ EXTRA_GATES = [
     ("sharding", "wall_speedup", 1.99, 2.0),
     ("sharding", "shm_over_pipe", 0.89, 0.9),
     ("predicates", "scaling.per_edge_ratio", 1.501, 1.5),
-    ("service", "dropped_edges", 1, 0),
-    ("service", "kill_restore.match_log_equal", False, True),
-    ("wal", "dropped_edges", 1, 0),
-    ("wal", "kill_restore.match_log_equal", False, True),
-    ("wal", "kill_restore.producer_replayed_edges", 6000, 0),
 ]
 
 

@@ -92,5 +92,5 @@ class TestCli:
         # trend table (every BENCH_pr*.json carries a gated speedup).
         assert trend.main(["--committed", "."]) == 0
         stdout = capsys.readouterr().out
-        for pr in (2, 3, 4, 5, 6, 8, 9):
+        for pr in (2, 3, 4, 5, 9, 10):
             assert f"| {pr} |" in stdout

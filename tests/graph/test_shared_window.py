@@ -1,12 +1,13 @@
-"""Unit tests for the shared-window substrate: the expiry-subscription
-hooks on both window policies, the :class:`SharedSlidingWindow` wrapper
-(id index, duplicate probes, fan-out), and the per-matcher read-only view.
+"""Unit tests for the shared-window substrate: the returned-list expiry
+contract of both window policies and of the :class:`SharedSlidingWindow`
+wrapper (id index, duplicate probes), and the per-matcher read-only view.
 """
 
 import pickle
 
 import pytest
 
+from repro import StreamEdge
 from repro.graph.count_window import CountSlidingWindow
 from repro.graph.shared_window import (
     SharedSlidingWindow, SharedWindowView, window_policy_key,
@@ -16,36 +17,62 @@ from repro.graph.window import SlidingWindow
 from ..conftest import make_edge
 
 
-class TestSubscriptionHooks:
-    def test_time_window_notifies_each_expiry_in_order(self):
-        window = SlidingWindow(5.0)
-        seen = []
-        window.subscribe(seen.append)
+def flow(ts, edge_id="flow"):
+    return StreamEdge("a1", "b1", src_label="A", dst_label="A",
+                      timestamp=ts, edge_id=edge_id)
+
+
+WINDOW_FACTORIES = {
+    "time": lambda: SlidingWindow(5.0),
+    "shared-time": lambda: SharedSlidingWindow(SlidingWindow(5.0)),
+    "count": lambda: CountSlidingWindow(2),
+    "shared-count": lambda: SharedSlidingWindow(CountSlidingWindow(2)),
+}
+
+
+class TestReturnedList:
+    """``push``/``advance`` return what they dropped, oldest first — the
+    one way an expiry leaves any window class."""
+
+    @pytest.mark.parametrize("kind", ["time", "shared-time"])
+    def test_time_expiries_in_order(self, kind):
+        window = WINDOW_FACTORIES[kind]()
         for t in (1.0, 2.0, 3.0):
-            window.push(make_edge("a1", "b1", t))
-        window.advance(7.5)             # expires t=1 and t=2
-        assert [e.timestamp for e in seen] == [1.0, 2.0]
-        window.push(make_edge("a2", "b2", 9.0))     # expires t=3 via push
-        assert [e.timestamp for e in seen] == [1.0, 2.0, 3.0]
+            assert window.push(make_edge("a1", "b1", t)) == []
+        dropped = window.advance(7.5)           # expires t=1 and t=2
+        assert [e.timestamp for e in dropped] == [1.0, 2.0]
+        dropped = window.push(make_edge("a2", "b2", 9.0))   # t=3, via push
+        assert [e.timestamp for e in dropped] == [3.0]
+        assert window.advance(9.5) == []
 
-    def test_count_window_notifies_on_eviction(self):
-        window = CountSlidingWindow(2)
-        seen = []
-        window.subscribe(seen.append)
-        for t in (1.0, 2.0, 3.0, 4.0):
-            window.push(make_edge("a1", "b1", t))
-        assert [e.timestamp for e in seen] == [1.0, 2.0]
+    @pytest.mark.parametrize("kind", ["count", "shared-count"])
+    def test_count_eviction_is_returned(self, kind):
+        window = WINDOW_FACTORIES[kind]()
+        dropped = [window.push(make_edge("a1", "b1", t))
+                   for t in (1.0, 2.0, 3.0, 4.0)]
+        assert [[e.timestamp for e in d] for d in dropped] == \
+            [[], [], [1.0], [2.0]]
+        assert window.advance(1e9) == []        # never by time alone
 
-    def test_unsubscribe_stops_delivery_and_unknown_raises(self):
-        window = SlidingWindow(1.0)
-        seen = []
-        callback = window.subscribe(seen.append)
-        window.unsubscribe(callback)
-        window.push(make_edge("a1", "b1", 1.0))
-        window.push(make_edge("a2", "b2", 5.0))
-        assert seen == []
-        with pytest.raises(ValueError, match="not subscribed"):
-            window.unsubscribe(callback)
+    @pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
+    def test_membership_follows_the_list(self, kind):
+        """``edge in window`` is true exactly until the edge has been
+        returned as dropped — by id, so a same-id twin counts."""
+        window = WINDOW_FACTORIES[kind]()
+        views = [window]
+        if isinstance(window, SharedSlidingWindow):
+            views.append(SharedWindowView(window))
+        first, twin = flow(1.0, "x"), flow(99.0, "x")
+        assert all(first not in view for view in views)
+        window.push(first)
+        assert all(first in view and twin in view for view in views)
+        dropped = []
+        for t in (10.0, 11.0):
+            dropped += window.push(flow(t, f"later{t}"))
+        assert dropped == [first]
+        assert all(first not in view and twin not in view
+                   for view in views)
+        assert all(flow(0.0, "later11.0") in view for view in views)
 
 
 class TestPolicyKey:
@@ -98,30 +125,40 @@ class TestSharedSlidingWindow:
         assert shared.bearer_live_at(edge.edge_id, 1e9)
 
     def test_coexisting_same_id_bearers_pair_by_timestamp(self):
-        """Duplicate policy is the session's business: the buffer admits
-        same-id bearers (a matcher registered mid-stream legitimately
-        ingests a re-used id), keeps the latest bearer's timestamp, and
-        deletes the index entry only when *that* bearer expires."""
-        from repro import StreamEdge
-
-        def flow(ts):
-            return StreamEdge("a1", "b1", src_label="A", dst_label="A",
-                              timestamp=ts, edge_id="flow")
-
+        """The buffer itself refuses nothing (duplicate policy is the
+        session's business): driven directly it admits same-id bearers,
+        keeps the latest bearer's timestamp, and prunes the index entry
+        only when *that* bearer is in the returned list — an older
+        bearer's expiry never clobbers the newer entry."""
         shared = SharedSlidingWindow(SlidingWindow(5.0))
         shared.push(flow(1.0))
         shared.push(flow(2.0))
         assert shared.bearer_timestamp("flow") == 2.0
-        shared.advance(6.5)                 # expires only the t=1 bearer
+        dropped = shared.advance(6.5)       # expires only the t=1 bearer
+        assert [e.timestamp for e in dropped] == [1.0]
         assert shared.bearer_timestamp("flow") == 2.0
         assert shared.bearer_live_at("flow", 6.5)
-        shared.advance(7.5)                 # expires the t=2 bearer
+        assert flow(0.0) in shared          # the t=2 bearer is still held
+        dropped = shared.advance(7.5)       # expires the t=2 bearer
+        assert [e.timestamp for e in dropped] == [2.0]
         assert shared.bearer_timestamp("flow") is None
+        assert flow(0.0) not in shared
+
+    def test_count_eviction_prunes_the_index_timestamp_paired(self):
+        shared = SharedSlidingWindow(CountSlidingWindow(2))
+        shared.push(flow(1.0))
+        shared.push(flow(2.0))              # same id, newer bearer
+        dropped = shared.push(flow(3.0, "other"))
+        assert [e.timestamp for e in dropped] == [1.0]
+        assert shared.bearer_timestamp("flow") == 2.0
+        dropped = shared.push(flow(4.0, "another"))
+        assert [e.timestamp for e in dropped] == [2.0]
+        assert shared.bearer_timestamp("flow") is None
+        assert shared.bearer_timestamp("other") == 3.0
 
     def test_reused_id_after_expiry_is_not_a_duplicate(self):
         """A bearer past the window must not block its id's re-use, even
         before an advance has physically dropped it from the deque."""
-        from repro import StreamEdge
         shared = SharedSlidingWindow(SlidingWindow(5.0))
         shared.push(StreamEdge("a1", "b1", src_label="A", dst_label="A",
                                timestamp=1.0, edge_id="flow"))
@@ -130,16 +167,6 @@ class TestSharedSlidingWindow:
                                timestamp=20.0, edge_id="flow"))
         assert shared.bearer_timestamp("flow") == 20.0
         assert len(shared) == 1             # the push advanced the old out
-
-    def test_expiry_fans_out_to_subscribers(self):
-        shared = SharedSlidingWindow(SlidingWindow(2.0))
-        first, second = [], []
-        shared.subscribe(first.append)
-        shared.subscribe(second.append)
-        shared.push(make_edge("a1", "b1", 1.0))
-        shared.push(make_edge("a2", "b2", 4.0))
-        assert [e.timestamp for e in first] == [1.0]
-        assert first == second
 
 
 class TestSharedWindowView:

@@ -1,7 +1,8 @@
 """Checkpoint-under-load: save_session races a concurrent pusher.
 
 The satellite scenario: one thread pushes a stream through a
-:class:`~repro.api.ThreadSafeSession` while another takes checkpoints
+:class:`~repro.api.ThreadSafeSession` (``with safe.locked() as session``,
+the way the gateway worker does) while another takes checkpoints
 mid-flight.  Each checkpoint must land on an arrival boundary (the lock
 guarantees it), record its exact stream position, and restoring it plus
 replaying the remainder must reproduce the uninterrupted run — no
@@ -35,6 +36,18 @@ def long_chain_stream(n=120):
     return edges
 
 
+def make_safe():
+    safe = ThreadSafeSession(Session())
+    with safe.locked() as session:
+        session.register("chain", CHAIN_DSL)
+    return safe
+
+
+def push(safe, edge):
+    with safe.locked() as session:
+        return session.push(edge)
+
+
 def fingerprint(session):
     """The session's current in-window match multiset, canonicalised."""
     import json
@@ -46,8 +59,7 @@ def fingerprint(session):
 class TestCheckpointUnderLoad:
     def test_concurrent_checkpoints_lose_nothing(self, tmp_path):
         edges = long_chain_stream()
-        safe = ThreadSafeSession(Session())
-        safe.register("chain", CHAIN_DSL)
+        safe = make_safe()
 
         checkpoints = []
         done = threading.Event()
@@ -64,7 +76,7 @@ class TestCheckpointUnderLoad:
         thread = threading.Thread(target=checkpointer)
         thread.start()
         for edge in edges:
-            safe.push(edge)
+            push(safe, edge)
         done.set()
         thread.join(10.0)
         assert not thread.is_alive()
@@ -98,10 +110,9 @@ class TestCheckpointUnderLoad:
         assert restored.result_counts() == reference.result_counts()
 
     def test_checkpoint_meta_records_clock(self, tmp_path):
-        safe = ThreadSafeSession(Session())
-        safe.register("chain", CHAIN_DSL)
-        safe.push(StreamEdge("a0", "b0", src_label="A", dst_label="B",
-                             timestamp=5.0))
+        safe = make_safe()
+        push(safe, StreamEdge("a0", "b0", src_label="A", dst_label="B",
+                              timestamp=5.0))
         meta = safe.checkpoint(str(tmp_path / "c.pkl"),
                                meta={"custom": "tag"})
         assert meta["custom"] == "tag"
@@ -109,8 +120,7 @@ class TestCheckpointUnderLoad:
         assert meta["current_time"] == 5.0
 
     def test_locked_exposes_raw_session_atomically(self):
-        safe = ThreadSafeSession(Session())
-        safe.register("chain", CHAIN_DSL)
+        safe = make_safe()
         with safe.locked() as session:
             assert isinstance(session, Session)
             assert session.names() == ["chain"]
@@ -120,15 +130,14 @@ class TestThreadSafePushers:
     def test_many_producers_one_session(self):
         """Concurrent push attempts serialise; the losers' stale
         timestamps raise exactly as they would single-threaded."""
-        safe = ThreadSafeSession(Session())
-        safe.register("chain", CHAIN_DSL)
+        safe = make_safe()
         edges = long_chain_stream(60)
         errors = []
 
         def pusher(chunk):
             for edge in chunk:
                 try:
-                    safe.push(edge)
+                    push(safe, edge)
                 except ValueError:
                     errors.append(edge)
 

@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+from repro import Session
 from repro.service import ServiceGateway, render_metrics
 from repro.service.gateway import MatchHub
+from repro.sinks import match_record
 
-from .conftest import chain_config, chain_edges, chain_records
+from .conftest import CHAIN_DSL, chain_config, chain_edges, chain_records
 
 
 def read_match_log(state_dir, tenant="t0"):
@@ -60,7 +62,7 @@ class TestIngestion:
             result = tenant.ingest_json(records)
             assert result["accepted"] == 4
             assert gateway.wait_idle(10)
-            assert tenant.safe.current_time == 4.0
+            assert tenant.safe.session.current_time == 4.0
             # client timestamps are rejected outright in server mode
             result = tenant.ingest_json(chain_records()[:1])
             assert result == {"accepted": 0, "invalid": 1, "position": 4}
@@ -89,7 +91,7 @@ class TestCheckpointRecovery:
             assert tenant.restored
             assert tenant.edges_offered == 4
             assert tenant.safe.edges_pushed == 4
-            assert tenant.safe.current_time == 4.0
+            assert tenant.safe.session.current_time == 4.0
 
     def test_graceful_shutdown_writes_final_checkpoint(self, tmp_path):
         config = chain_config(tmp_path / "state")
@@ -174,6 +176,25 @@ class TestMatchHub:
         assert len(got) == 3
         assert all(record["query"] == "chain" for record in got)
 
+    def test_hub_match_log_and_direct_session_agree(self, gateway, tmp_path):
+        """What the hub delivers is what the match log holds and what the
+        same query answers on a bare session."""
+        got = []
+        tenant = gateway.tenant("t0")
+        tenant.hub.subscribe(got.append)
+        tenant.ingest_edges(chain_edges())
+        assert gateway.wait_idle(10)
+        tenant.checkpoint()                 # seals the match-log segment
+        delivered = sorted(json.dumps(r, sort_keys=True) for r in got)
+        logged = sorted(json.dumps(json.loads(line), sort_keys=True)
+                        for line in read_match_log(tmp_path / "state"))
+        direct = Session()
+        direct.register("chain", CHAIN_DSL)
+        expected = sorted(
+            json.dumps(match_record(name, match), sort_keys=True)
+            for name, match in direct.push_many(chain_edges()))
+        assert delivered == logged == expected and len(expected) == 3
+
     def test_failing_subscriber_is_dropped_not_fatal(self, gateway):
         def broken(record):
             raise RuntimeError("boom")
@@ -225,8 +246,9 @@ class TestMetricsRendering:
         """A tenant full of one-edge queries reports 0 sub-plan store
         cells; the page says why."""
         tenant = gateway.tenant("t0")
-        tenant.safe.register(
-            "one", "vertex a A\nvertex b B\nedge e a -> b\nwindow 10\n")
+        with tenant.safe.locked() as session:
+            session.register(
+                "one", "vertex a A\nvertex b B\nedge e a -> b\nwindow 10\n")
         text = render_metrics(gateway.status(),
                               {"t0": tenant.safe.session_stats()})
         assert 'repro_session_stateless_queries{tenant="t0"} 1' in text

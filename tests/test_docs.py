@@ -87,7 +87,7 @@ class TestPerfSuitesAgree:
         readme = dict(re.findall(
             r"^\| `(\w+)` \| `(BENCH_pr\d+\.json)` \|",
             self.read("README.md"), re.MULTILINE))
-        assert len(table) == 7
+        assert len(table) == 5
         assert matrix == table
         assert readme == table
         for baseline in table.values():

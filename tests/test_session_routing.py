@@ -1,13 +1,14 @@
 """Differential property suite: ``routing="shared"`` ≡ ``routing="fanout"``.
 
 The shared-stream fast path (session routing index, shared window buffers,
-coalesced expiry delivery) is a performance transformation — the two modes
-must produce identical ``(name, match)`` multisets, identical result
+expiry delivered to exactly the engines that ingested the dropped edge) is
+a performance transformation — the two modes must produce identical ``(name, match)`` multisets, identical result
 counts, and identical per-engine partial-match space.  This suite streams
 randomized multi-query scenarios through twin sessions and checks exactly
 that, across mixed query sizes, both Timing storages, time- and
 count-based windows, expiry, duplicate policies, mid-stream churn, and
-checkpoint/restore.
+checkpoint/restore.  It also pins the invariant the shared path keeps by
+construction: no engine ever holds an edge its window has dropped.
 
 One documented exception: shared routing judges in-window duplicate ids
 against the *stream* (the shared buffer), so a query registered mid-stream
@@ -23,6 +24,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, QueryGraph, Session, StreamEdge,
@@ -350,10 +353,8 @@ class TestChurn:
         assert session._index.always == []
         assert session._members == {}
         assert session._index.entries == {}
-        # Last member out frees the group; nobody stays subscribed to
-        # its buffer.
+        # Last member out frees the group and its buffer.
         assert group_key not in session._admission.groups
-        assert group_window._subscribers == []
         assert session.shared_window_cells() == 0
         # A fresh registration after total churn keeps streaming.
         session.register("b", labeled_path_query(1, elabels=("x",)))
@@ -405,15 +406,69 @@ class TestCheckpointRestore:
             restored._admission.groups[member.group_key].window
 
     def test_checkpoint_mid_batch_state_is_flushed(self):
-        """__getstate__ drains pending expiry deliveries, so a pickle
-        taken at any point equals the eagerly-flushed state."""
+        """There is nothing to flush: engines are at the stream position
+        whenever anyone looks, so a pickle taken from inside a sink
+        callback in the middle of one ``push_many`` restores to exactly
+        what the live session reports at that moment."""
         session = Session(window=2.0)
-        session.register("p1x", labeled_path_query(1, elabels=("x",)))
-        session.push_many(labeled_stream(53, 80))
-        assert session._dirty == set()
-        buffer = io.BytesIO()
-        session.checkpoint(buffer)
-        buffer.seek(0)
-        restored = Session.restore(buffer)
-        assert restored._dirty == set()
-        assert restored.result_counts() == session.result_counts()
+        for name, query in query_set().items():
+            session.register(name, query)
+        captured = []
+
+        def checkpointing_sink(name, match):
+            if len(captured) < 5:
+                buffer = io.BytesIO()
+                session.checkpoint(buffer)
+                captured.append((buffer.getvalue(), session.result_counts(),
+                                 session.current_time))
+
+        session.add_sink(checkpointing_sink)
+        edges = labeled_stream(53, 200)
+        session.push_many(edges)
+        assert len(captured) == 5
+        assert captured[-1][2] < edges[-1].timestamp    # genuinely mid-batch
+        for blob, live_counts, live_time in captured:
+            restored = Session.restore(io.BytesIO(blob))
+            assert restored.current_time == live_time
+            assert restored.result_counts() == live_counts
+
+
+# One shared 3-unit window, three two-edge chains A-l->B-l->C that share no
+# edge label: an arrival labelled ``l`` routes to exactly one engine.
+POSITION_WINDOW = 3.0
+position_streams = st.lists(
+    st.tuples(st.sampled_from(ELABELS), st.integers(0, 1),
+              st.sampled_from([0.25, 1.0, 2.5])),
+    min_size=4, max_size=60)
+
+
+class TestEnginesAtStreamPosition:
+    @settings(max_examples=80, deadline=None)
+    @given(position_streams)
+    def test_no_engine_holds_an_edge_its_window_dropped(self, steps):
+        """Whenever a match is delivered — mid-batch, to a sink — every
+        engine read *directly* (no ``session.matcher()`` /
+        ``result_counts()`` hop) answers over the current window only,
+        including the engines the current arrival was not routed to."""
+        session = Session(window=POSITION_WINDOW)
+        for label in ELABELS:
+            session.register(label, labeled_path_query(2, elabels=(label,)))
+        checked = []
+
+        def every_engine_is_current(name, match):
+            horizon = session.current_time - POSITION_WINDOW
+            for other, engine in session._matchers.items():
+                for held in engine.current_matches():
+                    assert held.earliest_timestamp() > horizon, \
+                        (name, other, held, horizon)
+            checked.append(name)
+
+        session.add_sink(every_engine_is_current)
+        t, edges = 0.0, []
+        for label, hop, dt in steps:
+            t += dt
+            edges.append(StreamEdge(
+                f"d{hop}", f"d{hop + 1}", src_label=VLABELS[hop],
+                dst_label=VLABELS[hop + 1], timestamp=t, label=label))
+        delivered = session.push_many(edges)        # ONE batch
+        assert len(checked) == len(delivered)
