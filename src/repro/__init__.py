@@ -26,7 +26,7 @@ Quickstart (the :class:`Session` facade)::
     for name, match in alerts:
         print(name, match)
 
-Single-query usage (the :class:`~repro.api.Matcher` protocol)::
+Single-query usage (the :class:`~repro.matcher.Matcher` protocol)::
 
     from repro import EngineConfig, QueryGraph, TimingMatcher
 
@@ -43,8 +43,11 @@ harness.  Engine knobs live in one :class:`EngineConfig` dataclass.
 Subpackages
 -----------
 ``repro.api``
-    The unified public API: ``Matcher`` protocol, ``EngineConfig``,
-    ``Session``.
+    The session facade: ``Session``, ``ThreadSafeSession`` (re-exports
+    ``repro.matcher``).
+``repro.matcher``
+    The engine-level protocol, below the engines: ``Matcher``,
+    ``MatcherBase``, ``EngineConfig``.
 ``repro.graph``
     Streaming substrate: edges, streams, sliding windows, snapshots.
 ``repro.core``

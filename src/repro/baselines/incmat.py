@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..api import MatcherBase
 from ..core.matches import Match
 from ..core.query import QueryGraph
 from ..graph.edge import StreamEdge
 from ..graph.snapshot import SnapshotGraph
 from ..isomorphism.base import StaticMatcher
 from ..isomorphism.quicksi import QuickSI
+from ..matcher import MatcherBase
 
 
 class IncMatMatcher(MatcherBase):
@@ -50,7 +50,7 @@ class IncMatMatcher(MatcherBase):
     # ------------------------------------------------------------------ #
     # push/push_many/advance_time come from MatcherBase.
     # ------------------------------------------------------------------ #
-    def _insert(self, edge: StreamEdge, guard) -> List[Match]:
+    def _insert(self, edge: StreamEdge) -> List[Match]:
         self.stats.edges_seen += 1
         self.snapshot.add_edge(edge)
         new_matches: List[Match] = []
@@ -71,7 +71,7 @@ class IncMatMatcher(MatcherBase):
         self.stats.matches_emitted += len(new_matches)
         return new_matches
 
-    def _expire(self, edge: StreamEdge, guard=None) -> None:
+    def _expire(self, edge: StreamEdge) -> None:
         self.stats.expired_edges += 1
         self.snapshot.remove_edge(edge)
         dead = self._by_edge.pop(edge, None)

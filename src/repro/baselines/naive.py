@@ -12,20 +12,20 @@ the Timing engine's incremental answers must equal this matcher's
 from-scratch answers at every time point (streaming consistency,
 Definition 11, for the single-threaded case).
 
-It conforms to the :class:`repro.api.Matcher` protocol via
-:class:`repro.api.MatcherBase` like every other engine.
+It conforms to the :class:`repro.matcher.Matcher` protocol via
+:class:`repro.matcher.MatcherBase` like every other engine.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from ..api import MatcherBase
 from ..core.matches import Match
 from ..core.query import QueryGraph
 from ..graph.edge import StreamEdge
 from ..graph.snapshot import SnapshotGraph
 from ..isomorphism.base import StaticMatcher
+from ..matcher import MatcherBase
 
 
 class NaiveSnapshotMatcher(MatcherBase):
@@ -41,7 +41,7 @@ class NaiveSnapshotMatcher(MatcherBase):
         self.snapshot = SnapshotGraph()
         self.algorithm = algorithm if algorithm is not None else StaticMatcher()
 
-    def _insert(self, edge: StreamEdge, guard) -> List[Match]:
+    def _insert(self, edge: StreamEdge) -> List[Match]:
         self.stats.edges_seen += 1
         # Same semantics as every other engine: counted when the arrival
         # label-matches some query edge, not when it completes a match.
@@ -53,7 +53,7 @@ class NaiveSnapshotMatcher(MatcherBase):
         self.stats.matches_emitted += len(new)
         return new
 
-    def _expire(self, edge: StreamEdge, guard) -> None:
+    def _expire(self, edge: StreamEdge) -> None:
         self.stats.expired_edges += 1
         self.snapshot.remove_edge(edge)
 

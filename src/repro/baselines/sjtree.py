@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..api import MatcherBase
 from ..core.join import UnionSpec
 from ..core.matches import Match, satisfies_timing
 from ..core.query import EdgeId, QueryGraph
 from ..graph.edge import StreamEdge
 from ..isomorphism.base import StaticMatcher
+from ..matcher import MatcherBase
 
 #: Logical cells charged per stored tuple (key + length overhead), matching
 #: the accounting of the independent store so space comparisons are fair.
@@ -70,10 +70,10 @@ class SJTreeMatcher(MatcherBase):
     # ------------------------------------------------------------------ #
     # push/push_many/advance_time come from MatcherBase.
     # ------------------------------------------------------------------ #
-    def _insert(self, edge: StreamEdge, guard) -> List[Match]:
+    def _insert(self, edge: StreamEdge) -> List[Match]:
         return self.insert_edge(edge)
 
-    def _expire(self, edge: StreamEdge, guard=None) -> None:
+    def _expire(self, edge: StreamEdge) -> None:
         """Remove the expired edge by full enumeration (see module docs)."""
         self.stats.expired_edges += 1
         for level in range(self.m):

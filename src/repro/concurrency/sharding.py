@@ -79,21 +79,20 @@ import zlib
 from collections import deque
 from time import monotonic as time_monotonic
 from time import process_time, thread_time
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import faults
 from ..api import (
     BACKENDS, DUPLICATE_POLICIES, EngineConfig, MatchCallback, Session,
+    _QueryRecord,
 )
+from ..core.matches import Match
 from ..graph.edge import StreamEdge
 from ..ingest import ALWAYS_ROUTED, Admission, group_key
 from .transport import (
     RESULT_EMPTY, RESULT_ERROR, RESULT_PICKLED, RESULT_VIA_PIPE,
     FacadeChannel, TransportError, WorkerChannel,
 )
-
-if TYPE_CHECKING:   # pragma: no cover - typing only
-    from ..core.matches import Match
 
 #: Arrivals staged per dispatch round by ``push_many``/``ingest``.  One
 #: round costs one message exchange per targeted shard, so larger batches
@@ -755,17 +754,8 @@ class ShardedSession(Session):
     differential suite ``tests/test_sharded_session.py`` pins that.
     """
 
-    def __init__(self, *, window=None,
-                 config: Optional[EngineConfig] = None,
-                 duplicate_policy: Optional[str] = None,
-                 routing: Optional[str] = None,
-                 sharding: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 transport: Optional[str] = None) -> None:
-        super().__init__(window=window, config=config,
-                         duplicate_policy=duplicate_policy, routing=routing,
-                         sharding=sharding, shards=shards,
-                         transport=transport)
+    def __init__(self, **session_options) -> None:
+        super().__init__(**session_options)
         if self.config.sharding == "none":      # pragma: no cover
             raise ValueError("ShardedSession requires a sharding mode; "
                              "use Session for sharding='none'")
@@ -774,11 +764,9 @@ class ShardedSession(Session):
         self._transport = self.config.transport
         # The facade admits over the full stream but hosts no engine, so
         # nobody needs to hear about expiries; the inherited route index
-        # carries shard indexes as payloads.
+        # carries shard indexes as payloads, and the inherited query
+        # table's records name a shard instead of holding a matcher.
         self._admission = Admission()
-        self._assignments: Dict[str, int] = {}
-        self._ordinals: Dict[str, int] = {}
-        self._group_keys: Dict[str, tuple] = {}
         self._facade_seconds = 0.0
         self._closed = False
         self._shards = [
@@ -895,8 +883,7 @@ class ShardedSession(Session):
                 "or a fresh time-/count-based policy object); register "
                 f"query {name!r} on a sharding='none' session instead")
         config = (config if config is not None else self.config).validate()
-        config = config.replace(sharding="none", routing="shared",
-                                guard=None)
+        config = config.replace(sharding="none", routing="shared")
         policy = engine_options.get(
             "duplicate_policy", config.duplicate_policy)
         if policy not in DUPLICATE_POLICIES:
@@ -912,20 +899,16 @@ class ShardedSession(Session):
             "name": name, "query": query, "window": window,
             "backend": backend, "config": config,
             "options": engine_options})
-        ordinal = self._next_ordinal
+        record = self._queries[name] = _QueryRecord(
+            name, self._next_ordinal, None, callback, window,
+            group_key=key, shard=shard.index)
         self._next_ordinal += 1
-        self._assignments[name] = shard.index
-        self._ordinals[name] = ordinal
-        self._group_keys[name] = key
-        self._admission.enroll(key, (ordinal, name), policy)
+        self._admission.enroll(key, (record.ordinal, record), policy)
         # A count window expires by stream position, not labels: its
         # shard needs every arrival as capacity ballast.
         self._index.add(name, shard.index,
                         ALWAYS_ROUTED if key[0] == "count" else signatures)
         shard.members += 1
-        if not isinstance(window, (int, float)):
-            self._policy_windows[name] = window
-        self._callbacks[name] = callback
         return self.matcher(name) if self._mode == "thread" else None
 
     def deregister(self, name: str) -> None:
@@ -934,17 +917,13 @@ class ShardedSession(Session):
         facade rebalances its routing tables (a shard left empty stops
         receiving arrivals)."""
         self._check_open()
-        if name not in self._assignments:
-            raise KeyError(f"unknown query: {name!r}")
-        shard = self._shards[self._assignments[name]]
+        record = self._record(name)
+        shard = self._shards[record.shard]
         self._call(shard, "deregister", name)
-        del self._assignments[name]
-        self._admission.withdraw(self._group_keys.pop(name),
-                                 (self._ordinals.pop(name), name))
+        del self._queries[name]
+        self._admission.withdraw(record.group_key, (record.ordinal, record))
         self._index.remove(name)
         shard.members -= 1
-        self._policy_windows.pop(name, None)
-        self._callbacks.pop(name, None)
         # Sinks filtered to this query die with it, like the base class.
         self._sinks = [(q, s) for q, s in self._sinks if q != name]
 
@@ -953,16 +932,15 @@ class ShardedSession(Session):
         read-only snapshot under ``"process"`` (its state is a copy;
         stream through the session, not the snapshot)."""
         self._check_open()
-        if name not in self._assignments:
-            raise KeyError(f"unknown query: {name!r}")
-        shard = self._shards[self._assignments[name]]
+        shard = self._shards[self._record(name).shard]
         if self.current_time > float("-inf"):
             self._call(shard, "advance", self.current_time)
         return self._call(shard, "matcher", name)
 
     def shard_assignments(self) -> Dict[str, int]:
         """``query name -> shard index`` for every registered query."""
-        return dict(self._assignments)
+        return {name: record.shard
+                for name, record in self._queries.items()}
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -979,8 +957,8 @@ class ShardedSession(Session):
             # shards must hear about the arrival even when no member
             # could consume it.
             groups = self._admission.groups
-            extra = {self._assignments[name] for key in live
-                     for _, name in groups[key].count_entries}
+            extra = {record.shard for key in live
+                     for _, record in groups[key].entries("count")}
             extra.difference_update(targets)
             if extra:
                 targets = targets + sorted(extra)
@@ -989,7 +967,7 @@ class ShardedSession(Session):
         for index in targets:
             per_shard[index].append((idx, wire, live))
             targeted += self._shards[index].members
-        self.skipped_matchers += len(self._assignments) - targeted
+        self.skipped_matchers += len(self._queries) - targeted
 
     def _send_round(self, per_shard: List[list], drain):
         """Dispatch one staged round without collecting; returns the
@@ -1051,13 +1029,17 @@ class ShardedSession(Session):
                 errors.append(exc)
         if errors:
             raise errors[0]
-        ordinals = self._ordinals
-        merged.sort(key=lambda item: (item[0],
-                                      ordinals.get(item[1], len(ordinals))))
+        queries = self._queries
+        rows = [(idx, queries[name], match)
+                for idx, name, match in merged if name in queries]
+        rows.sort(key=lambda row: (row[0], row[1].ordinal))
         results: List[Tuple[str, Match]] = []
-        for _, name, match in merged:
-            results.append((name, match))
-            self._deliver(name, match)
+        for _, record, match in rows:
+            # A query a sink callback deregistered since dispatch emits
+            # nothing more, as in the unsharded loop.
+            if queries.get(record.name) is record:
+                results.append((record.name, match))
+                self._deliver(record, match)
         return results
 
     def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
@@ -1198,7 +1180,7 @@ class ShardedSession(Session):
             "sharding": self._mode,
             "shards": self._shard_count,
             "transport": transport,
-            "queries": len(self._assignments),
+            "queries": len(self._queries),
             "shared_groups": len(self._admission.groups),
             "edges_pushed": self.edges_pushed,
             "routed_pushes": sum(s["routed_pushes"] for s in inner),
@@ -1249,6 +1231,6 @@ class ShardedSession(Session):
 
     def __repr__(self) -> str:
         status = "closed" if self._closed else "open"
-        return (f"ShardedSession({len(self._assignments)} queries, "
+        return (f"ShardedSession({len(self._queries)} queries, "
                 f"{self._mode} x {self._shard_count}, {status}, "
                 f"t={self.current_time})")

@@ -30,8 +30,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..api import EngineConfig, EngineStats, MatcherBase
 from ..graph.edge import StreamEdge
+from ..matcher import EngineConfig, EngineStats, MatcherBase
 from .decomposition import (
     Decomposition, greedy_decomposition, random_decomposition,
     validate_decomposition,
@@ -67,13 +67,13 @@ class TimingMatcher(MatcherBase):
         the push/advance interface (e.g.
         :class:`repro.graph.count_window.CountSlidingWindow`).
     config:
-        An :class:`~repro.api.EngineConfig` holding every engine knob
+        An :class:`~repro.matcher.EngineConfig` holding every engine knob
         (see :meth:`from_config` for one-off field overrides).
     decomposition / join_order:
         Explicit plan overrides (e.g. from :mod:`repro.core.estimate`);
         when given they bypass the config's strategy fields.
     subplan_provider:
-        Session-internal: a :class:`~repro.api._SubplanProvider` offering
+        Session-internal: a :class:`~repro.subplans._SubplanProvider` offering
         shared expansion-list stores for canonically equal TC-subqueries.
         When given, each planned subquery adopts the provider's
         (refcounted) store instead of a private one; the insert path then
@@ -108,11 +108,10 @@ class TimingMatcher(MatcherBase):
         self.config = config.validate()
         self.use_mstree = config.storage == "mstree"
         self._init_streaming(query, window,
-                             duplicate_policy=config.duplicate_policy,
-                             default_guard=config.guard)
+                             duplicate_policy=config.duplicate_policy)
         #: ``True`` for a one-edge query: the engine retains no edges, so a
-        #: session neither registers arrivals as live with it nor delivers
-        #: their expiry (see the module docstring's plan kinds).
+        #: session never delivers it an expiry (see the module docstring's
+        #: plan kinds).
         self.stateless = query.is_single_edge
         #: TC-subqueries in join order; each entry is a timing sequence.
         self.join_order: Decomposition = self._plan(
@@ -132,12 +131,11 @@ class TimingMatcher(MatcherBase):
         #: popped at expiry (edge ids are the stream's identity, exactly
         #: as in the live-edge registry; labels never key it).  Kept
         #: beside ``MatcherBase._live_edge_ids`` rather than inside it:
-        #: that registry belongs to whoever *drives* the engine (``push``,
-        #: a session's ``_arrive``) — it holds every ingested id, matched
-        #: or not, and its values are the timestamps bearer pairing
-        #: compares — while ``insert_edge`` / ``delete_edge`` are also
-        #: driven bare (the concurrent executor, the lock-trace
-        #: collectors), where no such registry is maintained at all.
+        #: that registry is ``push``'s own duplicate guard — it holds
+        #: every pushed id, matched or not — while ``insert_edge`` /
+        #: ``delete_edge`` are also driven bare (a session's ``_arrive``,
+        #: the concurrent executor, the lock-trace collectors), where no
+        #: such registry is maintained at all.
         self._touched: Dict[object, Tuple[int, ...]] = {}
 
         # --- storage ----------------------------------------------------- #
@@ -282,7 +280,7 @@ class TimingMatcher(MatcherBase):
     def from_config(cls, query: QueryGraph, window,
                     config: Optional[EngineConfig] = None,
                     **overrides) -> "TimingMatcher":
-        """Build an engine from an :class:`~repro.api.EngineConfig`.
+        """Build an engine from an :class:`~repro.matcher.EngineConfig`.
 
         ``overrides`` are config-field replacements, so one-off variations
         read naturally::
@@ -298,11 +296,11 @@ class TimingMatcher(MatcherBase):
     # Public streaming API — push/push_many/advance_time come from
     # MatcherBase; the hooks bridge to Algorithms 1 and 2.
     # ------------------------------------------------------------------ #
-    def _insert(self, edge: StreamEdge, guard) -> List[Match]:
-        return self.insert_edge(edge, guard)
+    def _insert(self, edge: StreamEdge) -> List[Match]:
+        return self.insert_edge(edge)
 
-    def _expire(self, edge: StreamEdge, guard) -> None:
-        self.delete_edge(edge, guard)
+    def _expire(self, edge: StreamEdge) -> None:
+        self.delete_edge(edge)
 
     def current_matches(self) -> List[Match]:
         """All matches of the query in the current window (``Ω(Q)``)."""
@@ -605,7 +603,7 @@ class TimingMatcher(MatcherBase):
         including the stats counters.
 
         Overrides the label-level default of
-        :meth:`repro.api.MatcherBase.is_discardable` with this stronger
+        :meth:`repro.matcher.MatcherBase.is_discardable` with this stronger
         state-dependent test.  A multi-query :class:`~repro.api.Session`
         applies the label-level case wholesale: its shared-routing index
         never even visits an engine for an arrival that is trivially

@@ -19,22 +19,25 @@ once and both sessions hold one instance of each:
     :class:`~repro.core.labeltrie.PredicateRouter` for ``ANY``/``Prefix``
     labels, the always-routed entries, and the one memo of resolved
     target lists.  :meth:`RouteIndex.targets` answers "which payloads must
-    see this edge" — ``(ordinal, name)`` pairs for an unsharded session,
-    shard indexes for the sharded facade.
+    see this edge" — ``(ordinal, query record)`` pairs for an unsharded
+    session, shard indexes for the sharded facade.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
+from .core.labeltrie import PredicateRouter
 from .graph.count_window import CountSlidingWindow
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedSlidingWindow, window_policy_key
 from .graph.window import SlidingWindow
 
-#: ``(registration ordinal, query name)`` — how rosters name a query, so
-#: sorting entries restores registration order.
-Entry = Tuple[int, str]
+#: ``(registration ordinal, query record)`` — how rosters name a query, so
+#: sorting entries restores registration order without ever comparing two
+#: records.  The record is the owning session's; this module reads only
+#: its ``name``.
+Entry = Tuple[int, object]
 
 #: The :meth:`RouteIndex.add` signature of an entry that must see every
 #: arrival (privately-buffering matchers, count-window shards).
@@ -68,17 +71,20 @@ def group_key(window) -> Optional[Tuple]:
 class WindowGroup:
     """The queries sharing one window buffer (same window-policy key).
 
-    ``raise_entries`` / ``count_entries`` name the members per duplicate
-    policy; they are consulted on the duplicate path only.
+    ``members`` maps each member's entry to its duplicate policy; the
+    policies are consulted on the duplicate path only.
     """
 
-    __slots__ = ("window", "members", "raise_entries", "count_entries")
+    __slots__ = ("window", "members")
 
     def __init__(self, window: SharedSlidingWindow) -> None:
         self.window = window
-        self.members: set = set()
-        self.raise_entries: set = set()
-        self.count_entries: set = set()
+        self.members: Dict[Entry, str] = {}
+
+    def entries(self, policy: str) -> List[Entry]:
+        """The members enrolled under duplicate policy ``policy``."""
+        return [entry for entry, held in self.members.items()
+                if held == policy]
 
 
 class Admission:
@@ -122,20 +128,14 @@ class Admission:
             if self.clock > float("-inf"):
                 window.advance(self.clock)
             group = self.groups[key] = WindowGroup(window)
-        group.members.add(entry)
-        if duplicate_policy == "raise":
-            group.raise_entries.add(entry)
-        elif duplicate_policy == "count":
-            group.count_entries.add(entry)
+        group.members[entry] = duplicate_policy
         return group
 
     def withdraw(self, key: Tuple, entry: Entry) -> None:
         """Remove a query from its group; the last member out frees the
         buffer."""
         group = self.groups[key]
-        group.members.discard(entry)
-        group.raise_entries.discard(entry)
-        group.count_entries.discard(entry)
+        group.members.pop(entry, None)
         if not group.members:
             del self.groups[key]
 
@@ -175,10 +175,9 @@ class Admission:
                 if live is None:
                     live = set()
                 live.add(key)
-                if group.raise_entries:
-                    offenders = [*offenders, *group.raise_entries]
+                offenders = [*offenders, *group.entries("raise")]
         if offenders:
-            names = [name for _, name in sorted(offenders)]
+            names = [record.name for _, record in sorted(offenders)]
             raise ValueError(
                 f"duplicate in-window edge id: {edge_id!r} "
                 f"(rejected by {names}; no query ingested it)")
@@ -232,9 +231,6 @@ class RouteIndex:
     CACHE_CAP = 8192
 
     def __init__(self) -> None:
-        # Imported here: repro.core's package import reaches repro.api,
-        # which imports this module.
-        from .core.labeltrie import PredicateRouter
         self.exact: Dict[Tuple, List[Hashable]] = {}
         self.router = PredicateRouter()
         self.always: List[Hashable] = []

@@ -26,7 +26,8 @@ import struct
 import zlib
 from typing import BinaryIO, Optional, Tuple, Union
 
-from .api import MatcherBase, Session
+from .api import Session
+from .matcher import MatcherBase
 
 #: Bump when the engine's state layout changes incompatibly.
 #: (v2: engines share MatcherBase state; sessions became checkpointable.
@@ -83,8 +84,12 @@ from .api import MatcherBase, Session
 #: id multiset and the expiry-subscriber lists are gone; a shared window
 #: prunes its bearer index from what its policy returns), session members
 #: carry no pending-expiry buffer and sessions no dirty set, and a
-#: sharded facade no per-instance batch/overlap/deadline attributes.)
-CHECKPOINT_VERSION = 12
+#: sharded facade no per-instance batch/overlap/deadline attributes.
+#: v13: one record per query — both session kinds carry one ``name ->
+#: record`` table, route payloads and the one roster per window group
+#: hold ``(ordinal, record)``, session members' live-edge registries stay
+#: empty, and engines and ``EngineConfig`` carry no guard.)
+CHECKPOINT_VERSION = 13
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not
@@ -164,7 +169,7 @@ def _load(source: _PathOrFile) -> dict:
 def save_checkpoint(matcher, target: _PathOrFile) -> None:
     """Serialise one engine (and everything it holds) to ``target``.
 
-    Works for any :class:`~repro.api.MatcherBase` engine — the Timing
+    Works for any :class:`~repro.matcher.MatcherBase` engine — the Timing
     engine or a baseline.
     """
     envelope = {

@@ -427,30 +427,50 @@ class Tenant:
         an admitted edge is durable by the time the caller hears so.
         """
         edges = list(edges)
-        if self.wal is None:
-            admitted = 0
-            for i, edge in enumerate(edges):
-                tag = offset if i == len(edges) - 1 else None
-                if self.queue.put(edge, offset=tag, timeout=timeout):
-                    admitted += 1
-            return admitted
         if not edges:
             return 0
+        return self._admit(edges, offset=offset, timeout=timeout)["accepted"]
+
+    def _admit(self, edges: List[StreamEdge], *,
+               offset: Optional[tuple] = None,
+               timeout: Optional[float] = None,
+               request_id: Optional[str] = None, invalid: int = 0,
+               raise_on_sync_failure: bool = False) -> dict:
+        """The one admit path: journal the batch (WAL tenants — the frame
+        carries ``request_id`` and ``invalid``, so a batch with no valid
+        edge still journals its request id), enqueue it edge by edge
+        (consecutive LSNs, ``offset`` tagging the *last* edge) and
+        group-commit (see :meth:`_wal_sync` for
+        ``raise_on_sync_failure``); returns the ack."""
+        tags = [None] * (len(edges) - 1) + [offset]
+        if self.wal is None:
+            accepted = 0
+            for edge, tag in zip(edges, tags):
+                if self.queue.put(edge, offset=tag, timeout=timeout):
+                    accepted += 1
+            return {"accepted": accepted, "invalid": invalid,
+                    "position": self.queue.enqueued}
         payload = [{"e": edge_to_json(edge)} for edge in edges]
         if offset is not None:
             payload[-1]["o"] = list(offset)
         with self._admission_lock:
             last_lsn, ticket = call_with_retry(
-                self.wal.append, payload, policy=_WAL_RETRY)
-            base = last_lsn - len(edges) + 1
-            admitted = 0
-            for i, edge in enumerate(edges):
-                tag = offset if i == len(edges) - 1 else None
-                if self.queue.put(edge, offset=tag, timeout=timeout,
-                                  lsn=base + i):
-                    admitted += 1
-        self._wal_sync(ticket)
-        return admitted
+                self.wal.append, payload, policy=_WAL_RETRY,
+                rid=request_id, invalid=invalid)
+            ack = {"accepted": len(edges), "invalid": invalid,
+                   "position": self.queue.enqueued + len(edges),
+                   "durable": True}
+            if request_id is not None and self.dedup is not None:
+                # Before the enqueue, deliberately: once an edge can be
+                # applied (and checkpointed), its request id must already
+                # be recoverable — otherwise a crash between apply and
+                # remember would turn a retry into a double delivery.
+                self.dedup.put(request_id, ack)
+            lsns = range(last_lsn - len(edges) + 1, last_lsn + 1)
+            for edge, tag, lsn in zip(edges, tags, lsns):
+                self.queue.put(edge, offset=tag, timeout=timeout, lsn=lsn)
+        self._wal_sync(ticket, raise_on_failure=raise_on_sync_failure)
+        return ack
 
     def _wal_sync(self, ticket: int, *, raise_on_failure: bool = False) -> None:
         """Group-commit the journal up to ``ticket`` (retry ladder).
@@ -534,36 +554,10 @@ class Tenant:
                 invalid += 1
                 continue
             edges.append(edge)
-        if self.wal is None:
-            accepted = 0
-            for edge in edges:
-                if self.queue.put(edge, timeout=timeout):
-                    accepted += 1
-            ack = {"accepted": accepted, "invalid": invalid,
-                   "position": self.queue.enqueued}
-            if dlq_replay:
-                self.dlq_replayed += accepted
-            return ack
-        payload = [{"e": edge_to_json(edge)} for edge in edges]
-        with self._admission_lock:
-            last_lsn, ticket = call_with_retry(
-                self.wal.append, payload, policy=_WAL_RETRY,
-                rid=request_id, invalid=invalid)
-            base = last_lsn - len(edges) + 1
-            ack = {"accepted": len(edges), "invalid": invalid,
-                   "position": self.queue.enqueued + len(edges),
-                   "durable": True}
-            if request_id is not None and self.dedup is not None:
-                # Before the enqueue, deliberately: once an edge can be
-                # applied (and checkpointed), its request id must already
-                # be recoverable — otherwise a crash between apply and
-                # remember would turn a retry into a double delivery.
-                self.dedup.put(request_id, ack)
-            for i, edge in enumerate(edges):
-                self.queue.put(edge, timeout=timeout, lsn=base + i)
-        self._wal_sync(ticket, raise_on_failure=True)
+        ack = self._admit(edges, timeout=timeout, request_id=request_id,
+                          invalid=invalid, raise_on_sync_failure=True)
         if dlq_replay:
-            self.dlq_replayed += len(edges)
+            self.dlq_replayed += ack["accepted"]
         return ack
 
     # ------------------------------------------------------------------ #

@@ -58,6 +58,8 @@ from .resilience import RateLimited
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_BODY = 64 * 1024 * 1024
+#: Header lines accepted per request before it is refused unread.
+_MAX_HEADERS = 100
 _MAX_FRAME = 16 * 1024 * 1024
 
 #: Reason phrases for the handful of statuses we emit.
@@ -65,6 +67,11 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
+
+
+class _Refused(Exception):
+    """A request the parser refuses unread; ``args`` are the status it is
+    answered with and the reason."""
 
 
 class _Request:
@@ -162,10 +169,12 @@ class ServiceHTTPServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:
+            status, reason = exc.args \
+                if isinstance(exc, _Refused) else (500, repr(exc))
             try:
                 await self._respond(
-                    writer, 500, "application/json",
-                    json.dumps({"error": repr(exc)}).encode())
+                    writer, status, "application/json",
+                    json.dumps({"error": reason}).encode())
             except ConnectionError:
                 pass
         finally:
@@ -188,15 +197,24 @@ class ServiceHTTPServer:
         except ValueError:
             return None
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > _MAX_HEADERS:
+                raise _Refused(
+                    400, f"more than {_MAX_HEADERS} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Refused(
+                400, "Content-Length must be a non-negative integer")
+        length = int(declared)
         if length > _MAX_BODY:
-            return _Request(method, path, headers, b"\x00too-large")
+            raise _Refused(413, "body too large")
         body = await reader.readexactly(length) if length else b""
         return _Request(method, path, headers, body)
 
@@ -227,8 +245,6 @@ class ServiceHTTPServer:
             return None
 
     async def _dispatch(self, request: _Request) -> tuple:
-        if request.body.startswith(b"\x00too-large"):
-            return 413, "application/json", b'{"error": "body too large"}'
         path = request.path.split("?", 1)[0]
         parts = [part for part in path.split("/") if part]
 

@@ -45,8 +45,9 @@ Recovery
 Opening a log scans every segment in order, validating frame CRCs.  A
 torn tail (crash mid-write) is truncated off the final segment and
 counted in ``truncated_bytes``; corruption *inside* the sequence (bad
-disk, manual tampering) truncates the log at the corruption point,
-drops the later segments, and is loudly reported in
+disk, manual tampering — a bad frame, or a later segment whose base LSN
+does not continue the one before it) truncates the log at the corruption
+point, drops the later segments, and is loudly reported in
 ``corrupt_dropped_frames`` — boot proceeds on the surviving prefix
 rather than refusing outright.  ``repro wal verify`` surfaces the same
 scan as a preflight.
@@ -194,6 +195,11 @@ def inspect_wal(directory: str) -> dict:
                 data_frames += 1
                 edges += int(frame.get("n", 0))
         if base is not None:
+            if position and base != last_lsn + 1:
+                errors.append(
+                    f"{name}: base LSN {base} leaves a hole after LSN "
+                    f"{last_lsn} (interior corruption: frames are missing "
+                    f"from the previous segment)")
             last_lsn = max(last_lsn, base + edges - 1)
         total_edges += edges
         total_frames += data_frames
@@ -339,14 +345,6 @@ class WriteAheadLog:
         lsn = 0
         drop_rest = False
         for position, (ordinal, path) in enumerate(segments):
-            if drop_rest:
-                # Everything after an interior corruption point is
-                # unusable — its base LSNs would leave a hole.
-                scan = scan_segment(path)
-                self.corrupt_dropped_frames += sum(
-                    1 for f in scan["frames"] if "base" not in f)
-                os.remove(path)
-                continue
             scan = scan_segment(path)
             base = None
             edges = 0
@@ -355,6 +353,24 @@ class WriteAheadLog:
                     base = int(frame["base"])
                 else:
                     edges += int(frame.get("n", 0))
+            if not drop_rest and position and base is not None \
+                    and base != lsn + 1:
+                # Reclaim only ever deletes *leading* segments, so only
+                # the first survivor's base may sit past 1.  A jump later
+                # on means the previous segment lost whole frames (cut at
+                # a frame boundary, every CRC still checks): a hole.
+                drop_rest = True
+                print(f"[repro.service] WAL {path}: base LSN {base} leaves "
+                      f"a hole after LSN {lsn} inside the sequence; "
+                      f"truncating the log here and dropping later "
+                      f"segments", file=sys.stderr)
+            if drop_rest:
+                # Everything after an interior corruption point is
+                # unusable — its base LSNs would leave a hole.
+                self.corrupt_dropped_frames += sum(
+                    1 for f in scan["frames"] if "base" not in f)
+                os.remove(path)
+                continue
             final = position == len(segments) - 1
             if scan["error"] is not None:
                 # Truncate the file at the last good frame boundary.
@@ -385,8 +401,8 @@ class WriteAheadLog:
                     handle.write(frame)
                     handle.flush()
                     os.fsync(handle.fileno())
-            # base may jump past lsn + 1 when earlier segments were
-            # reclaimed — LSN accounting simply follows the survivors.
+            # The first survivor's base sits past 1 when earlier segments
+            # were reclaimed — LSN accounting simply follows the survivors.
             self._segment_index[ordinal] = (base, edges)
             lsn = base + edges - 1
             self._active_ordinal = ordinal

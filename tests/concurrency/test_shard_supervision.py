@@ -51,7 +51,7 @@ class TestKilledShard:
             session.push_many([edge(i) for i in range(4)])
             # Kill the shard that hosts the query — pushes only address
             # shards with members.
-            owner = session._assignments["pair"]
+            owner = session.shard_assignments()["pair"]
             victim = session._shards[owner].handle.process
             os.kill(victim.pid, signal.SIGKILL)
             wait_for_death(victim)
@@ -153,9 +153,5 @@ class TestFaultInjectedKill:
 
 def test_shard_dead_error_reexports():
     import repro
-    import repro.api
 
     assert repro.ShardDeadError is ShardDeadError
-    assert repro.api.ShardDeadError is ShardDeadError
-    with pytest.raises(AttributeError):
-        repro.api.no_such_symbol  # noqa: B018 - attribute probe

@@ -329,13 +329,13 @@ class TestPlanKindFollowsShape:
             assert engine.all_slots == ("e",)
 
     def test_no_knob_selects_the_plan(self):
-        """Same fields as the parent commit: the plan kind is not
-        configurable."""
+        """The plan kind is not configurable: these are all the fields
+        there are."""
         import dataclasses
         assert [field.name for field in dataclasses.fields(EngineConfig)] \
             == ["storage", "decomposition", "join_order", "indexing",
                 "routing", "subplan_sharing", "sharding", "shards",
-                "transport", "guard", "seed", "duplicate_policy"]
+                "transport", "seed", "duplicate_policy"]
 
     def test_explicit_plan_is_still_validated(self):
         rng = random.Random(1)

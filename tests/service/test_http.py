@@ -118,6 +118,61 @@ class TestHTTPEndpoints:
         assert isinstance(port, int) and port > 0
 
 
+def raw_exchange(port, request: bytes) -> bytes:
+    """Send raw bytes, return everything the server answers before it
+    closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(request)
+        except ConnectionError:
+            pass        # refused mid-send: the answer is already out
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionError:
+            pass
+    return b"".join(chunks)
+
+
+class TestHostileRequests:
+    """The hand-written HTTP/1.1 parser answers malformed framing with a
+    400 and a plain reason — never a 500 carrying a Python repr, never an
+    unbounded read."""
+
+    @pytest.mark.parametrize("declared, status, error", [
+        ("-5", b"400 Bad Request",
+         "Content-Length must be a non-negative integer"),
+        ("abc", b"400 Bad Request",
+         "Content-Length must be a non-negative integer"),
+        ("1e3", b"400 Bad Request",
+         "Content-Length must be a non-negative integer"),
+        (str(10 ** 12), b"413 Payload Too Large", "body too large"),
+    ])
+    def test_bad_content_length_is_refused_unread(self, served, declared,
+                                                  status, error):
+        _gateway, port = served
+        response = raw_exchange(port, (
+            "POST /ingest HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {declared}\r\n\r\n").encode())
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 " + status
+        assert json.loads(body) == {"error": error}
+
+    def test_unbounded_headers_are_refused_at_100_lines(self, served):
+        gateway, port = served
+        filler = b"".join(b"X-Filler-%d: y\r\n" % i for i in range(200_000))
+        response = raw_exchange(
+            port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + filler + b"\r\n")
+        assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert b"more than 100 header lines" in response
+        # A request at the limit is still served.
+        filler = b"".join(b"X-Filler-%d: y\r\n" % i for i in range(99))
+        response = raw_exchange(
+            port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + filler + b"\r\n")
+        assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 200 OK"
+
+
 class TestParseEdgeBody:
     def test_shapes(self):
         record = {"src": "a"}

@@ -14,7 +14,7 @@ import os
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import faults
 from repro.cli import main as cli_main
@@ -217,13 +217,59 @@ class TestWriteAheadLog:
         assert len(lsns) >= 2
         reopened.close()
 
+    def test_frame_boundary_cut_of_an_interior_segment_is_a_hole(
+            self, tmp_path, capsys):
+        """A non-final segment cut exactly between two frames still
+        passes every CRC, so only the next segment's base LSN shows the
+        loss: recovery keeps the contiguous prefix, drops the rest and
+        says so, and ``wal verify`` refuses the log beforehand."""
+        def build(directory):
+            wal = WriteAheadLog(directory, segment_bytes=1024)
+            total = 0
+            for _ in range(40):
+                wal.append(_entries(2, total))
+                total += 2
+            wal.close()
+            return _segments(directory)
+
+        names = build(str(tmp_path / "probe"))
+        assert len(names) >= 3
+        for victim in names[:-1]:
+            directory = str(tmp_path / victim)
+            assert build(directory) == names
+            path = os.path.join(directory, victim)
+            frames = scan_segment(path)["frames"]
+            # Keep the header and every data frame but the last two.
+            keep = sum(len(_encode_frame(frame)) for frame in frames[:-2])
+            assert 0 < keep < os.path.getsize(path)
+            with open(path, "r+b") as handle:
+                handle.truncate(keep)
+            assert scan_segment(path)["error"] is None      # CRCs all fine
+            assert cli_main(["wal", "verify", directory]) == 1
+            assert "leaves a hole" in capsys.readouterr().out
+            reopened = WriteAheadLog(directory, segment_bytes=1024)
+            assert "leaves a hole" in capsys.readouterr().err
+            assert reopened.corrupt_dropped_frames > 0
+            lsns = []
+            for first, frame in reopened.replay(0):
+                lsns.extend(range(first, first + frame["n"]))
+            assert lsns == list(range(1, reopened.appended_lsn + 1))
+            assert _segments(directory) == names[:names.index(victim) + 1]
+            # The log keeps going where the survivors end.
+            last, _ = reopened.append(_entries(1, len(lsns)))
+            assert last == len(lsns) + 1
+            reopened.close()
+
     @settings(max_examples=25, deadline=None)
     @given(batches=st.lists(st.integers(min_value=1, max_value=4),
                             min_size=1, max_size=8),
            cut=st.integers(min_value=0, max_value=10_000),
-           data=st.data())
+           victim=st.integers(min_value=0, max_value=7))
+    # The first segment cut at the end of its third data frame: every CRC
+    # checks, and the second segment's base used to be taken on trust.
+    @example(batches=[3, 4, 4, 4, 1], cut=10_000, victim=0)
     def test_recovery_yields_batch_atomic_prefix(self, tmp_path_factory,
-                                                 batches, cut, data):
+                                                 batches, cut, victim):
         """Tear the log at *any* byte: reopening must yield a prefix of
         whole batches — never a partial batch, never a hole."""
         directory = str(tmp_path_factory.mktemp("wal"))
@@ -236,8 +282,7 @@ class TestWriteAheadLog:
             total += size
         wal.close()
         names = _segments(directory)
-        victim = os.path.join(
-            directory, data.draw(st.sampled_from(names), label="segment"))
+        victim = os.path.join(directory, names[victim % len(names)])
         size = os.path.getsize(victim)
         with open(victim, "r+b") as handle:
             handle.truncate(min(cut % (size + 1), size))

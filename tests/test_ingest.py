@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ANY, Prefix, QueryGraph, Session, StreamEdge
+from repro.api import _QueryRecord
 from repro.ingest import ALWAYS_ROUTED, Admission, RouteIndex
 
 # Small label pools so exact, prefix and wildcard queries collide often.
@@ -146,10 +147,15 @@ def edge(edge_id, timestamp):
                       timestamp=timestamp, edge_id=edge_id)
 
 
+# Roster entries as a session enrolls them: (ordinal, query record).
+Q = (0, _QueryRecord("q", 0, None, None, None))
+C = (1, _QueryRecord("c", 1, None, None, None))
+
+
 def admission_with(policy, *, window=5.0):
     admission = Admission()
-    admission.enroll(("time", window), (0, "q"), policy)
-    admission.enroll(("count", 3.0), (1, "c"), policy)
+    admission.enroll(("time", window), Q, policy)
+    admission.enroll(("count", 3.0), C, policy)
     admission.admit(edge("first", 1.0))
     admission.admit(edge("second", 2.0))
     return admission
@@ -208,7 +214,8 @@ class TestAdmission:
     def test_rejection_names_every_rejecter_in_registration_order(self):
         admission = admission_with("raise")
         with pytest.raises(ValueError) as info:
-            admission.admit(edge("first", 3.0), offenders=[(7, "private")])
+            admission.admit(edge("first", 3.0), offenders=[
+                (7, _QueryRecord("private", 7, None, None, None))])
         assert "['q', 'c', 'private']" in str(info.value)
 
     @pytest.mark.parametrize("policy", ["skip", "count"])
@@ -227,7 +234,7 @@ class TestAdmission:
     def test_expired_edges_reach_the_subscriber_and_groups_free(self):
         seen = []
         admission = Admission(lambda key, old: seen.append((key, old)))
-        admission.enroll(("time", 2.0), (0, "q"), "raise")
+        admission.enroll(("time", 2.0), Q, "raise")
         first = edge("first", 1.0)
         admission.admit(first)
         admission.admit(edge("second", 3.5))
@@ -236,5 +243,5 @@ class TestAdmission:
         assert [old.edge_id for _, old in seen] == ["first", "second"]
         with pytest.raises(ValueError, match="time moves backwards"):
             admission.advance(9.0)
-        admission.withdraw(("time", 2.0), (0, "q"))
+        admission.withdraw(("time", 2.0), Q)
         assert admission.groups == {}

@@ -305,10 +305,10 @@ class TestWildcardRoutingGap:
         assert session.result_counts()["allany"] == len(live) < len(edges)
         assert all(edge.timestamp > horizon
                    for m in current["wild2"] for edge in m.edge_map.values())
-        # The stored member's live-edge registry was pruned with them (an
-        # unrouted expiry would leave stale ids).
-        stored = session.matcher("wild2")._live_edge_ids
-        assert stored and all(ts > horizon for ts in stored.values())
+        # The stored member's match-once registry was pruned with them
+        # (an unrouted expiry would leave stale ids).
+        touched = session.matcher("wild2")._touched
+        assert touched and set(touched) <= {edge.edge_id for edge in live}
 
 
 class TestPredicateCheckpointRoundTrip:

@@ -219,7 +219,8 @@ class TestWindowMemory:
             2 * len(edges)
         # Routing skips exactly the label-level-discardable arrivals.
         for edge in edges[:40]:
-            routed = {name for _, name in session._index.targets(edge)}
+            routed = {record.name
+                      for _, record in session._index.targets(edge)}
             for name in session.names():
                 if name not in routed:
                     assert session.matcher(name).is_discardable(edge)
@@ -351,7 +352,8 @@ class TestChurn:
         assert session._index.exact == {}
         assert len(session._index.router) == 0
         assert session._index.always == []
-        assert session._members == {}
+        assert session._queries == {}
+        assert session._retaining == 0
         assert session._index.entries == {}
         # Last member out frees the group and its buffer.
         assert group_key not in session._admission.groups
@@ -401,9 +403,13 @@ class TestCheckpointRestore:
         assert first + second == reference
         assert restored.result_counts() == continuous.result_counts()
         # Restored views still alias the restored shared buffers.
-        member = restored._members["p1x"]
-        assert member.matcher.window.shared is \
-            restored._admission.groups[member.group_key].window
+        record = restored._queries["p1x"]
+        assert record.matcher.window.shared is \
+            restored._admission.groups[record.group_key].window
+        # ... and the index and the roster hold the restored record itself.
+        assert restored._index.entries["p1x"][0][1] is record
+        assert (record.ordinal, record) in \
+            restored._admission.groups[record.group_key].members
 
     def test_checkpoint_mid_batch_state_is_flushed(self):
         """There is nothing to flush: engines are at the stream position
@@ -457,7 +463,8 @@ class TestEnginesAtStreamPosition:
 
         def every_engine_is_current(name, match):
             horizon = session.current_time - POSITION_WINDOW
-            for other, engine in session._matchers.items():
+            for other in session.names():
+                engine = session._queries[other].matcher
                 for held in engine.current_matches():
                     assert held.earliest_timestamp() > horizon, \
                         (name, other, held, horizon)
@@ -472,3 +479,113 @@ class TestEnginesAtStreamPosition:
                 dst_label=VLABELS[hop + 1], timestamp=t, label=label))
         delivered = session.push_many(edges)        # ONE batch
         assert len(checked) == len(delivered)
+
+
+# (edge label, first hop or second, time step, id from a small pool — so
+# in-window duplicates occur — or None for a fresh id)
+pairing_steps = st.lists(
+    st.tuples(st.sampled_from(("x", "y")), st.integers(0, 1),
+              st.sampled_from([0.25, 1.0, 2.5]),
+              st.one_of(st.none(), st.integers(0, 3))),
+    min_size=6, max_size=60)
+
+
+class TestExpiryPairsWithIngestion:
+    @settings(max_examples=80, deadline=None)
+    @given(pairing_steps,
+           st.sampled_from([lambda: 3.0, lambda: CountSlidingWindow(5)]),
+           st.sampled_from(["skip", "count"]))
+    def test_every_expire_follows_its_insert_exactly_once(
+            self, steps, window, policy):
+        """What a member is told to forget is exactly what it was given:
+        every ``_expire(e)`` follows an ``_insert(e)`` on that member, no
+        edge is expired twice, and every inserted edge has been expired
+        once the window dropped it — for a Timing stored plan and the
+        ``sjtree`` backend, time and count windows, dropped duplicates,
+        and a query that joins while matching edges are already buffered
+        (which it must never hear of).  A stateless member hears of no
+        expiry at all."""
+        session = Session(duplicate_policy=policy)
+        log = {}
+
+        def enroll(name, n_edges, elabel, **options):
+            engine = session.register(
+                name, labeled_path_query(n_edges, elabels=(elabel,)),
+                window=window(), **options)
+            events = log[name] = []
+            insert, expire = engine._insert, engine._expire
+
+            def recording_insert(edge):
+                events.append(("insert", edge.edge_id, edge.timestamp))
+                return insert(edge)
+
+            def recording_expire(edge):
+                events.append(("expire", edge.edge_id, edge.timestamp))
+                return expire(edge)
+
+            engine._insert, engine._expire = recording_insert, recording_expire
+
+        enroll("timing", 2, "x")
+        enroll("sjtree", 2, "y", backend="sjtree")
+        enroll("one-edge", 1, "x")
+        t, edges = 0.0, []
+        for i, (label, hop, dt, reused) in enumerate(steps):
+            t += dt
+            edges.append(StreamEdge(
+                f"d{hop}", f"d{hop + 1}", src_label=VLABELS[hop],
+                dst_label=VLABELS[hop + 1], timestamp=t, label=label,
+                edge_id=f"fresh{i}" if reused is None else f"pool{reused}"))
+        half = len(edges) // 2
+        session.push_many(edges[:half])
+        enroll("late", 2, "x")
+        session.push_many(edges[half:])
+
+        assert session.names() == list(log)
+        assert not [e for e in log["one-edge"] if e[0] == "expire"]
+        assert [e for e in log["late"] if e[0] == "insert"] \
+            == [e for e in log["timing"] if e[0] == "insert"
+                and e[2] > edges[half - 1].timestamp]
+        for name in ("timing", "sjtree", "late"):
+            held = set()
+            expired = []
+            for kind, edge_id, timestamp in log[name]:
+                if kind == "insert":
+                    held.add((edge_id, timestamp))
+                else:
+                    assert (edge_id, timestamp) in held, (name, edge_id)
+                    held.remove((edge_id, timestamp))   # never twice
+                    expired.append(timestamp)
+            assert expired == sorted(expired)
+            buffered = {(edge.edge_id, edge.timestamp)
+                        for edge in session.matcher(name).window}
+            assert held <= buffered, (name, held - buffered)
+
+
+class TestSinkDeregistersLaterTarget:
+    @pytest.mark.parametrize("routing", ["shared", "fanout"])
+    def test_deregistered_query_emits_nothing(self, routing):
+        """A sink callback may deregister a query the *same* arrival is
+        still to be delivered to: the target list is a snapshot, so the
+        deregistered query must be skipped, not looked up."""
+        session = Session(window=50.0, routing=routing)
+        for name in ("first", "second", "third"):
+            session.register(name, labeled_path_query(1, elabels=("x",)))
+        seen = []
+
+        def sink(name, match):
+            seen.append(name)
+            if name == "first" and "second" in session:
+                session.deregister("second")
+
+        session.add_sink(sink)
+        edges = [edge for edge in labeled_stream(59, 60)
+                 if edge.label == "x" and edge.src_label == "A"
+                 and edge.dst_label == "B"]
+        assert len(edges) >= 2
+        results = session.push_many(edges)
+        assert session.names() == ["first", "third"]
+        assert "second" not in seen
+        assert [name for name, _ in results] == seen \
+            == ["first", "third"] * len(edges)
+        assert session.result_counts() == {
+            "first": len(edges), "third": len(edges)}

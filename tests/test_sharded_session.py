@@ -525,6 +525,8 @@ class TestCheckpoint:
         buffer.seek(0)
         restored = Session.restore(buffer)
         assert restored._sinks == []
-        assert restored._callbacks == {"q": None}
+        assert [(name, record.callback)
+                for name, record in restored._queries.items()] \
+            == [("q", None)]
         restored.set_callback("q", lambda n, m: None)
         close(restored)

@@ -219,8 +219,8 @@ class TestDifferentialEquivalence:
         session.register("b", labeled_path_query(2, elabels=("x", "y")))
         session.push_many(labeled_stream(23, 100))
         assert session.session_stats()["shared_subplans"] == 0
-        assert session._matchers["a"]._tc_stores[0] is not \
-            session._matchers["b"]._tc_stores[0]
+        assert session.matcher("a")._tc_stores[0] is not \
+            session.matcher("b")._tc_stores[0]
 
 
 class TestExactlyOnceMaintenance:
@@ -297,7 +297,7 @@ class TestChurn:
         registry = session._subplans
         assert registry.record_count() == 1
         assert registry.consumer_count() == 2
-        shared_store = session._matchers["a"]._tc_stores[0]
+        shared_store = session.matcher("a")._tc_stores[0]
         session.deregister("a")
         assert registry.record_count() == 1     # b still consumes it
         assert registry.consumer_count() == 1
@@ -316,11 +316,11 @@ class TestChurn:
         would keep maintaining them for the store's whole lifetime."""
         session = Session(window=6.0)
         session.register("t0", labeled_path_query(2, elabels=("x", "y")))
-        store = session._matchers["t0"]._tc_stores[0]
+        store = session.matcher("t0")._tc_stores[0]
         baseline = store.indexes.index_count()
         session.register("sup", chain_plus_tail())
-        assert session._matchers["sup"]._tc_stores[0] is store \
-            or store in session._matchers["sup"]._tc_stores
+        assert session.matcher("sup")._tc_stores[0] is store \
+            or store in session.matcher("sup")._tc_stores
         grew = store.indexes.index_count()
         assert grew > baseline          # sup's union shape landed here
         edges = labeled_stream(61, 120)
