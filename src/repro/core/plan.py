@@ -79,6 +79,10 @@ class QueryPlan:
     def render(self) -> str:
         """Multi-line textual plan."""
         q = self.query
+        # What recognising one arrival costs: a dict probe per mask, a
+        # ``labels_compatible`` call per residual check on the entries a
+        # probe finds, every arrival judged by the edges that key nothing.
+        masks, keyed, residual, all_keyed = q.label_index_shape()
         lines = [
             "Continuous query plan",
             "=====================",
@@ -90,6 +94,10 @@ class QueryPlan:
                 "stateless (one query edge: matches are emitted on arrival "
                 "and no expansion list is kept)" if self.stateless
                 else "stored (expansion lists below)"),
+            f"label index: {masks} mask{'s' * (masks != 1)} · "
+            f"{keyed} of {q.num_edges} edges keyed · "
+            f"{residual} residual check{'s' * (residual != 1)} · "
+            f"all-keyed: {'yes' if all_keyed else 'no'}",
             f"decomposition (k={self.k}): " + "  ".join(
                 "{" + ",".join(map(str, seq)) + "}"
                 for seq in self.decomposition),

@@ -105,6 +105,32 @@ def _label_is_concrete(label: Hashable) -> bool:
     return True
 
 
+def _label_is_keyable(label: Hashable) -> bool:
+    """Concrete and hashable: a dict probe decides such a label exactly
+    as ``labels_compatible`` would (NaN, the one value equality and the
+    dict's identity shortcut disagree on, is refused at construction)."""
+    if not _label_is_concrete(label):
+        return False
+    try:
+        hash(label)
+    except TypeError:
+        return False
+    return True
+
+
+def _reject_nan(label: Hashable) -> None:
+    """Refuse a query label that is not equal to itself (a float NaN) at
+    any tuple depth: it can never match a data label, and a dict would
+    match it by object identity until the first pickle round trip."""
+    if isinstance(label, tuple):
+        for part in label:
+            _reject_nan(part)
+    elif label != label:
+        raise ValueError(
+            f"query label {label!r} is not equal to itself (NaN) and "
+            "could never match; use ANY for an any-label position")
+
+
 def routing_atom(label: Hashable) -> Optional[Tuple]:
     """The per-position routing atom for a query label, or ``None``.
 
@@ -119,11 +145,7 @@ def routing_atom(label: Hashable) -> Optional[Tuple]:
         return ("any",)
     if isinstance(label, Prefix):
         return ("pre", label.prefix)
-    if _label_is_concrete(label):
-        try:
-            hash(label)
-        except TypeError:
-            return None
+    if _label_is_keyable(label):
         return ("eq", label)
     return None
 
@@ -179,6 +201,28 @@ class QueryEdge:
         return bool({self.src, self.dst} & {other.src, other.dst})
 
 
+#: The mask of a query edge whose three labels are all keyable: no arity
+#: to check, every position hashed whole.
+_ALL_KEYED = ((), ((0, None), (1, None), (2, None)))
+
+
+def _compile_projection(arities: Tuple, picks: Tuple):
+    """One mask's key extractor as a generated lambda — the per-arrival
+    cost is then one call, not a walk over the mask.  The source is
+    built from positions, arities and component indexes only."""
+    names = ("src", "label", "dst")
+    parts = "".join(
+        f"{names[position]}, " if component is None
+        else f"{names[position]}[{component}], "
+        for position, component in picks)
+    shape = " and ".join(
+        f"isinstance({names[position]}, tuple) "
+        f"and len({names[position]}) == {arity}"
+        for position, arity in arities)
+    return eval(f"lambda src, label, dst, loop: ({parts}loop,)"
+                + (f" if {shape} else None" if shape else ""))
+
+
 class QueryGraph:
     """Builder and read model for a time-constrained continuous query."""
 
@@ -186,10 +230,16 @@ class QueryGraph:
         self._vertices: Dict[VertexId, QueryVertex] = {}
         self._edges: Dict[EdgeId, QueryEdge] = {}
         self.timing = TimingOrder()
-        # (src-label, edge-label, dst-label, is-loop) → query edges, plus
-        # the predicate/generic residues, built once at validation time;
-        # ``None`` until built / after mutation.
-        self._label_index: Optional[Tuple[Dict, List, List]] = None
+        # Derived on first use, ``None`` after mutation, never pickled:
+        # what ``matching_edge_ids`` probes and what ``label_signatures``
+        # returns (registration reads only the latter).
+        self._label_index: Optional[Tuple[Dict, List]] = None
+        self._signatures: Optional[Tuple] = None
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["_label_index"] = state["_signatures"] = None
+        return state
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -197,6 +247,7 @@ class QueryGraph:
     def add_vertex(self, vertex_id: VertexId, label: Hashable) -> QueryVertex:
         if vertex_id in self._vertices:
             raise ValueError(f"duplicate query vertex: {vertex_id!r}")
+        _reject_nan(label)
         vertex = QueryVertex(vertex_id, label)
         self._vertices[vertex_id] = vertex
         return vertex
@@ -208,10 +259,11 @@ class QueryGraph:
         for vertex in (src, dst):
             if vertex not in self._vertices:
                 raise KeyError(f"unknown query vertex: {vertex!r}")
+        _reject_nan(label)
         edge = QueryEdge(edge_id, src, dst, label)
         self._edges[edge_id] = edge
         self.timing.add_edge_id(edge_id)
-        self._label_index = None
+        self._label_index = self._signatures = None
         return edge
 
     def add_timing_constraint(self, before: EdgeId, after: EdgeId) -> None:
@@ -285,68 +337,114 @@ class QueryGraph:
                                       stream_edge.dst_label)
                 and labels_compatible(qedge.label, stream_edge.label))
 
-    def _build_label_index(self) -> Tuple[Dict, List, List]:
-        """Bucket query edges by concrete (src-label, edge-label, dst-label,
-        is-loop) key; predicate-routable edges (every position reduces to a
-        :func:`routing_atom`) go to a middle tier carrying their atom
-        triples; the rest — tuples with inner wildcards, unhashable labels
-        — stay in a linear-scan residue.  For fully concrete labels,
-        ``labels_compatible`` is plain equality, so a dict hit is exactly
-        :meth:`edge_matches` — no re-verification needed."""
-        exact: Dict[Tuple, List[Tuple[int, EdgeId]]] = {}
-        predicates: List[Tuple[int, EdgeId, Tuple]] = []
-        generic: List[Tuple[int, EdgeId]] = []
+    def _edge_labels(self, qedge: QueryEdge) -> Tuple:
+        """``(src-label, edge-label, dst-label)`` of a query edge."""
+        return (self._vertices[qedge.src].label, qedge.label,
+                self._vertices[qedge.dst].label)
+
+    def _build_label_index(self) -> Tuple[Dict, List]:
+        """Compile every query edge into one mask-keyed hash index (the
+        tuple-space search of packet classifiers): hash the concrete
+        part, walk only what cannot be hashed.
+
+        A *mask* says which parts of an arrival's three labels are
+        hashed: a keyable label whole; of any other tuple label its
+        arity and keyable components (one level of destructuring); of
+        ``ANY``, a :class:`Prefix` or an unhashable value nothing.
+        Query edges with an equal mask share one ``key -> entries``
+        dict, the key being those parts plus the loop flag; an entry is
+        ``(insertion ordinal, edge id, residual)``, the *residual* being
+        the ``(position, component, pattern)`` checks the key could not
+        decide, left to ``labels_compatible``.
+
+        Returns ``(exact, masks)``: the dict of the all-keyed mask, whose
+        key is the arrival's plain ``(src-label, edge-label, dst-label,
+        is-loop)``, and ``(project, dict)`` for every other mask —
+        ``project(*arrival)`` is the key, or ``None`` when a label the
+        mask destructures is no tuple of that arity.
+        """
+        tables: Dict[Tuple, Dict[Tuple, List[Tuple]]] = {}
         for ordinal, (eid, qedge) in enumerate(self._edges.items()):
-            src_label = self._vertices[qedge.src].label
-            dst_label = self._vertices[qedge.dst].label
-            entry = (ordinal, eid)
-            is_loop = qedge.src == qedge.dst
-            if (_label_is_concrete(src_label) and _label_is_concrete(dst_label)
-                    and _label_is_concrete(qedge.label)):
-                key = (src_label, qedge.label, dst_label, is_loop)
-                try:
-                    exact.setdefault(key, []).append(entry)
-                except TypeError:
-                    generic.append(entry)
-                continue
-            atoms = (routing_atom(src_label), routing_atom(qedge.label),
-                     routing_atom(dst_label))
-            if all(atom is not None for atom in atoms):
-                predicates.append((ordinal, eid,
-                                   (atoms[0], atoms[1], atoms[2], is_loop)))
-            else:
-                generic.append(entry)
-        self._label_index = (exact, predicates, generic)
+            arities: List[Tuple] = []
+            picks: List[Tuple] = []
+            key: List = []
+            residual: List[Tuple] = []
+            for position, label in enumerate(self._edge_labels(qedge)):
+                if _label_is_keyable(label):
+                    picks.append((position, None))
+                    key.append(label)
+                elif isinstance(label, tuple):
+                    arities.append((position, len(label)))
+                    for component, part in enumerate(label):
+                        if _label_is_keyable(part):
+                            picks.append((position, component))
+                            key.append(part)
+                        elif part is not ANY:
+                            residual.append((position, component, part))
+                elif label is not ANY:
+                    residual.append((position, None, label))
+            key.append(qedge.src == qedge.dst)
+            tables.setdefault((tuple(arities), tuple(picks)), {}).setdefault(
+                tuple(key), []).append((ordinal, eid, tuple(residual)))
+        exact = tables.pop(_ALL_KEYED, {})
+        self._label_index = (exact, [(_compile_projection(*mask), table)
+                                     for mask, table in tables.items()])
         return self._label_index
 
     def matching_edge_ids(self, stream_edge: StreamEdge) -> List[EdgeId]:
-        """All query edges a stream edge is label-compatible with.
-
-        O(1) dict probe for the concrete-labelled query edges (the common
-        case on the hot path — this runs once per arrival) plus a scan of
-        only the wildcard/predicate-bearing residue; result order is edge
-        insertion order, exactly as the historical full scan produced.
+        """All query edges a stream edge is label-compatible with, in
+        edge insertion order — :meth:`edge_matches` over every query
+        edge, answered by one dict probe per mask of the compiled index
+        (this runs once per arrival) plus the residual checks of just
+        the entries the probe found.
         """
         index = self._label_index
         if index is None:
             index = self._build_label_index()
-        exact, predicates, generic = index
-        key = (stream_edge.src_label, stream_edge.label,
-               stream_edge.dst_label, stream_edge.src == stream_edge.dst)
+        exact, masks = index
+        arrival = (stream_edge.src_label, stream_edge.label,
+                   stream_edge.dst_label, stream_edge.src == stream_edge.dst)
         try:
-            hits = exact.get(key, ())
+            if not masks:       # every query edge is all-keyed
+                return [entry[1] for entry in exact.get(arrival, ())]
+            matched = list(exact.get(arrival, ())) if exact else []
+            for project, table in masks:
+                key = project(*arrival)
+                if key is None:
+                    continue
+                for entry in table.get(key, ()):
+                    for position, component, pattern in entry[2]:
+                        label = arrival[position]
+                        if not labels_compatible(
+                                pattern, label if component is None
+                                else label[component]):
+                            break
+                    else:
+                        matched.append(entry)
         except TypeError:       # unhashable data label: no dict probe
             return [eid for eid in self._edges
                     if self.edge_matches(eid, stream_edge)]
-        if not predicates and not generic:
-            return [eid for _, eid in hits]
-        matched = list(hits)
-        matched.extend(entry[:2] for entry in predicates
-                       if self.edge_matches(entry[1], stream_edge))
-        matched.extend(entry for entry in generic
-                       if self.edge_matches(entry[1], stream_edge))
-        matched.sort()          # interleave by insertion ordinal
-        return [eid for _, eid in matched]
+        if len(matched) > 1:
+            matched.sort()      # interleave by (unique) insertion ordinal
+        return [entry[1] for entry in matched]
+
+    def label_index_shape(self) -> Tuple[int, int, int, bool]:
+        """``(masks, keyed edges, residual checks, all-keyed)`` of the
+        compiled index, for ``explain``: dict probes per arrival, query
+        edges that hash at least one concrete part (the others judge
+        every arrival), ``labels_compatible`` checks left on the entries
+        a probe finds, and whether the all-keyed mask is the only one."""
+        index = self._label_index
+        if index is None:
+            index = self._build_label_index()
+        exact, masks = index
+        tables = ([exact] if exact else []) + [table for _, table in masks]
+        buckets = [item for table in tables for item in table.items()]
+        return (len(tables),
+                sum(len(entries) for key, entries in buckets if len(key) > 1),
+                sum(len(entry[2]) for _, entries in buckets
+                    for entry in entries),
+                not masks)
 
     def label_signatures(self) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple],
                                         bool]:
@@ -362,19 +460,27 @@ class QueryGraph:
         :class:`~repro.core.labeltrie.PredicateRouter` resolves them in
         O(label length) per arrival.  ``has_generic`` is ``True`` only
         for the opaque residue (tuple labels with inner wildcards,
-        unhashable labels) that needs a per-arrival compatibility scan.
-        A stream edge that hits none of the three tiers provably matches
-        no query edge — which is what lets a multi-query
-        :class:`~repro.api.Session` route arrivals to only the queries
-        that can consume them.
+        unhashable labels) a session cannot route and so shows every
+        arrival.  A stream edge that hits none of the three tiers
+        provably matches no query edge — which is what lets a
+        multi-query :class:`~repro.api.Session` route arrivals to only
+        the queries that can consume them.
         """
-        index = self._label_index
-        if index is None:
-            index = self._build_label_index()
-        exact, predicates, generic = index
-        return (frozenset(exact),
-                frozenset(atoms for _, _, atoms in predicates),
-                bool(generic))
+        if self._signatures is None:
+            exact, predicates, has_generic = set(), set(), False
+            for qedge in self._edges.values():
+                labels = self._edge_labels(qedge)
+                is_loop = qedge.src == qedge.dst
+                atoms = tuple(map(routing_atom, labels))
+                if None in atoms:
+                    has_generic = True
+                elif all(atom[0] == "eq" for atom in atoms):
+                    exact.add(labels + (is_loop,))
+                else:
+                    predicates.add(atoms + (is_loop,))
+            self._signatures = (frozenset(exact), frozenset(predicates),
+                                has_generic)
+        return self._signatures
 
     def distinct_term_labels(self) -> int:
         """Number of distinct (src-label, edge-label, dst-label) triples.
@@ -382,10 +488,7 @@ class QueryGraph:
         This is the ``d`` of the cost model (Theorem 7): the probability a
         random compatible arrival matches a given query edge is ``1/d``.
         """
-        terms = {(self._vertices[e.src].label, e.label,
-                  self._vertices[e.dst].label)
-                 for e in self._edges.values()}
-        return len(terms)
+        return len({self._edge_labels(e) for e in self._edges.values()})
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -478,8 +581,6 @@ class QueryGraph:
             raise ValueError("query graph has no edges")
         if not self.is_weakly_connected():
             raise ValueError("query graph must be weakly connected")
-        if self._label_index is None:
-            self._build_label_index()
 
     def __repr__(self) -> str:
         return (f"QueryGraph({self.num_vertices} vertices, "

@@ -88,8 +88,11 @@ from .matcher import MatcherBase
 #: v13: one record per query — both session kinds carry one ``name ->
 #: record`` table, route payloads and the one roster per window group
 #: hold ``(ordinal, record)``, session members' live-edge registries stay
-#: empty, and engines and ``EngineConfig`` carry no guard.)
-CHECKPOINT_VERSION = 13
+#: empty, and engines and ``EngineConfig`` carry no guard.
+#: v14: query graphs pickle without their compiled label index (a
+#: mask-keyed hash index rebuilt on first use); a v13 file carries the
+#: old three-tier tuple, which the new probe would misread.)
+CHECKPOINT_VERSION = 14
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not

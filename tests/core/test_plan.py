@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.plan import explain
+from repro.core.query import ANY, Prefix, QueryGraph
+from repro.datasets.netflow import exfiltration_attack_query
 
 from ..conftest import fig5_query, path_query
 
@@ -56,3 +58,36 @@ class TestExplain:
         assert plan.k >= 3
         assert plan.expected_joins_per_edge >= explain(
             fig5_query()).expected_joins_per_edge
+
+
+class TestLabelIndexLine:
+    """``explain`` says what recognising one arrival costs."""
+
+    def line(self, query) -> str:
+        (line,) = [line for line in explain(query).render().splitlines()
+                   if line.startswith("label index:")]
+        return line
+
+    @staticmethod
+    def chain(vertex_label, labels):
+        query = QueryGraph()
+        for i in range(len(labels) + 1):
+            query.add_vertex(i, vertex_label)
+        for i, label in enumerate(labels):
+            query.add_edge(f"e{i}", i, i + 1, label)
+        return query
+
+    def test_all_concrete(self):
+        assert self.line(self.chain("IP", [(80, "tcp"), (53, "udp")])) == (
+            "label index: 1 mask · 2 of 2 edges keyed · "
+            "0 residual checks · all-keyed: yes")
+
+    def test_wildcard_tuple(self):
+        assert self.line(exfiltration_attack_query()) == (
+            "label index: 1 mask · 5 of 5 edges keyed · "
+            "0 residual checks · all-keyed: no")
+
+    def test_prefix_only(self):
+        assert self.line(self.chain(ANY, [Prefix("44"), Prefix("4")])) == (
+            "label index: 1 mask · 0 of 2 edges keyed · "
+            "2 residual checks · all-keyed: no")
