@@ -6,9 +6,10 @@ deletion (Algorithm 2), MS-tree or independent storage, cost-model-guided
 decomposition and joint-number join ordering.
 
 The engine is storage-agnostic (MS-tree vs independent flat tuples — the
-``Timing`` vs ``Timing-IND`` comparison) and guard-agnostic (serial vs
-locked vs traced — see :mod:`repro.core.guard`), so the exact same algorithm
-code runs in every experimental configuration.
+``Timing`` vs ``Timing-IND`` comparison) and guard-agnostic (locked vs
+traced — see :mod:`repro.core.guard`; a serial call passes no guard and
+brackets nothing), so the exact same algorithm code runs in every
+experimental configuration.
 
 Two plan kinds, chosen from the query's shape alone:
 
@@ -36,10 +37,9 @@ from .decomposition import (
     Decomposition, greedy_decomposition, random_decomposition,
     validate_decomposition,
 )
-from .guard import NULL_GUARD
 from .index import (
-    LevelIndex, extension_probe_flags, extension_store_refs, key_from_edge,
-    key_from_flat, union_side_refs,
+    LevelIndex, compile_edge_key, compile_flat_key, extension_probe_flags,
+    extension_store_refs, union_side_refs,
 )
 from .join import ExtensionSpec, UnionSpec
 from .join_order import jn_join_order, random_join_order
@@ -233,25 +233,19 @@ class TimingMatcher(MatcherBase):
         # takes the paper-faithful scan path, counted in
         # ``stats.scan_fallbacks``.
         self._ext_indexes: Dict[Tuple[int, int], LevelIndex] = {}
-        self._ext_probe_flags: Dict[Tuple[int, int], Tuple[bool, ...]] = {}
         self._union_prefix_indexes: Dict[int, LevelIndex] = {}
         self._union_omega_indexes: Dict[int, LevelIndex] = {}
-        self._union_a_refs: Dict[int, tuple] = {}
-        self._union_b_refs: Dict[int, tuple] = {}
         if config.indexing == "hash":
             for (si, j), spec in self._ext_specs.items():
                 if spec.equal_refs:
                     refs = extension_store_refs(spec)
                     self._ext_indexes[(si, j)] = \
                         self._add_store_index(si, j, refs)
-                    self._ext_probe_flags[(si, j)] = extension_probe_flags(spec)
             for level, spec in self._union_specs.items():
                 if not spec.equal_pairs:
                     continue
                 a_refs = union_side_refs(spec, "a")
                 b_refs = union_side_refs(spec, "b")
-                self._union_a_refs[level] = a_refs
-                self._union_b_refs[level] = b_refs
                 # Prefix side Ω(L₀^{level-1}): global level (level-1), whose
                 # level 1 is virtual and lives in the first subquery store.
                 if level - 1 == 1:
@@ -265,6 +259,34 @@ class TimingMatcher(MatcherBase):
                 omega = self._tc_stores[level - 1]
                 self._union_omega_indexes[level] = self._add_store_index(
                     level - 1, omega.length, b_refs)
+        self._compile_probe_keys()
+
+    def _compile_probe_keys(self) -> None:
+        """The probing side's key of every indexed join shape, as a
+        generated function (see :func:`~repro.core.index.compile_flat_key`)
+        — derived from the compiled specs, so never pickled."""
+        self._ext_probe_keys = {
+            at: compile_edge_key(extension_probe_flags(self._ext_specs[at]))
+            for at in self._ext_indexes}
+        self._union_a_keys = {}
+        self._union_b_keys = {}
+        for level in self._union_omega_indexes:
+            spec = self._union_specs[level]
+            self._union_a_keys[level] = compile_flat_key(
+                union_side_refs(spec, "a"))
+            self._union_b_keys[level] = compile_flat_key(
+                union_side_refs(spec, "b"))
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        for name in ("_ext_probe_keys", "_union_a_keys", "_union_b_keys"):
+            state.pop(name, None)       # a stateless plan has none
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        if not self.stateless:
+            self._compile_probe_keys()
 
     def _add_store_index(self, si: int, level: int, refs: tuple):
         """Register a join-key index on subquery store ``si``, remembering
@@ -394,7 +416,12 @@ class TimingMatcher(MatcherBase):
     # Insertion — Algorithm 1
     # ------------------------------------------------------------------ #
     def insert_edge(self, edge: StreamEdge, guard=None) -> List[Match]:
-        """Handle ``Ins(σ)``: extend expansion lists, report new matches."""
+        """Handle ``Ins(σ)``: extend expansion lists, report new matches.
+
+        ``guard`` brackets every expansion-list item access with §V's
+        acquire/release (see :mod:`repro.core.guard`); ``None`` — every
+        serial caller — means no guard: no item is named, nothing is
+        called."""
         stats = self.stats
         stats.edges_seen += 1
         if self.stateless:
@@ -407,11 +434,11 @@ class TimingMatcher(MatcherBase):
         matched = self.query.matching_edge_ids(edge)
         if not matched:
             return []
-        guard = guard if guard is not None else NULL_GUARD
         # Decided once, here: expiry pops this instead of re-matching.
         position = self._position
-        self._touched[edge.edge_id] = tuple(sorted(
-            {position[eid][0] for eid in matched}))
+        self._touched[edge.edge_id] = (
+            (position[matched[0]][0],) if len(matched) == 1
+            else tuple(sorted({position[eid][0] for eid in matched})))
         results: List[Match] = []
         produced_anything = False
         for eid in matched:
@@ -444,38 +471,41 @@ class TimingMatcher(MatcherBase):
                 self.stats.subplan_reuses += 1
                 return cached
         store = self._tc_stores[si]
-        item_cur = ("L", si, j + 1)
         if j == 0:
-            guard.acquire(item_cur, "X")
+            if guard is not None:
+                guard.acquire(("L", si, 1), "X")
             handle = store.insert(1, getattr(store, "root", None), (), edge)
-            guard.release(item_cur, cost=1)
+            if guard is not None:
+                guard.release(("L", si, 1), cost=1)
             self.stats.partial_matches_created += 1
             delta = [(handle, (edge,))]
             if record is not None:
                 record.remember(edge, j, delta)
             return delta
-        item_prev = ("L", si, j)
         index = self._ext_indexes.get((si, j))
-        guard.acquire(item_prev, "S")
+        if guard is not None:
+            guard.acquire(("L", si, j), "S")
         if index is not None:
-            candidates = index.probe(
-                key_from_edge(self._ext_probe_flags[(si, j)], edge))
+            candidates = index.probe(self._ext_probe_keys[(si, j)](edge))
             self.stats.index_probes += 1
         else:
             candidates = store.read(j)
             self.stats.scan_fallbacks += 1
-        guard.release(item_prev, cost=len(candidates))
+        if guard is not None:
+            guard.release(("L", si, j), cost=len(candidates))
         self.stats.join_operations += 1
         spec = self._ext_specs[(si, j)]
         joined = [(handle, flat) for handle, flat in candidates
                   if spec.check(flat, edge)]
         delta = []
         if joined:
-            guard.acquire(item_cur, "X")
+            if guard is not None:
+                guard.acquire(("L", si, j + 1), "X")
             for handle, flat in joined:
                 new_handle = store.insert(j + 1, handle, flat, edge)
                 delta.append((new_handle, flat + (edge,)))
-            guard.release(item_cur, cost=len(delta))
+            if guard is not None:
+                guard.release(("L", si, j + 1), cost=len(delta))
             self.stats.partial_matches_created += len(delta)
         if record is not None:
             # An empty delta is memoised too: the other consumers skip
@@ -507,17 +537,18 @@ class TimingMatcher(MatcherBase):
     def _join_into_global(self, prefix_level: int, prefix_from_global: bool,
                           delta, delta_is_prefix_side: bool, guard):
         """``∆(Qⁱ) ⋈ᵀ Ω(L₀^{i-1})`` (Algorithm 1 lines 15–17)."""
-        item = (("L0", prefix_level) if prefix_level >= 2
-                else ("L", 0, self._tc_stores[0].length))
         spec = self._union_specs[prefix_level + 1]
         index = self._union_prefix_indexes.get(prefix_level)
-        guard.acquire(item, "S")
+        if guard is not None:
+            item = (("L0", prefix_level) if prefix_level >= 2
+                    else ("L", 0, self._tc_stores[0].length))
+            guard.acquire(item, "S")
         if index is not None:
-            b_refs = self._union_b_refs[prefix_level + 1]
+            b_key = self._union_b_keys[prefix_level + 1]
             touched = 0
             pairs = []
             for lh, lflat in delta:
-                candidates = index.probe(key_from_flat(b_refs, lflat))
+                candidates = index.probe(b_key(lflat))
                 touched += len(candidates)
                 pairs.extend((gh, gflat, lh, lflat)
                              for gh, gflat in candidates
@@ -531,17 +562,19 @@ class TimingMatcher(MatcherBase):
                      for lh, lflat in delta
                      if spec.check(gflat, lflat)]
             self.stats.scan_fallbacks += 1
-        guard.release(item, cost=touched)
+        if guard is not None:
+            guard.release(item, cost=touched)
         self.stats.join_operations += 1
         if not pairs:
             return []
-        out_item = ("L0", prefix_level + 1)
-        guard.acquire(out_item, "X")
+        if guard is not None:
+            guard.acquire(("L0", prefix_level + 1), "X")
         created = []
         for gh, gflat, lh, lflat in pairs:
             handle = self._global.insert(prefix_level + 1, gh, gflat, lh, lflat)
             created.append((handle, gflat + lflat))
-        guard.release(out_item, cost=len(created))
+        if guard is not None:
+            guard.release(("L0", prefix_level + 1), cost=len(created))
         self.stats.partial_matches_created += len(created)
         return created
 
@@ -549,16 +582,16 @@ class TimingMatcher(MatcherBase):
                                  guard):
         """``∆(L₀ⁱ) ⋈ᵀ Ω(Qⁱ⁺¹)`` (Algorithm 1 lines 18–22)."""
         store = self._tc_stores[next_si]
-        item = ("L", next_si, store.length)
         spec = self._union_specs[level + 1]
         index = self._union_omega_indexes.get(level + 1)
-        guard.acquire(item, "S")
+        if guard is not None:
+            guard.acquire(("L", next_si, store.length), "S")
         if index is not None:
-            a_refs = self._union_a_refs[level + 1]
+            a_key = self._union_a_keys[level + 1]
             touched = 0
             pairs = []
             for gh, gflat in current:
-                candidates = index.probe(key_from_flat(a_refs, gflat))
+                candidates = index.probe(a_key(gflat))
                 touched += len(candidates)
                 pairs.extend((gh, gflat, lh, lflat)
                              for lh, lflat in candidates
@@ -572,17 +605,19 @@ class TimingMatcher(MatcherBase):
                      for lh, lflat in omega
                      if spec.check(gflat, lflat)]
             self.stats.scan_fallbacks += 1
-        guard.release(item, cost=touched)
+        if guard is not None:
+            guard.release(("L", next_si, store.length), cost=touched)
         self.stats.join_operations += 1
         if not pairs:
             return []
-        out_item = ("L0", level + 1)
-        guard.acquire(out_item, "X")
+        if guard is not None:
+            guard.acquire(("L0", level + 1), "X")
         created = []
         for gh, gflat, lh, lflat in pairs:
             handle = self._global.insert(level + 1, gh, gflat, lh, lflat)
             created.append((handle, gflat + lflat))
-        guard.release(out_item, cost=len(created))
+        if guard is not None:
+            guard.release(("L0", level + 1), cost=len(created))
         self.stats.partial_matches_created += len(created)
         return created
 
@@ -616,8 +651,7 @@ class TimingMatcher(MatcherBase):
             spec = self._ext_specs[(si, j)]
             index = self._ext_indexes.get((si, j))
             if index is not None:
-                candidates = index.probe(
-                    key_from_edge(self._ext_probe_flags[(si, j)], edge))
+                candidates = index.probe(self._ext_probe_keys[(si, j)](edge))
             else:
                 candidates = self._tc_stores[si].read(j)
             if any(spec.check(flat, edge) for _, flat in candidates):
@@ -644,18 +678,19 @@ class TimingMatcher(MatcherBase):
         touched = self._touched.pop(edge.edge_id, None)
         if touched is None:
             return 0
-        guard = guard if guard is not None else NULL_GUARD
         # Deletion locks every item it may touch up-front, in canonical
         # order.  This is slightly more conservative than the paper's
         # level-by-level scan but deadlock-free by construction (inserts
         # hold one lock at a time; deletes acquire in a global total order)
         # and the MS-tree cross-tree cascade then always runs under the L₀
-        # locks it mutates.
-        items = [("L", si, level)
-                 for si in touched
-                 for level in range(1, self._tc_stores[si].length + 1)]
-        if self._global is not None:
-            items += [("L0", level) for level in range(2, self.k + 1)]
+        # locks it mutates.  Without a guard there is nothing to lock.
+        items = ()
+        if guard is not None:
+            items = [("L", si, level)
+                     for si in touched
+                     for level in range(1, self._tc_stores[si].length + 1)]
+            if self._global is not None:
+                items += [("L0", level) for level in range(2, self.k + 1)]
         for item in items:
             guard.acquire(item, "X")
         removed = 0

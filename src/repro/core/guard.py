@@ -3,13 +3,19 @@
 The paper's concurrent algorithms (§V) are the *same* insertion/deletion
 algorithms as the serial ones, except that every elementary operation over an
 expansion-list item is bracketed by lock acquire/release.  To keep one code
-path, the engine calls a guard around each item access:
+path, ``insert_edge(edge, guard)`` / ``delete_edge(edge, guard)`` call the
+guard they are passed around each item access:
 
-* :class:`NullGuard` — serial execution, no-ops;
 * :class:`TraceGuard` — records the (item, mode, cost) sequence; feeds the
   discrete-event concurrency simulator (§VII-D reproduction);
 * ``ItemLockGuard`` (in :mod:`repro.concurrency.locks`) — real S/X locks with
-  chronological wait-lists for the multi-threaded executor.
+  chronological wait-lists for the multi-threaded executor;
+* :class:`NullGuard` — an explicit no-op, for a caller that wants the
+  bracket sequence walked without effect.
+
+A serial call passes no guard (``guard=None``, what ``push`` and a session
+do) and pays for none: the engine then names no item and makes no call.
+Passing one yields exactly §V's bracket sequence.
 
 Items are identified by hashable tuples:
 
@@ -31,7 +37,7 @@ Mode = str  # "S" (shared) or "X" (exclusive)
 
 
 class NullGuard:
-    """No-op guard for serial execution."""
+    """No-op guard: every bracket is walked, none does anything."""
 
     __slots__ = ()
 
@@ -40,10 +46,6 @@ class NullGuard:
 
     def release(self, item: Item, cost: int = 0) -> None:
         pass
-
-
-#: The one serial guard: stateless, so every unguarded engine call shares it.
-NULL_GUARD = NullGuard()
 
 
 class TraceGuard:

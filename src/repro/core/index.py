@@ -22,9 +22,12 @@ Three layers cooperate:
   backends on every insert and expiry-driven removal (including the
   MS-tree's cross-tree dependency cascade);
 * the key-derivation helpers (:func:`extension_store_refs`,
-  :func:`extension_probe_flags`, :func:`union_side_refs`,
-  :func:`key_from_flat`, :func:`key_from_edge`) — turn a compiled spec's
-  equality constraints into extractors for the stored and probing sides.
+  :func:`extension_probe_flags`, :func:`union_side_refs`) — turn a compiled
+  spec's equality constraints into refs for the stored and probing sides —
+  and :func:`compile_flat_key` / :func:`compile_edge_key`, which turn refs
+  into a generated key function once per shape (:func:`key_from_flat` /
+  :func:`key_from_edge` are the interpreted reference the tests compare
+  them with; nothing on a hot path calls those).
 
 The engine owns registration (it knows the compiled shapes); the stores own
 maintenance (they know entry lifetimes).  A shape with *no* equality
@@ -35,6 +38,7 @@ in ``stats``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from ..graph.edge import StreamEdge
@@ -55,6 +59,25 @@ def key_from_edge(flags: Sequence[bool],
                   edge: StreamEdge) -> Tuple[Hashable, ...]:
     """Join-key of a single arriving edge under is-src ``flags``."""
     return tuple(edge.src if is_src else edge.dst for is_src in flags)
+
+
+@lru_cache(maxsize=1024)    # shapes repeat across queries; an eval is ~50 µs
+def compile_flat_key(refs: Tuple[EndpointRef, ...]):
+    """:func:`key_from_flat` for one fixed ``refs``, as a generated
+    ``lambda f: (f[0].src, f[1].dst,)`` — a join shape is fixed when its
+    index is built, so nothing walks the refs per arrival.  The source is
+    built from positions and endpoint names only; a generated function is
+    never pickled (its owner asks for it again from the refs on restore)."""
+    return eval("lambda f: (" + "".join(
+        f"f[{pos:d}].{'src' if is_src else 'dst'}, "
+        for pos, is_src in refs) + ")")
+
+
+@lru_cache(maxsize=16)      # at most two endpoints: a handful of shapes
+def compile_edge_key(flags: Tuple[bool, ...]):
+    """:func:`key_from_edge` for one fixed ``flags``, generated likewise."""
+    return eval("lambda e: (" + "".join(
+        f"e.{'src' if is_src else 'dst'}, " for is_src in flags) + ")")
 
 
 def extension_store_refs(spec) -> Tuple[EndpointRef, ...]:
@@ -92,7 +115,7 @@ class LevelIndex:
     engine emits matches in the same order as the scanning one.
     """
 
-    __slots__ = ("refs", "newest_first", "_buckets")
+    __slots__ = ("refs", "newest_first", "_buckets", "_key")
 
     def __init__(self, refs: Sequence[EndpointRef], *,
                  newest_first: bool = False) -> None:
@@ -100,15 +123,27 @@ class LevelIndex:
         self.newest_first = newest_first
         self._buckets: Dict[Tuple[Hashable, ...],
                             Dict[object, Tuple[StreamEdge, ...]]] = {}
+        self._key = compile_flat_key(self.refs)
+
+    def __getstate__(self):
+        return self.refs, self.newest_first, self._buckets
+
+    def __setstate__(self, state) -> None:
+        self.refs, self.newest_first, self._buckets = state
+        self._key = compile_flat_key(self.refs)
 
     def add(self, handle, flat: Tuple[StreamEdge, ...]) -> None:
         """Index a newly stored entry under its join-key."""
-        key = key_from_flat(self.refs, flat)
-        self._buckets.setdefault(key, {})[handle] = flat
+        key = self._key(flat)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = {handle: flat}
+        else:
+            bucket[handle] = flat
 
     def discard(self, handle, flat: Tuple[StreamEdge, ...]) -> None:
         """Drop a removed entry from its bucket (no-op if absent)."""
-        key = key_from_flat(self.refs, flat)
+        key = self._key(flat)
         bucket = self._buckets.get(key)
         if bucket is None:
             return

@@ -102,16 +102,24 @@ class Match:
 
     def __init__(self, edge_map: Mapping[EdgeId, StreamEdge]) -> None:
         self.edge_map: Dict[EdgeId, StreamEdge] = dict(edge_map)
-        self._key = frozenset(
-            (eid, edge.edge_id) for eid, edge in self.edge_map.items())
+        # Built by the first ``==`` / ``hash``: most matches are delivered
+        # to a sink and never compared.
+        self._key: Optional[frozenset] = None
+
+    def _identity(self) -> frozenset:
+        key = self._key
+        if key is None:
+            key = self._key = frozenset(
+                (eid, edge.edge_id) for eid, edge in self.edge_map.items())
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self._key == other._key
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._identity())
 
     def __len__(self) -> int:
         return len(self.edge_map)

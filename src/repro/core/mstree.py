@@ -52,7 +52,9 @@ class MSTreeNode:
         self.payload = payload
         self.parent = parent
         self.depth = depth
-        self.children: Set[MSTreeNode] = set()
+        # Created with the first child: most nodes are leaves, and a leaf
+        # never reads it.
+        self.children: Optional[Set[MSTreeNode]] = None
         self.prev: Optional[MSTreeNode] = None   # level-list links
         self.next: Optional[MSTreeNode] = None
         self.alive = True
@@ -159,7 +161,10 @@ class MSTree:
             raise ValueError(
                 f"parent depth {parent.depth} already at maximum {self.depth}")
         node = MSTreeNode(payload, parent, parent.depth + 1)
-        parent.children.add(node)
+        if parent.children is None:
+            parent.children = {node}
+        else:
+            parent.children.add(node)
         self.level(node.depth).link(node)
         return node
 
@@ -202,8 +207,9 @@ class MSTree:
             current.alive = False
             self.level(current.depth).unlink(current)
             removed += 1
-            stack.extend(current.children)
-            current.children.clear()
+            if current.children:
+                stack.extend(current.children)
+                current.children = None
             if self._on_remove is not None:
                 self._on_remove(current)
         return removed
@@ -260,7 +266,11 @@ class MSTreeTCStore:
         """
         node = self.tree.insert(parent, edge)
         assert node.depth == level
-        self._by_edge.setdefault(edge, set()).add(node)
+        nodes = self._by_edge.get(edge)
+        if nodes is None:
+            self._by_edge[edge] = {node}
+        else:
+            nodes.add(node)
         flat = prefix + (edge,)
         node.flat_cache = flat
         self.indexes.on_insert(level, node, flat)
@@ -396,7 +406,11 @@ class GlobalMSTreeStore:
         if level == 2:
             parent = self._anchor_for(parent)
         node = self.tree.insert(parent, sub_leaf)
-        self._dependents.setdefault(sub_leaf, set()).add(node)
+        dependents = self._dependents.get(sub_leaf)
+        if dependents is None:
+            self._dependents[sub_leaf] = {node}
+        else:
+            dependents.add(node)
         flat = prefix + sub_flat
         node.flat_cache = flat
         self.indexes.on_insert(level, node, flat)

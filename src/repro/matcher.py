@@ -274,21 +274,24 @@ class MatcherBase:
         bearer is a genuine duplicate.)  A *dropped* duplicate still
         advances time.
         """
-        if self.would_reject(edge):     # side-effect-free peek
-            raise ValueError(
-                f"duplicate in-window edge id: {edge.edge_id!r}")
-        for old in self.window.advance(edge.timestamp):
-            self._live_edge_ids.pop(old.edge_id, None)
-            self._expire(old)
-        if edge.edge_id in self._live_edge_ids:
-            # Only the skip/count policies reach here (raise peeked above).
-            if self.duplicate_policy == "count":
-                self.stats.edges_skipped += 1
-            return []
+        live = self._live_edge_ids
+        if edge.edge_id in live:
+            # The id has a bearer: judge it against the window as this
+            # arrival leaves it.  Any other arrival needs no judgement,
+            # and ``window.push`` below slides for it.
+            if self.would_reject(edge):     # side-effect-free peek
+                raise ValueError(
+                    f"duplicate in-window edge id: {edge.edge_id!r}")
+            self.advance_time(edge.timestamp)
+            if edge.edge_id in live:
+                # Only the skip/count policies reach here (raise peeked).
+                if self.duplicate_policy == "count":
+                    self.stats.edges_skipped += 1
+                return []
         for old in self.window.push(edge):
-            self._live_edge_ids.pop(old.edge_id, None)
+            live.pop(old.edge_id, None)
             self._expire(old)
-        self._live_edge_ids[edge.edge_id] = edge.timestamp
+        live[edge.edge_id] = edge.timestamp
         return self._insert(edge)
 
     def push_many(self, edges: Iterable[StreamEdge]) -> List[Match]:

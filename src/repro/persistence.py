@@ -91,8 +91,12 @@ from .matcher import MatcherBase
 #: empty, and engines and ``EngineConfig`` carry no guard.
 #: v14: query graphs pickle without their compiled label index (a
 #: mask-keyed hash index rebuilt on first use); a v13 file carries the
-#: old three-tier tuple, which the new probe would misread.)
-CHECKPOINT_VERSION = 14
+#: old three-tier tuple, which the new probe would misread.
+#: v15: join-key functions are generated per shape and rebuilt on restore
+#: — a ``LevelIndex`` pickles as ``(refs, newest_first, buckets)`` and an
+#: engine without its probe-side ref tables; an MS-tree leaf carries no
+#: child set and a match no identity key until one is asked for.)
+CHECKPOINT_VERSION = 15
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not

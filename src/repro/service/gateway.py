@@ -441,7 +441,9 @@ class Tenant:
         edge still journals its request id), enqueue it edge by edge
         (consecutive LSNs, ``offset`` tagging the *last* edge) and
         group-commit (see :meth:`_wal_sync` for
-        ``raise_on_sync_failure``); returns the ack."""
+        ``raise_on_sync_failure``); returns the ack.  No edge and no
+        request id is nothing to recover: that ack costs no frame and no
+        fsync."""
         tags = [None] * (len(edges) - 1) + [offset]
         if self.wal is None:
             accepted = 0
@@ -450,6 +452,9 @@ class Tenant:
                     accepted += 1
             return {"accepted": accepted, "invalid": invalid,
                     "position": self.queue.enqueued}
+        if not edges and request_id is None:
+            return {"accepted": 0, "invalid": invalid,
+                    "position": self.queue.enqueued, "durable": True}
         payload = [{"e": edge_to_json(edge)} for edge in edges]
         if offset is not None:
             payload[-1]["o"] = list(offset)

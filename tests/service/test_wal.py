@@ -584,6 +584,24 @@ class TestTenantRecovery:
         _drain(tenant, 4)
         tenant.abort()
 
+    def test_empty_batch_costs_no_frame_and_no_fsync(self, tmp_path):
+        """No edge and no request id is nothing to recover; a request id
+        alone still is (a retry must find it after a crash)."""
+        tenant = Tenant(_wal_tenant_config(), str(tmp_path))
+        tenant.ingest_json(chain_records()[:1])
+        wal = tenant.wal
+        before = (wal.appends, wal.fsyncs)
+        assert tenant.ingest_json([]) == {
+            "accepted": 0, "invalid": 0, "position": 1, "durable": True}
+        assert tenant.ingest_json([{"src": "a"}, 7]) == {
+            "accepted": 0, "invalid": 2, "position": 1, "durable": True}
+        assert (wal.appends, wal.fsyncs) == before
+        assert tenant.ingest_json([], request_id="r") == {
+            "accepted": 0, "invalid": 0, "position": 1, "durable": True}
+        assert wal.appends == before[0] + 1 and wal.fsyncs > before[1]
+        assert tenant.ingest_json([], request_id="r")["deduplicated"] is True
+        tenant.abort()
+
     def test_status_exposes_wal_counters(self, tmp_path):
         config = _wal_tenant_config()
         tenant = Tenant(config, str(tmp_path))

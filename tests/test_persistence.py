@@ -117,14 +117,14 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="not a timingsubg"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13])
+    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13, 14])
     def test_version_mismatch(self, tmp_path, version):
         from repro.persistence import _MAGIC
         path = self.framed(tmp_path, {
             "magic": _MAGIC, "version": version, "matcher": None})
         with pytest.raises(
                 CheckpointError,
-                match=f"version {version} incompatible with 14"):
+                match=f"version {version} incompatible with 15"):
             load_checkpoint(path)
 
     def test_wrong_payload_type(self, tmp_path):
