@@ -11,8 +11,8 @@ Puts the production-facing pieces together the way a deployment would:
 * alerts flow through sinks: a per-pattern callback and a JSONL audit log;
 * a new pattern is registered *while the stream is live*;
 * the whole service is checkpointed and restored mid-stream with one call
-  (sinks are re-attached after restore — they are deliberately not
-  pickled).
+  (sinks are re-attached after restore — they are runtime wiring, not
+  data).
 
 Run:  python examples/monitoring_service.py [--shards N] [--sharding MODE]
 """

@@ -87,10 +87,7 @@ from .graph.shared_window import SharedSlidingWindow, SharedWindowView
 from .graph.snapshot import SnapshotGraph
 from .graph.stream import GraphStream
 from .graph.window import SlidingWindow
-from .persistence import (
-    load_checkpoint, load_session, load_session_meta, save_checkpoint,
-    save_session,
-)
+from .persistence import load_session, load_session_meta, save_session
 from .sinks import JSONLSink, ListSink, RotatingJSONLSink, printing_sink
 
 __version__ = "2.0.0"
@@ -111,7 +108,6 @@ __all__ = [
     # sinks
     "ListSink", "JSONLSink", "RotatingJSONLSink", "printing_sink",
     # persistence
-    "save_checkpoint", "load_checkpoint", "save_session", "load_session",
-    "load_session_meta",
+    "save_session", "load_session", "load_session_meta",
     "__version__",
 ]

@@ -97,31 +97,33 @@ class _QueryRecord:
     record)``, so a target list sorts by a C-level integer comparison,
     reads in registration order and needs no lookup by name.
 
-    ``group_key`` names the shared window group whose buffer the engine
-    reads, ``None`` for a privately-buffering matcher (every one under
-    ``routing="fanout"``); ``window`` is what the query registered with
-    (one mutable policy object cannot back two engines).  ``matcher`` is
+    ``query``, ``window`` (what the query registered with — one mutable
+    policy object cannot back two engines), ``backend``, ``config`` and
+    ``options`` are the registration *recipe*, written once at
+    ``register``: what ``_install`` builds the engine from and what a
+    checkpoint stores in its place.  ``group_key`` names the shared window
+    group whose buffer the engine reads, ``None`` for a privately-buffering
+    matcher (every one under ``routing="fanout"``).  ``matcher`` is
     cleared at deregistration, so a target list snapshotted earlier skips
-    the query; a sharded facade keeps none and names the hosting
-    ``shard`` instead.
+    the query; a sharded facade keeps none and names the hosting ``shard``.
     """
 
     def __init__(self, name: str, ordinal: int, matcher,
                  callback: Optional[MatchCallback], window, *,
-                 group_key: Optional[Tuple] = None,
-                 shard: Optional[int] = None) -> None:
+                 query: Optional[QueryGraph] = None, backend="timing",
+                 config: Optional[EngineConfig] = None,
+                 options: Optional[dict] = None) -> None:
         self.name = name
         self.ordinal = ordinal
         self.matcher = matcher
         self.callback = callback
         self.window = window
-        self.group_key = group_key
-        self.shard = shard
-
-    def __getstate__(self):
-        # Callbacks close over files and lambdas, like a session's sinks:
-        # they are not checkpointed; re-attach after restore.
-        return {**self.__dict__, "callback": None}
+        self.query = query
+        self.backend = backend
+        self.config = config
+        self.options = options if options is not None else {}
+        self.group_key: Optional[Tuple] = None
+        self.shard: Optional[int] = None
 
 
 class Session:
@@ -200,7 +202,7 @@ class Session:
     def __new__(cls, *args, **kwargs):
         # ``Session(sharding="process")`` (or a config carrying a sharding
         # mode — the keyword wins, as in ``__init__``) dispatches to the
-        # ShardedSession facade; subclasses and unpickling are left alone.
+        # ShardedSession facade; subclasses are left alone.
         sharding = kwargs.get("sharding")
         if sharding is None:
             sharding = getattr(kwargs.get("config"), "sharding", "none")
@@ -281,27 +283,39 @@ class Session:
         the only sound semantics for a structure that never saw the past.
         """
         query, window = self._resolve_registration(name, query, window)
-        config = config if config is not None else self.config
-        provider = self._subplan_provider(backend, config, window)
+        record = _QueryRecord(
+            name, self._next_ordinal, None, callback, window, query=query,
+            backend=backend, options=engine_options,
+            config=config if config is not None else self.config)
+        self._install(record)
+        self._next_ordinal += 1
+        return record.matcher
+
+    def _install(self, record: _QueryRecord, private: bool = False) -> None:
+        """Build ``record``'s engine from its recipe and enroll it — what
+        a restore repeats (:mod:`repro.persistence`), where ``private``
+        keeps a privately-buffering matcher off the shared windows."""
+        provider = None if private else self._subplan_provider(
+            record.backend, record.config, record.window)
+        options = dict(record.options)
         if provider is not None:
-            engine_options["subplan_provider"] = provider
+            options["subplan_provider"] = provider
         try:
-            matcher = _build_matcher(backend, query, window, config,
-                                     engine_options)
+            matcher = _build_matcher(record.backend, record.query,
+                                     record.window, record.config, options)
         except BaseException:
             if provider is not None:
                 provider.rollback()     # failed build leaks no refcounts
             raise
-        record = _QueryRecord(name, self._next_ordinal, matcher, callback,
-                              window)
-        self._next_ordinal += 1
-        if self._routing != "shared" or not self._enroll_shared(record):
+        record.matcher = matcher
+        if private or self._routing != "shared" \
+                or not self._enroll_shared(record):
             # Privately-buffering matcher: lock-step fan-out semantics.
-            self._index.add(name, (record.ordinal, record), ALWAYS_ROUTED)
+            self._index.add(record.name, (record.ordinal, record),
+                            ALWAYS_ROUTED)
             if self.current_time > float("-inf"):
                 matcher.advance_time(self.current_time)
-        self._queries[name] = record
-        return matcher
+        self._queries[record.name] = record
 
     def _resolve_registration(self, name: str, query, window):
         """The ``(query, window)`` a registration will build from: DSL
@@ -345,9 +359,7 @@ class Session:
         if key is None:
             return False
         entry = (record.ordinal, record)
-        # The first member's fresh policy object becomes the group buffer.
-        group = self._admission.enroll(key, entry, matcher.duplicate_policy,
-                                       policy=matcher.window)
+        group = self._admission.enroll(key, entry, matcher.duplicate_policy)
         matcher.window = SharedWindowView(group.window)
         record.group_key = key
         self._retaining += not matcher.stateless
@@ -734,7 +746,8 @@ class Session:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def checkpoint(self, target) -> None:
-        """Serialise the session (engines, windows, clock) to ``target``.
+        """Write the session's data (queries, window buffers, clock) to
+        ``target`` — see :mod:`repro.persistence`.
 
         Runtime wiring is *not* captured: sinks, callbacks and a callable
         default-window factory often close over files and lambdas —
@@ -745,16 +758,9 @@ class Session:
 
     @classmethod
     def restore(cls, source) -> "Session":
-        """Load a session saved with :meth:`checkpoint`."""
+        """Rebuild a session saved with :meth:`checkpoint`."""
         from .persistence import load_session
         return load_session(source)
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_sinks"] = []
-        if callable(state.get("default_window")):
-            state["default_window"] = None
-        return state
 
     def __repr__(self) -> str:
         return (f"Session({len(self._queries)} queries, "
@@ -819,7 +825,7 @@ class ThreadSafeSession:
 
         Returns the metadata written with the envelope: the caller's
         ``meta`` (if any) extended with ``edges_pushed`` and
-        ``current_time`` captured under the same lock as the pickle — the
+        ``current_time`` captured under the same lock as the data — the
         consistent stream position a recovering producer replays from.
         """
         from .persistence import save_session

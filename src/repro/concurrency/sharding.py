@@ -89,6 +89,7 @@ from ..api import (
 from ..core.matches import Match
 from ..graph.edge import StreamEdge
 from ..ingest import ALWAYS_ROUTED, Admission, group_key
+from ..persistence import rebuild, snapshot
 from .transport import (
     RESULT_EMPTY, RESULT_ERROR, RESULT_PICKLED, RESULT_VIA_PIPE,
     FacadeChannel, TransportError, WorkerChannel,
@@ -156,7 +157,7 @@ class _ShardServer:
 
     Runs inside the worker thread/process; one instance serves one
     shard's command stream (register/deregister, batches, reads,
-    checkpoint adoption).  The sub-session is a plain unsharded
+    checkpoint data out and in).  The sub-session is a plain unsharded
     :class:`~repro.api.Session`, so every shared-routing and sub-plan
     sharing invariant holds within the shard unchanged.
     """
@@ -198,12 +199,10 @@ class _ShardServer:
             return None
         if cmd == "collect":
             return getattr(self.session, payload)()
-        if cmd == "matcher":
-            return self.session.matcher(payload)
-        if cmd == "get_session":
-            return self.session
+        if cmd == "snapshot":
+            return snapshot(self.session)
         if cmd == "adopt":
-            self.session = payload
+            self.session = rebuild(payload)
             return None
         if cmd == "perf":
             return {"busy_seconds": self.busy_seconds,
@@ -704,9 +703,7 @@ def _shutdown_handles(handles: List) -> None:
 
 
 class _ShardState:
-    """Facade-side record of one shard: how many queries it hosts plus
-    the transient worker endpoint.  The handle is runtime wiring and is
-    never pickled; checkpoint restore re-spawns it."""
+    """Facade-side record of one shard: its head-count and worker."""
 
     __slots__ = ("index", "members", "handle")
 
@@ -714,14 +711,6 @@ class _ShardState:
         self.index = index
         self.members = 0
         self.handle = handle
-
-    def __getstate__(self):
-        return {"index": self.index, "members": self.members,
-                "handle": None}
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
 
 class ShardedSession(Session):
@@ -769,19 +758,18 @@ class ShardedSession(Session):
         self._admission = Admission()
         self._facade_seconds = 0.0
         self._closed = False
-        self._shards = [
-            _ShardState(i, _spawn_handle(self._mode, self._transport))
-            for i in range(self._shard_count)]
-        self._attach_finalizer()
+        # Attached first: a spawn failing part-way leaves nothing running.
+        self._handles: List = []
+        self._finalizer = weakref.finalize(
+            self, _shutdown_handles, self._handles)
+        self._shards: List[_ShardState] = []
+        for i in range(self._shard_count):
+            self._handles.append(_spawn_handle(self._mode, self._transport))
+            self._shards.append(_ShardState(i, self._handles[-1]))
 
     # ------------------------------------------------------------------ #
     # Worker plumbing
     # ------------------------------------------------------------------ #
-    def _attach_finalizer(self) -> None:
-        self._handles = [shard.handle for shard in self._shards]
-        self._finalizer = weakref.finalize(
-            self, _shutdown_handles, self._handles)
-
     def close(self) -> None:
         """Shut the worker shards down (idempotent).  The session cannot
         be used afterwards; checkpoint first if the state matters."""
@@ -891,25 +879,35 @@ class ShardedSession(Session):
                 f"unknown duplicate policy: {policy!r} "
                 f"(expected one of {DUPLICATE_POLICIES})")
         query.validate()
-        signatures = query.label_signatures()
-        shard = self._shards[shard_of(name, self._shard_count)]
         # Worker first: a failed registration must leave the facade
         # untouched (and the worker's own register is transactional).
+        shard = self._shards[shard_of(name, self._shard_count)]
         self._call(shard, "register", {
             "name": name, "query": query, "window": window,
             "backend": backend, "config": config,
             "options": engine_options})
-        record = self._queries[name] = _QueryRecord(
-            name, self._next_ordinal, None, callback, window,
-            group_key=key, shard=shard.index)
+        self._install(_QueryRecord(
+            name, self._next_ordinal, None, callback, window, query=query,
+            backend=backend, config=config, options=engine_options))
         self._next_ordinal += 1
+        return self.matcher(name) if self._mode == "thread" else None
+
+    def _install(self, record: _QueryRecord, private: bool = False) -> None:
+        """The facade's half of a registration: roster, route index and
+        head-count (``register`` refused what ``private`` is for)."""
+        key = record.group_key = group_key(record.window)
+        shard = self._shards[shard_of(record.name, self._shard_count)]
+        record.shard = shard.index
+        self._queries[record.name] = record
+        policy = record.options.get("duplicate_policy",
+                                    record.config.duplicate_policy)
         self._admission.enroll(key, (record.ordinal, record), policy)
         # A count window expires by stream position, not labels: its
         # shard needs every arrival as capacity ballast.
-        self._index.add(name, shard.index,
-                        ALWAYS_ROUTED if key[0] == "count" else signatures)
+        self._index.add(record.name, shard.index,
+                        ALWAYS_ROUTED if key[0] == "count"
+                        else record.query.label_signatures())
         shard.members += 1
-        return self.matcher(name) if self._mode == "thread" else None
 
     def deregister(self, name: str) -> None:
         """Remove a query: its worker drains outstanding work, releases
@@ -929,13 +927,15 @@ class ShardedSession(Session):
 
     def matcher(self, name: str):
         """The query's engine: the live object under ``"thread"``, a
-        read-only snapshot under ``"process"`` (its state is a copy;
-        stream through the session, not the snapshot)."""
+        read-only snapshot under ``"process"`` (rebuilt from its shard's
+        checkpoint data; stream through the session, not the snapshot)."""
         self._check_open()
         shard = self._shards[self._record(name).shard]
         if self.current_time > float("-inf"):
             self._call(shard, "advance", self.current_time)
-        return self._call(shard, "matcher", name)
+        if self._mode == "thread":
+            return shard.handle.server.session.matcher(name)
+        return rebuild(self._call(shard, "snapshot")).matcher(name)
 
     def shard_assignments(self) -> Dict[str, int]:
         """``query name -> shard index`` for every registered query."""
@@ -1205,29 +1205,16 @@ class ShardedSession(Session):
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
-    def __getstate__(self):
+    def shard_snapshots(self) -> List[dict]:
+        """Each sub-session's checkpoint data, at the facade clock."""
         self._check_open()
         self._sync_shards()
-        state = super().__getstate__()
-        state.pop("_handles", None)
-        state.pop("_finalizer", None)
-        # The sub-sessions ride along (single pickle envelope, so edges
-        # shared between a shard's windows and the facade's stay
-        # single-copy under thread mode); handles are stripped by each
-        # _ShardState and re-spawned on restore.
-        state["_shard_sessions"] = self._call_all("get_session")
-        return state
+        return self._call_all("snapshot")
 
-    def __setstate__(self, state) -> None:
-        sessions = state.pop("_shard_sessions")
-        self.__dict__.update(state)
-        self._closed = False
-        # Rings are runtime wiring: re-created fresh with each
-        # re-spawned worker.
-        for shard, session in zip(self._shards, sessions):
-            shard.handle = _spawn_handle(self._mode, self._transport)
-            self._call(shard, "adopt", session)
-        self._attach_finalizer()
+    def adopt_shards(self, snapshots: List[dict]) -> None:
+        """Each worker rebuilds its sub-session from its entry."""
+        for shard, data in zip(self._shards, snapshots):
+            self._call(shard, "adopt", data)
 
     def __repr__(self) -> str:
         status = "closed" if self._closed else "open"

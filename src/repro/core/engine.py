@@ -259,12 +259,8 @@ class TimingMatcher(MatcherBase):
                 omega = self._tc_stores[level - 1]
                 self._union_omega_indexes[level] = self._add_store_index(
                     level - 1, omega.length, b_refs)
-        self._compile_probe_keys()
-
-    def _compile_probe_keys(self) -> None:
-        """The probing side's key of every indexed join shape, as a
-        generated function (see :func:`~repro.core.index.compile_flat_key`)
-        — derived from the compiled specs, so never pickled."""
+        # The probing side's key of every indexed join shape, as a
+        # generated function (see :func:`~repro.core.index.compile_flat_key`).
         self._ext_probe_keys = {
             at: compile_edge_key(extension_probe_flags(self._ext_specs[at]))
             for at in self._ext_indexes}
@@ -276,17 +272,6 @@ class TimingMatcher(MatcherBase):
                 union_side_refs(spec, "a"))
             self._union_b_keys[level] = compile_flat_key(
                 union_side_refs(spec, "b"))
-
-    def __getstate__(self) -> Dict:
-        state = self.__dict__.copy()
-        for name in ("_ext_probe_keys", "_union_a_keys", "_union_b_keys"):
-            state.pop(name, None)       # a stateless plan has none
-        return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.__dict__.update(state)
-        if not self.stateless:
-            self._compile_probe_keys()
 
     def _add_store_index(self, si: int, level: int, refs: tuple):
         """Register a join-key index on subquery store ``si``, remembering

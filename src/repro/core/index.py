@@ -66,8 +66,7 @@ def compile_flat_key(refs: Tuple[EndpointRef, ...]):
     """:func:`key_from_flat` for one fixed ``refs``, as a generated
     ``lambda f: (f[0].src, f[1].dst,)`` — a join shape is fixed when its
     index is built, so nothing walks the refs per arrival.  The source is
-    built from positions and endpoint names only; a generated function is
-    never pickled (its owner asks for it again from the refs on restore)."""
+    built from positions and endpoint names only."""
     return eval("lambda f: (" + "".join(
         f"f[{pos:d}].{'src' if is_src else 'dst'}, "
         for pos, is_src in refs) + ")")
@@ -123,13 +122,6 @@ class LevelIndex:
         self.newest_first = newest_first
         self._buckets: Dict[Tuple[Hashable, ...],
                             Dict[object, Tuple[StreamEdge, ...]]] = {}
-        self._key = compile_flat_key(self.refs)
-
-    def __getstate__(self):
-        return self.refs, self.newest_first, self._buckets
-
-    def __setstate__(self, state) -> None:
-        self.refs, self.newest_first, self._buckets = state
         self._key = compile_flat_key(self.refs)
 
     def add(self, handle, flat: Tuple[StreamEdge, ...]) -> None:

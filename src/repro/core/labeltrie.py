@@ -21,15 +21,11 @@ same guarantee for *predicate* labels (``Prefix``/``ANY``):
   a token whose every constrained position hit (and whose loop flag
   agrees) is a candidate.  Cost per arrival: O(total label length +
   candidates), flat in Q.
-
-Both classes serialize to a flat pattern list (``__getstate__``) and
-rebuild their node structure on load, so checkpoint envelopes carry no
-pointer-shaped trie state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from .query import prefix_text
 
@@ -111,16 +107,6 @@ class LabelTrie:
                 found.extend(node.tokens)
         return found
 
-    def items(self) -> Iterator[Tuple[str, FrozenSet]]:
-        """``(pattern, tokens)`` pairs in depth-first pattern order."""
-        stack: List[Tuple[str, _TrieNode]] = [("", self._root)]
-        while stack:
-            prefix, node = stack.pop()
-            if node.tokens:
-                yield prefix, frozenset(node.tokens)
-            for char in sorted(node.children, reverse=True):
-                stack.append((prefix + char, node.children[char]))
-
     def node_count(self) -> int:
         """Number of trie nodes including the root (pruning observable)."""
         count = 0
@@ -136,17 +122,6 @@ class LabelTrie:
 
     def __bool__(self) -> bool:
         return self._size > 0
-
-    def __getstate__(self) -> List[Tuple[str, List[Token]]]:
-        return [(pattern, sorted(tokens, key=repr))
-                for pattern, tokens in self.items()]
-
-    def __setstate__(self, state: List[Tuple[str, List[Token]]]) -> None:
-        self._root = _TrieNode()
-        self._size = 0
-        for pattern, tokens in state:
-            for token in tokens:
-                self.insert(pattern, token)
 
     def __repr__(self) -> str:
         return f"LabelTrie({self._size} patterns, {self.node_count()} nodes)"
@@ -243,9 +218,6 @@ class PredicateRouter:
             hits.update(always)
         return hits
 
-    def tokens(self) -> List[Token]:
-        return list(self._entries)
-
     def node_count(self) -> int:
         """Total trie nodes across the three positions (pruning metric)."""
         return sum(trie.node_count() for trie in self._tries)
@@ -255,16 +227,6 @@ class PredicateRouter:
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __getstate__(self) -> List[Tuple[Token, AtomTriple, bool]]:
-        return [(token, atoms, is_loop)
-                for token, (atoms, is_loop, _) in self._entries.items()]
-
-    def __setstate__(self,
-                     state: List[Tuple[Token, AtomTriple, bool]]) -> None:
-        self.__init__()  # type: ignore[misc]
-        for token, atoms, is_loop in state:
-            self.add(token, atoms, is_loop)
 
     def __repr__(self) -> str:
         return (f"PredicateRouter({len(self._entries)} entries, "

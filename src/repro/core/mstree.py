@@ -63,21 +63,6 @@ class MSTreeNode:
         # memory for read speed without affecting the logical space model.
         self.flat_cache: Optional[Tuple] = None
 
-    def __getstate__(self):
-        # The intrusive level-list links are omitted: pickling them would
-        # recurse node→next→next… through the whole level (RecursionError
-        # on any realistically sized store).  _Level pickles its nodes as
-        # a flat list and relinks on restore, so pickling depth stays
-        # O(tree depth).
-        return {slot: getattr(self, slot) for slot in self.__slots__
-                if slot not in ("prev", "next")}
-
-    def __setstate__(self, state) -> None:
-        self.prev = None
-        self.next = None
-        for key, value in state.items():
-            setattr(self, key, value)
-
     def __repr__(self) -> str:
         return f"MSTreeNode(depth={self.depth}, payload={self.payload!r})"
 
@@ -90,17 +75,6 @@ class _Level:
     def __init__(self) -> None:
         self.head: Optional[MSTreeNode] = None
         self.count = 0
-
-    def __getstate__(self):
-        # Flat node list instead of the head pointer: the list pickles
-        # breadth-wise (see MSTreeNode.__getstate__).
-        return {"nodes": list(self)}
-
-    def __setstate__(self, state) -> None:
-        self.head = None
-        self.count = 0
-        for node in reversed(state["nodes"]):
-            self.link(node)     # prepends: reversed input restores order
 
     def link(self, node: MSTreeNode) -> None:
         node.prev = None

@@ -46,6 +46,13 @@ def window_policy_key(window) -> Optional[Tuple[str, float]]:
     return None
 
 
+def window_policy_from_key(key: Tuple[str, float]):
+    """A fresh, empty policy object for a :func:`window_policy_key`."""
+    kind, param = key
+    return SlidingWindow(param) if kind == "time" \
+        else CountSlidingWindow(int(param))
+
+
 class SharedSlidingWindow:
     """The single buffer of live edges behind a multi-query session.
 
@@ -77,11 +84,6 @@ class SharedSlidingWindow:
     # ------------------------------------------------------------------ #
     # Policy passthrough
     # ------------------------------------------------------------------ #
-    @property
-    def policy(self):
-        """The wrapped window-policy object (owned by this shared window)."""
-        return self._policy
-
     @property
     def duration(self) -> float:
         """Wrapped time policy's window length (``AttributeError`` for

@@ -28,10 +28,10 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .core.labeltrie import PredicateRouter
-from .graph.count_window import CountSlidingWindow
 from .graph.edge import StreamEdge
-from .graph.shared_window import SharedSlidingWindow, window_policy_key
-from .graph.window import SlidingWindow
+from .graph.shared_window import (
+    SharedSlidingWindow, window_policy_from_key, window_policy_key,
+)
 
 #: ``(registration ordinal, query record)`` — how rosters name a query, so
 #: sorting entries restores registration order without ever comparing two
@@ -113,21 +113,22 @@ class Admission:
         self.edges_pushed = 0
         self._on_expired = on_expired
 
-    def enroll(self, key: Tuple, entry: Entry, duplicate_policy: str,
-               policy=None) -> WindowGroup:
-        """Add a query to the group for ``key``, creating the group — at
-        the current clock, over ``policy`` (adopted) or a fresh policy
-        built from the key — when it is the first member."""
+    def open(self, key: Tuple) -> WindowGroup:
+        """The group for ``key``, created — at the current clock, over a
+        fresh policy built from the key — when there is none yet."""
         group = self.groups.get(key)
         if group is None:
-            if policy is None:
-                kind, param = key
-                policy = SlidingWindow(param) if kind == "time" \
-                    else CountSlidingWindow(int(param))
-            window = SharedSlidingWindow(policy)
+            window = SharedSlidingWindow(window_policy_from_key(key))
             if self.clock > float("-inf"):
                 window.advance(self.clock)
             group = self.groups[key] = WindowGroup(window)
+        return group
+
+    def enroll(self, key: Tuple, entry: Entry,
+               duplicate_policy: str) -> WindowGroup:
+        """Add a query to the group for ``key``, opening it when it is
+        the first member."""
+        group = self.open(key)
         group.members[entry] = duplicate_policy
         return group
 
@@ -250,9 +251,6 @@ class RouteIndex:
             exact = tuple(exact)
             for triple in exact:
                 self.exact.setdefault(triple, []).append(payload)
-            # Sorted so token numbering — and with it the checkpointed
-            # router — does not depend on set iteration order.
-            predicates = sorted(predicates, key=repr)
             for i, (src_atom, edge_atom, dst_atom, is_loop) \
                     in enumerate(predicates):
                 self.router.add((payload, name, i),

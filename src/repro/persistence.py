@@ -1,102 +1,66 @@
-"""Checkpointing: save/restore a live matcher's — or a whole session's — state.
+"""Checkpointing: a session is its query list and its windows.
 
-Long-running monitors need restarts without losing the window's partial
-matches (rebuilding them would require replaying up to ``|W|`` of history).
-Checkpoints capture an entire engine (window contents, expansion-list
-stores, compiled specs and statistics) or an entire
-:class:`~repro.api.Session` (every registered engine plus the lock-step
-clock) via pickle, wrapped in a versioned envelope so stale checkpoint
-files fail loudly instead of deserialising garbage.
+An expansion list is by definition the set of partial matches over the
+current window (paper §IV; Algorithms 2–3 maintain exactly that set), so
+what an engine holds is a function of what a session has as plain data.
+A checkpoint stores that data and restore is *register, then replay* —
+about the cost of streaming one window.
 
-Session checkpoints deliberately drop sinks and callbacks — they routinely
-close over open files and lambdas; re-attach them after restore.
+**Written** (:func:`snapshot`; in a CRC32 frame, beside the caller's
+``meta``): the ``EngineConfig``, numeric default window, clock and
+counters; per query, in ordinal order, its registration recipe (name,
+ordinal, ``QueryGraph``, window as a duration or a built-in policy's
+``(kind, parameter)``, backend name, config, engine options — a Timing
+engine's resolved join order among them, so a ``random`` strategy
+rebuilds the plan it had), its window group, ``since`` watermark,
+``EngineStats`` and, for a privately-buffering matcher, its own window's
+edges; per window group, the buffered edges in arrival order; for a
+sharded session, the same data once per shard.
 
-The restore-equals-continuous-run property is covered by
-``tests/test_persistence.py`` and ``tests/test_session.py``: running a
-stream through a checkpoint/restore cycle yields exactly the matches and
-state of an uninterrupted run.
+**Restored** (:func:`rebuild`; alike for both session kinds): an empty
+session from the config, then each query in ordinal order, registered
+once its group's buffered edges up to its watermark are back in the
+group's window and in the members registered before it; then the rest of
+every buffer.  A private matcher is fed its own edges through its own
+``push``; clock, counters, stats and watermarks are set from the data
+(cumulative counters are carried, not recounted).  Replay is per group:
+an id that was a live duplicate for one group and fresh for another sits
+in one buffer and not the other.
 
-Security note: checkpoints are pickles — only restore files you wrote.
+**Refused** at :func:`snapshot`, with a :class:`CheckpointError` naming
+the queries: a callable ``backend=`` factory or a custom window-policy
+class cannot be named as data.  Sinks, callbacks and a callable
+default-window factory are runtime wiring: dropped, re-attach them.
+
+``pickle`` is only the byte codec (labels are arbitrary hashables, which
+JSON cannot round-trip): both directions admit :data:`VALUE_TYPES` and
+nothing else, so a file naming any other class — an engine, a sink,
+``os.system`` — is refused with :class:`CheckpointCorruptError` before
+anything is constructed, and a label of a class outside the list fails
+at ``checkpoint()``, not at recovery.  ``tests/test_logical_checkpoint.py``
+pins *restored ≡ uninterrupted* and lists what may differ.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import struct
 import zlib
+from collections import Counter, deque
 from typing import BinaryIO, Optional, Tuple, Union
 
-from .api import Session
-from .matcher import MatcherBase
+from .api import Session, _QueryRecord
+from .core.query import ANY, Prefix, QueryEdge, QueryGraph, QueryVertex
+from .core.timing import TimingOrder
+from .graph.edge import StreamEdge
+from .graph.shared_window import window_policy_from_key, window_policy_key
+from .isomorphism import ALGORITHMS, StaticMatcher
+from .matcher import EngineConfig
 
-#: Bump when the engine's state layout changes incompatibly.
-#: (v2: engines share MatcherBase state; sessions became checkpointable.
-#: v3: join-key indexes on stores, window id multisets, query label index,
-#: index/scan stats counters.
-#: v4: shared-stream sessions — shared window buffers + routing index +
-#: expiry subscriptions, live-edge-id registries became id → timestamp
-#: maps, window expiry-subscriber lists.
-#: v5: session sub-plan sharing — refcounted SharedSubplanStore registry,
-#: multi-observer MS-tree leaf cascades, per-global-store anchor and
-#: dependency registries (node slots dropped), subplan_reuses stats
-#: counter.  Shared stores are referenced both by the registry and by
-#: every consuming engine, so pickling keeps them single-copy on disk
-#: and restore preserves the sharing identity.
-#: v6: sharded sessions — a ShardedSession checkpoints as the facade
-#: state (assignments, ordinals, group mirrors, clock) plus every
-#: shard's sub-session collected into the same envelope; each shard's
-#: stores stay single-copy via the pickle memo, and restore re-spawns
-#: the worker shards and hands each its sub-session back.  EngineConfig
-#: gained sharding/shards fields.
-#: v7: service checkpoints — session envelopes may carry an optional
-#: ``meta`` dict (JSON-able barrier bookkeeping: stream position, sealed
-#: match-log segment, tail-source offsets) written atomically with the
-#: session state, so the gateway's crash recovery can resume producers
-#: and truncate uncommitted match segments from one consistent capture.
-#: v8: checksummed containers — the pickled envelope is wrapped in a
-#: CRC32 frame on disk, so a truncated or bit-flipped checkpoint is
-#: detected *before* unpickling and surfaces as a typed
-#: :class:`CheckpointCorruptError` (path + reason) that the service
-#: layer catches to fall back down its keep-last-K checkpoint chain.
-#: Meta grew WAL bookkeeping (``wal_lsn``, the dedup-window snapshot).
-#: v9: trie-compiled predicate routing — sessions and sharded facades
-#: carry a :class:`~repro.core.labeltrie.PredicateRouter` (per-position
-#: label tries serialized as flat pattern lists and rebuilt on load),
-#: query label indexes are three-way (exact / predicate atoms / generic),
-#: and the facade's ``_query_routes`` records gained the predicate atom
-#: triples.  Labels may be :class:`~repro.core.query.Prefix` patterns.
-#: v10: one admission stage and one route index — sessions and sharded
-#: facades both carry a :class:`~repro.ingest.Admission` (stream clock,
-#: window groups, accepted-arrival count) and a
-#: :class:`~repro.ingest.RouteIndex` in place of the session's
-#: ``_groups``/``_routes``/``_pred_router`` fields and the facade's group
-#: mirrors and per-shard triple refcounts; shared windows no longer carry
-#: a session expiry subscriber.  Files without the CRC frame are refused
-#: before unpickling.
-#: v11: plan kinds — a one-edge query's engine is *stateless* (no
-#: expansion-list store, no sub-plan record, no live-edge registry
-#: entries in a session; its answers are re-derived from the window, so
-#: its shared-window view carries the ``since`` watermark), and every
-#: stored-plan engine carries the match-once registry (live edge id ->
-#: sub-query indexes that stored it) that expiry pops instead of
-#: re-matching labels.  A v10 engine has neither field.
-#: v12: one expiry path — windows carry only their deque and clock (the
-#: id multiset and the expiry-subscriber lists are gone; a shared window
-#: prunes its bearer index from what its policy returns), session members
-#: carry no pending-expiry buffer and sessions no dirty set, and a
-#: sharded facade no per-instance batch/overlap/deadline attributes.
-#: v13: one record per query — both session kinds carry one ``name ->
-#: record`` table, route payloads and the one roster per window group
-#: hold ``(ordinal, record)``, session members' live-edge registries stay
-#: empty, and engines and ``EngineConfig`` carry no guard.
-#: v14: query graphs pickle without their compiled label index (a
-#: mask-keyed hash index rebuilt on first use); a v13 file carries the
-#: old three-tier tuple, which the new probe would misread.
-#: v15: join-key functions are generated per shape and rebuilt on restore
-#: — a ``LevelIndex`` pickles as ``(refs, newest_first, buckets)`` and an
-#: engine without its probe-side ref tables; an MS-tree leaf carries no
-#: child set and a match no identity key until one is asked for.)
-CHECKPOINT_VERSION = 15
+#: Bumped only when the data schema in the module docstring changes;
+#: a file of any other version is refused.
+CHECKPOINT_VERSION = 16
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not
@@ -104,11 +68,24 @@ _MAGIC = b"timingsubg-checkpoint"
 _FRAME_MAGIC = b"TSGCKPT\x02"
 _FRAME_HEADER = struct.Struct("<II")    # crc32(payload), len(payload)
 
+#: Every class a checkpoint payload may name (built-in values are
+#: opcodes, not names); the last row is a baseline's ``algorithm=``.
+VALUE_TYPES = frozenset({
+    StreamEdge, QueryGraph, QueryVertex, QueryEdge, TimingOrder, Prefix,
+    type(ANY), EngineConfig,
+    StaticMatcher, *ALGORITHMS.values(), Counter,
+})
+_VALUE_NAMES = frozenset(
+    (cls.__module__, cls.__qualname__) for cls in VALUE_TYPES)
+
+_NEVER = float("-inf")
+
 _PathOrFile = Union[str, BinaryIO]
 
 
 class CheckpointError(RuntimeError):
-    """Raised for malformed or version-incompatible checkpoint files."""
+    """A malformed or version-incompatible checkpoint file, or a session
+    holding something a checkpoint cannot name."""
 
 
 class CheckpointCorruptError(CheckpointError):
@@ -124,8 +101,29 @@ class CheckpointCorruptError(CheckpointError):
         self.reason = reason
 
 
+class _Pickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        # Consulted for everything but atoms and built-in containers —
+        # instances and the classes they name alike.
+        if (obj if isinstance(obj, type) else type(obj)) not in VALUE_TYPES:
+            raise CheckpointError(
+                f"cannot checkpoint {obj!r}: {type(obj).__qualname__} is "
+                "not a checkpoint value type (see VALUE_TYPES)")
+        return NotImplemented
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) not in _VALUE_NAMES:
+            raise pickle.UnpicklingError(
+                f"{module}.{name} is not a checkpoint value type")
+        return super().find_class(module, name)
+
+
 def _dump(envelope: dict, target: _PathOrFile) -> None:
-    payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(envelope)
+    payload = buffer.getvalue()
     blob = _FRAME_MAGIC + _FRAME_HEADER.pack(
         zlib.crc32(payload) & 0xFFFFFFFF, len(payload)) + payload
     if isinstance(target, str):
@@ -157,11 +155,11 @@ def _load(source: _PathOrFile) -> dict:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CheckpointCorruptError(path, "payload CRC mismatch")
     try:
-        envelope = pickle.loads(payload)
+        envelope = _Unpickler(io.BytesIO(payload)).load()
     except Exception as exc:
         # A garbled pickle raises anything from EOFError to AttributeError
-        # depending on where the damage lands; all of them mean the same
-        # operational fact.
+        # depending on where the damage lands, and find_class refuses a
+        # class outside VALUE_TYPES; all mean the same operational fact.
         raise CheckpointCorruptError(path, f"unreadable pickle: {exc!r}")
     if not isinstance(envelope, dict) or envelope.get("magic") != _MAGIC:
         raise CheckpointError("not a timingsubg checkpoint file")
@@ -173,34 +171,146 @@ def _load(source: _PathOrFile) -> dict:
     return envelope
 
 
-def save_checkpoint(matcher, target: _PathOrFile) -> None:
-    """Serialise one engine (and everything it holds) to ``target``.
-
-    Works for any :class:`~repro.matcher.MatcherBase` engine — the Timing
-    engine or a baseline.
-    """
-    envelope = {
-        "magic": _MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "matcher": matcher,
-    }
-    _dump(envelope, target)
+def _window_spec(window):
+    """A registered window as data: the duration, a built-in policy's
+    ``(kind, parameter)``, or ``None`` for a custom policy class."""
+    return window if isinstance(window, (int, float)) \
+        else window_policy_key(window)
 
 
-def load_checkpoint(source: _PathOrFile):
-    """Restore an engine saved with :func:`save_checkpoint`."""
-    envelope = _load(source)
-    matcher = envelope.get("matcher")
-    if not isinstance(matcher, MatcherBase):
+def snapshot(session: Session) -> dict:
+    """``session`` as plain data: what :func:`save_session` frames and a
+    shard worker hands its facade."""
+    records = list(session._queries.values())
+    unnamed = [record.name for record in records
+               if callable(record.backend)
+               or _window_spec(record.window) is None]
+    if unnamed:
         raise CheckpointError(
-            "checkpoint does not contain an engine "
-            "(a TimingMatcher or baseline matcher)")
-    return matcher
+            f"cannot checkpoint queries {unnamed}: a factory backend or a "
+            "custom window-policy class cannot be named as data")
+    queries = []
+    for record in records:
+        matcher = record.matcher        # a sharded facade hosts none
+        saved = {
+            "name": record.name, "ordinal": record.ordinal,
+            "query": record.query, "window": _window_spec(record.window),
+            "backend": record.backend, "config": record.config,
+            "options": record.options, "group": record.group_key,
+            "since": _NEVER, "stats": None}
+        if matcher is not None:
+            saved["stats"] = matcher.stats.as_dict()
+            if record.backend == "timing" and not matcher.stateless:
+                saved["options"] = {**record.options,
+                                    "decomposition": matcher.join_order,
+                                    "join_order": matcher.join_order}
+            if record.group_key is not None:
+                saved["since"] = matcher.window.since
+            else:
+                # Edges the window held before the matcher got it were
+                # never pushed through the engine: they lead the buffer
+                # and have no entry in its live-id registry.
+                live = matcher._live_edge_ids
+                edges = saved["edges"] = list(matcher.window)
+                saved["prefilled"] = sum(
+                    live.get(edge.edge_id) != edge.timestamp
+                    for edge in edges)
+        queries.append(saved)
+    window = session.default_window
+    data = {
+        "config": session.config,
+        "default_window": None if callable(window) else window,
+        "clock": session.current_time,
+        "edges_pushed": session.edges_pushed,
+        "routed_pushes": session.routed_pushes,
+        "skipped_matchers": session.skipped_matchers,
+        "next_ordinal": session._next_ordinal,
+        "queries": queries,
+        "groups": [(key, list(group.window))
+                   for key, group in session._admission.groups.items()],
+    }
+    if session.config.sharding != "none":
+        data["shards"] = session.shard_snapshots()
+    return data
+
+
+def rebuild(data: dict) -> Session:
+    """The session :func:`snapshot` described, by register-then-replay."""
+    session = Session(window=data["default_window"], config=data["config"])
+    shards = data.get("shards")
+    try:
+        if shards is not None:
+            session.adopt_shards(shards)    # workers rebuild their own
+        _replay(session, data, engines=shards is None)
+    except BaseException:
+        if shards is not None:
+            session.close()     # no worker outlives a failed restore
+        raise
+    return session
+
+
+def _replay(session: Session, data: dict, engines: bool) -> None:
+    admission = session._admission
+    buffers = {key: deque(edges) for key, edges in data["groups"]}
+    for key in buffers:
+        admission.open(key)     # a buffer may be older than every member
+
+    def feed(key, until: float) -> None:
+        # The group's edges up to ``until``, into its window and into the
+        # members registered so far — all of which joined before them.
+        buffer, window = buffers[key], admission.groups[key].window
+        while buffer and buffer[0].timestamp <= until:
+            edge = buffer.popleft()
+            window.push(edge)   # expires nothing: all are live at the clock
+            if engines:
+                for _, record in session._index.targets(edge):
+                    if record.group_key == key \
+                            and not record.matcher.stateless:
+                        record.matcher._insert(edge)
+
+    for saved in data["queries"]:
+        window, key = saved["window"], saved["group"]
+        if isinstance(window, tuple):
+            window = window_policy_from_key(window)
+        if key is not None:
+            feed(key, saved["since"])
+        else:
+            for edge in saved["edges"][:saved["prefilled"]]:
+                window.push(edge)
+        session._install(_QueryRecord(
+            saved["name"], saved["ordinal"], None, None, window,
+            query=saved["query"], backend=saved["backend"],
+            config=saved["config"], options=saved["options"]),
+            private=key is None)
+    for key in buffers:
+        feed(key, float("inf"))
+
+    clock = data["clock"]
+    for saved, record in zip(data["queries"] if engines else (),
+                             session._queries.values()):
+        matcher = record.matcher
+        if record.group_key is not None:
+            matcher.window.since = saved["since"]
+        else:
+            for edge in saved["edges"][saved["prefilled"]:]:
+                matcher.push(edge)
+            if clock > _NEVER:
+                matcher.advance_time(clock)
+        for name, value in saved["stats"].items():
+            setattr(matcher.stats, name, value)
+    admission.clock = clock
+    admission.edges_pushed = data["edges_pushed"]
+    if clock > _NEVER:
+        for group in admission.groups.values():
+            group.window.advance(clock)
+    session.routed_pushes = data["routed_pushes"]
+    session.skipped_matchers = data["skipped_matchers"]
+    session._next_ordinal = data["next_ordinal"]
 
 
 def save_session(session: Session, target: _PathOrFile, *,
                  meta: Optional[dict] = None) -> None:
-    """Serialise a whole :class:`~repro.api.Session` (sans sinks/callbacks).
+    """Write ``session``'s data (sans sinks/callbacks) to ``target``.
 
     ``meta`` rides in the envelope next to the session — the service
     layer stores barrier bookkeeping there (stream position, sealed
@@ -211,7 +321,7 @@ def save_session(session: Session, target: _PathOrFile, *,
     envelope = {
         "magic": _MAGIC,
         "version": CHECKPOINT_VERSION,
-        "session": session,
+        "session": snapshot(session),
     }
     if meta is not None:
         envelope["meta"] = meta
@@ -230,7 +340,7 @@ def load_session_meta(source: _PathOrFile) -> Tuple[Session, Optional[dict]]:
     for checkpoints written without one.
     """
     envelope = _load(source)
-    session = envelope.get("session")
-    if not isinstance(session, Session):
+    data = envelope.get("session")
+    if not isinstance(data, dict):
         raise CheckpointError("checkpoint does not contain a Session")
-    return session, envelope.get("meta")
+    return rebuild(data), envelope.get("meta")

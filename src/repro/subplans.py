@@ -92,18 +92,6 @@ class SharedSubplanStore:
         """The shared store's physical partial-match cells."""
         return self.store.space_cells()
 
-    def __getstate__(self):
-        # The delta memo is in-flight work scoped to one arrival; it is
-        # never checkpointed.
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_delta_key"] = None
-        state["_deltas"] = {}
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SharedSubplanStore(length={self.length}, "
                 f"storage={self.storage}, consumers={self.consumers})")

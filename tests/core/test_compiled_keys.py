@@ -2,10 +2,12 @@
 
 A join shape's key function is generated once from its ``refs`` and must
 equal the interpreted ``tuple(flat[pos].src if is_src else flat[pos].dst
-…)`` on every input; it is never pickled, so a restored engine has to
-rebuild it and go on probing the buckets it restored.  ``Match`` builds its
-identity key on first use and an MS-tree node its child set with the first
-child — neither may show in equality, hashing or a pickle round trip.
+…)`` on every input; a restored engine is built again from its recipe, so
+it generates the functions anew and goes on probing the buckets the replay
+filled.  ``Match`` builds its identity key on first use and an MS-tree
+node its child set with the first child — neither may show in equality,
+hashing or (for a match, which crosses the shard pipe) a pickle round
+trip.
 """
 
 import io
@@ -22,8 +24,7 @@ from repro.core.index import (
     key_from_flat,
 )
 from repro.core.matches import Match
-from repro.core.mstree import MSTreeNode, MSTreeTCStore
-from repro.persistence import load_checkpoint, save_checkpoint
+from repro.core.mstree import MSTreeTCStore
 
 from ..conftest import make_edge
 from .test_serial_path import STREAM, WINDOW, query
@@ -71,38 +72,43 @@ class TestCheckpointRebuildsTheFunctions:
 
     @pytest.mark.parametrize("storage", ["mstree", "independent"])
     def test_engine_restored_mid_stream(self, storage):
-        config = EngineConfig(storage=storage)
-        whole = TimingMatcher(query(), WINDOW, config=config)
+        def build():
+            session = Session(window=WINDOW,
+                              config=EngineConfig(storage=storage))
+            session.register("q", query())
+            return session
+
+        whole = build()
         expected = whole.push_many(STREAM)
-        first = TimingMatcher(query(), WINDOW, config=config)
+        first = build()
         got = first.push_many(STREAM[:self.CUT])
         blob = io.BytesIO()
-        save_checkpoint(first, blob)
+        first.checkpoint(blob)
         blob.seek(0)
         compile_flat_key.cache_clear()      # restore must generate anew
         compile_edge_key.cache_clear()
-        second = load_checkpoint(blob)
-        # Every restored index answers a probe for an entry it restored
-        # (a generated function cannot be pickled, so it was asked for
-        # again from the restored refs).
+        resumed = Session.restore(blob)
+        second = resumed.matcher("q")
+        # Every rebuilt index answers a probe for an entry the replay
+        # stored, and holds what the interrupted engine's held.
         restored = all_indexes(second)
         assert len(restored) == 5 and sum(map(len, restored)) > 0
-        for before, after in zip(all_indexes(first), restored):
+        for before, after in zip(all_indexes(first.matcher("q")), restored):
             assert after.refs == before.refs and len(after) == len(before)
             for bucket in after._buckets.values():
                 for handle, flat in bucket.items():
                     assert (handle, flat) in after.probe(
                         key_from_flat(after.refs, flat))
         probes = second.stats.index_probes
-        got += second.push_many(STREAM[self.CUT:])
+        got += resumed.push_many(STREAM[self.CUT:])
         assert second.stats.index_probes > probes
         assert Counter(got) == Counter(expected)
         # … and some later match joined partials stored before the cut.
         cut_at = STREAM[self.CUT].timestamp
         assert any(m.earliest_timestamp() < cut_at <= m.latest_timestamp()
-                   for m in got)
-        assert second.store_profile() == whole.store_profile()
-        assert second.stats.as_dict() == whole.stats.as_dict()
+                   for _, m in got)
+        assert second.store_profile() == whole.matcher("q").store_profile()
+        assert second.stats.as_dict() == whole.matcher("q").stats.as_dict()
 
     def test_session_restored_mid_stream(self, tmp_path):
         def build():
@@ -149,16 +155,13 @@ class TestLazyFields:
         assert {copy, match, same, other} == {match, other}
         assert match != "not a match"
 
-    def test_childless_node_pickles(self):
+    def test_child_set_is_created_with_the_first_child(self):
         store = MSTreeTCStore(2)
         edge, later = make_edge("a1", "b1", 1.0), make_edge("b1", "c1", 2.0)
         leaf = store.insert(1, store.root, (), edge)
         assert leaf.children is None and store.root.children == {leaf}
-        bare = pickle.loads(pickle.dumps(MSTreeNode(edge, None, 1)))
-        assert bare.children is None and bare.alive and bare.payload == edge
-        restored = pickle.loads(pickle.dumps(store))
-        (node, flat), = restored.read(1)
-        assert node.children is None and flat == (edge,)
-        child = restored.insert(2, node, flat, later)   # first child, late
+        (node, flat), = store.read(1)
+        assert node is leaf and flat == (edge,)
+        child = store.insert(2, node, flat, later)      # first child, late
         assert node.children == {child}
-        assert restored.delete_edge(edge) == 2 and restored.is_empty()
+        assert store.delete_edge(edge) == 2 and store.is_empty()

@@ -74,17 +74,6 @@ class TestLabelTrieProperties:
         assert len(trie) == 0
         assert trie.walk("a" * 8) == []
 
-    @given(st.lists(patterns, min_size=0, max_size=20))
-    def test_pickle_round_trip(self, pats):
-        trie = LabelTrie()
-        for i, pattern in enumerate(pats):
-            trie.insert(pattern, i)
-        clone = pickle.loads(pickle.dumps(trie))
-        assert len(clone) == len(trie)
-        assert clone.node_count() == trie.node_count()
-        for probe in set(pats) | {"", "a4ab"}:
-            assert set(clone.walk(probe)) == set(trie.walk(probe))
-
     def test_insert_remove_contract(self):
         trie = LabelTrie()
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ per-matcher judgement the oracle makes.
 
 import io
 import os
-import pickle
 import random
 from collections import Counter
 
@@ -30,7 +29,6 @@ from repro import (
     ShardedSession, StreamEdge, TimingMatcher,
 )
 from repro.baselines.naive import NaiveSnapshotMatcher
-from repro.persistence import load_checkpoint, save_checkpoint
 
 TRANSPORT = os.environ.get("REPRO_TEST_TRANSPORT")
 
@@ -273,34 +271,43 @@ class TestSessionAgainstOracle:
 
 
 class TestStandaloneAgainstOracle:
+    """The engine on its own private window (a one-query fanout session,
+    the one checkpoint kind) against one naive matcher."""
+
     @pytest.mark.parametrize("seed", range(30))
     def test_push_advance_checkpoint(self, seed):
         scenario = Scenario(seed, steps=40)
         _, _, query, window_spec = scenario.ops[0]
-        engine = TimingMatcher(
-            query, make_window(window_spec),
-            config=EngineConfig(duplicate_policy=scenario.policy))
+        session = Session(routing="fanout",
+                          duplicate_policy=scenario.policy)
+        engine = session.register("q", query,
+                                  window=make_window(window_spec))
         oracle = NaiveSnapshotMatcher(query, make_window(window_spec),
                                       duplicate_policy=scenario.policy)
         assert engine.stateless and "stateless" in repr(engine)
+
+        def checkpoint() -> bytes:
+            buffer = io.BytesIO()
+            session.checkpoint(buffer)
+            return buffer.getvalue()
+
         for op in scenario.ops:
             if op[0] == "push":
                 for edge in op[1]:
                     if oracle.would_reject(edge):
-                        before = pickle.dumps(engine)
+                        before = checkpoint()
                         with pytest.raises(ValueError, match="duplicate"):
-                            engine.push(edge)
-                        assert pickle.dumps(engine) == before
+                            session.push(edge)
+                        assert checkpoint() == before
                         continue
-                    assert engine.push(edge) == oracle.push(edge)
+                    assert [match for _, match in session.push(edge)] \
+                        == oracle.push(edge)
             elif op[0] == "advance":
-                engine.advance_time(op[1])
+                session.advance_time(op[1])
                 oracle.advance_time(op[1])
             elif op[0] == "checkpoint":
-                buffer = io.BytesIO()
-                save_checkpoint(engine, buffer)
-                buffer.seek(0)
-                engine = load_checkpoint(buffer)
+                session = Session.restore(io.BytesIO(checkpoint()))
+                engine = session.matcher("q")
             assert Counter(engine.current_matches()) \
                 == Counter(oracle.current_matches())
             assert engine.result_count() == oracle.result_count()

@@ -7,10 +7,17 @@ protocol) < ``repro.core`` / ``repro.baselines`` (the engines) <
 facade).  The only edges pointing back down that order are the two lazy
 ones the facade needs: ``concurrency.sharding`` subclasses ``Session`` and
 ``persistence`` names it.
+
+Also pinned here, so it cannot grow back: nothing under ``src/repro``
+defines a pickling shape but the two value types that cross the shard pipe
+(a checkpoint is data, see :mod:`repro.persistence`), raw ``pickle.load(s)``
+stays in the shard codecs, and a real checkpoint names no class outside
+the allow-list.
 """
 
 import ast
 import os
+import pickletools
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -103,3 +110,100 @@ def test_only_the_two_back_edges_are_lazy():
                 lazy.setdefault(name, set()).add(module)
     assert lazy == {"api.py": {"repro.concurrency.sharding",
                                "repro.persistence"}}, lazy
+
+
+# --------------------------------------------------------------------- #
+# A checkpoint is data: no pickled object shapes
+# --------------------------------------------------------------------- #
+
+def parsed(path):
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read())
+
+
+def test_only_two_value_types_define_a_pickling_shape():
+    hooks = {"__getstate__", "__setstate__", "__reduce__", "__reduce_ex__"}
+    found = set()
+    for path in sources_under():
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.ClassDef):
+                found.update(
+                    (module_name(path), node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name in hooks)
+    assert found == {("repro.core.query", "QueryGraph", "__getstate__"),
+                     ("repro.core.query", "Prefix", "__reduce__")}, found
+
+
+def test_raw_unpickling_stays_in_the_shard_codecs():
+    """``pickle.load(s)`` constructs whatever the bytes name: only the
+    shard pipe and ring codecs (a parent and the workers it spawned) may
+    call it; a checkpoint — a file — goes through the allow-listed
+    ``Unpickler`` in ``persistence``, and nothing else subclasses one."""
+    loads, unpicklers = set(), set()
+    for path in sources_under():
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "pickle":
+                if node.attr in ("load", "loads"):
+                    loads.add(module_name(path))
+                elif node.attr == "Unpickler":
+                    unpicklers.add(module_name(path))
+    assert loads == {"repro.concurrency.sharding",
+                     "repro.concurrency.transport"}, loads
+    assert unpicklers == {"repro.persistence"}, unpicklers
+
+
+def globals_named(payload):
+    """Every ``(module, name)`` a pickle's GLOBAL / STACK_GLOBAL opcodes
+    name.  STACK_GLOBAL takes both from the stack, where they were just
+    pushed as text or fetched from the memo."""
+    named, memo, texts, top = set(), [], [], None
+    for opcode, arg, _ in pickletools.genops(payload):
+        if opcode.name == "GLOBAL":
+            named.add(tuple(arg.split(" ")))
+        elif opcode.name == "STACK_GLOBAL":
+            named.add((texts[-2], texts[-1]))
+        if opcode.name == "MEMOIZE":
+            memo.append(top)
+            continue
+        if "UNICODE" in opcode.name:
+            top = arg
+        elif opcode.name in ("BINGET", "LONG_BINGET"):
+            top = memo[arg]
+        else:
+            top = None
+        if isinstance(top, str):
+            texts.append(top)
+    return named
+
+
+def test_a_busy_checkpoint_names_only_value_types():
+    from repro.persistence import (
+        _FRAME_HEADER, _FRAME_MAGIC, VALUE_TYPES,
+    )
+    from .test_logical_checkpoint import busy_session, checkpoint
+
+    for options in ({}, {"routing": "fanout"},
+                    {"sharding": "thread", "shards": 2}):
+        session = busy_session(**options)
+        blob = checkpoint(session)
+        if options.get("sharding"):
+            session.close()
+        named = globals_named(blob[len(_FRAME_MAGIC) + _FRAME_HEADER.size:])
+        allowed = {(cls.__module__, cls.__qualname__)
+                   for cls in VALUE_TYPES}
+        assert named <= allowed, named - allowed
+        assert {("repro.graph.edge", "StreamEdge"),
+                ("repro.core.query", "QueryGraph"),
+                ("repro.core.query", "_Wildcard"),
+                ("repro.core.query", "Prefix"),
+                ("repro.matcher", "EngineConfig"),
+                ("repro.isomorphism.boostiso", "BoostISO")} <= named
+        assert not any(module.startswith(("repro.core.engine",
+                                          "repro.core.mstree",
+                                          "repro.api", "repro.subplans",
+                                          "repro.ingest"))
+                       for module, _ in named)

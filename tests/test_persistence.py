@@ -1,15 +1,21 @@
-"""Checkpoint/restore: a resumed engine behaves as if never interrupted."""
+"""Checkpoint/restore: a resumed one-query session behaves as if never
+interrupted (the differential suite over whole sessions is
+``tests/test_logical_checkpoint.py``)."""
 
 import io
 
 import pytest
 
-from repro import EngineConfig, TimingMatcher
-from repro.persistence import (
-    CheckpointError, load_checkpoint, save_checkpoint,
-)
+from repro import EngineConfig, Session
+from repro.persistence import CheckpointError, load_session
 
 from .conftest import fig3_stream, fig5_query, path_query, random_stream
+
+
+def one_query_session(query, window, **config):
+    session = Session(window=window, config=EngineConfig(**config))
+    session.register("q", query)
+    return session
 
 
 class TestRoundTrip:
@@ -18,42 +24,36 @@ class TestRoundTrip:
         half = len(stream) // 2
         path = str(tmp_path / "engine.ckpt")
 
-        continuous = TimingMatcher(fig5_query(), 5.0)
-        continuous_matches = []
-        for edge in stream:
-            continuous_matches.extend(continuous.push(edge))
+        continuous = one_query_session(fig5_query(), 5.0)
+        continuous_matches = continuous.push_many(stream)
 
-        interrupted = TimingMatcher(fig5_query(), 5.0)
-        matches = []
-        for edge in stream[:half]:
-            matches.extend(interrupted.push(edge))
-        save_checkpoint(interrupted, path)
-        resumed = load_checkpoint(path)
-        for edge in stream[half:]:
-            matches.extend(resumed.push(edge))
+        interrupted = one_query_session(fig5_query(), 5.0)
+        matches = interrupted.push_many(stream[:half])
+        interrupted.checkpoint(path)
+        resumed = load_session(path)
+        matches += resumed.push_many(stream[half:])
 
-        assert set(matches) == set(continuous_matches)
-        assert set(resumed.current_matches()) == \
-            set(continuous.current_matches())
-        assert resumed.store_profile() == continuous.store_profile()
+        assert matches == continuous_matches
+        assert set(resumed.current_matches()["q"]) == \
+            set(continuous.current_matches()["q"])
+        assert resumed.matcher("q").store_profile() == \
+            continuous.matcher("q").store_profile()
 
     def test_deep_mstree_store_checkpoints_without_recursion(self, tmp_path):
-        """An MS-tree level holds its nodes on an intrusive linked list;
-        naive pickling would recurse node→next→next… and blow the
-        recursion limit on any realistically sized store (thousands of
-        stored partials).  Regression: checkpoint a store far deeper than
-        the default recursion limit and resume it."""
+        """An MS-tree level holds its nodes on an intrusive linked list,
+        thousands long on a realistically sized store; a checkpoint holds
+        the window's edges, not the nodes, so its depth does not grow
+        with the store.  Checkpoint a store far deeper than the default
+        recursion limit and resume it."""
         stream = random_stream(5, 3000, 6, labels="ab")
-        matcher = TimingMatcher(path_query(2, labels="ab"), 1e9)
         # Window spans the whole stream: nothing ever expires.
-        for edge in stream:
-            matcher.push(edge)
-        # Several pickle frames per linked node: ~900 chained nodes blow
-        # the default 1000-frame recursion limit many times over.
+        session = one_query_session(path_query(2, labels="ab"), 1e9)
+        session.push_many(stream)
+        matcher = session.matcher("q")
         assert matcher.store_profile()["L1^1"] > 800
         path = str(tmp_path / "deep.ckpt")
-        save_checkpoint(matcher, path)          # must not RecursionError
-        resumed = load_checkpoint(path)
+        session.checkpoint(path)                # must not RecursionError
+        resumed = load_session(path).matcher("q")
         assert resumed.store_profile() == matcher.store_profile()
         assert resumed.result_count() == matcher.result_count()
 
@@ -64,29 +64,25 @@ class TestRoundTrip:
             exfiltration_attack_query, generate_netflow_stream, inject_attack,
         )
         stream = inject_attack(generate_netflow_stream(800, seed=4))
-        matcher = TimingMatcher(exfiltration_attack_query(), 30.0)
+        session = one_query_session(exfiltration_attack_query(), 30.0)
         edges = list(stream)
         midpoint = len(edges) // 3
-        for edge in edges[:midpoint]:
-            matcher.push(edge)
+        session.push_many(edges[:midpoint])
         buffer = io.BytesIO()
-        save_checkpoint(matcher, buffer)
+        session.checkpoint(buffer)
         buffer.seek(0)
-        resumed = load_checkpoint(buffer)
-        detections = []
-        for edge in edges[midpoint:]:
-            detections.extend(resumed.push(edge))
-        assert len(detections) == 1
+        resumed = load_session(buffer)
+        assert len(resumed.push_many(edges[midpoint:])) == 1
 
     def test_independent_storage_checkpoint(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
-        matcher = TimingMatcher(fig5_query(), 9.0,
-                                config=EngineConfig(storage="independent"))
-        for edge in fig3_stream()[:8]:
-            matcher.push(edge)
-        save_checkpoint(matcher, path)
-        resumed = load_checkpoint(path)
-        assert resumed.result_count() == matcher.result_count() == 1
+        session = one_query_session(fig5_query(), 9.0,
+                                    storage="independent")
+        session.push_many(fig3_stream()[:8])
+        session.checkpoint(path)
+        resumed = load_session(path)
+        assert not resumed.matcher("q").use_mstree
+        assert resumed.result_counts() == session.result_counts() == {"q": 1}
 
 
 class TestEnvelope:
@@ -110,27 +106,29 @@ class TestEnvelope:
         path = tmp_path / "bare.ckpt"
         path.write_bytes(pickle.dumps(Boom()))
         with pytest.raises(CheckpointError, match="not a timingsubg"):
-            load_checkpoint(str(path))
+            load_session(str(path))
 
     def test_not_a_checkpoint(self, tmp_path):
         path = self.framed(tmp_path, {"something": "else"})
         with pytest.raises(CheckpointError, match="not a timingsubg"):
-            load_checkpoint(path)
+            load_session(path)
 
-    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13, 14])
+    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13, 14, 15])
     def test_version_mismatch(self, tmp_path, version):
+        """Every earlier version held pickled engines; there is no reader
+        for any of them."""
         from repro.persistence import _MAGIC
         path = self.framed(tmp_path, {
-            "magic": _MAGIC, "version": version, "matcher": None})
+            "magic": _MAGIC, "version": version, "session": None})
         with pytest.raises(
                 CheckpointError,
-                match=f"version {version} incompatible with 15"):
-            load_checkpoint(path)
+                match=f"version {version} incompatible with 16"):
+            load_session(path)
 
     def test_wrong_payload_type(self, tmp_path):
         from repro.persistence import _MAGIC, CHECKPOINT_VERSION
         path = self.framed(tmp_path, {
             "magic": _MAGIC, "version": CHECKPOINT_VERSION,
-            "matcher": "nope"})
-        with pytest.raises(CheckpointError, match="TimingMatcher"):
-            load_checkpoint(path)
+            "session": "nope"})
+        with pytest.raises(CheckpointError, match="does not contain"):
+            load_session(path)

