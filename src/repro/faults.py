@@ -57,6 +57,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 #: The named injection points the service layer exposes.  ``fire`` calls
 #: with a site outside this tuple are a programming error (rejected at
 #: plan validation, so a typo in a plan never silently never-fires).
+#: ``queue.put`` fires once per ``put``/``put_batch`` *call* — an ingest
+#: batch is one call whatever its size, so ``every:N`` counts batches.
 SITES = (
     "queue.put", "queue.get",
     "shard.rpc.send", "shard.rpc.recv",

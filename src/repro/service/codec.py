@@ -17,7 +17,7 @@ labels must be hashable and therefore are never lists).
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Tuple
 
 from ..core.matches import Match
 from ..graph.edge import StreamEdge
@@ -62,6 +62,15 @@ def edge_to_json(edge: StreamEdge) -> dict:
     return record
 
 
+def _key_error(record: dict) -> CodecError:
+    """Which keys of ``record`` are wrong (the error path names them)."""
+    unknown = set(record) - EDGE_KEYS
+    if unknown:
+        return CodecError(f"unknown edge keys: {sorted(unknown)}")
+    missing = {"src", "dst", "src_label", "dst_label"} - set(record)
+    return CodecError(f"edge is missing keys: {sorted(missing)}")
+
+
 def edge_from_json(record: dict, *,
                    default_timestamp: Optional[float] = None) -> StreamEdge:
     """Decode one edge object; raises :class:`CodecError` on bad shape.
@@ -72,28 +81,64 @@ def edge_from_json(record: dict, *,
     """
     if not isinstance(record, dict):
         raise CodecError(f"edge must be a JSON object, got {type(record).__name__}")
-    unknown = set(record) - EDGE_KEYS
-    if unknown:
-        raise CodecError(f"unknown edge keys: {sorted(unknown)}")
-    missing = {"src", "dst", "src_label", "dst_label"} - set(record)
-    if missing:
-        raise CodecError(f"edge is missing keys: {sorted(missing)}")
+    try:
+        src, dst = record["src"], record["dst"]
+        src_label, dst_label = record["src_label"], record["dst_label"]
+    except KeyError:
+        raise _key_error(record) from None
+    # The four required keys are there, so any key beyond them and the
+    # optional ones present is unknown.
+    if len(record) != 4 + ("timestamp" in record) + ("label" in record) \
+            + ("edge_id" in record):
+        raise _key_error(record)
     timestamp = record.get("timestamp", default_timestamp)
-    if timestamp is None:
-        raise CodecError("edge has no timestamp and no server default")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
-        raise CodecError(f"bad timestamp: {timestamp!r}")
+    label, edge_id = record.get("label"), record.get("edge_id")
+    if timestamp.__class__ is not float:
+        if timestamp is None:
+            raise CodecError("edge has no timestamp and no server default")
+        if isinstance(timestamp, bool) \
+                or not isinstance(timestamp, (int, float)):
+            raise CodecError(f"bad timestamp: {timestamp!r}")
+        try:
+            timestamp = float(timestamp)
+        except OverflowError:   # an integer no float can hold
+            raise CodecError("bad timestamp: too large") from None
     try:
         return StreamEdge(
-            _decode_value(record["src"]), _decode_value(record["dst"]),
-            src_label=_decode_value(record["src_label"]),
-            dst_label=_decode_value(record["dst_label"]),
-            timestamp=float(timestamp),
-            label=_decode_value(record.get("label")),
-            edge_id=_decode_value(record["edge_id"])
-            if "edge_id" in record else None)
+            _decode_value(src) if isinstance(src, list) else src,
+            _decode_value(dst) if isinstance(dst, list) else dst,
+            src_label=_decode_value(src_label)
+            if isinstance(src_label, list) else src_label,
+            dst_label=_decode_value(dst_label)
+            if isinstance(dst_label, list) else dst_label,
+            timestamp=timestamp,
+            label=_decode_value(label) if isinstance(label, list) else label,
+            edge_id=_decode_value(edge_id)
+            if isinstance(edge_id, list) else edge_id)
     except TypeError as exc:    # unhashable decoded value
         raise CodecError(f"bad edge field: {exc}") from exc
+
+
+def unwrap_edge_body(data) -> Optional[Tuple[list, Optional[str], bool]]:
+    """Split a decoded ingest payload — ``{"edges": [...]}``, a bare
+    array, or one edge object — into ``(records, request_id,
+    dlq_replay)``; ``None`` when the shape is wrong (codec errors are
+    handled per record downstream).  Only the envelope can carry a
+    request id or the dead-letter-replay flag.  The front door and WAL
+    replay both read a body through this."""
+    request_id = None
+    dlq_replay = False
+    if isinstance(data, dict) and "edges" in data:
+        raw_rid = data.get("request_id")
+        if raw_rid is not None:
+            request_id = str(raw_rid)
+        dlq_replay = bool(data.get("dlq_replay", False))
+        data = data["edges"]
+    if isinstance(data, dict):
+        return [data], request_id, dlq_replay
+    if isinstance(data, list):
+        return data, request_id, dlq_replay
+    return None
 
 
 def match_to_json(name: str, match: Match) -> dict:

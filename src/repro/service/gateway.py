@@ -41,6 +41,7 @@ replay from the checkpointed position read off ``/stats``.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -53,7 +54,9 @@ from ..concurrency.sharding import ShardDeadError
 from ..graph.edge import StreamEdge
 from ..persistence import CheckpointError, load_session_meta
 from ..sinks import RotatingJSONLSink, match_record
-from .codec import CodecError, edge_from_json, edge_to_json
+from .codec import (
+    CodecError, edge_from_json, edge_to_json, unwrap_edge_body,
+)
 from .config import ServerConfig, TenantConfig
 from .queues import BoundedEdgeQueue, _Entry
 from .resilience import (
@@ -79,9 +82,11 @@ class MatchHub:
     """Thread-safe fan-out of match records to live subscribers.
 
     Subscribers are plain callables taking one JSON-able record (see
-    :func:`repro.sinks.match_record`); the WebSocket layer registers one
-    per connection that trampolines into its event loop.  A subscriber
-    that raises is dropped rather than allowed to stall ingestion.
+    :func:`repro.sinks.match_record`) or, subscribed ``encoded``, the
+    record's JSON line — the one the match log holds, encoded once for
+    all of them; the WebSocket layer registers one such per connection
+    that trampolines into its event loop.  A subscriber that raises is
+    dropped rather than allowed to stall ingestion.
     """
 
     def __init__(self) -> None:
@@ -90,32 +95,39 @@ class MatchHub:
         #: Records delivered to at least one subscriber.
         self.delivered = 0
 
-    def subscribe(self, callback) -> None:
-        """Register a record consumer."""
+    def subscribe(self, callback, *, encoded: bool = False) -> None:
+        """Register a consumer of records (or of their JSON lines)."""
         with self._lock:
-            self._subscribers.append(callback)
+            self._subscribers.append((callback, encoded))
 
     def unsubscribe(self, callback) -> None:
         """Remove a consumer (no-op if already gone)."""
         with self._lock:
             self._subscribers = [s for s in self._subscribers
-                                 if s is not callback]
+                                 if s[0] is not callback]
 
     def subscriber_count(self) -> int:
         """Live subscriber count."""
         with self._lock:
             return len(self._subscribers)
 
-    def publish(self, record: dict) -> None:
-        """Deliver one record to every subscriber (see class doc)."""
+    def publish(self, record: dict, line: Optional[str] = None) -> None:
+        """Deliver one record to every subscriber (see class doc);
+        ``line`` is its JSON text when the caller already encoded it."""
         with self._lock:
             subscribers = list(self._subscribers)
         if not subscribers:
             return
         dead = []
         for subscriber in subscribers:
+            callback, encoded = subscriber
             try:
-                subscriber(record)
+                if encoded:
+                    if line is None:
+                        line = json.dumps(record, sort_keys=True)
+                    callback(line)
+                else:
+                    callback(record)
             except Exception:
                 dead.append(subscriber)
         if dead:
@@ -341,17 +353,7 @@ class Tenant:
         self.wal_applied_lsn = start
         replayed = 0
         for first_lsn, frame in self.wal.replay(start):
-            entries: List[_Entry] = []
-            for i, item in enumerate(frame.get("entries", [])):
-                lsn = first_lsn + i
-                if lsn <= start:
-                    continue        # the checkpoint already covers it
-                try:
-                    edge = edge_from_json(item["e"])
-                except (CodecError, KeyError, TypeError):
-                    continue        # CRC-clean but unreadable: skip once
-                offset = tuple(item["o"]) if item.get("o") else None
-                entries.append(_Entry(edge, offset, time.monotonic(), lsn))
+            entries = self._frame_entries(first_lsn, frame, start)
             if entries:
                 self._process(entries)
                 replayed += len(entries)
@@ -365,21 +367,66 @@ class Tenant:
                     "durable": True,
                 })
         self.replayed_edges += replayed
+        if replayed and self.config.timestamps == "server":
+            # Stamps handed out since the checkpoint are in the journal,
+            # not in its meta: the server clock resumes past them.
+            with self.safe.locked() as session, self._clock_lock:
+                self._server_clock = max(self._server_clock,
+                                         session.current_time)
         if replayed:
             print(f"[repro.service] tenant {self.config.name!r} replayed "
                   f"{replayed} edge(s) from the WAL "
                   f"(lsn {start} -> {self.wal_applied_lsn})",
                   file=sys.stderr)
 
+    def _frame_entries(self, first_lsn: int, frame: dict,
+                       start: int) -> List[_Entry]:
+        """The queue entries one journal frame replays as: its edges with
+        LSN > ``start``, numbered from ``first_lsn``.  A record that no
+        longer decodes (CRC-clean but unreadable) is skipped and still
+        consumes its LSN."""
+        now = time.monotonic()
+        entries: List[_Entry] = []
+        if "body" in frame:
+            # The request as it arrived: unwrap and decode it the way
+            # the front door did; ``skip`` holds the positions that were
+            # invalid then and so never got an LSN.
+            unwrapped = unwrap_edge_body(frame["body"])
+            skip = set(frame.get("skip", ()))
+            lsn = first_lsn
+            for position, edge in enumerate(
+                    self._decode(unwrapped[0] if unwrapped else ())):
+                if position in skip:
+                    continue
+                if edge is not None and lsn > start:
+                    entries.append(_Entry(edge, None, now, lsn))
+                lsn += 1
+            return entries
+        for i, item in enumerate(frame.get("entries", [])):
+            lsn = first_lsn + i
+            if lsn <= start:
+                continue        # the checkpoint already covers it
+            try:
+                edge = edge_from_json(item["e"])
+            except (CodecError, KeyError, TypeError):
+                continue
+            offset = tuple(item["o"]) if item.get("o") else None
+            entries.append(_Entry(edge, offset, now, lsn))
+        return entries
+
     def _deliver(self, name: str, match) -> None:
         record = match_record(name, match)
+        line = None
         if self.match_sink is not None:
-            self._write_match(name, match, record)
-        self.hub.publish(record)
+            line = json.dumps(record, sort_keys=True)
+            self._write_match(name, match, record, line)
+        self.hub.publish(record, line)
         self.matches_delivered += 1
 
-    def _write_match(self, name: str, match, record: dict) -> None:
-        """Write one match to the log under retry + circuit breaker.
+    def _write_match(self, name: str, match, record: dict,
+                     line: str) -> None:
+        """Write one match (``line`` is ``record`` encoded) to the log
+        under retry + circuit breaker.
 
         A write that fails all retries (or arrives while the breaker is
         open) is dead-lettered rather than lost silently, and the tenant
@@ -390,7 +437,7 @@ class Tenant:
             self.dead_letters.record("sink_circuit_open", record)
             return
         try:
-            call_with_retry(self.match_sink, name, match,
+            call_with_retry(self.match_sink, name, match, line=line,
                             policy=_SINK_RETRY)
         except OSError as exc:
             self.sink_breaker.record_failure()
@@ -434,34 +481,42 @@ class Tenant:
     def _admit(self, edges: List[StreamEdge], *,
                offset: Optional[tuple] = None,
                timeout: Optional[float] = None,
-               request_id: Optional[str] = None, invalid: int = 0,
+               request_id: Optional[str] = None,
+               skip: Sequence[int] = (), body: Optional[bytes] = None,
                raise_on_sync_failure: bool = False) -> dict:
         """The one admit path: journal the batch (WAL tenants — the frame
-        carries ``request_id`` and ``invalid``, so a batch with no valid
-        edge still journals its request id), enqueue it edge by edge
+        carries ``request_id`` and the invalid count, so a batch with no
+        valid edge still journals its request id), enqueue it whole
         (consecutive LSNs, ``offset`` tagging the *last* edge) and
         group-commit (see :meth:`_wal_sync` for
-        ``raise_on_sync_failure``); returns the ack.  No edge and no
+        ``raise_on_sync_failure``); returns the ack.  ``body`` is the
+        request text ``edges`` were decoded from, ``skip`` the positions
+        of its invalid records: given a body, that is what the frame
+        holds, otherwise the edges are encoded again.  No edge and no
         request id is nothing to recover: that ack costs no frame and no
         fsync."""
-        tags = [None] * (len(edges) - 1) + [offset]
+        invalid = len(skip)
         if self.wal is None:
-            accepted = 0
-            for edge, tag in zip(edges, tags):
-                if self.queue.put(edge, offset=tag, timeout=timeout):
-                    accepted += 1
-            return {"accepted": accepted, "invalid": invalid,
-                    "position": self.queue.enqueued}
+            return {"accepted": self.queue.put_batch(
+                        edges, offset=offset, timeout=timeout),
+                    "invalid": invalid, "position": self.queue.enqueued}
         if not edges and request_id is None:
             return {"accepted": 0, "invalid": invalid,
                     "position": self.queue.enqueued, "durable": True}
-        payload = [{"e": edge_to_json(edge)} for edge in edges]
-        if offset is not None:
-            payload[-1]["o"] = list(offset)
+        if body is None:
+            payload = [{"e": edge_to_json(edge)} for edge in edges]
+            if offset is not None:
+                payload[-1]["o"] = list(offset)
+
+            def journal():
+                return self.wal.append(payload, rid=request_id,
+                                       invalid=invalid)
+        else:
+            def journal():
+                return self.wal.append_body(body, len(edges),
+                                            rid=request_id, skip=skip)
         with self._admission_lock:
-            last_lsn, ticket = call_with_retry(
-                self.wal.append, payload, policy=_WAL_RETRY,
-                rid=request_id, invalid=invalid)
+            last_lsn, ticket = call_with_retry(journal, policy=_WAL_RETRY)
             ack = {"accepted": len(edges), "invalid": invalid,
                    "position": self.queue.enqueued + len(edges),
                    "durable": True}
@@ -471,9 +526,9 @@ class Tenant:
                 # be recoverable — otherwise a crash between apply and
                 # remember would turn a retry into a double delivery.
                 self.dedup.put(request_id, ack)
-            lsns = range(last_lsn - len(edges) + 1, last_lsn + 1)
-            for edge, tag, lsn in zip(edges, tags, lsns):
-                self.queue.put(edge, offset=tag, timeout=timeout, lsn=lsn)
+            self.queue.put_batch(
+                edges, first_lsn=last_lsn - len(edges) + 1, offset=offset,
+                timeout=timeout)
         self._wal_sync(ticket, raise_on_failure=raise_on_sync_failure)
         return ack
 
@@ -501,7 +556,8 @@ class Tenant:
     def ingest_json(self, records: Sequence[dict], *,
                     timeout: Optional[float] = None,
                     request_id: Optional[str] = None,
-                    dlq_replay: bool = False) -> dict:
+                    dlq_replay: bool = False,
+                    body: Optional[bytes] = None) -> dict:
         """Decode and enqueue a batch of JSON edge objects.
 
         Returns ``{"accepted": n, "invalid": m, "position": p}`` where
@@ -529,6 +585,12 @@ class Tenant:
 
         ``dlq_replay`` marks the batch as a dead-letter re-ingest
         (``repro dlq replay``) and counts it in ``dlq_replayed``.
+
+        ``body`` is the request text ``records`` were parsed from, when
+        the caller has it: a WAL tenant that stamps nothing journals
+        those bytes as they are instead of encoding the edges again.
+        That needs ASCII without NUL — then ``json.loads`` reads the
+        text as UTF-8 whether it stands alone or inside the frame.
         """
         if request_id is not None and self.dedup is not None:
             cached = self.dedup.get(request_id)
@@ -541,12 +603,28 @@ class Tenant:
             wait = self.rate_limiter.try_acquire(len(records))
             if wait > 0:
                 raise RateLimited(wait)
-        invalid = 0
-        edges: List[StreamEdge] = []
-        server_mode = self.config.timestamps == "server"
+        stamp = self.config.timestamps == "server"
+        slots = self._decode(records, stamp=stamp)
+        edges = [edge for edge in slots if edge is not None]
+        skip = [position for position, edge in enumerate(slots)
+                if edge is None] if len(edges) != len(slots) else ()
+        if stamp or body is None or not body.isascii() or b"\x00" in body:
+            body = None
+        ack = self._admit(edges, timeout=timeout, request_id=request_id,
+                          skip=skip, body=body, raise_on_sync_failure=True)
+        if dlq_replay:
+            self.dlq_replayed += ack["accepted"]
+        return ack
+
+    def _decode(self, records: Sequence, *,
+                stamp: bool = False) -> List[Optional[StreamEdge]]:
+        """One slot per record: its edge, or ``None`` where it is not a
+        valid one.  ``stamp`` assigns server timestamps (and refuses
+        client ones).  Ingest and WAL replay both decode through this."""
+        slots: List[Optional[StreamEdge]] = []
         for record in records:
             try:
-                if server_mode:
+                if stamp:
                     if isinstance(record, dict) and "timestamp" in record:
                         raise CodecError(
                             "tenant assigns timestamps server-side; "
@@ -556,14 +634,9 @@ class Tenant:
                 else:
                     edge = edge_from_json(record)
             except CodecError:
-                invalid += 1
-                continue
-            edges.append(edge)
-        ack = self._admit(edges, timeout=timeout, request_id=request_id,
-                          invalid=invalid, raise_on_sync_failure=True)
-        if dlq_replay:
-            self.dlq_replayed += ack["accepted"]
-        return ack
+                edge = None
+            slots.append(edge)
+        return slots
 
     # ------------------------------------------------------------------ #
     # Worker
@@ -708,12 +781,15 @@ class Tenant:
             # are actually in the engine — the checkpoint barrier reads
             # them under this same lock.
             self.edges_offered += len(entries)
+            offsets, applied = self.source_offsets, self.wal_applied_lsn
             for entry in entries:
                 if entry.offset is not None:
                     path, position = entry.offset
-                    self.source_offsets[path] = position
-                if entry.lsn is not None and entry.lsn > self.wal_applied_lsn:
-                    self.wal_applied_lsn = entry.lsn
+                    offsets[path] = position
+                lsn = entry.lsn
+                if lsn is not None and lsn > applied:
+                    applied = lsn
+            self.wal_applied_lsn = applied
 
     # ------------------------------------------------------------------ #
     # Checkpointing

@@ -52,9 +52,11 @@ import struct
 import threading
 from typing import Dict, Optional, Tuple
 
+from .codec import unwrap_edge_body
 from .metrics import render_metrics
 from .queues import QueueClosed
 from .resilience import RateLimited
+from .wal import WalFrameTooLarge
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_BODY = 64 * 1024 * 1024
@@ -291,10 +293,14 @@ class ServiceHTTPServer:
         try:
             result = await asyncio.to_thread(
                 lambda: tenant.ingest_json(
-                    records, request_id=request_id, dlq_replay=dlq_replay))
+                    records, request_id=request_id, dlq_replay=dlq_replay,
+                    body=body))
         except QueueClosed:
             return (503, "application/json",
                     b'{"error": "gateway is shutting down"}')
+        except WalFrameTooLarge as exc:
+            return (413, "application/json",
+                    json.dumps({"error": str(exc)}).encode())
         except RateLimited as exc:
             retry_after = max(0.001, exc.retry_after)
             return (429, "application/json",
@@ -340,25 +346,24 @@ class ServiceHTTPServer:
         queue: asyncio.Queue = asyncio.Queue(maxsize=4096)
         dropped = [0]
 
-        def deliver(record: dict) -> None:
+        def deliver(line: str) -> None:
             def _put() -> None:
                 try:
-                    queue.put_nowait(record)
+                    queue.put_nowait(line)
                 except asyncio.QueueFull:
                     dropped[0] += 1
             loop.call_soon_threadsafe(_put)
 
-        tenant.hub.subscribe(deliver)
+        tenant.hub.subscribe(deliver, encoded=True)
         control = asyncio.ensure_future(
             self._ws_drain_control(reader, writer))
         try:
             while not control.done():
                 try:
-                    record = await asyncio.wait_for(queue.get(), 0.25)
+                    line = await asyncio.wait_for(queue.get(), 0.25)
                 except asyncio.TimeoutError:
                     continue
-                writer.write(_ws_frame(0x1, json.dumps(
-                    record, sort_keys=True).encode()))
+                writer.write(_ws_frame(0x1, line.encode()))
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass
@@ -414,9 +419,11 @@ class ServiceHTTPServer:
                     reply = await asyncio.to_thread(
                         lambda: tenant.ingest_json(
                             records, request_id=request_id,
-                            dlq_replay=dlq_replay))
+                            dlq_replay=dlq_replay, body=payload))
                 except QueueClosed:
                     reply = {"error": "gateway is shutting down"}
+                except WalFrameTooLarge as exc:
+                    reply = {"error": str(exc), "retryable": False}
                 except RateLimited as exc:
                     reply = {"backoff": True,
                              "retry_after": round(
@@ -437,26 +444,12 @@ class ServiceHTTPServer:
 # ---------------------------------------------------------------------- #
 def _parse_edge_body(body: bytes):
     """Decode an ingestion payload into ``(records, request_id,
-    dlq_replay)``, or ``None`` when the shape is wrong (codec errors
-    are handled per-record downstream).  Only the ``{"edges": [...]}``
-    envelope can carry a request id or the dead-letter-replay flag."""
+    dlq_replay)``, or ``None`` when it is not JSON or the shape is wrong
+    (see :func:`~repro.service.codec.unwrap_edge_body`)."""
     try:
-        data = json.loads(body)
-    except ValueError:
+        return unwrap_edge_body(json.loads(body))
+    except (ValueError, RecursionError):
         return None
-    request_id = None
-    dlq_replay = False
-    if isinstance(data, dict) and "edges" in data:
-        raw_rid = data.get("request_id")
-        if raw_rid is not None:
-            request_id = str(raw_rid)
-        dlq_replay = bool(data.get("dlq_replay", False))
-        data = data["edges"]
-    if isinstance(data, dict):
-        return [data], request_id, dlq_replay
-    if isinstance(data, list):
-        return data, request_id, dlq_replay
-    return None
 
 
 def _ws_frame(opcode: int, payload: bytes) -> bytes:

@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..graph.edge import StreamEdge
@@ -146,55 +146,79 @@ class BoundedEdgeQueue:
         because blocking promises losslessness).  Raises
         :class:`QueueClosed` after :meth:`close`.
         """
+        return self.put_batch((edge,), first_lsn=lsn, offset=offset,
+                              timeout=timeout) == 1
+
+    def put_batch(self, edges: Sequence[StreamEdge], *,
+                  first_lsn: Optional[int] = None,
+                  offset: Optional[int] = None,
+                  timeout: Optional[float] = None) -> int:
+        """Enqueue a batch under one lock hold, with one timestamp and
+        one consumer wake-up; returns how many were admitted (all of
+        them: ``drop_oldest`` sheds the *oldest* entries, never the new
+        ones — admitted means entered the pipeline, not survived it).
+
+        Edges get consecutive LSNs from ``first_lsn`` and ``offset`` tags
+        the last one.  Under ``block`` the batch takes the room there is
+        and waits for the rest (so a batch larger than the capacity still
+        drains through); ``timeout`` bounds the whole call and expiry
+        raises ``TimeoutError`` with the admitted prefix left queued.
+        Raises :class:`QueueClosed` after :meth:`close`.
+        """
+        if not edges:
+            return 0
         faults.fire("queue.put")
+        entries, capacity, policy = self._entries, self.capacity, self.policy
+        last = len(edges) - 1
         with self._lock:
             if self._closed:
                 self.rejected_closed += 1
                 raise QueueClosed("queue is closed to new arrivals")
-            if self.policy == "spill" and (
-                    self._spill_pending or len(self._entries) >= self.capacity):
-                self._spill_out(edge, offset, lsn)
-                return True
-            if self.policy == "drop_oldest":
-                while len(self._entries) >= self.capacity:
-                    self._entries.popleft()
-                    self.dropped += 1
-            elif self.policy == "block":
-                deadline = None if timeout is None \
-                    else time.monotonic() + timeout
-                while len(self._entries) >= self.capacity:
-                    remaining = None if deadline is None \
-                        else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            "queue stayed full past the put timeout")
-                    if not self._not_full.wait(remaining):
-                        raise TimeoutError(
-                            "queue stayed full past the put timeout")
-                    if self._closed:
-                        self.rejected_closed += 1
-                        raise QueueClosed("queue closed while blocked")
-            self._append(edge, offset, lsn)
-            return True
+            now = time.monotonic()
+            deadline = None if timeout is None else now + timeout
+            appended = 0
+            for position, edge in enumerate(edges):
+                tag = offset if position == last else None
+                lsn = None if first_lsn is None else first_lsn + position
+                if len(entries) >= capacity or self._spill_pending:
+                    if policy == "spill":
+                        self._spill_out(edge, tag, lsn)
+                        continue
+                    if policy == "drop_oldest":
+                        entries.popleft()
+                        self.dropped += 1
+                    else:
+                        self._published(appended)
+                        appended = 0
+                        now = self._wait_for_room(deadline)
+                entries.append(_Entry(edge, tag, now, lsn))
+                appended += 1
+            self._published(appended)
+        return len(edges)
 
-    def put_many(self, edges: Iterable[StreamEdge], *,
-                 timeout: Optional[float] = None) -> int:
-        """Enqueue a batch; returns how many were admitted (all of them
-        except ``drop_oldest`` sheds, which never refuse the *new* edge —
-        admitted means entered the pipeline, not survived it)."""
-        admitted = 0
-        for edge in edges:
-            if self.put(edge, timeout=timeout):
-                admitted += 1
-        return admitted
+    def _published(self, appended: int) -> None:
+        """Account for ``appended`` new in-memory entries and wake the
+        consumer once (lock held)."""
+        if appended:
+            self.enqueued += appended
+            if len(self._entries) > self.high_water:
+                self.high_water = len(self._entries)
+            self._not_empty.notify(appended)
 
-    def _append(self, edge: StreamEdge, offset: Optional[int],
-                lsn: Optional[int] = None) -> None:
-        self._entries.append(_Entry(edge, offset, time.monotonic(), lsn))
-        self.enqueued += 1
-        if len(self._entries) > self.high_water:
-            self.high_water = len(self._entries)
-        self._not_empty.notify()
+    def _wait_for_room(self, deadline: Optional[float]) -> float:
+        """Block until the queue has room (lock held); returns the time
+        it did.  ``TimeoutError`` past ``deadline``, :class:`QueueClosed`
+        if the queue closes meanwhile."""
+        while len(self._entries) >= self.capacity:
+            remaining = None if deadline is None \
+                else deadline - time.monotonic()
+            if (remaining is not None and remaining <= 0) \
+                    or not self._not_full.wait(remaining):
+                raise TimeoutError("queue stayed full past the put timeout")
+            if self._closed:
+                self.rejected_closed += 1
+                raise QueueClosed("queue closed while blocked")
+        return time.monotonic()
 
     # ------------------------------------------------------------------ #
     # Spill file (all under self._lock)

@@ -17,13 +17,38 @@ records::
 
     [u32 crc32(payload)] [u32 len(payload)] [payload bytes]
 
-(little-endian header, JSON payload).  The first frame of every segment
-is a header naming the base LSN — the log sequence number of the first
-edge recorded in that segment.  Every subsequent frame journals one
-admitted *batch* atomically: its edges (service codec JSON), optional
-tail-source offsets, the producer's optional ``request_id``, and the
-batch's invalid-record count.  Edges are numbered with consecutive LSNs;
-a frame covering ``n`` edges spans ``[base, base + n)``.
+(little-endian header, ASCII JSON payload).  The first frame of every
+segment is a header naming the base LSN — the log sequence number of the
+first edge recorded in that segment.  Every subsequent frame journals one
+admitted *batch* atomically, in one of two shapes, both carrying ``"n"``
+(the batch's edge count), the producer's optional ``"rid"`` and the
+``"invalid"`` record count when it is not zero::
+
+    {"n": N, "entries": [{"e": edge_json, "o": [path, position]}, ...]}
+    {"n": N, "skip": [positions], "body": <the request body, verbatim>}
+
+``entries`` (:meth:`WriteAheadLog.append`) lists the admitted edges in
+service codec JSON, with tail-source offset tags: file tailers,
+server-stamped tenants, non-ASCII requests and every journal written
+before ``body`` frames existed.  ``body``
+(:meth:`WriteAheadLog.append_body`) is an HTTP/WebSocket request spliced
+in as it arrived — a bare array, one edge object or the ``{"edges":
+...}`` envelope — so admitting it costs no re-encoding; replay unwraps
+and decodes it the way the front door did.  ``"skip"`` (present only
+with ``"invalid"``) lists the positions that were not valid edges when
+the batch was admitted, so replay numbers LSNs over the others without
+judging validity again.  Edges are numbered with consecutive LSNs; a
+frame covering ``n`` edges spans ``[base, base + n)`` whichever shape it
+has, and a log may mix the two.  Journals are forward-only: a build
+older than ``body`` frames reads one as an edge-free frame's worth of
+nothing and mis-numbers what follows — do not roll back over a journal
+that holds them.
+
+A payload may not exceed 64 MiB — the ceiling recovery applies before
+trusting a length field.  An append past it raises
+:class:`WalFrameTooLarge` and writes nothing (the gateway answers 413):
+a longer frame would be read back as corruption and take every later
+frame with it.
 
 Batch atomicity is what makes exactly-once composable with retries: a
 frame torn by a crash is discarded *whole* during recovery, so a
@@ -68,12 +93,12 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import faults
 
 __all__ = [
-    "WriteAheadLog", "WalCorruptError", "DedupIndex",
+    "WriteAheadLog", "WalCorruptError", "WalFrameTooLarge", "DedupIndex",
     "scan_segment", "inspect_wal",
 ]
 
@@ -82,14 +107,24 @@ _FRAME = struct.Struct("<II")
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
 #: Hard ceiling on one frame's payload — a corrupt length field must not
-#: trigger a multi-GB allocation during recovery.
+#: trigger a multi-GB allocation during recovery.  Appends refuse a
+#: longer payload (:class:`WalFrameTooLarge`): recovery would read it as
+#: corruption and truncate the log from there.
 _MAX_PAYLOAD = 64 * 1024 * 1024
+#: Where a ``body`` frame's head ends and the spliced request body starts.
+_BODY_KEY = b',"body":'
 
 
 class WalCorruptError(RuntimeError):
     """Raised when a WAL directory cannot be scanned at all (unreadable
     segment files, not frame-level corruption — that is *recovered*, not
     raised; see the module docstring)."""
+
+
+class WalFrameTooLarge(ValueError):
+    """Raised by :meth:`WriteAheadLog.append` / ``append_body`` for a
+    batch whose frame would exceed the payload ceiling; nothing was
+    written.  Not retryable: the producer must send smaller batches."""
 
 
 def _segment_name(ordinal: int) -> str:
@@ -106,10 +141,18 @@ def _segment_ordinal(name: str) -> Optional[int]:
         return None
 
 
-def _encode_frame(payload: dict) -> bytes:
-    body = json.dumps(payload, separators=(",", ":"),
+def _dumps(payload: dict) -> bytes:
+    return json.dumps(payload, separators=(",", ":"),
                       ensure_ascii=True).encode("ascii")
-    return _FRAME.pack(zlib.crc32(body) & 0xFFFFFFFF, len(body)) + body
+
+
+def _frame(payload: bytes) -> bytes:
+    return _FRAME.pack(zlib.crc32(payload) & 0xFFFFFFFF,
+                       len(payload)) + payload
+
+
+def _encode_frame(payload: dict) -> bytes:
+    return _frame(_dumps(payload))
 
 
 def scan_segment(path: str) -> dict:
@@ -146,7 +189,13 @@ def scan_segment(path: str) -> dict:
             error = "frame CRC mismatch"
             break
         try:
-            payload = json.loads(body)
+            try:
+                payload = json.loads(body)
+            except RecursionError:
+                # An authentic (CRC-clean) ``body`` frame whose spliced
+                # request nests deeper than this stack can follow: keep
+                # the head — its LSNs stay consumed — and drop the body.
+                payload = json.loads(body.partition(_BODY_KEY)[0] + b"}")
         except ValueError:
             error = "frame payload is not JSON"
             break
@@ -438,16 +487,43 @@ class WriteAheadLog:
         ``entries`` are ``{"e": edge_json}`` dicts, optionally carrying
         ``"o": [path, position]`` tail-offset tags.  The frame is
         *buffered* — pass the ticket to :meth:`sync` before acking.
-        The fault site ``wal.append`` fires before any mutation, so a
-        retried append after an injected error never double-writes.
         """
-        faults.fire("wal.append")
         payload: dict = {"n": len(entries), "entries": entries}
         if rid is not None:
             payload["rid"] = rid
         if invalid:
             payload["invalid"] = invalid
-        frame = _encode_frame(payload)
+        return self._write(_dumps(payload), len(entries))
+
+    def append_body(self, body: bytes, n: int, *, rid: Optional[str] = None,
+                    skip: Sequence[int] = ()) -> Tuple[int, int]:
+        """Journal one admitted batch as the request body it arrived in;
+        returns ``(last_lsn, ticket)`` like :meth:`append`.
+
+        ``body`` must be the ASCII JSON text the caller decoded (no NUL,
+        so it reads the same spliced into the frame as it did alone);
+        ``n`` of its records were valid edges and ``skip`` lists the
+        positions of the others, so replay numbers LSNs over the rest
+        without judging validity again.
+        """
+        head: dict = {"n": n}
+        if rid is not None:
+            head["rid"] = rid
+        if skip:
+            head["invalid"] = len(skip)
+            head["skip"] = list(skip)
+        return self._write(_dumps(head)[:-1] + _BODY_KEY + body + b"}", n)
+
+    def _write(self, payload: bytes, n: int) -> Tuple[int, int]:
+        """Frame ``payload`` (covering ``n`` edges) into the active
+        segment.  The fault site ``wal.append`` and the size refusal come
+        before any mutation, so a retried append never double-writes."""
+        faults.fire("wal.append")
+        if len(payload) > _MAX_PAYLOAD:
+            raise WalFrameTooLarge(
+                f"batch needs a {len(payload)}-byte journal frame; the "
+                f"limit is {_MAX_PAYLOAD}")
+        frame = _frame(payload)
         with self._lock:
             if self._active_bytes >= self.segment_bytes:
                 self._rotate_locked()
@@ -455,9 +531,8 @@ class WriteAheadLog:
             self._active_bytes += len(frame)
             self.bytes_written += len(frame)
             base, count = self._segment_index[self._active_ordinal]
-            self._segment_index[self._active_ordinal] = (
-                base, count + len(entries))
-            self.appended_lsn += len(entries)
+            self._segment_index[self._active_ordinal] = (base, count + n)
+            self.appended_lsn += n
             self.appends += 1
             self._write_seq += 1
             return self.appended_lsn, self._write_seq

@@ -215,13 +215,18 @@ class RotatingJSONLSink:
         return os.path.join(self.directory,
                             f"{self.prefix}-{index:06d}.jsonl")
 
-    def __call__(self, name: str, match: Match) -> None:
-        line = json.dumps(match_record(name, match), sort_keys=True) + "\n"
+    def __call__(self, name: str, match: Match,
+                 line: Optional[str] = None) -> None:
+        """Append one match; ``line`` is its record already encoded
+        (``json.dumps(match_record(name, match), sort_keys=True)``), for
+        a caller that hands the same text elsewhere too."""
+        if line is None:
+            line = json.dumps(match_record(name, match), sort_keys=True)
         with self._lock:
             if self._closed:
                 raise ValueError("sink is closed")
             faults.fire("sink.write")
-            self._handle.write(line)
+            self._handle.write(line + "\n")
             self.count += 1
 
     def rotate(self) -> int:

@@ -15,7 +15,7 @@ import pytest
 from repro.service import ServiceGateway
 from repro.service.http import ServiceHTTPServer, _parse_edge_body
 
-from .conftest import chain_config, chain_records
+from .conftest import chain_config, chain_edges, chain_records
 
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
@@ -194,6 +194,9 @@ class TestParseEdgeBody:
         # A bare array cannot carry a request id.
         assert _parse_edge_body(json.dumps([record]).encode())[1] is None
 
+    def test_nesting_past_the_stack_is_a_bad_body_not_a_crash(self):
+        assert _parse_edge_body(b"[" * 100_000 + b"]" * 100_000) is None
+
 
 class _WSClient:
     """A tiny blocking RFC 6455 client for tests."""
@@ -310,3 +313,58 @@ class TestWebSocket:
         opcode, payload = client.recv_frame()
         assert opcode == 0xA and payload == b"ping"
         client.close()
+
+
+class TestMatchEncodedOnce:
+    """A match is turned into a record once and into JSON once, whoever
+    is listening: the log line and every subscriber's frame are the same
+    bytes."""
+
+    def test_three_subscribers_and_the_log_share_one_encode(
+            self, served, tmp_path, monkeypatch):
+        import repro.service.gateway as gateway_module
+        import repro.sinks as sinks_module
+        from .test_gateway import read_match_log
+
+        gateway, port = served
+        clients = [_WSClient(port, "/tenants/t0/stream") for _ in range(3)]
+        hub = gateway.tenant("t0").hub
+        deadline = time.monotonic() + 10
+        while hub.subscriber_count() < 3:
+            assert time.monotonic() < deadline, "subscriptions never landed"
+            time.sleep(0.01)
+
+        calls = {"record": 0, "encode": 0}
+        real_record, real_dumps = sinks_module.match_record, json.dumps
+
+        def counting_record(name, match):
+            calls["record"] += 1
+            return real_record(name, match)
+
+        def counting_dumps(*args, **kwargs):
+            if kwargs.get("sort_keys"):     # only match lines sort keys
+                calls["encode"] += 1
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(sinks_module, "match_record", counting_record)
+        monkeypatch.setattr(gateway_module, "match_record", counting_record)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        tenant = gateway.tenant("t0")
+        tenant.ingest_edges(chain_edges())
+        assert gateway.wait_idle(10)
+        payloads = []
+        for client in clients:
+            frames = []
+            while len(frames) < 3:
+                opcode, payload = client.recv_frame()
+                if opcode == 0x1:
+                    frames.append(payload)
+            payloads.append(frames)
+            client.close()
+        monkeypatch.undo()
+
+        assert calls == {"record": 3, "encode": 3}
+        assert payloads[0] == payloads[1] == payloads[2]
+        tenant.checkpoint()                 # seals the match-log segment
+        logged = read_match_log(tmp_path / "state")
+        assert sorted(payloads[0]) == [line.encode() for line in logged]
