@@ -475,86 +475,97 @@ class Session:
     # ------------------------------------------------------------------ #
     # Streaming
     # ------------------------------------------------------------------ #
-    def _on_expired(self, group_key: Tuple, edge: StreamEdge) -> None:
-        """Hand an edge a group's window dropped to the ``_expire`` hook
-        of the members that ingested it — found through the same route
-        lookup that delivered it, so only its (typically tiny) target
-        list is visited, not all Q matchers.  Runs as the window slides,
-        before the displacing arrival is inserted."""
+    def _on_expired(self, group_key: Tuple,
+                    edges: List[StreamEdge]) -> None:
+        """Hand the prefix a group's window dropped, oldest first, to the
+        ``_expire`` hook of the members that ingested each edge — found
+        through the same route lookup that delivered it, so only its
+        (typically tiny) target list is visited, not all Q matchers.
+        Runs as the window slides, before the displacing arrival is
+        inserted."""
         if not self._retaining:
             return
-        timestamp = edge.timestamp
-        for _, record in self._index.targets(edge):
-            if record.group_key != group_key:
-                continue
-            # Watermark-paired delivery: a member ingested a buffered
-            # edge exactly when it arrived after the member's view was
-            # attached — admission never buffers an in-window duplicate,
-            # so one buffer never holds two bearers of an id, and a
-            # mid-stream registrant never hears of an edge it never saw.
-            # A stateless member stored nothing to expire.
-            matcher = record.matcher
-            if not matcher.stateless and timestamp > matcher.window.since:
-                matcher._expire(edge)
+        targets = self._index.targets
+        for edge in edges:
+            timestamp = edge.timestamp
+            for _, record in targets(edge):
+                # Watermark-paired delivery: a member ingested a buffered
+                # edge exactly when it arrived after the member's view
+                # was attached — admission never buffers an in-window
+                # duplicate, so one buffer never holds two bearers of an
+                # id, and a mid-stream registrant never hears of an edge
+                # it never saw.  A stateless member stored nothing.
+                matcher = record.matcher
+                if record.group_key == group_key and not matcher.stateless \
+                        and timestamp > matcher.window.since:
+                    matcher._expire(edge)
 
-    def _arrive(self, edge: StreamEdge,
-                forced=None) -> List[Tuple[str, Match]]:
-        """One arrival through admit → route → match → emit.
+    def _ingest(self, edges: Iterable[StreamEdge], consume,
+                forced: Optional[list] = None) -> None:
+        """The one ingest loop — behind :meth:`push_many` / :meth:`ingest`
+        and a shard worker's batches: admit → route → insert per arrival.
 
-        Admission judges the arrival against the stream and slides the
-        shared windows (see :meth:`repro.ingest.Admission.admit`;
-        ``forced`` is its shard-worker argument); privately-buffering
-        matchers keep their per-matcher duplicate peek, folded into the
-        same all-or-nothing rejection.  The route index then hands back
-        the records of the matchers that can consume the edge, and only
-        those run.
+        Admission judges each arrival against the stream and slides the
+        shared windows, handing their expired prefixes to
+        :meth:`_on_expired` (see :meth:`repro.ingest.Admission.admit`;
+        ``forced[i]`` is arrival ``i``'s shard-worker argument);
+        privately-buffering matchers keep their per-matcher duplicate
+        peek, folded into the same all-or-nothing rejection.  The route
+        index then hands back the records of the matchers that can
+        consume the edge, and only those run.  Every match is delivered
+        to the sinks as it is found; ``consume(i, pairs)`` then receives
+        the ``(name, match)`` pairs of each arrival that completed any,
+        ``i`` being the arrival's index in ``edges``.
         """
-        offenders: list = []
-        for entry in self._index.always:    # holds every private matcher
-            if entry[1].group_key is None:
-                # would_reject is optional: a protocol matcher from a
-                # factory that doesn't implement it keeps its own
-                # duplicate handling.
-                check = getattr(entry[1].matcher, "would_reject", None)
-                if check is not None and check(edge):
-                    offenders.append(entry)
-        live = self._admission.admit(edge, forced, offenders)
-        if live is not None:
-            # Dropped like the per-matcher skip path, and counted where
-            # the member's policy asks for it.
-            for key in live:
-                for _, record in self._admission.groups[key].entries("count"):
-                    record.matcher.stats.edges_skipped += 1
-        results: List[Tuple[str, Match]] = []
-        visited = 0
-        for _, record in self._index.targets(edge):
-            matcher = record.matcher
-            if matcher is None:
-                # A sink callback deregistered this query earlier in the
-                # arrival — the target list is a snapshot.
-                continue
-            visited += 1
-            key = record.group_key
-            if key is None:
-                # Privately-buffering matcher: full lock-step push.
-                matches = matcher.push(edge)
-            elif live is not None and key in live:
-                continue    # duplicate: dropped for this whole group
-            else:
-                self.routed_pushes += 1
-                matches = matcher._insert(edge)
-            for match in matches:
-                results.append((record.name, match))
-                self._deliver(record, match)
-        # Private matchers are always visited, so this counts members.
-        self.skipped_matchers += len(self._queries) - visited
-        return results
+        admission, index, queries = self._admission, self._index, self._queries
+        for i, edge in enumerate(edges):
+            offenders: list = []
+            for entry in index.always:    # holds every private matcher
+                if entry[1].group_key is None:
+                    # would_reject is optional: a protocol matcher from a
+                    # factory that doesn't implement it keeps its own
+                    # duplicate handling.
+                    check = getattr(entry[1].matcher, "would_reject", None)
+                    if check is not None and check(edge):
+                        offenders.append(entry)
+            live = admission.admit(
+                edge, None if forced is None else forced[i], offenders)
+            if live is not None:
+                # Dropped like the per-matcher skip path, and counted
+                # where the member's policy asks for it.
+                for key in live:
+                    for _, record in admission.groups[key].entries("count"):
+                        record.matcher.stats.edges_skipped += 1
+            targets = index.targets(edge)
+            # Counted at routing time: a sink callback below may
+            # deregister queries, but every target here gets its visit.
+            self.skipped_matchers += len(queries) - len(targets)
+            results: List[Tuple[str, Match]] = []
+            for _, record in targets:
+                matcher = record.matcher
+                if matcher is None:
+                    # A sink callback deregistered this query earlier in
+                    # the arrival — the target list is a snapshot.
+                    continue
+                key = record.group_key
+                if key is None:
+                    # Privately-buffering matcher: full lock-step push.
+                    matches = matcher.push(edge)
+                elif live is not None and key in live:
+                    continue    # duplicate: dropped for this whole group
+                else:
+                    self.routed_pushes += 1
+                    matches = matcher._insert(edge)
+                for match in matches:
+                    results.append((record.name, match))
+                    self._deliver(record, match)
+            if results:
+                consume(i, results)
 
     def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
-        """The one ingest driver: every arrival's ``(name, match)`` list
-        goes to ``consume``."""
-        for edge in edges:
-            consume(self._arrive(edge))
+        """The session-side ingest entry point: each arrival's ``(name,
+        match)`` list goes to ``consume``."""
+        self._ingest(edges, lambda _, results: consume(results))
 
     def push(self, edge: StreamEdge) -> List[Tuple[str, Match]]:
         """Deliver one arrival to every query that can consume it.

@@ -221,18 +221,25 @@ class _ShardServer:
 
         Every row carries the facade's stream-level duplicate judgement
         (the *forced* group keys), which the sub-session folds into its
-        own — local-buffer — probe.
+        own — local-buffer — probe.  The rows run through the session's
+        own ingest loop.
         """
-        session = self.session
         started = self.clock()
         results: List[Tuple[int, str, Match]] = []
-        try:
-            for idx, payload, forced in rows:
+
+        def edges():
+            for _, payload, _ in rows:
                 edge = payload if isinstance(payload, StreamEdge) \
                     else _edge_from_wire(payload)
                 self.edges_received += 1
-                for name, match in session._arrive(edge, forced):
-                    results.append((idx, name, match))
+                yield edge
+
+        try:
+            self.session._ingest(
+                edges(),
+                lambda i, pairs: results.extend(
+                    (rows[i][0], name, match) for name, match in pairs),
+                [forced for _, _, forced in rows])
         finally:
             self.last_batch_seconds = self.clock() - started
             self.busy_seconds += self.last_batch_seconds

@@ -15,9 +15,12 @@ Two plan kinds, chosen from the query's shape alone:
 
 * **stored** (two or more query edges) — the expansion lists above.  What
   an arrival matched is decided once, at insertion: the engine remembers
-  the sub-queries that stored it and expiry pops that record instead of
-  matching labels a second time, so an edge that matched nothing expires
-  as one dict miss (Algorithm 3 line 12).
+  the sub-queries whose *first* edge it matched — where it roots partial
+  matches — and expiry pops that record instead of matching labels a
+  second time.  Timestamps strictly increase and windows expire oldest
+  first, so a partial match dies with its root, its oldest edge: an edge
+  stored only below roots, like one that matched nothing, expires as one
+  dict miss (Algorithm 3 line 12).
 * **stateless** (exactly one query edge) — the limiting case of the
   discardable-edge Lemma 1: no later arrival can ever join a one-edge
   match, so its expansion list would be a filtered copy of the window.
@@ -126,14 +129,17 @@ class TimingMatcher(MatcherBase):
         self._position: Dict[EdgeId, Tuple[int, int]] = {
             eid: (si, j)
             for si, seq in enumerate(ordered) for j, eid in enumerate(seq)}
-        #: Match-once registry: id of every live edge some store holds ->
-        #: the sub-query indexes that stored it, written at insertion and
-        #: popped at expiry (edge ids are the stream's identity, exactly
-        #: as in the live-edge registry; labels never key it).  Kept
-        #: beside ``MatcherBase._live_edge_ids`` rather than inside it:
-        #: that registry is ``push``'s own duplicate guard — it holds
-        #: every pushed id, matched or not — while ``insert_edge`` /
-        #: ``delete_edge`` are also driven bare (a session's ``_arrive``,
+        #: Match-once registry: id of every live edge some store holds as
+        #: a root -> the sub-query indexes whose first query edge it
+        #: matched, written at insertion and popped at expiry (edge ids
+        #: are the stream's identity, exactly as in the live-edge
+        #: registry; labels never key it).  Only roots: a partial match
+        #: dies with its oldest edge, its root, so an edge stored only
+        #: below roots has nothing of its own to delete.  Kept beside
+        #: ``MatcherBase._live_edge_ids`` rather than inside it: that
+        #: registry is ``push``'s own duplicate guard — it holds every
+        #: pushed id, matched or not — while ``insert_edge`` /
+        #: ``delete_edge`` are also driven bare (a session's ingest loop,
         #: the concurrent executor, the lock-trace collectors), where no
         #: such registry is maintained at all.
         self._touched: Dict[object, Tuple[int, ...]] = {}
@@ -419,20 +425,24 @@ class TimingMatcher(MatcherBase):
         matched = self.query.matching_edge_ids(edge)
         if not matched:
             return []
-        # Decided once, here: expiry pops this instead of re-matching.
         position = self._position
-        self._touched[edge.edge_id] = (
-            (position[matched[0]][0],) if len(matched) == 1
-            else tuple(sorted({position[eid][0] for eid in matched})))
         results: List[Match] = []
         produced_anything = False
+        roots: Tuple[int, ...] = ()
         for eid in matched:
             si, j = position[eid]
+            if j == 0:
+                roots += (si,)
             delta = self._insert_into_subquery(si, j, edge, guard)
             if delta:
                 produced_anything = True
                 if j == len(self.join_order[si]) - 1:
                     results.extend(self._propagate(si, delta, guard))
+        if roots:
+            # Decided once, here: expiry pops this instead of re-matching
+            # (sorted: a guarded delete locks in canonical order).
+            self._touched[edge.edge_id] = \
+                roots if len(roots) == 1 else tuple(sorted(roots))
         stats.edges_matched += 1
         if not produced_anything:
             stats.edges_discarded += 1
@@ -443,18 +453,23 @@ class TimingMatcher(MatcherBase):
                               guard) -> List[Tuple[object, Tuple[StreamEdge, ...]]]:
         """Lines 1–10 of Algorithm 1 for one matched query edge.
 
-        When subquery ``si`` is backed by a shared sub-plan store, the
-        arrival's *first* consumer (session-wide) computes the delta and
-        memoises it on the record; every later consumer replays the memo —
-        an O(1) hit that keeps the shared store written exactly once per
-        arrival however many queries contain the sub-plan.
+        When subquery ``si`` is backed by a shared sub-plan store with a
+        second consumer, the arrival's *first* consumer (session-wide)
+        computes the delta and memoises it on the record; every later
+        consumer replays the memo — an O(1) hit that keeps the shared
+        store written exactly once per arrival however many queries
+        contain the sub-plan.  A record with one consumer and no memo
+        left is neither probed nor written: nobody else would read it.
         """
         record = self._shared_subplans.get(si)
         if record is not None:
-            cached = record.lookup(edge, j)
-            if cached is not None:
-                self.stats.subplan_reuses += 1
-                return cached
+            if record.consumers < 2 and record._delta_key is None:
+                record = None
+            else:
+                cached = record.lookup(edge, j)
+                if cached is not None:
+                    self.stats.subplan_reuses += 1
+                    return cached
         store = self._tc_stores[si]
         if j == 0:
             if guard is not None:
@@ -649,17 +664,19 @@ class TimingMatcher(MatcherBase):
     def delete_edge(self, edge: StreamEdge, guard=None) -> int:
         """Handle ``Del(σ)``: drop every partial match containing ``σ``.
 
-        Returns the number of partial matches removed.  Edges that never
-        matched a query edge are skipped without touching any store
-        (Algorithm 3 line 12) — and without matching labels again: what
-        ``σ`` matched was recorded by :meth:`insert_edge`, so ``Del(σ)``
-        must follow (the start of) ``Ins(σ)``, as it does in every serial
-        driver and in :class:`~repro.concurrency.executor.
-        ConcurrentStreamExecutor`.  The stateless plan stored nothing.
+        Returns the number of partial matches removed.  Precondition
+        (FIFO): ``σ`` is the oldest live edge this engine stores, which
+        every window delivers — so every live partial match containing
+        ``σ`` has ``σ`` as its root, and only the sub-queries whose first
+        query edge ``σ`` matched can hold one (Algorithm 2 line 1).  Any
+        other edge is skipped without touching a store (Algorithm 3 line
+        12) — and without matching labels again: what ``σ`` matched was
+        recorded by :meth:`insert_edge`, so ``Del(σ)`` must follow (the
+        end of) ``Ins(σ)``, as it does in every serial caller and in
+        :class:`~repro.concurrency.executor.ConcurrentStreamExecutor`.
+        The stateless plan stored nothing.
         """
         self.stats.expired_edges += 1
-        # Only the subqueries owning a matched query edge can store σ
-        # (Algorithm 2 line 1).
         touched = self._touched.pop(edge.edge_id, None)
         if touched is None:
             return 0

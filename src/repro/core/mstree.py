@@ -10,8 +10,12 @@ prefixes are stored once.  Per the paper:
   (expansion-list items are read horizontally, not from the root);
 * insertion is **O(1)** — the parent node is known from the join that
   produced the match, no root-to-leaf traversal happens;
-* deletion of an expired edge removes exactly the nodes carrying that edge
-  plus their descendants, linear in the number of expired partial matches.
+* deletion follows timing order: a child is inserted after its parent's
+  edge arrived (Definition 1's strictly increasing timestamps), so a FIFO
+  window expires every ancestor first and any live partial match holding
+  the expiring edge holds it at its root.  Deletion removes that root's
+  subtree — linear in the number of expired partial matches — and an edge
+  stored only below a root is a dict miss.
 
 Two stores are built on the tree:
 
@@ -201,7 +205,9 @@ class MSTreeTCStore:
     def __init__(self, length: int) -> None:
         self.length = length
         self.tree = MSTree(length, on_remove=self._node_removed)
-        self._by_edge: Dict[StreamEdge, Set[MSTreeNode]] = {}
+        # Depth-1 nodes by their edge: the only registry expiry needs (see
+        # delete_edge).
+        self._roots: Dict[StreamEdge, MSTreeNode] = {}
         self._leaf_observers: List[Callable[[MSTreeNode], None]] = []
         # Join-key indexes registered by the engine (empty in scan mode).
         # Level lists read newest-first, so the indexes mirror that order.
@@ -240,11 +246,8 @@ class MSTreeTCStore:
         """
         node = self.tree.insert(parent, edge)
         assert node.depth == level
-        nodes = self._by_edge.get(edge)
-        if nodes is None:
-            self._by_edge[edge] = {node}
-        else:
-            nodes.add(node)
+        if level == 1:
+            self._roots[edge] = node
         flat = prefix + (edge,)
         node.flat_cache = flat
         self.indexes.on_insert(level, node, flat)
@@ -275,24 +278,19 @@ class MSTreeTCStore:
     def delete_edge(self, edge: StreamEdge) -> int:
         """Remove every partial match containing ``edge`` (paper §IV-B).
 
-        The edge→nodes registry locates the carrying nodes directly, so the
-        cost is linear in the number of expired partial matches.
+        Precondition (FIFO): ``edge`` is the oldest live edge, which every
+        window delivers.  A stored match's edges follow its timing order,
+        so its root edge is its oldest; a match holding ``edge`` below its
+        root died with that older root.  The live matches containing
+        ``edge`` are therefore exactly the subtree of its depth-1 node:
+        one registry pop, then work linear in the expired partial matches.
         """
-        nodes = self._by_edge.pop(edge, None)
-        if not nodes:
+        root = self._roots.pop(edge, None)
+        if root is None:
             return 0
-        removed = 0
-        for node in list(nodes):
-            if node.alive:
-                removed += self.tree.remove_subtree(node)
-        return removed
+        return self.tree.remove_subtree(root)
 
     def _node_removed(self, node: MSTreeNode) -> None:
-        bucket = self._by_edge.get(node.payload)
-        if bucket is not None:
-            bucket.discard(node)
-            if not bucket:
-                self._by_edge.pop(node.payload, None)
         if self.indexes.has(node.depth):
             # The flat cache is seeded at insertion, so the join-key of a
             # dying node (or of a descendant removed in the same cascade)
@@ -429,7 +427,10 @@ class GlobalMSTreeStore:
 
     def delete_edge(self, edge: StreamEdge) -> int:
         """No-op: ``M₀`` holds no edges directly — expiry cascades in from
-        the subquery trees through the dependency links."""
+        the subquery trees through the dependency links, under their FIFO
+        precondition (``edge`` is the oldest live edge): an entry dies
+        with the first of its sub-matches to die, which is the one whose
+        root is its oldest edge."""
         return 0
 
     # -- cascade wiring -----------------------------------------------------

@@ -8,9 +8,13 @@ interface, same results); the differences the paper measures are
 * **space** — a level-``i`` entry costs ``i`` cells instead of one node;
 * **maintenance** — inserting copies the whole prefix (O(i) vs O(1)).
 
-Both stores keep an edge → entries registry so deletion remains linear in
-the number of expired partial matches (the comparison isolates the storage
-representation, not the expiry algorithm).  ``delete_edge`` is idempotent
+Both stores register each entry once, under its *oldest* edge — for a
+subquery entry its first edge, for a global entry the earliest of its
+sub-matches' first edges — and a FIFO window expires that edge before any
+other of the entry's, so deletion pops one registry bucket and is linear
+in the number of expired partial matches.  That is the MS-tree's
+root-subtree deletion on flat tuples: the comparison isolates the storage
+representation, not the expiry algorithm.  ``delete_edge`` is idempotent
 (the registry entry is popped on first delivery), which is what lets a
 *shared* sub-plan store (see :class:`~repro.api.SharedSubplanStore`) be
 expired exactly once however many engines consume it: the first consumer's
@@ -20,7 +24,8 @@ expired exactly once however many engines consume it: the first consumer's
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Dict, List, Sequence, Tuple
 
 from ..graph.edge import StreamEdge
 from .index import StoreIndexes
@@ -34,15 +39,18 @@ ROOT = object()
 
 _Entry = Tuple[int, int]  # (level, key)
 
+_timestamp = attrgetter("timestamp")
+
 
 class _FlatLevels:
-    """Shared guts: per-level dict of key → flat edge tuple + edge registry."""
+    """Shared guts: per-level dict of key → flat edge tuple + a registry
+    of entries by their oldest edge."""
 
     def __init__(self, length: int) -> None:
         self.length = length
         self._levels: List[Dict[int, Tuple[StreamEdge, ...]]] = [
             {} for _ in range(length)]
-        self._by_edge: Dict[StreamEdge, Set[_Entry]] = {}
+        self._by_oldest: Dict[StreamEdge, List[_Entry]] = {}
         # Join-key indexes registered by the engine (empty when the engine
         # runs in scan mode); maintained on store/delete below.
         self.indexes = StoreIndexes(length)
@@ -51,12 +59,16 @@ class _FlatLevels:
         # *different* levels of the same store.
         self._next_key = itertools.count()
 
-    def store(self, level: int, edges: Tuple[StreamEdge, ...]) -> _Entry:
+    def store(self, level: int, edges: Tuple[StreamEdge, ...],
+              oldest: StreamEdge) -> _Entry:
         key = next(self._next_key)
         self._levels[level - 1][key] = edges
         entry = (level, key)
-        for edge in edges:
-            self._by_edge.setdefault(edge, set()).add(entry)
+        bucket = self._by_oldest.get(oldest)
+        if bucket is None:
+            self._by_oldest[oldest] = [entry]
+        else:
+            bucket.append(entry)
         self.indexes.on_insert(level, entry, edges)
         return entry
 
@@ -65,24 +77,21 @@ class _FlatLevels:
                 for key, edges in self._levels[level - 1].items()]
 
     def delete_edge(self, edge: StreamEdge) -> int:
-        entries = self._by_edge.pop(edge, None)
-        if not entries:
+        """Remove every entry containing ``edge``.
+
+        Precondition (FIFO): ``edge`` is the oldest live edge, which every
+        window delivers.  An entry holding ``edge`` anywhere but as its
+        oldest edge died when that older edge expired, so the entries
+        registered under ``edge`` are all that is left to remove.
+        """
+        entries = self._by_oldest.pop(edge, None)
+        if entries is None:
             return 0
-        removed = 0
-        for level, key in entries:
-            edges = self._levels[level - 1].pop(key, None)
-            if edges is None:
-                continue
-            removed += 1
-            self.indexes.on_remove(level, (level, key), edges)
-            for other in edges:
-                if other != edge:
-                    bucket = self._by_edge.get(other)
-                    if bucket is not None:
-                        bucket.discard((level, key))
-                        if not bucket:
-                            self._by_edge.pop(other, None)
-        return removed
+        levels, on_remove = self._levels, self.indexes.on_remove
+        for entry in entries:
+            level, key = entry
+            on_remove(level, entry, levels[level - 1].pop(key))
+        return len(entries)
 
     def count(self, level: int) -> int:
         return len(self._levels[level - 1])
@@ -114,7 +123,8 @@ class IndependentTCStore:
         storage has no structural sharing; copying the prefix is exactly the
         O(i) maintenance overhead the MS-tree comparison measures.
         """
-        return self._flat.store(level, prefix + (edge,))
+        flat = prefix + (edge,)
+        return self._flat.store(level, flat, flat[0])
 
     def add_index(self, level: int, refs):
         """Register (or share) a join-key index over ``level`` (see
@@ -135,6 +145,8 @@ class IndependentTCStore:
         return self._flat._levels[level - 1][key]
 
     def delete_edge(self, edge: StreamEdge) -> int:
+        """Remove every partial match containing ``edge``, the oldest live
+        edge (FIFO — see :meth:`_FlatLevels.delete_edge`)."""
         return self._flat.delete_edge(edge)
 
     def count(self, level: int) -> int:
@@ -159,8 +171,8 @@ class GlobalIndependentStore:
     Level 1 is virtual exactly as in the MS-tree global store: ``Ω(L₀¹)``
     delegates to the first subquery store.  Unlike the MS-tree variant,
     expired edges must be deleted here explicitly (the engine calls
-    :meth:`delete_edge` for every expired edge) because there are no
-    dependency links.
+    :meth:`delete_edge` for every expired edge that was a sub-match's
+    first) because there are no dependency links.
     """
 
     def __init__(self, sub_stores: Sequence[IndependentTCStore]) -> None:
@@ -185,7 +197,9 @@ class GlobalIndependentStore:
         """
         if level < 2 or level > self.k:
             raise ValueError(f"global insert level out of range: {level}")
-        return self._flat.store(level, prefix + sub_flat)
+        flat = prefix + sub_flat
+        # The earliest of the sub-matches' first edges: the entry's oldest.
+        return self._flat.store(level, flat, min(flat, key=_timestamp))
 
     def add_index(self, level: int, refs):
         """Register a join-key index over global level ``level`` (≥ 2 —
@@ -196,6 +210,8 @@ class GlobalIndependentStore:
         return self._flat.indexes.register(level, refs)
 
     def delete_edge(self, edge: StreamEdge) -> int:
+        """Remove every global entry containing ``edge``, the oldest live
+        edge (FIFO — see :meth:`_FlatLevels.delete_edge`)."""
         return self._flat.delete_edge(edge)
 
     def count(self, level: int) -> int:

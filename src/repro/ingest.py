@@ -99,13 +99,14 @@ class Admission:
     treating a replayed id as fresh merely because it missed the
     original.
 
-    ``on_expired(group_key, edge)`` receives every edge a group's window
-    drops, as it drops it; a session whose engines live elsewhere (the
-    sharded facade) passes none.
+    ``on_expired(group_key, edges)`` receives, once per group and slide,
+    the whole prefix a group's window drops, oldest first, as it drops it;
+    a session whose engines live elsewhere (the sharded facade) passes
+    none.
     """
 
     def __init__(self, on_expired: Optional[
-            Callable[[Tuple, StreamEdge], None]] = None) -> None:
+            Callable[[Tuple, List[StreamEdge]], None]] = None) -> None:
         self.groups: Dict[Tuple, WindowGroup] = {}
         #: The latest accepted timestamp.
         self.clock = float("-inf")
@@ -191,8 +192,7 @@ class Admission:
             else:
                 expired = group.window.push(edge)
             if expired and on_expired is not None:
-                for old in expired:
-                    on_expired(key, old)
+                on_expired(key, expired)
         return frozenset(live) if live is not None else None
 
     def advance(self, timestamp: float) -> None:
@@ -204,8 +204,7 @@ class Admission:
         for key, group in self.groups.items():
             expired = group.window.advance(timestamp)
             if expired and on_expired is not None:
-                for old in expired:
-                    on_expired(key, old)
+                on_expired(key, expired)
 
 
 class RouteIndex:

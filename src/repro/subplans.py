@@ -33,8 +33,13 @@ class SharedSubplanStore:
     memo: the first consuming engine to process an arrival performs the
     insertion and remembers the per-position deltas; every later consumer
     replays them as an O(1) cache hit, so the store is written exactly once
-    per arrival regardless of fan-in.  Expiry is exactly-once by
-    idempotence (``delete_edge`` pops the edge registry on first delivery).
+    per arrival regardless of fan-in.  The memo is kept only while a second
+    consumer exists to read it: a lone consumer neither probes nor writes
+    it (consumers change between arrivals — a joiner adopts only an empty
+    store — or, when a sink callback deregisters one mid-arrival, the memo
+    already written for that arrival is still read before
+    :meth:`remember` drops it).  Expiry is exactly-once by idempotence
+    (``delete_edge`` pops the registry on first delivery).
 
     ``consumers`` is the refcount maintained by
     :meth:`Session.register <repro.api.Session.register>` /
@@ -62,6 +67,8 @@ class SharedSubplanStore:
         #: Per-position insertions served from the delta memo instead of
         #: being recomputed (the work sharing saves, in join units).
         self.reuses = 0
+        #: The arrival the memo holds deltas of, ``None`` when it holds
+        #: none.
         self._delta_key: Optional[Tuple] = None
         self._deltas: Dict[int, list] = {}
 
@@ -78,10 +85,15 @@ class SharedSubplanStore:
 
     def remember(self, edge: StreamEdge, position: int,
                  delta: list) -> None:
-        """Memoise a computed delta for the current arrival.  Stream
+        """Memoise a computed delta for the current arrival — or, with no
+        second consumer left to read it, drop the memo.  Stream
         timestamps strictly increase, so ``(edge_id, timestamp)`` uniquely
         names the arrival and a stale memo can never be mistaken for a
         later one."""
+        if self.consumers < 2:
+            self._delta_key = None
+            self._deltas = {}
+            return
         key = (edge.edge_id, edge.timestamp)
         if self._delta_key != key:
             self._delta_key = key

@@ -3,8 +3,9 @@
 A stored-plan engine calls ``QueryGraph.matching_edge_ids`` once per
 arrival — never again when the edge expires — and an arrival that matched
 no query edge expires without any store's ``delete_edge`` running
-(Algorithm 3 line 12).  The guard still sees the item sequence it saw
-before the engine remembered anything.
+(Algorithm 3 line 12) — and nor does one stored only below roots, since
+FIFO expiry removes a partial match with its root.  A guarded delete
+locks exactly the items of the sub-queries the expiring edge roots.
 """
 
 import hashlib
@@ -104,12 +105,31 @@ class TestUnmatchedEdgeTouchesNoStore:
         assert store_deletes["n"] == 0
 
 
+def root_delete_items(engine, edge):
+    """What ``Del(edge)`` locks: every level of each sub-query whose
+    *first* query edge ``edge`` matched — a root's subtree spans them all
+    — then ``L₀² … L₀ᵏ``; nothing when ``edge`` roots no partial match."""
+    roots = sorted(engine._position[eid][0]
+                   for eid in engine.query.matching_edge_ids(edge)
+                   if engine._position[eid][1] == 0)
+    if not roots:
+        return []
+    return [("L", si, level) for si in roots
+            for level in range(1, len(engine.join_order[si]) + 1)] \
+        + [("L0", level) for level in range(2, engine.k + 1)]
+
+
 class TestGuardSeesTheSameItems:
-    #: sha256 of the ``(kind, [(item, mode, cost), ...])`` transaction list
-    #: below, taken at the commit before expiry stopped re-matching (it is
-    #: storage-independent: both stores lock the same items).
-    PINNED = (281, "df066fc7e9afae4015ab82e9de79310d"
-                   "360c2c3c186878a82de333736173aa2c")
+    #: ``(ops, sha256)`` of the ``(kind, [(item, mode, cost), ...])``
+    #: transaction list below (storage-independent: both stores lock the
+    #: same items).  Re-pinned when expiry began registering roots only:
+    #: 281 → 154 ops.  The 72 insert ops are unchanged; the deletes went
+    #: from 50 locking transactions (209 ops) to 21 (82), because an edge
+    #: that matched a sub-query only past its first position is stored
+    #: only below roots — FIFO expiry removed those partial matches with
+    #: their older root — and now locks nothing (``root_delete_items``).
+    PINNED = (154, "041d9c1566f792b63fe4fbd9226d7ad7"
+                   "711b4a967d866fd969d2f8bf3f3f2485")
 
     @pytest.mark.parametrize("storage", ["mstree", "independent"])
     def test_lock_trace_of_a_pinned_stream(self, storage):
@@ -120,6 +140,8 @@ class TestGuardSeesTheSameItems:
             for old in engine.window.push(edge):
                 guard = TraceGuard()
                 engine.delete_edge(old, guard)
+                assert [item for item, _, _ in guard.ops] \
+                    == root_delete_items(engine, old)
                 transactions.append(("del", guard.ops))
             guard = TraceGuard()
             engine.insert_edge(edge, guard)

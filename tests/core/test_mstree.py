@@ -101,12 +101,31 @@ class TestMSTreeTCStore:
         assert store.delete_edge(s1) == 0   # registry cleaned
 
     def test_delete_inner_edge_keeps_prefix(self):
+        """FIFO expiry: σ3 extends two roots, both older, so it expires
+        after them.  Each root takes its own subtree and keeps the other
+        root's prefix; σ3 itself is then stored nowhere, one dict miss."""
         store = MSTreeTCStore(2)
-        s1, s3 = sigma(1), sigma(3)
+        s1, s2, s3 = sigma(1), sigma(2), sigma(3)
         n1 = store.insert(1, store.root, (), s1)
+        n2 = store.insert(1, store.root, (), s2)
         store.insert(2, n1, (s1,), s3)
-        assert store.delete_edge(s3) == 1
-        assert [store.count(i) for i in (1, 2)] == [1, 0]
+        store.insert(2, n2, (s2,), s3)
+        assert store.delete_edge(s1) == 2
+        assert {flat for _, flat in store.read(2)} == {(s2, s3)}
+        assert [store.count(i) for i in (1, 2)] == [1, 1]
+        assert store.delete_edge(s2) == 2
+        assert store.delete_edge(s3) == 0
+        assert store.tree.node_count == 0
+
+    def test_only_roots_are_registered(self):
+        """A partial match dies with its root, so the registry names
+        depth-1 nodes only: a deeper edge's delete finds nothing."""
+        store = MSTreeTCStore(3)
+        s1, s3, s4 = sigma(1), sigma(3), sigma(4)
+        n1 = store.insert(1, store.root, (), s1)
+        n2 = store.insert(2, n1, (s1,), s3)
+        store.insert(3, n2, (s1, s3), s4)
+        assert store._roots == {s1: n1}
 
     def test_flat_cache_matches_backtracking(self):
         store = MSTreeTCStore(2)

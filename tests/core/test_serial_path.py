@@ -3,8 +3,8 @@
 A serial call (``guard=None`` — ``push``, a session, a bare
 ``insert_edge(e)`` / ``delete_edge(e)``) names no item and calls no guard,
 not even a no-op one; a call that *is* handed a guard brackets exactly the
-§V item sequence it always did, so the lock traces, the simulator and the
-multi-threaded executor cannot tell.
+§V item sequence of what it can mutate, pinned below, and the
+multi-threaded executor still equals the serial run.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ from repro.core.guard import NullGuard, TraceGuard
 from repro.graph.window import SlidingWindow
 
 from ..conftest import path_query, random_stream
+from .test_match_once import root_delete_items
 
 WINDOW = 2.5
 STREAM = random_stream(20, 300, 7, labels="AB")
@@ -90,15 +91,19 @@ class TestSerialCallsTakeNoGuard:
 
 
 class TestPassedGuardSeesTheSameProtocol:
-    #: ``(ops, sha256)`` of the transaction list below per indexing mode,
-    #: recorded at c50a566 — the commit before a guard-less call stopped
-    #: walking the brackets.  Storage-independent: both stores lock the
-    #: same items; scan and hash differ only in the costs they report.
+    #: ``(ops, sha256)`` of the transaction list below per indexing mode.
+    #: Storage-independent: both stores lock the same items; scan and
+    #: hash differ only in the costs they report.  Re-pinned when expiry
+    #: began registering roots only: 1532 → 1374 ops, all of it in the
+    #: deletes (865 → 707; the 667 insert ops are unchanged) — a delete
+    #: locks only the sub-queries whose first edge the expiring edge
+    #: matched (see ``test_match_once.root_delete_items``), since FIFO
+    #: expiry removes a partial match with its root, its oldest edge.
     PINNED = {
-        "hash": (1532, "879929bf1ae3f6f4dfeb851a82748934"
-                       "abbb77aaa97a819ed36c6e7c3a8bfead"),
-        "scan": (1532, "da6829c95c425cbc17439ab221517eab"
-                       "b1fd14d299730e242fbe4c002e906341"),
+        "hash": (1374, "14b05fb6667c6037e71c2f110eb9ff2e"
+                       "07aad19ad2a180c70333a0e51e2a19ce"),
+        "scan": (1374, "4477aa8178683885963771a568205bc6"
+                       "5124c11c2ce43cde76d359797992c630"),
     }
 
     @pytest.mark.parametrize("indexing", ["hash", "scan"])
@@ -111,6 +116,8 @@ class TestPassedGuardSeesTheSameProtocol:
             for old in window.push(edge):
                 guard = TraceGuard()
                 made.delete_edge(old, guard)
+                assert [item for item, _, _ in guard.ops] \
+                    == root_delete_items(made, old)
                 transactions.append(("del", guard.ops))
             guard = TraceGuard()
             matches.extend(made.insert_edge(edge, guard))

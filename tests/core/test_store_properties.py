@@ -1,10 +1,11 @@
 """Property-based store equivalence: MS-tree ≡ independent, op by op.
 
 Drives both storage backends through identical random operation sequences
-(level inserts forming valid prefix extensions, interleaved with edge
-deletions) and asserts their observable state — per-level flat-tuple sets —
-never diverges.  This isolates the storage layer from the engine, so a
-divergence here pins the bug precisely.
+(level inserts forming valid prefix extensions, interleaved with FIFO edge
+deletions — the oldest live edge, the stores' ``delete_edge`` contract,
+which every window delivers) and asserts their observable state —
+per-level flat-tuple sets — never diverges.  This isolates the storage
+layer from the engine, so a divergence here pins the bug precisely.
 """
 
 from __future__ import annotations
@@ -69,14 +70,16 @@ def test_tc_stores_equivalent_under_random_ops(seed, length, n_ops):
                 entries[level - 1].append((hm, hi, flat + (edge,)))
                 live_edges.append(edge)
         else:
-            victim = live_edges.pop(rng.randrange(len(live_edges)))
+            victim = live_edges.pop(0)      # FIFO: the oldest live edge
             ms.delete_edge(victim)
             ind.delete_edge(victim)
             for level_entries in entries:
                 level_entries[:] = [
                     (hm, hi, flat) for hm, hi, flat in level_entries
                     if victim not in flat]
-        assert level_sets(ms, length) == level_sets(ind, length)
+        assert level_sets(ms, length) == level_sets(ind, length) == [
+            frozenset(flat for _, _, flat in level_entries)
+            for level_entries in entries]
         assert [ms.count(l) for l in range(1, length + 1)] == \
             [ind.count(l) for l in range(1, length + 1)]
 
@@ -86,7 +89,8 @@ def test_tc_stores_equivalent_under_random_ops(seed, length, n_ops):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_global_stores_equivalent_under_random_ops(seed):
     """Two subqueries of lengths 1 and 2; random complete-match inserts into
-    the global level-2 list interleaved with deletions."""
+    the global level-2 list interleaved with FIFO deletions.  Either
+    sub-match of an entry may be the older one."""
     rng = random.Random(seed)
     ms_subs = [MSTreeTCStore(1), MSTreeTCStore(2)]
     ind_subs = [IndependentTCStore(1), IndependentTCStore(2)]
@@ -126,7 +130,7 @@ def test_global_stores_equivalent_under_random_ops(seed):
                 ms_global.insert(2, hm1, flat1, hm2, flat2)
                 ind_global.insert(2, hi1, flat1, hi2, flat2)
         elif live:
-            victim = live.pop(rng.randrange(len(live)))
+            victim = live.pop(0)            # FIFO: the oldest live edge
             for store in ms_subs:
                 store.delete_edge(victim)
             for store in ind_subs:

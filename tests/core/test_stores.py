@@ -104,8 +104,25 @@ class TestGlobalIndependentStore:
 
     def test_delete_edge_direct(self):
         """Unlike the MS-tree global store, expired edges are deleted here
-        directly (flattened tuples contain the edges)."""
+        directly (flattened tuples contain the edges).  FIFO expiry: the
+        entry goes with its oldest edge, σ1; its inner σ3 and σ5 expire
+        later and find nothing."""
         store, _, _, leaf1, leaf2, (s1, s3, s5) = self._setup()
         store.insert(2, leaf1, (s1, s3), leaf2, (s5,))
-        assert store.delete_edge(s3) == 1
+        assert store.delete_edge(s1) == 1
+        assert store.count(2) == 0
+        assert store.delete_edge(s3) == store.delete_edge(s5) == 0
+
+    def test_entry_registered_under_earliest_sub_match_start(self):
+        """A later sub-query's match may be older than the first's: the
+        entry's oldest edge is the earliest of its sub-matches' first
+        edges, wherever that sits in the flat tuple."""
+        q1, q2 = IndependentTCStore(2), IndependentTCStore(1)
+        store = GlobalIndependentStore([q1, q2])
+        s2, s4, s6 = sigma(2), sigma(4), sigma(6)
+        leaf2 = q2.insert(1, q2.root, (), s2)
+        h4 = q1.insert(1, q1.root, (), s4)
+        leaf1 = q1.insert(2, h4, (s4,), s6)
+        store.insert(2, leaf1, (s4, s6), leaf2, (s2,))
+        assert store.delete_edge(s2) == 1       # σ2 is the oldest live
         assert store.count(2) == 0

@@ -250,9 +250,10 @@ class TestAdmission:
         first = edge("first", 1.0)
         admission.admit(first)
         admission.admit(edge("second", 3.5))
-        assert seen == [(("time", 2.0), first)]
+        assert seen == [(("time", 2.0), [first])]
         admission.advance(10.0)
-        assert [old.edge_id for _, old in seen] == ["first", "second"]
+        assert [[e.edge_id for e in old] for _, old in seen] \
+            == [["first"], ["second"]]
         with pytest.raises(ValueError, match="time moves backwards"):
             admission.advance(9.0)
         admission.withdraw(("time", 2.0), Q)
