@@ -54,8 +54,8 @@ Subpackages
     The paper's contribution: TC decomposition, expansion lists, MS-tree,
     the Timing engine.
 ``repro.isomorphism``
-    Static subgraph-isomorphism algorithms (Ullmann/VF2/QuickSI/TurboISO/
-    BoostISO flavours) used by the baselines.
+    Static subgraph-isomorphism algorithms (QuickSI/TurboISO/BoostISO
+    flavours) used by the baselines.
 ``repro.baselines``
     SJ-tree, IncMat and naive comparators behind the same ``Matcher``
     protocol.

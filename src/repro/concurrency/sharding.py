@@ -746,8 +746,8 @@ class ShardedSession(Session):
       shuts its workers down as a fallback.
 
     The ``(name, match)`` stream, per-query results, stats and
-    checkpoint round-trips are equivalent to ``sharding="none"``; the
-    differential suite ``tests/test_sharded_session.py`` pins that.
+    checkpoint round-trips are those of the naive matcher, as for
+    ``sharding="none"``; ``tests/test_session_model.py`` pins that.
     """
 
     def __init__(self, **session_options) -> None:

@@ -364,6 +364,16 @@ class ShmRing:
 # The edge codec
 # --------------------------------------------------------------------- #
 
+def _intern_key(value):
+    """``value`` as an intern-table key: anything but a string or ``None``
+    carries its type, since ``1``, ``True`` and ``1.0`` are equal."""
+    if value is None or type(value) is str:
+        return value
+    if type(value) is tuple:
+        return (tuple, *map(_intern_key, value))
+    return (type(value), value)
+
+
 class InternTable:
     """Producer-side value→id table with FIFO id recycling.
 
@@ -402,7 +412,8 @@ class InternTable:
         Raises ``TypeError`` for unhashable values (the caller's cue to
         overflow the row).
         """
-        ident = self._ids.get(value)
+        key = _intern_key(value)
+        ident = self._ids.get(key)
         if ident is not None:
             referenced.add(ident)
             return ident
@@ -414,8 +425,8 @@ class InternTable:
             old = self._slots[cand]
             if old is not _UNSET:
                 del self._ids[old]
-            self._slots[cand] = value
-            self._ids[value] = cand
+            self._slots[cand] = key
+            self._ids[key] = cand
             self.pending.append((cand, value))
             referenced.add(cand)
             return cand
@@ -472,15 +483,16 @@ class BatchEncoder:
             # Fast path: every field already interned (``None`` is
             # pre-bound), float timestamp, default edge id.  This is the
             # steady-state shape once the vertex/label universe has been
-            # seen, so it skips the per-field dispatch entirely.
+            # seen, so it skips the per-field dispatch entirely (a vertex
+            # field but a string or ``None`` misses: typed path below).
             if (no_evict and type(timestamp) is float
                     and type(edge_id) is tuple and len(edge_id) == 3
                     and edge_id[0] is src and edge_id[1] is dst
                     and edge_id[2] is timestamp):
                 try:
                     buf += (idx, _FAST_FLAGS_F, ids[src], ids[dst],
-                            ids[src_label], ids[dst_label], ids[label],
-                            timestamp, 0.0)
+                            ids[src_label], ids[dst_label],
+                            ids[_intern_key(label)], timestamp, 0.0)
                     packed += 1
                     continue
                 except (KeyError, TypeError):

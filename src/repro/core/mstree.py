@@ -117,9 +117,6 @@ class MSTree:
         self._levels: List[_Level] = [_Level() for _ in range(depth)]
         self._on_remove = on_remove
 
-    def set_on_remove(self, callback: Callable[[MSTreeNode], None]) -> None:
-        self._on_remove = callback
-
     @property
     def node_count(self) -> int:
         """Total live nodes.  Derived from per-level counts, each of which is

@@ -4,19 +4,12 @@ from .base import StaticMatcher
 from .boostiso import BoostISO
 from .quicksi import QuickSI
 from .turboiso import TurboISO
-from .ullmann import Ullmann
-from .vf2 import VF2
-from .wcoj import WCOJMatcher
 
-#: Registry used by the benchmark harness to instantiate IncMat variants.
+#: The algorithms the paper plugs into IncMat (§VII), by name.
 ALGORITHMS = {
-    "Ullmann": Ullmann,
-    "VF2": VF2,
     "QuickSI": QuickSI,
     "TurboISO": TurboISO,
     "BoostISO": BoostISO,
-    "WCOJ": WCOJMatcher,
 }
 
-__all__ = ["StaticMatcher", "Ullmann", "VF2", "QuickSI", "TurboISO",
-           "BoostISO", "WCOJMatcher", "ALGORITHMS"]
+__all__ = ["StaticMatcher", "QuickSI", "TurboISO", "BoostISO", "ALGORITHMS"]

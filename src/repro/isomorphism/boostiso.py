@@ -30,16 +30,20 @@ class BoostISO(QuickSI):
         self._requirements_cache: Dict[int, Dict[VertexId, Counter]] = {}
 
     def _neighbor_requirements(self, query: QueryGraph) -> Dict[VertexId, Counter]:
-        """Per query vertex: multiset of neighbour labels it requires."""
+        """Per query vertex: the labels of its distinct other neighbours,
+        counted as :meth:`SnapshotGraph.neighbors` counts data ones."""
         key = id(query)
         cached = self._requirements_cache.get(key)
         if cached is not None:
             return cached
-        req: Dict[VertexId, Counter] = {v.vertex_id: Counter()
-                                        for v in query.vertices()}
+        nbrs: Dict[VertexId, set] = {v.vertex_id: set()
+                                     for v in query.vertices()}
         for qedge in query.edges():
-            req[qedge.src][query.vertex_label(qedge.dst)] += 1
-            req[qedge.dst][query.vertex_label(qedge.src)] += 1
+            if qedge.src != qedge.dst:
+                nbrs[qedge.src].add(qedge.dst)
+                nbrs[qedge.dst].add(qedge.src)
+        req = {v: Counter(map(query.vertex_label, others))
+               for v, others in nbrs.items()}
         self._requirements_cache = {key: req}  # single-query cache
         return req
 

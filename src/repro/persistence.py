@@ -37,8 +37,10 @@ JSON cannot round-trip): both directions admit :data:`VALUE_TYPES` and
 nothing else, so a file naming any other class — an engine, a sink,
 ``os.system`` — is refused with :class:`CheckpointCorruptError` before
 anything is constructed, and a label of a class outside the list fails
-at ``checkpoint()``, not at recovery.  ``tests/test_logical_checkpoint.py``
-pins *restored ≡ uninterrupted* and lists what may differ.
+at ``checkpoint()``, not at recovery.  Taken from a sink, a checkpoint
+holds the arrival being delivered as having reached every query (under
+fanout: the queries it had reached).  ``tests/test_session_model.py``
+pins restored ≡ naive; ``tests/test_logical_checkpoint.py``, what differs.
 """
 
 from __future__ import annotations

@@ -362,6 +362,19 @@ class TestCodec:
             assert_rows_equal(
                 roundtrip(encoder, decoder, rows, seq=seq), rows)
 
+    def test_equal_labels_of_different_type_come_back_as_sent(self):
+        """``True``, ``1`` and ``1.0`` compare and hash alike, also
+        inside tuples, but only the int matches ``Prefix("1")``."""
+        encoder, decoder = BatchEncoder(), BatchDecoder()
+        labels = [True, 1, 1.0, (True, "a"), (1, "a"), ("a", 1.0)]
+        rows = [edge_row(i, StreamEdge(
+            "a", "b", src_label="A", dst_label="B", timestamp=float(i),
+            label=label)) for i, label in enumerate(labels)]
+        for seq in (1, 2):              # the second frame is all interned
+            got = roundtrip(encoder, decoder, rows, seq=seq)
+            assert [repr(edge.label) for _, edge, _ in got] \
+                == list(map(repr, labels))
+
     def test_fresh_decoder_detects_desync(self):
         encoder = BatchEncoder()
         rows = [edge_row(0, StreamEdge("a", "b", src_label=None,

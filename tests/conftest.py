@@ -9,12 +9,13 @@ somewhere in the suite.
 
 from __future__ import annotations
 
+import io
 import random
 from typing import List, Sequence, Tuple
 
 import pytest
 
-from repro import QueryGraph, StreamEdge
+from repro import ANY, QueryGraph, StreamEdge
 
 
 def make_edge(src: str, dst: str, timestamp: float, label=None,
@@ -96,6 +97,65 @@ def random_stream(seed: int, n: int, n_vertices: int, *,
         out.append(StreamEdge(u, v, src_label=label_of(u),
                               dst_label=label_of(v), timestamp=t))
     return out
+
+
+def checkpoint(session) -> bytes:
+    """``session``'s checkpoint as bytes."""
+    buffer = io.BytesIO()
+    session.checkpoint(buffer)
+    return buffer.getvalue()
+
+
+VLABELS = "ABC"
+ELABELS = ("x", "y", "z")
+
+
+def labeled_stream(seed: int, n: int, *, n_vertices: int = 12,
+                   dt: float = 0.4, id_pool=None) -> List[StreamEdge]:
+    """Seeded stream with concrete edge labels (so label-triple routing
+    discriminates); with ``id_pool``, edge ids repeat."""
+    rng = random.Random(seed)
+    t = 0.0
+    edges = []
+    for i in range(n):
+        t += rng.random() * dt + 0.01
+        u = rng.randrange(n_vertices)
+        v = rng.randrange(n_vertices)
+        while v == u:
+            v = rng.randrange(n_vertices)
+        edge_id = f"id{i % id_pool}" if id_pool else None
+        edges.append(StreamEdge(
+            f"d{u}", f"d{v}", src_label=VLABELS[u % 3],
+            dst_label=VLABELS[v % 3], timestamp=round(t, 3),
+            label=rng.choice(ELABELS), edge_id=edge_id))
+    return edges
+
+
+def labeled_path_query(n_edges: int, *, vstart: int = 0,
+                       elabels=("x",), timing="chain") -> QueryGraph:
+    """A path over cyclic ``A``/``B``/``C`` vertices from ``vstart``, edges
+    cycling through ``elabels``, timing ``"chain"`` or ``None``."""
+    q = QueryGraph()
+    for i in range(n_edges + 1):
+        q.add_vertex(f"v{i}", VLABELS[(vstart + i) % 3])
+    for i in range(n_edges):
+        q.add_edge(f"e{i}", f"v{i}", f"v{i + 1}",
+                   label=elabels[i % len(elabels)])
+    if timing == "chain":
+        q.add_timing_chain(*[f"e{i}" for i in range(n_edges)])
+    return q
+
+
+def query_set():
+    """Mixed sizes, mixed label selectivity, one wildcard-bearing query
+    (always routed) — fresh QueryGraph objects on every call."""
+    return {
+        "p1x": labeled_path_query(1, vstart=0, elabels=("x",)),
+        "p2y": labeled_path_query(2, vstart=1, elabels=("y",)),
+        "p2xy": labeled_path_query(2, vstart=0, elabels=("x", "y")),
+        "p3": labeled_path_query(3, vstart=2, elabels=("x", "y", "z")),
+        "wild": labeled_path_query(2, vstart=0, elabels=(ANY,)),
+    }
 
 
 @pytest.fixture

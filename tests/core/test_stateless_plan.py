@@ -18,7 +18,6 @@ per-matcher judgement the oracle makes.
 """
 
 import io
-import os
 import random
 from collections import Counter
 
@@ -29,8 +28,6 @@ from repro import (
     ShardedSession, StreamEdge, TimingMatcher,
 )
 from repro.baselines.naive import NaiveSnapshotMatcher
-
-TRANSPORT = os.environ.get("REPRO_TEST_TRANSPORT")
 
 # ``1`` / ``True`` / ``1.0`` compare equal but only the int has prefix
 # text; ("a", "b") meets the inner-wildcard tuple pattern.
@@ -252,9 +249,8 @@ class TestSessionAgainstOracle:
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_process_shards(self, seed):
-        options = {"transport": TRANSPORT} if TRANSPORT else {}
         assert run_session_scenario(
-            seed, sharding="process", shards=2, **options) > 0
+            seed, sharding="process", shards=2) > 0
 
     def test_emission_order_is_registration_order(self):
         session = Session(window=5.0)

@@ -1,16 +1,16 @@
-"""Restored ≡ uninterrupted: the differential suite of the logical checkpoint.
+"""The logical checkpoint: what it keeps, what it refuses, how it fails.
 
 A checkpoint is the query list and the windows; restore registers the
 queries again and replays each window group's buffered edges (see
-:mod:`repro.persistence`).  Every scenario here runs one operation script
-twice — straight through, and through checkpoint → close → restore at the
-marked step — and requires, after every later step: the same ``(name,
-match)`` list from every ``push_many`` (multiset *and* order), the same
-``result_counts()``, ``current_matches()`` (as multisets),
-``space_cells()``, ``stats()``, ``session_stats()``, clock and
-``names()`` — across storage × routing × sharding × window kind,
-mid-stream registrants, deregistration, stateless one-edge queries, all
-four backends, explicit and ``random`` plans.
+:mod:`repro.persistence`).  That a restored session — and a process shard
+killed and restored from its last checkpoint — answers exactly what the
+naive matcher answers, across every mode, is
+``tests/test_session_model.py``'s job.  Pinned here: that a restore
+compared with the uninterrupted session differs in the three ways below
+and no other (measured on the ``bench_e2e`` ``engine_join`` stream),
+privately-buffering matchers, plans rebuilt as they were, checkpoint →
+restore → checkpoint, the refusals, the allow-listed unpickler, and a
+failed sharded restore leaking nothing.
 
 What may differ, and nothing else:
 
@@ -41,13 +41,9 @@ What may differ, and nothing else:
    ``MS_NODE_CELLS`` per such anchor — never higher — until the next
    partner arrives.  ``storage="independent"`` has no anchors.
 
-Two things are not state and are not compared: a sharded session's
-``facade_cpu_seconds`` and ``per_shard`` rows time worker processes, which
-are new after a restore; and the snapshot baselines (``sjtree``,
-``incmat``, ``naive``) enumerate Python sets, whose iteration order
-follows their insertion history, so the matches *one baseline query* emits
-in a row are compared as a multiset (a Timing engine's come in the same
-order, and so does everything else).
+Not state, and not compared: a sharded session's ``facade_cpu_seconds``
+and ``per_shard`` rows time worker processes, which are new after a
+restore.
 
 Checkpoint → restore → checkpoint is compared as *decoded data*, not as
 bytes: ``pickle`` writes a set in hash order and shares equal strings by
@@ -63,8 +59,6 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
@@ -80,11 +74,9 @@ from repro.persistence import (
     CheckpointCorruptError, CheckpointError, _load, load_session,
 )
 
-from .test_session_routing import (
-    labeled_path_query, labeled_stream, query_set,
+from .conftest import (
+    checkpoint, labeled_path_query, labeled_stream, query_set,
 )
-
-TRANSPORT = os.environ.get("REPRO_TEST_TRANSPORT")
 
 #: ``session_stats()`` keys that are not session state (see the module
 #: docstring: item 2 and the worker timings).
@@ -96,21 +88,9 @@ ANSWER_COUNTERS = ("edges_seen", "edges_matched", "matches_emitted",
                    "expired_edges", "edges_skipped")
 
 
-def make_session(**options):
-    if options.get("sharding") == "process" and TRANSPORT:
-        options.setdefault("transport", TRANSPORT)
-    return Session(**options)
-
-
 def close(session):
     if isinstance(session, ShardedSession):
         session.close()
-
-
-def checkpoint(session) -> bytes:
-    buffer = io.BytesIO()
-    session.checkpoint(buffer)
-    return buffer.getvalue()
 
 
 def observe(session) -> dict:
@@ -128,71 +108,14 @@ def observe(session) -> dict:
     }
 
 
-def in_order(produced, unordered):
-    """``produced`` with each run of one baseline query's matches
-    sorted (see the module docstring)."""
-    runs = []
-    for name, match in produced:
-        if not runs or runs[-1][0] != name:
-            runs.append((name, []))
-        runs[-1][1].append(match)
-    return [(name, sorted(matches, key=repr) if name in unordered
-             else matches) for name, matches in runs]
-
-
-def play(script, interrupt, **options):
-    """Run ``script`` on a fresh session; with ``interrupt`` each
-    ``("checkpoint",)`` step is a checkpoint → close → restore.  Returns
-    what every step after the first checkpoint produced and left.  A
-    ``register`` step's query, and its window when it is a policy object,
-    are factories: every play builds its own."""
-    session = make_session(**options)
-    trace, recording = [], False
-    baselines = {op[1] for op in script
-                 if op[0] == "register" and "backend" in op[3]}
-    try:
-        for op in script:
-            kind, produced = op[0], None
-            if kind == "register":
-                register(session, *op[1:])
-            elif kind == "deregister":
-                session.deregister(op[1])
-            elif kind == "push":
-                produced = in_order(session.push_many(op[1]), baselines)
-            elif kind == "advance":
-                session.advance_time(op[1])
-            elif kind == "checkpoint":
-                recording = True
-                if interrupt:
-                    blob, kept = checkpoint(session), type(session)
-                    close(session)
-                    session = Session.restore(io.BytesIO(blob))
-                    assert type(session) is kept
-            if recording:
-                trace.append((kind, produced, observe(session)))
-    finally:
-        close(session)
-    return trace
-
-
 def register(session, name, query, spec):
     if callable(spec.get("window")):
         spec = {**spec, "window": spec["window"]()}
     return session.register(name, query(), **spec)
 
 
-def assert_restored_equals_uninterrupted(script, **options):
-    straight = play(script, False, **options)
-    restored = play(script, True, **options)
-    assert len(straight) == len(restored) > 1
-    for (kind, expected, live), (_, got, seen) in zip(straight, restored):
-        assert got == expected, kind        # ordered, not just a multiset
-        assert seen == live, kind
-    return straight
-
-
 # --------------------------------------------------------------------- #
-# The scripted matrix: storage × routing × sharding × window kind
+# Plans come back as they were
 # --------------------------------------------------------------------- #
 
 def planned_query():
@@ -207,13 +130,13 @@ def unordered_query():
 
 
 def busy_script(edges, cut):
-    """Every kind of registration the matrix asks for, a mid-stream
-    registrant whose watermark is still inside the window at the
-    checkpoint, a deregistration before it, and churn after it."""
+    """Every kind of registration, then ``cut`` edges with a mid-stream
+    registrant — its watermark still inside the window at the closing
+    ``("checkpoint",)`` — and a deregistration."""
     plan = [("e0", "e1"), ("e2",)]
     script = [("register", name, (lambda name=name: query_set()[name]), {})
               for name in query_set()]          # p1x is a one-edge query
-    script += [
+    return script + [
         ("register", "t0",
          lambda: labeled_path_query(2, elabels=("x", "y")), {}),
         ("register", "t1",
@@ -246,59 +169,14 @@ def busy_script(edges, cut):
         ("advance", edges[cut - 1].timestamp + 0.05),
         ("checkpoint",),
     ]
-    half = (len(edges) - cut) // 2
-    script += [("push", edges[i:min(i + 15, cut + half)])
-               for i in range(cut, cut + half, 15)]
-    script += [
-        ("advance", edges[cut + half - 1].timestamp + 0.01),
-        ("register", "after",
-         lambda: labeled_path_query(2, elabels=("x", "y")), {}),
-        ("deregister", "t0"),
-        ("push", edges[cut + half:]),
-        ("advance", edges[-1].timestamp + 100.0),   # time windows drain
-    ]
-    return script
 
 
-MATRIX = [
-    pytest.param(storage, routing, sharding,
-                 id=f"{storage}-{routing}-{sharding}")
-    for storage in ("mstree", "independent")
-    for routing, sharding in (("shared", "none"), ("fanout", "none"),
-                              ("shared", "thread"), ("shared", "process"))
-]
-
-
-class TestScriptedMatrix:
-    @pytest.mark.parametrize("storage, routing, sharding", MATRIX)
-    def test_restored_equals_uninterrupted(self, storage, routing,
-                                           sharding):
-        edges = labeled_stream(71, 260)
-        trace = assert_restored_equals_uninterrupted(
-            busy_script(edges, 150), window=6.0, shards=2,
-            config=EngineConfig(storage=storage, routing=routing,
-                                sharding=sharding))
-        first = trace[0][2]
-        # Non-vacuous: state at the cut, matches after it, stateless,
-        # late and baseline members all present.
-        assert first["space"] > 0 and "late" in first["counts"]
-        assert sum(len(matches) for _, produced, _ in trace
-                   for _, matches in produced or ()) > 20
-        assert first["session"]["stateless_queries"] == 2
-        assert first["session"]["shared_groups"] == (
-            0 if routing == "fanout" else 3)
-        assert trace[-1][2]["counts"]["t1"] == 0    # time windows drained
-
+class TestPlans:
     @pytest.mark.parametrize("sharding", ["none", "thread"])
     def test_plans_are_rebuilt_as_they_were(self, sharding):
         """The resolved join order rides in the recipe, so an explicit
         plan and a ``random`` one come back identical."""
-        edges = labeled_stream(71, 160)
-        session = make_session(window=6.0, sharding=sharding, shards=2)
-        for op in busy_script(edges, 150):
-            if op[0] == "register":
-                register(session, *op[1:])
-        session.push_many(edges)
+        session = busy_session(sharding=sharding, shards=2)
         restored = Session.restore(io.BytesIO(checkpoint(session)))
         try:
             for name in ("planned", "rnd", "t0", "p3"):
@@ -312,10 +190,6 @@ class TestScriptedMatrix:
             close(restored)
 
 
-# --------------------------------------------------------------------- #
-# Per group, not over the union of buffers
-# --------------------------------------------------------------------- #
-
 def any_edge_query():
     query = QueryGraph()
     query.add_vertex("u", ANY)
@@ -325,47 +199,6 @@ def any_edge_query():
     query.add_edge("e1", "v", "w")
     query.add_timing_chain("e0", "e1")
     return query
-
-
-def edge_at(timestamp, src, dst, edge_id=None):
-    return StreamEdge(src, dst, src_label="A", dst_label="A", label="l",
-                      timestamp=float(timestamp), edge_id=edge_id)
-
-
-class TestReplayIsPerGroup:
-    @pytest.mark.parametrize("policy", ["skip", "count"])
-    @pytest.mark.parametrize("sharding", ["none", "thread"])
-    def test_duplicate_live_in_one_group_fresh_in_another(self, policy,
-                                                          sharding):
-        """Bearer at t=10, the same id again at t=105, checkpoint at 120:
-        the 100-unit group dropped the second as a live duplicate, the
-        20-unit group buffered it as fresh — and in the union of the two
-        buffers it outlives its bearer, so a union replay through
-        admission would buffer it where the original did not."""
-        script = [
-            ("register", "w100", any_edge_query, {"window": 100.0}),
-            ("register", "w20", any_edge_query, {"window": 20.0}),
-            ("push", [edge_at(10, "a", "b", "X"), edge_at(50, "b", "c"),
-                      edge_at(104, "c", "d"), edge_at(105, "d", "e", "X"),
-                      edge_at(110, "e", "f")]),
-            ("advance", 120.0),
-            ("checkpoint",),
-            # "X" once more: now fresh for w100, a live duplicate for w20.
-            ("push", [edge_at(121, "f", "g", "X"), edge_at(122, "g", "h")]),
-            ("push", [edge_at(130, "h", "i"), edge_at(131, "i", "j", "X")]),
-            ("advance", 400.0),
-        ]
-        trace = assert_restored_equals_uninterrupted(
-            script, duplicate_policy=policy, sharding=sharding, shards=2)
-        first = trace[0][2]
-        # w100 holds 50/104/110, w20 holds 104/105/110: the duplicate sits
-        # in exactly one buffer (a sharded facade's shards repeat that).
-        if sharding == "none":
-            assert first["session"]["window_cells"] == 6
-        skipped = first["stats"]["w100"]["edges_skipped"]
-        assert skipped == (1 if policy == "count" else 0)
-        (name, matches), = trace[1][1]
-        assert name == "w100" and len(matches) == 2
 
 
 # --------------------------------------------------------------------- #
@@ -465,127 +298,35 @@ class TestPrivateMatchers:
         its ballast is re-buffered, never inserted — and it stays private
         after the ballast has expired and the policy looks fresh."""
         edges = labeled_stream(13, 120)
+        cut = 60 if drained else 25
 
-        def prefilled():
+        def session_at_cut():
+            session = Session(window=6.0)
+            session.register("shared", labeled_path_query(2, elabels="xy"))
+            session.push_many(edges[10:12])
             window = CountSlidingWindow(30)
             for edge in edges[:10]:
                 window.push(edge)
-            return window
+            session.register("private", labeled_path_query(2, elabels="xy"),
+                             window=window)
+            session.push_many(edges[12:cut])
+            return session
 
-        cut = 60 if drained else 25
-        script = [
-            ("register", "shared",
-             lambda: labeled_path_query(2, elabels=("x", "y")), {}),
-            ("push", edges[10:12]),
-            ("register", "private",
-             lambda: labeled_path_query(2, elabels=("x", "y")),
-             {"window": prefilled}),
-            ("push", edges[12:cut]),
-            ("checkpoint",),
-            ("push", edges[cut:90]),
-            ("push", edges[90:]),
-        ]
-        trace = assert_restored_equals_uninterrupted(script, window=6.0)
-        first = trace[0][2]["session"]
-        assert first["shared_groups"] == 1      # "private" is in none
-        assert first["window_cells"] - first["shared_window_cells"] \
+        live = session_at_cut()
+        restored = Session.restore(io.BytesIO(checkpoint(session_at_cut())))
+        stats = live.session_stats()
+        assert stats["shared_groups"] == 1      # "private" is in none
+        assert stats["window_cells"] - stats["shared_window_cells"] \
             == min(30, 10 + cut - 12)
         # Ballast was never inserted: only what was pushed was seen.
-        assert trace[0][2]["stats"]["private"]["edges_seen"] == cut - 12
-        assert sum(len(produced) for _, produced, _ in trace[1:]) > 0
-
-
-# --------------------------------------------------------------------- #
-# Randomized scripts
-# --------------------------------------------------------------------- #
-
-SHAPES = [
-    lambda: labeled_path_query(1, elabels=("x",)),
-    lambda: labeled_path_query(2, elabels=("x", "y")),
-    lambda: labeled_path_query(2, vstart=1, elabels=("y", "z")),
-    lambda: labeled_path_query(3, elabels=("x", "y", "z")),
-    lambda: labeled_path_query(2, elabels=(ANY,)),
-    lambda: labeled_path_query(2, elabels=(Prefix("x"), "y"), timing=None),
-]
-
-
-def random_script(seed):
-    rng = random.Random(seed)
-    reuse_ids = rng.random() < 0.4
-    options = {
-        "window": 4.0,
-        "config": EngineConfig(
-            storage=rng.choice(["mstree", "independent"]),
-            routing=rng.choice(["shared", "shared", "fanout"]),
-            duplicate_policy=rng.choice(["skip", "count"])),
-    }
-    if options["config"].routing == "shared" and rng.random() < 0.3:
-        options["config"] = options["config"].replace(
-            sharding="thread", shards=2)
-    capacity = rng.randint(5, 15)
-    windows = [{}, {}, {"window": 2.0},
-               {"window": lambda: CountSlidingWindow(capacity)}]
-    backends = ["timing"] * 5 + ["sjtree", "incmat", "naive"]
-    edges = iter(labeled_stream(seed, 400, n_vertices=8, dt=0.3,
-                                id_pool=9 if reuse_ids else None))
-    names, script, serial = [], [], iter(range(10 ** 6))
-
-    def add_query():
-        name = f"q{next(serial)}"
-        spec = dict(rng.choice(windows))
-        backend = rng.choice(backends)
-        if backend != "timing":
-            spec["backend"] = backend
-        names.append(name)
-        script.append(("register", name, rng.choice(SHAPES), spec))
-
-    for _ in range(rng.randint(1, 4)):
-        add_query()
-    clock = 0.0
-    steps = rng.randint(12, 30)
-    cut = rng.randrange(2, steps)
-    for step in range(steps):
-        if step == cut:
-            script.append(("checkpoint",))
-        roll = rng.random()
-        if roll < 0.6 or not names:
-            batch = [next(edges) for _ in range(rng.randint(1, 8))]
-            clock = batch[-1].timestamp
-            script.append(("push", batch))
-        elif roll < 0.7:
-            script.append(("advance", clock))
-        elif roll < 0.88:
-            add_query()
-        else:
-            script.append(("deregister",
-                           names.pop(rng.randrange(len(names)))))
-    script.append(("push", [next(edges) for _ in range(10)]))
-    return script, options
-
-
-class TestRandomizedScripts:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10 ** 6))
-    def test_answers_equal_and_figures_no_higher(self, seed):
-        script, options = random_script(seed)
-        straight = play(script, False, **options)
-        restored = play(script, True, **options)
-        assert len(straight) == len(restored) > 1
-        merged = False      # once sharing improved, its counters follow
-        for (kind, expected, live), (_, got, seen) \
-                in zip(straight, restored):
-            assert got == expected, kind
-            merged = merged or seen["session"]["shared_subplans"] \
-                != live["session"]["shared_subplans"]
-            if merged:
-                TestLateRegistrants.assert_answers_equal_figures_no_higher(
-                    live, seen)
-                continue
-            # Nothing merged: every figure equal, but for anchors.
-            assert seen["space"] <= live["space"], kind
-            if options["config"].storage == "independent":
-                assert seen["space"] == live["space"], kind
-            assert {**seen, "space": 0} == {**live, "space": 0}, kind
+        assert live.stats()["private"]["edges_seen"] == cut - 12
+        produced = 0
+        for batch in (edges[cut:90], edges[90:]):
+            assert observe(restored) == observe(live)
+            later = restored.push_many(batch)
+            assert later == live.push_many(batch)
+            produced += len(later)
+        assert observe(restored) == observe(live) and produced > 0
 
 
 # --------------------------------------------------------------------- #
@@ -613,10 +354,8 @@ def busy_session(**options):
     """A mixed session mid-stream: every backend, three window groups,
     a late registrant, predicates and tuple labels in the buffers."""
     edges = labeled_stream(71, 200)
-    session = make_session(window=6.0, **options)
+    session = Session(window=6.0, **options)
     for op in busy_script(edges, 150):
-        if op[0] == "checkpoint":
-            break
         if op[0] == "register":
             register(session, *op[1:])
         elif op[0] == "deregister":
@@ -784,7 +523,7 @@ class TestFailedRestoreLeaksNothing:
         ("kill_worker", Exception),
     ])
     def test_workers_and_rings_are_shut_down(self, fault, error):
-        session = make_session(window=6.0, sharding="process", shards=3)
+        session = Session(window=6.0, sharding="process", shards=3)
         for name, query in query_set().items():
             session.register(name, query)
         session.push_many(labeled_stream(43, 80))

@@ -1,6 +1,6 @@
 """Checkpoint/restore: a resumed one-query session behaves as if never
-interrupted (the differential suite over whole sessions is
-``tests/test_logical_checkpoint.py``)."""
+interrupted (whole sessions in every mode: ``tests/test_session_model.py``;
+what a restore may change: ``tests/test_logical_checkpoint.py``)."""
 
 import io
 

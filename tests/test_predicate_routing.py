@@ -8,8 +8,7 @@ session must produce ``(name, match)`` multisets identical to the
 brute-force ``routing="fanout"`` twin — across random label alphabets,
 random prefix/wildcard/exact query mixes, both Timing storages, time-
 and count-based windows, register/deregister churn, and every sharding
-mode (``none``/``thread``/``process``, both shard transports via
-``REPRO_TEST_TRANSPORT`` like the sharded differential suite).
+mode (``none``/``thread``/``process``).
 
 Also pinned here, per the PR 10 satellites: the previously untested
 ``ANY``-labelled (wildcard) edges through shared-window routing and
@@ -17,7 +16,6 @@ sharded facades, and checkpoint round-trips of predicate-heavy sessions
 (including the corrupt-envelope path).
 """
 
-import os
 import random
 from collections import Counter
 
@@ -30,8 +28,6 @@ from repro import (
     ShardedSession, StreamEdge, TimingMatcher,
 )
 from repro.persistence import CheckpointCorruptError, load_session
-
-TRANSPORT = os.environ.get("REPRO_TEST_TRANSPORT")
 
 VLABELS = ("srv0", "srv1", "db0", "db1", "h2")
 VPREFIXES = ("s", "srv", "db", "h")
@@ -174,8 +170,6 @@ class TestTrieVersusFanout:
 
 
 def make_sharded(mode, **kwargs):
-    if mode == "process" and TRANSPORT:
-        kwargs.setdefault("transport", TRANSPORT)
     return Session(sharding=mode, shards=3, **kwargs)
 
 

@@ -6,140 +6,55 @@ its root (its oldest edge) before any other edge.  The engine therefore
 remembers only the sub-queries an arrival *roots*, the stores register
 entries by their oldest edge only, a shared sub-plan's delta memo is kept
 only while a second consumer can read it, and a window's expired prefix
-is handed to the session once per group and slide.  Each of those is
-pinned here against ``baselines/naive.py`` or by counting calls.
+is handed to the session once per group and slide.  That a session
+agrees with ``baselines/naive.py``, ``_touched`` names only roots and a
+co-consumer leaving mid-arrival still hands the memo over — under churn,
+in every mode — is ``tests/test_session_model.py``'s job; pinned here by
+counting calls and on hand-built streams.
 """
 
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import (
     EngineConfig, QueryGraph, Session, StreamEdge, TimingMatcher,
 )
-from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.subplans import SharedSubplanStore
 
 VLABELS = "AB"
 
 
-def path(elabels, timing="chain"):
-    """A directed path over alternating ``A``/``B`` vertices whose edges
-    carry ``elabels``; ``timing`` is ``"chain"``, ``"reverse"``,
-    ``"head"`` (only the first two edges ordered) or ``"empty"``."""
+def path(elabels):
+    """A timing-ordered directed path over alternating ``A``/``B``
+    vertices whose edges carry ``elabels``."""
     q = QueryGraph()
     for i in range(len(elabels) + 1):
         q.add_vertex(f"v{i}", VLABELS[i % 2])
     eids = [f"e{i}" for i in range(len(elabels))]
     for i, label in enumerate(elabels):
         q.add_edge(eids[i], f"v{i}", f"v{i + 1}", label=label)
-    if timing == "chain":
-        q.add_timing_chain(*eids)
-    elif timing == "reverse":
-        q.add_timing_chain(*reversed(eids))
-    elif timing == "head":
-        q.add_timing_chain(*eids[:2])
+    q.add_timing_chain(*eids)
     return q
 
 
-#: Query shapes; the ``xy`` chain is a shared sub-plan of ``twin`` and
-#: ``tail`` (its first TC sub-query), and ``star`` joins two one-edge
-#: sub-queries through the global list.
-SHAPES = {
-    "xy": lambda: path("xy"),
-    "twin": lambda: path("xy"),
-    "tail": lambda: path("xyx", timing="head"),
-    "rev": lambda: path("yx", timing="reverse"),
-    "star": lambda: path("xy", timing="empty"),
-}
+#: Two registrations of one shape share its sub-plan store.
+SHAPES = {"xy": lambda: path("xy"), "twin": lambda: path("xy")}
 
 
-class Stream:
+def stream(seed, n):
     """Seeded arrivals over six vertices and two edge labels — a small
-    alphabet, so joins happen — with a clock ``advance`` can jump."""
-
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
-        self.clock = 0.0
-
-    def take(self, n):
-        edges = []
-        for _ in range(n):
-            self.clock = round(self.clock + self.rng.uniform(0.05, 0.6), 3)
-            u, v = self.rng.sample(range(6), 2)
-            edges.append(StreamEdge(
-                f"d{u}", f"d{v}", src_label=VLABELS[u % 2],
-                dst_label=VLABELS[v % 2], label=self.rng.choice("xy"),
-                timestamp=self.clock))
-        return edges
-
-
-def assert_roots_only(session):
-    """Every id in an engine's match-once record roots a live entry in
-    each sub-query it names."""
-    for name in session.names():
-        engine = session.matcher(name)
-        for edge_id, touched in engine._touched.items():
-            for si in touched:
-                roots = {flat[0].edge_id
-                         for _, flat in engine._tc_stores[si].read(1)}
-                assert edge_id in roots, (name, edge_id, si)
-
-
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("batch"), st.integers(1, 12)),
-    st.tuples(st.just("register"), st.sampled_from(sorted(SHAPES))),
-    st.tuples(st.just("deregister"), st.sampled_from(sorted(SHAPES))),
-    st.tuples(st.just("advance"), st.floats(0.0, 8.0))), min_size=1,
-    max_size=14)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(0, 10_000), window=st.floats(1.0, 5.0),
-       storage=st.sampled_from(["mstree", "independent"]),
-       sharing=st.sampled_from(["shared", "private"]),
-       initial=st.sets(st.sampled_from(sorted(SHAPES)), min_size=1),
-       ops=OPS)
-def test_session_equals_naive_and_touched_names_roots(
-        seed, window, storage, sharing, initial, ops):
-    session = Session(window=window, config=EngineConfig(
-        storage=storage, subplan_sharing=sharing))
-    oracles = {}
-
-    def register(name):
-        session.register(name, SHAPES[name]())
-        oracles[name] = NaiveSnapshotMatcher(SHAPES[name](), window)
-
-    for name in sorted(initial):
-        register(name)
-    stream = Stream(seed)
-    for op, arg in [("batch", 8), *ops]:
-        if op == "batch":
-            batch = stream.take(arg)
-            got = Counter(session.push_many(batch))
-            want = Counter()
-            for edge in batch:
-                for name, oracle in oracles.items():
-                    want.update((name, m) for m in oracle.push(edge))
-            assert got == want
-        elif op == "register" and arg not in oracles:
-            register(arg)
-        elif op == "deregister" and arg in oracles:
-            session.deregister(arg)
-            del oracles[arg]
-        elif op == "advance":
-            stream.clock = round(stream.clock + arg, 3)
-            session.advance_time(stream.clock)
-            for oracle in oracles.values():
-                oracle.advance_time(stream.clock)
-        current = session.current_matches()
-        for name, oracle in oracles.items():
-            assert Counter(current[name]) \
-                == Counter(oracle.current_matches()), name
-        assert_roots_only(session)
+    alphabet, so joins happen."""
+    rng, clock, edges = random.Random(seed), 0.0, []
+    for _ in range(n):
+        clock = round(clock + rng.uniform(0.05, 0.6), 3)
+        u, v = rng.sample(range(6), 2)
+        edges.append(StreamEdge(
+            f"d{u}", f"d{v}", src_label=VLABELS[u % 2],
+            dst_label=VLABELS[v % 2], label=rng.choice("xy"),
+            timestamp=clock))
+    return edges
 
 
 class TestTouchedNamesRootsOnly:
@@ -175,7 +90,7 @@ def memo_calls(monkeypatch):
 
 
 class TestMemoWaitsForASecondConsumer:
-    STREAM = Stream(11).take(300)
+    STREAM = stream(11, 300)
 
     def run(self, *names):
         session = Session(window=3.0)
@@ -200,25 +115,6 @@ class TestMemoWaitsForASecondConsumer:
         twin = Counter(m for name, m in matches if name == "twin")
         assert twin == Counter(m for name, m in matches if name == "xy")
 
-    def test_a_co_consumer_leaving_mid_arrival_still_hands_over(self):
-        """A callback deregistering one consumer inside an arrival leaves
-        the other to replay that arrival's memo — recomputing it would
-        store the arrival's partial matches twice."""
-        session = Session(window=3.0)
-        session.register(
-            "xy", SHAPES["xy"](),
-            callback=lambda name, _: name in session
-            and session.deregister(name))
-        session.register("twin", SHAPES["twin"]())
-        oracle = NaiveSnapshotMatcher(SHAPES["twin"](), 3.0)
-        for edge in self.STREAM:
-            got = Counter(m for name, m in session.push(edge)
-                          if name == "twin")
-            assert got == Counter(oracle.push(edge))
-            assert Counter(session.matcher("twin").current_matches()) \
-                == Counter(oracle.current_matches())
-        assert "xy" not in session                      # left on its match
-
 
 class TestExpiredPrefixHandedDownOnce:
     def test_once_per_group_and_slide(self):
@@ -228,29 +124,29 @@ class TestExpiredPrefixHandedDownOnce:
         calls = []
         deliver = session._admission._on_expired
 
-        def record(key, edges):
-            calls.append((key, list(edges)))
-            deliver(key, edges)
+        def record(key, expired):
+            calls.append((key, list(expired)))
+            deliver(key, expired)
 
         session._admission._on_expired = record
-        stream = Stream(5).take(120)
+        arrivals = stream(5, 120)
         dropped = {key: [] for key in session._admission.groups}
-        for edge in stream:
+        for edge in arrivals:
             before = len(calls)
             session.push(edge)
             keys = [key for key, _ in calls[before:]]
             assert len(keys) == len(set(keys))      # once per group
-        assert any(len(edges) > 1 for _, edges in calls)
-        for key, edges in calls:
-            dropped[key].extend(edges)
-        session.advance_time(stream[-1].timestamp + 10.0)
+        assert any(len(expired) > 1 for _, expired in calls)
+        for key, expired in calls:
+            dropped[key].extend(expired)
+        session.advance_time(arrivals[-1].timestamp + 10.0)
         tail = calls[-len(dropped):]
         assert sorted(key for key, _ in tail) == sorted(dropped)
-        for key, edges in tail:
-            dropped[key].extend(edges)
-            assert len(edges) > 1
-        for key, edges in dropped.items():
-            assert edges == stream, key     # whole prefixes, oldest first
+        for key, expired in tail:
+            dropped[key].extend(expired)
+            assert len(expired) > 1
+        for key, expired in dropped.items():
+            assert expired == arrivals, key     # whole prefixes, oldest first
         assert session.space_cells() == 0
 
 
