@@ -11,6 +11,7 @@ rather than hoping the allocator cooperates.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterable, List, Optional
 
@@ -80,14 +81,14 @@ class LatencyRecorder:
         self.samples.append(seconds)
 
     def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile in seconds (0 when empty)."""
-        if not self.samples:
-            return 0.0
+        """Nearest-rank percentile in seconds: the smallest sample with at
+        least ``fraction`` of all samples at or below it (0 when empty)."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        if not self.samples:
+            return 0.0
         ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
     @property
     def p50(self) -> float:

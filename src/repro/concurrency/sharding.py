@@ -62,9 +62,9 @@ Because CPython's GIL serialises bytecode, ``sharding="thread"`` cannot
 show wall-clock speed-up (it exists for cheap equivalence testing and
 for workloads dominated by I/O); ``sharding="process"`` gives real
 parallelism at the cost of serialising batches across process
-boundaries.  The :mod:`repro.bench.perf_smoke` ``sharding`` suite
-measures both the wall clock and the per-shard busy times its pipeline
-model gates on.
+boundaries.  ``session_stats()`` reports the facade's CPU time and each
+shard's busy time, the stage costs of a pipeline model of the sharded
+session.
 """
 
 from __future__ import annotations
@@ -167,12 +167,12 @@ class _ShardServer:
         #: CPU-time clock for :attr:`busy_seconds` — ``process_time`` for
         #: a (single-threaded) worker process, ``thread_time`` for a
         #: worker thread.  CPU time, not wall time: a worker descheduled
-        #: by CPU contention is not *busy*, and the perf smoke's pipeline
-        #: model needs each stage's genuine cost.
+        #: by CPU contention is not *busy*, and a pipeline model of the
+        #: sharded session needs each stage's genuine cost.
         self.clock = clock
         #: CPU seconds spent processing batches (plus, for process
         #: workers, deserialising them off the pipe) — the shard's stage
-        #: cost in the perf smoke's pipeline model.
+        #: cost in a pipeline model.
         self.busy_seconds = 0.0
         #: The last batch's handler interval (lets the process loop add
         #: its wire overhead without double-charging the handler time).
@@ -253,7 +253,7 @@ def _serve_rpc(conn, server: "_ShardServer") -> bool:
 
     Batch (de)serialisation CPU is charged to the shard's busy time:
     it is genuine per-shard stage cost the sharded layout pays and the
-    unsharded one does not, and the perf smoke's pipeline model must
+    unsharded one does not, and a pipeline model of the session must
     see it.  ``process_time`` does not tick while ``recv`` blocks, so
     idle waiting is not counted.
     """
@@ -1159,7 +1159,7 @@ class ShardedSession(Session):
         """Merged session counters: the unsharded keys (summed across
         shards where additive) plus ``sharding``/``shards``, the facade
         dispatch time, and a ``per_shard`` breakdown with each worker's
-        busy seconds — the numbers the perf smoke's pipeline model uses.
+        busy seconds — the stage costs of a pipeline model.
         """
         self._check_open()
         self._sync_shards()

@@ -4,8 +4,9 @@ The pipe transport (:mod:`repro.concurrency.sharding`'s original path)
 pickles every dispatched batch into a duplex pipe and pickles the reply
 back out — fine for control RPCs, but on the ingestion hot path the
 facade burns more CPU serialising batches than the shards spend matching
-them (BENCH_pr5: 3.1x *modeled* pipeline speedup, 0.71x measured wall
-clock).  This module removes the pickling:
+them (four process shards over a 16-query stream measured a 3.1x
+*modeled* pipeline speedup and 0.71x the unsharded wall clock).  This
+module removes the pickling:
 
 * :class:`SpscRing` — a single-producer/single-consumer byte ring with
   seqlock-style monotonic head/tail counters living *inside* the shared

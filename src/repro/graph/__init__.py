@@ -1,10 +1,7 @@
-"""Streaming-graph substrate: edges, streams, windows, snapshots, combinators."""
+"""Streaming-graph substrate: edges, streams, windows, snapshots."""
 
 from .count_window import CountSlidingWindow
 from .edge import StreamEdge
-from .ops import (
-    filter_stream, merge_streams, relabel_stream, rescale_time, time_slice,
-)
 from .shared_window import SharedSlidingWindow, SharedWindowView
 from .snapshot import SnapshotGraph
 from .stream import GraphStream
@@ -13,6 +10,4 @@ from .window import SlidingWindow
 __all__ = [
     "StreamEdge", "GraphStream", "SlidingWindow", "CountSlidingWindow",
     "SharedSlidingWindow", "SharedWindowView", "SnapshotGraph",
-    "merge_streams", "filter_stream", "rescale_time", "time_slice",
-    "relabel_stream",
 ]

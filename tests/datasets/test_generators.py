@@ -8,6 +8,7 @@ from repro.datasets import (
     Clock, ZipfSampler, generate_lsbench_stream, generate_netflow_stream,
     generate_wikitalk_stream,
 )
+from repro.datasets.netflow import COMMON_PORTS
 import random
 
 
@@ -80,6 +81,29 @@ class TestNetflowSpecifics:
         ports = Counter(e.label[1] for e in stream)
         top6 = sum(count for _, count in ports.most_common(6))
         assert top6 > 0.5 * len(stream)
+
+    @pytest.mark.parametrize("extra_ports", [0, 40, 200])
+    def test_extra_ports_form_the_tail(self, extra_ports):
+        """Destination ports are the common ones plus ``extra_ports``
+        distinct unprivileged ones, never more."""
+        stream = generate_netflow_stream(4000, seed=1,
+                                         extra_ports=extra_ports)
+        ports = {e.label[1] for e in stream}
+        assert set(COMMON_PORTS) & ports
+        tail = ports - set(COMMON_PORTS)
+        assert all(1024 <= port < 49151 for port in tail)
+        assert len(tail) <= extra_ports
+        if not extra_ports:
+            assert ports == set(COMMON_PORTS)
+
+    def test_lower_port_alpha_flattens_the_skew(self):
+        def top6_share(alpha):
+            stream = generate_netflow_stream(4000, seed=1, extra_ports=200,
+                                             port_alpha=alpha)
+            ports = Counter(e.label[1] for e in stream)
+            return sum(count for _, count in ports.most_common(6))
+
+        assert top6_share(0.8) < top6_share(1.2)
 
     def test_edge_labels_are_five_tuple_shaped(self):
         stream = generate_netflow_stream(100, seed=2)

@@ -1,0 +1,388 @@
+"""Each multi-query optimisation, argued by the work it saves.
+
+The paper argues every optimisation by an ablation against a reference
+mode (Timing vs Timing-IND / -RD / -RJ, §VII).  Here each layer's
+ablation runs both modes on a small pinned stream, asserts identical
+answers, and asserts the *count* that explains the speed-up — join
+predicate checks, engine visits, window and store cells, executed lines
+— rather than a wall-clock ratio.  A count is the same on every run, so
+a regression in work fails here deterministically; wall time is measured
+per change, with a noise band, by ``bench_e2e``.
+
+* indexing: hash-indexed joins evaluate fewer join predicates than
+  scans;
+* decomposition and join order (Timing-RD / -RJ): the planned engine
+  joins no more TC-subqueries than a random decomposition, and opens
+  with a join at least as selective as a random order's;
+* routing: one shared window and label routing, not one window and one
+  visit per query;
+* sharing: one store per canonical sub-plan, not one per query;
+* predicates: per-arrival routing work that does not grow with the
+  number of registered prefix/wildcard queries.
+"""
+
+import gc
+import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import pytest
+
+from repro import EngineConfig, Session, TimingMatcher
+from repro.core.join_order import is_prefix_connected_order, joint_number
+from repro.core.query import ANY, Prefix, QueryGraph
+from repro.datasets import (
+    generate_lsbench_stream, generate_netflow_stream, generate_query_set,
+    generate_wikitalk_stream, window_slice,
+)
+from repro.graph.edge import StreamEdge
+from repro.graph.stream import GraphStream
+
+STORAGES = ["mstree", "independent"]
+#: The three variants ``generate_query_set`` draws from one walk, in order.
+VARIANTS = ["full", "empty", "random"]
+SEEDS = range(20)
+
+
+@contextmanager
+def collector_paused():
+    """No cyclic collection inside: a count needs none, the legs
+    allocate tens of thousands of partial matches, and a finaliser run
+    inside a traced push would add lines to its count."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run_session(queries, window, edges, **config):
+    """A session over ``queries`` (name -> query) fed ``edges`` in one
+    batch: the session and its ``(name, match)`` multiset."""
+    session = Session(window=window, config=EngineConfig(**config))
+    for name, query in queries.items():
+        session.register(name, query)
+    return session, Counter(session.push_many(edges))
+
+
+# --------------------------------------------------------------------- #
+# Indexing and planning: the three paper datasets as the figure
+# benchmarks build them (seed 42, 4,000-edge stream, first 1,000 edges,
+# 300-unit window, the full / empty / random-order variants of one
+# 5-edge query)
+# --------------------------------------------------------------------- #
+
+DATASETS = {
+    "NetworkFlow": (generate_netflow_stream, {"num_ips": 120},
+                    lambda label: (ANY, label[1], label[2])),
+    "SocialStream": (generate_lsbench_stream, {}, None),
+    "Wiki-talk": (generate_wikitalk_stream, {}, None),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DATASETS))
+def dataset(request):
+    """``(queries, window, edges)`` of one paper dataset."""
+    generator, options, generalize = DATASETS[request.param]
+    stream = generator(4000, seed=42, **options)
+    variants = generate_query_set(
+        window_slice(stream, 300), sizes=[5], per_size=1,
+        rng=random.Random(0), generalize_label=generalize)
+    return (variants[:3], stream.window_units_to_duration(300),
+            list(stream)[:1000])
+
+
+def join_checks(query, window, edges, **config):
+    """The engine's matches over ``edges`` and how many join predicates
+    (extension and union ``check`` calls) it evaluated for them."""
+    engine = TimingMatcher(query, window, config=EngineConfig(**config))
+    calls = 0
+
+    def counted(check):
+        def counting(left, right):
+            nonlocal calls
+            calls += 1
+            return check(left, right)
+        # Once built, the engine reads nothing of a spec but ``check``.
+        return SimpleNamespace(check=counting)
+
+    for specs in (engine._ext_specs, engine._union_specs):
+        for key, spec in specs.items():
+            specs[key] = counted(spec.check)
+    with collector_paused():
+        matches = Counter(engine.push_many(edges))
+    return matches, calls
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
+def test_hash_joins_check_fewer_predicates_than_scans(dataset, variant,
+                                                      storage):
+    """A hash probe hands the residual check only its key's bucket; a
+    scan checks every stored entry (Theorem 3's ``O(|Lᵢ₋₁|)``).  Counted
+    as predicate checks, not ``TraceGuard`` costs: a scan join reports
+    |Ω| for its |Δ|×|Ω| nested loop."""
+    queries, window, edges = dataset
+    query = queries[variant]
+    hashed, hash_checks = join_checks(query, window, edges,
+                                      storage=storage, indexing="hash")
+    scanned, scan_checks = join_checks(query, window, edges,
+                                       storage=storage, indexing="scan")
+    assert hashed == scanned
+    assert 0 < hash_checks < scan_checks
+
+
+def planned(query, window, seed=0, **config):
+    """The engine's TC-subqueries in join order under ``config``."""
+    return TimingMatcher(query, window,
+                         config=EngineConfig(seed=seed, **config)).join_order
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
+def test_greedy_decomposition_joins_no_more_subqueries_than_random(
+        dataset, variant):
+    """Theorem 7's per-arrival cost grows with k, the number of
+    TC-subqueries joined; Algorithm 6 takes the largest TC-subquery
+    first, so no random decomposition (Timing-RD) of the same query has
+    fewer parts."""
+    queries, window, _ = dataset
+    query = queries[variant]
+    k = len(planned(query, window))
+    drawn = [len(planned(query, window, seed, decomposition="random"))
+             for seed in SEEDS]
+    assert min(drawn) >= k >= 1
+
+
+@pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
+def test_jn_order_opens_with_the_most_selective_join(dataset, variant):
+    """The joint-number order (Definition 12) starts from the connected
+    pair sharing the most vertices and cross timing constraints, so its
+    first join is at least as selective as the first join of any random
+    prefix-connected order (Timing-RJ) of the same decomposition.  A
+    one-part plan has no join to order."""
+    queries, window, _ = dataset
+    query = queries[variant]
+    order = planned(query, window)
+    drawn = [planned(query, window, seed, join_order="random")
+             for seed in SEEDS]
+    assert is_prefix_connected_order(query, order)
+    for other in drawn:
+        assert sorted(other) == sorted(order)
+        assert is_prefix_connected_order(query, other)
+    if len(order) == 1:
+        assert all(other == order for other in drawn)
+        return
+    opening = joint_number(query, order[0], order[1])
+    assert all(joint_number(query, other[0], other[1]) <= opening
+               for other in drawn)
+
+
+# --------------------------------------------------------------------- #
+# Routing and sharing: NetworkFlow relabelled to (dst-port, protocol)
+# edge labels — concrete triples the session's route index discriminates
+# on — over a widened, flattened port universe, so most arrivals concern
+# few of the 16 registered patterns
+# --------------------------------------------------------------------- #
+
+QUERIES = 16
+EDGES = 3000
+
+
+def relabelled_netflow(num_edges, seed, num_ips):
+    raw = generate_netflow_stream(num_edges, seed=seed, num_ips=num_ips,
+                                  extra_ports=200, port_alpha=0.8)
+    return GraphStream(
+        StreamEdge(edge.src, edge.dst, src_label=edge.src_label,
+                   dst_label=edge.dst_label, timestamp=edge.timestamp,
+                   label=(edge.label[1], edge.label[2]))
+        for edge in raw)
+
+
+@pytest.fixture(scope="module")
+def routing_workload():
+    """16 generated 4-edge queries, one per walk, each the full-timing-
+    order variant (the first of a walk's five), over a 2,000-unit
+    window."""
+    stream = relabelled_netflow(24000, seed=7, num_ips=150)
+    variants = generate_query_set(window_slice(stream, 300), sizes=[4],
+                                  per_size=QUERIES, rng=random.Random(3))
+    queries = variants[0::5]
+    assert len(queries) == QUERIES
+    return ({f"q{i:02d}": query for i, query in enumerate(queries)},
+            stream.window_units_to_duration(2000), list(stream)[:EDGES])
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_shared_routing_keeps_one_window_and_visits_only_consumers(
+        routing_workload, storage):
+    """Fanout keeps a window per query and shows every arrival to every
+    query; shared routing keeps one window and pushes an arrival only to
+    the queries its labels can match.  Sub-plans stay private, so the
+    stores — and the partial-match space — are the same in both."""
+    queries, window, edges = routing_workload
+    legs = {routing: run_session(queries, window, edges, storage=storage,
+                                 routing=routing, subplan_sharing="private")
+            for routing in ("shared", "fanout")}
+    (shared, answer), (fanout, fanout_answer) = legs["shared"], legs["fanout"]
+    assert answer == fanout_answer and answer
+    assert shared.space_cells() == fanout.space_cells() > 0
+
+    cells = shared.session_stats()
+    assert cells["window_cells"] == cells["shared_window_cells"] > 0
+    assert fanout.window_cells() == QUERIES * cells["window_cells"]
+
+    def visits(session):
+        return sum(session.matcher(name).stats.edges_seen
+                   for name in session.names())
+
+    consumers = sum(1 for edge in edges for query in queries.values()
+                    if query.matching_edge_ids(edge))
+    assert visits(shared) == cells["routed_pushes"] == consumers
+    assert visits(fanout) == QUERIES * len(edges)
+    assert consumers < len(edges)
+
+
+@pytest.fixture(scope="module")
+def sharing_workload():
+    """16 queries over one 4-edge core chain (the four most frequent
+    labels, full timing order) plus one distinguishing edge each (a rare
+    label, unordered against the chain), so the greedy decomposition is
+    [core][edge] for every variant: one canonical core sub-plan."""
+    stream = relabelled_netflow(16000, seed=11, num_ips=100)
+    frequency = Counter(edge.label for edge in stream)
+    ranked = [label for label, _ in frequency.most_common()]
+    core = ranked[:4]
+    rare = [label for label in reversed(ranked)
+            if frequency[label] >= 4 and label not in core][:QUERIES]
+    assert len(rare) == QUERIES
+    queries = {}
+    for i, label in enumerate(rare):
+        query = QueryGraph()
+        for v in range(len(core) + 2):
+            query.add_vertex(f"v{v}", "IP")
+        for c, core_label in enumerate(core):
+            query.add_edge(f"c{c}", f"v{c}", f"v{c + 1}", label=core_label)
+        query.add_edge("x", f"v{len(core)}", f"v{len(core) + 1}", label=label)
+        query.add_timing_chain(*[f"c{c}" for c in range(len(core))])
+        queries[f"q{i:02d}"] = query
+    return (queries, stream.window_units_to_duration(4000),
+            list(stream)[:EDGES])
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_shared_subplans_store_the_core_once(sharing_workload, storage):
+    """Private sub-plans keep the core's expansion lists once per query;
+    shared ones keep them once, written by the first consumer of each
+    arrival and replayed from the delta memo by the rest."""
+    queries, window, edges = sharing_workload
+    shared, answer = run_session(queries, window, edges, storage=storage,
+                                 subplan_sharing="shared")
+    private, private_answer = run_session(queries, window, edges,
+                                          storage=storage,
+                                          subplan_sharing="private")
+    assert answer == private_answer and answer
+
+    def logical(session):
+        return sum(session.matcher(name).space_cells()
+                   for name in session.names())
+
+    assert logical(shared) == logical(private) > 0
+    assert private.space_cells() >= 2 * shared.space_cells() > 0
+    stats = shared.session_stats()
+    assert stats["subplan_consumers"] > stats["shared_subplans"]
+    assert stats["subplan_reuses"] > 0
+
+
+# --------------------------------------------------------------------- #
+# Predicates: one-edge prefix/wildcard queries over a port-labelled
+# stream.  The population is nested — 8 hot "10i" prefixes (each ~1% of
+# the ports), 2 any-label queries, then a tail of cold "3…" prefixes no
+# port can match — so its first N queries give the same answer at every
+# N and only the routing work can grow with N
+# --------------------------------------------------------------------- #
+
+def port_stream(num_edges):
+    rng = random.Random(19)
+    edges = []
+    for i in range(num_edges):
+        u = rng.randrange(64)
+        v = rng.randrange(64)
+        while v == u:
+            v = rng.randrange(64)
+        edges.append(StreamEdge(
+            f"h{u}", f"h{v}", src_label="ip", dst_label="ip",
+            timestamp=float(i), label=rng.randint(10000, 19999)))
+    return edges
+
+
+def one_edge_query(label):
+    query = QueryGraph()
+    query.add_vertex("a", ANY)
+    query.add_vertex("b", ANY)
+    query.add_edge("e", "a", "b", label)
+    return query
+
+
+def predicate_queries(count):
+    queries = {f"hot{i}": one_edge_query(Prefix(f"10{i}")) for i in range(8)}
+    queries.update({f"wild{i}": one_edge_query(ANY) for i in range(2)})
+    for i in range(count - len(queries)):
+        queries[f"cold{i:05d}"] = one_edge_query(Prefix(f"3{i:06d}"))
+    return queries
+
+
+def traced_push(count, edges, routing):
+    """Register the first ``count`` predicate queries, then ``push_many``
+    the edges under a line tracer: the session, its answer and how many
+    lines of Python the push executed."""
+    session = Session(window=400.0, routing=routing)
+    for name, query in predicate_queries(count).items():
+        session.register(name, query)
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    with collector_paused():
+        sys.settrace(tracer)
+        try:
+            tagged = session.push_many(edges)
+        finally:
+            sys.settrace(None)
+    return session, Counter(tagged), lines
+
+
+@pytest.mark.skipif(sys.gettrace() is not None,
+                    reason="another tracer (coverage, a debugger) is active")
+def test_trie_routing_work_is_flat_in_the_query_count():
+    """8x the registered prefix queries, the same arrivals: the trie walk
+    costs O(label length) per arrival, so the executed-line count of the
+    push is identical.  Counts are compared within one interpreter, never
+    against a pinned absolute (line events differ across versions)."""
+    edges = port_stream(500)
+    small, small_answer, small_lines = traced_push(256, edges, "shared")
+    large, large_answer, large_lines = traced_push(2048, edges, "shared")
+    assert small_answer == large_answer and small_answer
+    assert (small.session_stats()["routed_pushes"]
+            == large.session_stats()["routed_pushes"])
+    assert small_lines == large_lines
+
+
+@pytest.mark.skipif(sys.gettrace() is not None,
+                    reason="another tracer (coverage, a debugger) is active")
+def test_line_count_sees_fanout_grow_with_the_query_count():
+    """The instrument of the test above can see O(Q) routing: fanout
+    shows every arrival to every query, so doubling the queries doubles
+    the lines a push executes, the answer unchanged."""
+    edges = port_stream(10)
+    _, small_answer, small_lines = traced_push(256, edges, "fanout")
+    _, large_answer, large_lines = traced_push(512, edges, "fanout")
+    assert small_answer == large_answer
+    assert large_lines > 1.9 * small_lines

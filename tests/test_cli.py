@@ -131,13 +131,6 @@ class TestRun:
                      "--sharding", "thread"]) == 0
         assert "sharding: thread x 4" in capsys.readouterr().out
 
-    def test_perf_smoke_rejects_unknown_suite(self, capsys):
-        from repro.bench.perf_smoke import main as bench_main
-        with pytest.raises(SystemExit) as excinfo:
-            bench_main(["--suite", "nosuch"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
-
     def test_run_duplicates_count(self, query_file, tmp_path, capsys):
         stream = tmp_path / "dups.csv"
         stream.write_text(

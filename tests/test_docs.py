@@ -1,5 +1,6 @@
-"""Docs-site sanity: autodoc targets import, and the Sphinx build is
-warning-free where the toolchain is installed.
+"""Docs-site sanity: autodoc targets import, the Sphinx build is
+warning-free where the toolchain is installed, and CI runs only modules
+and paths that exist.
 
 The full ``sphinx-build -W`` runs in the CI ``docs`` job; these tests
 keep the cheap invariants in the tier-1 suite so a rename that would
@@ -9,6 +10,7 @@ environment).
 """
 
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -65,30 +67,66 @@ class TestDocsTree:
         assert result.returncode == 0, result.stdout + result.stderr
 
 
-class TestPerfSuitesAgree:
-    """A perf-smoke suite exists in three places — the ``SUITES`` table,
-    the CI ``perf-smoke`` matrix and README's baselines table — and must
-    name the same committed ``BENCH_prN.json`` in each, so one cannot be
-    added (or dropped) in one place only."""
+ROOT = os.path.dirname(DOCS_DIR)
 
-    ROOT = os.path.dirname(DOCS_DIR)
 
-    def read(self, *parts):
-        with open(os.path.join(self.ROOT, *parts), encoding="utf-8") as handle:
-            return handle.read()
+def read_workflow():
+    path = os.path.join(ROOT, ".github", "workflows", "ci.yml")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
-    def test_table_matrix_and_readme_name_the_same_suites(self):
-        from repro.bench.perf_smoke import SUITES
-        table = {name: suite.baseline for name, suite in SUITES.items()}
-        matrix = {
-            suite: f"BENCH_pr{pr}.json" for suite, pr in re.findall(
-                r"- suite: (\w+)\n\s+pr: (\d+)",
-                self.read(".github", "workflows", "ci.yml"))}
-        readme = dict(re.findall(
-            r"^\| `(\w+)` \| `(BENCH_pr\d+\.json)` \|",
-            self.read("README.md"), re.MULTILINE))
-        assert len(table) == 5
-        assert matrix == table
-        assert readme == table
-        for baseline in table.values():
-            assert os.path.exists(os.path.join(self.ROOT, baseline)), baseline
+
+def ci_modules(workflow):
+    """Every ``repro`` module the workflow runs with ``python -m``."""
+    return sorted(set(re.findall(r"\bpython[\d.]*(?: -[XW] \S+)* -m "
+                                 r"(repro[\w.]*)", workflow)))
+
+
+def ci_scripts(workflow):
+    """Every ``.py`` file named on a line that runs ``python``."""
+    return sorted({script for line in workflow.splitlines()
+                   if re.search(r"\bpython\b", line)
+                   for script in re.findall(r"[\w./-]+\.py\b", line)})
+
+
+def ci_pytest_paths(workflow):
+    """Every path argument of ``-m pytest``, continuation lines included."""
+    return sorted({token
+                   for args in re.findall(r"-m pytest((?:[^\n]*\\\n)*[^\n]*)",
+                                          workflow)
+                   for token in args.replace("\\\n", " ").split()
+                   if not token.startswith("-")})
+
+
+WORKFLOW = read_workflow()
+
+
+class TestCiNamesWhatExists:
+    """Every ``repro`` module, script and pytest path the CI workflow runs
+    exists, so deleting or renaming one fails here rather than as a red
+    CI job.  One case per name; the first three tests pin that the
+    parser still finds names it must find."""
+
+    def test_finds_the_modules(self):
+        assert {"repro", "repro.bench.chaos_smoke"} <= set(
+            ci_modules(WORKFLOW))
+
+    def test_finds_the_scripts(self):
+        assert {"bench_e2e/run.py", "examples/quickstart.py"} <= set(
+            ci_scripts(WORKFLOW))
+
+    def test_finds_the_pytest_paths(self):
+        assert {"bench_e2e/tests", "tests/test_session_model.py"} <= set(
+            ci_pytest_paths(WORKFLOW))
+
+    @pytest.mark.parametrize("module", ci_modules(WORKFLOW))
+    def test_repro_module_resolves(self, module):
+        assert importlib.util.find_spec(module) is not None, module
+
+    @pytest.mark.parametrize("script", ci_scripts(WORKFLOW))
+    def test_script_exists(self, script):
+        assert os.path.isfile(os.path.join(ROOT, script)), script
+
+    @pytest.mark.parametrize("path", ci_pytest_paths(WORKFLOW))
+    def test_pytest_path_exists(self, path):
+        assert os.path.exists(os.path.join(ROOT, path)), path
