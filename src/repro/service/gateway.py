@@ -3,16 +3,29 @@
 A :class:`ServiceGateway` hosts one or more named **tenants**.  Each
 tenant is an independent :class:`~repro.api.Session` (optionally sharded
 underneath) fed through its own
-:class:`~repro.service.queues.BoundedEdgeQueue` by a dedicated worker
-thread, with matches delivered to a rotating JSONL log and to any live
-subscribers.  The gateway owns the shared machinery: the checkpoint
-scheduler, the restore-on-boot path, and the graceful-shutdown sequence
-(drain queues → final checkpoint → close sinks).
+:class:`~repro.service.queues.BoundedEdgeQueue`, with matches delivered
+to a rotating JSONL log and to any live subscribers.  The gateway owns
+the shared machinery: the checkpoint scheduler, the restore-on-boot
+path, and the graceful-shutdown sequence (drain queues → final
+checkpoint → close sinks).
 
 The gateway is fully usable without a network listener — tests and the
 perf bench drive :meth:`Tenant.ingest_edges` directly; the HTTP/WebSocket
 front door (:mod:`repro.service.http`) and the file tailers
 (:mod:`repro.service.tailer`) are producers like any other.
+
+Who applies a batch
+-------------------
+A tenant's worker thread drains the queue for every producer that is
+not the event loop: tailers, direct :meth:`Tenant.ingest_json` /
+:meth:`Tenant.ingest_edges` callers, and every producer of a tenant
+without a WAL.  A WAL tenant's HTTP and WebSocket batches stay on the
+event loop instead (:meth:`Tenant.admit_json`): the loop decodes and
+journals the batch, awaits only its group-commit fsync in an executor,
+sends the ack, then applies what that released
+(:meth:`Tenant.apply_released`) without waking the worker.  One
+consumer at a time dequeues and applies, so every batch is applied in
+journal order whichever thread does it.
 
 Crash-recovery contract
 -----------------------
@@ -27,8 +40,13 @@ capture down a keep-last-K chain (``checkpoint.pkl``,
 capture when the newest is corrupt (:class:`CheckpointCorruptError`).
 
 Tenants with a ``[tenant.wal]`` table journal every admitted batch to a
-segmented write-ahead log *before* it enters the queue and withhold the
-ingest ack until the journal is fsynced.  On boot (or a supervised
+segmented write-ahead log and withhold the ingest ack until the journal
+is fsynced.  A batch enters the queue only once its own fsync returned
+and every batch journaled before it has entered (a reorder buffer keyed
+by admission order), so no match is logged or published before the
+edges that complete it are durable — unless that fsync failed every
+retry: the batch is then applied all the same and its producer gets an
+error to retry on.  On boot (or a supervised
 in-process restart) the tenant restores the best checkpoint in the
 chain, discards uncommitted match segments, then replays the WAL from
 the checkpoint's ``wal_lsn`` — reconstructing the exact session and
@@ -46,7 +64,7 @@ import os
 import sys
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..api import EngineConfig, Session, ThreadSafeSession
@@ -58,7 +76,7 @@ from .codec import (
     CodecError, edge_from_json, edge_to_json, unwrap_edge_body,
 )
 from .config import ServerConfig, TenantConfig
-from .queues import BoundedEdgeQueue, _Entry
+from .queues import BoundedEdgeQueue, QueueClosed, _Entry
 from .resilience import (
     CircuitBreaker, DeadLetterQueue, HealthTracker, RateLimited,
     RestartBudget, RetryPolicy, TokenBucket, call_with_retry,
@@ -204,10 +222,24 @@ class Tenant:
         self.sink_write_errors = 0
         #: Checkpoint barriers that failed even after retries.
         self.checkpoint_failures = 0
+        #: One consumer at a time dequeues and applies (the worker, or the
+        #: event loop after a WAL tenant's ack), so batches are applied in
+        #: the order they were enqueued.
+        self._apply_lock = threading.Lock()
         # --- write-ahead log -------------------------------------------
-        #: Admission order must equal journal order: one lock wraps
-        #: journal-then-enqueue for every producer.
+        #: Admission order is journal order: one lock wraps journaling a
+        #: batch and numbering its admission.
         self._admission_lock = threading.Lock()
+        #: The reorder buffer between fsync and queue: admissions are
+        #: numbered from 0, ``_next_release`` is the next one the queue
+        #: takes, and ``_held`` keeps the later ones whose fsync already
+        #: returned, as ``(edges, first_lsn, offset)``.
+        self._release_lock = threading.Lock()
+        self._admissions = 0
+        self._next_release = 0
+        self._held: Dict[int, tuple] = {}
+        #: Edges a WAL tenant admitted since boot (the ack's position).
+        self._admitted_edges = 0
         self.wal: Optional[WriteAheadLog] = None
         self.dedup: Optional[DedupIndex] = None
         if wal_enabled:
@@ -466,43 +498,52 @@ class Tenant:
                      timeout: Optional[float] = None) -> int:
         """Enqueue prepared edges; returns how many were admitted.
 
-        Blocks under the ``block`` policy (bounded by ``timeout``);
+        Blocks under the ``block`` policy (bounded by ``timeout``, except
+        at a WAL tenant: a journaled batch always enters the queue);
         raises :class:`~repro.service.queues.QueueClosed` once shutdown
         has begun.  ``offset`` tags the *last* edge with its source
         resume position (file tailers use this).  WAL-enabled tenants
-        journal the batch before enqueueing and fsync before returning —
-        an admitted edge is durable by the time the caller hears so.
+        journal the batch and fsync before returning — an admitted edge
+        is durable by the time the caller hears so.
         """
         edges = list(edges)
         if not edges:
             return 0
-        return self._admit(edges, offset=offset, timeout=timeout)["accepted"]
+        ack, commit = self._admit(edges, offset=offset, timeout=timeout)
+        if commit is not None:
+            commit()
+        return ack["accepted"]
 
     def _admit(self, edges: List[StreamEdge], *,
                offset: Optional[tuple] = None,
                timeout: Optional[float] = None,
                request_id: Optional[str] = None,
                skip: Sequence[int] = (), body: Optional[bytes] = None,
-               raise_on_sync_failure: bool = False) -> dict:
-        """The one admit path: journal the batch (WAL tenants — the frame
-        carries ``request_id`` and the invalid count, so a batch with no
-        valid edge still journals its request id), enqueue it whole
-        (consecutive LSNs, ``offset`` tagging the *last* edge) and
-        group-commit (see :meth:`_wal_sync` for
-        ``raise_on_sync_failure``); returns the ack.  ``body`` is the
-        request text ``edges`` were decoded from, ``skip`` the positions
-        of its invalid records: given a body, that is what the frame
-        holds, otherwise the edges are encoded again.  No edge and no
-        request id is nothing to recover: that ack costs no frame and no
-        fsync."""
+               raise_on_sync_failure: bool = False, wake: bool = True
+               ) -> Tuple[dict, Optional[Callable[[], None]]]:
+        """The one admit path; returns the ack and the commit the caller
+        owes before sending it (``None`` when nothing is owed).
+
+        A tenant without a WAL enqueues the batch here.  A WAL tenant
+        journals it (the frame carries ``request_id`` and the invalid
+        count, so a batch with no valid edge still journals its request
+        id) and numbers the admission; the commit then group-commits
+        (see :meth:`_wal_sync` for ``raise_on_sync_failure``) and releases
+        the batch into the queue whole — consecutive LSNs, ``offset``
+        tagging the *last* edge — in journal order, waking the worker
+        only with ``wake``.  ``body`` is the request text ``edges`` were
+        decoded from, ``skip`` the positions of its invalid records:
+        given a body, that is what the frame holds, otherwise the edges
+        are encoded again.  No edge and no request id is nothing to
+        recover: that ack costs no frame and no fsync."""
         invalid = len(skip)
         if self.wal is None:
             return {"accepted": self.queue.put_batch(
                         edges, offset=offset, timeout=timeout),
-                    "invalid": invalid, "position": self.queue.enqueued}
+                    "invalid": invalid, "position": self.queue.enqueued}, None
         if not edges and request_id is None:
             return {"accepted": 0, "invalid": invalid,
-                    "position": self.queue.enqueued, "durable": True}
+                    "position": self._admitted_edges, "durable": True}, None
         if body is None:
             payload = [{"e": edge_to_json(edge)} for edge in edges]
             if offset is not None:
@@ -516,26 +557,56 @@ class Tenant:
                 return self.wal.append_body(body, len(edges),
                                             rid=request_id, skip=skip)
         with self._admission_lock:
+            self.queue.check_open()
             last_lsn, ticket = call_with_retry(journal, policy=_WAL_RETRY)
+            self._admitted_edges += len(edges)
             ack = {"accepted": len(edges), "invalid": invalid,
-                   "position": self.queue.enqueued + len(edges),
-                   "durable": True}
+                   "position": self._admitted_edges, "durable": True}
             if request_id is not None and self.dedup is not None:
-                # Before the enqueue, deliberately: once an edge can be
+                # Before the release, deliberately: once an edge can be
                 # applied (and checkpointed), its request id must already
                 # be recoverable — otherwise a crash between apply and
                 # remember would turn a retry into a double delivery.
                 self.dedup.put(request_id, ack)
-            self.queue.put_batch(
-                edges, first_lsn=last_lsn - len(edges) + 1, offset=offset,
-                timeout=timeout)
-        self._wal_sync(ticket, raise_on_failure=raise_on_sync_failure)
-        return ack
+            admission = self._admissions
+            self._admissions += 1
+        batch = (edges, last_lsn - len(edges) + 1, offset)
 
-    def _wal_sync(self, ticket: int, *, raise_on_failure: bool = False) -> None:
-        """Group-commit the journal up to ``ticket`` (retry ladder).
+        def commit() -> None:
+            try:
+                self._wal_sync(ticket, raise_on_failure=raise_on_sync_failure)
+            finally:
+                # Released even when the sync failed, as the batch is
+                # journaled: a held admission would stall every later one.
+                self._release(admission, batch, wake)
+        return ack, commit
 
-        On a sync that fails all retries the frames stay buffered; the
+    def _release(self, admission: int, batch: tuple, wake: bool) -> None:
+        """Hand a committed admission to the queue in journal order: hold
+        it until every earlier admission is released, then enqueue the
+        run of consecutive ones that is complete."""
+        with self._release_lock:
+            if admission < self._next_release:
+                return      # a supervised restart replayed it already
+            held = self._held
+            held[admission] = batch
+            while self._next_release in held:
+                edges, first_lsn, offset = held.pop(self._next_release)
+                self._next_release += 1
+                if not edges:
+                    continue
+                try:
+                    self.queue.put_batch(edges, first_lsn=first_lsn,
+                                         offset=offset, wake=wake)
+                except QueueClosed:
+                    pass    # shutting down: the next boot replays it
+
+    def _wal_sync(self, ticket: Optional[int], *,
+                  raise_on_failure: bool = False) -> None:
+        """Group-commit the journal up to ``ticket`` (everything when
+        ``None``; retry ladder).
+
+        On a sync that fails all retries the frames stay unsynced; the
         next successful sync (or segment rotation, or shutdown) carries
         them to disk.  File tailers swallow the failure (the tail file
         is its own source of truth and offsets only advance via
@@ -561,8 +632,8 @@ class Tenant:
         """Decode and enqueue a batch of JSON edge objects.
 
         Returns ``{"accepted": n, "invalid": m, "position": p}`` where
-        ``position`` is the total number of arrivals ever admitted to the
-        queue — the cursor a producer compares against checkpointed
+        ``position`` is the total number of arrivals ever admitted since
+        boot — the cursor a producer compares against checkpointed
         ``edges_offered`` to resume after a crash.  Malformed records are
         counted, not fatal.  Under ``timestamps = "server"`` every record
         is stamped with the tenant clock (client timestamps rejected).
@@ -579,9 +650,11 @@ class Tenant:
         exactly-once: the ack is remembered in a bounded dedup window
         (journaled and checkpointed), and a retry after a lost ack gets
         the cached ack back, marked ``"deduplicated": true``, instead of
-        re-admitting the batch.  The dedup entry is recorded *before*
-        the edges enter the queue, so no crash interleaving can
-        checkpoint applied edges without their request id.
+        re-admitting the batch — once the journal is fsynced, since the
+        first attempt may have failed its sync.  The dedup entry is
+        recorded *before* the edges enter the queue, so no crash
+        interleaving can checkpoint applied edges without their request
+        id.
 
         ``dlq_replay`` marks the batch as a dead-letter re-ingest
         (``repro dlq replay``) and counts it in ``dlq_replayed``.
@@ -592,13 +665,34 @@ class Tenant:
         That needs ASCII without NUL — then ``json.loads`` reads the
         text as UTF-8 whether it stands alone or inside the frame.
         """
+        ack, commit = self.admit_json(
+            records, timeout=timeout, request_id=request_id,
+            dlq_replay=dlq_replay, body=body)
+        if commit is not None:
+            commit()
+        return ack
+
+    def admit_json(self, records: Sequence[dict], *,
+                   timeout: Optional[float] = None,
+                   request_id: Optional[str] = None,
+                   dlq_replay: bool = False,
+                   body: Optional[bytes] = None, wake: bool = True
+                   ) -> Tuple[dict, Optional[Callable[[], None]]]:
+        """:meth:`ingest_json` in two halves, for the event loop: decode
+        and journal now, and return the ack with the step owed before it
+        may be sent — ``None``, or a blocking call that fsyncs (raising
+        ``OSError`` when every retry failed) and releases the batch into
+        the queue, waking the worker only with ``wake``."""
         if request_id is not None and self.dedup is not None:
             cached = self.dedup.get(request_id)
             if cached is not None:
                 self.dedup_hits += 1
                 ack = dict(cached)
                 ack["deduplicated"] = True
-                return ack
+                # The first attempt's fsync may have failed: the cached
+                # ack claims durability only once the journal has it (a
+                # no-op when nothing is pending).
+                return ack, lambda: self._wal_sync(None, raise_on_failure=True)
         if self.rate_limiter is not None and records:
             wait = self.rate_limiter.try_acquire(len(records))
             if wait > 0:
@@ -610,11 +704,12 @@ class Tenant:
                 if edge is None] if len(edges) != len(slots) else ()
         if stamp or body is None or not body.isascii() or b"\x00" in body:
             body = None
-        ack = self._admit(edges, timeout=timeout, request_id=request_id,
-                          skip=skip, body=body, raise_on_sync_failure=True)
+        ack, commit = self._admit(
+            edges, timeout=timeout, request_id=request_id, skip=skip,
+            body=body, raise_on_sync_failure=True, wake=wake)
         if dlq_replay:
             self.dlq_replayed += ack["accepted"]
-        return ack
+        return ack, commit
 
     def _decode(self, records: Sequence, *,
                 stamp: bool = False) -> List[Optional[StreamEdge]]:
@@ -652,23 +747,67 @@ class Tenant:
 
     def _worker_loop(self) -> None:
         while True:
-            entries, closed = self.queue.get_batch(
-                self.config.batch_size, timeout=0.1)
+            ready = self.queue.wait(0.1)
             if self._aborted:
                 return
-            if not entries:
-                if closed:
+            if not ready:
+                if self.queue.closed:
                     return
                 continue
-            try:
-                self._process(entries)
-            except ShardDeadError as exc:
-                self._supervise_shard_death(exc)
-            except Exception as exc:   # keep the service alive
-                try:
-                    self._handle_batch_failure(entries, exc)
-                except ShardDeadError as dead:
+            with self._apply_lock:
+                entries, _closed = self.queue.get_batch(
+                    self.config.batch_size, timeout=0)
+                dead = self._apply(entries) if entries else None
+                if dead is not None:
                     self._supervise_shard_death(dead)
+
+    def apply_released(self) -> None:
+        """Apply every released entry on the calling thread — the event
+        loop, right after it acked a WAL tenant's batch — in chunks of
+        ``batch_size``.  Returns at once when another consumer holds the
+        apply lock: the worker looks at the queue again whenever it lets
+        go, so it takes these entries too.
+
+        A shard death is supervised on a thread of its own, which holds
+        the apply lock until the session is rebuilt: the restart backs
+        off with ``time.sleep``, and the loop must not."""
+        if self._aborted or not self._apply_lock.acquire(blocking=False):
+            return
+        dead = None
+        try:
+            while dead is None:
+                entries, _closed = self.queue.get_batch(
+                    self.config.batch_size, timeout=0)
+                if not entries:
+                    return
+                dead = self._apply(entries)
+        finally:
+            if dead is None:
+                self._apply_lock.release()
+        threading.Thread(
+            target=self._supervise_and_unlock, args=(dead,), daemon=True,
+            name=f"repro-restart-{self.config.name}").start()
+
+    def _supervise_and_unlock(self, dead: ShardDeadError) -> None:
+        try:
+            self._supervise_shard_death(dead)
+        finally:
+            self._apply_lock.release()
+
+    def _apply(self, entries: List) -> Optional[ShardDeadError]:
+        """Process one dequeued batch (apply lock held), isolating poison
+        edges; returns the shard death that stopped it, for the caller
+        to supervise."""
+        try:
+            self._process(entries)
+        except ShardDeadError as exc:
+            return exc
+        except Exception as exc:   # keep the service alive
+            try:
+                self._handle_batch_failure(entries, exc)
+            except ShardDeadError as dead:
+                return dead
+        return None
 
     def _handle_batch_failure(self, entries: List, exc: Exception) -> None:
         """Retry a failed batch edge-by-edge, dead-lettering the poison
@@ -715,9 +854,12 @@ class Tenant:
         session replays from the checkpointed position, which producers
         read off ``/stats`` (the same contract as a process restart).
         WAL-enabled tenants instead replay the journal themselves — the
-        rebuild runs under the admission lock so a batch journaled
-        mid-restart cannot be applied twice (once from the queue it was
-        pushed into, once from the replay).
+        rebuild runs under the admission and release locks, and every
+        admission numbered before it is dropped from the reorder buffer,
+        so a batch journaled before the restart cannot be applied twice
+        (once from the queue, once from the replay).  The caller holds
+        the apply lock, so no other consumer applies meanwhile; the
+        backoff sleeps, so the caller is never the event loop.
         """
         delay = self.restart_budget.next_delay()
         if delay is None:
@@ -733,14 +875,20 @@ class Tenant:
         except Exception:       # the old session is already wreckage
             pass
         self.close_sinks()
-        # First clear frees queue capacity so a producer blocked inside
-        # ``put()`` (holding the admission lock) can finish and release
-        # it; the second clear, under the lock, drops whatever slipped in
+        # First clear frees queue capacity so a release blocked inside
+        # ``put()`` (holding the release lock) can finish and let go of
+        # it; the second clear, under the locks, drops whatever slipped in
         # between — journaled batches come back via the WAL replay,
         # un-journaled ones via the producer-replay contract.
         self.queue.clear()
-        with self._admission_lock:
+        with self._admission_lock, self._release_lock:
             self.queue.clear()
+            self._held.clear()
+            self._next_release = self._admissions
+            if self.wal is not None:
+                # The replay reads frames whose commit may still be in
+                # flight: make them durable before anything is applied.
+                self._wal_sync(None)
             self.edges_offered = 0
             self.source_offsets = {}
             self._server_clock = 0.0

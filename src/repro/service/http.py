@@ -3,10 +3,18 @@
 A deliberately small HTTP/1.1 + RFC 6455 WebSocket server on nothing but
 the standard library (the deployment constraint: no third-party web
 framework).  One :class:`ServiceHTTPServer` fronts one
-:class:`~repro.service.gateway.ServiceGateway`; blocking queue puts are
-pushed off the event loop with ``asyncio.to_thread`` so a tenant
-exercising ``block`` backpressure slows *that producer's request*, never
-the whole listener.
+:class:`~repro.service.gateway.ServiceGateway`.
+
+A WAL tenant's ingest runs on the event loop: decode and journal the
+batch, await only its group-commit fsync in an executor (which then
+releases the batch into the tenant queue in journal order), send the
+ack and half-close the connection, then apply what was released and
+write any match frames straight to that tenant's WebSocket subscribers.
+A match therefore reaches the log and the subscribers only after the
+fsync that made its edges durable.  Other tenants' puts may block under
+``block`` backpressure, so they run in a thread (``asyncio.to_thread``)
+and slow *that producer's request*, never the whole listener; their
+worker thread applies, and its matches hop to the loop.
 
 Routes
 ------
@@ -63,6 +71,9 @@ _MAX_BODY = 64 * 1024 * 1024
 #: Header lines accepted per request before it is refused unread.
 _MAX_HEADERS = 100
 _MAX_FRAME = 16 * 1024 * 1024
+#: Bytes a subscriber's socket may have buffered for a match frame to be
+#: written straight to it; past that, frames queue (and shed) instead.
+_WS_DIRECT_BUFFER = 64 * 1024
 
 #: Reason phrases for the handful of statuses we emit.
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -232,6 +243,9 @@ class ServiceHTTPServer:
             head += f"{name}: {value}\r\n"
         head += "Connection: close\r\n\r\n"
         writer.write(head.encode("latin-1") + payload)
+        # The FIN goes out with the reply: a client reading to EOF is
+        # done now, not after whatever this handler does next.
+        writer.write_eof()
         await writer.drain()
 
     # ------------------------------------------------------------------ #
@@ -283,18 +297,38 @@ class ServiceHTTPServer:
         return (405, "application/json",
                 b'{"error": "method not allowed"}')
 
+    async def _admit(self, tenant, body: bytes, parsed) -> dict:
+        """Admit one parsed batch; returns the ack (see the module doc).
+
+        For a WAL tenant the apply is scheduled whether or not the commit
+        succeeded (a failed fsync still releases the batch) and runs once
+        this handler next yields — after it wrote the ack, or found the
+        client gone."""
+        records, request_id, dlq_replay = parsed
+        if tenant.wal is None:
+            return await asyncio.to_thread(
+                lambda: tenant.ingest_json(
+                    records, request_id=request_id, dlq_replay=dlq_replay,
+                    body=body))
+        ack, commit = tenant.admit_json(
+            records, request_id=request_id, dlq_replay=dlq_replay,
+            body=body, wake=False)
+        if commit is not None:
+            loop = asyncio.get_running_loop()
+            try:
+                await loop.run_in_executor(None, commit)
+            finally:
+                loop.call_soon(tenant.apply_released)
+        return ack
+
     async def _ingest(self, tenant, body: bytes) -> tuple:
         parsed = _parse_edge_body(body)
         if parsed is None:
             return (400, "application/json",
                     b'{"error": "body must be a JSON edge, an array of '
                     b'edges, or {\\"edges\\": [...]}"}')
-        records, request_id, dlq_replay = parsed
         try:
-            result = await asyncio.to_thread(
-                lambda: tenant.ingest_json(
-                    records, request_id=request_id, dlq_replay=dlq_replay,
-                    body=body))
+            result = await self._admit(tenant, body, parsed)
         except QueueClosed:
             return (503, "application/json",
                     b'{"error": "gateway is shutting down"}')
@@ -340,19 +374,41 @@ class ServiceHTTPServer:
 
     async def _ws_stream(self, tenant, reader, writer) -> None:
         """Push the tenant's matches as JSON text frames until the
-        client goes away; a slow client sheds (drops are counted in the
-        final close, never allowed to stall ingestion)."""
+        client goes away.
+
+        A match published on the loop (a WAL tenant's apply) is written
+        straight to the socket while nothing is queued ahead of it; one
+        published by the worker thread hops to the loop into a bounded
+        queue.  A slow client sheds there, never stalling ingestion."""
         loop = asyncio.get_running_loop()
+        loop_thread = threading.get_ident()
+        transport = writer.transport
         queue: asyncio.Queue = asyncio.Queue(maxsize=4096)
         dropped = [0]
+        # Lines the worker handed over / the loop has queued: each counter
+        # has one writer, and they differ while a hop is in flight.
+        handed, taken = [0], [0]
+
+        def enqueue(line: str) -> None:
+            try:
+                queue.put_nowait(line)
+            except asyncio.QueueFull:
+                dropped[0] += 1
+
+        def take(line: str) -> None:
+            taken[0] += 1
+            enqueue(line)
 
         def deliver(line: str) -> None:
-            def _put() -> None:
-                try:
-                    queue.put_nowait(line)
-                except asyncio.QueueFull:
-                    dropped[0] += 1
-            loop.call_soon_threadsafe(_put)
+            if threading.get_ident() != loop_thread:
+                handed[0] += 1
+                loop.call_soon_threadsafe(take, line)
+            elif handed[0] == taken[0] and queue.empty() \
+                    and not transport.is_closing() \
+                    and transport.get_write_buffer_size() < _WS_DIRECT_BUFFER:
+                writer.write(_ws_frame(0x1, line.encode()))
+            else:
+                enqueue(line)
 
         tenant.hub.subscribe(deliver, encoded=True)
         control = asyncio.ensure_future(
@@ -414,12 +470,8 @@ class ServiceHTTPServer:
             if parsed is None:
                 reply = {"error": "bad edge payload"}
             else:
-                records, request_id, dlq_replay = parsed
                 try:
-                    reply = await asyncio.to_thread(
-                        lambda: tenant.ingest_json(
-                            records, request_id=request_id,
-                            dlq_replay=dlq_replay, body=payload))
+                    reply = await self._admit(tenant, payload, parsed)
                 except QueueClosed:
                     reply = {"error": "gateway is shutting down"}
                 except WalFrameTooLarge as exc:

@@ -2,7 +2,8 @@
 
 Every tenant owns one :class:`BoundedEdgeQueue` between the gateway's
 front door (asyncio handlers, file tailers, in-process producers) and its
-worker thread.  The queue is the *only* place the service absorbs a
+consumers: the worker thread and, for a WAL tenant, the event loop that
+acked the batch.  The queue is the *only* place the service absorbs a
 producer/consumer rate mismatch, and it makes the absorption policy
 explicit instead of letting memory grow silently:
 
@@ -152,7 +153,8 @@ class BoundedEdgeQueue:
     def put_batch(self, edges: Sequence[StreamEdge], *,
                   first_lsn: Optional[int] = None,
                   offset: Optional[int] = None,
-                  timeout: Optional[float] = None) -> int:
+                  timeout: Optional[float] = None,
+                  wake: bool = True) -> int:
         """Enqueue a batch under one lock hold, with one timestamp and
         one consumer wake-up; returns how many were admitted (all of
         them: ``drop_oldest`` sheds the *oldest* entries, never the new
@@ -163,7 +165,10 @@ class BoundedEdgeQueue:
         and waits for the rest (so a batch larger than the capacity still
         drains through); ``timeout`` bounds the whole call and expiry
         raises ``TimeoutError`` with the admitted prefix left queued.
-        Raises :class:`QueueClosed` after :meth:`close`.
+        ``wake=False`` skips the wake-up, for a producer that consumes
+        the batch itself (a consumer blocked in :meth:`wait` still finds
+        it at its next poll, and one is woken whenever the batch has to
+        wait for room).  Raises :class:`QueueClosed` after :meth:`close`.
         """
         if not edges:
             return 0
@@ -188,22 +193,23 @@ class BoundedEdgeQueue:
                         entries.popleft()
                         self.dropped += 1
                     else:
-                        self._published(appended)
+                        self._published(appended, True)
                         appended = 0
                         now = self._wait_for_room(deadline)
                 entries.append(_Entry(edge, tag, now, lsn))
                 appended += 1
-            self._published(appended)
+            self._published(appended, wake)
         return len(edges)
 
-    def _published(self, appended: int) -> None:
-        """Account for ``appended`` new in-memory entries and wake the
-        consumer once (lock held)."""
+    def _published(self, appended: int, wake: bool) -> None:
+        """Account for ``appended`` new in-memory entries and, with
+        ``wake``, wake the consumer once (lock held)."""
         if appended:
             self.enqueued += appended
             if len(self._entries) > self.high_water:
                 self.high_water = len(self._entries)
-            self._not_empty.notify(appended)
+            if wake:
+                self._not_empty.notify(appended)
 
     def _wait_for_room(self, deadline: Optional[float]) -> float:
         """Block until the queue has room (lock held); returns the time
@@ -364,6 +370,17 @@ class BoundedEdgeQueue:
             self._not_full.notify_all()
             return batch, False
 
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until an entry is queued or the queue closes, at most
+        ``timeout`` seconds; returns whether an entry is queued.  A
+        consumer that must dequeue and apply under a lock of its own
+        waits here, then takes the batch with ``get_batch(n, timeout=0)``
+        inside that lock."""
+        with self._lock:
+            if not (self._entries or self._spill_pending or self._closed):
+                self._not_empty.wait(timeout)
+            return bool(self._entries or self._spill_pending)
+
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
@@ -422,6 +439,15 @@ class BoundedEdgeQueue:
             self.dequeued += count
             self._not_full.notify_all()
             return count
+
+    def check_open(self) -> None:
+        """Raise :class:`QueueClosed` (counted like a refused put) once
+        :meth:`close` was called — for a producer that must be refused
+        before it writes anything anywhere else."""
+        with self._lock:
+            if self._closed:
+                self.rejected_closed += 1
+                raise QueueClosed("queue is closed to new arrivals")
 
     def close(self) -> None:
         """Refuse new arrivals; wakes blocked producers and the consumer

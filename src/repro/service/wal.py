@@ -353,8 +353,10 @@ class WriteAheadLog:
         self.fsync_interval = max(0.0, float(fsync_interval_ms)) / 1000.0
         self.fsync_batch = max(1, int(fsync_batch))
         os.makedirs(directory, exist_ok=True)
-        # _lock guards appends/rotation/state; _sync_lock serialises the
-        # group-commit leaders (lock order: _sync_lock before _lock).
+        # _lock guards appends and state and is never held across an
+        # fsync; _sync_lock serialises the group-commit leaders and
+        # rotation, so no handle is closed while a leader fsyncs it (lock
+        # order: _sync_lock before _lock).
         self._lock = threading.Lock()
         self._sync_lock = threading.Lock()
         #: LSN of the last appended / last durable edge (0 = empty log).
@@ -524,9 +526,11 @@ class WriteAheadLog:
                 f"batch needs a {len(payload)}-byte journal frame; the "
                 f"limit is {_MAX_PAYLOAD}")
         frame = _frame(payload)
+        if self._active_bytes >= self.segment_bytes:
+            with self._sync_lock, self._lock:
+                if self._active_bytes >= self.segment_bytes:
+                    self._rotate_locked()
         with self._lock:
-            if self._active_bytes >= self.segment_bytes:
-                self._rotate_locked()
             self._handle.write(frame)
             self._active_bytes += len(frame)
             self.bytes_written += len(frame)
@@ -538,8 +542,9 @@ class WriteAheadLog:
             return self.appended_lsn, self._write_seq
 
     def _rotate_locked(self) -> None:
-        # Seal the active segment durably before opening its successor —
-        # a closed segment is immutable and fully on disk.
+        # Both locks held.  Seal the active segment durably before
+        # opening its successor — a closed segment is immutable and fully
+        # on disk.
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._handle.close()
@@ -555,8 +560,9 @@ class WriteAheadLog:
         ``None`` syncs everything appended so far.  Returns immediately
         when a concurrent leader already covered the ticket.  The fault
         site ``wal.fsync`` fires before the fsync — an injected
-        ``io_error`` leaves the data buffered and the ticket unsynced,
-        exactly like a real fsync failure, so callers retry.
+        ``io_error`` leaves the frames unsynced, exactly like a real
+        fsync failure, so callers retry.  Only the flush holds the append
+        lock: appends and :meth:`counters` go on while the disk syncs.
         """
         with self._lock:
             target = self._write_seq if ticket is None else ticket
@@ -570,11 +576,14 @@ class WriteAheadLog:
             with self._lock:
                 if self._synced_seq >= target:
                     return
-                faults.fire("wal.fsync")
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._synced_seq = self._write_seq
-                self.durable_lsn = self.appended_lsn
+                handle = self._handle
+                handle.flush()
+                seq, lsn = self._write_seq, self.appended_lsn
+            faults.fire("wal.fsync")
+            os.fsync(handle.fileno())
+            with self._lock:
+                self._synced_seq = seq
+                self.durable_lsn = lsn
                 self.fsyncs += 1
 
     # ------------------------------------------------------------------ #

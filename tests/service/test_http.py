@@ -6,13 +6,16 @@ import json
 import os
 import socket
 import struct
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import faults
 from repro.service import ServiceGateway
+from repro.service.config import WalConfig
 from repro.service.http import ServiceHTTPServer, _parse_edge_body
 
 from .conftest import chain_config, chain_edges, chain_records
@@ -368,3 +371,66 @@ class TestMatchEncodedOnce:
         tenant.checkpoint()                 # seals the match-log segment
         logged = read_match_log(tmp_path / "state")
         assert sorted(payloads[0]) == [line.encode() for line in logged]
+
+
+class TestDurableBeforeVisible:
+    """A WAL tenant's match reaches the log and the subscribers only
+    after the fsync that made its edges durable: with that fsync held for
+    0.3 s, nothing is delivered before the sync returns and the ack is
+    sent."""
+
+    DELAY = 0.3
+
+    def test_match_frames_follow_the_acked_fsync(self, tmp_path):
+        from .test_gateway import read_match_log
+
+        gateway = ServiceGateway(
+            chain_config(tmp_path / "state", wal=WalConfig()))
+        server = ServiceHTTPServer(gateway).start_background()
+        try:
+            tenant = gateway.tenant("t0")
+            delivered_when_durable = []
+            sync = tenant.wal.sync
+
+            def recorded_sync(*args):
+                sync(*args)
+                delivered_when_durable.append(tenant.matches_delivered)
+            tenant.wal.sync = recorded_sync
+
+            client = _WSClient(server.port, "/tenants/t0/stream")
+            deadline = time.monotonic() + 10
+            while tenant.hub.subscriber_count() < 1:
+                assert time.monotonic() < deadline, "never subscribed"
+                time.sleep(0.01)
+            frames = []
+
+            def read_frames():
+                while len(frames) < 3:
+                    opcode, payload = client.recv_frame()
+                    if opcode == 0x1:
+                        frames.append((time.monotonic(), payload))
+            reader = threading.Thread(target=read_frames, daemon=True)
+            reader.start()
+
+            plan = faults.FaultPlan([faults.FaultSpec(
+                site="wal.fsync", kind="delay", at=1, delay=self.DELAY)])
+            with faults.active(plan):
+                sent = time.monotonic()
+                status, ack = post(server.port, "/ingest",
+                                   {"edges": chain_records()})
+                acked = time.monotonic()
+                reader.join(10)
+            client.close()
+            assert status == 200 and ack["durable"] is True
+            assert acked - sent >= self.DELAY
+            assert delivered_when_durable == [0]
+            assert len(frames) == 3
+            assert min(at for at, _ in frames) - sent >= self.DELAY
+            assert gateway.wait_idle(10)
+            tenant.checkpoint()             # seals the match-log segment
+            logged = read_match_log(tmp_path / "state")
+            assert sorted(payload for _, payload in frames) \
+                == [line.encode() for line in logged]
+        finally:
+            gateway.shutdown()
+            server.stop()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -320,6 +321,58 @@ class TestWriteAheadLog:
         assert lsns == [1]
         wal.close()
 
+    @staticmethod
+    def _sync_in_delay(wal, ticket, plan):
+        """Start ``wal.sync(ticket)`` on a thread; return it once the sync
+        sits inside ``plan``'s ``wal.fsync`` delay."""
+        syncer = threading.Thread(target=wal.sync, args=(ticket,))
+        syncer.start()
+        while plan.report()["wal.fsync"]["fires"] < 1:
+            time.sleep(0.001)
+        return syncer
+
+    def test_appends_and_counters_do_not_wait_for_an_fsync(self, tmp_path):
+        """Only the flush holds the append lock: while one sync sits in
+        its fsync, another thread appends and reads the counters."""
+        wal = WriteAheadLog(str(tmp_path / "wal"))
+        _, ticket = wal.append(_entries(1))
+        plan = faults.FaultPlan([faults.FaultSpec(
+            site="wal.fsync", kind="delay", at=1, delay=0.5)])
+        with faults.active(plan):
+            started = time.monotonic()
+            syncer = self._sync_in_delay(wal, ticket, plan)
+            wal.append(_entries(1, 1))
+            counters = wal.counters()
+            elapsed = time.monotonic() - started
+            syncer.join()
+        assert elapsed < 0.4
+        assert counters["appended_lsn"] == 2 and counters["durable_lsn"] == 0
+        assert wal.durable_lsn == 1     # the sync covers what it flushed
+        wal.sync()
+        assert wal.durable_lsn == 2
+        wal.close()
+
+    def test_rotation_waits_for_the_fsync_of_the_handle_it_closes(
+            self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "wal"), segment_bytes=1024)
+        while wal._active_bytes < wal.segment_bytes:
+            _, ticket = wal.append(_entries(2))
+        plan = faults.FaultPlan([faults.FaultSpec(
+            site="wal.fsync", kind="delay", at=1, delay=0.3)])
+        with faults.active(plan):
+            started = time.monotonic()
+            syncer = self._sync_in_delay(wal, ticket, plan)
+            wal.append(_entries(2, 100))        # rotates first
+            elapsed = time.monotonic() - started
+            syncer.join()
+        assert elapsed >= 0.25
+        assert len(_segments(tmp_path / "wal")) == 2
+        assert wal.durable_lsn == wal.appended_lsn - 2
+        wal.close()
+        reopened = WriteAheadLog(str(tmp_path / "wal"))
+        assert reopened.appended_lsn == wal.appended_lsn
+        reopened.close()
+
 
 # --------------------------------------------------------------------- #
 # Dedup window
@@ -548,6 +601,30 @@ class TestTenantRecovery:
         assert retry["deduplicated"] is True
         tenant.start_worker()
         _drain(tenant, 2)
+        tenant.abort()
+
+    def test_deduplicated_retry_is_durable_before_it_says_so(self, tmp_path):
+        """A batch whose fsync failed every retry is journaled, so its
+        request id is in the dedup window; a retry answered from there
+        claims ``durable`` only once the journal is on disk, and fails
+        like the first attempt while the disk still does."""
+        tenant = Tenant(_wal_tenant_config(), str(tmp_path))
+        wal = tenant.wal
+        # Six fires: every retry of the first attempt's sync and of the
+        # first retry's.
+        plan = faults.FaultPlan([
+            faults.FaultSpec(site="wal.fsync", kind="io_error", every=1,
+                             limit=6)])
+        with faults.active(plan):
+            for _attempt in range(2):
+                with pytest.raises(OSError):
+                    tenant.ingest_json(chain_records(), request_id="r1")
+            assert (wal.durable_lsn, wal.appended_lsn, wal.fsyncs) \
+                == (0, 4, 0)
+        retry = tenant.ingest_json(chain_records(), request_id="r1")
+        assert retry["deduplicated"] is True and retry["durable"] is True
+        assert (wal.durable_lsn, wal.appended_lsn, wal.fsyncs) == (4, 4, 1)
+        assert tenant.dedup_hits == 2 and wal.appends == 1
         tenant.abort()
 
     def test_supervised_restart_replays_wal(self, tmp_path):
