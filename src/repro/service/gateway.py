@@ -191,6 +191,8 @@ class Tenant:
         self.worker_errors = 0
         #: Matches written to the match log / hub.
         self.matches_delivered = 0
+        #: Match frames shed because a WebSocket subscriber fell behind.
+        self.stream_frames_dropped = 0
         #: Completed checkpoints and the last one's wall-clock cost.
         self.checkpoints_written = 0
         self.last_checkpoint_seconds = 0.0
@@ -1047,6 +1049,8 @@ class Tenant:
         if self._worker is not None:
             self._worker.join(5.0)
         self.queue.dispose()
+        if self.match_sink is not None:
+            self.match_sink.abort()
         if self.wal is not None:
             self.wal.abort()
         close = getattr(self.safe.session, "close", None)
@@ -1093,6 +1097,7 @@ class Tenant:
             "checkpoint_failures": self.checkpoint_failures,
             "matches_delivered": self.matches_delivered,
             "subscribers": self.hub.subscriber_count(),
+            "stream_frames_dropped": self.stream_frames_dropped,
             "checkpoints_written": self.checkpoints_written,
             "last_checkpoint_seconds": self.last_checkpoint_seconds,
             "checkpoint_fallbacks": self.checkpoint_fallbacks,

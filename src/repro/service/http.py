@@ -70,6 +70,7 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _MAX_BODY = 64 * 1024 * 1024
 #: Header lines accepted per request before it is refused unread.
 _MAX_HEADERS = 100
+#: Bytes one WebSocket message may carry, its continuation frames summed.
 _MAX_FRAME = 16 * 1024 * 1024
 #: Bytes a subscriber's socket may have buffered for a match frame to be
 #: written straight to it; past that, frames queue (and shed) instead.
@@ -212,7 +213,10 @@ class ServiceHTTPServer:
         headers: Dict[str, str] = {}
         lines = 0
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:      # longer than the reader's limit
+                raise _Refused(400, "header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             lines += 1
@@ -384,7 +388,6 @@ class ServiceHTTPServer:
         loop_thread = threading.get_ident()
         transport = writer.transport
         queue: asyncio.Queue = asyncio.Queue(maxsize=4096)
-        dropped = [0]
         # Lines the worker handed over / the loop has queued: each counter
         # has one writer, and they differ while a hop is in flight.
         handed, taken = [0], [0]
@@ -393,7 +396,7 @@ class ServiceHTTPServer:
             try:
                 queue.put_nowait(line)
             except asyncio.QueueFull:
-                dropped[0] += 1
+                tenant.stream_frames_dropped += 1
 
         def take(line: str) -> None:
             taken[0] += 1
@@ -519,7 +522,8 @@ def _ws_frame(opcode: int, payload: bytes) -> bytes:
 
 async def _ws_read_frame(reader) -> Optional[Tuple[int, bytes]]:
     """Read one complete message (reassembling continuations); returns
-    ``(opcode, payload)`` or ``None`` once the peer is gone."""
+    ``(opcode, payload)``, or ``None`` once the peer is gone or the
+    message outgrew ``_MAX_FRAME``."""
     message_opcode: Optional[int] = None
     buffer = b""
     while True:
@@ -538,7 +542,9 @@ async def _ws_read_frame(reader) -> Optional[Tuple[int, bytes]]:
             elif length == 127:
                 length = struct.unpack(
                     ">Q", await reader.readexactly(8))[0]
-            if length > _MAX_FRAME:
+            # The whole message is capped, not just each frame: a stream
+            # of continuations must not grow the buffer without bound.
+            if length > _MAX_FRAME - (len(buffer) if opcode == 0 else 0):
                 return None
             mask = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length)

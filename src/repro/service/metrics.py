@@ -37,6 +37,8 @@ _HELP = {
     "worker_errors": "Worker batches that failed unexpectedly.",
     "matches_delivered": "Matches written to the match log / subscribers.",
     "subscribers": "Live match-stream subscribers.",
+    "stream_frames_dropped": "Match frames shed because a WebSocket "
+                             "subscriber fell behind.",
     "checkpoints_written": "Completed checkpoint barriers.",
     "last_checkpoint_seconds": "Wall-clock cost of the last checkpoint.",
     "restarts": "Supervisor session rebuilds from the last checkpoint.",

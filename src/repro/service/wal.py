@@ -668,8 +668,10 @@ class WriteAheadLog:
         """Crash simulation: drop the handle without fsyncing.  Buffered
         frames reach the OS page cache but are never forced to disk —
         the state a ``kill -9`` leaves behind on a surviving machine.
-        (True torn tails are exercised by the chaos harness's real
-        ``SIGKILL`` and by tests that truncate segments directly.)"""
+        (True torn tails are exercised by the gateway model's real
+        ``SIGKILL`` of ``repro serve``, ``tests/service/
+        test_gateway_model.py``, and by tests that truncate segments
+        directly.)"""
         with self._lock:
             handle, self._handle = self._handle, None
         if handle is None:

@@ -266,9 +266,19 @@ class RotatingJSONLSink:
             self._handle.close()
             self._handle = None
 
+    def abort(self) -> None:
+        """Crash simulation: close the open segment's file descriptor
+        and discard what is still buffered, as a ``SIGKILL`` would."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            handle, self._handle = self._handle, None
+        handle.buffer.raw.close()
+
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has run."""
+        """Whether :meth:`close` or :meth:`abort` has run."""
         return self._closed
 
     def segment_files(self) -> List[str]:

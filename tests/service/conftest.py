@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import base64
+import hashlib
+import json
+import os
+import socket
+import struct
 from typing import List
 
 import pytest
@@ -52,3 +58,90 @@ def gateway(tmp_path):
     gw = ServiceGateway(chain_config(tmp_path / "state"))
     yield gw
     gw.shutdown()
+
+
+WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+
+
+class WSClient:
+    """The blocking RFC 6455 client every service test speaks through."""
+
+    def __init__(self, port, path):
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=10)
+        key = base64.b64encode(os.urandom(16)).decode()
+        self.sock.sendall((
+            f"GET {path} HTTP/1.1\r\nHost: localhost\r\n"
+            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n\r\n").encode())
+        response = b""
+        while b"\r\n\r\n" not in response:
+            chunk = self.sock.recv(1024)
+            if not chunk:
+                self.sock.close()
+                raise ConnectionError("peer closed during the handshake")
+            response += chunk
+        status_line = response.split(b"\r\n", 1)[0]
+        assert b"101" in status_line, response
+        expected = base64.b64encode(hashlib.sha1(
+            (key + WS_GUID).encode()).digest())
+        assert expected in response
+
+    def send_frame(self, opcode: int, payload: bytes, *,
+                   fin: bool = True) -> None:
+        """Send one masked frame; ``fin=False`` leaves the message open
+        for continuation frames (opcode 0)."""
+        mask = os.urandom(4)
+        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        head = bytes([(0x80 if fin else 0) | opcode])
+        length = len(payload)
+        if length < 126:
+            head += bytes([0x80 | length])
+        elif length < 1 << 16:
+            head += bytes([0x80 | 126]) + struct.pack(">H", length)
+        else:
+            head += bytes([0x80 | 127]) + struct.pack(">Q", length)
+        self.sock.sendall(head + mask + masked)
+
+    def send_text(self, text: str) -> None:
+        self.send_frame(0x1, text.encode())
+
+    def request(self, payload) -> dict:
+        """Send ``payload`` as one JSON text frame; return the JSON reply."""
+        self.send_text(json.dumps(payload))
+        while True:
+            opcode, body = self.recv_frame()
+            if opcode == 0x1:
+                return json.loads(body)
+            if opcode == 0x8:
+                raise ConnectionError("server closed the stream")
+
+    def recv_frame(self):
+        head = self._exactly(2)
+        opcode = head[0] & 0x0F
+        length = head[1] & 0x7F
+        if length == 126:
+            length = struct.unpack(">H", self._exactly(2))[0]
+        elif length == 127:
+            length = struct.unpack(">Q", self._exactly(8))[0]
+        return opcode, self._exactly(length)
+
+    def _exactly(self, n):
+        data = b""
+        while len(data) < n:
+            chunk = self.sock.recv(n - len(data))
+            if not chunk:
+                raise ConnectionError("peer closed")
+            data += chunk
+        return data
+
+    def close(self):
+        """Send a close frame if the peer still listens, then close."""
+        mask = b"\x00\x00\x00\x00"
+        try:
+            self.sock.sendall(b"\x88\x82" + mask + struct.pack(">H", 1000))
+        except OSError:
+            pass
+        finally:
+            self.sock.close()

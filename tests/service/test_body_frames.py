@@ -22,8 +22,8 @@ from repro.service.gateway import Tenant
 from repro.service.http import ServiceHTTPServer, _parse_edge_body
 from repro.service.wal import WalFrameTooLarge, WriteAheadLog, scan_segment
 
-from .conftest import CHAIN_DSL, chain_config, chain_records
-from .test_http import _WSClient, post
+from .conftest import CHAIN_DSL, WSClient, chain_config, chain_records
+from .test_http import post
 
 
 def _record(src, dst, ts, src_label, dst_label, **extra):
@@ -350,7 +350,7 @@ class TestOversizedFrameIsRefused:
             assert excinfo.value.code == 413
             assert "journal frame" in json.loads(
                 excinfo.value.read())["error"]
-            client = _WSClient(server.port, "/tenants/t0/ingest")
+            client = WSClient(server.port, "/tenants/t0/ingest")
             client.send_text(json.dumps(STREAM * 4))
             _opcode, payload = client.recv_frame()
             reply = json.loads(payload)

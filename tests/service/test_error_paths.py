@@ -1,5 +1,6 @@
 """Gateway failure paths: poison edges, disk faults, rate limits,
-client disconnects, tailer file churn, and supervised restarts.
+client disconnects, tailer file churn, and an exhausted restart budget
+(a supervised restart itself is ``test_gateway_model.py``'s kill rule).
 
 Every test here drives a *failure* through the public surface and
 asserts the containment contract: counters move, dead letters land,
@@ -20,8 +21,8 @@ from repro.service import (
 )
 from repro.service.http import ServiceHTTPServer
 
-from .conftest import CHAIN_DSL, chain_config, chain_records
-from .test_http import _WSClient, get, post
+from .conftest import CHAIN_DSL, WSClient, chain_config, chain_records
+from .test_http import get, post
 
 
 def wait_for(predicate, timeout=10.0):
@@ -183,7 +184,7 @@ class TestRateLimiting:
 
     def test_websocket_backoff_frame(self, tmp_path):
         with served(self.config(tmp_path / "state")) as (_gateway, port):
-            client = _WSClient(port, "/tenants/t0/ingest")
+            client = WSClient(port, "/tenants/t0/ingest")
             client.send_text(json.dumps({"edges": chain_records()}))
             _opcode, payload = client.recv_frame()
             assert json.loads(payload)["accepted"] == 4
@@ -206,7 +207,7 @@ class TestRateLimiting:
 class TestWSDisconnect:
     def test_abrupt_disconnect_mid_ack_does_not_wedge(self, tmp_path):
         with served(chain_config(tmp_path / "state")) as (gateway, port):
-            client = _WSClient(port, "/tenants/t0/ingest")
+            client = WSClient(port, "/tenants/t0/ingest")
             client.send_text(json.dumps({"edges": chain_records()}))
             # Vanish without a close frame, before reading the ack: the
             # server's ack write hits a dead socket.
@@ -218,7 +219,7 @@ class TestWSDisconnect:
             # both still work.
             status, _body = get(port, "/stats")
             assert status == 200
-            replacement = _WSClient(port, "/tenants/t0/ingest")
+            replacement = WSClient(port, "/tenants/t0/ingest")
             replacement.send_text(json.dumps(chain_records()[:1]))
             _opcode, payload = replacement.recv_frame()
             assert json.loads(payload)["accepted"] == 1
@@ -226,7 +227,7 @@ class TestWSDisconnect:
 
     def test_stream_subscriber_disconnect_unsubscribes(self, tmp_path):
         with served(chain_config(tmp_path / "state")) as (gateway, port):
-            client = _WSClient(port, "/tenants/t0/stream")
+            client = WSClient(port, "/tenants/t0/stream")
             hub = gateway.tenant("t0").hub
             assert wait_for(lambda: hub.subscriber_count() == 1)
             client.sock.close()     # no close frame
@@ -321,49 +322,6 @@ class TestTailerFileChurn:
 # Supervised restart from the last checkpoint (shard death)
 # --------------------------------------------------------------------- #
 class TestSupervisedRestart:
-    def test_shard_death_restarts_tenant_from_checkpoint(self, tmp_path):
-        config = chain_config(tmp_path / "state", sharding="process",
-                              shards=2, max_restarts=3)
-        gateway = ServiceGateway(config)
-        try:
-            tenant = gateway.tenant("t0")
-            tenant.ingest_json(chain_records())
-            assert gateway.wait_idle(15)
-            assert tenant.matches_delivered == 3
-            tenant.checkpoint()
-
-            # Hard-kill every shard worker.
-            session = tenant.safe.session
-            for shard in session._shards:
-                shard.handle.process.kill()
-            assert wait_for(lambda: not any(
-                shard.handle.process.is_alive()
-                for shard in session._shards))
-
-            # The next batch hits the dead shards; the supervisor must
-            # rebuild the session from the barrier.
-            tenant.ingest_edges([edge("b1", "c9", 5.0,
-                                      src_label="B", dst_label="C")])
-            assert wait_for(lambda: tenant.restarts == 1, timeout=30.0)
-            assert wait_for(lambda: tenant.health.state == "healthy",
-                            timeout=30.0)
-            arc = [entry["state"] for entry in tenant.health.history()]
-            assert "degraded" in arc and "recovering" in arc
-            assert arc[-1] == "healthy"
-            # Restored at the checkpointed position; the producer
-            # replays from there (the trigger batch was past the
-            # barrier, so it re-sends).
-            assert tenant.edges_offered == 4
-            # Replaying the lost edge completes both chains pending at
-            # b1 (a1@1 and a2@3 are still in the 6-second window).
-            tenant.ingest_edges([edge("b1", "c9", 5.0,
-                                      src_label="B", dst_label="C")])
-            assert wait_for(lambda: tenant.matches_delivered == 5,
-                            timeout=30.0)
-            assert tenant.restart_budget.counters()["granted"] == 1
-        finally:
-            gateway.shutdown()
-
     def test_exhausted_budget_degrades_instead_of_crash_looping(self):
         # Unit-level: the supervisor path with a zero budget marks the
         # tenant degraded and reports False, no restart attempted.

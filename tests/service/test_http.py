@@ -1,11 +1,9 @@
 """The HTTP/WebSocket front door against a live in-process gateway."""
 
 import base64
-import hashlib
 import json
 import os
 import socket
-import struct
 import threading
 import time
 import urllib.error
@@ -15,12 +13,11 @@ import pytest
 
 from repro import faults
 from repro.service import ServiceGateway
+from repro.service import http as http_module
 from repro.service.config import WalConfig
 from repro.service.http import ServiceHTTPServer, _parse_edge_body
 
-from .conftest import chain_config, chain_edges, chain_records
-
-WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+from .conftest import WSClient, chain_config, chain_edges, chain_records
 
 
 @pytest.fixture
@@ -67,6 +64,7 @@ class TestHTTPEndpoints:
         status, body = get(port, "/stats")
         stats = json.loads(body)
         assert stats["tenants"]["t0"]["matches_delivered"] == 3
+        assert stats["tenants"]["t0"]["stream_frames_dropped"] == 0
 
     def test_ingest_named_tenant_route(self, served):
         gateway, port = served
@@ -105,6 +103,7 @@ class TestHTTPEndpoints:
         assert status == 200
         assert 'repro_matches_delivered{tenant="t0"} 3' in text
         assert 'repro_queue_depth{tenant="t0"} 0' in text
+        assert 'repro_stream_frames_dropped{tenant="t0"} 0' in text
         assert "repro_uptime_seconds" in text
 
     def test_checkpoint_trigger(self, served, tmp_path):
@@ -175,6 +174,15 @@ class TestHostileRequests:
             port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + filler + b"\r\n")
         assert response.split(b"\r\n", 1)[0] == b"HTTP/1.1 200 OK"
 
+    def test_over_long_header_line_is_refused(self, served):
+        _gateway, port = served
+        response = raw_exchange(port, (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Long: "
+            + b"y" * 70_000 + b"\r\n\r\n"))
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(body) == {"error": "header line too long"}
+
 
 class TestParseEdgeBody:
     def test_shapes(self):
@@ -201,68 +209,10 @@ class TestParseEdgeBody:
         assert _parse_edge_body(b"[" * 100_000 + b"]" * 100_000) is None
 
 
-class _WSClient:
-    """A tiny blocking RFC 6455 client for tests."""
-
-    def __init__(self, port, path):
-        self.sock = socket.create_connection(("127.0.0.1", port),
-                                             timeout=10)
-        key = base64.b64encode(os.urandom(16)).decode()
-        self.sock.sendall((
-            f"GET {path} HTTP/1.1\r\nHost: localhost\r\n"
-            "Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n\r\n").encode())
-        response = b""
-        while b"\r\n\r\n" not in response:
-            response += self.sock.recv(1024)
-        status_line = response.split(b"\r\n", 1)[0]
-        assert b"101" in status_line, response
-        expected = base64.b64encode(hashlib.sha1(
-            (key + WS_GUID).encode()).digest())
-        assert expected in response
-
-    def send_text(self, text: str) -> None:
-        payload = text.encode()
-        mask = os.urandom(4)
-        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-        head = b"\x81"
-        length = len(payload)
-        if length < 126:
-            head += bytes([0x80 | length])
-        else:
-            head += bytes([0x80 | 126]) + struct.pack(">H", length)
-        self.sock.sendall(head + mask + masked)
-
-    def recv_frame(self):
-        head = self._exactly(2)
-        opcode = head[0] & 0x0F
-        length = head[1] & 0x7F
-        if length == 126:
-            length = struct.unpack(">H", self._exactly(2))[0]
-        elif length == 127:
-            length = struct.unpack(">Q", self._exactly(8))[0]
-        return opcode, self._exactly(length)
-
-    def _exactly(self, n):
-        data = b""
-        while len(data) < n:
-            chunk = self.sock.recv(n - len(data))
-            if not chunk:
-                raise ConnectionError("peer closed")
-            data += chunk
-        return data
-
-    def close(self):
-        mask = b"\x00\x00\x00\x00"
-        self.sock.sendall(b"\x88\x82" + mask + struct.pack(">H", 1000))
-        self.sock.close()
-
-
 class TestWebSocket:
     def test_match_stream_subscription(self, served):
         gateway, port = served
-        client = _WSClient(port, "/tenants/t0/stream")
+        client = WSClient(port, "/tenants/t0/stream")
         # The 101 reply can race the server-side subscribe call.
         hub = gateway.tenant("t0").hub
         deadline = time.monotonic() + 10
@@ -283,7 +233,7 @@ class TestWebSocket:
 
     def test_websocket_ingest_with_acks(self, served):
         gateway, port = served
-        client = _WSClient(port, "/tenants/t0/ingest")
+        client = WSClient(port, "/tenants/t0/ingest")
         client.send_text(json.dumps({"edges": chain_records()}))
         opcode, payload = client.recv_frame()
         assert opcode == 0x1
@@ -308,9 +258,25 @@ class TestWebSocket:
         assert b"404" in response.split(b"\r\n", 1)[0]
         sock.close()
 
+    def test_reassembled_message_is_capped(self, served, monkeypatch):
+        """Continuation frames count against one message's limit: a
+        message that outgrows it closes the connection."""
+        monkeypatch.setattr(http_module, "_MAX_FRAME", 64)
+        _gateway, port = served
+        client = WSClient(port, "/tenants/t0/ingest")
+        client.send_frame(0x1, b"[", fin=False)
+        client.send_frame(0x0, b"]")
+        opcode, payload = client.recv_frame()
+        assert opcode == 0x1 and json.loads(payload)["accepted"] == 0
+        client.send_frame(0x1, b"[" + b" " * 39, fin=False)
+        client.send_frame(0x0, b" " * 40, fin=False)
+        with pytest.raises(ConnectionError):
+            client.recv_frame()
+        client.close()
+
     def test_ping_gets_pong(self, served):
         _gateway, port = served
-        client = _WSClient(port, "/tenants/t0/stream")
+        client = WSClient(port, "/tenants/t0/stream")
         mask = b"\x00\x00\x00\x00"
         client.sock.sendall(b"\x89\x84" + mask + b"ping")
         opcode, payload = client.recv_frame()
@@ -330,7 +296,7 @@ class TestMatchEncodedOnce:
         from .test_gateway import read_match_log
 
         gateway, port = served
-        clients = [_WSClient(port, "/tenants/t0/stream") for _ in range(3)]
+        clients = [WSClient(port, "/tenants/t0/stream") for _ in range(3)]
         hub = gateway.tenant("t0").hub
         deadline = time.monotonic() + 10
         while hub.subscriber_count() < 3:
@@ -397,7 +363,7 @@ class TestDurableBeforeVisible:
                 delivered_when_durable.append(tenant.matches_delivered)
             tenant.wal.sync = recorded_sync
 
-            client = _WSClient(server.port, "/tenants/t0/stream")
+            client = WSClient(server.port, "/tenants/t0/stream")
             deadline = time.monotonic() + 10
             while tenant.hub.subscriber_count() < 1:
                 assert time.monotonic() < deadline, "never subscribed"

@@ -108,15 +108,15 @@ class TestCiNamesWhatExists:
     parser still finds names it must find."""
 
     def test_finds_the_modules(self):
-        assert {"repro", "repro.bench.chaos_smoke"} <= set(
-            ci_modules(WORKFLOW))
+        assert "repro" in ci_modules(WORKFLOW)
 
     def test_finds_the_scripts(self):
         assert {"bench_e2e/run.py", "examples/quickstart.py"} <= set(
             ci_scripts(WORKFLOW))
 
     def test_finds_the_pytest_paths(self):
-        assert {"bench_e2e/tests", "tests/test_session_model.py"} <= set(
+        assert {"bench_e2e/tests", "tests/test_session_model.py",
+                "tests/service/test_gateway_model.py"} <= set(
             ci_pytest_paths(WORKFLOW))
 
     @pytest.mark.parametrize("module", ci_modules(WORKFLOW))
