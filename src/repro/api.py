@@ -295,26 +295,53 @@ class Session:
         """Build ``record``'s engine from its recipe and enroll it — what
         a restore repeats (:mod:`repro.persistence`), where ``private``
         keeps a privately-buffering matcher off the shared windows."""
-        provider = None if private else self._subplan_provider(
-            record.backend, record.config, record.window)
+        shared = not private and self._routing == "shared"
+        # A built-in backend keeps the window spec it is given, so the
+        # spec names its group and the engine is built on the group's
+        # view; a factory's engine is judged on the window it built.
+        key = group_key(record.window) \
+            if shared and not callable(record.backend) else None
+        window = record.window if key is None else \
+            SharedWindowView(self._admission.open(key).window)
+        # Sub-plan sharing needs co-members of one window group (they
+        # expire in lock-step, which a shared store's exactly-once expiry
+        # relies on) and stores to share: a one-edge query runs the
+        # stateless plan and has none.
+        provider = _SubplanProvider(self._subplans, key) \
+            if key is not None and record.backend == "timing" \
+            and record.config.subplan_sharing == "shared" \
+            and not record.query.is_single_edge else None
         options = dict(record.options)
         if provider is not None:
             options["subplan_provider"] = provider
         try:
-            matcher = _build_matcher(record.backend, record.query,
-                                     record.window, record.config, options)
+            matcher = _build_matcher(record.backend, record.query, window,
+                                     record.config, options)
         except BaseException:
             if provider is not None:
                 provider.rollback()     # failed build leaks no refcounts
+            if key is not None and not self._admission.groups[key].members:
+                del self._admission.groups[key]     # nor an opened group
             raise
         record.matcher = matcher
-        if private or self._routing != "shared" \
-                or not self._enroll_shared(record):
-            # Privately-buffering matcher: lock-step fan-out semantics.
-            self._index.add(record.name, (record.ordinal, record),
-                            ALWAYS_ROUTED)
+        if shared and key is None and callable(record.backend) \
+                and isinstance(matcher, MatcherBase):
+            key = group_key(matcher.window)
+            if key is not None:
+                matcher.window = SharedWindowView(
+                    self._admission.open(key).window)
+        entry = (record.ordinal, record)
+        if key is None:
+            # Privately-buffering matcher (non-MatcherBase, custom or
+            # pre-filled window, fanout): lock-step fan-out semantics.
+            self._index.add(record.name, entry, ALWAYS_ROUTED)
             if self.current_time > float("-inf"):
                 matcher.advance_time(self.current_time)
+        else:
+            self._admission.enroll(key, entry, matcher.duplicate_policy)
+            record.group_key = key
+            self._retaining += not matcher.stateless
+            self._index.add(record.name, entry, matcher.routing_signatures())
         self._queries[record.name] = record
 
     def _resolve_registration(self, name: str, query, window):
@@ -337,7 +364,8 @@ class Session:
             raise ValueError(
                 f"no window for query {name!r}: pass register(window=...), "
                 "a DSL 'window' line, or a Session default")
-        if as_window(window) is window:
+        if isinstance(window, bool) or not isinstance(window, (int, float)):
+            as_window(window)   # TypeError unless a window policy object
             # Same hazard the constructor rejects for the default window:
             # one mutable policy object cannot back two engines.
             for other in self._queries.values():
@@ -347,45 +375,6 @@ class Session:
                         f"{other.name!r}; pass a fresh instance — engines "
                         "cannot share one mutable window")
         return query, window
-
-    def _enroll_shared(self, record: _QueryRecord) -> bool:
-        """Subscribe a matcher to shared routing; ``False`` if it must
-        keep buffering privately (non-:class:`MatcherBase`, or a custom /
-        pre-filled window policy)."""
-        matcher = record.matcher
-        if not isinstance(matcher, MatcherBase):
-            return False
-        key = group_key(matcher.window)
-        if key is None:
-            return False
-        entry = (record.ordinal, record)
-        group = self._admission.enroll(key, entry, matcher.duplicate_policy)
-        matcher.window = SharedWindowView(group.window)
-        record.group_key = key
-        self._retaining += not matcher.stateless
-        self._index.add(record.name, entry, matcher.routing_signatures())
-        return True
-
-    def _subplan_provider(self, backend, config: EngineConfig,
-                          window) -> Optional[_SubplanProvider]:
-        """A sub-plan provider for this registration, or ``None``.
-
-        Sharing is offered exactly when the engine is certain to enroll in
-        shared routing (only co-members of one shared window group expire
-        in lock-step, which the exactly-once expiry of a shared store
-        relies on): the built-in Timing backend, ``routing="shared"``,
-        ``subplan_sharing="shared"``, and a window that will land in a
-        known shared group — as judged by the same
-        :func:`~repro.ingest.group_key` enrollment itself uses, so the
-        two can never disagree.
-        """
-        if self._routing != "shared" or backend != "timing" \
-                or config.subplan_sharing != "shared":
-            return None
-        key = group_key(window)
-        if key is None:
-            return None         # unshareable or pre-filled: won't enroll
-        return _SubplanProvider(self._subplans, key)
 
     def register_file(self, name: str, path: str, **kwargs) -> Matcher:
         """Register a query from a ``.tq`` DSL file."""
@@ -425,7 +414,8 @@ class Session:
         record.matcher = None       # target lists snapshotted earlier skip it
         # Sinks filtered to this query die with it — a later query reusing
         # the name must not inherit them.
-        self._sinks = [(q, s) for q, s in self._sinks if q != name]
+        if any(q == name for q, _ in self._sinks):
+            self._sinks = [(q, s) for q, s in self._sinks if q != name]
 
     def names(self) -> List[str]:
         """Registered query names, in registration order."""
@@ -744,6 +734,8 @@ class Session:
                 if getattr(record.matcher, "stateless", False)),
             "predicate_entries": len(self._index.router),
             "predicate_trie_nodes": self._index.router.node_count(),
+            "route_memo_clears": self._index.memo_clears,
+            "route_memo_entries": len(self._index.memo),
             "shared_window_cells": self.shared_window_cells(),
             "window_cells": self.window_cells(),
             "subplan_sharing": self.config.subplan_sharing,

@@ -1205,6 +1205,8 @@ class ShardedSession(Session):
             "subplan_reuses": sum(s["subplan_reuses"] for s in inner),
             "predicate_entries": len(self._index.router),
             "predicate_trie_nodes": self._index.router.node_count(),
+            "route_memo_clears": self._index.memo_clears,
+            "route_memo_entries": len(self._index.memo),
             "facade_cpu_seconds": round(self._facade_seconds, 4),
             "per_shard": per_shard,
         }

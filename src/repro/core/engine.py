@@ -392,6 +392,8 @@ class TimingMatcher(MatcherBase):
         records back to the caller — the :class:`~repro.api.Session` — so
         their refcounts drop.  Idempotent: the engine forgets the records.
         """
+        if not self._shared_subplans:
+            return []       # nothing shared (a stateless plan never is)
         for store, level, refs in self._shared_index_refs:
             store.remove_index(level, refs)
         self._shared_index_refs = []

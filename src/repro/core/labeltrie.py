@@ -1,26 +1,25 @@
-"""Trie-compiled predicate routing: prefix/wildcard labels at scale.
+"""Predicate routing: prefix/wildcard labels at scale.
 
 The session routing index (PR 3) must stay sub-linear in the number of
 registered queries Q — it is the only per-arrival structure that sees
 every query.  Exact label triples hash in O(1); this module supplies the
 same guarantee for *predicate* labels (``Prefix``/``ANY``):
 
-* :class:`LabelTrie` — a refcounted character trie over prefix patterns.
-  ``walk(text)`` visits the nodes along ``text`` and collects the tokens
-  of every stored pattern that is a prefix of it (the shared-prefix walk
-  of an Aho–Corasick matcher restricted to prefix patterns): O(len(text))
-  regardless of how many patterns are stored.  ``remove`` decrements
-  terminal refcounts and prunes now-empty nodes, so register/deregister
-  churn cannot leak trie nodes.
+* :class:`LabelTrie` — prefix buckets: one dict from pattern text to the
+  tokens stored under it, plus a refcount per distinct pattern length.
+  ``walk(text)`` probes ``text[:n]`` once for every stored length
+  ``n <= len(text)`` — bounded by the label's length, not by how many
+  patterns are stored — and ``insert``/``remove`` are O(1) dict edits,
+  so register/deregister churn touches one bucket and cannot leak one.
 
-* :class:`PredicateRouter` — one exact-value dict plus one
-  :class:`LabelTrie` per label position (src, edge, dst).  A query edge
-  whose three labels all reduce to :func:`~repro.core.query.routing_atom`
-  atoms registers one *token* under its constrained positions; an
-  arriving edge is matched by probing each position once and counting —
-  a token whose every constrained position hit (and whose loop flag
-  agrees) is a candidate.  Cost per arrival: O(total label length +
-  candidates), flat in Q.
+* :class:`PredicateRouter` — per label position (src, edge, dst) one
+  exact-value dict plus one :class:`LabelTrie`.  A query edge whose three
+  labels all reduce to :func:`~repro.core.query.routing_atom` atoms
+  registers one *token* under its constrained positions.  A token that
+  constrains one position is kept under its loop flag and goes straight
+  into the result when that position hits; only tokens constraining two
+  or three positions are counted per arrival (every constrained position
+  must hit, and the loop flag must agree).  Flat in Q.
 """
 
 from __future__ import annotations
@@ -35,96 +34,86 @@ Token = Hashable
 AtomTriple = Tuple[Tuple, Tuple, Tuple]
 
 
-class _TrieNode:
-    """One trie node: child map plus the tokens terminating here."""
-
-    __slots__ = ("children", "tokens")
-
-    def __init__(self) -> None:
-        self.children: Dict[str, "_TrieNode"] = {}
-        self.tokens: Set[Token] = set()
-
-
 class LabelTrie:
-    """Refcounted prefix trie mapping patterns to routing tokens."""
+    """Refcounted prefix buckets mapping patterns to routing tokens."""
 
-    __slots__ = ("_root", "_size")
+    __slots__ = ("_buckets", "_lengths")
 
     def __init__(self) -> None:
-        self._root = _TrieNode()
-        self._size = 0
+        self._buckets: Dict[str, Set[Token]] = {}
+        # pattern length -> number of stored patterns of that length
+        self._lengths: Dict[int, int] = {}
 
     def insert(self, pattern: str, token: Token) -> None:
         """Store ``token`` under ``pattern`` (non-empty string)."""
         if not pattern:
             raise ValueError("empty trie pattern")
-        node = self._root
-        for char in pattern:
-            child = node.children.get(char)
-            if child is None:
-                child = _TrieNode()
-                node.children[char] = child
-            node = child
-        if token in node.tokens:
+        tokens = self._buckets.get(pattern)
+        if tokens is None:
+            tokens = self._buckets[pattern] = set()
+            length = len(pattern)
+            self._lengths[length] = self._lengths.get(length, 0) + 1
+        elif token in tokens:
             raise ValueError(f"duplicate trie token {token!r} "
                              f"for pattern {pattern!r}")
-        node.tokens.add(token)
-        self._size += 1
+        tokens.add(token)
 
     def remove(self, pattern: str, token: Token) -> None:
-        """Drop ``token`` from ``pattern``, pruning emptied nodes."""
-        path: List[Tuple[_TrieNode, str]] = []
-        node = self._root
-        for char in pattern:
-            child = node.children.get(char)
-            if child is None:
-                raise KeyError(pattern)
-            path.append((node, char))
-            node = child
-        if token not in node.tokens:
-            raise KeyError(token)
-        node.tokens.discard(token)
-        self._size -= 1
-        # Prune the now-unreferenced suffix of the path bottom-up.
-        while path and not node.tokens and not node.children:
-            parent, char = path.pop()
-            del parent.children[char]
-            node = parent
+        """Drop ``token`` from ``pattern``; an emptied bucket goes, and
+        with the last pattern of its length, that length."""
+        tokens = self._buckets.get(pattern)
+        if tokens is None:
+            raise KeyError(pattern)
+        tokens.remove(token)
+        if not tokens:
+            del self._buckets[pattern]
+            length = len(pattern)
+            self._lengths[length] -= 1
+            if not self._lengths[length]:
+                del self._lengths[length]
 
     def walk(self, text: str) -> List[Token]:
         """Tokens of every stored pattern that is a prefix of ``text``.
 
-        O(len(text)) node visits — the walk stops at the first character
-        with no child, no matter how many patterns are stored.
+        One dict probe per stored length that fits in ``text`` — a
+        longer length would slice ``text`` whole and probe its own
+        bucket a second time.
         """
         found: List[Token] = []
-        node = self._root
-        for char in text:
-            node = node.children.get(char)  # type: ignore[assignment]
-            if node is None:
-                break
-            if node.tokens:
-                found.extend(node.tokens)
+        buckets = self._buckets
+        size = len(text)
+        for length in self._lengths:
+            if length <= size:
+                found.extend(buckets.get(text[:length], ()))
         return found
 
     def node_count(self) -> int:
-        """Number of trie nodes including the root (pruning observable)."""
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
+        """The root plus one node per stored pattern (churn observable)."""
+        return 1 + len(self._buckets)
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._buckets.values()))
 
-    def __bool__(self) -> bool:
-        return self._size > 0
 
-    def __repr__(self) -> str:
-        return f"LabelTrie({self._size} patterns, {self.node_count()} nodes)"
+def _positions() -> tuple:
+    """Per label position (src, edge, dst): value dict, LabelTrie."""
+    return ({}, {}, {}), (LabelTrie(), LabelTrie(), LabelTrie())
+
+
+def _probe(index: tuple, labels: Tuple) -> List[Token]:
+    """The tokens of ``index`` hit at each position, once per position."""
+    exact, tries = index
+    found: List[Token] = []
+    for position, value in enumerate(labels):
+        values = exact[position]
+        if values:
+            found.extend(values.get(value, ()))
+        trie = tries[position]
+        if trie._buckets:
+            text = prefix_text(value)
+            if text is not None:
+                found.extend(trie.walk(text))
+    return found
 
 
 class PredicateRouter:
@@ -141,13 +130,14 @@ class PredicateRouter:
     exact-triple dict probe already does.
     """
 
-    __slots__ = ("_exact", "_tries", "_entries", "_always")
+    __slots__ = ("_single", "_multi", "_multi_size", "_entries", "_always")
 
     def __init__(self) -> None:
-        # One structure per label position: 0=src, 1=edge, 2=dst.
-        self._exact: Tuple[Dict[Hashable, Set[Token]], ...] = ({}, {}, {})
-        self._tries: Tuple[LabelTrie, ...] = (
-            LabelTrie(), LabelTrie(), LabelTrie())
+        # Tokens constraining one position, by loop flag: a hit is a match.
+        self._single = {False: _positions(), True: _positions()}
+        # Tokens constraining two or three positions: hits are counted.
+        self._multi = _positions()
+        self._multi_size = 0
         # token → (atoms, is_loop, constrained-position count)
         self._entries: Dict[Token, Tuple[AtomTriple, bool, int]] = {}
         # Tokens with no constrained position, split by loop flag.
@@ -158,76 +148,69 @@ class PredicateRouter:
         if token in self._entries:
             raise ValueError(f"duplicate predicate token {token!r}")
         required = 0
-        for position, atom in enumerate(atoms):
-            kind = atom[0]
-            if kind == "any":
-                continue
-            required += 1
-            if kind == "eq":
-                self._exact[position].setdefault(atom[1], set()).add(token)
-            elif kind == "pre":
-                self._tries[position].insert(atom[1], token)
-            else:
-                raise ValueError(f"unknown routing atom {atom!r}")
-        self._entries[token] = (atoms, is_loop, required)
+        for atom in atoms:
+            if atom[0] != "any":
+                if atom[0] != "eq" and atom[0] != "pre":
+                    raise ValueError(f"unknown routing atom {atom!r}")
+                required += 1
         if required == 0:
             self._always[is_loop].add(token)
+        else:
+            self._multi_size += required > 1
+            exact, tries = self._single[is_loop] if required == 1 \
+                else self._multi
+            for position, atom in enumerate(atoms):
+                if atom[0] == "eq":
+                    exact[position].setdefault(atom[1], set()).add(token)
+                elif atom[0] == "pre":
+                    tries[position].insert(atom[1], token)
+        self._entries[token] = (atoms, is_loop, required)
 
     def remove(self, token: Token) -> None:
-        """Deregister ``token``, pruning emptied buckets and trie nodes."""
+        """Deregister ``token``, dropping emptied buckets."""
         atoms, is_loop, required = self._entries.pop(token)
         if required == 0:
             self._always[is_loop].discard(token)
             return
+        self._multi_size -= required > 1
+        exact, tries = self._single[is_loop] if required == 1 \
+            else self._multi
         for position, atom in enumerate(atoms):
-            kind = atom[0]
-            if kind == "eq":
-                bucket = self._exact[position][atom[1]]
-                bucket.discard(token)
-                if not bucket:
-                    del self._exact[position][atom[1]]
-            elif kind == "pre":
-                self._tries[position].remove(atom[1], token)
+            if atom[0] == "eq":
+                values = exact[position]
+                values[atom[1]].discard(token)
+                if not values[atom[1]]:
+                    del values[atom[1]]
+            elif atom[0] == "pre":
+                tries[position].remove(atom[1], token)
 
     def match(self, src_label: Hashable, edge_label: Hashable,
               dst_label: Hashable, is_loop: bool) -> Set[Token]:
         """Tokens whose every constrained position accepts the triple."""
-        entries = self._entries
-        always = self._always[is_loop]
-        if len(always) == len(entries):     # no constrained entries
-            return set(always)
-        counts: Dict[Token, int] = {}
-        for position, value in enumerate((src_label, edge_label,
-                                          dst_label)):
-            exact = self._exact[position]
-            if exact:
-                bucket = exact.get(value)
-                if bucket:
-                    for token in bucket:
-                        counts[token] = counts.get(token, 0) + 1
-            trie = self._tries[position]
-            if trie:
-                text = prefix_text(value)
-                if text is not None:
-                    for token in trie.walk(text):
-                        counts[token] = counts.get(token, 0) + 1
-        hits = {token for token, count in counts.items()
-                if count == entries[token][2]
-                and entries[token][1] == is_loop}
-        if always:
-            hits.update(always)
+        hits = set(self._always[is_loop])
+        if len(hits) == len(self._entries):     # no constrained entries
+            return hits
+        labels = (src_label, edge_label, dst_label)
+        hits.update(_probe(self._single[is_loop], labels))
+        if self._multi_size:
+            counts: Dict[Token, int] = {}
+            for token in _probe(self._multi, labels):
+                counts[token] = counts.get(token, 0) + 1
+            entries = self._entries
+            hits.update(token for token, count in counts.items()
+                        if count == entries[token][2]
+                        and entries[token][1] == is_loop)
         return hits
 
     def node_count(self) -> int:
-        """Total trie nodes across the three positions (pruning metric)."""
-        return sum(trie.node_count() for trie in self._tries)
+        """One root per label position plus every stored prefix pattern
+        (what churn may not leak)."""
+        return 3 + sum(len(trie._buckets) for _, tries in
+                       (self._single[False], self._single[True], self._multi)
+                       for trie in tries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __repr__(self) -> str:
-        return (f"PredicateRouter({len(self._entries)} entries, "
-                f"{self.node_count()} trie nodes)")

@@ -226,19 +226,21 @@ def _compile_projection(arities: Tuple, picks: Tuple):
 class QueryGraph:
     """Builder and read model for a time-constrained continuous query."""
 
+    _connected: Optional[bool] = None     # older pickles lack the attribute
+
     def __init__(self) -> None:
         self._vertices: Dict[VertexId, QueryVertex] = {}
         self._edges: Dict[EdgeId, QueryEdge] = {}
         self.timing = TimingOrder()
         # Derived on first use, ``None`` after mutation, never pickled:
-        # what ``matching_edge_ids`` probes and what ``label_signatures``
-        # returns (registration reads only the latter).
+        # what ``matching_edge_ids`` probes, what ``label_signatures``
+        # returns and ``validate``'s verdict, ``_connected``.
         self._label_index: Optional[Tuple[Dict, List]] = None
         self._signatures: Optional[Tuple] = None
 
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
-        state["_label_index"] = state["_signatures"] = None
+        state.update(_label_index=None, _signatures=None, _connected=None)
         return state
 
     # ------------------------------------------------------------------ #
@@ -250,6 +252,7 @@ class QueryGraph:
         _reject_nan(label)
         vertex = QueryVertex(vertex_id, label)
         self._vertices[vertex_id] = vertex
+        self._connected = None
         return vertex
 
     def add_edge(self, edge_id: EdgeId, src: VertexId, dst: VertexId,
@@ -263,7 +266,7 @@ class QueryGraph:
         edge = QueryEdge(edge_id, src, dst, label)
         self._edges[edge_id] = edge
         self.timing.add_edge_id(edge_id)
-        self._label_index = self._signatures = None
+        self._label_index = self._signatures = self._connected = None
         return edge
 
     def add_timing_constraint(self, before: EdgeId, after: EdgeId) -> None:
@@ -579,8 +582,9 @@ class QueryGraph:
         """
         if not self._edges:
             raise ValueError("query graph has no edges")
-        if not self.is_weakly_connected():
+        if not self._connected and not self.is_weakly_connected():
             raise ValueError("query graph must be weakly connected")
+        self._connected = True
 
     def __repr__(self) -> str:
         return (f"QueryGraph({self.num_vertices} vertices, "

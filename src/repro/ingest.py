@@ -224,7 +224,8 @@ class RouteIndex:
     ``None``-keyed list, so a high-cardinality label stream cannot grow
     the memo past the index itself — and because prefix predicates make
     the set of *hitting* triples unbounded too, the memo self-clears at
-    :attr:`CACHE_CAP`.  Any ``add``/``remove`` clears it.
+    :attr:`CACHE_CAP`.  Any ``add``/``remove`` clears it;
+    :attr:`memo_clears` counts these wholesale clears.
     """
 
     #: Memoised target lists before a wholesale clear.
@@ -237,7 +238,8 @@ class RouteIndex:
         # name -> (payload, exact triples or None if always-routed,
         # predicate token count); drives removal.
         self.entries: Dict[str, Tuple[Hashable, Optional[tuple], int]] = {}
-        self._cache: Dict = {}
+        self.memo: Dict = {}
+        self.memo_clears = 0
 
     def add(self, name: str, payload: Hashable, signatures) -> None:
         """Route ``payload`` for the query ``name``; ``signatures`` is
@@ -255,7 +257,8 @@ class RouteIndex:
                 self.router.add((payload, name, i),
                                 (src_atom, edge_atom, dst_atom), is_loop)
             self.entries[name] = (payload, exact, len(predicates))
-        self._cache.clear()
+        self.memo.clear()
+        self.memo_clears += 1
 
     def remove(self, name: str) -> None:
         """Unhook every entry of ``name``: emptied dict buckets are
@@ -272,14 +275,15 @@ class RouteIndex:
                     del self.exact[triple]
             for i in range(predicate_count):
                 self.router.remove((payload, name, i))
-        self._cache.clear()
+        self.memo.clear()
+        self.memo_clears += 1
 
     def targets(self, edge: StreamEdge) -> List:
         """The payloads that must see ``edge``, each once, sorted: exact
         hits, predicate hits (a candidate set — engines re-verify) and
         the always-routed entries.  The returned list is the memo's own;
         callers must not mutate it."""
-        cache = self._cache
+        cache = self.memo
         is_loop = edge.src == edge.dst
         src_label, label, dst_label = \
             edge.src_label, edge.label, edge.dst_label
@@ -313,8 +317,9 @@ class RouteIndex:
         if hits:
             found.update(hits)
         if predicate_hits:
-            found.update(token[0] for token in predicate_hits)
+            found.update([token[0] for token in predicate_hits])
         if len(cache) >= self.CACHE_CAP:
             cache.clear()
+            self.memo_clears += 1
         targets = cache[key] = sorted(found)
         return targets

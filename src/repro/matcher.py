@@ -38,6 +38,7 @@ from typing import (
 )
 
 from .graph.edge import StreamEdge
+from .graph.shared_window import SharedWindowView
 from .graph.window import SlidingWindow
 
 if TYPE_CHECKING:   # pragma: no cover - annotations only
@@ -110,9 +111,11 @@ def as_window(window):
 
     A number is a time-based window duration (the paper's model, Definition
     2); any object with the ``push``/``advance`` interface — e.g.
-    :class:`~repro.graph.count_window.CountSlidingWindow` — passes through
-    unchanged.
+    :class:`~repro.graph.count_window.CountSlidingWindow` — or a session's
+    read-only ``SharedWindowView`` passes through unchanged.
     """
+    if isinstance(window, SharedWindowView):
+        return window
     if isinstance(window, bool):
         raise TypeError("window must be a duration or a window policy object")
     if isinstance(window, (int, float)):
@@ -146,8 +149,11 @@ class EngineStats:
                  "subplan_reuses")
 
     def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+        self.edges_seen = self.edges_matched = self.edges_discarded = \
+            self.join_operations = self.partial_matches_created = \
+            self.matches_emitted = self.expired_edges = \
+            self.expired_partials = self.edges_skipped = \
+            self.index_probes = self.scan_fallbacks = self.subplan_reuses = 0
 
     def as_dict(self) -> Dict[str, int]:
         """All counters as a plain ``name -> value`` dict."""

@@ -429,6 +429,9 @@ class ServiceHTTPServer:
         finally:
             tenant.hub.unsubscribe(deliver)
             control.cancel()
+            # A stopping server still hands over what was published.
+            while not queue.empty() and not transport.is_closing():
+                writer.write(_ws_frame(0x1, queue.get_nowait().encode()))
 
     async def _ws_drain_control(self, reader, writer) -> None:
         """Answer pings and wait for the client's close frame."""

@@ -52,6 +52,9 @@ _HELP = {
     "session_stateless_queries": "Registered one-edge queries on the "
                                  "stateless plan: no partial-match store, "
                                  "so nothing in subplan_store_cells.",
+    "session_route_memo_clears": "Wholesale route-memo clears (a query "
+                                 "added or removed, or the memo full).",
+    "session_route_memo_entries": "Label triples with memoised targets.",
 }
 
 #: Tenant health states, exported one-hot (the Prometheus state-set
@@ -115,8 +118,8 @@ def _counter_like(name: str) -> str:
                       "rejected_nonmonotonic", "rejected_duplicate",
                       "recorded", "granted", "refused", "limited",
                       "admitted", "trips", "short_circuits", "restarts",
-                      "failures", "cleared", "recovered", "appends",
-                      "fsyncs", "replayed", "replayed_edges", "hits",
+                      "failures", "cleared", "clears", "recovered",
+                      "appends", "fsyncs", "replayed", "replayed_edges", "hits",
                       "sync_errors", "segments_created",
                       "segments_reclaimed", "truncated_bytes",
                       "dropped_frames", "bytes_written")):

@@ -1,20 +1,23 @@
 """Property suite for the predicate-routing primitives.
 
-The trie walk is the hot-path structure of PR 10: a session resolves the
-candidate matcher set for an arriving label in O(label length), so the
-trie must agree *exactly* with the brute-force definition ("every stored
-pattern that is a prefix of the text") under arbitrary insert/remove
-churn, and must prune nodes on removal so deregistration-heavy sessions
-cannot leak.  The router on top adds per-position composition (src/edge/
-dst atoms plus the loop flag), pinned against its own brute force.
+The prefix walk is predicate routing's hot path: a session resolves
+the candidate matcher set for an arriving label with one probe per stored
+pattern length, so the walk must agree *exactly* with the brute-force
+definition ("every stored pattern that is a prefix of the text", each
+once) under arbitrary insert/remove churn, and must drop emptied buckets
+on removal so deregistration-heavy sessions cannot leak.  The router on
+top adds per-position composition (src/edge/dst atoms plus the loop
+flag), pinned against its own brute force; its one-position tokens skip
+the count that its two- and three-position tokens need, and the explicit
+examples keep both paths exact.
 """
 
 import pickle
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.labeltrie import LabelTrie, PredicateRouter
@@ -29,14 +32,19 @@ texts = st.text(alphabet=ALPHABET, min_size=0, max_size=10)
 
 
 def brute_force_walk(stored, text):
-    """The specification: tokens of every pattern that prefixes text."""
-    return {token for pattern, tokens in stored.items()
-            if text.startswith(pattern) for token in tokens}
+    """The specification: tokens of every pattern that prefixes text,
+    once per pattern."""
+    return Counter(token for pattern, tokens in stored.items()
+                   if text.startswith(pattern) for token in tokens)
 
 
 class TestLabelTrieProperties:
     @given(st.lists(patterns, min_size=0, max_size=30), st.lists(
         texts, min_size=1, max_size=20))
+    # A one-character label equal to the shorter of two stored lengths:
+    # ``text[:2]`` is the whole label, so a walk that probed lengths
+    # longer than the label would hit the "a" bucket twice.
+    @example(pats=["a", "ab"], probes=["a", "ab", "", "b"])
     def test_walk_equals_brute_force(self, pats, probes):
         trie = LabelTrie()
         stored = defaultdict(set)
@@ -44,7 +52,7 @@ class TestLabelTrieProperties:
             trie.insert(pattern, i)
             stored[pattern].add(i)
         for text in probes:
-            assert set(trie.walk(text)) == brute_force_walk(stored, text)
+            assert Counter(trie.walk(text)) == brute_force_walk(stored, text)
 
     @given(st.lists(patterns, min_size=1, max_size=30),
            st.integers(0, 2**32 - 1))
@@ -65,11 +73,12 @@ class TestLabelTrieProperties:
             stored[pattern].add(i)
             live.append((pattern, i))
             probe = rng.choice(pats) + rng.choice(["", "a", "4"])
-            assert set(trie.walk(probe)) == brute_force_walk(stored, probe)
+            assert Counter(trie.walk(probe)) == \
+                brute_force_walk(stored, probe)
         assert len(trie) == len(live)
         for pattern, token in live:
             trie.remove(pattern, token)
-        # Full removal prunes every node but the root: churn cannot leak.
+        # Full removal drops every bucket but the root: churn cannot leak.
         assert trie.node_count() == 1
         assert len(trie) == 0
         assert trie.walk("a" * 8) == []
@@ -87,8 +96,8 @@ class TestLabelTrieProperties:
             trie.remove("44", "other")      # token absent
         trie.insert("448", "u")
         trie.remove("448", "u")
-        # Removing the longer pattern prunes its suffix but keeps the
-        # shared "44" path alive for the surviving token.
+        # Removing the longer pattern drops its bucket but keeps the
+        # shorter "44" alive for the surviving token.
         assert set(trie.walk("4480")) == {"t"}
 
 
@@ -138,8 +147,29 @@ def router_mirror(entry_list):
     return router, registered
 
 
+#: Tokens constraining one, two and three positions (``eq`` + ``pre``,
+#: stored lengths 1 and 2 at one position) under both loop flags, and
+#: arrivals that hit all, some or none of each token's positions.
+MIXED_ENTRIES = [
+    (("eq", "a"), ("pre", "4"), ("any",), False),
+    (("eq", "a"), ("pre", "4"), ("eq", "b4"), True),
+    (("pre", "a"), ("pre", "44"), ("pre", "a"), False),
+    (("pre", "a"), ("pre", "4"), ("any",), True),
+    (("any",), ("pre", "4"), ("any",), True),
+    (("any",), ("pre", "44"), ("any",), False),
+    (("eq", "ab"), ("any",), ("any",), False),
+    (("any",), ("any",), ("any",), True),
+]
+MIXED_ARRIVALS = [
+    ("a", 448, "b4", True), ("a", 448, "b4", False), ("a", "4", "ab", False),
+    ("ab", "44", "a", False), ("ab", 4, "a", True), ("a", "4", "a", True),
+    ("b4", 44, "4", False),
+]
+
+
 class TestPredicateRouterProperties:
     @given(entries, arrivals)
+    @example(entry_list=MIXED_ENTRIES, probe_list=MIXED_ARRIVALS)
     def test_match_equals_brute_force(self, entry_list, probe_list):
         router, registered = router_mirror(entry_list)
         for src, edge, dst, is_loop in probe_list:
@@ -148,6 +178,7 @@ class TestPredicateRouterProperties:
 
     @given(entries, arrivals, st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
+    @example(entry_list=MIXED_ENTRIES, probe_list=MIXED_ARRIVALS, seed=7)
     def test_churn_and_serialization(self, entry_list, probe_list, seed):
         rng = random.Random(seed)
         router, registered = router_mirror(entry_list)
@@ -162,7 +193,7 @@ class TestPredicateRouterProperties:
                     brute_force_match(registered, src, edge, dst, is_loop)
         for token in list(registered):
             router.remove(token)
-        # Full removal prunes every trie node (three bare roots remain).
+        # Full removal drops every stored pattern (three roots remain).
         assert router.node_count() == 3
         assert len(router) == 0
 

@@ -229,6 +229,32 @@ class TestMetricsRendering:
         assert "# HELP repro_session_stateless_queries Registered " \
             "one-edge queries on the stateless plan" in text
 
+    @pytest.mark.parametrize("sharding", ["none", "thread"])
+    def test_route_memo_churn_is_counted_and_exported(self, sharding):
+        """Every registration and deregistration clears the route memo
+        wholesale; both session kinds count it and the page shows it."""
+        session = Session(window=10.0, sharding=sharding, shards=2)
+        dsl = "vertex a A\nvertex b B\nedge e a -> b\n"
+        session.register("keep", dsl)
+        before = session.session_stats()["route_memo_clears"]
+        pairs = 5
+        for _ in range(pairs):
+            session.register("churn", dsl)
+            session.deregister("churn")
+        stats = session.session_stats()
+        assert stats["route_memo_clears"] - before == 2 * pairs
+        assert stats["route_memo_entries"] == 0
+        text = render_metrics({"tenants": {}}, {"t0": stats})
+        assert f'repro_session_route_memo_clears{{tenant="t0"}} ' \
+            f'{stats["route_memo_clears"]}' in text
+        assert "# TYPE repro_session_route_memo_clears counter" in text
+        assert "# HELP repro_session_route_memo_clears Wholesale " \
+            "route-memo clears" in text
+        assert "# HELP repro_session_route_memo_entries Label triples" \
+            in text
+        if sharding != "none":
+            session.close()
+
 
 class TestMultiTenant:
     def test_two_isolated_tenants(self, tmp_path):

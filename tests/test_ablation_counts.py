@@ -18,7 +18,10 @@ per change, with a noise band, by ``bench_e2e``.
   visit per query;
 * sharing: one store per canonical sub-plan, not one per query;
 * predicates: per-arrival routing work that does not grow with the
-  number of registered prefix/wildcard queries.
+  number of registered prefix/wildcard queries;
+* registration: a deregister + register pair of a known query builds
+  its engine once, on the shared window's view, and moves the prefix
+  index by one pattern.
 """
 
 import gc
@@ -39,6 +42,8 @@ from repro.datasets import (
 )
 from repro.graph.edge import StreamEdge
 from repro.graph.stream import GraphStream
+from repro.graph.window import SlidingWindow
+from repro.subplans import _SubplanProvider
 
 STORAGES = ["mstree", "independent"]
 #: The three variants ``generate_query_set`` draws from one walk, in order.
@@ -386,3 +391,58 @@ def test_line_count_sees_fanout_grow_with_the_query_count():
     _, large_answer, large_lines = traced_push(512, edges, "fanout")
     assert small_answer == large_answer
     assert large_lines > 1.9 * small_lines
+
+
+# --------------------------------------------------------------------- #
+# Registration: the churn of a 1,024-query predicate session — cold
+# queries deregistered and registered again between batches, as in
+# bench_e2e's session_churn1k.  A pair pays only for what it changes.
+# --------------------------------------------------------------------- #
+
+CHURN_PAIRS = 12
+COUNTED = ((SlidingWindow, "__init__"), (_SubplanProvider, "__init__"),
+           (QueryGraph, "is_weakly_connected"))
+
+
+def test_a_churn_pair_builds_each_object_once(monkeypatch):
+    """A one-edge engine is built on its window group's view (no private
+    window), takes no sub-plan provider (the stateless plan stores
+    nothing to share), and a query object validated once is not checked
+    for connectivity again.  The prefix index gains and loses one node
+    per pattern, however little of the pattern it shares: the churned
+    prefixes are cold ("2…", no port starts with it) and share only
+    their first two characters.  The answer is the unchurned
+    session's."""
+    queries = predicate_queries(1024 - CHURN_PAIRS)
+    churned = {f"stray{i:02d}": one_edge_query(Prefix(f"2{i:02d}9999"))
+               for i in range(CHURN_PAIRS)}
+    queries.update(churned)
+    edges = port_stream(400)
+    reference = Session(window=400.0)
+    session = Session(window=400.0)
+    for target in (reference, session):
+        for name, query in queries.items():
+            target.register(name, query)
+    expected = Counter(reference.push_many(edges))
+    answer = Counter(session.push_many(edges[:200]))
+    counts = Counter()
+    for owner, method in COUNTED:
+        def counting(*args, _original=getattr(owner, method),
+                     _key=f"{owner.__name__}.{method}", **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, method, counting)
+    router = session._index.router
+    steps = []
+    for name in churned:
+        before = router.node_count()
+        session.deregister(name)
+        removed = router.node_count()
+        session.register(name, queries[name])
+        steps += [before - removed, router.node_count() - removed]
+    answer.update(session.push_many(edges[200:]))
+    assert answer == expected and answer
+    assert counts["SlidingWindow.__init__"] == 0, counts
+    assert counts["_SubplanProvider.__init__"] == 0, counts
+    assert counts["QueryGraph.is_weakly_connected"] == 0, counts
+    assert steps == [1] * (2 * CHURN_PAIRS)

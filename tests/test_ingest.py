@@ -104,7 +104,7 @@ class TestRouteIndexProperties:
             index.remove(name)
         # Removing everything leaves no residue anywhere.
         assert index.exact == {} and index.always == []
-        assert index.entries == {} and index._cache == {}
+        assert index.entries == {} and index.memo == {}
         assert len(index.router) == 0 and index.router.node_count() == 3
         assert all(index.targets(edge) == [] for edge in probes)
 
@@ -115,7 +115,7 @@ class TestRouteIndexProperties:
         for i in range(RouteIndex.CACHE_CAP + 50):
             edge = arrival(f"4{i}", None, "z", False)
             assert index.targets(edge) == [0]
-        assert len(index._cache) <= RouteIndex.CACHE_CAP
+        assert len(index.memo) <= RouteIndex.CACHE_CAP
 
 
     @pytest.mark.parametrize("first", [True, 1.0])
