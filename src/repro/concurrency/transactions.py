@@ -5,7 +5,9 @@ the item wait-lists before launching it (Algorithm 3, Fig. 13).  Requests are
 computed in the worst case — "we always assume that the join result is not
 empty" (§V-A) — so the predicted sequence is a superset of what the
 transaction actually acquires; unconsumed requests are withdrawn when the
-transaction finishes.
+transaction finishes.  A join whose result is empty by the timing order
+alone (see :func:`~repro.core.engine.timing_reach`) is not a worst case
+but a certainty: the engine never runs it, and it is not predicted.
 
 The prediction must mirror :class:`repro.core.engine.TimingMatcher`'s access
 order exactly (same items, same relative order per matched query edge);
@@ -50,12 +52,17 @@ def lock_requests_for_insert(matcher: TimingMatcher,
             requests.append((("L", si, j), "S"))
             requests.append((("L", si, j + 1), "X"))
         if j == len(seq) - 1 and k > 1:
-            # σ may complete Qⁱ: fold into the global list.
+            # σ may complete Qⁱ: fold into the global list, up to the
+            # first timing-dead join — the engine skips it, so a request
+            # for it would only hold a wait-list head until withdrawn.
             level = si + 1
+            reach = matcher._reach[si]
             if si > 0:
+                if reach == si:
+                    continue
                 requests.append((_prefix_read_item(matcher, si), "S"))
                 requests.append((("L0", si + 1), "X"))
-            while level < k:
+            while level < reach:
                 next_si = level
                 requests.append(
                     (("L", next_si, len(matcher.join_order[next_si])), "S"))

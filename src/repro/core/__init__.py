@@ -13,7 +13,9 @@ from .guard import NullGuard, TraceGuard
 from .join import ExtensionSpec, UnionSpec
 from .join_order import jn_join_order, joint_number, random_join_order
 from .matches import Match, build_vertex_mapping, satisfies_timing, verify_match
-from .mstree import MSTree, MSTreeNode, MSTreeTCStore, GlobalMSTreeStore
+from .mstree import (
+    GlobalMSTreeStore, MSTree, MSTreeNode, MSTreeTCStore, OneEdgeTCStore,
+)
 from .labeltrie import LabelTrie, PredicateRouter
 from .query import (
     ANY, Prefix, QueryEdge, QueryGraph, QueryVertex, labels_compatible,
@@ -33,7 +35,8 @@ __all__ = [
     "TimingOrder", "TimingCycleError",
     "Match", "verify_match", "build_vertex_mapping", "satisfies_timing",
     "TimingMatcher", "EngineStats",
-    "MSTree", "MSTreeNode", "MSTreeTCStore", "GlobalMSTreeStore",
+    "MSTree", "MSTreeNode", "MSTreeTCStore", "OneEdgeTCStore",
+    "GlobalMSTreeStore",
     "IndependentTCStore", "GlobalIndependentStore",
     "ExtensionSpec", "UnionSpec",
     "tc_subqueries", "is_tc_query", "is_timing_sequence",

@@ -47,7 +47,7 @@ from .index import (
 from .join import ExtensionSpec, UnionSpec
 from .join_order import jn_join_order, random_join_order
 from .matches import Match
-from .mstree import GlobalMSTreeStore, MSTreeTCStore
+from .mstree import GlobalMSTreeStore, subquery_store
 from .query import EdgeId, QueryGraph
 from .stores import GlobalIndependentStore, IndependentTCStore
 from .tc import tc_subqueries
@@ -56,6 +56,36 @@ from .tc import tc_subqueries
 _NEVER = float("-inf")
 
 __all__ = ["EngineConfig", "EngineStats", "TimingMatcher"]
+
+
+def timing_reach(query: QueryGraph, ordered: Decomposition) -> Tuple[int, ...]:
+    """Per sub-query ``Qⁱ`` of the join order, the deepest global level an
+    arrival completing it can extend ``L₀`` to.
+
+    The arrival is the newest edge in the window and completes ``Qⁱ`` at
+    its last query edge ``ε``.  A join whose stored side holds a slot
+    ``ε'`` with ``ε ≺ ε'`` would need that slot's edge to be newer than
+    the arrival, so no stored entry passes it: the join is timing-dead,
+    and so is the cascade behind it.  For ``Qⁱ`` (1-based ``i``) the joins
+    are ``∆(Qⁱ) ⋈ Ω(L₀ⁱ⁻¹)`` (building level ``i``; none for ``Q¹``) and
+    then ``∆(L₀ˡ⁻¹) ⋈ Ω(Qˡ)`` for ``l = i+1 … k``; the entry is one less
+    than the level of the first dead join, ``k`` when none is dead.
+    """
+    k = len(ordered)
+    precedes = query.timing.precedes
+    reach = []
+    for si, seq in enumerate(ordered):
+        last = seq[-1]
+        prefix = [slot for sub in ordered[:si] for slot in sub]   # Q¹: none
+        if any(precedes(last, slot) for slot in prefix):
+            reach.append(si)
+            continue
+        level = si + 1
+        while level < k and not any(precedes(last, slot)
+                                    for slot in ordered[level]):
+            level += 1
+        reach.append(level)
+    return tuple(reach)
 
 
 class TimingMatcher(MatcherBase):
@@ -166,7 +196,7 @@ class TimingMatcher(MatcherBase):
                 self._shared_subplans[si] = record
                 self._tc_stores.append(record.store)
             elif self.use_mstree:
-                self._tc_stores.append(MSTreeTCStore(len(seq)))
+                self._tc_stores.append(subquery_store(len(seq)))
             else:
                 self._tc_stores.append(IndependentTCStore(len(seq)))
         # The rest of construction attaches expiry observers and indexes
@@ -229,6 +259,7 @@ class TimingMatcher(MatcherBase):
             self._union_specs[level] = UnionSpec(
                 query, tuple(prefix), ordered[level - 1])
             prefix.extend(ordered[level - 1])
+        self._reach = timing_reach(query, ordered)
 
         # --- join-key indexes (the O(candidates) insert path) ------------- #
         # One index per compiled join shape with at least one equality
@@ -254,7 +285,9 @@ class TimingMatcher(MatcherBase):
                 b_refs = union_side_refs(spec, "b")
                 # Prefix side Ω(L₀^{level-1}): global level (level-1), whose
                 # level 1 is virtual and lives in the first subquery store.
-                if level - 1 == 1:
+                if self._reach[level - 1] < level:
+                    pass    # only ∆(Q^level) probes it, and it cannot pass
+                elif level - 1 == 1:
                     first = self._tc_stores[0]
                     self._union_prefix_indexes[level - 1] = \
                         self._add_store_index(0, first.length, a_refs)
@@ -521,13 +554,18 @@ class TimingMatcher(MatcherBase):
         if self.k == 1:
             return [self._to_match(flat) for _, flat in delta]
         level = si + 1  # 1-based global level of subquery si
+        # Joins past ``reach`` are timing-dead for this arrival: they are
+        # neither probed nor locked (see timing_reach).
+        reach = self._reach[si]
         if si == 0:
             current = list(delta)
+        elif reach == level - 1:
+            return []
         else:
             current = self._join_into_global(
                 prefix_level=si, prefix_from_global=True,
                 delta=delta, delta_is_prefix_side=False, guard=guard)
-        while level < self.k and current:
+        while level < reach and current:
             next_si = level  # 0-based index of the next subquery
             current = self._join_with_next_subquery(
                 current, level, next_si, guard)
@@ -701,7 +739,9 @@ class TimingMatcher(MatcherBase):
         try:
             for si in touched:
                 removed += self._tc_stores[si].delete_edge(edge)
-            if self._global is not None:
+            # The MS-tree's M₀ died through the cascade above; only the
+            # independent global store registers entries by edge.
+            if self._global is not None and not self.use_mstree:
                 removed += self._global.delete_edge(edge)
         finally:
             for item in reversed(items):

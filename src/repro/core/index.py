@@ -109,7 +109,8 @@ class LevelIndex:
 
     Buckets map a join-key tuple to the live entries bearing it, as an
     insertion-ordered ``handle → flat`` dict (handles are store entry
-    handles: MS-tree nodes or ``(level, key)`` tuples; both hashable).
+    handles: MS-tree nodes, one-edge ``(edge,)`` tuples or ``(level, key)``
+    tuples; all hashable).
     ``newest_first`` mirrors the owning store's read order so the indexed
     engine emits matches in the same order as the scanning one.
     """
@@ -171,13 +172,13 @@ class StoreIndexes:
     """The per-store :class:`LevelIndex` collection.
 
     Stores call :meth:`on_insert` / :meth:`on_remove` for every entry
-    lifecycle event; the engine calls :meth:`register` once per compiled
-    join shape at construction.  Registration is idempotent per
-    ``(level, refs)`` so shapes sharing a key (e.g. the insert path and the
-    discardability probe) share one physical index — with a refcount, so
-    that an engine departing a *shared* sub-plan store can
-    :meth:`unregister` its query-specific shapes without tearing down an
-    index a co-consumer still probes.
+    lifecycle event (or walk :meth:`at`'s list themselves); the engine
+    calls :meth:`register` once per compiled join shape at construction.
+    Registration is idempotent per ``(level, refs)`` so shapes sharing a
+    key (e.g. the insert path and the discardability probe) share one
+    physical index — with a refcount, so that an engine departing a
+    *shared* sub-plan store can :meth:`unregister` its query-specific
+    shapes without tearing down an index a co-consumer still probes.
     """
 
     __slots__ = ("_by_level", "_registry", "_refcounts", "newest_first")
@@ -225,9 +226,11 @@ class StoreIndexes:
         index = self._registry.pop(key)
         self._by_level[level - 1].remove(index)
 
-    def has(self, level: int) -> bool:
-        """Whether any index is registered on the 1-based ``level``."""
-        return bool(self._by_level[level - 1])
+    def at(self, level: int) -> List[LevelIndex]:
+        """The indexes on the 1-based ``level``: the live list, which
+        :meth:`register` / :meth:`unregister` mutate in place, so a store
+        may keep it and walk it on every insert and removal."""
+        return self._by_level[level - 1]
 
     def on_insert(self, level: int, handle,
                   flat: Tuple[StreamEdge, ...]) -> None:

@@ -17,13 +17,21 @@ prefixes are stored once.  Per the paper:
   subtree — linear in the number of expired partial matches — and an edge
   stored only below a root is a dict miss.
 
-Two stores are built on the tree:
+Three stores are built on it:
 
-* :class:`MSTreeTCStore` — one per TC-subquery ``Qⁱ`` (payloads are edges);
+* :class:`MSTreeTCStore` — one per TC-subquery ``Qⁱ`` of two or more edges
+  (payloads are edges);
+* :class:`OneEdgeTCStore` — one per one-edge TC-subquery: logically the
+  depth-1 level of an MS-tree, physically an insertion-ordered
+  ``edge → (edge,)`` dict whose flat tuple is the entry's handle, so an
+  entry costs no node object, level link or root registry slot.  It is
+  charged :data:`MS_NODE_CELLS` per entry, exactly as the tree would be;
+  :func:`subquery_store` picks between the two by length;
 * :class:`GlobalMSTreeStore` — the ``M₀`` tree over the decomposition, whose
-  node payloads are *pointers to leaf nodes of the subquery trees* (§IV-A's
-  space optimisation), with dependency links so that the death of a subquery
-  match cascades into ``M₀`` (Algorithm 2 line 7).
+  node payloads are *pointers to the complete matches of the subquery
+  stores* — leaf nodes, or one-edge tuples (§IV-A's space optimisation) —
+  with dependency links so that the death of a subquery match cascades into
+  ``M₀`` (Algorithm 2 line 7).
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ MS_NODE_CELLS = 5
 
 
 class MSTreeNode:
-    """One trie node; ``payload`` is an edge (subquery trees) or a leaf
-    pointer (global tree).
+    """One trie node; ``payload`` is an edge (subquery trees) or a
+    subquery store's complete-match handle (global tree).
 
     Cross-tree bookkeeping (which global-tree entries depend on a subquery
     leaf, which depth-1 anchor stands in for it) lives in per-global-store
@@ -132,15 +140,17 @@ class MSTree:
         """O(1) insertion of a child under ``parent`` (paper §IV-B)."""
         if not parent.alive:
             raise ValueError("cannot insert under a removed node")
-        if parent.depth >= self.depth:
+        depth = parent.depth
+        if depth >= self.depth:
             raise ValueError(
-                f"parent depth {parent.depth} already at maximum {self.depth}")
-        node = MSTreeNode(payload, parent, parent.depth + 1)
-        if parent.children is None:
+                f"parent depth {depth} already at maximum {self.depth}")
+        node = MSTreeNode(payload, parent, depth + 1)
+        children = parent.children
+        if children is None:
             parent.children = {node}
         else:
-            parent.children.add(node)
-        self.level(node.depth).link(node)
+            children.add(node)
+        self._levels[depth].link(node)
         return node
 
     def level_nodes(self, depth: int) -> List[MSTreeNode]:
@@ -173,45 +183,41 @@ class MSTree:
             return 0
         if node.parent is not None:
             node.parent.children.discard(node)
+        levels, on_remove = self._levels, self._on_remove
         removed = 0
-        stack = [node]
-        while stack:
+        stack: List[MSTreeNode] = []     # stays empty for a childless node
+        current = node
+        while True:
+            if current.alive:
+                current.alive = False
+                levels[current.depth - 1].unlink(current)
+                removed += 1
+                if current.children:
+                    stack.extend(current.children)
+                    current.children = None
+                if on_remove is not None:
+                    on_remove(current)
+            if not stack:
+                return removed
             current = stack.pop()
-            if not current.alive:
-                continue
-            current.alive = False
-            self.level(current.depth).unlink(current)
-            removed += 1
-            if current.children:
-                stack.extend(current.children)
-                current.children = None
-            if self._on_remove is not None:
-                self._on_remove(current)
-        return removed
 
 
-class MSTreeTCStore:
-    """Expansion-list storage for one TC-subquery, backed by an MS-tree.
-
-    Handles exposed to the engine are :class:`MSTreeNode` objects; the engine
-    passes the parent handle back at insertion, which is what makes inserts
-    O(1).  ``read`` returns ``(handle, edges-tuple)`` pairs where the tuple is
-    the sequential-form partial match reconstructed by backtracking.
-    """
+class _SubqueryStore:
+    """What both subquery stores share: the leaf observers a global store
+    cascades through and the engine's join-key index registrations."""
 
     def __init__(self, length: int) -> None:
         self.length = length
-        self.tree = MSTree(length, on_remove=self._node_removed)
-        # Depth-1 nodes by their edge: the only registry expiry needs (see
-        # delete_edge).
-        self._roots: Dict[StreamEdge, MSTreeNode] = {}
-        self._leaf_observers: List[Callable[[MSTreeNode], None]] = []
+        self._leaf_observers: List[Callable[[object], None]] = []
         # Join-key indexes registered by the engine (empty in scan mode).
         # Level lists read newest-first, so the indexes mirror that order.
         self.indexes = StoreIndexes(length, newest_first=True)
+        # Each level's live index list (register/unregister mutate it in
+        # place), read directly on every insert and removal.
+        self._level_indexes = [self.indexes.at(level)
+                               for level in range(1, length + 1)]
 
-    # -- wiring ---------------------------------------------------------- #
-    def add_leaf_observer(self, observer: Callable[[MSTreeNode], None]) -> None:
+    def add_leaf_observer(self, observer: Callable[[object], None]) -> None:
         """Register a global store's cascade for dying complete matches.
 
         A store owned by one engine has exactly one observer; a shared
@@ -222,10 +228,50 @@ class MSTreeTCStore:
         self._leaf_observers.append(observer)
 
     def remove_leaf_observer(self,
-                             observer: Callable[[MSTreeNode], None]) -> None:
+                             observer: Callable[[object], None]) -> None:
         """Detach an observer added with :meth:`add_leaf_observer` (engine
         deregistration must not leave cascade callbacks into dead trees)."""
         self._leaf_observers.remove(observer)
+
+    def add_index(self, level: int, refs):
+        """Register (or share) a join-key index over ``level`` (see
+        :mod:`repro.core.index`); returns the :class:`LevelIndex`."""
+        return self.indexes.register(level, refs)
+
+    def remove_index(self, level: int, refs) -> None:
+        """Release one :meth:`add_index` claim (refcounted) — called when
+        an engine departs a shared sub-plan store so its query-specific
+        join shapes stop being maintained here."""
+        self.indexes.unregister(level, refs)
+
+    def is_empty(self) -> bool:
+        """Whether the store holds no partial matches at all — the
+        joinability test for shared sub-plan stores (a fresh consumer may
+        only adopt a store whose content equals its own empty start)."""
+        return self.entry_count() == 0
+
+    def entry_count(self) -> int:
+        raise NotImplementedError
+
+    def space_cells(self) -> int:
+        return self.entry_count() * MS_NODE_CELLS
+
+
+class MSTreeTCStore(_SubqueryStore):
+    """Expansion-list storage for one TC-subquery, backed by an MS-tree.
+
+    Handles exposed to the engine are :class:`MSTreeNode` objects; the engine
+    passes the parent handle back at insertion, which is what makes inserts
+    O(1).  ``read`` returns ``(handle, edges-tuple)`` pairs where the tuple is
+    the sequential-form partial match reconstructed by backtracking.
+    """
+
+    def __init__(self, length: int) -> None:
+        super().__init__(length)
+        self.tree = MSTree(length, on_remove=self._node_removed)
+        # Depth-1 nodes by their edge: the only registry expiry needs (see
+        # delete_edge).
+        self._roots: Dict[StreamEdge, MSTreeNode] = {}
 
     @property
     def root(self) -> MSTreeNode:
@@ -247,19 +293,9 @@ class MSTreeTCStore:
             self._roots[edge] = node
         flat = prefix + (edge,)
         node.flat_cache = flat
-        self.indexes.on_insert(level, node, flat)
+        for index in self._level_indexes[level - 1]:
+            index.add(node, flat)
         return node
-
-    def add_index(self, level: int, refs):
-        """Register (or share) a join-key index over ``level`` (see
-        :mod:`repro.core.index`); returns the :class:`LevelIndex`."""
-        return self.indexes.register(level, refs)
-
-    def remove_index(self, level: int, refs) -> None:
-        """Release one :meth:`add_index` claim (refcounted) — called when
-        an engine departs a shared sub-plan store so its query-specific
-        join shapes stop being maintained here."""
-        self.indexes.unregister(level, refs)
 
     def read(self, level: int) -> List[Tuple[MSTreeNode, Tuple[StreamEdge, ...]]]:
         return [(node, self.flat(node))
@@ -288,12 +324,16 @@ class MSTreeTCStore:
         return self.tree.remove_subtree(root)
 
     def _node_removed(self, node: MSTreeNode) -> None:
-        if self.indexes.has(node.depth):
+        depth = node.depth
+        indexes = self._level_indexes[depth - 1]
+        if indexes:
             # The flat cache is seeded at insertion, so the join-key of a
             # dying node (or of a descendant removed in the same cascade)
             # is still available here.
-            self.indexes.on_remove(node.depth, node, self.flat(node))
-        if node.depth == self.length:
+            flat = self.flat(node)
+            for index in indexes:
+                index.discard(node, flat)
+        if depth == self.length:
             for observer in self._leaf_observers:
                 observer(node)
 
@@ -304,28 +344,97 @@ class MSTreeTCStore:
     def entry_count(self) -> int:
         return self.tree.node_count
 
-    def is_empty(self) -> bool:
-        """Whether the store holds no partial matches at all — the
-        joinability test for shared sub-plan stores (a fresh consumer may
-        only adopt a store whose content equals its own empty start)."""
-        return self.tree.node_count == 0
 
-    def space_cells(self) -> int:
-        return self.tree.node_count * MS_NODE_CELLS
+class OneEdgeTCStore(_SubqueryStore):
+    """Expansion-list storage for a one-edge TC-subquery.
+
+    Logically the depth-1 level of an MS-tree, physically no tree: an
+    insertion-ordered ``edge → (edge,)`` dict.  The one-edge flat tuple is
+    both the stored match and its handle, so an insertion builds one
+    tuple, an expiry is one dict pop, and ``read`` is newest-first like a
+    level list.  Every entry is a complete match: a removal notifies the
+    leaf observers.  Each entry is charged :data:`MS_NODE_CELLS`, the
+    node the MS-tree would have spent, so ``space_cells`` does not depend
+    on which of the two stores a plan got.
+
+    Handles compare by value: two one-edge stores of one engine (two
+    query edges the same arrival matches) hand out equal ``(edge,)``
+    handles, so a global store's dependency registry files both under one
+    key.  That is harmless: both entries root at ``edge`` and die on its
+    one expiry, whichever store's cascade removes the dependents first.
+    """
+
+    root = None     # no parent handle: every insertion is at level 1
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        self._entries: Dict[StreamEdge, Tuple[StreamEdge]] = {}
+        self._indexes = self._level_indexes[0]
+
+    # -- engine interface -------------------------------------------------#
+    def insert(self, level: int, parent, prefix: Tuple[StreamEdge, ...],
+               edge: StreamEdge) -> Tuple[StreamEdge]:
+        """Store the one-edge match ``(edge,)``; ``parent`` and ``prefix``
+        are the (empty) level-1 arguments of the engine's call."""
+        handle = (edge,)
+        self._entries[edge] = handle
+        for index in self._indexes:
+            index.add(handle, handle)
+        return handle
+
+    def read(self, level: int) -> List[Tuple[Tuple[StreamEdge],
+                                             Tuple[StreamEdge]]]:
+        return [(handle, handle)
+                for handle in reversed(self._entries.values())]
+
+    def flat(self, handle: Tuple[StreamEdge]) -> Tuple[StreamEdge]:
+        return handle
+
+    def delete_edge(self, edge: StreamEdge) -> int:
+        """Remove the match ``(edge,)`` if stored (a dict pop)."""
+        handle = self._entries.pop(edge, None)
+        if handle is None:
+            return 0
+        for index in self._indexes:
+            index.discard(handle, handle)
+        for observer in self._leaf_observers:
+            observer(handle)
+        return 1
+
+    # -- accounting -------------------------------------------------------#
+    def count(self, level: int) -> int:
+        return len(self._entries)
+
+    def entry_count(self) -> int:
+        return len(self._entries)
+
+
+def subquery_store(length: int) -> _SubqueryStore:
+    """The MS-tree-family store for a TC-subquery of ``length`` edges:
+    :class:`OneEdgeTCStore` for one edge, :class:`MSTreeTCStore` for
+    more."""
+    return OneEdgeTCStore() if length == 1 else MSTreeTCStore(length)
 
 
 class GlobalMSTreeStore:
     """The ``M₀`` tree over a decomposition's join order (§IV-A, Fig. 11).
 
-    Depth-``i`` nodes denote matches of ``Q¹∪…∪Qⁱ``; their payloads are leaf
-    nodes of the subquery trees (pointer compression).  Level 1 is *virtual*:
-    ``Ω(L₀¹) = Ω(Q¹)`` is read straight from the first subquery tree, and
-    depth-1 anchor nodes are created lazily when a depth-2 entry needs a
-    parent (this mirrors Fig. 13, where completing ``Q¹`` never locks
-    ``L₀¹``).
+    Depth-``i`` nodes denote matches of ``Q¹∪…∪Qⁱ``; their payloads are the
+    subquery stores' complete-match handles (pointer compression): leaf
+    nodes of the subquery trees, ``(edge,)`` tuples of the one-edge
+    stores.  Level 1 is *virtual*: ``Ω(L₀¹) = Ω(Q¹)`` is read straight
+    from the first subquery store, and depth-1 anchor nodes are created
+    lazily when a depth-2 entry needs a parent (this mirrors Fig. 13, where
+    completing ``Q¹`` never locks ``L₀¹``).
+
+    There is no ``delete_edge``: ``M₀`` holds no edges directly, and
+    expiry cascades in from the subquery stores through the dependency
+    links, under their FIFO precondition (the expiring edge is the oldest
+    live edge) — an entry dies with the first of its sub-matches to die,
+    the one whose root is its oldest edge.
     """
 
-    def __init__(self, sub_stores: Sequence[MSTreeTCStore]) -> None:
+    def __init__(self, sub_stores: Sequence[_SubqueryStore]) -> None:
         if len(sub_stores) < 2:
             raise ValueError("global store needs ≥ 2 subqueries")
         self.sub_stores = list(sub_stores)
@@ -335,12 +444,16 @@ class GlobalMSTreeStore:
         # indexes the first subquery store's last level instead).  Depth-1
         # anchor nodes are never indexed.
         self.indexes = StoreIndexes(self.k, newest_first=True)
+        self._level_indexes = [self.indexes.at(level)
+                               for level in range(1, self.k + 1)]
         # Cross-tree bookkeeping, owned here rather than on the subquery
         # nodes: a *shared* sub-plan store feeds one global tree per
         # consuming query, and each must cascade (and anchor) only its own
-        # entries.  Keys are subquery-tree nodes (identity-hashed).
-        self._dependents: Dict[MSTreeNode, Set[MSTreeNode]] = {}
-        self._anchors: Dict[MSTreeNode, MSTreeNode] = {}
+        # entries.  Keys are sub-store handles: subquery-tree nodes
+        # (identity-hashed) or one-edge tuples (hashed by their edge — see
+        # OneEdgeTCStore for why two stores' equal tuples may share a key).
+        self._dependents: Dict[object, Set[MSTreeNode]] = {}
+        self._anchors: Dict[object, MSTreeNode] = {}
         for store in self.sub_stores:
             store.add_leaf_observer(self._sub_leaf_removed)
 
@@ -349,7 +462,7 @@ class GlobalMSTreeStore:
         """(handle, flattened edges) of ``Ω(Q¹∪…∪Q^level)``.
 
         Level 1 delegates to the first subquery store's complete matches;
-        handles at level 1 are that store's leaf nodes.
+        handles at level 1 are that store's complete-match handles.
         """
         first = self.sub_stores[0]
         if level == 1:
@@ -357,15 +470,16 @@ class GlobalMSTreeStore:
         return [(node, self._flatten(node))
                 for node in self.tree.level_nodes(level)]
 
-    def insert(self, level: int, parent: MSTreeNode,
-               prefix: Tuple[StreamEdge, ...], sub_leaf: MSTreeNode,
+    def insert(self, level: int, parent,
+               prefix: Tuple[StreamEdge, ...], sub_leaf,
                sub_flat: Tuple[StreamEdge, ...]) -> MSTreeNode:
         """Insert a new depth-``level`` match under ``parent``.
 
         ``parent`` is a level-(level−1) handle as returned by :meth:`read` —
-        for ``level == 2`` that is a leaf of the first subquery tree, which is
-        resolved to its lazily created depth-1 anchor here.  ``sub_leaf`` is
-        the completed ``Q^level`` match (a leaf of subquery tree ``level``).
+        for ``level == 2`` that is a complete match of the first subquery
+        store, which is resolved to its lazily created depth-1 anchor here.
+        ``sub_leaf`` is the completed ``Q^level`` match (a handle of
+        subquery store ``level``).
         The flat tuples are not stored again (pointer compression), but
         their concatenation is the node's flattened form, so it seeds the
         flat cache and the join-key indexes.
@@ -382,7 +496,8 @@ class GlobalMSTreeStore:
             dependents.add(node)
         flat = prefix + sub_flat
         node.flat_cache = flat
-        self.indexes.on_insert(level, node, flat)
+        for index in self._level_indexes[level - 1]:
+            index.add(node, flat)
         return node
 
     def add_index(self, level: int, refs):
@@ -393,7 +508,7 @@ class GlobalMSTreeStore:
             raise ValueError(f"global index level out of range: {level}")
         return self.indexes.register(level, refs)
 
-    def _anchor_for(self, q1_leaf: MSTreeNode) -> MSTreeNode:
+    def _anchor_for(self, q1_leaf) -> MSTreeNode:
         anchor = self._anchors.get(q1_leaf)
         if anchor is not None and anchor.alive:
             return anchor
@@ -402,12 +517,12 @@ class GlobalMSTreeStore:
         self._dependents.setdefault(q1_leaf, set()).add(anchor)
         return anchor
 
-    def anchor_of(self, q1_leaf: MSTreeNode) -> Optional[MSTreeNode]:
+    def anchor_of(self, q1_leaf) -> Optional[MSTreeNode]:
         """This tree's depth-1 anchor standing in for ``q1_leaf`` (``None``
         before any level-2 join needed one)."""
         return self._anchors.get(q1_leaf)
 
-    def dependents_of(self, sub_leaf: MSTreeNode) -> Set[MSTreeNode]:
+    def dependents_of(self, sub_leaf) -> Set[MSTreeNode]:
         """This tree's entries whose existence depends on ``sub_leaf``."""
         return self._dependents.get(sub_leaf, set())
 
@@ -422,16 +537,8 @@ class GlobalMSTreeStore:
         node.flat_cache = flat
         return flat
 
-    def delete_edge(self, edge: StreamEdge) -> int:
-        """No-op: ``M₀`` holds no edges directly — expiry cascades in from
-        the subquery trees through the dependency links, under their FIFO
-        precondition (``edge`` is the oldest live edge): an entry dies
-        with the first of its sub-matches to die, which is the one whose
-        root is its oldest edge."""
-        return 0
-
     # -- cascade wiring -----------------------------------------------------
-    def _sub_leaf_removed(self, leaf: MSTreeNode) -> None:
+    def _sub_leaf_removed(self, leaf) -> None:
         dependents = self._dependents.get(leaf)
         if not dependents:
             return
@@ -440,20 +547,26 @@ class GlobalMSTreeStore:
                 self.tree.remove_subtree(dependent)
 
     def _node_removed(self, node: MSTreeNode) -> None:
-        if node.depth >= 2 and self.indexes.has(node.depth):
+        # Depth-1 anchors are never indexed, so their list is empty.
+        indexes = self._level_indexes[node.depth - 1]
+        if indexes:
             # Cross-tree cascade entry point: the flat cache was seeded at
             # insertion, so the key survives even though the subquery
             # leaves this node points at may already be gone.
-            self.indexes.on_remove(node.depth, node, self._flatten(node))
+            flat = self._flatten(node)
+            for index in indexes:
+                index.discard(node, flat)
+        # Every removed node's payload is a sub-store handle (the root,
+        # whose payload is None, is never removed) — a tree node or a
+        # one-edge tuple alike.
         payload = node.payload
-        if isinstance(payload, MSTreeNode):
-            bucket = self._dependents.get(payload)
-            if bucket is not None:
-                bucket.discard(node)
-                if not bucket:
-                    del self._dependents[payload]
-            if self._anchors.get(payload) is node:
-                del self._anchors[payload]
+        bucket = self._dependents.get(payload)
+        if bucket is not None:
+            bucket.discard(node)
+            if not bucket:
+                del self._dependents[payload]
+        if self._anchors.get(payload) is node:
+            del self._anchors[payload]
 
     # -- accounting -------------------------------------------------------#
     def count(self, level: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .core.decomposition import SubplanSignature, subplan_signature
-from .core.mstree import MSTreeTCStore
+from .core.mstree import subquery_store
 from .core.query import QueryGraph
 from .core.stores import IndependentTCStore
 from .graph.edge import StreamEdge
@@ -28,7 +28,8 @@ class SharedSubplanStore:
     same storage kind — maintain *identical* expansion lists, so a
     :class:`~repro.api.Session` hands both engines this one record instead
     of letting each keep a private copy.  The record owns the physical
-    store (an :class:`~repro.core.mstree.MSTreeTCStore` or
+    store (an :class:`~repro.core.mstree.MSTreeTCStore`, a
+    :class:`~repro.core.mstree.OneEdgeTCStore` or an
     :class:`~repro.core.stores.IndependentTCStore`) and a per-arrival delta
     memo: the first consuming engine to process an arrival performs the
     insertion and remembers the per-position deltas; every later consumer
@@ -59,7 +60,7 @@ class SharedSubplanStore:
         self.length = len(signature)
         self.storage = storage
         if storage == "mstree":
-            self.store = MSTreeTCStore(self.length)
+            self.store = subquery_store(self.length)
         else:
             self.store = IndependentTCStore(self.length)
         #: Number of registered engines currently consuming this store.

@@ -146,6 +146,45 @@ def labeled_path_query(n_edges: int, *, vstart: int = 0,
     return q
 
 
+def fork_query(*, e4_before_e3: bool = True) -> QueryGraph:
+    """The shape of the benchmark's ``engine_join`` query: five edges over
+    six same-label vertices, ``e0 ≺ e2`` and (by default) ``e4 ≺ e3``,
+    planned ``[(e0, e2), (e1,), (e3,), (e4,)]`` — three one-edge
+    sub-queries.  ``e3`` and ``e4`` carry the same edge label, so one
+    arrival can match both."""
+    q = QueryGraph()
+    for i in range(6):
+        q.add_vertex(f"u{i}", "I")
+    q.add_edge("e0", "u0", "u1", label="a")
+    q.add_edge("e1", "u2", "u0", label="b")
+    q.add_edge("e2", "u3", "u1", label="c")
+    q.add_edge("e3", "u0", "u4", label="x")
+    q.add_edge("e4", "u3", "u5", label="x")
+    q.add_timing_constraint("e0", "e2")
+    if e4_before_e3:
+        q.add_timing_constraint("e4", "e3")
+    return q
+
+
+#: :func:`fork_query`'s plan, in join order.
+FORK_PLAN = [("e0", "e2"), ("e1",), ("e3",), ("e4",)]
+
+
+def fork_stream(seed: int, n: int, *, n_vertices: int = 6) -> List[StreamEdge]:
+    """Seeded stream of :func:`fork_query`'s edge labels over a few
+    same-label vertices: every query edge keeps finding matches."""
+    rng = random.Random(seed)
+    t = 0.0
+    edges = []
+    for _ in range(n):
+        t += rng.random() + 0.01
+        u, v = rng.sample(range(n_vertices), 2)
+        edges.append(StreamEdge(
+            f"d{u}", f"d{v}", src_label="I", dst_label="I",
+            timestamp=round(t, 3), label=rng.choice("abcx")))
+    return edges
+
+
 def query_set():
     """Mixed sizes, mixed label selectivity, one wildcard-bearing query
     (always routed) — fresh QueryGraph objects on every call."""

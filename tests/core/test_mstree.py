@@ -198,10 +198,6 @@ class TestGlobalMSTreeStore:
         # The anchor survives (its Q¹ match is alive) but holds no children.
         assert store.tree.count(1) == 1
 
-    def test_global_delete_edge_is_noop(self):
-        store, *_ , edges = self._setup()
-        assert store.delete_edge(edges[0]) == 0
-
     def test_insert_level_bounds(self):
         store, _, _, leaf1, leaf2, (s1, s3, s5) = self._setup()
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ per change, with a noise band, by ``bench_e2e``.
 * decomposition and join order (Timing-RD / -RJ): the planned engine
   joins no more TC-subqueries than a random decomposition, and opens
   with a join at least as selective as a random order's;
+* timing prune: an arrival skips each join its timing order rules out,
+  one join and one probe per arrival that completes a marked sub-query;
 * routing: one shared window and label routing, not one window and one
   visit per query;
 * sharing: one store per canonical sub-plan, not one per query;
@@ -34,6 +36,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro import EngineConfig, Session, TimingMatcher
+from repro.baselines.naive import NaiveSnapshotMatcher
+from repro.core import engine as engine_module
 from repro.core.join_order import is_prefix_connected_order, joint_number
 from repro.core.query import ANY, Prefix, QueryGraph
 from repro.datasets import (
@@ -44,6 +48,8 @@ from repro.graph.edge import StreamEdge
 from repro.graph.stream import GraphStream
 from repro.graph.window import SlidingWindow
 from repro.subplans import _SubplanProvider
+
+from .conftest import FORK_PLAN, fork_query, fork_stream
 
 STORAGES = ["mstree", "independent"]
 #: The three variants ``generate_query_set`` draws from one walk, in order.
@@ -184,6 +190,65 @@ def test_jn_order_opens_with_the_most_selective_join(dataset, variant):
     opening = joint_number(query, order[0], order[1])
     assert all(joint_number(query, other[0], other[1]) <= opening
                for other in drawn)
+
+
+def nothing_marked(query, ordered):
+    """A ``timing_reach`` table marking no join: every sub-query's
+    cascade may reach the last level."""
+    return (len(ordered),) * len(ordered)
+
+
+def pruned_and_unpruned(query, window, edges, **config):
+    """``(stats, matches)`` of the engine as built, then of one built on
+    :func:`nothing_marked`: the work the prune saves is the difference."""
+    runs = []
+    for prune in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not prune:
+                patch.setattr(engine_module, "timing_reach", nothing_marked)
+            engine = TimingMatcher(query, window,
+                                   config=EngineConfig(**config))
+        assert engine.join_order == FORK_PLAN
+        with collector_paused():
+            matches = Counter(engine.push_many(edges))
+        runs.append((engine.stats, matches))
+    return runs
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+def test_timing_prune_skips_one_join_per_marked_completion(storage):
+    """``engine_join``'s shape: ``e4 ≺ e3`` with ``Q³ = (e3)`` joined
+    before ``Q⁴ = (e4)``.  An arrival completing ``Q⁴`` is the newest
+    edge, so no ``L₀³`` entry — each holds an older ``e3`` edge — can
+    join it: the probe of ``L₀³`` is skipped, one join operation and one
+    index probe per such arrival, and the answers do not move."""
+    query, window = fork_query(), 20.0
+    edges = fork_stream(0, 600)
+    marked = sum(query.edge_matches("e4", edge) for edge in edges)
+    (pruned, answers), (unpruned, reference) = pruned_and_unpruned(
+        query, window, edges, storage=storage)
+    assert marked > 0 and sum(answers.values()) > 0
+    assert unpruned.join_operations - pruned.join_operations == marked
+    assert unpruned.index_probes - pruned.index_probes == marked
+    assert pruned.partial_matches_created == unpruned.partial_matches_created
+    scan = TimingMatcher(query, window, config=EngineConfig(
+        storage=storage, indexing="scan"))
+    naive = NaiveSnapshotMatcher(query, window)
+    assert answers == reference == Counter(scan.push_many(edges)) \
+        == Counter(naive.push_many(edges))
+
+
+def test_timing_prune_leaves_an_unordered_shape_alone():
+    """Without ``e4 ≺ e3`` no arrival's query edge must precede a slot
+    on the other side of a join: nothing is marked and every count
+    stays."""
+    query, window = fork_query(e4_before_e3=False), 20.0
+    edges = fork_stream(0, 600)
+    (pruned, answers), (unpruned, reference) = pruned_and_unpruned(
+        query, window, edges)
+    assert answers == reference == Counter(
+        NaiveSnapshotMatcher(query, window).push_many(edges))
+    assert pruned.as_dict() == unpruned.as_dict()
 
 
 # --------------------------------------------------------------------- #
