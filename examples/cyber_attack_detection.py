@@ -53,8 +53,8 @@ def main() -> None:
     session.ingest(stream)             # batch ingestion from any iterable
 
     stats = session.stats()["exfiltration"]
-    # Session-level arrival count: under the default shared routing the
-    # engine only sees the arrivals routed to it.
+    # Session-level arrival count: the engine only sees the arrivals
+    # routed to it.
     print(f"processed {session.edges_pushed} flows, "
           f"{stats['edges_discarded']} label-matching flows discarded by "
           "timing pruning, "

@@ -71,9 +71,9 @@ Subpackages
 """
 
 from .api import (
-    BACKENDS, DUPLICATE_POLICIES, ROUTING_MODES, SHARDING_MODES,
-    SUBPLAN_SHARING_MODES, EngineConfig, EngineStats, Matcher, MatcherBase,
-    Session, SharedSubplanStore, ThreadSafeSession, as_window,
+    BACKENDS, DUPLICATE_POLICIES, SHARDING_MODES, SUBPLAN_SHARING_MODES,
+    EngineConfig, EngineStats, Matcher, MatcherBase, Session,
+    SharedSubplanStore, ThreadSafeSession, as_window,
 )
 from .concurrency.sharding import ShardDeadError, ShardedSession
 from .core.engine import TimingMatcher
@@ -101,8 +101,8 @@ __all__ = [
     "Matcher", "MatcherBase", "EngineConfig", "EngineStats", "Session",
     "ShardDeadError", "ShardedSession", "SharedSubplanStore",
     "ThreadSafeSession", "BACKENDS",
-    "DUPLICATE_POLICIES", "ROUTING_MODES", "SHARDING_MODES",
-    "SUBPLAN_SHARING_MODES", "as_window",
+    "DUPLICATE_POLICIES", "SHARDING_MODES", "SUBPLAN_SHARING_MODES",
+    "as_window",
     # engines and results
     "TimingMatcher", "Match", "verify_match", "explain",
     # sinks

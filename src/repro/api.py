@@ -47,7 +47,7 @@ from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
     DECOMPOSITION_STRATEGIES, DUPLICATE_POLICIES, INDEXING_MODES,
-    JOIN_ORDER_STRATEGIES, ROUTING_MODES, SHARDING_MODES, STORAGE_KINDS,
+    JOIN_ORDER_STRATEGIES, SHARDING_MODES, STORAGE_KINDS,
     SUBPLAN_SHARING_MODES, TRANSPORT_MODES, EngineConfig, EngineStats,
     Matcher, MatcherBase, as_window,
 )
@@ -55,11 +55,11 @@ from .subplans import SharedSubplanStore, _SubplanProvider, _SubplanRegistry
 
 __all__ = [
     "BACKENDS", "DECOMPOSITION_STRATEGIES", "DUPLICATE_POLICIES",
-    "INDEXING_MODES", "JOIN_ORDER_STRATEGIES", "ROUTING_MODES",
-    "SHARDING_MODES", "STORAGE_KINDS", "SUBPLAN_SHARING_MODES",
-    "TRANSPORT_MODES", "EngineConfig", "EngineStats", "MatchCallback",
-    "Matcher", "MatcherBase", "Session", "SharedSubplanStore",
-    "ThreadSafeSession", "as_window",
+    "INDEXING_MODES", "JOIN_ORDER_STRATEGIES", "SHARDING_MODES",
+    "STORAGE_KINDS", "SUBPLAN_SHARING_MODES", "TRANSPORT_MODES",
+    "EngineConfig", "EngineStats", "MatchCallback", "Matcher",
+    "MatcherBase", "Session", "SharedSubplanStore", "ThreadSafeSession",
+    "as_window",
 ]
 
 MatchCallback = Callable[[str, Match], None]
@@ -103,7 +103,7 @@ class _QueryRecord:
     ``register``: what ``_install`` builds the engine from and what a
     checkpoint stores in its place.  ``group_key`` names the shared window
     group whose buffer the engine reads, ``None`` for a privately-buffering
-    matcher (every one under ``routing="fanout"``).  ``matcher`` is
+    matcher (a factory's engine or a custom window policy).  ``matcher`` is
     cleared at deregistration, so a target list snapshotted earlier skips
     the query; a sharded facade keeps none and names the hosting ``shard``.
     """
@@ -136,8 +136,7 @@ class Session:
     attached sinks, and supports live registration/deregistration and
     checkpoint/restore.
 
-    Under the default ``routing="shared"`` ingestion strategy the session
-    compiles each query's label-triple signature (see
+    The session compiles each query's label-triple signature (see
     :meth:`~repro.core.query.QueryGraph.label_signatures`) into one
     routing index at registration, keeps a single
     :class:`~repro.graph.shared_window.SharedSlidingWindow` per window
@@ -148,17 +147,14 @@ class Session:
     whenever anyone looks.  Arrivals that provably cannot match a query
     (the label-level case of the paper's discardable-edge Lemma 1,
     exposed as :meth:`MatcherBase.is_discardable`) never touch that
-    query's engine.
-    ``routing="fanout"`` restores the historical full fan-out — every
-    matcher re-buffers the whole stream — as the ablation baseline; both
-    produce identical ``(name, match)`` streams (in-window duplicate ids
-    are judged against the shared stream buffer, a deliberate refinement
-    that only shows for queries registered mid-stream — see
-    :class:`~repro.ingest.Admission`).  Under ``"fanout"`` no matcher
-    enrolls in a shared window or the routing index: every one is a
-    privately-buffering, always-routed target of the same ingest loop.
+    query's engine.  In-window duplicate ids are judged against the
+    group's buffer, so a query registered mid-stream inherits the
+    stream's duplicate view (see :class:`~repro.ingest.Admission`).  A
+    factory's engine or a custom window policy cannot join a window
+    group: it buffers privately and is an always-routed target of the
+    same ingest loop.
 
-    On top of shared routing, ``subplan_sharing="shared"`` (the default)
+    On top of shared windows, ``subplan_sharing="shared"`` (the default)
     de-duplicates the *partial-match state itself*: Timing engines on the
     same window group whose plans contain the same canonical TC-subquery
     (same label triples, equality-constraint shape and timing skeleton —
@@ -174,18 +170,16 @@ class Session:
     ----------
     window:
         Default window for registered queries: a duration, or a zero-arg
-        factory returning a fresh window-policy object per query (a bare
-        policy object is rejected — engines cannot share one mutable
+        factory returning a fresh, empty window-policy object per query (a
+        bare policy object is rejected — engines cannot share one mutable
         window).  Each query may override it at registration.
     config:
         Default :class:`EngineConfig` for ``timing`` backends, and the
-        source of the duplicate policy and routing mode for the built-in
-        backends.  Factory backends construct their own engines and must
-        bake such settings in themselves.
+        source of the duplicate policy for the built-in backends.  Factory
+        backends construct their own engines and must bake such settings
+        in themselves.
     duplicate_policy:
         Shorthand for ``config.replace(duplicate_policy=...)``.
-    routing:
-        Shorthand for ``config.replace(routing=...)``.
     sharding:
         Shorthand for ``config.replace(sharding=...)``.  Any value other
         than ``"none"`` makes the constructor return a
@@ -213,7 +207,6 @@ class Session:
 
     def __init__(self, *, window=None, config: Optional[EngineConfig] = None,
                  duplicate_policy: Optional[str] = None,
-                 routing: Optional[str] = None,
                  sharding: Optional[str] = None,
                  shards: Optional[int] = None,
                  transport: Optional[str] = None) -> None:
@@ -231,8 +224,6 @@ class Session:
         config = config if config is not None else EngineConfig()
         if duplicate_policy is not None:
             config = config.replace(duplicate_policy=duplicate_policy)
-        if routing is not None:
-            config = config.replace(routing=routing)
         if sharding is not None:
             config = config.replace(sharding=sharding)
         if shards is not None:
@@ -243,7 +234,6 @@ class Session:
         # name -> record, one per registered query, in registration order.
         self._queries: Dict[str, _QueryRecord] = {}
         self._sinks: List[Tuple[Optional[str], MatchCallback]] = []
-        self._routing = self.config.routing
         # The two ingest stages (see repro.ingest).  Route payloads and
         # window-group roster entries are (ordinal, record).
         self._admission = Admission(self._on_expired)
@@ -251,13 +241,13 @@ class Session:
         # How many shared-window members retain edges: while none does (a
         # tenant of one-edge queries), expired edges have nobody to reach.
         self._retaining = 0
-        # Refcounted shared sub-plan stores (empty under routing="fanout"
-        # or subplan_sharing="private") — see SharedSubplanStore.
+        # Refcounted shared sub-plan stores (empty under
+        # subplan_sharing="private") — see SharedSubplanStore.
         self._subplans = _SubplanRegistry()
         self._next_ordinal = 0
-        #: Engine insertions performed by shared routing.
+        #: Engine insertions into window-group members.
         self.routed_pushes = 0
-        #: Matcher visits shared routing proved unnecessary and skipped.
+        #: Matcher visits the route index proved unnecessary and skipped.
         self.skipped_matchers = 0
 
     # ------------------------------------------------------------------ #
@@ -278,9 +268,10 @@ class Session:
         passed to its constructor (the Timing engine takes its knobs as
         ``config``, which defaults to the session's).
 
-        Raises on duplicate names.  A query registered mid-stream starts
-        with an empty window — it only sees arrivals from now on, which is
-        the only sound semantics for a structure that never saw the past.
+        Raises on duplicate names and on a window-policy object that
+        already holds edges.  A query registered mid-stream starts with an
+        empty window — it only sees arrivals from now on, which is the
+        only sound semantics for a structure that never saw the past.
         """
         query, window = self._resolve_registration(name, query, window)
         record = _QueryRecord(
@@ -291,16 +282,14 @@ class Session:
         self._next_ordinal += 1
         return record.matcher
 
-    def _install(self, record: _QueryRecord, private: bool = False) -> None:
+    def _install(self, record: _QueryRecord) -> None:
         """Build ``record``'s engine from its recipe and enroll it — what
-        a restore repeats (:mod:`repro.persistence`), where ``private``
-        keeps a privately-buffering matcher off the shared windows."""
-        shared = not private and self._routing == "shared"
+        a restore repeats (:mod:`repro.persistence`)."""
         # A built-in backend keeps the window spec it is given, so the
         # spec names its group and the engine is built on the group's
         # view; a factory's engine is judged on the window it built.
-        key = group_key(record.window) \
-            if shared and not callable(record.backend) else None
+        factory = callable(record.backend)
+        key = None if factory else group_key(record.window)
         window = record.window if key is None else \
             SharedWindowView(self._admission.open(key).window)
         # Sub-plan sharing needs co-members of one window group (they
@@ -324,16 +313,15 @@ class Session:
                 del self._admission.groups[key]     # nor an opened group
             raise
         record.matcher = matcher
-        if shared and key is None and callable(record.backend) \
-                and isinstance(matcher, MatcherBase):
+        if factory and isinstance(matcher, MatcherBase):
             key = group_key(matcher.window)
             if key is not None:
                 matcher.window = SharedWindowView(
                     self._admission.open(key).window)
         entry = (record.ordinal, record)
         if key is None:
-            # Privately-buffering matcher (non-MatcherBase, custom or
-            # pre-filled window, fanout): lock-step fan-out semantics.
+            # Privately-buffering matcher (a factory's engine off every
+            # group, a custom window policy): it sees every arrival.
             self._index.add(record.name, entry, ALWAYS_ROUTED)
             if self.current_time > float("-inf"):
                 matcher.advance_time(self.current_time)
@@ -374,6 +362,11 @@ class Session:
                         "window policy object is already used by query "
                         f"{other.name!r}; pass a fresh instance — engines "
                         "cannot share one mutable window")
+            if hasattr(window, "__len__") and len(window):
+                raise ValueError(
+                    f"window policy object for query {name!r} already "
+                    f"holds {len(window)} edge(s); pass an empty one — a "
+                    "query starts with an empty window")
         return query, window
 
     def register_file(self, name: str, path: str, **kwargs) -> Matcher:
@@ -618,7 +611,7 @@ class Session:
 
     @property
     def edges_pushed(self) -> int:
-        """Arrivals accepted by the session (all routing modes)."""
+        """Arrivals accepted by the session."""
         return self._admission.edges_pushed
 
     # ------------------------------------------------------------------ #
@@ -699,14 +692,13 @@ class Session:
     def shared_window_cells(self) -> int:
         """Edges held across the session's shared window buffers —
         ``O(|W|)`` per distinct window policy, however many queries share
-        them (0 under ``routing="fanout"``)."""
+        them."""
         return sum(len(group.window)
                    for group in self._admission.groups.values())
 
     def window_cells(self) -> int:
         """Total window buffer cells across the session: the shared
-        buffers plus every privately-buffering matcher's window.  Under
-        fanout this is the ``O(Q·|W|)`` figure shared routing collapses."""
+        buffers plus every privately-buffering matcher's window."""
         cells = self.shared_window_cells()
         for record in self._queries.values():
             if record.group_key is not None:
@@ -720,10 +712,9 @@ class Session:
 
     def session_stats(self) -> Dict[str, object]:
         """Session-level ingestion counters (per-matcher engine counters
-        stay in :meth:`stats`): the routing mode, accepted arrivals,
-        shared-routing work/savings, and window memory."""
+        stay in :meth:`stats`): accepted arrivals, routing work/savings,
+        and window memory."""
         return {
-            "routing": self._routing,
             "queries": len(self._queries),
             "shared_groups": len(self._admission.groups),
             "edges_pushed": self.edges_pushed,
@@ -766,8 +757,7 @@ class Session:
         return load_session(source)
 
     def __repr__(self) -> str:
-        return (f"Session({len(self._queries)} queries, "
-                f"routing={self._routing}, t={self.current_time})")
+        return f"Session({len(self._queries)} queries, t={self.current_time})"
 
 
 class ThreadSafeSession:

@@ -44,9 +44,8 @@ import sys
 from typing import Optional, Sequence
 
 from .api import (
-    BACKENDS, DUPLICATE_POLICIES, INDEXING_MODES, ROUTING_MODES,
-    SHARDING_MODES, SUBPLAN_SHARING_MODES, TRANSPORT_MODES, EngineConfig,
-    Session,
+    BACKENDS, DUPLICATE_POLICIES, INDEXING_MODES, SHARDING_MODES,
+    SUBPLAN_SHARING_MODES, TRANSPORT_MODES, EngineConfig, Session,
 )
 from .core.engine import TimingMatcher
 from .core.plan import explain
@@ -85,11 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="hash",
                        help="insert-path join strategy: hash-indexed "
                             "(default) or paper-faithful full scans")
-    p_run.add_argument("--routing", choices=sorted(ROUTING_MODES),
-                       default="shared",
-                       help="multi-query ingestion strategy: shared "
-                            "window + label-triple routing (default) or "
-                            "per-matcher full fan-out")
     p_run.add_argument("--subplan-sharing",
                        choices=sorted(SUBPLAN_SHARING_MODES),
                        default="shared",
@@ -231,10 +225,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --indexing only applies to the timing backend",
               file=sys.stderr)
         return 2
-    if args.sharding != "none" and args.routing != "shared":
-        print("error: --sharding requires --routing shared",
-              file=sys.stderr)
-        return 2
     if args.shards is not None and args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
@@ -248,7 +238,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = EngineConfig(
         storage="independent" if args.no_mstree else "mstree",
         indexing=args.indexing,
-        routing=args.routing,
         subplan_sharing=args.subplan_sharing,
         sharding=args.sharding,
         shards=shards,
@@ -283,9 +272,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if jsonl is not None:
             jsonl.close()
     stats = session.stats()["query"]
-    # Session-level arrival count: under shared routing the engine only
-    # sees the arrivals routed to it, so its edges_seen is not the
-    # stream length any more.
+    # Session-level arrival count: the engine only sees the arrivals
+    # routed to it, so its edges_seen is not the stream length.
     summary = f"processed {session.edges_pushed} edges, {total} matches"
     if args.backend == "timing":
         # Only the Timing engine prunes discardable arrivals (Lemma 1).
@@ -293,21 +281,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.duplicates == "count":
         summary += f", {stats['edges_skipped']} duplicate arrivals skipped"
     print(summary)
-    if args.routing == "shared":
-        ss = session.session_stats()
-        print(f"routing: shared — {ss['routed_pushes']} routed pushes, "
-              f"{ss['skipped_matchers']} matcher visits skipped, "
-              f"{ss['shared_window_cells']} shared window cells")
-        if ss["shared_subplans"]:
-            print(f"sub-plans: shared — {ss['shared_subplans']} store(s) "
-                  f"for {ss['subplan_consumers']} consumer(s), "
-                  f"{ss['subplan_reuses']} memoised insertions, "
-                  f"{ss['subplan_store_cells']} shared store cells")
-        if args.sharding != "none":
-            busy = ", ".join(
-                f"shard {p['shard']}: {p['queries']} queries "
-                f"{p['busy_seconds']}s busy" for p in ss["per_shard"])
-            print(f"sharding: {ss['sharding']} x {ss['shards']} — {busy}")
+    ss = session.session_stats()
+    print(f"routing: {ss['routed_pushes']} routed pushes, "
+          f"{ss['skipped_matchers']} matcher visits skipped, "
+          f"{ss['shared_window_cells']} shared window cells")
+    if ss["shared_subplans"]:
+        print(f"sub-plans: shared — {ss['shared_subplans']} store(s) "
+              f"for {ss['subplan_consumers']} consumer(s), "
+              f"{ss['subplan_reuses']} memoised insertions, "
+              f"{ss['subplan_store_cells']} shared store cells")
+    if args.sharding != "none":
+        busy = ", ".join(
+            f"shard {p['shard']}: {p['queries']} queries "
+            f"{p['busy_seconds']}s busy" for p in ss["per_shard"])
+        print(f"sharding: {ss['sharding']} x {ss['shards']} — {busy}")
     if hasattr(session, "close"):
         session.close()
     return 0

@@ -53,10 +53,10 @@ How the work is split
 
 What does *not* shard
 ---------------------
-Factory backends and non-shareable windows (pre-filled or custom policy
-objects) cannot cross a shard boundary; registering one on a sharded
-session raises — use ``sharding="none"`` for those.  Sink callbacks run
-in the facade process at batch granularity.
+Factory backends and custom window-policy classes cannot cross a shard
+boundary; registering one on a sharded session raises — use
+``sharding="none"`` for those.  Sink callbacks run in the facade process
+at batch granularity.
 
 Because CPython's GIL serialises bytecode, ``sharding="thread"`` cannot
 show wall-clock speed-up (it exists for cheap equivalence testing and
@@ -158,7 +158,7 @@ class _ShardServer:
     Runs inside the worker thread/process; one instance serves one
     shard's command stream (register/deregister, batches, reads,
     checkpoint data out and in).  The sub-session is a plain unsharded
-    :class:`~repro.api.Session`, so every shared-routing and sub-plan
+    :class:`~repro.api.Session`, so every shared-window and sub-plan
     sharing invariant holds within the shard unchanged.
     """
 
@@ -875,10 +875,10 @@ class ShardedSession(Session):
         if key is None:
             raise ValueError(
                 "sharded sessions require a shareable window (a duration, "
-                "or a fresh time-/count-based policy object); register "
+                "or a time-/count-based policy object); register "
                 f"query {name!r} on a sharding='none' session instead")
         config = (config if config is not None else self.config).validate()
-        config = config.replace(sharding="none", routing="shared")
+        config = config.replace(sharding="none")
         policy = engine_options.get(
             "duplicate_policy", config.duplicate_policy)
         if policy not in DUPLICATE_POLICIES:
@@ -899,9 +899,9 @@ class ShardedSession(Session):
         self._next_ordinal += 1
         return self.matcher(name) if self._mode == "thread" else None
 
-    def _install(self, record: _QueryRecord, private: bool = False) -> None:
+    def _install(self, record: _QueryRecord) -> None:
         """The facade's half of a registration: roster, route index and
-        head-count (``register`` refused what ``private`` is for)."""
+        head-count."""
         key = record.group_key = group_key(record.window)
         shard = self._shards[shard_of(record.name, self._shard_count)]
         record.shard = shard.index
@@ -1183,7 +1183,6 @@ class ShardedSession(Session):
         else:
             transport = "pipe"
         return {
-            "routing": self._routing,
             "sharding": self._mode,
             "shards": self._shard_count,
             "transport": transport,

@@ -178,9 +178,8 @@ class SharedWindowView:
     membership, ``duration``/``capacity``/``current_time``, ``edges`` /
     ``oldest`` / ``newest``) backed by the shared buffer, so code that
     inspects ``matcher.window`` keeps working.  Mutation is refused: a
-    shared-routing :class:`~repro.api.Session` owns the buffer, and a
-    direct ``matcher.push`` would desynchronise every other matcher on
-    the buffer.
+    :class:`~repro.api.Session` owns the buffer, and a direct
+    ``matcher.push`` would desynchronise every other matcher on it.
     """
 
     __slots__ = ("_shared", "since")

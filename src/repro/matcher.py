@@ -64,17 +64,6 @@ JOIN_ORDER_STRATEGIES = ("jn", "random")
 #: (Theorem 3's ``O(|Lᵢ₋₁|)``), kept for the ablation.
 INDEXING_MODES = ("hash", "scan")
 
-#: Session multi-query ingestion strategies: ``"shared"`` (default) keeps
-#: one shared window buffer per window policy and routes each arrival
-#: through a label-triple index to only the matchers that can consume it;
-#: ``"fanout"`` is the historical lock-step full fan-out (every matcher
-#: buffers the whole stream), kept as the ablation baseline.  Both produce
-#: identical ``(name, match)`` streams, with one documented refinement:
-#: shared routing judges in-window duplicate ids against the stream (the
-#: shared buffer), so a query registered mid-stream does not treat a
-#: replayed id as fresh (see :class:`repro.ingest.Admission`).
-ROUTING_MODES = ("shared", "fanout")
-
 #: Session sub-plan sharing strategies: ``"shared"`` (default) keeps one
 #: refcounted expansion-list store per *canonical* TC-subquery (see
 #: :func:`repro.core.decomposition.subplan_signature`) per shared window
@@ -322,11 +311,12 @@ class MatcherBase:
         matchers with a non-``raise`` policy skip even that.
 
         The answer reflects this matcher's own ingestion history.  A
-        fanout :class:`~repro.api.Session` consults it per matcher for the
-        all-or-nothing guarantee (protocol matchers outside
+        :class:`~repro.api.Session` consults it for each privately
+        buffering matcher (a factory's engine, a custom window policy) for
+        the all-or-nothing guarantee (protocol matchers outside
         :class:`MatcherBase` can implement it to join that guarantee); a
-        shared-routing session instead probes its shared stream buffer,
-        which also covers bearers that were never routed to this
+        window-group member is judged on its group's shared stream buffer
+        instead, which also covers bearers that were never routed to this
         matcher — so there ``Session.push`` may reject an arrival this
         method alone would accept.
         """
@@ -399,24 +389,14 @@ class EngineConfig:
         entries; ``"scan"`` is the paper-faithful full scan per arrival
         (Theorem 3), kept as the ablation baseline.  Both produce
         identical matches and identical logical space.
-    routing:
-        Multi-query ingestion strategy for a :class:`~repro.api.Session`
-        built from this config (engines ignore it): ``"shared"``
-        (default) routes each arrival through a session-wide label-triple
-        index to only the matchers that can consume it, with one shared
-        window buffer per window policy; ``"fanout"`` is the historical
-        full fan-out where every matcher re-buffers the whole stream, kept
-        as the ablation baseline.  Both produce identical matches (duplicate
-        ids are judged stream-level under ``"shared"`` — see
-        :data:`ROUTING_MODES`).
     subplan_sharing:
-        Cross-query sub-plan sharing for shared-routing sessions:
-        ``"shared"`` (default) lets Timing engines registered on the same
+        Cross-query sub-plan sharing for sessions: ``"shared"``
+        (default) lets Timing engines registered on the same
         window group adopt one refcounted expansion-list store per
         canonical TC-subquery, so an overlapping pattern library pays for
         each distinct sub-plan once instead of once per query;
         ``"private"`` keeps per-engine stores (the ablation baseline).
-        Standalone engines and ``routing="fanout"`` sessions ignore it.
+        Standalone engines ignore it.
         Both modes produce identical matches — see
         :data:`SUBPLAN_SHARING_MODES` and
         :class:`~repro.subplans.SharedSubplanStore`.
@@ -426,8 +406,8 @@ class EngineConfig:
         calling process; ``"thread"`` / ``"process"`` shard them across
         ``shards`` worker loops so heavy query sets parallelise over one
         ingested stream — see
-        :class:`~repro.concurrency.sharding.ShardedSession`.  Requires
-        ``routing="shared"``; all modes produce identical matches.
+        :class:`~repro.concurrency.sharding.ShardedSession`.  All modes
+        produce identical matches.
     shards:
         Worker-shard count used when ``sharding`` is not ``"none"``
         (ignored otherwise).
@@ -450,7 +430,6 @@ class EngineConfig:
     decomposition: str = "greedy"
     join_order: str = "jn"
     indexing: str = "hash"
-    routing: str = "shared"
     subplan_sharing: str = "shared"
     sharding: str = "none"
     shards: int = 4
@@ -480,10 +459,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown indexing mode: {self.indexing!r} "
                 f"(expected one of {INDEXING_MODES})")
-        if self.routing not in ROUTING_MODES:
-            raise ValueError(
-                f"unknown routing mode: {self.routing!r} "
-                f"(expected one of {ROUTING_MODES})")
         if self.subplan_sharing not in SUBPLAN_SHARING_MODES:
             raise ValueError(
                 f"unknown subplan sharing mode: {self.subplan_sharing!r} "
@@ -500,11 +475,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown shard transport: {self.transport!r} "
                 f"(expected one of {TRANSPORT_MODES})")
-        if self.sharding != "none" and self.routing != "shared":
-            raise ValueError(
-                "sharded sessions ride on the shared-routing index: "
-                f"sharding={self.sharding!r} requires routing='shared', "
-                f"got routing={self.routing!r}")
         if self.duplicate_policy not in DUPLICATE_POLICIES:
             raise ValueError(
                 f"unknown duplicate policy: {self.duplicate_policy!r} "

@@ -12,25 +12,26 @@ counters; per query, in ordinal order, its registration recipe (name,
 ordinal, ``QueryGraph``, window as a duration or a built-in policy's
 ``(kind, parameter)``, backend name, config, engine options — a Timing
 engine's resolved join order among them, so a ``random`` strategy
-rebuilds the plan it had), its window group, ``since`` watermark,
-``EngineStats`` and, for a privately-buffering matcher, its own window's
-edges; per window group, the buffered edges in arrival order; for a
-sharded session, the same data once per shard.
+rebuilds the plan it had), its window group, ``since`` watermark and
+``EngineStats``; per window group, the buffered edges in arrival order;
+for a sharded session, the same data once per shard.
 
 **Restored** (:func:`rebuild`; alike for both session kinds): an empty
 session from the config, then each query in ordinal order, registered
 once its group's buffered edges up to its watermark are back in the
 group's window and in the members registered before it; then the rest of
-every buffer.  A private matcher is fed its own edges through its own
-``push``; clock, counters, stats and watermarks are set from the data
+every buffer.  Clock, counters, stats and watermarks are set from the data
 (cumulative counters are carried, not recounted).  Replay is per group:
 an id that was a live duplicate for one group and fresh for another sits
 in one buffer and not the other.
 
 **Refused** at :func:`snapshot`, with a :class:`CheckpointError` naming
 the queries: a callable ``backend=`` factory or a custom window-policy
-class cannot be named as data.  Sinks, callbacks and a callable
-default-window factory are runtime wiring: dropped, re-attach them.
+class cannot be named as data.  Those are the only matchers that buffer
+privately (registration refuses a policy object that already holds
+edges), so every query a checkpoint stores is a window-group member.
+Sinks, callbacks and a callable default-window factory are runtime
+wiring: dropped, re-attach them.
 
 ``pickle`` is only the byte codec (labels are arbitrary hashables, which
 JSON cannot round-trip): both directions admit :data:`VALUE_TYPES` and
@@ -38,8 +39,8 @@ nothing else, so a file naming any other class — an engine, a sink,
 ``os.system`` — is refused with :class:`CheckpointCorruptError` before
 anything is constructed, and a label of a class outside the list fails
 at ``checkpoint()``, not at recovery.  Taken from a sink, a checkpoint
-holds the arrival being delivered as having reached every query (under
-fanout: the queries it had reached).  ``tests/test_session_model.py``
+holds the arrival being delivered as having reached every query: it is
+in its groups' buffers.  ``tests/test_session_model.py``
 pins restored ≡ naive; ``tests/test_logical_checkpoint.py``, what differs.
 """
 
@@ -62,7 +63,7 @@ from .matcher import EngineConfig
 
 #: Bumped only when the data schema in the module docstring changes;
 #: a file of any other version is refused.
-CHECKPOINT_VERSION = 16
+CHECKPOINT_VERSION = 17
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not
@@ -206,17 +207,7 @@ def snapshot(session: Session) -> dict:
                 saved["options"] = {**record.options,
                                     "decomposition": matcher.join_order,
                                     "join_order": matcher.join_order}
-            if record.group_key is not None:
-                saved["since"] = matcher.window.since
-            else:
-                # Edges the window held before the matcher got it were
-                # never pushed through the engine: they lead the buffer
-                # and have no entry in its live-id registry.
-                live = matcher._live_edge_ids
-                edges = saved["edges"] = list(matcher.window)
-                saved["prefilled"] = sum(
-                    live.get(edge.edge_id) != edge.timestamp
-                    for edge in edges)
+            saved["since"] = matcher.window.since
         queries.append(saved)
     window = session.default_window
     data = {
@@ -271,19 +262,14 @@ def _replay(session: Session, data: dict, engines: bool) -> None:
                         record.matcher._insert(edge)
 
     for saved in data["queries"]:
-        window, key = saved["window"], saved["group"]
+        window = saved["window"]
         if isinstance(window, tuple):
             window = window_policy_from_key(window)
-        if key is not None:
-            feed(key, saved["since"])
-        else:
-            for edge in saved["edges"][:saved["prefilled"]]:
-                window.push(edge)
+        feed(saved["group"], saved["since"])
         session._install(_QueryRecord(
             saved["name"], saved["ordinal"], None, None, window,
             query=saved["query"], backend=saved["backend"],
-            config=saved["config"], options=saved["options"]),
-            private=key is None)
+            config=saved["config"], options=saved["options"]))
     for key in buffers:
         feed(key, float("inf"))
 
@@ -291,13 +277,7 @@ def _replay(session: Session, data: dict, engines: bool) -> None:
     for saved, record in zip(data["queries"] if engines else (),
                              session._queries.values()):
         matcher = record.matcher
-        if record.group_key is not None:
-            matcher.window.since = saved["since"]
-        else:
-            for edge in saved["edges"][saved["prefilled"]:]:
-                matcher.push(edge)
-            if clock > _NEVER:
-                matcher.advance_time(clock)
+        matcher.window.since = saved["since"]
         for name, value in saved["stats"].items():
             setattr(matcher.stats, name, value)
     admission.clock = clock

@@ -11,10 +11,11 @@ Conventions
 -----------
 * Every numeric counter/gauge becomes ``repro_<name>{tenant="..."}``;
   nested queue counters become ``repro_queue_<name>``.
-* Session stats whose values are strings or booleans (routing mode,
-  sub-plan sharing flag) are folded into one ``repro_tenant_info`` metric
-  with a constant value of 1 and the strings as labels — the idiomatic
-  Prometheus pattern for non-numeric facts.
+* Session stats whose values are strings or booleans (sub-plan sharing
+  mode; on a sharded tenant, sharding mode and shard transport) are
+  folded into one ``repro_tenant_info`` metric with a constant value of 1
+  and the strings as labels — the idiomatic Prometheus pattern for
+  non-numeric facts.
 * Gateway-level facts (uptime, tenant count) carry no tenant label.
 """
 

@@ -68,14 +68,13 @@ class TestMatchingRunsOncePerArrival:
         assert engine._touched == {} and engine.space_cells() == 0
         assert matching_calls["n"] == len(STREAM)
 
-    @pytest.mark.parametrize("routing", ["shared", "fanout"])
-    def test_session_member(self, matching_calls, routing):
+    def test_session_member(self, matching_calls):
         """One generic (always-routed) stored query, so the session hands
         the engine every arrival: N inserts, N expiries, N matchings."""
         query = fig5_query()
         query.edge(1).label = ("tuple", query.edge(1).label)   # opaque
         assert query.label_signatures()[2]
-        session = Session(window=4.0, routing=routing)
+        session = Session(window=4.0)
         engine = session.register("q", query)
         session.push_many(STREAM)
         session.advance_time(STREAM[-1].timestamp + 10.0)

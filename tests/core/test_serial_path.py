@@ -68,9 +68,8 @@ class TestSerialCallsTakeNoGuard:
         made.advance_time(STREAM[-1].timestamp + 2 * WINDOW)    # expiry too
         assert made.space_cells() == 0
 
-    @pytest.mark.parametrize("routing", ["shared", "fanout"])
-    def test_session_stream(self, reference, routing):
-        session = Session(window=WINDOW, routing=routing)
+    def test_session_stream(self, reference):
+        session = Session(window=WINDOW)
         session.register("q", query())
         tagged = session.push_many(STREAM)
         assert Counter(match for _, match in tagged) == reference

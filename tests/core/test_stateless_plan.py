@@ -11,9 +11,9 @@ time and count windows, the three duplicate policies, mid-stream
 register/deregister, ``advance_time``, and checkpoint → restore, through
 a standalone engine, a ``Session`` and both sharded sessions.
 
-As in the routing suite, a scenario either re-uses edge ids in-window or
-registers queries mid-stream, never both: shared routing judges duplicates
-against the stream, which only a mid-stream registrant can tell from the
+A scenario either re-uses edge ids in-window or registers queries
+mid-stream, never both: a session judges duplicates against its window
+group's buffer, which only a mid-stream registrant can tell from the
 per-matcher judgement the oracle makes.
 """
 
@@ -155,8 +155,8 @@ class Oracle:
 
     def pinned_cells(self):
         """``(shared, private)``: window cells that are some query's
-        current match — once per window policy (one shared buffer each),
-        and once per query (a private buffer each)."""
+        current match — once per window policy (one buffer each), and
+        once per query."""
         answers = [(m.window_spec, edge.edge_id, edge.timestamp)
                    for m in self.matchers.values()
                    for match in m.current_matches()
@@ -180,8 +180,7 @@ def check_state(session, oracle) -> None:
     if isinstance(session, ShardedSession):     # one buffer set per shard
         assert shared <= session.space_cells() <= private
     else:
-        assert session.space_cells() == (
-            private if stats["routing"] == "fanout" else shared)
+        assert session.space_cells() == shared
     for name in oracle.matchers:
         assert session.matcher(name).space_cells() == 0
     assert stats["stateless_queries"] == len(oracle.matchers)
@@ -237,12 +236,6 @@ class TestSessionAgainstOracle:
         emitted = [run_session_scenario(seed) for seed in range(40)]
         assert sum(1 for count in emitted if count) > 30    # non-vacuous
 
-    def test_fanout_routing(self):
-        """Privately-buffering members: the engine's own window is the
-        one it re-derives from."""
-        assert sum(run_session_scenario(seed, routing="fanout")
-                   for seed in range(100, 110)) > 0
-
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_thread_shards(self, seed):
         assert run_session_scenario(seed, sharding="thread", shards=2) > 0
@@ -266,16 +259,15 @@ class TestSessionAgainstOracle:
             == ["zeta", "alpha", "mid"]
 
 
-class TestStandaloneAgainstOracle:
-    """The engine on its own private window (a one-query fanout session,
-    the one checkpoint kind) against one naive matcher."""
+class TestOneQuerySessionAgainstOracle:
+    """The engine as the one member of a default session, through
+    checkpoints, against one naive matcher."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_push_advance_checkpoint(self, seed):
         scenario = Scenario(seed, steps=40)
         _, _, query, window_spec = scenario.ops[0]
-        session = Session(routing="fanout",
-                          duplicate_policy=scenario.policy)
+        session = Session(duplicate_policy=scenario.policy)
         engine = session.register("q", query,
                                   window=make_window(window_spec))
         oracle = NaiveSnapshotMatcher(query, make_window(window_spec),
@@ -337,8 +329,8 @@ class TestPlanKindFollowsShape:
         import dataclasses
         assert [field.name for field in dataclasses.fields(EngineConfig)] \
             == ["storage", "decomposition", "join_order", "indexing",
-                "routing", "subplan_sharing", "sharding", "shards",
-                "transport", "seed", "duplicate_policy"]
+                "subplan_sharing", "sharding", "shards", "transport",
+                "seed", "duplicate_policy"]
 
     def test_explicit_plan_is_still_validated(self):
         rng = random.Random(1)

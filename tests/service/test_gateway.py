@@ -203,7 +203,7 @@ class TestMetricsRendering:
         assert 'repro_session_edges_pushed{tenant="t0"} 4' in text
         assert '# TYPE repro_matches_delivered counter' in text
         assert 'repro_tenant_info{' in text
-        assert 'routing="shared"' in text
+        assert 'subplan_sharing="shared"' in text
         assert text.endswith("\n")
 
     def test_every_numeric_session_stat_is_exported(self, gateway):

@@ -1,12 +1,13 @@
 """Each multi-query optimisation, argued by the work it saves.
 
 The paper argues every optimisation by an ablation against a reference
-mode (Timing vs Timing-IND / -RD / -RJ, §VII).  Here each layer's
-ablation runs both modes on a small pinned stream, asserts identical
-answers, and asserts the *count* that explains the speed-up — join
-predicate checks, engine visits, window and store cells, executed lines
-— rather than a wall-clock ratio.  A count is the same on every run, so
-a regression in work fails here deterministically; wall time is measured
+mode (Timing vs Timing-IND / -RD / -RJ, §VII).  Here each layer runs
+beside its reference (the ablation mode, or for routing one standalone
+engine per query) on a small pinned stream, asserts identical answers,
+and asserts the *count* that explains the speed-up — join predicate
+checks, engine visits, window and store cells, executed lines — rather
+than a wall-clock ratio.  A count is the same on every run, so a
+regression in work fails here deterministically; wall time is measured
 per change, with a noise band, by ``bench_e2e``.
 
 * indexing: hash-indexed joins evaluate fewer join predicates than
@@ -78,6 +79,18 @@ def run_session(queries, window, edges, **config):
     for name, query in queries.items():
         session.register(name, query)
     return session, Counter(session.push_many(edges))
+
+
+def run_standalone(queries, window, edges, **config):
+    """The baseline a session is measured against: one standalone engine
+    per query on its own window, each pushed every arrival — the engines
+    (name -> engine) and the ``(name, match)`` multiset."""
+    engines = {name: TimingMatcher(query, window,
+                                   config=EngineConfig(**config))
+               for name, query in queries.items()}
+    return engines, Counter((name, match)
+                            for name, engine in engines.items()
+                            for match in engine.push_many(edges))
 
 
 # --------------------------------------------------------------------- #
@@ -289,30 +302,31 @@ def routing_workload():
 @pytest.mark.parametrize("storage", STORAGES)
 def test_shared_routing_keeps_one_window_and_visits_only_consumers(
         routing_workload, storage):
-    """Fanout keeps a window per query and shows every arrival to every
-    query; shared routing keeps one window and pushes an arrival only to
-    the queries its labels can match.  Sub-plans stay private, so the
-    stores — and the partial-match space — are the same in both."""
+    """Standalone engines keep a window per query and each sees every
+    arrival; a session keeps one window and pushes an arrival only to the
+    queries its labels can match.  Sub-plans stay private, so the stores
+    — and the partial-match space — are the same in both."""
     queries, window, edges = routing_workload
-    legs = {routing: run_session(queries, window, edges, storage=storage,
-                                 routing=routing, subplan_sharing="private")
-            for routing in ("shared", "fanout")}
-    (shared, answer), (fanout, fanout_answer) = legs["shared"], legs["fanout"]
-    assert answer == fanout_answer and answer
-    assert shared.space_cells() == fanout.space_cells() > 0
+    shared, answer = run_session(queries, window, edges, storage=storage,
+                                 subplan_sharing="private")
+    engines, baseline = run_standalone(queries, window, edges,
+                                       storage=storage)
+    assert answer == baseline and answer
+    assert shared.space_cells() == sum(
+        engine.space_cells() for engine in engines.values()) > 0
 
     cells = shared.session_stats()
     assert cells["window_cells"] == cells["shared_window_cells"] > 0
-    assert fanout.window_cells() == QUERIES * cells["window_cells"]
-
-    def visits(session):
-        return sum(session.matcher(name).stats.edges_seen
-                   for name in session.names())
+    assert sum(len(engine.window) for engine in engines.values()) \
+        == QUERIES * cells["window_cells"]
 
     consumers = sum(1 for edge in edges for query in queries.values()
                     if query.matching_edge_ids(edge))
-    assert visits(shared) == cells["routed_pushes"] == consumers
-    assert visits(fanout) == QUERIES * len(edges)
+    assert sum(shared.matcher(name).stats.edges_seen
+               for name in shared.names()) \
+        == cells["routed_pushes"] == consumers
+    assert sum(engine.stats.edges_seen for engine in engines.values()) \
+        == QUERIES * len(edges)
     assert consumers < len(edges)
 
 
@@ -405,13 +419,9 @@ def predicate_queries(count):
     return queries
 
 
-def traced_push(count, edges, routing):
-    """Register the first ``count`` predicate queries, then ``push_many``
-    the edges under a line tracer: the session, its answer and how many
-    lines of Python the push executed."""
-    session = Session(window=400.0, routing=routing)
-    for name, query in predicate_queries(count).items():
-        session.register(name, query)
+def traced(push):
+    """``push()`` under a line tracer: its result and how many lines of
+    Python it executed."""
     lines = 0
 
     def tracer(frame, event, arg):
@@ -423,10 +433,30 @@ def traced_push(count, edges, routing):
     with collector_paused():
         sys.settrace(tracer)
         try:
-            tagged = session.push_many(edges)
+            result = push()
         finally:
             sys.settrace(None)
+    return result, lines
+
+
+def traced_push(count, edges):
+    """Register the first ``count`` predicate queries, then ``push_many``
+    the edges under the tracer: the session, its answer and the lines."""
+    session = Session(window=400.0)
+    for name, query in predicate_queries(count).items():
+        session.register(name, query)
+    tagged, lines = traced(lambda: session.push_many(edges))
     return session, Counter(tagged), lines
+
+
+def traced_standalone(count, edges):
+    """The same queries as standalone engines, each pushed every arrival
+    under the tracer: their answer and the lines."""
+    engines = {name: TimingMatcher(query, 400.0)
+               for name, query in predicate_queries(count).items()}
+    return traced(lambda: Counter(
+        (name, match) for edge in edges
+        for name, engine in engines.items() for match in engine.push(edge)))
 
 
 @pytest.mark.skipif(sys.gettrace() is not None,
@@ -437,8 +467,8 @@ def test_trie_routing_work_is_flat_in_the_query_count():
     push is identical.  Counts are compared within one interpreter, never
     against a pinned absolute (line events differ across versions)."""
     edges = port_stream(500)
-    small, small_answer, small_lines = traced_push(256, edges, "shared")
-    large, large_answer, large_lines = traced_push(2048, edges, "shared")
+    small, small_answer, small_lines = traced_push(256, edges)
+    large, large_answer, large_lines = traced_push(2048, edges)
     assert small_answer == large_answer and small_answer
     assert (small.session_stats()["routed_pushes"]
             == large.session_stats()["routed_pushes"])
@@ -447,15 +477,20 @@ def test_trie_routing_work_is_flat_in_the_query_count():
 
 @pytest.mark.skipif(sys.gettrace() is not None,
                     reason="another tracer (coverage, a debugger) is active")
-def test_line_count_sees_fanout_grow_with_the_query_count():
-    """The instrument of the test above can see O(Q) routing: fanout
-    shows every arrival to every query, so doubling the queries doubles
-    the lines a push executes, the answer unchanged."""
+def test_line_count_sees_the_baseline_grow_with_the_query_count():
+    """The instrument of the test above can see O(Q) routing: standalone
+    engines, each pushed every arrival, execute twice the lines for twice
+    the queries, the answer unchanged — and a session routing the larger
+    population answers the same in fewer lines than the smaller
+    baseline."""
     edges = port_stream(10)
-    _, small_answer, small_lines = traced_push(256, edges, "fanout")
-    _, large_answer, large_lines = traced_push(512, edges, "fanout")
-    assert small_answer == large_answer
+    small_answer, small_lines = traced_standalone(256, edges)
+    large_answer, large_lines = traced_standalone(512, edges)
+    assert small_answer == large_answer and small_answer
     assert large_lines > 1.9 * small_lines
+    _, answer, lines = traced_push(512, edges)
+    assert answer == large_answer
+    assert lines < small_lines
 
 
 # --------------------------------------------------------------------- #

@@ -107,11 +107,12 @@ class TestRun:
         assert "2 matches" in out
         assert f"sharding: {mode} x 2" in out
 
-    def test_run_sharding_requires_shared_routing(self, query_file,
-                                                  stream_file, capsys):
-        assert main(["run", query_file, stream_file, "--sharding",
-                     "thread", "--routing", "fanout"]) == 2
-        assert "requires --routing shared" in capsys.readouterr().err
+    def test_run_has_no_routing_flag(self, query_file, stream_file, capsys):
+        """One ingest design: there is no routing mode to pick."""
+        with pytest.raises(SystemExit) as info:
+            main(["run", query_file, stream_file, "--routing", "shared"])
+        assert info.value.code == 2
+        assert "--routing" in capsys.readouterr().err
 
     def test_run_rejects_nonpositive_shards(self, query_file, stream_file,
                                             capsys):

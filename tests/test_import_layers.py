@@ -186,8 +186,7 @@ def test_a_busy_checkpoint_names_only_value_types():
     )
     from .test_logical_checkpoint import busy_session, checkpoint
 
-    for options in ({}, {"routing": "fanout"},
-                    {"sharding": "thread", "shards": 2}):
+    for options in ({}, {"sharding": "thread", "shards": 2}):
         session = busy_session(**options)
         blob = checkpoint(session)
         if options.get("sharding"):

@@ -291,42 +291,107 @@ class TestLateRegistrants:
 # Privately-buffering matchers
 # --------------------------------------------------------------------- #
 
+class OwnWindow(SlidingWindow):
+    """A custom policy class: no window group can share it, so its
+    matcher buffers privately (and cannot be checkpointed)."""
+
+
 class TestPrivateMatchers:
-    @pytest.mark.parametrize("drained", [False, True])
-    def test_prefilled_policy_stays_private(self, drained):
-        """A pre-filled window keeps its matcher off the shared buffers;
-        its ballast is re-buffered, never inserted — and it stays private
-        after the ballast has expired and the policy looks fresh."""
-        edges = labeled_stream(13, 120)
-        cut = 60 if drained else 25
-
-        def session_at_cut():
-            session = Session(window=6.0)
+    @pytest.mark.parametrize("sharding", ["none", "thread"])
+    @pytest.mark.parametrize("kind", [SlidingWindow, CountSlidingWindow])
+    def test_a_prefilled_policy_is_refused_by_both_kinds(self, kind,
+                                                          sharding):
+        """A policy object already holding edges would hand its matcher
+        edges it never ingested, which a checkpoint cannot replay: both
+        session kinds refuse it, with one message, before any state
+        changes — a query starts with an empty window."""
+        edges = labeled_stream(13, 20)
+        session = Session(window=6.0, sharding=sharding, shards=2)
+        try:
             session.register("shared", labeled_path_query(2, elabels="xy"))
-            session.push_many(edges[10:12])
-            window = CountSlidingWindow(30)
-            for edge in edges[:10]:
-                window.push(edge)
-            session.register("private", labeled_path_query(2, elabels="xy"),
+            session.push_many(edges[:10])
+            window = kind(6.0) if kind is SlidingWindow else kind(30)
+            window.push(edges[10])
+            before = observe(session)
+            with pytest.raises(ValueError) as info:
+                session.register("p", labeled_path_query(2, elabels="xy"),
+                                 window=window)
+            assert str(info.value) == (
+                "window policy object for query 'p' already holds 1 "
+                "edge(s); pass an empty one — a query starts with an empty "
+                "window")
+            assert observe(session) == before
+            assert session._next_ordinal == 1
+            assert list(session._admission.groups) == [("time", 6.0)]
+            # An empty one joins its window group.
+            window = kind(6.0) if kind is SlidingWindow else kind(30)
+            session.register("p", labeled_path_query(2, elabels="xy"),
                              window=window)
-            session.push_many(edges[12:cut])
-            return session
+            assert session.names() == ["shared", "p"]
+        finally:
+            close(session)
 
-        live = session_at_cut()
-        restored = Session.restore(io.BytesIO(checkpoint(session_at_cut())))
-        stats = live.session_stats()
-        assert stats["shared_groups"] == 1      # "private" is in none
-        assert stats["window_cells"] - stats["shared_window_cells"] \
-            == min(30, 10 + cut - 12)
-        # Ballast was never inserted: only what was pushed was seen.
-        assert live.stats()["private"]["edges_seen"] == cut - 12
-        produced = 0
-        for batch in (edges[cut:90], edges[90:]):
-            assert observe(restored) == observe(live)
-            later = restored.push_many(batch)
-            assert later == live.push_many(batch)
-            produced += len(later)
-        assert observe(restored) == observe(live) and produced > 0
+    @pytest.mark.parametrize("backend", ["timing", "sjtree", "incmat",
+                                         "naive"])
+    @pytest.mark.parametrize("n_edges", [1, 2])
+    def test_a_custom_policy_buffers_privately_beside_a_group(
+            self, backend, n_edges):
+        """The private path that survives: a custom policy's matcher sees
+        every arrival on its own window and answers what a window-group
+        member answers, its ``would_reject`` joins the all-or-nothing
+        duplicate judgement, ``advance_time`` slides its window and
+        ``window_cells()`` counts it."""
+        session = Session(window=1.0, duplicate_policy="raise")
+        session.register("shared", labeled_path_query(2, elabels="xy"))
+        own = OwnWindow(6.0)
+        session.register("private", labeled_path_query(n_edges, elabels="xy"),
+                         window=own, backend=backend)
+        record = session._queries["private"]
+        assert record.group_key is None
+        assert session._index.always == [(record.ordinal, record)]
+        member = Session(window=6.0)
+        member.register("private", labeled_path_query(n_edges, elabels="xy"),
+                        backend=backend)
+
+        def agree():
+            assert Counter(session.current_matches()["private"]) \
+                == Counter(member.current_matches()["private"])
+            assert session.result_counts()["private"] \
+                == member.result_counts()["private"]
+
+        edges = labeled_stream(14, 100)
+        assert Counter(pair for pair in session.push_many(edges)
+                       if pair[0] == "private") \
+            == Counter(member.push_many(edges))
+        agree()
+        assert member.result_counts()["private"] > 0
+        clock = session.current_time
+        assert session.stats()["private"]["edges_seen"] == len(edges)
+        assert len(own) > session.shared_window_cells() > 0
+        assert session.window_cells() \
+            == session.shared_window_cells() + len(own)
+
+        # Out of the group's 1-unit buffer, still in the private window:
+        # only the private matcher's peek can see the duplicate.
+        bearer = next(edge for edge in own if edge.timestamp < clock - 1.0)
+        replay = StreamEdge(bearer.src, bearer.dst,
+                            src_label=bearer.src_label,
+                            dst_label=bearer.dst_label, label=bearer.label,
+                            timestamp=clock + 0.01, edge_id=bearer.edge_id)
+        before, held = observe(session), list(own)
+        with pytest.raises(ValueError, match=r"\['private'\]"):
+            session.push_many([replay])
+        assert observe(session) == before and list(own) == held
+
+        session.advance_time(clock + 3.0)
+        member.advance_time(clock + 3.0)
+        agree()
+        assert 0 < len(own) < len(held)
+        assert all(edge.timestamp > clock - 3.0 for edge in own)
+        assert session.window_cells() == len(own)
+        session.advance_time(clock + 7.0)
+        assert session.window_cells() == 0 == session.space_cells()
+        assert session.result_counts() == {"shared": 0, "private": 0}
 
 
 # --------------------------------------------------------------------- #
@@ -375,8 +440,8 @@ def busy_session(**options):
 
 class TestRoundTripIsIdentity:
     @pytest.mark.parametrize("options", [
-        {}, {"routing": "fanout"}, {"sharding": "thread", "shards": 2}],
-        ids=["shared", "fanout", "thread-shards"])
+        {}, {"sharding": "thread", "shards": 2}],
+        ids=["unsharded", "thread-shards"])
     def test_checkpoint_restore_checkpoint_is_the_same_data(self, options):
         session = busy_session(**options)
         first = checkpoint(session)
@@ -388,8 +453,7 @@ class TestRoundTripIsIdentity:
         two = _load(io.BytesIO(second))["session"]
         assert decoded(one) == decoded(two)
         assert len(one["queries"]) == 16
-        assert len(one["groups"]) == (
-            0 if options.get("routing") == "fanout" else 3)
+        assert len(one["groups"]) == 3
         assert abs(len(first) - len(second)) < 0.02 * len(first)
 
     def test_runtime_wiring_is_dropped_not_stored(self):

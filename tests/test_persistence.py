@@ -113,16 +113,15 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="not a timingsubg"):
             load_session(path)
 
-    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13, 14, 15])
+    @pytest.mark.parametrize("version", [0, 9, 10, 11, 12, 13, 14, 15, 16])
     def test_version_mismatch(self, tmp_path, version):
-        """Every earlier version held pickled engines; there is no reader
-        for any of them."""
+        """There is no reader for any earlier schema."""
         from repro.persistence import _MAGIC
         path = self.framed(tmp_path, {
             "magic": _MAGIC, "version": version, "session": None})
         with pytest.raises(
                 CheckpointError,
-                match=f"version {version} incompatible with 16"):
+                match=f"version {version} incompatible with 17"):
             load_session(path)
 
     def test_wrong_payload_type(self, tmp_path):

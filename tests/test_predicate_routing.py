@@ -3,9 +3,9 @@
 PR 10 generalizes session routing from exact label-triple equality to
 label predicates (``Prefix``/``ANY``), resolved per arrival by a
 per-position prefix trie instead of a scan over all Q queries.  Routing
-is a performance transformation: a trie-routed ``routing="shared"``
-session must produce ``(name, match)`` multisets identical to the
-brute-force ``routing="fanout"`` twin — across random label alphabets,
+is a performance transformation: a trie-routed session must produce
+``(name, match)`` multisets identical to one standalone engine per query,
+each pushed every arrival — across random label alphabets,
 random prefix/wildcard/exact query mixes, both Timing storages, time-
 and count-based windows, register/deregister churn, and every sharding
 mode (``none``/``thread``/``process``).
@@ -92,53 +92,79 @@ def random_query_set(seed, n_queries=8):
     return {f"q{i}": random_predicate_query(rng) for i in range(n_queries)}
 
 
-def assert_twins_equivalent(shared, fanout):
-    assert shared.result_counts() == fanout.result_counts()
-    for name in fanout.names():
-        sm, fm = shared.matcher(name), fanout.matcher(name)
-        assert Counter(sm.current_matches()) == \
-            Counter(fm.current_matches()), name
-        if isinstance(sm, TimingMatcher) and isinstance(fm, TimingMatcher):
-            assert sm.space_cells() == fm.space_cells(), name
+class Standalone:
+    """The routing-free reference: one standalone engine per query on its
+    own window (``window`` is a duration or a zero-arg factory), each
+    pushed every arrival."""
+
+    def __init__(self, window=5.0, **config):
+        self.window, self.config = window, EngineConfig(**config)
+        self.engines = {}
+
+    def register(self, name, query):
+        window = self.window() if callable(self.window) else self.window
+        self.engines[name] = TimingMatcher(query, window, config=self.config)
+
+    def deregister(self, name):
+        del self.engines[name]
+
+    def push_many(self, edges):
+        return [(name, match) for edge in edges
+                for name, engine in list(self.engines.items())
+                for match in engine.push(edge)]
 
 
-class TestTrieVersusFanout:
+def assert_engines_equivalent(session, reference):
+    engines = reference.engines
+    assert session.names() == list(engines)
+    assert session.result_counts() == {
+        name: engine.result_count() for name, engine in engines.items()}
+    for name, engine in engines.items():
+        matcher = session.matcher(name)
+        assert Counter(matcher.current_matches()) == \
+            Counter(engine.current_matches()), name
+        assert matcher.space_cells() == engine.space_cells(), name
+
+
+def register_both(session, reference, make):
+    """Register the ``make()`` query set on both, each its own copy."""
+    for target in (session, reference):
+        for name, query in make().items():
+            target.register(name, query)
+
+
+class TestTrieVersusStandaloneEngines:
     @pytest.mark.parametrize("storage", ["mstree", "independent"])
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=15, deadline=None)
     def test_time_windows_random_mixes(self, storage, seed):
-        results = {}
-        sessions = {}
-        for routing in ("shared", "fanout"):
-            session = Session(window=5.0, config=EngineConfig(
-                storage=storage, routing=routing))
-            for name, query in random_query_set(seed).items():
-                session.register(name, query)
-            results[routing] = Counter(
-                session.push_many(predicate_stream(seed, 250)))
-            sessions[routing] = session
-        assert results["shared"] == results["fanout"]
-        assert_twins_equivalent(sessions["shared"], sessions["fanout"])
+        session = Session(window=5.0, config=EngineConfig(storage=storage))
+        reference = Standalone(storage=storage)
+        register_both(session, reference, lambda: random_query_set(seed))
+        edges = predicate_stream(seed, 250)
+        assert Counter(session.push_many(edges)) \
+            == Counter(reference.push_many(edges))
+        assert_engines_equivalent(session, reference)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
     def test_count_windows_random_mixes(self, seed):
-        results = {}
-        for routing in ("shared", "fanout"):
-            session = Session(window=lambda: CountSlidingWindow(30),
-                              routing=routing)
-            for name, query in random_query_set(seed).items():
-                session.register(name, query)
-            results[routing] = Counter(
-                session.push_many(predicate_stream(seed, 250)))
-        assert results["shared"] == results["fanout"]
+        factory = lambda: CountSlidingWindow(30)  # noqa: E731
+        session = Session(window=factory)
+        reference = Standalone(window=factory)
+        register_both(session, reference, lambda: random_query_set(seed))
+        edges = predicate_stream(seed, 250)
+        assert Counter(session.push_many(edges)) \
+            == Counter(reference.push_many(edges))
+        assert_engines_equivalent(session, reference)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
     def test_register_deregister_churn(self, seed):
         """Predicate queries registered and deregistered mid-stream:
         trie bookkeeping (token removal, node pruning) must keep the
-        remaining queries' answers identical to fanout's."""
+        remaining queries' answers identical to standalone engines
+        registered and dropped alike."""
         rng = random.Random(seed)
         queries = random_query_set(seed, n_queries=10)
         phases = [list(queries)[:6], list(queries)[6:]]
@@ -146,23 +172,22 @@ class TestTrieVersusFanout:
         edges = predicate_stream(seed, 300)
         chunks = [edges[:100], edges[100:200], edges[200:]]
         results = {}
-        stats = {}
-        for routing in ("shared", "fanout"):
-            session = Session(window=5.0, routing=routing)
+        session, reference = Session(window=5.0), Standalone()
+        for run in (session, reference):
             for name in phases[0]:
-                session.register(name, random_query_set(seed, 10)[name])
-            tagged = list(session.push_many(chunks[0]))
+                run.register(name, random_query_set(seed, 10)[name])
+            tagged = list(run.push_many(chunks[0]))
             for name in drop_order:
-                session.deregister(name)
+                run.deregister(name)
             for name in phases[1]:
-                session.register(name, random_query_set(seed, 10)[name])
-            tagged += session.push_many(chunks[1])
-            tagged += session.push_many(chunks[2])
-            results[routing] = Counter(tagged)
-            stats[routing] = session.session_stats()
-        assert results["shared"] == results["fanout"]
+                run.register(name, random_query_set(seed, 10)[name])
+            tagged += run.push_many(chunks[1])
+            tagged += run.push_many(chunks[2])
+            results[run] = Counter(tagged)
+        assert results[session] == results[reference]
+        assert_engines_equivalent(session, reference)
         # Deregistration pruned the dropped queries' trie entries.
-        live_pred = stats["shared"]["predicate_entries"]
+        live_pred = session.session_stats()["predicate_entries"]
         solo = Session(window=5.0)
         for name in set(phases[0]) - set(drop_order) | set(phases[1]):
             solo.register(name, random_query_set(seed, 10)[name])
@@ -246,23 +271,19 @@ class TestWildcardRoutingGap:
     """ANY-labelled query edges through the PR 3 shared-window routing
     index and the sharded facades — the previously untested corner."""
 
-    def test_wildcard_edges_shared_equals_fanout(self):
+    def test_wildcard_edges_equal_standalone_engines(self):
         edges = predicate_stream(3, 300)
-        results = {}
-        sessions = {}
-        for routing in ("shared", "fanout"):
-            session = Session(window=5.0, routing=routing)
-            session.register("wild2", wildcard_query(2))
-            session.register("wild1", wildcard_query(1))
-            session.register("allany", all_any_query())
-            results[routing] = Counter(session.push_many(edges))
-            sessions[routing] = session
-        assert results["shared"] == results["fanout"]
-        assert sum(results["shared"].values()) > 0
-        assert_twins_equivalent(sessions["shared"], sessions["fanout"])
+        session, reference = Session(window=5.0), Standalone()
+        register_both(session, reference, lambda: {
+            "wild2": wildcard_query(2), "wild1": wildcard_query(1),
+            "allany": all_any_query()})
+        results = Counter(session.push_many(edges))
+        assert results == Counter(reference.push_many(edges))
+        assert sum(results.values()) > 0
+        assert_engines_equivalent(session, reference)
         # ANY-only queries route through the predicate router's always
         # sets now, not the generic scan residue.
-        assert sessions["shared"].session_stats()["predicate_entries"] > 0
+        assert session.session_stats()["predicate_entries"] > 0
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_wildcard_edges_through_sharded_facade(self, mode):

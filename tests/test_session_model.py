@@ -7,9 +7,9 @@ session through registrations (names held in a bundle), deregistrations,
 batches, clock jumps, checkpoint → close → restore, and — on process
 shards — a killed worker, after which the session is restored from the
 last checkpoint and the operations admitted since it are replayed.  Each
-example draws the modes (storage, routing, sub-plan sharing, sharding
-``none`` / ``thread`` / ``process``, shard transport, time / count /
-mixed window groups, duplicate policy) and opens with a stored-plan query,
+example draws the modes (storage, sub-plan sharing, sharding ``none`` /
+``thread`` / ``process``, shard transport, time / count / mixed window
+groups, duplicate policy) and opens with a stored-plan query,
 its twins — which share its sub-plan stores — and a first batch; each
 registration draws a shape, a window, a backend and perhaps its own
 duplicate policy.  On an unsharded session a query's callback may
@@ -20,22 +20,21 @@ The references: one ``NaiveSnapshotMatcher`` per query, fed the stream the
 session *admitted* since the query registered, and for a Timing query one
 standalone ``TimingMatcher`` fed the same, whose ``space_cells()`` the
 session's engine must equal.  Which arrivals those are is modelled: an id
-is judged against each window group's buffer under shared routing — so a
-query registered mid-stream inherits the stream's duplicate view — and
-against the query's own window under fanout.
+is judged against its window group's buffer, so a query registered
+mid-stream inherits the stream's duplicate view.
 
 After every step the session agrees with the references on the ``(name,
 match)`` pairs each batch delivered (names in order, pairs as a
 multiset), ``current_matches()``, ``result_counts()``, the clock and the
 matched / emitted / skipped counters; window cells are one buffer per
-group (the O(|W|) claim of shared routing); the drain rule leaves nothing
-held; and a checkpoint taken from a sink in the middle of an arrival
-resumes where the live session stands.  Reachable engines (no sharding,
-or thread shards) must also sit at the stream position — read directly,
-mid-batch too — and ``_touched`` must name only roots of live entries;
-class hooks assert, in shard workers too, that ``_expire(e)`` follows
-``_insert(e)`` once, FIFO, and never reaches a stateless member of a
-shared window.
+group (the O(|W|) claim of shared windows); the drain rule leaves nothing
+held; and, on every unsharded session, a checkpoint taken from a sink in
+the middle of an arrival resumes where the live session stands.
+Reachable engines (no sharding, or thread shards) must also sit at the
+stream position — read directly, mid-batch too — and ``_touched`` must
+name only roots of live entries; class hooks assert, in shard workers
+too, that ``_expire(e)`` follows ``_insert(e)`` once, FIFO, and never
+reaches a stateless member of a shared window.
 
 The scripted runs at the end drive the same machine by hand: fixed
 openings and rule sequences — chosen arrivals where a corner needs them
@@ -57,7 +56,8 @@ from hypothesis.stateful import (
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
-    ShardedSession, SharedWindowView, StreamEdge, TimingMatcher,
+    ShardedSession, SharedWindowView, SlidingWindow, StreamEdge,
+    TimingMatcher,
 )
 from repro.baselines.incmat import IncMatMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
@@ -127,8 +127,8 @@ def register_query(session, name, shape, spec, options):
 
 
 class Buffer:
-    """What an arrival's id is judged against: a window group's buffer
-    under shared routing, one query's own window under fanout."""
+    """What an arrival's id is judged against: a window group's
+    buffer."""
 
     def __init__(self, spec):
         self.kind, self.size = spec
@@ -266,8 +266,7 @@ class SessionModel(RuleBasedStateMachine):
 
     def _forget(self, name):
         ref = self.refs.pop(name)
-        if self.routing == "shared" and not any(
-                other.buffer is ref.buffer for other in self.refs.values()):
+        if not any(other.buffer is ref.buffer for other in self.refs.values()):
             del self.groups[ref.spec]       # the last member frees it
 
     def _admit(self, edge):
@@ -336,12 +335,18 @@ class SessionModel(RuleBasedStateMachine):
                 options["duplicate_policy"] = policy
         register_query(self.session, name, shape, spec, options)
         self.log.append(("register", name, shape, spec, options))
-        buffer = self.groups.setdefault(spec, Buffer(spec)) \
-            if self.routing == "shared" else Buffer(spec)
         self.refs[name] = Reference(shape, backend, spec,
-                                    policy or self.policy, buffer,
+                                    policy or self.policy,
+                                    self.groups.setdefault(spec, Buffer(spec)),
                                     self.storage)
         return name
+
+    def _observed(self):
+        """What a refused registration must leave as it found it."""
+        session = self.session
+        return (session.names(), session._next_ordinal, session.edges_pushed,
+                session.current_time, sorted(session._admission.groups),
+                session.window_cells(), session.result_counts())
 
     def _evicts(self, name, victim):
         """With a ``victim`` (on an unsharded session: a sharded facade
@@ -356,8 +361,6 @@ class SessionModel(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     @initialize(target=queries,
                 storage=st.sampled_from(["mstree", "independent"]),
-                routing=st.sampled_from(["shared", "shared", "shared",
-                                         "fanout"]),
                 sharing=st.sampled_from(["shared", "shared", "shared",
                                          "private"]),
                 sharding=st.sampled_from(["none"] * 6 + ["thread"] * 2
@@ -370,28 +373,26 @@ class SessionModel(RuleBasedStateMachine):
                 evicts=st.sampled_from(["itself", "itself", "a twin", None]),
                 others=st.lists(REGISTRATION, max_size=3),
                 seed=st.integers(0, 2 ** 32))
-    def open_session(self, storage, routing, sharing, sharding, transport,
-                     windows, policy, reuse, first, twins, evicts, others,
-                     seed):
+    def open_session(self, storage, sharing, sharding, transport, windows,
+                     policy, reuse, first, twins, evicts, others, seed):
         """A session with a ``first`` query, its ``twins`` and ``others``
         — all over empty stores, so the twins share the first's sub-plan
         stores — and a first batch.  When the first ``evicts`` itself on
         its next match, its twins must replay the memo it wrote; a twin it
         evicts must not see that arrival."""
-        if sharding != "none":
-            routing = "shared"      # sharded sessions route shared only
-        self.storage, self.routing, self.sharding = storage, routing, sharding
+        self.storage, self.sharding = storage, sharding
         self.transport, self.specs = transport, WINDOWS[windows]
         self.policy, self.reuse = policy, reuse
         self.session = Session(config=EngineConfig(
-            storage=storage, routing=routing, subplan_sharing=sharing,
+            storage=storage, subplan_sharing=sharing,
             sharding=sharding, shards=SHARDS, transport=transport,
             duplicate_policy=policy))
         self.session.add_sink(self._heard)
         self.refs = {}              # name -> Reference, registration order
-        self.groups = {}            # window group key -> Buffer (shared)
+        self.groups = {}            # window group key -> Buffer
         self.clock, self.time, self.admitted = float("-inf"), 0.0, 0
         self.heard, self.midway, self.rejected = [], None, 0
+        self.refused = 0
         # The last checkpoint and every operation admitted since it.
         self.blob, self.log = checkpoint(self.session), []
         names = [self._add(*first)]
@@ -417,6 +418,20 @@ class SessionModel(RuleBasedStateMachine):
         self.session.deregister(name)
         self.log.append(("deregister", name))
         self._forget(name)
+
+    def register_prefilled(self, kind):
+        """Offer a ``kind`` policy object already holding a ballast edge:
+        every session kind refuses it before anything changes (scripted
+        only)."""
+        window = SlidingWindow(5.0) if kind == "time" \
+            else CountSlidingWindow(5)
+        window.push(StreamEdge("d0", "d1", src_label="A", dst_label="B",
+                               label="x", timestamp=self.time))
+        before = self._observed()
+        with pytest.raises(ValueError, match="already holds 1 edge"):
+            self.session.register("p", SHAPES["xy"](), window=window)
+        assert self._observed() == before
+        self.refused += 1
 
     @precondition(lambda self: self.refs)
     @rule(seed=st.integers(0, 2 ** 32))
@@ -455,9 +470,8 @@ class SessionModel(RuleBasedStateMachine):
                 f"d{src}", f"d{dst}", src_label="AB"[src % 2],
                 dst_label="AB"[dst % 2], label=label, timestamp=self.time,
                 edge_id=edge_id))
-        # Callbacks are not restored, and fanout buffers are per query.
+        # Callbacks are not restored.
         self.midway = () if self.sharding == "none" \
-            and self.routing == "shared" \
             and not any(ref.evicts for ref in self.refs.values()) else None
         for edge in batch:
             pairs = self._admit(edge)
@@ -564,13 +578,9 @@ class SessionModel(RuleBasedStateMachine):
                        ref.naive.stats.matches_emitted)
                 for name, ref in refs.items()}
         cells = session.window_cells()
-        if self.routing == "fanout":
-            assert session.shared_window_cells() == 0
-            assert cells == sum(len(ref.buffer) for ref in refs.values())
-        else:
-            assert cells == session.shared_window_cells()
-            if self.sharding == "none":
-                assert cells == sum(map(len, self.groups.values()))
+        assert cells == session.shared_window_cells()
+        if self.sharding == "none":
+            assert cells == sum(map(len, self.groups.values()))
         for name, engine in self._engines().items():
             ref = refs[name]
             assert Counter(engine.current_matches()) == want[name], name
@@ -617,24 +627,22 @@ def test_session_agrees_with_the_naive_matcher(monkeypatch):
 # Scripted runs: the same machine with fixed draws, in every mode
 # ---------------------------------------------------------------------- #
 
-#: ``open_session``'s mode draws.
+#: ``open_session``'s mode draws.  The unsharded modes are every pair of
+#: storage and sub-plan sharing.
 MODES = {
-    "shared-mstree": dict(storage="mstree", routing="shared",
-                          sharing="shared", sharding="none"),
-    "shared-private": dict(storage="independent", routing="shared",
-                           sharing="private", sharding="none"),
-    "fanout-mstree": dict(storage="mstree", routing="fanout",
-                          sharing="shared", sharding="none"),
-    "fanout-independent": dict(storage="independent", routing="fanout",
-                               sharing="private", sharding="none"),
-    "thread": dict(storage="mstree", routing="shared", sharing="shared",
-                   sharding="thread"),
-    "process-shm": dict(storage="independent", routing="shared",
-                        sharing="shared", sharding="process",
-                        transport="shm"),
-    "process-pipe": dict(storage="mstree", routing="shared",
-                         sharing="private", sharding="process",
-                         transport="pipe"),
+    "shared-mstree": dict(storage="mstree", sharing="shared",
+                          sharding="none"),
+    "shared-private": dict(storage="independent", sharing="private",
+                           sharding="none"),
+    "shared-independent": dict(storage="independent", sharing="shared",
+                               sharding="none"),
+    "private-mstree": dict(storage="mstree", sharing="private",
+                           sharding="none"),
+    "thread": dict(storage="mstree", sharing="shared", sharding="thread"),
+    "process-shm": dict(storage="independent", sharing="shared",
+                        sharding="process", transport="shm"),
+    "process-pipe": dict(storage="mstree", sharing="private",
+                         sharding="process", transport="pipe"),
 }
 
 #: ``open_session``'s other draws, which a script may override: ``a``
@@ -698,6 +706,10 @@ SCRIPTS = {
         ("_feed", xy()), ("push_many", 10), ("_feed", xy())], None),
     "co-consumer-leaves-mid-arrival": ({"evicts": "itself"}, [
         ("_feed", xy()), ("push_many", 10), ("_feed", xy())], None),
+    "prefilled-window-refused": ({}, [
+        ("register_prefilled", "time"), ("_feed", xy()),
+        ("register_prefilled", "count"), ("_feed", xy())],
+        lambda model: model.refused == 2),
     "checkpoint-restore": ({"others": SHAPED}, [
         ("push_many", 11), ("checkpoint_close_restore",), ("push_many", 12),
         ("advance_time",), ("checkpoint_close_restore",),

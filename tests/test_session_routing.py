@@ -1,9 +1,9 @@
 """Shared-stream routing: what it skips and what it leaves behind.
 
-That ``routing="shared"`` answers exactly what the naive matcher answers —
-and so what ``routing="fanout"`` answers — with one buffer per window
-group, through a checkpoint taken from inside a sink and a callback that
-deregisters a query the same arrival has yet to reach, is
+That a session answers exactly what the naive matcher answers, with one
+buffer per window group, through a checkpoint taken from inside a sink
+and a callback that deregisters a query the same arrival has yet to
+reach, is
 ``tests/test_session_model.py``'s job.  Pinned here: what routing skips
 and that deregistration leaves nothing behind.
 """
@@ -15,13 +15,12 @@ from .conftest import labeled_path_query, labeled_stream
 
 class TestRoutingCounters:
     def test_non_routed_matchers_are_skipped_and_discardable(self):
-        session = Session(window=50.0)      # shared by default
+        session = Session(window=50.0)
         session.register("p1x", labeled_path_query(1, elabels=("x",)))
         session.register("p1y", labeled_path_query(1, elabels=("y",)))
         edges = labeled_stream(29, 120)
         session.push_many(edges)
         stats = session.session_stats()
-        assert stats["routing"] == "shared"
         assert stats["edges_pushed"] == len(edges)
         assert stats["skipped_matchers"] > 0
         assert stats["routed_pushes"] + stats["skipped_matchers"] == \

@@ -39,19 +39,24 @@ class TestFacadeSurface:
             EngineConfig(sharding="cluster").validate()
         with pytest.raises(ValueError, match="shards"):
             EngineConfig(sharding="thread", shards=0).validate()
-        with pytest.raises(ValueError, match="routing"):
-            EngineConfig(sharding="thread", routing="fanout").validate()
 
     def test_registration_restrictions(self):
         session = make_session("thread")
         with pytest.raises(ValueError, match="factory backends"):
             session.register("f", labeled_path_query(1),
                              window=5.0, backend=lambda q, w: None)
+        class OwnWindow(CountSlidingWindow):
+            pass
+
+        with pytest.raises(ValueError, match="shareable window"):
+            session.register("p", labeled_path_query(1),
+                             window=OwnWindow(10))
         prefilled = CountSlidingWindow(10)
         prefilled.push(StreamEdge("a", "b", src_label="A", dst_label="B",
                                   timestamp=1.0))
-        with pytest.raises(ValueError, match="shareable window"):
+        with pytest.raises(ValueError, match="already holds 1 edge"):
             session.register("p", labeled_path_query(1), window=prefilled)
+        assert session.names() == []
         session.close()
 
     def test_assignments_are_stable_hashes(self):

@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from repro import CountSlidingWindow, EngineConfig, Session
+from repro import CountSlidingWindow, EngineConfig, Session, SlidingWindow
 
 from .conftest import labeled_path_query, labeled_stream
 
@@ -73,11 +73,17 @@ class TestWhoShares:
         assert session.result_counts()["hash"] \
             == session.result_counts()["scan"] > 0
 
-    def test_fanout_routing_never_shares(self):
-        session = Session(window=6.0, routing="fanout")
-        session.register("a", xy())
-        session.register("b", xy())
+    def test_privately_buffering_matchers_never_share(self):
+        """A custom window policy keeps its matcher out of every window
+        group, and so out of sub-plan sharing."""
+        class OwnWindow(SlidingWindow):
+            pass
+
+        session = Session(window=6.0)
+        session.register("a", xy(), window=OwnWindow(6.0))
+        session.register("b", xy(), window=OwnWindow(6.0))
         session.push_many(labeled_stream(23, 100))
+        assert session.session_stats()["shared_groups"] == 0
         assert session.session_stats()["shared_subplans"] == 0
         assert session.matcher("a")._tc_stores[0] is not \
             session.matcher("b")._tc_stores[0]
