@@ -62,8 +62,7 @@ Subpackages
 ``repro.sinks``
     Match consumers for sessions: collectors, JSONL writers, printers.
 ``repro.concurrency``
-    S/X-lock concurrency manager (§V), the speed-up simulator, and
-    sharded sessions (``Session(sharding=..., shards=...)``).
+    S/X-lock concurrency manager (§V) and the speed-up simulator.
 ``repro.datasets``
     Seeded synthetic workload generators and the query-set generator.
 ``repro.bench``
@@ -71,11 +70,10 @@ Subpackages
 """
 
 from .api import (
-    BACKENDS, DUPLICATE_POLICIES, SHARDING_MODES, SUBPLAN_SHARING_MODES,
-    EngineConfig, EngineStats, Matcher, MatcherBase, Session,
-    SharedSubplanStore, ThreadSafeSession, as_window,
+    BACKENDS, DUPLICATE_POLICIES, SUBPLAN_SHARING_MODES, EngineConfig,
+    EngineStats, Matcher, MatcherBase, Session, SharedSubplanStore,
+    ThreadSafeSession, as_window,
 )
-from .concurrency.sharding import ShardDeadError, ShardedSession
 from .core.engine import TimingMatcher
 from .core.matches import Match, verify_match
 from .core.plan import explain
@@ -99,9 +97,8 @@ __all__ = [
     "SharedSlidingWindow", "SharedWindowView", "SnapshotGraph",
     # the unified API
     "Matcher", "MatcherBase", "EngineConfig", "EngineStats", "Session",
-    "ShardDeadError", "ShardedSession", "SharedSubplanStore",
-    "ThreadSafeSession", "BACKENDS",
-    "DUPLICATE_POLICIES", "SHARDING_MODES", "SUBPLAN_SHARING_MODES",
+    "SharedSubplanStore", "ThreadSafeSession", "BACKENDS",
+    "DUPLICATE_POLICIES", "SUBPLAN_SHARING_MODES",
     "as_window",
     # engines and results
     "TimingMatcher", "Match", "verify_match", "explain",

@@ -47,16 +47,16 @@ from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
     DECOMPOSITION_STRATEGIES, DUPLICATE_POLICIES, INDEXING_MODES,
-    JOIN_ORDER_STRATEGIES, SHARDING_MODES, STORAGE_KINDS,
-    SUBPLAN_SHARING_MODES, TRANSPORT_MODES, EngineConfig, EngineStats,
+    JOIN_ORDER_STRATEGIES, STORAGE_KINDS, SUBPLAN_SHARING_MODES,
+    EngineConfig, EngineStats,
     Matcher, MatcherBase, as_window,
 )
 from .subplans import SharedSubplanStore, _SubplanProvider, _SubplanRegistry
 
 __all__ = [
     "BACKENDS", "DECOMPOSITION_STRATEGIES", "DUPLICATE_POLICIES",
-    "INDEXING_MODES", "JOIN_ORDER_STRATEGIES", "SHARDING_MODES",
-    "STORAGE_KINDS", "SUBPLAN_SHARING_MODES", "TRANSPORT_MODES",
+    "INDEXING_MODES", "JOIN_ORDER_STRATEGIES", "STORAGE_KINDS",
+    "SUBPLAN_SHARING_MODES",
     "EngineConfig", "EngineStats", "MatchCallback", "Matcher",
     "MatcherBase", "Session", "SharedSubplanStore", "ThreadSafeSession",
     "as_window",
@@ -105,7 +105,7 @@ class _QueryRecord:
     group whose buffer the engine reads, ``None`` for a privately-buffering
     matcher (a factory's engine or a custom window policy).  ``matcher`` is
     cleared at deregistration, so a target list snapshotted earlier skips
-    the query; a sharded facade keeps none and names the hosting ``shard``.
+    the query.
     """
 
     def __init__(self, name: str, ordinal: int, matcher,
@@ -123,7 +123,6 @@ class _QueryRecord:
         self.config = config
         self.options = options if options is not None else {}
         self.group_key: Optional[Tuple] = None
-        self.shard: Optional[int] = None
 
 
 class Session:
@@ -180,36 +179,10 @@ class Session:
         in themselves.
     duplicate_policy:
         Shorthand for ``config.replace(duplicate_policy=...)``.
-    sharding:
-        Shorthand for ``config.replace(sharding=...)``.  Any value other
-        than ``"none"`` makes the constructor return a
-        :class:`~repro.concurrency.sharding.ShardedSession`, which
-        partitions registered matchers across ``shards`` worker shards.
-    shards:
-        Shorthand for ``config.replace(shards=...)``.
-    transport:
-        Shorthand for ``config.replace(transport=...)`` — the process
-        shard batch transport (``"shm"``/``"pipe"``, see
-        :data:`TRANSPORT_MODES`).
     """
 
-    def __new__(cls, *args, **kwargs):
-        # ``Session(sharding="process")`` (or a config carrying a sharding
-        # mode — the keyword wins, as in ``__init__``) dispatches to the
-        # ShardedSession facade; subclasses are left alone.
-        sharding = kwargs.get("sharding")
-        if sharding is None:
-            sharding = getattr(kwargs.get("config"), "sharding", "none")
-        if cls is Session and sharding != "none":
-            from .concurrency.sharding import ShardedSession
-            return super().__new__(ShardedSession)
-        return super().__new__(cls)
-
     def __init__(self, *, window=None, config: Optional[EngineConfig] = None,
-                 duplicate_policy: Optional[str] = None,
-                 sharding: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 transport: Optional[str] = None) -> None:
+                 duplicate_policy: Optional[str] = None) -> None:
         if isinstance(window, bool):
             raise TypeError("window must be a duration or a window factory")
         if isinstance(window, (int, float)) and window <= 0:
@@ -224,12 +197,6 @@ class Session:
         config = config if config is not None else EngineConfig()
         if duplicate_policy is not None:
             config = config.replace(duplicate_policy=duplicate_policy)
-        if sharding is not None:
-            config = config.replace(sharding=sharding)
-        if shards is not None:
-            config = config.replace(shards=shards)
-        if transport is not None:
-            config = config.replace(transport=transport)
         self.config = config.validate()
         # name -> record, one per registered query, in registration order.
         self._queries: Dict[str, _QueryRecord] = {}
@@ -483,15 +450,13 @@ class Session:
                         and timestamp > matcher.window.since:
                     matcher._expire(edge)
 
-    def _ingest(self, edges: Iterable[StreamEdge], consume,
-                forced: Optional[list] = None) -> None:
-        """The one ingest loop — behind :meth:`push_many` / :meth:`ingest`
-        and a shard worker's batches: admit → route → insert per arrival.
+    def _ingest(self, edges: Iterable[StreamEdge], consume) -> None:
+        """The one ingest loop — behind :meth:`push_many` /
+        :meth:`ingest`: admit → route → insert per arrival.
 
         Admission judges each arrival against the stream and slides the
         shared windows, handing their expired prefixes to
-        :meth:`_on_expired` (see :meth:`repro.ingest.Admission.admit`;
-        ``forced[i]`` is arrival ``i``'s shard-worker argument);
+        :meth:`_on_expired` (see :meth:`repro.ingest.Admission.admit`);
         privately-buffering matchers keep their per-matcher duplicate
         peek, folded into the same all-or-nothing rejection.  The route
         index then hands back the records of the matchers that can
@@ -511,8 +476,7 @@ class Session:
                     check = getattr(entry[1].matcher, "would_reject", None)
                     if check is not None and check(edge):
                         offenders.append(entry)
-            live = admission.admit(
-                edge, None if forced is None else forced[i], offenders)
+            live = admission.admit(edge, offenders)
             if live is not None:
                 # Dropped like the per-matcher skip path, and counted
                 # where the member's policy asks for it.
@@ -774,8 +738,7 @@ class ThreadSafeSession:
     service scrapes (:meth:`names`, :attr:`edges_pushed`,
     :meth:`session_stats`) take it themselves, so interleaved callers
     each observe a consistent session at operation granularity (it does
-    not parallelise matching — that is what ``Session(sharding=...)`` is
-    for).
+    not parallelise matching).
 
     :meth:`checkpoint` is the reason this exists: it snapshots the
     session *and* its stream position under the same lock acquisition,

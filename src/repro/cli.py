@@ -44,8 +44,8 @@ import sys
 from typing import Optional, Sequence
 
 from .api import (
-    BACKENDS, DUPLICATE_POLICIES, INDEXING_MODES, SHARDING_MODES,
-    SUBPLAN_SHARING_MODES, TRANSPORT_MODES, EngineConfig, Session,
+    BACKENDS, DUPLICATE_POLICIES, INDEXING_MODES, SUBPLAN_SHARING_MODES,
+    EngineConfig, Session,
 )
 from .core.engine import TimingMatcher
 from .core.plan import explain
@@ -90,20 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-query sub-plan sharing: one store per "
                             "canonical TC-subquery (default) or private "
                             "per-engine stores (ablation)")
-    p_run.add_argument("--sharding", choices=sorted(SHARDING_MODES),
-                       default="none",
-                       help="partition matchers across worker shards: "
-                            "none (default, in-process), thread, or "
-                            "process")
-    p_run.add_argument("--shards", type=int, default=None,
-                       help="worker-shard count when --sharding is not "
-                            "none (default 4)")
-    p_run.add_argument("--transport", choices=sorted(TRANSPORT_MODES),
-                       default="shm",
-                       help="process-shard batch transport: zero-pickle "
-                            "shared-memory rings (default) or "
-                            "pickle-over-pipe (ablation); only "
-                            "meaningful with --sharding process")
     p_run.add_argument("--backend", choices=sorted(BACKENDS),
                        default="timing",
                        help="matcher engine (default: timing)")
@@ -225,23 +211,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --indexing only applies to the timing backend",
               file=sys.stderr)
         return 2
-    if args.shards is not None and args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.sharding == "none" and args.shards is not None \
-            and args.shards > 1:
-        print("error: --shards needs --sharding thread or process "
-              "(with --sharding none there are no worker shards)",
-              file=sys.stderr)
-        return 2
-    shards = args.shards if args.shards is not None else 4
     config = EngineConfig(
         storage="independent" if args.no_mstree else "mstree",
         indexing=args.indexing,
         subplan_sharing=args.subplan_sharing,
-        sharding=args.sharding,
-        shards=shards,
-        transport=args.transport,
         duplicate_policy=args.duplicates)
     session = Session(window=window, config=config)
     session.register("query", query, backend=args.backend)
@@ -290,13 +263,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"for {ss['subplan_consumers']} consumer(s), "
               f"{ss['subplan_reuses']} memoised insertions, "
               f"{ss['subplan_store_cells']} shared store cells")
-    if args.sharding != "none":
-        busy = ", ".join(
-            f"shard {p['shard']}: {p['queries']} queries "
-            f"{p['busy_seconds']}s busy" for p in ss["per_shard"])
-        print(f"sharding: {ss['sharding']} x {ss['shards']} — {busy}")
-    if hasattr(session, "close"):
-        session.close()
     return 0
 
 

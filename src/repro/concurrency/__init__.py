@@ -1,19 +1,13 @@
 """Concurrency management: S/X locks and the executor/simulator pair
-(paper §V), plus session sharding.
+(paper §V).
 
-Two parallelism layers live here.  The *intra-query* layer is the
-paper's: :class:`ConcurrentStreamExecutor` runs one engine's edge
-transactions on worker threads under S/X item locks, and
-:class:`ConcurrencySimulator` replays the recorded lock traces to model
-the speed-up the GIL hides.  The *inter-query* layer is
-:class:`~repro.concurrency.sharding.ShardedSession`: a multi-query
-session partitioned across worker shards (threads or processes), each
-owning a full sub-session over its slice of the registered queries.
+:class:`ConcurrentStreamExecutor` runs one engine's edge transactions on
+worker threads under S/X item locks, and :class:`ConcurrencySimulator`
+replays the recorded lock traces to model the speed-up the GIL hides.
 """
 
 from .executor import ConcurrentStreamExecutor
 from .locks import AllLocksGuard, ItemLock, ItemLockGuard, LockTable
-from .sharding import ShardedSession, shard_of
 from .simulation import ConcurrencySimulator, TxnTrace, collect_trace
 from .transactions import lock_requests_for_delete, lock_requests_for_insert
 
@@ -22,5 +16,4 @@ __all__ = [
     "ItemLock", "LockTable", "ItemLockGuard", "AllLocksGuard",
     "ConcurrencySimulator", "TxnTrace", "collect_trace",
     "lock_requests_for_insert", "lock_requests_for_delete",
-    "ShardedSession", "shard_of",
 ]

@@ -1,103 +1,42 @@
-"""Zero-pickle shard transport: shared-memory SPSC rings + edge codec.
+"""Struct-packed edge batch codec.
 
-The pipe transport (:mod:`repro.concurrency.sharding`'s original path)
-pickles every dispatched batch into a duplex pipe and pickles the reply
-back out — fine for control RPCs, but on the ingestion hot path the
-facade burns more CPU serialising batches than the shards spend matching
-them (four process shards over a 16-query stream measured a 3.1x
-*modeled* pipeline speedup and 0.71x the unsharded wall clock).  This
-module removes the pickling:
+This module is kept only as the frozen benchmark's
+``concurrency.transport.*`` probe target (``bench_e2e/layers.py``
+measures encode/decode cost and bytes per edge against pickling the same
+rows); no product code path uses it.  Nothing else in the library crosses
+a process boundary.
 
-* :class:`SpscRing` — a single-producer/single-consumer byte ring with
-  seqlock-style monotonic head/tail counters living *inside* the shared
-  buffer, CRC-framed records, and explicit wrap ("skip") markers so a
-  frame is always contiguous.  A torn or corrupted frame raises
-  :class:`TornFrameError` instead of delivering garbage.
-* :class:`ShmRing` — a ring hosted in a ``multiprocessing.shared_memory``
-  segment, with create/attach lifecycle (the facade owns and unlinks the
-  segment; workers attach by name and are untracked so a worker death
-  never unlinks the ring under its siblings).
-* :class:`BatchEncoder` / :class:`BatchDecoder` — edges are small
-  fixed-shape records, so each dispatch row packs into **nine doubles**
-  (idx, field codes, src, dst, src_label, dst_label, label, timestamp,
-  edge_id).  Strings and other objects go through a producer-driven
-  interned string table (:class:`InternTable`): the facade assigns ids,
-  ships new ``(id, value)`` bindings in-band (the only pickled bytes on
-  a warm stream), and the worker replays them — so a label is pickled
-  once per table residency, not once per edge.  Rows the codec cannot
-  express (unhashable values, duplicate-judgement metadata, a full
-  table) ride an in-frame pickled *overflow* section, merged back in
-  arrival order on decode; a batch whose whole frame exceeds the ring
-  falls back to the pipe RPC path in the caller.
-* :class:`FacadeChannel` / :class:`WorkerChannel` — the two endpoints:
-  a data ring (facade → worker) carrying encoded batches and a result
-  ring (worker → facade) streaming per-batch results back without
-  blocking the dispatch path.  Matches are rare on a healthy stream, so
-  the common result frame is the 5-byte "empty" status — zero pickling
-  in either direction.
+:class:`BatchEncoder` / :class:`BatchDecoder` pack dispatch rows
+``(idx, wire, forced)`` — ``wire`` being an edge's seven fields — into
+**nine doubles** per row (idx, field codes, src, dst, src_label,
+dst_label, label, timestamp, edge_id).  Strings and other objects go
+through a producer-driven interned value table (:class:`InternTable`):
+the encoder assigns ids and ships new ``(id, value)`` bindings in-band,
+and the decoder replays them — so a label is pickled once per table
+residency, not once per edge.  Rows the codec cannot express (unhashable
+values, a ``forced`` payload, a full table) ride an in-frame pickled
+*overflow* section, merged back in arrival order on decode.
 
-Framing
--------
-``[u32 length][u32 crc32][payload]``, published by bumping the ring's
-head counter only after the frame bytes are fully written.  The counters
-are monotonic u64s (``used = head - tail``), so full/empty are never
-ambiguous and a reader can always detect how far behind it is.  A frame
-never wraps: when the tail of the buffer is too short the producer
-writes a ``0xFFFFFFFF`` skip marker (or nothing, if fewer than four
-bytes remain — the reader skips implicitly) and restarts at offset 0.
-
-Wire safety
------------
 Doubles represent integers exactly up to 2**53, so vertex ids and
 timestamps that are Python ints round-trip bit-exactly; anything larger
 is interned like a string.  Field codes keep the *type* intact (an int
 timestamp comes back an int, ``None`` comes back ``None``), and the
 default ``edge_id == (src, dst, timestamp)`` is detected and
-reconstructed on the worker instead of shipping three redundant fields.
-
-This module is deliberately free of :mod:`repro.concurrency.sharding`
-imports (the dependency points the other way) and safe to import where
-``multiprocessing.shared_memory`` is unavailable — creation then raises
-:class:`TransportError` and the session falls back to the pipe.
+reconstructed by the decoder instead of shipping three redundant fields.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import struct
-import sys
-import zlib
 from array import array
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.edge import StreamEdge
 
-try:
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:             # pragma: no cover - exotic platforms
-    shared_memory = None        # type: ignore[assignment]
-    resource_tracker = None     # type: ignore[assignment]
-
-#: Ring-header bytes reserved inside the shared buffer: two u64
-#: monotonic counters (producer head at offset 0, consumer tail at 8).
-RING_HEADER = 16
-
-#: Per-frame header bytes: u32 payload length + u32 CRC-32.
-FRAME_HEADER = 8
-
-#: Default data-ring capacity (facade -> worker).  Two-plus staged
-#: 1024-row batches (~73 KiB each) fit with room for intern bindings,
-#: so overlapped dispatch never blocks on a healthy worker.
-DEFAULT_DATA_RING = 1 << 20
-
-#: Default result-ring capacity (worker -> facade).  Results are rare
-#: and small; oversized result sets fall back to the pipe per frame.
-DEFAULT_RESULT_RING = 1 << 18
-
-#: Default interned-value capacity per shard channel.  Ids are recycled
-#: FIFO once the table fills, so an unbounded vertex universe degrades
-#: to re-shipping cold bindings instead of failing.
+#: Default interned-value capacity.  Ids are recycled FIFO once the
+#: table fills, so an unbounded vertex universe degrades to re-shipping
+#: cold bindings instead of failing.
 DEFAULT_INTERN_CAPACITY = 1 << 16
 
 #: Largest int a double represents exactly; bigger ints are interned.
@@ -106,16 +45,7 @@ MAX_SAFE_INT = 1 << 53
 #: Doubles per encoded row (see :class:`BatchEncoder`).
 ROW_DOUBLES = 9
 
-#: Result-frame statuses (u8 after the seq).
-RESULT_EMPTY = 0        #: batch produced no matches — no payload at all
-RESULT_PICKLED = 1      #: payload = pickled result triples
-RESULT_VIA_PIPE = 2     #: results exceeded the ring; they ride the pipe
-RESULT_ERROR = 3        #: payload = pickled exception from the worker
-
-_SKIP = 0xFFFFFFFF
-_U32 = struct.Struct("<I")
 _DATA_HEAD = struct.Struct("<IBIII")    # seq, kind, rows, interns, overflow
-_RESULT_HEAD = struct.Struct("<IB")     # seq, status
 _PROTO = pickle.HIGHEST_PROTOCOL
 
 # Per-field value codes (3 bits each inside the row's flags word).
@@ -137,233 +67,9 @@ _UNSET = object()
 
 
 class TransportError(RuntimeError):
-    """A shard transport channel failed (peer death, desynchronisation,
-    or an unusable shared-memory subsystem)."""
+    """A payload the decoder cannot read (an unknown frame kind or field
+    code, or an intern id it was never sent)."""
 
-
-class TornFrameError(TransportError):
-    """A ring frame failed validation (bad length or CRC): the write was
-    torn mid-publish or the buffer was corrupted.  The ring cannot be
-    trusted past this point — the owning side must tear the channel
-    down (the worker dies; supervision restarts it)."""
-
-
-class SpscRing:
-    """A single-producer/single-consumer byte ring over any writable
-    buffer (a ``bytearray``, an ``mmap``, or shared memory).
-
-    The first :data:`RING_HEADER` bytes hold the monotonic head/tail
-    counters; the rest is the data region.  Exactly one process may
-    write (``try_write``) and exactly one may read (``try_read``) —
-    the counters are published with plain 8-byte stores, which is the
-    SPSC seqlock discipline: each counter has a single writer, and a
-    frame becomes visible only by the head bump *after* its bytes (and
-    CRC) are in place.  The stores go through a ``"Q"``-cast memoryview
-    item, one aligned 8-byte copy; ``struct.pack_into`` zero-fills its
-    destination before storing, so a reader on another core would see
-    the counter as 0 mid-publish.
-    """
-
-    __slots__ = ("_buf", "_counters", "_data", "capacity")
-
-    def __init__(self, buf) -> None:
-        view = memoryview(buf)
-        if len(view) <= RING_HEADER + FRAME_HEADER:
-            raise ValueError(
-                f"ring buffer of {len(view)} bytes is too small "
-                f"(needs > {RING_HEADER + FRAME_HEADER})")
-        self._buf = view
-        self._counters = view[:RING_HEADER].cast("Q")    # [head, tail]
-        self._data = view[RING_HEADER:]
-        self.capacity = len(view) - RING_HEADER
-
-    # -- counters ------------------------------------------------------ #
-    @property
-    def head(self) -> int:
-        """Monotonic bytes produced (including skip regions)."""
-        return self._counters[0]
-
-    @property
-    def tail(self) -> int:
-        """Monotonic bytes consumed (including skip regions)."""
-        return self._counters[1]
-
-    @property
-    def used(self) -> int:
-        """Bytes currently in flight (head - tail)."""
-        return self.head - self.tail
-
-    @property
-    def free(self) -> int:
-        """Bytes available to the producer."""
-        return self.capacity - self.used
-
-    # -- producer side ------------------------------------------------- #
-    def try_write(self, payload) -> bool:
-        """Publish one frame; ``False`` when the ring lacks the space.
-
-        Raises ``ValueError`` for a payload that can never fit (frame
-        larger than the whole ring) — the caller's cue to take its
-        fallback path rather than spin forever.
-        """
-        size = FRAME_HEADER + len(payload)
-        cap = self.capacity
-        if size > cap:
-            raise ValueError(
-                f"frame of {size} bytes exceeds the ring capacity ({cap})")
-        counters = self._counters
-        head = counters[0]
-        tail = counters[1]
-        pos = head % cap
-        room = cap - pos
-        data = self._data
-        if size > room:
-            # Frames never wrap: burn the remainder with a skip marker
-            # as its own publication (under four bytes there is no room
-            # for a marker; the reader skips such a stub implicitly).
-            # Publishing the skip separately lets the reader drain it
-            # before the frame itself fits at offset 0 — otherwise a
-            # frame larger than the remainder could never be written
-            # even into an empty ring.
-            if cap - (head - tail) < room:
-                return False
-            if room >= 4:
-                _U32.pack_into(data, pos, _SKIP)
-            head += room
-            counters[0] = head
-            pos = 0
-        if cap - (head - tail) < size:
-            return False
-        _U32.pack_into(data, pos, len(payload))
-        _U32.pack_into(data, pos + 4, zlib.crc32(payload))
-        data[pos + FRAME_HEADER:pos + size] = payload
-        # Publish last: a reader holding the old head never observes a
-        # partially written frame.
-        counters[0] = head + size
-        return True
-
-    # -- consumer side ------------------------------------------------- #
-    def try_read(self) -> Optional[bytes]:
-        """Consume one frame; ``None`` when the ring is empty.
-
-        Raises :class:`TornFrameError` when the next frame fails its
-        length or CRC validation.
-        """
-        cap = self.capacity
-        data = self._data
-        counters = self._counters
-        while True:
-            head = counters[0]
-            tail = counters[1]
-            avail = head - tail
-            if avail == 0:
-                return None
-            pos = tail % cap
-            room = cap - pos
-            if room >= 4:
-                first = _U32.unpack_from(data, pos)[0]
-            else:
-                first = _SKIP            # stub too short for a marker
-            if first == _SKIP:
-                if avail < room:
-                    raise TornFrameError(
-                        "skip region extends past the published head")
-                counters[1] = tail + room
-                continue
-            size = FRAME_HEADER + first
-            if size > room or size > avail:
-                raise TornFrameError(
-                    f"frame claims {first} payload bytes with only "
-                    f"{max(0, min(room, avail) - FRAME_HEADER)} readable")
-            crc = _U32.unpack_from(data, pos + 4)[0]
-            payload = bytes(data[pos + FRAME_HEADER:pos + size])
-            if zlib.crc32(payload) != crc:
-                raise TornFrameError(
-                    "frame checksum mismatch (torn or corrupted write)")
-            counters[1] = tail + size
-            return payload
-
-    def release(self) -> None:
-        """Drop the memoryviews so the backing buffer can be closed."""
-        self._data.release()
-        self._counters.release()
-        self._buf.release()
-
-
-class ShmRing:
-    """A :class:`SpscRing` hosted in a shared-memory segment.
-
-    The creating side *owns* the segment (``close`` unlinks it); an
-    attaching side maps it read-write by name and is explicitly
-    untracked, so a crashing worker never takes the segment down under
-    the facade and its sibling shards.
-    """
-
-    __slots__ = ("shm", "ring", "name", "_owner")
-
-    def __init__(self, shm, *, owner: bool) -> None:
-        self.shm = shm
-        self.name = shm.name
-        self.ring = SpscRing(shm.buf)
-        self._owner = owner
-
-    @classmethod
-    def create(cls, capacity: int) -> "ShmRing":
-        """A fresh zeroed ring of ``capacity`` data bytes."""
-        if shared_memory is None:   # pragma: no cover - exotic platforms
-            raise TransportError(
-                "multiprocessing.shared_memory is unavailable")
-        shm = shared_memory.SharedMemory(
-            create=True, size=RING_HEADER + capacity)
-        shm.buf[:RING_HEADER] = b"\x00" * RING_HEADER
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        """Map an existing ring by segment name (worker side)."""
-        if shared_memory is None:   # pragma: no cover - exotic platforms
-            raise TransportError(
-                "multiprocessing.shared_memory is unavailable")
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            # Pre-3.13 attaches are force-registered with the resource
-            # tracker.  Under spawn the attacher runs its own tracker,
-            # which would unlink the segment when the *first* attached
-            # process exits; undo the registration.  Under fork the
-            # tracker is shared with the owner, registration is an
-            # idempotent set-add, and unregistering here would strip the
-            # owner's own entry (its later unlink then double-removes).
-            shm = shared_memory.SharedMemory(name=name)
-            method = multiprocessing.get_start_method(allow_none=True)
-            if method is None:  # pragma: no cover - platform default
-                method = "fork" if sys.platform.startswith(
-                    "linux") else "spawn"
-            if resource_tracker is not None and method != "fork":
-                try:  # pragma: no cover - spawn-context platforms
-                    resource_tracker.unregister(
-                        shm._name, "shared_memory")  # noqa: SLF001
-                except Exception:
-                    pass
-        return cls(shm, owner=False)
-
-    def close(self) -> None:
-        """Release the mapping (and unlink the segment when owner)."""
-        self.ring.release()
-        try:
-            self.shm.close()
-        except (OSError, BufferError):  # pragma: no cover - defensive
-            pass
-        if self._owner:
-            try:
-                self.shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-
-
-# --------------------------------------------------------------------- #
-# The edge codec
-# --------------------------------------------------------------------- #
 
 def _intern_key(value):
     """``value`` as an intern-table key: anything but a string or ``None``
@@ -378,14 +84,13 @@ def _intern_key(value):
 class InternTable:
     """Producer-side value→id table with FIFO id recycling.
 
-    The facade assigns ids and ships new ``(id, value)`` bindings in the
+    The encoder assigns ids and ships new ``(id, value)`` bindings in the
     same frame as the rows that reference them; the decoder replays the
     bindings in order, so rebinding a recycled id is safe as long as no
     id is rebound *within* a frame after a row referenced it — which
     :meth:`intern` guarantees via the per-frame ``referenced`` set.
-    ``pending`` holds bindings not yet shipped over the ring (a batch
-    that fell back to the pipe keeps its bindings queued for the next
-    ring frame).
+    ``pending`` holds bindings not yet acknowledged with
+    :meth:`mark_shipped`, so they ride the next frame again.
     """
 
     __slots__ = ("capacity", "_ids", "_slots", "_cursor", "pending")
@@ -475,8 +180,7 @@ class BatchEncoder:
         for row in rows:
             idx, wire, forced = row
             if forced is not None:
-                # Duplicate-judgement metadata (frozenset of group keys)
-                # is rare and irregular: pickle it rather than widen
+                # A rare, irregular payload: pickle it rather than widen
                 # every row for it.
                 overflow.append(row)
                 continue
@@ -650,137 +354,3 @@ class BatchDecoder:
         merged.extend(out[i:])
         merged.extend(overflow[j:])
         return seq, merged
-
-
-# --------------------------------------------------------------------- #
-# Channel endpoints
-# --------------------------------------------------------------------- #
-
-def pack_result(seq: int, status: int, blob: bytes = b"") -> bytes:
-    """One result-frame payload."""
-    return _RESULT_HEAD.pack(seq, status) + blob
-
-
-def unpack_result(payload: bytes) -> Tuple[int, int, bytes]:
-    """``(seq, status, blob)`` from a result-frame payload."""
-    seq, status = _RESULT_HEAD.unpack_from(payload, 0)
-    return seq, status, payload[_RESULT_HEAD.size:]
-
-
-class FacadeChannel:
-    """Facade-side endpoint: owns both rings plus the encoder state.
-
-    Non-blocking by design — ``try_send``/``try_recv`` return ``False``
-    / ``None`` on a full/empty ring so the caller (the shard handle)
-    can interleave liveness checks, deadline enforcement and return-path
-    draining in its own wait loop.
-    """
-
-    __slots__ = ("data", "result", "encoder", "send_seq", "recv_seq")
-
-    def __init__(self, data_capacity: int = DEFAULT_DATA_RING,
-                 result_capacity: int = DEFAULT_RESULT_RING,
-                 intern_capacity: int = DEFAULT_INTERN_CAPACITY) -> None:
-        self.data = ShmRing.create(data_capacity)
-        try:
-            self.result = ShmRing.create(result_capacity)
-        except BaseException:
-            self.data.close()
-            raise
-        self.encoder = BatchEncoder(intern_capacity)
-        self.send_seq = 0
-        self.recv_seq = 0
-
-    def spec(self) -> Dict[str, str]:
-        """What a worker needs to attach (segment names)."""
-        return {"data": self.data.name, "result": self.result.name}
-
-    def encode_batch(self, rows) -> Optional[Tuple[bytes, int]]:
-        """An encoded frame for ``rows``, or ``None`` when it could
-        never fit the data ring (whole-batch pipe fallback)."""
-        payload, pending = self.encoder.encode(self.send_seq + 1, rows)
-        if FRAME_HEADER + len(payload) > self.data.ring.capacity:
-            return None
-        return payload, pending
-
-    def try_send(self, frame: Tuple[bytes, int]) -> bool:
-        """Write one encoded frame; ``False`` when the ring is full."""
-        payload, pending = frame
-        if not self.data.ring.try_write(payload):
-            return False
-        self.send_seq += 1
-        self.encoder.table.mark_shipped(pending)
-        return True
-
-    def try_recv(self) -> Optional[Tuple[int, Optional[bytes]]]:
-        """``(status, blob)`` for the next result frame, or ``None``.
-
-        Raises :class:`TornFrameError` on a corrupt frame and
-        :class:`TransportError` when the worker's reply stream
-        desynchronises from the frames we sent.
-        """
-        payload = self.result.ring.try_read()
-        if payload is None:
-            return None
-        seq, status, blob = unpack_result(payload)
-        self.recv_seq += 1
-        if seq != self.recv_seq:
-            raise TransportError(
-                f"result ring desynchronised: frame {seq}, "
-                f"expected {self.recv_seq}")
-        return status, blob
-
-    def close(self) -> None:
-        """Unlink both rings (idempotent)."""
-        self.data.close()
-        self.result.close()
-
-
-class WorkerChannel:
-    """Worker-side endpoint: attaches to the facade's rings by name."""
-
-    __slots__ = ("data", "result", "decoder")
-
-    def __init__(self, data: ShmRing, result: ShmRing) -> None:
-        self.data = data
-        self.result = result
-        self.decoder = BatchDecoder()
-
-    @classmethod
-    def attach(cls, spec: Dict[str, str]) -> "WorkerChannel":
-        data = ShmRing.attach(spec["data"])
-        try:
-            result = ShmRing.attach(spec["result"])
-        except BaseException:
-            data.close()
-            raise
-        return cls(data, result)
-
-    def try_read(self) -> Optional[bytes]:
-        """The next data frame's payload, or ``None`` when idle."""
-        return self.data.ring.try_read()
-
-    @staticmethod
-    def peek_seq(payload: bytes) -> int:
-        """A data frame's sequence number without decoding it — the
-        worker answers even frames whose body fails to decode."""
-        return _U32.unpack_from(payload, 0)[0]
-
-    def decode(self, payload: bytes) -> Tuple[int, List[tuple]]:
-        """Decode one data frame (see :meth:`BatchDecoder.decode`)."""
-        return self.decoder.decode(payload)
-
-    def result_fits(self, blob: bytes) -> bool:
-        """Whether a result blob can ever ride the result ring."""
-        return FRAME_HEADER + _RESULT_HEAD.size + len(blob) \
-            <= self.result.ring.capacity
-
-    def try_send_result(self, seq: int, status: int,
-                        blob: bytes = b"") -> bool:
-        """Write one result frame; ``False`` when the ring is full."""
-        return self.result.ring.try_write(pack_result(seq, status, blob))
-
-    def close(self) -> None:
-        """Release both mappings (the facade owns the segments)."""
-        self.data.close()
-        self.result.close()

@@ -1,14 +1,13 @@
 """Deterministic fault injection for resilience testing.
 
-Production failures — a killed shard worker, a disk that starts
-returning ``EIO``, a tailer racing log rotation — are rare, racy, and
-nearly impossible to reproduce in CI.  This module makes them *ordinary
-test inputs*: the service layer calls :func:`fire` at a handful of named
-**injection points** (queue put/get, shard RPC send/recv, sink
-write/flush, tailer reads, checkpoint writes), and an installed
+Production failures — a disk that starts returning ``EIO``, a slow
+fsync, a tailer racing log rotation — are rare, racy, and nearly
+impossible to reproduce in CI.  This module makes them *ordinary test
+inputs*: the service layer calls :func:`fire` at a handful of named
+**injection points** (queue put/get, sink write/flush, tailer reads,
+checkpoint writes, WAL append/fsync), and an installed
 :class:`FaultPlan` decides — deterministically, from a seed — whether
-that call crashes, delays, raises an ``OSError``, or kills a worker
-process.
+that call crashes, delays, or raises an ``OSError``.
 
 With no plan installed (the default, and the production configuration)
 :func:`fire` is a single global load and compare — the injection points
@@ -28,13 +27,13 @@ Compact form: semicolon-separated entries, each either ``seed=N`` or
 (``0.01``), ``every:N`` (every Nth call), or ``at:N`` (exactly the Nth
 call).  Example::
 
-    REPRO_FAULTS="seed=7;sink.write=io_error:0.01;shard.rpc.recv=kill_worker:at:40"
+    REPRO_FAULTS="seed=7;sink.write=io_error:0.01;queue.get=crash:at:40"
 
 The same fields spell the JSON / TOML form::
 
     {"seed": 7, "inject": [
         {"site": "sink.write", "kind": "io_error", "rate": 0.01},
-        {"site": "shard.rpc.recv", "kind": "kill_worker", "at": 40}]}
+        {"site": "queue.get", "kind": "crash", "at": 40}]}
 
 Determinism: each spec owns a private RNG seeded from the plan seed, the
 site name, and the spec's position, and fires as a pure function of its
@@ -61,8 +60,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 #: batch is one call whatever its size, so ``every:N`` counts batches.
 SITES = (
     "queue.put", "queue.get",
-    "shard.rpc.send", "shard.rpc.recv",
-    "shard.ring.write", "shard.ring.read",
     "sink.write", "sink.flush",
     "tailer.read",
     "checkpoint.write",
@@ -70,7 +67,7 @@ SITES = (
 )
 
 #: Supported fault kinds (see :class:`FaultSpec`).
-KINDS = ("crash", "delay", "io_error", "kill_worker")
+KINDS = ("crash", "delay", "io_error")
 
 
 class FaultError(ValueError):
@@ -290,12 +287,9 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # Runtime
     # ------------------------------------------------------------------ #
-    def fire(self, site: str, *, kill=None) -> None:
+    def fire(self, site: str) -> None:
         """Judge one call at ``site`` and act on any fault it draws.
 
-        ``kill`` is the context a ``kill_worker`` fault needs: a
-        zero-argument callable that hard-kills the relevant worker (a
-        site with no worker treats ``kill_worker`` as ``crash``).
         Raises :class:`InjectedFault` (``crash``) or :class:`OSError`
         (``io_error``); ``delay`` sleeps and returns.
         """
@@ -310,8 +304,6 @@ class FaultPlan:
             elif spec.kind == "io_error":
                 raise OSError(
                     errno.EIO, f"injected I/O error at {site}")
-            elif spec.kind == "kill_worker" and kill is not None:
-                kill()
             else:
                 raise InjectedFault(f"injected crash at {site}")
 
@@ -380,9 +372,9 @@ def active(plan: FaultPlan):
         _PLAN = previous
 
 
-def fire(site: str, *, kill=None) -> None:
+def fire(site: str) -> None:
     """The injection point hook (see the module docstring).  A no-op —
     one global load — unless a plan is installed."""
     plan = _PLAN
     if plan is not None:
-        plan.fire(site, kill=kill)
+        plan.fire(site)

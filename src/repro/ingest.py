@@ -1,10 +1,8 @@
 """The two ingest stages every session shares: admission and routing.
 
-A session's ingest path is admit → route → match → merge → emit.  The
-first two stages are identical whether the engines run in the calling
-process (:class:`~repro.api.Session`) or on worker shards
-(:class:`~repro.concurrency.sharding.ShardedSession`), so they live here
-once and both sessions hold one instance of each:
+A session's ingest path is admit → route → match → emit.  The first two
+stages know nothing of engines, so they live here and a
+:class:`~repro.api.Session` holds one instance of each:
 
 :class:`Admission`
     The stream clock plus one :class:`WindowGroup` — a
@@ -19,8 +17,7 @@ once and both sessions hold one instance of each:
     :class:`~repro.core.labeltrie.PredicateRouter` for ``ANY``/``Prefix``
     labels, the always-routed entries, and the one memo of resolved
     target lists.  :meth:`RouteIndex.targets` answers "which payloads must
-    see this edge" — ``(ordinal, query record)`` pairs for an unsharded
-    session, shard indexes for the sharded facade.
+    see this edge" — the session's ``(ordinal, query record)`` pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +30,8 @@ from .graph.shared_window import (
     SharedSlidingWindow, window_policy_from_key, window_policy_key,
 )
 
+_INF = float("inf")
+
 #: ``(registration ordinal, query record)`` — how rosters name a query, so
 #: sorting entries restores registration order without ever comparing two
 #: records.  The record is the owning session's; this module reads only
@@ -40,7 +39,7 @@ from .graph.shared_window import (
 Entry = Tuple[int, object]
 
 #: The :meth:`RouteIndex.add` signature of an entry that must see every
-#: arrival (privately-buffering matchers, count-window shards).
+#: arrival (privately-buffering matchers).
 ALWAYS_ROUTED = ((), (), True)
 
 
@@ -50,8 +49,8 @@ def group_key(window) -> Optional[Tuple]:
 
     One function owns this judgement for the sub-plan eligibility
     pre-check (which sees the raw spec: a duration or a policy object),
-    shared-window enrollment (which sees the engine's coerced policy
-    object) and the sharded facade — they must agree, because shared
+    and shared-window enrollment (which sees the engine's coerced policy
+    object) — they must agree, because shared
     sub-plan stores rely on their consumers expiring in lock-step within
     one window group.  A number becomes a fresh time window of that
     duration; a policy object is shareable only while empty and of an
@@ -100,9 +99,7 @@ class Admission:
     original.
 
     ``on_expired(group_key, edges)`` receives, once per group and slide,
-    the whole prefix a group's window drops, oldest first, as it drops it;
-    a session whose engines live elsewhere (the sharded facade) passes
-    none.
+    the whole prefix a group's window drops, oldest first, as it drops it.
     """
 
     def __init__(self, on_expired: Optional[
@@ -141,7 +138,7 @@ class Admission:
         if not group.members:
             del self.groups[key]
 
-    def admit(self, edge: StreamEdge, forced=None,
+    def admit(self, edge: StreamEdge,
               offenders=()) -> Optional[FrozenSet]:
         """Accept one arrival into the stream, or raise having touched
         nothing.
@@ -154,26 +151,22 @@ class Admission:
         the whole session; ``offenders`` lets the caller add the entries
         of matchers outside any group that would reject it too, so one
         error names every rejecter.
-
-        ``forced`` is the shard-worker entry point: group keys the
-        sharded facade already judged live for this id.  A shard's
-        buffers only hold the arrivals routed to it — a strict subset of
-        the stream — so its own probe can miss a bearer the full stream
-        would have seen; the forced keys close exactly that gap (a
-        locally-live bearer is always facade-live too, never the
-        reverse).
         """
         timestamp = edge.timestamp
-        if timestamp <= self.clock:
+        if not self.clock < timestamp < _INF:
+            if timestamp <= self.clock:
+                raise ValueError(
+                    "stream timestamps must strictly increase: "
+                    f"{timestamp} <= {self.clock}")
+            # NaN compares false both ways and would freeze the windows;
+            # an infinite clock would refuse every later arrival.
             raise ValueError(
-                "stream timestamps must strictly increase: "
-                f"{timestamp} <= {self.clock}")
+                f"stream timestamps must be finite, got {timestamp!r}")
         groups = self.groups
         edge_id = edge.edge_id
         live = None
         for key, group in groups.items():
-            if group.window.bearer_live_at(edge_id, timestamp) \
-                    or (forced is not None and key in forced):
+            if group.window.bearer_live_at(edge_id, timestamp):
                 if live is None:
                     live = set()
                 live.add(key)
@@ -197,7 +190,7 @@ class Admission:
 
     def advance(self, timestamp: float) -> None:
         """Slide every group's window forward without an arrival."""
-        if timestamp < self.clock:
+        if not timestamp >= self.clock:     # NaN too
             raise ValueError("time moves backwards")
         self.clock = timestamp
         on_expired = self._on_expired
@@ -215,8 +208,8 @@ class RouteIndex:
     land in a dict, predicate atom triples (``ANY``/``Prefix`` labels) in
     a per-position trie router, and an opaque-labelled (``generic``)
     query — or anything added as :data:`ALWAYS_ROUTED` — is routed every
-    arrival.  Several names may share a payload (the queries of one
-    shard); ``targets`` returns each payload once, sorted.
+    arrival.  A query with several exact triples files its payload under
+    each; ``targets`` returns each payload once, sorted.
 
     Resolved target lists are memoised per label triple (type-exact, as
     prefix predicates are).  Only triples

@@ -73,28 +73,6 @@ INDEXING_MODES = ("hash", "scan")
 #: produce identical ``(name, match)`` streams.
 SUBPLAN_SHARING_MODES = ("shared", "private")
 
-#: Session sharding strategies: ``"none"`` (default) runs every registered
-#: matcher in the calling process; ``"thread"`` / ``"process"`` partition
-#: the matchers across ``EngineConfig.shards`` worker shards (stable hash
-#: of the query name, rebalanced on register/deregister), each holding its
-#: own shared window and sub-plan registry, with batches fanned out
-#: through the routing index so a shard only receives arrivals its
-#: matchers can consume.  All modes produce identical ``(name, match)``
-#: streams — see :class:`repro.concurrency.sharding.ShardedSession`.
-SHARDING_MODES = ("none", "thread", "process")
-
-#: Shard batch transports for ``sharding="process"`` sessions:
-#: ``"shm"`` (default) frames struct-packed edge batches into
-#: preallocated shared-memory rings — one SPSC data ring and one result
-#: ring per shard — so the facade never pickles on the hot path (the
-#: duplex pipe stays for control RPCs and oversized fallbacks);
-#: ``"pipe"`` is the historical pickle-over-pipe batch path, kept as
-#: the ablation baseline.  ``"thread"`` shards pass objects by
-#: reference and ignore the knob.  Both transports produce identical
-#: ``(name, match)`` streams — see :mod:`repro.concurrency.transport`.
-TRANSPORT_MODES = ("shm", "pipe")
-
-
 def as_window(window):
     """Coerce a window spec into a window-policy object.
 
@@ -400,24 +378,6 @@ class EngineConfig:
         Both modes produce identical matches — see
         :data:`SUBPLAN_SHARING_MODES` and
         :class:`~repro.subplans.SharedSubplanStore`.
-    sharding:
-        Session-level matcher partitioning (engines ignore it):
-        ``"none"`` (default) keeps every registered matcher in the
-        calling process; ``"thread"`` / ``"process"`` shard them across
-        ``shards`` worker loops so heavy query sets parallelise over one
-        ingested stream — see
-        :class:`~repro.concurrency.sharding.ShardedSession`.  All modes
-        produce identical matches.
-    shards:
-        Worker-shard count used when ``sharding`` is not ``"none"``
-        (ignored otherwise).
-    transport:
-        Batch transport for ``sharding="process"`` sessions: ``"shm"``
-        (default) ships struct-packed edge batches through per-shard
-        shared-memory rings with zero hot-path pickling; ``"pipe"`` is
-        the pickle-over-pipe ablation baseline.  Ignored by ``"none"``
-        and ``"thread"`` sessions; identical matches either way — see
-        :data:`TRANSPORT_MODES`.
     seed:
         RNG seed for the ``random`` strategies (deterministic by default so
         engine construction is reproducible).
@@ -431,9 +391,6 @@ class EngineConfig:
     join_order: str = "jn"
     indexing: str = "hash"
     subplan_sharing: str = "shared"
-    sharding: str = "none"
-    shards: int = 4
-    transport: str = "shm"
     seed: int = 0
     duplicate_policy: str = "raise"
 
@@ -463,18 +420,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown subplan sharing mode: {self.subplan_sharing!r} "
                 f"(expected one of {SUBPLAN_SHARING_MODES})")
-        if self.sharding not in SHARDING_MODES:
-            raise ValueError(
-                f"unknown sharding mode: {self.sharding!r} "
-                f"(expected one of {SHARDING_MODES})")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
-            raise ValueError(f"shards must be a positive int, "
-                             f"got {self.shards!r}")
-        if self.transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"unknown shard transport: {self.transport!r} "
-                f"(expected one of {TRANSPORT_MODES})")
         if self.duplicate_policy not in DUPLICATE_POLICIES:
             raise ValueError(
                 f"unknown duplicate policy: {self.duplicate_policy!r} "

@@ -13,10 +13,9 @@ ordinal, ``QueryGraph``, window as a duration or a built-in policy's
 ``(kind, parameter)``, backend name, config, engine options — a Timing
 engine's resolved join order among them, so a ``random`` strategy
 rebuilds the plan it had), its window group, ``since`` watermark and
-``EngineStats``; per window group, the buffered edges in arrival order;
-for a sharded session, the same data once per shard.
+``EngineStats``; per window group, the buffered edges in arrival order.
 
-**Restored** (:func:`rebuild`; alike for both session kinds): an empty
+**Restored** (:func:`rebuild`): an empty
 session from the config, then each query in ordinal order, registered
 once its group's buffered edges up to its watermark are back in the
 group's window and in the members registered before it; then the rest of
@@ -63,7 +62,7 @@ from .matcher import EngineConfig
 
 #: Bumped only when the data schema in the module docstring changes;
 #: a file of any other version is refused.
-CHECKPOINT_VERSION = 17
+CHECKPOINT_VERSION = 18
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not
@@ -182,8 +181,7 @@ def _window_spec(window):
 
 
 def snapshot(session: Session) -> dict:
-    """``session`` as plain data: what :func:`save_session` frames and a
-    shard worker hands its facade."""
+    """``session`` as plain data: what :func:`save_session` frames."""
     records = list(session._queries.values())
     unnamed = [record.name for record in records
                if callable(record.backend)
@@ -194,21 +192,18 @@ def snapshot(session: Session) -> dict:
             "custom window-policy class cannot be named as data")
     queries = []
     for record in records:
-        matcher = record.matcher        # a sharded facade hosts none
-        saved = {
+        matcher = record.matcher
+        options = record.options
+        if record.backend == "timing" and not matcher.stateless:
+            options = {**options, "decomposition": matcher.join_order,
+                       "join_order": matcher.join_order}
+        queries.append({
             "name": record.name, "ordinal": record.ordinal,
             "query": record.query, "window": _window_spec(record.window),
             "backend": record.backend, "config": record.config,
-            "options": record.options, "group": record.group_key,
-            "since": _NEVER, "stats": None}
-        if matcher is not None:
-            saved["stats"] = matcher.stats.as_dict()
-            if record.backend == "timing" and not matcher.stateless:
-                saved["options"] = {**record.options,
-                                    "decomposition": matcher.join_order,
-                                    "join_order": matcher.join_order}
-            saved["since"] = matcher.window.since
-        queries.append(saved)
+            "options": options, "group": record.group_key,
+            "since": matcher.window.since,
+            "stats": matcher.stats.as_dict()})
     window = session.default_window
     data = {
         "config": session.config,
@@ -222,27 +217,17 @@ def snapshot(session: Session) -> dict:
         "groups": [(key, list(group.window))
                    for key, group in session._admission.groups.items()],
     }
-    if session.config.sharding != "none":
-        data["shards"] = session.shard_snapshots()
     return data
 
 
 def rebuild(data: dict) -> Session:
     """The session :func:`snapshot` described, by register-then-replay."""
     session = Session(window=data["default_window"], config=data["config"])
-    shards = data.get("shards")
-    try:
-        if shards is not None:
-            session.adopt_shards(shards)    # workers rebuild their own
-        _replay(session, data, engines=shards is None)
-    except BaseException:
-        if shards is not None:
-            session.close()     # no worker outlives a failed restore
-        raise
+    _replay(session, data)
     return session
 
 
-def _replay(session: Session, data: dict, engines: bool) -> None:
+def _replay(session: Session, data: dict) -> None:
     admission = session._admission
     buffers = {key: deque(edges) for key, edges in data["groups"]}
     for key in buffers:
@@ -255,11 +240,10 @@ def _replay(session: Session, data: dict, engines: bool) -> None:
         while buffer and buffer[0].timestamp <= until:
             edge = buffer.popleft()
             window.push(edge)   # expires nothing: all are live at the clock
-            if engines:
-                for _, record in session._index.targets(edge):
-                    if record.group_key == key \
-                            and not record.matcher.stateless:
-                        record.matcher._insert(edge)
+            for _, record in session._index.targets(edge):
+                if record.group_key == key \
+                        and not record.matcher.stateless:
+                    record.matcher._insert(edge)
 
     for saved in data["queries"]:
         window = saved["window"]
@@ -274,8 +258,7 @@ def _replay(session: Session, data: dict, engines: bool) -> None:
         feed(key, float("inf"))
 
     clock = data["clock"]
-    for saved, record in zip(data["queries"] if engines else (),
-                             session._queries.values()):
+    for saved, record in zip(data["queries"], session._queries.values()):
         matcher = record.matcher
         matcher.window.since = saved["since"]
         for name, value in saved["stats"].items():

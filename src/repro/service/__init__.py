@@ -31,7 +31,7 @@ Layout
     JSONL/CSV file tailing with checkpointed resume offsets.
 :mod:`~repro.service.resilience`
     The fault-containment primitives: retry/backoff, circuit breakers,
-    token-bucket rate limiting, restart budgets, health tracking, and
+    token-bucket rate limiting, health tracking, and
     the dead-letter queue (see also :mod:`repro.faults`, the
     deterministic fault-injection registry that proves them in CI).
 :mod:`~repro.service.wal`
@@ -65,8 +65,8 @@ from .metrics import render_metrics
 from .queues import BACKPRESSURE_POLICIES, BoundedEdgeQueue, QueueClosed
 from .resilience import (
     HEALTH_STATES, CircuitBreaker, DeadLetterQueue, HealthTracker,
-    RateLimited, RestartBudget, RetryBudget, RetryPolicy, TokenBucket,
-    call_with_retry, retrying,
+    RateLimited, RetryBudget, RetryPolicy, TokenBucket, call_with_retry,
+    retrying,
 )
 from .tailer import FileTailer
 from .wal import DedupIndex, WalCorruptError, WriteAheadLog, inspect_wal
@@ -80,6 +80,6 @@ __all__ = [
     "DedupIndex", "WalCorruptError", "WriteAheadLog", "inspect_wal",
     # resilience primitives
     "HEALTH_STATES", "CircuitBreaker", "DeadLetterQueue", "HealthTracker",
-    "RateLimited", "RestartBudget", "RetryBudget", "RetryPolicy",
-    "TokenBucket", "call_with_retry", "retrying",
+    "RateLimited", "RetryBudget", "RetryPolicy", "TokenBucket",
+    "call_with_retry", "retrying",
 ]

@@ -17,6 +17,8 @@ labels must be hashable and therefore are never lists).
 
 from __future__ import annotations
 
+import json
+import math
 from typing import Hashable, Optional, Tuple
 
 from ..core.matches import Match
@@ -32,6 +34,25 @@ EDGE_KEYS = frozenset(
 
 class CodecError(ValueError):
     """Raised on a malformed edge object (bad keys, types, or values)."""
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+#: ``json.loads`` also reads ``NaN`` and ``±Infinity``, which RFC 8259
+#: JSON has no spelling for; this decoder refuses them.
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def parse_json(data):
+    """``json.loads`` without the ``NaN`` / ``Infinity`` extension: the
+    decoder of ingest bodies, WebSocket frames and tailed JSONL lines.
+    Raises ``ValueError`` (and ``RecursionError`` on nesting deeper than
+    the stack) like ``json.loads``."""
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode(json.detect_encoding(data), "surrogatepass")
+    return _STRICT_JSON.decode(data)
 
 
 def _encode_value(value: Hashable):
@@ -77,7 +98,10 @@ def edge_from_json(record: dict, *,
 
     ``default_timestamp`` backs the server-assigned-timestamp mode: it is
     used when the record carries no ``timestamp`` key.  A record with
-    neither raises.
+    neither raises, and so does a non-finite timestamp (``json.loads``
+    reads ``NaN`` and ``Infinity``): a ``NaN`` clock admits every later
+    arrival and stops the window expiring, an infinite one refuses them
+    all.  Every field must be hashable, at any depth.
     """
     if not isinstance(record, dict):
         raise CodecError(f"edge must be a JSON object, got {type(record).__name__}")
@@ -103,8 +127,10 @@ def edge_from_json(record: dict, *,
             timestamp = float(timestamp)
         except OverflowError:   # an integer no float can hold
             raise CodecError("bad timestamp: too large") from None
+    if not math.isfinite(timestamp):
+        raise CodecError(f"bad timestamp: {timestamp!r} is not finite")
     try:
-        return StreamEdge(
+        edge = StreamEdge(
             _decode_value(src) if isinstance(src, list) else src,
             _decode_value(dst) if isinstance(dst, list) else dst,
             src_label=_decode_value(src_label)
@@ -115,8 +141,15 @@ def edge_from_json(record: dict, *,
             label=_decode_value(label) if isinstance(label, list) else label,
             edge_id=_decode_value(edge_id)
             if isinstance(edge_id, list) else edge_id)
+        # StreamEdge hashes only the id: the vertices and labels are
+        # index keys downstream, so an unhashable one must stop here.
+        hash((edge.src, edge.dst, edge.src_label, edge.dst_label,
+              edge.label))
     except TypeError as exc:    # unhashable decoded value
         raise CodecError(f"bad edge field: {exc}") from exc
+    except RecursionError:      # nested deeper than the stack follows
+        raise CodecError("bad edge field: nested too deeply") from None
+    return edge
 
 
 def unwrap_edge_body(data) -> Optional[Tuple[list, Optional[str], bool]]:

@@ -4,7 +4,7 @@ A gateway is configured declaratively: one ``[server]`` table (listener,
 state directory, checkpoint cadence), optional ``[defaults]`` applied to
 every tenant, and one ``[[tenant]]`` array entry per named session, each
 carrying its queries (inline DSL text or ``.tq`` file paths), window /
-storage / sharding knobs, queue bounds and backpressure policy, and
+storage knobs, queue bounds and backpressure policy, and
 optional ``[[tenant.tail]]`` file sources.  Example::
 
     [server]
@@ -37,9 +37,8 @@ optional ``[[tenant.tail]]`` file sources.  Example::
     '''
 
 Validation is strict and fails with one-line messages: unknown keys,
-wrong types, out-of-range values, duplicate tenant or query names, and
-inconsistent knob combinations (``shards > 1`` with ``sharding = "none"``)
-are all rejected before anything starts.
+wrong types, out-of-range values and duplicate tenant or query names are
+all rejected before anything starts.
 
 Parsing uses the standard library's :mod:`tomllib` — the service stays
 stdlib-only.
@@ -53,7 +52,7 @@ import tomllib
 from typing import Dict, List, Tuple
 
 from .. import faults as _faults
-from ..api import SHARDING_MODES, STORAGE_KINDS, TRANSPORT_MODES
+from ..api import STORAGE_KINDS
 from .queues import BACKPRESSURE_POLICIES
 
 #: Timestamp assignment modes: ``client`` trusts each edge's own
@@ -193,8 +192,8 @@ class TenantConfig:
 
     ``queries`` maps query names to DSL text (a ``file = ...`` entry in
     TOML is read at load time, relative to the config file).  The
-    engine-facing knobs (``window``, ``storage``, ``sharding``,
-    ``shards``, ``transport``, ``duplicate_policy``) mirror
+    engine-facing knobs (``window``, ``storage``, ``duplicate_policy``)
+    mirror
     :class:`~repro.api.EngineConfig`; the queue knobs mirror
     :class:`~repro.service.queues.BoundedEdgeQueue`.
     """
@@ -203,9 +202,6 @@ class TenantConfig:
     queries: Dict[str, str] = dataclasses.field(default_factory=dict)
     window: float = 30.0
     storage: str = "mstree"
-    sharding: str = "none"
-    shards: int = 1
-    transport: str = "shm"
     duplicate_policy: str = "skip"
     queue_capacity: int = 10000
     backpressure: str = "block"
@@ -217,11 +213,6 @@ class TenantConfig:
     #: Optional write-ahead log (``[tenant.wal]``): durable admission,
     #: producer-independent recovery, request-id exactly-once.
     wal: "WalConfig | None" = None
-    #: Supervision: worker/session restarts allowed per sliding window
-    #: before the tenant degrades (stops restarting, keeps serving what
-    #: it can) instead of crash-looping.
-    max_restarts: int = 5
-    restart_window: float = 300.0
     #: Poison arrivals kept in the dead-letter JSONL before dropping.
     dead_letter_capacity: int = 1000
 
@@ -251,24 +242,6 @@ class TenantConfig:
             raise ConfigError(
                 f"tenant {self.name!r}: unknown storage {self.storage!r} "
                 f"(expected one of {STORAGE_KINDS})")
-        if self.sharding not in SHARDING_MODES:
-            raise ConfigError(
-                f"tenant {self.name!r}: unknown sharding "
-                f"{self.sharding!r} (expected one of {SHARDING_MODES})")
-        if not isinstance(self.shards, int) or isinstance(self.shards, bool) \
-                or self.shards < 1:
-            raise ConfigError(
-                f"tenant {self.name!r}: shards must be >= 1, "
-                f"got {self.shards!r}")
-        if self.shards > 1 and self.sharding == "none":
-            raise ConfigError(
-                f"tenant {self.name!r}: shards = {self.shards} has no "
-                "effect with sharding = \"none\" — set sharding to "
-                "\"thread\" or \"process\"")
-        if self.transport not in TRANSPORT_MODES:
-            raise ConfigError(
-                f"tenant {self.name!r}: unknown transport "
-                f"{self.transport!r} (expected one of {TRANSPORT_MODES})")
         if self.duplicate_policy not in ("raise", "skip", "count"):
             raise ConfigError(
                 f"tenant {self.name!r}: unknown duplicate_policy "
@@ -309,18 +282,6 @@ class TenantConfig:
                     "(enabled, segment_bytes, fsync_interval_ms, "
                     "fsync_batch, dedup_window)")
             self.wal.validate()
-        if not isinstance(self.max_restarts, int) \
-                or isinstance(self.max_restarts, bool) \
-                or self.max_restarts < 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: max_restarts must be >= 0, "
-                f"got {self.max_restarts!r}")
-        if not isinstance(self.restart_window, (int, float)) \
-                or isinstance(self.restart_window, bool) \
-                or self.restart_window <= 0:
-            raise ConfigError(
-                f"tenant {self.name!r}: restart_window must be a "
-                f"positive duration, got {self.restart_window!r}")
         if not isinstance(self.dead_letter_capacity, int) \
                 or isinstance(self.dead_letter_capacity, bool) \
                 or self.dead_letter_capacity < 1:
@@ -399,11 +360,9 @@ class ServerConfig:
 
 _SERVER_KEYS = {"host", "port", "state_dir", "checkpoint_interval",
                 "checkpoint_keep"}
-_DEFAULT_KEYS = {"window", "storage", "sharding", "shards", "transport",
-                 "duplicate_policy", "queue_capacity", "backpressure",
-                 "batch_size", "timestamps", "match_log", "rate_limit",
-                 "max_restarts", "restart_window", "dead_letter_capacity",
-                 "wal"}
+_DEFAULT_KEYS = {"window", "storage", "duplicate_policy", "queue_capacity",
+                 "backpressure", "batch_size", "timestamps", "match_log",
+                 "rate_limit", "dead_letter_capacity", "wal"}
 _TENANT_KEYS = _DEFAULT_KEYS | {"name", "query", "tail"}
 _QUERY_KEYS = {"name", "text", "file"}
 _TAIL_KEYS = {"path", "format", "poll_interval"}

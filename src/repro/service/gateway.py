@@ -1,8 +1,8 @@
 """The gateway runtime: tenants, worker threads, checkpoints, shutdown.
 
 A :class:`ServiceGateway` hosts one or more named **tenants**.  Each
-tenant is an independent :class:`~repro.api.Session` (optionally sharded
-underneath) fed through its own
+tenant is an independent :class:`~repro.api.Session` — the service
+scales by tenant, one in-process session each — fed through its own
 :class:`~repro.service.queues.BoundedEdgeQueue`, with matches delivered
 to a rotating JSONL log and to any live subscribers.  The gateway owns
 the shared machinery: the checkpoint scheduler, the restore-on-boot
@@ -46,9 +46,8 @@ and every batch journaled before it has entered (a reorder buffer keyed
 by admission order), so no match is logged or published before the
 edges that complete it are durable — unless that fsync failed every
 retry: the batch is then applied all the same and its producer gets an
-error to retry on.  On boot (or a supervised
-in-process restart) the tenant restores the best checkpoint in the
-chain, discards uncommitted match segments, then replays the WAL from
+error to retry on.  On boot the tenant restores the best checkpoint in
+the chain, discards uncommitted match segments, then replays the WAL from
 the checkpoint's ``wal_lsn`` — reconstructing the exact session and
 match log with **zero producer cooperation**.  Producers that attach a
 ``request_id`` to ingest batches additionally get exactly-once retries:
@@ -68,7 +67,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..api import EngineConfig, Session, ThreadSafeSession
-from ..concurrency.sharding import ShardDeadError
 from ..graph.edge import StreamEdge
 from ..persistence import CheckpointError, load_session_meta
 from ..sinks import RotatingJSONLSink, match_record
@@ -79,7 +77,7 @@ from .config import ServerConfig, TenantConfig
 from .queues import BoundedEdgeQueue, QueueClosed, _Entry
 from .resilience import (
     CircuitBreaker, DeadLetterQueue, HealthTracker, RateLimited,
-    RestartBudget, RetryPolicy, TokenBucket, call_with_retry,
+    RetryPolicy, TokenBucket, call_with_retry,
 )
 from .wal import DedupIndex, WriteAheadLog
 
@@ -209,17 +207,12 @@ class Tenant:
         self.dead_letters = DeadLetterQueue(
             os.path.join(self.state_dir, _DEAD_LETTER_FILE),
             max_records=config.dead_letter_capacity)
-        self.restart_budget = RestartBudget(
-            config.max_restarts, window=config.restart_window)
         self.rate_limiter: Optional[TokenBucket] = None
         if config.rate_limit is not None:
             self.rate_limiter = TokenBucket(
                 config.rate_limit.rps, config.rate_limit.effective_burst)
         self.sink_breaker = CircuitBreaker(f"{config.name}.match_log")
         self.checkpoint_breaker = CircuitBreaker(f"{config.name}.checkpoint")
-        #: Session rebuilds performed by the supervisor (see
-        #: :meth:`_restart_from_checkpoint`).
-        self.restarts = 0
         #: Match-log writes abandoned after retries / while tripped.
         self.sink_write_errors = 0
         #: Checkpoint barriers that failed even after retries.
@@ -254,8 +247,11 @@ class Tenant:
         #: Highest WAL LSN actually applied to the session (advanced by
         #: the worker under the session lock; checkpointed as wal_lsn).
         self.wal_applied_lsn = 0
-        #: Edges re-delivered from the WAL at boot / supervised restart.
+        #: Edges re-delivered from the WAL at boot.
         self.replayed_edges = 0
+        #: Journaled records replay could not decode (see
+        #: :meth:`_frame_entries`).
+        self.replay_skipped = 0
         #: Ingest batches answered from the request-id dedup window.
         self.dedup_hits = 0
         #: WAL fsyncs that failed even after retries (acks proceed on the
@@ -307,7 +303,7 @@ class Tenant:
             self._sealed_segment = -1
             self._ckpt_wal_lsn = 0
             # No barrier means no committed match segments: leftovers
-            # from a crashed (or restarted) incarnation would sit next
+            # from a crashed incarnation would sit next
             # to the replay's rewrite and double every match.
             self._discard_uncommitted_segments(-1)
         else:
@@ -336,9 +332,6 @@ class Tenant:
     def _fresh_session(self) -> Session:
         config = EngineConfig(
             storage=self.config.storage,
-            sharding=self.config.sharding,
-            shards=self.config.shards,
-            transport=self.config.transport,
             duplicate_policy=self.config.duplicate_policy)
         session = Session(window=self.config.window, config=config)
         for name, text in self.config.queries.items():
@@ -417,8 +410,8 @@ class Tenant:
                        start: int) -> List[_Entry]:
         """The queue entries one journal frame replays as: its edges with
         LSN > ``start``, numbered from ``first_lsn``.  A record that no
-        longer decodes (CRC-clean but unreadable) is skipped and still
-        consumes its LSN."""
+        longer decodes (CRC-clean but unreadable) is skipped, counted in
+        ``replay_skipped``, and still consumes its LSN."""
         now = time.monotonic()
         entries: List[_Entry] = []
         if "body" in frame:
@@ -432,19 +425,28 @@ class Tenant:
                     self._decode(unwrapped[0] if unwrapped else ())):
                 if position in skip:
                     continue
-                if edge is not None and lsn > start:
-                    entries.append(_Entry(edge, None, now, lsn))
+                if lsn > start:
+                    if edge is None:
+                        self.replay_skipped += 1
+                    else:
+                        entries.append(_Entry(edge, None, now, lsn))
                 lsn += 1
             return entries
-        for i, item in enumerate(frame.get("entries", [])):
+        items = frame.get("entries")
+        for i, item in enumerate(items if isinstance(items, list) else ()):
             lsn = first_lsn + i
             if lsn <= start:
                 continue        # the checkpoint already covers it
             try:
                 edge = edge_from_json(item["e"])
-            except (CodecError, KeyError, TypeError):
+                offset = item.get("o")
+                if offset is not None:
+                    path, position = offset
+                    offset = (str(path), int(position))
+            except (CodecError, KeyError, TypeError, ValueError,
+                    AttributeError):
+                self.replay_skipped += 1
                 continue
-            offset = tuple(item["o"]) if item.get("o") else None
             entries.append(_Entry(edge, offset, now, lsn))
         return entries
 
@@ -588,8 +590,6 @@ class Tenant:
         it until every earlier admission is released, then enqueue the
         run of consecutive ones that is complete."""
         with self._release_lock:
-            if admission < self._next_release:
-                return      # a supervised restart replayed it already
             held = self._held
             held[admission] = batch
             while self._next_release in held:
@@ -759,57 +759,34 @@ class Tenant:
             with self._apply_lock:
                 entries, _closed = self.queue.get_batch(
                     self.config.batch_size, timeout=0)
-                dead = self._apply(entries) if entries else None
-                if dead is not None:
-                    self._supervise_shard_death(dead)
+                if entries:
+                    self._apply(entries)
 
     def apply_released(self) -> None:
         """Apply every released entry on the calling thread — the event
         loop, right after it acked a WAL tenant's batch — in chunks of
         ``batch_size``.  Returns at once when another consumer holds the
         apply lock: the worker looks at the queue again whenever it lets
-        go, so it takes these entries too.
-
-        A shard death is supervised on a thread of its own, which holds
-        the apply lock until the session is rebuilt: the restart backs
-        off with ``time.sleep``, and the loop must not."""
+        go, so it takes these entries too."""
         if self._aborted or not self._apply_lock.acquire(blocking=False):
             return
-        dead = None
         try:
-            while dead is None:
+            while True:
                 entries, _closed = self.queue.get_batch(
                     self.config.batch_size, timeout=0)
                 if not entries:
                     return
-                dead = self._apply(entries)
-        finally:
-            if dead is None:
-                self._apply_lock.release()
-        threading.Thread(
-            target=self._supervise_and_unlock, args=(dead,), daemon=True,
-            name=f"repro-restart-{self.config.name}").start()
-
-    def _supervise_and_unlock(self, dead: ShardDeadError) -> None:
-        try:
-            self._supervise_shard_death(dead)
+                self._apply(entries)
         finally:
             self._apply_lock.release()
 
-    def _apply(self, entries: List) -> Optional[ShardDeadError]:
+    def _apply(self, entries: List) -> None:
         """Process one dequeued batch (apply lock held), isolating poison
-        edges; returns the shard death that stopped it, for the caller
-        to supervise."""
+        edges."""
         try:
             self._process(entries)
-        except ShardDeadError as exc:
-            return exc
         except Exception as exc:   # keep the service alive
-            try:
-                self._handle_batch_failure(entries, exc)
-            except ShardDeadError as dead:
-                return dead
-        return None
+            self._handle_batch_failure(entries, exc)
 
     def _handle_batch_failure(self, entries: List, exc: Exception) -> None:
         """Retry a failed batch edge-by-edge, dead-lettering the poison
@@ -822,8 +799,6 @@ class Tenant:
         for entry in entries:
             try:
                 self._process([entry])
-            except ShardDeadError:
-                raise
             except Exception as poison:
                 self.worker_errors += 1
                 self.dead_letters.record(
@@ -838,73 +813,6 @@ class Tenant:
                     if entry.lsn is not None \
                             and entry.lsn > self.wal_applied_lsn:
                         self.wal_applied_lsn = entry.lsn
-
-    def _supervise_shard_death(self, exc: ShardDeadError) -> None:
-        self.worker_errors += 1
-        print(f"[repro.service] tenant {self.config.name!r} lost a "
-              f"shard: {exc}", file=sys.stderr)
-        self.health.set_state("degraded", f"shard died: {exc}")
-        self._restart_from_checkpoint(exc)
-
-    def _restart_from_checkpoint(self, exc: Exception) -> bool:
-        """Supervisor: rebuild the session from the last checkpoint.
-
-        Restarts are granted by the bounded budget (exponential
-        backoff); once exhausted the tenant stays ``degraded`` — serving
-        stats and health, shedding arrivals — instead of crash-looping.
-        The queue backlog past the barrier is dropped: a restored
-        session replays from the checkpointed position, which producers
-        read off ``/stats`` (the same contract as a process restart).
-        WAL-enabled tenants instead replay the journal themselves — the
-        rebuild runs under the admission and release locks, and every
-        admission numbered before it is dropped from the reorder buffer,
-        so a batch journaled before the restart cannot be applied twice
-        (once from the queue, once from the replay).  The caller holds
-        the apply lock, so no other consumer applies meanwhile; the
-        backoff sleeps, so the caller is never the event loop.
-        """
-        delay = self.restart_budget.next_delay()
-        if delay is None:
-            self.health.set_state(
-                "degraded", f"restart budget exhausted after: {exc}")
-            return False
-        self.health.set_state("recovering", str(exc))
-        time.sleep(delay)
-        try:
-            close = getattr(self.safe.session, "close", None)
-            if close is not None:
-                close()
-        except Exception:       # the old session is already wreckage
-            pass
-        self.close_sinks()
-        # First clear frees queue capacity so a release blocked inside
-        # ``put()`` (holding the release lock) can finish and let go of
-        # it; the second clear, under the locks, drops whatever slipped in
-        # between — journaled batches come back via the WAL replay,
-        # un-journaled ones via the producer-replay contract.
-        self.queue.clear()
-        with self._admission_lock, self._release_lock:
-            self.queue.clear()
-            self._held.clear()
-            self._next_release = self._admissions
-            if self.wal is not None:
-                # The replay reads frames whose commit may still be in
-                # flight: make them durable before anything is applied.
-                self._wal_sync(None)
-            self.edges_offered = 0
-            self.source_offsets = {}
-            self._server_clock = 0.0
-            try:
-                self.safe = self._boot_session()
-                self._attach_sinks()
-                self._replay_wal()
-            except Exception as boot_exc:
-                self.health.set_state(
-                    "degraded", f"restore failed: {boot_exc!r}")
-                return False
-        self.restarts += 1
-        self.health.set_state("healthy")
-        return True
 
     def _process(self, entries: List) -> None:
         with self.safe.locked() as session:
@@ -1053,9 +961,6 @@ class Tenant:
             self.match_sink.abort()
         if self.wal is not None:
             self.wal.abort()
-        close = getattr(self.safe.session, "close", None)
-        if close is not None:
-            close()         # sharded sessions own worker processes
 
     def close_sinks(self) -> None:
         """Flush and close the match log (idempotent)."""
@@ -1092,7 +997,6 @@ class Tenant:
             "rejected_nonmonotonic": self.rejected_nonmonotonic,
             "rejected_duplicate": self.rejected_duplicate,
             "worker_errors": self.worker_errors,
-            "restarts": self.restarts,
             "sink_write_errors": self.sink_write_errors,
             "checkpoint_failures": self.checkpoint_failures,
             "matches_delivered": self.matches_delivered,
@@ -1104,7 +1008,6 @@ class Tenant:
             "dlq_replayed": self.dlq_replayed,
             "queue": self.queue.counters(),
             "dead_letters": self.dead_letters.counters(),
-            "restart_budget": self.restart_budget.counters(),
             "breakers": {
                 "match_log": self.sink_breaker.counters(),
                 "checkpoint": self.checkpoint_breaker.counters(),
@@ -1116,27 +1019,13 @@ class Tenant:
             wal = self.wal.counters()
             wal["applied_lsn"] = self.wal_applied_lsn
             wal["replayed_edges"] = self.replayed_edges
+            wal["replay_skipped"] = self.replay_skipped
             wal["dedup_hits"] = self.dedup_hits
             wal["dedup_window"] = (len(self.dedup)
                                    if self.dedup is not None else 0)
             wal["sync_errors"] = self.wal_sync_errors
             status["wal"] = wal
         return status
-
-    def health_snapshot(self, *, ping_timeout: float = 0.5) -> dict:
-        """The tenant's node of the ``/healthz`` tree: its own state
-        machine plus per-shard liveness when the session is sharded."""
-        snapshot = self.health.snapshot()
-        session = self.safe.session
-        if hasattr(session, "shard_health"):
-            try:
-                with self.safe.locked() as locked:
-                    snapshot["shards"] = locked.shard_health(
-                        ping_timeout=ping_timeout)
-            except Exception:   # a dying session must not break /healthz
-                snapshot["shards"] = []
-        return snapshot
-
 
 class ServiceGateway:
     """The long-running ingestion gateway (see the module docstring).
@@ -1260,9 +1149,6 @@ class ServiceGateway:
             tenant.close_sinks()
             tenant.close_wal()
             tenant.queue.dispose()
-            close = getattr(tenant.safe.session, "close", None)
-            if close is not None:
-                close()     # sharded sessions own worker processes
         if self._fault_plan is not None and \
                 faults.current() is self._fault_plan:
             faults.install(None)
@@ -1320,10 +1206,10 @@ class ServiceGateway:
 
         ``ok`` is ``True`` only while every tenant is ``healthy`` (an
         orchestrator's readiness bit); per-tenant nodes carry the state,
-        the reason, the bounded transition history, and per-shard
-        liveness — enough to see a dip *and* the recovery.
+        the reason and the bounded transition history — enough to see a
+        dip *and* the recovery.
         """
-        tenants = {name: tenant.health_snapshot()
+        tenants = {name: tenant.health.snapshot()
                    for name, tenant in self.tenants.items()}
         return {
             "ok": all(node["state"] == "healthy"

@@ -20,8 +20,8 @@ Routes
 ------
 ``GET /healthz``
     The supervision tree's health: ``{"ok": ..., "tenants": {...}}``
-    with per-tenant ``healthy | degraded | recovering`` states, bounded
-    transition histories, and per-shard liveness (see
+    with per-tenant ``healthy | degraded`` states and
+    bounded transition histories (see
     :meth:`~repro.service.gateway.ServiceGateway.healthz`).
 ``GET /metrics``
     Prometheus text format — every tenant's session stats plus queue
@@ -60,7 +60,7 @@ import struct
 import threading
 from typing import Dict, Optional, Tuple
 
-from .codec import unwrap_edge_body
+from .codec import parse_json, unwrap_edge_body
 from .metrics import render_metrics
 from .queues import QueueClosed
 from .resilience import RateLimited
@@ -505,7 +505,7 @@ def _parse_edge_body(body: bytes):
     dlq_replay)``, or ``None`` when it is not JSON or the shape is wrong
     (see :func:`~repro.service.codec.unwrap_edge_body`)."""
     try:
-        return unwrap_edge_body(json.loads(body))
+        return unwrap_edge_body(parse_json(body))
     except (ValueError, RecursionError):
         return None
 

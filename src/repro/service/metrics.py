@@ -11,11 +11,10 @@ Conventions
 -----------
 * Every numeric counter/gauge becomes ``repro_<name>{tenant="..."}``;
   nested queue counters become ``repro_queue_<name>``.
-* Session stats whose values are strings or booleans (sub-plan sharing
-  mode; on a sharded tenant, sharding mode and shard transport) are
-  folded into one ``repro_tenant_info`` metric with a constant value of 1
-  and the strings as labels — the idiomatic Prometheus pattern for
-  non-numeric facts.
+* Session stats whose values are strings or booleans (the sub-plan
+  sharing mode) are folded into one ``repro_tenant_info`` metric with a
+  constant value of 1 and the strings as labels — the idiomatic
+  Prometheus pattern for non-numeric facts.
 * Gateway-level facts (uptime, tenant count) carry no tenant label.
 """
 
@@ -42,7 +41,6 @@ _HELP = {
                              "subscriber fell behind.",
     "checkpoints_written": "Completed checkpoint barriers.",
     "last_checkpoint_seconds": "Wall-clock cost of the last checkpoint.",
-    "restarts": "Supervisor session rebuilds from the last checkpoint.",
     "sink_write_errors": "Match-log writes abandoned after retries.",
     "checkpoint_failures": "Checkpoint barriers that failed after "
                            "retries.",
@@ -65,7 +63,7 @@ _HEALTH_STATES = ("healthy", "degraded", "recovering")
 #: Nested counter groups in a tenant status, exported with their group
 #: as the metric prefix (``repro_dead_letters_recorded``,
 #: ``repro_wal_appends`` etc.).
-_NESTED_GROUPS = ("dead_letters", "restart_budget", "rate_limit", "wal")
+_NESTED_GROUPS = ("dead_letters", "rate_limit", "wal")
 
 
 def _escape(value: str) -> str:
@@ -117,10 +115,10 @@ def _counter_like(name: str) -> str:
                       "spilled", "rejected_closed", "offered", "pushed",
                       "delivered", "errors", "written", "reuses",
                       "rejected_nonmonotonic", "rejected_duplicate",
-                      "recorded", "granted", "refused", "limited",
-                      "admitted", "trips", "short_circuits", "restarts",
-                      "failures", "cleared", "clears", "recovered",
-                      "appends", "fsyncs", "replayed", "replayed_edges", "hits",
+                      "recorded", "limited", "admitted", "trips",
+                      "short_circuits", "failures", "clears", "recovered",
+                      "appends", "fsyncs", "replayed", "replayed_edges",
+                      "replay_skipped", "hits",
                       "sync_errors", "segments_created",
                       "segments_reclaimed", "truncated_bytes",
                       "dropped_frames", "bytes_written")):
@@ -212,16 +210,6 @@ def render_metrics(status: dict,
                               kind=_counter_like(key))
             elif isinstance(value, str):
                 info[key] = value
-            elif isinstance(value, Mapping):
-                # Sharded sessions expose nested per-shard dicts.
-                for shard, shard_value in value.items():
-                    if isinstance(shard_value, (int, float)) \
-                            and not isinstance(shard_value, bool):
-                        writer.sample(
-                            f"session_{key}",
-                            {**label, "shard": str(shard)}, shard_value,
-                            help_text=f"Session {key.replace('_', ' ')}.",
-                            kind=_counter_like(key))
         writer.sample("tenant_info", info, 1,
                       help_text="Non-numeric tenant facts as labels.")
     return writer.render()

@@ -126,8 +126,6 @@ class BoundedEdgeQueue:
         self.high_water = 0
         #: Entries adopted from an orphaned spill file at boot.
         self.spill_recovered = 0
-        #: Entries discarded by :meth:`clear` (supervisor restarts).
-        self.cleared = 0
         if policy == "spill":
             if durable_spill:
                 self._recover_spill()
@@ -416,29 +414,10 @@ class BoundedEdgeQueue:
                 "spilled": self.spilled,
                 "rejected_closed": self.rejected_closed,
                 "spill_recovered": self.spill_recovered,
-                "cleared": self.cleared,
                 "lag_seconds": (
                     max(0.0, time.monotonic() - self._entries[0].enqueued_at)
                     if self._entries else 0.0),
             }
-
-    def clear(self) -> int:
-        """Discard every pending entry (memory + spill) — the
-        supervisor's restart path: a session restored from its
-        checkpoint replays from the checkpointed position, so the
-        backlog past the barrier must not be applied out of order.
-        Returns how many entries were discarded."""
-        with self._lock:
-            count = len(self._entries) + self._spill_pending
-            self._entries.clear()
-            if self._spill_pending:
-                self._spill_pending = 0
-                self._spill_reset()
-            self.cleared += count
-            # Flow balance: cleared entries left the pipeline.
-            self.dequeued += count
-            self._not_full.notify_all()
-            return count
 
     def check_open(self) -> None:
         """Raise :class:`QueueClosed` (counted like a refused put) once

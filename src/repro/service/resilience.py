@@ -1,6 +1,6 @@
 """Fault containment primitives: retries, breakers, budgets, health.
 
-The gateway's reliability story is built from five small, independently
+The gateway's reliability story is built from four small, independently
 testable pieces, all stdlib-only and thread-safe:
 
 :class:`RetryPolicy` / :func:`call_with_retry`
@@ -18,10 +18,6 @@ testable pieces, all stdlib-only and thread-safe:
     Per-tenant request admission: ``rate`` tokens/second refill up to
     ``burst``; a rejected acquisition names the seconds to wait (the
     HTTP layer's ``Retry-After``).
-:class:`RestartBudget`
-    Bounded supervised restarts with exponential backoff — how many
-    times, and how fast, a tenant session may be rebuilt from its last
-    checkpoint before the tenant is declared ``degraded``.
 :class:`HealthTracker`
     The ``healthy | degraded | recovering`` state machine every tenant
     (and the gateway as a whole) exposes on ``/healthz``, with a bounded
@@ -309,58 +305,6 @@ class RateLimited(RuntimeError):
         super().__init__(
             f"rate limit exceeded; retry in {retry_after:.3f}s")
         self.retry_after = retry_after
-
-
-# --------------------------------------------------------------------- #
-# Supervised restarts
-# --------------------------------------------------------------------- #
-
-class RestartBudget:
-    """Bounded restarts with exponential backoff.
-
-    A supervisor asks :meth:`next_delay` before each restart: it returns
-    the backoff to sleep (``base_delay * 2^n``, capped) or ``None`` once
-    ``max_restarts`` have happened within the sliding ``window`` — the
-    signal to stop restarting and mark the component ``degraded``.  A
-    component that stays up longer than ``window`` earns its budget
-    back.
-    """
-
-    def __init__(self, max_restarts: int = 5, *, window: float = 300.0,
-                 base_delay: float = 0.1, max_delay: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic) -> None:
-        self.max_restarts = max_restarts
-        self.window = window
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._restarts: List[float] = []
-        #: Total restarts granted / refused, for metrics.
-        self.granted = 0
-        self.refused = 0
-
-    def next_delay(self) -> Optional[float]:
-        """Grant one restart (returning its backoff) or ``None``."""
-        with self._lock:
-            now = self._clock()
-            self._restarts = [stamp for stamp in self._restarts
-                              if now - stamp < self.window]
-            if len(self._restarts) >= self.max_restarts:
-                self.refused += 1
-                return None
-            delay = min(self.max_delay,
-                        self.base_delay * (2 ** len(self._restarts)))
-            self._restarts.append(now)
-            self.granted += 1
-            return delay
-
-    def counters(self) -> dict:
-        """A JSON-able snapshot for ``/stats``."""
-        with self._lock:
-            return {"granted": self.granted, "refused": self.refused,
-                    "recent": len(self._restarts),
-                    "max_restarts": self.max_restarts}
 
 
 # --------------------------------------------------------------------- #

@@ -17,9 +17,11 @@ contract needs (see :mod:`repro.service.gateway`).
 Formats: ``jsonl`` (one service-codec edge object per line) and ``csv``
 (the :mod:`repro.io.csv_stream` column layout; the header row is re-read
 on every boot to recover the field order, then the tailer seeks to the
-resume offset).  A line that fails to parse is counted and skipped — a
-corrupt row must not wedge the feed.  Partial lines (a writer caught
-mid-append) are left unconsumed until their newline arrives.
+resume offset).  A line that fails to parse — malformed JSON or CSV, a
+bad edge, a non-finite timestamp, bytes that are not UTF-8 — is counted
+and skipped: a corrupt row must not wedge the feed.  Partial lines (a
+writer caught mid-append) are left unconsumed until their newline
+arrives.
 
 Resilience: read errors back off exponentially (capped) and reopen the
 file at the last fully-consumed offset, so a transient I/O failure never
@@ -32,7 +34,7 @@ counted.  The ``tailer.read`` fault-injection site covers every read.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import os
 import threading
 from typing import List, Optional
@@ -40,7 +42,7 @@ from typing import List, Optional
 from .. import faults
 from ..graph.edge import StreamEdge
 from ..io.csv_stream import _parse_label
-from .codec import CodecError, edge_from_json
+from .codec import CodecError, edge_from_json, parse_json
 from .config import TailConfig
 from .queues import QueueClosed
 
@@ -87,8 +89,10 @@ class FileTailer(threading.Thread):
                     return
                 continue
             try:
+                # Undecodable bytes become lone surrogates, which
+                # ``_parse`` refuses, instead of killing the thread.
                 with open(self.config.path, encoding="utf-8",
-                          newline="") as fh:
+                          errors="surrogateescape", newline="") as fh:
                     fields = self._position(fh, self._resume_offset)
                     outcome = self._follow(fh, fields, poll)
             except QueueClosed:
@@ -174,28 +178,37 @@ class FileTailer(threading.Thread):
     def _parse(self, line: str,
                fields: Optional[List[str]]) -> Optional[StreamEdge]:
         server_mode = self.tenant.config.timestamps == "server"
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:      # the file held invalid UTF-8
+            return None
         if self.config.format == "jsonl":
             try:
-                record = json.loads(line)
+                record = parse_json(line)
                 default = (self.tenant.next_server_timestamp()
                            if server_mode else None)
                 return edge_from_json(record, default_timestamp=default)
-            except (ValueError, CodecError):
+            except (ValueError, CodecError, RecursionError):
                 return None
         # csv
         if not fields:
             return None
         try:
-            row = dict(zip(fields, next(csv.reader([line]))))
+            values = next(csv.reader([line]))
+            if len(values) > len(fields):
+                return None     # a column the header does not name
+            row = dict(zip(fields, values))
             timestamp = (self.tenant.next_server_timestamp()
                          if server_mode else float(row["timestamp"]))
+            if not math.isfinite(timestamp):
+                return None
             return StreamEdge(
                 row["src"], row["dst"],
                 src_label=row["src_label"], dst_label=row["dst_label"],
                 timestamp=timestamp,
                 label=_parse_label(row.get("label") or ""),
                 edge_id=row.get("edge_id") or None)
-        except (KeyError, ValueError, StopIteration):
+        except (KeyError, ValueError, StopIteration, csv.Error):
             return None
 
     def status(self) -> dict:

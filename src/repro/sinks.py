@@ -38,10 +38,10 @@ class ListSink:
     bare match list.
 
     Cross-thread use: matchers running in different threads (e.g. a
-    thread-sharded session, or a service worker plus a direct caller) may
-    deliver concurrently.  Appends go through a lock so records never
-    interleave mid-update, and the read accessors snapshot the list —
-    iteration never observes a half-applied :meth:`clear`.
+    service worker plus a direct caller) may deliver concurrently.
+    Appends go through a lock so records never interleave mid-update,
+    and the read accessors snapshot the list — iteration never observes
+    a half-applied :meth:`clear`.
     """
 
     def __init__(self) -> None:

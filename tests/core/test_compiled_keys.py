@@ -6,8 +6,7 @@ equal the interpreted ``tuple(flat[pos].src if is_src else flat[pos].dst
 it generates the functions anew and goes on probing the buckets the replay
 filled.  ``Match`` builds its identity key on first use and an MS-tree
 node its child set with the first child — neither may show in equality,
-hashing or (for a match, which crosses the shard pipe) a pickle round
-trip.
+hashing or (for a match) a pickle round trip.
 """
 
 import io

@@ -9,7 +9,7 @@ per registered query, fed every accepted arrival — across exact / ``ANY``
 / ``Prefix`` / inner-wildcard-tuple labels, loop and non-loop query edges,
 time and count windows, the three duplicate policies, mid-stream
 register/deregister, ``advance_time``, and checkpoint → restore, through
-a standalone engine, a ``Session`` and both sharded sessions.
+a standalone engine and a ``Session``.
 
 A scenario either re-uses edge ids in-window or registers queries
 mid-stream, never both: a session judges duplicates against its window
@@ -25,7 +25,7 @@ import pytest
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
-    ShardedSession, StreamEdge, TimingMatcher,
+    StreamEdge, TimingMatcher,
 )
 from repro.baselines.naive import NaiveSnapshotMatcher
 
@@ -154,19 +154,12 @@ class Oracle:
                 for name, m in self.matchers.items()}
 
     def pinned_cells(self):
-        """``(shared, private)``: window cells that are some query's
-        current match — once per window policy (one buffer each), and
-        once per query."""
-        answers = [(m.window_spec, edge.edge_id, edge.timestamp)
-                   for m in self.matchers.values()
-                   for match in m.current_matches()
-                   for edge in match.edge_map.values()]
-        return len(set(answers)), len(answers)
-
-
-def close(session) -> None:
-    if isinstance(session, ShardedSession):
-        session.close()
+        """Window cells that are some query's current match, once per
+        window policy (one buffer each)."""
+        return len({(m.window_spec, edge.edge_id, edge.timestamp)
+                    for m in self.matchers.values()
+                    for match in m.current_matches()
+                    for edge in match.edge_map.values()})
 
 
 def check_state(session, oracle) -> None:
@@ -175,59 +168,51 @@ def check_state(session, oracle) -> None:
             in session.current_matches().items()} == oracle.current_matches()
     # No store holds anything; what the session still charges is the
     # window cells its stateless members' answers pin, each buffer's once.
-    shared, private = oracle.pinned_cells()
     stats = session.session_stats()
-    if isinstance(session, ShardedSession):     # one buffer set per shard
-        assert shared <= session.space_cells() <= private
-    else:
-        assert session.space_cells() == shared
+    assert session.space_cells() == oracle.pinned_cells()
     for name in oracle.matchers:
         assert session.matcher(name).space_cells() == 0
     assert stats["stateless_queries"] == len(oracle.matchers)
     assert stats["subplan_store_cells"] == 0 == stats["shared_subplans"]
 
 
-def run_session_scenario(seed: int, **session_options) -> int:
+def run_session_scenario(seed: int) -> int:
     scenario = Scenario(seed)
-    session = Session(duplicate_policy=scenario.policy, **session_options)
+    session = Session(duplicate_policy=scenario.policy)
     oracle = Oracle(scenario.policy)
     emitted = 0
-    try:
-        for op in scenario.ops:
-            if op[0] == "register":
-                _, name, query, window_spec = op
-                session.register(name, query, window=make_window(window_spec))
-                oracle.register(name, query, window_spec)
-            elif op[0] == "deregister":
-                session.deregister(op[1])
-                oracle.deregister(op[1])
-            elif op[0] == "advance":
-                session.advance_time(op[1])
-                oracle.advance(op[1])
-            elif op[0] == "checkpoint":
-                buffer = io.BytesIO()
-                session.checkpoint(buffer)
-                close(session)
-                buffer.seek(0)
-                session = Session.restore(buffer)
-            elif scenario.policy == "raise" and scenario.reuse_ids:
-                # A rejected arrival aborts its batch: feed one at a time.
-                for edge in op[1]:
-                    if oracle.rejects(edge):
-                        with pytest.raises(ValueError, match="duplicate"):
-                            session.push(edge)
-                        continue
-                    expected = oracle.push(edge)
-                    assert Counter(session.push(edge)) == Counter(expected)
-                    emitted += len(expected)
-            else:
-                expected = [pair for edge in op[1]
-                            for pair in oracle.push(edge)]
-                assert Counter(session.push_many(op[1])) == Counter(expected)
+    for op in scenario.ops:
+        if op[0] == "register":
+            _, name, query, window_spec = op
+            session.register(name, query, window=make_window(window_spec))
+            oracle.register(name, query, window_spec)
+        elif op[0] == "deregister":
+            session.deregister(op[1])
+            oracle.deregister(op[1])
+        elif op[0] == "advance":
+            session.advance_time(op[1])
+            oracle.advance(op[1])
+        elif op[0] == "checkpoint":
+            buffer = io.BytesIO()
+            session.checkpoint(buffer)
+            buffer.seek(0)
+            session = Session.restore(buffer)
+        elif scenario.policy == "raise" and scenario.reuse_ids:
+            # A rejected arrival aborts its batch: feed one at a time.
+            for edge in op[1]:
+                if oracle.rejects(edge):
+                    with pytest.raises(ValueError, match="duplicate"):
+                        session.push(edge)
+                    continue
+                expected = oracle.push(edge)
+                assert Counter(session.push(edge)) == Counter(expected)
                 emitted += len(expected)
-            check_state(session, oracle)
-    finally:
-        close(session)
+        else:
+            expected = [pair for edge in op[1]
+                        for pair in oracle.push(edge)]
+            assert Counter(session.push_many(op[1])) == Counter(expected)
+            emitted += len(expected)
+        check_state(session, oracle)
     return emitted
 
 
@@ -235,15 +220,6 @@ class TestSessionAgainstOracle:
     def test_unsharded(self):
         emitted = [run_session_scenario(seed) for seed in range(40)]
         assert sum(1 for count in emitted if count) > 30    # non-vacuous
-
-    @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_thread_shards(self, seed):
-        assert run_session_scenario(seed, sharding="thread", shards=2) > 0
-
-    @pytest.mark.parametrize("seed", [6, 7])
-    def test_process_shards(self, seed):
-        assert run_session_scenario(
-            seed, sharding="process", shards=2) > 0
 
     def test_emission_order_is_registration_order(self):
         session = Session(window=5.0)
@@ -329,8 +305,7 @@ class TestPlanKindFollowsShape:
         import dataclasses
         assert [field.name for field in dataclasses.fields(EngineConfig)] \
             == ["storage", "decomposition", "join_order", "indexing",
-                "subplan_sharing", "sharding", "shards", "transport",
-                "seed", "duplicate_policy"]
+                "subplan_sharing", "seed", "duplicate_policy"]
 
     def test_explicit_plan_is_still_validated(self):
         rng = random.Random(1)

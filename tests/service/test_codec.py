@@ -1,6 +1,7 @@
 """Edge/match JSON codec: round-trips, tuple labels, strict validation."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +96,41 @@ class TestDecodeValidation:
         with pytest.raises(CodecError, match="bad timestamp: too large"):
             edge_from_json(self.base(timestamp=10 ** 400))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_timestamp_is_a_codec_error(self, bad):
+        """``json.loads`` reads ``NaN`` and ``Infinity``; either would
+        become the tenant clock and stop its window."""
+        with pytest.raises(CodecError, match="is not finite"):
+            edge_from_json(self.base(timestamp=bad))
+        record = self.base()
+        del record["timestamp"]
+        with pytest.raises(CodecError, match="is not finite"):
+            edge_from_json(record, default_timestamp=bad)
+
+    def test_unhashable_vertex_behind_an_explicit_id_is_refused(self):
+        """The edge hashes only its id, so this used to get through and
+        fail inside the engines as a poison edge."""
+        with pytest.raises(CodecError, match="unhashable"):
+            edge_from_json(self.base(src={"ip": 1}, edge_id="e1"))
+
+    def test_nesting_past_the_stack_is_a_codec_error(self):
+        label = []
+        for _ in range(5000):
+            label = [label]
+        with pytest.raises(CodecError, match="nested too deeply"):
+            edge_from_json(self.base(label=label))
+
+    @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_parse_json_refuses_what_json_has_no_spelling_for(self,
+                                                              constant):
+        from repro.service.codec import parse_json
+        assert json.loads(b"[" + constant + b"]")      # the extension
+        with pytest.raises(ValueError, match="is not JSON"):
+            parse_json(b'{"timestamp": ' + constant + b"}")
+        assert parse_json(b'{"timestamp": 1e400}') == {
+            "timestamp": float("inf")}      # valid JSON: the codec refuses
+
     def test_array_decodes_to_tuple(self):
         edge = edge_from_json(self.base(label=[6667, "tcp"]))
         assert edge.label == (6667, "tcp")
@@ -105,7 +141,9 @@ class TestDecodeValidation:
 # --------------------------------------------------------------------- #
 def _reference_edge_from_json(record, *, default_timestamp=None):
     """``edge_from_json`` as it stood before the set-free rewrite, kept
-    verbatim as the reference."""
+    as the reference — plus the two refusals added since: a non-finite
+    timestamp, and an unhashable vertex or label behind an explicit
+    ``edge_id``."""
     from repro.service.codec import EDGE_KEYS, _decode_value
     if not isinstance(record, dict):
         raise CodecError(f"edge must be a JSON object, got {type(record).__name__}")
@@ -120,8 +158,10 @@ def _reference_edge_from_json(record, *, default_timestamp=None):
         raise CodecError("edge has no timestamp and no server default")
     if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
         raise CodecError(f"bad timestamp: {timestamp!r}")
+    if not math.isfinite(timestamp):
+        raise CodecError(f"bad timestamp: {float(timestamp)!r} is not finite")
     try:
-        return StreamEdge(
+        edge = StreamEdge(
             _decode_value(record["src"]), _decode_value(record["dst"]),
             src_label=_decode_value(record["src_label"]),
             dst_label=_decode_value(record["dst_label"]),
@@ -129,8 +169,11 @@ def _reference_edge_from_json(record, *, default_timestamp=None):
             label=_decode_value(record.get("label")),
             edge_id=_decode_value(record["edge_id"])
             if "edge_id" in record else None)
+        hash((edge.src, edge.dst, edge.src_label, edge.dst_label,
+              edge.label))
     except TypeError as exc:    # unhashable decoded value
         raise CodecError(f"bad edge field: {exc}") from exc
+    return edge
 
 
 _SCALARS = st.one_of(

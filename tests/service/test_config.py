@@ -120,6 +120,21 @@ class TestParseConfigValidation:
         with pytest.raises(ConfigError, match="unknown tenant keys"):
             parse_config(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("sharding", "process"), ("shards", 2), ("transport", "shm"),
+        ("max_restarts", 5), ("restart_window", 300.0)])
+    @pytest.mark.parametrize("table", ["tenant", "defaults"])
+    def test_removed_knobs_are_unknown_keys(self, key, value, table):
+        """A tenant is one in-process session with no supervised
+        restart: the old shard and restart knobs are typos now."""
+        data = self.base()
+        if table == "tenant":
+            data["tenant"][0][key] = value
+        else:
+            data["defaults"] = {key: value}
+        with pytest.raises(ConfigError, match=f"unknown .*{key}"):
+            parse_config(data)
+
     def test_query_needs_exactly_one_of_text_or_file(self):
         data = self.base()
         data["tenant"][0]["query"][0]["file"] = "also.tq"
@@ -148,22 +163,6 @@ class TestDataclassValidation:
     def tenant(self, **overrides):
         return TenantConfig(name="t0", queries={"q": CHAIN_DSL},
                             **overrides)
-
-    def test_shards_without_sharding_rejected(self):
-        with pytest.raises(ConfigError, match="sharding"):
-            self.tenant(shards=4).validate()
-
-    def test_sharded_tenant_accepted(self):
-        self.tenant(shards=4, sharding="thread").validate()
-
-    def test_bad_transport(self):
-        with pytest.raises(ConfigError, match="transport"):
-            self.tenant(transport="carrier-pigeon").validate()
-
-    def test_transport_knob_accepted(self):
-        tenant = self.tenant(shards=2, sharding="process",
-                             transport="pipe").validate()
-        assert tenant.transport == "pipe"
 
     def test_bad_backpressure(self):
         with pytest.raises(ConfigError, match="backpressure"):

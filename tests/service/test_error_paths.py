@@ -1,6 +1,5 @@
 """Gateway failure paths: poison edges, disk faults, rate limits,
-client disconnects, tailer file churn, and an exhausted restart budget
-(a supervised restart itself is ``test_gateway_model.py``'s kill rule).
+client disconnects and tailer file churn.
 
 Every test here drives a *failure* through the public surface and
 asserts the containment contract: counters move, dead letters land,
@@ -316,24 +315,3 @@ class TestTailerFileChurn:
             assert tenant.rejected_nonmonotonic == 0
         finally:
             gateway.shutdown()
-
-
-# --------------------------------------------------------------------- #
-# Supervised restart from the last checkpoint (shard death)
-# --------------------------------------------------------------------- #
-class TestSupervisedRestart:
-    def test_exhausted_budget_degrades_instead_of_crash_looping(self):
-        # Unit-level: the supervisor path with a zero budget marks the
-        # tenant degraded and reports False, no restart attempted.
-        import types
-
-        from repro.service.gateway import Tenant
-        tenant = types.SimpleNamespace()
-        from repro.service.resilience import HealthTracker, RestartBudget
-        tenant.restart_budget = RestartBudget(0)
-        tenant.health = HealthTracker()
-        result = Tenant._restart_from_checkpoint(
-            tenant, RuntimeError("shard died"))
-        assert result is False
-        assert tenant.health.state == "degraded"
-        assert "restart budget exhausted" in tenant.health.reason

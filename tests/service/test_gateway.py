@@ -229,11 +229,10 @@ class TestMetricsRendering:
         assert "# HELP repro_session_stateless_queries Registered " \
             "one-edge queries on the stateless plan" in text
 
-    @pytest.mark.parametrize("sharding", ["none", "thread"])
-    def test_route_memo_churn_is_counted_and_exported(self, sharding):
+    def test_route_memo_churn_is_counted_and_exported(self):
         """Every registration and deregistration clears the route memo
-        wholesale; both session kinds count it and the page shows it."""
-        session = Session(window=10.0, sharding=sharding, shards=2)
+        wholesale; the session counts it and the page shows it."""
+        session = Session(window=10.0)
         dsl = "vertex a A\nvertex b B\nedge e a -> b\n"
         session.register("keep", dsl)
         before = session.session_stats()["route_memo_clears"]
@@ -252,8 +251,6 @@ class TestMetricsRendering:
             "route-memo clears" in text
         assert "# HELP repro_session_route_memo_entries Label triples" \
             in text
-        if sharding != "none":
-            session.close()
 
 
 class TestMultiTenant:

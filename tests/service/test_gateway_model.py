@@ -12,28 +12,23 @@ Rules: post a batch; retry an acked batch (a WAL tenant answers
 ``deduplicated`` and admits nothing); checkpoint; crash —
 ``ServiceGateway.abort()``, the state a SIGKILL leaves — and boot on the
 same state dir, perhaps with a batch journaled but never acked, perhaps
-with the newest ``checkpoint.pkl`` bit-flipped; on process shards, kill a
-shard worker: the next batch finds it dead, and the tenant restarts from
-its last checkpoint while one more batch is in flight.
+with the newest ``checkpoint.pkl`` bit-flipped.
 
-Draws: a write-ahead log or none; ``sharding`` ``none`` or ``process``; a
-rate limit whose ``TokenBucket`` runs on a test clock, so the producer
-honours a 429 or a WebSocket backoff frame by moving the clock instead of
-sleeping; a seeded fault plan.  Its ``sink.write`` errors never come twice
+Draws: a write-ahead log or none; a rate limit whose ``TokenBucket`` runs
+on a test clock, so the producer honours a 429 or a WebSocket backoff
+frame by moving the clock instead of sleeping; a seeded fault plan.  Its ``sink.write`` errors never come twice
 in a row, so the match log's retry ladder absorbs each; a ``wal.fsync``
 ladder may fail whole, which the producer sees as a retryable reply.
 
 The producer keeps the documented contract.  At a WAL tenant it re-sends
 only a batch it holds no ack for, under the same id, and trusts the
 journal for everything else; without a WAL it rewinds to ``/stats``
-``edges_offered`` after a crash or a ``restarts`` bump and sends the
-stream again from there.
+``edges_offered`` after a crash and sends the stream again from there.
 
 After every step ``result_counts()`` and the ``/stats`` counters agree with
 the reference: the stream position, ``applied_lsn == durable_lsn ==
-appended_lsn``, the edges replayed, ``restarts``, the checkpoint
-fallbacks, and no non-monotonic arrival, dead letter or dropped stream
-frame.  At every checkpoint, crash and teardown the match log holds each
+appended_lsn``, the edges replayed, the checkpoint fallbacks, and no
+non-monotonic arrival, dead letter or dropped stream frame.  At every checkpoint, crash and teardown the match log holds each
 reference match exactly once, and the subscriber's frames are the log
 lines written since it subscribed, in order.
 
@@ -68,7 +63,6 @@ from hypothesis.stateful import (
 import repro
 from repro import faults
 from repro.baselines.naive import NaiveSnapshotMatcher
-from repro.concurrency.sharding import shard_of
 from repro.io.dsl import parse_query
 from repro.service import (
     RateLimitConfig, ServerConfig, ServiceGateway, TenantConfig,
@@ -81,12 +75,11 @@ from repro.sinks import match_record
 from .conftest import WSClient
 
 #: The committed budget: tier-1 runs exactly these examples.
-SETTINGS = settings(max_examples=8, stateful_step_count=6, deadline=None,
+SETTINGS = settings(max_examples=8, stateful_step_count=12, deadline=None,
                     derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 WINDOW = 4.0
-SHARDS = 2
 QUERIES = {
     "chain": "vertex a A\nvertex b B\nvertex c C\nedge e1 a -> b\n"
              "edge e2 b -> c\norder e1 < e2\nwindow 4\n",
@@ -94,10 +87,8 @@ QUERIES = {
 }
 #: Edge kinds as (source, destination) labels: ``chain`` joins an ``A ->
 #: B`` and a later ``B -> C`` through one ``B`` vertex, ``relay`` is each
-#: ``D -> E``.  On two shards the queries live apart, so a killed worker
-#: always held one.
+#: ``D -> E``.
 KINDS = (("A", "B"), ("B", "C"), ("D", "E"))
-assert sorted(shard_of(name, SHARDS) for name in QUERIES) == [0, 1]
 
 VIA = st.sampled_from(["http", "http", "ws"])
 SEEDS = st.integers(0, 2 ** 32)
@@ -374,14 +365,11 @@ class Subscriber:
         assert wait_for(lambda: len(self.frames) >= len(expected), 10)
         assert self.frames == expected
 
-    def close(self, port=None):
-        """Unsubscribe; given the ``port`` of a live gateway, wait until
-        it has seen that."""
+    def close(self):
+        """Unsubscribe."""
         self.client.close()
         self.reader.join(5)
         assert not self.reader.is_alive()
-        if port is not None:
-            assert wait_for(lambda: tenant_stats(port)["subscribers"] == 0)
 
 
 class Clock:
@@ -508,57 +496,19 @@ class ServeProcess:
         assert self.proc.wait(60) == 0
 
 
-class RestartGate:
-    """Stands in for a tenant's restart budget: the supervised restart
-    waits here until the model lets it go, then goes on with no
-    backoff."""
-
-    def __init__(self):
-        self.entered, self.go = threading.Event(), threading.Event()
-
-    def next_delay(self):
-        self.entered.set()
-        self.go.wait(30)
-        return 0.0
-
-    def counters(self):
-        return {}
-
-
-class SyncHold:
-    """Holds the next batch's commit — its ticketed WAL sync — until the
-    tenant has restarted ``restarts`` times: the batch is journaled, and
-    not yet released, while the restart rebuilds the session."""
-
-    def __init__(self, tenant, restarts):
-        self.entered = threading.Event()
-        self.wal, sync = tenant.wal, tenant.wal.sync
-
-        def held(ticket=None):
-            if ticket is not None and not self.entered.is_set():
-                self.entered.set()
-                wait_for(lambda: tenant.restarts >= restarts)
-            return sync(ticket)
-        self.wal.sync = held
-
-    def release(self):
-        del self.wal.sync
-
-
 class GatewayModel(RuleBasedStateMachine):
     settled = False
 
     @initialize(wal=st.booleans(),
-                sharding=st.sampled_from(["none", "none", "process"]),
                 limit=st.sampled_from([None, None, (20.0, 6), (50.0, 12)]),
                 sink_every=st.sampled_from([0, 2, 3]),
                 fsync_rate=st.sampled_from([0.0, 0.3, 0.6]),
                 seed=SEEDS)
-    def boot(self, wal, sharding, limit, sink_every, fsync_rate, seed):
+    def boot(self, wal, limit, sink_every, fsync_rate, seed):
         """A one-tenant gateway over QUERIES in the drawn modes, its
         subscriber, and a first batch."""
         self.outer_plan = faults.current()
-        self.wal, self.sharding = wal, sharding
+        self.wal = wal
         self.root = tempfile.mkdtemp(prefix="gateway-model-")
         self.clock = Clock()
         specs = []
@@ -570,8 +520,7 @@ class GatewayModel(RuleBasedStateMachine):
                 site="wal.fsync", kind="io_error", rate=fsync_rate))
         faults.install(faults.FaultPlan(specs, seed=seed))
         tenant = TenantConfig(
-            name="t0", queries=QUERIES, window=WINDOW, sharding=sharding,
-            shards=SHARDS if sharding == "process" else 1, batch_size=4,
+            name="t0", queries=QUERIES, window=WINDOW, batch_size=4,
             rate_limit=RateLimitConfig(*limit) if limit else None,
             wal=WalConfig() if wal else None)
         self.ref = Reference()
@@ -579,7 +528,7 @@ class GatewayModel(RuleBasedStateMachine):
         #: The checkpoints on disk, newest first: each one's stream
         #: position, ``None`` once corrupted.
         self.chain = []
-        self.restarts = self.fallbacks = self.replayed = 0
+        self.fallbacks = self.replayed = 0
         self.host = InProcessHost(ServerConfig(
             state_dir=os.path.join(self.root, "state"), port=0,
             checkpoint_interval=0.0, checkpoint_keep=2, tenants=(tenant,)),
@@ -616,9 +565,9 @@ class GatewayModel(RuleBasedStateMachine):
                 shutil.rmtree(self.root, ignore_errors=True)
 
     def _recover(self):
-        """A boot, or a supervised restart, restored the newest readable
-        capture and (at a WAL tenant) replayed the journal past it; the
-        producer does the rest."""
+        """A boot restored the newest readable capture and (at a WAL
+        tenant) replayed the journal past it; the producer does the
+        rest."""
         skipped = next((i for i, position in enumerate(self.chain)
                         if position is not None), len(self.chain))
         position = self.chain[skipped] if skipped < len(self.chain) else 0
@@ -685,55 +634,8 @@ class GatewayModel(RuleBasedStateMachine):
             bit_flip(os.path.join(self.host.state_dir, "t0",
                                   "checkpoint.pkl"))
             self.chain[0] = None
-        self.restarts = self.fallbacks = self.replayed = 0
+        self.fallbacks = self.replayed = 0
         self.host.boot()
-        self._recover()
-
-    @precondition(lambda self: self.sharding == "process")
-    @rule(victim=st.integers(0, SHARDS - 1), seed=SEEDS, via=VIA)
-    def kill_shard(self, victim, seed, via):
-        """SIGKILL a shard worker.  The next batch finds it dead and the
-        tenant restarts from its last checkpoint; one more batch arrives
-        before the restart and, at a WAL tenant, is journaled but not yet
-        released while the session is rebuilt."""
-        self.settled = False
-        check_log(self.host, self.ref, self.subscriber)
-        self.subscriber.close(self.host.port)   # the restart rewrites
-        tenant = self.host.tenant
-        gate = tenant.restart_budget = RestartGate()
-        process = tenant.safe.session._shards[victim].handle.process
-        process.kill()
-        process.join(10)
-        rng = random.Random(seed)
-        # One arrival of each kind: both shards hear from this batch.
-        self.producer.post(arrivals(rng, self.ref.last, KINDS), via)
-        self.producer.settle(via)
-        assert gate.entered.wait(30)
-        hold = SyncHold(tenant, self.restarts + 1) if self.wal else None
-        errors = []
-
-        def post_inflight(records):
-            try:
-                self.producer.post(records)
-            except BaseException as error:   # raised again below
-                errors.append(error)
-                raise
-        inflight = threading.Thread(target=post_inflight, args=(
-            arrivals(rng, self.ref.last, rng.choices(KINDS, k=3)),))
-        inflight.start()
-        if hold is None:
-            inflight.join(30)           # queued behind the dead batch
-        else:
-            assert hold.entered.wait(30)
-        gate.go.set()
-        inflight.join(30)
-        assert not inflight.is_alive() and not errors, errors
-        if hold is not None:
-            hold.release()
-        self.producer.settle()
-        assert wait_for(lambda: tenant_stats(self.host.port)["restarts"]
-                        == self.restarts + 1)
-        self.restarts += 1
         self._recover()
 
     # ------------------------------------------------------------------ #
@@ -744,12 +646,11 @@ class GatewayModel(RuleBasedStateMachine):
         stats = settle(self.host.port, self.ref, self.wal)
         n = len(self.ref.records)
         assert (stats["edges_offered"], stats["edges_pushed"],
-                stats["restarts"], stats["checkpoint_fallbacks"],
+                stats["checkpoint_fallbacks"],
                 stats["rejected_nonmonotonic"],
                 stats["dead_letters"]["recorded"],
                 stats["stream_frames_dropped"], stats["health"]) \
-            == (n, n, self.restarts, self.fallbacks, 0, 0, 0,
-                "healthy"), stats
+            == (n, n, self.fallbacks, 0, 0, 0, "healthy"), stats
         if self.wal:
             wal = stats["wal"]
             assert (wal["applied_lsn"], wal["durable_lsn"],
@@ -762,7 +663,7 @@ class GatewayModel(RuleBasedStateMachine):
 
 def no_backoff(monkeypatch):
     """The retry ladders keep their attempts but sleep nothing between
-    them (the kill rule's gate stands in for the restart backoff)."""
+    them."""
     monkeypatch.setattr(RetryPolicy, "delay_for",
                         lambda self, attempt, rng: 0.0)
 
@@ -777,8 +678,7 @@ def test_gateway_agrees_with_the_naive_matcher(monkeypatch):
 # ---------------------------------------------------------------------- #
 
 #: ``boot``'s draws, which a script may override.
-OPENING = dict(wal=True, sharding="none", limit=None, sink_every=0,
-               fsync_rate=0.0, seed=1)
+OPENING = dict(wal=True, limit=None, sink_every=0, fsync_rate=0.0, seed=1)
 
 #: ``name -> (opening overrides, [(rule, *args)], what must have
 #: happened)``.
@@ -797,12 +697,6 @@ SCRIPTS = {
             ("retry_acked", 2, "http"), ("post_batch", 8, 3, "http", None)],
         lambda model: model.fallbacks == 1 and model.producer.failed
         and model.producer.rate_limited and model.producer.backoffs),
-    "wal-kills": (
-        dict(sharding="process", sink_every=3), [
-            ("post_batch", 2, 5, "http", None), ("checkpoint",),
-            ("post_batch", 3, 5, "ws", None), ("kill_shard", 0, 4, "http"),
-            ("post_batch", 5, 4, "http", None), ("kill_shard", 1, 6, "ws")],
-        lambda model: model.restarts == 2),
     "rewinds": (
         dict(wal=False, limit=(50.0, 12), sink_every=2), [
             ("post_batch", 2, 6, "ws", 1), ("checkpoint",),
@@ -813,12 +707,6 @@ SCRIPTS = {
             ("crash_and_reboot", False, False, 7),
             ("post_batch", 8, 3, "http", None)],
         lambda model: model.fallbacks == 1),
-    "rewinds-after-kill": (
-        dict(wal=False, sharding="process"), [
-            ("post_batch", 2, 5, "http", None), ("checkpoint",),
-            ("post_batch", 3, 5, "http", None),
-            ("kill_shard", 1, 4, "http"), ("post_batch", 5, 3, "ws", None)],
-        lambda model: model.restarts == 1),
 }
 
 
@@ -920,11 +808,10 @@ def test_serve_subprocess_story(tmp_path):
             producer.post(batch(8))
             producer.settle()
         stats = settle(host.port, ref, True)
-        assert (stats["edges_offered"], stats["restarts"],
-                stats["rejected_nonmonotonic"],
+        assert (stats["edges_offered"], stats["rejected_nonmonotonic"],
                 stats["dead_letters"]["recorded"],
                 stats["stream_frames_dropped"], stats["health"]) \
-            == (len(ref.records), 0, 0, 0, 0, "healthy"), stats
+            == (len(ref.records), 0, 0, 0, "healthy"), stats
         host.stop()
         log = read_log(host.state_dir)
         assert Counter(log) == ref.log()

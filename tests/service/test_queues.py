@@ -180,19 +180,6 @@ class TestSpillDurability:
         assert drain(queue) == [edges[1], edges[2]]
         queue.dispose()
 
-    def test_clear_discards_memory_and_spill(self, tmp_path):
-        import os
-        spill = str(tmp_path / "spill.jsonl")
-        queue = BoundedEdgeQueue(2, policy="spill", spill_path=spill)
-        queue.put_batch(chain_edges())      # 2 in memory + 2 spilled
-        assert queue.clear() == 4
-        assert queue.depth() == 0 and queue.cleared == 4
-        counters = queue.counters()
-        assert counters["enqueued"] == counters["dequeued"]
-        assert os.path.getsize(spill) == 0, "spill file must be reset"
-        queue.dispose()
-
-
 class TestClose:
     def test_put_after_close_raises(self):
         queue = BoundedEdgeQueue(4)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.service.resilience import (
     HEALTH_STATES, CircuitBreaker, DeadLetterQueue, HealthTracker,
-    RateLimited, RestartBudget, RetryBudget, RetryPolicy, TokenBucket,
+    RateLimited, RetryBudget, RetryPolicy, TokenBucket,
     call_with_retry, retrying,
 )
 
@@ -205,33 +205,6 @@ class TestTokenBucket:
     def test_rate_limited_carries_retry_after(self):
         exc = RateLimited(1.5)
         assert exc.retry_after == 1.5 and "1.500" in str(exc)
-
-
-class TestRestartBudget:
-    def test_backoff_doubles_until_budget_exhausted(self):
-        clock = FakeClock()
-        budget = RestartBudget(3, window=100.0, base_delay=0.1,
-                               clock=clock)
-        assert budget.next_delay() == pytest.approx(0.1)
-        assert budget.next_delay() == pytest.approx(0.2)
-        assert budget.next_delay() == pytest.approx(0.4)
-        assert budget.next_delay() is None
-        assert budget.granted == 3 and budget.refused == 1
-
-    def test_staying_up_earns_the_budget_back(self):
-        clock = FakeClock()
-        budget = RestartBudget(1, window=10.0, clock=clock)
-        assert budget.next_delay() is not None
-        assert budget.next_delay() is None
-        clock.advance(11.0)
-        assert budget.next_delay() is not None
-
-    def test_backoff_caps(self):
-        clock = FakeClock()
-        budget = RestartBudget(100, window=1e9, base_delay=1.0,
-                               max_delay=8.0, clock=clock)
-        delays = [budget.next_delay() for _ in range(6)]
-        assert delays == [1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
 
 
 class TestHealthTracker:

@@ -118,8 +118,7 @@ class TestFacadeReExports:
         for name in ("EngineConfig", "EngineStats", "Matcher", "MatcherBase",
                      "as_window", "DUPLICATE_POLICIES", "STORAGE_KINDS",
                      "DECOMPOSITION_STRATEGIES", "JOIN_ORDER_STRATEGIES",
-                     "INDEXING_MODES", "SUBPLAN_SHARING_MODES",
-                     "SHARDING_MODES", "TRANSPORT_MODES"):
+                     "INDEXING_MODES", "SUBPLAN_SHARING_MODES"):
             assert getattr(repro.api, name) is getattr(repro.matcher, name)
         assert repro.api.SharedSubplanStore \
             is repro.subplans.SharedSubplanStore

@@ -99,14 +99,6 @@ class TestRun:
         assert "only applies to the timing backend" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_run_sharded(self, mode, query_file, stream_file, capsys):
-        assert main(["run", query_file, stream_file, "--quiet",
-                     "--sharding", mode, "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "2 matches" in out
-        assert f"sharding: {mode} x 2" in out
-
     def test_run_has_no_routing_flag(self, query_file, stream_file, capsys):
         """One ingest design: there is no routing mode to pick."""
         with pytest.raises(SystemExit) as info:
@@ -114,23 +106,15 @@ class TestRun:
         assert info.value.code == 2
         assert "--routing" in capsys.readouterr().err
 
-    def test_run_rejects_nonpositive_shards(self, query_file, stream_file,
-                                            capsys):
-        assert main(["run", query_file, stream_file, "--shards", "0"]) == 2
-        assert "--shards must be >= 1" in capsys.readouterr().err
-
-    def test_run_rejects_shards_without_sharding(self, query_file,
-                                                 stream_file, capsys):
-        assert main(["run", query_file, stream_file, "--shards", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "--shards needs --sharding thread or process" in err
-
-    def test_run_default_shard_count_still_applies(self, query_file,
-                                                   stream_file, capsys):
-        # No explicit --shards: sharded runs get the default of 4.
-        assert main(["run", query_file, stream_file, "--quiet",
-                     "--sharding", "thread"]) == 0
-        assert "sharding: thread x 4" in capsys.readouterr().out
+    @pytest.mark.parametrize("flag, value", [
+        ("--sharding", "process"), ("--shards", "2"), ("--transport", "shm")])
+    def test_run_has_no_sharding_flags(self, flag, value, query_file,
+                                       stream_file, capsys):
+        """A run is one in-process session: there are no shard knobs."""
+        with pytest.raises(SystemExit) as info:
+            main(["run", query_file, stream_file, flag, value])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_run_duplicates_count(self, query_file, tmp_path, capsys):
         stream = tmp_path / "dups.csv"

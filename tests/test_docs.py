@@ -44,7 +44,7 @@ class TestDocsTree:
         assert "repro.api" in targets
         assert "repro.sinks" in targets
         assert "repro.core.decomposition" in targets
-        assert "repro.concurrency.sharding" in targets
+        assert "repro.concurrency.locks" in targets
         for target in targets:
             importlib.import_module(target)
 

@@ -43,18 +43,11 @@ class TestExamples:
         assert "EXFILTRATION PATTERN DETECTED" in out
         assert "1 alert(s) raised" in out
 
-    def test_monitoring_service_sharded(self, capsys):
-        out = run_example(
-            "monitoring_service.py", capsys,
-            argv=["--shards", "2", "--sharding", "thread",
-                  "--edges", "1200"])
-        assert "alert totals: {'exfiltration': 1}" in out
-        assert "2 queries on 2 thread shard(s)" in out
-
-    def test_monitoring_service_unsharded(self, capsys):
+    def test_monitoring_service(self, capsys):
         out = run_example("monitoring_service.py", capsys,
-                          argv=["--shards", "0", "--edges", "1200"])
+                          argv=["--edges", "1200"])
         assert "alert totals: {'exfiltration': 1}" in out
+        assert "session stats: 2 queries" in out
 
     def test_query_files_parse_and_plan(self):
         from repro.core.plan import explain

@@ -30,18 +30,18 @@ class TestSpecValidation:
 
     def test_registry_constants(self):
         assert "checkpoint.write" in SITES
-        assert set(KINDS) == {"crash", "delay", "io_error", "kill_worker"}
+        assert set(KINDS) == {"crash", "delay", "io_error"}
 
 
 class TestParsing:
     def test_compact_form(self):
         plan = FaultPlan.parse(
             "seed=7;sink.write=io_error:0.01;"
-            "shard.rpc.recv=kill_worker:at:40;queue.put=crash:every:3:2")
+            "queue.get=delay:at:40;queue.put=crash:every:3:2")
         assert plan.seed == 7
         by_site = {spec.site: spec for spec in plan.specs}
         assert by_site["sink.write"].rate == 0.01
-        assert by_site["shard.rpc.recv"].at == 40
+        assert by_site["queue.get"].at == 40
         assert by_site["queue.put"].every == 3
         assert by_site["queue.put"].limit == 2
 
@@ -115,17 +115,6 @@ class TestFiring:
 
         assert firing_calls(7) == firing_calls(7)
         assert firing_calls(7) != firing_calls(8)
-
-    def test_kill_worker_uses_the_kill_context(self):
-        plan = FaultPlan.parse("shard.rpc.send=kill_worker:at:1")
-        killed = []
-        plan.fire("shard.rpc.send", kill=lambda: killed.append(True))
-        assert killed == [True]
-
-    def test_kill_worker_without_context_degrades_to_crash(self):
-        plan = FaultPlan.parse("sink.write=kill_worker:at:1")
-        with pytest.raises(InjectedFault):
-            plan.fire("sink.write")
 
     def test_unlisted_site_never_fires(self):
         plan = FaultPlan.parse("sink.write=crash:at:1")

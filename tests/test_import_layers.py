@@ -4,15 +4,13 @@ import, no subprocess) so the ``api <-> core`` cycle cannot grow back.
 Bottom to top: ``repro.graph`` < ``repro.matcher`` (the engine-level
 protocol) < ``repro.core`` / ``repro.baselines`` (the engines) <
 ``repro.ingest`` / ``repro.subplans`` < ``repro.api`` (the session
-facade).  The only edges pointing back down that order are the two lazy
-ones the facade needs: ``concurrency.sharding`` subclasses ``Session`` and
-``persistence`` names it.
+facade).  The only edge pointing back down that order is the lazy one
+the facade needs: ``persistence`` names ``Session``.
 
 Also pinned here, so it cannot grow back: nothing under ``src/repro``
-defines a pickling shape but the two value types that cross the shard pipe
-(a checkpoint is data, see :mod:`repro.persistence`), raw ``pickle.load(s)``
-stays in the shard codecs, and a real checkpoint names no class outside
-the allow-list.
+defines a pickling shape but two value types (a checkpoint is data, see
+:mod:`repro.persistence`), raw ``pickle.load(s)`` stays in the batch
+codec, and a real checkpoint names no class outside the allow-list.
 """
 
 import ast
@@ -102,14 +100,13 @@ def test_engines_never_import_the_facade():
     assert checked > 30
 
 
-def test_only_the_two_back_edges_are_lazy():
+def test_only_the_persistence_back_edge_is_lazy():
     lazy = {}
     for name in ("api.py", "ingest.py", "subplans.py", "matcher.py"):
         for module, in_function, _ in imports_of(source(name)):
             if in_function and within(module, "repro"):
                 lazy.setdefault(name, set()).add(module)
-    assert lazy == {"api.py": {"repro.concurrency.sharding",
-                               "repro.persistence"}}, lazy
+    assert lazy == {"api.py": {"repro.persistence"}}, lazy
 
 
 # --------------------------------------------------------------------- #
@@ -136,11 +133,11 @@ def test_only_two_value_types_define_a_pickling_shape():
                      ("repro.core.query", "Prefix", "__reduce__")}, found
 
 
-def test_raw_unpickling_stays_in_the_shard_codecs():
+def test_raw_unpickling_stays_in_the_batch_codec():
     """``pickle.load(s)`` constructs whatever the bytes name: only the
-    shard pipe and ring codecs (a parent and the workers it spawned) may
-    call it; a checkpoint — a file — goes through the allow-listed
-    ``Unpickler`` in ``persistence``, and nothing else subclasses one."""
+    batch codec (which decodes what its own encoder wrote) may call it;
+    a checkpoint — a file — goes through the allow-listed ``Unpickler``
+    in ``persistence``, and nothing else subclasses one."""
     loads, unpicklers = set(), set()
     for path in sources_under():
         for node in ast.walk(parsed(path)):
@@ -151,8 +148,7 @@ def test_raw_unpickling_stays_in_the_shard_codecs():
                     loads.add(module_name(path))
                 elif node.attr == "Unpickler":
                     unpicklers.add(module_name(path))
-    assert loads == {"repro.concurrency.sharding",
-                     "repro.concurrency.transport"}, loads
+    assert loads == {"repro.concurrency.transport"}, loads
     assert unpicklers == {"repro.persistence"}, unpicklers
 
 
@@ -186,23 +182,18 @@ def test_a_busy_checkpoint_names_only_value_types():
     )
     from .test_logical_checkpoint import busy_session, checkpoint
 
-    for options in ({}, {"sharding": "thread", "shards": 2}):
-        session = busy_session(**options)
-        blob = checkpoint(session)
-        if options.get("sharding"):
-            session.close()
-        named = globals_named(blob[len(_FRAME_MAGIC) + _FRAME_HEADER.size:])
-        allowed = {(cls.__module__, cls.__qualname__)
-                   for cls in VALUE_TYPES}
-        assert named <= allowed, named - allowed
-        assert {("repro.graph.edge", "StreamEdge"),
-                ("repro.core.query", "QueryGraph"),
-                ("repro.core.query", "_Wildcard"),
-                ("repro.core.query", "Prefix"),
-                ("repro.matcher", "EngineConfig"),
-                ("repro.isomorphism.boostiso", "BoostISO")} <= named
-        assert not any(module.startswith(("repro.core.engine",
-                                          "repro.core.mstree",
-                                          "repro.api", "repro.subplans",
-                                          "repro.ingest"))
-                       for module, _ in named)
+    blob = checkpoint(busy_session())
+    named = globals_named(blob[len(_FRAME_MAGIC) + _FRAME_HEADER.size:])
+    allowed = {(cls.__module__, cls.__qualname__) for cls in VALUE_TYPES}
+    assert named <= allowed, named - allowed
+    assert {("repro.graph.edge", "StreamEdge"),
+            ("repro.core.query", "QueryGraph"),
+            ("repro.core.query", "_Wildcard"),
+            ("repro.core.query", "Prefix"),
+            ("repro.matcher", "EngineConfig"),
+            ("repro.isomorphism.boostiso", "BoostISO")} <= named
+    assert not any(module.startswith(("repro.core.engine",
+                                      "repro.core.mstree",
+                                      "repro.api", "repro.subplans",
+                                      "repro.ingest"))
+                   for module, _ in named)

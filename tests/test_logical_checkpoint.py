@@ -2,15 +2,13 @@
 
 A checkpoint is the query list and the windows; restore registers the
 queries again and replays each window group's buffered edges (see
-:mod:`repro.persistence`).  That a restored session — and a process shard
-killed and restored from its last checkpoint — answers exactly what the
-naive matcher answers, across every mode, is
+:mod:`repro.persistence`).  That a restored session answers exactly what
+the naive matcher answers, across every mode, is
 ``tests/test_session_model.py``'s job.  Pinned here: that a restore
 compared with the uninterrupted session differs in the three ways below
 and no other (measured on the ``bench_e2e`` ``engine_join`` stream),
 privately-buffering matchers, plans rebuilt as they were, checkpoint →
-restore → checkpoint, the refusals, the allow-listed unpickler, and a
-failed sharded restore leaking nothing.
+restore → checkpoint, the refusals and the allow-listed unpickler.
 
 What may differ, and nothing else:
 
@@ -41,17 +39,12 @@ What may differ, and nothing else:
    ``MS_NODE_CELLS`` per such anchor — never higher — until the next
    partner arrives.  ``storage="independent"`` has no anchors.
 
-Not state, and not compared: a sharded session's ``facade_cpu_seconds``
-and ``per_shard`` rows time worker processes, which are new after a
-restore.
-
 Checkpoint → restore → checkpoint is compared as *decoded data*, not as
 bytes: ``pickle`` writes a set in hash order and shares equal strings by
 object identity, neither of which is session state.
 """
 
 import io
-import multiprocessing
 import os
 import pickle
 import random
@@ -62,7 +55,7 @@ import pytest
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
-    ShardedSession, SlidingWindow, StreamEdge, TimingMatcher, faults,
+    SlidingWindow, StreamEdge, TimingMatcher,
 )
 from repro.datasets import (
     generate_netflow_stream, generate_query_set, window_slice,
@@ -79,18 +72,13 @@ from .conftest import (
 )
 
 #: ``session_stats()`` keys that are not session state (see the module
-#: docstring: item 2 and the worker timings).
-NOT_STATE = ("subplan_reuses", "facade_cpu_seconds", "per_shard")
+#: docstring: item 2).
+NOT_STATE = ("subplan_reuses",)
 
 #: Engine counters that sharing cannot move: what arrived, what matched,
 #: what was emitted, what expired.
 ANSWER_COUNTERS = ("edges_seen", "edges_matched", "matches_emitted",
                    "expired_edges", "edges_skipped")
-
-
-def close(session):
-    if isinstance(session, ShardedSession):
-        session.close()
 
 
 def observe(session) -> dict:
@@ -172,22 +160,17 @@ def busy_script(edges, cut):
 
 
 class TestPlans:
-    @pytest.mark.parametrize("sharding", ["none", "thread"])
-    def test_plans_are_rebuilt_as_they_were(self, sharding):
+    def test_plans_are_rebuilt_as_they_were(self):
         """The resolved join order rides in the recipe, so an explicit
         plan and a ``random`` one come back identical."""
-        session = busy_session(sharding=sharding, shards=2)
+        session = busy_session()
         restored = Session.restore(io.BytesIO(checkpoint(session)))
-        try:
-            for name in ("planned", "rnd", "t0", "p3"):
-                assert restored.matcher(name).join_order \
-                    == session.matcher(name).join_order, name
-            assert restored.matcher("planned").join_order \
-                == [("e0", "e1"), ("e2",)]
-            assert restored.matcher("rnd").config.seed == 5
-        finally:
-            close(session)
-            close(restored)
+        for name in ("planned", "rnd", "t0", "p3"):
+            assert restored.matcher(name).join_order \
+                == session.matcher(name).join_order, name
+        assert restored.matcher("planned").join_order \
+            == [("e0", "e1"), ("e2",)]
+        assert restored.matcher("rnd").config.seed == 5
 
 
 def any_edge_query():
@@ -297,39 +280,34 @@ class OwnWindow(SlidingWindow):
 
 
 class TestPrivateMatchers:
-    @pytest.mark.parametrize("sharding", ["none", "thread"])
     @pytest.mark.parametrize("kind", [SlidingWindow, CountSlidingWindow])
-    def test_a_prefilled_policy_is_refused_by_both_kinds(self, kind,
-                                                          sharding):
+    def test_a_prefilled_policy_is_refused(self, kind):
         """A policy object already holding edges would hand its matcher
-        edges it never ingested, which a checkpoint cannot replay: both
-        session kinds refuse it, with one message, before any state
-        changes — a query starts with an empty window."""
+        edges it never ingested, which a checkpoint cannot replay: the
+        session refuses it before any state changes — a query starts
+        with an empty window."""
         edges = labeled_stream(13, 20)
-        session = Session(window=6.0, sharding=sharding, shards=2)
-        try:
-            session.register("shared", labeled_path_query(2, elabels="xy"))
-            session.push_many(edges[:10])
-            window = kind(6.0) if kind is SlidingWindow else kind(30)
-            window.push(edges[10])
-            before = observe(session)
-            with pytest.raises(ValueError) as info:
-                session.register("p", labeled_path_query(2, elabels="xy"),
-                                 window=window)
-            assert str(info.value) == (
-                "window policy object for query 'p' already holds 1 "
-                "edge(s); pass an empty one — a query starts with an empty "
-                "window")
-            assert observe(session) == before
-            assert session._next_ordinal == 1
-            assert list(session._admission.groups) == [("time", 6.0)]
-            # An empty one joins its window group.
-            window = kind(6.0) if kind is SlidingWindow else kind(30)
+        session = Session(window=6.0)
+        session.register("shared", labeled_path_query(2, elabels="xy"))
+        session.push_many(edges[:10])
+        window = kind(6.0) if kind is SlidingWindow else kind(30)
+        window.push(edges[10])
+        before = observe(session)
+        with pytest.raises(ValueError) as info:
             session.register("p", labeled_path_query(2, elabels="xy"),
                              window=window)
-            assert session.names() == ["shared", "p"]
-        finally:
-            close(session)
+        assert str(info.value) == (
+            "window policy object for query 'p' already holds 1 "
+            "edge(s); pass an empty one — a query starts with an empty "
+            "window")
+        assert observe(session) == before
+        assert session._next_ordinal == 1
+        assert list(session._admission.groups) == [("time", 6.0)]
+        # An empty one joins its window group.
+        window = kind(6.0) if kind is SlidingWindow else kind(30)
+        session.register("p", labeled_path_query(2, elabels="xy"),
+                         window=window)
+        assert session.names() == ["shared", "p"]
 
     @pytest.mark.parametrize("backend", ["timing", "sjtree", "incmat",
                                          "naive"])
@@ -439,16 +417,11 @@ def busy_session(**options):
 
 
 class TestRoundTripIsIdentity:
-    @pytest.mark.parametrize("options", [
-        {}, {"sharding": "thread", "shards": 2}],
-        ids=["unsharded", "thread-shards"])
-    def test_checkpoint_restore_checkpoint_is_the_same_data(self, options):
-        session = busy_session(**options)
+    def test_checkpoint_restore_checkpoint_is_the_same_data(self):
+        session = busy_session()
         first = checkpoint(session)
-        close(session)
         restored = Session.restore(io.BytesIO(first))
         second = checkpoint(restored)
-        close(restored)
         one = _load(io.BytesIO(first))["session"]
         two = _load(io.BytesIO(second))["session"]
         assert decoded(one) == decoded(two)
@@ -567,44 +540,3 @@ class TestAllowListedUnpickler:
         restored = Session.restore(io.BytesIO(checkpoint(session)))
         assert restored.matcher("inc").algorithm.name == "BoostISO"
         assert restored.result_counts() == session.result_counts()
-
-
-# --------------------------------------------------------------------- #
-# A restore that fails part-way leaves no worker behind
-# --------------------------------------------------------------------- #
-
-def shm_rings():
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")}
-    except OSError:
-        return set()
-
-
-class TestFailedRestoreLeaksNothing:
-    @pytest.mark.parametrize("fault, error", [
-        ("crash", faults.InjectedFault),
-        ("kill_worker", Exception),
-    ])
-    def test_workers_and_rings_are_shut_down(self, fault, error):
-        session = Session(window=6.0, sharding="process", shards=3)
-        for name, query in query_set().items():
-            session.register(name, query)
-        session.push_many(labeled_stream(43, 80))
-        blob = checkpoint(session)
-        session.close()
-        assert multiprocessing.active_children() == []
-        rings = shm_rings()
-        # The second shard's "adopt" is the second RPC of the restore.
-        plan = faults.FaultPlan.parse(f"shard.rpc.send={fault}:at:2")
-        with faults.active(plan):
-            with pytest.raises(error) as info:
-                Session.restore(io.BytesIO(blob))
-        assert not isinstance(info.value, AssertionError)
-        assert plan.report()["shard.rpc.send"]["fires"] == 1
-        assert multiprocessing.active_children() == []
-        assert shm_rings() == rings
-        # …and the checkpoint itself is still good.
-        restored = Session.restore(io.BytesIO(blob))
-        assert restored.names() == list(query_set())
-        restored.close()

@@ -7,12 +7,11 @@ is a performance transformation: a trie-routed session must produce
 ``(name, match)`` multisets identical to one standalone engine per query,
 each pushed every arrival — across random label alphabets,
 random prefix/wildcard/exact query mixes, both Timing storages, time-
-and count-based windows, register/deregister churn, and every sharding
-mode (``none``/``thread``/``process``).
+and count-based windows, and register/deregister churn.
 
 Also pinned here, per the PR 10 satellites: the previously untested
-``ANY``-labelled (wildcard) edges through shared-window routing and
-sharded facades, and checkpoint round-trips of predicate-heavy sessions
+``ANY``-labelled (wildcard) edges through shared-window routing, and
+checkpoint round-trips of predicate-heavy sessions
 (including the corrupt-envelope path).
 """
 
@@ -25,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
-    ShardedSession, StreamEdge, TimingMatcher,
+    StreamEdge, TimingMatcher,
 )
 from repro.persistence import CheckpointCorruptError, load_session
 
@@ -194,59 +193,6 @@ class TestTrieVersusStandaloneEngines:
         assert live_pred == solo.session_stats()["predicate_entries"]
 
 
-def make_sharded(mode, **kwargs):
-    return Session(sharding=mode, shards=3, **kwargs)
-
-
-class TestShardedPredicateRouting:
-    """Predicate routing must be consistent across the facade's shard
-    router, each worker's own session router, and the shm transport's
-    interned labels — pinned against the unsharded twin."""
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    @pytest.mark.parametrize("seed", [11, 29])
-    def test_sharded_equals_unsharded(self, mode, seed):
-        queries = random_query_set(seed)
-        edges = predicate_stream(seed, 250)
-        unsharded = Session(window=5.0)
-        for name, query in queries.items():
-            unsharded.register(name, query)
-        expected = Counter(unsharded.push_many(edges))
-        sharded = make_sharded(mode, window=5.0)
-        try:
-            for name, query in random_query_set(seed).items():
-                sharded.register(name, query)
-            got = Counter(sharded.push_many(edges))
-            assert got == expected
-            assert sharded.result_counts() == unsharded.result_counts()
-        finally:
-            sharded.close()
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_sharded_churn(self, mode):
-        seed = 47
-        queries = random_query_set(seed, 10)
-        edges = predicate_stream(seed, 200)
-        results = {}
-        for kind in ("none", mode):
-            session = Session(window=5.0) if kind == "none" \
-                else make_sharded(kind, window=5.0)
-            try:
-                for name in list(queries)[:7]:
-                    session.register(name, random_query_set(seed, 10)[name])
-                tagged = list(session.push_many(edges[:100]))
-                for name in list(queries)[:3]:
-                    session.deregister(name)
-                for name in list(queries)[7:]:
-                    session.register(name, random_query_set(seed, 10)[name])
-                tagged += session.push_many(edges[100:])
-                results[kind] = Counter(tagged)
-            finally:
-                if isinstance(session, ShardedSession):
-                    session.close()
-        assert results[mode] == results["none"]
-
-
 def wildcard_query(n_edges=2):
     """The satellite's regression target: bare ANY edge labels (the
     historical `_Wildcard`) with concrete endpoints."""
@@ -269,7 +215,7 @@ def all_any_query():
 
 class TestWildcardRoutingGap:
     """ANY-labelled query edges through the PR 3 shared-window routing
-    index and the sharded facades — the previously untested corner."""
+    index — the previously untested corner."""
 
     def test_wildcard_edges_equal_standalone_engines(self):
         edges = predicate_stream(3, 300)
@@ -284,23 +230,6 @@ class TestWildcardRoutingGap:
         # ANY-only queries route through the predicate router's always
         # sets now, not the generic scan residue.
         assert session.session_stats()["predicate_entries"] > 0
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_wildcard_edges_through_sharded_facade(self, mode):
-        edges = predicate_stream(5, 250)
-        unsharded = Session(window=5.0)
-        unsharded.register("wild2", wildcard_query(2))
-        unsharded.register("allany", all_any_query())
-        expected = Counter(unsharded.push_many(edges))
-        assert sum(expected.values()) > 0
-        sharded = make_sharded(mode, window=5.0)
-        try:
-            sharded.register("wild2", wildcard_query(2))
-            sharded.register("allany", all_any_query())
-            got = Counter(sharded.push_many(edges))
-            assert got == expected
-        finally:
-            sharded.close()
 
     def test_expiry_reaches_wildcard_members(self):
         """An ANY-edge query's matches leave with their edges: the

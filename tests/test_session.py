@@ -106,32 +106,24 @@ class TestRegistration:
          "window policy object is already used by query 'first'"),
         ("taken", ValueError, "query already registered: 'first'"),
     ])
-    def test_both_session_kinds_reject_the_same_registrations(
+    def test_registration_mistakes_raise_typed_errors(
             self, case, error, message):
-        """Registration resolution is one function: the unsharded and the
-        sharded session raise the same error for the same mistake."""
+        """Registration resolution is one function, and a mistake names
+        itself without touching the registered queries."""
         from repro import CountSlidingWindow
-        raised = []
-        for sharding in ("none", "thread"):
-            session = Session(sharding=sharding, shards=2)
-            try:
-                policy = CountSlidingWindow(10)
-                session.register("first", path_query(1), window=policy)
-                name, window = {
-                    "bool": ("q", True), "negative": ("q", -1),
-                    "none": ("q", None), "reused": ("q", policy),
-                    "taken": ("first", 5.0)}[case]
-                with pytest.raises(error, match=message) as info:
-                    session.register(name, path_query(1), window=window)
-                raised.append((type(info.value), str(info.value)))
-                # The DSL's own window line is honoured by both, too.
-                session.register("chain", TWO_HOP_DSL)
-                assert session.matcher("chain").window.duration == 6.0
-                assert session.names() == ["first", "chain"]
-            finally:
-                if sharding != "none":
-                    session.close()
-        assert raised[0] == raised[1]
+        session = Session()
+        policy = CountSlidingWindow(10)
+        session.register("first", path_query(1), window=policy)
+        name, window = {
+            "bool": ("q", True), "negative": ("q", -1),
+            "none": ("q", None), "reused": ("q", policy),
+            "taken": ("first", 5.0)}[case]
+        with pytest.raises(error, match=message):
+            session.register(name, path_query(1), window=window)
+        # The DSL's own window line is honoured, too.
+        session.register("chain", TWO_HOP_DSL)
+        assert session.matcher("chain").window.duration == 6.0
+        assert session.names() == ["first", "chain"]
 
     def test_window_factory_gives_each_engine_its_own(self):
         from repro import CountSlidingWindow

@@ -4,17 +4,13 @@ The paper's correctness yardstick is the naive per-snapshot recomputation
 of §III-A1 under streaming consistency (Definition 11), which
 ``baselines/naive.py`` implements.  This Hypothesis state machine drives a
 session through registrations (names held in a bundle), deregistrations,
-batches, clock jumps, checkpoint → close → restore, and — on process
-shards — a killed worker, after which the session is restored from the
-last checkpoint and the operations admitted since it are replayed.  Each
-example draws the modes (storage, sub-plan sharing, sharding ``none`` /
-``thread`` / ``process``, shard transport, time / count / mixed window
-groups, duplicate policy) and opens with a stored-plan query,
-its twins — which share its sub-plan stores — and a first batch; each
-registration draws a shape, a window, a backend and perhaps its own
-duplicate policy.  On an unsharded session a query's callback may
-deregister it, or a query the same arrival has yet to reach, on its next
-match.
+batches, clock jumps and checkpoint → close → restore.  Each example
+draws the modes (storage, sub-plan sharing, time / count / mixed window
+groups, duplicate policy) and opens with a stored-plan query, its twins
+— which share its sub-plan stores — and a first batch; each registration
+draws a shape, a window, a backend and perhaps its own duplicate policy.
+A query's callback may deregister it, or a query the same arrival has
+yet to reach, on its next match.
 
 The references: one ``NaiveSnapshotMatcher`` per query, fed the stream the
 session *admitted* since the query registered, and for a Timing query one
@@ -28,13 +24,12 @@ match)`` pairs each batch delivered (names in order, pairs as a
 multiset), ``current_matches()``, ``result_counts()``, the clock and the
 matched / emitted / skipped counters; window cells are one buffer per
 group (the O(|W|) claim of shared windows); the drain rule leaves nothing
-held; and, on every unsharded session, a checkpoint taken from a sink in
-the middle of an arrival resumes where the live session stands.
-Reachable engines (no sharding, or thread shards) must also sit at the
+held; and a checkpoint taken from a sink in the middle of an arrival
+resumes where the live session stands.  Engines must also sit at the
 stream position — read directly, mid-batch too — and ``_touched`` must
-name only roots of live entries; class hooks assert, in shard workers
-too, that ``_expire(e)`` follows ``_insert(e)`` once, FIFO, and never
-reaches a stateless member of a shared window.
+name only roots of live entries; class hooks assert that ``_expire(e)``
+follows ``_insert(e)`` once, FIFO, and never reaches a stateless member
+of a shared window.
 
 The scripted runs at the end drive the same machine by hand: fixed
 openings and rule sequences — chosen arrivals where a corner needs them
@@ -43,7 +38,6 @@ checked on every run, whatever the drawn examples reach.
 """
 
 import io
-import multiprocessing
 import random
 from collections import Counter, deque
 
@@ -56,21 +50,18 @@ from hypothesis.stateful import (
 
 from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
-    ShardedSession, SharedWindowView, SlidingWindow, StreamEdge,
-    TimingMatcher,
+    SharedWindowView, SlidingWindow, StreamEdge, TimingMatcher,
 )
 from repro.baselines.incmat import IncMatMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.baselines.sjtree import SJTreeMatcher
-from repro.concurrency.sharding import shard_of
 
 from .conftest import checkpoint
 
 #: The committed budget: tier-1 runs exactly these examples.
-SETTINGS = settings(max_examples=120, stateful_step_count=20, deadline=None,
+SETTINGS = settings(max_examples=120, stateful_step_count=25, deadline=None,
                     derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
-SHARDS = 2
 NAMES = ("a", "b", "c", "d", "e")
 
 #: Data edge labels: ``1`` and ``True`` compare and hash alike, but only
@@ -236,19 +227,13 @@ STORED = st.tuples(
 class SessionModel(RuleBasedStateMachine):
     queries = Bundle("queries")
 
-    def teardown(self):
-        if isinstance(getattr(self, "session", None), ShardedSession):
-            self.session.close()
-            assert multiprocessing.active_children() == []
-
     # ------------------------------------------------------------------ #
     # The session's callbacks: mid-arrival, between engines
     # ------------------------------------------------------------------ #
     def _heard(self, name, match):
         self.heard.append((name, match))
-        if self.sharding == "none":
-            for record in self.session._queries.values():
-                at_stream_position(record.matcher)
+        for record in self.session._queries.values():
+            at_stream_position(record.matcher)
         if self.midway == ():               # the batch's first match
             self.midway = checkpoint(self.session), self.session.current_time
 
@@ -300,23 +285,8 @@ class SessionModel(RuleBasedStateMachine):
 
     def _engines(self):
         """``name -> engine`` read directly, without a session hop."""
-        records = self.session._queries
-        if self.sharding == "none":
-            return {name: record.matcher for name, record in records.items()}
-        if self.sharding == "thread":
-            return {name: self.session._shards[record.shard].handle.server
-                    .session._queries[name].matcher
-                    for name, record in records.items()}
-        return {}
-
-    def _pushed(self):
-        """Whether a batch was admitted since the last checkpoint."""
-        return any(op[0] == "push" for op in self.log)
-
-    def _restore(self, blob):
-        if isinstance(self.session, ShardedSession):
-            self.session.close()
-        self.session = Session.restore(io.BytesIO(blob))
+        return {name: record.matcher
+                for name, record in self.session._queries.items()}
 
     def _add(self, name, shape, window, backend, policy):
         """Register a query on the session and in the model; ``None``
@@ -334,7 +304,6 @@ class SessionModel(RuleBasedStateMachine):
             else:
                 options["duplicate_policy"] = policy
         register_query(self.session, name, shape, spec, options)
-        self.log.append(("register", name, shape, spec, options))
         self.refs[name] = Reference(shape, backend, spec,
                                     policy or self.policy,
                                     self.groups.setdefault(spec, Buffer(spec)),
@@ -349,10 +318,9 @@ class SessionModel(RuleBasedStateMachine):
                 session.window_cells(), session.result_counts())
 
     def _evicts(self, name, victim):
-        """With a ``victim`` (on an unsharded session: a sharded facade
-        calls back after the batch) ``name``'s callback deregisters it on
-        each match, in the middle of that arrival."""
-        if victim and self.sharding == "none":
+        """With a ``victim`` ``name``'s callback deregisters it on each
+        match, in the middle of that arrival."""
+        if victim:
             self.session.set_callback(name, self._evictor(victim))
             self.refs[name].evicts = victim
 
@@ -363,9 +331,6 @@ class SessionModel(RuleBasedStateMachine):
                 storage=st.sampled_from(["mstree", "independent"]),
                 sharing=st.sampled_from(["shared", "shared", "shared",
                                          "private"]),
-                sharding=st.sampled_from(["none"] * 6 + ["thread"] * 2
-                                         + ["process"]),
-                transport=st.sampled_from(["shm", "pipe"]),
                 windows=st.sampled_from(sorted(WINDOWS)),
                 policy=st.sampled_from(["raise", "skip", "count"]),
                 reuse=st.booleans(),
@@ -373,19 +338,17 @@ class SessionModel(RuleBasedStateMachine):
                 evicts=st.sampled_from(["itself", "itself", "a twin", None]),
                 others=st.lists(REGISTRATION, max_size=3),
                 seed=st.integers(0, 2 ** 32))
-    def open_session(self, storage, sharing, sharding, transport, windows,
-                     policy, reuse, first, twins, evicts, others, seed):
+    def open_session(self, storage, sharing, windows, policy, reuse, first,
+                     twins, evicts, others, seed):
         """A session with a ``first`` query, its ``twins`` and ``others``
         — all over empty stores, so the twins share the first's sub-plan
         stores — and a first batch.  When the first ``evicts`` itself on
         its next match, its twins must replay the memo it wrote; a twin it
         evicts must not see that arrival."""
-        self.storage, self.sharding = storage, sharding
-        self.transport, self.specs = transport, WINDOWS[windows]
+        self.storage, self.specs = storage, WINDOWS[windows]
         self.policy, self.reuse = policy, reuse
         self.session = Session(config=EngineConfig(
             storage=storage, subplan_sharing=sharing,
-            sharding=sharding, shards=SHARDS, transport=transport,
             duplicate_policy=policy))
         self.session.add_sink(self._heard)
         self.refs = {}              # name -> Reference, registration order
@@ -393,8 +356,8 @@ class SessionModel(RuleBasedStateMachine):
         self.clock, self.time, self.admitted = float("-inf"), 0.0, 0
         self.heard, self.midway, self.rejected = [], None, 0
         self.refused = 0
-        # The last checkpoint and every operation admitted since it.
-        self.blob, self.log = checkpoint(self.session), []
+        #: Whether a batch was admitted since the last checkpoint.
+        self.pushed = False
         names = [self._add(*first)]
         names += [self._add(name, *first[1:]) for name in
                   [name for name in NAMES if name != names[0]][:twins]]
@@ -416,13 +379,11 @@ class SessionModel(RuleBasedStateMachine):
                 self.session.deregister(name)
             return
         self.session.deregister(name)
-        self.log.append(("deregister", name))
         self._forget(name)
 
     def register_prefilled(self, kind):
         """Offer a ``kind`` policy object already holding a ballast edge:
-        every session kind refuses it before anything changes (scripted
-        only)."""
+        the session refuses it before anything changes (scripted only)."""
         window = SlidingWindow(5.0) if kind == "time" \
             else CountSlidingWindow(5)
         window.push(StreamEdge("d0", "d1", src_label="A", dst_label="B",
@@ -471,8 +432,8 @@ class SessionModel(RuleBasedStateMachine):
                 dst_label="AB"[dst % 2], label=label, timestamp=self.time,
                 edge_id=edge_id))
         # Callbacks are not restored.
-        self.midway = () if self.sharding == "none" \
-            and not any(ref.evicts for ref in self.refs.values()) else None
+        self.midway = None if any(ref.evicts for ref in self.refs.values()) \
+            else ()
         for edge in batch:
             pairs = self._admit(edge)
             if pairs is None:
@@ -487,7 +448,7 @@ class SessionModel(RuleBasedStateMachine):
         else:
             assert self.session.push_many(batch) == self.heard[start:]
         same_pairs(self.heard[start:], want)
-        self.log.append(("push", admitted, want))
+        self.pushed = True
         if self.midway:
             # The checkpoint holds the arrival it interrupted in its group
             # buffers: restored, that arrival has reached every query, and
@@ -503,7 +464,6 @@ class SessionModel(RuleBasedStateMachine):
     def advance_time(self, step=1.5):
         self.time += step
         self.session.advance_time(self.time)
-        self.log.append(("advance", self.time))
         self.clock = self.time
         for buffer in self._buffers().values():
             buffer.slide(self.time)
@@ -519,43 +479,15 @@ class SessionModel(RuleBasedStateMachine):
             assert self.session.space_cells() == 0
             assert self.session.window_cells() == 0
 
-    @precondition(lambda self: self._pushed())
+    @precondition(lambda self: self.pushed)
     @rule()
     def checkpoint_close_restore(self):
-        blob, kind = checkpoint(self.session), type(self.session)
-        self._restore(blob)
-        assert type(self.session) is kind
+        self.session = Session.restore(io.BytesIO(checkpoint(self.session)))
         self.session.add_sink(self._heard)
-        self.blob, self.log = blob, []
+        self.pushed = False
         for name, ref in self.refs.items():
             ref.rebuild(self.clock)
             self._evicts(name, ref.evicts)  # callbacks are wiring, not data
-        if self.sharding != "none":
-            assert self.session.shard_assignments() == {
-                name: shard_of(name, SHARDS) for name in self.refs}
-        if self.sharding == "process":
-            assert self.session.session_stats()["transport"] \
-                == self.transport
-
-    @precondition(lambda self: self.sharding == "process" and self._pushed())
-    @rule(victim=st.integers(0, SHARDS - 1))
-    def kill_shard_restore_and_replay(self, victim):
-        handle = self.session._shards[victim].handle
-        handle.kill()
-        handle.process.join(5.0)
-        assert not self.session.shard_health()[victim]["alive"]
-        self._restore(self.blob)
-        for op, *args in self.log:
-            if op == "register":
-                register_query(self.session, *args)
-            elif op == "deregister":
-                self.session.deregister(*args)
-            elif op == "push":
-                same_pairs(self.session.push_many(args[0]), args[1])
-            else:
-                self.session.advance_time(*args)
-        self.session.add_sink(self._heard)
-
     # ------------------------------------------------------------------ #
     # After every step
     # ------------------------------------------------------------------ #
@@ -579,8 +511,7 @@ class SessionModel(RuleBasedStateMachine):
                 for name, ref in refs.items()}
         cells = session.window_cells()
         assert cells == session.shared_window_cells()
-        if self.sharding == "none":
-            assert cells == sum(map(len, self.groups.values()))
+        assert cells == sum(map(len, self.groups.values()))
         for name, engine in self._engines().items():
             ref = refs[name]
             assert Counter(engine.current_matches()) == want[name], name
@@ -627,29 +558,20 @@ def test_session_agrees_with_the_naive_matcher(monkeypatch):
 # Scripted runs: the same machine with fixed draws, in every mode
 # ---------------------------------------------------------------------- #
 
-#: ``open_session``'s mode draws.  The unsharded modes are every pair of
-#: storage and sub-plan sharing.
+#: ``open_session``'s mode draws: every pair of storage and sub-plan
+#: sharing.
 MODES = {
-    "shared-mstree": dict(storage="mstree", sharing="shared",
-                          sharding="none"),
-    "shared-private": dict(storage="independent", sharing="private",
-                           sharding="none"),
-    "shared-independent": dict(storage="independent", sharing="shared",
-                               sharding="none"),
-    "private-mstree": dict(storage="mstree", sharing="private",
-                           sharding="none"),
-    "thread": dict(storage="mstree", sharing="shared", sharding="thread"),
-    "process-shm": dict(storage="independent", sharing="shared",
-                        sharding="process", transport="shm"),
-    "process-pipe": dict(storage="mstree", sharing="private",
-                         sharding="process", transport="pipe"),
+    "shared-mstree": dict(storage="mstree", sharing="shared"),
+    "shared-private": dict(storage="independent", sharing="private"),
+    "shared-independent": dict(storage="independent", sharing="shared"),
+    "private-mstree": dict(storage="mstree", sharing="private"),
 }
 
 #: ``open_session``'s other draws, which a script may override: ``a``
 #: (an ``xy`` path on the first window) and its twin ``b``.
 OPENING = dict(windows="time", policy="skip", reuse=False,
                first=("a", "xy", 0, "timing", None), twins=1, evicts=None,
-               others=(), seed=1, transport="shm")
+               others=(), seed=1)
 
 
 def xy(step=0.5, edge_id=None):
@@ -719,16 +641,13 @@ SCRIPTS = {
 
 def play(mode, opening, steps):
     """Run ``steps`` on a machine opened in ``mode``, checking the
-    invariant after each; the machine is returned torn down."""
+    invariant after each."""
     model = SessionModel()
-    try:
-        model.open_session(**{**OPENING, **opening, **MODES[mode]})
+    model.open_session(**{**OPENING, **opening, **MODES[mode]})
+    model.agrees_with_the_references()
+    for rule_name, *args in steps:
+        getattr(model, rule_name)(*args)
         model.agrees_with_the_references()
-        for rule_name, *args in steps:
-            getattr(model, rule_name)(*args)
-            model.agrees_with_the_references()
-    finally:
-        model.teardown()
     return model
 
 
@@ -740,14 +659,3 @@ def test_scripted_run(monkeypatch, script, mode):
     model = play(mode, opening, steps)
     assert model.heard                                  # non-vacuous
     assert happened is None or happened(model)
-
-
-@pytest.mark.parametrize("mode", ["process-shm", "process-pipe"])
-def test_killed_shard_is_restored_and_replayed(monkeypatch, mode):
-    record_pairing(monkeypatch)
-    model = play(mode, {"others": SHAPED}, [
-        ("push_many", 14), ("checkpoint_close_restore",), ("push_many", 15),
-        ("register", ("b'", "yx", 1, "timing", None)), ("push_many", 16),
-        ("kill_shard_restore_and_replay", 0), ("push_many", 17),
-        ("kill_shard_restore_and_replay", 1), ("push_many", 18)])
-    assert model.heard and "b'" in model.session
