@@ -13,11 +13,12 @@ Layout
 ------
 :mod:`~repro.service.codec`
     The JSON wire format for edges and matches (HTTP bodies, WebSocket
-    frames, spill files, JSONL tail sources).
+    frames, JSONL tail sources).
 :mod:`~repro.service.queues`
     :class:`~repro.service.queues.BoundedEdgeQueue` — the bounded
-    ingest queue between the front door and each tenant's worker, with
-    ``block`` / ``drop_oldest`` / ``spill`` backpressure policies.
+    in-memory ingest queue between the front door and each tenant's
+    worker, with ``block`` / ``drop_oldest`` backpressure policies (the
+    write-ahead log is a tenant's one on-disk FIFO).
 :mod:`~repro.service.config`
     The validated ``server.toml`` schema (:func:`load_config`).
 :mod:`~repro.service.gateway`
@@ -65,8 +66,7 @@ from .metrics import render_metrics
 from .queues import BACKPRESSURE_POLICIES, BoundedEdgeQueue, QueueClosed
 from .resilience import (
     HEALTH_STATES, CircuitBreaker, DeadLetterQueue, HealthTracker,
-    RateLimited, RetryBudget, RetryPolicy, TokenBucket, call_with_retry,
-    retrying,
+    RateLimited, RetryPolicy, TokenBucket, call_with_retry,
 )
 from .tailer import FileTailer
 from .wal import DedupIndex, WalCorruptError, WriteAheadLog, inspect_wal
@@ -80,6 +80,5 @@ __all__ = [
     "DedupIndex", "WalCorruptError", "WriteAheadLog", "inspect_wal",
     # resilience primitives
     "HEALTH_STATES", "CircuitBreaker", "DeadLetterQueue", "HealthTracker",
-    "RateLimited", "RetryBudget", "RetryPolicy", "TokenBucket",
-    "call_with_retry", "retrying",
+    "RateLimited", "RetryPolicy", "TokenBucket", "call_with_retry",
 ]

@@ -1,10 +1,10 @@
 """The service wire format: JSON codecs for edges and matches.
 
 One codec serves every boundary the gateway has — HTTP ingest bodies,
-WebSocket frames, spill files, JSONL tail sources, and the match records
-the delivery paths emit — so an edge spilled to disk under backpressure
-reads back exactly as it would have arrived, and a producer can replay
-the gateway's own match log.
+WebSocket frames, write-ahead log entries, JSONL tail sources, and the
+match records the delivery paths emit — so a journaled edge reads back
+exactly as it arrived, and a producer can replay the gateway's own match
+log.
 
 Labels round-trip with their Python types: the engines key routing and
 join indexes on label *equality*, so ``80`` must not come back as

@@ -38,7 +38,12 @@ optional ``[[tenant.tail]]`` file sources.  Example::
 
 Validation is strict and fails with one-line messages: unknown keys,
 wrong types, out-of-range values and duplicate tenant or query names are
-all rejected before anything starts.
+all rejected before anything starts, and so is ``drop_oldest`` on a
+tenant with an enabled ``[tenant.wal]`` (it would shed acked edges).
+
+No backpressure policy overflows to disk: to absorb bursts use
+``block`` with a larger ``queue_capacity``, or enable ``[tenant.wal]``,
+whose journal is a tenant's one on-disk FIFO.
 
 Parsing uses the standard library's :mod:`tomllib` — the service stays
 stdlib-only.
@@ -282,6 +287,14 @@ class TenantConfig:
                     "(enabled, segment_bytes, fsync_interval_ms, "
                     "fsync_batch, dedup_window)")
             self.wal.validate()
+            if self.wal.enabled and self.backpressure == "drop_oldest":
+                # The ack of a journaled batch promises every edge is
+                # applied; shedding one would make the answer depend on
+                # whether the tenant later crashed and replayed it.
+                raise ConfigError(
+                    f"tenant {self.name!r}: backpressure 'drop_oldest' "
+                    "sheds edges a write-ahead log already acked as "
+                    "durable; use 'block' with a WAL")
         if not isinstance(self.dead_letter_capacity, int) \
                 or isinstance(self.dead_letter_capacity, bool) \
                 or self.dead_letter_capacity < 1:

@@ -83,7 +83,6 @@ from .wal import DedupIndex, WriteAheadLog
 
 _CHECKPOINT_FILE = "checkpoint.pkl"
 _MATCH_DIR = "matches"
-_SPILL_FILE = "spill.jsonl"
 _DEAD_LETTER_FILE = "deadletter.jsonl"
 _WAL_DIR = "wal"
 
@@ -170,12 +169,7 @@ class Tenant:
         self.checkpoint_keep = max(1, checkpoint_keep)
         wal_enabled = config.wal is not None and config.wal.enabled
         self.queue = BoundedEdgeQueue(
-            config.queue_capacity, policy=config.backpressure,
-            spill_path=os.path.join(self.state_dir, _SPILL_FILE),
-            # A WAL-enabled tenant journals before enqueueing, so the
-            # spill is plain overflow: no per-record fsync, and a
-            # crash-orphaned spill is discarded (WAL replay re-delivers).
-            durable_spill=not wal_enabled)
+            config.queue_capacity, policy=config.backpressure)
         self.hub = MatchHub()
         #: Entries taken off the queue and offered to the session —
         #: the tenant's stream position (replay cursor after recovery).
@@ -956,7 +950,6 @@ class Tenant:
         self.queue.close()
         if self._worker is not None:
             self._worker.join(5.0)
-        self.queue.dispose()
         if self.match_sink is not None:
             self.match_sink.abort()
         if self.wal is not None:
@@ -1148,7 +1141,6 @@ class ServiceGateway:
                       file=sys.stderr)
             tenant.close_sinks()
             tenant.close_wal()
-            tenant.queue.dispose()
         if self._fault_plan is not None and \
                 faults.current() is self._fault_plan:
             faults.install(None)

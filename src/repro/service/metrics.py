@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
+from .resilience import HEALTH_STATES
+
 _PREFIX = "repro"
 
 #: Metric name -> help text for the gateway/tenant counters we always
@@ -55,10 +57,6 @@ _HELP = {
                                  "added or removed, or the memo full).",
     "session_route_memo_entries": "Label triples with memoised targets.",
 }
-
-#: Tenant health states, exported one-hot (the Prometheus state-set
-#: pattern) so dashboards can alert on any non-healthy tenant.
-_HEALTH_STATES = ("healthy", "degraded", "recovering")
 
 #: Nested counter groups in a tenant status, exported with their group
 #: as the metric prefix (``repro_dead_letters_recorded``,
@@ -112,11 +110,11 @@ class _Writer:
 
 def _counter_like(name: str) -> str:
     if name.endswith(("_total", "enqueued", "dequeued", "dropped",
-                      "spilled", "rejected_closed", "offered", "pushed",
+                      "rejected_closed", "offered", "pushed",
                       "delivered", "errors", "written", "reuses",
                       "rejected_nonmonotonic", "rejected_duplicate",
                       "recorded", "limited", "admitted", "trips",
-                      "short_circuits", "failures", "clears", "recovered",
+                      "short_circuits", "failures", "clears",
                       "appends", "fsyncs", "replayed", "replayed_edges",
                       "replay_skipped", "hits",
                       "sync_errors", "segments_created",
@@ -168,7 +166,7 @@ def render_metrics(status: dict,
                 kind=_counter_like(key))
         health = tenant.get("health")
         if isinstance(health, str):
-            for state in _HEALTH_STATES:
+            for state in HEALTH_STATES:
                 writer.sample(
                     "health_state", {**label, "state": state},
                     int(health == state),

@@ -14,14 +14,11 @@ explicit instead of letting memory grow silently:
 ``drop_oldest``
     A full queue evicts its oldest unprocessed entries to admit new
     ones, counting every eviction in ``dropped``.  Freshness over
-    completeness — the load-shedding mode.
-``spill``
-    A full queue overflows to a disk file (JSON lines, the service
-    codec) and replays it in FIFO order as the consumer catches up.
-    Lossless like ``block`` but absorbs bursts without slowing the
-    producer; ``spilled`` / ``spill_pending`` surface the overflow.
+    completeness — the load-shedding mode (not for a WAL tenant, whose
+    ack promises every journaled edge is applied).
 
-All counters (``enqueued``, ``dequeued``, ``dropped``, ``spilled``,
+The queue holds memory only: a tenant's one on-disk FIFO is its
+write-ahead log.  All counters (``enqueued``, ``dequeued``, ``dropped``,
 ``rejected_closed``, depth, high-water mark, oldest-entry lag) feed the
 ``/metrics`` endpoint.  The queue is thread-safe; ``close()`` starts the
 shutdown drain: producers are refused, the consumer keeps draining until
@@ -30,8 +27,6 @@ shutdown drain: producers are refused, the consumer keeps draining until
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import deque
@@ -39,10 +34,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..graph.edge import StreamEdge
-from .codec import edge_from_json, edge_to_json
 
 #: Accepted backpressure policies (see module docstring).
-BACKPRESSURE_POLICIES = ("block", "drop_oldest", "spill")
+BACKPRESSURE_POLICIES = ("block", "drop_oldest")
 
 
 class QueueClosed(RuntimeError):
@@ -75,23 +69,9 @@ class BoundedEdgeQueue:
         Maximum in-memory entries.  Must be >= 1.
     policy:
         One of :data:`BACKPRESSURE_POLICIES`.
-    spill_path:
-        Overflow file for the ``spill`` policy (required there, ignored
-        otherwise).  Created lazily on first overflow.
-    durable_spill:
-        When ``True`` (the default) every spilled record is fsynced and
-        an orphaned spill file is re-adopted at boot — the spill file
-        *is* the durability story.  A WAL-enabled tenant passes
-        ``False``: spilled edges are already journaled upstream, so the
-        spill is a plain memory overflow (no per-record fsync) and an
-        orphan left by a crash is discarded, because boot-time WAL
-        replay re-delivers those edges — re-adopting them too would
-        double-deliver.
     """
 
-    def __init__(self, capacity: int, *, policy: str = "block",
-                 spill_path: Optional[str] = None,
-                 durable_spill: bool = True) -> None:
+    def __init__(self, capacity: int, *, policy: str = "block") -> None:
         if not isinstance(capacity, int) or isinstance(capacity, bool) \
                 or capacity < 1:
             raise ValueError(f"queue capacity must be a positive int, "
@@ -100,37 +80,19 @@ class BoundedEdgeQueue:
             raise ValueError(
                 f"unknown backpressure policy: {policy!r} "
                 f"(expected one of {BACKPRESSURE_POLICIES})")
-        if policy == "spill" and spill_path is None:
-            raise ValueError("the spill policy needs a spill_path")
         self.capacity = capacity
         self.policy = policy
-        self.spill_path = spill_path
-        self.durable_spill = durable_spill
         self._entries: deque = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        # Spill bookkeeping: while a spill file holds entries, FIFO order
-        # requires every new arrival to join it (memory would overtake the
-        # spilled middle otherwise).  The file is append-write, offset-read.
-        self._spill_handle = None
-        self._spill_read_offset = 0
-        self._spill_pending = 0
         #: Counters surfaced on /metrics.
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
-        self.spilled = 0
         self.rejected_closed = 0
         self.high_water = 0
-        #: Entries adopted from an orphaned spill file at boot.
-        self.spill_recovered = 0
-        if policy == "spill":
-            if durable_spill:
-                self._recover_spill()
-            else:
-                self._discard_orphan_spill()
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -183,10 +145,7 @@ class BoundedEdgeQueue:
             for position, edge in enumerate(edges):
                 tag = offset if position == last else None
                 lsn = None if first_lsn is None else first_lsn + position
-                if len(entries) >= capacity or self._spill_pending:
-                    if policy == "spill":
-                        self._spill_out(edge, tag, lsn)
-                        continue
+                if len(entries) >= capacity:
                     if policy == "drop_oldest":
                         entries.popleft()
                         self.dropped += 1
@@ -225,118 +184,6 @@ class BoundedEdgeQueue:
         return time.monotonic()
 
     # ------------------------------------------------------------------ #
-    # Spill file (all under self._lock)
-    # ------------------------------------------------------------------ #
-    def _recover_spill(self) -> None:
-        """Adopt an orphaned spill file left by a crash (init only).
-
-        A kill between spill-out and spill-in used to lose the parked
-        edges silently: the next overflow reopened the file with ``w+``
-        and truncated them.  Now complete lines are counted back into
-        the pending total (a torn trailing write — no final newline —
-        is discarded via an atomic rewrite, never a partial parse).
-        """
-        try:
-            with open(self.spill_path, encoding="utf-8") as handle:
-                data = handle.read()
-        except (FileNotFoundError, OSError):
-            return
-        if not data:
-            return
-        keep = data if data.endswith("\n") \
-            else data[:data.rfind("\n") + 1]
-        if keep != data:
-            tmp = self.spill_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as out:
-                out.write(keep)
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, self.spill_path)
-        count = keep.count("\n")
-        if not count:
-            return
-        self._spill_handle = open(self.spill_path, "a+", encoding="utf-8")
-        self._spill_read_offset = 0
-        self._spill_pending = count
-        self.spill_recovered = count
-        # Keep the flow balance (enqueued == dequeued once drained):
-        # recovered entries re-enter this process's pipeline.
-        self.enqueued += count
-        self.spilled += count
-
-    def _discard_orphan_spill(self) -> None:
-        """Drop a crash-orphaned spill file (init, non-durable mode) —
-        its edges live in the WAL and replay will re-deliver them; a
-        second delivery from the spill would break exactly-once."""
-        try:
-            os.remove(self.spill_path)
-        except OSError:
-            pass
-
-    def _spill_out(self, edge: StreamEdge, offset: Optional[int],
-                   lsn: Optional[int] = None) -> None:
-        if self._spill_handle is None:
-            self._spill_handle = open(self.spill_path, "a+", encoding="utf-8")
-            self._spill_read_offset = 0
-        record = {"edge": edge_to_json(edge)}
-        if offset is not None:
-            record["offset"] = offset
-        if lsn is not None:
-            record["lsn"] = lsn
-        self._spill_handle.seek(0, os.SEEK_END)
-        self._spill_handle.write(json.dumps(record) + "\n")
-        self._spill_handle.flush()
-        if self.durable_spill:
-            # Durability before acknowledgement: once put() returns, a
-            # kill must not lose the parked edge.  (A WAL-enabled tenant
-            # already journaled it — the spill is just overflow.)
-            os.fsync(self._spill_handle.fileno())
-        self._spill_pending += 1
-        self.spilled += 1
-        self.enqueued += 1
-        self._not_empty.notify()
-
-    def _spill_in(self, budget: int) -> None:
-        """Refill up to ``budget`` entries from the spill file, swapping
-        in a fresh file once fully drained."""
-        handle = self._spill_handle
-        handle.seek(self._spill_read_offset)
-        while budget > 0 and self._spill_pending > 0:
-            line = handle.readline()
-            if not line:
-                break
-            self._spill_pending -= 1
-            try:
-                record = json.loads(line)
-                entry = _Entry(edge_from_json(record["edge"]),
-                               record.get("offset"), time.monotonic(),
-                               record.get("lsn"))
-            except (ValueError, KeyError):
-                # A corrupt recovered line: drop it, keep draining.
-                self.dropped += 1
-                self.dequeued += 1
-                continue
-            self._entries.append(entry)
-            budget -= 1
-        self._spill_read_offset = handle.tell()
-        if self._spill_pending == 0:
-            self._spill_reset()
-
-    def _spill_reset(self) -> None:
-        """Replace the drained spill file with a fresh empty one via
-        atomic rename — an in-place truncate torn by a crash could leave
-        half a record to be mis-recovered on the next boot."""
-        tmp = self.spill_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.flush()
-            os.fsync(out.fileno())
-        if self._spill_handle is not None:
-            self._spill_handle.close()
-        os.replace(tmp, self.spill_path)
-        self._spill_handle = open(self.spill_path, "a+", encoding="utf-8")
-        self._spill_read_offset = 0
-
-    # ------------------------------------------------------------------ #
     # Consumer side
     # ------------------------------------------------------------------ #
     def get_batch(self, max_batch: int,
@@ -351,19 +198,14 @@ class BoundedEdgeQueue:
         """
         faults.fire("queue.get")
         with self._lock:
-            while not self._entries and not self._spill_pending:
+            while not self._entries:
                 if self._closed:
                     return [], True
                 if not self._not_empty.wait(timeout):
-                    return [], self._closed and not self._entries \
-                        and not self._spill_pending
+                    return [], self._closed and not self._entries
             batch: List[_Entry] = []
             while self._entries and len(batch) < max_batch:
                 batch.append(self._entries.popleft())
-            if self._spill_pending and len(batch) < max_batch:
-                self._spill_in(max_batch - len(batch))
-                while self._entries and len(batch) < max_batch:
-                    batch.append(self._entries.popleft())
             self.dequeued += len(batch)
             self._not_full.notify_all()
             return batch, False
@@ -375,45 +217,31 @@ class BoundedEdgeQueue:
         waits here, then takes the batch with ``get_batch(n, timeout=0)``
         inside that lock."""
         with self._lock:
-            if not (self._entries or self._spill_pending or self._closed):
+            if not (self._entries or self._closed):
                 self._not_empty.wait(timeout)
-            return bool(self._entries or self._spill_pending)
+            return bool(self._entries)
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
     # ------------------------------------------------------------------ #
     def depth(self) -> int:
-        """Entries currently queued (memory + spill overflow)."""
+        """Entries currently queued."""
         with self._lock:
-            return len(self._entries) + self._spill_pending
-
-    def spill_pending(self) -> int:
-        """Entries currently parked in the spill file."""
-        with self._lock:
-            return self._spill_pending
-
-    def lag_seconds(self) -> float:
-        """Age of the oldest queued in-memory entry (0.0 when empty) —
-        how far the consumer trails the front door."""
-        with self._lock:
-            if not self._entries:
-                return 0.0
-            return max(0.0, time.monotonic() - self._entries[0].enqueued_at)
+            return len(self._entries)
 
     def counters(self) -> dict:
         """A snapshot of every counter the metrics endpoint exports."""
         with self._lock:
             return {
                 "capacity": self.capacity,
-                "depth": len(self._entries) + self._spill_pending,
-                "spill_pending": self._spill_pending,
+                "depth": len(self._entries),
                 "high_water": self.high_water,
                 "enqueued": self.enqueued,
                 "dequeued": self.dequeued,
                 "dropped": self.dropped,
-                "spilled": self.spilled,
                 "rejected_closed": self.rejected_closed,
-                "spill_recovered": self.spill_recovered,
+                # How far the consumer trails the front door: the age of
+                # the oldest queued entry.
                 "lag_seconds": (
                     max(0.0, time.monotonic() - self._entries[0].enqueued_at)
                     if self._entries else 0.0),
@@ -440,13 +268,6 @@ class BoundedEdgeQueue:
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
         return self._closed
-
-    def dispose(self) -> None:
-        """Release the spill file handle (after the worker has exited)."""
-        with self._lock:
-            if self._spill_handle is not None:
-                self._spill_handle.close()
-                self._spill_handle = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BoundedEdgeQueue(depth={self.depth()}, "

@@ -1,13 +1,11 @@
-"""Fault containment primitives: retries, breakers, budgets, health.
+"""Fault containment primitives: retries, breakers, rate limits, health.
 
 The gateway's reliability story is built from four small, independently
 testable pieces, all stdlib-only and thread-safe:
 
 :class:`RetryPolicy` / :func:`call_with_retry`
     Jittered exponential backoff around a transient operation (a sink
-    write, a checkpoint, a tailer read).  Retries are *budget-capped*
-    across the component (:class:`RetryBudget`), so a persistent failure
-    degrades quickly instead of multiplying latency forever.
+    write, a WAL append or fsync, a checkpoint).
 :class:`CircuitBreaker`
     After ``failure_threshold`` consecutive failures a component stops
     being attempted (*open* = degraded) until a cool-down passes, then a
@@ -19,10 +17,10 @@ testable pieces, all stdlib-only and thread-safe:
     ``burst``; a rejected acquisition names the seconds to wait (the
     HTTP layer's ``Retry-After``).
 :class:`HealthTracker`
-    The ``healthy | degraded | recovering`` state machine every tenant
-    (and the gateway as a whole) exposes on ``/healthz``, with a bounded
-    transition history so operators and the chaos suite can verify a
-    ``degraded -> recovering -> healthy`` arc actually happened.
+    The ``healthy | degraded`` state machine every tenant (and the
+    gateway as a whole) exposes on ``/healthz``, with a bounded
+    transition history so operators can verify a ``degraded -> healthy``
+    arc actually happened.
 
 :class:`DeadLetterQueue` rounds it out: poison arrivals (edges whose
 ingestion raises even in isolation) are appended to a bounded JSONL file
@@ -41,46 +39,12 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 #: The tenant/gateway health states (see :class:`HealthTracker`).
-HEALTH_STATES = ("healthy", "degraded", "recovering")
+HEALTH_STATES = ("healthy", "degraded")
 
 
 # --------------------------------------------------------------------- #
 # Retries
 # --------------------------------------------------------------------- #
-
-class RetryBudget:
-    """A token bucket of *retries* shared by one component.
-
-    Each retry spends one token; tokens refill at ``rate`` per second up
-    to ``capacity``.  When the bucket is empty the caller stops retrying
-    immediately — under a persistent failure every operation fails once,
-    fast, instead of each paying the full backoff ladder.
-    """
-
-    def __init__(self, capacity: int = 10, rate: float = 1.0,
-                 *, clock: Callable[[], float] = time.monotonic) -> None:
-        self.capacity = float(capacity)
-        self.rate = float(rate)
-        self._clock = clock
-        self._tokens = float(capacity)
-        self._stamp = clock()
-        self._lock = threading.Lock()
-        #: Retries refused because the budget was exhausted.
-        self.exhausted = 0
-
-    def spend(self) -> bool:
-        """Take one retry token; ``False`` when the budget is spent."""
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.capacity, self._tokens + (now - self._stamp) * self.rate)
-            self._stamp = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            self.exhausted += 1
-            return False
-
 
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
@@ -112,43 +76,23 @@ class RetryPolicy:
 
 def call_with_retry(fn: Callable, *args,
                     policy: RetryPolicy = RetryPolicy(),
-                    budget: Optional[RetryBudget] = None,
-                    on_retry: Optional[Callable] = None,
                     sleep: Callable[[float], None] = time.sleep,
                     rng: Optional[random.Random] = None,
                     **kwargs):
     """Run ``fn(*args, **kwargs)`` under ``policy``.
 
     Retries only ``policy.retry_on`` exceptions, sleeping the jittered
-    exponential delay between tries; a ``budget`` (if given) caps
-    retries component-wide.  ``on_retry(attempt, exc)`` is called before
-    each sleep (logging / counters).  The last failure propagates.
+    exponential delay between tries.  The last failure propagates.
     """
     rng = rng if rng is not None else random
     for attempt in range(policy.attempts):
         try:
             return fn(*args, **kwargs)
-        except policy.retry_on as exc:
-            last_try = attempt >= policy.attempts - 1
-            if last_try or (budget is not None and not budget.spend()):
+        except policy.retry_on:
+            if attempt >= policy.attempts - 1:
                 raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
             sleep(policy.delay_for(attempt, rng))
     raise AssertionError("unreachable")    # pragma: no cover
-
-
-def retrying(policy: RetryPolicy = RetryPolicy(),
-             budget: Optional[RetryBudget] = None):
-    """Decorator form of :func:`call_with_retry`."""
-    def wrap(fn):
-        def wrapped(*args, **kwargs):
-            return call_with_retry(
-                fn, *args, policy=policy, budget=budget, **kwargs)
-        wrapped.__name__ = getattr(fn, "__name__", "wrapped")
-        wrapped.__doc__ = fn.__doc__
-        return wrapped
-    return wrap
 
 
 # --------------------------------------------------------------------- #
@@ -165,9 +109,6 @@ class CircuitBreaker:
     cool-down one probe call is allowed through; success closes the
     breaker, failure re-opens it.
 
-    Maps onto health states via :attr:`health`:
-    closed → ``healthy``, open → ``degraded``, half-open →
-    ``recovering``.
     """
 
     def __init__(self, name: str, *, failure_threshold: int = 5,
@@ -197,12 +138,6 @@ class CircuitBreaker:
                 and self._clock() - self._opened_at >= self.reset_timeout:
             self._state = "half_open"
         return self._state
-
-    @property
-    def health(self) -> str:
-        """The breaker's contribution to component health."""
-        return {"closed": "healthy", "open": "degraded",
-                "half_open": "recovering"}[self.state]
 
     def allow(self) -> bool:
         """Whether the component should be attempted right now."""
@@ -312,11 +247,11 @@ class RateLimited(RuntimeError):
 # --------------------------------------------------------------------- #
 
 class HealthTracker:
-    """The ``healthy | degraded | recovering`` state machine.
+    """The ``healthy | degraded`` state machine.
 
     Transitions are timestamped and kept in a bounded history so
-    ``/stats`` (and the chaos suite) can show *that* a component dipped
-    and came back, not just its instantaneous state.
+    ``/stats`` can show *that* a component dipped and came back, not
+    just its instantaneous state.
     """
 
     def __init__(self, *, history: int = 32,
@@ -353,11 +288,6 @@ class HealthTracker:
                 "state": state, "reason": reason,
                 "at": round(self._clock(), 3)})
             del self._history[:-self._history_cap]
-
-    def history(self) -> List[dict]:
-        """The bounded transition log (oldest first)."""
-        with self._lock:
-            return list(self._history)
 
     def snapshot(self) -> dict:
         """A JSON-able snapshot for ``/stats`` and ``/healthz``."""

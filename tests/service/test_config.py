@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.service import (
-    ConfigError, ServerConfig, TailConfig, TenantConfig, load_config,
+    ConfigError, ServerConfig, TailConfig, TenantConfig, WalConfig,
+    load_config,
 )
 from repro.service.config import parse_config
 
@@ -135,6 +136,13 @@ class TestParseConfigValidation:
         with pytest.raises(ConfigError, match=f"unknown .*{key}"):
             parse_config(data)
 
+    def test_drop_oldest_refused_when_the_wal_is_a_default(self):
+        data = self.base()
+        data["defaults"] = {"wal": {"enabled": True}}
+        data["tenant"][0]["backpressure"] = "drop_oldest"
+        with pytest.raises(ConfigError, match="drop_oldest"):
+            parse_config(data)
+
     def test_query_needs_exactly_one_of_text_or_file(self):
         data = self.base()
         data["tenant"][0]["query"][0]["file"] = "also.tq"
@@ -167,6 +175,19 @@ class TestDataclassValidation:
     def test_bad_backpressure(self):
         with pytest.raises(ConfigError, match="backpressure"):
             self.tenant(backpressure="best_effort").validate()
+        with pytest.raises(ConfigError,
+                           match=r"expected one of \('block', 'drop_oldest'\)"):
+            self.tenant(backpressure="spill").validate()
+
+    def test_drop_oldest_refused_with_an_enabled_wal(self):
+        """An acked WAL batch is applied in full, so a WAL tenant may
+        not shed queued edges."""
+        with pytest.raises(ConfigError, match="drop_oldest"):
+            self.tenant(backpressure="drop_oldest",
+                        wal=WalConfig()).validate()
+        tenant = self.tenant(backpressure="drop_oldest",
+                             wal=WalConfig(enabled=False))
+        assert tenant.validate() is tenant
 
     def test_bad_timestamps_mode(self):
         with pytest.raises(ConfigError, match="timestamps"):

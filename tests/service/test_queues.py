@@ -1,4 +1,4 @@
-"""BoundedEdgeQueue: the three backpressure policies, counters, close."""
+"""BoundedEdgeQueue: the two backpressure policies, counters, close."""
 
 import threading
 import time
@@ -38,21 +38,19 @@ class TestBasics:
 
     def test_lag_tracks_oldest_entry(self):
         queue = BoundedEdgeQueue(16)
-        assert queue.lag_seconds() == 0.0
+        assert queue.counters()["lag_seconds"] == 0.0
         queue.put(chain_edges()[0])
         time.sleep(0.02)
-        assert queue.lag_seconds() >= 0.02
+        assert queue.counters()["lag_seconds"] >= 0.02
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             BoundedEdgeQueue(0)
         with pytest.raises(ValueError, match="policy"):
             BoundedEdgeQueue(4, policy="yolo")
-        with pytest.raises(ValueError, match="spill_path"):
-            BoundedEdgeQueue(4, policy="spill")
 
     def test_policies_constant(self):
-        assert BACKPRESSURE_POLICIES == ("block", "drop_oldest", "spill")
+        assert BACKPRESSURE_POLICIES == ("block", "drop_oldest")
 
 
 class TestBlockPolicy:
@@ -94,91 +92,6 @@ class TestDropOldestPolicy:
         assert drain(queue) == edges[2:]
         assert queue.counters()["dropped"] == 2
 
-
-class TestSpillPolicy:
-    def test_overflow_spills_and_replays_in_order(self, tmp_path):
-        spill = str(tmp_path / "spill.jsonl")
-        queue = BoundedEdgeQueue(2, policy="spill", spill_path=spill)
-        edges = chain_edges()
-        queue.put_batch(edges)
-        assert queue.spilled == 2
-        assert queue.spill_pending() == 2
-        assert queue.depth() == 4
-        assert drain(queue) == edges, "spill must preserve FIFO order"
-        assert queue.spill_pending() == 0
-        assert queue.dropped == 0
-
-    def test_spill_keeps_fifo_while_pending(self, tmp_path):
-        # Once anything spilled, later puts must also spill — otherwise
-        # memory entries would overtake the spilled middle of the stream.
-        spill = str(tmp_path / "spill.jsonl")
-        queue = BoundedEdgeQueue(2, policy="spill", spill_path=spill)
-        edges = chain_edges()
-        queue.put_batch(edges[:3])          # third spills
-        got_first = drain(queue, max_batch=1)   # makes memory room
-        queue.put(edges[3])                # must spill, not jump the line
-        assert queue.spilled == 2
-        assert got_first + drain(queue) == edges
-
-    def test_spill_preserves_offsets(self, tmp_path):
-        spill = str(tmp_path / "spill.jsonl")
-        queue = BoundedEdgeQueue(1, policy="spill", spill_path=spill)
-        edges = chain_edges()
-        queue.put(edges[0], offset=("feed", 10))
-        queue.put(edges[1], offset=("feed", 20))
-        entries, _ = queue.get_batch(10, timeout=0.1)
-        assert [tuple(e.offset) for e in entries] == [
-            ("feed", 10), ("feed", 20)]
-        queue.dispose()
-
-
-class TestSpillDurability:
-    def test_orphaned_spill_recovered_on_boot(self, tmp_path):
-        spill = str(tmp_path / "spill.jsonl")
-        crashed = BoundedEdgeQueue(2, policy="spill", spill_path=spill)
-        edges = chain_edges()
-        crashed.put_batch(edges)            # the last two spill, fsynced
-        crashed.dispose()                  # "crash": never drained
-
-        queue = BoundedEdgeQueue(2, policy="spill", spill_path=spill)
-        assert queue.spill_recovered == 2
-        assert queue.depth() == 2
-        assert drain(queue) == edges[2:]
-        counters = queue.counters()
-        assert counters["spill_recovered"] == 2
-        assert counters["enqueued"] == counters["dequeued"] == 2
-        queue.dispose()
-
-    def test_torn_spill_tail_discarded(self, tmp_path):
-        spill = tmp_path / "spill.jsonl"
-        crashed = BoundedEdgeQueue(2, policy="spill",
-                                   spill_path=str(spill))
-        edges = chain_edges()
-        crashed.put_batch(edges)
-        crashed.dispose()
-        # A kill mid-append leaves half a record with no newline.
-        with open(spill, "a", encoding="utf-8") as fh:
-            fh.write('{"edge": {"src": "half')
-
-        queue = BoundedEdgeQueue(2, policy="spill", spill_path=str(spill))
-        assert queue.spill_recovered == 2
-        with open(spill, encoding="utf-8") as fh:
-            assert fh.read().endswith("\n"), "torn tail must be rewritten"
-        assert drain(queue) == edges[2:]
-        assert queue.dropped == 0
-        queue.dispose()
-
-    def test_new_arrivals_queue_behind_recovered_spill(self, tmp_path):
-        spill = str(tmp_path / "spill.jsonl")
-        crashed = BoundedEdgeQueue(1, policy="spill", spill_path=spill)
-        edges = chain_edges()
-        crashed.put_batch(edges[:2])        # the second spills
-        crashed.dispose()
-
-        queue = BoundedEdgeQueue(4, policy="spill", spill_path=spill)
-        queue.put(edges[2])                # must not overtake the spill
-        assert drain(queue) == [edges[1], edges[2]]
-        queue.dispose()
 
 class TestClose:
     def test_put_after_close_raises(self):
@@ -302,22 +215,6 @@ class TestPutBatch:
         assert [entry.edge for entry in entries] == edges[6:]
         assert [entry.lsn for entry in entries] == [7, 8, 9, 10]
         assert entries[-1].offset == ("feed", 7)
-
-    def test_spill_keeps_fifo_and_tags(self, tmp_path):
-        queue = BoundedEdgeQueue(4, policy="spill",
-                                 spill_path=str(tmp_path / "spill.jsonl"))
-        edges = ten_edges()
-        assert queue.put_batch(edges, first_lsn=1, offset=("feed", 7)) == 10
-        assert queue.spilled == 6 and queue.spill_pending() == 6
-        assert queue.enqueued == 10 and queue.high_water == 4
-        entries, _ = queue.get_batch(100, timeout=0.1)
-        assert [entry.edge for entry in entries] == edges
-        assert [entry.lsn for entry in entries] == list(range(1, 11))
-        assert [entry.offset and tuple(entry.offset)
-                for entry in entries] == [None] * 9 + [("feed", 7)]
-        assert all(entry.enqueued_at > 0 for entry in entries)
-        assert queue.spill_pending() == 0
-        queue.dispose()
 
     def test_one_fault_check_per_batch(self):
         from repro import faults

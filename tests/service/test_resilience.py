@@ -6,8 +6,7 @@ import pytest
 
 from repro.service.resilience import (
     HEALTH_STATES, CircuitBreaker, DeadLetterQueue, HealthTracker,
-    RateLimited, RetryBudget, RetryPolicy, TokenBucket,
-    call_with_retry, retrying,
+    RateLimited, RetryPolicy, TokenBucket, call_with_retry,
 )
 
 
@@ -73,40 +72,6 @@ class TestRetry:
         for attempt in range(50):
             assert 0.75 <= policy.delay_for(attempt, rng) <= 1.25
 
-    def test_budget_stops_retries_early(self):
-        clock = FakeClock()
-        budget = RetryBudget(capacity=1, rate=0.0, clock=clock)
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise OSError("persistent")
-
-        with pytest.raises(OSError):
-            call_with_retry(broken, policy=RetryPolicy(attempts=5),
-                            budget=budget, sleep=lambda _s: None)
-        # One retry granted, then the empty budget fails the call fast.
-        assert len(calls) == 2 and budget.exhausted == 1
-
-    def test_budget_refills_over_time(self):
-        clock = FakeClock()
-        budget = RetryBudget(capacity=2, rate=1.0, clock=clock)
-        assert budget.spend() and budget.spend() and not budget.spend()
-        clock.advance(1.5)
-        assert budget.spend()
-
-    def test_decorator_form(self):
-        attempts = []
-
-        @retrying(RetryPolicy(attempts=2, base_delay=0.0, jitter=0.0))
-        def sometimes():
-            attempts.append(1)
-            if len(attempts) < 2:
-                raise OSError("once")
-            return 42
-
-        assert sometimes() == 42 and len(attempts) == 2
-
 
 class TestCircuitBreaker:
     def make(self, clock, threshold=3, reset=10.0):
@@ -149,16 +114,6 @@ class TestCircuitBreaker:
         assert breaker.state == "half_open"
         breaker.record_failure()
         assert breaker.state == "open" and not breaker.allow()
-
-    def test_health_mapping(self):
-        clock = FakeClock()
-        breaker = self.make(clock)
-        assert breaker.health == "healthy"
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.health == "degraded"
-        clock.advance(10.0)
-        assert breaker.health == "recovering"
 
     def test_counters_snapshot(self):
         breaker = self.make(FakeClock())
@@ -214,31 +169,34 @@ class TestHealthTracker:
         assert tracker.state == "healthy" and tracker.reason == ""
         tracker.set_state("degraded", "disk on fire")
         clock.advance(1.0)
-        tracker.set_state("recovering", "restarting")
         tracker.set_state("healthy")
         assert tracker.state == "healthy" and tracker.reason == ""
-        arc = [entry["state"] for entry in tracker.history()]
-        assert arc == ["degraded", "recovering", "healthy"]
+        transitions = tracker.snapshot()["transitions"]
+        assert transitions == [
+            {"state": "degraded", "reason": "disk on fire", "at": 0.0},
+            {"state": "healthy", "reason": "", "at": 1.0}]
 
     def test_same_state_is_not_rerecorded(self):
         tracker = HealthTracker()
         tracker.set_state("degraded", "x")
         tracker.set_state("degraded", "y")
-        assert len(tracker.history()) == 1
+        assert len(tracker.snapshot()["transitions"]) == 1
 
     def test_history_is_bounded(self):
         tracker = HealthTracker(history=4)
         for i in range(10):
             tracker.set_state("degraded", str(i))
             tracker.set_state("healthy")
-        assert len(tracker.history()) == 4
+        assert len(tracker.snapshot()["transitions"]) == 4
 
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError, match="unknown health state"):
             HealthTracker().set_state("on-fire")
+        with pytest.raises(ValueError, match="unknown health state"):
+            HealthTracker().set_state("recovering")
 
     def test_states_constant(self):
-        assert HEALTH_STATES == ("healthy", "degraded", "recovering")
+        assert HEALTH_STATES == ("healthy", "degraded")
 
 
 class TestDeadLetterQueue:

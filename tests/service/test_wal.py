@@ -13,6 +13,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -169,9 +170,9 @@ class TestWriteAheadLog:
         names = _segments(tmp_path / "wal")
         assert len(names) >= 3
         first_seg = os.path.join(tmp_path / "wal", names[0])
-        data = bytearray(open(first_seg, "rb").read())
+        data = bytearray(Path(first_seg).read_bytes())
         data[len(data) // 2] ^= 0xFF
-        open(first_seg, "wb").write(bytes(data))
+        Path(first_seg).write_bytes(bytes(data))
         reopened = WriteAheadLog(str(tmp_path / "wal"), segment_bytes=1024)
         # Only an unbroken prefix of segment 1 survives; everything
         # after the damage is gone (a hole would corrupt replay order).
@@ -415,8 +416,8 @@ class TestCheckpointCorruption:
 
     def test_truncation_raises_typed_error(self, tmp_path):
         path = self._write_checkpoint(tmp_path)
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[:len(data) // 2])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[:len(data) // 2])
         with pytest.raises(CheckpointCorruptError) as info:
             load_session_meta(path)
         assert info.value.path == path
@@ -424,9 +425,9 @@ class TestCheckpointCorruption:
 
     def test_bitflip_raises_typed_error(self, tmp_path):
         path = self._write_checkpoint(tmp_path)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(Path(path).read_bytes())
         data[-10] ^= 0xFF
-        open(path, "wb").write(bytes(data))
+        Path(path).write_bytes(bytes(data))
         with pytest.raises(CheckpointCorruptError) as info:
             load_session_meta(path)
         assert "CRC" in info.value.reason
@@ -436,14 +437,14 @@ class TestCheckpointCorruption:
         from repro.persistence import _FRAME_HEADER, _FRAME_MAGIC
         path = str(tmp_path / "checkpoint.pkl")
         garbage = b"not a pickle at all"
-        open(path, "wb").write(_FRAME_MAGIC + _FRAME_HEADER.pack(
+        Path(path).write_bytes(_FRAME_MAGIC + _FRAME_HEADER.pack(
             zlib.crc32(garbage), len(garbage)) + garbage)
         with pytest.raises(CheckpointCorruptError) as info:
             load_session_meta(path)
         assert "unreadable pickle" in info.value.reason
         # Without the frame the bytes never reach pickle at all; the
         # gateway's chain walk catches this base-class error the same way.
-        open(path, "wb").write(garbage)
+        Path(path).write_bytes(garbage)
         with pytest.raises(CheckpointError, match="not a timingsubg"):
             load_session_meta(path)
 
@@ -469,24 +470,20 @@ def _drain(tenant, count, timeout=5.0):
 
 
 class TestTenantRecovery:
-    def test_spill_overflow_stays_exactly_once(self, tmp_path):
+    def test_unapplied_journal_entries_replay_exactly_once(self, tmp_path):
         config = TenantConfig(
             name="t0", queries={"chain": CHAIN_DSL},
-            queue_capacity=2, backpressure="spill",
-            wal=WalConfig()).validate()
+            queue_capacity=4, wal=WalConfig()).validate()
         tenant = Tenant(config, str(tmp_path))
-        # No worker: the queue spills past capacity 2.
+        # No worker: the batch is journaled and queued, never applied.
         ack = tenant.ingest_json(chain_records())
-        assert ack["accepted"] == 4
-        assert tenant.queue.spilled > 0
-        spill_path = tenant.queue.spill_path
-        assert os.path.exists(spill_path)
+        assert ack["accepted"] == 4 and ack["durable"]
+        assert tenant.queue.depth() == 4 and tenant.edges_offered == 0
         tenant.abort()
 
-        # The orphan spill is discarded — the WAL alone re-delivers, so
-        # nothing arrives twice.
+        # The queue died with the process; the WAL alone re-delivers,
+        # each edge once.
         reborn = Tenant(config, str(tmp_path))
-        assert not os.path.exists(spill_path)
         assert reborn.replayed_edges == 4
         assert reborn.edges_offered == 4
         assert reborn.matches_delivered == 3
@@ -612,9 +609,9 @@ class TestWalCli:
         wal.close()
         names = _segments(tmp_path / "wal")
         victim = os.path.join(tmp_path / "wal", names[0])
-        data = bytearray(open(victim, "rb").read())
+        data = bytearray(Path(victim).read_bytes())
         data[len(data) // 2] ^= 0xFF
-        open(victim, "wb").write(bytes(data))
+        Path(victim).write_bytes(bytes(data))
         assert cli_main(["wal", "verify", str(tmp_path / "wal")]) == 1
         assert "interior corruption" in capsys.readouterr().err
 
