@@ -143,6 +143,15 @@ class TestParseConfigValidation:
         with pytest.raises(ConfigError, match="drop_oldest"):
             parse_config(data)
 
+    def test_spill_in_defaults_is_refused(self):
+        """No policy parks edges on disk beside the WAL, so an old
+        config that asked for one fails with the accepted list."""
+        data = self.base()
+        data["defaults"] = {"backpressure": "spill"}
+        with pytest.raises(ConfigError,
+                           match=r"expected one of \('block', 'drop_oldest'\)"):
+            parse_config(data)
+
     def test_query_needs_exactly_one_of_text_or_file(self):
         data = self.base()
         data["tenant"][0]["query"][0]["file"] = "also.tq"

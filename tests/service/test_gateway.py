@@ -112,6 +112,23 @@ class TestCheckpointRecovery:
             assert restored.tenant("t0").safe.edges_pushed == 4
             assert restored.tenant("t0").matches_delivered == 0
 
+    def test_a_leftover_spill_file_is_ignored(self, tmp_path):
+        """The queue holds memory only: a spill file an older release
+        left in the state directory is neither replayed nor removed."""
+        config = chain_config(tmp_path / "state")
+        tenant_dir = tmp_path / "state" / "t0"
+        tenant_dir.mkdir(parents=True)
+        leftover = tenant_dir / "spill.jsonl"
+        leftover.write_text(
+            "".join(json.dumps(record) + "\n" for record in chain_records()))
+        with ServiceGateway(config) as gateway:
+            tenant = gateway.tenant("t0")
+            assert gateway.wait_idle(10)
+            assert tenant.queue.depth() == 0
+            assert tenant.edges_offered == 0
+            assert tenant.safe.edges_pushed == 0
+        assert leftover.exists()
+
     def test_config_drift_registers_new_queries(self, tmp_path):
         config = chain_config(tmp_path / "state")
         with ServiceGateway(config) as gateway:
@@ -205,6 +222,24 @@ class TestMetricsRendering:
         assert 'repro_tenant_info{' in text
         assert 'subplan_sharing="shared"' in text
         assert text.endswith("\n")
+
+    def test_health_state_is_one_hot_over_healthy_and_degraded(
+            self, gateway):
+        tenant = gateway.tenant("t0")
+
+        def health_lines():
+            text = render_metrics(gateway.status(),
+                                  {"t0": tenant.safe.session_stats()})
+            return [line for line in text.splitlines()
+                    if line.startswith("repro_health_state{")]
+
+        assert health_lines() == [
+            'repro_health_state{state="healthy",tenant="t0"} 1',
+            'repro_health_state{state="degraded",tenant="t0"} 0']
+        tenant.health.set_state("degraded", "checkpoints failing: test")
+        assert health_lines() == [
+            'repro_health_state{state="healthy",tenant="t0"} 0',
+            'repro_health_state{state="degraded",tenant="t0"} 1']
 
     def test_every_numeric_session_stat_is_exported(self, gateway):
         tenant = gateway.tenant("t0")

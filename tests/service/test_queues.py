@@ -52,6 +52,13 @@ class TestBasics:
     def test_policies_constant(self):
         assert BACKPRESSURE_POLICIES == ("block", "drop_oldest")
 
+    def test_counters_are_memory_only(self):
+        """The queue parks nothing on disk, so /metrics exports only
+        in-memory counters."""
+        assert set(BoundedEdgeQueue(4).counters()) == {
+            "capacity", "depth", "high_water", "enqueued", "dequeued",
+            "dropped", "rejected_closed", "lag_seconds"}
+
 
 class TestBlockPolicy:
     def test_put_blocks_until_consumer_makes_room(self):
@@ -91,6 +98,42 @@ class TestDropOldestPolicy:
         assert queue.dropped == 2
         assert drain(queue) == edges[2:]
         assert queue.counters()["dropped"] == 2
+
+
+class TestWait:
+    """``wait`` is how a consumer that applies under its own lock learns
+    that a batch is ready without dequeuing it."""
+
+    def test_wakes_when_an_entry_arrives(self):
+        queue = BoundedEdgeQueue(4)
+        timer = threading.Timer(0.05, queue.put, (chain_edges()[0],))
+        timer.start()
+        try:
+            assert queue.wait(5.0) is True
+        finally:
+            timer.join()
+        assert queue.depth() == 1       # wait dequeues nothing
+
+    def test_times_out_on_an_empty_queue(self):
+        queue = BoundedEdgeQueue(4)
+        before = time.monotonic()
+        assert queue.wait(0.05) is False
+        assert time.monotonic() - before >= 0.04
+
+    def test_close_wakes_a_waiter_and_the_backlog_still_counts(self):
+        queue = BoundedEdgeQueue(4)
+        timer = threading.Timer(0.05, queue.close)
+        timer.start()
+        before = time.monotonic()
+        try:
+            assert queue.wait(5.0) is False
+        finally:
+            timer.join()
+        assert time.monotonic() - before < 4.0
+        closed = BoundedEdgeQueue(4)
+        closed.put(chain_edges()[0])
+        closed.close()
+        assert closed.wait(0.0) is True     # still draining
 
 
 class TestClose:
@@ -215,6 +258,18 @@ class TestPutBatch:
         assert [entry.edge for entry in entries] == edges[6:]
         assert [entry.lsn for entry in entries] == [7, 8, 9, 10]
         assert entries[-1].offset == ("feed", 7)
+
+    def test_drop_oldest_keeps_fifo_and_tags_across_batches(self):
+        queue = BoundedEdgeQueue(4, policy="drop_oldest")
+        edges = ten_edges()
+        queue.put_batch(edges[:3], first_lsn=1, offset=("feed", 3))
+        queue.put_batch(edges[3:6], first_lsn=4, offset=("feed", 6))
+        assert queue.dropped == 2
+        entries, _ = queue.get_batch(100, timeout=0.1)
+        assert [entry.edge for entry in entries] == edges[2:6]
+        assert [entry.lsn for entry in entries] == [3, 4, 5, 6]
+        assert [entry.offset for entry in entries] == [
+            ("feed", 3), None, None, ("feed", 6)]
 
     def test_one_fault_check_per_batch(self):
         from repro import faults
