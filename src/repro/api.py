@@ -205,9 +205,6 @@ class Session:
         # window-group roster entries are (ordinal, record).
         self._admission = Admission(self._on_expired)
         self._index = RouteIndex()
-        # How many shared-window members retain edges: while none does (a
-        # tenant of one-edge queries), expired edges have nobody to reach.
-        self._retaining = 0
         # Refcounted shared sub-plan stores (empty under
         # subplan_sharing="private") — see SharedSubplanStore.
         self._subplans = _SubplanRegistry()
@@ -293,9 +290,9 @@ class Session:
             if self.current_time > float("-inf"):
                 matcher.advance_time(self.current_time)
         else:
-            self._admission.enroll(key, entry, matcher.duplicate_policy)
+            self._admission.enroll(key, entry, matcher.duplicate_policy,
+                                   not matcher.stateless)
             record.group_key = key
-            self._retaining += not matcher.stateless
             self._index.add(record.name, entry, matcher.routing_signatures())
         self._queries[record.name] = record
 
@@ -359,9 +356,9 @@ class Session:
         record = self._record(name)
         if record.group_key is not None:
             # The last member out frees the group.
-            self._retaining -= not record.matcher.stateless
             self._admission.withdraw(record.group_key,
-                                     (record.ordinal, record))
+                                     (record.ordinal, record),
+                                     not record.matcher.stateless)
         self._index.remove(name)
         release = getattr(record.matcher, "release_shared_subplans", None)
         if release is not None:
@@ -371,7 +368,7 @@ class Session:
             for subplan in release():
                 self._subplans.release(subplan)
         del self._queries[name]
-        record.matcher = None       # target lists snapshotted earlier skip it
+        record.matcher = None       # target lists held earlier skip it
         # Sinks filtered to this query die with it — a later query reusing
         # the name must not inherit them.
         if any(q == name for q, _ in self._sinks):
@@ -428,65 +425,72 @@ class Session:
     def _on_expired(self, group_key: Tuple,
                     edges: List[StreamEdge]) -> None:
         """Hand the prefix a group's window dropped, oldest first, to the
-        ``_expire`` hook of the members that ingested each edge — found
-        through the same route lookup that delivered it, so only its
-        (typically tiny) target list is visited, not all Q matchers.
-        Runs as the window slides, before the displacing arrival is
-        inserted."""
-        if not self._retaining:
-            return
-        targets = self._index.targets
-        for edge in edges:
-            timestamp = edge.timestamp
-            for _, record in targets(edge):
-                # Watermark-paired delivery: a member ingested a buffered
-                # edge exactly when it arrived after the member's view
-                # was attached — admission never buffers an in-window
-                # duplicate, so one buffer never holds two bearers of an
-                # id, and a mid-stream registrant never hears of an edge
-                # it never saw.  A stateless member stored nothing.
+        ``_expire`` hook of the members that ingested each edge.  Runs as
+        the window slides, before the displacing arrival is inserted.
+
+        Nothing is routed again: the group held each dropped arrival with
+        the target list it was inserted into (see
+        :class:`~repro.ingest.WindowGroup`), so only that (typically tiny)
+        list is walked, not all Q matchers.  The list predates every later
+        registration, so a mid-stream registrant never hears of an edge it
+        never saw; a deregistered member's record has no matcher, so a
+        name registered again never hears of its predecessor's edges; and
+        a stateless member stored nothing."""
+        held = self._admission.groups[group_key].held
+        until = edges[-1].timestamp
+        while held and held[0][0].timestamp <= until:
+            edge, targets = held.popleft()
+            for _, record in targets:
                 matcher = record.matcher
-                if record.group_key == group_key and not matcher.stateless \
-                        and timestamp > matcher.window.since:
+                if matcher is not None and record.group_key == group_key \
+                        and not matcher.stateless:
                     matcher._expire(edge)
 
     def _ingest(self, edges: Iterable[StreamEdge], consume) -> None:
         """The one ingest loop — behind :meth:`push_many` /
-        :meth:`ingest`: admit → route → insert per arrival.
+        :meth:`ingest`: route → admit → insert per arrival.
 
-        Admission judges each arrival against the stream and slides the
-        shared windows, handing their expired prefixes to
-        :meth:`_on_expired` (see :meth:`repro.ingest.Admission.admit`);
-        privately-buffering matchers keep their per-matcher duplicate
-        peek, folded into the same all-or-nothing rejection.  The route
-        index then hands back the records of the matchers that can
-        consume the edge, and only those run.  Every match is delivered
-        to the sinks as it is found; ``consume(i, pairs)`` then receives
-        the ``(name, match)`` pairs of each arrival that completed any,
-        ``i`` being the arrival's index in ``edges``.
+        The route index hands back the records of the matchers that can
+        consume the edge — its one label match.  Admission then judges
+        the arrival against the stream and slides the shared windows,
+        handing their expired prefixes to :meth:`_on_expired` (see
+        :meth:`repro.ingest.Admission.admit`) and holding the target list
+        for the arrival's own expiry; privately-buffering matchers keep
+        their per-matcher duplicate peek, folded into the same
+        all-or-nothing rejection.  Only the targets run.  Every match is
+        delivered to the sinks as it is found; ``consume(i, pairs)`` then
+        receives the ``(name, match)`` pairs of each arrival that
+        completed any, ``i`` being the arrival's index in ``edges``.
         """
         admission, index, queries = self._admission, self._index, self._queries
+        admit, always = admission.admit, index.always
         for i, edge in enumerate(edges):
-            offenders: list = []
-            for entry in index.always:    # holds every private matcher
-                if entry[1].group_key is None:
-                    # would_reject is optional: a protocol matcher from a
-                    # factory that doesn't implement it keeps its own
-                    # duplicate handling.
-                    check = getattr(entry[1].matcher, "would_reject", None)
-                    if check is not None and check(edge):
-                        offenders.append(entry)
-            live = admission.admit(edge, offenders)
+            targets = index.targets(edge)
+            if always:
+                offenders = []
+                for entry in always:    # holds every private matcher
+                    if entry[1].group_key is None:
+                        # would_reject is optional: a protocol matcher
+                        # from a factory that doesn't implement it keeps
+                        # its own duplicate handling.
+                        check = getattr(entry[1].matcher, "would_reject",
+                                        None)
+                        if check is not None and check(edge):
+                            offenders.append(entry)
+                live = admit(edge, targets, offenders)
+            else:
+                live = admit(edge, targets)
             if live is not None:
                 # Dropped like the per-matcher skip path, and counted
                 # where the member's policy asks for it.
                 for key in live:
                     for _, record in admission.groups[key].entries("count"):
                         record.matcher.stats.edges_skipped += 1
-            targets = index.targets(edge)
             # Counted at routing time: a sink callback below may
             # deregister queries, but every target here gets its visit.
             self.skipped_matchers += len(queries) - len(targets)
+            if not targets:
+                continue
             results: List[Tuple[str, Match]] = []
             for _, record in targets:
                 matcher = record.matcher
@@ -677,7 +681,13 @@ class Session:
     def session_stats(self) -> Dict[str, object]:
         """Session-level ingestion counters (per-matcher engine counters
         stay in :meth:`stats`): accepted arrivals, routing work/savings,
-        and window memory."""
+        and window memory.
+
+        Each arrival is routed once: its expiry walks the target list it
+        carried and never consults the route index.  The route memo
+        (``route_memo_*``) serves the predicate and always-routed tier:
+        while every query is exact-label the index answers from its dict
+        and ``route_memo_entries`` stays 0."""
         return {
             "queries": len(self._queries),
             "shared_groups": len(self._admission.groups),

@@ -18,6 +18,14 @@ from typing import Deque, Iterator, List
 
 from .edge import StreamEdge
 
+_INF = float("inf")
+
+
+def _check_finite(timestamp: float) -> None:
+    if not -_INF < timestamp < _INF:
+        raise ValueError(
+            f"stream timestamps must be finite, got {timestamp!r}")
+
 
 class CountSlidingWindow:
     """FIFO of at most ``capacity`` most recent edges.
@@ -51,6 +59,7 @@ class CountSlidingWindow:
 
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
         """Insert one arrival; returns the edge it evicts (if any)."""
+        _check_finite(edge.timestamp)
         if self._edges and edge.timestamp <= self._edges[-1].timestamp:
             raise ValueError(
                 "stream timestamps must strictly increase: "
@@ -69,6 +78,7 @@ class CountSlidingWindow:
         if timestamp < self._current_time:
             raise ValueError(
                 f"time moves backwards: {timestamp} < {self._current_time}")
+        _check_finite(timestamp)
         self._current_time = timestamp
         return []
 

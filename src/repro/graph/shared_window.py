@@ -31,6 +31,8 @@ from .window import SlidingWindow
 #: every matcher on the buffer.
 SHAREABLE_WINDOW_TYPES = (SlidingWindow, CountSlidingWindow)
 
+_INF = float("inf")
+
 
 def window_policy_key(window) -> Optional[Tuple[str, float]]:
     """Compatibility key of a window policy, or ``None`` if unshareable.
@@ -57,8 +59,8 @@ class SharedSlidingWindow:
     """The single buffer of live edges behind a multi-query session.
 
     Wraps a fresh window-policy object (time- or count-based) and maintains
-    an ``edge_id → timestamp`` index over the live edges, pruned from the
-    list of dropped edges the policy returns.  Duplicate-id *policy* is the
+    :attr:`bearers`, an ``edge_id → timestamp`` index over the live edges,
+    pruned as edges drop.  Duplicate-id *policy* is the
     session's business: :meth:`repro.ingest.Admission.admit` probes this
     index and drops an in-window duplicate for the whole group before it
     is buffered — a query registered mid-stream *inherits* the stream's
@@ -69,7 +71,7 @@ class SharedSlidingWindow:
     bearer expires.
     """
 
-    __slots__ = ("_policy", "_id_times")
+    __slots__ = ("_policy", "_edges", "_duration", "_capacity", "bearers")
 
     def __init__(self, policy) -> None:
         if type(policy) not in SHAREABLE_WINDOW_TYPES:
@@ -79,7 +81,14 @@ class SharedSlidingWindow:
         if len(policy) != 0:
             raise ValueError("a shared window must start from an empty policy")
         self._policy = policy
-        self._id_times: dict = {}
+        # :meth:`push` slides the policy's own deque in place.  Exactly
+        # one of the two bounds is set, by the policy's kind.
+        self._edges = policy._edges
+        self._duration = getattr(policy, "duration", None)
+        self._capacity = getattr(policy, "capacity", None)
+        #: ``edge_id → timestamp`` of each id's latest live bearer; read
+        #: it, never write it.
+        self.bearers: dict = {}
 
     # ------------------------------------------------------------------ #
     # Policy passthrough
@@ -128,10 +137,10 @@ class SharedSlidingWindow:
     def _dropped(self, expired: List[StreamEdge]) -> List[StreamEdge]:
         # Timestamp-paired deletion: an older coexisting bearer's expiry
         # must not clobber the latest bearer's index entry.
-        id_times = self._id_times
+        bearers = self.bearers
         for edge in expired:
-            if id_times.get(edge.edge_id) == edge.timestamp:
-                del id_times[edge.edge_id]
+            if bearers.get(edge.edge_id) == edge.timestamp:
+                del bearers[edge.edge_id]
         return expired
 
     def advance(self, timestamp: float) -> List[StreamEdge]:
@@ -139,10 +148,54 @@ class SharedSlidingWindow:
         return self._dropped(self._policy.advance(timestamp))
 
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
-        """Buffer one arrival; returns what it expires, oldest first."""
-        expired = self._dropped(self._policy.push(edge))
-        self._id_times[edge.edge_id] = edge.timestamp   # latest bearer wins
+        """Buffer one arrival; returns what it expires, oldest first.
+
+        The wrapped policy's ``push`` — its checks, its slide — and the
+        :attr:`bearers` pruning, run in this one frame: a session slides
+        every window group once per arrival.
+        """
+        timestamp = edge.timestamp
+        policy = self._policy
+        if not policy._current_time < timestamp < _INF:
+            # Past the clock implies past every buffered edge; anything
+            # else gets the policy's own verdict (at the clock is fine
+            # after a bare advance; the rest raises).
+            self._check(timestamp)
+        policy._current_time = timestamp
+        buffer = self._edges
+        bearers = self.bearers
+        expired: List[StreamEdge] = []
+        duration = self._duration
+        if duration is not None:
+            cutoff = timestamp - duration
+            while buffer and buffer[0].timestamp <= cutoff:
+                old = buffer.popleft()
+                expired.append(old)
+                if bearers.get(old.edge_id) == old.timestamp:
+                    del bearers[old.edge_id]
+        elif len(buffer) == self._capacity:
+            old = buffer.popleft()
+            expired.append(old)
+            if bearers.get(old.edge_id) == old.timestamp:
+                del bearers[old.edge_id]
+        buffer.append(edge)
+        bearers[edge.edge_id] = timestamp   # latest bearer wins
         return expired
+
+    def _check(self, timestamp: float) -> None:
+        """Raise what the wrapped policy's ``push`` raises for an arrival
+        at ``timestamp``."""
+        if not -_INF < timestamp < _INF:
+            raise ValueError(
+                f"stream timestamps must be finite, got {timestamp!r}")
+        if self._edges and timestamp <= self._edges[-1].timestamp:
+            raise ValueError(
+                "stream timestamps must strictly increase: "
+                f"{timestamp} <= {self._edges[-1].timestamp}")
+        if timestamp < self._policy._current_time:
+            raise ValueError(
+                f"time moves backwards: {timestamp} < "
+                f"{self._policy._current_time}")
 
     # ------------------------------------------------------------------ #
     # Duplicate probes
@@ -150,7 +203,7 @@ class SharedSlidingWindow:
     def bearer_timestamp(self, edge_id: Hashable) -> Optional[float]:
         """Timestamp of the live edge carrying ``edge_id`` (``None`` if
         no live bearer)."""
-        return self._id_times.get(edge_id)
+        return self.bearers.get(edge_id)
 
     def bearer_live_at(self, edge_id: Hashable, timestamp: float) -> bool:
         """Whether an arrival at ``timestamp`` would find ``edge_id`` still
@@ -158,10 +211,10 @@ class SharedSlidingWindow:
         the expiry the arrival itself would trigger; count-based windows
         only expire by capacity, so any stored bearer is live.
         """
-        bearer = self._id_times.get(edge_id)
+        bearer = self.bearers.get(edge_id)
         if bearer is None:
             return False
-        duration = getattr(self._policy, "duration", None)
+        duration = self._duration
         if duration is None:
             return True
         return bearer > timestamp - duration

@@ -17,6 +17,8 @@ from typing import Deque, Iterator, List
 
 from .edge import StreamEdge
 
+_INF = float("inf")
+
 
 class SlidingWindow:
     """FIFO of in-window edges with timestamp-driven expiry.
@@ -66,11 +68,16 @@ class SlidingWindow:
         """Move the window head to ``timestamp`` and pop expired edges.
 
         Returns the expired edges in chronological order.  Monotonicity is
-        enforced: time can only move forward.
+        enforced: time can only move forward, and only to a finite time (a
+        ``NaN`` cutoff would never expire anything again; an infinite one
+        would refuse every later arrival).
         """
         if timestamp < self._current_time:
             raise ValueError(
                 f"time moves backwards: {timestamp} < {self._current_time}")
+        if not -_INF < timestamp < _INF:
+            raise ValueError(
+                f"stream timestamps must be finite, got {timestamp!r}")
         self._current_time = timestamp
         cutoff = timestamp - self.duration
         expired: List[StreamEdge] = []
@@ -81,9 +88,9 @@ class SlidingWindow:
     def push(self, edge: StreamEdge) -> List[StreamEdge]:
         """Insert a new arrival and return the edges it expires.
 
-        The new edge's timestamp must be strictly greater than every edge
-        already in the window (Definition 1: streaming timestamps strictly
-        increase).
+        The new edge's timestamp must be finite and strictly greater than
+        every edge already in the window (Definition 1: streaming
+        timestamps strictly increase); :meth:`advance` checks the first.
         """
         if self._edges and edge.timestamp <= self._edges[-1].timestamp:
             raise ValueError(

@@ -1,28 +1,33 @@
 """The two ingest stages every session shares: admission and routing.
 
-A session's ingest path is admit → route → match → emit.  The first two
+A session's ingest path is route → admit → match → emit.  The first two
 stages know nothing of engines, so they live here and a
 :class:`~repro.api.Session` holds one instance of each:
-
-:class:`Admission`
-    The stream clock plus one :class:`WindowGroup` — a
-    :class:`~repro.graph.shared_window.SharedSlidingWindow` and its
-    duplicate-policy rosters — per distinct window policy.
-    :meth:`Admission.admit` judges an arrival against the *stream* (time
-    order, in-window duplicate ids) before any window, clock or counter
-    moves, then slides every group's window.
 
 :class:`RouteIndex`
     Label-triple routing: an exact-triple dict, a
     :class:`~repro.core.labeltrie.PredicateRouter` for ``ANY``/``Prefix``
     labels, the always-routed entries, and the one memo of resolved
     target lists.  :meth:`RouteIndex.targets` answers "which payloads must
-    see this edge" — the session's ``(ordinal, query record)`` pairs.
+    see this edge" — the session's ``(ordinal, query record)`` pairs —
+    once per arrival.
+
+:class:`Admission`
+    The stream clock plus one :class:`WindowGroup` — a
+    :class:`~repro.graph.shared_window.SharedSlidingWindow`, its
+    duplicate-policy rosters and the target lists its buffered arrivals
+    hold for their expiry — per distinct window policy.
+    :meth:`Admission.admit` judges an arrival against the *stream* (time
+    order, in-window duplicate ids) before any window, clock or counter
+    moves, then slides every group's window.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from collections import deque
+from typing import (
+    Callable, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple,
+)
 
 from .core.labeltrie import PredicateRouter
 from .graph.edge import StreamEdge
@@ -41,6 +46,9 @@ Entry = Tuple[int, object]
 #: The :meth:`RouteIndex.add` signature of an entry that must see every
 #: arrival (privately-buffering matchers).
 ALWAYS_ROUTED = ((), (), True)
+
+#: The target list of an edge nothing routes; shared, never mutated.
+_NOWHERE: List = []
 
 
 def group_key(window) -> Optional[Tuple]:
@@ -71,19 +79,32 @@ class WindowGroup:
     """The queries sharing one window buffer (same window-policy key).
 
     ``members`` maps each member's entry to its duplicate policy; the
-    policies are consulted on the duplicate path only.
+    policies are consulted on the duplicate path only.  ``stateful``
+    counts the members that store edges (every plan but the stateless
+    one-edge one).  While it is non-zero, ``held`` keeps ``(edge,
+    targets)`` for each buffered arrival that had route targets, oldest
+    first: the list the arrival was inserted into is the list its expiry
+    walks, so an edge is label-matched once however long it stays.
     """
 
-    __slots__ = ("window", "members")
+    __slots__ = ("window", "members", "stateful", "held")
 
     def __init__(self, window: SharedSlidingWindow) -> None:
         self.window = window
         self.members: Dict[Entry, str] = {}
+        self.stateful = 0
+        self.held: Deque[Tuple[StreamEdge, List[Entry]]] = deque()
 
     def entries(self, policy: str) -> List[Entry]:
         """The members enrolled under duplicate policy ``policy``."""
         return [entry for entry, held in self.members.items()
                 if held == policy]
+
+    def hold(self, edge: StreamEdge, targets: List[Entry]) -> None:
+        """Keep a just-buffered arrival's targets for its expiry — when
+        there are any and a member may have stored it."""
+        if targets and self.stateful:
+            self.held.append((edge, targets))
 
 
 class Admission:
@@ -122,23 +143,26 @@ class Admission:
             group = self.groups[key] = WindowGroup(window)
         return group
 
-    def enroll(self, key: Tuple, entry: Entry,
-               duplicate_policy: str) -> WindowGroup:
+    def enroll(self, key: Tuple, entry: Entry, duplicate_policy: str,
+               stateful: bool = False) -> WindowGroup:
         """Add a query to the group for ``key``, opening it when it is
-        the first member."""
+        the first member; ``stateful`` when its engine stores edges."""
         group = self.open(key)
         group.members[entry] = duplicate_policy
+        group.stateful += stateful
         return group
 
-    def withdraw(self, key: Tuple, entry: Entry) -> None:
+    def withdraw(self, key: Tuple, entry: Entry,
+                 stateful: bool = False) -> None:
         """Remove a query from its group; the last member out frees the
-        buffer."""
+        buffer and what the group held for expiry."""
         group = self.groups[key]
-        group.members.pop(entry, None)
+        if group.members.pop(entry, None) is not None:
+            group.stateful -= stateful
         if not group.members:
             del self.groups[key]
 
-    def admit(self, edge: StreamEdge,
+    def admit(self, edge: StreamEdge, targets: List[Entry] = (),
               offenders=()) -> Optional[FrozenSet]:
         """Accept one arrival into the stream, or raise having touched
         nothing.
@@ -147,10 +171,11 @@ class Admission:
         in-window duplicate (``None`` when there are none): those groups'
         windows only advance — time moves, nothing is buffered — and
         their members must not ingest the edge; every other group buffers
-        it.  A live group with ``raise`` members rejects the arrival for
-        the whole session; ``offenders`` lets the caller add the entries
-        of matchers outside any group that would reject it too, so one
-        error names every rejecter.
+        it and holds it with ``targets``, the arrival's route targets
+        (see :meth:`WindowGroup.hold`).  A live group with ``raise``
+        members rejects the arrival for the whole session; ``offenders``
+        lets the caller add the entries of matchers outside any group
+        that would reject it too, so one error names every rejecter.
         """
         timestamp = edge.timestamp
         if not self.clock < timestamp < _INF:
@@ -165,12 +190,12 @@ class Admission:
         groups = self.groups
         edge_id = edge.edge_id
         live = None
-        for key, group in groups.items():
-            if group.window.bearer_live_at(edge_id, timestamp):
-                if live is None:
-                    live = set()
-                live.add(key)
-                offenders = [*offenders, *group.entries("raise")]
+        for group in groups.values():
+            if edge_id in group.window.bearers:
+                # Rare: a group still buffers a bearer of this id.
+                live, offenders = self._duplicates(
+                    edge_id, timestamp, offenders)
+                break
         if offenders:
             names = [record.name for _, record in sorted(offenders)]
             raise ValueError(
@@ -180,18 +205,37 @@ class Admission:
         self.edges_pushed += 1
         on_expired = self._on_expired
         for key, group in groups.items():
-            if live is not None and key in live:
-                expired = group.window.advance(timestamp)
-            else:
+            if live is None or key not in live:
                 expired = group.window.push(edge)
+                if targets and group.stateful:  # WindowGroup.hold, inlined
+                    group.held.append((edge, targets))
+            else:
+                expired = group.window.advance(timestamp)
             if expired and on_expired is not None:
                 on_expired(key, expired)
         return frozenset(live) if live is not None else None
+
+    def _duplicates(self, edge_id: Hashable, timestamp: float, offenders):
+        """``(live, offenders)``: the keys of the groups an arrival at
+        ``timestamp`` is an in-window duplicate for (``None`` if none),
+        and ``offenders`` plus those groups' ``raise`` members."""
+        live = None
+        for key, group in self.groups.items():
+            if group.window.bearer_live_at(edge_id, timestamp):
+                if live is None:
+                    live = set()
+                live.add(key)
+                offenders = [*offenders, *group.entries("raise")]
+        return live, offenders
 
     def advance(self, timestamp: float) -> None:
         """Slide every group's window forward without an arrival."""
         if not timestamp >= self.clock:     # NaN too
             raise ValueError("time moves backwards")
+        if not -_INF < timestamp < _INF:
+            # At +inf every later arrival would be refused as out of order.
+            raise ValueError(
+                f"stream timestamps must be finite, got {timestamp!r}")
         self.clock = timestamp
         on_expired = self._on_expired
         for key, group in self.groups.items():
@@ -211,8 +255,14 @@ class RouteIndex:
     arrival.  A query with several exact triples files its payload under
     each; ``targets`` returns each payload once, sorted.
 
-    Resolved target lists are memoised per label triple (type-exact, as
-    prefix predicates are).  Only triples
+    An exact bucket is copy-on-write and kept sorted: ``add``/``remove``
+    build a new list, so a list ``targets`` handed out is never mutated
+    and a caller may keep it (a window group holds it for the edge's
+    expiry).  While no predicate or always-routed entry exists,
+    ``targets`` *is* that bucket — one dict probe, no memo.
+
+    Otherwise resolved target lists are memoised per label triple
+    (type-exact, as prefix predicates are).  Only triples
     with an index hit get their own entry; every miss shares one
     ``None``-keyed list, so a high-cardinality label stream cannot grow
     the memo past the index itself — and because prefix predicates make
@@ -233,6 +283,8 @@ class RouteIndex:
         self.entries: Dict[str, Tuple[Hashable, Optional[tuple], int]] = {}
         self.memo: Dict = {}
         self.memo_clears = 0
+        #: Only exact entries: ``targets`` answers from :attr:`exact`.
+        self.exact_only = True
 
     def add(self, name: str, payload: Hashable, signatures) -> None:
         """Route ``payload`` for the query ``name``; ``signatures`` is
@@ -244,14 +296,14 @@ class RouteIndex:
         else:
             exact = tuple(exact)
             for triple in exact:
-                self.exact.setdefault(triple, []).append(payload)
+                bucket = self.exact.get(triple, _NOWHERE)
+                self.exact[triple] = sorted([*bucket, payload])
             for i, (src_atom, edge_atom, dst_atom, is_loop) \
                     in enumerate(predicates):
                 self.router.add((payload, name, i),
                                 (src_atom, edge_atom, dst_atom), is_loop)
             self.entries[name] = (payload, exact, len(predicates))
-        self.memo.clear()
-        self.memo_clears += 1
+        self._changed()
 
     def remove(self, name: str) -> None:
         """Unhook every entry of ``name``: emptied dict buckets are
@@ -262,20 +314,33 @@ class RouteIndex:
             self.always.remove(payload)
         else:
             for triple in exact:
-                bucket = self.exact[triple]
-                bucket.remove(payload)
-                if not bucket:
+                bucket = [held for held in self.exact[triple]
+                          if held != payload]
+                if bucket:
+                    self.exact[triple] = bucket
+                else:
                     del self.exact[triple]
             for i in range(predicate_count):
                 self.router.remove((payload, name, i))
+        self._changed()
+
+    def _changed(self) -> None:
+        self.exact_only = not self.always and not self.router
         self.memo.clear()
         self.memo_clears += 1
 
     def targets(self, edge: StreamEdge) -> List:
         """The payloads that must see ``edge``, each once, sorted: exact
         hits, predicate hits (a candidate set — engines re-verify) and
-        the always-routed entries.  The returned list is the memo's own;
-        callers must not mutate it."""
+        the always-routed entries.  The returned list is shared (an
+        exact bucket, or the memo's own); callers must not mutate it."""
+        if self.exact_only:
+            try:
+                return self.exact.get(
+                    (edge.src_label, edge.label, edge.dst_label,
+                     edge.src == edge.dst), _NOWHERE)
+            except TypeError:
+                return self._everyone()
         cache = self.memo
         is_loop = edge.src == edge.dst
         src_label, label, dst_label = \
@@ -298,9 +363,7 @@ class RouteIndex:
                 src_label, label, dst_label, is_loop) \
                 if router else None
         except TypeError:
-            # Unhashable data label: no index probe possible — everyone
-            # must judge it (mirrors matching_edge_ids' linear fallback).
-            return sorted({entry[0] for entry in self.entries.values()})
+            return self._everyone()
         if not hits and not predicate_hits:
             targets = cache.get(None)
             if targets is None:
@@ -316,3 +379,8 @@ class RouteIndex:
             self.memo_clears += 1
         targets = cache[key] = sorted(found)
         return targets
+
+    def _everyone(self) -> List:
+        # Unhashable data label: no index probe possible — everyone must
+        # judge it (mirrors matching_edge_ids' linear fallback).
+        return sorted({entry[0] for entry in self.entries.values()})

@@ -235,12 +235,15 @@ def _replay(session: Session, data: dict) -> None:
 
     def feed(key, until: float) -> None:
         # The group's edges up to ``until``, into its window and into the
-        # members registered so far — all of which joined before them.
-        buffer, window = buffers[key], admission.groups[key].window
+        # members registered so far — all of which joined before them —
+        # held with that target list for their expiry, as admission does.
+        buffer, group = buffers[key], admission.groups[key]
         while buffer and buffer[0].timestamp <= until:
             edge = buffer.popleft()
-            window.push(edge)   # expires nothing: all are live at the clock
-            for _, record in session._index.targets(edge):
+            group.window.push(edge)     # expires nothing: all are live
+            targets = session._index.targets(edge)
+            group.hold(edge, targets)
+            for _, record in targets:
                 if record.group_key == key \
                         and not record.matcher.stateless:
                     record.matcher._insert(edge)

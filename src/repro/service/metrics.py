@@ -55,7 +55,10 @@ _HELP = {
                                  "so nothing in subplan_store_cells.",
     "session_route_memo_clears": "Wholesale route-memo clears (a query "
                                  "added or removed, or the memo full).",
-    "session_route_memo_entries": "Label triples with memoised targets.",
+    "session_route_memo_entries": "Label triples with memoised targets "
+                                  "(the predicate and always-routed "
+                                  "tier; 0 while every query is "
+                                  "exact-label).",
 }
 
 #: Nested counter groups in a tenant status, exported with their group

@@ -42,6 +42,30 @@ class TestIdentityAndTime:
             matcher.push(make_edge("c4", "e7", 4))
 
 
+    def test_nan_time_refused_by_advance_time(self):
+        """A ``NaN`` cutoff compares false both ways: the window would
+        never expire anything again and grow without bound."""
+        matcher = TimingMatcher(fig5_query(), window=2.0)
+        matcher.push(make_edge("e7", "f8", 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            matcher.advance_time(float("nan"))
+        matcher.advance_time(5.0)
+        assert len(matcher.window) == 0
+
+    def test_nan_arrival_refused_by_push(self):
+        """A ``NaN`` arrival used to be accepted and to match."""
+        query = QueryGraph()
+        query.add_vertex("u", "e")
+        query.add_vertex("v", "f")
+        query.add_edge("e1", "u", "v")
+        matcher = TimingMatcher(query, window=2.0)
+        matcher.push(make_edge("e7", "f8", 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            matcher.push(make_edge("e7", "f9", float("nan")))
+        assert matcher.result_count() == 1
+        assert [e.timestamp for e in matcher.window] == [1.0]
+
+
 class TestPathologicalQueries:
     def test_single_edge_query(self):
         q = QueryGraph()

@@ -6,6 +6,8 @@ wrapper (id index, duplicate probes), and the per-matcher read-only view.
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import StreamEdge
 from repro.graph.count_window import CountSlidingWindow
@@ -167,6 +169,83 @@ class TestSharedSlidingWindow:
                                timestamp=20.0, edge_id="flow"))
         assert shared.bearer_timestamp("flow") == 20.0
         assert len(shared) == 1             # the push advanced the old out
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteTime:
+    """A ``NaN`` cutoff expires nothing ever again and an infinite clock
+    refuses every later arrival, so every window class refuses both, on
+    either entry point — the shared window's one-frame ``push`` too."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=str)
+    @pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
+    def test_push_refuses(self, kind, bad):
+        window = WINDOW_FACTORIES[kind]()
+        window.push(make_edge("a1", "b1", 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            window.push(make_edge("a2", "b2", bad))
+        assert [e.timestamp for e in window] == [1.0]
+        assert window.current_time == 1.0
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
+    def test_push_into_an_empty_window_refuses(self, kind, bad):
+        window = WINDOW_FACTORIES[kind]()
+        with pytest.raises(ValueError, match="must be finite"):
+            window.push(make_edge("a1", "b1", bad))
+        assert len(window) == 0 and window.current_time == float("-inf")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=str)
+    @pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
+    def test_advance_refuses(self, kind, bad):
+        window = WINDOW_FACTORIES[kind]()
+        window.push(make_edge("a1", "b1", 1.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            window.advance(bad)
+        assert window.current_time == 1.0
+        # ...and the window still slides: nothing froze the cutoff.
+        window.push(make_edge("a2", "b2", 2.0))
+        assert len(window) == 2
+
+
+#: One step driven into a window: ("push", timestamp) or ("advance", t).
+steps = st.lists(st.tuples(
+    st.sampled_from(["push", "push", "push", "advance"]),
+    st.one_of(st.integers(0, 30).map(float),
+              st.sampled_from([float("nan"), float("inf")]))),
+    max_size=40)
+
+
+@pytest.mark.parametrize("policy", [lambda: SlidingWindow(5.0),
+                                    lambda: CountSlidingWindow(3)],
+                         ids=["time", "count"])
+@given(script=steps)
+@settings(max_examples=150, deadline=None)
+def test_shared_push_is_the_policy_push(policy, script):
+    """The shared window slides its policy's deque in one frame; driven
+    side by side with a bare policy it drops, refuses and keeps exactly
+    what the policy does."""
+    bare, shared = policy(), SharedSlidingWindow(policy())
+    for i, (op, timestamp) in enumerate(script):
+        edge = StreamEdge("a", "b", src_label="A", dst_label="B",
+                          timestamp=timestamp, edge_id=i % 4)
+        outcomes = []
+        for window in (bare, shared):
+            try:
+                dropped = getattr(window, op)(
+                    edge if op == "push" else timestamp)
+                outcomes.append([e.timestamp for e in dropped])
+            except ValueError:
+                outcomes.append("refused")
+        assert outcomes[0] == outcomes[1]
+        assert [e.timestamp for e in bare] == [e.timestamp for e in shared]
+        assert bare.current_time == shared.current_time
+        latest = {}
+        for held in shared:
+            latest[held.edge_id] = held.timestamp
+        assert shared.bearers == latest
 
 
 class TestSharedWindowView:

@@ -293,3 +293,20 @@ def test_a_non_finite_arrival_cannot_stop_the_window():
     assert clean[2] == 20               # 10 units of two arrivals each
     assert feed(float("nan")) == clean
     assert feed(float("inf")) == clean
+
+
+@pytest.mark.parametrize("bad, message", [
+    (float("inf"), "must be finite"), (float("-inf"), "backwards"),
+    (float("nan"), "backwards"),
+])
+def test_advance_time_refuses_a_non_finite_clock(bad, message):
+    """An infinite clock made every later push fail with ``2.0 <= inf``;
+    the refusal leaves the session where it was."""
+    session = Session(window=10.0)
+    session.register("one", one_edge_query("A", ANY, "B", False))
+    session.push(edge("first", 1.0))
+    with pytest.raises(ValueError, match=message):
+        session.advance_time(bad)
+    assert session.current_time == 1.0
+    assert [n for n, _ in session.push(edge("second", 2.0))] == ["one"]
+    assert session.result_counts() == {"one": 2}

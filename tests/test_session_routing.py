@@ -44,12 +44,13 @@ class TestChurn:
         group_key = ("time", 6.0)
         group_window = session._admission.groups[group_key].window
         session.deregister("a")
+        # Only the stateless "w" is left: nothing more is held for expiry.
+        assert session._admission.groups[group_key].stateful == 0
         session.deregister("w")
         assert session._index.exact == {}
         assert len(session._index.router) == 0
         assert session._index.always == []
         assert session._queries == {}
-        assert session._retaining == 0
         assert session._index.entries == {}
         # Last member out frees the group and its buffer.
         assert group_key not in session._admission.groups
