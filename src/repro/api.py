@@ -42,7 +42,9 @@ from .core.matches import Match
 from .core.query import QueryGraph
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedWindowView
-from .ingest import ALWAYS_ROUTED, Admission, RouteIndex, group_key
+from .ingest import (
+    ALWAYS_ROUTED, Admission, Candidates, RouteIndex, group_key,
+)
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
@@ -105,7 +107,12 @@ class _QueryRecord:
     group whose buffer the engine reads, ``None`` for a privately-buffering
     matcher (a factory's engine or a custom window policy).  ``matcher`` is
     cleared at deregistration, so a target list snapshotted earlier skips
-    the query.
+    the query.  ``slot`` is the query's one edge id when the member is
+    *decided* — a window-group member whose engine is a stateless
+    :class:`~repro.core.engine.TimingMatcher` and whose routing signature
+    is exact or predicate, never generic: the route index then runs its
+    whole label test, so the session matches it without an engine call
+    (see :meth:`Session._ingest`).  ``None`` for every other member.
     """
 
     def __init__(self, name: str, ordinal: int, matcher,
@@ -123,6 +130,7 @@ class _QueryRecord:
         self.config = config
         self.options = options if options is not None else {}
         self.group_key: Optional[Tuple] = None
+        self.slot = None
 
 
 class Session:
@@ -293,7 +301,11 @@ class Session:
             self._admission.enroll(key, entry, matcher.duplicate_policy,
                                    not matcher.stateless)
             record.group_key = key
-            self._index.add(record.name, entry, matcher.routing_signatures())
+            signatures = matcher.routing_signatures()
+            self._index.add(record.name, entry, signatures)
+            if type(matcher) is TimingMatcher and matcher.stateless \
+                    and not signatures[2]:
+                record.slot = matcher.all_slots[0]
         self._queries[record.name] = record
 
     def _resolve_registration(self, name: str, query, window):
@@ -457,7 +469,12 @@ class Session:
         :meth:`repro.ingest.Admission.admit`) and holding the target list
         for the arrival's own expiry; privately-buffering matchers keep
         their per-matcher duplicate peek, folded into the same
-        all-or-nothing rejection.  Only the targets run.  Every match is
+        all-or-nothing rejection.  Only the targets run.  A decided
+        member (``record.slot``; see :class:`_QueryRecord`) on a decided
+        list — anything but :class:`~repro.ingest.Candidates` — is matched
+        here: its route passed the one label test its stateless plan
+        runs, so the session counts the engine's insert and builds the
+        match itself.  Every match is
         delivered to the sinks as it is found; ``consume(i, pairs)`` then
         receives the ``(name, match)`` pairs of each arrival that
         completed any, ``i`` being the arrival's index in ``edges``.
@@ -491,6 +508,7 @@ class Session:
             self.skipped_matchers += len(queries) - len(targets)
             if not targets:
                 continue
+            decided = targets.__class__ is not Candidates
             results: List[Tuple[str, Match]] = []
             for _, record in targets:
                 matcher = record.matcher
@@ -506,7 +524,16 @@ class Session:
                     continue    # duplicate: dropped for this whole group
                 else:
                     self.routed_pushes += 1
-                    matches = matcher._insert(edge)
+                    slot = record.slot
+                    if slot is not None and decided:
+                        # The stateless insert_edge, its test passed.
+                        stats = matcher.stats
+                        stats.edges_seen += 1
+                        stats.edges_matched += 1
+                        stats.matches_emitted += 1
+                        matches = (Match({slot: edge}),)
+                    else:
+                        matches = matcher._insert(edge)
                 for match in matches:
                     results.append((record.name, match))
                     self._deliver(record, match)

@@ -120,10 +120,15 @@ class PredicateRouter:
     """Per-position predicate index: exact dicts + prefix tries + always.
 
     Registered entries are ``(token, atoms, is_loop)`` where ``atoms`` is
-    the :data:`AtomTriple` of a query edge.  ``match`` returns the token
-    set whose predicates accept an arriving label triple; callers treat
-    the result as a *candidate* set (engines re-verify), so the router
-    only ever has to avoid false negatives.
+    the :data:`AtomTriple` of a query edge.  ``match`` returns exactly the
+    token set whose predicates accept an arriving label triple: a token
+    hits if and only if
+    :meth:`~repro.core.query.QueryGraph.edge_matches` accepts its query
+    edge (``eq`` by ``==``, ``pre`` by
+    :func:`~repro.core.query.prefix_text`, the loop flag equal).  A
+    session matches a one-edge query on that answer alone, with no
+    engine re-check, so the router must have neither false negatives
+    nor false positives.
 
     ``match`` may raise ``TypeError`` when a data label is unhashable —
     callers fall back to their route-everything path, exactly as the

@@ -10,7 +10,9 @@ stages know nothing of engines, so they live here and a
     labels, the always-routed entries, and the one memo of resolved
     target lists.  :meth:`RouteIndex.targets` answers "which payloads must
     see this edge" — the session's ``(ordinal, query record)`` pairs —
-    once per arrival.
+    once per arrival.  Its answer is exact for every exact or predicate
+    entry, except for an arrival no probe can hash: that one gets a
+    :class:`Candidates` list.
 
 :class:`Admission`
     The stream clock plus one :class:`WindowGroup` — a
@@ -49,6 +51,17 @@ ALWAYS_ROUTED = ((), (), True)
 
 #: The target list of an edge nothing routes; shared, never mutated.
 _NOWHERE: List = []
+
+
+class Candidates(list):
+    """A target list the route index could not decide: an arrival with
+    an unhashable label defeats every probe, so the list names every
+    routed payload and each engine must run the label test itself.
+    Every other list :meth:`RouteIndex.targets` returns holds an exact
+    or predicate entry only when the arrival passes that entry's label
+    test."""
+
+    __slots__ = ()
 
 
 def group_key(window) -> Optional[Tuple]:
@@ -255,6 +268,12 @@ class RouteIndex:
     arrival.  A query with several exact triples files its payload under
     each; ``targets`` returns each payload once, sorted.
 
+    The exact dict and the router decide an exact or predicate entry's
+    label test exactly — the same ``==``, prefix text and loop flag
+    :meth:`~repro.core.query.QueryGraph.edge_matches` applies — so a
+    one-edge query routed there needs no second test.  Always-routed
+    entries and a :class:`Candidates` list are only candidates.
+
     An exact bucket is copy-on-write and kept sorted: ``add``/``remove``
     build a new list, so a list ``targets`` handed out is never mutated
     and a caller may keep it (a window group holds it for the edge's
@@ -331,9 +350,11 @@ class RouteIndex:
 
     def targets(self, edge: StreamEdge) -> List:
         """The payloads that must see ``edge``, each once, sorted: exact
-        hits, predicate hits (a candidate set — engines re-verify) and
-        the always-routed entries.  The returned list is shared (an
-        exact bucket, or the memo's own); callers must not mutate it."""
+        hits and predicate hits (both decided: the entry's label test
+        passed) and the always-routed entries.  An arrival with an
+        unhashable label gets :class:`Candidates`, every payload.  The
+        returned list is shared (an exact bucket, or the memo's own);
+        callers must not mutate it."""
         if self.exact_only:
             try:
                 return self.exact.get(
@@ -380,7 +401,8 @@ class RouteIndex:
         targets = cache[key] = sorted(found)
         return targets
 
-    def _everyone(self) -> List:
+    def _everyone(self) -> Candidates:
         # Unhashable data label: no index probe possible — everyone must
         # judge it (mirrors matching_edge_ids' linear fallback).
-        return sorted({entry[0] for entry in self.entries.values()})
+        return Candidates(sorted({entry[0]
+                                  for entry in self.entries.values()}))

@@ -382,8 +382,8 @@ class Tenant:
             if rid is not None and self.dedup is not None \
                     and self.dedup.get(rid) is None:
                 self.dedup.put(rid, {
-                    "accepted": int(frame.get("n", 0)),
-                    "invalid": int(frame.get("invalid", 0)),
+                    "accepted": frame.get("n", 0),
+                    "invalid": frame.get("invalid", 0),
                     "position": self.edges_offered,
                     "durable": True,
                 })
@@ -426,8 +426,7 @@ class Tenant:
                         entries.append(_Entry(edge, None, now, lsn))
                 lsn += 1
             return entries
-        items = frame.get("entries")
-        for i, item in enumerate(items if isinstance(items, list) else ()):
+        for i, item in enumerate(frame.get("entries", ())):
             lsn = first_lsn + i
             if lsn <= start:
                 continue        # the checkpoint already covers it

@@ -155,8 +155,28 @@ def _encode_frame(payload: dict) -> bytes:
     return _frame(_dumps(payload))
 
 
+def _field_fault(payload: dict) -> Optional[str]:
+    """Why a CRC-clean frame's fields cannot be trusted, or ``None``.
+    Open, replay and the CLI read these fields as they are, so a
+    wrong-typed one is corruption at its offset, like a bad checksum."""
+    for field in ("base", "n", "invalid"):
+        value = payload.get(field, 0)
+        if type(value) is not int or value < 0:     # bool too
+            return f"frame field {field!r} is not a non-negative integer"
+    skip = payload.get("skip", [])
+    if not isinstance(skip, list) \
+            or any(type(position) is not int for position in skip):
+        return "frame field 'skip' is not a list of integers"
+    if not isinstance(payload.get("rid", ""), str):
+        return "frame field 'rid' is not a string"
+    if not isinstance(payload.get("entries", []), list):
+        return "frame field 'entries' is not a list"
+    return None
+
+
 def scan_segment(path: str) -> dict:
-    """Scan one segment file, validating every frame.
+    """Scan one segment file, validating every frame: its length, its
+    CRC, its JSON object and the type of every field recovery reads.
 
     Returns ``{"frames": [...], "good_bytes": n, "torn_bytes": m,
     "error": reason_or_None}`` where ``frames`` holds the decoded
@@ -202,6 +222,10 @@ def scan_segment(path: str) -> dict:
         if not isinstance(payload, dict):
             error = "frame payload is not an object"
             break
+        fault = _field_fault(payload)
+        if fault is not None:
+            error = fault
+            break
         frames.append(payload)
         offset += _FRAME.size + length
     return {
@@ -239,10 +263,10 @@ def inspect_wal(directory: str) -> dict:
         data_frames = 0
         for frame in scan["frames"]:
             if "base" in frame and base is None:
-                base = int(frame["base"])
+                base = frame["base"]
             else:
                 data_frames += 1
-                edges += int(frame.get("n", 0))
+                edges += frame.get("n", 0)
         if base is not None:
             if position and base != last_lsn + 1:
                 errors.append(
@@ -401,9 +425,9 @@ class WriteAheadLog:
             edges = 0
             for frame in scan["frames"]:
                 if base is None and "base" in frame:
-                    base = int(frame["base"])
+                    base = frame["base"]
                 else:
-                    edges += int(frame.get("n", 0))
+                    edges += frame.get("n", 0)
             if not drop_rest and position and base is not None \
                     and base != lsn + 1:
                 # Reclaim only ever deletes *leading* segments, so only
@@ -612,11 +636,11 @@ class WriteAheadLog:
             lsn = None
             for frame in scan["frames"]:
                 if lsn is None and "base" in frame:
-                    lsn = int(frame["base"])
+                    lsn = frame["base"]
                     continue
                 if lsn is None:     # headerless tail adopted at boot
                     break
-                n = int(frame.get("n", 0))
+                n = frame.get("n", 0)
                 first = lsn
                 lsn += n
                 if n == 0 or lsn - 1 > after_lsn:

@@ -9,7 +9,9 @@ on removal so deregistration-heavy sessions cannot leak.  The router on
 top adds per-position composition (src/edge/dst atoms plus the loop
 flag), pinned against its own brute force; its one-position tokens skip
 the count that its two- and three-position tokens need, and the explicit
-examples keep both paths exact.
+examples keep both paths exact.  A session matches a one-edge query by
+its route alone, so the router is also pinned against the engine's own
+label test, :meth:`~repro.core.query.QueryGraph.edge_matches`, both ways.
 """
 
 import pickle
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import ANY, Prefix, QueryGraph, StreamEdge
 from repro.core.labeltrie import LabelTrie, PredicateRouter
 from repro.core.query import prefix_text
 
@@ -205,3 +208,70 @@ class TestPredicateRouterProperties:
         router.remove("t")
         with pytest.raises(KeyError):
             router.remove("t")
+
+
+# ---------------------------------------------------------------------- #
+# PredicateRouter against the engine's label test.
+# ---------------------------------------------------------------------- #
+
+#: ``VALUES`` plus the labels that compare alike yet route apart (``1``,
+#: ``True``, ``1.0`` and ``"1"``), ``None``, the empty string and tuples.
+EXACT_VALUES = VALUES + [1, True, 1.0, "1", "", None, ("a", 4), (1,),
+                         (True,), (1.0, "4")]
+exact_atom = st.one_of(
+    st.just(("any",)),
+    st.tuples(st.just("eq"), st.sampled_from(EXACT_VALUES)),
+    st.tuples(st.just("pre"), st.text(alphabet="ab41", min_size=1,
+                                      max_size=3)),
+)
+
+
+def atom_label(atom):
+    """The query label a routing atom was compiled from."""
+    if atom[0] == "any":
+        return ANY
+    return atom[1] if atom[0] == "eq" else Prefix(atom[1])
+
+
+def one_edge_query(atoms, is_loop):
+    """The one-edge query whose signature is ``atoms`` (a loop edge's
+    two ends are one vertex, so its dst atom is its src atom)."""
+    query = QueryGraph()
+    query.add_vertex("u", atom_label(atoms[0]))
+    if is_loop:
+        query.add_edge("e", "u", "u", label=atom_label(atoms[1]))
+    else:
+        query.add_vertex("v", atom_label(atoms[2]))
+        query.add_edge("e", "u", "v", label=atom_label(atoms[1]))
+    return query
+
+
+class TestRouterDecidesEdgeMatches:
+    @given(st.lists(st.tuples(exact_atom, exact_atom, exact_atom,
+                              st.booleans()), min_size=1, max_size=12),
+           st.lists(st.tuples(st.sampled_from(EXACT_VALUES),
+                              st.sampled_from(EXACT_VALUES),
+                              st.sampled_from(EXACT_VALUES), st.booleans()),
+                    min_size=1, max_size=20))
+    @example(entry_list=[(("pre", "1"), ("eq", 1), ("any",), False),
+                         (("eq", True), ("pre", "1"), ("eq", True), True),
+                         (("eq", (1,)), ("eq", 1.0), ("pre", "4"), False)],
+             probe_list=[(1, True, "4", False), (True, 1, True, True),
+                         (1, "10", 1, True), ((True,), 1, 44, False),
+                         ("1", 1.0, "44", False), (1.0, "1", None, True)])
+    def test_a_token_hits_iff_its_query_accepts(self, entry_list,
+                                                probe_list):
+        router = PredicateRouter()
+        queries = {}
+        for token, (sa, ea, da, is_loop) in enumerate(entry_list):
+            atoms = (sa, ea, sa if is_loop else da)
+            router.add(token, atoms, is_loop)
+            queries[token] = one_edge_query(atoms, is_loop)
+        for src_label, label, dst_label, is_loop in probe_list:
+            edge = StreamEdge("s", "s" if is_loop else "d",
+                              src_label=src_label, dst_label=dst_label,
+                              label=label, timestamp=1.0)
+            accepted = {token for token, query in queries.items()
+                        if query.edge_matches("e", edge)}
+            assert router.match(src_label, label, dst_label, is_loop) == \
+                accepted

@@ -84,6 +84,71 @@ class TestFraming:
         assert scan["error"] is not None
 
 
+#: One CRC-clean frame per field that open, replay and the CLI read, with
+#: that field of the wrong type: each is corruption at its offset.
+HOSTILE_FIELDS = [
+    ("base", {"base": "1"}),
+    ("n", {"n": "x", "entries": []}),
+    ("n-bool", {"n": True, "entries": _entries(1)}),
+    ("n-negative", {"n": -1, "entries": []}),
+    ("invalid", {"n": 0, "entries": [], "invalid": "3"}),
+    ("skip", {"n": 1, "skip": ["0"], "invalid": 1, "body": [{}]}),
+    ("rid", {"n": 0, "entries": [], "rid": 7}),
+    ("entries", {"n": 1, "entries": {"e": _entries(1)[0]["e"]}}),
+]
+
+
+@pytest.mark.parametrize("frame", [frame for _, frame in HOSTILE_FIELDS],
+                         ids=[name for name, _ in HOSTILE_FIELDS])
+class TestHostileFrameFields:
+    def test_a_final_segment_keeps_the_frames_before_it(
+            self, tmp_path, capsys, frame):
+        directory = str(tmp_path / "wal")
+        wal = WriteAheadLog(directory)
+        wal.append(_entries(2))
+        wal.append(_entries(2, 2))
+        wal.close()
+        (name,) = _segments(directory)
+        path = os.path.join(directory, name)
+        with open(path, "ab") as handle:
+            handle.write(_encode_frame(frame)
+                         + _encode_frame({"n": 1, "entries": _entries(1, 4)}))
+        scan = scan_segment(path)
+        assert len(scan["frames"]) == 3
+        assert scan["error"].startswith("frame field")
+        report = inspect_wal(directory)
+        assert (report["edges"], report["errors"]) == (4, [])
+        assert cli_main(["wal", "verify", directory]) == 0
+        capsys.readouterr()
+        reopened = WriteAheadLog(directory)
+        assert reopened.appended_lsn == 4
+        assert reopened.truncated_bytes > 0
+        assert [first for first, _ in reopened.replay(0)] == [1, 3]
+        reopened.close()
+
+    def test_an_interior_segment_drops_the_rest(self, tmp_path, capsys,
+                                                frame):
+        directory = str(tmp_path / "wal")
+        wal = WriteAheadLog(directory, segment_bytes=1024)
+        for i in range(40):
+            wal.append(_entries(2, i * 2))
+        wal.close()
+        names = _segments(directory)
+        assert len(names) >= 3
+        first = os.path.join(directory, names[0])
+        frames = scan_segment(first)["frames"]
+        Path(first).write_bytes(b"".join(
+            map(_encode_frame, [*frames[:2], frame, *frames[2:]])))
+        assert "interior corruption" in inspect_wal(directory)["errors"][0]
+        assert cli_main(["wal", "verify", directory]) == 1
+        capsys.readouterr()
+        reopened = WriteAheadLog(directory, segment_bytes=1024)
+        assert _segments(directory) == names[:1]
+        assert reopened.appended_lsn == 2
+        assert [first for first, _ in reopened.replay(0)] == [1]
+        reopened.close()
+
+
 # --------------------------------------------------------------------- #
 # The log itself
 # --------------------------------------------------------------------- #
