@@ -193,8 +193,10 @@ class Session:
                  duplicate_policy: Optional[str] = None) -> None:
         if isinstance(window, bool):
             raise TypeError("window must be a duration or a window factory")
-        if isinstance(window, (int, float)) and window <= 0:
-            raise ValueError("window must be positive")
+        if isinstance(window, (int, float)) \
+                and not 0 < window < float("inf"):
+            raise ValueError(
+                f"window must be positive and finite, got {window!r}")
         if window is not None and not isinstance(window, (int, float)) \
                 and not callable(window):
             raise TypeError(
@@ -711,10 +713,12 @@ class Session:
         and window memory.
 
         Each arrival is routed once: its expiry walks the target list it
-        carried and never consults the route index.  The route memo
-        (``route_memo_*``) serves the predicate and always-routed tier:
-        while every query is exact-label the index answers from its dict
-        and ``route_memo_entries`` stays 0."""
+        carried and never consults the route index.  Once a predicate or
+        always-routed query is registered, the index answers an arrival
+        hitting one route bucket (or none) with that bucket's prebuilt
+        list; ``route_resolved_lists`` counts the lists built so far —
+        at most the registered buckets plus two, and 0 while every query
+        is exact-label (the index then answers from its dict)."""
         return {
             "queries": len(self._queries),
             "shared_groups": len(self._admission.groups),
@@ -726,8 +730,7 @@ class Session:
                 if getattr(record.matcher, "stateless", False)),
             "predicate_entries": len(self._index.router),
             "predicate_trie_nodes": self._index.router.node_count(),
-            "route_memo_clears": self._index.memo_clears,
-            "route_memo_entries": len(self._index.memo),
+            "route_resolved_lists": self._index.resolved_count(),
             "shared_window_cells": self.shared_window_cells(),
             "window_cells": self.window_cells(),
             "subplan_sharing": self.config.subplan_sharing,

@@ -7,7 +7,7 @@ same guarantee for *predicate* labels (``Prefix``/``ANY``):
 
 * :class:`LabelTrie` — prefix buckets: one dict from pattern text to the
   tokens stored under it, plus a refcount per distinct pattern length.
-  ``walk(text)`` probes ``text[:n]`` once for every stored length
+  ``buckets(text)`` probes ``text[:n]`` once for every stored length
   ``n <= len(text)`` — bounded by the label's length, not by how many
   patterns are stored — and ``insert``/``remove`` are O(1) dict edits,
   so register/deregister churn touches one bucket and cannot leak one.
@@ -17,14 +17,17 @@ same guarantee for *predicate* labels (``Prefix``/``ANY``):
   labels all reduce to :func:`~repro.core.query.routing_atom` atoms
   registers one *token* under its constrained positions.  A token that
   constrains one position is kept under its loop flag and goes straight
-  into the result when that position hits; only tokens constraining two
+  into the result when its bucket is hit; only tokens constraining two
   or three positions are counted per arrival (every constrained position
   must hit, and the loop flag must agree).  Flat in Q.
+  :meth:`PredicateRouter.buckets` is the one probe: ``match`` unions
+  what it finds, and a session's route index resolves a lone hit bucket
+  to a prebuilt target list by its key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from .query import prefix_text
 
@@ -72,19 +75,23 @@ class LabelTrie:
             if not self._lengths[length]:
                 del self._lengths[length]
 
-    def walk(self, text: str) -> List[Token]:
-        """Tokens of every stored pattern that is a prefix of ``text``.
+    def buckets(self, text: str) -> List[Tuple[str, Set[Token]]]:
+        """``(pattern, tokens)`` for every stored pattern that is a
+        prefix of ``text``.
 
         One dict probe per stored length that fits in ``text`` — a
         longer length would slice ``text`` whole and probe its own
-        bucket a second time.
+        bucket a second time.  The token sets are the trie's own.
         """
-        found: List[Token] = []
+        found = []
         buckets = self._buckets
         size = len(text)
         for length in self._lengths:
             if length <= size:
-                found.extend(buckets.get(text[:length], ()))
+                pattern = text[:length]
+                tokens = buckets.get(pattern)
+                if tokens:
+                    found.append((pattern, tokens))
         return found
 
     def node_count(self) -> int:
@@ -100,20 +107,42 @@ def _positions() -> tuple:
     return ({}, {}, {}), (LabelTrie(), LabelTrie(), LabelTrie())
 
 
-def _probe(index: tuple, labels: Tuple) -> List[Token]:
-    """The tokens of ``index`` hit at each position, once per position."""
+#: A bucket hit: its key — ``(position, "eq", value)`` or ``(position,
+#: "pre", pattern)``, ``None`` for a bucket of two- or three-position
+#: tokens — and the bucket's own token set.
+Hit = Tuple[Optional[Tuple], Set[Token]]
+
+
+def _probe(index: tuple, labels: Tuple, keyed: bool,
+           found: List[Hit]) -> None:
+    """Append to ``found`` every bucket of ``index`` the labels hit,
+    once per position and bucket; with ``keyed`` false every key is
+    ``None``."""
     exact, tries = index
-    found: List[Token] = []
     for position, value in enumerate(labels):
         values = exact[position]
         if values:
-            found.extend(values.get(value, ()))
+            tokens = values.get(value)
+            if tokens:
+                found.append(((position, "eq", value) if keyed else None,
+                              tokens))
         trie = tries[position]
         if trie._buckets:
             text = prefix_text(value)
             if text is not None:
-                found.extend(trie.walk(text))
-    return found
+                for pattern, tokens in trie.buckets(text):
+                    found.append(((position, "pre", pattern) if keyed
+                                  else None, tokens))
+
+
+def bucket_key(atoms: AtomTriple) -> Optional[Tuple]:
+    """The key :meth:`PredicateRouter.buckets` reports for the bucket a
+    token registered under ``atoms`` sits in, when it constrains exactly
+    one position; ``None`` when it constrains none (an always-token) or
+    two or three (its buckets come unkeyed)."""
+    constrained = [(position, *atom) for position, atom in enumerate(atoms)
+                   if atom[0] != "any"]
+    return constrained[0] if len(constrained) == 1 else None
 
 
 class PredicateRouter:
@@ -130,9 +159,16 @@ class PredicateRouter:
     engine re-check, so the router must have neither false negatives
     nor false positives.
 
-    ``match`` may raise ``TypeError`` when a data label is unhashable —
-    callers fall back to their route-everything path, exactly as the
-    exact-triple dict probe already does.
+    :meth:`buckets` is the probe behind ``match``: the buckets an
+    arriving triple hits, each with a key naming it.  A bucket of
+    one-position tokens under loop flag ``f`` keyed ``k`` holds the same
+    tokens for every arrival that hits it, so a caller may resolve the
+    bucket once and reuse the answer until a token with that key (see
+    :func:`bucket_key`) or an always-token of ``f`` comes or goes.
+
+    ``match`` and ``buckets`` may raise ``TypeError`` when a data label
+    is unhashable — callers fall back to their route-everything path,
+    exactly as the exact-triple dict probe already does.
     """
 
     __slots__ = ("_single", "_multi", "_multi_size", "_entries", "_always")
@@ -189,18 +225,44 @@ class PredicateRouter:
             elif atom[0] == "pre":
                 tries[position].remove(atom[1], token)
 
+    def buckets(self, src_label: Hashable, edge_label: Hashable,
+                dst_label: Hashable, is_loop: bool) -> List[Hit]:
+        """Every non-empty bucket the triple hits, as ``(key, tokens)``.
+
+        The buckets of one-position tokens under ``is_loop`` come keyed
+        (see :data:`Hit`); a bucket of two- or three-position tokens
+        comes with key ``None``, because its tokens hit only when every
+        constrained position does.  The token sets are the router's own:
+        callers must not mutate them.  Always-tokens sit in no bucket
+        (see :meth:`always`).
+        """
+        found: List[Hit] = []
+        labels = (src_label, edge_label, dst_label)
+        _probe(self._single[is_loop], labels, True, found)
+        if self._multi_size:
+            _probe(self._multi, labels, False, found)
+        return found
+
+    def always(self, is_loop: bool) -> Set[Token]:
+        """The tokens constraining no position under ``is_loop``: every
+        arrival with that loop flag hits them (the router's own set)."""
+        return self._always[is_loop]
+
     def match(self, src_label: Hashable, edge_label: Hashable,
               dst_label: Hashable, is_loop: bool) -> Set[Token]:
         """Tokens whose every constrained position accepts the triple."""
         hits = set(self._always[is_loop])
         if len(hits) == len(self._entries):     # no constrained entries
             return hits
-        labels = (src_label, edge_label, dst_label)
-        hits.update(_probe(self._single[is_loop], labels))
-        if self._multi_size:
-            counts: Dict[Token, int] = {}
-            for token in _probe(self._multi, labels):
-                counts[token] = counts.get(token, 0) + 1
+        counts: Dict[Token, int] = {}
+        for key, tokens in self.buckets(src_label, edge_label, dst_label,
+                                        is_loop):
+            if key is not None:
+                hits.update(tokens)
+            else:
+                for token in tokens:
+                    counts[token] = counts.get(token, 0) + 1
+        if counts:
             entries = self._entries
             hits.update(token for token, count in counts.items()
                         if count == entries[token][2]

@@ -41,8 +41,11 @@ class SlidingWindow:
     __slots__ = ("duration", "_edges", "_current_time")
 
     def __init__(self, duration: float) -> None:
-        if duration <= 0:
-            raise ValueError(f"window duration must be positive, got {duration}")
+        if not 0 < duration < _INF:
+            # NaN compares false both ways: it would expire nothing.
+            raise ValueError(
+                f"window duration must be positive and finite, "
+                f"got {duration}")
         self.duration = duration
         self._edges: Deque[StreamEdge] = deque()
         self._current_time: float = float("-inf")

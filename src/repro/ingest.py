@@ -7,8 +7,8 @@ stages know nothing of engines, so they live here and a
 :class:`RouteIndex`
     Label-triple routing: an exact-triple dict, a
     :class:`~repro.core.labeltrie.PredicateRouter` for ``ANY``/``Prefix``
-    labels, the always-routed entries, and the one memo of resolved
-    target lists.  :meth:`RouteIndex.targets` answers "which payloads must
+    labels, the always-routed entries, and one resolved target list per
+    route bucket.  :meth:`RouteIndex.targets` answers "which payloads must
     see this edge" — the session's ``(ordinal, query record)`` pairs —
     once per arrival.  Its answer is exact for every exact or predicate
     entry, except for an arrival no probe can hash: that one gets a
@@ -31,7 +31,7 @@ from typing import (
     Callable, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple,
 )
 
-from .core.labeltrie import PredicateRouter
+from .core.labeltrie import PredicateRouter, bucket_key
 from .graph.edge import StreamEdge
 from .graph.shared_window import (
     SharedSlidingWindow, window_policy_from_key, window_policy_key,
@@ -278,30 +278,35 @@ class RouteIndex:
     build a new list, so a list ``targets`` handed out is never mutated
     and a caller may keep it (a window group holds it for the edge's
     expiry).  While no predicate or always-routed entry exists,
-    ``targets`` *is* that bucket — one dict probe, no memo.
+    ``targets`` *is* that bucket — one dict probe, nothing resolved.
 
-    Otherwise resolved target lists are memoised per label triple
-    (type-exact, as prefix predicates are).  Only triples
-    with an index hit get their own entry; every miss shares one
-    ``None``-keyed list, so a high-cardinality label stream cannot grow
-    the memo past the index itself — and because prefix predicates make
-    the set of *hitting* triples unbounded too, the memo self-clears at
-    :attr:`CACHE_CAP`.  Any ``add``/``remove`` clears it;
-    :attr:`memo_clears` counts these wholesale clears.
+    Otherwise ``targets`` enumerates the *route buckets* an arrival hits
+    — its exact triple, and every one-position ``eq`` value or prefix
+    pattern :meth:`~repro.core.labeltrie.PredicateRouter.buckets` reports
+    — and answers a lone hit bucket, or no hit at all, with a prebuilt
+    list: the bucket's payloads plus the always-routed ones of the
+    arrival's loop flag, sorted, built on the bucket's first hit and kept
+    in :attr:`resolved`.  Two or more hit buckets, or a hit on a token
+    constraining two or three positions, take the union path (the
+    router's ``match``, then a sort) and keep nothing.  ``add``/
+    ``remove`` drop the lists of the buckets they touch; a change to the
+    always-routed set drops its loop flag's lists (a generic entry:
+    every list).  So :attr:`resolved` is bounded by the registered
+    buckets plus two, however many distinct labels stream past.
     """
-
-    #: Memoised target lists before a wholesale clear.
-    CACHE_CAP = 8192
 
     def __init__(self) -> None:
         self.exact: Dict[Tuple, List[Hashable]] = {}
         self.router = PredicateRouter()
         self.always: List[Hashable] = []
         # name -> (payload, exact triples or None if always-routed,
-        # predicate token count); drives removal.
-        self.entries: Dict[str, Tuple[Hashable, Optional[tuple], int]] = {}
-        self.memo: Dict = {}
-        self.memo_clears = 0
+        # predicate atom triples); drives removal.
+        self.entries: Dict[str, Tuple[Hashable, Optional[tuple], tuple]] = {}
+        #: Per loop flag, route-bucket key -> resolved target list: an
+        #: exact triple, a router bucket key, or ``None`` for the
+        #: arrivals that hit no bucket.
+        self.resolved: Dict[bool, Dict[Hashable, List]] = {
+            False: {}, True: {}}
         #: Only exact entries: ``targets`` answers from :attr:`exact`.
         self.exact_only = True
 
@@ -311,9 +316,9 @@ class RouteIndex:
         exact, predicates, generic = signatures
         if generic:
             self.always.append(payload)
-            self.entries[name] = (payload, None, 0)
+            self.entries[name] = (payload, None, ())
         else:
-            exact = tuple(exact)
+            exact, predicates = tuple(exact), tuple(predicates)
             for triple in exact:
                 bucket = self.exact.get(triple, _NOWHERE)
                 self.exact[triple] = sorted([*bucket, payload])
@@ -321,14 +326,14 @@ class RouteIndex:
                     in enumerate(predicates):
                 self.router.add((payload, name, i),
                                 (src_atom, edge_atom, dst_atom), is_loop)
-            self.entries[name] = (payload, exact, len(predicates))
-        self._changed()
+            self.entries[name] = (payload, exact, predicates)
+        self._changed(self.entries[name])
 
     def remove(self, name: str) -> None:
         """Unhook every entry of ``name``: emptied dict buckets are
         deleted and the router prunes emptied trie nodes, so
         register/deregister churn cannot leak index state."""
-        payload, exact, predicate_count = self.entries.pop(name)
+        entry = payload, exact, predicates = self.entries.pop(name)
         if exact is None:
             self.always.remove(payload)
         else:
@@ -339,21 +344,38 @@ class RouteIndex:
                     self.exact[triple] = bucket
                 else:
                     del self.exact[triple]
-            for i in range(predicate_count):
+            for i in range(len(predicates)):
                 self.router.remove((payload, name, i))
-        self._changed()
+        self._changed(entry)
 
-    def _changed(self) -> None:
+    def _changed(self, entry) -> None:
+        """Drop the resolved lists an added or removed entry touched."""
         self.exact_only = not self.always and not self.router
-        self.memo.clear()
-        self.memo_clears += 1
+        resolved = self.resolved
+        _, exact, predicates = entry
+        if exact is None or self.exact_only:
+            for lists in resolved.values():
+                lists.clear()
+            return
+        for triple in exact:
+            resolved[triple[3]].pop(triple, None)
+        for *atoms, is_loop in predicates:
+            key = bucket_key(atoms)
+            if key is not None:
+                resolved[is_loop].pop(key, None)
+            elif all(atom[0] == "any" for atom in atoms):
+                resolved[is_loop].clear()   # the always-routed set moved
+
+    def resolved_count(self) -> int:
+        """Resolved target lists held (at most the buckets + 2)."""
+        return sum(map(len, self.resolved.values()))
 
     def targets(self, edge: StreamEdge) -> List:
         """The payloads that must see ``edge``, each once, sorted: exact
         hits and predicate hits (both decided: the entry's label test
         passed) and the always-routed entries.  An arrival with an
         unhashable label gets :class:`Candidates`, every payload.  The
-        returned list is shared (an exact bucket, or the memo's own);
+        returned list is shared (an exact bucket, or a resolved list);
         callers must not mutate it."""
         if self.exact_only:
             try:
@@ -362,44 +384,43 @@ class RouteIndex:
                      edge.src == edge.dst), _NOWHERE)
             except TypeError:
                 return self._everyone()
-        cache = self.memo
         is_loop = edge.src == edge.dst
         src_label, label, dst_label = \
             edge.src_label, edge.label, edge.dst_label
+        triple = (src_label, label, dst_label, is_loop)
         try:
-            # The memo key carries each label's type: prefix predicates
-            # tell ``1`` from ``True`` and ``1.0`` (see
-            # :func:`~repro.core.query.prefix_text`), which compare — and
-            # hash — equal, so a value-only key would hand one's targets
-            # to the other.  (Exact triples match by ``==`` in the
-            # engines too, so their dict keeps the value-only key.)
-            key = (src_label, label, dst_label, is_loop,
-                   type(src_label), type(label), type(dst_label))
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            hits = self.exact.get((src_label, label, dst_label, is_loop))
-            router = self.router
-            predicate_hits = router.match(
-                src_label, label, dst_label, is_loop) \
-                if router else None
+            # Hashing the triple is the hashability check the router's
+            # own probes may skip (a label no dict is probed with).
+            payloads = self.exact.get(triple)
+            hits = self.router.buckets(src_label, label, dst_label, is_loop)
         except TypeError:
             return self._everyone()
-        if not hits and not predicate_hits:
-            targets = cache.get(None)
-            if targets is None:
-                targets = cache[None] = sorted(set(self.always))
-            return targets
-        found = set(self.always)
-        if hits:
-            found.update(hits)
-        if predicate_hits:
-            found.update([token[0] for token in predicate_hits])
-        if len(cache) >= self.CACHE_CAP:
-            cache.clear()
-            self.memo_clears += 1
-        targets = cache[key] = sorted(found)
+        if not hits:
+            key = triple if payloads else None
+        elif payloads or len(hits) > 1 or hits[0][0] is None:
+            return self._union(triple, payloads)
+        else:
+            key, tokens = hits[0]
+        lists = self.resolved[is_loop]
+        targets = lists.get(key)
+        if targets is None:
+            found = set(self.always)
+            found.update([token[0] for token in self.router.always(is_loop)])
+            if hits:
+                found.update([token[0] for token in tokens])
+            elif payloads:
+                found.update(payloads)
+            targets = lists[key] = sorted(found)
         return targets
+
+    def _union(self, triple: Tuple, payloads) -> List:
+        """An arrival hitting several buckets, or one counted by the
+        router: every hit resolved afresh, nothing kept."""
+        found = set(self.always)
+        if payloads:
+            found.update(payloads)
+        found.update([token[0] for token in self.router.match(*triple)])
+        return sorted(found)
 
     def _everyone(self) -> Candidates:
         # Unhashable data label: no index probe possible — everyone must

@@ -151,8 +151,10 @@ def parse_query(text: str) -> Tuple[QueryGraph, Optional[float]]:
                 if len(tokens) != 2:
                     raise DSLError(line_no, "expected: window <duration>")
                 window = float(tokens[1])
-                if window <= 0:
-                    raise DSLError(line_no, "window must be positive")
+                if not 0 < window < float("inf"):
+                    # NaN compares false both ways; 1e400 parses as inf.
+                    raise DSLError(
+                        line_no, "window must be positive and finite")
             else:
                 raise DSLError(line_no, f"unknown directive {keyword!r}")
         except DSLError:

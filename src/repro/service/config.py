@@ -239,10 +239,11 @@ class TenantConfig:
                 raise ConfigError(
                     f"query {qname!r} of tenant {self.name!r} has no text")
         if not isinstance(self.window, (int, float)) \
-                or isinstance(self.window, bool) or self.window <= 0:
+                or isinstance(self.window, bool) \
+                or not 0 < self.window < float("inf"):
             raise ConfigError(
-                f"tenant {self.name!r}: window must be a positive "
-                f"duration, got {self.window!r}")
+                f"tenant {self.name!r}: window must be a positive, "
+                f"finite duration, got {self.window!r}")
         if self.storage not in STORAGE_KINDS:
             raise ConfigError(
                 f"tenant {self.name!r}: unknown storage {self.storage!r} "

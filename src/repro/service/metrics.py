@@ -53,12 +53,10 @@ _HELP = {
     "session_stateless_queries": "Registered one-edge queries on the "
                                  "stateless plan: no partial-match store, "
                                  "so nothing in subplan_store_cells.",
-    "session_route_memo_clears": "Wholesale route-memo clears (a query "
-                                 "added or removed, or the memo full).",
-    "session_route_memo_entries": "Label triples with memoised targets "
-                                  "(the predicate and always-routed "
-                                  "tier; 0 while every query is "
-                                  "exact-label).",
+    "session_route_resolved_lists": "Route buckets with a prebuilt "
+                                    "target list (at most the registered "
+                                    "buckets plus two; 0 while every "
+                                    "query is exact-label).",
 }
 
 #: Nested counter groups in a tenant status, exported with their group
@@ -117,7 +115,7 @@ def _counter_like(name: str) -> str:
                       "delivered", "errors", "written", "reuses",
                       "rejected_nonmonotonic", "rejected_duplicate",
                       "recorded", "limited", "admitted", "trips",
-                      "short_circuits", "failures", "clears",
+                      "short_circuits", "failures",
                       "appends", "fsyncs", "replayed", "replayed_edges",
                       "replay_skipped", "hits",
                       "sync_errors", "segments_created",

@@ -18,6 +18,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             SlidingWindow(-1.5)
 
+    @pytest.mark.parametrize("duration", [
+        float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_duration_refused(self, duration):
+        """``nan <= 0`` is false, so a NaN window used to be accepted and
+        then expired nothing, ever; an infinite one the same."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SlidingWindow(duration)
+
     def test_push_and_len(self):
         w = SlidingWindow(10)
         assert len(w) == 0

@@ -72,6 +72,14 @@ class TestErrors:
         with pytest.raises(DSLError, match=fragment):
             parse_query(text)
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_window_refused_with_its_line(self, duration):
+        """``float()`` parses all four; ``1e400`` overflows to ``inf``."""
+        with pytest.raises(DSLError, match="positive and finite") as info:
+            parse_query(f"vertex a A\nvertex b B\nedge e a -> b\n"
+                        f"window {duration}\n")
+        assert info.value.line_no == 4
+
     def test_error_carries_line_number(self):
         with pytest.raises(DSLError) as info:
             parse_query("vertex a A\nbroken\n")

@@ -1,6 +1,8 @@
 """Server config: TOML loading and strict validation."""
 
 import dataclasses
+import json
+import tomllib
 
 import pytest
 
@@ -206,6 +208,16 @@ class TestDataclassValidation:
         with pytest.raises(ConfigError, match="directory"):
             TenantConfig(name="a/b",
                          queries={"q": CHAIN_DSL}).validate()
+
+    @pytest.mark.parametrize("window", ["nan", "inf", "-inf"])
+    def test_non_finite_tenant_window_rejected(self, window):
+        """TOML spells NaN and infinity as bare ``nan`` / ``inf``."""
+        data = tomllib.loads(
+            f'[server]\nstate_dir = "s"\n[[tenant]]\nname = "t0"\n'
+            f'window = {window}\n[[tenant.query]]\nname = "q"\n'
+            f'text = {json.dumps(CHAIN_DSL)}\n')
+        with pytest.raises(ConfigError, match="positive, finite duration"):
+            parse_config(data)
 
     def test_queryless_tenant_rejected(self):
         with pytest.raises(ConfigError, match="no queries"):

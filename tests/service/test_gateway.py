@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro import Session
+from repro import Session, StreamEdge
 from repro.service import ServiceGateway, render_metrics
 from repro.service.gateway import MatchHub
 from repro.sinks import match_record
@@ -264,28 +264,31 @@ class TestMetricsRendering:
         assert "# HELP repro_session_stateless_queries Registered " \
             "one-edge queries on the stateless plan" in text
 
-    def test_route_memo_churn_is_counted_and_exported(self):
-        """Every registration and deregistration clears the route memo
-        wholesale; the session counts it and the page shows it."""
+    def test_route_resolved_lists_gauge_is_exported(self):
+        """The route index's prebuilt lists are a gauge bounded by the
+        registered route buckets: churn of one query drops its own
+        bucket's list, and the page shows the count with its help."""
         session = Session(window=10.0)
-        dsl = "vertex a A\nvertex b B\nedge e a -> b\n"
-        session.register("keep", dsl)
-        before = session.session_stats()["route_memo_clears"]
-        pairs = 5
-        for _ in range(pairs):
-            session.register("churn", dsl)
-            session.deregister("churn")
+        keep = "vertex a A\nvertex b B\nedge e a -> b [x]\n"
+        session.register("keep", keep)
+        session.register("wild", "vertex a *\nvertex b *\nedge e a -> b [*]\n")
+        session.push(StreamEdge("x", "y", src_label="A", dst_label="B",
+                                timestamp=1.0, label="x"))
+        session.push(StreamEdge("x", "y", src_label="C", dst_label="D",
+                                timestamp=2.0))
         stats = session.session_stats()
-        assert stats["route_memo_clears"] - before == 2 * pairs
-        assert stats["route_memo_entries"] == 0
+        # The exact triple's list and the no-hit list.
+        assert stats["route_resolved_lists"] == 2
+        for _ in range(5):
+            session.deregister("keep")
+            session.register("keep", keep)
+        assert session.session_stats()["route_resolved_lists"] == 1
         text = render_metrics({"tenants": {}}, {"t0": stats})
-        assert f'repro_session_route_memo_clears{{tenant="t0"}} ' \
-            f'{stats["route_memo_clears"]}' in text
-        assert "# TYPE repro_session_route_memo_clears counter" in text
-        assert "# HELP repro_session_route_memo_clears Wholesale " \
-            "route-memo clears" in text
-        assert "# HELP repro_session_route_memo_entries Label triples" \
-            in text
+        assert 'repro_session_route_resolved_lists{tenant="t0"} 2' in text
+        assert "# TYPE repro_session_route_resolved_lists gauge" in text
+        assert "# HELP repro_session_route_resolved_lists Route buckets " \
+            "with a prebuilt target list" in text
+        assert "route_memo" not in text
 
 
 class TestMultiTenant:

@@ -7,6 +7,7 @@ arrival changes nothing".
 """
 
 import io
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -63,6 +64,23 @@ def brute_force_targets(registered, edge):
         or query.matching_edge_ids(edge)})
 
 
+_ORDINALS = itertools.count()
+
+
+def register(index, registered, name, spec):
+    """Route a one-edge query over ``spec`` — or, for ``None``, an
+    always-routed entry — under a fresh ordinal, as a session would."""
+    payload = (next(_ORDINALS), name)
+    if spec is None:
+        index.add(name, payload, ALWAYS_ROUTED)
+        registered[name] = (payload, None)
+    else:
+        query = one_edge_query(*spec)
+        index.add(name, payload, query.label_signatures())
+        registered[name] = (payload, query)
+    return payload
+
+
 class TestRouteIndexProperties:
     @given(query_specs, arrivals, st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -76,8 +94,9 @@ class TestRouteIndexProperties:
         probes = [arrival(*spec) for spec in probe_specs]
 
         def check():
-            # Every probe, every time: a memo surviving the last
-            # add/remove would serve a pre-churn list here.
+            # Every probe, every time: a resolved list surviving the
+            # add/remove that changed its bucket would serve a pre-churn
+            # list here.
             for edge in probes:
                 assert index.targets(edge) == \
                     brute_force_targets(registered, edge)
@@ -102,27 +121,35 @@ class TestRouteIndexProperties:
             index.remove(name)
         # Removing everything leaves no residue anywhere.
         assert index.exact == {} and index.always == []
-        assert index.entries == {} and index.memo == {}
+        assert index.entries == {} and index.resolved_count() == 0
         assert len(index.router) == 0 and index.router.node_count() == 3
         assert all(index.targets(edge) == [] for edge in probes)
 
-    def test_cache_is_bounded(self):
-        index = RouteIndex()
-        index.add("p", 0, one_edge_query(
-            Prefix("4"), None, ANY, False).label_signatures())
-        for i in range(RouteIndex.CACHE_CAP + 50):
-            edge = arrival(f"4{i}", None, "z", False)
-            assert index.targets(edge) == [0]
-        assert len(index.memo) <= RouteIndex.CACHE_CAP
-
+    def test_resolved_lists_are_bounded_by_the_buckets(self):
+        """10,000 distinct labels over two prefix buckets, one ``eq``
+        bucket, one exact triple and an always-routed entry: the lists
+        are keyed by bucket, not by label, so at most the four buckets
+        plus one no-hit list per loop flag are ever held."""
+        index, registered = RouteIndex(), {}
+        for name, spec in {"p4": (Prefix("4"), ANY, ANY, False),
+                           "p44": (Prefix("44"), ANY, ANY, False),
+                           "eq": (ANY, "e", ANY, True),
+                           "x": ("45", "n", "z", False),
+                           "all": None}.items():
+            register(index, registered, name, spec)
+        for i in range(10_000):
+            edge = arrival(f"4{i}", "e" if i % 3 else "n", "z", i % 2 == 0)
+            assert index.targets(edge) == \
+                brute_force_targets(registered, edge)
+        assert 0 < index.resolved_count() <= 4 + 2
 
     @pytest.mark.parametrize("first", [True, 1.0])
-    def test_memo_tells_equal_labels_of_different_type_apart(self, first):
+    def test_routes_tell_equal_labels_of_different_type_apart(self, first):
         """``1 == True == 1.0`` (and they hash alike), but a prefix
-        predicate matches only the int's decimal text: a memo keyed on
-        label values alone served ``1`` the target list resolved for
-        ``True`` — missing the prefix query — and would serve ``True``
-        the list resolved for ``1``."""
+        predicate matches only the int's decimal text: a resolved list
+        keyed on the label value (rather than on the bucket its text
+        hits) would serve ``1`` the list resolved for ``True`` — missing
+        the prefix query — and ``True`` the list resolved for ``1``."""
         def session():
             session = Session(window=100.0)
             session.register("any", one_edge_query(ANY, ANY, ANY, False))
@@ -140,6 +167,107 @@ class TestRouteIndexProperties:
         assert [n for n, _ in warm.push(labelled(first, 3.0))] == ["any"]
         assert [n for n, _ in session().push(labelled(1, 1.0))] \
             == ["any", "pre"]
+
+
+class TestResolvedLists:
+    """One prebuilt list per route bucket: kept across churn elsewhere,
+    dropped with its own bucket or its loop flag's always-routed set, and
+    equal to the brute-force scan whichever path built it."""
+
+    def test_cold_churn_leaves_a_hot_buckets_list_alone(self):
+        index, registered = RouteIndex(), {}
+        register(index, registered, "hot", (ANY, Prefix("10"), ANY, False))
+        register(index, registered, "wild", (ANY, ANY, ANY, False))
+        register(index, registered, "cold", (ANY, Prefix("300"), ANY, False))
+        register(index, registered, "twin", (ANY, Prefix("300"), ANY, False))
+        hot_edge = arrival("ip", 1042, "ip", False)
+        cold_edge = arrival("ip", 30017, "ip", False)
+        hot = index.targets(hot_edge)
+        assert [name for _, name in hot] == ["hot", "wild"]
+        for name in ("cold", "twin"):
+            # A deregister + register pair, as session_churn1k runs it;
+            # the bucket outlives each half, so its list must be rebuilt.
+            index.remove(name)
+            del registered[name]
+            assert index.targets(cold_edge) == \
+                brute_force_targets(registered, cold_edge)
+            register(index, registered, name,
+                     (ANY, Prefix("300"), ANY, False))
+            assert index.targets(cold_edge) == \
+                brute_force_targets(registered, cold_edge)
+            assert index.targets(hot_edge) is hot
+
+    def test_an_always_routed_change_refreshes_its_loop_flags_lists(self):
+        index, registered = RouteIndex(), {}
+        register(index, registered, "hot", (ANY, Prefix("10"), ANY, False))
+        register(index, registered, "ring", (ANY, Prefix("10"), ANY, True))
+        register(index, registered, "exact", ("ip", 7, "ip", False))
+        register(index, registered, "loop", (ANY, ANY, ANY, True))
+        edges = [arrival("ip", label, "ip", loop)
+                 for label in (1042, 55, 7) for loop in (False, True)]
+
+        def lists():
+            got = [index.targets(edge) for edge in edges]
+            assert got == [brute_force_targets(registered, edge)
+                           for edge in edges]
+            return got
+
+        before = lists()
+        wild = register(index, registered, "wild", (ANY, ANY, ANY, False))
+        after = lists()
+        for edge, old, new in zip(edges, before, after):
+            if edge.src == edge.dst:
+                assert new is old
+            else:
+                assert wild in new and wild not in old
+        index.remove("wild")
+        del registered["wild"]
+        assert all(wild not in targets for targets in lists())
+        # A generic entry is every arrival's: every list is rebuilt.
+        before = lists()
+        generic = register(index, registered, "generic", None)
+        assert all(generic in new and new is not old
+                   for old, new in zip(before, lists()))
+
+    @pytest.mark.parametrize("specs", [
+        # An exact triple beside a prefix bucket it overlaps, and one
+        # filed twice, so churn leaves its bucket alive.
+        [("ip", 44, "ip", False), (ANY, Prefix("4"), ANY, False),
+         ("ip", 44, "ip", True), ("ip", 5, "ip", False),
+         ("ip", 5, "ip", False)],
+        # Two prefix lengths over one position, under both loop flags;
+        # the shorter one filed twice.
+        [(ANY, Prefix("4"), ANY, False), (ANY, Prefix("44"), ANY, False),
+         (ANY, Prefix("4"), ANY, True), (ANY, ANY, ANY, True),
+         (ANY, Prefix("4"), ANY, False)],
+        # Tokens counted over two or three positions, beside one-position
+        # buckets at each of those positions.
+        [("ip", Prefix("4"), ANY, False), (Prefix("i"), ANY, "op", False),
+         ("ip", Prefix("4"), Prefix("o"), False), ("ip", ANY, ANY, False),
+         (ANY, ANY, "op", False), (ANY, Prefix("44"), ANY, False),
+         ("ip", Prefix("4"), ANY, True)],
+    ], ids=["exact_and_prefix", "two_prefix_lengths", "multi_position"])
+    def test_every_path_equals_brute_force_under_churn(self, specs):
+        labels = ["ip", "op", "i", 4, 44, 448, "4", "44x", 5]
+        probes = [arrival(src, label, dst, loop) for src in ("ip", "op", 4)
+                  for label in labels for dst in ("ip", "op")
+                  for loop in (False, True)]
+        index, registered = RouteIndex(), {}
+
+        def check():
+            for _ in range(2):      # once resolving, once resolved
+                for edge in probes:
+                    assert index.targets(edge) == \
+                        brute_force_targets(registered, edge)
+
+        for i, spec in enumerate(specs):
+            register(index, registered, f"q{i}", spec)
+            check()
+        for name in sorted(registered):
+            index.remove(name)
+            del registered[name]
+            check()
+        assert index.resolved_count() == 0
 
 
 def edge(edge_id, timestamp):

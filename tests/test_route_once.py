@@ -13,12 +13,16 @@ callback mid-arrival, or by re-using a name — change neither list.
 """
 
 import io
+import random
 from collections import Counter
 
 import pytest
 
-from repro import ANY, ListSink, Session, TimingMatcher
+from repro import (
+    ANY, ListSink, Prefix, QueryGraph, Session, StreamEdge, TimingMatcher,
+)
 from repro.baselines.naive import NaiveSnapshotMatcher
+from repro.core.labeltrie import PredicateRouter
 from repro.ingest import RouteIndex
 
 from .conftest import ELABELS, labeled_path_query, labeled_stream
@@ -127,18 +131,88 @@ class TestExactOnlyIndex:
         for edge in edges[:50]:
             first = index.targets(edge)
             assert index.targets(edge) is first
-        assert session.session_stats()["route_memo_entries"] == 0
+        assert session.session_stats()["route_resolved_lists"] == 0
 
-    def test_a_predicate_brings_the_memo_back(self):
+    def test_a_predicate_brings_resolved_lists(self):
+        """A one-position predicate makes the index resolve lists per
+        route bucket; once it leaves, the session is exact-only again
+        and holds none."""
         session = Session(window=4.0)
         for name, query in exact_queries(4).items():
             session.register(name, query)
-        session.register("wild", labeled_path_query(2, elabels=(ANY,)))
+        wild = QueryGraph()
+        wild.add_vertex("u", ANY)
+        wild.add_vertex("v", ANY)
+        wild.add_edge("e", "u", "v", label=Prefix("x"))
+        session.register("wild", wild)
         assert not session._index.exact_only
-        session.push_many(labeled_stream(5, 100))
-        assert session.session_stats()["route_memo_entries"] > 0
+        edges = labeled_stream(5, 100)
+        found = Counter(name for name, _ in session.push_many(edges))
+        stats = session.session_stats()
+        assert 0 < stats["route_resolved_lists"] <= 4 + 1 + 2
+        assert found["wild"] == sum(edge.label == "x" for edge in edges)
         session.deregister("wild")
         assert session._index.exact_only
+        assert session.session_stats()["route_resolved_lists"] == 0
+
+
+def port_queries(names):
+    """One-edge queries on an ``ANY``-labelled edge whose label is the
+    ``Prefix`` (or ``ANY``) ``names`` maps each name to — the shape of
+    the prefix/wildcard routing benchmark."""
+    queries = {}
+    for name, label in names.items():
+        query = QueryGraph()
+        query.add_vertex("a", ANY)
+        query.add_vertex("b", ANY)
+        query.add_edge("e", "a", "b", label)
+        queries[name] = query
+    return queries
+
+
+def port_stream(count, seed=3):
+    rng = random.Random(seed)
+    return [StreamEdge(f"h{i % 7}", f"h{i % 5 + 7}", src_label="ip",
+                       dst_label="ip", timestamp=float(i),
+                       label=rng.randint(10000, 19999))
+            for i in range(count)]
+
+
+class TestSingleBucketArrivals:
+    def test_never_call_the_routers_union(self, monkeypatch):
+        """Hot prefixes, wildcards and a cold tail: every arrival hits
+        one prefix bucket or none, so the index answers each from a
+        prebuilt list and never runs ``PredicateRouter.match``.  An
+        overlapping shorter prefix sends exactly the arrivals that hit
+        two buckets down the union path, once each."""
+        names = {f"hot{i}": Prefix(f"10{i}") for i in range(8)}
+        names.update(wild0=ANY, wild1=ANY)
+        names.update({f"cold{i}": Prefix(f"3{i:06d}") for i in range(40)})
+        session = Session(window=50.0)
+        for name, query in port_queries(names).items():
+            session.register(name, query)
+        calls = []
+        match = PredicateRouter.match
+
+        def counted(self, *triple):
+            calls.append(triple[1])
+            return match(self, *triple)
+
+        monkeypatch.setattr(PredicateRouter, "match", counted)
+        edges = port_stream(2000)
+        found = Counter(name for name, _ in session.push_many(edges[:1000]))
+        assert calls == []
+        assert found == Counter(
+            name for edge in edges[:1000] for name, label in names.items()
+            if label is ANY or str(edge.label).startswith(label.prefix))
+        assert found["wild0"] == 1000 and found["hot4"] > 0
+        session.register("wide", port_queries({"wide": Prefix("10")})[
+            "wide"])
+        found = Counter(name for name, _ in session.push_many(edges[1000:]))
+        wide = [edge.label for edge in edges[1000:]
+                if 10000 <= edge.label < 11000]
+        assert calls == [label for label in wide if label < 10800]
+        assert calls and found["wide"] == len(wide) > len(calls)
 
 
 def second_a_x_b(stream):

@@ -84,6 +84,17 @@ class TestRegistration:
         with pytest.raises(ValueError, match="positive"):
             Session(window=0)
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_window_rejected(self, window):
+        """Both at construction and per query: a window that never
+        expires anything would hold every arrival forever."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            Session(window=window)
+        session = Session(window=9.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            session.register("q", fig5_query(), window=window)
+        assert len(session) == 0
+
     def test_shared_policy_object_default_rejected(self):
         from repro import CountSlidingWindow
         with pytest.raises(TypeError, match="window factory"):
