@@ -37,8 +37,8 @@ Single-query usage (the :class:`~repro.matcher.Matcher` protocol)::
 
 All four engines (Timing and the SJ-tree / IncMat / naive baselines)
 conform to the same ``Matcher`` protocol, so they interchange anywhere a
-matcher is expected — including ``Session(backend=...)`` and the benchmark
-harness.  Engine knobs live in one :class:`EngineConfig` dataclass.
+matcher is expected — the benchmark harness, and by name in
+``Session.register(..., backend=...)``.  Engine knobs live in one :class:`EngineConfig` dataclass.
 
 Subpackages
 -----------

@@ -41,17 +41,14 @@ from .core.engine import TimingMatcher
 from .core.matches import Match
 from .core.query import QueryGraph
 from .graph.edge import StreamEdge
-from .graph.shared_window import SharedWindowView
-from .ingest import (
-    ALWAYS_ROUTED, Admission, Candidates, RouteIndex, group_key,
-)
+from .graph.shared_window import SharedWindowView, window_policy_key
+from .ingest import Admission, Candidates, RouteIndex, group_key
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
     DECOMPOSITION_STRATEGIES, DUPLICATE_POLICIES, INDEXING_MODES,
     JOIN_ORDER_STRATEGIES, STORAGE_KINDS, SUBPLAN_SHARING_MODES,
-    EngineConfig, EngineStats,
-    Matcher, MatcherBase, as_window,
+    EngineConfig, EngineStats, Matcher, MatcherBase, as_window,
 )
 from .subplans import SharedSubplanStore, _SubplanProvider, _SubplanRegistry
 
@@ -66,31 +63,11 @@ __all__ = [
 
 MatchCallback = Callable[[str, Match], None]
 
+_ENGINES = {"timing": TimingMatcher, "sjtree": SJTreeMatcher,
+            "incmat": IncMatMatcher, "naive": NaiveSnapshotMatcher}
+
 #: Built-in backend names accepted by :meth:`Session.register`.
-BACKENDS = ("timing", "sjtree", "incmat", "naive")
-
-_BASELINES = {"sjtree": SJTreeMatcher, "incmat": IncMatMatcher,
-              "naive": NaiveSnapshotMatcher}
-
-
-def _build_matcher(backend, query: QueryGraph, window,
-                   config: EngineConfig, options: dict):
-    """Instantiate a backend."""
-    if callable(backend):
-        if options:
-            raise ValueError(
-                "engine options are not forwarded to factory backends; "
-                f"bake them into the factory instead: {sorted(options)}")
-        return backend(query, window)
-    if backend == "timing":
-        return TimingMatcher(query, window, config=config, **options)
-    if backend in _BASELINES:
-        # The session config contributes its duplicate policy, but an
-        # explicit per-query option wins.
-        options.setdefault("duplicate_policy", config.duplicate_policy)
-        return _BASELINES[backend](query, window, **options)
-    raise ValueError(f"unknown backend: {backend!r} "
-                     f"(expected one of {BACKENDS} or a factory)")
+BACKENDS = tuple(_ENGINES)
 
 
 class _QueryRecord:
@@ -100,16 +77,15 @@ class _QueryRecord:
     reads in registration order and needs no lookup by name.
 
     ``query``, ``window`` (what the query registered with — one mutable
-    policy object cannot back two engines), ``backend``, ``config`` and
-    ``options`` are the registration *recipe*, written once at
-    ``register``: what ``_install`` builds the engine from and what a
-    checkpoint stores in its place.  ``group_key`` names the shared window
-    group whose buffer the engine reads, ``None`` for a privately-buffering
-    matcher (a factory's engine or a custom window policy).  ``matcher`` is
+    policy object cannot back two engines), ``backend`` (a :data:`BACKENDS`
+    name), ``config`` and ``options`` are the registration *recipe*,
+    written once at ``register``: what ``_install`` builds the engine from
+    and what a checkpoint stores in its place.  ``group_key``, derived
+    from ``window``, names the window group the engine reads.  ``matcher`` is
     cleared at deregistration, so a target list snapshotted earlier skips
     the query.  ``slot`` is the query's one edge id when the member is
-    *decided* — a window-group member whose engine is a stateless
-    :class:`~repro.core.engine.TimingMatcher` and whose routing signature
+    *decided* — its engine is a stateless
+    :class:`~repro.core.engine.TimingMatcher` and its routing signature
     is exact or predicate, never generic: the route index then runs its
     whole label test, so the session matches it without an engine call
     (see :meth:`Session._ingest`).  ``None`` for every other member.
@@ -117,7 +93,7 @@ class _QueryRecord:
 
     def __init__(self, name: str, ordinal: int, matcher,
                  callback: Optional[MatchCallback], window, *,
-                 query: Optional[QueryGraph] = None, backend="timing",
+                 query: Optional[QueryGraph] = None, backend: str = "timing",
                  config: Optional[EngineConfig] = None,
                  options: Optional[dict] = None) -> None:
         self.name = name
@@ -129,7 +105,7 @@ class _QueryRecord:
         self.backend = backend
         self.config = config
         self.options = options if options is not None else {}
-        self.group_key: Optional[Tuple] = None
+        self.group_key: Tuple = group_key(window)
         self.slot = None
 
 
@@ -156,10 +132,8 @@ class Session:
     exposed as :meth:`MatcherBase.is_discardable`) never touch that
     query's engine.  In-window duplicate ids are judged against the
     group's buffer, so a query registered mid-stream inherits the
-    stream's duplicate view (see :class:`~repro.ingest.Admission`).  A
-    factory's engine or a custom window policy cannot join a window
-    group: it buffers privately and is an always-routed target of the
-    same ingest loop.
+    stream's duplicate view (see :class:`~repro.ingest.Admission`).  Every
+    member is a window-group member (see :meth:`register`).
 
     On top of shared windows, ``subplan_sharing="shared"`` (the default)
     de-duplicates the *partial-match state itself*: Timing engines on the
@@ -177,14 +151,13 @@ class Session:
     ----------
     window:
         Default window for registered queries: a duration, or a zero-arg
-        factory returning a fresh, empty window-policy object per query (a
-        bare policy object is rejected — engines cannot share one mutable
-        window).  Each query may override it at registration.
+        factory returning a fresh, empty ``SlidingWindow`` or
+        ``CountSlidingWindow`` per query (a bare policy object is rejected
+        — engines cannot share one mutable window).  Each query may
+        override it at registration.
     config:
         Default :class:`EngineConfig` for ``timing`` backends, and the
-        source of the duplicate policy for the built-in backends.  Factory
-        backends construct their own engines and must bake such settings
-        in themselves.
+        source of the duplicate policy for the baseline backends.
     duplicate_policy:
         Shorthand for ``config.replace(duplicate_policy=...)``.
     """
@@ -228,7 +201,7 @@ class Session:
     # Registration
     # ------------------------------------------------------------------ #
     def register(self, name: str, query: Union[QueryGraph, str], *,
-                 window=None, backend="timing",
+                 window=None, backend: str = "timing",
                  config: Optional[EngineConfig] = None,
                  callback: Optional[MatchCallback] = None,
                  **engine_options) -> Matcher:
@@ -236,18 +209,20 @@ class Session:
 
         ``query`` is a :class:`~repro.core.query.QueryGraph` or DSL text
         (see :mod:`repro.io.dsl`; its ``window`` line is used when no
-        explicit ``window`` is given).  ``backend`` picks the engine
-        (``"timing"`` default, ``"sjtree"``, ``"incmat"``, ``"naive"``, or
-        a ``factory(query, window)`` callable); ``engine_options`` are
+        explicit ``window`` is given).  ``backend`` picks the engine from
+        :data:`BACKENDS` (``"timing"`` default); ``engine_options`` are
         passed to its constructor (the Timing engine takes its knobs as
         ``config``, which defaults to the session's).
 
-        Raises on duplicate names and on a window-policy object that
-        already holds edges.  A query registered mid-stream starts with an
-        empty window — it only sees arrivals from now on, which is the
-        only sound semantics for a structure that never saw the past.
+        Raises ``ValueError``, changing nothing, on a duplicate name, a
+        backend outside :data:`BACKENDS` (a callable too), and a window
+        but a duration or a fresh, empty ``SlidingWindow`` /
+        ``CountSlidingWindow``: a query registered mid-stream starts with
+        an empty window, the only sound semantics for a structure that
+        never saw the past.
         """
-        query, window = self._resolve_registration(name, query, window)
+        query, window = self._resolve_registration(
+            name, query, window, backend)
         record = _QueryRecord(
             name, self._next_ordinal, None, callback, window, query=query,
             backend=backend, options=engine_options,
@@ -257,67 +232,62 @@ class Session:
         return record.matcher
 
     def _install(self, record: _QueryRecord) -> None:
-        """Build ``record``'s engine from its recipe and enroll it — what
-        a restore repeats (:mod:`repro.persistence`)."""
-        # A built-in backend keeps the window spec it is given, so the
-        # spec names its group and the engine is built on the group's
-        # view; a factory's engine is judged on the window it built.
-        factory = callable(record.backend)
-        key = None if factory else group_key(record.window)
-        window = record.window if key is None else \
-            SharedWindowView(self._admission.open(key).window)
-        # Sub-plan sharing needs co-members of one window group (they
-        # expire in lock-step, which a shared store's exactly-once expiry
-        # relies on) and stores to share: a one-edge query runs the
-        # stateless plan and has none.
-        provider = _SubplanProvider(self._subplans, key) \
-            if key is not None and record.backend == "timing" \
-            and record.config.subplan_sharing == "shared" \
-            and not record.query.is_single_edge else None
-        options = dict(record.options)
-        if provider is not None:
-            options["subplan_provider"] = provider
+        """Build ``record``'s engine on its group's view from its recipe
+        and enroll it — what a restore repeats (:mod:`repro.persistence`)."""
+        key = record.group_key
+        window = SharedWindowView(self._admission.open(key).window)
+        options, provider = dict(record.options), None
+        if record.backend != "timing":
+            # The session config contributes its duplicate policy, but an
+            # explicit per-query option wins.
+            options.setdefault("duplicate_policy",
+                               record.config.duplicate_policy)
+        else:
+            options["config"] = record.config
+            # Sub-plan sharing needs co-members of one window group (they
+            # expire in lock-step, which a shared store's exactly-once
+            # expiry relies on) and stores to share: a one-edge query runs
+            # the stateless plan and has none.
+            if record.config.subplan_sharing == "shared" \
+                    and not record.query.is_single_edge:
+                provider = options["subplan_provider"] = \
+                    _SubplanProvider(self._subplans, key)
         try:
-            matcher = _build_matcher(record.backend, record.query, window,
-                                     record.config, options)
+            matcher = _ENGINES[record.backend](record.query, window, **options)
         except BaseException:
             if provider is not None:
                 provider.rollback()     # failed build leaks no refcounts
-            if key is not None and not self._admission.groups[key].members:
+            if not self._admission.groups[key].members:
                 del self._admission.groups[key]     # nor an opened group
             raise
         record.matcher = matcher
-        if factory and isinstance(matcher, MatcherBase):
-            key = group_key(matcher.window)
-            if key is not None:
-                matcher.window = SharedWindowView(
-                    self._admission.open(key).window)
         entry = (record.ordinal, record)
-        if key is None:
-            # Privately-buffering matcher (a factory's engine off every
-            # group, a custom window policy): it sees every arrival.
-            self._index.add(record.name, entry, ALWAYS_ROUTED)
-            if self.current_time > float("-inf"):
-                matcher.advance_time(self.current_time)
-        else:
-            self._admission.enroll(key, entry, matcher.duplicate_policy,
-                                   not matcher.stateless)
-            record.group_key = key
-            signatures = matcher.routing_signatures()
-            self._index.add(record.name, entry, signatures)
-            if type(matcher) is TimingMatcher and matcher.stateless \
-                    and not signatures[2]:
-                record.slot = matcher.all_slots[0]
+        self._admission.enroll(key, entry, matcher.duplicate_policy,
+                               not matcher.stateless)
+        signatures = matcher.routing_signatures()
+        self._index.add(record.name, entry, signatures)
+        if type(matcher) is TimingMatcher and matcher.stateless \
+                and not signatures[2]:
+            record.slot = matcher.all_slots[0]
         self._queries[record.name] = record
 
-    def _resolve_registration(self, name: str, query, window):
-        """The ``(query, window)`` a registration will build from: DSL
-        text parsed, the window taken from the argument, the DSL
-        ``window`` line or the session default (a factory is called for a
-        fresh policy object), and validated — shared by both session
-        kinds so they accept and reject the same registrations."""
+    def _resolve_registration(self, name: str, query, window, backend):
+        """The ``(query, window)`` to build from — DSL text parsed, the
+        window from the argument, the DSL ``window`` line or the session
+        default (a factory called afresh) — or every refusal of
+        :meth:`register`, raised before anything changes."""
         if name in self._queries:
             raise ValueError(f"query already registered: {name!r}")
+        if callable(backend):
+            raise ValueError(
+                f"backend for query {name!r} must be one of {BACKENDS}, "
+                "not a factory: a session member is checkpointed by its "
+                "backend's name.  Standalone engines (TimingMatcher."
+                "from_config, the repro.baselines classes) still take any "
+                "window policy")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend: {backend!r} "
+                             f"(expected one of {BACKENDS})")
         if isinstance(query, str):
             query, window_hint = parse_query(query)
             if window is None:
@@ -332,6 +302,12 @@ class Session:
                 "a DSL 'window' line, or a Session default")
         if isinstance(window, bool) or not isinstance(window, (int, float)):
             as_window(window)   # TypeError unless a window policy object
+            if window_policy_key(window) is None:
+                raise ValueError(
+                    f"window for query {name!r} must be a duration, "
+                    "SlidingWindow(duration) or CountSlidingWindow(capacity), "
+                    f"not {type(window).__name__}: a session member "
+                    "reads its window group's shared buffer")
             # Same hazard the constructor rejects for the default window:
             # one mutable policy object cannot back two engines.
             for other in self._queries.values():
@@ -340,7 +316,7 @@ class Session:
                         "window policy object is already used by query "
                         f"{other.name!r}; pass a fresh instance — engines "
                         "cannot share one mutable window")
-            if hasattr(window, "__len__") and len(window):
+            if len(window):
                 raise ValueError(
                     f"window policy object for query {name!r} already "
                     f"holds {len(window)} edge(s); pass an empty one — a "
@@ -368,11 +344,9 @@ class Session:
         window-group membership, release its shared sub-plan refcounts,
         and drop its filtered sinks."""
         record = self._record(name)
-        if record.group_key is not None:
-            # The last member out frees the group.
-            self._admission.withdraw(record.group_key,
-                                     (record.ordinal, record),
-                                     not record.matcher.stateless)
+        # The last member out frees the group.
+        self._admission.withdraw(record.group_key, (record.ordinal, record),
+                                 not record.matcher.stateless)
         self._index.remove(name)
         release = getattr(record.matcher, "release_shared_subplans", None)
         if release is not None:
@@ -464,44 +438,29 @@ class Session:
         """The one ingest loop — behind :meth:`push_many` /
         :meth:`ingest`: route → admit → insert per arrival.
 
-        The route index hands back the records of the matchers that can
+        The route index hands back the records of the members that can
         consume the edge — its one label match.  Admission then judges
         the arrival against the stream and slides the shared windows,
         handing their expired prefixes to :meth:`_on_expired` (see
         :meth:`repro.ingest.Admission.admit`) and holding the target list
-        for the arrival's own expiry; privately-buffering matchers keep
-        their per-matcher duplicate peek, folded into the same
-        all-or-nothing rejection.  Only the targets run.  A decided
-        member (``record.slot``; see :class:`_QueryRecord`) on a decided
-        list — anything but :class:`~repro.ingest.Candidates` — is matched
-        here: its route passed the one label test its stateless plan
-        runs, so the session counts the engine's insert and builds the
-        match itself.  Every match is
-        delivered to the sinks as it is found; ``consume(i, pairs)`` then
-        receives the ``(name, match)`` pairs of each arrival that
-        completed any, ``i`` being the arrival's index in ``edges``.
+        for the arrival's own expiry.  Only the targets outside the
+        groups the arrival duplicates run.  A decided member
+        (``record.slot``; see :class:`_QueryRecord`) on a decided list —
+        anything but :class:`~repro.ingest.Candidates` — is matched here:
+        its route passed the one label test its stateless plan runs, so
+        the session counts the engine's insert and builds the match
+        itself.  Every match is delivered to the sinks as it is found;
+        ``consume(pairs)`` then receives the ``(name, match)`` pairs of
+        each arrival that completed any.
         """
         admission, index, queries = self._admission, self._index, self._queries
-        admit, always = admission.admit, index.always
-        for i, edge in enumerate(edges):
+        admit = admission.admit
+        for edge in edges:
             targets = index.targets(edge)
-            if always:
-                offenders = []
-                for entry in always:    # holds every private matcher
-                    if entry[1].group_key is None:
-                        # would_reject is optional: a protocol matcher
-                        # from a factory that doesn't implement it keeps
-                        # its own duplicate handling.
-                        check = getattr(entry[1].matcher, "would_reject",
-                                        None)
-                        if check is not None and check(edge):
-                            offenders.append(entry)
-                live = admit(edge, targets, offenders)
-            else:
-                live = admit(edge, targets)
+            live = admit(edge, targets)
             if live is not None:
-                # Dropped like the per-matcher skip path, and counted
-                # where the member's policy asks for it.
+                # Dropped for the whole group, and counted where the
+                # member's policy asks for it.
                 for key in live:
                     for _, record in admission.groups[key].entries("count"):
                         record.matcher.stats.edges_skipped += 1
@@ -518,44 +477,32 @@ class Session:
                     # A sink callback deregistered this query earlier in
                     # the arrival — the target list is a snapshot.
                     continue
-                key = record.group_key
-                if key is None:
-                    # Privately-buffering matcher: full lock-step push.
-                    matches = matcher.push(edge)
-                elif live is not None and key in live:
+                if live is not None and record.group_key in live:
                     continue    # duplicate: dropped for this whole group
+                self.routed_pushes += 1
+                slot = record.slot
+                if slot is not None and decided:
+                    # The stateless insert_edge, its test passed.
+                    stats = matcher.stats
+                    stats.edges_seen += 1
+                    stats.edges_matched += 1
+                    stats.matches_emitted += 1
+                    matches = (Match({slot: edge}),)
                 else:
-                    self.routed_pushes += 1
-                    slot = record.slot
-                    if slot is not None and decided:
-                        # The stateless insert_edge, its test passed.
-                        stats = matcher.stats
-                        stats.edges_seen += 1
-                        stats.edges_matched += 1
-                        stats.matches_emitted += 1
-                        matches = (Match({slot: edge}),)
-                    else:
-                        matches = matcher._insert(edge)
+                    matches = matcher._insert(edge)
                 for match in matches:
                     results.append((record.name, match))
                     self._deliver(record, match)
             if results:
-                consume(i, results)
-
-    def _pump(self, edges: Iterable[StreamEdge], consume) -> None:
-        """The session-side ingest entry point: each arrival's ``(name,
-        match)`` list goes to ``consume``."""
-        self._ingest(edges, lambda _, results: consume(results))
+                consume(results)
 
     def push(self, edge: StreamEdge) -> List[Tuple[str, Match]]:
         """Deliver one arrival to every query that can consume it.
 
-        A duplicate-id rejection (any built-in engine with the ``raise``
-        policy) is checked side-effect-free *before* any engine ingests
-        the edge — a rejecting push touches no window and no clock, so a
-        corrected feed may retry any later timestamp.  (A factory-built
-        matcher that raises its own errors from ``push`` is outside this
-        guarantee unless it implements ``would_reject``.)
+        A duplicate-id rejection (a member with the ``raise`` policy
+        whose window group still buffers the id) is judged *before* any
+        engine ingests the edge — a rejecting push touches no window and
+        no clock, so a corrected feed may retry any later timestamp.
         """
         return self.push_many((edge,))
 
@@ -564,7 +511,7 @@ class Session:
         """Batch ingestion from any edge iterable (list, generator,
         :class:`~repro.graph.stream.GraphStream`, CSV reader…)."""
         results: List[Tuple[str, Match]] = []
-        self._pump(edges, results.extend)
+        self._ingest(edges, results.extend)
         return results
 
     def ingest(self, edges: Iterable[StreamEdge]) -> int:
@@ -578,7 +525,7 @@ class Session:
             nonlocal delivered
             delivered += len(results)
 
-        self._pump(edges, consume)
+        self._ingest(edges, consume)
         return delivered
 
     def ingest_csv(self, source, *, collect: bool = True,
@@ -597,9 +544,6 @@ class Session:
     def advance_time(self, timestamp: float) -> None:
         """Slide all windows forward without an arrival."""
         self._admission.advance(timestamp)
-        for record in self._queries.values():
-            if record.group_key is None:
-                record.matcher.advance_time(timestamp)
 
     @property
     def current_time(self) -> float:
@@ -642,7 +586,7 @@ class Session:
         be ``O(Q·|W|)``."""
         answers: Dict[_QueryRecord, List[StreamEdge]] = {
             record: [] for record in self._queries.values()
-            if record.group_key is not None and record.matcher.stateless}
+            if record.matcher.stateless}
         pinned = 0
         if not answers:
             return answers, pinned
@@ -670,16 +614,9 @@ class Session:
         footprint of what the engine stores (shared stores included, so
         summing it over their consumers would double-count; 0 for a
         stateless plan)."""
-        cells = self._subplans.space_cells() + self._stateless_answers()[1]
-        for record in self._queries.values():
-            matcher = record.matcher
-            exclusive = getattr(matcher, "exclusive_space_cells", None)
-            cells += (exclusive() if exclusive is not None
-                      else matcher.space_cells())
-            if record.group_key is None \
-                    and getattr(matcher, "stateless", False):
-                cells += matcher.result_count()     # its private buffer
-        return cells
+        return self._subplans.space_cells() + self._stateless_answers()[1] \
+            + sum(record.matcher.exclusive_space_cells()
+                  for record in self._queries.values())
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-query engine counters (see :class:`EngineStats`)."""
@@ -693,19 +630,8 @@ class Session:
         return sum(len(group.window)
                    for group in self._admission.groups.values())
 
-    def window_cells(self) -> int:
-        """Total window buffer cells across the session: the shared
-        buffers plus every privately-buffering matcher's window."""
-        cells = self.shared_window_cells()
-        for record in self._queries.values():
-            if record.group_key is not None:
-                continue
-            window = getattr(record.matcher, "window", None)
-            try:
-                cells += len(window)
-            except TypeError:
-                pass    # protocol matcher without a sized window
-        return cells
+    #: Total window buffer cells: every member reads a shared buffer.
+    window_cells = shared_window_cells
 
     def session_stats(self) -> Dict[str, object]:
         """Session-level ingestion counters (per-matcher engine counters
@@ -714,7 +640,7 @@ class Session:
 
         Each arrival is routed once: its expiry walks the target list it
         carried and never consults the route index.  Once a predicate or
-        always-routed query is registered, the index answers an arrival
+        generic query is registered, the index answers an arrival
         hitting one route bucket (or none) with that bucket's prebuilt
         list; ``route_resolved_lists`` counts the lists built so far —
         at most the registered buckets plus two, and 0 while every query
@@ -726,8 +652,7 @@ class Session:
             "routed_pushes": self.routed_pushes,
             "skipped_matchers": self.skipped_matchers,
             "stateless_queries": sum(
-                1 for record in self._queries.values()
-                if getattr(record.matcher, "stateless", False)),
+                record.matcher.stateless for record in self._queries.values()),
             "predicate_entries": len(self._index.router),
             "predicate_trie_nodes": self._index.router.node_count(),
             "route_resolved_lists": self._index.resolved_count(),

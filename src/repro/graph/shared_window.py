@@ -51,6 +51,8 @@ def window_policy_key(window) -> Optional[Tuple[str, float]]:
 def window_policy_from_key(key: Tuple[str, float]):
     """A fresh, empty policy object for a :func:`window_policy_key`."""
     kind, param = key
+    if kind not in ("time", "count"):
+        raise ValueError(f"unknown window policy kind: {kind!r}")
     return SlidingWindow(param) if kind == "time" \
         else CountSlidingWindow(int(param))
 

@@ -45,10 +45,6 @@ _INF = float("inf")
 #: its ``name``.
 Entry = Tuple[int, object]
 
-#: The :meth:`RouteIndex.add` signature of an entry that must see every
-#: arrival (privately-buffering matchers).
-ALWAYS_ROUTED = ((), (), True)
-
 #: The target list of an edge nothing routes; shared, never mutated.
 _NOWHERE: List = []
 
@@ -64,28 +60,14 @@ class Candidates(list):
     __slots__ = ()
 
 
-def group_key(window) -> Optional[Tuple]:
-    """The window group a window spec enrolls under, or ``None`` when it
-    cannot share a session buffer.
-
-    One function owns this judgement for the sub-plan eligibility
-    pre-check (which sees the raw spec: a duration or a policy object),
-    and shared-window enrollment (which sees the engine's coerced policy
-    object) — they must agree, because shared
-    sub-plan stores rely on their consumers expiring in lock-step within
-    one window group.  A number becomes a fresh time window of that
-    duration; a policy object is shareable only while empty and of an
-    exactly shareable type (see
-    :func:`~repro.graph.shared_window.window_policy_key`).
-    """
-    if isinstance(window, bool):
-        return None
+def group_key(window) -> Tuple:
+    """The window group a registered window spec enrolls under — a
+    duration's time window, or a built-in policy's
+    :func:`~repro.graph.shared_window.window_policy_key` (registration
+    admits no other spec) — and so its sub-plan sharing scope."""
     if isinstance(window, (int, float)):
         return ("time", float(window))
-    key = window_policy_key(window)
-    if key is None or len(window) != 0:
-        return None
-    return key
+    return window_policy_key(window)
 
 
 class WindowGroup:
@@ -157,13 +139,12 @@ class Admission:
         return group
 
     def enroll(self, key: Tuple, entry: Entry, duplicate_policy: str,
-               stateful: bool = False) -> WindowGroup:
+               stateful: bool = False) -> None:
         """Add a query to the group for ``key``, opening it when it is
         the first member; ``stateful`` when its engine stores edges."""
         group = self.open(key)
         group.members[entry] = duplicate_policy
         group.stateful += stateful
-        return group
 
     def withdraw(self, key: Tuple, entry: Entry,
                  stateful: bool = False) -> None:
@@ -175,8 +156,8 @@ class Admission:
         if not group.members:
             del self.groups[key]
 
-    def admit(self, edge: StreamEdge, targets: List[Entry] = (),
-              offenders=()) -> Optional[FrozenSet]:
+    def admit(self, edge: StreamEdge,
+              targets: List[Entry] = ()) -> Optional[FrozenSet]:
         """Accept one arrival into the stream, or raise having touched
         nothing.
 
@@ -186,9 +167,8 @@ class Admission:
         their members must not ingest the edge; every other group buffers
         it and holds it with ``targets``, the arrival's route targets
         (see :meth:`WindowGroup.hold`).  A live group with ``raise``
-        members rejects the arrival for the whole session; ``offenders``
-        lets the caller add the entries of matchers outside any group
-        that would reject it too, so one error names every rejecter.
+        members rejects the arrival for the whole session, and the error
+        names every such member in registration order.
         """
         timestamp = edge.timestamp
         if not self.clock < timestamp < _INF:
@@ -202,15 +182,14 @@ class Admission:
                 f"stream timestamps must be finite, got {timestamp!r}")
         groups = self.groups
         edge_id = edge.edge_id
-        live = None
+        live = rejecters = None
         for group in groups.values():
             if edge_id in group.window.bearers:
                 # Rare: a group still buffers a bearer of this id.
-                live, offenders = self._duplicates(
-                    edge_id, timestamp, offenders)
+                live, rejecters = self._duplicates(edge_id, timestamp)
                 break
-        if offenders:
-            names = [record.name for _, record in sorted(offenders)]
+        if rejecters:
+            names = [record.name for _, record in sorted(rejecters)]
             raise ValueError(
                 f"duplicate in-window edge id: {edge_id!r} "
                 f"(rejected by {names}; no query ingested it)")
@@ -228,18 +207,16 @@ class Admission:
                 on_expired(key, expired)
         return frozenset(live) if live is not None else None
 
-    def _duplicates(self, edge_id: Hashable, timestamp: float, offenders):
-        """``(live, offenders)``: the keys of the groups an arrival at
+    def _duplicates(self, edge_id: Hashable, timestamp: float):
+        """``(live, rejecters)``: the keys of the groups an arrival at
         ``timestamp`` is an in-window duplicate for (``None`` if none),
-        and ``offenders`` plus those groups' ``raise`` members."""
-        live = None
+        and those groups' ``raise`` members."""
+        live, rejecters = set(), []
         for key, group in self.groups.items():
             if group.window.bearer_live_at(edge_id, timestamp):
-                if live is None:
-                    live = set()
                 live.add(key)
-                offenders = [*offenders, *group.entries("raise")]
-        return live, offenders
+                rejecters += group.entries("raise")
+        return live or None, rejecters
 
     def advance(self, timestamp: float) -> None:
         """Slide every group's window forward without an arrival."""
@@ -264,9 +241,9 @@ class RouteIndex:
     :meth:`repro.core.query.QueryGraph.label_signatures`): exact triples
     land in a dict, predicate atom triples (``ANY``/``Prefix`` labels) in
     a per-position trie router, and an opaque-labelled (``generic``)
-    query — or anything added as :data:`ALWAYS_ROUTED` — is routed every
-    arrival.  A query with several exact triples files its payload under
-    each; ``targets`` returns each payload once, sorted.
+    query is routed every arrival.  A query with several exact triples
+    files its payload under each; ``targets`` returns each payload once,
+    sorted.
 
     The exact dict and the router decide an exact or predicate entry's
     label test exactly — the same ``==``, prefix text and loop flag

@@ -288,15 +288,9 @@ class MatcherBase:
         one dict probe plus the expiry the arrival itself would trigger —
         matchers with a non-``raise`` policy skip even that.
 
-        The answer reflects this matcher's own ingestion history.  A
-        :class:`~repro.api.Session` consults it for each privately
-        buffering matcher (a factory's engine, a custom window policy) for
-        the all-or-nothing guarantee (protocol matchers outside
-        :class:`MatcherBase` can implement it to join that guarantee); a
-        window-group member is judged on its group's shared stream buffer
-        instead, which also covers bearers that were never routed to this
-        matcher — so there ``Session.push`` may reject an arrival this
-        method alone would accept.
+        The answer reflects this matcher's own ingestion history, so it
+        serves standalone :meth:`push` only: a :class:`~repro.api.Session`
+        judges a member's arrivals on its window group's buffer instead.
         """
         if self.duplicate_policy != "raise":
             return False
@@ -341,6 +335,10 @@ class MatcherBase:
     def space_cells(self) -> int:
         """Logical partial-match storage footprint (subclass hook)."""
         raise NotImplementedError
+
+    def exclusive_space_cells(self) -> int:
+        """The cells no other engine shares (see the Timing engine's)."""
+        return self.space_cells()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,25 +12,22 @@ counters; per query, in ordinal order, its registration recipe (name,
 ordinal, ``QueryGraph``, window as a duration or a built-in policy's
 ``(kind, parameter)``, backend name, config, engine options — a Timing
 engine's resolved join order among them, so a ``random`` strategy
-rebuilds the plan it had), its window group, ``since`` watermark and
-``EngineStats``; per window group, the buffered edges in arrival order.
+rebuilds the plan it had), its ``since`` watermark and ``EngineStats``;
+per window group, the buffered edges in arrival order.  A query's window
+group is derived from its window spec, not stored.  Registration refuses whatever this cannot name
+(a callable backend, another window-policy class), so every query can
+be written.  Sinks, callbacks and a callable default-window factory are
+runtime wiring: dropped, re-attach them.
 
-**Restored** (:func:`rebuild`): an empty
-session from the config, then each query in ordinal order, registered
-once its group's buffered edges up to its watermark are back in the
-group's window and in the members registered before it; then the rest of
-every buffer.  Clock, counters, stats and watermarks are set from the data
+**Restored** (:func:`rebuild`): data of any other shape is refused with
+:class:`CheckpointCorruptError` naming the field; then an empty session
+from the config, then each query in ordinal order, registered once its
+group's buffered edges up to its watermark are back in the group's
+window and in the members registered before it; then the rest of every
+buffer.  Clock, counters, stats and watermarks are set from the data
 (cumulative counters are carried, not recounted).  Replay is per group:
 an id that was a live duplicate for one group and fresh for another sits
 in one buffer and not the other.
-
-**Refused** at :func:`snapshot`, with a :class:`CheckpointError` naming
-the queries: a callable ``backend=`` factory or a custom window-policy
-class cannot be named as data.  Those are the only matchers that buffer
-privately (registration refuses a policy object that already holds
-edges), so every query a checkpoint stores is a window-group member.
-Sinks, callbacks and a callable default-window factory are runtime
-wiring: dropped, re-attach them.
 
 ``pickle`` is only the byte codec (labels are arbitrary hashables, which
 JSON cannot round-trip): both directions admit :data:`VALUE_TYPES` and
@@ -46,23 +43,24 @@ pins restored ≡ naive; ``tests/test_logical_checkpoint.py``, what differs.
 from __future__ import annotations
 
 import io
+import math
 import pickle
 import struct
 import zlib
 from collections import Counter, deque
 from typing import BinaryIO, Optional, Tuple, Union
 
-from .api import Session, _QueryRecord
+from .api import BACKENDS, Session, _QueryRecord
 from .core.query import ANY, Prefix, QueryEdge, QueryGraph, QueryVertex
 from .core.timing import TimingOrder
 from .graph.edge import StreamEdge
 from .graph.shared_window import window_policy_from_key, window_policy_key
 from .isomorphism import ALGORITHMS, StaticMatcher
-from .matcher import EngineConfig
+from .matcher import EngineConfig, EngineStats
 
 #: Bumped only when the data schema in the module docstring changes;
 #: a file of any other version is refused.
-CHECKPOINT_VERSION = 18
+CHECKPOINT_VERSION = 19
 
 _MAGIC = b"timingsubg-checkpoint"
 #: On-disk container prefix of the CRC frame; a file without it is not
@@ -173,25 +171,10 @@ def _load(source: _PathOrFile) -> dict:
     return envelope
 
 
-def _window_spec(window):
-    """A registered window as data: the duration, a built-in policy's
-    ``(kind, parameter)``, or ``None`` for a custom policy class."""
-    return window if isinstance(window, (int, float)) \
-        else window_policy_key(window)
-
-
 def snapshot(session: Session) -> dict:
     """``session`` as plain data: what :func:`save_session` frames."""
-    records = list(session._queries.values())
-    unnamed = [record.name for record in records
-               if callable(record.backend)
-               or _window_spec(record.window) is None]
-    if unnamed:
-        raise CheckpointError(
-            f"cannot checkpoint queries {unnamed}: a factory backend or a "
-            "custom window-policy class cannot be named as data")
     queries = []
-    for record in records:
+    for record in session._queries.values():
         matcher = record.matcher
         options = record.options
         if record.backend == "timing" and not matcher.stateless:
@@ -199,13 +182,14 @@ def snapshot(session: Session) -> dict:
                        "join_order": matcher.join_order}
         queries.append({
             "name": record.name, "ordinal": record.ordinal,
-            "query": record.query, "window": _window_spec(record.window),
+            # A duration as given; a policy object as its group key.
+            "query": record.query, "window": record.window
+            if isinstance(record.window, (int, float)) else record.group_key,
             "backend": record.backend, "config": record.config,
-            "options": options, "group": record.group_key,
-            "since": matcher.window.since,
+            "options": options, "since": matcher.window.since,
             "stats": matcher.stats.as_dict()})
     window = session.default_window
-    data = {
+    return {
         "config": session.config,
         "default_window": None if callable(window) else window,
         "clock": session.current_time,
@@ -217,21 +201,127 @@ def snapshot(session: Session) -> dict:
         "groups": [(key, list(group.window))
                    for key, group in session._admission.groups.items()],
     }
-    return data
 
 
-def rebuild(data: dict) -> Session:
-    """The session :func:`snapshot` described, by register-then-replay."""
+def rebuild(data: dict, path: str = "<data>") -> Session:
+    """The session :func:`snapshot` described, by register-then-replay;
+    :class:`CheckpointCorruptError` for ``data`` of any other shape."""
+    problem = _misshapen(data)
+    if problem is not None:
+        raise CheckpointCorruptError(path, problem)
     session = Session(window=data["default_window"], config=data["config"])
-    _replay(session, data)
+    _replay(session, data, path)
     return session
 
 
-def _replay(session: Session, data: dict) -> None:
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _time(value) -> bool:
+    return type(value) in (int, float) and -math.inf <= value < math.inf
+
+
+def _config(value) -> bool:
+    try:
+        return isinstance(value, EngineConfig) and value.validate() is value
+    except ValueError:
+        return False
+
+
+def _group_of(spec) -> Optional[Tuple]:
+    """The window group a saved window spec names, or ``None``."""
+    if type(spec) in (int, float):
+        spec = ("time", float(spec))
+    try:
+        key = window_policy_key(window_policy_from_key(spec))
+    except (TypeError, ValueError):
+        return None
+    return key if key == spec else None
+
+
+#: What each field :func:`snapshot` writes must be, per session and query.
+_SESSION_SHAPE = {
+    "config": _config,
+    "default_window": lambda value: value is None
+    or type(value) in (int, float) and _group_of(value),
+    "clock": _time,
+    "edges_pushed": _count, "routed_pushes": _count,
+    "skipped_matchers": _count, "next_ordinal": _count,
+    "queries": lambda value: type(value) is list,
+    "groups": lambda value: type(value) is list and all(
+        type(pair) is tuple and len(pair) == 2 and type(pair[0]) is tuple
+        and _group_of(pair[0]) == pair[0] and type(pair[1]) is list
+        for pair in value),
+}
+_QUERY_SHAPE = {
+    "name": lambda value: type(value) is str,
+    "ordinal": _count,
+    "query": lambda value: isinstance(value, QueryGraph),
+    "window": _group_of,
+    "backend": lambda value: value in BACKENDS,
+    "config": _config,
+    "options": lambda value: type(value) is dict
+    and all(type(name) is str for name in value),
+    "since": _time,
+    "stats": lambda value: type(value) is dict and all(
+        name in EngineStats.__slots__ and _count(count)
+        for name, count in value.items()),
+}
+
+
+def _bad_field(where: str, found, shape: dict) -> Optional[str]:
+    if type(found) is not dict:
+        return f"{where} is not a dict"
+    for name in found:
+        if name not in shape:
+            return f"{where} has an unknown field {name!r:.60}"
+    for name, valid in shape.items():
+        if name not in found:
+            return f"{where} lacks {name!r}"
+        if not valid(found[name]):
+            return f"{where}.{name} is misshapen: {found[name]!r:.60}"
+    return None
+
+
+def _misshapen(data: dict) -> Optional[str]:
+    """The first way ``data`` departs from what :func:`snapshot` writes,
+    naming the field, or ``None``."""
+    problem = _bad_field("session", data, _SESSION_SHAPE)
+    if problem is not None:
+        return problem
+    keys = [key for key, _ in data["groups"]]
+    for i, (_, edges) in enumerate(data["groups"]):
+        times = [edge.timestamp if isinstance(edge, StreamEdge) else None
+                 for edge in edges]
+        if not all(map(_time, times)) or times != sorted(set(times)) \
+                or times and times[-1] > data["clock"]:
+            return f"groups[{i}] is not a stream of edges up to the clock"
+    names, ordinal = set(), -1
+    for i, saved in enumerate(data["queries"]):
+        where = f"queries[{i}]"
+        problem = _bad_field(where, saved, _QUERY_SHAPE)
+        if problem is not None:
+            return problem
+        if saved["name"] in names:
+            return f"{where}.name repeats {saved['name']!r}"
+        if not ordinal < saved["ordinal"] < data["next_ordinal"]:
+            return f"{where}.ordinal does not rise below next_ordinal"
+        if _group_of(saved["window"]) not in keys:
+            return f"{where}.window's group is not in groups"
+        names.add(saved["name"])
+        ordinal = saved["ordinal"]
+    members = {_group_of(saved["window"]) for saved in data["queries"]}
+    if len(set(keys)) < len(keys) or members != set(keys):
+        return "groups are not the distinct window groups of the queries"
+    return None
+
+
+def _replay(session: Session, data: dict, path: str) -> None:
     admission = session._admission
     buffers = {key: deque(edges) for key, edges in data["groups"]}
     for key in buffers:
-        admission.open(key)     # a buffer may be older than every member
+        admission.open(key)     # in the saved order, before any member
 
     def feed(key, until: float) -> None:
         # The group's edges up to ``until``, into its window and into the
@@ -248,15 +338,19 @@ def _replay(session: Session, data: dict) -> None:
                         and not record.matcher.stateless:
                     record.matcher._insert(edge)
 
-    for saved in data["queries"]:
+    for i, saved in enumerate(data["queries"]):
         window = saved["window"]
         if isinstance(window, tuple):
             window = window_policy_from_key(window)
-        feed(saved["group"], saved["since"])
-        session._install(_QueryRecord(
+        record = _QueryRecord(
             saved["name"], saved["ordinal"], None, None, window,
             query=saved["query"], backend=saved["backend"],
-            config=saved["config"], options=saved["options"]))
+            config=saved["config"], options=saved["options"])
+        feed(record.group_key, saved["since"])
+        try:
+            session._install(record)
+        except (TypeError, ValueError) as exc:    # refused by its backend
+            raise CheckpointCorruptError(path, f"queries[{i}]: {exc}")
     for key in buffers:
         feed(key, float("inf"))
 
@@ -311,4 +405,6 @@ def load_session_meta(source: _PathOrFile) -> Tuple[Session, Optional[dict]]:
     data = envelope.get("session")
     if not isinstance(data, dict):
         raise CheckpointError("checkpoint does not contain a Session")
-    return rebuild(data), envelope.get("meta")
+    path = source if isinstance(source, str) \
+        else getattr(source, "name", "<stream>")
+    return rebuild(data, path), envelope.get("meta")

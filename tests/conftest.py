@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter
 from typing import List, Sequence, Tuple
 
 import pytest
@@ -104,6 +105,28 @@ def checkpoint(session) -> bytes:
     buffer = io.BytesIO()
     session.checkpoint(buffer)
     return buffer.getvalue()
+
+
+#: ``session_stats()`` keys that are not session state: the sub-plan
+#: registry's reuse count restarts on restore
+#: (``tests/test_logical_checkpoint.py``, item 2).
+NOT_STATE = ("subplan_reuses",)
+
+
+def observe(session) -> dict:
+    """Everything a reader of ``session`` can see, as comparable data."""
+    return {
+        "names": session.names(),
+        "clock": session.current_time,
+        "counts": session.result_counts(),
+        "matches": {name: Counter(matches) for name, matches
+                    in session.current_matches().items()},
+        "space": session.space_cells(),
+        "stats": session.stats(),
+        "session": {key: value
+                    for key, value in session.session_stats().items()
+                    if key not in NOT_STATE},
+    }
 
 
 VLABELS = "ABC"

@@ -93,6 +93,29 @@ class TestCheckpointRecovery:
             assert tenant.safe.edges_pushed == 4
             assert tenant.safe.session.current_time == 4.0
 
+    def test_a_misshapen_newest_checkpoint_falls_back(self, tmp_path):
+        """A CRC-valid checkpoint whose first query lacks its name is
+        corrupt data, not a crash: boot falls back to the older capture
+        in the chain."""
+        from repro.persistence import _dump, _load
+        config = chain_config(tmp_path / "state")
+        with ServiceGateway(config) as gateway:
+            tenant = gateway.tenant("t0")
+            tenant.ingest_edges(chain_edges())
+            assert gateway.wait_idle(10)
+            tenant.checkpoint()
+        # The shutdown's final capture is the newest; ours is next.
+        path = os.path.join(str(tmp_path / "state"), "t0", "checkpoint.pkl")
+        assert os.path.exists(path + ".1")
+        envelope = _load(path)
+        del envelope["session"]["queries"][0]["name"]
+        _dump(envelope, path)
+        with ServiceGateway(config) as restored:
+            tenant = restored.tenant("t0")
+            assert tenant.checkpoint_fallbacks == 1
+            assert tenant.restored and tenant.safe.edges_pushed == 4
+            assert tenant.safe.names() == ["chain"]
+
     def test_graceful_shutdown_writes_final_checkpoint(self, tmp_path):
         config = chain_config(tmp_path / "state")
         gateway = ServiceGateway(config)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import ANY, Prefix, QueryGraph, Session, StreamEdge
 from repro.api import _QueryRecord
-from repro.ingest import ALWAYS_ROUTED, Admission, RouteIndex
+from repro.ingest import Admission, RouteIndex
 
 # Small label pools so exact, prefix and wildcard queries collide often.
 DATA_LABELS = ["a", "ab", "4", "44", "448", 44, ("a", "b"), ["a"]]
@@ -68,11 +68,11 @@ _ORDINALS = itertools.count()
 
 
 def register(index, registered, name, spec):
-    """Route a one-edge query over ``spec`` — or, for ``None``, an
-    always-routed entry — under a fresh ordinal, as a session would."""
+    """Route a one-edge query over ``spec`` — or, for ``None``, a generic
+    (always-routed) entry — under a fresh ordinal, as a session would."""
     payload = (next(_ORDINALS), name)
     if spec is None:
-        index.add(name, payload, ALWAYS_ROUTED)
+        index.add(name, payload, ((), (), True))   # generic
         registered[name] = (payload, None)
     else:
         query = one_edge_query(*spec)
@@ -110,7 +110,7 @@ class TestRouteIndexProperties:
             name = f"q{ordinal}"
             payload = (ordinal, name)
             if rng.random() < 0.15:
-                index.add(name, payload, ALWAYS_ROUTED)
+                index.add(name, payload, ((), (), True))   # generic
                 registered[name] = (payload, None)
             else:
                 query = one_edge_query(*spec)
@@ -349,11 +349,19 @@ class TestAdmission:
         assert session.result_counts() == {"one": 3, "any": 3, "two": 0}
 
     def test_rejection_names_every_rejecter_in_registration_order(self):
+        """Group by group the ``raise`` members are q, late (time group),
+        then c (count group); the error sorts them by ordinal."""
         admission = admission_with("raise")
+        admission.enroll(("time", 5.0),
+                         (2, _QueryRecord("late", 2, None, None, None)),
+                         "raise")
+        admission.enroll(("time", 5.0),
+                         (3, _QueryRecord("quiet", 3, None, None, None)),
+                         "skip")
         with pytest.raises(ValueError) as info:
-            admission.admit(edge("first", 3.0), offenders=[
-                (7, _QueryRecord("private", 7, None, None, None))])
-        assert "['q', 'c', 'private']" in str(info.value)
+            admission.admit(edge("first", 3.0))
+        assert "(rejected by ['q', 'c', 'late']; no query ingested it)" \
+            in str(info.value)
 
     @pytest.mark.parametrize("policy", ["skip", "count"])
     def test_drop_policies_advance_time_without_buffering(self, policy):

@@ -7,8 +7,10 @@ the naive matcher answers, across every mode, is
 ``tests/test_session_model.py``'s job.  Pinned here: that a restore
 compared with the uninterrupted session differs in the three ways below
 and no other (measured on the ``bench_e2e`` ``engine_join`` stream),
-privately-buffering matchers, plans rebuilt as they were, checkpoint →
-restore → checkpoint, the refusals and the allow-listed unpickler.
+that registration refuses what no checkpoint could name and that every
+registration it accepts round-trips, plans rebuilt as they were,
+checkpoint → restore → checkpoint, the refusals, the allow-listed
+unpickler and misshapen data in a valid frame.
 
 What may differ, and nothing else:
 
@@ -57,43 +59,26 @@ from repro import (
     ANY, CountSlidingWindow, EngineConfig, Prefix, QueryGraph, Session,
     SlidingWindow, StreamEdge, TimingMatcher,
 )
+from repro.api import BACKENDS
 from repro.datasets import (
     generate_netflow_stream, generate_query_set, window_slice,
 )
+from repro.graph.shared_window import window_policy_from_key
 from repro.graph.stream import GraphStream
 from repro.isomorphism import BoostISO
 from repro.persistence import (
     _FRAME_HEADER, _FRAME_MAGIC, _MAGIC, CHECKPOINT_VERSION,
-    CheckpointCorruptError, CheckpointError, _load, load_session,
+    CheckpointCorruptError, CheckpointError, _dump, _load, load_session,
 )
 
 from .conftest import (
-    checkpoint, labeled_path_query, labeled_stream, query_set,
+    checkpoint, labeled_path_query, labeled_stream, observe, query_set,
 )
-
-#: ``session_stats()`` keys that are not session state (see the module
-#: docstring: item 2).
-NOT_STATE = ("subplan_reuses",)
 
 #: Engine counters that sharing cannot move: what arrived, what matched,
 #: what was emitted, what expired.
 ANSWER_COUNTERS = ("edges_seen", "edges_matched", "matches_emitted",
                    "expired_edges", "edges_skipped")
-
-
-def observe(session) -> dict:
-    return {
-        "names": session.names(),
-        "clock": session.current_time,
-        "counts": session.result_counts(),
-        "matches": {name: Counter(matches) for name, matches
-                    in session.current_matches().items()},
-        "space": session.space_cells(),
-        "stats": session.stats(),
-        "session": {key: value
-                    for key, value in session.session_stats().items()
-                    if key not in NOT_STATE},
-    }
 
 
 def register(session, name, query, spec):
@@ -271,15 +256,17 @@ class TestLateRegistrants:
 
 
 # --------------------------------------------------------------------- #
-# Privately-buffering matchers
+# No member buffers privately: registration refuses what could
 # --------------------------------------------------------------------- #
 
-class OwnWindow(SlidingWindow):
-    """A custom policy class: no window group can share it, so its
-    matcher buffers privately (and cannot be checkpointed)."""
+#: What registration says to a window-policy class of its own.
+CUSTOM_POLICY = (
+    "window for query 'own' must be a duration, SlidingWindow(duration) "
+    "or CountSlidingWindow(capacity), not OwnWindow: a session member "
+    "reads its window group's shared buffer")
 
 
-class TestPrivateMatchers:
+class TestNoPrivateMembers:
     @pytest.mark.parametrize("kind", [SlidingWindow, CountSlidingWindow])
     def test_a_prefilled_policy_is_refused(self, kind):
         """A policy object already holding edges would hand its matcher
@@ -309,67 +296,32 @@ class TestPrivateMatchers:
                          window=window)
         assert session.names() == ["shared", "p"]
 
-    @pytest.mark.parametrize("backend", ["timing", "sjtree", "incmat",
-                                         "naive"])
-    @pytest.mark.parametrize("n_edges", [1, 2])
-    def test_a_custom_policy_buffers_privately_beside_a_group(
-            self, backend, n_edges):
-        """The private path that survives: a custom policy's matcher sees
-        every arrival on its own window and answers what a window-group
-        member answers, its ``would_reject`` joins the all-or-nothing
-        duplicate judgement, ``advance_time`` slides its window and
-        ``window_cells()`` counts it."""
-        session = Session(window=1.0, duplicate_policy="raise")
-        session.register("shared", labeled_path_query(2, elabels="xy"))
-        own = OwnWindow(6.0)
-        session.register("private", labeled_path_query(n_edges, elabels="xy"),
-                         window=own, backend=backend)
-        record = session._queries["private"]
-        assert record.group_key is None
-        assert session._index.always == [(record.ordinal, record)]
-        member = Session(window=6.0)
-        member.register("private", labeled_path_query(n_edges, elabels="xy"),
-                        backend=backend)
+    @pytest.mark.parametrize("base", [SlidingWindow, CountSlidingWindow])
+    def test_a_custom_policy_class_is_refused(self, base):
+        """A subclass of a built-in policy has no window group (it may
+        expire differently), so it could only buffer privately — which no
+        checkpoint can name.  Registration refuses it, given directly or
+        by the session's default window factory, before any state
+        changes."""
+        class OwnWindow(base):
+            pass
 
-        def agree():
-            assert Counter(session.current_matches()["private"]) \
-                == Counter(member.current_matches()["private"])
-            assert session.result_counts()["private"] \
-                == member.result_counts()["private"]
+        def own():
+            return OwnWindow(6.0) if base is SlidingWindow else OwnWindow(30)
 
-        edges = labeled_stream(14, 100)
-        assert Counter(pair for pair in session.push_many(edges)
-                       if pair[0] == "private") \
-            == Counter(member.push_many(edges))
-        agree()
-        assert member.result_counts()["private"] > 0
-        clock = session.current_time
-        assert session.stats()["private"]["edges_seen"] == len(edges)
-        assert len(own) > session.shared_window_cells() > 0
-        assert session.window_cells() \
-            == session.shared_window_cells() + len(own)
-
-        # Out of the group's 1-unit buffer, still in the private window:
-        # only the private matcher's peek can see the duplicate.
-        bearer = next(edge for edge in own if edge.timestamp < clock - 1.0)
-        replay = StreamEdge(bearer.src, bearer.dst,
-                            src_label=bearer.src_label,
-                            dst_label=bearer.dst_label, label=bearer.label,
-                            timestamp=clock + 0.01, edge_id=bearer.edge_id)
-        before, held = observe(session), list(own)
-        with pytest.raises(ValueError, match=r"\['private'\]"):
-            session.push_many([replay])
-        assert observe(session) == before and list(own) == held
-
-        session.advance_time(clock + 3.0)
-        member.advance_time(clock + 3.0)
-        agree()
-        assert 0 < len(own) < len(held)
-        assert all(edge.timestamp > clock - 3.0 for edge in own)
-        assert session.window_cells() == len(own)
-        session.advance_time(clock + 7.0)
-        assert session.window_cells() == 0 == session.space_cells()
-        assert session.result_counts() == {"shared": 0, "private": 0}
+        session = Session(window=own)
+        session.register("shared", labeled_path_query(2, elabels="xy"),
+                         window=6.0)
+        session.push_many(labeled_stream(14, 20))
+        before = observe(session)
+        for window in (own(), None):
+            with pytest.raises(ValueError) as info:
+                session.register("own", labeled_path_query(2, elabels="xy"),
+                                 window=window)
+            assert str(info.value) == CUSTOM_POLICY
+            assert observe(session) == before
+            assert session._next_ordinal == 1
+            assert list(session._admission.groups) == [("time", 6.0)]
 
 
 # --------------------------------------------------------------------- #
@@ -442,38 +394,45 @@ class TestRoundTripIsIdentity:
 
 
 # --------------------------------------------------------------------- #
-# What cannot be named as data is refused at checkpoint()
+# Every registration can be named as data; a label class may not be
 # --------------------------------------------------------------------- #
 
+#: The window specs registration accepts, each as ``(session default,
+#: register(window=...))``, the policy objects built fresh per call.
+WINDOWS = {
+    "duration": (lambda: None, lambda: 8.0),
+    "time-policy": (lambda: None, lambda: SlidingWindow(8.0)),
+    "count-policy": (lambda: None, lambda: CountSlidingWindow(40)),
+    "factory": (lambda: (lambda: CountSlidingWindow(40)), lambda: None),
+}
+
+
 class TestRefusals:
-    def test_factory_protocol_and_custom_policy_queries_are_named(self):
-        class Minimal:
-            stats = None
-
-            def push(self, edge):
-                return []
-
-            def advance_time(self, timestamp):
-                pass
-
-        class OddWindow(SlidingWindow):
-            pass
-
-        session = Session(window=6.0)
-        query = lambda: labeled_path_query(2, elabels=("x", "y"))  # noqa
-        session.register("fine", query())
-        session.register("made", query(),
-                         backend=lambda q, w: TimingMatcher(q, w))
-        session.register("bare", query(), backend=lambda q, w: Minimal())
-        session.register("odd", query(), window=OddWindow(4.0))
-        with pytest.raises(CheckpointError) as info:
-            session.checkpoint(io.BytesIO())
-        assert not isinstance(info.value, CheckpointCorruptError)
-        assert "['made', 'bare', 'odd']" in str(info.value)
-        for name in ("made", "bare", "odd"):
-            session.deregister(name)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_every_accepted_registration_round_trips(self, backend, window):
+        """Every backend on every window spec registration accepts joins
+        a window group and comes back from checkpoint → restore in it,
+        answering and streaming on exactly as the live session does."""
+        default, spec = WINDOWS[window]
+        edges = labeled_stream(29, 160, n_vertices=6)
+        session = Session(window=default())
+        session.register(
+            "q", labeled_path_query(2, elabels=("x", "y"), timing=None),
+            backend=backend, window=spec())
+        session.push_many(edges[:100])
+        assert session.result_counts()["q"] > 0
         restored = Session.restore(io.BytesIO(checkpoint(session)))
-        assert restored.names() == ["fine"]
+        assert restored.names() == ["q"]
+        assert restored._queries["q"].group_key \
+            == session._queries["q"].group_key \
+            == (("time", 8.0) if window in ("duration", "time-policy")
+                else ("count", 40))
+        assert Counter(restored.current_matches()["q"]) \
+            == Counter(session.current_matches()["q"])
+        assert restored.stats() == session.stats()
+        later = session.push_many(edges[100:])
+        assert later and restored.push_many(edges[100:]) == later
 
     def test_label_of_an_unlisted_class_fails_at_checkpoint(self):
         """…with the label named, not at recovery."""
@@ -540,3 +499,85 @@ class TestAllowListedUnpickler:
         restored = Session.restore(io.BytesIO(checkpoint(session)))
         assert restored.matcher("inc").algorithm.name == "BoostISO"
         assert restored.result_counts() == session.result_counts()
+
+
+# --------------------------------------------------------------------- #
+# Allowed types in the wrong shape, inside a valid CRC frame
+# --------------------------------------------------------------------- #
+
+def saved_envelope() -> dict:
+    """A decoded checkpoint of two queries on two window groups."""
+    session = Session(window=6.0)
+    session.register("a", labeled_path_query(2, elabels=("x", "y")))
+    session.register("b", labeled_path_query(1, elabels=("x",)),
+                     window=CountSlidingWindow(5))
+    session.push_many(labeled_stream(31, 40))
+    return _load(io.BytesIO(checkpoint(session)))
+
+
+def set_query(i, field, value):
+    def mutate(data):
+        data["queries"][i][field] = value
+    return mutate
+
+
+#: name -> (how the saved data is bent, the reason's start: the field).
+MISSHAPEN = {
+    "stray-group-none": (set_query(0, "group", None),
+                         "queries[0] has an unknown field 'group'"),
+    "stray-group-unknown": (set_query(0, "group", ("time", 99.0)),
+                            "queries[0] has an unknown field 'group'"),
+    "window-of-no-saved-group": (set_query(0, "window", 99.0),
+                                 "queries[0].window's group is not in "
+                                 "groups"),
+    "queries-not-a-list": (lambda data: data.update(
+        queries=tuple(data["queries"])), "session.queries is misshapen"),
+    "query-without-name": (lambda data: data["queries"][0].pop("name"),
+                           "queries[0] lacks 'name'"),
+    "group-not-a-pair": (lambda data: data["groups"].append(
+        (("time", 6.0),)), "session.groups is misshapen"),
+    "since-a-string": (set_query(1, "since", "1.5"),
+                       "queries[1].since is misshapen: '1.5'"),
+    "clock-a-string": (lambda data: data.update(clock="16.0"),
+                       "session.clock is misshapen: '16.0'"),
+    "window-a-string": (set_query(0, "window", "6"),
+                        "queries[0].window is misshapen: '6'"),
+    "unknown-backend": (set_query(0, "backend", "quantum"),
+                        "queries[0].backend is misshapen: 'quantum'"),
+    "duplicate-query": (lambda data: data["queries"].append(
+        data["queries"][0]), "queries[2].name repeats 'a'"),
+    "unknown-window-kind": (set_query(1, "window", ("bogus", 5)),
+                            "queries[1].window is misshapen: "
+                            "('bogus', 5)"),
+}
+
+
+class TestMisshapenCheckpoints:
+    def test_the_unbent_envelope_loads(self):
+        restored = load_session(framed_envelope(saved_envelope()))
+        assert restored.names() == ["a", "b"]
+
+    @pytest.mark.parametrize("name", sorted(MISSHAPEN))
+    def test_is_refused_naming_the_field(self, name):
+        """Each of these crashed restore with a raw exception or, for an
+        unknown window kind, loaded as a count window; a gateway boot
+        catches only :class:`CheckpointError`, so none could fall back
+        down the checkpoint chain."""
+        mutate, reason = MISSHAPEN[name]
+        envelope = saved_envelope()
+        mutate(envelope["session"])
+        with pytest.raises(CheckpointCorruptError) as info:
+            load_session(framed_envelope(envelope))
+        assert info.value.reason.startswith(reason), info.value.reason
+        assert info.value.path == "<stream>"
+
+    def test_an_unknown_window_kind_names_no_policy(self):
+        with pytest.raises(ValueError, match="unknown window policy kind"):
+            window_policy_from_key(("bogus", 3.0))
+
+
+def framed_envelope(envelope: dict) -> io.BytesIO:
+    buffer = io.BytesIO()
+    _dump(envelope, buffer)
+    buffer.seek(0)
+    return buffer

@@ -114,7 +114,7 @@ class TestEnvelope:
             load_session(path)
 
     @pytest.mark.parametrize("version",
-                             [0, 9, 10, 11, 12, 13, 14, 15, 16, 17])
+                             [0, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18])
     def test_version_mismatch(self, tmp_path, version):
         """There is no reader for any earlier schema."""
         from repro.persistence import _MAGIC
@@ -122,7 +122,7 @@ class TestEnvelope:
             "magic": _MAGIC, "version": version, "session": None})
         with pytest.raises(
                 CheckpointError,
-                match=f"version {version} incompatible with 18"):
+                match=f"version {version} incompatible with 19"):
             load_session(path)
 
     def test_wrong_payload_type(self, tmp_path):

@@ -11,12 +11,15 @@ import json
 import pytest
 
 from repro import (
-    EngineConfig, JSONLSink, ListSink, Session, StreamEdge, TimingMatcher,
+    EngineConfig, EngineStats, JSONLSink, ListSink, Session, StreamEdge,
+    TimingMatcher,
 )
 from repro.io.csv_stream import write_stream
 from repro.persistence import load_session, save_session
 
-from .conftest import fig3_stream, fig5_query, make_edge, path_query
+from .conftest import (
+    fig3_stream, fig5_query, make_edge, observe, path_query,
+)
 
 TWO_HOP_DSL = """
 # two-hop chain with a timing order
@@ -172,61 +175,55 @@ class TestBackends:
                                   **override)
         assert engine.duplicate_policy == "skip"
 
-    def test_pure_protocol_matcher_survives_push(self):
-        """A factory can return any Matcher-conforming object — the
-        fan-out must not assume MatcherBase internals."""
-        from repro import EngineStats, Matcher
-
-        class MinimalMatcher:
-            def __init__(self):
-                self.stats = EngineStats()
-                self.seen = []
-
-            def push(self, edge):
-                self.seen.append(edge)
-                return []
-
-            def push_many(self, edges):
-                return [m for e in edges for m in self.push(e)]
-
-            def advance_time(self, timestamp):
-                pass
-
-            def current_matches(self):
-                return []
-
-            def result_count(self):
-                return 0
-
-            def space_cells(self):
-                return 0
-
+    @pytest.mark.parametrize("factory, options", [
+        (lambda q, w: MinimalMatcher(), {}),
+        (lambda q, w: TimingMatcher(q, w), {"duplicate_policy": "skip"}),
+    ], ids=["protocol", "engine-with-options"])
+    def test_a_callable_backend_is_refused(self, factory, options):
+        """A session member joins a window group and is checkpointed by
+        its backend's name, which no factory has: registration refuses
+        one — with or without engine options — before anything changes,
+        and names what a factory's caller can use instead."""
         session = Session(window=6.0)
-        minimal = session.register(
-            "min", TWO_HOP_DSL, backend=lambda q, w: MinimalMatcher())
-        assert isinstance(minimal, Matcher)
-        session.push_many(two_hop_stream())
-        assert len(minimal.seen) == 4
+        session.register("chain", TWO_HOP_DSL)
+        session.push_many(two_hop_stream()[:2])
+        before = observe(session)
+        with pytest.raises(ValueError) as info:
+            session.register("q", TWO_HOP_DSL, backend=factory, **options)
+        assert str(info.value) == (
+            "backend for query 'q' must be one of ('timing', 'sjtree', "
+            "'incmat', 'naive'), not a factory: a session member is "
+            "checkpointed by its backend's name.  Standalone engines "
+            "(TimingMatcher.from_config, the repro.baselines classes) still "
+            "take any window policy")
+        assert observe(session) == before
+        assert session._next_ordinal == 1
 
-    def test_factory_backend(self):
+    def test_per_query_config_picks_the_engine(self):
         session = Session(window=6.0)
         engine = session.register(
             "custom", TWO_HOP_DSL,
-            backend=lambda q, w: TimingMatcher.from_config(
-                q, w, storage="independent"))
+            config=EngineConfig(storage="independent"))
         assert not engine.use_mstree
+        assert session.matcher("custom") is engine
 
     def test_unknown_backend_rejected(self):
         session = Session(window=6.0)
         with pytest.raises(ValueError, match="unknown backend"):
             session.register("q", TWO_HOP_DSL, backend="quantum")
 
-    def test_factory_backend_rejects_engine_options(self):
-        session = Session(window=6.0)
-        with pytest.raises(ValueError, match="factory backends"):
-            session.register("q", TWO_HOP_DSL,
-                             backend=lambda q, w: TimingMatcher(q, w),
-                             duplicate_policy="skip")
+
+class MinimalMatcher:
+    """A ``Matcher``-conforming object outside ``MatcherBase``."""
+
+    def __init__(self):
+        self.stats = EngineStats()
+
+    def push(self, edge):
+        return []
+
+    def advance_time(self, timestamp):
+        pass
 
 
 class TestSinksAndCallbacks:

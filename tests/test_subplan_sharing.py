@@ -16,7 +16,7 @@ import pytest
 
 from repro import CountSlidingWindow, EngineConfig, Session, SlidingWindow
 
-from .conftest import labeled_path_query, labeled_stream
+from .conftest import labeled_path_query, labeled_stream, observe
 
 
 def xy():
@@ -73,20 +73,27 @@ class TestWhoShares:
         assert session.result_counts()["hash"] \
             == session.result_counts()["scan"] > 0
 
-    def test_privately_buffering_matchers_never_share(self):
-        """A custom window policy keeps its matcher out of every window
-        group, and so out of sub-plan sharing."""
+    def test_a_custom_window_policy_is_refused(self):
+        """Sub-plan sharing is scoped to a window group, whose members
+        expire in lock-step.  A custom policy class has no group, so
+        registration refuses it before it can hold or share anything."""
         class OwnWindow(SlidingWindow):
             pass
 
         session = Session(window=6.0)
-        session.register("a", xy(), window=OwnWindow(6.0))
-        session.register("b", xy(), window=OwnWindow(6.0))
+        session.register("a", xy())
         session.push_many(labeled_stream(23, 100))
-        assert session.session_stats()["shared_groups"] == 0
-        assert session.session_stats()["shared_subplans"] == 0
-        assert session.matcher("a")._tc_stores[0] is not \
-            session.matcher("b")._tc_stores[0]
+        before = observe(session)
+        with pytest.raises(ValueError) as info:
+            session.register("b", xy(), window=OwnWindow(6.0))
+        assert str(info.value) == (
+            "window for query 'b' must be a duration, "
+            "SlidingWindow(duration) or CountSlidingWindow(capacity), not "
+            "OwnWindow: a session member reads its window group's shared "
+            "buffer")
+        assert observe(session) == before
+        assert session._next_ordinal == 1
+        assert session.session_stats()["shared_subplans"] == 1
 
     def test_mid_stream_registrant_gets_fresh_store(self):
         """A query registered mid-stream starts from an empty window, so
