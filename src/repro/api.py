@@ -42,7 +42,7 @@ from .core.matches import Match
 from .core.query import QueryGraph
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedWindowView, window_policy_key
-from .ingest import Admission, Candidates, RouteIndex, group_key
+from .ingest import Admission, Candidates, RouteIndex
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
@@ -50,6 +50,7 @@ from .matcher import (
     JOIN_ORDER_STRATEGIES, STORAGE_KINDS, SUBPLAN_SHARING_MODES,
     EngineConfig, EngineStats, Matcher, MatcherBase, as_window,
 )
+from .stats import COUNTER, GAUGE, INFO, Table, snapshot
 from .subplans import SharedSubplanStore, _SubplanProvider, _SubplanRegistry
 
 __all__ = [
@@ -76,15 +77,14 @@ class _QueryRecord:
     record)``, so a target list sorts by a C-level integer comparison,
     reads in registration order and needs no lookup by name.
 
-    ``query``, ``window`` (what the query registered with — one mutable
-    policy object cannot back two engines), ``backend`` (a :data:`BACKENDS`
-    name), ``config`` and ``options`` are the registration *recipe*,
-    written once at ``register``: what ``_install`` builds the engine from
-    and what a checkpoint stores in its place.  ``group_key``, derived
-    from ``window``, names the window group the engine reads.  ``matcher`` is
-    cleared at deregistration, so a target list snapshotted earlier skips
-    the query.  ``slot`` is the query's one edge id when the member is
-    *decided* — its engine is a stateless
+    ``query``, ``group_key`` (the window group the engine reads: what
+    the registered window spec reduces to), ``backend`` (a
+    :data:`BACKENDS` name), ``config`` and ``options`` are the
+    registration *recipe*, written once at ``register``: what
+    ``_install`` builds the engine from and what a checkpoint stores in
+    its place.  ``matcher`` is cleared at deregistration, so a target
+    list snapshotted earlier skips the query.  ``slot`` is the query's
+    one edge id when the member is *decided* — its engine is a stateless
     :class:`~repro.core.engine.TimingMatcher` and its routing signature
     is exact or predicate, never generic: the route index then runs its
     whole label test, so the session matches it without an engine call
@@ -92,7 +92,7 @@ class _QueryRecord:
     """
 
     def __init__(self, name: str, ordinal: int, matcher,
-                 callback: Optional[MatchCallback], window, *,
+                 callback: Optional[MatchCallback], key: Tuple, *,
                  query: Optional[QueryGraph] = None, backend: str = "timing",
                  config: Optional[EngineConfig] = None,
                  options: Optional[dict] = None) -> None:
@@ -100,12 +100,11 @@ class _QueryRecord:
         self.ordinal = ordinal
         self.matcher = matcher
         self.callback = callback
-        self.window = window
         self.query = query
         self.backend = backend
         self.config = config
         self.options = options if options is not None else {}
-        self.group_key: Tuple = group_key(window)
+        self.group_key = key
         self.slot = None
 
 
@@ -150,11 +149,10 @@ class Session:
     Parameters
     ----------
     window:
-        Default window for registered queries: a duration, or a zero-arg
-        factory returning a fresh, empty ``SlidingWindow`` or
-        ``CountSlidingWindow`` per query (a bare policy object is rejected
-        — engines cannot share one mutable window).  Each query may
-        override it at registration.
+        Default window for registered queries: a duration, an empty
+        ``SlidingWindow`` or ``CountSlidingWindow`` (it only names the
+        window group; no engine fills it), or a zero-arg factory
+        returning one.  Each query may override it at registration.
     config:
         Default :class:`EngineConfig` for ``timing`` backends, and the
         source of the duplicate policy for the baseline backends.
@@ -164,18 +162,12 @@ class Session:
 
     def __init__(self, *, window=None, config: Optional[EngineConfig] = None,
                  duplicate_policy: Optional[str] = None) -> None:
-        if isinstance(window, bool):
-            raise TypeError("window must be a duration or a window factory")
+        if window is not None and not callable(window):
+            as_window(window)   # TypeError but for a duration or a policy
         if isinstance(window, (int, float)) \
                 and not 0 < window < float("inf"):
             raise ValueError(
                 f"window must be positive and finite, got {window!r}")
-        if window is not None and not isinstance(window, (int, float)) \
-                and not callable(window):
-            raise TypeError(
-                "a Session's default window must be a duration or a "
-                "zero-arg window factory — a shared policy object would "
-                "be mutated by every registered engine")
         self.default_window = window
         config = config if config is not None else EngineConfig()
         if duplicate_policy is not None:
@@ -192,9 +184,7 @@ class Session:
         # subplan_sharing="private") — see SharedSubplanStore.
         self._subplans = _SubplanRegistry()
         self._next_ordinal = 0
-        #: Engine insertions into window-group members.
-        self.routed_pushes = 0
-        #: Matcher visits the route index proved unnecessary and skipped.
+        self.routed_pushes = 0      # counters declared in STATS
         self.skipped_matchers = 0
 
     # ------------------------------------------------------------------ #
@@ -221,10 +211,9 @@ class Session:
         an empty window, the only sound semantics for a structure that
         never saw the past.
         """
-        query, window = self._resolve_registration(
-            name, query, window, backend)
+        query, key = self._resolve_registration(name, query, window, backend)
         record = _QueryRecord(
-            name, self._next_ordinal, None, callback, window, query=query,
+            name, self._next_ordinal, None, callback, key, query=query,
             backend=backend, options=engine_options,
             config=config if config is not None else self.config)
         self._install(record)
@@ -272,10 +261,12 @@ class Session:
         self._queries[record.name] = record
 
     def _resolve_registration(self, name: str, query, window, backend):
-        """The ``(query, window)`` to build from — DSL text parsed, the
-        window from the argument, the DSL ``window`` line or the session
-        default (a factory called afresh) — or every refusal of
-        :meth:`register`, raised before anything changes."""
+        """The ``(query, group key)`` to build from — DSL text parsed, the
+        window spec from the argument, the DSL ``window`` line or the
+        session default (a factory called afresh), reduced to its window
+        group's key — or every refusal of :meth:`register`, raised before
+        anything changes.  A policy object only names its group, so one
+        object may back any number of queries."""
         if name in self._queries:
             raise ValueError(f"query already registered: {name!r}")
         if callable(backend):
@@ -300,28 +291,22 @@ class Session:
             raise ValueError(
                 f"no window for query {name!r}: pass register(window=...), "
                 "a DSL 'window' line, or a Session default")
-        if isinstance(window, bool) or not isinstance(window, (int, float)):
-            as_window(window)   # TypeError unless a window policy object
-            if window_policy_key(window) is None:
-                raise ValueError(
-                    f"window for query {name!r} must be a duration, "
-                    "SlidingWindow(duration) or CountSlidingWindow(capacity), "
-                    f"not {type(window).__name__}: a session member "
-                    "reads its window group's shared buffer")
-            # Same hazard the constructor rejects for the default window:
-            # one mutable policy object cannot back two engines.
-            for other in self._queries.values():
-                if other.window is window:
-                    raise ValueError(
-                        "window policy object is already used by query "
-                        f"{other.name!r}; pass a fresh instance — engines "
-                        "cannot share one mutable window")
-            if len(window):
-                raise ValueError(
-                    f"window policy object for query {name!r} already "
-                    f"holds {len(window)} edge(s); pass an empty one — a "
-                    "query starts with an empty window")
-        return query, window
+        if not isinstance(window, bool) and isinstance(window, (int, float)):
+            return query, ("time", float(window))
+        as_window(window)   # TypeError unless a window policy object
+        key = window_policy_key(window)
+        if key is None:
+            raise ValueError(
+                f"window for query {name!r} must be a duration, "
+                "SlidingWindow(duration) or CountSlidingWindow(capacity), "
+                f"not {type(window).__name__}: a session member "
+                "reads its window group's shared buffer")
+        if len(window):
+            raise ValueError(
+                f"window policy object for query {name!r} already "
+                f"holds {len(window)} edge(s); pass an empty one — a "
+                "query starts with an empty window")
+        return query, key
 
     def register_file(self, name: str, path: str, **kwargs) -> Matcher:
         """Register a query from a ``.tq`` DSL file."""
@@ -633,10 +618,39 @@ class Session:
     #: Total window buffer cells: every member reads a shared buffer.
     window_cells = shared_window_cells
 
+    #: What :meth:`session_stats` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "queries": (GAUGE, "Registered queries."),
+        "shared_groups": (GAUGE, "Window groups (one shared buffer each)."),
+        "edges_pushed": (COUNTER, "Arrivals accepted by the session."),
+        "routed_pushes": (COUNTER, "Engine insertions of routed arrivals."),
+        "skipped_matchers": (COUNTER, "Matcher visits the route index "
+                                      "skipped."),
+        "stateless_queries": (GAUGE, "Registered one-edge queries on the "
+                                     "stateless plan: no partial-match "
+                                     "store, so nothing in "
+                                     "subplan_store_cells."),
+        "predicate_entries": (GAUGE, "Non-exact routing signatures."),
+        "predicate_trie_nodes": (GAUGE, "Predicate-router nodes."),
+        "route_resolved_lists": (GAUGE, "Route buckets with a prebuilt "
+                                        "target list (at most the "
+                                        "registered buckets plus two; 0 "
+                                        "while every query is "
+                                        "exact-label)."),
+        "shared_window_cells": (GAUGE, "Edges held in the window buffers."),
+        "window_cells": (GAUGE, "Window cells (= shared_window_cells)."),
+        "subplan_sharing": (INFO, "Sub-plan sharing mode."),
+        "shared_subplans": (GAUGE, "Shared sub-plan stores."),
+        "subplan_consumers": (GAUGE, "Engines reading a shared store."),
+        "subplan_store_cells": (GAUGE, "Cells in the shared stores."),
+        "subplan_reuses": (GAUGE, "Insertions served from a live shared "
+                                  "store."),
+    }
+
     def session_stats(self) -> Dict[str, object]:
         """Session-level ingestion counters (per-matcher engine counters
         stay in :meth:`stats`): accepted arrivals, routing work/savings,
-        and window memory.
+        and window memory — :attr:`STATS` names and explains each.
 
         Each arrival is routed once: its expiry walks the target list it
         carried and never consults the route index.  Once a predicate or
@@ -645,25 +659,21 @@ class Session:
         list; ``route_resolved_lists`` counts the lists built so far —
         at most the registered buckets plus two, and 0 while every query
         is exact-label (the index then answers from its dict)."""
-        return {
-            "queries": len(self._queries),
-            "shared_groups": len(self._admission.groups),
-            "edges_pushed": self.edges_pushed,
-            "routed_pushes": self.routed_pushes,
-            "skipped_matchers": self.skipped_matchers,
-            "stateless_queries": sum(
-                record.matcher.stateless for record in self._queries.values()),
-            "predicate_entries": len(self._index.router),
-            "predicate_trie_nodes": self._index.router.node_count(),
-            "route_resolved_lists": self._index.resolved_count(),
-            "shared_window_cells": self.shared_window_cells(),
-            "window_cells": self.window_cells(),
-            "subplan_sharing": self.config.subplan_sharing,
-            "shared_subplans": self._subplans.record_count(),
-            "subplan_consumers": self._subplans.consumer_count(),
-            "subplan_store_cells": self._subplans.space_cells(),
-            "subplan_reuses": self._subplans.reuse_count(),
-        }
+        cells, subplans = self.shared_window_cells(), self._subplans
+        return snapshot(
+            self, self.STATS, queries=len(self._queries),
+            shared_groups=len(self._admission.groups),
+            stateless_queries=sum(record.matcher.stateless
+                                  for record in self._queries.values()),
+            predicate_entries=len(self._index.router),
+            predicate_trie_nodes=self._index.router.node_count(),
+            route_resolved_lists=self._index.resolved_count(),
+            shared_window_cells=cells, window_cells=cells,
+            subplan_sharing=self.config.subplan_sharing,
+            shared_subplans=subplans.record_count(),
+            subplan_consumers=subplans.consumer_count(),
+            subplan_store_cells=subplans.space_cells(),
+            subplan_reuses=subplans.reuse_count())
 
     # ------------------------------------------------------------------ #
     # Checkpointing

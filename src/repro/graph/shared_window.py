@@ -49,12 +49,17 @@ def window_policy_key(window) -> Optional[Tuple[str, float]]:
 
 
 def window_policy_from_key(key: Tuple[str, float]):
-    """A fresh, empty policy object for a :func:`window_policy_key`."""
+    """A fresh, empty policy object for a :func:`window_policy_key`
+    (``ValueError`` for a count capacity but a positive integer)."""
     kind, param = key
     if kind not in ("time", "count"):
         raise ValueError(f"unknown window policy kind: {kind!r}")
-    return SlidingWindow(param) if kind == "time" \
-        else CountSlidingWindow(int(param))
+    if kind == "time":
+        return SlidingWindow(param)
+    if type(param) not in (int, float) or not param >= 1 or param % 1:
+        raise ValueError(f"count window capacity must be a positive "
+                         f"integer, got {param!r}")
+    return CountSlidingWindow(int(param))
 
 
 class SharedSlidingWindow:

@@ -33,9 +33,7 @@ from typing import (
 
 from .core.labeltrie import PredicateRouter, bucket_key
 from .graph.edge import StreamEdge
-from .graph.shared_window import (
-    SharedSlidingWindow, window_policy_from_key, window_policy_key,
-)
+from .graph.shared_window import SharedSlidingWindow, window_policy_from_key
 
 _INF = float("inf")
 
@@ -58,16 +56,6 @@ class Candidates(list):
     test."""
 
     __slots__ = ()
-
-
-def group_key(window) -> Tuple:
-    """The window group a registered window spec enrolls under — a
-    duration's time window, or a built-in policy's
-    :func:`~repro.graph.shared_window.window_policy_key` (registration
-    admits no other spec) — and so its sub-plan sharing scope."""
-    if isinstance(window, (int, float)):
-        return ("time", float(window))
-    return window_policy_key(window)
 
 
 class WindowGroup:

@@ -7,17 +7,17 @@ A checkpoint stores that data and restore is *register, then replay* —
 about the cost of streaming one window.
 
 **Written** (:func:`snapshot`; in a CRC32 frame, beside the caller's
-``meta``): the ``EngineConfig``, numeric default window, clock and
-counters; per query, in ordinal order, its registration recipe (name,
-ordinal, ``QueryGraph``, window as a duration or a built-in policy's
-``(kind, parameter)``, backend name, config, engine options — a Timing
-engine's resolved join order among them, so a ``random`` strategy
-rebuilds the plan it had), its ``since`` watermark and ``EngineStats``;
-per window group, the buffered edges in arrival order.  A query's window
-group is derived from its window spec, not stored.  Registration refuses whatever this cannot name
-(a callable backend, another window-policy class), so every query can
-be written.  Sinks, callbacks and a callable default-window factory are
-runtime wiring: dropped, re-attach them.
+``meta``): the ``EngineConfig``, default window (a duration, or a
+policy object's group key), clock and counters; per query, in ordinal
+order, its registration recipe (name, ordinal, ``QueryGraph``, window as
+its group's key ``(kind, parameter)``, backend name, config, engine
+options — a Timing engine's resolved join order among them, so a
+``random`` strategy rebuilds the plan it had), its ``since`` watermark
+and ``EngineStats``; per window group, the buffered edges in arrival
+order.  Registration refuses whatever this cannot name (a callable
+backend, another window-policy class), so every query can be written.
+Sinks, callbacks and a callable default-window factory are runtime
+wiring: dropped, re-attach them.
 
 **Restored** (:func:`rebuild`): data of any other shape is refused with
 :class:`CheckpointCorruptError` naming the field; then an empty session
@@ -182,16 +182,18 @@ def snapshot(session: Session) -> dict:
                        "join_order": matcher.join_order}
         queries.append({
             "name": record.name, "ordinal": record.ordinal,
-            # A duration as given; a policy object as its group key.
-            "query": record.query, "window": record.window
-            if isinstance(record.window, (int, float)) else record.group_key,
+            "query": record.query, "window": record.group_key,
             "backend": record.backend, "config": record.config,
             "options": options, "since": matcher.window.since,
             "stats": matcher.stats.as_dict()})
     window = session.default_window
+    if callable(window):
+        window = None       # runtime wiring, like the sinks
+    elif window is not None and not isinstance(window, (int, float)):
+        window = window_policy_key(window)
     return {
         "config": session.config,
-        "default_window": None if callable(window) else window,
+        "default_window": window,
         "clock": session.current_time,
         "edges_pushed": session.edges_pushed,
         "routed_pushes": session.routed_pushes,
@@ -209,7 +211,10 @@ def rebuild(data: dict, path: str = "<data>") -> Session:
     problem = _misshapen(data)
     if problem is not None:
         raise CheckpointCorruptError(path, problem)
-    session = Session(window=data["default_window"], config=data["config"])
+    window = data["default_window"]
+    if isinstance(window, tuple):
+        window = window_policy_from_key(window)
+    session = Session(window=window, config=data["config"])
     _replay(session, data, path)
     return session
 
@@ -243,8 +248,7 @@ def _group_of(spec) -> Optional[Tuple]:
 #: What each field :func:`snapshot` writes must be, per session and query.
 _SESSION_SHAPE = {
     "config": _config,
-    "default_window": lambda value: value is None
-    or type(value) in (int, float) and _group_of(value),
+    "default_window": lambda value: value is None or _group_of(value),
     "clock": _time,
     "edges_pushed": _count, "routed_pushes": _count,
     "skipped_matchers": _count, "next_ordinal": _count,
@@ -339,11 +343,9 @@ def _replay(session: Session, data: dict, path: str) -> None:
                     record.matcher._insert(edge)
 
     for i, saved in enumerate(data["queries"]):
-        window = saved["window"]
-        if isinstance(window, tuple):
-            window = window_policy_from_key(window)
         record = _QueryRecord(
-            saved["name"], saved["ordinal"], None, None, window,
+            saved["name"], saved["ordinal"], None, None,
+            _group_of(saved["window"]),
             query=saved["query"], backend=saved["backend"],
             config=saved["config"], options=saved["options"])
         feed(record.group_key, saved["since"])

@@ -70,6 +70,7 @@ from ..api import EngineConfig, Session, ThreadSafeSession
 from ..graph.edge import StreamEdge
 from ..persistence import CheckpointError, load_session_meta
 from ..sinks import RotatingJSONLSink, match_record
+from ..stats import COUNTER, GAUGE, ONE_HOT, SETTING, Group, Table, snapshot
 from .codec import (
     CodecError, edge_from_json, edge_to_json, unwrap_edge_body,
 )
@@ -79,6 +80,7 @@ from .resilience import (
     CircuitBreaker, DeadLetterQueue, HealthTracker, RateLimited,
     RetryPolicy, TokenBucket, call_with_retry,
 )
+from .tailer import FileTailer
 from .wal import DedupIndex, WriteAheadLog
 
 _CHECKPOINT_FILE = "checkpoint.pkl"
@@ -107,8 +109,6 @@ class MatchHub:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._subscribers: List = []
-        #: Records delivered to at least one subscriber.
-        self.delivered = 0
 
     def subscribe(self, callback, *, encoded: bool = False) -> None:
         """Register a consumer of records (or of their JSON lines)."""
@@ -149,7 +149,6 @@ class MatchHub:
             with self._lock:
                 self._subscribers = [s for s in self._subscribers
                                      if s not in dead]
-        self.delivered += 1
 
 
 class Tenant:
@@ -159,6 +158,64 @@ class Tenant:
     :meth:`ingest_edges` / :meth:`ingest_json`, operators through
     :meth:`status` and the gateway's metrics endpoint.
     """
+
+    #: The tenant's own numbers in its ``wal`` dict, after the journal's.
+    WAL_STATS: Table = {
+        "applied_lsn": (GAUGE, "Highest WAL LSN applied to the session."),
+        "replayed_edges": (COUNTER, "Edges re-applied from the WAL at boot."),
+        "replay_skipped": (COUNTER, "WAL records replay could not decode."),
+        "dedup_hits": (COUNTER, "Batches answered from the dedup window."),
+        "dedup_window": (GAUGE, "Request ids held in the dedup window."),
+        "sync_errors": (COUNTER, "WAL fsyncs still failing after retries."),
+    }
+
+    #: What :meth:`status` reports beside the name and health reason:
+    #: the tenant's counters and its components' dicts.
+    STATS: Table = {
+        "queries": (GAUGE, "Registered queries."),
+        "restored": (GAUGE, "Whether boot restored a checkpoint."),
+        "health": (ONE_HOT, "Tenant health state (one-hot)."),
+        "edges_offered": (COUNTER, "Arrivals taken off the queue and "
+                                   "offered to the session (the tenant's "
+                                   "stream position)."),
+        "edges_pushed": (COUNTER, "Arrivals accepted into the engine "
+                                  "window."),
+        "rejected_nonmonotonic": (COUNTER, "Arrivals shed for "
+                                           "non-increasing timestamps."),
+        "rejected_duplicate": (COUNTER, "Arrivals rejected as in-window "
+                                        "duplicates."),
+        "worker_errors": (COUNTER, "Worker batches that failed "
+                                   "unexpectedly."),
+        "sink_write_errors": (COUNTER, "Match-log writes abandoned after "
+                                       "retries."),
+        "checkpoint_failures": (COUNTER, "Checkpoint barriers that failed "
+                                         "after retries."),
+        "matches_delivered": (COUNTER, "Matches written to the match log "
+                                       "/ subscribers."),
+        "subscribers": (GAUGE, "Live match-stream subscribers."),
+        "stream_frames_dropped": (COUNTER, "Match frames shed because a "
+                                           "WebSocket subscriber fell "
+                                           "behind."),
+        "checkpoints_written": (COUNTER, "Completed checkpoint barriers."),
+        "last_checkpoint_seconds": (GAUGE, "Wall-clock cost of the last "
+                                           "checkpoint."),
+        "checkpoint_fallbacks": (COUNTER, "Boot-time falls down the "
+                                          "checkpoint chain (newest "
+                                          "capture corrupt)."),
+        "dlq_replayed": (COUNTER, "Dead-letter records re-ingested via "
+                                  "repro dlq replay."),
+        "queue": Group(BoundedEdgeQueue.STATS, "queue_"),
+        "dead_letters": Group(DeadLetterQueue.STATS, "dead_letters_"),
+        "breakers": Group(CircuitBreaker.STATS, "breaker_",
+                          label="component"),
+        "rate_limit": Group(TokenBucket.STATS, "rate_limit_"),
+        "wal": Group({**WriteAheadLog.STATS, **WAL_STATS}, "wal_"),
+        "session": Group(Session.STATS, "session_"),
+        "tails": Group(FileTailer.STATS, "tail_", label="path"),
+        "source_offsets": Group((GAUGE, "Tailed-file byte offset applied "
+                                        "so far (the resume position)."),
+                                "source_offset", label="path"),
+    }
 
     def __init__(self, config: TenantConfig, state_dir: str, *,
                  checkpoint_keep: int = 2) -> None:
@@ -171,27 +228,25 @@ class Tenant:
         self.queue = BoundedEdgeQueue(
             config.queue_capacity, policy=config.backpressure)
         self.hub = MatchHub()
-        #: Entries taken off the queue and offered to the session —
-        #: the tenant's stream position (replay cursor after recovery).
+        # Counters, declared in STATS.  edges_offered is the tenant's
+        # stream position (the replay cursor after recovery).
         self.edges_offered = 0
-        #: Arrivals shed by the worker for non-monotonic timestamps.
         self.rejected_nonmonotonic = 0
-        #: Arrivals rejected as in-window duplicates (``raise`` policy).
         self.rejected_duplicate = 0
-        #: Worker batches that failed unexpectedly (kept out of the
-        #: engine; the worker carries on).
         self.worker_errors = 0
-        #: Matches written to the match log / hub.
         self.matches_delivered = 0
-        #: Match frames shed because a WebSocket subscriber fell behind.
         self.stream_frames_dropped = 0
-        #: Completed checkpoints and the last one's wall-clock cost.
         self.checkpoints_written = 0
         self.last_checkpoint_seconds = 0.0
-        self.last_checkpoint_at: Optional[float] = None
+        self.sink_write_errors = 0
+        self.checkpoint_failures = 0
+        self.dlq_replayed = 0
+        self.checkpoint_fallbacks = 0
         #: Per-tail-source resume offsets (path -> byte offset), updated
         #: by the worker as tailed edges are actually pushed.
         self.source_offsets: Dict[str, int] = {}
+        #: The running file tailers feeding this tenant.
+        self.tailers: List[FileTailer] = []
         self._server_clock = 0.0
         self._clock_lock = threading.Lock()
         self._worker: Optional[threading.Thread] = None
@@ -207,10 +262,6 @@ class Tenant:
                 config.rate_limit.rps, config.rate_limit.effective_burst)
         self.sink_breaker = CircuitBreaker(f"{config.name}.match_log")
         self.checkpoint_breaker = CircuitBreaker(f"{config.name}.checkpoint")
-        #: Match-log writes abandoned after retries / while tripped.
-        self.sink_write_errors = 0
-        #: Checkpoint barriers that failed even after retries.
-        self.checkpoint_failures = 0
         #: One consumer at a time dequeues and applies (the worker, or the
         #: event loop after a WAL tenant's ack), so batches are applied in
         #: the order they were enqueued.
@@ -241,20 +292,12 @@ class Tenant:
         #: Highest WAL LSN actually applied to the session (advanced by
         #: the worker under the session lock; checkpointed as wal_lsn).
         self.wal_applied_lsn = 0
-        #: Edges re-delivered from the WAL at boot.
+        # Counters declared in WAL_STATS (a wal_sync_errors ack proceeds
+        # on the next successful sync; see ingest_json).
         self.replayed_edges = 0
-        #: Journaled records replay could not decode (see
-        #: :meth:`_frame_entries`).
         self.replay_skipped = 0
-        #: Ingest batches answered from the request-id dedup window.
         self.dedup_hits = 0
-        #: WAL fsyncs that failed even after retries (acks proceed on the
-        #: next successful sync; see ingest_json).
         self.wal_sync_errors = 0
-        #: Dead-letter entries re-ingested via ``repro dlq replay``.
-        self.dlq_replayed = 0
-        #: Boot-time falls down the checkpoint chain (corrupt newest).
-        self.checkpoint_fallbacks = 0
         #: WAL positions of the checkpoints written since boot, oldest
         #: first — WAL segments are reclaimed only up to the *oldest*
         #: kept checkpoint, and only once the whole chain was written by
@@ -905,7 +948,6 @@ class Tenant:
         self.checkpoints_written += 1
         self.last_checkpoint_seconds = round(
             time.perf_counter() - started, 4)
-        self.last_checkpoint_at = time.time()
         if self.wal is not None:
             self._chain_lsns.append(int(meta.get("wal_lsn", 0)))
             if len(self._chain_lsns) > self.checkpoint_keep:
@@ -977,47 +1019,33 @@ class Tenant:
     # Introspection
     # ------------------------------------------------------------------ #
     def status(self) -> dict:
-        """A JSON-able runtime snapshot (the ``/stats`` payload)."""
-        status = {
-            "name": self.config.name,
-            "queries": self.safe.names(),
-            "restored": self.restored,
-            "health": self.health.state,
-            "health_reason": self.health.reason,
-            "edges_offered": self.edges_offered,
-            "edges_pushed": self.safe.edges_pushed,
-            "rejected_nonmonotonic": self.rejected_nonmonotonic,
-            "rejected_duplicate": self.rejected_duplicate,
-            "worker_errors": self.worker_errors,
-            "sink_write_errors": self.sink_write_errors,
-            "checkpoint_failures": self.checkpoint_failures,
-            "matches_delivered": self.matches_delivered,
-            "subscribers": self.hub.subscriber_count(),
-            "stream_frames_dropped": self.stream_frames_dropped,
-            "checkpoints_written": self.checkpoints_written,
-            "last_checkpoint_seconds": self.last_checkpoint_seconds,
-            "checkpoint_fallbacks": self.checkpoint_fallbacks,
-            "dlq_replayed": self.dlq_replayed,
-            "queue": self.queue.counters(),
-            "dead_letters": self.dead_letters.counters(),
-            "breakers": {
-                "match_log": self.sink_breaker.counters(),
-                "checkpoint": self.checkpoint_breaker.counters(),
-            },
-        }
-        if self.rate_limiter is not None:
-            status["rate_limit"] = self.rate_limiter.counters()
+        """A JSON-able runtime snapshot (the ``/stats`` payload): the
+        name, the health reason and :attr:`STATS`."""
+        with self.safe.locked() as session:
+            queries, pushed = session.names(), session.edges_pushed
+            stats, offsets = session.session_stats(), dict(self.source_offsets)
+        wal = limit = None
         if self.wal is not None:
-            wal = self.wal.counters()
-            wal["applied_lsn"] = self.wal_applied_lsn
-            wal["replayed_edges"] = self.replayed_edges
-            wal["replay_skipped"] = self.replay_skipped
-            wal["dedup_hits"] = self.dedup_hits
-            wal["dedup_window"] = (len(self.dedup)
-                                   if self.dedup is not None else 0)
-            wal["sync_errors"] = self.wal_sync_errors
-            status["wal"] = wal
-        return status
+            wal = {**self.wal.counters(), **snapshot(
+                self, self.WAL_STATS, applied_lsn=self.wal_applied_lsn,
+                dedup_window=len(self.dedup),
+                sync_errors=self.wal_sync_errors)}
+        if self.rate_limiter is not None:
+            limit = self.rate_limiter.counters()
+        breakers = {"match_log": self.sink_breaker.counters(),
+                    "checkpoint": self.checkpoint_breaker.counters()}
+        return {"name": self.config.name,
+                "health_reason": self.health.reason,
+                **snapshot(self, self.STATS, queries=queries,
+                           edges_pushed=pushed, health=self.health.state,
+                           subscribers=self.hub.subscriber_count(),
+                           queue=self.queue.counters(),
+                           dead_letters=self.dead_letters.counters(),
+                           breakers=breakers, rate_limit=limit, wal=wal,
+                           session=stats, source_offsets=offsets,
+                           tails={tailer.config.path: tailer.status()
+                                  for tailer in self.tailers})}
+
 
 class ServiceGateway:
     """The long-running ingestion gateway (see the module docstring).
@@ -1030,6 +1058,16 @@ class ServiceGateway:
         Start each tenant's drain thread immediately (tests sometimes
         defer this to control interleavings).
     """
+
+    #: What :meth:`status` reports (see :mod:`repro.stats`): the root of
+    #: the ``/stats`` tree that ``/metrics`` renders.
+    STATS: Table = {
+        "uptime_seconds": (GAUGE, "Seconds since the gateway started."),
+        "checkpoint_interval": (SETTING, "Seconds between periodic "
+                                         "checkpoints (0 = none)."),
+        "tenants": Group(Tenant.STATS, "", label="tenant",
+                         count="Number of hosted tenants."),
+    }
 
     def __init__(self, config: ServerConfig, *,
                  start_workers: bool = True) -> None:
@@ -1053,7 +1091,6 @@ class ServiceGateway:
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
         self._server = None         # attached by repro.service.http
-        self._tailers: List = []
         if start_workers:
             self.start_workers()
 
@@ -1074,14 +1111,13 @@ class ServiceGateway:
     def start_tailers(self) -> None:
         """Start the configured file tailers (resuming from checkpointed
         offsets)."""
-        from .tailer import FileTailer
         for tenant in self.tenants.values():
             for tail in tenant.config.tails:
                 tailer = FileTailer(
                     tenant, tail,
                     start_offset=tenant.source_offsets.get(tail.path, 0))
                 tailer.start()
-                self._tailers.append(tailer)
+                tenant.tailers.append(tailer)
 
     def start_background(self) -> "ServiceGateway":
         """Start workers, tailers, and the HTTP front door on a
@@ -1123,8 +1159,9 @@ class ServiceGateway:
                 return
             self._shut_down = True
         self._stop_event.set()
-        for tailer in self._tailers:
-            tailer.stop()
+        for tenant in self.tenants.values():
+            for tailer in tenant.tailers:
+                tailer.stop()
         if self._server is not None:
             self._server.stop()
         for tenant in self.tenants.values():
@@ -1152,8 +1189,9 @@ class ServiceGateway:
                 return
             self._shut_down = True
         self._stop_event.set()
-        for tailer in self._tailers:
-            tailer.stop()
+        for tenant in self.tenants.values():
+            for tailer in tenant.tailers:
+                tailer.stop()
         if self._server is not None:
             self._server.stop()
         for tenant in self.tenants.values():
@@ -1184,13 +1222,14 @@ class ServiceGateway:
         return next(iter(self.tenants.values()))
 
     def status(self) -> dict:
-        """A JSON-able snapshot of the whole gateway (``/stats``)."""
-        return {
-            "uptime_seconds": round(time.time() - self.started_at, 3),
-            "checkpoint_interval": self.config.checkpoint_interval,
-            "tenants": {name: tenant.status()
-                        for name, tenant in self.tenants.items()},
-        }
+        """A JSON-able snapshot of the whole gateway (``/stats``): its
+        :attr:`STATS` tree."""
+        return snapshot(
+            self, self.STATS,
+            uptime_seconds=round(time.time() - self.started_at, 3),
+            checkpoint_interval=self.config.checkpoint_interval,
+            tenants={name: tenant.status()
+                     for name, tenant in self.tenants.items()})
 
     def healthz(self) -> dict:
         """The ``/healthz`` payload: the supervision tree's health.

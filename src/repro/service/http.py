@@ -24,10 +24,11 @@ Routes
     bounded transition histories (see
     :meth:`~repro.service.gateway.ServiceGateway.healthz`).
 ``GET /metrics``
-    Prometheus text format — every tenant's session stats plus queue
-    depth/lag/drop counters (see :mod:`repro.service.metrics`).
+    The ``/stats`` tree in Prometheus text format, typed and explained
+    by its owners' tables (see :mod:`repro.service.metrics`).
 ``GET /stats``
-    The gateway status snapshot as JSON.
+    The gateway status snapshot as JSON: every tenant's counters, its
+    components' dicts and its session's stats.
 ``POST /ingest`` / ``POST /tenants/<name>/ingest``
     A JSON body of edges — ``{"edges": [...]}``, a bare array, or one
     edge object — enqueued on the (default) tenant's queue.  Replies
@@ -274,9 +275,7 @@ class ServiceHTTPServer:
                 return (200, "application/json",
                         json.dumps(health).encode())
             if path == "/metrics":
-                stats = {name: tenant.safe.session_stats()
-                         for name, tenant in self.gateway.tenants.items()}
-                text = render_metrics(self.gateway.status(), stats)
+                text = render_metrics(self.gateway.status())
                 return (200,
                         "text/plain; version=0.0.4; charset=utf-8",
                         text.encode())

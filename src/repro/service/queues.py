@@ -18,11 +18,11 @@ explicit instead of letting memory grow silently:
     ack promises every journaled edge is applied).
 
 The queue holds memory only: a tenant's one on-disk FIFO is its
-write-ahead log.  All counters (``enqueued``, ``dequeued``, ``dropped``,
-``rejected_closed``, depth, high-water mark, oldest-entry lag) feed the
-``/metrics`` endpoint.  The queue is thread-safe; ``close()`` starts the
-shutdown drain: producers are refused, the consumer keeps draining until
-:meth:`get_batch` returns an empty batch with ``closed`` set.
+write-ahead log.  Its counters (:attr:`BoundedEdgeQueue.STATS`) feed
+``/stats`` and ``/metrics``.  The queue is thread-safe; ``close()``
+starts the shutdown drain: producers are refused, the consumer keeps
+draining until :meth:`get_batch` returns an empty batch with ``closed``
+set.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..graph.edge import StreamEdge
+from ..stats import COUNTER, GAUGE, Table, snapshot
 
 #: Accepted backpressure policies (see module docstring).
 BACKPRESSURE_POLICIES = ("block", "drop_oldest")
@@ -71,6 +72,18 @@ class BoundedEdgeQueue:
         One of :data:`BACKPRESSURE_POLICIES`.
     """
 
+    #: What :meth:`counters` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "capacity": (GAUGE, "Queue capacity (entries)."),
+        "depth": (GAUGE, "Entries queued now."),
+        "high_water": (GAUGE, "Most entries ever queued at once."),
+        "enqueued": (COUNTER, "Entries admitted to the queue."),
+        "dequeued": (COUNTER, "Entries taken off the queue."),
+        "dropped": (COUNTER, "Oldest entries evicted (drop_oldest)."),
+        "rejected_closed": (COUNTER, "Arrivals refused once closed."),
+        "lag_seconds": (GAUGE, "Age of the oldest queued entry."),
+    }
+
     def __init__(self, capacity: int, *, policy: str = "block") -> None:
         if not isinstance(capacity, int) or isinstance(capacity, bool) \
                 or capacity < 1:
@@ -87,7 +100,6 @@ class BoundedEdgeQueue:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        #: Counters surfaced on /metrics.
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
@@ -230,22 +242,13 @@ class BoundedEdgeQueue:
             return len(self._entries)
 
     def counters(self) -> dict:
-        """A snapshot of every counter the metrics endpoint exports."""
+        """A snapshot of :attr:`STATS`."""
         with self._lock:
-            return {
-                "capacity": self.capacity,
-                "depth": len(self._entries),
-                "high_water": self.high_water,
-                "enqueued": self.enqueued,
-                "dequeued": self.dequeued,
-                "dropped": self.dropped,
-                "rejected_closed": self.rejected_closed,
-                # How far the consumer trails the front door: the age of
-                # the oldest queued entry.
-                "lag_seconds": (
+            return snapshot(
+                self, self.STATS, depth=len(self._entries),
+                lag_seconds=(
                     max(0.0, time.monotonic() - self._entries[0].enqueued_at)
-                    if self._entries else 0.0),
-            }
+                    if self._entries else 0.0))
 
     def check_open(self) -> None:
         """Raise :class:`QueueClosed` (counted like a refused put) once

@@ -38,6 +38,8 @@ import threading
 import time
 from typing import Callable, List, Optional, Tuple
 
+from ..stats import COUNTER, GAUGE, IS_OPEN, Table, snapshot
+
 #: The tenant/gateway health states (see :class:`HealthTracker`).
 HEALTH_STATES = ("healthy", "degraded")
 
@@ -111,6 +113,14 @@ class CircuitBreaker:
 
     """
 
+    #: What :meth:`counters` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "state": (IS_OPEN, "Whether the circuit breaker is open."),
+        "trips": (COUNTER, "Circuit breaker trips (closed to open)."),
+        "short_circuits": (COUNTER, "Calls the breaker refused while "
+                                    "open."),
+    }
+
     def __init__(self, name: str, *, failure_threshold: int = 5,
                  reset_timeout: float = 30.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -122,9 +132,7 @@ class CircuitBreaker:
         self._state = "closed"
         self._failures = 0
         self._opened_at = 0.0
-        #: Trip count (closed -> open transitions), for metrics.
         self.trips = 0
-        #: Calls refused while open.
         self.short_circuits = 0
 
     @property
@@ -169,9 +177,8 @@ class CircuitBreaker:
                 self.trips += 1
 
     def counters(self) -> dict:
-        """A JSON-able snapshot for ``/stats``."""
-        return {"state": self.state, "trips": self.trips,
-                "short_circuits": self.short_circuits}
+        """A JSON-able snapshot of :attr:`STATS` for ``/stats``."""
+        return snapshot(self, self.STATS)
 
 
 # --------------------------------------------------------------------- #
@@ -188,6 +195,14 @@ class TokenBucket:
     backoff frame.
     """
 
+    #: What :meth:`counters` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "rate": (GAUGE, "Tokens (edges) refilled per second."),
+        "burst": (GAUGE, "Bucket size: the largest burst."),
+        "admitted": (COUNTER, "Edges the rate limiter admitted."),
+        "limited": (COUNTER, "Edges refused with a retry-after."),
+    }
+
     def __init__(self, rate: float, burst: float, *,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if rate <= 0:
@@ -200,7 +215,6 @@ class TokenBucket:
         self._tokens = float(burst)
         self._stamp = clock()
         self._lock = threading.Lock()
-        #: Admitted / rejected token counts, for metrics.
         self.admitted = 0
         self.limited = 0
 
@@ -227,9 +241,8 @@ class TokenBucket:
             return max(0.001, (needed - self._tokens) / self.rate)
 
     def counters(self) -> dict:
-        """A JSON-able snapshot for ``/stats``."""
-        return {"rate": self.rate, "burst": self.burst,
-                "admitted": self.admitted, "limited": self.limited}
+        """A JSON-able snapshot of :attr:`STATS` for ``/stats``."""
+        return snapshot(self, self.STATS)
 
 
 class RateLimited(RuntimeError):
@@ -310,11 +323,18 @@ class DeadLetterQueue:
     written, so a poison storm cannot fill the disk.
     """
 
+    #: What :meth:`counters` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "recorded": (COUNTER, "Dead letters on file, those written before "
+                              "boot included."),
+        "dropped": (COUNTER, "Dead letters shed: over the bound, or the "
+                             "disk refused."),
+    }
+
     def __init__(self, path: str, *, max_records: int = 1000) -> None:
         self.path = path
         self.max_records = max_records
         self._lock = threading.Lock()
-        #: Records written / shed-over-bound, for metrics.
         self.recorded = 0
         self.dropped = 0
         if os.path.exists(path):
@@ -359,5 +379,5 @@ class DeadLetterQueue:
         return out
 
     def counters(self) -> dict:
-        """A JSON-able snapshot for ``/stats``."""
-        return {"recorded": self.recorded, "dropped": self.dropped}
+        """A JSON-able snapshot of :attr:`STATS` for ``/stats``."""
+        return snapshot(self, self.STATS)

@@ -42,6 +42,7 @@ from typing import List, Optional
 from .. import faults
 from ..graph.edge import StreamEdge
 from ..io.csv_stream import _parse_label
+from ..stats import COUNTER, Table, snapshot
 from .codec import CodecError, edge_from_json, parse_json
 from .config import TailConfig
 from .queues import QueueClosed
@@ -53,6 +54,16 @@ _BACKOFF_CAP = 5.0
 class FileTailer(threading.Thread):
     """Follow one file into one tenant's queue (see module docstring)."""
 
+    #: What :meth:`status` reports beside path and format.
+    STATS: Table = {
+        "lines_read": (COUNTER, "Complete lines read from the tailed file."),
+        "parse_errors": (COUNTER, "Tailed lines skipped as unparsable."),
+        "edges_enqueued": (COUNTER, "Tailed edges enqueued."),
+        "read_errors": (COUNTER, "Tailed-file read failures survived."),
+        "truncations": (COUNTER, "Times the file shrank under the tailer."),
+        "rotations": (COUNTER, "Times the tailed path named a new file."),
+    }
+
     def __init__(self, tenant, config: TailConfig, *,
                  start_offset: int = 0) -> None:
         super().__init__(daemon=True,
@@ -61,17 +72,11 @@ class FileTailer(threading.Thread):
         self.config = config
         self.start_offset = start_offset
         self._stop_event = threading.Event()
-        #: Completed lines consumed this run.
         self.lines_read = 0
-        #: Lines skipped because they would not parse.
         self.parse_errors = 0
-        #: Edges successfully enqueued.
         self.edges_enqueued = 0
-        #: Read failures survived (each backs off and reopens).
         self.read_errors = 0
-        #: Times the file shrank under the tailer.
         self.truncations = 0
-        #: Times the path started naming a different inode.
         self.rotations = 0
         self._resume_offset = start_offset
 
@@ -212,14 +217,6 @@ class FileTailer(threading.Thread):
             return None
 
     def status(self) -> dict:
-        """A JSON-able snapshot of the tailer's counters."""
-        return {
-            "path": self.config.path,
-            "format": self.config.format,
-            "lines_read": self.lines_read,
-            "parse_errors": self.parse_errors,
-            "edges_enqueued": self.edges_enqueued,
-            "read_errors": self.read_errors,
-            "truncations": self.truncations,
-            "rotations": self.rotations,
-        }
+        """A JSON-able snapshot: the path, the format and :attr:`STATS`."""
+        return {"path": self.config.path, "format": self.config.format,
+                **snapshot(self, self.STATS)}

@@ -96,6 +96,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import faults
+from ..stats import COUNTER, GAUGE, Table, snapshot
 
 __all__ = [
     "WriteAheadLog", "WalCorruptError", "WalFrameTooLarge", "DedupIndex",
@@ -369,6 +370,22 @@ class WriteAheadLog:
         Pending-frame threshold that skips the gather window.
     """
 
+    #: What :meth:`counters` reports (see :mod:`repro.stats`).
+    STATS: Table = {
+        "appended_lsn": (GAUGE, "LSN of the last edge appended (0: none)."),
+        "durable_lsn": (GAUGE, "LSN of the last edge fsynced."),
+        "appends": (COUNTER, "Frames appended to the WAL."),
+        "fsyncs": (COUNTER, "WAL fsyncs."),
+        "bytes_written": (COUNTER, "Bytes appended to the WAL."),
+        "segments": (GAUGE, "WAL segment files on disk."),
+        "segments_created": (COUNTER, "WAL segments opened."),
+        "segments_reclaimed": (COUNTER, "WAL segments deleted behind the "
+                                        "oldest kept checkpoint."),
+        "truncated_bytes": (COUNTER, "Torn-tail bytes truncated at open."),
+        "corrupt_dropped_frames": (COUNTER, "Frames dropped at open past "
+                                            "an interior corruption."),
+    }
+
     def __init__(self, directory: str, *, segment_bytes: int = 4 * 1024 * 1024,
                  fsync_interval_ms: float = 0.0,
                  fsync_batch: int = 256) -> None:
@@ -390,7 +407,6 @@ class WriteAheadLog:
         # frames advance no LSN but still need an fsync before the ack.
         self._write_seq = 0
         self._synced_seq = 0
-        #: Counters surfaced on /stats and /metrics.
         self.appends = 0
         self.fsyncs = 0
         self.bytes_written = 0
@@ -708,20 +724,10 @@ class WriteAheadLog:
             pass
 
     def counters(self) -> dict:
-        """A snapshot of every counter the metrics endpoint exports."""
+        """A snapshot of :attr:`STATS`."""
         with self._lock:
-            return {
-                "appended_lsn": self.appended_lsn,
-                "durable_lsn": self.durable_lsn,
-                "appends": self.appends,
-                "fsyncs": self.fsyncs,
-                "bytes_written": self.bytes_written,
-                "segments": len(self._segment_index),
-                "segments_created": self.segments_created,
-                "segments_reclaimed": self.segments_reclaimed,
-                "truncated_bytes": self.truncated_bytes,
-                "corrupt_dropped_frames": self.corrupt_dropped_frames,
-            }
+            return snapshot(self, self.STATS,
+                            segments=len(self._segment_index))
 
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return (f"WriteAheadLog({self.directory!r}, "

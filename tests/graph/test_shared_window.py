@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro import StreamEdge
 from repro.graph.count_window import CountSlidingWindow
 from repro.graph.shared_window import (
-    SharedSlidingWindow, SharedWindowView, window_policy_key,
+    SharedSlidingWindow, SharedWindowView, window_policy_from_key,
+    window_policy_key,
 )
 from repro.graph.window import SlidingWindow
 
@@ -91,6 +92,17 @@ class TestPolicyKey:
 
         assert window_policy_key(CustomWindow(5.0)) is None
         assert window_policy_key(object()) is None
+
+    @pytest.mark.parametrize("capacity", [3.5, 0, -2, True, float("inf"),
+                                          float("nan"), "3"])
+    def test_a_count_key_names_a_positive_integer_capacity(self, capacity):
+        """A count key round-trips only a whole capacity: 3.5 is refused,
+        not truncated to a three-edge window."""
+        with pytest.raises(ValueError, match="positive integer"):
+            window_policy_from_key(("count", capacity))
+        window = window_policy_from_key(("count", 3.0))
+        assert type(window) is CountSlidingWindow
+        assert window_policy_key(window) == ("count", 3)
 
 
 class TestSharedSlidingWindow:

@@ -266,7 +266,7 @@ class TestTailerFileChurn:
             # The file shrinks under the tailer (a writer restarted it).
             self.write(feed, [dict(records[2], timestamp=3.0)])
             assert wait_for(lambda: tenant.safe.edges_pushed == 3)
-            (tailer,) = gateway._tailers
+            (tailer,) = gateway.tenant("t0").tailers
             assert tailer.truncations >= 1
             assert tailer.status()["truncations"] == tailer.truncations
         finally:
@@ -291,7 +291,7 @@ class TestTailerFileChurn:
                 dict(records[2], src="a9", timestamp=5.0)])
             os.replace(replacement, feed)
             assert wait_for(lambda: tenant.safe.edges_pushed == 5)
-            (tailer,) = gateway._tailers
+            (tailer,) = gateway.tenant("t0").tailers
             assert tailer.rotations >= 1
         finally:
             gateway.shutdown()
@@ -310,7 +310,7 @@ class TestTailerFileChurn:
             # offset and consumes everything exactly once.
             assert wait_for(lambda: tenant.safe.edges_pushed == 4)
             assert wait_for(lambda: tenant.matches_delivered == 3)
-            (tailer,) = gateway._tailers
+            (tailer,) = gateway.tenant("t0").tailers
             assert tailer.read_errors == 1
             assert tenant.rejected_nonmonotonic == 0
         finally:

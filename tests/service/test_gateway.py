@@ -236,8 +236,7 @@ class TestMetricsRendering:
         tenant = gateway.tenant("t0")
         tenant.ingest_edges(chain_edges())
         assert gateway.wait_idle(10)
-        stats = {"t0": tenant.safe.session_stats()}
-        text = render_metrics(gateway.status(), stats)
+        text = render_metrics(gateway.status())
         assert 'repro_matches_delivered{tenant="t0"} 3' in text
         assert 'repro_queue_enqueued{tenant="t0"} 4' in text
         assert 'repro_session_edges_pushed{tenant="t0"} 4' in text
@@ -251,8 +250,7 @@ class TestMetricsRendering:
         tenant = gateway.tenant("t0")
 
         def health_lines():
-            text = render_metrics(gateway.status(),
-                                  {"t0": tenant.safe.session_stats()})
+            text = render_metrics(gateway.status())
             return [line for line in text.splitlines()
                     if line.startswith("repro_health_state{")]
 
@@ -267,7 +265,7 @@ class TestMetricsRendering:
     def test_every_numeric_session_stat_is_exported(self, gateway):
         tenant = gateway.tenant("t0")
         stats = tenant.safe.session_stats()
-        text = render_metrics(gateway.status(), {"t0": stats})
+        text = render_metrics(gateway.status())
         for key, value in stats.items():
             if isinstance(value, bool) or not isinstance(
                     value, (int, float)):
@@ -281,8 +279,7 @@ class TestMetricsRendering:
         with tenant.safe.locked() as session:
             session.register(
                 "one", "vertex a A\nvertex b B\nedge e a -> b\nwindow 10\n")
-        text = render_metrics(gateway.status(),
-                              {"t0": tenant.safe.session_stats()})
+        text = render_metrics(gateway.status())
         assert 'repro_session_stateless_queries{tenant="t0"} 1' in text
         assert "# HELP repro_session_stateless_queries Registered " \
             "one-edge queries on the stateless plan" in text
@@ -306,7 +303,7 @@ class TestMetricsRendering:
             session.deregister("keep")
             session.register("keep", keep)
         assert session.session_stats()["route_resolved_lists"] == 1
-        text = render_metrics({"tenants": {}}, {"t0": stats})
+        text = render_metrics({"tenants": {"t0": {"session": stats}}})
         assert 'repro_session_route_resolved_lists{tenant="t0"} 2' in text
         assert "# TYPE repro_session_route_resolved_lists gauge" in text
         assert "# HELP repro_session_route_resolved_lists Route buckets " \

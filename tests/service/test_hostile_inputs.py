@@ -232,7 +232,7 @@ def tail_feed(tmp_path, fmt: str, lines) -> None:
         checkpoint_interval=0.0, tenants=(tenant_config,)))
     gateway.start_tailers()
     try:
-        (tailer,) = gateway._tailers
+        (tailer,) = gateway.tenant("t0").tailers
         tenant = gateway.tenant("t0")
         rows = len(lines) - (fmt == "csv")      # the header is not a row
         assert wait_for(lambda: tailer.lines_read == rows

@@ -76,7 +76,7 @@ class TestJSONLTail:
                 fh.write(json.dumps(chain_records()[0]) + "\n")
             tenant = gateway.tenant("t0")
             assert wait_for(lambda: tenant.safe.edges_pushed == 1)
-            (tailer,) = gateway._tailers
+            (tailer,) = gateway.tenant("t0").tailers
             assert tailer.parse_errors == 2
         finally:
             gateway.shutdown()
@@ -99,7 +99,7 @@ class TestJSONLTail:
         try:
             time.sleep(0.3)
             tenant = restored.tenant("t0")
-            (tailer,) = restored._tailers
+            (tailer,) = restored.tenant("t0").tailers
             assert tailer.lines_read == 0
             assert tenant.rejected_nonmonotonic == 0
             assert tenant.safe.edges_pushed == 4
@@ -145,7 +145,7 @@ class TestCSVTail:
         try:
             tenant = restored.tenant("t0")
             assert wait_for(lambda: tenant.safe.edges_pushed == 4)
-            (tailer,) = restored._tailers
+            (tailer,) = restored.tenant("t0").tailers
             assert tailer.lines_read == 2       # only the new rows
             assert tenant.rejected_nonmonotonic == 0
         finally:

@@ -130,3 +130,22 @@ class TestCiNamesWhatExists:
     @pytest.mark.parametrize("path", ci_pytest_paths(WORKFLOW))
     def test_pytest_path_exists(self, path):
         assert os.path.exists(os.path.join(ROOT, path)), path
+
+
+class TestObservabilityTable:
+    """``docs/service.md``'s series table is the declared one: a number
+    added to, renamed in or retyped in an owner's ``STATS`` table fails
+    here until the page says so."""
+
+    def test_documented_series_equal_the_declared_ones(self):
+        from repro.service.metrics import declared_series
+        with open(os.path.join(DOCS_DIR, "service.md"),
+                  encoding="utf-8") as handle:
+            page = handle.read()
+        section = page[page.index("## Observability"):]
+        section = section[:section.index("\n## ", 1)]
+        rows = re.findall(r"^\| `(repro_\w+)` \| (\w+) \| (.+) \|$",
+                          section, re.MULTILINE)
+        assert len(rows) == len({name for name, _, _ in rows})
+        assert {name: (kind, help_text) for name, kind, help_text in rows} \
+            == declared_series()

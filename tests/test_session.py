@@ -98,26 +98,52 @@ class TestRegistration:
             session.register("q", fig5_query(), window=window)
         assert len(session) == 0
 
-    def test_shared_policy_object_default_rejected(self):
+    def test_policy_object_default_names_the_group(self):
+        """A policy object as the default window only names the window
+        group: every query reads the group's shared buffer, and the
+        object itself stays empty."""
         from repro import CountSlidingWindow
-        with pytest.raises(TypeError, match="window factory"):
-            Session(window=CountSlidingWindow(10))
+        policy = CountSlidingWindow(10)
+        session = Session(window=policy)
+        session.register("a", path_query(1, labels="ab"))
+        session.register("b", path_query(1, labels="ab"))
+        session.push(make_edge("a1", "b1", 1.0))
+        assert list(session._admission.groups) == [("count", 10)]
+        assert len(policy) == 0
+        assert session.result_counts() == {"a": 1, "b": 1}
+        buffer = io.BytesIO()
+        session.checkpoint(buffer)
+        buffer.seek(0)
+        restored = Session.restore(buffer)
+        assert type(restored.default_window) is CountSlidingWindow
+        assert restored.default_window.capacity == 10
+        restored.register("c", path_query(1, labels="ab"))
+        assert list(restored._admission.groups) == [("count", 10)]
 
-    def test_shared_policy_object_across_registers_rejected(self):
+    def test_one_policy_object_backs_two_queries(self):
+        """One registered object backs two queries in one window group,
+        and the session round-trips a checkpoint."""
         from repro import CountSlidingWindow
         shared = CountSlidingWindow(10)
         session = Session()
-        session.register("a", path_query(1, labels="ab"), window=shared)
-        with pytest.raises(ValueError, match="cannot share"):
-            session.register("b", path_query(1, labels="ab"),
-                             window=shared)
+        a = session.register("a", TWO_HOP_DSL, window=shared)
+        b = session.register("b", TWO_HOP_DSL, window=shared)
+        assert a.window is not shared and b.window is not shared
+        session.push_many(two_hop_stream())
+        assert len(shared) == 0
+        assert list(session._admission.groups) == [("count", 10)]
+        assert session.result_counts() == {"a": 3, "b": 3}
+        buffer = io.BytesIO()
+        session.checkpoint(buffer)
+        buffer.seek(0)
+        restored = Session.restore(buffer)
+        assert list(restored._admission.groups) == [("count", 10)]
+        assert restored.current_matches() == session.current_matches()
 
     @pytest.mark.parametrize("case, error, message", [
         ("bool", TypeError, "window must be a duration or a window policy"),
         ("negative", ValueError, "window duration must be positive"),
         ("none", ValueError, "no window for query 'q'"),
-        ("reused", ValueError,
-         "window policy object is already used by query 'first'"),
         ("taken", ValueError, "query already registered: 'first'"),
     ])
     def test_registration_mistakes_raise_typed_errors(
@@ -130,7 +156,7 @@ class TestRegistration:
         session.register("first", path_query(1), window=policy)
         name, window = {
             "bool": ("q", True), "negative": ("q", -1),
-            "none": ("q", None), "reused": ("q", policy),
+            "none": ("q", None),
             "taken": ("first", 5.0)}[case]
         with pytest.raises(error, match=message):
             session.register(name, path_query(1), window=window)
