@@ -42,6 +42,7 @@ from .core.matches import Match
 from .core.query import QueryGraph
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedWindowView, window_policy_key
+from .graph.window import WindowBuffer
 from .ingest import Admission, Candidates, RouteIndex
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
@@ -163,11 +164,7 @@ class Session:
     def __init__(self, *, window=None, config: Optional[EngineConfig] = None,
                  duplicate_policy: Optional[str] = None) -> None:
         if window is not None and not callable(window):
-            as_window(window)   # TypeError but for a duration or a policy
-        if isinstance(window, (int, float)) \
-                and not 0 < window < float("inf"):
-            raise ValueError(
-                f"window must be positive and finite, got {window!r}")
+            as_window(window)   # TypeError or ValueError unless a window
         self.default_window = window
         config = config if config is not None else EngineConfig()
         if duplicate_policy is not None:
@@ -273,9 +270,8 @@ class Session:
             raise ValueError(
                 f"backend for query {name!r} must be one of {BACKENDS}, "
                 "not a factory: a session member is checkpointed by its "
-                "backend's name.  Standalone engines (TimingMatcher."
-                "from_config, the repro.baselines classes) still take any "
-                "window policy")
+                "backend's name.  Drive any other engine standalone "
+                "(TimingMatcher.from_config, the repro.baselines classes)")
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend: {backend!r} "
                              f"(expected one of {BACKENDS})")
@@ -293,7 +289,8 @@ class Session:
                 "a DSL 'window' line, or a Session default")
         if not isinstance(window, bool) and isinstance(window, (int, float)):
             return query, ("time", float(window))
-        as_window(window)   # TypeError unless a window policy object
+        if not isinstance(window, (WindowBuffer, SharedWindowView)):
+            as_window(window)   # TypeError: not a window at all
         key = window_policy_key(window)
         if key is None:
             raise ValueError(

@@ -28,7 +28,7 @@ from ..core.matches import Match
 from ..graph.edge import StreamEdge
 from .locks import AllLocksGuard, ItemLockGuard, LockTable, TxnId
 from .transactions import (
-    Request, lock_requests_for_delete, lock_requests_for_insert,
+    Request, lock_requests_for_delete, lock_requests_for_insert, strongest,
 )
 
 
@@ -145,26 +145,12 @@ class ConcurrentStreamExecutor:
             return ItemLockGuard(self._table, txn)
         # All-locks: take every predicted lock now (wait-list order), hold
         # until _finish; per-item guard calls become no-ops.
-        for item, mode in _strongest(requests):
+        for item, mode in strongest(requests):
             self._table.lock_for(item).acquire(txn, mode)
         return AllLocksGuard()
 
     def _finish(self, txn: TxnId, requests: List[Request]) -> None:
         if self.all_locks:
-            for item, _ in _strongest(requests):
+            for item, _ in strongest(requests):
                 self._table.lock_for(item).release(txn)
         self._withdraw(txn)
-
-
-def _strongest(requests: List[Request]) -> List[Request]:
-    """Deduplicate requests per item, keeping the strongest mode, in first-
-    occurrence order (all-locks acquires each item exactly once)."""
-    seen = {}
-    order = []
-    for item, mode in requests:
-        if item not in seen:
-            seen[item] = mode
-            order.append(item)
-        elif mode == "X":
-            seen[item] = "X"
-    return [(item, seen[item]) for item in order]

@@ -31,7 +31,7 @@ from ..core.engine import TimingMatcher
 from ..core.guard import TraceGuard
 from ..graph.edge import StreamEdge
 from .transactions import (
-    Request, lock_requests_for_delete, lock_requests_for_insert,
+    Request, lock_requests_for_delete, lock_requests_for_insert, strongest,
 )
 
 Item = Tuple
@@ -148,7 +148,7 @@ class ConcurrencySimulator:
         dispatch: Dict[Item, List[Tuple[int, str]]] = {}
         for idx, trace in enumerate(self.traces):
             if all_locks:
-                requests = _strongest(trace.requests)
+                requests = strongest(trace.requests)
                 plan = [("acq", item, 0.0) for item, _ in requests]
                 work = sum(self.base_cost + self.unit_cost * cost
                            for _, _, cost in trace.ops)
@@ -266,15 +266,3 @@ class ConcurrencySimulator:
     def speedup_curve(self, thread_counts: Sequence[int], *,
                       all_locks: bool = False) -> List[float]:
         return [self.speedup(n, all_locks=all_locks) for n in thread_counts]
-
-
-def _strongest(requests: List[Request]) -> List[Request]:
-    seen: Dict[Item, str] = {}
-    order: List[Item] = []
-    for item, mode in requests:
-        if item not in seen:
-            seen[item] = mode
-            order.append(item)
-        elif mode == "X":
-            seen[item] = "X"
-    return [(item, seen[item]) for item in order]

@@ -93,3 +93,17 @@ def lock_requests_for_delete(matcher: TimingMatcher,
         requests += [(("L0", level), "X")
                      for level in range(2, matcher.k + 1)]
     return requests
+
+
+def strongest(requests: List[Request]) -> List[Request]:
+    """Deduplicate requests per item, keeping the strongest mode, in first-
+    occurrence order (all-locks acquires each item exactly once)."""
+    seen = {}
+    order = []
+    for item, mode in requests:
+        if item not in seen:
+            seen[item] = mode
+            order.append(item)
+        elif mode == "X":
+            seen[item] = "X"
+    return [(item, seen[item]) for item in order]

@@ -96,9 +96,10 @@ class TimingMatcher(MatcherBase):
     query:
         The query graph (validated on construction).
     window:
-        Sliding-window duration ``|W|``, or any window-policy object with
-        the push/advance interface (e.g.
-        :class:`repro.graph.count_window.CountSlidingWindow`).
+        Sliding-window duration ``|W|``, a
+        :class:`~repro.graph.window.SlidingWindow` or a
+        :class:`~repro.graph.count_window.CountSlidingWindow` (see
+        :func:`repro.matcher.as_window`).
     config:
         An :class:`~repro.matcher.EngineConfig` holding every engine knob
         (see :meth:`from_config` for one-off field overrides).
@@ -162,16 +163,16 @@ class TimingMatcher(MatcherBase):
         #: Match-once registry: id of every live edge some store holds as
         #: a root -> the sub-query indexes whose first query edge it
         #: matched, written at insertion and popped at expiry (edge ids
-        #: are the stream's identity, exactly as in the live-edge
-        #: registry; labels never key it).  Only roots: a partial match
+        #: are the stream's identity, exactly as in the window's bearer
+        #: index; labels never key it).  Only roots: a partial match
         #: dies with its oldest edge, its root, so an edge stored only
         #: below roots has nothing of its own to delete.  Kept beside
-        #: ``MatcherBase._live_edge_ids`` rather than inside it: that
-        #: registry is ``push``'s own duplicate guard — it holds every
-        #: pushed id, matched or not — while ``insert_edge`` /
-        #: ``delete_edge`` are also driven bare (a session's ingest loop,
-        #: the concurrent executor, the lock-trace collectors), where no
-        #: such registry is maintained at all.
+        #: the window's bearer index rather than inside it: that index
+        #: holds every buffered id, matched or not, while
+        #: ``insert_edge`` / ``delete_edge`` are also driven bare (a
+        #: session's ingest loop, the concurrent executor, the
+        #: lock-trace collectors), where this engine's window never
+        #: slides.
         self._touched: Dict[object, Tuple[int, ...]] = {}
 
         # --- storage ----------------------------------------------------- #
@@ -769,6 +770,5 @@ class TimingMatcher(MatcherBase):
     def __repr__(self) -> str:
         kind = ("stateless" if self.stateless
                 else "MS-tree" if self.use_mstree else "independent")
-        extent = getattr(self.window, "duration",
-                         getattr(self.window, "capacity", "?"))
+        extent = self.window.duration or self.window.capacity
         return (f"TimingMatcher(k={self.k}, storage={kind}, |W|={extent})")

@@ -1,33 +1,57 @@
-"""Time-based sliding window over a streaming graph.
+"""The sliding window over a streaming graph.
 
 The paper (Definition 2) uses a time-based sliding window ``W`` of fixed
 duration ``|W|``: at current time ``t`` the window spans ``(t - |W|, t]``.
 Edges whose timestamp falls out of this span have *expired*.
 
-:class:`SlidingWindow` keeps the in-window edges in arrival (i.e. timestamp)
-order and pops expired edges as time advances, returning them to whoever
-drove the slide.  It is the substrate both the Timing engine and every
-baseline build on.
+:class:`WindowBuffer` is the one implementation of a window: the in-window
+edges in arrival (i.e. timestamp) order, the clock, and an ``edge_id →
+timestamp`` index of the live bearers.  It slides by time (a
+:class:`SlidingWindow`) or by count (a
+:class:`~repro.graph.count_window.CountSlidingWindow`), and returns the
+edges a slide drops to whoever drove it.  A standalone engine owns one, and
+a session's window group owns one
+(:class:`~repro.graph.shared_window.SharedSlidingWindow`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List
+from typing import Deque, Dict, Hashable, Iterator, List, Optional
 
 from .edge import StreamEdge
 
 _INF = float("inf")
 
 
-class SlidingWindow:
-    """FIFO of in-window edges with timestamp-driven expiry.
+def check_time(timestamp: float, clock: float,
+               newest: Optional[float] = None) -> None:
+    """Raise the ``ValueError`` a stream at ``clock`` gives an arrival or
+    an advance to ``timestamp``.
 
-    Parameters
-    ----------
-    duration:
-        The window length ``|W|``.  At time ``t`` the window covers the
-        half-open interval ``(t - duration, t]`` exactly as in the paper.
+    ``newest`` is the latest timestamp an arrival must exceed (pass it for
+    an arrival, not for an advance).  A ``NaN`` cutoff would never expire
+    anything again, and an infinite one would refuse every later arrival.
+    """
+    if newest is not None and timestamp <= newest:
+        raise ValueError(
+            f"stream timestamps must strictly increase: "
+            f"{timestamp} <= {newest}")
+    if timestamp < clock:
+        raise ValueError(f"time moves backwards: {timestamp} < {clock}")
+    if not -_INF < timestamp < _INF:
+        raise ValueError(
+            f"stream timestamps must be finite, got {timestamp!r}")
+
+
+class WindowBuffer:
+    """FIFO of in-window edges, sliding by time or by count.
+
+    Exactly one bound is set: ``duration`` (the window covers ``(t -
+    duration, t]`` at time ``t``) or ``capacity`` (the most recent
+    ``capacity`` edges; time alone never expires one).  Build one through
+    :class:`SlidingWindow` or
+    :class:`~repro.graph.count_window.CountSlidingWindow`.
 
     Expiry contract
     ---------------
@@ -36,23 +60,31 @@ class SlidingWindow:
     way an expiry leaves the window: whoever drives the window delivers it
     (an engine to its own ``_expire`` hook, a session to the engines that
     ingested the edge).
+
+    :attr:`bearers` maps each live ``edge_id`` to its latest bearer's
+    timestamp, so a duplicate probe is one dict lookup.  The buffer
+    itself refuses no duplicate (that is its driver's policy): driven
+    directly it admits coexisting same-id bearers, and the index keeps
+    the latest one's timestamp, deleting it only when *that* bearer
+    expires.
     """
 
-    __slots__ = ("duration", "_edges", "_current_time")
+    __slots__ = ("duration", "capacity", "_edges", "_current_time",
+                 "bearers")
 
-    def __init__(self, duration: float) -> None:
-        if not 0 < duration < _INF:
-            # NaN compares false both ways: it would expire nothing.
-            raise ValueError(
-                f"window duration must be positive and finite, "
-                f"got {duration}")
+    def __init__(self, duration: Optional[float],
+                 capacity: Optional[int]) -> None:
         self.duration = duration
+        self.capacity = capacity
         self._edges: Deque[StreamEdge] = deque()
         self._current_time: float = float("-inf")
+        #: ``edge_id → timestamp`` of each id's latest live bearer; read
+        #: it, never write it.
+        self.bearers: Dict[Hashable, float] = {}
 
     @property
     def current_time(self) -> float:
-        """Timestamp of the most recent arrival (``-inf`` before any)."""
+        """Timestamp of the latest push or advance (``-inf`` before any)."""
         return self._current_time
 
     def __len__(self) -> int:
@@ -63,45 +95,8 @@ class SlidingWindow:
 
     def __contains__(self, edge: StreamEdge) -> bool:
         # StreamEdge equality is by ``edge_id``; a linear scan, because
-        # nothing on a hot path asks (duplicate probes go through the
-        # engines' live-id registries and the shared bearer index).
+        # nothing on a hot path asks (duplicate probes use ``bearers``).
         return edge in self._edges
-
-    def advance(self, timestamp: float) -> List[StreamEdge]:
-        """Move the window head to ``timestamp`` and pop expired edges.
-
-        Returns the expired edges in chronological order.  Monotonicity is
-        enforced: time can only move forward, and only to a finite time (a
-        ``NaN`` cutoff would never expire anything again; an infinite one
-        would refuse every later arrival).
-        """
-        if timestamp < self._current_time:
-            raise ValueError(
-                f"time moves backwards: {timestamp} < {self._current_time}")
-        if not -_INF < timestamp < _INF:
-            raise ValueError(
-                f"stream timestamps must be finite, got {timestamp!r}")
-        self._current_time = timestamp
-        cutoff = timestamp - self.duration
-        expired: List[StreamEdge] = []
-        while self._edges and self._edges[0].timestamp <= cutoff:
-            expired.append(self._edges.popleft())
-        return expired
-
-    def push(self, edge: StreamEdge) -> List[StreamEdge]:
-        """Insert a new arrival and return the edges it expires.
-
-        The new edge's timestamp must be finite and strictly greater than
-        every edge already in the window (Definition 1: streaming
-        timestamps strictly increase); :meth:`advance` checks the first.
-        """
-        if self._edges and edge.timestamp <= self._edges[-1].timestamp:
-            raise ValueError(
-                "stream timestamps must strictly increase: "
-                f"{edge.timestamp} <= {self._edges[-1].timestamp}")
-        expired = self.advance(edge.timestamp)
-        self._edges.append(edge)
-        return expired
 
     def edges(self) -> List[StreamEdge]:
         """Snapshot list of the in-window edges, oldest first."""
@@ -114,3 +109,94 @@ class SlidingWindow:
     def newest(self) -> StreamEdge:
         """The newest in-window edge (raises ``IndexError`` when empty)."""
         return self._edges[-1]
+
+    def push(self, edge: StreamEdge) -> List[StreamEdge]:
+        """Insert a new arrival and return the edges it expires.
+
+        The new edge's timestamp must be finite, strictly greater than
+        every edge already in the window (Definition 1: streaming
+        timestamps strictly increase) and not before the clock.
+        """
+        timestamp = edge.timestamp
+        if not self._current_time < timestamp < _INF:
+            # Past the clock implies past every buffered edge; at the
+            # clock is fine after a bare advance.  The rest raises.
+            check_time(timestamp, self._current_time,
+                       self._edges[-1].timestamp if self._edges else None)
+        expired = self._slide(timestamp, 1)
+        self._edges.append(edge)
+        self.bearers[edge.edge_id] = timestamp     # latest bearer wins
+        return expired
+
+    def advance(self, timestamp: float) -> List[StreamEdge]:
+        """Move the clock to ``timestamp`` without an arrival; returns the
+        expired edges, oldest first.  Time only moves forward, and only to
+        a finite time."""
+        if not self._current_time <= timestamp < _INF:
+            check_time(timestamp, self._current_time)
+        return self._slide(timestamp, 0)
+
+    def _slide(self, timestamp: float, arriving: int) -> List[StreamEdge]:
+        """Set the clock and drop what the window no longer holds with
+        ``arriving`` edges about to be appended."""
+        self._current_time = timestamp
+        buffer = self._edges
+        expired: List[StreamEdge] = []
+        if self.duration is not None:
+            cutoff = timestamp - self.duration
+            while buffer and buffer[0].timestamp <= cutoff:
+                expired.append(buffer.popleft())
+        elif len(buffer) + arriving > self.capacity:
+            expired.append(buffer.popleft())
+        if expired:
+            # Timestamp-paired: an older coexisting bearer's expiry must
+            # not clobber the latest bearer's entry.
+            bearers = self.bearers
+            for old in expired:
+                if bearers.get(old.edge_id) == old.timestamp:
+                    del bearers[old.edge_id]
+        return expired
+
+    def bearer_timestamp(self, edge_id: Hashable) -> Optional[float]:
+        """Timestamp of the live edge carrying ``edge_id`` (``None`` if
+        no live bearer)."""
+        return self.bearers.get(edge_id)
+
+    def bearer_live_at(self, edge_id: Hashable, timestamp: float) -> bool:
+        """Whether an arrival at ``timestamp`` would find ``edge_id`` still
+        in-window — i.e. be a duplicate.  Time-based windows account for
+        the expiry the arrival itself would trigger; count-based windows
+        only expire by capacity, so any stored bearer is live.
+        """
+        bearer = self.bearers.get(edge_id)
+        if bearer is None:
+            return False
+        if self.duration is None:
+            return True
+        return bearer > timestamp - self.duration
+
+    def __repr__(self) -> str:
+        bound = (f"duration={self.duration}" if self.duration is not None
+                 else f"capacity={self.capacity}")
+        return f"{type(self).__name__}({bound}, {len(self)} edges)"
+
+
+class SlidingWindow(WindowBuffer):
+    """The time-based window of Definition 2.
+
+    Parameters
+    ----------
+    duration:
+        The window length ``|W|``.  At time ``t`` the window covers the
+        half-open interval ``(t - duration, t]`` exactly as in the paper.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, duration: float) -> None:
+        if isinstance(duration, bool) or not 0 < duration < _INF:
+            # NaN compares false both ways: it would expire nothing.
+            raise ValueError(
+                f"window duration must be positive and finite, "
+                f"got {duration}")
+        super().__init__(duration, None)

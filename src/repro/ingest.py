@@ -34,6 +34,7 @@ from typing import (
 from .core.labeltrie import PredicateRouter, bucket_key
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedSlidingWindow, window_policy_from_key
+from .graph.window import check_time
 
 _INF = float("inf")
 
@@ -160,14 +161,8 @@ class Admission:
         """
         timestamp = edge.timestamp
         if not self.clock < timestamp < _INF:
-            if timestamp <= self.clock:
-                raise ValueError(
-                    "stream timestamps must strictly increase: "
-                    f"{timestamp} <= {self.clock}")
-            # NaN compares false both ways and would freeze the windows;
-            # an infinite clock would refuse every later arrival.
-            raise ValueError(
-                f"stream timestamps must be finite, got {timestamp!r}")
+            # Judged once for the stream, before any group moves.
+            check_time(timestamp, self.clock, self.clock)
         groups = self.groups
         edge_id = edge.edge_id
         live = rejecters = None
@@ -208,12 +203,8 @@ class Admission:
 
     def advance(self, timestamp: float) -> None:
         """Slide every group's window forward without an arrival."""
-        if not timestamp >= self.clock:     # NaN too
-            raise ValueError("time moves backwards")
-        if not -_INF < timestamp < _INF:
-            # At +inf every later arrival would be refused as out of order.
-            raise ValueError(
-                f"stream timestamps must be finite, got {timestamp!r}")
+        if not self.clock <= timestamp < _INF:
+            check_time(timestamp, self.clock)
         self.clock = timestamp
         on_expired = self._on_expired
         for key, group in self.groups.items():

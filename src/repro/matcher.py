@@ -16,11 +16,13 @@ the engines (it imports only :mod:`repro.graph`), so
     :mod:`repro.bench`, and cross-validated against the oracle.
 
 ``MatcherBase``
-    The shared template implementation: window-policy coercion (a number
-    becomes a time-based :class:`~repro.graph.window.SlidingWindow`, any
-    push/advance object passes through), the in-window duplicate-id guard
-    with a configurable policy (``raise`` / ``skip`` / ``count``), shared
-    :class:`EngineStats`, and the expire-then-insert ``push`` skeleton.
+    The shared template implementation: window coercion (a number
+    becomes a time-based :class:`~repro.graph.window.SlidingWindow`; a
+    ``SlidingWindow``, a ``CountSlidingWindow`` or a session member's
+    ``SharedWindowView`` passes through), the in-window duplicate-id guard
+    on the window's bearer index with a configurable policy (``raise`` /
+    ``skip`` / ``count``), shared :class:`EngineStats`, and the
+    expire-then-insert ``push`` skeleton.
     Concrete matchers implement the ``_insert`` / ``_expire`` hooks.
 
 ``EngineConfig``
@@ -38,7 +40,7 @@ from typing import (
 )
 
 from .graph.edge import StreamEdge
-from .graph.shared_window import SharedWindowView
+from .graph.shared_window import SHAREABLE_WINDOW_TYPES, SharedWindowView
 from .graph.window import SlidingWindow
 
 if TYPE_CHECKING:   # pragma: no cover - annotations only
@@ -73,25 +75,24 @@ INDEXING_MODES = ("hash", "scan")
 #: produce identical ``(name, match)`` streams.
 SUBPLAN_SHARING_MODES = ("shared", "private")
 
+
 def as_window(window):
-    """Coerce a window spec into a window-policy object.
+    """Coerce a window spec into a window object.
 
     A number is a time-based window duration (the paper's model, Definition
-    2); any object with the ``push``/``advance`` interface — e.g.
-    :class:`~repro.graph.count_window.CountSlidingWindow` — or a session's
-    read-only ``SharedWindowView`` passes through unchanged.
+    2).  A :class:`~repro.graph.window.SlidingWindow`, a
+    :class:`~repro.graph.count_window.CountSlidingWindow` (exact types: a
+    subclass could expire differently) or a session's read-only
+    ``SharedWindowView`` passes through unchanged.
     """
-    if isinstance(window, SharedWindowView):
+    if type(window) in SHAREABLE_WINDOW_TYPES \
+            or isinstance(window, SharedWindowView):
         return window
-    if isinstance(window, bool):
-        raise TypeError("window must be a duration or a window policy object")
-    if isinstance(window, (int, float)):
+    if isinstance(window, (int, float)) and not isinstance(window, bool):
         return SlidingWindow(float(window))
-    if hasattr(window, "push") and hasattr(window, "advance"):
-        return window
     raise TypeError(
-        "window must be a duration or a window policy object, "
-        f"got {window!r}")
+        "window must be a duration or a window policy object "
+        f"(SlidingWindow or CountSlidingWindow), got {window!r}")
 
 
 class EngineStats:
@@ -207,14 +208,6 @@ class MatcherBase:
                 f"(expected one of {DUPLICATE_POLICIES})")
         self.duplicate_policy = duplicate_policy
         self.stats = EngineStats()
-        # Edge-identity guard of :meth:`push`: StreamEdge equality is by
-        # edge_id, and the expiry registries key on it — a second in-window
-        # arrival with the same id would alias and corrupt deletion.  Maps
-        # each live (pushed, unexpired) edge id to its bearer's timestamp
-        # so the duplicate peek in :meth:`would_reject` is one dict probe.
-        # A session member is fed through the hooks and leaves it empty:
-        # the shared buffer judges duplicates there.
-        self._live_edge_ids: Dict = {}
 
     # ------------------------------------------------------------------ #
     # Hooks
@@ -246,9 +239,15 @@ class MatcherBase:
         expire only by capacity at insertion, so there a still-stored
         bearer is a genuine duplicate.)  A *dropped* duplicate still
         advances time.
+
+        Duplicates are judged on the window's bearer index.  Edge identity
+        must be unique in the window: StreamEdge equality is by
+        ``edge_id``, and the expiry registries key on it — a second
+        in-window arrival with the same id would alias and corrupt
+        deletion.
         """
-        live = self._live_edge_ids
-        if edge.edge_id in live:
+        bearers = self.window.bearers
+        if edge.edge_id in bearers:
             # The id has a bearer: judge it against the window as this
             # arrival leaves it.  Any other arrival needs no judgement,
             # and ``window.push`` below slides for it.
@@ -256,15 +255,13 @@ class MatcherBase:
                 raise ValueError(
                     f"duplicate in-window edge id: {edge.edge_id!r}")
             self.advance_time(edge.timestamp)
-            if edge.edge_id in live:
+            if edge.edge_id in bearers:
                 # Only the skip/count policies reach here (raise peeked).
                 if self.duplicate_policy == "count":
                     self.stats.edges_skipped += 1
                 return []
         for old in self.window.push(edge):
-            live.pop(old.edge_id, None)
             self._expire(old)
-        live[edge.edge_id] = edge.timestamp
         return self._insert(edge)
 
     def push_many(self, edges: Iterable[StreamEdge]) -> List[Match]:
@@ -277,30 +274,13 @@ class MatcherBase:
     def advance_time(self, timestamp: float) -> None:
         """Slide the window forward without inserting an edge."""
         for old in self.window.advance(timestamp):
-            self._live_edge_ids.pop(old.edge_id, None)
             self._expire(old)
 
     def would_reject(self, edge: StreamEdge) -> bool:
-        """Whether pushing ``edge`` *directly* would raise as a duplicate.
-
-        Side-effect-free and O(1): the live-id registry maps each
-        ingested in-window id to its bearer's timestamp, so the peek is
-        one dict probe plus the expiry the arrival itself would trigger —
-        matchers with a non-``raise`` policy skip even that.
-
-        The answer reflects this matcher's own ingestion history, so it
-        serves standalone :meth:`push` only: a :class:`~repro.api.Session`
-        judges a member's arrivals on its window group's buffer instead.
-        """
-        if self.duplicate_policy != "raise":
-            return False
-        bearer = self._live_edge_ids.get(edge.edge_id)
-        if bearer is None:
-            return False
-        duration = getattr(self.window, "duration", None)
-        if duration is None:
-            return True     # count windows never expire on time alone
-        return bearer > edge.timestamp - duration
+        """Whether pushing ``edge`` directly would raise as a duplicate
+        (side-effect-free, one probe of the window's bearer index)."""
+        return self.duplicate_policy == "raise" and \
+            self.window.bearer_live_at(edge.edge_id, edge.timestamp)
 
     def routing_signatures(self):
         """``(exact_keys, predicates, has_generic)`` — the label-triple

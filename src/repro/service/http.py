@@ -274,14 +274,16 @@ class ServiceHTTPServer:
                 health = await asyncio.to_thread(self.gateway.healthz)
                 return (200, "application/json",
                         json.dumps(health).encode())
-            if path == "/metrics":
-                text = render_metrics(self.gateway.status())
+            if path in ("/metrics", "/stats"):
+                # Off the loop: a tenant's status takes its session lock,
+                # which a worker batch or a checkpoint holds.
+                status = await asyncio.to_thread(self.gateway.status)
+                if path == "/stats":
+                    return (200, "application/json",
+                            json.dumps(status).encode())
                 return (200,
                         "text/plain; version=0.0.4; charset=utf-8",
-                        text.encode())
-            if path == "/stats":
-                return (200, "application/json",
-                        json.dumps(self.gateway.status()).encode())
+                        render_metrics(status).encode())
             return 404, "application/json", b'{"error": "not found"}'
 
         if request.method == "POST":

@@ -20,6 +20,22 @@ class TestCountWindow:
         with pytest.raises(ValueError):
             CountSlidingWindow(0)
 
+    @pytest.mark.parametrize("capacity", [
+        2.5, float("nan"), float("inf"), "3", True, 0, -2],
+        ids=repr)
+    def test_capacity_must_be_a_positive_integer(self, capacity):
+        """2.5, inf and nan used to be accepted and never evict, so the
+        window grew without bound; "3" failed at the first push."""
+        with pytest.raises(ValueError, match="positive integer"):
+            CountSlidingWindow(capacity)
+
+    def test_a_whole_float_capacity_is_its_integer(self):
+        w = CountSlidingWindow(3.0)
+        assert w.capacity == 3 and type(w.capacity) is int
+        for ts in range(1, 6):
+            w.push(edge(float(ts)))
+        assert len(w) == 3
+
     def test_eviction_is_fifo_at_capacity(self):
         w = CountSlidingWindow(2)
         assert w.push(edge(1)) == []

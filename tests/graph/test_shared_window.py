@@ -1,6 +1,7 @@
-"""Unit tests for the shared-window substrate: the returned-list expiry
-contract of both window policies and of the :class:`SharedSlidingWindow`
-wrapper (id index, duplicate probes), and the per-matcher read-only view.
+"""Unit tests for the window substrate: the returned-list expiry contract
+of both window policies and of a session's :class:`SharedSlidingWindow`
+(id index, duplicate probes), the one slide against a brute-force model,
+and the per-matcher read-only view.
 """
 
 import pickle
@@ -189,7 +190,7 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 class TestNonFiniteTime:
     """A ``NaN`` cutoff expires nothing ever again and an infinite clock
     refuses every later arrival, so every window class refuses both, on
-    either entry point — the shared window's one-frame ``push`` too."""
+    either entry point."""
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=str)
     @pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
@@ -230,34 +231,62 @@ steps = st.lists(st.tuples(
     max_size=40)
 
 
-@pytest.mark.parametrize("policy", [lambda: SlidingWindow(5.0),
-                                    lambda: CountSlidingWindow(3)],
-                         ids=["time", "count"])
+class ModelWindow:
+    """The window by brute force: a list of the in-window edges, a clock,
+    and a cutoff or a capacity; a slide recomputes the list from scratch."""
+
+    def __init__(self, duration=None, capacity=None):
+        self.duration, self.capacity = duration, capacity
+        self.edges, self.clock = [], float("-inf")
+
+    def step(self, op, timestamp, edge):
+        """What ``op`` drops, oldest first, or ``"refused"``."""
+        if not -float("inf") < timestamp < float("inf") \
+                or timestamp < self.clock \
+                or (op == "push" and self.edges
+                    and timestamp <= self.edges[-1].timestamp):
+            return "refused"
+        self.clock = timestamp
+        if op == "push":
+            self.edges.append(edge)
+        if self.duration is not None:
+            kept = [e for e in self.edges
+                    if e.timestamp > timestamp - self.duration]
+        else:
+            kept = self.edges[-self.capacity:]
+        dropped = self.edges[:len(self.edges) - len(kept)]
+        self.edges = kept
+        return [(e.edge_id, e.timestamp) for e in dropped]
+
+    def bearers(self):
+        """Each id's latest in-window bearer."""
+        return {e.edge_id: e.timestamp for e in self.edges}
+
+
+@pytest.mark.parametrize("kind", sorted(WINDOW_FACTORIES))
 @given(script=steps)
 @settings(max_examples=150, deadline=None)
-def test_shared_push_is_the_policy_push(policy, script):
-    """The shared window slides its policy's deque in one frame; driven
-    side by side with a bare policy it drops, refuses and keeps exactly
-    what the policy does."""
-    bare, shared = policy(), SharedSlidingWindow(policy())
+def test_the_slide_matches_a_brute_force_model(kind, script):
+    """Driven by any script of pushes and advances (same-id bearers,
+    equal, backward and non-finite times included), every window drops,
+    refuses and keeps exactly what the brute-force model does, and its
+    bearer index names each id's latest in-window bearer."""
+    window = WINDOW_FACTORIES[kind]()
+    model = ModelWindow(window.duration, window.capacity)
     for i, (op, timestamp) in enumerate(script):
         edge = StreamEdge("a", "b", src_label="A", dst_label="B",
                           timestamp=timestamp, edge_id=i % 4)
-        outcomes = []
-        for window in (bare, shared):
-            try:
-                dropped = getattr(window, op)(
-                    edge if op == "push" else timestamp)
-                outcomes.append([e.timestamp for e in dropped])
-            except ValueError:
-                outcomes.append("refused")
-        assert outcomes[0] == outcomes[1]
-        assert [e.timestamp for e in bare] == [e.timestamp for e in shared]
-        assert bare.current_time == shared.current_time
-        latest = {}
-        for held in shared:
-            latest[held.edge_id] = held.timestamp
-        assert shared.bearers == latest
+        try:
+            dropped = getattr(window, op)(
+                edge if op == "push" else timestamp)
+            outcome = [(e.edge_id, e.timestamp) for e in dropped]
+        except ValueError:
+            outcome = "refused"
+        assert outcome == model.step(op, timestamp, edge)
+        assert [e.timestamp for e in window] == \
+            [e.timestamp for e in model.edges]
+        assert window.current_time == model.clock
+        assert window.bearers == model.bearers()
 
 
 class TestSharedWindowView:

@@ -26,6 +26,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="positive and finite"):
             SlidingWindow(duration)
 
+    def test_a_bool_is_not_a_duration(self):
+        """``True == 1``, but ``as_window`` refuses a bool and so does the
+        window itself."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            SlidingWindow(True)
+
     def test_push_and_len(self):
         w = SlidingWindow(10)
         assert len(w) == 0

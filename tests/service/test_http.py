@@ -115,6 +115,52 @@ class TestHTTPEndpoints:
         assert reply["checkpoints"]["t0"]["edges_offered"] == 4
         assert os.path.exists(gateway.tenant("t0").checkpoint_path)
 
+    @pytest.mark.parametrize("scrape", ["/stats", "/metrics"])
+    def test_scrape_waits_off_the_event_loop(self, served, monkeypatch,
+                                             scrape):
+        """A scrape blocked on a tenant's session lock (a worker batch, a
+        checkpoint) must not stall the other clients of the loop."""
+        gateway, port = served
+        post(port, "/ingest", {"edges": chain_records()})
+        assert gateway.wait_idle(10)
+        status_called = threading.Event()
+        status = gateway.status
+
+        def announced_status():
+            status_called.set()
+            return status()
+        monkeypatch.setattr(gateway, "status", announced_status)
+
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with gateway.tenant("t0").safe.locked():
+                held.set()
+                release.wait(30)
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        replies = []
+        scraper = threading.Thread(
+            target=lambda: replies.append(get(port, scrape)))
+        try:
+            assert held.wait(10)
+            scraper.start()
+            assert status_called.wait(10)
+            assert get(port, "/healthz")[0] == 200
+            assert holder.is_alive() and not replies
+        finally:
+            release.set()
+            holder.join(10)
+        scraper.join(10)
+        assert not holder.is_alive() and not scraper.is_alive()
+        [(code, body)] = replies
+        assert code == 200
+        if scrape == "/stats":
+            assert json.loads(body)["tenants"]["t0"][
+                "matches_delivered"] == 3
+        else:
+            assert 'repro_matches_delivered{tenant="t0"} 3' in body
+
     def test_port_zero_publishes_bound_port(self, served):
         _gateway, port = served
         assert isinstance(port, int) and port > 0

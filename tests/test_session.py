@@ -219,9 +219,9 @@ class TestBackends:
         assert str(info.value) == (
             "backend for query 'q' must be one of ('timing', 'sjtree', "
             "'incmat', 'naive'), not a factory: a session member is "
-            "checkpointed by its backend's name.  Standalone engines "
-            "(TimingMatcher.from_config, the repro.baselines classes) still "
-            "take any window policy")
+            "checkpointed by its backend's name.  Drive any other engine "
+            "standalone (TimingMatcher.from_config, the repro.baselines "
+            "classes)")
         assert observe(session) == before
         assert session._next_ordinal == 1
 
