@@ -42,7 +42,7 @@ from .core.matches import Match
 from .core.query import QueryGraph
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedWindowView, window_policy_key
-from .graph.window import WindowBuffer
+from .graph.window import WindowBuffer, check_duration
 from .ingest import Admission, Candidates, RouteIndex
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
@@ -221,15 +221,11 @@ class Session:
         """Build ``record``'s engine on its group's view from its recipe
         and enroll it — what a restore repeats (:mod:`repro.persistence`)."""
         key = record.group_key
-        window = SharedWindowView(self._admission.open(key).window)
-        options, provider = dict(record.options), None
-        if record.backend != "timing":
-            # The session config contributes its duplicate policy, but an
-            # explicit per-query option wins.
-            options.setdefault("duplicate_policy",
-                               record.config.duplicate_policy)
-        else:
-            options["config"] = record.config
+        group = self._admission.open(key)
+        window = SharedWindowView(group.window)
+        options, provider = record.options, None
+        if record.backend == "timing":
+            options = {**options, "config": record.config}
             # Sub-plan sharing needs co-members of one window group (they
             # expire in lock-step, which a shared store's exactly-once
             # expiry relies on) and stores to share: a one-edge query runs
@@ -238,17 +234,22 @@ class Session:
                     and not record.query.is_single_edge:
                 provider = options["subplan_provider"] = \
                     _SubplanProvider(self._subplans, key)
+        elif "duplicate_policy" not in options:
+            # The session config contributes its duplicate policy, but an
+            # explicit per-query option wins.
+            options = {**options,
+                       "duplicate_policy": record.config.duplicate_policy}
         try:
             matcher = _ENGINES[record.backend](record.query, window, **options)
         except BaseException:
             if provider is not None:
                 provider.rollback()     # failed build leaks no refcounts
-            if not self._admission.groups[key].members:
+            if not group.members:
                 del self._admission.groups[key]     # nor an opened group
             raise
         record.matcher = matcher
         entry = (record.ordinal, record)
-        self._admission.enroll(key, entry, matcher.duplicate_policy,
+        self._admission.enroll(group, entry, matcher.duplicate_policy,
                                not matcher.stateless)
         signatures = matcher.routing_signatures()
         self._index.add(record.name, entry, signatures)
@@ -266,13 +267,14 @@ class Session:
         object may back any number of queries."""
         if name in self._queries:
             raise ValueError(f"query already registered: {name!r}")
-        if callable(backend):
-            raise ValueError(
-                f"backend for query {name!r} must be one of {BACKENDS}, "
-                "not a factory: a session member is checkpointed by its "
-                "backend's name.  Drive any other engine standalone "
-                "(TimingMatcher.from_config, the repro.baselines classes)")
         if backend not in BACKENDS:
+            if callable(backend):
+                raise ValueError(
+                    f"backend for query {name!r} must be one of {BACKENDS}, "
+                    "not a factory: a session member is checkpointed by its "
+                    "backend's name.  Drive any other engine standalone "
+                    "(TimingMatcher.from_config, the repro.baselines "
+                    "classes)")
             raise ValueError(f"unknown backend: {backend!r} "
                              f"(expected one of {BACKENDS})")
         if isinstance(query, str):
@@ -288,7 +290,7 @@ class Session:
                 f"no window for query {name!r}: pass register(window=...), "
                 "a DSL 'window' line, or a Session default")
         if not isinstance(window, bool) and isinstance(window, (int, float)):
-            return query, ("time", float(window))
+            return query, ("time", check_duration(window))
         if not isinstance(window, (WindowBuffer, SharedWindowView)):
             as_window(window)   # TypeError: not a window at all
         key = window_policy_key(window)
@@ -326,22 +328,25 @@ class Session:
         window-group membership, release its shared sub-plan refcounts,
         and drop its filtered sinks."""
         record = self._record(name)
+        matcher = record.matcher
         # The last member out frees the group.
         self._admission.withdraw(record.group_key, (record.ordinal, record),
-                                 not record.matcher.stateless)
+                                 not matcher.stateless)
         self._index.remove(name)
-        release = getattr(record.matcher, "release_shared_subplans", None)
-        if release is not None:
-            # Detaches the engine's expiry cascade from shared sub-plan
-            # stores and returns the records so their refcounts drop; the
-            # last consumer out frees the store.
-            for subplan in release():
-                self._subplans.release(subplan)
+        if not matcher.stateless:
+            release = getattr(matcher, "release_shared_subplans", None)
+            if release is not None:
+                # Detaches the engine's expiry cascade from shared sub-plan
+                # stores and returns the records so their refcounts drop;
+                # the last consumer out frees the store.  (A stateless plan
+                # shares nothing.)
+                for subplan in release():
+                    self._subplans.release(subplan)
         del self._queries[name]
         record.matcher = None       # target lists held earlier skip it
         # Sinks filtered to this query die with it — a later query reusing
         # the name must not inherit them.
-        if any(q == name for q, _ in self._sinks):
+        if self._sinks and any(q == name for q, _ in self._sinks):
             self._sinks = [(q, s) for q, s in self._sinks if q != name]
 
     def names(self) -> List[str]:

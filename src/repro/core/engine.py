@@ -147,19 +147,6 @@ class TimingMatcher(MatcherBase):
         #: session never delivers it an expiry (see the module docstring's
         #: plan kinds).
         self.stateless = query.is_single_edge
-        #: TC-subqueries in join order; each entry is a timing sequence.
-        self.join_order: Decomposition = self._plan(
-            query, config, decomposition, join_order)
-        ordered = self.join_order
-        self.k = len(ordered)
-        #: Flattened slot order of complete matches (global list level k).
-        self.all_slots: Tuple[EdgeId, ...] = tuple(
-            eid for seq in ordered for eid in seq)
-        # Position of each query edge: edge id -> (subquery index, 0-based
-        # position in that subquery's timing sequence).
-        self._position: Dict[EdgeId, Tuple[int, int]] = {
-            eid: (si, j)
-            for si, seq in enumerate(ordered) for j, eid in enumerate(seq)}
         #: Match-once registry: id of every live edge some store holds as
         #: a root -> the sub-query indexes whose first query edge it
         #: matched, written at insertion and popped at expiry (edge ids
@@ -184,8 +171,28 @@ class TimingMatcher(MatcherBase):
         #: by :meth:`release_shared_subplans` so a departed query's
         #: shapes stop being maintained on stores that outlive it.
         self._shared_index_refs: List[Tuple[object, int, tuple]] = []
+        if self.stateless and decomposition is None and join_order is None:
+            # The one plan there is, set directly: nothing to plan, store,
+            # share or index.
+            (eid,) = query.edge_ids()
+            #: TC-subqueries in join order; each entry is a timing sequence.
+            self.join_order: Decomposition = [(eid,)]
+            self.k = 1
+            #: Flattened slot order of complete matches (global list level k).
+            self.all_slots: Tuple[EdgeId, ...] = (eid,)
+            # Position of each query edge: edge id -> (subquery index,
+            # 0-based position in that subquery's timing sequence).
+            self._position: Dict[EdgeId, Tuple[int, int]] = {eid: (0, 0)}
+            return
+        self.join_order = self._plan(query, config, decomposition, join_order)
+        ordered = self.join_order
+        self.k = len(ordered)
+        self.all_slots = tuple(eid for seq in ordered for eid in seq)
+        self._position = {
+            eid: (si, j)
+            for si, seq in enumerate(ordered) for j, eid in enumerate(seq)}
         if self.stateless:
-            return      # nothing to store, share or index
+            return      # an explicit one-edge plan: still nothing to store
         # With a session sub-plan provider, each subquery first tries to
         # adopt the shared store of its canonical form; private stores are
         # the fallback (unhashable labels) and the standalone default.
@@ -214,8 +221,6 @@ class TimingMatcher(MatcherBase):
               join_order: Optional[Decomposition]) -> Decomposition:
         """The TC decomposition in join order.  (``config.validate()``
         guarantees the strategy fields.)"""
-        if self.stateless and decomposition is None and join_order is None:
-            return [tuple(query.edge_ids())]    # the only plan there is
         rng = random.Random(config.seed)
         if decomposition is None:
             subs = tc_subqueries(query)

@@ -53,20 +53,23 @@ class LabelTrie:
             raise ValueError("empty trie pattern")
         tokens = self._buckets.get(pattern)
         if tokens is None:
-            tokens = self._buckets[pattern] = set()
+            self._buckets[pattern] = {token}
             length = len(pattern)
-            self._lengths[length] = self._lengths.get(length, 0) + 1
+            if length in self._lengths:
+                self._lengths[length] += 1
+            else:
+                self._lengths[length] = 1
         elif token in tokens:
             raise ValueError(f"duplicate trie token {token!r} "
                              f"for pattern {pattern!r}")
-        tokens.add(token)
+        else:
+            tokens.add(token)
 
     def remove(self, pattern: str, token: Token) -> None:
-        """Drop ``token`` from ``pattern``; an emptied bucket goes, and
-        with the last pattern of its length, that length."""
-        tokens = self._buckets.get(pattern)
-        if tokens is None:
-            raise KeyError(pattern)
+        """Drop ``token`` from ``pattern`` (``KeyError`` for a pattern
+        not stored); an emptied bucket goes, and with the last pattern of
+        its length, that length."""
+        tokens = self._buckets[pattern]
         tokens.remove(token)
         if not tokens:
             del self._buckets[pattern]
@@ -135,14 +138,10 @@ def _probe(index: tuple, labels: Tuple, keyed: bool,
                                   else None, tokens))
 
 
-def bucket_key(atoms: AtomTriple) -> Optional[Tuple]:
-    """The key :meth:`PredicateRouter.buckets` reports for the bucket a
-    token registered under ``atoms`` sits in, when it constrains exactly
-    one position; ``None`` when it constrains none (an always-token) or
-    two or three (its buckets come unkeyed)."""
-    constrained = [(position, *atom) for position, atom in enumerate(atoms)
-                   if atom[0] != "any"]
-    return constrained[0] if len(constrained) == 1 else None
+#: What :meth:`PredicateRouter.add` returns for a token that constrains
+#: no position: every arrival under its loop flag hits it, so a list
+#: resolved for any bucket of that flag holds it.
+ALWAYS = "always"
 
 
 class PredicateRouter:
@@ -163,8 +162,9 @@ class PredicateRouter:
     arriving triple hits, each with a key naming it.  A bucket of
     one-position tokens under loop flag ``f`` keyed ``k`` holds the same
     tokens for every arrival that hits it, so a caller may resolve the
-    bucket once and reuse the answer until a token with that key (see
-    :func:`bucket_key`) or an always-token of ``f`` comes or goes.
+    bucket once and reuse the answer until a token :meth:`add` filed
+    under ``k`` — or under :data:`ALWAYS` with flag ``f`` — comes or
+    goes.
 
     ``match`` and ``buckets`` may raise ``TypeError`` when a data label
     is unhashable — callers fall back to their route-everything path,
@@ -179,51 +179,66 @@ class PredicateRouter:
         # Tokens constraining two or three positions: hits are counted.
         self._multi = _positions()
         self._multi_size = 0
-        # token → (atoms, is_loop, constrained-position count)
-        self._entries: Dict[Token, Tuple[AtomTriple, bool, int]] = {}
+        # token → (placements, is_loop, constrained-position count); a
+        # placement is the bucket key ``(position, kind, value)``.
+        self._entries: Dict[Token, Tuple[Tuple[Tuple, ...], bool, int]] = {}
         # Tokens with no constrained position, split by loop flag.
         self._always: Dict[bool, Set[Token]] = {False: set(), True: set()}
 
-    def add(self, token: Token, atoms: AtomTriple, is_loop: bool) -> None:
-        """Register ``token`` under a routing-atom triple."""
+    def add(self, token: Token, atoms: AtomTriple,
+            is_loop: bool) -> Optional[Hashable]:
+        """Register ``token`` under a routing-atom triple; returns the key
+        of the bucket it joined: :meth:`buckets`' key for a one-position
+        token, :data:`ALWAYS` for a token constraining no position, and
+        ``None`` for two or three positions (their buckets come
+        unkeyed)."""
         if token in self._entries:
             raise ValueError(f"duplicate predicate token {token!r}")
-        required = 0
-        for atom in atoms:
-            if atom[0] != "any":
-                if atom[0] != "eq" and atom[0] != "pre":
-                    raise ValueError(f"unknown routing atom {atom!r}")
-                required += 1
+        placed: Tuple[Tuple, ...] = ()
+        for position, atom in enumerate(atoms):
+            kind = atom[0]
+            if kind == "eq" or kind == "pre":
+                placed += ((position, kind, atom[1]),)
+            elif kind != "any":
+                raise ValueError(f"unknown routing atom {atom!r}")
+        required = len(placed)
         if required == 0:
             self._always[is_loop].add(token)
+            self._entries[token] = (placed, is_loop, 0)
+            return ALWAYS
+        if required == 1:
+            exact, tries = self._single[is_loop]
         else:
-            self._multi_size += required > 1
-            exact, tries = self._single[is_loop] if required == 1 \
-                else self._multi
-            for position, atom in enumerate(atoms):
-                if atom[0] == "eq":
-                    exact[position].setdefault(atom[1], set()).add(token)
-                elif atom[0] == "pre":
-                    tries[position].insert(atom[1], token)
-        self._entries[token] = (atoms, is_loop, required)
+            exact, tries = self._multi
+            self._multi_size += 1
+        for position, kind, value in placed:
+            if kind == "eq":
+                exact[position].setdefault(value, set()).add(token)
+            else:
+                tries[position].insert(value, token)
+        self._entries[token] = (placed, is_loop, required)
+        return placed[0] if required == 1 else None
 
     def remove(self, token: Token) -> None:
         """Deregister ``token``, dropping emptied buckets."""
-        atoms, is_loop, required = self._entries.pop(token)
+        placed, is_loop, required = self._entries.pop(token)
         if required == 0:
             self._always[is_loop].discard(token)
             return
-        self._multi_size -= required > 1
-        exact, tries = self._single[is_loop] if required == 1 \
-            else self._multi
-        for position, atom in enumerate(atoms):
-            if atom[0] == "eq":
+        if required == 1:
+            exact, tries = self._single[is_loop]
+        else:
+            exact, tries = self._multi
+            self._multi_size -= 1
+        for position, kind, value in placed:
+            if kind == "eq":
                 values = exact[position]
-                values[atom[1]].discard(token)
-                if not values[atom[1]]:
-                    del values[atom[1]]
-            elif atom[0] == "pre":
-                tries[position].remove(atom[1], token)
+                tokens = values[value]
+                tokens.discard(token)
+                if not tokens:
+                    del values[value]
+            else:
+                tries[position].remove(value, token)
 
     def buckets(self, src_label: Hashable, edge_label: Hashable,
                 dst_label: Hashable, is_loop: bool) -> List[Hit]:
@@ -278,6 +293,3 @@ class PredicateRouter:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)

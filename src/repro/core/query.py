@@ -303,7 +303,7 @@ class QueryGraph:
         return list(self._edges.values())
 
     def edge_ids(self) -> List[EdgeId]:
-        return list(self._edges.keys())
+        return list(self._edges)
 
     def vertex(self, vertex_id: VertexId) -> QueryVertex:
         return self._vertices[vertex_id]

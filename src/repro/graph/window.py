@@ -16,12 +16,16 @@ a session's window group owns one
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Deque, Dict, Hashable, Iterator, List, Optional
 
 from .edge import StreamEdge
 
 _INF = float("inf")
+#: The longest window: a longer int has no float, so the slide's ``t -
+#: duration`` would raise ``OverflowError`` at the first push.
+_MAX_DURATION = sys.float_info.max
 
 
 def check_time(timestamp: float, clock: float,
@@ -42,6 +46,17 @@ def check_time(timestamp: float, clock: float,
     if not -_INF < timestamp < _INF:
         raise ValueError(
             f"stream timestamps must be finite, got {timestamp!r}")
+
+
+def check_duration(duration) -> float:
+    """``duration`` as a float, or the ``ValueError`` a window gives a
+    length that is not positive and finite: ``NaN`` would expire nothing,
+    a bool is not a length, and an int past the largest float has no
+    float at all."""
+    if isinstance(duration, bool) or not 0 < duration <= _MAX_DURATION:
+        raise ValueError(
+            f"window duration must be positive and finite, got {duration}")
+    return float(duration)
 
 
 class WindowBuffer:
@@ -194,9 +209,5 @@ class SlidingWindow(WindowBuffer):
     __slots__ = ()
 
     def __init__(self, duration: float) -> None:
-        if isinstance(duration, bool) or not 0 < duration < _INF:
-            # NaN compares false both ways: it would expire nothing.
-            raise ValueError(
-                f"window duration must be positive and finite, "
-                f"got {duration}")
+        check_duration(duration)
         super().__init__(duration, None)

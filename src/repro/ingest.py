@@ -31,7 +31,7 @@ from typing import (
     Callable, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple,
 )
 
-from .core.labeltrie import PredicateRouter, bucket_key
+from .core.labeltrie import ALWAYS, PredicateRouter
 from .graph.edge import StreamEdge
 from .graph.shared_window import SharedSlidingWindow, window_policy_from_key
 from .graph.window import check_time
@@ -127,11 +127,10 @@ class Admission:
             group = self.groups[key] = WindowGroup(window)
         return group
 
-    def enroll(self, key: Tuple, entry: Entry, duplicate_policy: str,
-               stateful: bool = False) -> None:
-        """Add a query to the group for ``key``, opening it when it is
-        the first member; ``stateful`` when its engine stores edges."""
-        group = self.open(key)
+    def enroll(self, group: WindowGroup, entry: Entry,
+               duplicate_policy: str, stateful: bool = False) -> None:
+        """Add a query to ``group`` (what :meth:`open` returned for its
+        key); ``stateful`` when its engine stores edges."""
         group.members[entry] = duplicate_policy
         group.stateful += stateful
 
@@ -244,20 +243,28 @@ class RouteIndex:
     arrival's loop flag, sorted, built on the bucket's first hit and kept
     in :attr:`resolved`.  Two or more hit buckets, or a hit on a token
     constraining two or three positions, take the union path (the
-    router's ``match``, then a sort) and keep nothing.  ``add``/
-    ``remove`` drop the lists of the buckets they touch; a change to the
-    always-routed set drops its loop flag's lists (a generic entry:
-    every list).  So :attr:`resolved` is bounded by the registered
-    buckets plus two, however many distinct labels stream past.
+    router's ``match``, then a sort) and keep nothing.  So
+    :attr:`resolved` is bounded by the registered buckets plus two,
+    however many distinct labels stream past.
+
+    A change drops exactly the lists it makes stale: those of the buckets
+    the entry sits in, and — for an always-routed token — every list of
+    its loop flag (a generic entry: every list).  ``add`` works those
+    keys out once and keeps them in :attr:`entries` beside the entry's
+    exact triples and router tokens, so ``remove`` undoes an entry by
+    replaying that record: a few dict edits, with nothing derived again.
     """
 
     def __init__(self) -> None:
         self.exact: Dict[Tuple, List[Hashable]] = {}
         self.router = PredicateRouter()
         self.always: List[Hashable] = []
-        # name -> (payload, exact triples or None if always-routed,
-        # predicate atom triples); drives removal.
-        self.entries: Dict[str, Tuple[Hashable, Optional[tuple], tuple]] = {}
+        #: name -> (payload, exact triples or ``None`` if always-routed,
+        #: router tokens, drops): what ``remove`` undoes.  ``drops`` are
+        #: ``(resolved lists, key)`` pairs — ``key`` a route-bucket key,
+        #: or :data:`~repro.core.labeltrie.ALWAYS` for all of them.
+        self.entries: Dict[str, Tuple[Hashable, Optional[tuple], tuple,
+                                      tuple]] = {}
         #: Per loop flag, route-bucket key -> resolved target list: an
         #: exact triple, a router bucket key, or ``None`` for the
         #: arrivals that hit no bucket.
@@ -265,62 +272,77 @@ class RouteIndex:
             False: {}, True: {}}
         #: Only exact entries: ``targets`` answers from :attr:`exact`.
         self.exact_only = True
+        # Entries with a router token or on the always-routed list.
+        self._routed = 0
 
     def add(self, name: str, payload: Hashable, signatures) -> None:
         """Route ``payload`` for the query ``name``; ``signatures`` is
         its ``(exact triples, predicate atom triples, generic)``."""
         exact, predicates, generic = signatures
+        resolved = self.resolved
         if generic:
             self.always.append(payload)
-            self.entries[name] = (payload, None, ())
+            record = (payload, None, (), ((resolved[False], ALWAYS),
+                                          (resolved[True], ALWAYS)))
+            self._routed += 1
         else:
-            exact, predicates = tuple(exact), tuple(predicates)
+            exact, tokens, drops = tuple(exact), (), ()
             for triple in exact:
                 bucket = self.exact.get(triple, _NOWHERE)
                 self.exact[triple] = sorted([*bucket, payload])
+                drops += ((resolved[triple[3]], triple),)
             for i, (src_atom, edge_atom, dst_atom, is_loop) \
                     in enumerate(predicates):
-                self.router.add((payload, name, i),
-                                (src_atom, edge_atom, dst_atom), is_loop)
-            self.entries[name] = (payload, exact, predicates)
-        self._changed(self.entries[name])
+                token = (payload, name, i)
+                key = self.router.add(token, (src_atom, edge_atom, dst_atom),
+                                      is_loop)
+                tokens += (token,)
+                if key is not None:
+                    drops += ((resolved[is_loop], key),)
+            record = (payload, exact, tokens, drops)
+            if tokens:
+                self._routed += 1
+        self.entries[name] = record
+        self._changed(record)
 
     def remove(self, name: str) -> None:
-        """Unhook every entry of ``name``: emptied dict buckets are
-        deleted and the router prunes emptied trie nodes, so
-        register/deregister churn cannot leak index state."""
-        entry = payload, exact, predicates = self.entries.pop(name)
+        """Unhook every entry of ``name``, replaying what ``add`` kept:
+        emptied dict buckets are deleted and the router prunes emptied
+        buckets, so register/deregister churn cannot leak index state."""
+        record = payload, exact, tokens, _ = self.entries.pop(name)
         if exact is None:
             self.always.remove(payload)
+            self._routed -= 1
         else:
             for triple in exact:
-                bucket = [held for held in self.exact[triple]
-                          if held != payload]
+                bucket = self.exact[triple].copy()     # copy-on-write
+                bucket.remove(payload)
                 if bucket:
                     self.exact[triple] = bucket
                 else:
                     del self.exact[triple]
-            for i in range(len(predicates)):
-                self.router.remove((payload, name, i))
-        self._changed(entry)
+            if tokens:
+                self._routed -= 1
+                for token in tokens:
+                    self.router.remove(token)
+        self._changed(record)
 
-    def _changed(self, entry) -> None:
-        """Drop the resolved lists an added or removed entry touched."""
-        self.exact_only = not self.always and not self.router
-        resolved = self.resolved
-        _, exact, predicates = entry
-        if exact is None or self.exact_only:
-            for lists in resolved.values():
-                lists.clear()
+    def _changed(self, record) -> None:
+        """Drop the resolved lists an added or removed entry's record
+        names — or every list, once no entry is routed but by the exact
+        dict (:attr:`targets` then reads none)."""
+        if not self._routed:
+            if not self.exact_only:     # the last routed entry left
+                self.exact_only = True
+                self.resolved[False].clear()
+                self.resolved[True].clear()
             return
-        for triple in exact:
-            resolved[triple[3]].pop(triple, None)
-        for *atoms, is_loop in predicates:
-            key = bucket_key(atoms)
-            if key is not None:
-                resolved[is_loop].pop(key, None)
-            elif all(atom[0] == "any" for atom in atoms):
-                resolved[is_loop].clear()   # the always-routed set moved
+        self.exact_only = False
+        for lists, key in record[3]:
+            if key is ALWAYS:
+                lists.clear()
+            else:
+                lists.pop(key, None)
 
     def resolved_count(self) -> int:
         """Resolved target lists held (at most the buckets + 2)."""

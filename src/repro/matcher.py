@@ -41,7 +41,7 @@ from typing import (
 
 from .graph.edge import StreamEdge
 from .graph.shared_window import SHAREABLE_WINDOW_TYPES, SharedWindowView
-from .graph.window import SlidingWindow
+from .graph.window import SlidingWindow, check_duration
 
 if TYPE_CHECKING:   # pragma: no cover - annotations only
     from .core.matches import Match
@@ -89,7 +89,7 @@ def as_window(window):
             or isinstance(window, SharedWindowView):
         return window
     if isinstance(window, (int, float)) and not isinstance(window, bool):
-        return SlidingWindow(float(window))
+        return SlidingWindow(check_duration(window))
     raise TypeError(
         "window must be a duration or a window policy object "
         f"(SlidingWindow or CountSlidingWindow), got {window!r}")

@@ -237,7 +237,7 @@ def _config(value) -> bool:
 def _group_of(spec) -> Optional[Tuple]:
     """The window group a saved window spec names, or ``None``."""
     if type(spec) in (int, float):
-        spec = ("time", float(spec))
+        spec = ("time", spec)
     try:
         key = window_policy_key(window_policy_from_key(spec))
     except (TypeError, ValueError):

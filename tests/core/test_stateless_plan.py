@@ -299,6 +299,54 @@ class TestPlanKindFollowsShape:
             assert engine.join_order == [("e",)]
             assert engine.all_slots == ("e",)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_the_direct_plan_equals_the_planned_one(self, seed):
+        """A one-edge engine sets its plan directly; an explicit
+        ``decomposition=[(eid,)]`` still goes through planning.  The two
+        agree on the plan, every read, ``repr`` and a checkpoint."""
+        scenario = Scenario(seed, steps=30)
+        _, _, query, window_spec = scenario.ops[0]
+        plan = [tuple(query.edge_ids())]
+        direct = TimingMatcher(query, make_window(window_spec),
+                               config=EngineConfig(duplicate_policy="skip"))
+        planned = TimingMatcher(query, make_window(window_spec),
+                                config=EngineConfig(duplicate_policy="skip"),
+                                decomposition=plan)
+        sessions = []
+        for options in ({}, {"decomposition": plan}):
+            session = Session(duplicate_policy="skip")
+            session.register("q", query, window=make_window(window_spec),
+                             **options)
+            sessions.append(session)
+
+        def reads(engine):
+            return (engine.join_order, engine.k, engine.all_slots,
+                    engine._position, Counter(engine.current_matches()),
+                    engine.result_count(), engine.store_profile(),
+                    repr(engine), engine.space_cells())
+
+        assert planned.stateless and reads(direct) == reads(planned)
+        for op in scenario.ops:
+            if op[0] == "push":
+                assert direct.push_many(op[1]) == planned.push_many(op[1])
+                assert sessions[0].push_many(op[1]) \
+                    == sessions[1].push_many(op[1])
+            elif op[0] == "advance":
+                for target in (direct, planned, *sessions):
+                    target.advance_time(op[1])
+            elif op[0] == "checkpoint":
+                restored = []
+                for session in sessions:
+                    buffer = io.BytesIO()
+                    session.checkpoint(buffer)
+                    buffer.seek(0)
+                    restored.append(Session.restore(buffer))
+                sessions = restored
+            assert reads(direct) == reads(planned)
+            assert reads(sessions[0].matcher("q")) \
+                == reads(sessions[1].matcher("q"))
+        assert direct.stats.as_dict() == planned.stats.as_dict()
+
     def test_no_knob_selects_the_plan(self):
         """The plan kind is not configurable: these are all the fields
         there are."""

@@ -1,9 +1,13 @@
 """Sliding-window semantics (Definition 2): span (t − |W|, t], FIFO expiry."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import SlidingWindow, StreamEdge
+from repro import (
+    QueryGraph, SlidingWindow, StreamEdge, TimingMatcher, as_window,
+)
 
 
 def edge(ts: float) -> StreamEdge:
@@ -31,6 +35,31 @@ class TestBasics:
         window itself."""
         with pytest.raises(ValueError, match="positive and finite"):
             SlidingWindow(True)
+
+    @pytest.mark.parametrize("duration", [10**400, 2**1024, -10**400])
+    def test_an_int_no_float_holds_is_refused(self, duration):
+        """``0 < 10**400 < inf`` is true for a Python int, but the slide's
+        ``t - duration`` has no float: the window must refuse it at
+        construction, not raise ``OverflowError`` at the first push."""
+        query = QueryGraph()
+        query.add_vertex("u", "A")
+        query.add_vertex("v", "B")
+        query.add_edge("e", "u", "v")
+        with pytest.raises(ValueError, match="positive and finite"):
+            SlidingWindow(duration)
+        with pytest.raises(ValueError, match="positive and finite"):
+            as_window(duration)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimingMatcher(query, duration)
+
+    def test_the_longest_window_slides(self):
+        """The largest float, and a large int that fits in one, are
+        windows like any other."""
+        for duration in (sys.float_info.max, 10**300):
+            w = SlidingWindow(duration)
+            assert w.push(edge(1.0)) == []
+            assert w.push(edge(2.0)) == [] and len(w) == 2
+            assert w.advance(3.0) == []
 
     def test_push_and_len(self):
         w = SlidingWindow(10)

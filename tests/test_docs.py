@@ -149,3 +149,23 @@ class TestObservabilityTable:
         assert len(rows) == len({name for name, _, _ in rows})
         assert {name: (kind, help_text) for name, kind, help_text in rows} \
             == declared_series()
+
+
+class TestEndToEndTable:
+    """README's end-to-end table has one row per workload the benchmark
+    declares (read from ``BENCHMARK.json``, nothing run), so a workload
+    added, renamed or dropped fails here until the table says so."""
+
+    def test_one_row_per_declared_workload(self):
+        import json
+        with open(os.path.join(ROOT, "BENCHMARK.json"),
+                  encoding="utf-8") as handle:
+            declared = [workload["name"]
+                        for workload in json.load(handle)["workloads"]]
+        with open(os.path.join(ROOT, "README.md"),
+                  encoding="utf-8") as handle:
+            readme = handle.read()
+        section = readme[readme.index("## End-to-end numbers"):]
+        section = section[:section.index("\n## ", 1)]
+        rows = re.findall(r"^\| `(\w+)`", section, re.MULTILINE)
+        assert sorted(rows) == sorted(declared)

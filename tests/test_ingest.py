@@ -270,6 +270,113 @@ class TestResolvedLists:
         assert index.resolved_count() == 0
 
 
+def structures(index):
+    """Every structure a route entry edits, copied down to its sets: the
+    exact dict, the always list and entry records, the router's entries,
+    buckets (values and prefix patterns), pattern lengths and always
+    sets, the resolved lists (the list objects themselves, by key) and
+    the exact-only flag."""
+    router = index.router
+
+    def positions(pair):
+        values, tries = pair
+        return ([{value: set(tokens) for value, tokens in by.items()}
+                 for by in values],
+                [({pattern: set(tokens)
+                   for pattern, tokens in trie._buckets.items()},
+                  dict(trie._lengths)) for trie in tries])
+
+    return {
+        "exact": {triple: list(bucket)
+                  for triple, bucket in index.exact.items()},
+        "always": list(index.always), "entries": dict(index.entries),
+        "router.entries": dict(router._entries),
+        "router.single": {flag: positions(router._single[flag])
+                          for flag in (False, True)},
+        "router.multi": positions(router._multi),
+        "router.multi_size": router._multi_size,
+        "router.always": {flag: set(router._always[flag])
+                          for flag in (False, True)},
+        "resolved": {flag: dict(index.resolved[flag])
+                     for flag in (False, True)},
+        "exact_only": index.exact_only,
+    }
+
+
+#: One spec per entry kind, over labels no base entry uses, so the
+#: buckets it joins hold no resolved list before it comes.
+ENTRY_KINDS = {
+    "exact": ("new", "n", "new"),
+    "eq": (ANY, "n", ANY),
+    "prefix": (ANY, Prefix("9"), ANY),
+    "two_positions": ("new", Prefix("9"), ANY),
+    "three_positions": ("new", Prefix("9"), "new"),
+    "any_only": (ANY, ANY, ANY),
+    "generic": (ANY, ("n", ANY), ANY),
+}
+
+#: What a pre-built index holds besides the entry under test.
+BASES = {
+    "exact_only": [("ip", 7, "ip", False), ("ip", 7, "ip", True)],
+    "mixed": [("ip", 7, "ip", False), (ANY, Prefix("10"), ANY, False),
+              (ANY, Prefix("10"), ANY, True), (ANY, 5, ANY, False),
+              ("ip", Prefix("1"), "op", False), (ANY, ANY, ANY, True)],
+}
+
+
+class TestPairIsAnExactInverse:
+    """``add`` then ``remove`` of one entry restores every structure it
+    touched, and drops no resolved list but those it named."""
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    @pytest.mark.parametrize("is_loop", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+    def test_add_then_remove_restores_every_structure(
+            self, kind, is_loop, base):
+        index, registered = RouteIndex(), {}
+        for i, spec in enumerate(BASES[base]):
+            register(index, registered, f"b{i}", spec)
+        probes = [arrival(src, label, dst, loop)
+                  for src in ("ip", "op", "new") for dst in ("ip", "op")
+                  for label in (7, 5, 1042, 1, "n", 9, "x")
+                  for loop in (False, True)]
+        for edge in probes:
+            index.targets(edge)     # resolve what the base hits
+        before = structures(index)
+
+        spec = (*ENTRY_KINDS[kind], is_loop)
+        register(index, registered, "pair", spec)
+        for edge in probes:
+            assert index.targets(edge) == \
+                brute_force_targets(registered, edge)
+        index.remove("pair")
+        del registered["pair"]
+        after = structures(index)
+
+        resolved, kept = before.pop("resolved"), after.pop("resolved")
+        assert after == before
+        # The pair drops its own buckets' lists, which held none before
+        # it came, and for an always-routed entry its loop flag's lists
+        # (a generic entry's: both flags'); every other list is the same
+        # object it was.
+        signatures = one_edge_query(*spec).label_signatures()
+        dropped = {False: False, True: False}
+        if signatures[2]:
+            dropped = {False: True, True: True}
+        elif kind == "any_only":
+            dropped[is_loop] = True
+        for flag in (False, True):
+            if dropped[flag] or before["exact_only"]:
+                assert kept[flag] == {}
+            else:
+                assert kept[flag] == resolved[flag]
+                assert all(kept[flag][key] is resolved[flag][key]
+                           for key in resolved[flag])
+        for edge in probes:
+            assert index.targets(edge) == \
+                brute_force_targets(registered, edge)
+
+
 def edge(edge_id, timestamp):
     return StreamEdge("x", "y", src_label="A", dst_label="B",
                       timestamp=timestamp, edge_id=edge_id)
@@ -292,8 +399,8 @@ def fingerprint(session):
 
 def admission_with(policy, *, window=5.0):
     admission = Admission()
-    admission.enroll(("time", window), Q, policy)
-    admission.enroll(("count", 3.0), C, policy)
+    admission.enroll(admission.open(("time", window)), Q, policy)
+    admission.enroll(admission.open(("count", 3.0)), C, policy)
     admission.admit(edge("first", 1.0))
     admission.admit(edge("second", 2.0))
     return admission
@@ -352,10 +459,10 @@ class TestAdmission:
         """Group by group the ``raise`` members are q, late (time group),
         then c (count group); the error sorts them by ordinal."""
         admission = admission_with("raise")
-        admission.enroll(("time", 5.0),
+        admission.enroll(admission.open(("time", 5.0)),
                          (2, _QueryRecord("late", 2, None, None, None)),
                          "raise")
-        admission.enroll(("time", 5.0),
+        admission.enroll(admission.open(("time", 5.0)),
                          (3, _QueryRecord("quiet", 3, None, None, None)),
                          "skip")
         with pytest.raises(ValueError) as info:
@@ -379,7 +486,7 @@ class TestAdmission:
     def test_expired_edges_reach_the_subscriber_and_groups_free(self):
         seen = []
         admission = Admission(lambda key, old: seen.append((key, old)))
-        admission.enroll(("time", 2.0), Q, "raise")
+        admission.enroll(admission.open(("time", 2.0)), Q, "raise")
         first = edge("first", 1.0)
         admission.admit(first)
         admission.admit(edge("second", 3.5))

@@ -549,6 +549,8 @@ MISSHAPEN = {
     "unknown-window-kind": (set_query(1, "window", ("bogus", 5)),
                             "queries[1].window is misshapen: "
                             "('bogus', 5)"),
+    "window-no-float-holds": (set_query(0, "window", 10**400),
+                              "queries[0].window is misshapen: 1000"),
 }
 
 

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro import (
-    EngineConfig, EngineStats, JSONLSink, ListSink, Session, StreamEdge,
-    TimingMatcher,
+    EngineConfig, EngineStats, JSONLSink, ListSink, Session, SlidingWindow,
+    StreamEdge, TimingMatcher,
 )
 from repro.io.csv_stream import write_stream
 from repro.persistence import load_session, save_session
@@ -97,6 +97,46 @@ class TestRegistration:
         with pytest.raises(ValueError, match="positive and finite"):
             session.register("q", fig5_query(), window=window)
         assert len(session) == 0
+
+    def test_an_int_window_no_float_holds_is_refused(self):
+        """``0 < 10**400 < inf`` holds for an int, so such a window used
+        to be accepted and the first push raised ``OverflowError`` after
+        the stream clock had moved.  Every entry point refuses it with
+        the window's own ``ValueError``, changing nothing."""
+        huge = 10**400
+        with pytest.raises(ValueError, match="positive and finite"):
+            Session(window=huge)
+        with pytest.raises(ValueError, match="positive and finite"):
+            Session(window=SlidingWindow(huge))
+        session = Session(window=9.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            session.register("q", fig5_query(), window=huge)
+        assert len(session) == 0 and session._admission.groups == {}
+        # An int a float holds is a window like any other.
+        session.register("q", path_query(1, labels="ab"), window=10**300)
+        session.push(make_edge("a1", "b1", 1.0))
+        assert session.edges_pushed == 1
+        assert session.result_counts() == {"q": 1}
+
+    def test_int_and_float_durations_name_one_group(self):
+        """``5``, ``5.0`` and ``SlidingWindow(5)`` are one window group,
+        and a checkpoint of it restores to the same groups and windows."""
+        session = Session(window=5)
+        session.register("a", path_query(1, labels="ab"))
+        session.register("b", path_query(1, labels="ab"), window=5.0)
+        session.register("c", path_query(1, labels="ab"),
+                         window=SlidingWindow(5))
+        session.push(make_edge("a1", "b1", 1.0))
+        assert list(session._admission.groups) == [("time", 5)]
+        buffer = io.BytesIO()
+        session.checkpoint(buffer)
+        buffer.seek(0)
+        restored = Session.restore(buffer)
+        assert list(restored._admission.groups) == [("time", 5)]
+        assert restored.default_window == session.default_window
+        assert [restored.matcher(name).window.duration for name in "abc"] \
+            == [5.0, 5.0, 5.0]
+        assert restored.result_counts() == {"a": 1, "b": 1, "c": 1}
 
     def test_policy_object_default_names_the_group(self):
         """A policy object as the default window only names the window
