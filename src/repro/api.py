@@ -373,9 +373,12 @@ class Session:
 
         ``sink`` is any ``(query_name, match)`` callable — a plain function,
         :class:`~repro.sinks.ListSink`, :class:`~repro.sinks.JSONLSink`, …
-        With ``query=``, the sink only sees that query's matches.
+        With ``query=``, the sink only sees that query's matches.  A sink
+        hears the matches whose delivery begins after it is attached: the
+        list is copied on write, so one attached (or removed) by a sink
+        mid-delivery changes nothing for the match being delivered.
         """
-        self._sinks.append((query, sink))
+        self._sinks = [*self._sinks, (query, sink)]
         return sink
 
     def remove_sink(self, sink: MatchCallback) -> None:
@@ -387,10 +390,12 @@ class Session:
             raise ValueError("sink is not attached")
 
     def _deliver(self, record: _QueryRecord, match: Match) -> None:
-        name = record.name
+        # The sinks attached when this delivery began (see add_sink),
+        # read before the callback runs.
+        name, sinks = record.name, self._sinks
         if record.callback is not None:
             record.callback(name, match)
-        for query_filter, sink in self._sinks:
+        for query_filter, sink in sinks:
             if query_filter is None or query_filter == name:
                 sink(name, match)
 
@@ -436,7 +441,8 @@ class Session:
         anything but :class:`~repro.ingest.Candidates` — is matched here:
         its route passed the one label test its stateless plan runs, so
         the session counts the engine's insert and builds the match
-        itself.  Every match is delivered to the sinks as it is found;
+        itself.  Every match is delivered to its query's callback and the
+        sinks as it is found (no delivery call while none listens);
         ``consume(pairs)`` then receives the ``(name, match)`` pairs of
         each arrival that completed any.
         """
@@ -477,9 +483,16 @@ class Session:
                     matches = (Match({slot: edge}),)
                 else:
                     matches = matcher._insert(edge)
-                for match in matches:
-                    results.append((record.name, match))
-                    self._deliver(record, match)
+                name = record.name
+                # _deliver only while someone listens, asked per target: a
+                # callback earlier in the arrival may attach a sink.
+                if record.callback is None and not self._sinks:
+                    for match in matches:
+                        results.append((name, match))
+                else:
+                    for match in matches:
+                        results.append((name, match))
+                        self._deliver(record, match)
             if results:
                 consume(results)
 

@@ -346,14 +346,9 @@ class TimingMatcher(MatcherBase):
 
     # ------------------------------------------------------------------ #
     # Public streaming API — push/push_many/advance_time come from
-    # MatcherBase; the hooks bridge to Algorithms 1 and 2.
+    # MatcherBase; the hooks are Algorithms 1 and 2 themselves (aliases,
+    # defined below them).
     # ------------------------------------------------------------------ #
-    def _insert(self, edge: StreamEdge) -> List[Match]:
-        return self.insert_edge(edge)
-
-    def _expire(self, edge: StreamEdge) -> None:
-        self.delete_edge(edge)
-
     def current_matches(self) -> List[Match]:
         """All matches of the query in the current window (``Ω(Q)``)."""
         if self.stateless:
@@ -754,6 +749,11 @@ class TimingMatcher(MatcherBase):
                 guard.release(item, cost=0)
         self.stats.expired_partials += removed
         return removed
+
+    # The MatcherBase hooks, unguarded: every arrival reaches Algorithms
+    # 1 and 2 with no forwarding frame.
+    _insert = insert_edge
+    _expire = delete_edge
 
     # ------------------------------------------------------------------ #
     # Introspection

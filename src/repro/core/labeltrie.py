@@ -116,26 +116,23 @@ def _positions() -> tuple:
 Hit = Tuple[Optional[Tuple], Set[Token]]
 
 
-def _probe(index: tuple, labels: Tuple, keyed: bool,
-           found: List[Hit]) -> None:
-    """Append to ``found`` every bucket of ``index`` the labels hit,
-    once per position and bucket; with ``keyed`` false every key is
-    ``None``."""
+def _probe(index: tuple, labels: Tuple, found: List[Hit]) -> None:
+    """Append to ``found``, keyed ``None``, every bucket of ``index``
+    (two- and three-position tokens) the labels hit, once per position
+    and bucket."""
     exact, tries = index
     for position, value in enumerate(labels):
         values = exact[position]
         if values:
             tokens = values.get(value)
             if tokens:
-                found.append(((position, "eq", value) if keyed else None,
-                              tokens))
+                found.append((None, tokens))
         trie = tries[position]
         if trie._buckets:
             text = prefix_text(value)
             if text is not None:
-                for pattern, tokens in trie.buckets(text):
-                    found.append(((position, "pre", pattern) if keyed
-                                  else None, tokens))
+                for _, tokens in trie.buckets(text):
+                    found.append((None, tokens))
 
 
 #: What :meth:`PredicateRouter.add` returns for a token that constrains
@@ -252,10 +249,38 @@ class PredicateRouter:
         (see :meth:`always`).
         """
         found: List[Hit] = []
-        labels = (src_label, edge_label, dst_label)
-        _probe(self._single[is_loop], labels, True, found)
+        # The one-position buckets are probed in this frame, as
+        # ``LabelTrie.buckets`` would: every arrival pays for them.
+        exact, tries = self._single[is_loop]
+        for position, value in enumerate((src_label, edge_label, dst_label)):
+            values = exact[position]
+            if values:
+                tokens = values.get(value)
+                if tokens:
+                    found.append(((position, "eq", value), tokens))
+            trie = tries[position]
+            buckets = trie._buckets
+            if buckets:
+                # prefix_text, inline for a label of exact type str or
+                # int; any other type (a bool, a subclass) asks it.
+                kind = type(value)
+                if kind is str:
+                    text = value
+                elif kind is int:
+                    text = str(value)
+                else:
+                    text = prefix_text(value)
+                if text is not None:
+                    size = len(text)
+                    for length in trie._lengths:
+                        if length <= size:
+                            pattern = text[:length]
+                            tokens = buckets.get(pattern)
+                            if tokens:
+                                found.append(
+                                    ((position, "pre", pattern), tokens))
         if self._multi_size:
-            _probe(self._multi, labels, False, found)
+            _probe(self._multi, (src_label, edge_label, dst_label), found)
         return found
 
     def always(self, is_loop: bool) -> Set[Token]:

@@ -131,45 +131,51 @@ class WindowBuffer:
         The new edge's timestamp must be finite, strictly greater than
         every edge already in the window (Definition 1: streaming
         timestamps strictly increase) and not before the clock.
+
+        Every arrival pays for this call, so the slide runs in its own
+        frame; when nothing expires it returns a fresh empty list.
         """
         timestamp = edge.timestamp
+        buffer = self._edges
         if not self._current_time < timestamp < _INF:
             # Past the clock implies past every buffered edge; at the
             # clock is fine after a bare advance.  The rest raises.
             check_time(timestamp, self._current_time,
-                       self._edges[-1].timestamp if self._edges else None)
-        expired = self._slide(timestamp, 1)
-        self._edges.append(edge)
-        self.bearers[edge.edge_id] = timestamp     # latest bearer wins
+                       buffer[-1].timestamp if buffer else None)
+        self._current_time = timestamp
+        bearers = self.bearers
+        expired = []
+        if self.duration is not None:
+            cutoff = timestamp - self.duration
+            while buffer and buffer[0].timestamp <= cutoff:
+                expired.append(buffer.popleft())
+        elif len(buffer) >= self.capacity:     # room for the arrival
+            expired.append(buffer.popleft())
+        for old in expired:
+            # Timestamp-paired: an older coexisting bearer's expiry must
+            # not clobber the latest bearer's entry.
+            if bearers.get(old.edge_id) == old.timestamp:
+                del bearers[old.edge_id]
+        buffer.append(edge)
+        bearers[edge.edge_id] = timestamp     # latest bearer wins
         return expired
 
     def advance(self, timestamp: float) -> List[StreamEdge]:
         """Move the clock to ``timestamp`` without an arrival; returns the
         expired edges, oldest first.  Time only moves forward, and only to
-        a finite time."""
+        a finite time; a count window never drops an edge here."""
         if not self._current_time <= timestamp < _INF:
             check_time(timestamp, self._current_time)
-        return self._slide(timestamp, 0)
-
-    def _slide(self, timestamp: float, arriving: int) -> List[StreamEdge]:
-        """Set the clock and drop what the window no longer holds with
-        ``arriving`` edges about to be appended."""
         self._current_time = timestamp
-        buffer = self._edges
-        expired: List[StreamEdge] = []
+        expired = []
         if self.duration is not None:
+            buffer, bearers = self._edges, self.bearers
             cutoff = timestamp - self.duration
             while buffer and buffer[0].timestamp <= cutoff:
-                expired.append(buffer.popleft())
-        elif len(buffer) + arriving > self.capacity:
-            expired.append(buffer.popleft())
-        if expired:
-            # Timestamp-paired: an older coexisting bearer's expiry must
-            # not clobber the latest bearer's entry.
-            bearers = self.bearers
-            for old in expired:
+                old = buffer.popleft()
+                expired.append(old)
                 if bearers.get(old.edge_id) == old.timestamp:
-                    del bearers[old.edge_id]
+                    del bearers[old.edge_id]    # timestamp-paired, as above
         return expired
 
     def bearer_timestamp(self, edge_id: Hashable) -> Optional[float]:

@@ -17,6 +17,7 @@ label test, :meth:`~repro.core.query.QueryGraph.edge_matches`, both ways.
 import pickle
 import random
 from collections import Counter, defaultdict
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,10 +225,27 @@ class TestPredicateRouterProperties:
 # PredicateRouter against the engine's label test.
 # ---------------------------------------------------------------------- #
 
+class Port(IntEnum):
+    """An int subclass: the router reads its text through ``prefix_text``
+    (its decimal form), not the inline path for an exact ``int``."""
+
+    HTTPS = 4431
+
+
+class Tag(str):
+    """A str subclass: its text is itself, as for a plain ``str``."""
+
+    __slots__ = ()
+
+
 #: ``VALUES`` plus the labels that compare alike yet route apart (``1``,
-#: ``True``, ``1.0`` and ``"1"``), ``None``, the empty string and tuples.
+#: ``True``, ``1.0`` and ``"1"``), ``None``, the empty string, tuples, an
+#: ``IntEnum`` member, a ``str`` subclass, a negative and a multi-digit
+#: int — the types the router's inline text path must read exactly as
+#: ``prefix_text`` does.
 EXACT_VALUES = VALUES + [1, True, 1.0, "1", "", None, ("a", 4), (1,),
-                         (True,), (1.0, "4")]
+                         (True,), (1.0, "4"), Port.HTTPS, Tag("4a"), -4,
+                         41144]
 exact_atom = st.one_of(
     st.just(("any",)),
     st.tuples(st.just("eq"), st.sampled_from(EXACT_VALUES)),
@@ -269,6 +287,19 @@ class TestRouterDecidesEdgeMatches:
              probe_list=[(1, True, "4", False), (True, 1, True, True),
                          (1, "10", 1, True), ((True,), 1, 44, False),
                          ("1", 1.0, "44", False), (1.0, "1", None, True)])
+    # One-position prefix tokens read a label's text inline; an int
+    # subclass, a str subclass and a negative int must read as they do
+    # through ``prefix_text``.
+    @example(entry_list=[(("pre", "44"), ("any",), ("any",), False),
+                         (("any",), ("pre", "4a"), ("any",), False),
+                         (("any",), ("any",), ("pre", "41"), False),
+                         (("any",), ("pre", "4"), ("any",), False),
+                         (("eq", 4431), ("pre", "4a"), ("eq", -4), False),
+                         (("pre", "4"), ("any",), ("any",), True)],
+             probe_list=[(Port.HTTPS, Tag("4a"), 41144, False),
+                         (4431, "4ab", -4, False), (-4, -41, Tag("41"), False),
+                         (Port.HTTPS, 1, Port.HTTPS, True),
+                         (True, -4, 41, False)])
     def test_a_token_hits_iff_its_query_accepts(self, entry_list,
                                                 probe_list):
         router = PredicateRouter()

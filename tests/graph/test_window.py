@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import (
-    QueryGraph, SlidingWindow, StreamEdge, TimingMatcher, as_window,
+    CountSlidingWindow, QueryGraph, SlidingWindow, StreamEdge, TimingMatcher,
+    as_window,
 )
 
 
@@ -60,6 +61,14 @@ class TestBasics:
             assert w.push(edge(1.0)) == []
             assert w.push(edge(2.0)) == [] and len(w) == 2
             assert w.advance(3.0) == []
+
+    def test_an_empty_expiry_list_is_the_callers_own(self):
+        """``push`` returns a fresh list also when nothing expires, so a
+        caller that keeps or extends one changes no later answer."""
+        for w in (SlidingWindow(10), CountSlidingWindow(5)):
+            first = w.push(edge(1.0))
+            first.append(edge(99.0))
+            assert w.push(edge(2.0)) == [] and w.advance(3.0) == []
 
     def test_push_and_len(self):
         w = SlidingWindow(10)

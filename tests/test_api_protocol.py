@@ -127,15 +127,26 @@ class TestFacadeReExports:
 
     def test_streaming_surface_takes_no_guard(self):
         """The S/X guards of the paper's section V go to ``insert_edge`` /
-        ``delete_edge``; the serial streaming surface has no such knob."""
+        ``delete_edge``; the serial streaming surface has no such knob.
+        The Timing engine's ``_insert`` / ``_expire`` hooks *are* those
+        two methods (class aliases, so an arrival pays no forwarding
+        frame), called with the edge alone: the guard defaults to none.
+        Every other matcher's hooks take no guard at all."""
         import inspect
-        for method in ("push", "push_many", "advance_time", "_insert",
-                       "_expire"):
+        for method in ("push", "push_many", "advance_time"):
             assert "guard" not in inspect.signature(
                 getattr(TimingMatcher, method)).parameters, method
         for method in ("insert_edge", "delete_edge"):
-            assert "guard" in inspect.signature(
-                getattr(TimingMatcher, method)).parameters, method
+            guard = inspect.signature(
+                getattr(TimingMatcher, method)).parameters["guard"]
+            assert guard.default is None, method
+        assert TimingMatcher._insert is TimingMatcher.insert_edge
+        assert TimingMatcher._expire is TimingMatcher.delete_edge
+        for cls in (MatcherBase, SJTreeMatcher, IncMatMatcher,
+                    NaiveSnapshotMatcher):
+            for method in ("_insert", "_expire"):
+                assert "guard" not in inspect.signature(
+                    getattr(cls, method)).parameters, (cls, method)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))

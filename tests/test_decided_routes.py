@@ -139,7 +139,9 @@ class TestCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Every ``insert_edge`` as ``(engine, edge)``, and how many
-        times ``QueryGraph.edge_matches`` ran."""
+        times ``QueryGraph.edge_matches`` ran.  The ``_insert`` hook a
+        session calls is an alias of ``insert_edge``, so both are
+        patched."""
         seen = {"insert": [], "edge_matches": 0}
         insert_edge = TimingMatcher.insert_edge
         edge_matches = QueryGraph.edge_matches
@@ -153,6 +155,7 @@ class TestCounts:
             return edge_matches(self, edge_id, edge)
 
         monkeypatch.setattr(TimingMatcher, "insert_edge", counted_insert)
+        monkeypatch.setattr(TimingMatcher, "_insert", counted_insert)
         monkeypatch.setattr(QueryGraph, "edge_matches", counted_matches)
         return seen
 

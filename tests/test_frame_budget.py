@@ -1,0 +1,117 @@
+"""Python frames per arrival: each stage of an arrival is one call.
+
+Once routing is decided per bucket, what an arrival costs at this scale
+is mostly calls that hand the edge on, so the hot path keeps one frame per
+stage: the route (``RouteIndex.targets``, ``PredicateRouter.buckets``
+probing its one-position buckets inline), the admission and its slide
+(``Admission.admit``, ``WindowBuffer.push``), the expiry hand-off
+(``Session._on_expired``), an engine's ``_insert`` / ``_expire`` hooks
+(aliases of ``insert_edge`` / ``delete_edge``, not forwarding frames),
+and no ``Session._deliver`` call for a match nobody listens to.
+
+The count is ``sys.setprofile``'s ``call`` events — Python frames; a C
+call is not one — per measured arrival, on in-test replicas of the three
+shapes the benchmark times, at its ``--quick`` sizes: ``bench_e2e``'s
+``session_predicates1k``, ``session_exact16`` and ``engine_join``.  Each
+budget is the count that workload's measured arrivals make on CPython
+3.11 (7.14, 13.63 and 15.41; with a frame per helper they made 13.21,
+15.89 and 18.40).  Python 3.12 and later inline list comprehensions
+(PEP 709), so there the count is lower and the budget an upper bound.
+"""
+
+import random
+import sys
+
+from repro import EngineConfig, Session, StreamEdge, TimingMatcher
+from repro.datasets import (
+    generate_netflow_stream, generate_query_set, window_slice,
+)
+from repro.graph.stream import GraphStream
+
+from .test_ablation_counts import (
+    collector_paused, port_stream, predicate_queries,
+)
+from .test_logical_checkpoint import engine_join_inputs
+
+
+def calls_per_arrival(feed, edges, warmup, batch):
+    """Feed ``edges[:warmup]`` untraced, then the rest ``batch`` edges
+    at a time under a profiler: the Python calls per measured arrival
+    (the per-batch calls included)."""
+    feed(edges[:warmup])
+    measured = edges[warmup:]
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    with collector_paused():    # a finaliser would add frames
+        sys.setprofile(profiler)
+        try:
+            for start in range(0, len(measured), batch):
+                feed(measured[start:start + batch])
+        finally:
+            sys.setprofile(previous)
+    return calls / len(measured)
+
+
+def test_prefix_and_wildcard_session():
+    """1,024 one-edge prefix/wildcard queries on a 400-unit window, one
+    port-labelled edge per time unit: an arrival is the route, the
+    admission, the expiry hand-off and its two ``Match`` objects."""
+    session = Session(window=400.0)
+    for name, query in predicate_queries(1024).items():
+        session.register(name, query)
+    calls = calls_per_arrival(session.push_many, port_stream(6400),
+                              4000, 48)
+    assert calls <= 7.14
+
+
+def exact_session_inputs(length):
+    """``session_exact16``'s 16 four-edge, full-timing-order queries with
+    concrete ``(dst-port, protocol)`` labels, walked out of the first
+    24,000 edges of its netflow stream (same pinned generator seeds), and
+    the first ``length`` edges of that stream."""
+    raw = generate_netflow_stream(length, seed=7, num_ips=150,
+                                  extra_ports=200, port_alpha=0.8)
+    stream = [StreamEdge(e.src, e.dst, src_label=e.src_label,
+                         dst_label=e.dst_label, timestamp=e.timestamp,
+                         label=(e.label[1], e.label[2])) for e in raw]
+    population = window_slice(GraphStream(stream[:24000]), 300)
+    variants = generate_query_set(population, sizes=[4], per_size=16,
+                                  rng=random.Random(3))
+    queries = {f"q{i:02d}": query
+               for i, query in enumerate(variants[0::5][:16])}
+    assert len(queries) == 16
+    return queries, stream
+
+
+def test_exact_label_session():
+    """16 exact-label stored-plan queries on a 2,000-unit window: most
+    arrivals reach no engine, and those that do pay the engine's own
+    Algorithm 1 and 2 frames, not a hook forwarding to them."""
+    queries, stream = exact_session_inputs(30400)
+    session = Session(window=2000.0, config=EngineConfig())
+    for name, query in queries.items():
+        session.register(name, query)
+    calls = calls_per_arrival(session.push_many, stream, 24000, 128)
+    assert calls <= 13.63
+
+
+def test_standalone_join_engine():
+    """``engine_join``'s shape: one k≥2 Timing engine over a 1,500-unit
+    window, its source ports wildcarded, pushed edge by edge."""
+    query, window, stream = engine_join_inputs(14000)
+    engine = TimingMatcher(query, window, config=EngineConfig())
+    assert engine.k >= 2
+
+    def feed(batch):
+        for edge in batch:
+            engine.push(edge)
+
+    calls = calls_per_arrival(feed, stream, 10000, 80)
+    assert engine.stats.expired_edges > 10000
+    assert calls <= 15.41

@@ -173,12 +173,12 @@ def any_edge_query():
 # Mid-stream registrants: the watermark inside and outside the window
 # --------------------------------------------------------------------- #
 
-def engine_join_inputs():
-    """The ``bench_e2e`` ``engine_join`` query and stream (same pinned
-    generator seeds): match-heavy, four TC-subqueries, 1,500-unit
-    window."""
-    stream = list(generate_netflow_stream(8000, seed=42, num_ips=120))
-    population = window_slice(GraphStream(stream), 300)
+def engine_join_inputs(length=8000):
+    """The ``bench_e2e`` ``engine_join`` query and the first ``length``
+    edges of its stream (same pinned generator seeds): match-heavy, four
+    TC-subqueries, 1,500-unit window."""
+    stream = list(generate_netflow_stream(length, seed=42, num_ips=120))
+    population = window_slice(GraphStream(stream[:8000]), 300)
     query = generate_query_set(
         population, sizes=[5], per_size=1, rng=random.Random(0),
         generalize_label=lambda label: (ANY, label[1], label[2]))[4]

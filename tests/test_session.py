@@ -333,6 +333,48 @@ class TestSinksAndCallbacks:
         with pytest.raises(ValueError, match="not attached"):
             session.remove_sink(sink)
 
+    def test_sink_attached_mid_delivery_hears_only_later_matches(self):
+        """A sink hears the matches whose delivery began after it was
+        attached — also when a sink or a query callback attaches it
+        while a match is being delivered."""
+        by_sink, by_callback = ListSink(), ListSink()
+
+        def attach(sink):
+            """A listener attaching ``sink`` at the first match it hears."""
+            attached = False
+
+            def listener(name, match):
+                nonlocal attached
+                if not attached:
+                    attached = True
+                    session.add_sink(sink)
+            return listener
+
+        session = Session()
+        session.register("chain", TWO_HOP_DSL,
+                         callback=attach(by_callback))
+        everything = session.add_sink(ListSink())
+        session.add_sink(attach(by_sink))
+        session.push_many(two_hop_stream())
+        assert len(everything) == 3
+        assert by_sink.records == everything.records[1:]
+        assert by_callback.records == everything.records[1:]
+
+    def test_sink_removed_mid_delivery_still_hears_that_match(self):
+        session = Session()
+        session.register("chain", TWO_HOP_DSL)
+        removed, heard = ListSink(), []
+
+        def remover(name, match):
+            if not heard:
+                session.remove_sink(removed)
+            heard.append(match)
+
+        session.add_sink(remover)
+        session.add_sink(removed)
+        assert len(session.push_many(two_hop_stream())) == 3
+        assert len(removed) == 1
+
     def test_set_callback_rewires_after_restore(self):
         session = Session()
         session.register("chain", TWO_HOP_DSL,
