@@ -43,15 +43,14 @@ def lock_requests_for_insert(matcher: TimingMatcher,
     if matcher.stateless:
         return requests
     k = matcher.k
-    for eid in matcher.query.matching_edge_ids(edge):
-        si, j = matcher._position[eid]
-        seq = matcher.join_order[si]
+    for eid in matcher._match(edge):
+        si, j, is_last = matcher._steps[eid]
         if j == 0:
             requests.append((("L", si, 1), "X"))
         else:
             requests.append((("L", si, j), "S"))
             requests.append((("L", si, j + 1), "X"))
-        if j == len(seq) - 1 and k > 1:
+        if is_last and k > 1:
             # σ may complete Qⁱ: fold into the global list, up to the
             # first timing-dead join — the engine skips it, so a request
             # for it would only hold a wait-list head until withdrawn.
@@ -81,10 +80,10 @@ def lock_requests_for_delete(matcher: TimingMatcher,
     before the worker running ``Ins(σ)`` has written that record."""
     if matcher.stateless:
         return []
-    matched = matcher.query.matching_edge_ids(edge)
+    matched = matcher._match(edge)
     if not matched:
         return []
-    touched = sorted({matcher._position[eid][0] for eid in matched})
+    touched = sorted({matcher._steps[eid][0] for eid in matched})
     requests: List[Request] = [
         (("L", si, level), "X")
         for si in touched

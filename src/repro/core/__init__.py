@@ -18,8 +18,8 @@ from .mstree import (
 )
 from .labeltrie import LabelTrie, PredicateRouter
 from .query import (
-    ANY, Prefix, QueryEdge, QueryGraph, QueryVertex, labels_compatible,
-    prefix_text, routing_atom,
+    ANY, FrozenQueryPartError, Prefix, QueryEdge, QueryGraph, QueryVertex,
+    labels_compatible, prefix_text, routing_atom,
 )
 from .stores import GlobalIndependentStore, IndependentTCStore
 from .tc import (
@@ -30,6 +30,7 @@ from .timing import TimingCycleError, TimingOrder
 
 __all__ = [
     "ANY", "Prefix", "QueryGraph", "QueryVertex", "QueryEdge",
+    "FrozenQueryPartError",
     "labels_compatible", "prefix_text", "routing_atom",
     "LabelTrie", "PredicateRouter",
     "TimingOrder", "TimingCycleError",

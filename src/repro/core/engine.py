@@ -180,19 +180,24 @@ class TimingMatcher(MatcherBase):
             self.k = 1
             #: Flattened slot order of complete matches (global list level k).
             self.all_slots: Tuple[EdgeId, ...] = (eid,)
-            # Position of each query edge: edge id -> (subquery index,
-            # 0-based position in that subquery's timing sequence).
-            self._position: Dict[EdgeId, Tuple[int, int]] = {eid: (0, 0)}
+            # The step of each query edge: edge id -> (subquery index,
+            # 0-based position in that subquery's timing sequence, whether
+            # that position is the sequence's last).
+            self._steps: Dict[EdgeId, Tuple[int, int, bool]] = \
+                {eid: (0, 0, True)}
             return
         self.join_order = self._plan(query, config, decomposition, join_order)
         ordered = self.join_order
         self.k = len(ordered)
         self.all_slots = tuple(eid for seq in ordered for eid in seq)
-        self._position = {
-            eid: (si, j)
+        self._steps = {
+            eid: (si, j, j == len(seq) - 1)
             for si, seq in enumerate(ordered) for j, eid in enumerate(seq)}
         if self.stateless:
             return      # an explicit one-edge plan: still nothing to store
+        #: The query's compiled label probe (``QueryGraph._label_probe``):
+        #: an arrival -> the query edges it matches, often a shared tuple.
+        self._match = query._label_probe()
         # With a session sub-plan provider, each subquery first tries to
         # adopt the shared store of its canonical form; private stores are
         # the fallback (unhashable labels) and the standalone default.
@@ -458,21 +463,21 @@ class TimingMatcher(MatcherBase):
             stats.edges_matched += 1
             stats.matches_emitted += 1
             return [Match({slot: edge})]
-        matched = self.query.matching_edge_ids(edge)
+        matched = self._match(edge)
         if not matched:
             return []
-        position = self._position
+        steps = self._steps
         results: List[Match] = []
         produced_anything = False
         roots: Tuple[int, ...] = ()
         for eid in matched:
-            si, j = position[eid]
+            si, j, is_last = steps[eid]
             if j == 0:
                 roots += (si,)
             delta = self._insert_into_subquery(si, j, edge, guard)
             if delta:
                 produced_anything = True
-                if j == len(self.join_order[si]) - 1:
+                if is_last:
                     results.extend(self._propagate(si, delta, guard))
         if roots:
             # Decided once, here: expiry pops this instead of re-matching
@@ -530,9 +535,11 @@ class TimingMatcher(MatcherBase):
         if guard is not None:
             guard.release(("L", si, j), cost=len(candidates))
         self.stats.join_operations += 1
-        spec = self._ext_specs[(si, j)]
-        joined = [(handle, flat) for handle, flat in candidates
-                  if spec.check(flat, edge)]
+        check = self._ext_specs[(si, j)].check
+        joined = []
+        for handle, flat in candidates:
+            if check(flat, edge):
+                joined.append((handle, flat))
         delta = []
         if joined:
             if guard is not None:
@@ -586,14 +593,15 @@ class TimingMatcher(MatcherBase):
             guard.acquire(item, "S")
         if index is not None:
             b_key = self._union_b_keys[prefix_level + 1]
+            check = spec.check
             touched = 0
             pairs = []
             for lh, lflat in delta:
                 candidates = index.probe(b_key(lflat))
                 touched += len(candidates)
-                pairs.extend((gh, gflat, lh, lflat)
-                             for gh, gflat in candidates
-                             if spec.check(gflat, lflat))
+                for gh, gflat in candidates:
+                    if check(gflat, lflat):
+                        pairs.append((gh, gflat, lh, lflat))
             self.stats.index_probes += 1
         else:
             prefix_entries = self._global.read(prefix_level)
@@ -629,14 +637,15 @@ class TimingMatcher(MatcherBase):
             guard.acquire(("L", next_si, store.length), "S")
         if index is not None:
             a_key = self._union_a_keys[level + 1]
+            check = spec.check
             touched = 0
             pairs = []
             for gh, gflat in current:
                 candidates = index.probe(a_key(gflat))
                 touched += len(candidates)
-                pairs.extend((gh, gflat, lh, lflat)
-                             for lh, lflat in candidates
-                             if spec.check(gflat, lflat))
+                for lh, lflat in candidates:
+                    if check(gflat, lflat):
+                        pairs.append((gh, gflat, lh, lflat))
             self.stats.index_probes += 1
         else:
             omega = store.read(store.length)
@@ -685,8 +694,10 @@ class TimingMatcher(MatcherBase):
         never even visits an engine for an arrival that is trivially
         discardable for it.
         """
-        for eid in self.query.matching_edge_ids(edge):
-            si, j = self._position[eid]
+        if self.stateless:
+            return not self.query.edge_matches(self.all_slots[0], edge)
+        for eid in self._match(edge):
+            si, j, _ = self._steps[eid]
             if j == 0:
                 return False  # σ alone is a match of Preq(ε₁)
             spec = self._ext_specs[(si, j)]

@@ -165,8 +165,34 @@ def labels_compatible(query_label: Hashable, data_label: Hashable) -> bool:
     return query_label == data_label
 
 
-class QueryVertex:
-    """A labelled query vertex."""
+class FrozenQueryPartError(AttributeError):
+    """Raised on changing a :class:`QueryVertex` or :class:`QueryEdge`
+    field.  A query's label index, its routing signatures and every engine
+    or route index compiled from it read labels and endpoints once, so a
+    later change could reach none of them: build a new query instead."""
+
+    def __init__(self, part: object, name: str) -> None:
+        super().__init__(f"{type(part).__name__}.{name} cannot change once "
+                         "built; build a new QueryGraph instead")
+
+
+class _FrozenPart:
+    """Fields written once: by the constructor, or by unpickling into a
+    blank instance (see :class:`FrozenQueryPartError`)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):
+            raise FrozenQueryPartError(self, name)
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenQueryPartError(self, name)
+
+
+class QueryVertex(_FrozenPart):
+    """A labelled query vertex (immutable)."""
 
     __slots__ = ("vertex_id", "label")
 
@@ -178,8 +204,9 @@ class QueryVertex:
         return f"QueryVertex({self.vertex_id!r}:{self.label!r})"
 
 
-class QueryEdge:
-    """A directed query edge with an optional (wildcard-able) label."""
+class QueryEdge(_FrozenPart):
+    """A directed query edge with an optional (wildcard-able) label
+    (immutable)."""
 
     __slots__ = ("edge_id", "src", "dst", "label")
 
@@ -206,10 +233,10 @@ class QueryEdge:
 _ALL_KEYED = ((), ((0, None), (1, None), (2, None)))
 
 
-def _compile_projection(arities: Tuple, picks: Tuple):
-    """One mask's key extractor as a generated lambda — the per-arrival
-    cost is then one call, not a walk over the mask.  The source is
-    built from positions, arities and component indexes only."""
+def _projection_source(arities: Tuple, picks: Tuple) -> Tuple[str, str]:
+    """One mask's key and its shape test (``""`` when it has none) as
+    Python source over ``src``, ``label``, ``dst`` and ``loop``, built
+    from positions, arities and component indexes only."""
     names = ("src", "label", "dst")
     parts = "".join(
         f"{names[position]}, " if component is None
@@ -219,8 +246,67 @@ def _compile_projection(arities: Tuple, picks: Tuple):
         f"isinstance({names[position]}, tuple) "
         f"and len({names[position]}) == {arity}"
         for position, arity in arities)
-    return eval(f"lambda src, label, dst, loop: ({parts}loop,)"
+    return f"({parts}loop,)", shape
+
+
+def _compile_projection(arities: Tuple, picks: Tuple):
+    """One mask's key extractor as a generated lambda — the per-arrival
+    cost is then one call, not a walk over the mask."""
+    key, shape = _projection_source(arities, picks)
+    return eval(f"lambda src, label, dst, loop: {key}"
                 + (f" if {shape} else None" if shape else ""))
+
+
+def _compile_probe(mask: Tuple, table: Dict, scan):
+    """The probe of an index that is one residual-free table: project the
+    arrival and return the prebuilt answer, in one generated function."""
+    key, shape = _projection_source(*mask)
+    source = (
+        "def probe(edge):\n"
+        "    src, label, dst = edge.src_label, edge.label, edge.dst_label\n"
+        + (f"    if not ({shape}):\n        return ()\n" if shape else "")
+        + "    loop = edge.src == edge.dst\n"
+        "    try:\n"
+        f"        return get({key}, ())\n"
+        "    except TypeError:       # unhashable data label: no dict probe\n"
+        "        return scan(edge)\n")
+    namespace = {"get": table.get, "scan": scan}
+    exec(source, namespace)
+    return namespace["probe"]
+
+
+def _merged_probe(exact: Dict, masks: List, order: Dict, scan):
+    """The probe of any other index: one dict probe per table, the
+    residual checks of just the entries found, hits interleaved by
+    query-edge insertion order."""
+    def probe(edge):
+        arrival = (edge.src_label, edge.label, edge.dst_label,
+                   edge.src == edge.dst)
+        try:
+            matched = list(exact.get(arrival, ())) if exact else []
+            for project, table in masks:
+                key = project(*arrival)
+                if key is None:
+                    continue
+                found = table.get(key, ())
+                if type(found) is tuple:    # a prebuilt answer (or a miss)
+                    matched.extend(found)
+                    continue
+                for eid, residual in found:
+                    for position, component, pattern in residual:
+                        label = arrival[position]
+                        if not labels_compatible(
+                                pattern, label if component is None
+                                else label[component]):
+                            break
+                    else:
+                        matched.append(eid)
+        except TypeError:       # unhashable data label: no dict probe
+            return scan(edge)
+        if len(matched) > 1:
+            matched.sort(key=order.__getitem__)
+        return matched
+    return probe
 
 
 class QueryGraph:
@@ -235,7 +321,7 @@ class QueryGraph:
         # Derived on first use, ``None`` after mutation, never pickled:
         # what ``matching_edge_ids`` probes, what ``label_signatures``
         # returns and ``validate``'s verdict, ``_connected``.
-        self._label_index: Optional[Tuple[Dict, List]] = None
+        self._label_index: Optional[Tuple[Dict, List, object]] = None
         self._signatures: Optional[Tuple] = None
 
     def __getstate__(self) -> Dict:
@@ -345,7 +431,7 @@ class QueryGraph:
         return (self._vertices[qedge.src].label, qedge.label,
                 self._vertices[qedge.dst].label)
 
-    def _build_label_index(self) -> Tuple[Dict, List]:
+    def _build_label_index(self) -> Tuple[Dict, List, object]:
         """Compile every query edge into one mask-keyed hash index (the
         tuple-space search of packet classifiers): hash the concrete
         part, walk only what cannot be hashed.
@@ -354,20 +440,26 @@ class QueryGraph:
         hashed: a keyable label whole; of any other tuple label its
         arity and keyable components (one level of destructuring); of
         ``ANY``, a :class:`Prefix` or an unhashable value nothing.
-        Query edges with an equal mask share one ``key -> entries``
-        dict, the key being those parts plus the loop flag; an entry is
-        ``(insertion ordinal, edge id, residual)``, the *residual* being
-        the ``(position, component, pattern)`` checks the key could not
-        decide, left to ``labels_compatible``.
+        Query edges with an equal mask share one ``key -> value`` dict,
+        the key being those parts plus the loop flag.  A key none of
+        whose query edges leaves a *residual* — a ``(position,
+        component, pattern)`` check the key could not decide, left to
+        ``labels_compatible`` — holds its answer, prebuilt: the tuple of
+        its edge ids in insertion order.  Any other key holds the list
+        of its ``(edge id, residual)`` entries.
 
-        Returns ``(exact, masks)``: the dict of the all-keyed mask, whose
-        key is the arrival's plain ``(src-label, edge-label, dst-label,
-        is-loop)``, and ``(project, dict)`` for every other mask —
-        ``project(*arrival)`` is the key, or ``None`` when a label the
-        mask destructures is no tuple of that arity.
+        Returns ``(exact, masks, probe)``: the dict of the all-keyed
+        mask, whose key is the arrival's plain ``(src-label,
+        edge-label, dst-label, is-loop)``; ``(project, dict)`` for every
+        other mask — ``project(*arrival)`` is the key, or ``None`` when
+        a label the mask destructures is no tuple of that arity; and
+        the probe :meth:`matching_edge_ids` answers from.  An index that
+        is one residual-free table is probed by one generated function
+        returning the key's shared tuple; any other goes through
+        :func:`_merged_probe`.
         """
         tables: Dict[Tuple, Dict[Tuple, List[Tuple]]] = {}
-        for ordinal, (eid, qedge) in enumerate(self._edges.items()):
+        for eid, qedge in self._edges.items():
             arities: List[Tuple] = []
             picks: List[Tuple] = []
             key: List = []
@@ -388,48 +480,49 @@ class QueryGraph:
                     residual.append((position, None, label))
             key.append(qedge.src == qedge.dst)
             tables.setdefault((tuple(arities), tuple(picks)), {}).setdefault(
-                tuple(key), []).append((ordinal, eid, tuple(residual)))
+                tuple(key), []).append((eid, tuple(residual)))
+        residual_free = True
+        for table in tables.values():
+            for key, entries in table.items():
+                if any(residual for _, residual in entries):
+                    residual_free = False
+                else:
+                    table[key] = tuple(eid for eid, _ in entries)
         exact = tables.pop(_ALL_KEYED, {})
-        self._label_index = (exact, [(_compile_projection(*mask), table)
-                                     for mask, table in tables.items()])
+        masks = [(_compile_projection(*mask), table)
+                 for mask, table in tables.items()]
+        edges = self._edges
+        edge_matches = self.edge_matches
+
+        def scan(stream_edge):
+            return [eid for eid in edges if edge_matches(eid, stream_edge)]
+
+        if not tables:
+            probe = _compile_probe(_ALL_KEYED, exact, scan)
+        elif len(tables) == 1 and not exact and residual_free:
+            ((mask, table),) = tables.items()
+            probe = _compile_probe(mask, table, scan)
+        else:
+            order = {eid: ordinal for ordinal, eid in enumerate(edges)}
+            probe = _merged_probe(exact, masks, order, scan)
+        self._label_index = (exact, masks, probe)
         return self._label_index
+
+    def _label_probe(self):
+        """The compiled ``stream edge -> query-edge ids`` function the
+        engines call once per arrival (see :meth:`_build_label_index`).
+        Its answer may be a tuple shared by every arrival with the same
+        label key: read it, never mutate it."""
+        index = self._label_index
+        if index is None:
+            index = self._build_label_index()
+        return index[2]
 
     def matching_edge_ids(self, stream_edge: StreamEdge) -> List[EdgeId]:
         """All query edges a stream edge is label-compatible with, in
         edge insertion order — :meth:`edge_matches` over every query
-        edge, answered by one dict probe per mask of the compiled index
-        (this runs once per arrival) plus the residual checks of just
-        the entries the probe found.
-        """
-        index = self._label_index
-        if index is None:
-            index = self._build_label_index()
-        exact, masks = index
-        arrival = (stream_edge.src_label, stream_edge.label,
-                   stream_edge.dst_label, stream_edge.src == stream_edge.dst)
-        try:
-            if not masks:       # every query edge is all-keyed
-                return [entry[1] for entry in exact.get(arrival, ())]
-            matched = list(exact.get(arrival, ())) if exact else []
-            for project, table in masks:
-                key = project(*arrival)
-                if key is None:
-                    continue
-                for entry in table.get(key, ()):
-                    for position, component, pattern in entry[2]:
-                        label = arrival[position]
-                        if not labels_compatible(
-                                pattern, label if component is None
-                                else label[component]):
-                            break
-                    else:
-                        matched.append(entry)
-        except TypeError:       # unhashable data label: no dict probe
-            return [eid for eid in self._edges
-                    if self.edge_matches(eid, stream_edge)]
-        if len(matched) > 1:
-            matched.sort()      # interleave by (unique) insertion ordinal
-        return [entry[1] for entry in matched]
+        edge, answered by the compiled index's probe (a fresh list)."""
+        return list(self._label_probe()(stream_edge))
 
     def label_index_shape(self) -> Tuple[int, int, int, bool]:
         """``(masks, keyed edges, residual checks, all-keyed)`` of the
@@ -440,13 +533,13 @@ class QueryGraph:
         index = self._label_index
         if index is None:
             index = self._build_label_index()
-        exact, masks = index
+        exact, masks, _ = index
         tables = ([exact] if exact else []) + [table for _, table in masks]
         buckets = [item for table in tables for item in table.items()]
         return (len(tables),
-                sum(len(entries) for key, entries in buckets if len(key) > 1),
-                sum(len(entry[2]) for _, entries in buckets
-                    for entry in entries),
+                sum(len(value) for key, value in buckets if len(key) > 1),
+                sum(len(residual) for _, value in buckets
+                    if type(value) is list for _, residual in value),
                 not masks)
 
     def label_signatures(self) -> Tuple[FrozenSet[Tuple], FrozenSet[Tuple],

@@ -1,9 +1,10 @@
 """Match-once expiry: what an arrival matched is decided at insertion.
 
-A stored-plan engine calls ``QueryGraph.matching_edge_ids`` once per
-arrival — never again when the edge expires — and an arrival that matched
-no query edge expires without any store's ``delete_edge`` running
-(Algorithm 3 line 12) — and nor does one stored only below roots, since
+A stored-plan engine calls its query's compiled label probe
+(``QueryGraph._label_probe``) once per arrival — never again when the
+edge expires — and an arrival that matched no query edge expires
+without any store's ``delete_edge`` running (Algorithm 3 line 12) —
+and nor does one stored only below roots, since
 FIFO expiry removes a partial match with its root.  A guarded delete
 locks exactly the items of the sub-queries the expiring edge roots.
 """
@@ -23,15 +24,21 @@ from ..conftest import fig5_query, make_edge, random_stream
 
 @pytest.fixture
 def matching_calls(monkeypatch):
-    """Counts every ``matching_edge_ids`` call, on any query."""
+    """Counts every call of a compiled label probe, on any query (an
+    engine fetches its query's probe once, at construction; so does
+    ``matching_edge_ids`` on each call)."""
     calls = Counter()
-    original = QueryGraph.matching_edge_ids
+    original = QueryGraph._label_probe
 
-    def counted(self, stream_edge):
-        calls["n"] += 1
-        return original(self, stream_edge)
+    def counted_probe(self):
+        probe = original(self)
 
-    monkeypatch.setattr(QueryGraph, "matching_edge_ids", counted)
+        def counted(stream_edge):
+            calls["n"] += 1
+            return probe(stream_edge)
+        return counted
+
+    monkeypatch.setattr(QueryGraph, "_label_probe", counted_probe)
     return calls
 
 
@@ -55,6 +62,22 @@ def store_deletes(monkeypatch):
 STREAM = random_stream(21, 300, 8, labels="abcdef")
 
 
+def opaque_fig5_query() -> QueryGraph:
+    """``fig5_query`` with edge 1 labelled ``("tuple", ANY)``: an inner
+    wildcard no route index keys, so a session routes it every arrival
+    (built anew: a query's labels cannot change once built)."""
+    base = fig5_query()
+    query = QueryGraph()
+    for vertex in base.vertices():
+        query.add_vertex(vertex.vertex_id, vertex.label)
+    for edge in base.edges():
+        label = ("tuple", edge.label) if edge.edge_id == 1 else edge.label
+        query.add_edge(edge.edge_id, edge.src, edge.dst, label)
+    for before, after in base.timing.direct_constraints():
+        query.add_timing_constraint(before, after)
+    return query
+
+
 class TestMatchingRunsOncePerArrival:
     @pytest.mark.parametrize("storage", ["mstree", "independent"])
     def test_standalone_engine(self, matching_calls, storage):
@@ -71,8 +94,7 @@ class TestMatchingRunsOncePerArrival:
     def test_session_member(self, matching_calls):
         """One generic (always-routed) stored query, so the session hands
         the engine every arrival: N inserts, N expiries, N matchings."""
-        query = fig5_query()
-        query.edge(1).label = ("tuple", query.edge(1).label)   # opaque
+        query = opaque_fig5_query()
         assert query.label_signatures()[2]
         session = Session(window=4.0)
         engine = session.register("q", query)
@@ -109,9 +131,9 @@ def root_delete_items(engine, edge):
     """What ``Del(edge)`` locks: every level of each sub-query whose
     *first* query edge ``edge`` matched — a root's subtree spans them all
     — then ``L₀² … L₀ᵏ``; nothing when ``edge`` roots no partial match."""
-    roots = sorted(engine._position[eid][0]
+    roots = sorted(engine._steps[eid][0]
                    for eid in engine.query.matching_edge_ids(edge)
-                   if engine._position[eid][1] == 0)
+                   if engine._steps[eid][1] == 0)
     if not roots:
         return []
     return [("L", si, level) for si in roots

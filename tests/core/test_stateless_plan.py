@@ -321,7 +321,7 @@ class TestPlanKindFollowsShape:
 
         def reads(engine):
             return (engine.join_order, engine.k, engine.all_slots,
-                    engine._position, Counter(engine.current_matches()),
+                    engine._steps, Counter(engine.current_matches()),
                     engine.result_count(), engine.store_profile(),
                     repr(engine), engine.space_cells())
 
