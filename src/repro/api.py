@@ -784,10 +784,17 @@ class ThreadSafeSession:
 
     # -- escape hatch -------------------------------------------------- #
     @contextlib.contextmanager
-    def locked(self) -> Iterator[Session]:
-        """A context manager yielding the raw session with the lock held."""
-        with self._lock:
+    def locked(self, blocking: bool = True) -> Iterator[Session]:
+        """A context manager yielding the raw session with the lock held;
+        with ``blocking=False`` it yields ``None`` at once instead of
+        waiting while another thread holds the lock."""
+        if not self._lock.acquire(blocking):
+            yield None
+            return
+        try:
             yield self._session
+        finally:
+            self._lock.release()
 
     @property
     def session(self) -> Session:

@@ -570,9 +570,7 @@ class TimingMatcher(MatcherBase):
         elif reach == level - 1:
             return []
         else:
-            current = self._join_into_global(
-                prefix_level=si, prefix_from_global=True,
-                delta=delta, delta_is_prefix_side=False, guard=guard)
+            current = self._join_into_global(si, delta, guard)
         while level < reach and current:
             next_si = level  # 0-based index of the next subquery
             current = self._join_with_next_subquery(
@@ -582,8 +580,7 @@ class TimingMatcher(MatcherBase):
             return [self._to_match(flat) for _, flat in current]
         return []
 
-    def _join_into_global(self, prefix_level: int, prefix_from_global: bool,
-                          delta, delta_is_prefix_side: bool, guard):
+    def _join_into_global(self, prefix_level: int, delta, guard):
         """``∆(Qⁱ) ⋈ᵀ Ω(L₀^{i-1})`` (Algorithm 1 lines 15–17)."""
         spec = self._union_specs[prefix_level + 1]
         index = self._union_prefix_indexes.get(prefix_level)

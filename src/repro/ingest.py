@@ -104,7 +104,10 @@ class Admission:
     original.
 
     ``on_expired(group_key, edges)`` receives, once per group and slide,
-    the whole prefix a group's window drops, oldest first, as it drops it.
+    the whole prefix a group's window drops, oldest first, as it drops it
+    — while the group holds arrivals for expiry (``group.held``).  A
+    group that holds none has nothing to hand down, so its slides make
+    no call.
     """
 
     def __init__(self, on_expired: Optional[
@@ -185,7 +188,7 @@ class Admission:
                     group.held.append((edge, targets))
             else:
                 expired = group.window.advance(timestamp)
-            if expired and on_expired is not None:
+            if expired and group.held and on_expired is not None:
                 on_expired(key, expired)
         return frozenset(live) if live is not None else None
 
@@ -208,7 +211,7 @@ class Admission:
         on_expired = self._on_expired
         for key, group in self.groups.items():
             expired = group.window.advance(timestamp)
-            if expired and on_expired is not None:
+            if expired and group.held and on_expired is not None:
                 on_expired(key, expired)
 
 

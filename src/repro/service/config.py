@@ -147,17 +147,12 @@ class WalConfig:
     optional ``request_id`` fields get exactly-once semantics through a
     bounded dedup window (see :mod:`repro.service.wal`).
 
-    ``fsync_interval_ms`` > 0 turns on group commit: the sync leader
-    waits that long so concurrent producers share one fsync — higher
-    ack latency, far fewer fsyncs.  ``fsync_batch`` pending frames skip
-    the wait.  ``dedup_window`` bounds how many recent ``request_id``
-    acks are remembered (and checkpointed).
+    ``dedup_window`` bounds how many recent ``request_id`` acks are
+    remembered (and checkpointed).
     """
 
     enabled: bool = True
     segment_bytes: int = 4 * 1024 * 1024
-    fsync_interval_ms: float = 0.0
-    fsync_batch: int = 256
     dedup_window: int = 1024
 
     def validate(self) -> "WalConfig":
@@ -171,17 +166,6 @@ class WalConfig:
             raise ConfigError(
                 f"wal.segment_bytes must be an int >= 1024, "
                 f"got {self.segment_bytes!r}")
-        if not isinstance(self.fsync_interval_ms, (int, float)) \
-                or isinstance(self.fsync_interval_ms, bool) \
-                or self.fsync_interval_ms < 0:
-            raise ConfigError(
-                f"wal.fsync_interval_ms must be >= 0, "
-                f"got {self.fsync_interval_ms!r}")
-        if not isinstance(self.fsync_batch, int) \
-                or isinstance(self.fsync_batch, bool) \
-                or self.fsync_batch < 1:
-            raise ConfigError(
-                f"wal.fsync_batch must be >= 1, got {self.fsync_batch!r}")
         if not isinstance(self.dedup_window, int) \
                 or isinstance(self.dedup_window, bool) \
                 or self.dedup_window < 1:
@@ -285,8 +269,7 @@ class TenantConfig:
             if not isinstance(self.wal, WalConfig):
                 raise ConfigError(
                     f"tenant {self.name!r}: wal must be a table "
-                    "(enabled, segment_bytes, fsync_interval_ms, "
-                    "fsync_batch, dedup_window)")
+                    "(enabled, segment_bytes, dedup_window)")
             self.wal.validate()
             if self.wal.enabled and self.backpressure == "drop_oldest":
                 # The ack of a journaled batch promises every edge is
@@ -381,8 +364,7 @@ _TENANT_KEYS = _DEFAULT_KEYS | {"name", "query", "tail"}
 _QUERY_KEYS = {"name", "text", "file"}
 _TAIL_KEYS = {"path", "format", "poll_interval"}
 _RATE_LIMIT_KEYS = {"rps", "burst"}
-_WAL_KEYS = {"enabled", "segment_bytes", "fsync_interval_ms",
-             "fsync_batch", "dedup_window"}
+_WAL_KEYS = {"enabled", "segment_bytes", "dedup_window"}
 
 
 def _load_rate_limit(entry, where: str) -> RateLimitConfig:
@@ -407,8 +389,6 @@ def _load_wal(entry, where: str) -> WalConfig:
     return WalConfig(
         enabled=entry.get("enabled", True),
         segment_bytes=entry.get("segment_bytes", 4 * 1024 * 1024),
-        fsync_interval_ms=entry.get("fsync_interval_ms", 0.0),
-        fsync_batch=entry.get("fsync_batch", 256),
         dedup_window=entry.get("dedup_window", 1024))
 
 

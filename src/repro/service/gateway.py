@@ -23,9 +23,15 @@ without a WAL.  A WAL tenant's HTTP and WebSocket batches stay on the
 event loop instead (:meth:`Tenant.admit_json`): the loop decodes and
 journals the batch, awaits only its group-commit fsync in an executor,
 sends the ack, then applies what that released
-(:meth:`Tenant.apply_released`) without waking the worker.  One
-consumer at a time dequeues and applies, so every batch is applied in
-journal order whichever thread does it.
+(:meth:`Tenant.apply_released`) without waking the worker.
+
+Each order a tenant keeps has one lock.  The session lock is the apply
+lock: batches are dequeued and applied under it, in queue order, and a
+checkpoint barrier excludes every apply.  The worker waits for it; the
+loop only tries it and otherwise leaves the batch to the worker.  The
+admission lock orders the journal (or, without a WAL, the queue) and
+owns the server clock: a batch is built, its stamps drawn, in the hold
+that journals or enqueues it.
 
 Crash-recovery contract
 -----------------------
@@ -58,6 +64,7 @@ replay from the checkpointed position read off ``/stats``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -247,8 +254,8 @@ class Tenant:
         self.source_offsets: Dict[str, int] = {}
         #: The running file tailers feeding this tenant.
         self.tailers: List[FileTailer] = []
+        #: The last server timestamp drawn (see next_server_timestamp).
         self._server_clock = 0.0
-        self._clock_lock = threading.Lock()
         self._worker: Optional[threading.Thread] = None
         self._aborted = False
         # --- resilience -------------------------------------------------
@@ -262,13 +269,11 @@ class Tenant:
                 config.rate_limit.rps, config.rate_limit.effective_burst)
         self.sink_breaker = CircuitBreaker(f"{config.name}.match_log")
         self.checkpoint_breaker = CircuitBreaker(f"{config.name}.checkpoint")
-        #: One consumer at a time dequeues and applies (the worker, or the
-        #: event loop after a WAL tenant's ack), so batches are applied in
-        #: the order they were enqueued.
-        self._apply_lock = threading.Lock()
         # --- write-ahead log -------------------------------------------
-        #: Admission order is journal order: one lock wraps journaling a
-        #: batch and numbering its admission.
+        #: Admission order is journal order and stamp order: one lock
+        #: wraps building a batch (drawing its server stamps), journaling
+        #: it and numbering its admission (or, without a WAL, enqueueing
+        #: it).
         self._admission_lock = threading.Lock()
         #: The reorder buffer between fsync and queue: admissions are
         #: numbered from 0, ``_next_release`` is the next one the queue
@@ -285,9 +290,7 @@ class Tenant:
         if wal_enabled:
             self.wal = WriteAheadLog(
                 os.path.join(self.state_dir, _WAL_DIR),
-                segment_bytes=config.wal.segment_bytes,
-                fsync_interval_ms=config.wal.fsync_interval_ms,
-                fsync_batch=config.wal.fsync_batch)
+                segment_bytes=config.wal.segment_bytes)
             self.dedup = DedupIndex(config.wal.dedup_window)
         #: Highest WAL LSN actually applied to the session (advanced by
         #: the worker under the session lock; checkpointed as wal_lsn).
@@ -433,10 +436,10 @@ class Tenant:
         self.replayed_edges += replayed
         if replayed and self.config.timestamps == "server":
             # Stamps handed out since the checkpoint are in the journal,
-            # not in its meta: the server clock resumes past them.
-            with self.safe.locked() as session, self._clock_lock:
-                self._server_clock = max(self._server_clock,
-                                         session.current_time)
+            # not in its meta: the server clock resumes past them (no
+            # producer runs yet).
+            self._server_clock = max(self._server_clock,
+                                     self.safe.session.current_time)
         if replayed:
             print(f"[repro.service] tenant {self.config.name!r} replayed "
                   f"{replayed} edge(s) from the WAL "
@@ -527,13 +530,13 @@ class Tenant:
     # Producer surface
     # ------------------------------------------------------------------ #
     def next_server_timestamp(self) -> float:
-        """The next tick of the server-assigned clock (strictly
-        increasing across threads)."""
-        with self._clock_lock:
-            self._server_clock += 1.0
-            return self._server_clock
+        """The next tick of the server-assigned clock; call it only in
+        the admission hold (from a batch :meth:`_admit` builds)."""
+        self._server_clock += 1.0
+        return self._server_clock
 
-    def ingest_edges(self, edges: Iterable[StreamEdge], *,
+    def ingest_edges(self, edges: Iterable[StreamEdge]
+                     | Callable[[], Iterable[StreamEdge]], *,
                      offset: Optional[tuple] = None,
                      timeout: Optional[float] = None) -> int:
         """Enqueue prepared edges; returns how many were admitted.
@@ -544,60 +547,83 @@ class Tenant:
         has begun.  ``offset`` tags the *last* edge with its source
         resume position (file tailers use this).  WAL-enabled tenants
         journal the batch and fsync before returning — an admitted edge
-        is durable by the time the caller hears so.
+        is durable by the time the caller hears so.  ``edges`` may be a
+        callable returning the edges instead: the tenant calls it in its
+        admission hold, so it may draw :meth:`next_server_timestamp`
+        stamps (the file tailer does).
         """
-        edges = list(edges)
-        if not edges:
-            return 0
-        ack, commit = self._admit(edges, offset=offset, timeout=timeout)
+        ack, commit = self._admit(
+            lambda: (list(edges() if callable(edges) else edges), ()),
+            offset=offset, timeout=timeout)
         if commit is not None:
             commit()
         return ack["accepted"]
 
-    def _admit(self, edges: List[StreamEdge], *,
+    def _admit(self, batch: Callable[[], Tuple[List[StreamEdge],
+                                               Sequence[int]]], *,
                offset: Optional[tuple] = None,
                timeout: Optional[float] = None,
                request_id: Optional[str] = None,
-               skip: Sequence[int] = (), body: Optional[bytes] = None,
+               body: Optional[bytes] = None,
                raise_on_sync_failure: bool = False, wake: bool = True
                ) -> Tuple[dict, Optional[Callable[[], None]]]:
         """The one admit path; returns the ack and the commit the caller
         owes before sending it (``None`` when nothing is owed).
 
-        A tenant without a WAL enqueues the batch here.  A WAL tenant
-        journals it (the frame carries ``request_id`` and the invalid
+        ``batch()`` returns the edges and the positions of the invalid
+        records (``skip``).  It runs in the admission hold that also
+        journals or enqueues them, so the server stamps it draws are in
+        admission order.
+
+        A tenant without a WAL enqueues the batch in the hold: a
+        producer blocked for queue room keeps it, and the next one waits
+        for it no longer than its own ``timeout``.  A WAL tenant journals
+        the batch (the frame carries ``request_id`` and the invalid
         count, so a batch with no valid edge still journals its request
         id) and numbers the admission; the commit then group-commits
-        (see :meth:`_wal_sync` for ``raise_on_sync_failure``) and releases
-        the batch into the queue whole — consecutive LSNs, ``offset``
-        tagging the *last* edge — in journal order, waking the worker
-        only with ``wake``.  ``body`` is the request text ``edges`` were
-        decoded from, ``skip`` the positions of its invalid records:
-        given a body, that is what the frame holds, otherwise the edges
-        are encoded again.  No edge and no request id is nothing to
-        recover: that ack costs no frame and no fsync."""
-        invalid = len(skip)
+        (see :meth:`_wal_sync` for ``raise_on_sync_failure``) and
+        releases the batch into the queue whole — consecutive LSNs,
+        ``offset`` tagging the *last* edge — in journal order, waking
+        the worker only with ``wake``.  ``body`` is the request text the
+        edges were decoded from: given one, that is what the frame
+        holds, otherwise the edges are encoded again.  No edge and no
+        request id is nothing to recover: that ack costs no frame and no
+        fsync."""
         if self.wal is None:
-            return {"accepted": self.queue.put_batch(
-                        edges, offset=offset, timeout=timeout),
-                    "invalid": invalid, "position": self.queue.enqueued}, None
-        if not edges and request_id is None:
-            return {"accepted": 0, "invalid": invalid,
-                    "position": self._admitted_edges, "durable": True}, None
-        if body is None:
-            payload = [{"e": edge_to_json(edge)} for edge in edges]
-            if offset is not None:
-                payload[-1]["o"] = list(offset)
-
-            def journal():
-                return self.wal.append(payload, rid=request_id,
-                                       invalid=invalid)
-        else:
-            def journal():
-                return self.wal.append_body(body, len(edges),
-                                            rid=request_id, skip=skip)
+            started = time.monotonic()
+            if not self._admission_lock.acquire(
+                    timeout=-1 if timeout is None else max(0.0, timeout)):
+                raise TimeoutError("admission stayed busy past the put "
+                                   "timeout")
+            try:
+                edges, skip = batch()
+                if timeout is not None:
+                    timeout = max(0.0, started + timeout - time.monotonic())
+                return {"accepted": self.queue.put_batch(
+                            edges, offset=offset, timeout=timeout),
+                        "invalid": len(skip),
+                        "position": self.queue.enqueued}, None
+            finally:
+                self._admission_lock.release()
         with self._admission_lock:
+            edges, skip = batch()
+            invalid = len(skip)
+            if not edges and request_id is None:
+                return {"accepted": 0, "invalid": invalid,
+                        "position": self._admitted_edges,
+                        "durable": True}, None
             self.queue.check_open()
+            if body is None:
+                payload = [{"e": edge_to_json(edge)} for edge in edges]
+                if offset is not None:
+                    payload[-1]["o"] = list(offset)
+                journal = functools.partial(
+                    self.wal.append, payload, rid=request_id,
+                    invalid=invalid)
+            else:
+                journal = functools.partial(
+                    self.wal.append_body, body, len(edges),
+                    rid=request_id, skip=skip)
             last_lsn, ticket = call_with_retry(journal, policy=_WAL_RETRY)
             self._admitted_edges += len(edges)
             ack = {"accepted": len(edges), "invalid": invalid,
@@ -610,7 +636,7 @@ class Tenant:
                 self.dedup.put(request_id, ack)
             admission = self._admissions
             self._admissions += 1
-        batch = (edges, last_lsn - len(edges) + 1, offset)
+        released = (edges, last_lsn - len(edges) + 1, offset)
 
         def commit() -> None:
             try:
@@ -618,7 +644,7 @@ class Tenant:
             finally:
                 # Released even when the sync failed, as the batch is
                 # journaled: a held admission would stall every later one.
-                self._release(admission, batch, wake)
+                self._release(admission, released, wake)
         return ack, commit
 
     def _release(self, admission: int, batch: tuple, wake: bool) -> None:
@@ -736,15 +762,18 @@ class Tenant:
             if wait > 0:
                 raise RateLimited(wait)
         stamp = self.config.timestamps == "server"
-        slots = self._decode(records, stamp=stamp)
-        edges = [edge for edge in slots if edge is not None]
-        skip = [position for position, edge in enumerate(slots)
-                if edge is None] if len(edges) != len(slots) else ()
         if stamp or body is None or not body.isascii() or b"\x00" in body:
             body = None
+
+        def batch():    # run in the admission hold: it may draw stamps
+            slots = self._decode(records, stamp=stamp)
+            edges = [edge for edge in slots if edge is not None]
+            skip = [position for position, edge in enumerate(slots)
+                    if edge is None] if len(edges) != len(slots) else ()
+            return edges, skip
         ack, commit = self._admit(
-            edges, timeout=timeout, request_id=request_id, skip=skip,
-            body=body, raise_on_sync_failure=True, wake=wake)
+            batch, timeout=timeout, request_id=request_id, body=body,
+            raise_on_sync_failure=True, wake=wake)
         if dlq_replay:
             self.dlq_replayed += ack["accepted"]
         return ack, commit
@@ -753,7 +782,8 @@ class Tenant:
                 stamp: bool = False) -> List[Optional[StreamEdge]]:
         """One slot per record: its edge, or ``None`` where it is not a
         valid one.  ``stamp`` assigns server timestamps (and refuses
-        client ones).  Ingest and WAL replay both decode through this."""
+        client ones), so it decodes in the admission hold only.  Ingest
+        and WAL replay both decode through this."""
         slots: List[Optional[StreamEdge]] = []
         for record in records:
             try:
@@ -792,7 +822,7 @@ class Tenant:
                 if self.queue.closed:
                     return
                 continue
-            with self._apply_lock:
+            with self.safe.locked():
                 entries, _closed = self.queue.get_batch(
                     self.config.batch_size, timeout=0)
                 if entries:
@@ -801,33 +831,32 @@ class Tenant:
     def apply_released(self) -> None:
         """Apply every released entry on the calling thread — the event
         loop, right after it acked a WAL tenant's batch — in chunks of
-        ``batch_size``.  Returns at once when another consumer holds the
-        apply lock: the worker looks at the queue again whenever it lets
-        go, so it takes these entries too."""
-        if self._aborted or not self._apply_lock.acquire(blocking=False):
+        ``batch_size``.  Returns at once when another thread holds the
+        session lock (the worker, a checkpoint, a stats read): the
+        loop never waits on it.  The worker's next poll finds these
+        entries and applies them once the holder lets go."""
+        if self._aborted:
             return
-        try:
-            while True:
+        with self.safe.locked(blocking=False) as session:
+            while session is not None:
                 entries, _closed = self.queue.get_batch(
                     self.config.batch_size, timeout=0)
                 if not entries:
                     return
                 self._apply(entries)
-        finally:
-            self._apply_lock.release()
 
     def _apply(self, entries: List) -> None:
-        """Process one dequeued batch (apply lock held), isolating poison
-        edges."""
+        """Process one dequeued batch (session lock held), isolating
+        poison edges."""
         try:
             self._process(entries)
         except Exception as exc:   # keep the service alive
             self._handle_batch_failure(entries, exc)
 
     def _handle_batch_failure(self, entries: List, exc: Exception) -> None:
-        """Retry a failed batch edge-by-edge, dead-lettering the poison
-        arrivals — one bad edge must not void its whole batch (and must
-        not vanish into a counter)."""
+        """Retry a failed batch edge-by-edge (session lock held),
+        dead-lettering the poison arrivals — one bad edge must not void
+        its whole batch (and must not vanish into a counter)."""
         self.worker_errors += 1
         print(f"[repro.service] tenant {self.config.name!r} worker "
               f"error: {exc!r}; isolating a batch of {len(entries)}",
@@ -839,16 +868,14 @@ class Tenant:
                 self.worker_errors += 1
                 self.dead_letters.record(
                     "poison_edge", edge_to_json(entry.edge), error=poison)
-                with self.safe.locked():
-                    # The replay cursor must move past the poison, or
-                    # recovery would resend it forever.
-                    self.edges_offered += 1
-                    if entry.offset is not None:
-                        path, position = entry.offset
-                        self.source_offsets[path] = position
-                    if entry.lsn is not None \
-                            and entry.lsn > self.wal_applied_lsn:
-                        self.wal_applied_lsn = entry.lsn
+                # The replay cursor must move past the poison, or
+                # recovery would resend it forever.
+                self.edges_offered += 1
+                if entry.offset is not None:
+                    path, position = entry.offset
+                    self.source_offsets[path] = position
+                if entry.lsn is not None and entry.lsn > self.wal_applied_lsn:
+                    self.wal_applied_lsn = entry.lsn
 
     def _process(self, entries: List) -> None:
         with self.safe.locked() as session:
@@ -1009,11 +1036,6 @@ class Tenant:
             except OSError as exc:  # pragma: no cover - disk trouble
                 print(f"[repro.service] tenant {self.config.name!r} WAL "
                       f"close failed: {exc!r}", file=sys.stderr)
-
-    def idle(self) -> bool:
-        """Whether the queue is empty (the worker may still be mid-batch;
-        poll :meth:`status` positions for exactness)."""
-        return self.queue.depth() == 0
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -153,14 +153,12 @@ class FileTailer(threading.Thread):
             if not stripped:
                 self._resume_offset = fh.tell()
                 continue
-            edge = self._parse(stripped, fields)
-            if edge is None:
+            if self.tenant.ingest_edges(   # parsed in the admission hold
+                    lambda: self._parse(stripped, fields),
+                    offset=(self.config.path, fh.tell())):
+                self.edges_enqueued += 1
+            else:
                 self.parse_errors += 1
-                self._resume_offset = fh.tell()
-                continue
-            self.tenant.ingest_edges(
-                [edge], offset=(self.config.path, fh.tell()))
-            self.edges_enqueued += 1
             self._resume_offset = fh.tell()
         return "stopped"
 
@@ -181,40 +179,42 @@ class FileTailer(threading.Thread):
         return None
 
     def _parse(self, line: str,
-               fields: Optional[List[str]]) -> Optional[StreamEdge]:
+               fields: Optional[List[str]]) -> List[StreamEdge]:
+        """The line's edge, or none; run in the tenant's admission hold,
+        where it may draw a server stamp."""
         server_mode = self.tenant.config.timestamps == "server"
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:      # the file held invalid UTF-8
-            return None
+            return []
         if self.config.format == "jsonl":
             try:
                 record = parse_json(line)
                 default = (self.tenant.next_server_timestamp()
                            if server_mode else None)
-                return edge_from_json(record, default_timestamp=default)
+                return [edge_from_json(record, default_timestamp=default)]
             except (ValueError, CodecError, RecursionError):
-                return None
+                return []
         # csv
         if not fields:
-            return None
+            return []
         try:
             values = next(csv.reader([line]))
             if len(values) > len(fields):
-                return None     # a column the header does not name
+                return []       # a column the header does not name
             row = dict(zip(fields, values))
             timestamp = (self.tenant.next_server_timestamp()
                          if server_mode else float(row["timestamp"]))
             if not math.isfinite(timestamp):
-                return None
-            return StreamEdge(
+                return []
+            return [StreamEdge(
                 row["src"], row["dst"],
                 src_label=row["src_label"], dst_label=row["dst_label"],
                 timestamp=timestamp,
                 label=_parse_label(row.get("label") or ""),
-                edge_id=row.get("edge_id") or None)
+                edge_id=row.get("edge_id") or None)]
         except (KeyError, ValueError, StopIteration, csv.Error):
-            return None
+            return []
 
     def status(self) -> dict:
         """A JSON-able snapshot: the path, the format and :attr:`STATS`."""

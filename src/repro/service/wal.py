@@ -58,12 +58,9 @@ can never double-deliver a prefix of it.
 Durability
 ----------
 Appends are buffered; :meth:`WriteAheadLog.sync` drives a group commit —
-the first caller becomes the *leader*, optionally waits a gather window
-(``fsync_interval_ms``) so concurrent appenders can pile on (skipped
-once ``fsync_batch`` frames are pending), then flushes and fsyncs once
-for everyone.  Callers whose frames were covered by a concurrent sync
-return without touching the disk.  ``fsync_interval_ms = 0`` degrades to
-plain sync-per-batch.
+the first caller becomes the *leader* and flushes and fsyncs once for
+every frame appended so far.  Callers whose frames were covered by a
+concurrent sync return without touching the disk.
 
 Recovery
 --------
@@ -90,7 +87,6 @@ import os
 import struct
 import sys
 import threading
-import time
 import zlib
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -362,12 +358,6 @@ class WriteAheadLog:
         recovers it — see the module docstring.
     segment_bytes:
         Rotate to a fresh segment once the active one reaches this size.
-    fsync_interval_ms:
-        Group-commit gather window: the sync leader sleeps this long
-        before fsyncing so concurrent appends share the commit.  ``0``
-        syncs immediately.
-    fsync_batch:
-        Pending-frame threshold that skips the gather window.
     """
 
     #: What :meth:`counters` reports (see :mod:`repro.stats`).
@@ -386,13 +376,10 @@ class WriteAheadLog:
                                             "an interior corruption."),
     }
 
-    def __init__(self, directory: str, *, segment_bytes: int = 4 * 1024 * 1024,
-                 fsync_interval_ms: float = 0.0,
-                 fsync_batch: int = 256) -> None:
+    def __init__(self, directory: str, *,
+                 segment_bytes: int = 4 * 1024 * 1024) -> None:
         self.directory = directory
         self.segment_bytes = max(1024, int(segment_bytes))
-        self.fsync_interval = max(0.0, float(fsync_interval_ms)) / 1000.0
-        self.fsync_batch = max(1, int(fsync_batch))
         os.makedirs(directory, exist_ok=True)
         # _lock guards appends and state and is never held across an
         # fsync; _sync_lock serialises the group-commit leaders and
@@ -608,10 +595,6 @@ class WriteAheadLog:
             target = self._write_seq if ticket is None else ticket
             if self._synced_seq >= target:
                 return
-            pending = self._write_seq - self._synced_seq
-        if self.fsync_interval > 0 and pending < self.fsync_batch:
-            # Gather window: let concurrent appenders join this commit.
-            time.sleep(self.fsync_interval)
         with self._sync_lock:
             with self._lock:
                 if self._synced_seq >= target:

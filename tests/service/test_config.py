@@ -138,6 +138,15 @@ class TestParseConfigValidation:
         with pytest.raises(ConfigError, match=f"unknown .*{key}"):
             parse_config(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("fsync_interval_ms", 2.0), ("fsync_batch", 64)])
+    def test_removed_wal_knobs_are_unknown_keys(self, key, value):
+        """The WAL fsyncs at once, with no gather window to tune."""
+        data = self.base()
+        data["tenant"][0]["wal"] = {"enabled": True, key: value}
+        with pytest.raises(ConfigError, match=f"unknown .*{key}"):
+            parse_config(data)
+
     def test_drop_oldest_refused_when_the_wal_is_a_default(self):
         data = self.base()
         data["defaults"] = {"wal": {"enabled": True}}

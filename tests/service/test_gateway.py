@@ -2,11 +2,14 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
 from repro import Session, StreamEdge
-from repro.service import ServiceGateway, render_metrics
+from repro.service import ServiceGateway, TailConfig, render_metrics
+from repro.service.config import WalConfig
 from repro.service.gateway import MatchHub
 from repro.sinks import match_record
 
@@ -75,6 +78,125 @@ class TestIngestion:
         assert t0["queries"] == ["chain"]
         assert t0["queue"]["enqueued"] == 4
         assert json.dumps(status)          # JSON-able end to end
+
+
+def unstamped(count):
+    """``count`` chain records without timestamps, for a server clock."""
+    rows = chain_records()
+    records = [dict(rows[i % len(rows)]) for i in range(count)]
+    for record in records:
+        del record["timestamp"]
+    return records
+
+
+class TestServerClockIsAdmissionOrder:
+    """A server-clock tenant draws a batch's stamps in the hold that
+    journals (WAL) or enqueues it, so two producers cannot reach the
+    session out of stamp order: with one producer paused between taking
+    its batch and admitting it, no acked edge is shed as
+    non-monotonic."""
+
+    BATCHES, SIZE, PAUSE = 40, 8, 0.002
+
+    def pause_at_admit(self, monkeypatch, tenant, slow):
+        """Pause the threads ``slow`` names 2 ms on entering ``_admit``."""
+        admit = tenant._admit
+
+        def paused(*args, **kwargs):
+            if slow(threading.current_thread()):
+                time.sleep(self.PAUSE)
+            return admit(*args, **kwargs)
+        monkeypatch.setattr(tenant, "_admit", paused)
+
+    @pytest.mark.parametrize("wal", [None, WalConfig()],
+                             ids=["no-wal", "wal"])
+    def test_two_direct_producers(self, tmp_path, monkeypatch, wal):
+        config = chain_config(tmp_path / "state", timestamps="server",
+                              wal=wal)
+        with ServiceGateway(config) as gateway:
+            tenant = gateway.tenant("t0")
+            acked = []
+
+            def produce():
+                for _ in range(self.BATCHES):
+                    acked.append(tenant.ingest_json(
+                        unstamped(self.SIZE))["accepted"])
+            producers = [threading.Thread(target=produce, name=f"p{i}")
+                         for i in range(2)]
+            self.pause_at_admit(monkeypatch, tenant,
+                                lambda thread: thread is producers[0])
+            for producer in producers:
+                producer.start()
+            for producer in producers:
+                producer.join(60)
+            assert sum(acked) == 2 * self.BATCHES * self.SIZE
+            assert gateway.wait_idle(10)
+            assert tenant.rejected_nonmonotonic == 0
+            assert tenant.safe.edges_pushed == sum(acked)
+
+    @pytest.mark.parametrize("wal", [None, WalConfig()],
+                             ids=["no-wal", "wal"])
+    def test_a_tailer_beside_a_direct_producer(self, tmp_path, monkeypatch,
+                                               wal):
+        feed = tmp_path / "feed.jsonl"
+        lines = self.BATCHES * 2
+        feed.write_text("".join(json.dumps(record) + "\n"
+                                for record in unstamped(lines)))
+        tail = TailConfig(path=str(feed), poll_interval=0.01)
+        config = chain_config(tmp_path / "state", timestamps="server",
+                              wal=wal, tails=(tail,))
+        with ServiceGateway(config) as gateway:
+            tenant = gateway.tenant("t0")
+            self.pause_at_admit(monkeypatch, tenant,
+                                lambda thread: thread.name.startswith(
+                                    "repro-tail-"))
+            gateway.start_tailers()
+            (tailer,) = tenant.tailers
+            acked = 0
+            while tailer.lines_read < lines:
+                acked += tenant.ingest_json(unstamped(2))["accepted"]
+                time.sleep(self.PAUSE / 4)   # let the tailer at the hold
+            deadline = time.monotonic() + 10
+            while tailer.edges_enqueued + tailer.parse_errors < lines:
+                assert time.monotonic() < deadline, "tailer stalled"
+                time.sleep(0.01)
+            assert tailer.edges_enqueued == lines
+            assert gateway.wait_idle(10)
+            assert tenant.rejected_nonmonotonic == 0
+            assert tenant.safe.edges_pushed == acked + lines
+
+    def test_a_blocked_put_keeps_to_the_next_producers_timeout(self,
+                                                                tmp_path):
+        """Without a WAL the hold spans the put: a producer waiting for a
+        full queue holds it, and the next one gives up at its own
+        ``timeout`` rather than waiting for the room."""
+        config = chain_config(tmp_path / "state", timestamps="server",
+                              queue_capacity=2)
+        gateway = ServiceGateway(config, start_workers=False)
+        tenant = gateway.tenant("t0")
+        outcome = []
+
+        def blocked():
+            try:
+                tenant.ingest_json(unstamped(3))
+            except Exception as exc:
+                outcome.append(type(exc).__name__)
+        producer = threading.Thread(target=blocked)
+        producer.start()
+        try:
+            deadline = time.monotonic() + 10
+            while tenant.queue.depth() < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                tenant.ingest_json(unstamped(1), timeout=0.2)
+            assert 0.2 <= time.monotonic() - started < 2.0
+            assert producer.is_alive() and not outcome
+        finally:
+            gateway.shutdown(drain_timeout=0.1)
+            producer.join(10)
+        assert outcome == ["QueueClosed"]
 
 
 class TestCheckpointRecovery:

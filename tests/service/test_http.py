@@ -81,18 +81,21 @@ class TestHTTPEndpoints:
         _gateway, port = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(port, "/tenants/nope/ingest", chain_records())
+        excinfo.value.close()       # its response holds the socket
         assert excinfo.value.code == 404
 
     def test_bad_body_400(self, served):
         _gateway, port = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             post(port, "/ingest", b"not json {")
+        excinfo.value.close()       # its response holds the socket
         assert excinfo.value.code == 400
 
     def test_unknown_route_404(self, served):
         _gateway, port = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get(port, "/nothing/here")
+        excinfo.value.close()       # its response holds the socket
         assert excinfo.value.code == 404
 
     def test_metrics_scrape(self, served):
@@ -383,6 +386,63 @@ class TestMatchEncodedOnce:
         tenant.checkpoint()                 # seals the match-log segment
         logged = read_match_log(tmp_path / "state")
         assert sorted(payloads[0]) == [line.encode() for line in logged]
+
+
+class TestLoopNeverWaitsOnTheSessionLock:
+    """The event loop applies a WAL tenant's batch only when the session
+    lock is free.  While a checkpoint (or any other thread) holds it for
+    1 s, the batch is acked, every other client is answered at once, and
+    the worker applies the batch when the hold ends."""
+
+    HOLD = 1.0
+
+    @pytest.mark.parametrize("holder", ["thread", "checkpoint"])
+    def test_a_held_session_lock_stalls_no_client(self, tmp_path, holder):
+        gateway = ServiceGateway(
+            chain_config(tmp_path / "state", wal=WalConfig()))
+        server = ServiceHTTPServer(gateway).start_background()
+        tenant = gateway.tenant("t0")
+        held = threading.Event()
+
+        def hold():
+            if holder == "thread":
+                with tenant.safe.locked():
+                    held.set()
+                    time.sleep(self.HOLD)
+                return
+            rotate = tenant._rotate_checkpoint_chain
+
+            def announced_rotate():     # runs under the session lock
+                held.set()
+                rotate()
+            tenant._rotate_checkpoint_chain = announced_rotate
+            plan = faults.FaultPlan([faults.FaultSpec(
+                site="checkpoint.write", kind="delay", at=1,
+                delay=self.HOLD)])
+            with faults.active(plan):
+                tenant.checkpoint()
+        holding = threading.Thread(target=hold)
+        try:
+            holding.start()
+            assert held.wait(10)
+            status, ack = post(server.port, "/ingest",
+                               {"edges": chain_records()})
+            started = time.monotonic()
+            code, _ = get(server.port, "/healthz")
+            took = time.monotonic() - started
+            assert status == 200 and ack["accepted"] == 4
+            assert code == 200 and took < 0.5
+            assert holding.is_alive()       # measured inside the hold
+            holding.join(10)
+            deadline = time.monotonic() + 10
+            while tenant.edges_offered < 4:     # no further request
+                assert time.monotonic() < deadline, "batch never applied"
+                time.sleep(0.01)
+            assert tenant.matches_delivered == 3
+        finally:
+            holding.join(10)
+            gateway.shutdown()
+            server.stop()
 
 
 class TestDurableBeforeVisible:

@@ -5,7 +5,8 @@ is mostly calls that hand the edge on, so the hot path keeps one frame per
 stage: the route (``RouteIndex.targets``, ``PredicateRouter.buckets``
 probing its one-position buckets inline), the admission and its slide
 (``Admission.admit``, ``WindowBuffer.push``), the expiry hand-off
-(``Session._on_expired``), an engine's ``_insert`` / ``_expire`` hooks
+(``Session._on_expired``, only while the group holds an arrival for
+expiry), an engine's ``_insert`` / ``_expire`` hooks
 (aliases of ``insert_edge`` / ``delete_edge``, not forwarding frames),
 its label match (one generated probe, projection included), its join
 filters (plain loops, no comprehension frame), and no
@@ -16,9 +17,10 @@ call is not one — per measured arrival, on in-test replicas of the three
 shapes the benchmark times, at its ``--quick`` sizes: ``bench_e2e``'s
 ``session_predicates1k``, ``session_exact16`` and ``engine_join``.  Each
 budget is the count that workload's measured arrivals make on CPython
-3.11 (7.14, 12.54 and 13.06; with a frame per helper they made 13.21,
-15.89 and 18.40, and 13.61 and 15.41 with ``matching_edge_ids`` and
-comprehension filters in the engine).  Python 3.12 and later inline
+3.11 (6.12, 12.54 and 13.06; with a frame per helper they made 13.21,
+15.89 and 18.40, 13.61 and 15.41 with ``matching_edge_ids`` and
+comprehension filters in the engine, and 7.14 with a hand-off per slide
+of a group that holds nothing).  Python 3.12 and later inline
 list comprehensions (PEP 709), so there the count is lower and the
 budget an upper bound.
 """
@@ -65,13 +67,14 @@ def calls_per_arrival(feed, edges, warmup, batch):
 def test_prefix_and_wildcard_session():
     """1,024 one-edge prefix/wildcard queries on a 400-unit window, one
     port-labelled edge per time unit: an arrival is the route, the
-    admission, the expiry hand-off and its two ``Match`` objects."""
+    admission and its two ``Match`` objects.  No member stores an edge,
+    so no slide hands an expired prefix down."""
     session = Session(window=400.0)
     for name, query in predicate_queries(1024).items():
         session.register(name, query)
     calls = calls_per_arrival(session.push_many, port_stream(6400),
                               4000, 48)
-    assert calls <= 7.14
+    assert calls <= 6.12
 
 
 def exact_session_inputs(length):

@@ -486,10 +486,11 @@ class TestAdmission:
     def test_expired_edges_reach_the_subscriber_and_groups_free(self):
         seen = []
         admission = Admission(lambda key, old: seen.append((key, old)))
-        admission.enroll(admission.open(("time", 2.0)), Q, "raise")
+        admission.enroll(admission.open(("time", 2.0)), Q, "raise",
+                         stateful=True)
         first = edge("first", 1.0)
-        admission.admit(first)
-        admission.admit(edge("second", 3.5))
+        admission.admit(first, [Q])
+        admission.admit(edge("second", 3.5), [Q])
         assert seen == [(("time", 2.0), [first])]
         admission.advance(10.0)
         assert [[e.edge_id for e in old] for _, old in seen] \
@@ -499,8 +500,25 @@ class TestAdmission:
         with pytest.raises(ValueError, match="must be finite"):
             admission.advance(float("nan"))
         assert admission.clock == 10.0
-        admission.withdraw(("time", 2.0), Q)
+        admission.withdraw(("time", 2.0), Q, stateful=True)
         assert admission.groups == {}
+
+    @pytest.mark.parametrize("stateful, targets", [
+        (False, [Q]), (True, [])], ids=["stateless", "untargeted"])
+    def test_a_group_holding_nothing_hands_nothing_down(self, stateful,
+                                                        targets):
+        """Only a held arrival has an ``_expire`` to run: a slide of a
+        group that holds none (its members store nothing, or no arrival
+        was routed to them) makes no call."""
+        seen = []
+        admission = Admission(lambda key, old: seen.append((key, old)))
+        group = admission.open(("time", 2.0))
+        admission.enroll(group, Q, "raise", stateful=stateful)
+        for i in range(6):
+            admission.admit(edge(f"e{i}", float(i)), targets)
+        admission.advance(100.0)
+        assert len(group.window) == 0 and not group.held
+        assert seen == []
 
 
 def test_a_non_finite_arrival_cannot_stop_the_window():

@@ -118,6 +118,9 @@ class TestMemoWaitsForASecondConsumer:
 
 class TestExpiredPrefixHandedDownOnce:
     def test_once_per_group_and_slide(self):
+        """A slide hands its whole prefix down once per group, oldest
+        first, while the group holds arrivals; every held arrival is in
+        a prefix handed down, and a group holding none is skipped."""
         session = Session(window=1.0)
         session.register("xy", SHAPES["xy"]())
         session.register("wide", SHAPES["twin"](), window=2.5)
@@ -129,24 +132,30 @@ class TestExpiredPrefixHandedDownOnce:
             deliver(key, expired)
 
         session._admission._on_expired = record
+        groups = session._admission.groups
         arrivals = stream(5, 120)
-        dropped = {key: [] for key in session._admission.groups}
+        position = {edge: i for i, edge in enumerate(arrivals)}
+        dropped = {key: [] for key in groups}
+        held = {key: set() for key in groups}
         for edge in arrivals:
             before = len(calls)
             session.push(edge)
             keys = [key for key, _ in calls[before:]]
             assert len(keys) == len(set(keys))      # once per group
+            for key, group in groups.items():
+                if group.held and group.held[-1][0] is edge:
+                    held[key].add(edge)
         assert any(len(expired) > 1 for _, expired in calls)
-        for key, expired in calls:
-            dropped[key].extend(expired)
         session.advance_time(arrivals[-1].timestamp + 10.0)
-        tail = calls[-len(dropped):]
-        assert sorted(key for key, _ in tail) == sorted(dropped)
-        for key, expired in tail:
+        for key, expired in calls:
+            # A whole prefix: consecutive arrivals, oldest first.
+            first = position[expired[0]]
+            assert expired == arrivals[first:first + len(expired)]
             dropped[key].extend(expired)
-            assert len(expired) > 1
         for key, expired in dropped.items():
-            assert expired == arrivals, key     # whole prefixes, oldest first
+            assert expired == sorted(set(expired), key=position.get), key
+            assert held[key] <= set(expired), key
+            assert set(expired) < set(arrivals), key   # some were skipped
         assert session.space_cells() == 0
 
 
