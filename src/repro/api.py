@@ -441,13 +441,14 @@ class Session:
         anything but :class:`~repro.ingest.Candidates` — is matched here:
         its route passed the one label test its stateless plan runs, so
         the session counts the engine's insert and builds the match
-        itself.  Every match is delivered to its query's callback and the
-        sinks as it is found (no delivery call while none listens);
-        ``consume(pairs)`` then receives the ``(name, match)`` pairs of
-        each arrival that completed any.
+        itself, as :class:`~repro.core.matches.Match` documents.  Every
+        match is delivered to its query's callback and the sinks as it is
+        found (no delivery call while none listens); ``consume(pairs)``
+        then receives the ``(name, match)`` pairs of each arrival that
+        completed any.
         """
         admission, index, queries = self._admission, self._index, self._queries
-        admit = admission.admit
+        admit, new_match = admission.admit, Match.__new__
         for edge in edges:
             targets = index.targets(edge)
             live = admit(edge, targets)
@@ -473,19 +474,24 @@ class Session:
                 if live is not None and record.group_key in live:
                     continue    # duplicate: dropped for this whole group
                 self.routed_pushes += 1
-                slot = record.slot
+                name, slot = record.name, record.slot
+                # _deliver only while someone listens, asked per target: a
+                # callback earlier in the arrival may attach a sink.
                 if slot is not None and decided:
-                    # The stateless insert_edge, its test passed.
+                    # The stateless insert_edge, its test passed; the
+                    # match is built with no constructor frame.
                     stats = matcher.stats
                     stats.edges_seen += 1
                     stats.edges_matched += 1
                     stats.matches_emitted += 1
-                    matches = (Match({slot: edge}),)
-                else:
-                    matches = matcher._insert(edge)
-                name = record.name
-                # _deliver only while someone listens, asked per target: a
-                # callback earlier in the arrival may attach a sink.
+                    match = new_match(Match)
+                    match.edge_map = {slot: edge}
+                    match._key = None
+                    results.append((name, match))
+                    if record.callback is not None or self._sinks:
+                        self._deliver(record, match)
+                    continue
+                matches = matcher._insert(edge)
                 if record.callback is None and not self._sinks:
                     for match in matches:
                         results.append((name, match))

@@ -54,6 +54,9 @@ from .tc import tc_subqueries
 
 #: ``since`` of a window that held nothing before its matcher joined it.
 _NEVER = float("-inf")
+#: A match is built as ``_new_match(Match)`` plus its two slots, with no
+#: ``Match.__init__`` frame (see :class:`~repro.core.matches.Match`).
+_new_match = Match.__new__
 
 __all__ = ["EngineConfig", "EngineStats", "TimingMatcher"]
 
@@ -383,7 +386,13 @@ class TimingMatcher(MatcherBase):
     def _as_matches(self, edges: List[StreamEdge]) -> List[Match]:
         """Stateless plan: answer edges as matches of the one query edge."""
         slot = self.all_slots[0]
-        return [Match({slot: edge}) for edge in edges]
+        matches = []
+        for edge in edges:
+            match = _new_match(Match)
+            match.edge_map = {slot: edge}
+            match._key = None
+            matches.append(match)
+        return matches
 
     def _is_answer(self, edge: StreamEdge) -> bool:
         """Stateless plan: whether in-window ``edge`` is a current match.
@@ -462,7 +471,10 @@ class TimingMatcher(MatcherBase):
                 return []
             stats.edges_matched += 1
             stats.matches_emitted += 1
-            return [Match({slot: edge})]
+            match = _new_match(Match)
+            match.edge_map = {slot: edge}
+            match._key = None
+            return [match]
         matched = self._match(edge)
         if not matched:
             return []
@@ -669,7 +681,10 @@ class TimingMatcher(MatcherBase):
         return created
 
     def _to_match(self, flat: Tuple[StreamEdge, ...]) -> Match:
-        return Match(dict(zip(self.all_slots, flat)))
+        match = _new_match(Match)
+        match.edge_map = dict(zip(self.all_slots, flat))
+        match._key = None
+        return match
 
     def is_discardable(self, edge: StreamEdge) -> bool:
         """Lemma 1's discardability test, as a side-effect-free probe.

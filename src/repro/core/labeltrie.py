@@ -22,7 +22,10 @@ same guarantee for *predicate* labels (``Prefix``/``ANY``):
   must hit, and the loop flag must agree).  Flat in Q.
   :meth:`PredicateRouter.buckets` is the one probe: ``match`` unions
   what it finds, and a session's route index resolves a lone hit bucket
-  to a prebuilt target list by its key.
+  to a prebuilt target list by its key.  It walks only the *live*
+  positions of the arrival's loop flag — those holding a one-position
+  token — which ``add``/``remove`` re-derive only when a position
+  empties or fills.
 """
 
 from __future__ import annotations
@@ -168,11 +171,17 @@ class PredicateRouter:
     exactly as the exact-triple dict probe already does.
     """
 
-    __slots__ = ("_single", "_multi", "_multi_size", "_entries", "_always")
+    __slots__ = ("_single", "_live", "_multi", "_multi_size", "_entries",
+                 "_always")
 
     def __init__(self) -> None:
         # Tokens constraining one position, by loop flag: a hit is a match.
         self._single = {False: _positions(), True: _positions()}
+        # Per loop flag, the one-position slots holding a token, as
+        # ``(position, value dict, LabelTrie)``: all ``buckets`` walks.
+        # Rebuilt only when a position empties or fills (_relive).
+        self._live: Dict[bool, Tuple[Tuple[int, dict, LabelTrie], ...]] = {
+            False: (), True: ()}
         # Tokens constraining two or three positions: hits are counted.
         self._multi = _positions()
         self._multi_size = 0
@@ -205,15 +214,20 @@ class PredicateRouter:
             return ALWAYS
         if required == 1:
             exact, tries = self._single[is_loop]
+            position = placed[0][0]
+            filled = not (exact[position] or tries[position]._buckets)
         else:
             exact, tries = self._multi
             self._multi_size += 1
+            filled = False
         for position, kind, value in placed:
             if kind == "eq":
                 exact[position].setdefault(value, set()).add(token)
             else:
                 tries[position].insert(value, token)
         self._entries[token] = (placed, is_loop, required)
+        if filled:
+            self._relive(is_loop)
         return placed[0] if required == 1 else None
 
     def remove(self, token: Token) -> None:
@@ -236,6 +250,19 @@ class PredicateRouter:
                     del values[value]
             else:
                 tries[position].remove(value, token)
+        if required == 1:
+            position = placed[0][0]
+            if not (exact[position] or tries[position]._buckets):
+                self._relive(is_loop)
+
+    def _relive(self, is_loop: bool) -> None:
+        """Rebuild ``is_loop``'s live slots: the one-position positions
+        whose value dict or trie holds a token."""
+        exact, tries = self._single[is_loop]
+        self._live[is_loop] = tuple(
+            (position, exact[position], tries[position])
+            for position in range(3)
+            if exact[position] or tries[position]._buckets)
 
     def buckets(self, src_label: Hashable, edge_label: Hashable,
                 dst_label: Hashable, is_loop: bool) -> List[Hit]:
@@ -250,15 +277,15 @@ class PredicateRouter:
         """
         found: List[Hit] = []
         # The one-position buckets are probed in this frame, as
-        # ``LabelTrie.buckets`` would: every arrival pays for them.
-        exact, tries = self._single[is_loop]
-        for position, value in enumerate((src_label, edge_label, dst_label)):
-            values = exact[position]
+        # ``LabelTrie.buckets`` would: every arrival pays for them, but
+        # only at the positions that hold a token.
+        labels = (src_label, edge_label, dst_label)
+        for position, values, trie in self._live[is_loop]:
+            value = labels[position]
             if values:
                 tokens = values.get(value)
                 if tokens:
                     found.append(((position, "eq", value), tokens))
-            trie = tries[position]
             buckets = trie._buckets
             if buckets:
                 # prefix_text, inline for a label of exact type str or
@@ -280,7 +307,7 @@ class PredicateRouter:
                                 found.append(
                                     ((position, "pre", pattern), tokens))
         if self._multi_size:
-            _probe(self._multi, (src_label, edge_label, dst_label), found)
+            _probe(self._multi, labels, found)
         return found
 
     def always(self, is_loop: bool) -> Set[Token]:

@@ -96,6 +96,12 @@ class Match:
     Equality and hashing are structural (on the assignment), so result sets
     can be compared across engines — the comparative benchmarks rely on this
     to assert every baseline reports the *same* matches as Timing.
+
+    ``Match(edge_map)`` is the public constructor.  The hot paths that
+    build a match per arrival (a session's decided members, the engine's
+    builders) skip its frame and its dict copy: ``Match.__new__(Match)``,
+    then ``edge_map`` set to a dict of their own and ``_key`` to
+    ``None`` — the same object ``__init__`` would make.
     """
 
     __slots__ = ("edge_map", "_key")

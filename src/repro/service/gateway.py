@@ -23,7 +23,9 @@ without a WAL.  A WAL tenant's HTTP and WebSocket batches stay on the
 event loop instead (:meth:`Tenant.admit_json`): the loop decodes and
 journals the batch, awaits only its group-commit fsync in an executor,
 sends the ack, then applies what that released
-(:meth:`Tenant.apply_released`) without waking the worker.
+(:meth:`Tenant.apply_released`) without waking the worker — unless
+another thread holds the session lock, when the worker is woken to apply
+the batch the moment it is free.
 
 Each order a tenant keeps has one lock.  The session lock is the apply
 lock: batches are dequeued and applied under it, in queue order, and a
@@ -833,11 +835,14 @@ class Tenant:
         loop, right after it acked a WAL tenant's batch — in chunks of
         ``batch_size``.  Returns at once when another thread holds the
         session lock (the worker, a checkpoint, a stats read): the
-        loop never waits on it.  The worker's next poll finds these
-        entries and applies them once the holder lets go."""
+        loop never waits on it.  It then wakes the worker, which applies
+        these entries as soon as the holder lets go, not at its next
+        poll."""
         if self._aborted:
             return
         with self.safe.locked(blocking=False) as session:
+            if session is None:
+                self.queue.wake()
             while session is not None:
                 entries, _closed = self.queue.get_batch(
                     self.config.batch_size, timeout=0)

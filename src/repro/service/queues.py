@@ -222,6 +222,14 @@ class BoundedEdgeQueue:
             self._not_full.notify_all()
             return batch, False
 
+    def wake(self) -> None:
+        """Wake the consumer if an entry is queued: for a producer that
+        enqueued with ``wake=False`` and then could not consume the
+        batch itself."""
+        with self._lock:
+            if self._entries:
+                self._not_empty.notify()
+
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until an entry is queued or the queue closes, at most
         ``timeout`` seconds; returns whether an entry is queued.  A

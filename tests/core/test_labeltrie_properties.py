@@ -181,6 +181,70 @@ MIXED_ARRIVALS = [
 ]
 
 
+#: Position 0 held by one ``eq`` token and position 2 by one prefix
+#: token (loop flag False), position 1 by two tokens of each flag:
+#: removing either lone token empties its position while 1 stays held.
+EMPTIED_ENTRIES = [
+    (("eq", "a"), ("any",), ("any",), False),
+    (("any",), ("pre", "4"), ("any",), False),
+    (("any",), ("eq", 44), ("any",), True),
+    (("any",), ("any",), ("pre", "a"), False),
+    (("any",), ("pre", "44"), ("any",), False),
+    (("any",), ("pre", "4"), ("any",), True),
+    (("eq", "a"), ("pre", "4"), ("any",), False),
+]
+
+
+def held_positions(registered, is_loop):
+    """The positions a one-position token of ``is_loop`` constrains."""
+    return sorted({position for atoms, loop, required in registered.values()
+                   if required == 1 and loop == is_loop
+                   for position, a in enumerate(atoms) if a[0] != "any"})
+
+
+def brute_force_buckets(registered, labels, is_loop):
+    """What ``buckets`` must report, walking all three positions of every
+    token: the keyed one-position buckets of ``is_loop`` as ``{key:
+    tokens}``, and how many constrained positions each two- or
+    three-position token (either flag) hits."""
+    keyed, counted = defaultdict(set), Counter()
+    for token, (atoms, loop, required) in registered.items():
+        for position, a in enumerate(atoms):
+            if a[0] == "any" or not atom_accepts(a, labels[position]):
+                continue
+            if required > 1:
+                counted[token] += 1
+            elif loop == is_loop:
+                value = labels[position] if a[0] == "eq" else a[1]
+                keyed[(position, a[0], value)].add(token)
+    return dict(keyed), counted
+
+
+def assert_walk_is_brute_force(router, registered, probe_list):
+    """``router``'s live slots name exactly the held positions, with the
+    router's own per-position structures, and every probe's ``buckets``
+    and ``match`` equal the brute force."""
+    for is_loop in (False, True):
+        exact, tries = router._single[is_loop]
+        slots = router._live[is_loop]
+        assert [slot[0] for slot in slots] == \
+            held_positions(registered, is_loop)
+        for position, values, trie in slots:
+            assert values is exact[position] and trie is tries[position]
+    for src, edge, dst, is_loop in probe_list:
+        keyed, counted = {}, Counter()
+        for key, tokens in router.buckets(src, edge, dst, is_loop):
+            if key is None:
+                counted.update(tokens)
+            else:
+                assert key not in keyed
+                keyed[key] = set(tokens)
+        assert (keyed, counted) == \
+            brute_force_buckets(registered, (src, edge, dst), is_loop)
+        assert router.match(src, edge, dst, is_loop) == \
+            brute_force_match(registered, src, edge, dst, is_loop)
+
+
 class TestPredicateRouterProperties:
     @given(entries, arrivals)
     @example(entry_list=MIXED_ENTRIES, probe_list=MIXED_ARRIVALS)
@@ -210,6 +274,43 @@ class TestPredicateRouterProperties:
         # Full removal drops every stored pattern (three roots remain).
         assert router.node_count() == 3
         assert len(router) == 0
+
+    @given(entries, arrivals, st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    @example(entry_list=EMPTIED_ENTRIES, probe_list=MIXED_ARRIVALS, seed=3)
+    def test_live_positions_follow_churn(self, entry_list, probe_list,
+                                         seed):
+        """Remove every token, then add each back, in random orders, so
+        positions empty and fill again; a pickled clone taken midway
+        gets the same steps.  After every step each router walks exactly
+        the positions that hold a one-position token of a loop flag, and
+        its ``buckets`` and ``match`` are the brute-force walk's over
+        all three positions."""
+        rng = random.Random(seed)
+        router, registered = router_mirror(entry_list)
+        full = dict(registered)
+        steps = [("remove", token) for token in rng.sample(
+            sorted(full), len(full))]
+        steps += [("add", token) for token in rng.sample(
+            sorted(full), len(full))]
+        clone_at = rng.randrange(len(steps) + 1)
+        routers = [router]
+        for index, (op, token) in enumerate([("none", None)] + steps):
+            if index == clone_at:
+                routers.append(pickle.loads(pickle.dumps(router)))
+            if op == "remove":
+                del registered[token]
+            elif op == "add":
+                registered[token] = full[token]
+            for target in routers:
+                if op == "remove":
+                    target.remove(token)
+                elif op == "add":
+                    atoms, loop, _ = full[token]
+                    target.add(token, atoms, loop)
+            for target in routers:
+                assert_walk_is_brute_force(target, registered, probe_list)
+        assert len(routers) == 2
 
     def test_duplicate_token_rejected(self):
         router = PredicateRouter()

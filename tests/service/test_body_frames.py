@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -376,7 +377,7 @@ def test_spliced_frame_is_the_request_verbatim(tmp_path):
     front_door(tenant, dirty)
     tenant.abort()
     segment = os.path.join(str(tmp_path), "t0", "wal", "wal-00000001.log")
-    raw = open(segment, "rb").read()
+    raw = Path(segment).read_bytes()
     assert b'{"n":2,"rid":"r","body":' + clean + b"}" in raw
     assert b'{"n":2,"invalid":1,"skip":[1],"body":' + dirty + b"}" in raw
     scan = scan_segment(segment)

@@ -445,6 +445,52 @@ class TestLoopNeverWaitsOnTheSessionLock:
             server.stop()
 
 
+class TestAHeldLockWakesTheWorker:
+    """When the loop's try of the session lock fails, the acked batch is
+    applied as soon as the holder lets go — the worker is woken, so the
+    batch does not wait out the worker's 0.1 s poll.  Each edge is
+    POSTed while a thread holds the lock, which it keeps 5 ms past the
+    ack."""
+
+    HOLD = 0.005
+    POSTS = 6
+
+    def test_ack_to_applied_follows_the_release(self, tmp_path):
+        gateway = ServiceGateway(
+            chain_config(tmp_path / "state", wal=WalConfig()))
+        server = ServiceHTTPServer(gateway).start_background()
+        tenant = gateway.tenant("t0")
+        lags = []
+        try:
+            for i in range(self.POSTS):
+                held, acked = threading.Event(), threading.Event()
+
+                def hold():
+                    with tenant.safe.locked():
+                        held.set()
+                        acked.wait(10)
+                        time.sleep(self.HOLD)
+                holding = threading.Thread(target=hold)
+                holding.start()
+                assert held.wait(10)
+                status, ack = post(server.port, "/ingest", {
+                    "src": f"a{i}", "dst": f"b{i}", "timestamp": i + 1.0,
+                    "src_label": "A", "dst_label": "B"})
+                started = time.monotonic()
+                acked.set()
+                assert status == 200 and ack["accepted"] == 1
+                while tenant.edges_offered < i + 1:
+                    assert time.monotonic() - started < 10, "never applied"
+                    time.sleep(0.0005)
+                lags.append(time.monotonic() - started)
+                holding.join(10)
+            lags.sort()
+            assert lags[len(lags) // 2] < 0.020, lags
+        finally:
+            gateway.shutdown()
+            server.stop()
+
+
 class TestDurableBeforeVisible:
     """A WAL tenant's match reaches the log and the subscribers only
     after the fsync that made its edges durable: with that fsync held for

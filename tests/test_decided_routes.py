@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro import ANY, Prefix, QueryGraph, Session, StreamEdge
 from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.core.engine import TimingMatcher
+from repro.core.matches import Match
 from repro.ingest import Candidates
 
 WINDOW = 3.0
@@ -200,3 +201,77 @@ class TestCounts:
         assert decided.stats() == engines.stats()
         assert decided.session_stats() == engines.session_stats()
         assert decided.session_stats()["routed_pushes"] > len(rows)
+
+
+def assert_constructed(built, edge_map):
+    """``built`` is the object ``Match(edge_map)`` makes: equal, hashing
+    alike, the same ``repr`` and ``edge_map`` (a dict of its own), and no
+    identity key until one is asked for."""
+    expected = Match(edge_map)
+    assert type(built) is Match and built._key is None
+    assert type(built.edge_map) is dict and built.edge_map == edge_map
+    assert built.edge_map is not edge_map
+    assert repr(built) == repr(expected)
+    assert built == expected and hash(built) == hash(expected)
+
+
+class TestDecidedMatchesAreConstructed:
+    """A decided member's match and the engine's are built without
+    ``Match.__init__``; each is still the match it would construct."""
+
+    ROWS = [(0, 1, 1), (0, 1, "10"), (0, 0, "1"), (0, 1, "ab")]
+
+    @pytest.mark.parametrize("listener", [None, "callback", "sink"])
+    def test_session_matches(self, listener):
+        heard = []
+        session = Session(window=WINDOW)
+        for i, spec in enumerate(DECIDED):
+            session.register(
+                f"m{i}", one_edge(*spec), callback=(
+                    (lambda n, m: heard.append((n, m)))
+                    if listener == "callback" else None))
+        if listener == "sink":
+            session.add_sink(lambda n, m: heard.append((n, m)))
+        delivered = []
+        for i, row in enumerate(self.ROWS):
+            edge = arrival(i, *row)
+            pairs = session.push(edge)
+            assert pairs
+            for name, match in pairs:
+                assert_constructed(match, {"e": edge})
+            delivered += pairs
+        assert len({id(match) for _, match in delivered}) == len(delivered)
+        if listener is not None:
+            assert [(n, id(m)) for n, m in heard] == \
+                [(n, id(m)) for n, m in delivered]
+
+    def test_standalone_engine_matches(self):
+        engine = TimingMatcher(one_edge("A", Prefix("1"), ANY, False),
+                               WINDOW)
+        pushed = []
+        for i, row in enumerate(self.ROWS):
+            edge = arrival(i, *row)
+            for match in engine.push(edge):
+                assert_constructed(match, {"e": edge})
+                pushed.append(match)
+        assert len(pushed) == 2
+        current = engine.current_matches()
+        for match in current:
+            assert_constructed(match, dict(match.edge_map))
+        assert current == pushed
+
+    def test_joined_engine_matches(self):
+        """A two-edge engine builds each match from a stored tuple."""
+        query = QueryGraph()
+        for vertex, label in (("a", "A"), ("b", "B"), ("c", "C")):
+            query.add_vertex(vertex, label)
+        query.add_edge("e1", "a", "b")
+        query.add_edge("e2", "b", "c")
+        engine = TimingMatcher(query, WINDOW)
+        first = arrival(0, 0, 1, "x")
+        second = arrival(1, 1, 2, "y")
+        assert engine.push(first) == []
+        (match,) = engine.push(second)
+        assert_constructed(match, {"e1": first, "e2": second})
+        (current,) = engine.current_matches()
+        assert_constructed(current, {"e1": first, "e2": second})

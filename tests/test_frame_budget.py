@@ -3,26 +3,34 @@
 Once routing is decided per bucket, what an arrival costs at this scale
 is mostly calls that hand the edge on, so the hot path keeps one frame per
 stage: the route (``RouteIndex.targets``, ``PredicateRouter.buckets``
-probing its one-position buckets inline), the admission and its slide
-(``Admission.admit``, ``WindowBuffer.push``), the expiry hand-off
-(``Session._on_expired``, only while the group holds an arrival for
-expiry), an engine's ``_insert`` / ``_expire`` hooks
-(aliases of ``insert_edge`` / ``delete_edge``, not forwarding frames),
-its label match (one generated probe, projection included), its join
-filters (plain loops, no comprehension frame), and no
-``Session._deliver`` call for a match nobody listens to.
+probing inline only the label positions that hold a one-position
+token), the admission and its slide (``Admission.admit``,
+``WindowBuffer.push``), the expiry hand-off (``Session._on_expired``,
+only while the group holds an arrival for expiry), an engine's
+``_insert`` / ``_expire`` hooks (aliases of ``insert_edge`` /
+``delete_edge``, not forwarding frames), its label match (one generated
+probe, projection included), its join filters (plain loops, no
+comprehension frame), and no ``Session._deliver`` call for a match
+nobody listens to.  A match makes no frame of its own: a decided member's
+and the engine's are built as ``Match.__new__`` plus their two slots,
+never through ``Match.__init__``.  So a decided arrival on
+``session_predicates1k`` is four frames: ``targets``, ``buckets``,
+``admit`` and ``push``.
 
 The count is ``sys.setprofile``'s ``call`` events — Python frames; a C
-call is not one — per measured arrival, on in-test replicas of the three
-shapes the benchmark times, at its ``--quick`` sizes: ``bench_e2e``'s
-``session_predicates1k``, ``session_exact16`` and ``engine_join``.  Each
-budget is the count that workload's measured arrivals make on CPython
-3.11 (6.12, 12.54 and 13.06; with a frame per helper they made 13.21,
-15.89 and 18.40, 13.61 and 15.41 with ``matching_edge_ids`` and
-comprehension filters in the engine, and 7.14 with a hand-off per slide
-of a group that holds nothing).  Python 3.12 and later inline
-list comprehensions (PEP 709), so there the count is lower and the
-budget an upper bound.
+call is not one — per measured arrival, on in-test replicas of the four
+in-process shapes the benchmark times, at its ``--quick`` sizes:
+``bench_e2e``'s ``session_predicates1k``, ``session_churn1k``,
+``session_exact16`` and ``engine_join``.  Each budget is the count that
+workload's measured arrivals make on CPython 3.11 (4.05, 19.63, 12.54
+and 13.06; with a frame per helper the first, third and fourth made
+13.21, 15.89 and 18.40, 13.61 and 15.41 with ``matching_edge_ids`` and
+comprehension filters in the engine, the first 7.14 with a hand-off per
+slide of a group that holds nothing, and the first two 6.12 and 21.71
+with a ``Match.__init__`` frame per match).  Python 3.12 and later
+inline list comprehensions (PEP 709), so there the count is lower and
+the budget an upper bound.  ``tests/test_served_frame_budget.py`` pins
+the served path the same way.
 """
 
 import random
@@ -66,15 +74,41 @@ def calls_per_arrival(feed, edges, warmup, batch):
 
 def test_prefix_and_wildcard_session():
     """1,024 one-edge prefix/wildcard queries on a 400-unit window, one
-    port-labelled edge per time unit: an arrival is the route, the
-    admission and its two ``Match`` objects.  No member stores an edge,
-    so no slide hands an expired prefix down."""
+    port-labelled edge per time unit: an arrival is the route and the
+    admission; its two ``Match`` objects (the wildcards') make no frame.
+    No member stores an edge, so no slide hands an expired prefix
+    down."""
     session = Session(window=400.0)
     for name, query in predicate_queries(1024).items():
         session.register(name, query)
     calls = calls_per_arrival(session.push_many, port_stream(6400),
                               4000, 48)
-    assert calls <= 6.12
+    assert calls <= 4.05
+
+
+def test_churned_prefix_session():
+    """``session_churn1k``'s shape: the same session and stream, 24 edges
+    a batch, with 12 cold queries deregistered and registered again
+    before each measured batch.  The churn's frames count per arrival
+    too; a pair that empties no label position and fills none leaves
+    the router's live positions as they are."""
+    queries = predicate_queries(1024)
+    session = Session(window=400.0)
+    for name, query in queries.items():
+        session.register(name, query)
+    batches = iter(range(-1, 10**6))     # -1: the untraced warm-up
+
+    def feed(batch):
+        index = next(batches)
+        if index >= 0:
+            for i in range(12):
+                name = f"cold{(index * 12 + i) % 1014:05d}"
+                session.deregister(name)
+                session.register(name, queries[name])
+        session.push_many(batch)
+
+    calls = calls_per_arrival(feed, port_stream(5200), 4000, 24)
+    assert calls <= 19.63
 
 
 def exact_session_inputs(length):

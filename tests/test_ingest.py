@@ -273,8 +273,8 @@ class TestResolvedLists:
 def structures(index):
     """Every structure a route entry edits, copied down to its sets: the
     exact dict, the always list and entry records, the router's entries,
-    buckets (values and prefix patterns), pattern lengths and always
-    sets, the resolved lists (the list objects themselves, by key) and
+    buckets (values and prefix patterns), pattern lengths, live
+    positions and always sets, the resolved lists (the list objects themselves, by key) and
     the exact-only flag."""
     router = index.router
 
@@ -293,6 +293,8 @@ def structures(index):
         "router.entries": dict(router._entries),
         "router.single": {flag: positions(router._single[flag])
                           for flag in (False, True)},
+        "router.live": {flag: [slot[0] for slot in router._live[flag]]
+                        for flag in (False, True)},
         "router.multi": positions(router._multi),
         "router.multi_size": router._multi_size,
         "router.always": {flag: set(router._always[flag])
