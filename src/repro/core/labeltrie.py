@@ -20,12 +20,13 @@ same guarantee for *predicate* labels (``Prefix``/``ANY``):
   into the result when its bucket is hit; only tokens constraining two
   or three positions are counted per arrival (every constrained position
   must hit, and the loop flag must agree).  Flat in Q.
-  :meth:`PredicateRouter.buckets` is the one probe: ``match`` unions
-  what it finds, and a session's route index resolves a lone hit bucket
-  to a prebuilt target list by its key.  It walks only the *live*
-  positions of the arrival's loop flag — those holding a one-position
-  token — which ``add``/``remove`` re-derive only when a position
-  empties or fills.
+  :meth:`PredicateRouter.buckets` is the one probe: ``resolve`` turns
+  what it finds into the matched tokens (``match`` is the two in turn),
+  and a session's route index resolves a lone hit bucket to a prebuilt
+  target list by its key and any other hits through ``resolve``.  It
+  walks only the *live* positions of the arrival's loop flag — those
+  holding a one-position token — which ``add``/``remove`` re-derive
+  only when a position empties or fills.
 """
 
 from __future__ import annotations
@@ -318,23 +319,34 @@ class PredicateRouter:
     def match(self, src_label: Hashable, edge_label: Hashable,
               dst_label: Hashable, is_loop: bool) -> Set[Token]:
         """Tokens whose every constrained position accepts the triple."""
-        hits = set(self._always[is_loop])
-        if len(hits) == len(self._entries):     # no constrained entries
-            return hits
+        always = self._always[is_loop]
+        if len(always) == len(self._entries):   # no constrained entries
+            return set(always)
+        return self.resolve(
+            self.buckets(src_label, edge_label, dst_label, is_loop),
+            is_loop)
+
+    def resolve(self, hits: List[Hit], is_loop: bool) -> Set[Token]:
+        """The tokens an arrival with loop flag ``is_loop`` matches, from
+        the ``hits`` :meth:`buckets` gave it: every always-token of the
+        flag and keyed hit, and each counted token hit at all of its
+        constrained positions and filed under the same flag.  A fresh
+        set."""
+        found = set(self._always[is_loop])
         counts: Dict[Token, int] = {}
-        for key, tokens in self.buckets(src_label, edge_label, dst_label,
-                                        is_loop):
+        for key, tokens in hits:
             if key is not None:
-                hits.update(tokens)
+                found.update(tokens)
             else:
                 for token in tokens:
                     counts[token] = counts.get(token, 0) + 1
         if counts:
             entries = self._entries
-            hits.update(token for token, count in counts.items()
-                        if count == entries[token][2]
-                        and entries[token][1] == is_loop)
-        return hits
+            for token, count in counts.items():
+                _, flag, required = entries[token]
+                if count == required and flag == is_loop:
+                    found.add(token)
+        return found
 
     def node_count(self) -> int:
         """One root per label position plus every stored prefix pattern

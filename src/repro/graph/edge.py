@@ -35,6 +35,15 @@ class StreamEdge:
     edge_id:
         Optional explicit identifier.  Defaults to ``(src, dst, timestamp)``
         which is unique within a stream because timestamps are unique.
+
+    An edge built with ``edge_id=None`` is *stamped*: its id names its
+    own timestamp, so it can share no id with an earlier arrival that is
+    stamped too, and a window of stamped edges needs no id index (see
+    :class:`~repro.graph.window.WindowBuffer`).  An explicit id may
+    collide; such an edge is an instance of a private slot-less
+    subclass, so ``type(edge) is StreamEdge`` is the O(1) stamp test and
+    costs no memory.  Equality, hashing and ``repr`` ignore the
+    difference.
     """
 
     __slots__ = ("src", "dst", "src_label", "dst_label", "timestamp", "label",
@@ -57,8 +66,12 @@ class StreamEdge:
         self.dst_label = dst_label
         self.timestamp = timestamp
         self.label = label
-        self.edge_id = edge_id if edge_id is not None else (src, dst, timestamp)
-        self._hash = hash(self.edge_id)
+        if edge_id is None:
+            edge_id = (src, dst, timestamp)
+        elif type(self) is StreamEdge:
+            self.__class__ = _NamedEdge
+        self.edge_id = edge_id
+        self._hash = hash(edge_id)
 
     # StreamEdge identity is its edge_id: two objects describing the same
     # arrival compare equal, which lets matches be compared structurally.
@@ -83,3 +96,10 @@ class StreamEdge:
     def touches(self, vertex: Hashable) -> bool:
         """Whether ``vertex`` is an endpoint of this edge."""
         return vertex == self.src or vertex == self.dst
+
+
+class _NamedEdge(StreamEdge):
+    """A :class:`StreamEdge` whose id was given, not stamped: the tag an
+    id index looks for (same slots, so the same size)."""
+
+    __slots__ = ()

@@ -6,7 +6,8 @@ the *same* arrivals: fanning each edge out to per-matcher
 memory and ``Q`` identical expiry cascades per arrival.  This module
 de-duplicates that: a :class:`SharedSlidingWindow` — the same
 :class:`~repro.graph.window.WindowBuffer` a standalone engine slides, with
-its id → timestamp index for O(1) duplicate probes — is the one buffer of
+its id → timestamp index for O(1) duplicate probes, built once an
+explicit id makes a duplicate possible — is the one buffer of
 a window group.  ``push``/``advance`` return the edges the slide dropped
 for the session to deliver, and each matcher keeps only a read-only
 :class:`SharedWindowView` onto the shared buffer — cutting window memory
@@ -65,10 +66,12 @@ class SharedSlidingWindow(WindowBuffer):
 
     Built from a fresh, empty built-in policy (time- or count-based),
     whose bound it adopts; everything else — the slide, the clock, the
-    :attr:`~repro.graph.window.WindowBuffer.bearers` index — is the
-    :class:`~repro.graph.window.WindowBuffer` every window is.
-    Duplicate-id *policy* is the session's business:
-    :meth:`repro.ingest.Admission.admit` probes the bearer index and drops
+    :attr:`~repro.graph.window.WindowBuffer.bearers` index and when it is
+    built — is the :class:`~repro.graph.window.WindowBuffer` every window
+    is.  Duplicate-id *policy* is the session's business:
+    :meth:`repro.ingest.Admission.admit` probes the bearer index (none
+    for a stamped arrival while the buffer holds no index: the stream
+    clock has already refused any arrival that is not past it) and drops
     an in-window duplicate for the whole group before it is buffered — a
     query registered mid-stream *inherits* the stream's duplicate view
     rather than ingesting a re-used id whose original bearer it never saw.
@@ -130,8 +133,18 @@ class SharedWindowView:
 
     @property
     def bearers(self) -> dict:
-        """The shared buffer's ``edge_id → timestamp`` index."""
+        """The shared buffer's ``edge_id → timestamp`` index (built on
+        this read if the buffer holds none yet)."""
         return self._shared.bearers
+
+    # The two slots ``MatcherBase.push`` peeks to skip its probe.
+    @property
+    def _bearers(self) -> Optional[dict]:
+        return self._shared._bearers
+
+    @property
+    def _current_time(self) -> float:
+        return self._shared._current_time
 
     def bearer_live_at(self, edge_id: Hashable, timestamp: float) -> bool:
         """The shared buffer's duplicate verdict for ``edge_id``."""

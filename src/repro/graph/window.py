@@ -5,8 +5,9 @@ duration ``|W|``: at current time ``t`` the window spans ``(t - |W|, t]``.
 Edges whose timestamp falls out of this span have *expired*.
 
 :class:`WindowBuffer` is the one implementation of a window: the in-window
-edges in arrival (i.e. timestamp) order, the clock, and an ``edge_id →
-timestamp`` index of the live bearers.  It slides by time (a
+edges in arrival (i.e. timestamp) order, the clock, and — once an id
+could collide — an ``edge_id → timestamp`` index of the live bearers.
+It slides by time (a
 :class:`SlidingWindow`) or by count (a
 :class:`~repro.graph.count_window.CountSlidingWindow`), and returns the
 edges a slide drops to whoever drove it.  A standalone engine owns one, and
@@ -82,10 +83,22 @@ class WindowBuffer:
     directly it admits coexisting same-id bearers, and the index keeps
     the latest one's timestamp, deleting it only when *that* bearer
     expires.
+
+    The index is built only once a duplicate is possible.  A *stamped*
+    edge's id (see :class:`~repro.graph.edge.StreamEdge`) names its own
+    timestamp, and timestamps strictly increase (Definition 1), so while
+    every buffered edge is stamped no stamped arrival past the clock can
+    find a bearer, and the window keeps no index (``_bearers`` is
+    ``None``).  The first explicit-id arrival, or the first read of
+    :attr:`bearers`, :meth:`bearer_live_at` or :meth:`bearer_timestamp`,
+    builds it from the buffer; from then on it is kept as each slide
+    goes.  A caller that judges duplicates may skip its probe for a
+    stamped arrival past the clock of a window whose ``_bearers`` is
+    ``None``, and must read :attr:`bearers` otherwise.
     """
 
     __slots__ = ("duration", "capacity", "_edges", "_current_time",
-                 "bearers")
+                 "_bearers")
 
     def __init__(self, duration: Optional[float],
                  capacity: Optional[int]) -> None:
@@ -93,14 +106,28 @@ class WindowBuffer:
         self.capacity = capacity
         self._edges: Deque[StreamEdge] = deque()
         self._current_time: float = float("-inf")
-        #: ``edge_id → timestamp`` of each id's latest live bearer; read
-        #: it, never write it.
-        self.bearers: Dict[Hashable, float] = {}
+        #: The id index, or ``None`` while none has been needed.
+        self._bearers: Optional[Dict[Hashable, float]] = None
 
     @property
     def current_time(self) -> float:
         """Timestamp of the latest push or advance (``-inf`` before any)."""
         return self._current_time
+
+    @property
+    def bearers(self) -> Dict[Hashable, float]:
+        """``edge_id → timestamp`` of each id's latest live bearer, built
+        from the buffer on the first read; read it, never write it."""
+        bearers = self._bearers
+        if bearers is None:
+            bearers = self._index()
+        return bearers
+
+    def _index(self) -> Dict[Hashable, float]:
+        # Oldest first, so each id keeps its latest bearer's timestamp.
+        self._bearers = bearers = {
+            edge.edge_id: edge.timestamp for edge in self._edges}
+        return bearers
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -143,7 +170,6 @@ class WindowBuffer:
             check_time(timestamp, self._current_time,
                        buffer[-1].timestamp if buffer else None)
         self._current_time = timestamp
-        bearers = self.bearers
         expired = []
         if self.duration is not None:
             cutoff = timestamp - self.duration
@@ -151,13 +177,17 @@ class WindowBuffer:
                 expired.append(buffer.popleft())
         elif len(buffer) >= self.capacity:     # room for the arrival
             expired.append(buffer.popleft())
-        for old in expired:
-            # Timestamp-paired: an older coexisting bearer's expiry must
-            # not clobber the latest bearer's entry.
-            if bearers.get(old.edge_id) == old.timestamp:
-                del bearers[old.edge_id]
         buffer.append(edge)
-        bearers[edge.edge_id] = timestamp     # latest bearer wins
+        bearers = self._bearers
+        if bearers is not None:
+            for old in expired:
+                # Timestamp-paired: an older coexisting bearer's expiry
+                # must not clobber the latest bearer's entry.
+                if bearers.get(old.edge_id) == old.timestamp:
+                    del bearers[old.edge_id]
+            bearers[edge.edge_id] = timestamp     # latest bearer wins
+        elif type(edge) is not StreamEdge:
+            self._index()       # an explicit id: a duplicate is possible
         return expired
 
     def advance(self, timestamp: float) -> List[StreamEdge]:
@@ -169,12 +199,13 @@ class WindowBuffer:
         self._current_time = timestamp
         expired = []
         if self.duration is not None:
-            buffer, bearers = self._edges, self.bearers
+            buffer, bearers = self._edges, self._bearers
             cutoff = timestamp - self.duration
             while buffer and buffer[0].timestamp <= cutoff:
                 old = buffer.popleft()
                 expired.append(old)
-                if bearers.get(old.edge_id) == old.timestamp:
+                if bearers is not None \
+                        and bearers.get(old.edge_id) == old.timestamp:
                     del bearers[old.edge_id]    # timestamp-paired, as above
         return expired
 

@@ -27,6 +27,7 @@ stages know nothing of engines, so they live here and a
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import (
     Callable, Deque, Dict, FrozenSet, Hashable, List, Optional, Tuple,
 )
@@ -46,6 +47,9 @@ Entry = Tuple[int, object]
 
 #: The target list of an edge nothing routes; shared, never mutated.
 _NOWHERE: List = []
+
+#: A router token's payload (tokens are ``(payload, name, index)``).
+_payload = itemgetter(0)
 
 
 class Candidates(list):
@@ -168,8 +172,14 @@ class Admission:
         groups = self.groups
         edge_id = edge.edge_id
         live = rejecters = None
+        stamped = type(edge) is StreamEdge
         for group in groups.values():
-            if edge_id in group.window.bearers:
+            bearers = group.window._bearers
+            if bearers is None:
+                if stamped:
+                    continue    # past the clock: no id to collide with
+                bearers = group.window.bearers
+            if edge_id in bearers:
                 # Rare: a group still buffers a bearer of this id.
                 live, rejecters = self._duplicates(edge_id, timestamp)
                 break
@@ -379,7 +389,7 @@ class RouteIndex:
         if not hits:
             key = triple if payloads else None
         elif payloads or len(hits) > 1 or hits[0][0] is None:
-            return self._union(triple, payloads)
+            return self._union(is_loop, payloads, hits)
         else:
             key, tokens = hits[0]
         lists = self.resolved[is_loop]
@@ -394,13 +404,14 @@ class RouteIndex:
             targets = lists[key] = sorted(found)
         return targets
 
-    def _union(self, triple: Tuple, payloads) -> List:
+    def _union(self, is_loop: bool, payloads, hits) -> List:
         """An arrival hitting several buckets, or one counted by the
-        router: every hit resolved afresh, nothing kept."""
+        router: the ``hits`` ``targets`` probed, resolved afresh, nothing
+        kept."""
         found = set(self.always)
         if payloads:
             found.update(payloads)
-        found.update([token[0] for token in self.router.match(*triple)])
+        found.update(map(_payload, self.router.resolve(hits, is_loop)))
         return sorted(found)
 
     def _everyone(self) -> Candidates:

@@ -244,10 +244,17 @@ class MatcherBase:
         must be unique in the window: StreamEdge equality is by
         ``edge_id``, and the expiry registries key on it — a second
         in-window arrival with the same id would alias and corrupt
-        deletion.
+        deletion.  A stamped arrival past the clock of a window that
+        holds no index (every buffered edge stamped) cannot share an
+        id, so it is not probed; any other arrival builds the index.
         """
-        bearers = self.window.bearers
-        if edge.edge_id in bearers:
+        window = self.window
+        bearers = window._bearers
+        if bearers is None and (type(edge) is not StreamEdge
+                                or not window._current_time
+                                < edge.timestamp):
+            bearers = window.bearers
+        if bearers is not None and edge.edge_id in bearers:
             # The id has a bearer: judge it against the window as this
             # arrival leaves it.  Any other arrival needs no judgement,
             # and ``window.push`` below slides for it.
@@ -260,7 +267,7 @@ class MatcherBase:
                 if self.duplicate_policy == "count":
                     self.stats.edges_skipped += 1
                 return []
-        for old in self.window.push(edge):
+        for old in window.push(edge):
             self._expire(old)
         return self._insert(edge)
 

@@ -53,7 +53,7 @@ from typing import BinaryIO, Optional, Tuple, Union
 from .api import BACKENDS, Session, _QueryRecord
 from .core.query import ANY, Prefix, QueryEdge, QueryGraph, QueryVertex
 from .core.timing import TimingOrder
-from .graph.edge import StreamEdge
+from .graph.edge import StreamEdge, _NamedEdge
 from .graph.shared_window import window_policy_from_key, window_policy_key
 from .isomorphism import ALGORITHMS, StaticMatcher
 from .matcher import EngineConfig, EngineStats
@@ -70,8 +70,10 @@ _FRAME_HEADER = struct.Struct("<II")    # crc32(payload), len(payload)
 
 #: Every class a checkpoint payload may name (built-in values are
 #: opcodes, not names); the last row is a baseline's ``algorithm=``.
+#: An explicit-id edge is a ``_NamedEdge``, so a restored window builds
+#: its id index exactly when the checkpointed one had reason to.
 VALUE_TYPES = frozenset({
-    StreamEdge, QueryGraph, QueryVertex, QueryEdge, TimingOrder, Prefix,
+    StreamEdge, _NamedEdge, QueryGraph, QueryVertex, QueryEdge, TimingOrder, Prefix,
     type(ANY), EngineConfig,
     StaticMatcher, *ALGORITHMS.values(), Counter,
 })

@@ -19,9 +19,11 @@ from repro.service import (
     RateLimitConfig, ServerConfig, ServiceGateway, TenantConfig,
 )
 from repro.service.http import ServiceHTTPServer
+from repro.service.resilience import TokenBucket
 
 from .conftest import CHAIN_DSL, WSClient, chain_config, chain_records
 from .test_http import get, post
+from .test_resilience import FakeClock
 
 
 def wait_for(predicate, timeout=10.0):
@@ -157,7 +159,14 @@ class TestRateLimiting:
                             rate_limit=RateLimitConfig(rps=50.0, burst=4))
 
     def test_http_429_with_retry_after(self, tmp_path):
+        """The bucket runs on a test clock, so the second POST meets it
+        empty however long the first took (with ``rps=50`` a wall-clock
+        bucket refills a token every 20 ms)."""
+        clock = FakeClock()
         with served(self.config(tmp_path / "state")) as (gateway, port):
+            limit = gateway.tenant("t0").config.rate_limit
+            gateway.tenant("t0").rate_limiter = TokenBucket(
+                limit.rps, limit.effective_burst, clock=clock)
             status, reply = post(port, "/ingest",
                                  {"edges": chain_records()})
             assert status == 200 and reply["accepted"] == 4
@@ -176,7 +185,7 @@ class TestRateLimiting:
             tenant = gateway.tenant("t0")
             assert tenant.queue.enqueued == 4
             assert tenant.rate_limiter.limited == 4
-            time.sleep(retry_after + 0.05)
+            clock.advance(retry_after + 0.05)
             status, reply = post(port, "/ingest",
                                  {"edges": chain_records()})
             assert status == 200 and reply["accepted"] == 4

@@ -115,9 +115,11 @@ class TestCiNamesWhatExists:
             ci_scripts(WORKFLOW))
 
     def test_finds_the_pytest_paths(self):
-        assert {"bench_e2e/tests", "tests/test_session_model.py",
-                "tests/service/test_gateway_model.py"} <= set(
-            ci_pytest_paths(WORKFLOW))
+        assert "bench_e2e/tests" in ci_pytest_paths(WORKFLOW)
+        assert ci_pytest_paths(
+            "python -X dev -m pytest -q \\\n  tests/core \\\n"
+            "  tests/test_session.py\n") == [
+                "tests/core", "tests/test_session.py"]
 
     @pytest.mark.parametrize("module", ci_modules(WORKFLOW))
     def test_repro_module_resolves(self, module):
@@ -130,6 +132,16 @@ class TestCiNamesWhatExists:
     @pytest.mark.parametrize("path", ci_pytest_paths(WORKFLOW))
     def test_pytest_path_exists(self, path):
         assert os.path.exists(os.path.join(ROOT, path)), path
+
+
+def test_dev_mode_step_runs_the_whole_suite():
+    """CI's ``-X dev`` step keeps its resource flags and names no path,
+    so every tier-1 test is checked for leaked files and sockets."""
+    (command,) = re.findall(r"python -X dev((?:[^\n]*\\\n)*[^\n]*)",
+                            WORKFLOW)
+    assert command.replace("\\\n", " ").split() == [
+        "-W", "error::ResourceWarning", "-m", "pytest",
+        "-Werror::pytest.PytestUnraisableExceptionWarning", "-q"]
 
 
 class TestObservabilityTable:

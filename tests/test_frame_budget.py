@@ -31,6 +31,10 @@ with a ``Match.__init__`` frame per match).  Python 3.12 and later
 inline list comprehensions (PEP 709), so there the count is lower and
 the budget an upper bound.  ``tests/test_served_frame_budget.py`` pins
 the served path the same way.
+
+Every edge of these streams is stamped (no explicit ``edge_id``), so
+each shape also ends with no id index built in any window
+(``tests/test_lazy_id_index.py``): no arrival pays for one.
 """
 
 import random
@@ -72,6 +76,12 @@ def calls_per_arrival(feed, edges, warmup, batch):
     return calls / len(measured)
 
 
+def no_id_index(session):
+    """Whether no window group of ``session`` has built its id index."""
+    return all(group.window._bearers is None
+               for group in session._admission.groups.values())
+
+
 def test_prefix_and_wildcard_session():
     """1,024 one-edge prefix/wildcard queries on a 400-unit window, one
     port-labelled edge per time unit: an arrival is the route and the
@@ -84,6 +94,7 @@ def test_prefix_and_wildcard_session():
     calls = calls_per_arrival(session.push_many, port_stream(6400),
                               4000, 48)
     assert calls <= 4.05
+    assert no_id_index(session)
 
 
 def test_churned_prefix_session():
@@ -109,6 +120,7 @@ def test_churned_prefix_session():
 
     calls = calls_per_arrival(feed, port_stream(5200), 4000, 24)
     assert calls <= 19.63
+    assert no_id_index(session)
 
 
 def exact_session_inputs(length):
@@ -140,6 +152,7 @@ def test_exact_label_session():
         session.register(name, query)
     calls = calls_per_arrival(session.push_many, stream, 24000, 128)
     assert calls <= 12.54
+    assert no_id_index(session)
 
 
 def test_standalone_join_engine():
@@ -156,3 +169,4 @@ def test_standalone_join_engine():
     calls = calls_per_arrival(feed, stream, 10000, 80)
     assert engine.stats.expired_edges > 10000
     assert calls <= 13.06
+    assert engine.window._bearers is None

@@ -182,9 +182,10 @@ class TestSingleBucketArrivals:
     def test_never_call_the_routers_union(self, monkeypatch):
         """Hot prefixes, wildcards and a cold tail: every arrival hits
         one prefix bucket or none, so the index answers each from a
-        prebuilt list and never runs ``PredicateRouter.match``.  An
+        prebuilt list and never runs ``PredicateRouter.resolve``.  An
         overlapping shorter prefix sends exactly the arrivals that hit
-        two buckets down the union path, once each."""
+        two buckets down the union path, once each, with the two hits
+        ``targets`` already probed."""
         names = {f"hot{i}": Prefix(f"10{i}") for i in range(8)}
         names.update(wild0=ANY, wild1=ANY)
         names.update({f"cold{i}": Prefix(f"3{i:06d}") for i in range(40)})
@@ -192,13 +193,13 @@ class TestSingleBucketArrivals:
         for name, query in port_queries(names).items():
             session.register(name, query)
         calls = []
-        match = PredicateRouter.match
+        resolve = PredicateRouter.resolve
 
-        def counted(self, *triple):
-            calls.append(triple[1])
-            return match(self, *triple)
+        def counted(self, hits, is_loop):
+            calls.append(sorted(key[2] for key, _ in hits))
+            return resolve(self, hits, is_loop)
 
-        monkeypatch.setattr(PredicateRouter, "match", counted)
+        monkeypatch.setattr(PredicateRouter, "resolve", counted)
         edges = port_stream(2000)
         found = Counter(name for name, _ in session.push_many(edges[:1000]))
         assert calls == []
@@ -211,7 +212,8 @@ class TestSingleBucketArrivals:
         found = Counter(name for name, _ in session.push_many(edges[1000:]))
         wide = [edge.label for edge in edges[1000:]
                 if 10000 <= edge.label < 11000]
-        assert calls == [label for label in wide if label < 10800]
+        assert calls == [["10", str(label)[:3]] for label in wide
+                         if label < 10800]
         assert calls and found["wide"] == len(wide) > len(calls)
 
 

@@ -22,11 +22,15 @@ call is not one), as in the in-process budget:
   ``StreamEdge.__init__`` and the queue's ``_Entry.__init__``.  The
   other 11 are the in-process arrival's (route, admission, slide,
   engine).
-* per delivered match (40.30), on the chain query of ``tests/service``
+* per delivered match (39.47), on the chain query of ``tests/service``
   (``a -> b -> c``, ``e1 ≺ e2``, window 6) over a stream where every
   ``b -> c`` edge completes a match with each of the 12 ``a -> b`` edges
   of its block: all calls over the matches delivered, so each match
-  also carries a sixth of its edges' calls (≈ 3.4).  About 27 are the
+  also carries a sixth of its edges' calls (≈ 2.6: every query edge
+  constrains two label positions, so each arrival's route resolves its
+  counted hits in ``PredicateRouter.resolve``, from the one probe
+  ``targets`` made; 40.30 with a second ``buckets`` probe, through
+  ``PredicateRouter.match``).  About 27 are the
   record path (ROADMAP item 12(b)): ``sinks._json_safe`` 6, ``json.dumps``
   and its encoder 4, the retry ladder, fault site and breaker 6,
   ``match_record`` and its comprehension 2, three ``matches.py``
@@ -177,4 +181,4 @@ def test_served_match(tmp_path):
     blocks = (len(posts) - 10) * BODY_EDGES // (2 * fan_in)
     assert delivered == blocks * fan_in * fan_in
     assert len(frames) == tenant.matches_delivered
-    assert calls / delivered <= 40.30
+    assert calls / delivered <= 39.47
