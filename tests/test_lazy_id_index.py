@@ -404,6 +404,41 @@ class TestWhatBuildsTheIndex:
             engine.push(make_edge("a1", "b1", 2.0))
         assert len(builds) == 4
 
+    def test_a_count_window_builds_it_alike(self, builds):
+        """A count window evicts stamped edges with no index, builds it
+        at its first explicit-id arrival, and then keeps it as the slide
+        evicts — the named bearer's entry included."""
+        window = CountSlidingWindow(2)
+        for t in (1.0, 2.0, 3.0):
+            window.push(make_edge("a1", "b1", t))
+        assert builds == [] and window._bearers is None
+        window.push(StreamEdge("a1", "b1", src_label="a", dst_label="b",
+                               timestamp=4.0, edge_id="named"))
+        assert builds == [window]
+        assert window._bearers == {("a1", "b1", 3.0): 3.0, "named": 4.0}
+        for t in (5.0, 6.0):
+            window.push(make_edge("a1", "b1", t))
+            assert window._bearers == scanned_index(window)
+        assert window._bearers == {("a1", "b1", 5.0): 5.0,
+                                   ("a1", "b1", 6.0): 6.0}
+        assert builds == [window]
+
+    def test_a_built_index_follows_advance(self, builds):
+        """Once built, a time window's index loses each bearer that an
+        advance expires, and a later stamped arrival joins it."""
+        window = SlidingWindow(3.0)
+        window.push(make_edge("a1", "b1", 1.0))
+        window.push(StreamEdge("a2", "b1", src_label="a", dst_label="b",
+                               timestamp=2.0, edge_id="named"))
+        assert window._bearers == {("a1", "b1", 1.0): 1.0, "named": 2.0}
+        window.advance(4.0)
+        assert window._bearers == {"named": 2.0}
+        window.advance(5.0)
+        assert window._bearers == {} and len(window) == 0
+        window.push(make_edge("a1", "b1", 6.0))
+        assert window._bearers == {("a1", "b1", 6.0): 6.0}
+        assert builds == [window]
+
     def test_a_shared_view_reads_its_buffer(self):
         session = Session(window=5.0)
         view = session.register("q", path_query(1, labels="ab")).window
