@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.bench.harness import (
-    ABLATIONS, INDEXING_ABLATIONS, METHODS, SweepResult,
-)
+from repro.bench.harness import ABLATIONS, METHODS, SweepResult
 from repro.concurrency.simulation import ConcurrencySimulator, collect_trace
 from repro.core.engine import TimingMatcher
 
@@ -84,19 +82,6 @@ def ablation_sweep(workload: Workload) -> SweepResult:
     if key not in _cache:
         _cache[key] = _sweep(
             workload, ABLATIONS, [DEFAULT_WINDOW],
-            queries_for_x=lambda x: workload.queries(DEFAULT_SIZE),
-            window_units_for_x=lambda x: x)
-    return _cache[key]
-
-
-def indexing_sweep(workload: Workload) -> SweepResult:
-    """PR 2 ablation: hash-indexed joins vs full scans over the window
-    sweep (fig21-style, but along fig15's x-axis — the scan cost grows
-    with the window, which is exactly what the index removes)."""
-    key = ("indexing", workload.name)
-    if key not in _cache:
-        _cache[key] = _sweep(
-            workload, INDEXING_ABLATIONS, WINDOW_UNITS,
             queries_for_x=lambda x: workload.queries(DEFAULT_SIZE),
             window_units_for_x=lambda x: x)
     return _cache[key]

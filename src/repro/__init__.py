@@ -70,9 +70,8 @@ Subpackages
 """
 
 from .api import (
-    BACKENDS, DUPLICATE_POLICIES, SUBPLAN_SHARING_MODES, EngineConfig,
-    EngineStats, Matcher, MatcherBase, Session, SharedSubplanStore,
-    ThreadSafeSession, as_window,
+    BACKENDS, DUPLICATE_POLICIES, EngineConfig, EngineStats, Matcher,
+    MatcherBase, Session, SharedSubplanStore, ThreadSafeSession, as_window,
 )
 from .core.engine import TimingMatcher
 from .core.matches import Match, verify_match
@@ -98,8 +97,7 @@ __all__ = [
     # the unified API
     "Matcher", "MatcherBase", "EngineConfig", "EngineStats", "Session",
     "SharedSubplanStore", "ThreadSafeSession", "BACKENDS",
-    "DUPLICATE_POLICIES", "SUBPLAN_SHARING_MODES",
-    "as_window",
+    "DUPLICATE_POLICIES", "as_window",
     # engines and results
     "TimingMatcher", "Match", "verify_match", "explain",
     # sinks

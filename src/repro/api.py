@@ -47,17 +47,15 @@ from .ingest import Admission, Candidates, RouteIndex
 from .io.csv_stream import read_stream
 from .io.dsl import parse_query
 from .matcher import (
-    DECOMPOSITION_STRATEGIES, DUPLICATE_POLICIES, INDEXING_MODES,
-    JOIN_ORDER_STRATEGIES, STORAGE_KINDS, SUBPLAN_SHARING_MODES,
-    EngineConfig, EngineStats, Matcher, MatcherBase, as_window,
+    DECOMPOSITION_STRATEGIES, DUPLICATE_POLICIES, JOIN_ORDER_STRATEGIES,
+    STORAGE_KINDS, EngineConfig, EngineStats, Matcher, MatcherBase, as_window,
 )
-from .stats import COUNTER, GAUGE, INFO, Table, snapshot
+from .stats import COUNTER, GAUGE, Table, snapshot
 from .subplans import SharedSubplanStore, _SubplanProvider, _SubplanRegistry
 
 __all__ = [
     "BACKENDS", "DECOMPOSITION_STRATEGIES", "DUPLICATE_POLICIES",
-    "INDEXING_MODES", "JOIN_ORDER_STRATEGIES", "STORAGE_KINDS",
-    "SUBPLAN_SHARING_MODES",
+    "JOIN_ORDER_STRATEGIES", "STORAGE_KINDS",
     "EngineConfig", "EngineStats", "MatchCallback", "Matcher",
     "MatcherBase", "Session", "SharedSubplanStore", "ThreadSafeSession",
     "as_window",
@@ -135,17 +133,17 @@ class Session:
     stream's duplicate view (see :class:`~repro.ingest.Admission`).  Every
     member is a window-group member (see :meth:`register`).
 
-    On top of shared windows, ``subplan_sharing="shared"`` (the default)
-    de-duplicates the *partial-match state itself*: Timing engines on the
-    same window group whose plans contain the same canonical TC-subquery
+    On top of shared windows, the session de-duplicates the
+    *partial-match state itself*: Timing engines on the same window
+    group whose plans contain the same canonical TC-subquery
     (same label triples, equality-constraint shape and timing skeleton —
     :func:`~repro.core.decomposition.subplan_signature`) adopt one
     refcounted :class:`SharedSubplanStore` for it, maintained exactly once
     per arrival, while each query's global joins stay private.  A query
     registered mid-stream gets fresh stores (its sub-plans become
     shareable by *later* registrants), preserving the starts-empty
-    semantics above.  ``subplan_sharing="private"`` is the ablation
-    baseline; both modes produce identical ``(name, match)`` streams.
+    semantics above.  A standalone engine keeps private stores and
+    produces the same matches.
 
     Parameters
     ----------
@@ -157,19 +155,15 @@ class Session:
     config:
         Default :class:`EngineConfig` for ``timing`` backends, and the
         source of the duplicate policy for the baseline backends.
-    duplicate_policy:
-        Shorthand for ``config.replace(duplicate_policy=...)``.
     """
 
-    def __init__(self, *, window=None, config: Optional[EngineConfig] = None,
-                 duplicate_policy: Optional[str] = None) -> None:
+    def __init__(self, *, window=None,
+                 config: Optional[EngineConfig] = None) -> None:
         if window is not None and not callable(window):
             as_window(window)   # TypeError or ValueError unless a window
         self.default_window = window
-        config = config if config is not None else EngineConfig()
-        if duplicate_policy is not None:
-            config = config.replace(duplicate_policy=duplicate_policy)
-        self.config = config.validate()
+        self.config = (config if config is not None
+                       else EngineConfig()).validate()
         # name -> record, one per registered query, in registration order.
         self._queries: Dict[str, _QueryRecord] = {}
         self._sinks: List[Tuple[Optional[str], MatchCallback]] = []
@@ -177,8 +171,7 @@ class Session:
         # window-group roster entries are (ordinal, record).
         self._admission = Admission(self._on_expired)
         self._index = RouteIndex()
-        # Refcounted shared sub-plan stores (empty under
-        # subplan_sharing="private") — see SharedSubplanStore.
+        # Refcounted shared sub-plan stores — see SharedSubplanStore.
         self._subplans = _SubplanRegistry()
         self._next_ordinal = 0
         self.routed_pushes = 0      # counters declared in STATS
@@ -230,8 +223,7 @@ class Session:
             # expire in lock-step, which a shared store's exactly-once
             # expiry relies on) and stores to share: a one-edge query runs
             # the stateless plan and has none.
-            if record.config.subplan_sharing == "shared" \
-                    and not record.query.is_single_edge:
+            if not record.query.is_single_edge:
                 provider = options["subplan_provider"] = \
                     _SubplanProvider(self._subplans, key)
         elif "duplicate_policy" not in options:
@@ -660,7 +652,6 @@ class Session:
                                         "exact-label)."),
         "shared_window_cells": (GAUGE, "Edges held in the window buffers."),
         "window_cells": (GAUGE, "Window cells (= shared_window_cells)."),
-        "subplan_sharing": (INFO, "Sub-plan sharing mode."),
         "shared_subplans": (GAUGE, "Shared sub-plan stores."),
         "subplan_consumers": (GAUGE, "Engines reading a shared store."),
         "subplan_store_cells": (GAUGE, "Cells in the shared stores."),
@@ -690,7 +681,6 @@ class Session:
             predicate_trie_nodes=self._index.router.node_count(),
             route_resolved_lists=self._index.resolved_count(),
             shared_window_cells=cells, window_cells=cells,
-            subplan_sharing=self.config.subplan_sharing,
             shared_subplans=subplans.record_count(),
             subplan_consumers=subplans.consumer_count(),
             subplan_store_cells=subplans.space_cells(),

@@ -51,18 +51,6 @@ ABLATIONS: Dict[str, EngineFactory] = {
         decomposition="random", join_order="random", seed=17)),
 }
 
-#: The join-strategy ablation (this repo's addition, fig21-style): hash
-#: join-key indexes (see :mod:`repro.core.index`) vs the paper-faithful
-#: full expansion-list scans, on both storage layouts.
-INDEXING_ABLATIONS: Dict[str, EngineFactory] = {
-    "Timing": _timing(EngineConfig(indexing="hash")),
-    "Timing-SCAN": _timing(EngineConfig(indexing="scan")),
-    "Timing-IND": _timing(EngineConfig(storage="independent")),
-    "Timing-IND-SCAN": _timing(EngineConfig(
-        storage="independent", indexing="scan")),
-}
-
-
 class SweepResult:
     """Per-method series over the sweep's x-axis."""
 

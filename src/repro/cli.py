@@ -43,10 +43,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .api import (
-    BACKENDS, DUPLICATE_POLICIES, INDEXING_MODES, SUBPLAN_SHARING_MODES,
-    EngineConfig, Session,
-)
+from .api import BACKENDS, DUPLICATE_POLICIES, EngineConfig, Session
 from .core.engine import TimingMatcher
 from .core.plan import explain
 from .datasets import (
@@ -63,6 +60,22 @@ GENERATORS = {
 }
 
 
+def _positive(kind):
+    """An argparse ``type``: a ``kind`` number, positive and finite."""
+    what = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be {what} > 0 and finite, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -76,20 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="replay a CSV stream through a query")
     p_run.add_argument("query_file")
     p_run.add_argument("stream_file")
-    p_run.add_argument("--window", type=float, default=None,
+    p_run.add_argument("--window", type=_positive(float), default=None,
                        help="window duration (overrides the query file)")
     p_run.add_argument("--no-mstree", action="store_true",
                        help="use independent storage (Timing-IND)")
-    p_run.add_argument("--indexing", choices=sorted(INDEXING_MODES),
-                       default="hash",
-                       help="insert-path join strategy: hash-indexed "
-                            "(default) or paper-faithful full scans")
-    p_run.add_argument("--subplan-sharing",
-                       choices=sorted(SUBPLAN_SHARING_MODES),
-                       default="shared",
-                       help="cross-query sub-plan sharing: one store per "
-                            "canonical TC-subquery (default) or private "
-                            "per-engine stores (ablation)")
     p_run.add_argument("--backend", choices=sorted(BACKENDS),
                        default="timing",
                        help="matcher engine (default: timing)")
@@ -103,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a synthetic stream CSV")
     p_gen.add_argument("dataset", choices=sorted(GENERATORS))
-    p_gen.add_argument("num_edges", type=int)
+    p_gen.add_argument("num_edges", type=_positive(int))
     p_gen.add_argument("output")
     p_gen.add_argument("--seed", type=int, default=0)
 
@@ -112,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate concurrent speed-up of a query over a stream")
     p_sim.add_argument("query_file")
     p_sim.add_argument("stream_file")
-    p_sim.add_argument("--window", type=float, default=None)
-    p_sim.add_argument("--threads", type=int, nargs="+",
+    p_sim.add_argument("--window", type=_positive(float), default=None)
+    p_sim.add_argument("--threads", type=_positive(int), nargs="+",
                        default=[1, 2, 3, 4, 5])
 
     p_analyze = sub.add_parser(
@@ -121,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("stream_file")
     p_analyze.add_argument("--query", default=None,
                            help="query file for a selectivity report")
-    p_analyze.add_argument("--window-edges", type=float, default=1000,
+    p_analyze.add_argument("--window-edges", type=_positive(float),
+                           default=1000,
                            help="window size in edges for estimates")
 
     p_serve = sub.add_parser(
@@ -176,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dlq_replay.add_argument("--tenant", default=None,
                               help="target tenant (default: the "
                                    "gateway's sole tenant)")
-    p_dlq_replay.add_argument("--batch-size", type=int, default=100,
+    p_dlq_replay.add_argument("--batch-size", type=_positive(int),
+                              default=100,
                               help="edges per ingest request (default 100)")
     p_dlq_replay.add_argument("--dry-run", action="store_true",
                               help="print what would be sent, send "
@@ -207,14 +212,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --no-mstree only applies to the timing backend",
               file=sys.stderr)
         return 2
-    if args.indexing != "hash" and args.backend != "timing":
-        print("error: --indexing only applies to the timing backend",
-              file=sys.stderr)
-        return 2
     config = EngineConfig(
         storage="independent" if args.no_mstree else "mstree",
-        indexing=args.indexing,
-        subplan_sharing=args.subplan_sharing,
         duplicate_policy=args.duplicates)
     session = Session(window=window, config=config)
     session.register("query", query, backend=args.backend)
@@ -433,31 +432,19 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_dead_letters(path: str):
-    import json as _json
-
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(_json.loads(line))
-            except ValueError:
-                print(f"warning: line {number} is not JSON; skipped",
-                      file=sys.stderr)
-    return records
-
-
 def _cmd_dlq(args: argparse.Namespace) -> int:
     import json as _json
 
+    from .service.resilience import read_dead_letters
+
     try:
-        records = _read_dead_letters(args.file)
+        records, unreadable = read_dead_letters(args.file)
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
+    if unreadable:
+        print(f"warning: {unreadable} line(s) not a JSON record; skipped",
+              file=sys.stderr)
 
     if args.dlq_command == "list":
         by_reason: dict = {}
@@ -500,8 +487,8 @@ def _cmd_dlq(args: argparse.Namespace) -> int:
     path = "/ingest" if args.tenant is None \
         else f"/tenants/{args.tenant}/ingest"
     url = args.url.rstrip("/") + path
-    batches = [edges[i:i + max(1, args.batch_size)]
-               for i in range(0, len(edges), max(1, args.batch_size))]
+    batches = [edges[i:i + args.batch_size]
+               for i in range(0, len(edges), args.batch_size)]
     if args.dry_run:
         print(f"dry run: would POST {len(edges)} edge(s) in "
               f"{len(batches)} batch(es) to {url} "

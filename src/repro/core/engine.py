@@ -279,39 +279,36 @@ class TimingMatcher(MatcherBase):
         # One index per compiled join shape with at least one equality
         # constraint, registered on the store level the shape reads.  A
         # shape without equality constraints keeps the full scan (a single
-        # all-entries bucket would be the scan with extra bookkeeping);
-        # under ``indexing="scan"`` nothing is registered and every join
-        # takes the paper-faithful scan path, counted in
-        # ``stats.scan_fallbacks``.
+        # all-entries bucket would be the scan with extra bookkeeping),
+        # counted in ``stats.scan_fallbacks``.
         self._ext_indexes: Dict[Tuple[int, int], LevelIndex] = {}
         self._union_prefix_indexes: Dict[int, LevelIndex] = {}
         self._union_omega_indexes: Dict[int, LevelIndex] = {}
-        if config.indexing == "hash":
-            for (si, j), spec in self._ext_specs.items():
-                if spec.equal_refs:
-                    refs = extension_store_refs(spec)
-                    self._ext_indexes[(si, j)] = \
-                        self._add_store_index(si, j, refs)
-            for level, spec in self._union_specs.items():
-                if not spec.equal_pairs:
-                    continue
-                a_refs = union_side_refs(spec, "a")
-                b_refs = union_side_refs(spec, "b")
-                # Prefix side Ω(L₀^{level-1}): global level (level-1), whose
-                # level 1 is virtual and lives in the first subquery store.
-                if self._reach[level - 1] < level:
-                    pass    # only ∆(Q^level) probes it, and it cannot pass
-                elif level - 1 == 1:
-                    first = self._tc_stores[0]
-                    self._union_prefix_indexes[level - 1] = \
-                        self._add_store_index(0, first.length, a_refs)
-                else:
-                    self._union_prefix_indexes[level - 1] = \
-                        self._global.add_index(level - 1, a_refs)
-                # Ω(Q^level) side: subquery (level-1)'s complete matches.
-                omega = self._tc_stores[level - 1]
-                self._union_omega_indexes[level] = self._add_store_index(
-                    level - 1, omega.length, b_refs)
+        for (si, j), spec in self._ext_specs.items():
+            if spec.equal_refs:
+                refs = extension_store_refs(spec)
+                self._ext_indexes[(si, j)] = \
+                    self._add_store_index(si, j, refs)
+        for level, spec in self._union_specs.items():
+            if not spec.equal_pairs:
+                continue
+            a_refs = union_side_refs(spec, "a")
+            b_refs = union_side_refs(spec, "b")
+            # Prefix side Ω(L₀^{level-1}): global level (level-1), whose
+            # level 1 is virtual and lives in the first subquery store.
+            if self._reach[level - 1] < level:
+                pass    # only ∆(Q^level) probes it, and it cannot pass
+            elif level - 1 == 1:
+                first = self._tc_stores[0]
+                self._union_prefix_indexes[level - 1] = \
+                    self._add_store_index(0, first.length, a_refs)
+            else:
+                self._union_prefix_indexes[level - 1] = \
+                    self._global.add_index(level - 1, a_refs)
+            # Ω(Q^level) side: subquery (level-1)'s complete matches.
+            omega = self._tc_stores[level - 1]
+            self._union_omega_indexes[level] = self._add_store_index(
+                level - 1, omega.length, b_refs)
         # The probing side's key of every indexed join shape, as a
         # generated function (see :func:`~repro.core.index.compile_flat_key`).
         self._ext_probe_keys = {
@@ -693,10 +690,9 @@ class TimingMatcher(MatcherBase):
         every query edge it matches, the prerequisite subquery has no
         partial match the edge can extend, so no future arrival can ever
         complete a match through it.  (Edges matching no query edge at all
-        are trivially discardable.)  The cost is the paper's
-        ``O(|Lᵢ₋₁|)`` per matched query edge (Theorem 3) under
-        ``indexing="scan"``; with the default hash indexing only the
-        arriving edge's join-key bucket is inspected.  Side-effect-free
+        are trivially discardable.)  Where the join has a key only the
+        arriving edge's join-key bucket is inspected; a join without one
+        pays the paper's ``O(|Lᵢ₋₁|)`` scan (Theorem 3).  Side-effect-free
         including the stats counters.
 
         Overrides the label-level default of

@@ -60,21 +60,6 @@ DECOMPOSITION_STRATEGIES = ("greedy", "random")
 #: Join-order strategies (§VI-C heuristic vs the ``Timing-RJ`` ablation).
 JOIN_ORDER_STRATEGIES = ("jn", "random")
 
-#: Insert-path join strategies: ``"hash"`` probes join-key indexes
-#: (O(candidates) per arrival, see :mod:`repro.core.index`); ``"scan"`` is
-#: the paper-faithful full scan of the previous expansion-list item
-#: (Theorem 3's ``O(|Lᵢ₋₁|)``), kept for the ablation.
-INDEXING_MODES = ("hash", "scan")
-
-#: Session sub-plan sharing strategies: ``"shared"`` (default) keeps one
-#: refcounted expansion-list store per *canonical* TC-subquery (see
-#: :func:`repro.core.decomposition.subplan_signature`) per shared window
-#: group, maintained exactly once per arrival however many registered
-#: queries contain that sub-plan; ``"private"`` gives every engine its own
-#: stores — the historical behaviour, kept as the ablation baseline.  Both
-#: produce identical ``(name, match)`` streams.
-SUBPLAN_SHARING_MODES = ("shared", "private")
-
 
 def as_window(window):
     """Coerce a window spec into a window object.
@@ -101,9 +86,9 @@ class EngineStats:
     ``edges_skipped`` counts arrivals dropped by the ``count``
     duplicate-id policy (see :meth:`MatcherBase.push`).  ``index_probes``
     and ``scan_fallbacks`` split the Timing engine's join operations by
-    strategy: hash-index bucket probes vs full expansion-list scans (all
-    joins are scans under ``"scan"``; under ``"hash"`` only the
-    shapes with no equality constraint fall back).  ``subplan_reuses``
+    strategy: hash-index bucket probes vs full expansion-list scans (only
+    the join shapes with no equality constraint fall back to a scan).
+    ``subplan_reuses``
     counts expansion-list insertions this engine served from a shared
     sub-plan store's delta memo instead of recomputing (the joins another
     consumer of the same :class:`~repro.subplans.SharedSubplanStore`
@@ -346,23 +331,6 @@ class EngineConfig:
     join_order:
         ``"jn"`` (joint-number heuristic, §VI-C) or ``"random"``
         (``Timing-RJ``).
-    indexing:
-        ``"hash"`` (default) maintains join-key indexes over the expansion
-        lists so the insert hot path touches only O(candidates) stored
-        entries; ``"scan"`` is the paper-faithful full scan per arrival
-        (Theorem 3), kept as the ablation baseline.  Both produce
-        identical matches and identical logical space.
-    subplan_sharing:
-        Cross-query sub-plan sharing for sessions: ``"shared"``
-        (default) lets Timing engines registered on the same
-        window group adopt one refcounted expansion-list store per
-        canonical TC-subquery, so an overlapping pattern library pays for
-        each distinct sub-plan once instead of once per query;
-        ``"private"`` keeps per-engine stores (the ablation baseline).
-        Standalone engines ignore it.
-        Both modes produce identical matches — see
-        :data:`SUBPLAN_SHARING_MODES` and
-        :class:`~repro.subplans.SharedSubplanStore`.
     seed:
         RNG seed for the ``random`` strategies (deterministic by default so
         engine construction is reproducible).
@@ -374,8 +342,6 @@ class EngineConfig:
     storage: str = "mstree"
     decomposition: str = "greedy"
     join_order: str = "jn"
-    indexing: str = "hash"
-    subplan_sharing: str = "shared"
     seed: int = 0
     duplicate_policy: str = "raise"
 
@@ -397,14 +363,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown join order strategy: {self.join_order!r} "
                 f"(expected one of {JOIN_ORDER_STRATEGIES})")
-        if self.indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"unknown indexing mode: {self.indexing!r} "
-                f"(expected one of {INDEXING_MODES})")
-        if self.subplan_sharing not in SUBPLAN_SHARING_MODES:
-            raise ValueError(
-                f"unknown subplan sharing mode: {self.subplan_sharing!r} "
-                f"(expected one of {SUBPLAN_SHARING_MODES})")
         if self.duplicate_policy not in DUPLICATE_POLICIES:
             raise ValueError(
                 f"unknown duplicate policy: {self.duplicate_policy!r} "

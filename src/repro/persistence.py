@@ -21,7 +21,9 @@ wiring: dropped, re-attach them.
 
 **Restored** (:func:`rebuild`): data of any other shape is refused with
 :class:`CheckpointCorruptError` naming the field; then an empty session
-from the config, then each query in ordinal order, registered once its
+from the config (each config rebuilt from the fields ``EngineConfig``
+declares, so a field a file carries that the class no longer has is
+dropped), then each query in ordinal order, registered once its
 group's buffered edges up to its watermark are back in the group's
 window and in the members registered before it; then the rest of every
 buffer.  Clock, counters, stats and watermarks are set from the data
@@ -42,6 +44,7 @@ pins restored ≡ naive; ``tests/test_logical_checkpoint.py``, what differs.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import pickle
@@ -216,6 +219,16 @@ def rebuild(data: dict, path: str = "<data>") -> Session:
     window = data["default_window"]
     if isinstance(window, tuple):
         window = window_policy_from_key(window)
+    # Each config rebuilt from the fields its class declares: unpickling
+    # keeps a field the class has since dropped as a stray attribute,
+    # which a re-save would write again.  One object per distinct config,
+    # as the session shared them.
+    declared: dict = {}
+    for holder in [data, *data["queries"]]:
+        config = holder["config"]
+        holder["config"] = declared.setdefault(config, EngineConfig(**{
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(EngineConfig)}))
     session = Session(window=window, config=data["config"])
     _replay(session, data, path)
     return session

@@ -7,8 +7,7 @@ payload — into the Prometheus `text exposition format
 only, by walking it with its owners' ``STATS`` tables (see
 :mod:`repro.stats`): each declared number becomes
 ``repro_<prefix><name>`` with the declared type and help, labelled by
-its tenant and, in a map of several owners, by the owner's key.  A
-tenant's string facts are labels of ``repro_tenant_info`` (value 1).
+its tenant and, in a map of several owners, by the owner's key.
 :func:`declared_series` lists every series a page can carry.
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from ..stats import COUNTER, GAUGE, INFO, IS_OPEN, ONE_HOT, Group, Table
+from ..stats import COUNTER, GAUGE, IS_OPEN, ONE_HOT, Group, Table
 from .gateway import ServiceGateway
 from .resilience import HEALTH_STATES
 
@@ -69,9 +68,8 @@ def _number(value) -> float:
 
 
 def _walk(writer: _Writer, table: Table, node, prefix: str,
-          labels: Dict[str, str], info: Dict[str, str]) -> None:
-    """Sample every declared entry of the status dict ``node``; ``info``
-    collects the string facts of the labelled owner being walked."""
+          labels: Dict[str, str]) -> None:
+    """Sample every declared entry of the status dict ``node``."""
     for key, declared in table.items():
         value = node.get(key)
         if value is None:
@@ -82,7 +80,7 @@ def _walk(writer: _Writer, table: Table, node, prefix: str,
                 writer.sample(key, labels, len(value), GAUGE, declared.count)
             if declared.label is None:
                 _walk(writer, declared.table, value, declared.prefix,
-                      labels, info)
+                      labels)
                 continue
             for owner, child in value.items():
                 scoped = {**labels, declared.label: owner}
@@ -91,19 +89,12 @@ def _walk(writer: _Writer, table: Table, node, prefix: str,
                     writer.sample(declared.prefix, scoped, child, kind,
                                   help_text)
                     continue
-                facts = dict(scoped)
                 _walk(writer, declared.table, child, declared.prefix,
-                      scoped, facts)
-                if len(facts) > len(scoped):
-                    writer.sample(f"{declared.label}_info", facts, 1, GAUGE,
-                                  f"Non-numeric {declared.label} facts as "
-                                  "labels.")
+                      scoped)
             continue
         kind, help_text = declared
         if kind in (COUNTER, GAUGE):
             writer.sample(name, labels, _number(value), kind, help_text)
-        elif kind == INFO:
-            info[key] = value
         elif kind == ONE_HOT:
             for state in HEALTH_STATES:
                 writer.sample(f"{name}_state", {**labels, "state": state},
@@ -117,7 +108,7 @@ def render_metrics(status: Mapping) -> str:
     """Render one ``/metrics`` page from a :meth:`ServiceGateway.status`
     snapshot."""
     writer = _Writer()
-    _walk(writer, ServiceGateway.STATS, status, "", {}, {})
+    _walk(writer, ServiceGateway.STATS, status, "", {})
     return writer.render()
 
 
@@ -142,6 +133,6 @@ def declared_series() -> Dict[str, Tuple[str, str]]:
     """``series -> (type, help)`` for every series :func:`render_metrics`
     can emit."""
     writer = _Writer()
-    _walk(writer, ServiceGateway.STATS, _EveryValue(), "", {}, {})
+    _walk(writer, ServiceGateway.STATS, _EveryValue(), "", {})
     return {metric: (kind, help_text)
             for metric, (help_text, kind) in writer._meta.items()}

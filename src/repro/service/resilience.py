@@ -313,6 +313,27 @@ class HealthTracker:
 # Dead letters
 # --------------------------------------------------------------------- #
 
+def read_dead_letters(path: str) -> Tuple[List[dict], int]:
+    """The records of the dead-letter file at ``path`` and the number of
+    lines skipped as unreadable: a line that is not a JSON object (a
+    torn final write, say) names no dead letter.  Blank lines are not
+    counted.  ``OSError`` when the file cannot be read."""
+    records, skipped = [], 0
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                skipped += 1
+    return records, skipped
+
+
 class DeadLetterQueue:
     """A bounded JSONL sink for poison arrivals.
 
@@ -367,16 +388,11 @@ class DeadLetterQueue:
             return True
 
     def read_all(self) -> List[dict]:
-        """Every recorded dead letter (tests / operators)."""
+        """Every readable dead letter on file (see
+        :func:`read_dead_letters`)."""
         if not os.path.exists(self.path):
             return []
-        out = []
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return read_dead_letters(self.path)[0]
 
     def counters(self) -> dict:
         """A JSON-able snapshot of :attr:`STATS` for ``/stats``."""

@@ -8,8 +8,7 @@ attribute ``+=``.  ``/stats`` is the tree of those dicts and
 :func:`repro.service.metrics.render_metrics` renders it by walking the
 same tables.  Kinds: ``counter`` is monotonic since process start;
 ``gauge`` is any other number (a ``bool`` reads 0/1, a list its
-length); ``info`` is a string, a label of the labelled owner's
-``<label>_info`` metric; ``one_hot`` is a health state, exported as
+length); ``one_hot`` is a health state, exported as
 ``<name>_state{state=...}``; ``is_open`` is a breaker state, exported as
 ``<prefix>open``; ``setting`` is a configured value, on ``/stats`` only.
 """
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
-COUNTER, GAUGE, INFO = "counter", "gauge", "info"
+COUNTER, GAUGE = "counter", "gauge"
 ONE_HOT, IS_OPEN, SETTING = "one_hot", "is_open", "setting"
 
 

@@ -100,6 +100,20 @@ def random_stream(seed: int, n: int, n_vertices: int, *,
     return out
 
 
+def all_scan(engine):
+    """``engine`` with every join on the paper's full scan of the previous
+    expansion-list item (Theorem 3's ``O(|Lᵢ₋₁|)``): its join-index maps
+    emptied, so no join finds an index.  The stores still maintain the
+    indexes they were given; nothing reads them.  The reference leg of
+    every hash-join differential.  A one-edge (stateless) plan joins
+    nothing and is returned as it is."""
+    if not engine.stateless:
+        engine._ext_indexes.clear()
+        engine._union_prefix_indexes.clear()
+        engine._union_omega_indexes.clear()
+    return engine
+
+
 def checkpoint(session) -> bytes:
     """``session``'s checkpoint as bytes."""
     buffer = io.BytesIO()

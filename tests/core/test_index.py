@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EngineConfig, QueryGraph, TimingMatcher
+from repro import QueryGraph, TimingMatcher
 from repro.core.index import (
     LevelIndex, StoreIndexes, extension_probe_flags, extension_store_refs,
     key_from_edge, key_from_flat, union_side_refs,
@@ -11,7 +11,7 @@ from repro.core.join import ExtensionSpec, UnionSpec
 from repro.core.mstree import MSTreeTCStore
 from repro.core.stores import IndependentTCStore
 
-from ..conftest import make_edge
+from ..conftest import all_scan, make_edge
 
 
 class TestLevelIndex:
@@ -147,27 +147,25 @@ class TestStoreMaintenance:
         assert len(deep) == 0
 
 
-class TestEngineConfigIndexing:
-    def test_validation(self):
-        assert EngineConfig().indexing == "hash"
-        EngineConfig(indexing="scan").validate()
-        with pytest.raises(ValueError):
-            EngineConfig(indexing="btree").validate()
-
-    def test_scan_mode_registers_nothing(self):
+class TestEngineJoinIndexes:
+    @pytest.mark.parametrize("storage", ["mstree", "independent"])
+    def test_every_engine_indexes_its_keyed_joins(self, storage):
+        """Join-key indexes are not a mode: every engine registers one
+        per join with an equality key, and the all-scan reference is an
+        engine with its index maps emptied."""
         q = QueryGraph()
         q.add_vertex("a", "A")
         q.add_vertex("b", "B")
         q.add_vertex("c", "A")
         q.add_edge(1, "a", "b")
         q.add_edge(2, "b", "c")
-        scan = TimingMatcher.from_config(q, 10.0, indexing="scan")
+        hashed = TimingMatcher.from_config(q, 10.0, storage=storage)
+        assert (hashed._ext_indexes or hashed._union_prefix_indexes
+                or hashed._union_omega_indexes)
+        scan = all_scan(TimingMatcher.from_config(q, 10.0, storage=storage))
         assert not scan._ext_indexes
         assert not scan._union_prefix_indexes
         assert not scan._union_omega_indexes
-        hashed = TimingMatcher.from_config(q, 10.0)
-        assert (hashed._ext_indexes or hashed._union_prefix_indexes
-                or hashed._union_omega_indexes)
 
     def test_stats_expose_strategy_split(self):
         q = QueryGraph()

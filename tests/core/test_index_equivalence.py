@@ -1,9 +1,10 @@
-"""Differential property test: ``indexing="hash"`` ≡ ``indexing="scan"``.
+"""Differential property test: hash-indexed joins ≡ full scans.
 
 The join-key index subsystem (:mod:`repro.core.index`) must be a pure
 performance optimisation: for any query, storage layout, decomposition size
 and stream (including expiry-heavy ones), the indexed engine and the
-paper-faithful scanning engine must report identical match multisets,
+paper-faithful scanning engine (one built with its join-index maps emptied,
+:func:`tests.conftest.all_scan`) must report identical match multisets,
 identical result counts, and identical logical space at every step.
 Hypothesis drives randomized scenarios through twin engines in lock-step.
 """
@@ -17,15 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import EngineConfig, QueryGraph, StreamEdge, TimingMatcher
 
+from ..conftest import all_scan
 from .test_engine_properties import build_random_query, build_random_stream
 
 
 def _twin_engines(query: QueryGraph, window: float, storage: str):
-    hash_engine = TimingMatcher.from_config(
-        query, window, config=EngineConfig(storage=storage, indexing="hash"))
-    scan_engine = TimingMatcher.from_config(
-        query, window, config=EngineConfig(storage=storage, indexing="scan"))
-    return hash_engine, scan_engine
+    config = EngineConfig(storage=storage)
+    return (TimingMatcher(query, window, config=config),
+            all_scan(TimingMatcher(query, window, config=config)))
 
 
 @settings(max_examples=30, deadline=None,
@@ -121,8 +121,7 @@ def test_indexes_drain_with_window(seed, storage):
     query = build_random_query(rng, 4)
     if not query.is_weakly_connected():
         return
-    engine = TimingMatcher.from_config(
-        query, 4.0, config=EngineConfig(storage=storage, indexing="hash"))
+    engine = TimingMatcher(query, 4.0, config=EngineConfig(storage=storage))
     for edge in build_random_stream(rng, 60, 5):
         engine.push(edge)
     engine.advance_time(engine.window.current_time + 1000.0)

@@ -18,7 +18,7 @@ from repro.concurrency import ConcurrentStreamExecutor
 from repro.core.guard import NullGuard, TraceGuard
 from repro.graph.window import SlidingWindow
 
-from ..conftest import path_query, random_stream
+from ..conftest import all_scan, path_query, random_stream
 from .test_match_once import root_delete_items
 
 WINDOW = 2.5
@@ -34,10 +34,12 @@ def query():
 
 
 def engine(storage="mstree", indexing="hash"):
-    made = TimingMatcher(query(), WINDOW, config=EngineConfig(
-        storage=storage, indexing=indexing))
+    """The engine on ``query()``: its hash-indexed joins, or with
+    ``indexing="scan"`` every join a full scan."""
+    made = TimingMatcher(query(), WINDOW,
+                         config=EngineConfig(storage=storage))
     assert made.k == 3
-    return made
+    return all_scan(made) if indexing == "scan" else made
 
 
 @pytest.fixture(scope="module")

@@ -178,7 +178,8 @@ def check_state(session, oracle) -> None:
 
 def run_session_scenario(seed: int) -> int:
     scenario = Scenario(seed)
-    session = Session(duplicate_policy=scenario.policy)
+    session = Session(
+        config=EngineConfig(duplicate_policy=scenario.policy))
     oracle = Oracle(scenario.policy)
     emitted = 0
     for op in scenario.ops:
@@ -243,7 +244,8 @@ class TestOneQuerySessionAgainstOracle:
     def test_push_advance_checkpoint(self, seed):
         scenario = Scenario(seed, steps=40)
         _, _, query, window_spec = scenario.ops[0]
-        session = Session(duplicate_policy=scenario.policy)
+        session = Session(
+            config=EngineConfig(duplicate_policy=scenario.policy))
         engine = session.register("q", query,
                                   window=make_window(window_spec))
         oracle = NaiveSnapshotMatcher(query, make_window(window_spec),
@@ -314,7 +316,8 @@ class TestPlanKindFollowsShape:
                                 decomposition=plan)
         sessions = []
         for options in ({}, {"decomposition": plan}):
-            session = Session(duplicate_policy="skip")
+            session = Session(
+                config=EngineConfig(duplicate_policy="skip"))
             session.register("q", query, window=make_window(window_spec),
                              **options)
             sessions.append(session)
@@ -352,8 +355,8 @@ class TestPlanKindFollowsShape:
         there are."""
         import dataclasses
         assert [field.name for field in dataclasses.fields(EngineConfig)] \
-            == ["storage", "decomposition", "join_order", "indexing",
-                "subplan_sharing", "seed", "duplicate_policy"]
+            == ["storage", "decomposition", "join_order", "seed",
+                "duplicate_policy"]
 
     def test_explicit_plan_is_still_validated(self):
         rng = random.Random(1)

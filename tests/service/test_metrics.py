@@ -3,8 +3,8 @@ it from the owners' ``STATS`` tables (see :mod:`repro.stats`).
 
 One gateway with a WAL, a rate limit and a file tailer is booted behind
 a real listener; the pages it serves are checked against the names the
-service exported before the tables existed (nothing renamed, nothing
-dropped), against the declarations (every ``# TYPE`` and every numeric
+service exported before the tables existed (nothing renamed; dropped
+only the series of a removed mode), against the declarations (every ``# TYPE`` and every numeric
 leaf), and for the tailer's counters and source offsets.
 """
 
@@ -67,6 +67,9 @@ PINNED_SERIES = ["repro_" + name for name in """
     wal_segments wal_segments_created wal_segments_reclaimed wal_sync_errors
     wal_truncated_bytes worker_errors
 """.split()]
+#: Pinned series since dropped: ``repro_tenant_info`` carried only the
+#: sub-plan sharing mode, which is no longer a mode.
+DROPPED_SERIES = ["repro_tenant_info"]
 
 #: What the tables add: the session's stats and the tailer's counters
 #: and source offsets (``<path>`` stands for the tailed file).
@@ -74,7 +77,7 @@ ADDED_STATS = [f"session.{name}" for name in """
     edges_pushed predicate_entries predicate_trie_nodes queries
     route_resolved_lists routed_pushes shared_groups shared_subplans
     shared_window_cells skipped_matchers stateless_queries
-    subplan_consumers subplan_reuses subplan_sharing subplan_store_cells
+    subplan_consumers subplan_reuses subplan_store_cells
     window_cells""".split()] + [f"tails.<path>.{name}" for name in """
     path format lines_read parse_errors edges_enqueued read_errors
     truncations rotations""".split()] + ["source_offsets.<path>"]
@@ -149,7 +152,7 @@ class TestNothingRenamedOrDropped:
     def test_series_are_the_pinned_ones_plus_the_tailer(self, served):
         _, _, text, _ = served
         assert sorted(page_types(text)) == sorted(
-            PINNED_SERIES + ADDED_SERIES)
+            set(PINNED_SERIES) - set(DROPPED_SERIES) | set(ADDED_SERIES))
 
     def test_duplicate_numbers_stay(self, served):
         """``edges_pushed`` is the tenant's and the session's; the window
@@ -162,10 +165,16 @@ class TestNothingRenamedOrDropped:
         for line in ('repro_session_window_cells{tenant="t0"} 4',
                      'repro_session_shared_window_cells{tenant="t0"} 4',
                      'repro_session_edges_pushed{tenant="t0"} 4',
-                     'repro_edges_pushed{tenant="t0"} 4',
-                     'repro_tenant_info{subplan_sharing="shared",'
-                     'tenant="t0"} 1'):
+                     'repro_edges_pushed{tenant="t0"} 4'):
             assert line in text
+
+    def test_no_sharing_mode_is_reported(self, served):
+        """Sub-plan sharing is not a mode: neither ``/stats`` nor a
+        ``/metrics`` label names one."""
+        _, stats, text, _ = served
+        assert "subplan_sharing" not in stats["tenants"]["t0"]["session"]
+        assert "subplan_sharing" not in text
+        assert "repro_tenant_info" not in text
 
 
 class TestDeclaredTypes:

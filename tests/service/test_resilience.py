@@ -6,7 +6,7 @@ import pytest
 
 from repro.service.resilience import (
     HEALTH_STATES, CircuitBreaker, DeadLetterQueue, HealthTracker,
-    RateLimited, RetryPolicy, TokenBucket, call_with_retry,
+    RateLimited, RetryPolicy, TokenBucket, call_with_retry, read_dead_letters,
 )
 
 
@@ -208,6 +208,17 @@ class TestDeadLetterQueue:
         assert entry["reason"] == "poison_edge"
         assert entry["payload"] == {"src": "a"}
         assert "ValueError" in entry["error"]
+
+    def test_torn_last_line_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "dead.jsonl"
+        dlq = DeadLetterQueue(str(path))
+        dlq.record("poison_edge", {"src": "a"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"at": 2.0, "reas')
+        (entry,) = dlq.read_all()
+        assert entry["payload"] == {"src": "a"}
+        records, unreadable = read_dead_letters(str(path))
+        assert records == [entry] and unreadable == 1
 
     def test_bounded_past_capacity(self, tmp_path):
         dlq = DeadLetterQueue(str(tmp_path / "dead.jsonl"), max_records=2)

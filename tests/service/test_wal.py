@@ -714,6 +714,19 @@ class TestDlqCli:
         out = capsys.readouterr().out
         assert "a1" in out and "sink_write" not in out
 
+    def test_torn_last_line_is_skipped_and_counted(self, tmp_path, capsys):
+        """A crash mid-write leaves a torn final line: ``repro dlq`` reads
+        the file with the queue's own reader, which skips it and counts
+        it."""
+        path = self._dead_letter_file(tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"at": 3.0, "reason": "poison_e')
+        assert cli_main(["dlq", "list", path]) == 0
+        captured = capsys.readouterr()
+        assert "2 dead letter(s)" in captured.out
+        assert captured.err.count("warning:") == 1
+        assert "1 line(s)" in captured.err
+
     def test_replay_dry_run(self, tmp_path, capsys):
         path = self._dead_letter_file(tmp_path)
         assert cli_main(["dlq", "replay", path, "--dry-run"]) == 0

@@ -11,7 +11,7 @@ regression in work fails here deterministically; wall time is measured
 per change, with a noise band, by ``bench_e2e``.
 
 * indexing: hash-indexed joins evaluate fewer join predicates than
-  scans;
+  scans (an engine with its join-index maps emptied);
 * decomposition and join order (Timing-RD / -RJ): the planned engine
   joins no more TC-subqueries than a random decomposition, and opens
   with a join at least as selective as a random order's;
@@ -50,7 +50,7 @@ from repro.graph.stream import GraphStream
 from repro.graph.window import SlidingWindow
 from repro.subplans import _SubplanProvider
 
-from .conftest import FORK_PLAN, fork_query, fork_stream
+from .conftest import FORK_PLAN, all_scan, fork_query, fork_stream
 
 STORAGES = ["mstree", "independent"]
 #: The three variants ``generate_query_set`` draws from one walk, in order.
@@ -79,6 +79,13 @@ def run_session(queries, window, edges, **config):
     for name, query in queries.items():
         session.register(name, query)
     return session, Counter(session.push_many(edges))
+
+
+def logical_space(session):
+    """The sum of ``session``'s engines' logical space: a shared store
+    counted once per engine that reads it."""
+    return sum(session.matcher(name).space_cells()
+               for name in session.names())
 
 
 def run_standalone(queries, window, edges, **config):
@@ -120,10 +127,13 @@ def dataset(request):
             list(stream)[:1000])
 
 
-def join_checks(query, window, edges, **config):
+def join_checks(query, window, edges, scan=False, **config):
     """The engine's matches over ``edges`` and how many join predicates
-    (extension and union ``check`` calls) it evaluated for them."""
+    (extension and union ``check`` calls) it evaluated for them; with
+    ``scan`` every join is a full scan."""
     engine = TimingMatcher(query, window, config=EngineConfig(**config))
+    if scan:
+        all_scan(engine)
     calls = 0
 
     def counted(check):
@@ -153,9 +163,9 @@ def test_hash_joins_check_fewer_predicates_than_scans(dataset, variant,
     queries, window, edges = dataset
     query = queries[variant]
     hashed, hash_checks = join_checks(query, window, edges,
-                                      storage=storage, indexing="hash")
-    scanned, scan_checks = join_checks(query, window, edges,
-                                       storage=storage, indexing="scan")
+                                      storage=storage)
+    scanned, scan_checks = join_checks(query, window, edges, scan=True,
+                                       storage=storage)
     assert hashed == scanned
     assert 0 < hash_checks < scan_checks
 
@@ -244,8 +254,8 @@ def test_timing_prune_skips_one_join_per_marked_completion(storage):
     assert unpruned.join_operations - pruned.join_operations == marked
     assert unpruned.index_probes - pruned.index_probes == marked
     assert pruned.partial_matches_created == unpruned.partial_matches_created
-    scan = TimingMatcher(query, window, config=EngineConfig(
-        storage=storage, indexing="scan"))
+    scan = all_scan(TimingMatcher(query, window,
+                                  config=EngineConfig(storage=storage)))
     naive = NaiveSnapshotMatcher(query, window)
     assert answers == reference == Counter(scan.push_many(edges)) \
         == Counter(naive.push_many(edges))
@@ -304,15 +314,15 @@ def test_shared_routing_keeps_one_window_and_visits_only_consumers(
         routing_workload, storage):
     """Standalone engines keep a window per query and each sees every
     arrival; a session keeps one window and pushes an arrival only to the
-    queries its labels can match.  Sub-plans stay private, so the stores
-    — and the partial-match space — are the same in both."""
+    queries its labels can match.  Each engine's logical partial-match
+    space is the same in both (the session's stores may be shared, which
+    ``test_shared_subplans_store_the_core_once`` counts)."""
     queries, window, edges = routing_workload
-    shared, answer = run_session(queries, window, edges, storage=storage,
-                                 subplan_sharing="private")
+    shared, answer = run_session(queries, window, edges, storage=storage)
     engines, baseline = run_standalone(queries, window, edges,
                                        storage=storage)
     assert answer == baseline and answer
-    assert shared.space_cells() == sum(
+    assert logical_space(shared) == sum(
         engine.space_cells() for engine in engines.values()) > 0
 
     cells = shared.session_stats()
@@ -359,23 +369,18 @@ def sharing_workload():
 
 @pytest.mark.parametrize("storage", STORAGES)
 def test_shared_subplans_store_the_core_once(sharing_workload, storage):
-    """Private sub-plans keep the core's expansion lists once per query;
-    shared ones keep them once, written by the first consumer of each
-    arrival and replayed from the delta memo by the rest."""
+    """Standalone engines keep private sub-plan stores, the core's
+    expansion lists once per query; a session keeps them once, written
+    by the first consumer of each arrival and replayed from the delta
+    memo by the rest."""
     queries, window, edges = sharing_workload
-    shared, answer = run_session(queries, window, edges, storage=storage,
-                                 subplan_sharing="shared")
-    private, private_answer = run_session(queries, window, edges,
-                                          storage=storage,
-                                          subplan_sharing="private")
-    assert answer == private_answer and answer
-
-    def logical(session):
-        return sum(session.matcher(name).space_cells()
-                   for name in session.names())
-
-    assert logical(shared) == logical(private) > 0
-    assert private.space_cells() >= 2 * shared.space_cells() > 0
+    shared, answer = run_session(queries, window, edges, storage=storage)
+    engines, baseline = run_standalone(queries, window, edges,
+                                       storage=storage)
+    assert answer == baseline and answer
+    private = sum(engine.space_cells() for engine in engines.values())
+    assert logical_space(shared) == private > 0
+    assert private >= 2 * shared.space_cells() > 0
     stats = shared.session_stats()
     assert stats["subplan_consumers"] > stats["shared_subplans"]
     assert stats["subplan_reuses"] > 0

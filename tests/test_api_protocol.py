@@ -117,8 +117,7 @@ class TestFacadeReExports:
         import repro.subplans
         for name in ("EngineConfig", "EngineStats", "Matcher", "MatcherBase",
                      "as_window", "DUPLICATE_POLICIES", "STORAGE_KINDS",
-                     "DECOMPOSITION_STRATEGIES", "JOIN_ORDER_STRATEGIES",
-                     "INDEXING_MODES", "SUBPLAN_SHARING_MODES"):
+                     "DECOMPOSITION_STRATEGIES", "JOIN_ORDER_STRATEGIES"):
             assert getattr(repro.api, name) is getattr(repro.matcher, name)
         assert repro.api.SharedSubplanStore \
             is repro.subplans.SharedSubplanStore
@@ -265,6 +264,34 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="storage"):
             TimingMatcher.from_config(path_query(2), 6.0,
                                       EngineConfig(storage="hologram"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("indexing", "hash"), ("indexing", "scan"),
+        ("subplan_sharing", "shared"), ("subplan_sharing", "private")])
+    def test_removed_fields_raise_type_error(self, field, value):
+        """Every field is a paper variant or a stream semantic: join-key
+        indexes and sub-plan sharing are not modes, and neither their
+        fields nor their value tuples exist."""
+        import repro
+        import repro.api
+        with pytest.raises(TypeError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            TimingMatcher.from_config(path_query(2), 6.0, **{field: value})
+        mode_names = field.upper() + "_MODES"
+        assert not hasattr(repro, mode_names)
+        assert not hasattr(repro.api, mode_names)
+
+    def test_session_takes_its_duplicate_policy_from_its_config(self):
+        """One setter per engine value: the ``Session(duplicate_policy=)``
+        shorthand is gone."""
+        from repro import Session
+        with pytest.raises(TypeError, match="duplicate_policy"):
+            Session(window=6.0, duplicate_policy="skip")
+        session = Session(window=6.0,
+                          config=EngineConfig(duplicate_policy="skip"))
+        assert session.register("q", path_query(2)).duplicate_policy \
+            == "skip"
 
     def test_config_is_recorded_on_the_engine(self):
         config = EngineConfig(decomposition="random", seed=7)

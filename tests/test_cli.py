@@ -130,6 +130,61 @@ class TestRun:
         assert "1 duplicate arrivals skipped" in out
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--indexing", "scan"), ("--subplan-sharing", "private")])
+    def test_run_has_no_removed_mode_flags(self, flag, value, query_file,
+                                           stream_file, capsys):
+        """Hash joins and sub-plan sharing are not modes to pick."""
+        with pytest.raises(SystemExit) as info:
+            main(["run", query_file, stream_file, flag, value])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+#: ``(argv with {query}/{stream}/{dlq}/{out} placeholders, the flag)`` of
+#: every number a subcommand would misuse instead of refusing.
+BAD_NUMBERS = {
+    "run-window-negative": (["run", "{query}", "{stream}", "--window", "-5"],
+                            "--window"),
+    "run-window-nan": (["run", "{query}", "{stream}", "--window", "nan"],
+                       "--window"),
+    "simulate-window-negative": (
+        ["simulate", "{query}", "{stream}", "--window", "-5"], "--window"),
+    "simulate-threads-zero": (
+        ["simulate", "{query}", "{stream}", "--threads", "0"], "--threads"),
+    "analyze-window-edges-negative": (
+        ["analyze", "{stream}", "--query", "{query}", "--window-edges", "-5"],
+        "--window-edges"),
+    "generate-negative-edges": (["generate", "netflow", "-5", "{out}"],
+                                "num_edges"),
+    "dlq-replay-batch-size-zero": (
+        ["dlq", "replay", "{dlq}", "--batch-size", "0", "--dry-run"],
+        "--batch-size"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_bad_numbers_are_refused_at_parse_time(case, query_file, stream_file,
+                                               tmp_path, capsys):
+    """One ``error:`` line naming the argument and exit 2, before any
+    file is read or written."""
+    dlq = tmp_path / "deadletter.jsonl"
+    dlq.write_text('{"at": 1.0, "reason": "poison_edge", "payload": '
+                   '{"src": "a", "dst": "b", "src_label": "A", '
+                   '"dst_label": "B", "timestamp": 1.0}}\n')
+    out = tmp_path / "out.csv"
+    argv, flag = BAD_NUMBERS[case]
+    argv = [arg.format(query=query_file, stream=stream_file, dlq=dlq,
+                       out=out) for arg in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    (error,) = [line for line in err.splitlines() if "error:" in line]
+    assert flag in error
+    assert not out.exists()
+
+
 class TestGenerate:
     @pytest.mark.parametrize("dataset", ["netflow", "wikitalk", "lsbench"])
     def test_generate_writes_readable_csv(self, dataset, tmp_path, capsys):

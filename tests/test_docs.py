@@ -39,6 +39,19 @@ class TestDocsTree:
                      "configuration.md", "api.rst"):
             assert os.path.exists(os.path.join(DOCS_DIR, page)), page
 
+    def test_configuration_has_one_section_per_field(self):
+        """``configuration.md`` documents exactly the ``EngineConfig``
+        fields, one ``## `<field>` `` section each."""
+        import dataclasses
+
+        from repro import EngineConfig
+        with open(os.path.join(DOCS_DIR, "configuration.md"),
+                  encoding="utf-8") as handle:
+            sections = re.findall(r"^## `(\w+)`", handle.read(),
+                                  re.MULTILINE)
+        assert sorted(sections) == sorted(
+            field.name for field in dataclasses.fields(EngineConfig))
+
     def test_autodoc_targets_import(self):
         targets = automodule_targets()
         assert "repro.api" in targets

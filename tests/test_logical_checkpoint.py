@@ -381,6 +381,35 @@ class TestRoundTripIsIdentity:
         assert len(one["groups"]) == 3
         assert abs(len(first) - len(second)) < 0.02 * len(first)
 
+    def test_a_config_field_since_removed_is_dropped(self):
+        """A checkpoint written when ``EngineConfig`` still had
+        ``indexing`` and ``subplan_sharing`` (here: a config given both
+        as stray attributes, as unpickling such a file leaves them)
+        restores with the same answers and re-saves neither field."""
+        config = EngineConfig(storage="independent")
+        object.__setattr__(config, "indexing", "scan")
+        object.__setattr__(config, "subplan_sharing", "private")
+        edges = labeled_stream(71, 200)
+        session = Session(window=6.0, config=config)
+        session.register("a", labeled_path_query(2, elabels=("x", "y")))
+        session.register("b", labeled_path_query(2, elabels=("x", "y")),
+                         config=config)
+        session.push_many(edges[:150])
+        saved = checkpoint(session)
+        assert _load(io.BytesIO(saved))["session"]["config"].indexing \
+            == "scan"
+        restored = Session.restore(io.BytesIO(saved))
+        assert observe(restored) == observe(session)
+        assert restored.push_many(edges[150:]) \
+            == session.push_many(edges[150:])
+        data = _load(io.BytesIO(checkpoint(restored)))["session"]
+        for config in [data["config"]] + [saved["config"]
+                                          for saved in data["queries"]]:
+            assert config == EngineConfig(storage="independent")
+            assert vars(config).keys() == {
+                "storage", "decomposition", "join_order", "seed",
+                "duplicate_policy"}
+
     def test_runtime_wiring_is_dropped_not_stored(self):
         session = Session(window=lambda: CountSlidingWindow(10))
         session.register("q", labeled_path_query(2, elabels=("x", "y")),

@@ -232,7 +232,8 @@ class TestBackends:
     @pytest.mark.parametrize("backend", ["timing", "sjtree", "incmat",
                                          "naive"])
     def test_per_query_duplicate_policy_overrides_session(self, backend):
-        session = Session(window=6.0, duplicate_policy="raise")
+        session = Session(window=6.0,
+                          config=EngineConfig(duplicate_policy="raise"))
         # The Timing engine takes its knobs as a config; the baselines
         # as constructor options.
         override = ({"config": EngineConfig(duplicate_policy="skip")}
@@ -447,7 +448,8 @@ class TestStreaming:
             "src,dst,timestamp,src_label,dst_label,label,edge_id\n"
             "a1,b1,1.0,A,B,,flow7\n"
             "a2,b2,2.0,A,B,,flow7\n")     # reused exporter flow id
-        session = Session(window=6.0, duplicate_policy="count")
+        session = Session(window=6.0,
+                          config=EngineConfig(duplicate_policy="count"))
         session.register("chain", TWO_HOP_DSL)
         session.ingest_csv(str(path), collect=False)
         assert session.stats()["chain"]["edges_skipped"] == 1
@@ -502,7 +504,8 @@ class TestStreaming:
         assert len(long.window) == 2           # both arrivals in-window
 
     def test_session_duplicate_policy_reaches_engines(self):
-        session = Session(window=6.0, duplicate_policy="count")
+        session = Session(window=6.0,
+                          config=EngineConfig(duplicate_policy="count"))
         session.register("chain", TWO_HOP_DSL)
         session.push(StreamEdge("a1", "b1", src_label="A", dst_label="B",
                                 timestamp=1.0, edge_id="dup"))

@@ -5,8 +5,8 @@ of §III-A1 under streaming consistency (Definition 11), which
 ``baselines/naive.py`` implements.  This Hypothesis state machine drives a
 session through registrations (names held in a bundle), deregistrations,
 batches, clock jumps and checkpoint → close → restore.  Each example
-draws the modes (storage, sub-plan sharing, time / count / mixed window
-groups, duplicate policy) and opens with a stored-plan query, its twins
+draws the modes (storage, plan — the paper's greedy one or Timing-RD/-RJ's
+random one — time / count / mixed window groups, duplicate policy) and opens with a stored-plan query, its twins
 — which share its sub-plan stores — and a first batch; each registration
 draws a shape, a window, a backend and perhaps its own duplicate policy.
 A query's callback may deregister it, or a query the same arrival has
@@ -105,6 +105,14 @@ WINDOWS = {
     "mixed": (("time", 3.0), ("count", 5), ("time", 5.0)),
 }
 
+#: The plan variants: the paper's (Algorithm 6 and §VI-C's join order)
+#: and Timing-RD/-RJ's, whose seeded plan is the same for every engine of
+#: one query, so twins still share its sub-plan stores.
+PLANS = {
+    "greedy": {},
+    "random": dict(decomposition="random", join_order="random", seed=1),
+}
+
 
 def window_arg(spec):
     """A fresh ``register(window=...)`` argument for a window group key."""
@@ -151,9 +159,9 @@ class Buffer:
 class Reference:
     """One registered query's references and modelled counters."""
 
-    def __init__(self, shape, backend, spec, policy, buffer, storage):
+    def __init__(self, shape, backend, spec, policy, buffer, plan):
         self.shape, self.backend, self.spec = shape, backend, spec
-        self.policy, self.buffer, self.storage = policy, buffer, storage
+        self.policy, self.buffer, self.plan = policy, buffer, plan
         self.evicts = None          # whom its callback deregisters
         self.skipped = 0
         self.naive = NaiveSnapshotMatcher(SHAPES[self.shape](),
@@ -167,7 +175,7 @@ class Reference:
         if self.backend == "timing":
             self.engine = TimingMatcher(
                 SHAPES[self.shape](), window_arg(self.spec),
-                config=EngineConfig(storage=self.storage))
+                config=self.plan)
             self.engine.push_many(self.naive.window)
             self.advance(clock)
 
@@ -307,7 +315,7 @@ class SessionModel(RuleBasedStateMachine):
         self.refs[name] = Reference(shape, backend, spec,
                                     policy or self.policy,
                                     self.groups.setdefault(spec, Buffer(spec)),
-                                    self.storage)
+                                    self.plan)
         return name
 
     def _observed(self):
@@ -329,8 +337,8 @@ class SessionModel(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     @initialize(target=queries,
                 storage=st.sampled_from(["mstree", "independent"]),
-                sharing=st.sampled_from(["shared", "shared", "shared",
-                                         "private"]),
+                plan=st.sampled_from(["greedy", "greedy", "greedy",
+                                      "random"]),
                 windows=st.sampled_from(sorted(WINDOWS)),
                 policy=st.sampled_from(["raise", "skip", "count"]),
                 reuse=st.booleans(),
@@ -338,18 +346,18 @@ class SessionModel(RuleBasedStateMachine):
                 evicts=st.sampled_from(["itself", "itself", "a twin", None]),
                 others=st.lists(REGISTRATION, max_size=3),
                 seed=st.integers(0, 2 ** 32))
-    def open_session(self, storage, sharing, windows, policy, reuse, first,
+    def open_session(self, storage, plan, windows, policy, reuse, first,
                      twins, evicts, others, seed):
         """A session with a ``first`` query, its ``twins`` and ``others``
         — all over empty stores, so the twins share the first's sub-plan
         stores — and a first batch.  When the first ``evicts`` itself on
         its next match, its twins must replay the memo it wrote; a twin it
         evicts must not see that arrival."""
-        self.storage, self.specs = storage, WINDOWS[windows]
+        self.plan = EngineConfig(storage=storage, **PLANS[plan])
+        self.specs = WINDOWS[windows]
         self.policy, self.reuse = policy, reuse
-        self.session = Session(config=EngineConfig(
-            storage=storage, subplan_sharing=sharing,
-            duplicate_policy=policy))
+        self.session = Session(
+            config=self.plan.replace(duplicate_policy=policy))
         self.session.add_sink(self._heard)
         self.refs = {}              # name -> Reference, registration order
         self.groups = {}            # window group key -> Buffer
@@ -558,13 +566,12 @@ def test_session_agrees_with_the_naive_matcher(monkeypatch):
 # Scripted runs: the same machine with fixed draws, in every mode
 # ---------------------------------------------------------------------- #
 
-#: ``open_session``'s mode draws: every pair of storage and sub-plan
-#: sharing.
+#: ``open_session``'s mode draws: every pair of storage and plan.
 MODES = {
-    "shared-mstree": dict(storage="mstree", sharing="shared"),
-    "shared-private": dict(storage="independent", sharing="private"),
-    "shared-independent": dict(storage="independent", sharing="shared"),
-    "private-mstree": dict(storage="mstree", sharing="private"),
+    "greedy-mstree": dict(storage="mstree", plan="greedy"),
+    "random-independent": dict(storage="independent", plan="random"),
+    "greedy-independent": dict(storage="independent", plan="greedy"),
+    "random-mstree": dict(storage="mstree", plan="random"),
 }
 
 #: ``open_session``'s other draws, which a script may override: ``a``

@@ -14,7 +14,9 @@ import io
 
 import pytest
 
-from repro import CountSlidingWindow, EngineConfig, Session, SlidingWindow
+from repro import (
+    CountSlidingWindow, EngineConfig, Session, SlidingWindow, TimingMatcher,
+)
 
 from .conftest import labeled_path_query, labeled_stream, observe
 
@@ -60,19 +62,6 @@ class TestWhoShares:
             session.matcher("flat")._tc_stores[0]
         assert session.session_stats()["shared_subplans"] == 2
 
-    def test_indexing_modes_share_one_store(self):
-        """A scan-mode engine and a hash-mode engine canonicalise to the
-        same sub-plan and share the store; whichever consumes an arrival
-        first computes the delta, the other replays the memo."""
-        session = Session(window=6.0)
-        session.register("hash", xy())
-        session.register("scan", xy(), config=EngineConfig(indexing="scan"))
-        session.push_many(labeled_stream(19, 250))
-        assert session.matcher("hash")._tc_stores[0] is \
-            session.matcher("scan")._tc_stores[0]
-        assert session.result_counts()["hash"] \
-            == session.result_counts()["scan"] > 0
-
     def test_a_custom_window_policy_is_refused(self):
         """Sub-plan sharing is scoped to a window group, whose members
         expire in lock-step.  A custom policy class has no group, so
@@ -115,23 +104,22 @@ class TestWhoShares:
 class TestExactlyOnceMaintenance:
     def test_shared_store_cells_equal_single_engine(self):
         """Q identical queries keep ONE copy of the sub-plan store: the
-        session's physical space equals a single private engine's."""
+        session's physical space equals a single standalone engine's,
+        whose stores are private."""
         shared = Session(window=50.0)
-        private = Session(window=50.0, config=EngineConfig(
-            subplan_sharing="private"))
         edges = labeled_stream(29, 200)
         num_queries = 6
-        for session in (shared, private):
-            for i in range(num_queries):
-                session.register(f"q{i}", xy())
-            session.push_many(edges)
+        for i in range(num_queries):
+            shared.register(f"q{i}", xy())
+        shared.push_many(edges)
+        standalone = TimingMatcher(xy(), 50.0)
+        standalone.push_many(edges)
         stats = shared.session_stats()
         assert stats["shared_subplans"] == 1
         assert stats["subplan_consumers"] == num_queries
-        one_engine = private.matcher("q0").space_cells()
+        one_engine = standalone.space_cells()
         assert one_engine > 0
         assert shared.space_cells() == one_engine
-        assert private.space_cells() == num_queries * one_engine
         # Logical per-query space is unchanged by sharing.
         assert shared.matcher("q0").space_cells() == one_engine
 
@@ -211,7 +199,6 @@ class TestCheckpointRestore:
         buffer.seek(0)
         restored = Session.restore(buffer)
         stats = restored.session_stats()
-        assert stats["subplan_sharing"] == "shared"
         assert stats["shared_subplans"] == \
             session.session_stats()["shared_subplans"]
         assert restored.matcher("t0")._tc_stores[0] is \
