@@ -3,14 +3,18 @@
 
 The :mod:`repro.service` gateway turns a :class:`~repro.api.Session`
 into a long-running server: edges arrive over HTTP (or WebSockets, or
-tailed files), flow through a bounded backpressure queue into a tenant
-worker, and matches stream out to an on-disk JSONL log plus any live
-subscribers.  This example drives that whole pipeline headlessly:
+tailed files), are journaled to the tenant's write-ahead log and
+fsynced before the ack, flow through a bounded queue (a full one makes
+the producer wait; nothing is ever shed) into the tenant's session, and
+matches stream out to an on-disk JSONL log plus any live subscribers.
+This example drives that whole pipeline headlessly:
 
-1. write a ``server.toml`` declaring one tenant with a two-hop pattern;
+1. write a ``server.toml`` declaring one tenant with a two-hop pattern
+   (no ``[tenant.wal]`` table: every tenant journals by default);
 2. boot the gateway on an ephemeral port (the same path as
    ``repro serve --config server.toml``);
-3. POST a small stream to ``/ingest`` and watch the matches land;
+3. POST a small stream to ``/ingest`` — the ack says it is durable — and
+   watch the matches land;
 4. scrape Prometheus-format counters from ``/metrics``;
 5. shut down gracefully (drain + final checkpoint), then boot a second
    gateway on the same state directory and verify it restores.
@@ -36,8 +40,7 @@ checkpoint_interval = 60.0
 [[tenant]]
 name = "demo"
 window = 10.0
-queue_capacity = 1000
-backpressure = "block"        # producers wait; nothing is ever dropped
+queue_capacity = 1000         # a full queue makes producers wait
 
 [[tenant.query]]
 name = "two-hop"
@@ -106,6 +109,7 @@ def main() -> None:
             reply = http_post(port, "/ingest", {"edges": STREAM})
             print(f"POST /ingest -> {reply}")
             assert reply["accepted"] == len(STREAM)
+            assert reply["durable"] is True     # journaled and fsynced
 
             stats = wait_for_matches(port, EXPECTED_MATCHES)
             print(f"matches delivered: {stats['matches_delivered']}")

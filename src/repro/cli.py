@@ -32,7 +32,7 @@ Subcommands
     by reason, ``inspect`` prints them, and ``replay`` re-ingests the
     poison-edge records into a running gateway over HTTP (each batch
     tagged with a deterministic ``request_id`` so a re-run of the same
-    file cannot double-ingest on a WAL-enabled tenant).
+    file cannot double-ingest).
 
 Invoke as ``python -m repro ...`` or through the console entry point.
 """
@@ -501,8 +501,7 @@ def _cmd_dlq(args: argparse.Namespace) -> int:
     sent = 0
     for index, batch in enumerate(batches):
         # Deterministic id over file + batch content: re-running the
-        # same replay against a WAL-enabled tenant dedups instead of
-        # double-ingesting.
+        # same replay dedups instead of double-ingesting.
         digest = hashlib.sha256(
             _json.dumps([args.file, index, batch],
                         sort_keys=True).encode()).hexdigest()[:24]

@@ -36,21 +36,17 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graph.edge import StreamEdge
 from ..matcher import EngineConfig, EngineStats, MatcherBase
-from .decomposition import (
-    Decomposition, greedy_decomposition, random_decomposition,
-    validate_decomposition,
-)
+from .decomposition import Decomposition
 from .index import (
     LevelIndex, compile_edge_key, compile_flat_key, extension_probe_flags,
     extension_store_refs, union_side_refs,
 )
 from .join import ExtensionSpec, UnionSpec
-from .join_order import jn_join_order, random_join_order
 from .matches import Match
 from .mstree import GlobalMSTreeStore, subquery_store
+from .plan import choose_plan
 from .query import EdgeId, QueryGraph
 from .stores import GlobalIndependentStore, IndependentTCStore
-from .tc import tc_subqueries
 
 #: ``since`` of a window that held nothing before its matcher joined it.
 _NEVER = float("-inf")
@@ -227,30 +223,24 @@ class TimingMatcher(MatcherBase):
     def _plan(self, query: QueryGraph, config: EngineConfig,
               decomposition: Optional[Decomposition],
               join_order: Optional[Decomposition]) -> Decomposition:
-        """The TC decomposition in join order.  (``config.validate()``
+        """The TC decomposition in join order (see
+        :func:`~repro.core.plan.choose_plan`).  (``config.validate()``
         guarantees the strategy fields.)"""
-        rng = random.Random(config.seed)
-        if decomposition is None:
-            subs = tc_subqueries(query)
-            if config.decomposition == "greedy":
-                decomposition = greedy_decomposition(query, subs)
-            else:
-                decomposition = random_decomposition(query, rng, subs)
-        validate_decomposition(query, decomposition)
-        if join_order is not None:
-            # Explicit order (e.g. from repro.core.estimate): must permute
-            # the decomposition and stay prefix-connected.
-            from .join_order import is_prefix_connected_order
-            if sorted(map(sorted, join_order)) != \
-                    sorted(map(sorted, decomposition)):
-                raise ValueError(
-                    "join_order must be a permutation of the decomposition")
-            if not is_prefix_connected_order(query, join_order):
-                raise ValueError("join_order must be prefix-connected")
-            return list(join_order)
-        if config.join_order == "jn":
-            return jn_join_order(query, decomposition)
-        return random_join_order(query, decomposition, rng)
+        decomposition, order = choose_plan(
+            query, config.decomposition, config.join_order,
+            random.Random(config.seed), decomposition=decomposition)
+        if join_order is None:
+            return order
+        # Explicit order (e.g. from repro.core.estimate): must permute
+        # the decomposition and stay prefix-connected.
+        from .join_order import is_prefix_connected_order
+        if sorted(map(sorted, join_order)) != \
+                sorted(map(sorted, decomposition)):
+            raise ValueError(
+                "join_order must be a permutation of the decomposition")
+        if not is_prefix_connected_order(query, join_order):
+            raise ValueError("join_order must be prefix-connected")
+        return list(join_order)
 
     def _finish_construction(self, query: QueryGraph, config: EngineConfig,
                              ordered: Decomposition) -> None:

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .decomposition import (
     Decomposition, expected_join_operations, greedy_decomposition,
-    random_decomposition,
+    random_decomposition, validate_decomposition,
 )
 from .join_order import jn_join_order, joint_number, random_join_order
 from .query import EdgeId, QueryGraph
@@ -118,20 +118,28 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def explain(query: QueryGraph, *, decomposition_strategy: str = "greedy",
-            join_order_strategy: str = "jn",
-            rng: Optional[random.Random] = None) -> QueryPlan:
-    """Plan a query exactly as :class:`TimingMatcher` would, without data."""
-    query.validate()
-    rng = rng if rng is not None else random.Random(0)
-    subs = tc_subqueries(query)
-    if decomposition_strategy == "greedy":
-        decomposition = greedy_decomposition(query, subs)
-    elif decomposition_strategy == "random":
-        decomposition = random_decomposition(query, rng, subs)
-    else:
-        raise ValueError(
-            f"unknown decomposition strategy: {decomposition_strategy!r}")
+def choose_plan(query: QueryGraph, decomposition_strategy: str,
+                join_order_strategy: str, rng: random.Random, *,
+                decomposition: Optional[Decomposition] = None,
+                subs: Optional[list] = None
+                ) -> Tuple[Decomposition, Decomposition]:
+    """The TC decomposition and its join order, chosen the one way the
+    engine and :func:`explain` both use: ``decomposition_strategy``
+    (``greedy`` | ``random``, skipped when ``decomposition`` is given),
+    then ``join_order_strategy`` (``jn`` | ``random``), the random ones
+    drawing from ``rng`` in that order.  ``subs`` is the query's
+    TC-subqueries when the caller already found them."""
+    if decomposition is None:
+        if subs is None:
+            subs = tc_subqueries(query)
+        if decomposition_strategy == "greedy":
+            decomposition = greedy_decomposition(query, subs)
+        elif decomposition_strategy == "random":
+            decomposition = random_decomposition(query, rng, subs)
+        else:
+            raise ValueError(
+                f"unknown decomposition strategy: {decomposition_strategy!r}")
+    validate_decomposition(query, decomposition)
     if join_order_strategy == "jn":
         order = jn_join_order(query, decomposition)
     elif join_order_strategy == "random":
@@ -139,4 +147,17 @@ def explain(query: QueryGraph, *, decomposition_strategy: str = "greedy",
     else:
         raise ValueError(
             f"unknown join order strategy: {join_order_strategy!r}")
+    return decomposition, order
+
+
+def explain(query: QueryGraph, *, decomposition_strategy: str = "greedy",
+            join_order_strategy: str = "jn",
+            rng: Optional[random.Random] = None) -> QueryPlan:
+    """Plan a query exactly as :class:`TimingMatcher` would, without data
+    (see :func:`choose_plan`)."""
+    query.validate()
+    subs = tc_subqueries(query)
+    decomposition, order = choose_plan(
+        query, decomposition_strategy, join_order_strategy,
+        rng if rng is not None else random.Random(0), subs=subs)
     return QueryPlan(query, decomposition, order, len(subs))

@@ -27,9 +27,9 @@ the engines (it imports only :mod:`repro.graph`), so
 
 ``EngineConfig``
     One dataclass holding every Timing-engine knob (storage, decomposition
-    strategy, join-order strategy, RNG seed, duplicate policy) and the
-    session-level mode knobs; ``TimingMatcher.from_config`` takes one plus
-    per-call field overrides.
+    strategy, join-order strategy, RNG seed, duplicate policy);
+    ``TimingMatcher.from_config`` takes one plus per-call field
+    overrides.
 """
 
 from __future__ import annotations

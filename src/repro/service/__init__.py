@@ -4,9 +4,9 @@ Everything below :mod:`repro.api` is library-mode — a caller constructs a
 :class:`~repro.api.Session` and pushes edges synchronously.  This package
 turns the engine into a *system*: a long-running process that accepts
 edges over HTTP, WebSocket, or by tailing a growing file, feeds one or
-more named multi-tenant sessions through bounded queues with explicit
-backpressure, checkpoints periodically so a killed server resumes without
-losing in-window state, and exports every counter on a Prometheus-style
+more named multi-tenant sessions through a write-ahead journal and
+bounded, blocking queues, checkpoints periodically so a killed server
+replays its journal without losing an acked edge, and exports every counter on a Prometheus-style
 ``/metrics`` endpoint.
 
 Layout
@@ -16,9 +16,9 @@ Layout
     frames, JSONL tail sources).
 :mod:`~repro.service.queues`
     :class:`~repro.service.queues.BoundedEdgeQueue` — the bounded
-    in-memory ingest queue between the front door and each tenant's
-    worker, with ``block`` / ``drop_oldest`` backpressure policies (the
-    write-ahead log is a tenant's one on-disk FIFO).
+    in-memory ingest queue between each tenant's journal and its
+    consumers; a full queue blocks the producer (the write-ahead log is
+    a tenant's one on-disk FIFO).
 :mod:`~repro.service.config`
     The validated ``server.toml`` schema (:func:`load_config`).
 :mod:`~repro.service.gateway`
@@ -36,8 +36,8 @@ Layout
     the dead-letter queue (see also :mod:`repro.faults`, the
     deterministic fault-injection registry that proves them in CI).
 :mod:`~repro.service.wal`
-    The per-tenant write-ahead log: CRC-framed segments, group-commit
-    fsync, boot-time replay, and the request-id dedup window that makes
+    The write-ahead log every tenant journals to: CRC-framed segments,
+    group-commit fsync, boot-time replay, and the request-id dedup window that makes
     ingestion exactly-once without producer cooperation.
 
 Quickstart::

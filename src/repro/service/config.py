@@ -4,7 +4,7 @@ A gateway is configured declaratively: one ``[server]`` table (listener,
 state directory, checkpoint cadence), optional ``[defaults]`` applied to
 every tenant, and one ``[[tenant]]`` array entry per named session, each
 carrying its queries (inline DSL text or ``.tq`` file paths), window /
-storage knobs, queue bounds and backpressure policy, and
+storage knobs, queue bound, optional ``[tenant.wal]`` journal tuning and
 optional ``[[tenant.tail]]`` file sources.  Example::
 
     [server]
@@ -16,12 +16,10 @@ optional ``[[tenant.tail]]`` file sources.  Example::
     [defaults]
     window = 30.0
     queue_capacity = 10000
-    backpressure = "block"
 
     [[tenant]]
     name = "fraud"
     window = 60.0
-    backpressure = "drop_oldest"
 
     [[tenant.query]]
     name = "exfil"
@@ -38,12 +36,14 @@ optional ``[[tenant.tail]]`` file sources.  Example::
 
 Validation is strict and fails with one-line messages: unknown keys,
 wrong types, out-of-range values and duplicate tenant or query names are
-all rejected before anything starts, and so is ``drop_oldest`` on a
-tenant with an enabled ``[tenant.wal]`` (it would shed acked edges).
+all rejected before anything starts.
 
-No backpressure policy overflows to disk: to absorb bursts use
-``block`` with a larger ``queue_capacity``, or enable ``[tenant.wal]``,
-whose journal is a tenant's one on-disk FIFO.
+Every tenant journals: an admitted batch is written to the tenant's
+write-ahead log and fsynced before its ack, and a full queue blocks the
+producer (``backpressure = "block"``, the one policy).  No edge an ack
+covered is ever shed, so the answer never depends on load.  A load
+shedding policy and ``[tenant.wal] enabled = false`` fail at load saying
+so.
 
 Parsing uses the standard library's :mod:`tomllib` — the service stays
 stdlib-only.
@@ -57,7 +57,7 @@ import tomllib
 from typing import Dict, List, Tuple
 
 from .. import faults as _faults
-from ..api import STORAGE_KINDS
+from ..matcher import DUPLICATE_POLICIES, STORAGE_KINDS
 from .queues import BACKPRESSURE_POLICIES
 
 #: Timestamp assignment modes: ``client`` trusts each edge's own
@@ -140,9 +140,9 @@ class RateLimitConfig:
 
 @dataclasses.dataclass(frozen=True)
 class WalConfig:
-    """Per-tenant write-ahead log settings (``[tenant.wal]``).
+    """A tenant's write-ahead log settings (``[tenant.wal]``, optional).
 
-    With a WAL enabled, every admitted batch is journaled and fsynced
+    Every tenant journals: each admitted batch is journaled and fsynced
     *before* the ingest ack, producers never replay after a crash, and
     optional ``request_id`` fields get exactly-once semantics through a
     bounded dedup window (see :mod:`repro.service.wal`).
@@ -151,15 +151,11 @@ class WalConfig:
     remembered (and checkpointed).
     """
 
-    enabled: bool = True
     segment_bytes: int = 4 * 1024 * 1024
     dedup_window: int = 1024
 
     def validate(self) -> "WalConfig":
         """Raise :class:`ConfigError` on bad values; returns ``self``."""
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(
-                f"wal.enabled must be a boolean, got {self.enabled!r}")
         if not isinstance(self.segment_bytes, int) \
                 or isinstance(self.segment_bytes, bool) \
                 or self.segment_bytes < 1024:
@@ -182,9 +178,10 @@ class TenantConfig:
     ``queries`` maps query names to DSL text (a ``file = ...`` entry in
     TOML is read at load time, relative to the config file).  The
     engine-facing knobs (``window``, ``storage``, ``duplicate_policy``)
-    mirror
-    :class:`~repro.api.EngineConfig`; the queue knobs mirror
-    :class:`~repro.service.queues.BoundedEdgeQueue`.
+    mirror :class:`~repro.api.EngineConfig`.  ``queue_capacity`` bounds
+    the tenant's :class:`~repro.service.queues.BoundedEdgeQueue`, and
+    ``batch_size`` is how many queued edges one apply takes;
+    ``backpressure`` accepts only ``"block"``.
     """
 
     name: str
@@ -199,9 +196,9 @@ class TenantConfig:
     match_log: bool = True
     tails: Tuple[TailConfig, ...] = ()
     rate_limit: "RateLimitConfig | None" = None
-    #: Optional write-ahead log (``[tenant.wal]``): durable admission,
-    #: producer-independent recovery, request-id exactly-once.
-    wal: "WalConfig | None" = None
+    #: The write-ahead log's settings (``[tenant.wal]``): durable
+    #: admission, producer-independent recovery, request-id exactly-once.
+    wal: WalConfig = WalConfig()
     #: Poison arrivals kept in the dead-letter JSONL before dropping.
     dead_letter_capacity: int = 1000
 
@@ -232,10 +229,11 @@ class TenantConfig:
             raise ConfigError(
                 f"tenant {self.name!r}: unknown storage {self.storage!r} "
                 f"(expected one of {STORAGE_KINDS})")
-        if self.duplicate_policy not in ("raise", "skip", "count"):
+        if self.duplicate_policy not in DUPLICATE_POLICIES:
             raise ConfigError(
                 f"tenant {self.name!r}: unknown duplicate_policy "
-                f"{self.duplicate_policy!r}")
+                f"{self.duplicate_policy!r} (expected one of "
+                f"{DUPLICATE_POLICIES})")
         if not isinstance(self.queue_capacity, int) \
                 or isinstance(self.queue_capacity, bool) \
                 or self.queue_capacity < 1:
@@ -246,7 +244,9 @@ class TenantConfig:
             raise ConfigError(
                 f"tenant {self.name!r}: unknown backpressure policy "
                 f"{self.backpressure!r} (expected one of "
-                f"{BACKPRESSURE_POLICIES})")
+                f"{BACKPRESSURE_POLICIES}): a full queue blocks its "
+                "producer, as shedding queued edges would change the "
+                "answer; a larger queue_capacity absorbs bursts")
         if not isinstance(self.batch_size, int) \
                 or isinstance(self.batch_size, bool) or self.batch_size < 1:
             raise ConfigError(
@@ -265,20 +265,11 @@ class TenantConfig:
                     f"tenant {self.name!r}: rate_limit must be a table "
                     "with 'rps' (and optional 'burst')")
             self.rate_limit.validate()
-        if self.wal is not None:
-            if not isinstance(self.wal, WalConfig):
-                raise ConfigError(
-                    f"tenant {self.name!r}: wal must be a table "
-                    "(enabled, segment_bytes, dedup_window)")
-            self.wal.validate()
-            if self.wal.enabled and self.backpressure == "drop_oldest":
-                # The ack of a journaled batch promises every edge is
-                # applied; shedding one would make the answer depend on
-                # whether the tenant later crashed and replayed it.
-                raise ConfigError(
-                    f"tenant {self.name!r}: backpressure 'drop_oldest' "
-                    "sheds edges a write-ahead log already acked as "
-                    "durable; use 'block' with a WAL")
+        if not isinstance(self.wal, WalConfig):
+            raise ConfigError(
+                f"tenant {self.name!r}: wal must be a table "
+                "(segment_bytes, dedup_window)")
+        self.wal.validate()
         if not isinstance(self.dead_letter_capacity, int) \
                 or isinstance(self.dead_letter_capacity, bool) \
                 or self.dead_letter_capacity < 1:
@@ -386,8 +377,13 @@ def _load_wal(entry, where: str) -> WalConfig:
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} wal must be a table (see WalConfig)")
     _reject_unknown(entry, _WAL_KEYS, f"{where} wal")
+    if entry.get("enabled", True) is not True:
+        raise ConfigError(
+            f"{where} wal: enabled = {entry['enabled']!r} is not supported: "
+            "every tenant journals each batch it acks, so a crash replays "
+            "the journal instead of asking producers to resend; drop the "
+            "key (true is the only value)")
     return WalConfig(
-        enabled=entry.get("enabled", True),
         segment_bytes=entry.get("segment_bytes", 4 * 1024 * 1024),
         dedup_window=entry.get("dedup_window", 1024))
 

@@ -17,10 +17,9 @@ front door (:mod:`repro.service.http`) and the file tailers
 Who applies a batch
 -------------------
 A tenant's worker thread drains the queue for every producer that is
-not the event loop: tailers, direct :meth:`Tenant.ingest_json` /
-:meth:`Tenant.ingest_edges` callers, and every producer of a tenant
-without a WAL.  A WAL tenant's HTTP and WebSocket batches stay on the
-event loop instead (:meth:`Tenant.admit_json`): the loop decodes and
+not the event loop: tailers and direct :meth:`Tenant.ingest_json` /
+:meth:`Tenant.ingest_edges` callers.  HTTP and WebSocket batches stay on
+the event loop instead (:meth:`Tenant.admit_json`): the loop decodes and
 journals the batch, awaits only its group-commit fsync in an executor,
 sends the ack, then applies what that released
 (:meth:`Tenant.apply_released`) without waking the worker — unless
@@ -31,9 +30,8 @@ Each order a tenant keeps has one lock.  The session lock is the apply
 lock: batches are dequeued and applied under it, in queue order, and a
 checkpoint barrier excludes every apply.  The worker waits for it; the
 loop only tries it and otherwise leaves the batch to the worker.  The
-admission lock orders the journal (or, without a WAL, the queue) and
-owns the server clock: a batch is built, its stamps drawn, in the hold
-that journals or enqueues it.
+admission lock orders the journal and owns the server clock: a batch is
+built, its stamps drawn, in the hold that journals it.
 
 Crash-recovery contract
 -----------------------
@@ -47,12 +45,12 @@ capture down a keep-last-K chain (``checkpoint.pkl``,
 ``checkpoint.pkl.1``, ...), so recovery can fall back to an older good
 capture when the newest is corrupt (:class:`CheckpointCorruptError`).
 
-Tenants with a ``[tenant.wal]`` table journal every admitted batch to a
-segmented write-ahead log and withhold the ingest ack until the journal
-is fsynced.  A batch enters the queue only once its own fsync returned
-and every batch journaled before it has entered (a reorder buffer keyed
-by admission order), so no match is logged or published before the
-edges that complete it are durable — unless that fsync failed every
+Every tenant journals every admitted batch to a segmented write-ahead
+log (``[tenant.wal]`` tunes it) and withholds the ingest ack until the
+journal is fsynced.  A batch enters the queue only once its own fsync
+returned and every batch journaled before it has entered (a reorder
+buffer keyed by first LSN), so no match is logged or published before
+the edges that complete it are durable — unless that fsync failed every
 retry: the batch is then applied all the same and its producer gets an
 error to retry on.  On boot the tenant restores the best checkpoint in
 the chain, discards uncommitted match segments, then replays the WAL from
@@ -60,8 +58,7 @@ the checkpoint's ``wal_lsn`` — reconstructing the exact session and
 match log with **zero producer cooperation**.  Producers that attach a
 ``request_id`` to ingest batches additionally get exactly-once retries:
 a retry after a lost ack returns the cached ack instead of
-re-admitting.  Without a WAL the pre-existing contract stands: producers
-replay from the checkpointed position read off ``/stats``.
+re-admitting.
 """
 
 from __future__ import annotations
@@ -233,7 +230,6 @@ class Tenant:
         os.makedirs(self.state_dir, exist_ok=True)
         self.checkpoint_path = os.path.join(self.state_dir, _CHECKPOINT_FILE)
         self.checkpoint_keep = max(1, checkpoint_keep)
-        wal_enabled = config.wal is not None and config.wal.enabled
         self.queue = BoundedEdgeQueue(
             config.queue_capacity, policy=config.backpressure)
         self.hub = MatchHub()
@@ -273,27 +269,22 @@ class Tenant:
         self.checkpoint_breaker = CircuitBreaker(f"{config.name}.checkpoint")
         # --- write-ahead log -------------------------------------------
         #: Admission order is journal order and stamp order: one lock
-        #: wraps building a batch (drawing its server stamps), journaling
-        #: it and numbering its admission (or, without a WAL, enqueueing
-        #: it).
+        #: wraps building a batch (drawing its server stamps) and
+        #: journaling it.
         self._admission_lock = threading.Lock()
-        #: The reorder buffer between fsync and queue: admissions are
-        #: numbered from 0, ``_next_release`` is the next one the queue
-        #: takes, and ``_held`` keeps the later ones whose fsync already
-        #: returned, as ``(edges, first_lsn, offset)``.
+        self.wal = WriteAheadLog(
+            os.path.join(self.state_dir, _WAL_DIR),
+            segment_bytes=config.wal.segment_bytes)
+        self.dedup = DedupIndex(config.wal.dedup_window)
+        #: The reorder buffer between fsync and queue: ``_next_lsn`` is
+        #: the first LSN of the batch the queue takes next, and ``_held``
+        #: keeps later batches whose fsync already returned, by first
+        #: LSN, as ``(edges, offset)``.
         self._release_lock = threading.Lock()
-        self._admissions = 0
-        self._next_release = 0
+        self._next_lsn = self.wal.appended_lsn + 1
         self._held: Dict[int, tuple] = {}
-        #: Edges a WAL tenant admitted since boot (the ack's position).
+        #: Edges admitted since boot (the ack's position).
         self._admitted_edges = 0
-        self.wal: Optional[WriteAheadLog] = None
-        self.dedup: Optional[DedupIndex] = None
-        if wal_enabled:
-            self.wal = WriteAheadLog(
-                os.path.join(self.state_dir, _WAL_DIR),
-                segment_bytes=config.wal.segment_bytes)
-            self.dedup = DedupIndex(config.wal.dedup_window)
         #: Highest WAL LSN actually applied to the session (advanced by
         #: the worker under the session lock; checkpointed as wal_lsn).
         self.wal_applied_lsn = 0
@@ -357,8 +348,7 @@ class Tenant:
                          if session.current_time > float("-inf") else 0.0))
             self._sealed_segment = int(meta.get("sealed_segment", -1))
             self._ckpt_wal_lsn = int(meta.get("wal_lsn", 0))
-            if self.dedup is not None:
-                self.dedup.restore(meta.get("dedup"))
+            self.dedup.restore(meta.get("dedup"))
             self._discard_uncommitted_segments(self._sealed_segment)
             # Config drift: queries added since the checkpoint register
             # mid-stream (starts-empty semantics); removed ones leave.
@@ -416,8 +406,6 @@ class Tenant:
         byte-identical.  Frames carrying a ``request_id`` repopulate the
         dedup window so producer retries stay exactly-once across the
         crash."""
-        if self.wal is None:
-            return
         start = self._ckpt_wal_lsn
         self.wal_applied_lsn = start
         replayed = 0
@@ -427,8 +415,7 @@ class Tenant:
                 self._process(entries)
                 replayed += len(entries)
             rid = frame.get("rid")
-            if rid is not None and self.dedup is not None \
-                    and self.dedup.get(rid) is None:
+            if rid is not None and self.dedup.get(rid) is None:
                 self.dedup.put(rid, {
                     "accepted": frame.get("n", 0),
                     "invalid": frame.get("invalid", 0),
@@ -539,24 +526,23 @@ class Tenant:
 
     def ingest_edges(self, edges: Iterable[StreamEdge]
                      | Callable[[], Iterable[StreamEdge]], *,
-                     offset: Optional[tuple] = None,
-                     timeout: Optional[float] = None) -> int:
-        """Enqueue prepared edges; returns how many were admitted.
+                     offset: Optional[tuple] = None) -> int:
+        """Journal and enqueue prepared edges; returns how many were
+        admitted.
 
-        Blocks under the ``block`` policy (bounded by ``timeout``, except
-        at a WAL tenant: a journaled batch always enters the queue);
-        raises :class:`~repro.service.queues.QueueClosed` once shutdown
-        has begun.  ``offset`` tags the *last* edge with its source
-        resume position (file tailers use this).  WAL-enabled tenants
-        journal the batch and fsync before returning — an admitted edge
-        is durable by the time the caller hears so.  ``edges`` may be a
-        callable returning the edges instead: the tenant calls it in its
+        The batch is fsynced before this returns — an admitted edge is
+        durable by the time the caller hears so — and then enters the
+        queue, waiting for room while it is full; raises
+        :class:`~repro.service.queues.QueueClosed` once shutdown has
+        begun.  ``offset`` tags the *last* edge with its source resume
+        position (file tailers use this).  ``edges`` may be a callable
+        returning the edges instead: the tenant calls it in its
         admission hold, so it may draw :meth:`next_server_timestamp`
         stamps (the file tailer does).
         """
         ack, commit = self._admit(
             lambda: (list(edges() if callable(edges) else edges), ()),
-            offset=offset, timeout=timeout)
+            offset=offset)
         if commit is not None:
             commit()
         return ack["accepted"]
@@ -564,7 +550,6 @@ class Tenant:
     def _admit(self, batch: Callable[[], Tuple[List[StreamEdge],
                                                Sequence[int]]], *,
                offset: Optional[tuple] = None,
-               timeout: Optional[float] = None,
                request_id: Optional[str] = None,
                body: Optional[bytes] = None,
                raise_on_sync_failure: bool = False, wake: bool = True
@@ -574,39 +559,19 @@ class Tenant:
 
         ``batch()`` returns the edges and the positions of the invalid
         records (``skip``).  It runs in the admission hold that also
-        journals or enqueues them, so the server stamps it draws are in
-        admission order.
+        journals them, so the server stamps it draws are in admission
+        order.
 
-        A tenant without a WAL enqueues the batch in the hold: a
-        producer blocked for queue room keeps it, and the next one waits
-        for it no longer than its own ``timeout``.  A WAL tenant journals
-        the batch (the frame carries ``request_id`` and the invalid
-        count, so a batch with no valid edge still journals its request
-        id) and numbers the admission; the commit then group-commits
-        (see :meth:`_wal_sync` for ``raise_on_sync_failure``) and
-        releases the batch into the queue whole — consecutive LSNs,
-        ``offset`` tagging the *last* edge — in journal order, waking
-        the worker only with ``wake``.  ``body`` is the request text the
-        edges were decoded from: given one, that is what the frame
-        holds, otherwise the edges are encoded again.  No edge and no
-        request id is nothing to recover: that ack costs no frame and no
-        fsync."""
-        if self.wal is None:
-            started = time.monotonic()
-            if not self._admission_lock.acquire(
-                    timeout=-1 if timeout is None else max(0.0, timeout)):
-                raise TimeoutError("admission stayed busy past the put "
-                                   "timeout")
-            try:
-                edges, skip = batch()
-                if timeout is not None:
-                    timeout = max(0.0, started + timeout - time.monotonic())
-                return {"accepted": self.queue.put_batch(
-                            edges, offset=offset, timeout=timeout),
-                        "invalid": len(skip),
-                        "position": self.queue.enqueued}, None
-            finally:
-                self._admission_lock.release()
+        The frame carries ``request_id`` and the invalid count, so a
+        batch with no valid edge still journals its request id.  The
+        commit group-commits (see :meth:`_wal_sync` for
+        ``raise_on_sync_failure``) and releases the edges into the queue
+        whole — consecutive LSNs, ``offset`` tagging the *last* edge — in
+        journal order, waking the worker only with ``wake``.  ``body`` is
+        the request text the edges were decoded from: given one, that is
+        what the frame holds, otherwise the edges are encoded again.  No
+        edge and no request id is nothing to recover: that ack costs no
+        frame and no fsync."""
         with self._admission_lock:
             edges, skip = batch()
             invalid = len(skip)
@@ -630,39 +595,38 @@ class Tenant:
             self._admitted_edges += len(edges)
             ack = {"accepted": len(edges), "invalid": invalid,
                    "position": self._admitted_edges, "durable": True}
-            if request_id is not None and self.dedup is not None:
+            if request_id is not None:
                 # Before the release, deliberately: once an edge can be
                 # applied (and checkpointed), its request id must already
                 # be recoverable — otherwise a crash between apply and
                 # remember would turn a retry into a double delivery.
                 self.dedup.put(request_id, ack)
-            admission = self._admissions
-            self._admissions += 1
-        released = (edges, last_lsn - len(edges) + 1, offset)
 
         def commit() -> None:
             try:
                 self._wal_sync(ticket, raise_on_failure=raise_on_sync_failure)
             finally:
                 # Released even when the sync failed, as the batch is
-                # journaled: a held admission would stall every later one.
-                self._release(admission, released, wake)
+                # journaled: a held batch would stall every later one.
+                # A request id with no edge took no LSN: nothing to hold.
+                if edges:
+                    self._release(last_lsn - len(edges) + 1,
+                                  (edges, offset), wake)
         return ack, commit
 
-    def _release(self, admission: int, batch: tuple, wake: bool) -> None:
-        """Hand a committed admission to the queue in journal order: hold
-        it until every earlier admission is released, then enqueue the
-        run of consecutive ones that is complete."""
+    def _release(self, first_lsn: int, batch: tuple, wake: bool) -> None:
+        """Hand a committed batch to the queue in journal order: hold it
+        until every batch of lower LSN is released, then enqueue the run
+        of consecutive ones that is complete."""
         with self._release_lock:
             held = self._held
-            held[admission] = batch
-            while self._next_release in held:
-                edges, first_lsn, offset = held.pop(self._next_release)
-                self._next_release += 1
-                if not edges:
-                    continue
+            held[first_lsn] = batch
+            while self._next_lsn in held:
+                first = self._next_lsn
+                edges, offset = held.pop(first)
+                self._next_lsn = first + len(edges)
                 try:
-                    self.queue.put_batch(edges, first_lsn=first_lsn,
+                    self.queue.put_batch(edges, first_lsn=first,
                                          offset=offset, wake=wake)
                 except QueueClosed:
                     pass    # shutting down: the next boot replays it
@@ -691,29 +655,25 @@ class Tenant:
             self.health.set_state("healthy")
 
     def ingest_json(self, records: Sequence[dict], *,
-                    timeout: Optional[float] = None,
                     request_id: Optional[str] = None,
                     dlq_replay: bool = False,
                     body: Optional[bytes] = None) -> dict:
-        """Decode and enqueue a batch of JSON edge objects.
+        """Decode, journal and enqueue a batch of JSON edge objects.
 
-        Returns ``{"accepted": n, "invalid": m, "position": p}`` where
-        ``position`` is the total number of arrivals ever admitted since
-        boot — the cursor a producer compares against checkpointed
-        ``edges_offered`` to resume after a crash.  Malformed records are
-        counted, not fatal.  Under ``timestamps = "server"`` every record
-        is stamped with the tenant clock (client timestamps rejected).
+        Returns ``{"accepted": n, "invalid": m, "position": p, "durable":
+        true}`` where ``position`` is the number of edges admitted since
+        boot, and only once the batch's journal frame is fsynced
+        (ack-after-durable).  Malformed records are counted, not fatal.
+        Under ``timestamps = "server"`` every record is stamped with the
+        tenant clock (client timestamps rejected).
 
         A configured rate limit is all-or-nothing per batch: either every
         record is admitted or :class:`RateLimited` carries the wait after
         which the *same* batch can be resent — partial admission would
         make 429 retries unsafe for order-sensitive producers.
 
-        WAL-enabled tenants add two fields and two guarantees.  The ack
-        gains ``"durable": true`` and is only returned once the batch's
-        journal frame is fsynced (ack-after-durable).  ``request_id`` —
-        any opaque string the producer chooses — makes retries
-        exactly-once: the ack is remembered in a bounded dedup window
+        ``request_id`` — any opaque string the producer chooses — makes
+        retries exactly-once: the ack is remembered in a bounded dedup window
         (journaled and checkpointed), and a retry after a lost ack gets
         the cached ack back, marked ``"deduplicated": true``, instead of
         re-admitting the batch — once the journal is fsynced, since the
@@ -726,20 +686,19 @@ class Tenant:
         (``repro dlq replay``) and counts it in ``dlq_replayed``.
 
         ``body`` is the request text ``records`` were parsed from, when
-        the caller has it: a WAL tenant that stamps nothing journals
-        those bytes as they are instead of encoding the edges again.
+        the caller has it: a tenant that stamps nothing journals those
+        bytes as they are instead of encoding the edges again.
         That needs ASCII without NUL — then ``json.loads`` reads the
         text as UTF-8 whether it stands alone or inside the frame.
         """
         ack, commit = self.admit_json(
-            records, timeout=timeout, request_id=request_id,
-            dlq_replay=dlq_replay, body=body)
+            records, request_id=request_id, dlq_replay=dlq_replay,
+            body=body)
         if commit is not None:
             commit()
         return ack
 
     def admit_json(self, records: Sequence[dict], *,
-                   timeout: Optional[float] = None,
                    request_id: Optional[str] = None,
                    dlq_replay: bool = False,
                    body: Optional[bytes] = None, wake: bool = True
@@ -749,7 +708,7 @@ class Tenant:
         may be sent — ``None``, or a blocking call that fsyncs (raising
         ``OSError`` when every retry failed) and releases the batch into
         the queue, waking the worker only with ``wake``."""
-        if request_id is not None and self.dedup is not None:
+        if request_id is not None:
             cached = self.dedup.get(request_id)
             if cached is not None:
                 self.dedup_hits += 1
@@ -774,7 +733,7 @@ class Tenant:
                     if edge is None] if len(edges) != len(slots) else ()
             return edges, skip
         ack, commit = self._admit(
-            batch, timeout=timeout, request_id=request_id, body=body,
+            batch, request_id=request_id, body=body,
             raise_on_sync_failure=True, wake=wake)
         if dlq_replay:
             self.dlq_replayed += ack["accepted"]
@@ -879,7 +838,7 @@ class Tenant:
                 if entry.offset is not None:
                     path, position = entry.offset
                     self.source_offsets[path] = position
-                if entry.lsn is not None and entry.lsn > self.wal_applied_lsn:
+                if entry.lsn > self.wal_applied_lsn:
                     self.wal_applied_lsn = entry.lsn
 
     def _process(self, entries: List) -> None:
@@ -912,9 +871,8 @@ class Tenant:
                 if entry.offset is not None:
                     path, position = entry.offset
                     offsets[path] = position
-                lsn = entry.lsn
-                if lsn is not None and lsn > applied:
-                    applied = lsn
+                if entry.lsn > applied:
+                    applied = entry.lsn
             self.wal_applied_lsn = applied
 
     # ------------------------------------------------------------------ #
@@ -930,10 +888,9 @@ class Tenant:
         down the keep-last-K chain (once, *outside* the write retry
         loop — retrying a rotation would double-shift the chain), so
         even a crash between the rotation and the replace leaves
-        ``checkpoint.pkl.1`` restorable.  WAL-enabled tenants record the
-        applied WAL position and the dedup window in the metadata, then
-        reclaim journal segments wholly covered by the *oldest* capture
-        in the chain.
+        ``checkpoint.pkl.1`` restorable.  The metadata records the applied
+        WAL position and the dedup window; journal segments wholly
+        covered by the *oldest* capture in the chain are then reclaimed.
         """
         started = time.perf_counter()
         with self.safe.locked() as session:
@@ -947,11 +904,9 @@ class Tenant:
                 "server_clock": self._server_clock,
                 "sealed_segment": sealed,
                 "tail_offsets": dict(self.source_offsets),
+                "wal_lsn": self.wal_applied_lsn,
+                "dedup": self.dedup.snapshot(),
             }
-            if self.wal is not None:
-                meta["wal_lsn"] = self.wal_applied_lsn
-                meta["dedup"] = (self.dedup.snapshot()
-                                 if self.dedup is not None else [])
             from ..persistence import save_session
 
             self._rotate_checkpoint_chain()
@@ -980,15 +935,14 @@ class Tenant:
         self.checkpoints_written += 1
         self.last_checkpoint_seconds = round(
             time.perf_counter() - started, 4)
-        if self.wal is not None:
-            self._chain_lsns.append(int(meta.get("wal_lsn", 0)))
-            if len(self._chain_lsns) > self.checkpoint_keep:
-                del self._chain_lsns[:-self.checkpoint_keep]
-            if len(self._chain_lsns) == self.checkpoint_keep:
-                try:
-                    self.wal.reclaim(self._chain_lsns[0])
-                except OSError:     # retention is best-effort
-                    pass
+        self._chain_lsns.append(meta["wal_lsn"])
+        if len(self._chain_lsns) > self.checkpoint_keep:
+            del self._chain_lsns[:-self.checkpoint_keep]
+        if len(self._chain_lsns) == self.checkpoint_keep:
+            try:
+                self.wal.reclaim(self._chain_lsns[0])
+            except OSError:     # retention is best-effort
+                pass
         return meta
 
     def _rotate_checkpoint_chain(self) -> None:
@@ -1025,8 +979,7 @@ class Tenant:
             self._worker.join(5.0)
         if self.match_sink is not None:
             self.match_sink.abort()
-        if self.wal is not None:
-            self.wal.abort()
+        self.wal.abort()
 
     def close_sinks(self) -> None:
         """Flush and close the match log (idempotent)."""
@@ -1035,12 +988,11 @@ class Tenant:
 
     def close_wal(self) -> None:
         """Flush, fsync and close the journal (idempotent)."""
-        if self.wal is not None:
-            try:
-                self.wal.close()
-            except OSError as exc:  # pragma: no cover - disk trouble
-                print(f"[repro.service] tenant {self.config.name!r} WAL "
-                      f"close failed: {exc!r}", file=sys.stderr)
+        try:
+            self.wal.close()
+        except OSError as exc:  # pragma: no cover - disk trouble
+            print(f"[repro.service] tenant {self.config.name!r} WAL "
+                  f"close failed: {exc!r}", file=sys.stderr)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1051,12 +1003,10 @@ class Tenant:
         with self.safe.locked() as session:
             queries, pushed = session.names(), session.edges_pushed
             stats, offsets = session.session_stats(), dict(self.source_offsets)
-        wal = limit = None
-        if self.wal is not None:
-            wal = {**self.wal.counters(), **snapshot(
-                self, self.WAL_STATS, applied_lsn=self.wal_applied_lsn,
-                dedup_window=len(self.dedup),
-                sync_errors=self.wal_sync_errors)}
+        wal = {**self.wal.counters(), **snapshot(
+            self, self.WAL_STATS, applied_lsn=self.wal_applied_lsn,
+            dedup_window=len(self.dedup), sync_errors=self.wal_sync_errors)}
+        limit = None
         if self.rate_limiter is not None:
             limit = self.rate_limiter.counters()
         breakers = {"match_log": self.sink_breaker.counters(),

@@ -5,16 +5,16 @@ the standard library (the deployment constraint: no third-party web
 framework).  One :class:`ServiceHTTPServer` fronts one
 :class:`~repro.service.gateway.ServiceGateway`.
 
-A WAL tenant's ingest runs on the event loop: decode and journal the
-batch, await only its group-commit fsync in an executor (which then
-releases the batch into the tenant queue in journal order), send the
-ack and half-close the connection, then apply what was released and
-write any match frames straight to that tenant's WebSocket subscribers.
-A match therefore reaches the log and the subscribers only after the
-fsync that made its edges durable.  Other tenants' puts may block under
-``block`` backpressure, so they run in a thread (``asyncio.to_thread``)
-and slow *that producer's request*, never the whole listener; their
-worker thread applies, and its matches hop to the loop.
+Ingest runs on the event loop: decode and journal the batch, await only
+its group-commit fsync in an executor (which then releases the batch
+into the tenant queue in journal order, waiting there while the queue is
+full — backpressure slows *that producer's request*, never the whole
+listener), send the ack and half-close the connection, then apply what
+was released and write any match frames straight to that tenant's
+WebSocket subscribers.  A match therefore reaches the log and the
+subscribers only after the fsync that made its edges durable.  Batches
+the worker thread applies (another thread held the session lock, or a
+tailer produced them) publish matches that hop to the loop.
 
 Routes
 ------
@@ -32,13 +32,13 @@ Routes
 ``POST /ingest`` / ``POST /tenants/<name>/ingest``
     A JSON body of edges — ``{"edges": [...]}``, a bare array, or one
     edge object — enqueued on the (default) tenant's queue.  Replies
-    with ``{"accepted", "invalid", "position"}``; 503 once shutdown has
-    begun; 429 with a ``Retry-After`` header when the tenant's rate
-    limit rejects the batch (resend the same batch after the wait).
-    The dict form takes an optional ``"request_id"`` — on WAL-enabled
-    tenants the ack is then exactly-once across retries and crashes
-    (``"durable": true`` once journaled, ``"deduplicated": true`` on a
-    replayed ack) — and ``"dlq_replay": true``, set by ``repro dlq
+    with ``{"accepted", "invalid", "position", "durable"}`` once the
+    batch is journaled and fsynced; 503 once shutdown has begun; 429
+    with a ``Retry-After`` header when the tenant's rate limit rejects
+    the batch (resend the same batch after the wait).  The dict form
+    takes an optional ``"request_id"`` — the ack is then exactly-once
+    across retries and crashes (``"deduplicated": true`` on a replayed
+    ack) — and ``"dlq_replay": true``, set by ``repro dlq
     replay`` so re-ingested dead letters are counted apart.
 ``POST /checkpoint``
     Trigger a checkpoint barrier on every tenant; replies with each
@@ -305,16 +305,11 @@ class ServiceHTTPServer:
     async def _admit(self, tenant, body: bytes, parsed) -> dict:
         """Admit one parsed batch; returns the ack (see the module doc).
 
-        For a WAL tenant the apply is scheduled whether or not the commit
-        succeeded (a failed fsync still releases the batch) and runs once
-        this handler next yields — after it wrote the ack, or found the
-        client gone."""
+        The apply is scheduled whether or not the commit succeeded (a
+        failed fsync still releases the batch) and runs once this handler
+        next yields — after it wrote the ack, or found the client
+        gone."""
         records, request_id, dlq_replay = parsed
-        if tenant.wal is None:
-            return await asyncio.to_thread(
-                lambda: tenant.ingest_json(
-                    records, request_id=request_id, dlq_replay=dlq_replay,
-                    body=body))
         ack, commit = tenant.admit_json(
             records, request_id=request_id, dlq_replay=dlq_replay,
             body=body, wake=False)
@@ -381,10 +376,10 @@ class ServiceHTTPServer:
         """Push the tenant's matches as JSON text frames until the
         client goes away.
 
-        A match published on the loop (a WAL tenant's apply) is written
-        straight to the socket while nothing is queued ahead of it; one
-        published by the worker thread hops to the loop into a bounded
-        queue.  A slow client sheds there, never stalling ingestion."""
+        A match published on the loop (an ingest handler's apply) is
+        written straight to the socket while nothing is queued ahead of
+        it; one published by the worker thread hops to the loop into a
+        bounded queue.  A slow client sheds there, never stalling ingestion."""
         loop = asyncio.get_running_loop()
         loop_thread = threading.get_ident()
         transport = writer.transport

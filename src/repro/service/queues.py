@@ -1,21 +1,13 @@
-"""Bounded ingest queues with explicit, countable backpressure.
+"""Bounded ingest queues with blocking, countable backpressure.
 
 Every tenant owns one :class:`BoundedEdgeQueue` between the gateway's
-front door (asyncio handlers, file tailers, in-process producers) and its
-consumers: the worker thread and, for a WAL tenant, the event loop that
+journal and its consumers: the worker thread and the event loop that
 acked the batch.  The queue is the *only* place the service absorbs a
-producer/consumer rate mismatch, and it makes the absorption policy
-explicit instead of letting memory grow silently:
-
-``block`` (default)
-    ``put`` waits until the consumer makes room.  Lossless — the
-    backpressure propagates to the producer (an HTTP caller's request
-    simply takes longer; a tailer pauses).
-``drop_oldest``
-    A full queue evicts its oldest unprocessed entries to admit new
-    ones, counting every eviction in ``dropped``.  Freshness over
-    completeness — the load-shedding mode (not for a WAL tenant, whose
-    ack promises every journaled edge is applied).
+producer/consumer rate mismatch, and it does so by blocking: a full
+queue makes ``put`` wait until the consumer makes room, so the
+backpressure reaches the producer (an HTTP caller's ack simply takes
+longer; a tailer pauses) and no admitted edge is ever shed — every
+edge a tenant acked is in the answer (``block``, the one policy).
 
 The queue holds memory only: a tenant's one on-disk FIFO is its
 write-ahead log.  Its counters (:attr:`BoundedEdgeQueue.STATS`) feed
@@ -36,8 +28,8 @@ from .. import faults
 from ..graph.edge import StreamEdge
 from ..stats import COUNTER, GAUGE, Table, snapshot
 
-#: Accepted backpressure policies (see module docstring).
-BACKPRESSURE_POLICIES = ("block", "drop_oldest")
+#: Accepted backpressure policies: ``block`` only (see module docstring).
+BACKPRESSURE_POLICIES = ("block",)
 
 
 class QueueClosed(RuntimeError):
@@ -46,15 +38,14 @@ class QueueClosed(RuntimeError):
 
 class _Entry:
     """One queued arrival: the edge, its source offset (file tailers use
-    this to checkpoint resume positions), its enqueue time (lag), and —
-    for WAL-enabled tenants — the edge's log sequence number, which the
-    worker uses to advance the applied-LSN watermark the checkpoint
-    barrier records."""
+    this to checkpoint resume positions), its enqueue time (lag), and
+    the edge's log sequence number, which the consumer uses to advance
+    the applied-LSN watermark the checkpoint barrier records."""
 
     __slots__ = ("edge", "offset", "enqueued_at", "lsn")
 
     def __init__(self, edge: StreamEdge, offset: Optional[int],
-                 enqueued_at: float, lsn: Optional[int] = None) -> None:
+                 enqueued_at: float, lsn: int) -> None:
         self.edge = edge
         self.offset = offset
         self.enqueued_at = enqueued_at
@@ -79,7 +70,6 @@ class BoundedEdgeQueue:
         "high_water": (GAUGE, "Most entries ever queued at once."),
         "enqueued": (COUNTER, "Entries admitted to the queue."),
         "dequeued": (COUNTER, "Entries taken off the queue."),
-        "dropped": (COUNTER, "Oldest entries evicted (drop_oldest)."),
         "rejected_closed": (COUNTER, "Arrivals refused once closed."),
         "lag_seconds": (GAUGE, "Age of the oldest queued entry."),
     }
@@ -94,7 +84,6 @@ class BoundedEdgeQueue:
                 f"unknown backpressure policy: {policy!r} "
                 f"(expected one of {BACKPRESSURE_POLICIES})")
         self.capacity = capacity
-        self.policy = policy
         self._entries: deque = deque()
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
@@ -102,7 +91,6 @@ class BoundedEdgeQueue:
         self._closed = False
         self.enqueued = 0
         self.dequeued = 0
-        self.dropped = 0
         self.rejected_closed = 0
         self.high_water = 0
 
@@ -110,65 +98,46 @@ class BoundedEdgeQueue:
     # Producer side
     # ------------------------------------------------------------------ #
     def put(self, edge: StreamEdge, *, offset: Optional[int] = None,
-            timeout: Optional[float] = None,
-            lsn: Optional[int] = None) -> bool:
-        """Enqueue one arrival; returns ``False`` only when it was shed.
+            lsn: int = 0) -> None:
+        """Enqueue one arrival (a one-edge :meth:`put_batch`); a full
+        queue waits for room.  ``lsn`` 0 is no journal position.  Raises
+        :class:`QueueClosed` after :meth:`close`."""
+        self.put_batch((edge,), first_lsn=lsn, offset=offset)
 
-        Under ``block`` a full queue waits (up to ``timeout`` seconds if
-        given — expiry raises ``TimeoutError`` rather than dropping,
-        because blocking promises losslessness).  Raises
-        :class:`QueueClosed` after :meth:`close`.
-        """
-        return self.put_batch((edge,), first_lsn=lsn, offset=offset,
-                              timeout=timeout) == 1
-
-    def put_batch(self, edges: Sequence[StreamEdge], *,
-                  first_lsn: Optional[int] = None,
-                  offset: Optional[int] = None,
-                  timeout: Optional[float] = None,
-                  wake: bool = True) -> int:
+    def put_batch(self, edges: Sequence[StreamEdge], *, first_lsn: int,
+                  offset: Optional[int] = None, wake: bool = True) -> None:
         """Enqueue a batch under one lock hold, with one timestamp and
-        one consumer wake-up; returns how many were admitted (all of
-        them: ``drop_oldest`` sheds the *oldest* entries, never the new
-        ones — admitted means entered the pipeline, not survived it).
+        one consumer wake-up.
 
         Edges get consecutive LSNs from ``first_lsn`` and ``offset`` tags
-        the last one.  Under ``block`` the batch takes the room there is
-        and waits for the rest (so a batch larger than the capacity still
-        drains through); ``timeout`` bounds the whole call and expiry
-        raises ``TimeoutError`` with the admitted prefix left queued.
-        ``wake=False`` skips the wake-up, for a producer that consumes
-        the batch itself (a consumer blocked in :meth:`wait` still finds
-        it at its next poll, and one is woken whenever the batch has to
-        wait for room).  Raises :class:`QueueClosed` after :meth:`close`.
+        the last one.  The batch takes the room there is and waits for
+        the rest, so a batch larger than the capacity still drains
+        through.  ``wake=False`` skips the wake-up, for a producer that
+        consumes the batch itself (a consumer blocked in :meth:`wait`
+        still finds it at its next poll, and one is woken whenever the
+        batch has to wait for room).  Raises :class:`QueueClosed` after
+        :meth:`close`.
         """
         if not edges:
-            return 0
+            return
         faults.fire("queue.put")
-        entries, capacity, policy = self._entries, self.capacity, self.policy
+        entries, capacity = self._entries, self.capacity
         last = len(edges) - 1
         with self._lock:
             if self._closed:
                 self.rejected_closed += 1
                 raise QueueClosed("queue is closed to new arrivals")
             now = time.monotonic()
-            deadline = None if timeout is None else now + timeout
             appended = 0
             for position, edge in enumerate(edges):
-                tag = offset if position == last else None
-                lsn = None if first_lsn is None else first_lsn + position
                 if len(entries) >= capacity:
-                    if policy == "drop_oldest":
-                        entries.popleft()
-                        self.dropped += 1
-                    else:
-                        self._published(appended, True)
-                        appended = 0
-                        now = self._wait_for_room(deadline)
-                entries.append(_Entry(edge, tag, now, lsn))
+                    self._published(appended, True)
+                    appended = 0
+                    now = self._wait_for_room()
+                entries.append(_Entry(edge, offset if position == last
+                                      else None, now, first_lsn + position))
                 appended += 1
             self._published(appended, wake)
-        return len(edges)
 
     def _published(self, appended: int, wake: bool) -> None:
         """Account for ``appended`` new in-memory entries and, with
@@ -180,16 +149,11 @@ class BoundedEdgeQueue:
             if wake:
                 self._not_empty.notify(appended)
 
-    def _wait_for_room(self, deadline: Optional[float]) -> float:
+    def _wait_for_room(self) -> float:
         """Block until the queue has room (lock held); returns the time
-        it did.  ``TimeoutError`` past ``deadline``, :class:`QueueClosed`
-        if the queue closes meanwhile."""
+        it did.  :class:`QueueClosed` if the queue closes meanwhile."""
         while len(self._entries) >= self.capacity:
-            remaining = None if deadline is None \
-                else deadline - time.monotonic()
-            if (remaining is not None and remaining <= 0) \
-                    or not self._not_full.wait(remaining):
-                raise TimeoutError("queue stayed full past the put timeout")
+            self._not_full.wait()
             if self._closed:
                 self.rejected_closed += 1
                 raise QueueClosed("queue closed while blocked")
@@ -282,4 +246,4 @@ class BoundedEdgeQueue:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BoundedEdgeQueue(depth={self.depth()}, "
-                f"capacity={self.capacity}, policy={self.policy})")
+                f"capacity={self.capacity})")

@@ -358,10 +358,16 @@ class DeadLetterQueue:
         self._lock = threading.Lock()
         self.recorded = 0
         self.dropped = 0
+        #: Whether the file ends mid-line (a torn final write): the next
+        #: record then starts on a fresh line instead of gluing onto it.
+        self._torn = False
         if os.path.exists(path):
             try:
-                with open(path, encoding="utf-8") as handle:
-                    self.recorded = sum(1 for line in handle if line.strip())
+                self.recorded = len(read_dead_letters(path)[0])
+                with open(path, "rb") as handle:
+                    if handle.seek(0, os.SEEK_END):
+                        handle.seek(-1, os.SEEK_END)
+                        self._torn = handle.read(1) != b"\n"
             except OSError:            # pragma: no cover - disk trouble
                 pass
 
@@ -378,12 +384,16 @@ class DeadLetterQueue:
                      "payload": payload}
             if error is not None:
                 entry["error"] = repr(error)
+            line = json.dumps(entry, sort_keys=True) + "\n"
             try:
                 with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                    handle.write("\n" + line if self._torn else line)
             except OSError:
+                # The write may have left part of a line behind.
+                self._torn = True
                 self.dropped += 1
                 return False
+            self._torn = False
             self.recorded += 1
             return True
 

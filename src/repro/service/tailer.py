@@ -6,13 +6,13 @@ A :class:`FileTailer` is a daemon thread that follows a growing file
 bounded queue — so file-fed deployments get the same backpressure,
 metrics, and crash recovery as network producers.
 
-Each enqueued edge carries the byte offset *after* its line as a source
-resume position; the tenant's worker records the offset once the edge is
-actually in the engine, and the checkpoint barrier persists it.  On
-restart the gateway hands the tailer the checkpointed offset, so lines
-already absorbed before the crash are not re-read and lines after the
-barrier are replayed — exactly the at-least-once replay the recovery
-contract needs (see :mod:`repro.service.gateway`).
+Each admitted edge carries the byte offset *after* its line as a source
+resume position, journaled with the edge; the tenant's worker records
+the offset once the edge is actually in the engine, and the checkpoint
+barrier persists it.  On restart the journal replay advances the
+checkpointed offset past every journaled line, and the gateway hands the
+tailer that offset, so no line is read into the engine twice (see
+:mod:`repro.service.gateway`).
 
 Formats: ``jsonl`` (one service-codec edge object per line) and ``csv``
 (the :mod:`repro.io.csv_stream` column layout; the header row is re-read

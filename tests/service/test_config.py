@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tomllib
 
 import pytest
@@ -30,7 +31,10 @@ backpressure = "block"
 [[tenant]]
 name = "fraud"
 window = 60.0
-backpressure = "drop_oldest"
+batch_size = 32
+
+[tenant.wal]
+segment_bytes = 65536
 
 [[tenant.query]]
 name = "chain"
@@ -71,8 +75,12 @@ class TestLoadConfig:
         fraud = config.tenant("fraud")
         assert fraud.window == 60.0            # tenant overrides default
         assert fraud.queue_capacity == 500     # default applies
-        assert fraud.backpressure == "drop_oldest"
+        assert fraud.batch_size == 32
+        assert fraud.backpressure == "block"
         assert "vertex a A" in fraud.queries["chain"]
+        # Every tenant journals; a [tenant.wal] table only tunes it.
+        assert fraud.wal == WalConfig(segment_bytes=65536)
+        assert config.tenant("audit").wal == WalConfig()
 
     def test_query_files_resolve_relative_to_config(self, config_dir):
         config = load_config(str(config_dir / "server.toml"))
@@ -147,12 +155,31 @@ class TestParseConfigValidation:
         with pytest.raises(ConfigError, match=f"unknown .*{key}"):
             parse_config(data)
 
-    def test_drop_oldest_refused_when_the_wal_is_a_default(self):
+    def test_drop_oldest_is_refused_at_load_saying_why(self):
+        """Shedding queued edges would change the answer, so the old
+        load-shedding policy fails with the reason."""
         data = self.base()
-        data["defaults"] = {"wal": {"enabled": True}}
-        data["tenant"][0]["backpressure"] = "drop_oldest"
-        with pytest.raises(ConfigError, match="drop_oldest"):
+        data["defaults"] = {"backpressure": "drop_oldest"}
+        with pytest.raises(ConfigError, match=(
+                r"'drop_oldest' \(expected one of \('block',\)\): a "
+                "full queue blocks its producer, as shedding queued "
+                "edges would change the answer")):
             parse_config(data)
+
+    @pytest.mark.parametrize("table", ["tenant", "defaults"])
+    def test_an_unjournaled_tenant_is_refused_at_load(self, table):
+        """``[tenant.wal] enabled = false`` asked for the removed
+        journal-less tenant; ``true`` is still accepted."""
+        data = self.base()
+        target = data["tenant"][0] if table == "tenant" \
+            else data.setdefault("defaults", {})
+        target["wal"] = {"enabled": False}
+        with pytest.raises(ConfigError, match=(
+                "enabled = False is not supported: every tenant journals "
+                "each batch it acks")):
+            parse_config(data)
+        target["wal"] = {"enabled": True, "dedup_window": 8}
+        assert parse_config(data).tenants[0].wal == WalConfig(dedup_window=8)
 
     def test_spill_in_defaults_is_refused(self):
         """No policy parks edges on disk beside the WAL, so an old
@@ -160,7 +187,7 @@ class TestParseConfigValidation:
         data = self.base()
         data["defaults"] = {"backpressure": "spill"}
         with pytest.raises(ConfigError,
-                           match=r"expected one of \('block', 'drop_oldest'\)"):
+                           match=r"expected one of \('block',\)"):
             parse_config(data)
 
     def test_query_needs_exactly_one_of_text_or_file(self):
@@ -196,18 +223,24 @@ class TestDataclassValidation:
         with pytest.raises(ConfigError, match="backpressure"):
             self.tenant(backpressure="best_effort").validate()
         with pytest.raises(ConfigError,
-                           match=r"expected one of \('block', 'drop_oldest'\)"):
+                           match=r"expected one of \('block',\)"):
             self.tenant(backpressure="spill").validate()
 
-    def test_drop_oldest_refused_with_an_enabled_wal(self):
-        """An acked WAL batch is applied in full, so a WAL tenant may
-        not shed queued edges."""
-        with pytest.raises(ConfigError, match="drop_oldest"):
-            self.tenant(backpressure="drop_oldest",
-                        wal=WalConfig()).validate()
-        tenant = self.tenant(backpressure="drop_oldest",
-                             wal=WalConfig(enabled=False))
-        assert tenant.validate() is tenant
+    def test_every_tenant_has_a_journal(self):
+        """The default tenant journals with the default settings; there
+        is no value of ``wal`` that turns the journal off."""
+        assert self.tenant().validate().wal == WalConfig()
+        with pytest.raises(ConfigError, match="wal must be a table"):
+            self.tenant(wal=None).validate()
+
+    def test_duplicate_policies_are_the_engines(self):
+        """The tenant check reads the engine's vocabulary."""
+        from repro.matcher import DUPLICATE_POLICIES
+        for policy in DUPLICATE_POLICIES:
+            self.tenant(duplicate_policy=policy).validate()
+        with pytest.raises(ConfigError, match=re.escape(
+                f"expected one of {DUPLICATE_POLICIES}")):
+            self.tenant(duplicate_policy="ignore").validate()
 
     def test_bad_timestamps_mode(self):
         with pytest.raises(ConfigError, match="timestamps"):

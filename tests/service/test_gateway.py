@@ -16,15 +16,20 @@ from repro.sinks import match_record
 from .conftest import CHAIN_DSL, chain_config, chain_edges, chain_records
 
 
-def read_match_log(state_dir, tenant="t0"):
-    """Every match record across the tenant's segments, as a sorted
-    multiset of canonical JSON lines."""
+def match_log_lines(state_dir, tenant="t0"):
+    """Every match record across the tenant's segments, in log order."""
     match_dir = os.path.join(str(state_dir), tenant, "matches")
     lines = []
     for name in sorted(os.listdir(match_dir)):
         with open(os.path.join(match_dir, name), encoding="utf-8") as fh:
             lines.extend(line.strip() for line in fh if line.strip())
-    return sorted(lines)
+    return lines
+
+
+def read_match_log(state_dir, tenant="t0"):
+    """Every match record across the tenant's segments, as a sorted
+    multiset of canonical JSON lines."""
+    return sorted(match_log_lines(state_dir, tenant))
 
 
 class TestIngestion:
@@ -40,7 +45,8 @@ class TestIngestion:
         tenant = gateway.tenant("t0")
         records = chain_records() + [{"nope": 1}, "not-an-object"]
         result = tenant.ingest_json(records)
-        assert result == {"accepted": 4, "invalid": 2, "position": 4}
+        assert result == {"accepted": 4, "invalid": 2, "position": 4,
+                          "durable": True}
         assert gateway.wait_idle(10)
         assert tenant.matches_delivered == 3
 
@@ -68,7 +74,8 @@ class TestIngestion:
             assert tenant.safe.session.current_time == 4.0
             # client timestamps are rejected outright in server mode
             result = tenant.ingest_json(chain_records()[:1])
-            assert result == {"accepted": 0, "invalid": 1, "position": 4}
+            assert result == {"accepted": 0, "invalid": 1, "position": 4,
+                              "durable": True}
 
     def test_status_snapshot_shape(self, gateway):
         gateway.tenant("t0").ingest_edges(chain_edges())
@@ -91,7 +98,7 @@ def unstamped(count):
 
 class TestServerClockIsAdmissionOrder:
     """A server-clock tenant draws a batch's stamps in the hold that
-    journals (WAL) or enqueues it, so two producers cannot reach the
+    journals it, so two producers cannot reach the
     session out of stamp order: with one producer paused between taking
     its batch and admitting it, no acked edge is shed as
     non-monotonic."""
@@ -108,11 +115,8 @@ class TestServerClockIsAdmissionOrder:
             return admit(*args, **kwargs)
         monkeypatch.setattr(tenant, "_admit", paused)
 
-    @pytest.mark.parametrize("wal", [None, WalConfig()],
-                             ids=["no-wal", "wal"])
-    def test_two_direct_producers(self, tmp_path, monkeypatch, wal):
-        config = chain_config(tmp_path / "state", timestamps="server",
-                              wal=wal)
+    def test_two_direct_producers(self, tmp_path, monkeypatch):
+        config = chain_config(tmp_path / "state", timestamps="server")
         with ServiceGateway(config) as gateway:
             tenant = gateway.tenant("t0")
             acked = []
@@ -134,17 +138,14 @@ class TestServerClockIsAdmissionOrder:
             assert tenant.rejected_nonmonotonic == 0
             assert tenant.safe.edges_pushed == sum(acked)
 
-    @pytest.mark.parametrize("wal", [None, WalConfig()],
-                             ids=["no-wal", "wal"])
-    def test_a_tailer_beside_a_direct_producer(self, tmp_path, monkeypatch,
-                                               wal):
+    def test_a_tailer_beside_a_direct_producer(self, tmp_path, monkeypatch):
         feed = tmp_path / "feed.jsonl"
         lines = self.BATCHES * 2
         feed.write_text("".join(json.dumps(record) + "\n"
                                 for record in unstamped(lines)))
         tail = TailConfig(path=str(feed), poll_interval=0.01)
         config = chain_config(tmp_path / "state", timestamps="server",
-                              wal=wal, tails=(tail,))
+                              tails=(tail,))
         with ServiceGateway(config) as gateway:
             tenant = gateway.tenant("t0")
             self.pause_at_admit(monkeypatch, tenant,
@@ -165,38 +166,40 @@ class TestServerClockIsAdmissionOrder:
             assert tenant.rejected_nonmonotonic == 0
             assert tenant.safe.edges_pushed == acked + lines
 
-    def test_a_blocked_put_keeps_to_the_next_producers_timeout(self,
-                                                                tmp_path):
-        """Without a WAL the hold spans the put: a producer waiting for a
-        full queue holds it, and the next one gives up at its own
-        ``timeout`` rather than waiting for the room."""
+    def test_a_full_queue_holds_the_ack_not_the_journal(self, tmp_path):
+        """A batch is durable before it waits for queue room: the
+        producer blocked on a full queue holds no admission, the next
+        producer journals beside it, and what never reached the engine
+        is replayed from the journal at the next boot."""
         config = chain_config(tmp_path / "state", timestamps="server",
                               queue_capacity=2)
         gateway = ServiceGateway(config, start_workers=False)
         tenant = gateway.tenant("t0")
-        outcome = []
-
-        def blocked():
-            try:
-                tenant.ingest_json(unstamped(3))
-            except Exception as exc:
-                outcome.append(type(exc).__name__)
-        producer = threading.Thread(target=blocked)
-        producer.start()
+        acks = []
+        producers = [threading.Thread(
+            target=lambda: acks.append(tenant.ingest_json(unstamped(3))))
+            for _ in range(2)]
+        producers[0].start()
         try:
             deadline = time.monotonic() + 10
             while tenant.queue.depth() < 2:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            started = time.monotonic()
-            with pytest.raises(TimeoutError):
-                tenant.ingest_json(unstamped(1), timeout=0.2)
-            assert 0.2 <= time.monotonic() - started < 2.0
-            assert producer.is_alive() and not outcome
+            producers[1].start()
+            while tenant.wal.durable_lsn < 6:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert tenant.queue.depth() == 2 and not acks
         finally:
             gateway.shutdown(drain_timeout=0.1)
-            producer.join(10)
-        assert outcome == ["QueueClosed"]
+            for producer in producers:
+                producer.join(10)
+        assert sorted(ack["accepted"] for ack in acks) == [3, 3]
+        with ServiceGateway(config) as restored:
+            tenant = restored.tenant("t0")
+            assert tenant.replayed_edges == 6
+            assert tenant.safe.edges_pushed == 6
+            assert tenant.rejected_nonmonotonic == 0
 
 
 class TestCheckpointRecovery:
@@ -288,6 +291,45 @@ class TestCheckpointRecovery:
         with ServiceGateway(config) as restored:
             assert sorted(restored.tenant("t0").safe.names()) == [
                 "chain", "chain2"]
+
+    def test_a_default_tenant_replays_its_journal_after_a_crash(
+            self, tmp_path):
+        """A tenant with no ``[tenant.wal]`` table journals all the same:
+        its acks are durable, and after a crash past a checkpoint the
+        next boot replays every acked edge from the journal, with no
+        producer resend — the match log then reads, line for line, as a
+        run that never crashed."""
+        first = chain_records()
+        second = [dict(record, timestamp=record["timestamp"] + 4.0)
+                  for record in first]
+
+        def run(state_dir, crash):
+            config = chain_config(state_dir)
+            assert config.tenants[0].wal == WalConfig()
+            gateway = ServiceGateway(config)
+            tenant = gateway.tenant("t0")
+            assert tenant.ingest_json(first) == {
+                "accepted": 4, "invalid": 0, "position": 4, "durable": True}
+            assert gateway.wait_idle(10)
+            tenant.checkpoint()
+            assert tenant.ingest_json(second)["durable"] is True
+            assert gateway.wait_idle(10)
+            if not crash:
+                gateway.shutdown()
+                return
+            tenant.abort()
+            gateway.abort()
+            with ServiceGateway(config) as rebooted:
+                tenant = rebooted.tenant("t0")
+                assert tenant.replayed_edges == 4
+                assert tenant.edges_offered == 8
+                assert tenant.safe.edges_pushed == 8
+
+        run(tmp_path / "crashed", crash=True)
+        run(tmp_path / "steady", crash=False)
+        crashed = match_log_lines(tmp_path / "crashed")
+        assert len(crashed) > 3
+        assert crashed == match_log_lines(tmp_path / "steady")
 
     def test_abort_drops_the_open_match_segment(self, tmp_path):
         """A crash closes the match log's file descriptor and loses what

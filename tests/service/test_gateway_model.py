@@ -8,22 +8,22 @@ state machine drives a gateway only through its front door — ``POST
 holds it to one ``NaiveSnapshotMatcher`` per query, fed the stream the
 tenant admitted.
 
-Rules: post a batch; retry an acked batch (a WAL tenant answers
+Rules: post a batch; retry an acked batch (the tenant answers
 ``deduplicated`` and admits nothing); checkpoint; crash —
 ``ServiceGateway.abort()``, the state a SIGKILL leaves — and boot on the
 same state dir, perhaps with a batch journaled but never acked, perhaps
 with the newest ``checkpoint.pkl`` bit-flipped.
 
-Draws: a write-ahead log or none; a rate limit whose ``TokenBucket`` runs
+Draws: a ``[tenant.wal]`` table with 1 KiB journal segments, or none
+(every tenant journals; the default segments hold 4 MiB); a rate limit whose ``TokenBucket`` runs
 on a test clock, so the producer honours a 429 or a WebSocket backoff
 frame by moving the clock instead of sleeping; a seeded fault plan.  Its ``sink.write`` errors never come twice
 in a row, so the match log's retry ladder absorbs each; a ``wal.fsync``
 ladder may fail whole, which the producer sees as a retryable reply.
 
-The producer keeps the documented contract.  At a WAL tenant it re-sends
-only a batch it holds no ack for, under the same id, and trusts the
-journal for everything else; without a WAL it rewinds to ``/stats``
-``edges_offered`` after a crash and sends the stream again from there.
+The producer keeps the documented contract: it re-sends only a batch it
+holds no ack for, under the same id, and trusts the journal for
+everything else — after a crash too.
 
 After every step ``result_counts()`` and the ``/stats`` counters agree with
 the reference: the stream position, ``applied_lsn == durable_lsn ==
@@ -136,7 +136,7 @@ def wait_for(predicate, timeout=30.0):
     return True
 
 
-def settle(port, ref, wal):
+def settle(port, ref):
     """Wait until the tenant applied everything it admitted; returns its
     ``/stats`` node."""
     stats = {}
@@ -144,9 +144,8 @@ def settle(port, ref, wal):
     def applied():
         stats.update(tenant_stats(port))
         return stats["edges_offered"] >= len(ref.records) \
-            and stats["queue"]["depth"] == 0 and not (
-                wal and stats["wal"]["applied_lsn"]
-                < stats["wal"]["appended_lsn"])
+            and stats["queue"]["depth"] == 0 \
+            and stats["wal"]["applied_lsn"] >= stats["wal"]["appended_lsn"]
     assert wait_for(applied), stats
     return stats
 
@@ -225,12 +224,12 @@ class Producer:
     """Sends the stream as the documented contract asks (see the module
     docstring); ``wait(seconds)`` honours a 429 or a backoff frame."""
 
-    def __init__(self, ref, *, wal, wait):
-        self.ref, self.wal, self.wait = ref, wal, wait
+    def __init__(self, ref, *, wait):
+        self.ref, self.wait = ref, wait
         self.port = self.ws = None
         #: ``(payload, ack)`` of every new batch acked.
         self.acked = []
-        #: A WAL batch journaled but never acked.
+        #: A batch journaled but never acked.
         self.unacked = None
         self.batches = self.rate_limited = self.backoffs = self.failed = 0
 
@@ -295,18 +294,17 @@ class Producer:
         self.acked.append((payload, ack))
 
     def post(self, records, via="http", invalid_at=None):
-        """A new batch: in the stream once acked — or, at a WAL tenant,
-        once journaled, when its durability failed and it is owed an
-        ack.  Returns the ack, or ``None``."""
+        """A new batch: in the stream once acked — or once journaled,
+        when its durability failed and it is owed an ack.  Returns the
+        ack, or ``None``."""
         payload = self.payload(records, invalid_at)
         ack = self.send(payload, via, until_acked=False)
         self.ref.admit(records)
         if ack is None:
-            assert self.wal, payload
             self.unacked = payload
             return None
         assert not ack.get("deduplicated"), ack
-        assert ack.get("durable", False) is self.wal, ack
+        assert ack["durable"] is True, ack
         self.accept(payload, ack)
         return ack
 
@@ -326,13 +324,6 @@ class Producer:
         assert ack.get("deduplicated") is True, ack
         assert (ack["accepted"], ack["invalid"]) \
             == (first["accepted"], first["invalid"]), (ack, first)
-
-    def rewind(self, position, size=6):
-        """Send the stream again from ``position``."""
-        records = self.ref.records[position:]
-        for start in range(0, len(records), size):
-            chunk = records[start:start + size]
-            assert self.send(self.payload(chunk))["accepted"] == len(chunk)
 
 
 class Subscriber:
@@ -416,7 +407,8 @@ class InProcessHost:
 
 
 def serve_toml(state_dir):
-    """A WAL tenant over QUERIES with a rate limit, for ``repro serve``."""
+    """A tenant over QUERIES with a rate limit and no ``[tenant.wal]``
+    table (it journals all the same), for ``repro serve``."""
     queries = "".join(f"\n[[tenant.query]]\nname = \"{name}\"\n"
                       f"text = '''\n{text}'''\n"
                       for name, text in QUERIES.items())
@@ -436,9 +428,6 @@ batch_size = 4
 [tenant.rate_limit]
 rps = 100.0
 burst = 12
-
-[tenant.wal]
-enabled = true
 {queries}"""
 
 
@@ -499,16 +488,15 @@ class ServeProcess:
 class GatewayModel(RuleBasedStateMachine):
     settled = False
 
-    @initialize(wal=st.booleans(),
+    @initialize(table=st.booleans(),
                 limit=st.sampled_from([None, None, (20.0, 6), (50.0, 12)]),
                 sink_every=st.sampled_from([0, 2, 3]),
                 fsync_rate=st.sampled_from([0.0, 0.3, 0.6]),
                 seed=SEEDS)
-    def boot(self, wal, limit, sink_every, fsync_rate, seed):
+    def boot(self, table, limit, sink_every, fsync_rate, seed):
         """A one-tenant gateway over QUERIES in the drawn modes, its
         subscriber, and a first batch."""
         self.outer_plan = faults.current()
-        self.wal = wal
         self.root = tempfile.mkdtemp(prefix="gateway-model-")
         self.clock = Clock()
         specs = []
@@ -522,9 +510,9 @@ class GatewayModel(RuleBasedStateMachine):
         tenant = TenantConfig(
             name="t0", queries=QUERIES, window=WINDOW, batch_size=4,
             rate_limit=RateLimitConfig(*limit) if limit else None,
-            wal=WalConfig() if wal else None)
+            **({"wal": WalConfig(segment_bytes=1024)} if table else {}))
         self.ref = Reference()
-        self.producer = Producer(self.ref, wal=wal, wait=self.clock.advance)
+        self.producer = Producer(self.ref, wait=self.clock.advance)
         #: The checkpoints on disk, newest first: each one's stream
         #: position, ``None`` once corrupted.
         self.chain = []
@@ -565,9 +553,9 @@ class GatewayModel(RuleBasedStateMachine):
                 shutil.rmtree(self.root, ignore_errors=True)
 
     def _recover(self):
-        """A boot restored the newest readable capture and (at a WAL
-        tenant) replayed the journal past it; the producer does the
-        rest."""
+        """A boot restored the newest readable capture and replayed the
+        journal past it; the producer re-sends only what it holds no ack
+        for."""
         skipped = next((i for i, position in enumerate(self.chain)
                         if position is not None), len(self.chain))
         position = self.chain[skipped] if skipped < len(self.chain) else 0
@@ -575,16 +563,10 @@ class GatewayModel(RuleBasedStateMachine):
         stats = tenant_stats(self.host.port)
         assert stats["restored"] is (skipped < len(self.chain)), stats
         self.producer.attach(self.host.port)
-        if self.wal:
-            self.replayed += len(self.ref.records) - position
-            self.subscriber = Subscriber(self.host.port, self.ref.written())
-            self.producer.settle()
-        else:
-            assert stats["edges_offered"] == position, stats
-            self.subscriber = Subscriber(
-                self.host.port, self.ref.written(position))
-            self.producer.rewind(position)
-        settle(self.host.port, self.ref, self.wal)
+        self.replayed += len(self.ref.records) - position
+        self.subscriber = Subscriber(self.host.port, self.ref.written())
+        self.producer.settle()
+        settle(self.host.port, self.ref)
         check_log(self.host, self.ref, self.subscriber)
 
     # ------------------------------------------------------------------ #
@@ -600,7 +582,7 @@ class GatewayModel(RuleBasedStateMachine):
             via, invalid_at)
         self.producer.settle(via)
 
-    @precondition(lambda self: self.wal and self.producer.acked)
+    @precondition(lambda self: self.producer.acked)
     @rule(index=st.integers(0, 2 ** 16), via=VIA)
     def retry_acked(self, index, via):
         self.settled = False
@@ -620,7 +602,7 @@ class GatewayModel(RuleBasedStateMachine):
         checkpoint bit-flipped if ``corrupt``."""
         self.settled = False
         check_log(self.host, self.ref, self.subscriber)
-        if unacked and self.wal:
+        if unacked:
             doomed = faults.FaultPlan([faults.FaultSpec(
                 site="wal.fsync", kind="io_error", every=1, limit=3)])
             rng = random.Random(seed)
@@ -643,7 +625,7 @@ class GatewayModel(RuleBasedStateMachine):
     # ------------------------------------------------------------------ #
     @invariant()
     def agrees_with_the_reference(self):
-        stats = settle(self.host.port, self.ref, self.wal)
+        stats = settle(self.host.port, self.ref)
         n = len(self.ref.records)
         assert (stats["edges_offered"], stats["edges_pushed"],
                 stats["checkpoint_fallbacks"],
@@ -651,11 +633,10 @@ class GatewayModel(RuleBasedStateMachine):
                 stats["dead_letters"]["recorded"],
                 stats["stream_frames_dropped"], stats["health"]) \
             == (n, n, self.fallbacks, 0, 0, 0, "healthy"), stats
-        if self.wal:
-            wal = stats["wal"]
-            assert (wal["applied_lsn"], wal["durable_lsn"],
-                    wal["appended_lsn"], wal["replayed_edges"]) \
-                == (n, n, n, self.replayed), wal
+        wal = stats["wal"]
+        assert (wal["applied_lsn"], wal["durable_lsn"],
+                wal["appended_lsn"], wal["replayed_edges"]) \
+            == (n, n, n, self.replayed), wal
         with self.host.tenant.safe.locked() as session:
             assert session.result_counts() == self.ref.result_counts()
         self.settled = True
@@ -678,7 +659,7 @@ def test_gateway_agrees_with_the_naive_matcher(monkeypatch):
 # ---------------------------------------------------------------------- #
 
 #: ``boot``'s draws, which a script may override.
-OPENING = dict(wal=True, limit=None, sink_every=0, fsync_rate=0.0, seed=1)
+OPENING = dict(table=True, limit=None, sink_every=0, fsync_rate=0.0, seed=1)
 
 #: ``name -> (opening overrides, [(rule, *args)], what must have
 #: happened)``.
@@ -697,8 +678,10 @@ SCRIPTS = {
             ("retry_acked", 2, "http"), ("post_batch", 8, 3, "http", None)],
         lambda model: model.fallbacks == 1 and model.producer.failed
         and model.producer.rate_limited and model.producer.backoffs),
-    "rewinds": (
-        dict(wal=False, limit=(50.0, 12), sink_every=2), [
+    # A tenant with no [tenant.wal] table: both crashes replay from its
+    # journal, one of them past a corrupt newest checkpoint.
+    "default-tenant": (
+        dict(table=False, limit=(50.0, 12), sink_every=2), [
             ("post_batch", 2, 6, "ws", 1), ("checkpoint",),
             ("post_batch", 3, 5, "http", None), ("checkpoint",),
             ("post_batch", 4, 4, "http", None),
@@ -742,7 +725,7 @@ def test_serve_subprocess_story(tmp_path):
     it falls back down the chain and replays further; SIGTERMed, its
     match log holds each reference match once."""
     ref = Reference()
-    producer = Producer(ref, wal=True, wait=time.sleep)
+    producer = Producer(ref, wait=time.sleep)
     host = ServeProcess(str(tmp_path), "seed=5;wal.fsync=io_error:0.3:6")
     rng = random.Random(29)
     subscriber = None
@@ -781,7 +764,7 @@ def test_serve_subprocess_story(tmp_path):
         producer.accept(victim, ack)
         for index in range(3):
             producer.retry(index)
-        settle(host.port, ref, True)
+        settle(host.port, ref)
         subscriber = Subscriber(host.port, ref.written())
         take_checkpoint(host.port, ref)
         older = len(ref.records)
@@ -789,7 +772,7 @@ def test_serve_subprocess_story(tmp_path):
         for _ in range(3):
             producer.post(batch(10), "ws")
             producer.settle("ws")
-        settle(host.port, ref, True)
+        settle(host.port, ref)
         take_checkpoint(host.port, ref)
         check_log(host, ref, subscriber)
         assert producer.rate_limited and producer.backoffs
@@ -807,7 +790,7 @@ def test_serve_subprocess_story(tmp_path):
         for _ in range(3):
             producer.post(batch(8))
             producer.settle()
-        stats = settle(host.port, ref, True)
+        stats = settle(host.port, ref)
         assert (stats["edges_offered"], stats["rejected_nonmonotonic"],
                 stats["dead_letters"]["recorded"],
                 stats["stream_frames_dropped"], stats["health"]) \

@@ -59,7 +59,8 @@ class TestHTTPEndpoints:
         status, reply = post(port, "/ingest",
                              {"edges": chain_records()})
         assert status == 200
-        assert reply == {"accepted": 4, "invalid": 0, "position": 4}
+        assert reply == {"accepted": 4, "invalid": 0, "position": 4,
+                         "durable": True}
         assert gateway.wait_idle(10)
         status, body = get(port, "/stats")
         stats = json.loads(body)
@@ -287,7 +288,7 @@ class TestWebSocket:
         opcode, payload = client.recv_frame()
         assert opcode == 0x1
         assert json.loads(payload) == {
-            "accepted": 4, "invalid": 0, "position": 4}
+            "accepted": 4, "invalid": 0, "position": 4, "durable": True}
         client.send_text("not json")
         opcode, payload = client.recv_frame()
         assert json.loads(payload) == {"error": "bad edge payload"}

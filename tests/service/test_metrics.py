@@ -1,7 +1,8 @@
 """The declared metric tables: ``/stats`` is one tree, ``/metrics`` renders
 it from the owners' ``STATS`` tables (see :mod:`repro.stats`).
 
-One gateway with a WAL, a rate limit and a file tailer is booted behind
+One gateway with a rate limit and a file tailer (and, like every tenant,
+a WAL) is booted behind
 a real listener; the pages it serves are checked against the names the
 service exported before the tables existed (nothing renamed; dropped
 only the series of a removed mode), against the declarations (every ``# TYPE`` and every numeric
@@ -15,9 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.service import (
-    RateLimitConfig, ServiceGateway, TailConfig, WalConfig,
-)
+from repro.service import RateLimitConfig, ServiceGateway, TailConfig
 from repro.service.metrics import declared_series
 from repro.stats import SETTING, Group
 
@@ -68,8 +67,11 @@ PINNED_SERIES = ["repro_" + name for name in """
     wal_truncated_bytes worker_errors
 """.split()]
 #: Pinned series since dropped: ``repro_tenant_info`` carried only the
-#: sub-plan sharing mode, which is no longer a mode.
-DROPPED_SERIES = ["repro_tenant_info"]
+#: sub-plan sharing mode, which is no longer a mode; the queue sheds no
+#: entry, so it counts no eviction.
+DROPPED_SERIES = ["repro_tenant_info", "repro_queue_dropped"]
+#: Pinned ``/stats`` leaves since dropped, for the same reason.
+DROPPED_STATS = ["queue.dropped"]
 
 #: What the tables add: the session's stats and the tailer's counters
 #: and source offsets (``<path>`` stands for the tailed file).
@@ -110,16 +112,15 @@ def page_types(text):
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """``(feed path, /stats, /metrics, status())`` of a WAL +
-    rate-limit + tailer gateway after the chain stream went in through
+    """``(feed path, /stats, /metrics, status())`` of a rate-limit +
+    tailer gateway after the chain stream went in through
     the tailer."""
     root = tmp_path_factory.mktemp("metrics")
     feed = root / "feed.jsonl"
     feed.write_text("".join(json.dumps(record) + "\n"
                             for record in chain_records()))
     config = chain_config(
-        root / "state", wal=WalConfig(),
-        rate_limit=RateLimitConfig(rps=1000.0),
+        root / "state", rate_limit=RateLimitConfig(rps=1000.0),
         tails=(TailConfig(path=str(feed), poll_interval=0.02),))
     with ServiceGateway(config, start_workers=False) as gateway:
         gateway.start_background()
@@ -145,7 +146,8 @@ class TestNothingRenamedOrDropped:
         feed, stats, _, _ = served
         tenant = sorted(path.replace(feed, "<path>") for path in
                         leaves(stats["tenants"]["t0"]))
-        assert tenant == sorted(PINNED_STATS + ADDED_STATS)
+        assert tenant == sorted(
+            set(PINNED_STATS) - set(DROPPED_STATS) | set(ADDED_STATS))
         assert sorted(key for key in stats if key != "tenants") \
             == PINNED_GATEWAY_STATS
 

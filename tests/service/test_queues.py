@@ -1,4 +1,4 @@
-"""BoundedEdgeQueue: the two backpressure policies, counters, close."""
+"""BoundedEdgeQueue: blocking backpressure, LSN tags, counters, close."""
 
 import threading
 import time
@@ -27,7 +27,7 @@ class TestBasics:
     def test_counters(self):
         queue = BoundedEdgeQueue(16)
         edges = chain_edges()
-        queue.put_batch(edges)
+        queue.put_batch(edges, first_lsn=1)
         counters = queue.counters()
         assert counters["enqueued"] == 4
         assert counters["depth"] == 4
@@ -50,14 +50,20 @@ class TestBasics:
             BoundedEdgeQueue(4, policy="yolo")
 
     def test_policies_constant(self):
-        assert BACKPRESSURE_POLICIES == ("block", "drop_oldest")
+        assert BACKPRESSURE_POLICIES == ("block",)
+
+    def test_load_shedding_is_not_a_policy(self):
+        """A full queue never evicts: the only policy blocks."""
+        with pytest.raises(ValueError, match=r"expected one of \('block',\)"):
+            BoundedEdgeQueue(4, policy="drop_oldest")
+        assert BoundedEdgeQueue(4, policy="block").capacity == 4
 
     def test_counters_are_memory_only(self):
         """The queue parks nothing on disk, so /metrics exports only
         in-memory counters."""
         assert set(BoundedEdgeQueue(4).counters()) == {
             "capacity", "depth", "high_water", "enqueued", "dequeued",
-            "dropped", "rejected_closed", "lag_seconds"}
+            "rejected_closed", "lag_seconds"}
 
 
 class TestBlockPolicy:
@@ -79,25 +85,17 @@ class TestBlockPolicy:
         got = drain(queue, max_batch=1)
         thread.join(2.0)
         assert admitted and got == [edges[0]]
-        assert queue.dropped == 0
+        assert queue.enqueued == 3
 
-    def test_put_timeout_raises_instead_of_dropping(self):
-        queue = BoundedEdgeQueue(1, policy="block")
-        edges = chain_edges()
-        queue.put(edges[0])
-        with pytest.raises(TimeoutError):
-            queue.put(edges[1], timeout=0.05)
-        assert queue.dropped == 0 and queue.enqueued == 1
-
-
-class TestDropOldestPolicy:
-    def test_oldest_evicted_and_counted(self):
-        queue = BoundedEdgeQueue(2, policy="drop_oldest")
-        edges = chain_edges()
-        queue.put_batch(edges)
-        assert queue.dropped == 2
-        assert drain(queue) == edges[2:]
-        assert queue.counters()["dropped"] == 2
+    def test_put_without_an_lsn_is_no_journal_position(self):
+        """``put(edge)`` outside a tenant tags LSN 0, which no applied
+        watermark ever moves to."""
+        queue = BoundedEdgeQueue(4)
+        queue.put(chain_edges()[0])
+        queue.put(chain_edges()[1], lsn=7, offset=("feed", 3))
+        entries, _ = queue.get_batch(4, timeout=0)
+        assert [(e.lsn, e.offset) for e in entries] == [
+            (0, None), (7, ("feed", 3))]
 
 
 class TestWait:
@@ -166,7 +164,7 @@ class TestClose:
     def test_consumer_drains_backlog_then_sees_closed(self):
         queue = BoundedEdgeQueue(8)
         edges = chain_edges()
-        queue.put_batch(edges)
+        queue.put_batch(edges, first_lsn=1)
         queue.close()
         entries, closed = queue.get_batch(2, timeout=0.1)
         assert len(entries) == 2 and not closed
@@ -189,7 +187,7 @@ def ten_edges():
 
 
 class TestPutBatch:
-    """A 10-edge batch through a queue of capacity 4, per policy."""
+    """A 10-edge batch through a queue of capacity 4."""
 
     def test_block_drains_an_oversized_batch_in_order(self):
         queue = BoundedEdgeQueue(4, policy="block")
@@ -206,8 +204,7 @@ class TestPutBatch:
         consumer = threading.Thread(target=slow_consumer, daemon=True)
         consumer.start()
         before = time.monotonic()
-        assert queue.put_batch(edges, first_lsn=41,
-                               offset=("feed", 99)) == 10
+        queue.put_batch(edges, first_lsn=41, offset=("feed", 99))
         consumer.join(5.0)
         assert not consumer.is_alive()
         assert [entry.edge for entry in got] == edges
@@ -220,14 +217,7 @@ class TestPutBatch:
         assert len(set(stamps[:4])) == 1 and stamps[4] > stamps[0]
         counters = queue.counters()
         assert counters["enqueued"] == counters["dequeued"] == 10
-        assert counters["high_water"] == 4 and counters["dropped"] == 0
-
-    def test_block_timeout_keeps_the_admitted_prefix(self):
-        queue = BoundedEdgeQueue(4, policy="block")
-        with pytest.raises(TimeoutError):
-            queue.put_batch(ten_edges(), timeout=0.05)
-        assert queue.enqueued == 4 and queue.dropped == 0
-        assert drain(queue) == ten_edges()[:4]
+        assert counters["high_water"] == 4
 
     def test_block_close_while_blocked_raises(self):
         queue = BoundedEdgeQueue(4, policy="block")
@@ -235,7 +225,7 @@ class TestPutBatch:
 
         def producer():
             try:
-                queue.put_batch(ten_edges())
+                queue.put_batch(ten_edges(), first_lsn=1)
             except QueueClosed:
                 outcome.append("closed")
 
@@ -245,31 +235,21 @@ class TestPutBatch:
         queue.close()
         thread.join(2.0)
         assert outcome == ["closed"] and queue.rejected_closed == 1
+        # The room there was is kept: the admitted prefix still drains.
+        assert drain(queue) == ten_edges()[:4]
         with pytest.raises(QueueClosed):
-            queue.put_batch(ten_edges())
+            queue.put_batch(ten_edges(), first_lsn=11)
 
-    def test_drop_oldest_counts_every_eviction(self):
-        queue = BoundedEdgeQueue(4, policy="drop_oldest")
-        edges = ten_edges()
-        assert queue.put_batch(edges, first_lsn=1, offset=("feed", 7)) == 10
-        assert queue.dropped == 6 and queue.enqueued == 10
-        assert queue.high_water == 4
-        entries, _ = queue.get_batch(100, timeout=0.1)
-        assert [entry.edge for entry in entries] == edges[6:]
-        assert [entry.lsn for entry in entries] == [7, 8, 9, 10]
-        assert entries[-1].offset == ("feed", 7)
-
-    def test_drop_oldest_keeps_fifo_and_tags_across_batches(self):
-        queue = BoundedEdgeQueue(4, policy="drop_oldest")
+    def test_lsns_and_tags_run_on_across_batches(self):
+        queue = BoundedEdgeQueue(8)
         edges = ten_edges()
         queue.put_batch(edges[:3], first_lsn=1, offset=("feed", 3))
         queue.put_batch(edges[3:6], first_lsn=4, offset=("feed", 6))
-        assert queue.dropped == 2
         entries, _ = queue.get_batch(100, timeout=0.1)
-        assert [entry.edge for entry in entries] == edges[2:6]
-        assert [entry.lsn for entry in entries] == [3, 4, 5, 6]
+        assert [entry.edge for entry in entries] == edges[:6]
+        assert [entry.lsn for entry in entries] == [1, 2, 3, 4, 5, 6]
         assert [entry.offset for entry in entries] == [
-            ("feed", 3), None, None, ("feed", 6)]
+            None, None, ("feed", 3), None, None, ("feed", 6)]
 
     def test_one_fault_check_per_batch(self):
         from repro import faults
@@ -277,14 +257,14 @@ class TestPutBatch:
             site="queue.put", kind="crash", at=2)])
         queue = BoundedEdgeQueue(16)
         with faults.active(plan):
-            queue.put_batch(ten_edges())            # call 1, ten edges
+            queue.put_batch(ten_edges(), first_lsn=1)   # call 1, ten edges
             with pytest.raises(faults.InjectedFault):
-                queue.put_batch(ten_edges()[:1])    # call 2
+                queue.put_batch(ten_edges()[:1], first_lsn=11)  # call 2
         assert queue.enqueued == 10
 
     def test_empty_batch_is_a_no_op(self):
         queue = BoundedEdgeQueue(4)
-        assert queue.put_batch([]) == 0
+        queue.put_batch([], first_lsn=1)
         queue.close()
-        assert queue.put_batch([]) == 0     # nothing to refuse
+        queue.put_batch([], first_lsn=1)    # nothing to refuse
         assert queue.enqueued == 0 and queue.rejected_closed == 0

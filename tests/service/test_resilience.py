@@ -220,6 +220,24 @@ class TestDeadLetterQueue:
         records, unreadable = read_dead_letters(str(path))
         assert records == [entry] and unreadable == 1
 
+    def test_a_torn_tail_is_not_counted_and_not_glued_onto(self, tmp_path):
+        """Reopened over a file whose last write tore, the queue counts
+        only the readable records and starts its first append on a fresh
+        line, so that record stays readable."""
+        path = tmp_path / "dead.jsonl"
+        DeadLetterQueue(str(path)).record("poison_edge", {"src": "a"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"at": 1.0, "rea')
+        dlq = DeadLetterQueue(str(path))
+        assert dlq.recorded == 1
+        assert dlq.record("poison_edge", {"src": "b"}) is True
+        assert dlq.record("poison_edge", {"src": "c"}) is True
+        assert dlq.recorded == 3
+        records, unreadable = read_dead_letters(str(path))
+        assert [r["payload"]["src"] for r in records] == ["a", "b", "c"]
+        assert unreadable == 1
+        assert path.read_text(encoding="utf-8").endswith("\n")
+
     def test_bounded_past_capacity(self, tmp_path):
         dlq = DeadLetterQueue(str(tmp_path / "dead.jsonl"), max_records=2)
         for i in range(4):

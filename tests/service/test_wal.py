@@ -610,15 +610,20 @@ class TestTenantRecovery:
         assert tenant.dedup_hits == 2 and wal.appends == 1
         tenant.abort()
 
-    def test_non_wal_tenant_acks_keep_their_shape(self, tmp_path):
+    def test_a_tenant_with_no_wal_table_journals(self, tmp_path):
+        """No ``[tenant.wal]`` table is the default journal, not none:
+        the ack is durable and the edges are in the log."""
         config = TenantConfig(
             name="t0", queries={"chain": CHAIN_DSL}).validate()
         tenant = Tenant(config, str(tmp_path))
         ack = tenant.ingest_json(chain_records())
-        assert ack == {"accepted": 4, "invalid": 0, "position": 4}
-        assert tenant.wal is None
+        assert ack == {"accepted": 4, "invalid": 0, "position": 4,
+                       "durable": True}
+        assert tenant.wal.segment_bytes == WalConfig().segment_bytes
+        assert (tenant.wal.appended_lsn, tenant.wal.durable_lsn) == (4, 4)
         tenant.start_worker()
         _drain(tenant, 4)
+        assert tenant.wal_applied_lsn == 4
         tenant.abort()
 
     def test_empty_batch_costs_no_frame_and_no_fsync(self, tmp_path):

@@ -14,7 +14,8 @@ per change, with a noise band, by ``bench_e2e``.
   scans (an engine with its join-index maps emptied);
 * decomposition and join order (Timing-RD / -RJ): the planned engine
   joins no more TC-subqueries than a random decomposition, and opens
-  with a join at least as selective as a random order's;
+  with a join at least as selective as a random order's (and
+  ``explain`` prints the plan the engine builds, for every strategy);
 * timing prune: an arrival skips each join its timing order rules out,
   one join and one probe per arrival that completes a marked sub-query;
 * routing: one shared window and label routing, not one window and one
@@ -40,6 +41,7 @@ from repro import EngineConfig, Session, TimingMatcher
 from repro.baselines.naive import NaiveSnapshotMatcher
 from repro.core import engine as engine_module
 from repro.core.join_order import is_prefix_connected_order, joint_number
+from repro.core.plan import explain
 from repro.core.query import ANY, Prefix, QueryGraph
 from repro.datasets import (
     generate_lsbench_stream, generate_netflow_stream, generate_query_set,
@@ -174,6 +176,28 @@ def planned(query, window, seed=0, **config):
     """The engine's TC-subqueries in join order under ``config``."""
     return TimingMatcher(query, window,
                          config=EngineConfig(seed=seed, **config)).join_order
+
+
+@pytest.mark.parametrize("join_order", ["jn", "random"])
+@pytest.mark.parametrize("decomposition", ["greedy", "random"])
+@pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
+def test_explain_plans_what_the_engine_builds(dataset, variant,
+                                              decomposition, join_order):
+    """``explain`` and the engine choose a plan through one function, so
+    for every strategy pair and seed the plan ``repro explain`` prints is
+    the plan the engine joins by."""
+    queries, window, _ = dataset
+    for query in (queries[variant], fork_query(),
+                  fork_query(e4_before_e3=False)):
+        for seed in range(5):
+            plan = explain(query, decomposition_strategy=decomposition,
+                           join_order_strategy=join_order,
+                           rng=random.Random(seed))
+            built = planned(query, window, seed, decomposition=decomposition,
+                            join_order=join_order)
+            assert plan.join_order == built
+            assert sorted(map(sorted, plan.decomposition)) \
+                == sorted(map(sorted, built))
 
 
 @pytest.mark.parametrize("variant", range(len(VARIANTS)), ids=VARIANTS)
